@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,25 +26,31 @@ import (
 )
 
 func main() {
-	var (
-		algo = flag.String("algo", "ecreg", "algorithm to attack: ecreg | adaptive | safe")
-		f    = flag.Int("f", 8, "number of base-object failures tolerated")
-		k    = flag.Int("k", 8, "erasure-code decode threshold (n = 2f+k)")
-		size = flag.Int("size", 512, "value size in bytes (D = 8*size bits)")
-		cs   = flag.String("c", "1,4,8,12", "comma-separated concurrency levels")
-		ell  = flag.Int("ell", 0, "adversary parameter ℓ in bits (0 = D/2)")
-	)
-	flag.Parse()
-	if err := run(*algo, *f, *k, *size, *cs, *ell); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "adversary: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(algo string, f, k, size int, cs string, ell int) error {
+// run parses args, attacks the chosen register once per concurrency level and
+// prints one result line per level to out (flag usage goes there too).
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("adversary", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var (
+		algo = fs.String("algo", "ecreg", "algorithm to attack: ecreg | adaptive | safe")
+		f    = fs.Int("f", 8, "number of base-object failures tolerated")
+		k    = fs.Int("k", 8, "erasure-code decode threshold (n = 2f+k)")
+		size = fs.Int("size", 512, "value size in bytes (D = 8*size bits)")
+		cs   = fs.String("c", "1,4,8,12", "comma-separated concurrency levels")
+		ell  = fs.Int("ell", 0, "adversary parameter ℓ in bits (0 = D/2)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	newReg := func() (register.Register, error) {
-		cfg := register.Config{F: f, K: k, DataLen: size}
-		switch algo {
+		cfg := register.Config{F: *f, K: *k, DataLen: *size}
+		switch *algo {
 		case "ecreg":
 			return ecreg.New(cfg)
 		case "adaptive":
@@ -50,10 +58,10 @@ func run(algo string, f, k, size int, cs string, ell int) error {
 		case "safe":
 			return safereg.New(cfg)
 		default:
-			return nil, fmt.Errorf("unknown algorithm %q (want ecreg, adaptive, or safe)", algo)
+			return nil, fmt.Errorf("unknown algorithm %q (want ecreg, adaptive, or safe)", *algo)
 		}
 	}
-	for _, field := range strings.Split(cs, ",") {
+	for _, field := range strings.Split(*cs, ",") {
 		c, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
 			return fmt.Errorf("bad concurrency level %q: %w", field, err)
@@ -62,11 +70,11 @@ func run(algo string, f, k, size int, cs string, ell int) error {
 		if err != nil {
 			return err
 		}
-		res, err := adversary.Run(reg, c, ell)
+		res, err := adversary.Run(reg, c, *ell)
 		if err != nil {
 			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(out, res)
 	}
 	return nil
 }

@@ -655,7 +655,7 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 	var opts []dsys.Option
 	if nodeLatency > 0 {
 		opts = append(opts, dsys.WithLiveLatency(nodeLatency))
-		if batching && batchCfg.MaxSize > 1 {
+		if batching {
 			opts = append(opts, dsys.WithLiveBatch(batchCfg.MaxSize))
 		}
 	}

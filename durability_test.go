@@ -100,7 +100,7 @@ func TestDurabilityBreakdownAttributesLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Write(1, []byte("v0")); err != nil {
+	if err := s.WriteKey(1, "default", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SplitShard("default"); err != nil {
@@ -126,21 +126,21 @@ func TestDurableRestartNodeReplaysFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Write(1, []byte("before")); err != nil {
+	if err := s.WriteKey(1, "default", []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CrashNode(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ { // crosses SnapshotEvery while the node is down
-		if err := s.Write(1, []byte("during")); err != nil {
+		if err := s.WriteKey(1, "default", []byte("during")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.RestartNode(0); err != nil {
 		t.Fatalf("RestartNode on durable store: %v", err)
 	}
-	got, err := s.Read(2)
+	got, err := s.ReadKey(2, "default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,13 +170,13 @@ func TestRestartNodeClassifiesResumeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Write(1, []byte("v0")); err != nil {
+	if err := s.WriteKey(1, "default", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	// Interrupt a split at its first step: the ledger now holds an in-flight,
 	// interrupted move.
 	s.reconMu.Lock()
-	_, err = s.recon.Apply(failRunner{}, reconfig.Move{Kind: reconfig.MoveSplit, Shard: s.defKey})
+	_, err = s.recon.Apply(failRunner{}, reconfig.Move{Kind: reconfig.MoveSplit, Shard: "default"})
 	s.reconMu.Unlock()
 	if !errors.Is(err, reconfig.ErrInterrupted) {
 		t.Fatalf("interrupting Apply = %v, want ErrInterrupted", err)
@@ -210,7 +210,7 @@ func TestRestartNodeClassifiesResumeFailure(t *testing.T) {
 	if err != nil || resumed != 1 {
 		t.Fatalf("ResumeMoves after failed resume = %d, %v; want 1, nil", resumed, err)
 	}
-	got, err := s.Read(2)
+	got, err := s.ReadKey(2, "default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFaultStatsCountFailedRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Write(1, []byte("v0")); err != nil {
+	if err := s.WriteKey(1, "default", []byte("v0")); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the injector to take a node down.

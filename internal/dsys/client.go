@@ -259,92 +259,27 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 	return resp, nil
 }
 
-// invokeLive is the batched live-mode fast path: it applies the whole round
-// of RMWs immediately, serialized only by the per-object apply mutexes.
-// Crashed objects are skipped via an atomic flag, so the cluster-wide mutex
-// is never touched — concurrent clients whose scopes cover disjoint objects
-// share no locks at all. It returns an error if fewer than quorum objects are
-// alive, which models a client waiting forever for a quorum that cannot form.
+// invokeLive is the live-mode fast path: it applies the whole round of RMWs
+// immediately, serialized only by the per-object apply mutexes. Crashed
+// objects are skipped via an atomic flag, so the cluster-wide mutex is never
+// touched — concurrent clients whose scopes cover disjoint objects share no
+// locks at all. It returns an error if fewer than quorum objects are alive,
+// which models a client waiting forever for a quorum that cannot form.
 func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
 	c := h.c
 	if c.opts.liveLatency > 0 {
-		return h.invokeLiveLatency(targets, makeRMW, quorum)
+		return h.invokeLiveQueued(targets, makeRMW, quorum)
 	}
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
 	resp := make(map[int]any, len(targets))
 	for _, objID := range targets {
 		obj := objects[h.base+objID]
-		if obj.crashed.Load() || obj.retired.Load() {
+		if obj.down() {
 			continue
 		}
-		rmw := makeRMW(objID)
-		obj.liveMu.Lock()
-		r := rmw.Apply(obj.state)
-		obj.applied++
-		c.journalApplyTraced(h.base+objID, rmw, tc)
-		obj.liveMu.Unlock()
-		resp[objID] = r
-	}
-	if len(resp) < quorum {
-		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
-	}
-	return resp, nil
-}
-
-// invokeLiveLatency is the live path under WithLiveLatency: the round's RMWs
-// are dispatched concurrently (the client "sends" to all targets at once, as
-// in the message-passing reading of the model) and each base object serves
-// them serially, staying busy for the configured service time per RMW. The
-// round returns as soon as a quorum of responses has arrived — matching
-// Invoke's contract and the registers' quorum logic — while stragglers keep
-// applying in the background (their RMWs still take effect, their responses
-// are dropped, exactly as for a client rescheduled in controlled mode). The
-// queueing this creates on busy objects is the point — it is how a
-// finite-capacity storage node behaves under load.
-func (h *ClientHandle) invokeLiveLatency(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	c := h.c
-	if c.opts.liveBatch > 1 {
-		return h.invokeLiveBatched(targets, makeRMW, quorum)
-	}
-	type result struct {
-		obj  int
-		resp any
-		ok   bool
-	}
-	objects := c.objs()
-	tc := trace.FromContext(h.ctx)
-	ch := make(chan result, len(targets))
-	dispatched := 0
-	for _, objID := range targets {
-		obj := objects[h.base+objID]
-		if obj.crashed.Load() || obj.retired.Load() {
-			continue
-		}
-		rmw := makeRMW(objID)
-		dispatched++
-		c.wg.Add(1) // stragglers past the quorum are joined by Close
-		go func(objID int, obj *object) {
-			defer c.wg.Done()
-			obj.liveMu.Lock()
-			time.Sleep(c.opts.liveLatency)
-			if obj.crashed.Load() || obj.retired.Load() {
-				obj.liveMu.Unlock()
-				ch <- result{obj: objID}
-				return
-			}
-			r := rmw.Apply(obj.state)
-			obj.applied++
-			c.journalApplyTraced(h.base+objID, rmw, tc)
-			obj.liveMu.Unlock()
-			ch <- result{obj: objID, resp: r, ok: true}
-		}(objID, obj)
-	}
-	resp := make(map[int]any, dispatched)
-	for received := 0; received < dispatched && len(resp) < quorum; received++ {
-		r := <-ch
-		if r.ok {
-			resp[r.obj] = r.resp
+		if r, err := obj.apply(c, makeRMW(objID), tc, false); err == nil {
+			resp[objID] = r
 		}
 	}
 	if len(resp) < quorum {
@@ -353,14 +288,16 @@ func (h *ClientHandle) invokeLiveLatency(targets []int, makeRMW func(obj int) RM
 	return resp, nil
 }
 
-// invokeLiveBatched is the coalescing variant of invokeLiveLatency (active
-// under WithLiveBatch): instead of spawning a goroutine per RMW that holds
-// the object busy for a full service period, each RMW is enqueued at its
-// object's service queue and the object's server drains up to liveBatch of
-// them per period. The quorum contract is unchanged — the round returns as
-// soon as quorum responses have arrived, and stragglers keep queueing and
-// take effect later.
-func (h *ClientHandle) invokeLiveBatched(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+// invokeLiveQueued is the live path under WithLiveLatency: the round's RMWs
+// are enqueued at their objects' service queues all at once and each object's
+// server serves them in FIFO order, up to WithLiveBatch of them per service
+// period. The round returns as soon as a quorum of responses has arrived —
+// matching Invoke's contract and the registers' quorum logic — while
+// stragglers stay queued and take effect later (their responses are dropped,
+// exactly as for a client rescheduled in controlled mode). The queueing this
+// creates on busy objects is the point — it is how a finite-capacity storage
+// node behaves under load.
+func (h *ClientHandle) invokeLiveQueued(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
 	c := h.c
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
@@ -368,7 +305,7 @@ func (h *ClientHandle) invokeLiveBatched(targets []int, makeRMW func(obj int) RM
 	dispatched := 0
 	for _, objID := range targets {
 		obj := objects[h.base+objID]
-		if obj.crashed.Load() || obj.retired.Load() {
+		if obj.down() {
 			continue
 		}
 		if c.enqueueLive(obj, &liveReq{rmw: makeRMW(objID), client: h.id, obj: objID, ch: ch, tc: tc}) {

@@ -59,24 +59,26 @@ func WithControlledMode() Option { return func(o *options) { o.mode = Controlled
 func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
 
 // WithLiveLatency gives every base object a fixed RMW service time in live
-// mode: each object applies its RMWs serially, holding itself busy for d per
-// application, and clients dispatch each round's RMWs concurrently and wait
-// for the quorum. This turns the live runtime into a queueing model of a real
-// storage cluster — n base objects provide n·(1/d) aggregate service capacity
-// — so throughput experiments see shards scale capacity the way added
+// mode. This is the one finite-capacity engine: a round
+// enqueues its RMWs at the target objects' service queues all at once (the
+// client "sends" to every target, as in the message-passing reading of the
+// model) and waits for the quorum; each object's server drains its queue in
+// FIFO order, staying busy for d per service period. Queued RMW parameters are
+// charged to the channel in storage snapshots (Definition 2 — bits parked in
+// communication links count), and Close interrupts a service period instead
+// of sleeping it out. n base objects provide n·(1/d) aggregate service
+// capacity, so throughput experiments see shards scale capacity the way added
 // storage nodes do. Zero (the default) keeps the synchronous in-process fast
 // path.
 func WithLiveLatency(d time.Duration) Option { return func(o *options) { o.liveLatency = d } }
 
-// WithLiveBatch lets every base object coalesce up to n pending RMWs into a
-// single service period under WithLiveLatency: instead of holding itself busy
-// for d per RMW, an object drains up to n queued RMWs, sleeps d once, and
-// applies the whole batch atomically. This is the node-level half of the
-// batched quorum engine — it amortizes the per-operation service period the
-// same way group commit amortizes an fsync — and it multiplies an object's
-// service capacity from 1/d to n/d RMWs per second. Values of n below 2 (the
-// default) keep the one-RMW-per-period engine. The option has no effect
-// without WithLiveLatency.
+// WithLiveBatch sizes the service period of the WithLiveLatency engine: an
+// object's server drains up to n queued RMWs per period, sleeps d once, and
+// applies them together. This is the node-level half of the batched quorum
+// engine — it amortizes the per-operation service period the same way group
+// commit amortizes an fsync — and it multiplies an object's service capacity
+// from 1/d to n/d RMWs per second. Values below 1 (the default) mean 1. The
+// option has no effect without WithLiveLatency.
 func WithLiveBatch(n int) Option { return func(o *options) { o.liveBatch = n } }
 
 // WithDataBits records D (the register value size in bits) so that policies
@@ -163,12 +165,11 @@ type object struct {
 	// another. Unlike a crash, retirement cannot be undone.
 	retired atomic.Bool
 	applied int
-	liveMu  sync.Mutex // serializes Apply in live mode
+	liveMu  sync.Mutex // the apply lock: held around every state transition
 
-	// Batched live-mode service queue (used only when both WithLiveLatency
-	// and WithLiveBatch are active). Enqueued RMWs are drained by the
-	// object's server goroutine in batches of up to liveBatch per service
-	// period. Entries stay queued until their batch has been applied, so
+	// Service queue of the finite-capacity engine (WithLiveLatency). Enqueued
+	// RMWs are drained by the object's server goroutine, up to the batch size
+	// per service period. Entries stay queued until they have been applied, so
 	// storage snapshots charge their parameters to the channel for exactly
 	// the window in which they are in flight (Definition 2).
 	qmu        sync.Mutex
@@ -176,10 +177,47 @@ type object struct {
 	queue      []*liveReq
 	serverOn   bool
 	serverGone bool
-	periods    int // completed service periods (batched engine only)
+	periods    int // completed service periods
 }
 
-// liveReq is one RMW enqueued at a base object's batched live-mode queue.
+// apply lets one RMW take effect on the object and is the only way one does:
+// every entry point — a live round, the object's queue server, ApplyOne, the
+// controlled coordinator's step, recovery replay — goes through it (the
+// server through applyLocked, because it holds the lock across its batch).
+func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
+	o.liveMu.Lock()
+	resp, err := o.applyLocked(c, rmw, tc, replay)
+	o.liveMu.Unlock()
+	return resp, err
+}
+
+// applyLocked is apply for a caller that holds o.liveMu. The lifecycle check
+// sits under the lock, so an object retired while the RMW waited for the lock
+// still never mutates. A crashed object drops RMWs (ErrObjectDown) unless
+// replay is set: recovery re-applies journaled RMWs while the object is still
+// marked down — which is what keeps live clients out — and must not journal
+// them a second time. The journal record is written under the lock, so its
+// order per object is the apply order.
+func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
+	if o.retired.Load() {
+		return nil, ErrRetiredObject
+	}
+	if o.crashed.Load() && !replay {
+		return nil, ErrObjectDown
+	}
+	resp := rmw.Apply(o.state)
+	o.applied++
+	if !replay {
+		c.journalApply(o.id, rmw, tc)
+	}
+	return resp, nil
+}
+
+// down reports whether the object currently drops RMWs. Rounds consult it to
+// skip targets that cannot answer; apply makes the authoritative check.
+func (o *object) down() bool { return o.crashed.Load() || o.retired.Load() }
+
+// liveReq is one RMW enqueued at a base object's service queue.
 type liveReq struct {
 	rmw    RMW
 	client int
@@ -260,10 +298,10 @@ type Cluster struct {
 
 	stripes [numClientStripes]clientStripe
 
-	// liveHalted mirrors halted for the batched live engine: object servers
-	// and enqueuers consult it without taking the cluster-wide mutex, and
-	// closed is closed alongside it so servers mid-service-period wake up
-	// instead of sleeping out their latency.
+	// liveHalted mirrors halted for the live engines: object servers and
+	// enqueuers consult it without taking the cluster-wide mutex, and closed
+	// is closed alongside it so servers mid-service-period wake up instead of
+	// sleeping out their latency.
 	liveHalted atomic.Bool
 	closed     chan struct{}
 
@@ -395,7 +433,7 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	tracer := c.opts.tracer
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	// Wake batched live-mode servers so queued RMWs on the retired objects are
+	// Wake the objects' servers so queued RMWs on the retired objects are
 	// answered instead of waiting out a service period.
 	for i := base; i < base+span; i++ {
 		o := objects[i]
@@ -783,8 +821,8 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 		}
 		// Take the apply mutex first and the queue mutex inside it — the
 		// same order as the object server's apply-then-dequeue step — so a
-		// batched live-mode sample sees each in-flight RMW in exactly one
-		// place: in the channel while queued, in the object state afterwards.
+		// sample sees each queued RMW in exactly one place: in the channel
+		// while queued, in the object state afterwards.
 		o.liveMu.Lock()
 		refs := o.state.Blocks()
 		o.qmu.Lock()
@@ -850,10 +888,10 @@ func (c *Cluster) OutstandingOps() []OpID {
 	return out
 }
 
-// enqueueLive appends a request to the object's batched service queue,
-// lazily starting the object's server goroutine on first use. It reports
-// false when the cluster has halted and the request will never be served;
-// the caller then counts the request as answered with a failure.
+// enqueueLive appends a request to the object's service queue, lazily
+// starting the object's server goroutine on first use. It reports false when
+// the cluster has halted and the request will never be served; the caller
+// then counts the request as answered with a failure.
 func (c *Cluster) enqueueLive(o *object, req *liveReq) bool {
 	o.qmu.Lock()
 	if c.liveHalted.Load() || o.serverGone {
@@ -872,16 +910,16 @@ func (c *Cluster) enqueueLive(o *object, req *liveReq) bool {
 	return true
 }
 
-// objectServer is the batched live-mode service loop of one base object: it
-// drains up to liveBatch queued RMWs, holds the object busy for one service
-// period, applies the whole batch atomically, and replies. Requests are
-// dequeued only after they have been applied — and the dequeue happens under
-// the object's apply mutex — so a storage snapshot observes every in-flight
-// RMW in exactly one place: in the channel while pending, in the base-object
-// state afterwards.
+// objectServer is the service loop of one base object under WithLiveLatency:
+// it takes up to the batch size of queued RMWs in FIFO order, holds the
+// object busy for one service period, applies them under one hold of the
+// apply lock, and replies. Requests are dequeued only after they have been
+// applied — and the dequeue happens under the apply lock — so a storage
+// snapshot observes every in-flight RMW in exactly one place: in the channel
+// while pending, in the base-object state afterwards.
 func (c *Cluster) objectServer(o *object) {
 	defer c.wg.Done()
-	maxBatch := c.opts.liveBatch
+	maxBatch := max(1, c.opts.liveBatch)
 	for {
 		o.qmu.Lock()
 		for len(o.queue) == 0 && !c.liveHalted.Load() {
@@ -897,10 +935,7 @@ func (c *Cluster) objectServer(o *object) {
 			}
 			return
 		}
-		n := len(o.queue)
-		if n > maxBatch {
-			n = maxBatch
-		}
+		n := min(len(o.queue), maxBatch)
 		batch := make([]*liveReq, n)
 		copy(batch, o.queue[:n])
 		o.qmu.Unlock()
@@ -919,20 +954,12 @@ func (c *Cluster) objectServer(o *object) {
 
 		results := make([]liveResult, n)
 		o.liveMu.Lock()
-		if o.crashed.Load() || o.retired.Load() {
-			// Crashed objects drop their RMWs; retired objects were
-			// decommissioned by reconfiguration and must never mutate again —
-			// a straggler queued past its round's quorum is answered failed,
-			// like a message to an unplugged node.
-			for i, r := range batch {
-				results[i] = liveResult{obj: r.obj}
-			}
-		} else {
-			for i, r := range batch {
-				results[i] = liveResult{obj: r.obj, resp: r.rmw.Apply(o.state), ok: true}
-				c.journalApplyTraced(o.id, r.rmw, r.tc)
-			}
-			o.applied += n
+		for i, r := range batch {
+			// A crashed object drops its RMWs and a retired one must never
+			// mutate again: a straggler queued past its round's quorum is
+			// answered failed, like a message to an unplugged node.
+			resp, err := o.applyLocked(c, r.rmw, r.tc, false)
+			results[i] = liveResult{obj: r.obj, resp: resp, ok: err == nil}
 		}
 		o.qmu.Lock()
 		o.queue = o.queue[n:]
@@ -945,10 +972,11 @@ func (c *Cluster) objectServer(o *object) {
 	}
 }
 
-// LiveServicePeriods returns the total number of service periods the batched
-// live engine has completed across all base objects. With coalescing active
-// it is strictly smaller than the number of applied RMWs; tests use the ratio
-// to prove that batching actually amortizes service time.
+// LiveServicePeriods returns the total number of service periods the object
+// servers have completed across all base objects. With coalescing active
+// (WithLiveBatch above 1) it is strictly smaller than the number of applied
+// RMWs; tests use the ratio to prove that batching actually amortizes service
+// time.
 func (c *Cluster) LiveServicePeriods() int {
 	total := 0
 	for _, o := range c.objs() {

@@ -1,5 +1,7 @@
 package dsys
 
+import "spacebounds/internal/trace"
+
 // coordinator is the controlled-mode scheduling loop. It runs while the
 // cluster is open and, whenever no client task holds the run token, asks the
 // policy for the next move: let a pending RMW take effect, let a ready client
@@ -125,7 +127,7 @@ func (c *Cluster) stallLocked() {
 func (c *Cluster) hasApplicablePendingLocked() bool {
 	objects := c.objs()
 	for _, p := range c.pending {
-		if o := objects[p.object]; !o.crashed.Load() && !o.retired.Load() {
+		if !objects[p.object].down() {
 			return true
 		}
 	}
@@ -187,15 +189,12 @@ func (c *Cluster) buildViewLocked() *View {
 func (c *Cluster) applyPendingLocked(index int) {
 	p := c.pending[index]
 	c.pending = append(c.pending[:index], c.pending[index+1:]...)
-	obj := c.objs()[p.object]
-	if obj.crashed.Load() || obj.retired.Load() {
+	resp, err := c.objs()[p.object].apply(c, p.rmw, trace.Context{}, false)
+	if err != nil {
 		// A policy should never pick a crashed or retired object; drop the RMW
 		// silently (it can never take effect).
 		return
 	}
-	resp := p.rmw.Apply(obj.state)
-	obj.applied++
-	c.journalApply(p.object, p.rmw)
 	p.call.Done = true
 	p.call.Response = resp
 	c.idleReason = ""

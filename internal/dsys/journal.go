@@ -71,20 +71,13 @@ func (c *Cluster) SetJournal(j Journal) {
 	c.jour.Store(h)
 }
 
-// journalApply reports one applied RMW to the attached journal, if any.
-// Callers hold the object's apply lock (liveMu, or c.mu in controlled mode),
-// which is what serializes the journal's record order with the apply order.
-func (c *Cluster) journalApply(object int, rmw RMW) {
-	if h := c.jour.Load(); h != nil {
-		h.j.RecordApply(object, rmw)
-	}
-}
-
-// journalApplyTraced is journalApply carrying the applying operation's trace
-// context: a sampled apply reaches a TracedJournal through the extension so
-// the journal's stages join the operation's trace, and everything else takes
-// the plain path.
-func (c *Cluster) journalApplyTraced(object int, rmw RMW, tc trace.Context) {
+// journalApply reports one applied RMW to the attached journal, if any, with
+// the applying operation's trace context: a sampled apply reaches a
+// TracedJournal through the extension so the journal's stages join the
+// operation's trace, and everything else takes the plain path. Only
+// object.applyLocked calls it, under the object's apply lock, which is what
+// serializes the journal's record order with the apply order.
+func (c *Cluster) journalApply(object int, rmw RMW, tc trace.Context) {
 	h := c.jour.Load()
 	if h == nil {
 		return
@@ -142,14 +135,10 @@ func (c *Cluster) ReplayApply(id int, rmw RMW) (any, error) {
 	if id < 0 || id >= len(objects) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
-	o := objects[id]
-	if o.retired.Load() {
-		return nil, fmt.Errorf("%w: %d", ErrRetiredObject, id)
+	r, err := objects[id].apply(c, rmw, trace.Context{}, true)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d", err, id)
 	}
-	o.liveMu.Lock()
-	r := rmw.Apply(o.state)
-	o.applied++
-	o.liveMu.Unlock()
 	return r, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"spacebounds/internal/storagecost"
 )
@@ -137,5 +138,63 @@ func TestObjectStateReadRestoreReplay(t *testing.T) {
 	}
 	if _, err := c.ReplayApply(2, addBlockRMW{}); !errors.Is(err, ErrRetiredObject) {
 		t.Fatalf("ReplayApply(retired) = %v, want ErrRetiredObject", err)
+	}
+}
+
+// TestEveryEntryPointAppliesOnce drives one RMW through each way an RMW can
+// take effect and checks the shared apply step did its three jobs exactly
+// once: the state moved, the object's applied count rose by one, and the
+// journal got one record — except on replay, whose RMW was journaled when it
+// first applied.
+func TestEveryEntryPointAppliesOnce(t *testing.T) {
+	round := func(c *Cluster) error {
+		return c.RunScoped(1, 0, 1, func(h *ClientHandle) error {
+			_, err := h.Invoke([]int{0}, func(int) RMW { return addBlockRMW{bits: 8} }, 1)
+			return err
+		})
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     []Option
+		drive    func(c *Cluster) error
+		journals int
+	}{
+		{"live round", []Option{WithLiveMode()}, round, 1},
+		{"queued round", []Option{WithLiveMode(), WithLiveLatency(time.Millisecond)}, round, 1},
+		{"ApplyOne", []Option{WithLiveMode()}, func(c *Cluster) error {
+			_, err := c.ApplyOne(0, addBlockRMW{bits: 8})
+			return err
+		}, 1},
+		{"controlled step", nil, func(c *Cluster) error {
+			c.Start()
+			return round(c)
+		}, 1},
+		{"ReplayApply", []Option{WithLiveMode()}, func(c *Cluster) error {
+			_, err := c.ReplayApply(0, addBlockRMW{bits: 8})
+			return err
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(1, tc.opts...)
+			defer c.Close()
+			j := &recJournal{}
+			c.SetJournal(j)
+			if err := tc.drive(c); err != nil {
+				t.Fatal(err)
+			}
+			var counter, applied int
+			if err := c.ReadObjectState(0, func(s State) {
+				counter = s.(*testState).counter
+				applied = c.objs()[0].applied
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if counter != 1 || applied != 1 {
+				t.Fatalf("state counter = %d, applied = %d, want 1 and 1", counter, applied)
+			}
+			if got := len(j.recorded()); got != tc.journals {
+				t.Fatalf("journal holds %d records, want %d", got, tc.journals)
+			}
+		})
 	}
 }

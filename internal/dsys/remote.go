@@ -77,18 +77,10 @@ func (c *Cluster) ApplyOneTraced(id int, rmw RMW, tc trace.Context) (any, error)
 	if id < 0 || id >= len(objects) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
-	o := objects[id]
-	if o.retired.Load() {
-		return nil, fmt.Errorf("%w: %d", ErrRetiredObject, id)
+	r, err := objects[id].apply(c, rmw, tc, false)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d", err, id)
 	}
-	if o.crashed.Load() {
-		return nil, fmt.Errorf("%w: %d", ErrObjectDown, id)
-	}
-	o.liveMu.Lock()
-	r := rmw.Apply(o.state)
-	o.applied++
-	c.journalApplyTraced(id, rmw, tc)
-	o.liveMu.Unlock()
 	if m := c.met.Load(); m != nil {
 		m.applies.Inc()
 	}

@@ -205,7 +205,10 @@ func (cc *clientConn) register(reqID uint64, call *pendingCall) {
 // deregister removes a request; late responses for it are dropped, exactly
 // like responses to a client that has moved on (the RMW still took effect).
 // The in-flight gauge drops only if the call was still pending — a response
-// (take) or connection failure (shutdown) may have accounted for it already.
+// (take) or connection failure (shutdown) may have accounted for it already —
+// and a traced call that was still pending records its RPC span as abandoned:
+// the node parents its apply span under that ID whether or not anyone waits
+// for the answer.
 func (cc *clientConn) deregister(reqID uint64) {
 	cc.pmu.Lock()
 	call, ok := cc.pending[reqID]
@@ -213,6 +216,7 @@ func (cc *clientConn) deregister(reqID uint64) {
 	cc.pmu.Unlock()
 	if ok {
 		cc.nm.observeResponse(call, false)
+		cc.recordRPC(call, false)
 	}
 }
 
@@ -225,7 +229,7 @@ func (cc *clientConn) take(reqID uint64) *pendingCall {
 	cc.pmu.Unlock()
 	if call != nil {
 		cc.nm.observeResponse(call, true)
-		cc.recordRPC(call)
+		cc.recordRPC(call, true)
 	}
 	return call
 }

@@ -8,8 +8,9 @@ import (
 
 // WithTracer attaches a tracer to the client: rounds whose context carries a
 // sampled trace stamp it into every request envelope (the version-2 wire
-// extension) and record one StageRPC span per served response frame, noted
-// with the node address. Untraced rounds emit byte-identical version-1 frames.
+// extension) and record one StageRPC span per request, noted with the node
+// address (plus " abandoned" when the round stopped waiting before the
+// response came). Untraced rounds emit byte-identical version-1 frames.
 func WithTracer(tr *trace.Tracer) ClientOption {
 	return func(o *clientOptions) { o.tracer = tr }
 }
@@ -22,15 +23,25 @@ func WithServerTracer(tr *trace.Tracer) ServerOption {
 	return func(o *serverOptions) { o.tracer = tr }
 }
 
-// recordRPC closes a served frame's RPC span (no-op for untraced calls).
-// Frames failed by a connection shutdown are not recorded — like the RPC
-// latency histogram, the span series means served responses.
-func (cc *clientConn) recordRPC(call *pendingCall) {
+// recordRPC closes a traced call's RPC span (no-op for untraced calls). A
+// served response records the round trip and feeds the RPC latency exemplar.
+// A call its round stopped waiting for — a straggler past the quorum, a
+// timeout, a failed send — records the time until it was abandoned, noted
+// "<addr> abandoned", so the apply span the node records under that ID is
+// never an orphan; it feeds no exemplar, because like the RPC latency
+// histogram the exemplar means served responses. Frames failed by a
+// connection shutdown are not recorded.
+func (cc *clientConn) recordRPC(call *pendingCall, served bool) {
 	if cc.tr == nil || call.sp.Trace == 0 {
 		return
 	}
 	sp := call.sp
 	sp.Duration = time.Since(sp.Start)
+	if !served {
+		sp.Note += " abandoned"
+		cc.tr.Record(sp)
+		return
+	}
 	cc.tr.Record(sp)
 	cc.tr.Exemplar(metricRPCSeconds, trace.Context{Trace: sp.Trace}, sp.Duration)
 }

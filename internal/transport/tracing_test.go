@@ -1,8 +1,11 @@
 package transport_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
+	"spacebounds/internal/dsys"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/trace"
 	"spacebounds/internal/transport"
@@ -12,9 +15,11 @@ import (
 // TCP server with its own tracer — the two-recorder shape of a real
 // deployment — and asserts the cross-process contract: the client records op,
 // round, and rpc spans; the server records apply spans on the *client's*
-// trace IDs, parented under client rpc span IDs it never saw except on the
-// wire; and an untraced client leaves the server recorder empty (v1 frames
-// carry no context).
+// trace IDs, every one parented under a client rpc span ID it never saw
+// except on the wire — including the apply of a straggler whose round stopped
+// waiting at its quorum, which parents under an rpc span noted abandoned; and
+// an untraced client leaves the server recorder empty (v1 frames carry no
+// context).
 func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	backing, err := shard.New(specsFor(t))
 	if err != nil {
@@ -37,9 +42,46 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	rs.SetTracer(cliTr)
 	exerciseRemote(t, rs)
 
+	// Force a straggler. The server serves a connection's requests in order,
+	// so holding the apply lock of the round's last target parks exactly that
+	// request while the others answer; the round reaches its quorum of two and
+	// returns, and only then does the third apply run.
+	straggler := cliTr.Begin()
+	held, release := make(chan struct{}), make(chan struct{})
+	parked := make(chan error, 1)
+	go func() {
+		parked <- backing.Cluster().ReadObjectState(2, func(dsys.State) {
+			close(held)
+			<-release
+		})
+	}()
+	<-held
+	ctx := trace.NewContext(context.Background(), straggler)
+	if _, err := cli.InvokeRound(ctx, 9, []int{0, 1, 2}, mkReadRMW(t), 2); err != nil {
+		t.Fatalf("round with a parked straggler: %v", err)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	stragglerApplies := func() (n int) {
+		for _, s := range srvTr.Snapshot() {
+			if s.Trace == straggler.Trace {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); stragglerApplies() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("server recorded %d of the straggler round's 3 applies", stragglerApplies())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	rpcIDs := make(map[uint64]bool)
-	traces := make(map[uint64]bool)
-	var rounds, rpcs int
+	traces := map[uint64]bool{straggler.Trace: true}
+	var rounds, rpcs, abandoned int
 	for _, s := range cliTr.Snapshot() {
 		switch s.Stage {
 		case trace.StageOp:
@@ -49,10 +91,19 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 		case trace.StageRPC:
 			rpcs++
 			rpcIDs[s.ID] = true
-			if s.Note != addr {
+			switch s.Note {
+			case addr:
+			case addr + " abandoned":
+				if s.Trace == straggler.Trace {
+					abandoned++
+				}
+			default:
 				t.Errorf("rpc span noted %q, want the node address %q", s.Note, addr)
 			}
 		}
+	}
+	if abandoned != 1 {
+		t.Errorf("the straggler round recorded %d abandoned rpc spans, want 1", abandoned)
 	}
 	if len(traces) == 0 || rounds == 0 || rpcs == 0 {
 		t.Fatalf("client recorded %d traces, %d rounds, %d rpcs; want all three stages",

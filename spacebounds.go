@@ -292,7 +292,6 @@ func (o Options) withDefaults() Options {
 type Store struct {
 	set    *shard.Set
 	def    *shard.Shard
-	defKey string
 	faults faultInjector
 
 	recon         *reconfig.Coordinator
@@ -351,7 +350,7 @@ func Open(opts Options) (*Store, error) {
 		set.EnableBatching(batch)
 	}
 	def := set.Shards()[0]
-	store := &Store{set: set, def: def, defKey: def.Name, recon: reconfig.NewCoordinator(set)}
+	store := &Store{set: set, def: def, recon: reconfig.NewCoordinator(set)}
 	if opts.Metrics != nil {
 		set.SetMetrics(opts.Metrics)
 		store.recon.SetMetrics(opts.Metrics)
@@ -514,16 +513,6 @@ func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 	return value.FromBytes(padded), nil
 }
 
-// Write stores val on the default shard on behalf of the given client ID,
-// preserving the original single-register facade.
-//
-// Deprecated: use WriteKey with an explicit key. The positional form only
-// addresses the default (first) shard and hides the routing step every other
-// store entry point goes through.
-func (s *Store) Write(client int, val []byte) error {
-	return s.WriteKey(client, s.defKey, val)
-}
-
 // WriteKey stores val under key: the key routes to a shard (exact shard name,
 // otherwise by hash) and the write runs on that shard's register. Keys are
 // routing labels, not map entries — every key on a shard addresses the same
@@ -539,13 +528,6 @@ func (s *Store) WriteKey(client int, key string, val []byte) error {
 		return err
 	}
 	return s.set.Write(client, key, v)
-}
-
-// Read returns the default shard's current value on behalf of the client.
-//
-// Deprecated: use ReadKey with an explicit key, for the same reason as Write.
-func (s *Store) Read(client int) ([]byte, error) {
-	return s.ReadKey(client, s.defKey)
 }
 
 // ReadKey returns the current value of the shard the key routes to. While

@@ -157,41 +157,6 @@ func TestStoreShardedKeyRouting(t *testing.T) {
 	}
 }
 
-// TestDeprecatedPositionalWriteRead pins the back-compat contract of the
-// deprecated positional Write/Read: they address the default (first) shard,
-// interchangeably with WriteKey/ReadKey under that shard's name. Every other
-// caller has migrated to the keyed forms; this test is the one deliberate
-// holdout keeping the deprecated surface honest until it is removed.
-func TestDeprecatedPositionalWriteRead(t *testing.T) {
-	s, err := Open(Options{
-		ValueSize: 32,
-		Shards:    []ShardSpec{{Name: "first"}, {Name: "second"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Write(1, []byte("direct")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadKey(2, "first")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:6], []byte("direct")) {
-		t.Fatalf("positional write not visible via the default shard's name: %q", got)
-	}
-	if err := s.WriteKey(3, "first", []byte("keyed!")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err = s.Read(4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:6], []byte("keyed!")) {
-		t.Fatalf("positional read missed the keyed write: %q", got)
-	}
-}
-
 func TestOpenDoesNotMutateCallerShards(t *testing.T) {
 	shards := []ShardSpec{{Name: "x"}}
 	s1, err := Open(Options{Algorithm: Replication, F: 1, ValueSize: 32, Shards: shards})
@@ -364,5 +329,57 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	}
 	if got := store.StorageBits(); got != total || sum != total {
 		t.Fatalf("quiescent StorageBits = %d, breakdown total %d, per-shard sum %d", got, total, sum)
+	}
+}
+
+// TestNodeLatencyAloneQueuesInTheChannel pins the finite-capacity model with
+// NodeLatency set and Batch unset: a write's RMWs wait at the nodes' service
+// queues, and a storage snapshot taken meanwhile charges their parameters to
+// the channel (Definition 2: bits parked in communication links count).
+func TestNodeLatencyAloneQueuesInTheChannel(t *testing.T) {
+	s, err := Open(Options{F: 1, K: 1, ValueSize: 64, NodeLatency: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	writeErr := make(chan error, 1)
+	go func() { writeErr <- s.WriteKey(1, "default", []byte("parked")) }()
+	// The write's update round sits queued for a whole service period; sample
+	// until it shows, or until the write is over without ever having shown.
+	for s.StorageSnapshot().ChannelBits == 0 {
+		select {
+		case err := <-writeErr:
+			t.Fatalf("write finished (err=%v) and no snapshot charged its queued RMWs to the channel", err)
+		default:
+		}
+	}
+	if err := <-writeErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseInterruptsNodeLatency: Close with a round in flight returns
+// promptly even at a one-hour NodeLatency — the service period is interrupted,
+// not slept out — and the cut-off write reports an error.
+func TestCloseInterruptsNodeLatency(t *testing.T) {
+	s, err := Open(Options{F: 1, K: 1, ValueSize: 64, NodeLatency: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeErr := make(chan error, 1)
+	go func() { writeErr <- s.WriteKey(1, "default", []byte("parked")) }()
+	time.Sleep(10 * time.Millisecond) // let the round enqueue; Close must win either way
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is waiting out the one-hour service period")
+	}
+	if err := <-writeErr; err == nil {
+		t.Fatal("a write cut off by Close reported success")
 	}
 }
