@@ -115,7 +115,9 @@ sim-soak-autoreshard:
 # providers (any payload that decodes must re-encode byte-identically);
 # FUZZ_TARGET=FuzzWALReplay FUZZ_PKG=./internal/wal feeds damaged segment and
 # snapshot files to the write-ahead log (open + replay must refuse or repair,
-# never panic).
+# never panic); FUZZ_TARGET=FuzzReedSolomonRoundTrip FUZZ_PKG=./internal/erasure
+# round-trips the systematic Reed-Solomon code over random shapes and block
+# selections (all data, all parity, mixed; duplicates and surplus blocks).
 FUZZ_TARGET ?= FuzzCheckers
 FUZZ_PKG ?= ./internal/history
 fuzz-smoke:

@@ -137,15 +137,27 @@ var ErrEnvelope = errors.New("dsys: malformed envelope")
 //	u16 len(kind)    kind bytes
 //	u32 len(payload) payload bytes
 //	u64 trace   u64 span          (version 2 only)
+//
+// The encoding is AppendHeader, the payload bytes, AppendTrailer: a transport
+// that hands the payload to the socket as it stands builds only those two.
 func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
+	b, err := e.AppendHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	return e.AppendTrailer(append(b, e.Payload...)), nil
+}
+
+// AppendHeader appends everything that precedes the payload bytes, the
+// payload's length prefix included.
+func (e Envelope) AppendHeader(b []byte) ([]byte, error) {
 	if len(e.Kind) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: kind of length %d", ErrEnvelope, len(e.Kind))
 	}
 	if len(e.Payload) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, len(e.Payload))
 	}
-	traced := e.Trace != 0 || e.Span != 0
-	if traced {
+	if e.traced() {
 		b = append(b, envelopeVersionV2)
 	} else {
 		b = append(b, envelopeVersion)
@@ -154,14 +166,20 @@ func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, uint64(e.Object))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Kind)))
 	b = append(b, e.Kind...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(e.Payload)))
-	b = append(b, e.Payload...)
-	if traced {
+	return binary.BigEndian.AppendUint32(b, uint32(len(e.Payload))), nil
+}
+
+// AppendTrailer appends what follows the payload bytes: the trace context of
+// a version-2 envelope, nothing for version 1.
+func (e Envelope) AppendTrailer(b []byte) []byte {
+	if e.traced() {
 		b = binary.BigEndian.AppendUint64(b, e.Trace)
 		b = binary.BigEndian.AppendUint64(b, e.Span)
 	}
-	return b, nil
+	return b
 }
+
+func (e Envelope) traced() bool { return e.Trace != 0 || e.Span != 0 }
 
 // MarshalBinary encodes the envelope.
 func (e Envelope) MarshalBinary() ([]byte, error) {
@@ -201,23 +219,39 @@ func UnmarshalEnvelope(b []byte) (Envelope, error) {
 //	u8  status
 //	u32 len(payload) payload bytes
 //	u16 len(detail)  detail bytes
+//
+// Like the envelope's, the encoding is AppendHeader, the payload bytes,
+// AppendTrailer.
 func (r Response) AppendBinary(b []byte) ([]byte, error) {
+	b, err := r.AppendHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	return r.AppendTrailer(append(b, r.Payload...)), nil
+}
+
+// AppendHeader appends everything that precedes the payload bytes, the
+// payload's length prefix included.
+func (r Response) AppendHeader(b []byte) ([]byte, error) {
 	if len(r.Payload) > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, len(r.Payload))
-	}
-	detail := r.Detail
-	if len(detail) > math.MaxUint16 {
-		detail = detail[:math.MaxUint16]
 	}
 	b = append(b, envelopeVersion)
 	b = appendOpID(b, r.Op)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Object))
 	b = append(b, byte(r.Status))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Payload)))
-	b = append(b, r.Payload...)
+	return binary.BigEndian.AppendUint32(b, uint32(len(r.Payload))), nil
+}
+
+// AppendTrailer appends what follows the payload bytes: the detail string,
+// cut to what its u16 length prefix can carry.
+func (r Response) AppendTrailer(b []byte) []byte {
+	detail := r.Detail
+	if len(detail) > math.MaxUint16 {
+		detail = detail[:math.MaxUint16]
+	}
 	b = binary.BigEndian.AppendUint16(b, uint16(len(detail)))
-	b = append(b, detail...)
-	return b, nil
+	return append(b, detail...)
 }
 
 // MarshalBinary encodes the response.

@@ -63,13 +63,15 @@ type Code interface {
 	// bytes. Symmetry (Definition 3) means the result is independent of the
 	// value itself.
 	BlockSizeBytes(dataLen, index int) int
-	// Encode produces blocks 1..N for the given data.
+	// Encode produces blocks 1..N for the given data. Each block is memory
+	// of its own and is never written again, so holders may share it.
 	Encode(data []byte) ([]Block, error)
 	// EncodeBlock produces the single block with the given index; it is the
 	// oracle's get(i) operation (Definition 1).
 	EncodeBlock(data []byte, index int) (Block, error)
 	// Decode reconstructs a dataLen-byte value from at least K distinct
-	// blocks, or returns ErrNotEnoughBlocks (the oracle's ⊥).
+	// blocks, or returns ErrNotEnoughBlocks (the oracle's ⊥). The blocks are
+	// only read; the result is fresh memory the caller owns.
 	Decode(dataLen int, blocks []Block) ([]byte, error)
 }
 

@@ -6,10 +6,13 @@ import (
 	"spacebounds/internal/gf256"
 )
 
-// ReedSolomon is a systematic-free k-of-n erasure code over GF(2^8) built
-// from a Vandermonde generator matrix: block i is the i-th row of the
-// Vandermonde matrix applied to the k data shards. Any k distinct blocks
-// determine the value, which is exactly the decode function D of Section 3.
+// ReedSolomon is a systematic k-of-n erasure code over GF(2^8). Its n-by-k
+// generator is a Vandermonde matrix multiplied by the inverse of its own top
+// k rows, so the top of the generator is the identity: blocks 1..k are the
+// value's k shards as they stand and only blocks k+1..n are computed, each a
+// GF(2^8)-linear combination of the shards. Any k rows of the generator are
+// still invertible, so any k distinct blocks determine the value, which is
+// exactly the decode function D of Section 3.
 type ReedSolomon struct {
 	k, n   int
 	matrix *gf256.Matrix
@@ -23,7 +26,7 @@ func NewReedSolomon(k, n int) (*ReedSolomon, error) {
 	if k < 1 || n < k || n > 255 {
 		return nil, fmt.Errorf("erasure: invalid Reed-Solomon parameters k=%d n=%d", k, n)
 	}
-	return &ReedSolomon{k: k, n: n, matrix: gf256.Vandermonde(n, k)}, nil
+	return &ReedSolomon{k: k, n: n, matrix: gf256.SystematicVandermonde(n, k)}, nil
 }
 
 // MustReedSolomon is NewReedSolomon for statically known parameters; it
@@ -50,66 +53,116 @@ func (rs *ReedSolomon) BlockSizeBytes(dataLen, index int) int {
 	return shardLen(dataLen, rs.k)
 }
 
-// Encode implements Code.
-func (rs *ReedSolomon) Encode(data []byte) ([]Block, error) {
-	shards := splitShards(data, rs.k)
-	coded, err := rs.matrix.MulVec(shards)
-	if err != nil {
-		return nil, fmt.Errorf("erasure: rs encode: %w", err)
+// ownedShard returns shard c (0-based) of data in memory of its own: exactly
+// sl bytes, zero-padded where the shard runs past the end of data.
+func ownedShard(data []byte, c, sl int) []byte {
+	out := make([]byte, sl)
+	if start := c * sl; start < len(data) {
+		copy(out, data[start:])
 	}
+	return out
+}
+
+// shard returns shard c of data for reading only: a view of data where the
+// shard lies wholly inside it, a padded copy for the tail of a value whose
+// length k does not divide.
+func shard(data []byte, c, sl int) []byte {
+	if start := c * sl; start+sl <= len(data) {
+		return data[start : start+sl]
+	}
+	return ownedShard(data, c, sl)
+}
+
+// Encode implements Code. The value is copied once, into the k data blocks
+// (each block owns its memory: a base object that keeps one block must not
+// keep its siblings alive), and the n-k parity blocks are computed from them.
+func (rs *ReedSolomon) Encode(data []byte) ([]Block, error) {
+	sl := shardLen(len(data), rs.k)
 	blocks := make([]Block, rs.n)
-	for i := 0; i < rs.n; i++ {
-		blocks[i] = Block{Index: i + 1, Data: coded[i]}
+	shards := make([][]byte, rs.k)
+	for c := range shards {
+		shards[c] = ownedShard(data, c, sl)
+		blocks[c] = Block{Index: c + 1, Data: shards[c]}
+	}
+	for i := rs.k; i < rs.n; i++ {
+		parity := make([]byte, sl)
+		gf256.DotSlices(rs.matrix.Row(i), parity, shards)
+		blocks[i] = Block{Index: i + 1, Data: parity}
 	}
 	return blocks, nil
 }
 
-// EncodeBlock implements Code.
+// EncodeBlock implements Code: a data block is a copy of its shard, a parity
+// block one dot product over views of the value.
 func (rs *ReedSolomon) EncodeBlock(data []byte, index int) (Block, error) {
 	if index < 1 || index > rs.n {
 		return Block{}, fmt.Errorf("%w: %d not in [1,%d]", ErrBlockIndex, index, rs.n)
 	}
-	shards := splitShards(data, rs.k)
-	out := make([]byte, shardLen(len(data), rs.k))
-	row := rs.matrix.Row(index - 1)
-	for c := 0; c < rs.k; c++ {
-		gf256.MulAddSlice(row[c], out, shards[c])
+	sl := shardLen(len(data), rs.k)
+	if index <= rs.k {
+		return Block{Index: index, Data: ownedShard(data, index-1, sl)}, nil
 	}
+	shards := make([][]byte, rs.k)
+	for c := range shards {
+		shards[c] = shard(data, c, sl)
+	}
+	out := make([]byte, sl)
+	gf256.DotSlices(rs.matrix.Row(index-1), out, shards)
 	return Block{Index: index, Data: out}, nil
 }
 
-// Decode implements Code. It reconstructs the original dataLen bytes from any
-// k distinct blocks by inverting the corresponding k-by-k Vandermonde
-// submatrix.
+// Decode implements Code. Every supplied block is validated; data blocks are
+// preferred and copied straight into the output, and only shards whose data
+// block is absent are reconstructed, each as one dot product over the k
+// blocks used, with coefficients from the inverse of the generator rows of
+// those blocks.
 func (rs *ReedSolomon) Decode(dataLen int, blocks []Block) ([]byte, error) {
-	distinct := DistinctBlocks(blocks)
-	if len(distinct) < rs.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughBlocks, len(distinct), rs.k)
-	}
 	sl := shardLen(dataLen, rs.k)
-	rows := make([]int, 0, rs.k)
-	coded := make([][]byte, 0, rs.k)
-	for _, b := range distinct {
+	var at [256]int // at[i]-1 is the position in blocks of the first block with index i
+	distinct := 0
+	for p, b := range blocks {
 		if b.Index < 1 || b.Index > rs.n {
 			return nil, fmt.Errorf("%w: %d not in [1,%d]", ErrBlockIndex, b.Index, rs.n)
 		}
 		if len(b.Data) != sl {
 			return nil, fmt.Errorf("%w: block %d has %d bytes, want %d", ErrBlockSize, b.Index, len(b.Data), sl)
 		}
-		rows = append(rows, b.Index-1)
-		coded = append(coded, b.Data)
-		if len(rows) == rs.k {
-			break
+		if at[b.Index] == 0 {
+			at[b.Index] = p + 1
+			distinct++
 		}
 	}
-	sub := rs.matrix.SubMatrix(rows)
-	inv, err := sub.Invert()
+	if distinct < rs.k {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughBlocks, distinct, rs.k)
+	}
+	out := make([]byte, rs.k*sl)
+	rows := make([]int, 0, rs.k)
+	for i := 1; i <= rs.k; i++ {
+		if at[i] != 0 {
+			copy(out[(i-1)*sl:i*sl], blocks[at[i]-1].Data)
+			rows = append(rows, i-1)
+		}
+	}
+	if len(rows) == rs.k {
+		return out[:dataLen:dataLen], nil
+	}
+	for i := rs.k + 1; len(rows) < rs.k; i++ {
+		if at[i] != 0 {
+			rows = append(rows, i-1)
+		}
+	}
+	inv, err := rs.matrix.SubMatrix(rows).Invert()
 	if err != nil {
 		return nil, fmt.Errorf("erasure: rs decode: %w", err)
 	}
-	shards, err := inv.MulVec(coded)
-	if err != nil {
-		return nil, fmt.Errorf("erasure: rs decode: %w", err)
+	used := make([][]byte, rs.k)
+	for j, r := range rows {
+		used[j] = blocks[at[r+1]-1].Data
 	}
-	return joinShards(shards, dataLen), nil
+	for c := 0; c < rs.k; c++ {
+		if at[c+1] == 0 {
+			gf256.DotSlices(inv.Row(c), out[c*sl:(c+1)*sl], used)
+		}
+	}
+	return out[:dataLen:dataLen], nil
 }

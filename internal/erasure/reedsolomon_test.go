@@ -1,0 +1,220 @@
+package erasure
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+)
+
+// TestReedSolomonSystematic pins the code's systematic property: blocks 1..k
+// are the value's shards as they stand, so concatenating them and trimming
+// the padding gives the value back, whether the blocks come from Encode or
+// from EncodeBlock.
+func TestReedSolomonSystematic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range []struct{ k, n, dataLen int }{
+		{1, 1, 1}, {2, 4, 1024}, {4, 8, 64 << 10}, {4, 8, 3}, {4, 8, 1}, {3, 7, 100}, {200, 255, 1000},
+	} {
+		rs := MustReedSolomon(shape.k, shape.n)
+		data := make([]byte, shape.dataLen)
+		rng.Read(data)
+		blocks, err := rs.Encode(data)
+		if err != nil {
+			t.Fatalf("%s Encode: %v", rs.Name(), err)
+		}
+		var joined, joinedSingly []byte
+		for i := 1; i <= shape.k; i++ {
+			joined = append(joined, blocks[i-1].Data...)
+			b, err := rs.EncodeBlock(data, i)
+			if err != nil {
+				t.Fatalf("%s EncodeBlock(%d): %v", rs.Name(), i, err)
+			}
+			joinedSingly = append(joinedSingly, b.Data...)
+		}
+		if !bytes.Equal(joined[:shape.dataLen], data) {
+			t.Errorf("%s, %d bytes: Encode's blocks 1..k are not the value's shards", rs.Name(), shape.dataLen)
+		}
+		if !bytes.Equal(joinedSingly[:shape.dataLen], data) {
+			t.Errorf("%s, %d bytes: EncodeBlock's blocks 1..k are not the value's shards", rs.Name(), shape.dataLen)
+		}
+		for _, pad := range joined[shape.dataLen:] {
+			if pad != 0 {
+				t.Fatalf("%s, %d bytes: padding is not zero", rs.Name(), shape.dataLen)
+			}
+		}
+	}
+}
+
+// TestReedSolomonBlocksOwnTheirMemory: a base object that retains one block
+// must retain exactly that block — no block is a sub-slice of the value, of a
+// sibling shard or of a longer buffer.
+func TestReedSolomonBlocksOwnTheirMemory(t *testing.T) {
+	rs := MustReedSolomon(4, 8)
+	data := bytes.Repeat([]byte{0xA5}, 4096)
+	blocks, err := rs.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := make([]Block, rs.N())
+	for i := range single {
+		if single[i], err = rs.EncodeBlock(data, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, set := range [][]Block{blocks, single} {
+		for _, b := range set {
+			if cap(b.Data) != len(b.Data) {
+				t.Errorf("block %d: cap %d != len %d", b.Index, cap(b.Data), len(b.Data))
+			}
+		}
+	}
+	before := bytes.Clone(blocks[1].Data)
+	for i := range data {
+		data[i] = 0
+	}
+	for i := range blocks[0].Data {
+		blocks[0].Data[i] = 0
+	}
+	if !bytes.Equal(blocks[1].Data, before) || !bytes.Equal(single[1].Data, before) {
+		t.Error("a data block aliases the value or a sibling block")
+	}
+}
+
+func TestReedSolomonDecodeRejectsAnyBadBlock(t *testing.T) {
+	rs := MustReedSolomon(3, 6)
+	data := []byte("every supplied block is validated, not only the first k")
+	blocks, err := rs.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bad block comes after k good ones: a decoder that stops looking
+	// once it has enough would accept the set.
+	badIndex := append(append([]Block(nil), blocks[:4]...), Block{Index: 7, Data: blocks[4].Data})
+	if _, err := rs.Decode(len(data), badIndex); !errors.Is(err, ErrBlockIndex) {
+		t.Errorf("trailing block with index 7: err = %v, want ErrBlockIndex", err)
+	}
+	badIndex[4].Index = 0
+	if _, err := rs.Decode(len(data), badIndex); !errors.Is(err, ErrBlockIndex) {
+		t.Errorf("trailing block with index 0: err = %v, want ErrBlockIndex", err)
+	}
+	badSize := append(append([]Block(nil), blocks[:4]...), Block{Index: 5, Data: blocks[4].Data[:1]})
+	if _, err := rs.Decode(len(data), badSize); !errors.Is(err, ErrBlockSize) {
+		t.Errorf("trailing short block: err = %v, want ErrBlockSize", err)
+	}
+	dups := []Block{blocks[0], blocks[5], blocks[0], blocks[5], blocks[0]}
+	if _, err := rs.Decode(len(data), dups); !errors.Is(err, ErrNotEnoughBlocks) {
+		t.Errorf("two distinct of three: err = %v, want ErrNotEnoughBlocks", err)
+	}
+}
+
+// FuzzReedSolomonRoundTrip drives the code over random shapes (k <= n <= 255,
+// lengths that k does not divide and lengths below k included) and random
+// selections of blocks: all data, all parity or mixed, in random order, with
+// duplicates and with more than k blocks.
+func FuzzReedSolomonRoundTrip(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint16(64), int64(1), uint8(0))     // all data blocks
+	f.Add(uint8(4), uint8(4), uint16(63), int64(2), uint8(1))     // all parity blocks
+	f.Add(uint8(4), uint8(4), uint16(2), int64(3), uint8(2))      // mixed, length < k
+	f.Add(uint8(1), uint8(0), uint16(1), int64(4), uint8(2))      // k = n = 1
+	f.Add(uint8(200), uint8(55), uint16(999), int64(5), uint8(2)) // n = 255
+	f.Add(uint8(3), uint8(1), uint16(10), int64(6), uint8(1))     // fewer parity blocks than k
+	f.Fuzz(func(t *testing.T, kIn, extraIn uint8, lenIn uint16, seed int64, mode uint8) {
+		k := 1 + int(kIn)%255
+		n := k + int(extraIn)%(256-k)
+		dataLen := 1 + int(lenIn)%2048
+		rng := rand.New(rand.NewSource(seed))
+		rs, err := NewReedSolomon(k, n)
+		if err != nil {
+			t.Fatalf("NewReedSolomon(%d,%d): %v", k, n, err)
+		}
+		data := make([]byte, dataLen)
+		rng.Read(data)
+		blocks, err := rs.Encode(data)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		if len(blocks) != n {
+			t.Fatalf("Encode produced %d blocks, want %d", len(blocks), n)
+		}
+		var joined []byte
+		for i, b := range blocks {
+			if b.Index != i+1 || len(b.Data) != rs.BlockSizeBytes(dataLen, i+1) {
+				t.Fatalf("block %d: index %d, %d bytes", i+1, b.Index, len(b.Data))
+			}
+			single, err := rs.EncodeBlock(data, i+1)
+			if err != nil {
+				t.Fatalf("EncodeBlock(%d): %v", i+1, err)
+			}
+			if single.Index != b.Index || !bytes.Equal(single.Data, b.Data) {
+				t.Fatalf("EncodeBlock(%d) differs from Encode's block", i+1)
+			}
+			if i < k {
+				joined = append(joined, b.Data...)
+			}
+		}
+		if !bytes.Equal(joined[:dataLen], data) {
+			t.Fatal("blocks 1..k are not the value's shards")
+		}
+
+		// Choose k distinct blocks: the data blocks, as many parity blocks
+		// as there are (topped up with data blocks), or a random mixture.
+		var chosen []int
+		switch mode % 3 {
+		case 0:
+			chosen = rng.Perm(k)
+		case 1:
+			for _, p := range rng.Perm(n - k) {
+				chosen = append(chosen, k+p)
+			}
+			for _, d := range rng.Perm(k) {
+				chosen = append(chosen, d)
+			}
+			chosen = chosen[:k]
+		default:
+			chosen = rng.Perm(n)[:k]
+		}
+		supplied := make([]Block, 0, 2*k+2)
+		for _, i := range chosen {
+			supplied = append(supplied, blocks[i])
+		}
+		for extra := rng.Intn(k + 2); extra > 0; extra-- {
+			supplied = append(supplied, blocks[rng.Intn(n)]) // duplicates and further blocks
+		}
+		rng.Shuffle(len(supplied), func(a, b int) { supplied[a], supplied[b] = supplied[b], supplied[a] })
+		got, err := rs.Decode(dataLen, supplied)
+		if err != nil {
+			t.Fatalf("Decode from blocks %v (+%d more): %v", chosen, len(supplied)-k, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("Decode from blocks %v (+%d more) returned a different value", chosen, len(supplied)-k)
+		}
+
+		// One block short, however often the others are repeated.
+		short := blocksAt(blocks, chosen[:k-1])
+		short = append(short, short...)
+		if _, err := rs.Decode(dataLen, short); !errors.Is(err, ErrNotEnoughBlocks) {
+			t.Fatalf("Decode from %d distinct blocks: err = %v, want ErrNotEnoughBlocks", k-1, err)
+		}
+		// A bad block anywhere in an otherwise sufficient set is refused.
+		at := rng.Intn(len(supplied) + 1)
+		withBad := func(bad Block) []Block {
+			out := append([]Block(nil), supplied[:at]...)
+			return append(append(out, bad), supplied[at:]...)
+		}
+		if _, err := rs.Decode(dataLen, withBad(Block{Index: n + 1, Data: blocks[0].Data})); !errors.Is(err, ErrBlockIndex) {
+			t.Fatalf("block index %d at position %d: err = %v, want ErrBlockIndex", n+1, at, err)
+		}
+		if _, err := rs.Decode(dataLen, withBad(Block{Index: 1, Data: append(bytes.Clone(blocks[0].Data), 0)})); !errors.Is(err, ErrBlockSize) {
+			t.Fatalf("oversized block at position %d: err = %v, want ErrBlockSize", at, err)
+		}
+	})
+}
+
+func blocksAt(blocks []Block, at []int) []Block {
+	out := make([]Block, len(at))
+	for i, p := range at {
+		out[i] = blocks[p]
+	}
+	return out
+}

@@ -64,6 +64,32 @@ func Vandermonde(rows, cols int) *Matrix {
 	return m
 }
 
+// SystematicVandermonde returns the rows-by-cols Vandermonde matrix multiplied
+// by the inverse of its own top cols rows. The top cols rows of the result are
+// the identity — a code generated by it carries the data unchanged in its
+// first cols blocks — and every cols-by-cols submatrix of distinct rows is
+// still invertible, being an invertible Vandermonde submatrix times an
+// invertible matrix. It panics unless cols <= rows <= 255.
+func SystematicVandermonde(rows, cols int) *Matrix {
+	if rows < cols || rows > Order-1 {
+		panic(fmt.Sprintf("gf256: invalid systematic Vandermonde dimensions %dx%d", rows, cols))
+	}
+	v := Vandermonde(rows, cols)
+	top := make([]int, cols)
+	for i := range top {
+		top[i] = i
+	}
+	inv, err := v.SubMatrix(top).Invert()
+	if err != nil {
+		panic(fmt.Sprintf("gf256: square Vandermonde with distinct points is singular: %v", err))
+	}
+	m, err := v.Mul(inv)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -130,9 +156,7 @@ func (m *Matrix) MulVec(in [][]byte) ([][]byte, error) {
 	out := make([][]byte, m.rows)
 	for r := 0; r < m.rows; r++ {
 		out[r] = make([]byte, width)
-		for c := 0; c < m.cols; c++ {
-			MulAddSlice(m.At(r, c), out[r], in[c])
-		}
+		DotSlices(m.Row(r), out[r], in)
 	}
 	return out, nil
 }

@@ -58,13 +58,16 @@ func (s SourceTag) String() string { return fmt.Sprintf("%v[%d]", s.Write, s.Ind
 var ErrExpired = errors.New("oracle: oracle has expired")
 
 // Encoder is oracleE(c, w): it produces code blocks of a single value on
-// demand. It is safe for concurrent use.
+// demand. The value is encoded once, on the first Get, and indices 1..N are
+// served from that result; the blocks handed out are immutable and a repeated
+// get(i) returns the same bytes. It is safe for concurrent use.
 type Encoder struct {
 	code  erasure.Code
 	write WriteID
 
 	mu       sync.Mutex
 	val      value.Value
+	blocks   []erasure.Block // E(v, 1..N), nil until the first Get
 	expired  bool
 	produced map[int]bool // indices handed out so far
 }
@@ -78,13 +81,25 @@ func NewEncoder(code erasure.Code, w WriteID, v value.Value) *Encoder {
 func (e *Encoder) Write() WriteID { return e.write }
 
 // Get returns E(v, i) tagged with its source. It fails if the oracle expired.
+// Indices beyond N, which only a rateless code accepts, are encoded singly.
 func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.expired {
 		return erasure.Block{}, SourceTag{}, ErrExpired
 	}
-	b, err := e.code.EncodeBlock(e.val.Bytes(), i)
+	var b erasure.Block
+	var err error
+	if i >= 1 && i <= e.code.N() {
+		if e.blocks == nil {
+			e.blocks, err = e.code.Encode(e.val.View())
+		}
+		if err == nil {
+			b = e.blocks[i-1]
+		}
+	} else {
+		b, err = e.code.EncodeBlock(e.val.View(), i)
+	}
 	if err != nil {
 		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, err)
 	}
@@ -120,11 +135,13 @@ func (e *Encoder) Produced() map[int]bool {
 	return out
 }
 
-// Expire marks the oracle expired; it is called when the write returns.
+// Expire marks the oracle expired and drops the encoded blocks; it is called
+// when the write returns.
 func (e *Encoder) Expire() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.expired = true
+	e.blocks = nil
 }
 
 // Decoder is oracleD(c, r): the reader pushes blocks and calls Done to
@@ -145,13 +162,15 @@ func NewDecoder(code erasure.Code, dataLen int) *Decoder {
 }
 
 // Push hands a block to the oracle (the push(e, i) action of Definition 1).
+// The block is kept by reference until Done: block bytes are immutable once
+// produced, so the oracle reads them and never copies.
 func (d *Decoder) Push(b erasure.Block) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.expired {
 		return ErrExpired
 	}
-	d.pushed = append(d.pushed, b.Clone())
+	d.pushed = append(d.pushed, b)
 	return nil
 }
 
@@ -176,5 +195,5 @@ func (d *Decoder) Done() (value.Value, error) {
 	if err != nil {
 		return value.Value{}, err
 	}
-	return value.FromBytes(data), nil
+	return value.Adopt(data), nil
 }

@@ -111,3 +111,80 @@ func TestWriteIDAndSourceTagStrings(t *testing.T) {
 		t.Error("empty string rendering")
 	}
 }
+
+// countingCode counts the calls an encoder makes into its code.
+type countingCode struct {
+	erasure.Code
+	encodes, encodeBlocks int
+}
+
+func (c *countingCode) Encode(data []byte) ([]erasure.Block, error) {
+	c.encodes++
+	return c.Code.Encode(data)
+}
+
+func (c *countingCode) EncodeBlock(data []byte, index int) (erasure.Block, error) {
+	c.encodeBlocks++
+	return c.Code.EncodeBlock(data, index)
+}
+
+// TestEncoderEncodesOnce: a write asks for each of its n blocks, and the
+// value must be encoded once for all of them, not once per block.
+func TestEncoderEncodesOnce(t *testing.T) {
+	code := &countingCode{Code: erasure.MustReedSolomon(4, 8)}
+	v := value.FromString("encoded once, served eight times", 4096)
+	enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, v)
+	if code.encodes != 0 {
+		t.Fatal("NewEncoder encoded before any get")
+	}
+	want, err := code.Code.Encode(v.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 1; i <= code.N(); i++ {
+			b, _, err := enc.Get(i)
+			if err != nil {
+				t.Fatalf("Get(%d): %v", i, err)
+			}
+			if b.Index != i || string(b.Data) != string(want[i-1].Data) {
+				t.Fatalf("Get(%d) is not E(v, %d)", i, i)
+			}
+		}
+	}
+	if code.encodes != 1 || code.encodeBlocks != 0 {
+		t.Fatalf("2n gets made %d Encode and %d EncodeBlock calls, want 1 and 0", code.encodes, code.encodeBlocks)
+	}
+	enc.Expire()
+	if enc.blocks != nil {
+		t.Fatal("Expire kept the encoded blocks")
+	}
+}
+
+// TestEncoderRatelessIndexBeyondN: get(i) for i > N is a rateless code's
+// defining operation and keeps working beside the encode-once path.
+func TestEncoderRatelessIndexBeyondN(t *testing.T) {
+	code, err := erasure.NewRateless(2, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := value.FromString("rateless", 32)
+	enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, v)
+	dec := NewDecoder(code, v.SizeBytes())
+	for _, i := range []int{3, 9} {
+		b, tag, err := enc.Get(i)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", i, err)
+		}
+		if b.Index != i || tag.Index != i {
+			t.Fatalf("Get(%d) returned block %d tagged %d", i, b.Index, tag.Index)
+		}
+		if err := dec.Push(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := dec.Done()
+	if err != nil || !got.Equal(v) {
+		t.Fatalf("decode from blocks 3 and 9: %v, equal=%v", err, got.Equal(v))
+	}
+}

@@ -27,6 +27,7 @@ func init() {
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			u := rmw.(*updateRMW)
 			var w register.WireWriter
+			w.Grow(register.ChunkWireSize(u.chunk))
 			w.Chunk(u.chunk)
 			return w.Finish(), nil
 		},

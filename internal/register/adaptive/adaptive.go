@@ -117,7 +117,9 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	for i := range writeSet {
 		writeSet[i].TS = ts
 	}
-	full := register.CloneChunks(writeSet[:r.cfg.K])
+	// The full replica is the first k pieces themselves, shared read-only by
+	// all n update RMWs: an object that falls back to Vf copies them then.
+	full := writeSet[:r.cfg.K:r.cfg.K]
 
 	// Round 2: update (lines 8-10).
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
@@ -126,7 +128,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 			ts:       ts,
 			storedTS: storedTS,
 			piece:    writeSet[obj],
-			full:     register.CloneChunks(full),
+			full:     full,
 		}
 	}, r.cfg.Quorum()); err != nil {
 		return err
@@ -155,14 +157,14 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
-	full := register.CloneChunks(writeSet[:r.cfg.K])
+	full := writeSet[:r.cfg.K:r.cfg.K]
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
 		return &seedUpdateRMW{updateRMW{
 			k:        r.cfg.K,
 			ts:       register.SeedTS,
 			storedTS: register.ZeroTS,
 			piece:    writeSet[obj],
-			full:     register.CloneChunks(full),
+			full:     full,
 		}}
 	}, r.cfg.Quorum()); err != nil {
 		return err

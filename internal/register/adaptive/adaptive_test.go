@@ -299,3 +299,28 @@ func TestWriteRejectsWrongSize(t *testing.T) {
 		t.Fatal("write of wrong-size value accepted")
 	}
 }
+
+// TestLiveWritersAndReadersOverSharedFull runs concurrent writers and readers
+// in one process in live mode. A write's n update RMWs share one `full` slice
+// and the objects they reach share its block bytes with later read responses;
+// all of that sharing is read-only, which `go test -race` checks here. k = 2
+// with four writers drives objects into the Vf fallback that copies `full`.
+func TestLiveWritersAndReadersOverSharedFull(t *testing.T) {
+	reg := newReg(t, 1, 2, 256)
+	res, err := workload.Run(reg, workload.Spec{
+		Writers:         4,
+		WritesPerWriter: 25,
+		Readers:         3,
+		ReadsPerReader:  25,
+		Live:            true,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.WriteErrors != 0 || res.CompletedWrites != 100 {
+		t.Fatalf("writes: %d completed, %d errors", res.CompletedWrites, res.WriteErrors)
+	}
+	if err := history.CheckStrongRegularity(res.History); err != nil {
+		t.Fatalf("strong regularity: %v", err)
+	}
+}

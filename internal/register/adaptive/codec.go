@@ -11,6 +11,7 @@ import (
 // seedUpdateRMW (they differ only in idempotence handling, not in fields).
 func encodeUpdate(u *updateRMW) []byte {
 	var w register.WireWriter
+	w.Grow(register.WireIntSize + 2*register.WireTSSize + register.ChunkWireSize(u.piece) + register.ChunksWireSize(u.full))
 	w.Int(u.k)
 	w.TS(u.ts)
 	w.TS(u.storedTS)
@@ -26,7 +27,7 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 		ts:       r.TS(),
 		storedTS: r.TS(),
 		piece:    r.Chunk(),
-		full:     r.Chunks(),
+		full:     r.ChunksAlias(),
 	}
 	if err := r.Finish(); err != nil {
 		return updateRMW{}, err
@@ -68,13 +69,14 @@ func init() {
 		EncodeResp: func(resp any) ([]byte, error) {
 			rr := resp.(readValueResp)
 			var w register.WireWriter
+			w.Grow(register.WireTSSize + register.ChunksWireSize(rr.Chunks))
 			w.TS(rr.StoredTS)
 			w.Chunks(rr.Chunks)
 			return w.Finish(), nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rr := readValueResp{StoredTS: r.TS(), Chunks: r.Chunks()}
+			rr := readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -119,6 +121,7 @@ func init() {
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			g := rmw.(*gcRMW)
 			var w register.WireWriter
+			w.Grow(register.WireTSSize + register.ChunkWireSize(g.piece))
 			w.TS(g.ts)
 			w.Chunk(g.piece)
 			return w.Finish(), nil

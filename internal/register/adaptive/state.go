@@ -49,13 +49,15 @@ type readValueRMW struct{}
 
 var _ dsys.RMW = (*readValueRMW)(nil)
 
-// Apply implements dsys.RMW.
+// Apply implements dsys.RMW. The response copies the chunk headers (later
+// Applies compact Vp and Vf in place) and shares the block bytes, which are
+// immutable once produced.
 func (*readValueRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
 	all := make([]register.Chunk, 0, len(s.vp)+len(s.vf))
 	all = append(all, s.vp...)
 	all = append(all, s.vf...)
-	return readValueResp{StoredTS: s.storedTS, Chunks: register.CloneChunks(all)}
+	return readValueResp{StoredTS: s.storedTS, Chunks: all}
 }
 
 // Blocks implements dsys.RMW: a read round carries no code blocks.
@@ -64,6 +66,11 @@ func (*readValueRMW) Blocks() []dsys.BlockRef { return nil }
 // updateRMW is the second write round (Algorithm 3, lines 32-39): store the
 // object's piece in Vp if there is room, otherwise fall back to storing a
 // full replica in Vf, and propagate the caller's storedTS.
+//
+// piece is retained by the object as it stands, so it must be exactly sized
+// memory of its own. full is only read: the n updates of one write share it,
+// a decoded update's full is a view of its request frame, and Apply copies it
+// before storing.
 type updateRMW struct {
 	k        int
 	ts       register.Timestamp

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"spacebounds/internal/dsys"
-	"spacebounds/internal/erasure"
 	"spacebounds/internal/oracle"
 )
 
@@ -172,6 +171,34 @@ type WireWriter struct {
 	b []byte
 }
 
+// Encoded sizes of the WireWriter fields. A codec whose payload carries code
+// blocks sums them into Grow, so the payload is allocated once at its exact
+// size instead of growing through the appends.
+const (
+	WireIntSize = 8
+	WireTSSize  = 2 * WireIntSize
+)
+
+// ChunkWireSize returns the encoded size of one chunk.
+func ChunkWireSize(c Chunk) int { return WireTSSize + 4*WireIntSize + 4 + len(c.Block.Data) }
+
+// ChunksWireSize returns the encoded size of a counted chunk sequence.
+func ChunksWireSize(cs []Chunk) int {
+	n := 4
+	for _, c := range cs {
+		n += ChunkWireSize(c)
+	}
+	return n
+}
+
+// Grow sizes the buffer for size more bytes. Call it once, before the first
+// field, with the payload's exact size.
+func (w *WireWriter) Grow(size int) {
+	if cap(w.b)-len(w.b) < size {
+		w.b = append(make([]byte, 0, len(w.b)+size), w.b...)
+	}
+}
+
 // Int appends a signed integer as a two's-complement big-endian u64.
 func (w *WireWriter) Int(v int) { w.b = binary.BigEndian.AppendUint64(w.b, uint64(v)) }
 
@@ -275,9 +302,21 @@ func (r *WireReader) Bool() bool {
 	}
 }
 
-// Bytes reads a length-prefixed byte string into a fresh slice (never
-// aliasing the payload buffer, which a transport may reuse).
+// Bytes reads a length-prefixed byte string into a fresh, exactly sized slice
+// (never aliasing the payload buffer), which is what a base object may retain.
 func (r *WireReader) Bytes() []byte {
+	src := r.bytesAlias()
+	if src == nil {
+		return nil
+	}
+	out := make([]byte, len(src))
+	copy(out, src)
+	return out
+}
+
+// bytesAlias reads a length-prefixed byte string as a view of the payload. The
+// view keeps the payload's capacity behind it: cap > len marks it as not owned.
+func (r *WireReader) bytesAlias() []byte {
 	b := r.take(4)
 	if b == nil {
 		return nil
@@ -287,19 +326,29 @@ func (r *WireReader) Bytes() []byte {
 		r.fail()
 		return nil
 	}
-	src := r.take(int(n))
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out
+	return r.take(int(n))
 }
 
 // TS reads a timestamp.
 func (r *WireReader) TS() Timestamp { return Timestamp{Num: r.Int(), Client: r.Int()} }
 
-// Chunk reads a chunk.
-func (r *WireReader) Chunk() Chunk {
+// Chunk reads a chunk whose block bytes are an owned copy.
+func (r *WireReader) Chunk() Chunk { return r.chunk(false) }
+
+// ChunkAlias reads a chunk whose block bytes are a view of the payload: for
+// parameters an Apply only reads and for responses a client only decodes.
+// Whatever a base object retains must come from Chunk instead, or it would
+// pin the whole frame the payload arrived in.
+func (r *WireReader) ChunkAlias() Chunk { return r.chunk(true) }
+
+func (r *WireReader) chunk(alias bool) Chunk {
 	c := Chunk{TS: r.TS()}
-	c.Block = erasure.Block{Index: r.Int(), Data: r.Bytes()}
+	c.Block.Index = r.Int()
+	if alias {
+		c.Block.Data = r.bytesAlias()
+	} else {
+		c.Block.Data = r.Bytes()
+	}
 	c.Source = oracle.SourceTag{
 		Write: oracle.WriteID{Client: r.Int(), Seq: r.Int()},
 		Index: r.Int(),
@@ -307,8 +356,14 @@ func (r *WireReader) Chunk() Chunk {
 	return c
 }
 
-// Chunks reads a counted chunk sequence.
-func (r *WireReader) Chunks() []Chunk {
+// Chunks reads a counted chunk sequence of owned copies.
+func (r *WireReader) Chunks() []Chunk { return r.chunks(false) }
+
+// ChunksAlias is Chunks with every block a view of the payload; see
+// ChunkAlias for when that is allowed.
+func (r *WireReader) ChunksAlias() []Chunk { return r.chunks(true) }
+
+func (r *WireReader) chunks(alias bool) []Chunk {
 	b := r.take(4)
 	if b == nil {
 		return nil
@@ -316,14 +371,13 @@ func (r *WireReader) Chunks() []Chunk {
 	n := binary.BigEndian.Uint32(b)
 	// Every chunk occupies at least its fixed-width fields, so a count
 	// implying more bytes than remain is rejected before allocating.
-	const minChunk = 8 * 6
-	if uint64(n)*minChunk > uint64(len(r.b)-r.off) {
+	if uint64(n)*uint64(ChunkWireSize(Chunk{})) > uint64(len(r.b)-r.off) {
 		r.fail()
 		return nil
 	}
 	out := make([]Chunk, 0, n)
 	for i := uint32(0); i < n; i++ {
-		out = append(out, r.Chunk())
+		out = append(out, r.chunk(alias))
 	}
 	return out
 }
@@ -383,14 +437,16 @@ func EncodeChunkResp(resp any) ([]byte, error) {
 		return nil, fmt.Errorf("%w: response %T is not Chunk", ErrCodec, resp)
 	}
 	var w WireWriter
+	w.Grow(ChunkWireSize(c))
 	w.Chunk(c)
 	return w.Finish(), nil
 }
 
-// DecodeChunkResp decodes a single-chunk response payload.
+// DecodeChunkResp decodes a single-chunk response payload. The chunk's block
+// is a view of the payload: the client decodes it into a value and drops it.
 func DecodeChunkResp(payload []byte) (any, error) {
 	r := NewWireReader(payload)
-	c := r.Chunk()
+	c := r.ChunkAlias()
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

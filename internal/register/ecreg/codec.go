@@ -21,13 +21,14 @@ func init() {
 		EncodeResp: func(resp any) ([]byte, error) {
 			rr := resp.(readResp)
 			var w register.WireWriter
+			w.Grow(register.WireTSSize + register.ChunksWireSize(rr.Pieces))
 			w.TS(rr.CommittedTS)
 			w.Chunks(rr.Pieces)
 			return w.Finish(), nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rr := readResp{CommittedTS: r.TS(), Pieces: r.Chunks()}
+			rr := readResp{CommittedTS: r.TS(), Pieces: r.ChunksAlias()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -40,6 +41,7 @@ func init() {
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			u := rmw.(*storeRMW)
 			var w register.WireWriter
+			w.Grow(register.ChunkWireSize(u.piece))
 			w.Chunk(u.piece)
 			return w.Finish(), nil
 		},
@@ -60,6 +62,7 @@ func init() {
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			u := rmw.(*seedStoreRMW)
 			var w register.WireWriter
+			w.Grow(register.ChunkWireSize(u.piece))
 			w.Chunk(u.piece)
 			return w.Finish(), nil
 		},

@@ -14,6 +14,7 @@ package ecreg
 
 import (
 	"fmt"
+	"slices"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
@@ -207,10 +208,11 @@ type readRMW struct{}
 
 var _ dsys.RMW = (*readRMW)(nil)
 
-// Apply implements dsys.RMW.
+// Apply implements dsys.RMW. The response copies the chunk headers (later
+// Applies compact the piece list in place) and shares the immutable blocks.
 func (*readRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
-	return readResp{CommittedTS: s.committedTS, Pieces: register.CloneChunks(s.pieces)}
+	return readResp{CommittedTS: s.committedTS, Pieces: slices.Clone(s.pieces)}
 }
 
 // Blocks implements dsys.RMW.

@@ -1,0 +1,142 @@
+package register_test
+
+import (
+	"bytes"
+	"testing"
+
+	"spacebounds/internal/dsys"
+	"spacebounds/internal/erasure"
+	"spacebounds/internal/oracle"
+	"spacebounds/internal/register"
+	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/adaptive"
+	"spacebounds/internal/register/ecreg"
+	"spacebounds/internal/register/safereg"
+	"spacebounds/internal/value"
+)
+
+// ownChunk builds a chunk of write (client, num) with a recognizable block.
+func ownChunk(num, client, index int) register.Chunk {
+	return register.Chunk{
+		TS:     register.Timestamp{Num: num, Client: client},
+		Block:  erasure.Block{Index: index, Data: bytes.Repeat([]byte{byte(16*num + client)}, 48)},
+		Source: oracle.SourceTag{Write: oracle.WriteID{Client: client, Seq: num}, Index: index},
+	}
+}
+
+func wire(build func(w *register.WireWriter)) []byte {
+	var w register.WireWriter
+	build(&w)
+	return w.Finish()
+}
+
+// TestAppliedStateOwnsItsBytes is the rule that lets decode alias its frame:
+// whatever a base object retains is a copy of its own. For every provider and
+// every mutating RMW kind, an RMW is decoded from an envelope the way a server
+// or a WAL replay decodes it, applied, and then the envelope's bytes are
+// overwritten; the object's state (through its StateCodec) must not change.
+// The adaptive sequence fills Vp and then takes the Vf fallback, which stores
+// the update's `full` — the parameter that does alias the frame.
+func TestAppliedStateOwnsItsBytes(t *testing.T) {
+	cfg := register.Config{F: 1, K: 2, DataLen: 96}
+	type step struct {
+		kind    string
+		payload []byte
+	}
+	update := func(num, client int) []byte {
+		return wire(func(w *register.WireWriter) {
+			w.Int(2)
+			w.TS(register.Timestamp{Num: num, Client: client})
+			w.TS(register.ZeroTS)
+			w.Chunk(ownChunk(num, client, 1))
+			w.Chunks([]register.Chunk{ownChunk(num, client, 1), ownChunk(num, client, 2)})
+		})
+	}
+	chunk := func(num, client int) []byte {
+		return wire(func(w *register.WireWriter) { w.Chunk(ownChunk(num, client, 1)) })
+	}
+	providers := []struct {
+		name  string
+		build func(register.Config) (register.Register, error)
+		k     int
+		steps []step
+	}{
+		{"abd", func(c register.Config) (register.Register, error) { return abd.New(c) }, 1,
+			[]step{{"abd.update", chunk(1, 1)}, {"abd.update", chunk(2, 1)}}},
+		{"safereg", func(c register.Config) (register.Register, error) { return safereg.New(c) }, 2,
+			[]step{{"safe.update", chunk(1, 1)}, {"safe.update", chunk(2, 1)}}},
+		{"ecreg", func(c register.Config) (register.Register, error) { return ecreg.New(c) }, 2,
+			[]step{
+				{"ec.store", chunk(2, 1)},
+				{"ec.seedstore", chunk(3, 2)},
+				{"ec.commit", wire(func(w *register.WireWriter) { w.TS(register.Timestamp{Num: 2, Client: 1}) })},
+			}},
+		{"adaptive", func(c register.Config) (register.Register, error) { return adaptive.New(c) }, 2,
+			[]step{
+				{"adaptive.update", update(2, 1)},     // Vp has room: retains the piece
+				{"adaptive.update", update(3, 2)},     // Vp full: retains a copy of full in Vf
+				{"adaptive.seedupdate", update(4, 3)}, // replaces Vf with a newer full
+				{"adaptive.gc", wire(func(w *register.WireWriter) { // shrinks Vf to the GC's own piece
+					w.TS(register.Timestamp{Num: 4, Client: 3})
+					w.Chunk(ownChunk(4, 3, 1))
+				})},
+			}},
+	}
+	covered := map[string]bool{}
+	for _, p := range providers {
+		c := cfg
+		c.K = p.k
+		reg, err := p.build(c)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		states, err := reg.InitialStates(value.Zero(c.DataLen))
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		state := states[0]
+		_, last, err := register.EncodeState(state)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		for i, st := range p.steps {
+			covered[st.kind] = true
+			frame, err := dsys.Envelope{Op: dsys.OpID{Client: 1, Seq: i}, Kind: st.kind, Payload: st.payload}.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := dsys.UnmarshalEnvelope(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rmw, err := register.DecodeRMW(env)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", st.kind, i, err)
+			}
+			rmw.Apply(state)
+			_, applied, err := register.EncodeState(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(applied, last) {
+				t.Fatalf("%s step %d did not change the state: the step checks nothing", st.kind, i)
+			}
+			for j := range frame {
+				frame[j] = 0xEE
+			}
+			_, after, err := register.EncodeState(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, applied) {
+				t.Fatalf("%s step %d: overwriting the request frame changed the object's state", st.kind, i)
+			}
+			last = after
+		}
+	}
+	for _, kind := range register.CodecKinds() {
+		if !register.KindReadOnly(kind) && !covered[kind] {
+			t.Errorf("mutating kind %q has no ownership step — add one", kind)
+		}
+	}
+}

@@ -73,8 +73,8 @@ func (c Chunk) Ref() dsys.BlockRef {
 	return dsys.BlockRef{Source: c.Source, Bits: c.Block.SizeBits()}
 }
 
-// CloneChunks deep-copies a chunk slice; RMW responses use it so that client
-// code never aliases base-object state.
+// CloneChunks deep-copies a chunk slice into exactly sized blocks of their own:
+// what an Apply does before it retains chunks it was handed only to read.
 func CloneChunks(chunks []Chunk) []Chunk {
 	out := make([]Chunk, len(chunks))
 	for i, c := range chunks {

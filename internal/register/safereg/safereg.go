@@ -168,11 +168,9 @@ type readRMW struct{}
 
 var _ dsys.RMW = (*readRMW)(nil)
 
-// Apply implements dsys.RMW.
-func (*readRMW) Apply(state dsys.State) any {
-	s := state.(*objectState)
-	return register.CloneChunks([]register.Chunk{s.chunk})[0]
-}
+// Apply implements dsys.RMW. The response shares the stored block, which is
+// immutable once produced.
+func (*readRMW) Apply(state dsys.State) any { return state.(*objectState).chunk }
 
 // Blocks implements dsys.RMW.
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"spacebounds/internal/dsys"
 )
 
 // The wire protocol is length-prefixed frames over TCP:
@@ -26,42 +28,91 @@ const maxFrameLen = 64 << 20
 // ErrFrame reports a malformed frame on the wire.
 var ErrFrame = errors.New("transport: malformed frame")
 
-// appendFrame appends the u32 length prefix and payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
-}
+// readFrameStep bounds how much readFrame allocates ahead of the bytes that
+// have actually arrived.
+const readFrameStep = 1 << 20
 
 // readFrame reads one length-prefixed frame and returns its payload in a
-// fresh slice.
+// fresh, exactly sized slice. The length prefix is untrusted until the bytes
+// behind it arrive: a frame of up to readFrameStep is allocated at once, a
+// longer one in steps that at most double what has already been read, so a
+// corrupt or hostile header costs one step, not maxFrameLen.
 func readFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: length %d exceeds limit", ErrFrame, n)
 	}
-	payload := make([]byte, n)
+	payload := make([]byte, min(n, readFrameStep))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
+	}
+	for len(payload) < n {
+		grown := make([]byte, min(n, 2*len(payload)))
+		if _, err := io.ReadFull(r, grown[copy(grown, payload):]); err != nil {
+			return nil, err
+		}
+		payload = grown
 	}
 	return payload, nil
 }
 
+// frame is one outgoing frame in three parts under one length prefix: head is
+// `u32 length | u64 requestID | message header`, payload the codec's bytes
+// exactly as the codec returned them, tail the message trailer. head and tail
+// are cut from one small allocation; the payload is handed to the socket as it
+// stands, never copied into a frame buffer. The parts are read-only from the
+// moment the frame is enqueued.
+type frame struct{ head, payload, tail []byte }
+
+// requestFrame frames an envelope: on the wire it is exactly
+// `u32 length | u64 requestID | env.AppendBinary`.
+func requestFrame(reqID uint64, env dsys.Envelope) (frame, error) {
+	head, err := env.AppendHeader(startFrame(reqID, 64+len(env.Kind)))
+	if err != nil {
+		return frame{}, err
+	}
+	return sealFrame(head, env.AppendTrailer(head), env.Payload), nil
+}
+
+// responseFrame frames a response the same way.
+func responseFrame(reqID uint64, resp dsys.Response) (frame, error) {
+	head, err := resp.AppendHeader(startFrame(reqID, 48+len(resp.Detail)))
+	if err != nil {
+		return frame{}, err
+	}
+	return sealFrame(head, resp.AppendTrailer(head), resp.Payload), nil
+}
+
+// startFrame allocates a frame's head-and-tail buffer with room for a message
+// header and trailer of about the given size, leaves the length prefix blank
+// and writes the request ID.
+func startFrame(reqID uint64, room int) []byte {
+	return binary.BigEndian.AppendUint64(make([]byte, 4, 12+room), reqID)
+}
+
+// sealFrame cuts whole — the head followed by the trailer — at the head's
+// length and fills in the length prefix, which covers all three parts.
+func sealFrame(head, whole, payload []byte) frame {
+	binary.BigEndian.PutUint32(whole, uint32(len(whole)-4+len(payload)))
+	return frame{head: whole[:len(head)], payload: payload, tail: whole[len(head):]}
+}
+
 // frameSender serializes frame writes onto one connection through a single
-// writer goroutine. Senders enqueue complete frames; the writer drains
-// whatever has accumulated, writes it through one buffered writer, and
-// flushes once per drained batch — so frames enqueued by concurrent quorum
-// rounds while a flush is in progress coalesce into a single socket write,
-// the connection-level analogue of the batched quorum engine's group commit.
+// writer goroutine. Senders enqueue frames; the writer drains whatever has
+// accumulated and hands all of it to the socket in one vectored write — so
+// frames enqueued by concurrent quorum rounds while a write is in progress
+// coalesce into a single socket write, the connection-level analogue of the
+// batched quorum engine's group commit.
 type frameSender struct {
 	conn net.Conn
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  [][]byte
+	queue  []frame
 	closed bool
 	err    error
 
@@ -76,9 +127,9 @@ func newFrameSender(conn net.Conn) *frameSender {
 	return s
 }
 
-// send enqueues one frame payload (without length prefix) for writing. It
-// fails once the sender is closed or the connection has errored.
-func (s *frameSender) send(payload []byte) error {
+// send enqueues one frame for writing. It fails once the sender is closed or
+// the connection has errored.
+func (s *frameSender) send(f frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -87,7 +138,7 @@ func (s *frameSender) send(payload []byte) error {
 		}
 		return net.ErrClosed
 	}
-	s.queue = append(s.queue, payload)
+	s.queue = append(s.queue, f)
 	s.cond.Signal()
 	return nil
 }
@@ -115,8 +166,8 @@ func (s *frameSender) fail(err error) {
 
 func (s *frameSender) run() {
 	defer close(s.done)
-	bw := bufio.NewWriter(s.conn)
-	var hdr [4]byte
+	var batch []frame
+	var parts net.Buffers
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -126,22 +177,24 @@ func (s *frameSender) run() {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.queue
-		s.queue = nil
+		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
 
-		for _, payload := range batch {
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-			if _, err := bw.Write(hdr[:]); err != nil {
-				s.fail(err)
-				return
+		parts = parts[:0]
+		for _, f := range batch {
+			parts = append(parts, f.head)
+			if len(f.payload) > 0 {
+				parts = append(parts, f.payload)
 			}
-			if _, err := bw.Write(payload); err != nil {
-				s.fail(err)
-				return
+			if len(f.tail) > 0 {
+				parts = append(parts, f.tail)
 			}
 		}
-		if err := bw.Flush(); err != nil {
+		clear(batch) // the queue reuses this array; do not pin written payloads
+		// WriteTo consumes the slice header it is called on, so it gets a
+		// copy and parts keeps the array for the next batch.
+		writing := parts
+		if _, err := writing.WriteTo(s.conn); err != nil {
 			s.fail(err)
 			return
 		}

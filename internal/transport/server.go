@@ -159,8 +159,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		resp := s.serve(frame[8:])
 		s.opts.metrics.observeServe(start, resp.Status)
-		out := binary.BigEndian.AppendUint64(make([]byte, 0, 32+len(resp.Payload)+len(resp.Detail)), reqID)
-		out, err = resp.AppendBinary(out)
+		out, err := responseFrame(reqID, resp)
 		if err != nil {
 			return
 		}

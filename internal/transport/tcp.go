@@ -332,8 +332,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			continue
 		}
 		reqID := c.reqSeq.Add(1)
-		frame := binary.BigEndian.AppendUint64(make([]byte, 0, 40+len(env.Kind)+len(env.Payload)), reqID)
-		frame, err = env.AppendBinary(frame)
+		frame, err := requestFrame(reqID, env)
 		if err != nil {
 			return nil, err
 		}

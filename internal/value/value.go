@@ -36,6 +36,11 @@ func FromBytes(b []byte) Value {
 	return Value{data: d}
 }
 
+// Adopt builds a Value that takes ownership of b without copying. The caller
+// must not read or write b afterwards; a decoder handing over the buffer it
+// just filled is the intended use.
+func Adopt(b []byte) Value { return Value{data: b} }
+
 // FromString builds a Value from a string, padded with zero bytes to
 // sizeBytes. It panics if the string is longer than sizeBytes; register
 // domains are fixed-size, so callers must size their values up front.
@@ -86,6 +91,10 @@ func (v Value) Bytes() []byte {
 	copy(d, v.data)
 	return d
 }
+
+// View returns the value's bytes without copying. The result is read-only:
+// writing through it would change a Value other holders treat as immutable.
+func (v Value) View() []byte { return v.data }
 
 // SizeBytes returns the length of the value in bytes.
 func (v Value) SizeBytes() int { return len(v.data) }

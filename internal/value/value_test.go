@@ -114,3 +114,14 @@ func TestStringForms(t *testing.T) {
 		t.Fatal("String returned empty for non-empty value")
 	}
 }
+
+func TestAdoptAndView(t *testing.T) {
+	buf := []byte{1, 2, 3, 4}
+	v := Adopt(buf)
+	if &v.View()[0] != &buf[0] {
+		t.Fatal("Adopt or View copied")
+	}
+	if !v.Equal(FromBytes([]byte{1, 2, 3, 4})) || v.SizeBytes() != 4 {
+		t.Fatal("adopted value differs from its bytes")
+	}
+}
