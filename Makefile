@@ -8,7 +8,7 @@ SIM_SMOKE_SEEDS ?= 50
 # Fuzzing budget for the checker fuzz smoke.
 FUZZ_TIME ?= 20s
 
-.PHONY: build test race bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge sim-soak-autoreshard fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
+.PHONY: build test race flake bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge sim-soak-autoreshard fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
 
 # Compile everything and run static checks.
 build:
@@ -23,6 +23,12 @@ test:
 # bounded so a scheduling deadlock fails fast instead of hanging CI.
 race:
 	$(GO) test -race -timeout 10m ./...
+
+# Flake hunt (nightly): the short tests of the packages whose tests wait on
+# real time, goroutines or sockets, twenty times over, so a test that is only
+# quiescent by luck fails here before it fails in tier-1.
+flake:
+	$(GO) test -count=20 -short . ./internal/transport/... ./internal/register/...
 
 # Smoke-compile and smoke-run every `go test` benchmark once (the E1-E8
 # experiment benchmarks and the substrate micro-benchmarks) so they keep

@@ -20,6 +20,14 @@ type Envelope struct {
 	Object  int
 	Kind    string
 	Payload []byte
+	// Shared, which only a sender sets, is the end of the payload held apart
+	// from its beginning: on the wire the payload is Payload followed by
+	// Shared under one length prefix. The envelopes of one round may point at
+	// the same Shared bytes, which are then encoded once and copied nowhere
+	// before the socket. UnmarshalEnvelope returns the whole payload in
+	// Payload; anything that decodes or records an envelope it built itself
+	// builds it whole.
+	Shared []byte
 	// Trace and Span carry the operation's trace context (see
 	// internal/trace): the sampled trace ID and the client-side span the
 	// node's stages should parent under. Both zero means untraced, and an
@@ -138,14 +146,15 @@ var ErrEnvelope = errors.New("dsys: malformed envelope")
 //	u32 len(payload) payload bytes
 //	u64 trace   u64 span          (version 2 only)
 //
-// The encoding is AppendHeader, the payload bytes, AppendTrailer: a transport
-// that hands the payload to the socket as it stands builds only those two.
+// The payload bytes are Payload followed by Shared. The encoding is
+// AppendHeader, the payload bytes, AppendTrailer: a transport that hands the
+// payload to the socket as it stands builds only those two.
 func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
 	b, err := e.AppendHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	return e.AppendTrailer(append(b, e.Payload...)), nil
+	return e.AppendTrailer(append(append(b, e.Payload...), e.Shared...)), nil
 }
 
 // AppendHeader appends everything that precedes the payload bytes, the
@@ -154,8 +163,9 @@ func (e Envelope) AppendHeader(b []byte) ([]byte, error) {
 	if len(e.Kind) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: kind of length %d", ErrEnvelope, len(e.Kind))
 	}
-	if len(e.Payload) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, len(e.Payload))
+	payloadLen := len(e.Payload) + len(e.Shared)
+	if payloadLen > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, payloadLen)
 	}
 	if e.traced() {
 		b = append(b, envelopeVersionV2)
@@ -166,7 +176,7 @@ func (e Envelope) AppendHeader(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, uint64(e.Object))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Kind)))
 	b = append(b, e.Kind...)
-	return binary.BigEndian.AppendUint32(b, uint32(len(e.Payload))), nil
+	return binary.BigEndian.AppendUint32(b, uint32(payloadLen)), nil
 }
 
 // AppendTrailer appends what follows the payload bytes: the trace context of
@@ -183,7 +193,7 @@ func (e Envelope) traced() bool { return e.Trace != 0 || e.Span != 0 }
 
 // MarshalBinary encodes the envelope.
 func (e Envelope) MarshalBinary() ([]byte, error) {
-	return e.AppendBinary(make([]byte, 0, 32+len(e.Kind)+len(e.Payload)))
+	return e.AppendBinary(make([]byte, 0, 32+len(e.Kind)+len(e.Payload)+len(e.Shared)))
 }
 
 // UnmarshalEnvelope decodes an envelope, rejecting trailing bytes. Both wire

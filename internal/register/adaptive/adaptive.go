@@ -17,10 +17,12 @@
 //     its update round; updates with timestamps at most storedTS are ignored
 //     and stale pieces below it are garbage collected.
 //
-// A write performs three rounds (read-timestamp, update, garbage-collect),
-// each waiting for n-f responses. A read repeatedly collects the contents of
-// n-f objects until it sees k distinct pieces of a single value whose
-// timestamp is at least the highest storedTS it observed, then decodes.
+// A write performs three rounds, each waiting for n-f responses: read
+// timestamps (kind adaptive.readts, which answers with timestamps only),
+// update (adaptive.update) and garbage-collect (adaptive.gc). A read
+// repeatedly collects the contents of n-f objects (adaptive.read) until it
+// sees k distinct pieces of a single value whose timestamp is at least the
+// highest storedTS it observed, then decodes.
 package adaptive
 
 import (
@@ -102,45 +104,58 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
 
-	// Round 1: read timestamps (line 5-7).
-	storedTS, readSet, err := readValue(h, r.cfg)
+	// Round 1: read timestamps (lines 5-7).
+	storedTS, maxNum, err := readTimestamps(h, r.cfg)
 	if err != nil {
 		return err
-	}
-	maxNum := storedTS.Num
-	for _, c := range readSet {
-		if c.TS.Num > maxNum {
-			maxNum = c.TS.Num
-		}
 	}
 	ts := register.Timestamp{Num: maxNum + 1, Client: h.ID()}
 	for i := range writeSet {
 		writeSet[i].TS = ts
 	}
-	// The full replica is the first k pieces themselves, shared read-only by
-	// all n update RMWs: an object that falls back to Vf copies them then.
-	full := writeSet[:r.cfg.K:r.cfg.K]
 
 	// Round 2: update (lines 8-10).
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
-		return &updateRMW{
-			k:        r.cfg.K,
-			ts:       ts,
-			storedTS: storedTS,
-			piece:    writeSet[obj],
-			full:     full,
-		}
-	}, r.cfg.Quorum()); err != nil {
+	update := updatesOf(r.cfg.K, ts, storedTS, writeSet)
+	updated, err := h.InvokeAll(func(obj int) dsys.RMW {
+		u := update(obj)
+		return &u
+	}, r.cfg.Quorum())
+	if err != nil {
 		return err
 	}
 
-	// Round 3: garbage collection (lines 11-13).
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
-		return &gcRMW{ts: ts, piece: writeSet[obj]}
-	}, r.cfg.Quorum()); err != nil {
-		return err
+	// Round 3: garbage collection (lines 11-13). An object whose update has
+	// answered without putting this write into Vf cannot hold its full
+	// replica — each update applies once — so lines 43-44 cannot fire there
+	// and its GC travels without the piece.
+	return collectGarbage(h, r.cfg, ts, writeSet, func(obj int) bool {
+		resp, answered := updated[obj].(updateResp)
+		return !answered || resp.Stored && !resp.ToVp
+	})
+}
+
+// updatesOf returns the update round's per-object RMW. The full replica is the
+// first k pieces of the write set themselves, shared read-only by all n
+// updates together with its one wire encoding: an object that falls back to
+// Vf copies the pieces then.
+func updatesOf(k int, ts, storedTS register.Timestamp, writeSet []register.Chunk) func(obj int) updateRMW {
+	full, wire := writeSet[:k:k], new(fullWire)
+	return func(obj int) updateRMW {
+		return updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}
 	}
-	return nil
+}
+
+// collectGarbage runs the GC round at ts. needsPiece says for which objects
+// Vf may hold this write's full replica; the others get a GC without a piece.
+func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece func(obj int) bool) error {
+	_, err := h.InvokeAll(func(obj int) dsys.RMW {
+		g := &gcRMW{ts: ts}
+		if needsPiece(obj) {
+			g.piece = writeSet[obj]
+		}
+		return g
+	}, cfg.Quorum())
+	return err
 }
 
 // WriteSeed implements register.SeedWriter: update and GC rounds at the fixed
@@ -157,22 +172,13 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
-	full := writeSet[:r.cfg.K:r.cfg.K]
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
-		return &seedUpdateRMW{updateRMW{
-			k:        r.cfg.K,
-			ts:       register.SeedTS,
-			storedTS: register.ZeroTS,
-			piece:    writeSet[obj],
-			full:     full,
-		}}
-	}, r.cfg.Quorum()); err != nil {
+	update := updatesOf(r.cfg.K, register.SeedTS, register.ZeroTS, writeSet)
+	if _, err := h.InvokeAll(func(obj int) dsys.RMW { return &seedUpdateRMW{update(obj)} }, r.cfg.Quorum()); err != nil {
 		return err
 	}
-	_, err = h.InvokeAll(func(obj int) dsys.RMW {
-		return &gcRMW{ts: register.SeedTS, piece: writeSet[obj]}
-	}, r.cfg.Quorum())
-	return err
+	// A re-driven seed's updates may apply more than once, so no response
+	// rules out a full replica in Vf: every GC carries its piece.
+	return collectGarbage(h, r.cfg, register.SeedTS, writeSet, func(int) bool { return true })
 }
 
 // Read implements register.Register (Algorithm 2, lines 16-22).
@@ -224,4 +230,25 @@ func readValue(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, [
 		readSet = append(readSet, rv.Chunks...)
 	}
 	return maxTS, readSet, nil
+}
+
+// readTimestamps is the write's query round (Algorithm 2, lines 5-7): it
+// collects storedTS and the largest timestamp number in Vp ∪ Vf from n-f base
+// objects — the only things the writer takes from that round — and returns the
+// highest storedTS together with the largest number seen anywhere.
+func readTimestamps(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, int, error) {
+	resp, err := h.InvokeAll(func(obj int) dsys.RMW { return &readTSRMW{} }, cfg.Quorum())
+	if err != nil {
+		return register.ZeroTS, 0, err
+	}
+	maxTS, maxNum := register.ZeroTS, 0
+	for _, raw := range resp {
+		rt, ok := raw.(readTSResp)
+		if !ok {
+			return register.ZeroTS, 0, fmt.Errorf("adaptive: unexpected readTimestamps response %T", raw)
+		}
+		maxTS = maxTS.Max(rt.StoredTS)
+		maxNum = max(maxNum, rt.MaxNum)
+	}
+	return maxTS, max(maxNum, maxTS.Num), nil
 }

@@ -2,22 +2,63 @@ package adaptive
 
 import (
 	"fmt"
+	"sync"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 )
 
-// encodeUpdate / decodeUpdate serialize the shared body of updateRMW and
-// seedUpdateRMW (they differ only in idempotence handling, not in fields).
-func encodeUpdate(u *updateRMW) []byte {
-	var w register.WireWriter
-	w.Grow(register.WireIntSize + 2*register.WireTSSize + register.ChunkWireSize(u.piece) + register.ChunksWireSize(u.full))
+// The update payload — the shared body of updateRMW and seedUpdateRMW, which
+// differ only in idempotence handling, not in fields — is the update's own
+// fields followed by the full replica. Both encoders below are those two
+// writers in that order; they differ only in where the bytes land.
+
+func updateOwnSize(u *updateRMW) int {
+	return register.WireIntSize + 2*register.WireTSSize + register.ChunkWireSize(u.piece)
+}
+
+func writeUpdateOwn(w *register.WireWriter, u *updateRMW) {
 	w.Int(u.k)
 	w.TS(u.ts)
 	w.TS(u.storedTS)
 	w.Chunk(u.piece)
+}
+
+// encodeUpdate returns the whole payload in one exactly sized buffer.
+func encodeUpdate(u *updateRMW) []byte {
+	var w register.WireWriter
+	w.Grow(updateOwnSize(u) + register.ChunksWireSize(u.full))
+	writeUpdateOwn(&w, u)
 	w.Chunks(u.full)
 	return w.Finish()
+}
+
+// encodeUpdateShared returns the same bytes in two runs: the update's own
+// fields, and the full replica's encoding, which the n updates of one write
+// produce once and share. An update no writer built (a decoded one) has no
+// siblings to share with and goes out whole.
+func encodeUpdateShared(u *updateRMW) (own, shared []byte, err error) {
+	if u.wire == nil {
+		return encodeUpdate(u), nil, nil
+	}
+	u.wire.once.Do(func() {
+		var w register.WireWriter
+		w.Grow(register.ChunksWireSize(u.full))
+		w.Chunks(u.full)
+		u.wire.b = w.Finish()
+	})
+	var w register.WireWriter
+	w.Grow(updateOwnSize(u))
+	writeUpdateOwn(&w, u)
+	return w.Finish(), u.wire.b, nil
+}
+
+// fullWire holds the wire encoding of one write's full replica. The write's n
+// update RMWs point at one fullWire, and the first sender that ships an update
+// in two runs fills it in; rounds applied in process never do.
+type fullWire struct {
+	once sync.Once
+	b    []byte
 }
 
 func decodeUpdate(payload []byte) (updateRMW, error) {
@@ -85,9 +126,40 @@ func init() {
 	}, &readValueRMW{})
 
 	register.RegisterCodec(register.Codec{
+		Kind:     "adaptive.readts",
+		ReadOnly: true,
+		Encode:   register.EmptyPayload,
+		Decode: func(payload []byte) (dsys.RMW, error) {
+			if err := register.RequireEmpty(payload); err != nil {
+				return nil, err
+			}
+			return &readTSRMW{}, nil
+		},
+		EncodeResp: func(resp any) ([]byte, error) {
+			rt := resp.(readTSResp)
+			var w register.WireWriter
+			w.Grow(register.WireTSSize + register.WireIntSize)
+			w.TS(rt.StoredTS)
+			w.Int(rt.MaxNum)
+			return w.Finish(), nil
+		},
+		DecodeResp: func(payload []byte) (any, error) {
+			r := register.NewWireReader(payload)
+			rt := readTSResp{StoredTS: r.TS(), MaxNum: r.Int()}
+			if err := r.Finish(); err != nil {
+				return nil, err
+			}
+			return rt, nil
+		},
+	}, &readTSRMW{})
+
+	register.RegisterCodec(register.Codec{
 		Kind: "adaptive.update",
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			return encodeUpdate(rmw.(*updateRMW)), nil
+		},
+		EncodeShared: func(rmw dsys.RMW) ([]byte, []byte, error) {
+			return encodeUpdateShared(rmw.(*updateRMW))
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			u, err := decodeUpdate(payload)
@@ -105,6 +177,9 @@ func init() {
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			return encodeUpdate(&rmw.(*seedUpdateRMW).updateRMW), nil
 		},
+		EncodeShared: func(rmw dsys.RMW) ([]byte, []byte, error) {
+			return encodeUpdateShared(&rmw.(*seedUpdateRMW).updateRMW)
+		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			u, err := decodeUpdate(payload)
 			if err != nil {
@@ -117,6 +192,8 @@ func init() {
 	}, &seedUpdateRMW{})
 
 	register.RegisterCodec(register.Codec{
+		// A GC without a piece is this same layout around a zero chunk, whose
+		// block is empty.
 		Kind: "adaptive.gc",
 		Encode: func(rmw dsys.RMW) ([]byte, error) {
 			g := rmw.(*gcRMW)

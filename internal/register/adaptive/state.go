@@ -63,6 +63,31 @@ func (*readValueRMW) Apply(state dsys.State) any {
 // Blocks implements dsys.RMW: a read round carries no code blocks.
 func (*readValueRMW) Blocks() []dsys.BlockRef { return nil }
 
+// readTSResp is the response of a write's query round: the object's storedTS
+// and the largest timestamp number among the pieces in Vp and Vf (zero when
+// both are empty).
+type readTSResp struct {
+	StoredTS register.Timestamp
+	MaxNum   int
+}
+
+// readTSRMW is the write's query round (Algorithm 2, lines 5-7, served by
+// Algorithm 3, lines 25-28): the same atomic look at the object readValueRMW
+// takes, answered with the timestamps alone — a writer picks its timestamp
+// from them and never looks at a piece.
+type readTSRMW struct{}
+
+var _ dsys.RMW = (*readTSRMW)(nil)
+
+// Apply implements dsys.RMW.
+func (*readTSRMW) Apply(state dsys.State) any {
+	s := state.(*objectState)
+	return readTSResp{StoredTS: s.storedTS, MaxNum: max(maxChunkTS(s.vp).Num, maxChunkTS(s.vf).Num)}
+}
+
+// Blocks implements dsys.RMW: the query round carries no code blocks.
+func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
+
 // updateRMW is the second write round (Algorithm 3, lines 32-39): store the
 // object's piece in Vp if there is room, otherwise fall back to storing a
 // full replica in Vf, and propagate the caller's storedTS.
@@ -70,13 +95,15 @@ func (*readValueRMW) Blocks() []dsys.BlockRef { return nil }
 // piece is retained by the object as it stands, so it must be exactly sized
 // memory of its own. full is only read: the n updates of one write share it,
 // a decoded update's full is a view of its request frame, and Apply copies it
-// before storing.
+// before storing. wire is where those n updates share the encoding of full;
+// a decoded update has none.
 type updateRMW struct {
 	k        int
 	ts       register.Timestamp
 	storedTS register.Timestamp
 	piece    register.Chunk
 	full     []register.Chunk
+	wire     *fullWire
 }
 
 var _ dsys.RMW = (*updateRMW)(nil)
@@ -145,8 +172,9 @@ func (u *seedUpdateRMW) Apply(state dsys.State) any {
 	return u.updateRMW.Apply(state)
 }
 
-// updateResp reports what the update round did; the writer does not depend on
-// it, but tests and traces do.
+// updateResp reports what the update round did. The writer reads it to decide
+// whether the object's GC needs the piece: only Stored && !ToVp puts the
+// write's full replica into Vf.
 type updateResp struct {
 	Stored bool
 	ToVp   bool
@@ -155,6 +183,12 @@ type updateResp struct {
 // gcRMW is the third write round (Algorithm 3, lines 40-45): drop everything
 // older than ts, shrink a full replica of this very write down to the single
 // piece that belongs on this object, and raise storedTS to ts.
+//
+// piece is only read by lines 43-44, so a writer that knows Vf cannot hold
+// its full replica sends none: a piece whose block is empty. An object that
+// does hold the replica and is sent no piece keeps the replica whole — still
+// a correct state, which a later write's GC drops — and never stores the
+// empty piece.
 type gcRMW struct {
 	ts    register.Timestamp
 	piece register.Chunk
@@ -188,16 +222,23 @@ func (g *gcRMW) Apply(state dsys.State) any {
 			break
 		}
 	}
-	if holdsMine {
+	if holdsMine && g.hasPiece() {
 		s.vf = []register.Chunk{g.piece}
 	}
 	s.storedTS = s.storedTS.Max(g.ts)
 	return gcResp{}
 }
 
+func (g *gcRMW) hasPiece() bool { return len(g.piece.Block.Data) > 0 }
+
 // Blocks implements dsys.RMW: the GC round carries this object's piece (used
-// to replace a full replica).
-func (g *gcRMW) Blocks() []dsys.BlockRef { return []dsys.BlockRef{g.piece.Ref()} }
+// to replace a full replica), when it carries one at all.
+func (g *gcRMW) Blocks() []dsys.BlockRef {
+	if !g.hasPiece() {
+		return nil
+	}
+	return []dsys.BlockRef{g.piece.Ref()}
+}
 
 // gcResp is the (empty) response of the GC round.
 type gcResp struct{}

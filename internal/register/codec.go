@@ -32,6 +32,13 @@ type Codec struct {
 	ReadOnly bool
 	// Encode serializes the RMW's parameters (not its kind or target).
 	Encode func(rmw dsys.RMW) ([]byte, error)
+	// EncodeShared, set by kinds whose payload ends in bytes that every RMW
+	// of one round carries alike, is Encode in two runs: shared is that
+	// ending — the same memory for each RMW of the round — and own what
+	// precedes it, so own followed by shared is exactly Encode's output. A
+	// transport that writes the runs one after the other never builds the
+	// round's common bytes more than once.
+	EncodeShared func(rmw dsys.RMW) (own, shared []byte, err error)
 	// Decode rebuilds a live RMW from Encode's output.
 	Decode func(payload []byte) (dsys.RMW, error)
 	// EncodeResp serializes the response returned by the RMW's Apply.
@@ -108,19 +115,38 @@ func KindReadOnly(kind string) bool {
 }
 
 // EncodeEnvelope serializes a live RMW into a wire envelope addressed at the
-// given global base object on behalf of operation op.
+// given global base object on behalf of operation op. The envelope's Payload
+// is the whole payload: what a journal records and Decode accepts.
 func EncodeEnvelope(op dsys.OpID, object int, rmw dsys.RMW) (dsys.Envelope, error) {
+	return encodeEnvelope(op, object, rmw, false)
+}
+
+// EncodeEnvelopeShared is EncodeEnvelope for a sender: where the kind has an
+// EncodeShared, the payload's shared ending travels in the envelope's Shared
+// field instead of being copied behind Payload. The envelope's wire encoding
+// is byte for byte that of EncodeEnvelope's.
+func EncodeEnvelopeShared(op dsys.OpID, object int, rmw dsys.RMW) (dsys.Envelope, error) {
+	return encodeEnvelope(op, object, rmw, true)
+}
+
+func encodeEnvelope(op dsys.OpID, object int, rmw dsys.RMW, split bool) (dsys.Envelope, error) {
 	codecMu.RLock()
 	c, ok := codecByType[reflect.TypeOf(rmw)]
 	codecMu.RUnlock()
 	if !ok {
 		return dsys.Envelope{}, fmt.Errorf("%w: no codec for RMW type %T", ErrCodec, rmw)
 	}
-	payload, err := c.Encode(rmw)
+	env := dsys.Envelope{Op: op, Object: object, Kind: c.Kind}
+	var err error
+	if split && c.EncodeShared != nil {
+		env.Payload, env.Shared, err = c.EncodeShared(rmw)
+	} else {
+		env.Payload, err = c.Encode(rmw)
+	}
 	if err != nil {
 		return dsys.Envelope{}, fmt.Errorf("%w: encoding %s: %v", ErrCodec, c.Kind, err)
 	}
-	return dsys.Envelope{Op: op, Object: object, Kind: c.Kind, Payload: payload}, nil
+	return env, nil
 }
 
 // DecodeRMW rebuilds the live RMW carried by an envelope. The returned value
@@ -130,6 +156,9 @@ func DecodeRMW(env dsys.Envelope) (dsys.RMW, error) {
 	c, ok := CodecByKind(env.Kind)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
+	}
+	if len(env.Shared) > 0 {
+		return nil, fmt.Errorf("%w: decoding %s from a sender's envelope, whose Payload is not the whole payload", ErrCodec, env.Kind)
 	}
 	rmw, err := c.Decode(env.Payload)
 	if err != nil {

@@ -55,10 +55,20 @@ func seedPayloads() map[string][]byte {
 		"ec.seedstore":        chunk(3),
 		"ec.commit":           ts(),
 		"adaptive.read":       nil,
+		"adaptive.readts":     nil,
 		"adaptive.update":     adaptiveUpdatePayload(0),
 		"adaptive.seedupdate": adaptiveUpdatePayload(1),
 		"adaptive.gc":         gc(),
 	}
+}
+
+// piecelessGCPayload is the GC a writer sends to an object whose Vf cannot
+// hold its full replica: the gc layout around a zero chunk.
+func piecelessGCPayload() []byte {
+	var w register.WireWriter
+	w.TS(register.Timestamp{Num: 4, Client: 0})
+	w.Chunk(register.Chunk{})
+	return w.Finish()
 }
 
 // adaptiveUpdatePayload builds an update payload carrying a piece plus a
@@ -135,6 +145,21 @@ func checkRoundTrip(t *testing.T, kind string, payload []byte) {
 		t.Fatalf("%s: decoded RMW reports %d blocks, original %d", kind, len(got), len(rmw.Blocks()))
 	}
 
+	// A sender's envelope, whose payload may travel in two runs, is the same
+	// bytes on the wire, and the two runs are the whole payload cut in two.
+	// (A decoded RMW shares nothing and goes out whole; the runs of a write's
+	// own updates are checked in the provider's package.)
+	sent, err := register.EncodeEnvelopeShared(op, 5, rmw)
+	if err != nil {
+		t.Fatalf("%s: EncodeEnvelopeShared: %v", kind, err)
+	}
+	if !bytes.Equal(append(append([]byte{}, sent.Payload...), sent.Shared...), enc1) {
+		t.Fatalf("%s: the sender's two runs are not the payload", kind)
+	}
+	if swire, err := sent.MarshalBinary(); err != nil || !bytes.Equal(swire, wire1) {
+		t.Fatalf("%s: sender's envelope differs on the wire (%v)", kind, err)
+	}
+
 	// Versioned case: the same envelope carrying a trace context must encode
 	// as version 2, round-trip the trace words, and stay a byte fixpoint —
 	// while the untraced wire above stays version 1 (the pre-trace layout old
@@ -192,8 +217,10 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 		}
 		checkRoundTrip(t, kind, payload)
 	}
-	// Read-only flags: exactly the four read rounds.
-	wantRO := map[string]bool{"abd.read": true, "safe.read": true, "ec.read": true, "adaptive.read": true}
+	checkRoundTrip(t, "adaptive.gc", piecelessGCPayload())
+	// Read-only flags: exactly the four read rounds and the adaptive write's
+	// timestamp query.
+	wantRO := map[string]bool{"abd.read": true, "safe.read": true, "ec.read": true, "adaptive.read": true, "adaptive.readts": true}
 	for _, kind := range register.CodecKinds() {
 		if register.KindReadOnly(kind) != wantRO[kind] {
 			t.Errorf("%s: ReadOnly = %v, want %v", kind, register.KindReadOnly(kind), wantRO[kind])
@@ -217,6 +244,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(uint8(i), payload)
 	}
+	f.Add(uint8(index["adaptive.gc"]), piecelessGCPayload())
 	f.Fuzz(func(t *testing.T, kindIdx uint8, payload []byte) {
 		kind := kinds[int(kindIdx)%len(kinds)]
 		checkRoundTrip(t, kind, payload)

@@ -16,7 +16,7 @@ func (unregisteredRMW) Blocks() []dsys.BlockRef { return nil }
 
 func TestCodecRegistryLookups(t *testing.T) {
 	kinds := register.CodecKinds()
-	if len(kinds) < 12 {
+	if len(kinds) < 13 {
 		t.Fatalf("only %d codec kinds registered: %v", len(kinds), kinds)
 	}
 	for _, kind := range kinds {
@@ -25,9 +25,10 @@ func TestCodecRegistryLookups(t *testing.T) {
 			t.Fatalf("CodecByKind(%q) = (%+v, %v)", kind, c, ok)
 		}
 	}
-	// Exactly the four provider read rounds are read-only: that's the set a
-	// recovering node refuses before repair.
-	readOnly := map[string]bool{"abd.read": true, "safe.read": true, "ec.read": true, "adaptive.read": true}
+	// Exactly the four provider read rounds and the adaptive write's
+	// timestamp query are read-only: that's the set a recovering node refuses
+	// before repair.
+	readOnly := map[string]bool{"abd.read": true, "safe.read": true, "ec.read": true, "adaptive.read": true, "adaptive.readts": true}
 	for _, kind := range kinds {
 		if register.KindReadOnly(kind) != readOnly[kind] {
 			t.Fatalf("KindReadOnly(%q) = %v, want %v", kind, !readOnly[kind], readOnly[kind])

@@ -2,6 +2,7 @@ package register_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"spacebounds/internal/dsys"
@@ -60,11 +61,14 @@ func TestStateCodecErrors(t *testing.T) {
 	}
 }
 
+var registerFakeState sync.Once
+
 // TestStateCodecRegistryRoundTripAndConflicts registers a test-only codec,
 // round-trips through it, and checks the duplicate and incompleteness panics
-// that keep the global registry unambiguous.
+// that keep the global registry unambiguous. The registry is per process, so
+// under -count the codec is registered by the first run only.
 func TestStateCodecRegistryRoundTripAndConflicts(t *testing.T) {
-	register.RegisterStateCodec(fakeCodec("test.fake-state"), fakeState{})
+	registerFakeState.Do(func() { register.RegisterStateCodec(fakeCodec("test.fake-state"), fakeState{}) })
 	kind, payload, err := register.EncodeState(fakeState{b: 7})
 	if err != nil || kind != "test.fake-state" {
 		t.Fatalf("EncodeState = %q, %v", kind, err)

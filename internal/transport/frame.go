@@ -32,12 +32,13 @@ var ErrFrame = errors.New("transport: malformed frame")
 // have actually arrived.
 const readFrameStep = 1 << 20
 
-// readFrame reads one length-prefixed frame and returns its payload in a
-// fresh, exactly sized slice. The length prefix is untrusted until the bytes
-// behind it arrive: a frame of up to readFrameStep is allocated at once, a
-// longer one in steps that at most double what has already been read, so a
-// corrupt or hostile header costs one step, not maxFrameLen.
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame and returns its payload: in buf
+// when it fits buf's capacity, otherwise in a fresh, exactly sized slice. The
+// length prefix is untrusted until the bytes behind it arrive: a frame of up
+// to readFrameStep is allocated at once, a longer one in steps that at most
+// double what has already been read, so a corrupt or hostile header costs one
+// step, not maxFrameLen.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -46,7 +47,10 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("%w: length %d exceeds limit", ErrFrame, n)
 	}
-	payload := make([]byte, min(n, readFrameStep))
+	payload := buf[:min(n, cap(buf))]
+	if len(payload) < n {
+		payload = make([]byte, min(n, readFrameStep))
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -60,13 +64,15 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// frame is one outgoing frame in three parts under one length prefix: head is
+// frame is one outgoing frame in parts under one length prefix: head is
 // `u32 length | u64 requestID | message header`, payload the codec's bytes
-// exactly as the codec returned them, tail the message trailer. head and tail
-// are cut from one small allocation; the payload is handed to the socket as it
-// stands, never copied into a frame buffer. The parts are read-only from the
-// moment the frame is enqueued.
-type frame struct{ head, payload, tail []byte }
+// exactly as the codec returned them, shared the rest of a payload whose
+// ending several frames have in common (an envelope's Shared; empty
+// otherwise), tail the message trailer. head and tail are cut from one small
+// allocation; payload and shared are handed to the socket as they stand, never
+// copied into a frame buffer. The parts are read-only from the moment the
+// frame is enqueued.
+type frame struct{ head, payload, shared, tail []byte }
 
 // requestFrame frames an envelope: on the wire it is exactly
 // `u32 length | u64 requestID | env.AppendBinary`.
@@ -75,7 +81,7 @@ func requestFrame(reqID uint64, env dsys.Envelope) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	return sealFrame(head, env.AppendTrailer(head), env.Payload), nil
+	return sealFrame(head, env.AppendTrailer(head), env.Payload, env.Shared), nil
 }
 
 // responseFrame frames a response the same way.
@@ -84,7 +90,7 @@ func responseFrame(reqID uint64, resp dsys.Response) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	return sealFrame(head, resp.AppendTrailer(head), resp.Payload), nil
+	return sealFrame(head, resp.AppendTrailer(head), resp.Payload, nil), nil
 }
 
 // startFrame allocates a frame's head-and-tail buffer with room for a message
@@ -95,10 +101,10 @@ func startFrame(reqID uint64, room int) []byte {
 }
 
 // sealFrame cuts whole — the head followed by the trailer — at the head's
-// length and fills in the length prefix, which covers all three parts.
-func sealFrame(head, whole, payload []byte) frame {
-	binary.BigEndian.PutUint32(whole, uint32(len(whole)-4+len(payload)))
-	return frame{head: whole[:len(head)], payload: payload, tail: whole[len(head):]}
+// length and fills in the length prefix, which covers all the parts.
+func sealFrame(head, whole, payload, shared []byte) frame {
+	binary.BigEndian.PutUint32(whole, uint32(len(whole)-4+len(payload)+len(shared)))
+	return frame{head: whole[:len(head)], payload: payload, shared: shared, tail: whole[len(head):]}
 }
 
 // frameSender serializes frame writes onto one connection through a single
@@ -183,11 +189,10 @@ func (s *frameSender) run() {
 		parts = parts[:0]
 		for _, f := range batch {
 			parts = append(parts, f.head)
-			if len(f.payload) > 0 {
-				parts = append(parts, f.payload)
-			}
-			if len(f.tail) > 0 {
-				parts = append(parts, f.tail)
+			for _, part := range [...][]byte{f.payload, f.shared, f.tail} {
+				if len(part) > 0 {
+					parts = append(parts, part)
+				}
 			}
 		}
 		clear(batch) // the queue reuses this array; do not pin written payloads

@@ -144,10 +144,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	sender := newFrameSender(conn)
 	defer sender.close()
 	br := bufio.NewReader(conn)
+	// Requests are served strictly in turn and nothing decoded from a request
+	// outlives serve — what an Apply or the journal keeps, it copies — so a
+	// frame is dead when serve returns and the next one is read over it. Only
+	// a buffer of up to readFrameStep is kept, so a connection pins no more.
+	var buf []byte
 	for {
-		frame, err := readFrame(br)
+		frame, err := readFrame(br, buf)
 		if err != nil {
 			return
+		}
+		if cap(frame) <= readFrameStep {
+			buf = frame
 		}
 		if len(frame) < 8 {
 			return

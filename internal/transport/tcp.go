@@ -257,7 +257,8 @@ func (cc *clientConn) shutdown(err error) {
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReader(cc.conn)
 	for {
-		frame, err := readFrame(br)
+		// Every response gets a frame of its own: read results alias it.
+		frame, err := readFrame(br, nil)
 		if err != nil {
 			cc.shutdown(err)
 			return
@@ -313,7 +314,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 	op := dsys.OpID{Client: client}
 	for _, obj := range targets {
 		rmw := makeRMW(obj)
-		env, err := register.EncodeEnvelope(op, obj, rmw)
+		env, err := register.EncodeEnvelopeShared(op, obj, rmw)
 		if err != nil {
 			// No codec for this RMW type: a programming error, not a fault.
 			return nil, err

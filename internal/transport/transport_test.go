@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"spacebounds/internal/dsys"
@@ -197,6 +198,62 @@ func TestRecoveryModeGatesReads(t *testing.T) {
 		}
 		if c.TS.Num != 3 {
 			t.Fatalf("object %d: TS.Num = %d, want 3", obj, c.TS.Num)
+		}
+	}
+}
+
+// TestRecoveryModeGatesTimestampQuery: the adaptive write's query round is
+// read-only like the read round, so a recovering node refuses it per object —
+// an unrepaired object would answer with timestamps it no longer remembers —
+// until an update has applied there, and then answers with that update's.
+func TestRecoveryModeGatesTimestampQuery(t *testing.T) {
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16 << 10}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	_, addr := startServer(t, backing, transport.WithRecovery())
+	cli, err := transport.Dial([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	c, _ := register.CodecByKind("adaptive.readts")
+	query, err := c.Decode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkQuery := func(int) dsys.RMW { return query }
+	targets := []int{0, 1, 2, 3}
+
+	_, err = cli.InvokeRound(ctx, 1, targets, mkQuery, 3)
+	if !errors.Is(err, dsys.ErrQuorumUnavailable) || !strings.Contains(err.Error(), dsys.ErrRecovering.Error()) {
+		t.Fatalf("timestamp query on a recovering node: err = %v, want ErrQuorumUnavailable over ErrRecovering", err)
+	}
+	// Objects 0 and 1 are repaired by an update; 2 and 3 stay refused.
+	if _, err := cli.InvokeRound(ctx, 1, targets[:2], adaptiveUpdate(t, 7, 1, 0x11), 2); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := cli.InvokeRound(ctx, 1, targets, mkQuery, 2)
+	if err != nil {
+		t.Fatalf("timestamp query after repair: %v", err)
+	}
+	if _, ok := resp[2]; ok || len(resp) != 2 {
+		t.Fatalf("answers from objects %v, want exactly the repaired 0 and 1", resp)
+	}
+	for obj, raw := range resp {
+		payload, err := register.EncodeResponse("adaptive.readts", raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := register.NewWireReader(payload)
+		if storedTS, maxNum := r.TS(), r.Int(); storedTS != register.ZeroTS || maxNum != 7 || r.Finish() != nil {
+			t.Fatalf("object %d answered (%v, %d), want (%v, 7)", obj, storedTS, maxNum, register.ZeroTS)
+		}
+		if len(payload) > 64 {
+			t.Fatalf("a timestamp answer of %d bytes", len(payload))
 		}
 	}
 }

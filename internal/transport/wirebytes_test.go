@@ -1,0 +1,177 @@
+package transport_test
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"spacebounds/internal/dsys"
+	"spacebounds/internal/erasure"
+	"spacebounds/internal/oracle"
+	"spacebounds/internal/register"
+	"spacebounds/internal/shard"
+	"spacebounds/internal/transport"
+	"spacebounds/internal/value"
+)
+
+// countingInvoker adds up the payload bytes of the requests a round sends and
+// of the responses it gets back, as the codecs encode them.
+type countingInvoker struct {
+	inner dsys.RoundInvoker
+	t     *testing.T
+
+	requests, responses int
+	perKind             map[string]int
+}
+
+func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
+	var kind string
+	resp, err := c.inner.InvokeRound(ctx, client, targets, func(obj int) dsys.RMW {
+		rmw := makeRMW(obj)
+		env, encErr := register.EncodeEnvelopeShared(dsys.OpID{Client: client}, obj, rmw)
+		if encErr != nil {
+			c.t.Error(encErr)
+		}
+		kind = env.Kind
+		c.requests += len(env.Payload) + len(env.Shared)
+		c.perKind[kind] += len(env.Payload) + len(env.Shared)
+		return rmw
+	}, quorum)
+	for _, v := range resp {
+		payload, encErr := register.EncodeResponse(kind, v)
+		if encErr != nil {
+			c.t.Error(encErr)
+		}
+		c.responses += len(payload)
+		c.perKind[kind+" response"] += len(payload)
+	}
+	return resp, err
+}
+
+// TestQuiescentWriteMovesOnlyWhatItsRoundsRead: one 64 KiB write at f = 2,
+// k = 4 into a quiescent register sends each of its n objects the full replica
+// and one piece, once — D + D/k bytes and a few hundred of timestamps and
+// chunk headers — and gets back timestamps and flags only. The query round
+// returns no piece and the GC round, every update having answered from Vp,
+// carries none.
+func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
+	const f, k, dataLen = 2, 4, 64 << 10
+	specs := []shard.Spec{{Name: "large", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	counter := &countingInvoker{inner: transport.NewLoopback(backing.Cluster()), t: t, perKind: map[string]int{}}
+	rs, err := shard.NewRemote(specs, counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sh := rs.Shards()[0]
+	want := value.Sequenced(1, 1, dataLen)
+	if err := rs.WriteValue(1, sh, want); err != nil {
+		t.Fatal(err)
+	}
+	n := 2*f + k
+	// Per object: an update's 5 chunk headers, k and two timestamps, and a
+	// GC's timestamp and empty chunk — under 400 bytes.
+	if limit := n*(dataLen+dataLen/k) + n*512; counter.requests > limit {
+		t.Errorf("the write sent %d request-payload bytes, want at most n·(D + D/k) + n·512 = %d: %v", counter.requests, limit, counter.perKind)
+	}
+	if limit := n * 64; counter.responses > limit {
+		t.Errorf("the write received %d response-payload bytes, want at most n·64 = %d: %v", counter.responses, limit, counter.perKind)
+	}
+	if got, err := rs.ReadValue(2, sh); err != nil || !got.Equal(want) {
+		t.Fatalf("read after the write: %v, equal = %v", err, err == nil && got.Equal(want))
+	}
+	if got, wantBits := backing.Cluster().SampleStorage().BaseObjectBits, n*8*dataLen/k; got != wantBits {
+		t.Errorf("quiescent storage %d bits, want %d", got, wantBits)
+	}
+}
+
+// adaptiveUpdate builds the update a write stamped ⟨num, client⟩ sends object
+// 0 at k = 2, every block filled with fill, through the codec (the provider's
+// RMW types are unexported).
+func adaptiveUpdate(t *testing.T, num, client int, fill byte) func(int) dsys.RMW {
+	t.Helper()
+	piece := func(index int) register.Chunk {
+		return register.Chunk{
+			TS:     register.Timestamp{Num: num, Client: client},
+			Block:  erasure.Block{Index: index, Data: bytes.Repeat([]byte{fill}, 8<<10)},
+			Source: oracle.SourceTag{Write: oracle.WriteID{Client: client, Seq: num}, Index: index},
+		}
+	}
+	var w register.WireWriter
+	w.Int(2)
+	w.TS(register.Timestamp{Num: num, Client: client})
+	w.TS(register.ZeroTS)
+	w.Chunk(piece(1))
+	w.Chunks([]register.Chunk{piece(1), piece(2)})
+	c, _ := register.CodecByKind("adaptive.update")
+	rmw, err := c.Decode(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(int) dsys.RMW { return rmw }
+}
+
+// TestServerRequestBufferIsDeadAfterServe sends three updates of the same
+// length and different bytes to one object over one connection, so each is
+// read into the buffer the one before it was decoded from. Update A's piece is
+// retained in Vp, update B's full replica in Vf; both must read back intact
+// after C has overwritten the buffer they arrived in.
+func TestServerRequestBufferIsDeadAfterServe(t *testing.T) {
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16 << 10}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	_, addr := startServer(t, backing)
+	cli, err := transport.Dial([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	for _, u := range []func(int) dsys.RMW{
+		adaptiveUpdate(t, 5, 1, 0xAA), // A: Vp has room next to the initial piece
+		adaptiveUpdate(t, 6, 2, 0xBB), // B: Vp is full, the full replica goes to Vf
+		adaptiveUpdate(t, 4, 3, 0xCC), // C: older than Vf, stored nowhere
+	} {
+		if _, err := cli.InvokeRound(ctx, 1, []int{0}, u, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read, _ := register.CodecByKind("adaptive.read")
+	rmw, err := read.Decode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := cli.InvokeRound(ctx, 2, []int{0}, func(int) dsys.RMW { return rmw }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := register.EncodeResponse("adaptive.read", resp[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := register.NewWireReader(payload)
+	r.TS()
+	held := map[register.Timestamp]int{}
+	for _, c := range r.Chunks() {
+		fill := map[int]byte{0: 0x00, 5: 0xAA, 6: 0xBB}[c.TS.Num]
+		if !bytes.Equal(c.Block.Data, bytes.Repeat([]byte{fill}, len(c.Block.Data))) {
+			t.Errorf("piece %d of %v no longer holds the bytes it arrived with", c.Block.Index, c.TS)
+		}
+		held[c.TS]++
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := register.Timestamp{Num: 5, Client: 1}, register.Timestamp{Num: 6, Client: 2}
+	if held[a] != 1 || held[b] != 2 || len(held) != 3 {
+		t.Fatalf("object holds %v, want the initial piece, A's piece and B's two", held)
+	}
+}

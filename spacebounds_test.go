@@ -318,8 +318,31 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	// The writers have returned, but their rounds returned at quorum: with
+	// NodeLatency set, straggler update and GC RMWs are still queued at the
+	// nodes. Quiescence is reached when those have applied, which shows as two
+	// consecutive samples that agree and charge every shard exactly its
+	// n pieces of D/k, (2f+k)/k·D.
+	const quiescentBits = (2*1 + 2) * 256 * 8 / 2
+	var total int
+	var perShard map[string]int
+	settled := func() bool {
+		prev := perShard
+		total, perShard = store.StorageBreakdown()
+		for name, bits := range perShard {
+			if bits != quiescentBits || prev[name] != bits {
+				return false
+			}
+		}
+		return len(prev) == len(perShard)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("storage did not settle at %d bits per shard: last sample %v", quiescentBits, perShard)
+		}
+	}
+
 	// At quiescence the one-call accessors must agree with the breakdown too.
-	total, perShard := store.StorageBreakdown()
 	sum := 0
 	for name, bits := range perShard {
 		if got := store.ShardStorageBits(name); got != bits {
