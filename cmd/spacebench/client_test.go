@@ -8,39 +8,38 @@ import (
 	"testing"
 
 	"spacebounds/internal/history"
-	"spacebounds/internal/shard"
+	"spacebounds/internal/node"
 	"spacebounds/internal/transport"
 )
 
-// startCluster brings up `nodes` in-process envelope servers sharing one
-// layout — the same shape spacenode serves — and returns their addresses.
-func startCluster(t *testing.T, layout transport.Layout, nodes int) []string {
+// startCluster brings up `nodes` in-process nodes sharing one layout, through
+// the same assembly spacenode uses, and returns them with their addresses.
+func startCluster(t *testing.T, layout transport.Layout, nodes int) ([]*node.Node, []string) {
 	t.Helper()
-	specs, err := layout.Specs()
+	specs, err := node.LayoutSpecs(layout, "shard-")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster := make([]*node.Node, nodes)
 	addrs := make([]string, nodes)
-	for n := 0; n < nodes; n++ {
-		set, err := shard.New(specs)
+	for i := range cluster {
+		n, err := node.Open(node.Config{Shards: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(set.Close)
-		srv := transport.NewServer(set.Cluster(), transport.WithHosts(layout.HostedBy(nodes, n)))
-		addr, err := srv.Listen("127.0.0.1:0")
+		t.Cleanup(func() { _ = n.Close() })
+		addr, err := n.Serve("127.0.0.1:0", nodes, i, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = srv.Close() })
-		addrs[n] = addr.String()
+		cluster[i], addrs[i] = n, addr.String()
 	}
-	return addrs
+	return cluster, addrs
 }
 
 func TestClientModeAgainstLiveCluster(t *testing.T) {
 	layout := transport.Layout{Algorithm: "adaptive", Shards: 2, F: 1, K: 1, ValueSize: 64}
-	addrs := startCluster(t, layout, 4)
+	_, addrs := startCluster(t, layout, 4)
 
 	c := mustParse(t, "-connect", strings.Join(addrs, ","),
 		"-algo", "adaptive", "-shards", "2", "-f", "1", "-k", "1", "-valuesize", "64",
@@ -58,21 +57,43 @@ func TestClientModeAgainstLiveCluster(t *testing.T) {
 }
 
 // The safe register claims strong safety, not regularity; the client must
-// check the condition the provider claims (and force k=1 like the local
-// throughput runner does).
+// check the condition the provider claims. It is also the paper's coded
+// register (Appendix E), so node and client started with the same k = 3 must
+// build the same table: the client reports the k it was asked for, and at
+// quiescence the nodes hold n·D/k bits per shard.
 func TestClientModeSafeRegister(t *testing.T) {
-	layout := transport.Layout{Algorithm: "safereg", Shards: 1, F: 1, K: 1, ValueSize: 32}
-	addrs := startCluster(t, layout, 3)
+	const f, k, valueSize = 1, 3, 48
+	layout := transport.Layout{Algorithm: "safereg", Shards: 2, F: f, K: k, ValueSize: valueSize}
+	cluster, addrs := startCluster(t, layout, 5)
 
 	c := mustParse(t, "-connect", strings.Join(addrs, ","),
-		"-algo", "safereg", "-shards", "1", "-f", "1", "-k", "3", "-valuesize", "32",
-		"-clients", "1", "-ops", "15", "-keys", "4", "-seed", "5")
+		"-algo", "safereg", "-shards", "2", "-f", "1", "-k", "3", "-valuesize", "48",
+		"-clients", "1", "-ops", "24", "-keys", "8", "-seed", "5")
 	out := &bytes.Buffer{}
 	if err := c.execute(out); err != nil {
 		t.Fatalf("safereg client run: %v\noutput:\n%s", err, out)
 	}
-	if !strings.Contains(out.String(), "history check: strong safety ok") {
-		t.Fatalf("output missing safety verdict:\n%s", out)
+	for _, want := range []string{"2 shards (safereg, f=1, k=3)", "history check: strong safety ok (2 shards)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Sum, per shard, the bits of every object on the node that hosts it.
+	span := layout.Span()
+	bits := make([]int, layout.Shards)
+	for i, n := range cluster {
+		hosted := layout.HostedBy(len(cluster), i)
+		for obj, b := range n.Set().Cluster().SampleStorage().PerObjectBits {
+			if hosted(obj) {
+				bits[obj/span] += b
+			}
+		}
+	}
+	for shard, got := range bits {
+		if want := span * valueSize * 8 / k; got != want {
+			t.Errorf("shard-%d holds %d bits at quiescence, want n·D/k = %d", shard, got, want)
+		}
 	}
 }
 

@@ -35,20 +35,13 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"spacebounds/internal/autoshard"
-	"spacebounds/internal/dsys"
 	"spacebounds/internal/experiments"
 	"spacebounds/internal/history"
 	"spacebounds/internal/metrics"
-	"spacebounds/internal/reconfig"
-	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"
-	_ "spacebounds/internal/register/adaptive"
-	_ "spacebounds/internal/register/ecreg"
-	_ "spacebounds/internal/register/safereg"
+	"spacebounds/internal/node"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/sim"
 	"spacebounds/internal/trace"
@@ -152,7 +145,7 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.BoolVar(&c.autoReshard, "auto-reshard", false, "run the autoshard controller during the workload: split hot shards, merge cold ones (throughput mode; excludes -split)")
 	fs.DurationVar(&c.autoReshardEvery, "auto-reshard-interval", 25*time.Millisecond, "autoshard control-loop tick period (throughput mode)")
 	fs.Float64Var(&c.autoReshardHot, "auto-reshard-hot", 512, "ops per interval at or above which a shard is split (throughput mode)")
-	fs.Float64Var(&c.autoReshardCold, "auto-reshard-cold", 0, "ops per interval at or below which a shard is a merge candidate; 0 disables merging (throughput mode)")
+	fs.Float64Var(&c.autoReshardCold, "auto-reshard-cold", 0, "ops per interval at or below which a shard is a merge candidate; at 0 only a shard that saw no operation in the interval counts as cold (throughput mode)")
 	fs.IntVar(&c.autoReshardMax, "auto-reshard-moves", 4, "autoshard lifetime move budget (throughput mode)")
 
 	fs.StringVar(&c.connect, "connect", "", "comma-separated spacenode addresses; runs the workload as a client of that cluster (client mode)")
@@ -382,56 +375,23 @@ func runSim(c *cliConfig, out io.Writer) error {
 // is all the safe register promises, and live histories routinely violate
 // regularity there, so safereg is exercised without the regularity check).
 func runSimLive(c *cliConfig, out io.Writer, provider string) error {
-	const (
-		shardCount = 2
-		f, k       = 1, 2
-	)
-	specs := make([]shard.Spec, shardCount)
-	for i := range specs {
-		kk := k
-		if provider == "abd" {
-			kk = 1
-		}
-		specs[i] = shard.Spec{
-			Name:      fmt.Sprintf("s%d", i),
-			Algorithm: provider,
-			Config:    register.Config{F: f, K: kk, DataLen: 32},
-		}
+	specs, err := node.LayoutSpecs(transport.Layout{Algorithm: provider, Shards: 2, F: 1, K: 2, ValueSize: 32}, "s")
+	if err != nil {
+		return err
 	}
-	set, err := shard.New(specs, dsys.WithLiveLatency(20*time.Microsecond), dsys.WithLiveBatch(8))
+	// Crash/restart churn: the injector cycles nodes down and back up, never
+	// more than F per shard at once.
+	n, err := node.Open(node.Config{
+		Shards:      specs,
+		NodeLatency: 20 * time.Microsecond,
+		Batch:       shard.BatchConfig{MaxSize: 8},
+		Faults:      node.FaultConfig{Interval: 2 * time.Millisecond, Downtime: 2 * time.Millisecond, Seed: c.seed},
+	})
 	if err != nil {
 		return fmt.Errorf("live smoke %s: %w", provider, err)
 	}
-	defer set.Close()
-	set.EnableBatching(shard.BatchConfig{MaxSize: 8})
-
-	// Crash/restart churn: one node per shard cycles down and back up.
-	stop := make(chan struct{})
-	churnDone := make(chan struct{})
-	go func() {
-		defer close(churnDone)
-		cluster := set.Cluster()
-		node := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			sh := set.Shards()[node%shardCount]
-			id := sh.Base + node%sh.Span
-			_ = cluster.CrashObject(id)
-			select {
-			case <-stop:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			_ = cluster.RestartObject(id)
-			node++
-		}
-	}()
-
-	res, err := workload.RunSharded(set, workload.ShardedSpec{
+	defer n.Close()
+	res, err := workload.RunSharded(n.Set(), workload.ShardedSpec{
 		Clients:       4,
 		OpsPerClient:  50,
 		ReadFraction:  0.3,
@@ -439,8 +399,6 @@ func runSimLive(c *cliConfig, out io.Writer, provider string) error {
 		Seed:          c.seed,
 		RecordHistory: true,
 	})
-	close(stop)
-	<-churnDone
 	if err != nil {
 		return fmt.Errorf("live smoke %s: %w", provider, err)
 	}
@@ -467,17 +425,8 @@ func runClient(c *cliConfig, out io.Writer) error {
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-	layout := transport.Layout{
-		Algorithm: c.algo,
-		Shards:    c.shards,
-		F:         c.f,
-		K:         c.k,
-		ValueSize: c.valueSize,
-	}
-	if c.algo == "abd" || c.algo == "safereg" {
-		layout.K = 1
-	}
-	specs, err := layout.Specs()
+	layout := c.layout()
+	specs, err := node.LayoutSpecs(layout, "shard-")
 	if err != nil {
 		return err
 	}
@@ -505,36 +454,14 @@ func runClient(c *cliConfig, out io.Writer) error {
 		defer msrv.Close()
 		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
 	}
-	dialOpts := []transport.ClientOption{transport.WithMetrics(reg)}
-	if tr != nil {
-		dialOpts = append(dialOpts, transport.WithTracer(tr))
-	}
-	cli, err := transport.Dial(addrs, dialOpts...)
+	n, err := node.Connect(addrs, node.Config{Shards: specs, Batch: c.batchConfig(), Metrics: reg, Tracer: tr})
 	if err != nil {
 		return err
 	}
-	set, err := shard.NewRemote(specs, cli)
-	if err != nil {
-		_ = cli.Close()
-		return err
-	}
-	defer set.Close()
-	set.SetMetrics(reg)
-	if tr != nil {
-		set.SetTracer(tr)
-	}
-	// Mirror the throughput mode's batching semantics over the real cluster:
-	// either flag enables client-side group commit.
-	if c.batch > 0 || c.batchDelay > 0 {
-		batchCfg := shard.BatchConfig{MaxSize: c.batch, MaxDelay: c.batchDelay}
-		if batchCfg.MaxSize <= 0 {
-			batchCfg.MaxSize = 16
-		}
-		set.EnableBatching(batchCfg)
-	}
+	defer n.Close()
 
 	start := time.Now()
-	res, err := workload.RunSharded(set, workload.ShardedSpec{
+	res, err := workload.RunSharded(n.Set(), workload.ShardedSpec{
 		Clients:       c.clients,
 		OpsPerClient:  c.ops,
 		ReadFraction:  c.reads,
@@ -627,119 +554,66 @@ func formatHistories(hs map[string]*history.History) string {
 	return b.String()
 }
 
+// layout is the deployment the layout flags describe, with the k the
+// assembly will actually build.
+func (c *cliConfig) layout() transport.Layout {
+	return transport.Layout{
+		Algorithm: c.algo,
+		Shards:    c.shards,
+		F:         c.f,
+		K:         node.EffectiveK(c.algo, c.k),
+		ValueSize: c.valueSize,
+	}
+}
+
+// batchConfig is the batch engine the -batch and -batch-delay flags ask for
+// (either one enables it).
+func (c *cliConfig) batchConfig() shard.BatchConfig {
+	return shard.BatchConfig{MaxSize: c.batch, MaxDelay: c.batchDelay}
+}
+
 // runThroughput drives a sharded store with a keyed workload and prints
 // ops/sec, the per-shard operation distribution, and the storage breakdown.
 func runThroughput(c *cliConfig, out io.Writer) error {
 	shards, clients, ops, keys := c.shards, c.clients, c.ops, c.keys
-	skew, reads, valueSize, algo := c.skew, c.reads, c.valueSize, c.algo
+	skew, reads, algo := c.skew, c.reads, c.algo
 	f, k, nodeLatency, seed := c.f, c.k, c.nodeLatency, c.seed
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1")
+	if c.autoReshard && c.split != "" {
+		return fmt.Errorf("-auto-reshard and -split are mutually exclusive: both drive the reconfiguration coordinator")
 	}
-	specs := make([]shard.Spec, 0, shards)
-	for i := 0; i < shards; i++ {
-		cfg := register.Config{F: f, K: k, DataLen: valueSize}
-		if algo == "abd" {
-			cfg.K = 1
-		}
-		specs = append(specs, shard.Spec{Name: fmt.Sprintf("s%d", i), Algorithm: algo, Config: cfg})
-	}
-	// Mirror the facade's Options.Batch semantics: either flag enables the
-	// batched engine, MaxSize defaults to 16, and node-level coalescing
-	// rides along whenever a node service time is simulated.
-	batching := c.batch > 0 || c.batchDelay > 0
-	batchCfg := shard.BatchConfig{MaxSize: c.batch, MaxDelay: c.batchDelay}
-	if batching && batchCfg.MaxSize <= 0 {
-		batchCfg.MaxSize = 16
-	}
-	var opts []dsys.Option
-	if nodeLatency > 0 {
-		opts = append(opts, dsys.WithLiveLatency(nodeLatency))
-		if batching {
-			opts = append(opts, dsys.WithLiveBatch(batchCfg.MaxSize))
-		}
-	}
-	set, err := shard.New(specs, opts...)
+	specs, err := node.LayoutSpecs(c.layout(), "s")
 	if err != nil {
 		return err
 	}
-	defer set.Close()
-	if batching {
-		set.EnableBatching(batchCfg)
-	}
-	var reg *metrics.Registry
+	cfg := node.Config{Shards: specs, NodeLatency: nodeLatency, Batch: c.batchConfig()}
 	if c.metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		msrv, err := metrics.Serve(c.metricsAddr, reg)
+		cfg.Metrics = metrics.NewRegistry()
+		msrv, err := metrics.Serve(c.metricsAddr, cfg.Metrics)
 		if err != nil {
 			return err
 		}
 		defer msrv.Close()
 		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
-		set.SetMetrics(reg)
 	}
-
-	var resharder *autoshard.Driver
 	if c.autoReshard {
-		if c.split != "" {
-			return fmt.Errorf("-auto-reshard and -split are mutually exclusive: both drive the reconfiguration coordinator")
-		}
-		// The controller samples the registry, so instrument the set even when
-		// no scrape endpoint was requested.
-		if reg == nil {
-			reg = metrics.NewRegistry()
-			set.SetMetrics(reg)
-		}
-		planner, err := autoshard.NewPlanner(autoshard.Config{
-			HotOps:        c.autoReshardHot,
-			ColdOps:       c.autoReshardCold,
-			SustainTicks:  2,
-			CooldownTicks: 2,
-			MaxMoves:      c.autoReshardMax,
-			MinShards:     2,
-		})
-		if err != nil {
-			return err
-		}
-		co := reconfig.NewCoordinator(set)
-		sampler := autoshard.NewRegistrySampler(reg, func() []string {
-			return set.Router().ActiveLeafNames()
-		})
-		// Each move gets a fresh live-runner incarnation, in an ID block clear
-		// of the scripted-reconfig migration IDs (1<<28+i).
-		var mu sync.Mutex
-		next := 0
-		runner := func() reconfig.Runner {
-			next++
-			return reconfig.NewLiveRunner(set, 1<<28+(1<<20)+next)
-		}
-		resharder, err = autoshard.StartDriver(autoshard.DriverConfig{
-			Planner:  planner,
+		cfg.AutoReshard = node.AutoReshardConfig{
 			Interval: c.autoReshardEvery,
-			Sample:   sampler.Sample,
-			Apply: func(mv reconfig.Move) error {
-				mu.Lock()
-				defer mu.Unlock()
-				_, err := co.Apply(runner(), mv)
-				return err
+			Config: autoshard.Config{
+				HotOps:        c.autoReshardHot,
+				ColdOps:       c.autoReshardCold,
+				SustainTicks:  2,
+				CooldownTicks: 2,
+				MaxMoves:      c.autoReshardMax,
+				MinShards:     2,
 			},
-			Resume: func() (int, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				took, _, err := co.Resume(runner())
-				if took {
-					return 1, err
-				}
-				return 0, err
-			},
-			InFlight: func() bool { return co.InFlight() != nil },
-			Metrics:  reg,
-		})
-		if err != nil {
-			return err
 		}
-		defer resharder.Stop()
 	}
+	n, err := node.Open(cfg)
+	if err != nil {
+		return err
+	}
+	defer n.Close()
+	set, reg := n.Set(), n.Metrics()
 
 	spec := workload.ShardedSpec{
 		Clients:      clients,
@@ -756,6 +630,7 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 			at = clients * ops / 2
 		}
 		spec.Reconfig = []workload.ReconfigMove{{AfterOps: at, Split: c.split}}
+		spec.Coordinator = n.Coordinator()
 	}
 	start := time.Now()
 	res, err := workload.RunSharded(set, spec)
@@ -763,14 +638,12 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	if resharder != nil {
-		resharder.Stop() // settle the stats before reporting (Stop is idempotent)
-	}
+	n.StopAutoReshard() // settle the stats before reporting
 
 	total := res.CompletedWrites + res.CompletedReads
 	fmt.Fprintf(out, "sharded throughput: %d shards (%s, f=%d, k=%d), %d clients × %d ops, %d keys, skew %.2f, node latency %v\n",
 		shards, algo, f, k, clients, ops, keys, skew, nodeLatency)
-	if batching {
+	if batchCfg := cfg.Batch.WithDefaults(); cfg.Batch.Enabled() {
 		st := set.BatchStats()
 		fmt.Fprintf(out, "  batching: max %d, delay %v  ->  %d writes in %d rounds, %d reads in %d rounds\n",
 			batchCfg.MaxSize, batchCfg.MaxDelay, st.Writes, st.WriteRounds, st.Reads, st.ReadRounds)
@@ -787,8 +660,8 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 			ar.Move.Split, ar.Successors, ar.TriggeredAtOps, ar.Took.Round(time.Millisecond),
 			ar.OpsPerSecBefore, ar.OpsPerSecAfter)
 	}
-	if resharder != nil {
-		ast := resharder.Stats()
+	if c.autoReshard {
+		ast := n.AutoReshardStats()
 		fmt.Fprintf(out, "  auto-reshard: %d ticks, %d plans (%d splits, %d merges, %d drains), %d applied, %d dropped, %d resumed; final topology %d shards\n",
 			ast.Ticks, ast.Plans, ast.Splits, ast.Merges, ast.Drains,
 			ast.Applied, ast.Dropped, ast.Resumed, len(set.Router().ActiveLeafNames()))

@@ -35,12 +35,7 @@ import (
 	"time"
 
 	"spacebounds/internal/metrics"
-	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"
-	_ "spacebounds/internal/register/adaptive"
-	_ "spacebounds/internal/register/ecreg"
-	_ "spacebounds/internal/register/safereg"
-	"spacebounds/internal/shard"
+	"spacebounds/internal/node"
 	"spacebounds/internal/trace"
 	"spacebounds/internal/transport"
 	"spacebounds/internal/wal"
@@ -103,91 +98,54 @@ func run(c *nodeConfig, out io.Writer, stop <-chan os.Signal) error {
 		Algorithm: c.algo,
 		Shards:    c.shards,
 		F:         c.f,
-		K:         c.k,
+		K:         node.EffectiveK(c.algo, c.k),
 		ValueSize: c.valueSize,
 	}
-	specs, err := layout.Specs()
+	specs, err := node.LayoutSpecs(layout, "shard-")
 	if err != nil {
 		return err
 	}
-	// The node builds the full cluster's object table but hosts only its
-	// placement's slice; hosting is a predicate, not a copy, so the unhosted
-	// objects cost a few empty structs.
-	set, err := shard.New(specs)
-	if err != nil {
-		return err
+	cfg := node.Config{
+		Shards: specs,
+		WAL:    wal.Config{Dir: c.walDir, SyncEvery: c.walSyncEv, SnapshotEvery: c.walSnapEv},
 	}
-	defer set.Close()
-
-	opts := []transport.ServerOption{
-		transport.WithHosts(layout.HostedBy(c.nodes, c.node)),
-	}
-	if c.recovery {
-		opts = append(opts, transport.WithRecovery())
-	}
-	var reg *metrics.Registry
-	var tr *trace.Tracer
 	if c.metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		set.SetMetrics(reg)
-		opts = append(opts, transport.WithServerMetrics(reg))
-		tr = trace.New(trace.Options{
+		cfg.Metrics = metrics.NewRegistry()
+		cfg.Tracer = trace.New(trace.Options{
 			Sample:  c.traceSample,
 			Slow:    c.traceSlow,
 			Proc:    fmt.Sprintf("node-%d", c.node),
 			Node:    c.node,
-			Metrics: reg,
+			Metrics: cfg.Metrics,
 		})
-		set.SetTracer(tr)
-		opts = append(opts, transport.WithServerTracer(tr))
-		msrv, err := metrics.Serve(c.metricsAddr, reg,
-			metrics.Mount{Pattern: "/debug/trace", Handler: tr.Handler()})
+		msrv, err := metrics.Serve(c.metricsAddr, cfg.Metrics,
+			metrics.Mount{Pattern: "/debug/trace", Handler: cfg.Tracer.Handler()})
 		if err != nil {
 			return err
 		}
 		defer msrv.Close()
 		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
 	}
-	// Replay the write-ahead log BEFORE listening: the node must not answer a
-	// single round with state older than what it journaled.
-	var journal *wal.Journal
-	if c.walDir != "" {
-		journal, err = wal.Open(wal.Config{Dir: c.walDir, SyncEvery: c.walSyncEv, SnapshotEvery: c.walSnapEv})
-		if err != nil {
-			return err
-		}
-		defer journal.Close()
-		if reg != nil {
-			journal.SetMetrics(reg)
-		}
-		if tr != nil {
-			journal.SetTracer(tr)
-		}
-		stats, err := journal.Replay(set.Cluster())
-		if err != nil {
-			return fmt.Errorf("wal replay: %w", err)
-		}
-		journal.Attach(set.Cluster())
-		fmt.Fprintf(out, "WAL REPLAY %s\n", stats)
-	}
-	srv := transport.NewServer(set.Cluster(), opts...)
-	if journal != nil && c.recovery {
-		// Replayed objects hold current state; serving their reads right away
-		// only removes needless unavailability.
-		for obj := 0; obj < layout.TotalObjects(); obj++ {
-			if journal.Covered(obj) {
-				srv.MarkRepaired(obj)
-			}
-		}
-	}
-	addr, err := srv.Listen(c.listen)
+	// The node builds the full cluster's object table but hosts only its
+	// placement's slice; hosting is a predicate, not a copy, so the unhosted
+	// objects cost a few empty structs. Open replays the write-ahead log, so
+	// by the time Serve listens the node cannot answer a single round with
+	// state older than what it journaled.
+	n, err := node.Open(cfg)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
+	defer n.Close()
+	if n.Journal() != nil {
+		fmt.Fprintf(out, "WAL REPLAY %s\n", n.Replay())
+	}
+	addr, err := n.Serve(c.listen, c.nodes, c.node, c.recovery)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "LISTENING %s\n", addr)
 	fmt.Fprintf(out, "spacenode %d/%d: %s, %d shards (f=%d, k=%d), hosting %d of %d objects, recovery=%v\n",
-		c.node, c.nodes, c.algo, c.shards, c.f, c.k,
+		c.node, c.nodes, c.algo, c.shards, c.f, layout.K,
 		countHosted(layout, c.nodes, c.node), layout.TotalObjects(), c.recovery)
 	<-stop
 	return nil
@@ -209,11 +167,6 @@ func main() {
 		if err == flag.ErrHelp {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "spacenode: %v\n", err)
-		os.Exit(2)
-	}
-	// NewByName panics late otherwise; fail fast on a bad provider name.
-	if _, err := register.NewByName(cfg.algo, register.Config{F: cfg.f, K: cfg.k, DataLen: cfg.valueSize}); err != nil {
 		fmt.Fprintf(os.Stderr, "spacenode: %v\n", err)
 		os.Exit(2)
 	}

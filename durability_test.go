@@ -175,13 +175,12 @@ func TestRestartNodeClassifiesResumeFailure(t *testing.T) {
 	}
 	// Interrupt a split at its first step: the ledger now holds an in-flight,
 	// interrupted move.
-	s.reconMu.Lock()
-	_, err = s.recon.Apply(failRunner{}, reconfig.Move{Kind: reconfig.MoveSplit, Shard: "default"})
-	s.reconMu.Unlock()
+	recon := s.node.Coordinator()
+	_, err = recon.Apply(failRunner{}, reconfig.Move{Kind: reconfig.MoveSplit, Shard: "default"})
 	if !errors.Is(err, reconfig.ErrInterrupted) {
 		t.Fatalf("interrupting Apply = %v, want ErrInterrupted", err)
 	}
-	if fl := s.recon.InFlight(); fl == nil || !fl.Interrupted {
+	if fl := recon.InFlight(); fl == nil || !fl.Interrupted {
 		t.Fatalf("no interrupted in-flight move after injected failure: %+v", fl)
 	}
 	if err := s.CrashNode(0); err != nil {
@@ -202,7 +201,7 @@ func TestRestartNodeClassifiesResumeFailure(t *testing.T) {
 		t.Fatalf("RestartNode error lost the resume cause: %v", err)
 	}
 	// The node is back and the move is still re-drivable.
-	if fl := s.recon.InFlight(); fl == nil || !fl.Interrupted {
+	if fl := recon.InFlight(); fl == nil || !fl.Interrupted {
 		t.Fatalf("in-flight move lost after failed resume: %+v", fl)
 	}
 	s.resumeHook = nil

@@ -23,13 +23,13 @@ func main() {
 		res.Algorithm, writers, res.EllBits)
 	for _, ev := range events {
 		switch ev.Kind {
-		case dsys.TraceRun:
+		case dsys.EventRun:
 			fmt.Printf("step %3d: rule 2 — let client %d take local steps (trigger RMWs)\n", ev.Step, ev.Client)
-		case dsys.TraceApply:
+		case dsys.EventApply:
 			fmt.Printf("step %3d: rule 1 — RMW of %v takes effect on base object %d\n", ev.Step, ev.Op, ev.Object)
-		case dsys.TraceStall:
+		case dsys.EventStall:
 			fmt.Printf("step %3d: Ad refuses to schedule anything — the run is pinned\n", ev.Step)
-		case dsys.TraceCrash:
+		case dsys.EventCrash:
 			fmt.Printf("step %3d: base object %d crashes\n", ev.Step, ev.Object)
 		}
 	}

@@ -33,7 +33,7 @@ type options struct {
 	dataBits    int
 	accounting  bool
 	keepSeries  bool
-	tracer      func(TraceEvent)
+	eventLog    func(Event)
 	liveLatency time.Duration
 	liveBatch   int
 }
@@ -91,31 +91,31 @@ func WithoutAccounting() Option { return func(o *options) { o.accounting = false
 // WithSeries retains the full time series of storage cost in the accountant.
 func WithSeries() Option { return func(o *options) { o.keepSeries = true } }
 
-// WithTracer installs a callback invoked on every scheduling event; the
+// WithEventLog installs a callback invoked on every scheduling event; the
 // Figure 3 trace example uses it to narrate the adversary's moves.
-func WithTracer(fn func(TraceEvent)) Option { return func(o *options) { o.tracer = fn } }
+func WithEventLog(fn func(Event)) Option { return func(o *options) { o.eventLog = fn } }
 
-// TraceEventKind enumerates scheduling events.
-type TraceEventKind string
+// EventKind enumerates scheduling events.
+type EventKind string
 
-// Trace event kinds.
+// Event kinds.
 const (
-	TraceApply       TraceEventKind = "apply"
-	TraceRun         TraceEventKind = "run"
-	TraceStall       TraceEventKind = "stall"
-	TraceCrash       TraceEventKind = "crash"
-	TraceRestart     TraceEventKind = "restart"
-	TraceSuspend     TraceEventKind = "suspend"
-	TraceResume      TraceEventKind = "resume"
-	TraceClientCrash TraceEventKind = "client-crash"
-	TraceExtend      TraceEventKind = "extend"
-	TraceRetire      TraceEventKind = "retire"
+	EventApply       EventKind = "apply"
+	EventRun         EventKind = "run"
+	EventStall       EventKind = "stall"
+	EventCrash       EventKind = "crash"
+	EventRestart     EventKind = "restart"
+	EventSuspend     EventKind = "suspend"
+	EventResume      EventKind = "resume"
+	EventClientCrash EventKind = "client-crash"
+	EventExtend      EventKind = "extend"
+	EventRetire      EventKind = "retire"
 )
 
-// TraceEvent describes one scheduling event.
-type TraceEvent struct {
+// Event describes one scheduling event.
+type Event struct {
 	Step   int
-	Kind   TraceEventKind
+	Kind   EventKind
 	Object int
 	Client int
 	Op     OpID
@@ -321,7 +321,11 @@ type Cluster struct {
 
 	// trc, when non-nil, records quorum-round spans and forwards trace
 	// contexts to the journal (see SetTracer). Same attachment pattern as met.
-	trc atomic.Pointer[clusterTrace]
+	trc atomic.Pointer[trace.Tracer]
+
+	// regionNames is the one base → name table (see NameRegion).
+	regionMu    sync.RWMutex
+	regionNames map[int]string
 
 	acct *storagecost.Accountant
 	wg   sync.WaitGroup
@@ -403,11 +407,11 @@ func (c *Cluster) ExtendObjects(states []State) (int, error) {
 	c.objsPtr.Store(&grown)
 	c.idleReason = ""
 	step := c.steps
-	tracer := c.opts.tracer
+	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	if tracer != nil {
-		tracer(TraceEvent{Step: step, Kind: TraceExtend, Object: base})
+	if eventLog != nil {
+		eventLog(Event{Step: step, Kind: EventExtend, Object: base})
 	}
 	return base, nil
 }
@@ -430,7 +434,7 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	}
 	c.idleReason = ""
 	step := c.steps
-	tracer := c.opts.tracer
+	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	// Wake the objects' servers so queued RMWs on the retired objects are
@@ -443,8 +447,8 @@ func (c *Cluster) RetireObjects(base, span int) error {
 		}
 		o.qmu.Unlock()
 	}
-	if tracer != nil {
-		tracer(TraceEvent{Step: step, Kind: TraceRetire, Object: base})
+	if eventLog != nil {
+		eventLog(Event{Step: step, Kind: EventRetire, Object: base})
 	}
 	return nil
 }
@@ -547,11 +551,11 @@ func (c *Cluster) CrashObject(id int) error {
 	objects[id].crashed.Store(true)
 	c.idleReason = ""
 	step := c.steps
-	tracer := c.opts.tracer
+	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	if tracer != nil {
-		tracer(TraceEvent{Step: step, Kind: TraceCrash, Object: id})
+	if eventLog != nil {
+		eventLog(Event{Step: step, Kind: EventCrash, Object: id})
 	}
 	return nil
 }
@@ -588,11 +592,11 @@ func (c *Cluster) RestartObject(id int) error {
 	objects[id].crashed.Store(false)
 	c.idleReason = ""
 	step := c.steps
-	tracer := c.opts.tracer
+	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	if tracer != nil {
-		tracer(TraceEvent{Step: step, Kind: TraceRestart, Object: id})
+	if eventLog != nil {
+		eventLog(Event{Step: step, Kind: EventRestart, Object: id})
 	}
 	return nil
 }
@@ -604,15 +608,15 @@ func (c *Cluster) RestartObject(id int) error {
 // KindSuspendObject decisions so the fault shows up in the deterministic
 // schedule; the method is also safe to call directly (e.g. from tests).
 func (c *Cluster) SuspendObject(id int) error {
-	return c.setSuspended(id, true, TraceSuspend)
+	return c.setSuspended(id, true, EventSuspend)
 }
 
 // ResumeObject clears a suspension set by SuspendObject.
 func (c *Cluster) ResumeObject(id int) error {
-	return c.setSuspended(id, false, TraceResume)
+	return c.setSuspended(id, false, EventResume)
 }
 
-func (c *Cluster) setSuspended(id int, suspended bool, kind TraceEventKind) error {
+func (c *Cluster) setSuspended(id int, suspended bool, kind EventKind) error {
 	c.mu.Lock()
 	objects := c.objs()
 	if id < 0 || id >= len(objects) {
@@ -622,11 +626,11 @@ func (c *Cluster) setSuspended(id int, suspended bool, kind TraceEventKind) erro
 	objects[id].suspended.Store(suspended)
 	c.idleReason = ""
 	step := c.steps
-	tracer := c.opts.tracer
+	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	if tracer != nil {
-		tracer(TraceEvent{Step: step, Kind: kind, Object: id})
+	if eventLog != nil {
+		eventLog(Event{Step: step, Kind: kind, Object: id})
 	}
 	return nil
 }

@@ -55,8 +55,8 @@ func (c *Cluster) coordinator() {
 			t.state = taskRunning
 			c.runningTask = t
 			c.idleReason = ""
-			if c.opts.tracer != nil {
-				c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceRun, Client: t.client})
+			if c.opts.eventLog != nil {
+				c.emitEvent(Event{Step: c.steps, Kind: EventRun, Client: t.client})
 			}
 			c.cond.Broadcast()
 		case KindApply:
@@ -77,8 +77,8 @@ func (c *Cluster) coordinator() {
 				continue
 			}
 			c.objs()[decision.Object].crashed.Store(true)
-			if c.opts.tracer != nil {
-				c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceCrash, Object: decision.Object})
+			if c.opts.eventLog != nil {
+				c.emitEvent(Event{Step: c.steps, Kind: EventCrash, Object: decision.Object})
 			}
 			c.cond.Broadcast()
 		case KindSuspendObject, KindResumeObject:
@@ -88,12 +88,12 @@ func (c *Cluster) coordinator() {
 			}
 			suspend := decision.Kind == KindSuspendObject
 			c.objs()[decision.Object].suspended.Store(suspend)
-			if c.opts.tracer != nil {
-				kind := TraceResume
+			if c.opts.eventLog != nil {
+				kind := EventResume
 				if suspend {
-					kind = TraceSuspend
+					kind = EventSuspend
 				}
-				c.emitTrace(TraceEvent{Step: c.steps, Kind: kind, Object: decision.Object})
+				c.emitEvent(Event{Step: c.steps, Kind: kind, Object: decision.Object})
 			}
 			c.cond.Broadcast()
 		case KindCrashClient:
@@ -101,8 +101,8 @@ func (c *Cluster) coordinator() {
 				c.stallLocked()
 				continue
 			}
-			if c.opts.tracer != nil {
-				c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceClientCrash, Client: decision.Client})
+			if c.opts.eventLog != nil {
+				c.emitEvent(Event{Step: c.steps, Kind: EventClientCrash, Client: decision.Client})
 			}
 			c.cond.Broadcast()
 		default:
@@ -115,8 +115,8 @@ func (c *Cluster) coordinator() {
 // until the situation changes (new spawn, crash, or Close).
 func (c *Cluster) stallLocked() {
 	c.idleReason = IdleStuck
-	if c.opts.tracer != nil {
-		c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceStall})
+	if c.opts.eventLog != nil {
+		c.emitEvent(Event{Step: c.steps, Kind: EventStall})
 	}
 	c.cond.Broadcast()
 	c.cond.Wait()
@@ -198,8 +198,8 @@ func (c *Cluster) applyPendingLocked(index int) {
 	p.call.Done = true
 	p.call.Response = resp
 	c.idleReason = ""
-	if c.opts.tracer != nil {
-		c.emitTrace(TraceEvent{Step: c.steps, Kind: TraceApply, Object: p.object, Client: p.op.Client, Op: p.op})
+	if c.opts.eventLog != nil {
+		c.emitEvent(Event{Step: c.steps, Kind: EventApply, Object: p.object, Client: p.op.Client, Op: p.op})
 	}
 	if c.acct != nil {
 		c.acct.Observe(c.snapshotLocked())
@@ -221,9 +221,8 @@ func (c *Cluster) applyPendingLocked(index int) {
 	c.cond.Broadcast()
 }
 
-// emitTrace calls the tracer without holding the cluster lock assumptions the
-// tracer should not rely on; it is invoked with c.mu held, so tracers must
-// not call back into the cluster.
-func (c *Cluster) emitTrace(ev TraceEvent) {
-	c.opts.tracer(ev)
+// emitEvent calls the event log. It is invoked with c.mu held, so the callback
+// must not call back into the cluster.
+func (c *Cluster) emitEvent(ev Event) {
+	c.opts.eventLog(ev)
 }

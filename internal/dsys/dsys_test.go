@@ -353,8 +353,8 @@ func TestPendingRMWCountedAsChannelStorage(t *testing.T) {
 
 func TestTracerReceivesEvents(t *testing.T) {
 	var mu sync.Mutex
-	var events []TraceEvent
-	c := newTestCluster(2, WithTracer(func(ev TraceEvent) {
+	var events []Event
+	c := newTestCluster(2, WithEventLog(func(ev Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -376,9 +376,9 @@ func TestTracerReceivesEvents(t *testing.T) {
 	var runs, applies int
 	for _, ev := range events {
 		switch ev.Kind {
-		case TraceRun:
+		case EventRun:
 			runs++
-		case TraceApply:
+		case EventApply:
 			applies++
 		}
 	}

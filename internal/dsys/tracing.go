@@ -1,70 +1,19 @@
 package dsys
 
-import (
-	"strconv"
-	"sync"
-
-	"spacebounds/internal/trace"
-)
-
-// clusterTrace pairs an attached tracer with the region-name table that round
-// spans are labeled with — the same base→name mapping clusterMetrics keeps for
-// histogram labels, maintained separately so tracing and metrics can be
-// attached independently.
-type clusterTrace struct {
-	tr *trace.Tracer
-
-	mu      sync.RWMutex
-	regions map[int]string
-}
+import "spacebounds/internal/trace"
 
 // SetTracer attaches a tracer to the cluster (nil detaches): quorum rounds on
-// handles whose context carries a sampled trace record StageRound spans, and
-// journaled applies forward the trace context to a TracedJournal. Same
-// atomic-pointer attachment pattern as SetMetrics — attaching never contends
-// with rounds in flight, and detached operation costs one pointer load.
-func (c *Cluster) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
-		c.trc.Store(nil)
-		return
-	}
-	c.trc.Store(&clusterTrace{tr: tr, regions: make(map[int]string)})
-}
+// handles whose context carries a sampled trace record StageRound spans
+// labeled by region name (see NameRegion), and journaled applies forward the
+// trace context to a TracedJournal. Same atomic-pointer attachment pattern as
+// SetMetrics — attaching never contends with rounds in flight, and detached
+// operation costs one pointer load.
+func (c *Cluster) SetTracer(tr *trace.Tracer) { c.trc.Store(tr) }
 
 // Tracer returns the attached tracer (nil when none). Layers that sit on top
 // of the cluster — the shard batcher in particular — use it to record their
 // own stages into the same flight recorder.
-func (c *Cluster) Tracer() *trace.Tracer {
-	if ct := c.trc.Load(); ct != nil {
-		return ct.tr
-	}
-	return nil
-}
-
-// TraceRegion names the object region starting at base for span labeling, so
-// round spans carry the shard name rather than a raw object ID. No-op when no
-// tracer is attached; call it after SetTracer (mirrors LabelRegion).
-func (c *Cluster) TraceRegion(base int, name string) {
-	ct := c.trc.Load()
-	if ct == nil {
-		return
-	}
-	ct.mu.Lock()
-	ct.regions[base] = name
-	ct.mu.Unlock()
-}
-
-// regionName resolves a region base to its label, falling back to the numeric
-// base for regions never named.
-func (ct *clusterTrace) regionName(base int) string {
-	ct.mu.RLock()
-	name, ok := ct.regions[base]
-	ct.mu.RUnlock()
-	if ok {
-		return name
-	}
-	return strconv.Itoa(base)
-}
+func (c *Cluster) Tracer() *trace.Tracer { return c.trc.Load() }
 
 // traceRound opens a quorum-round span when a tracer is attached and the
 // handle's context carries a sampled trace. It returns the handle the round
@@ -73,16 +22,16 @@ func (ct *clusterTrace) regionName(base int) string {
 // pending span. On the untraced path it returns the receiver and an inert
 // Pending: one pointer load, no allocation.
 func (h *ClientHandle) traceRound() (*ClientHandle, trace.Pending) {
-	ct := h.c.trc.Load()
-	if ct == nil {
+	tr := h.c.trc.Load()
+	if tr == nil {
 		return h, trace.Pending{}
 	}
 	tc := trace.FromContext(h.ctx)
 	if !tc.Sampled() {
 		return h, trace.Pending{}
 	}
-	sp := ct.tr.Start(tc, trace.StageRound)
-	sp.Span.Shard = ct.regionName(h.base)
+	sp := tr.Start(tc, trace.StageRound)
+	sp.Span.Shard = h.c.regionName(h.base)
 	return h.WithContext(trace.NewContext(h.context(), sp.Context())), sp
 }
 
@@ -94,7 +43,7 @@ func (h *ClientHandle) finishRound(sp *trace.Pending) {
 		return
 	}
 	sp.Done()
-	if ct := h.c.trc.Load(); ct != nil {
-		ct.tr.Exemplar(metricRoundSeconds, trace.Context{Trace: sp.Span.Trace}, sp.Span.Duration)
+	if tr := h.c.trc.Load(); tr != nil {
+		tr.Exemplar(metricRoundSeconds, trace.Context{Trace: sp.Span.Trace}, sp.Span.Duration)
 	}
 }

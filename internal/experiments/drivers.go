@@ -221,7 +221,7 @@ func E6AdversaryTrace() (*Table, error) {
 	}
 	for _, ev := range events[:limit] {
 		obj, op := fmt.Sprint(ev.Object), fmt.Sprint(ev.Op)
-		if ev.Kind != dsys.TraceApply {
+		if ev.Kind != dsys.EventApply {
 			obj, op = "-", "-"
 		}
 		t.AddRow(ev.Step, string(ev.Kind), obj, ev.Client, op)
@@ -234,7 +234,7 @@ func E6AdversaryTrace() (*Table, error) {
 // TraceAdversary runs Ad against a small coded register with the given number
 // of writers and returns the scheduling trace together with the run summary.
 // The adversarytrace example uses it to narrate Figure 3.
-func TraceAdversary(writers int) ([]dsys.TraceEvent, *adversary.Result, error) {
+func TraceAdversary(writers int) ([]dsys.Event, *adversary.Result, error) {
 	cfg := register.Config{F: 4, K: 4, DataLen: smallDataLen}
 	reg, err := ecreg.New(cfg)
 	if err != nil {
@@ -244,7 +244,7 @@ func TraceAdversary(writers int) ([]dsys.TraceEvent, *adversary.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var events []dsys.TraceEvent
+	var events []dsys.Event
 	states, err := reg.InitialStates(workload.WriterValue(vcfg, 0, 0))
 	if err != nil {
 		return nil, nil, err
@@ -254,7 +254,7 @@ func TraceAdversary(writers int) ([]dsys.TraceEvent, *adversary.Result, error) {
 		dsys.WithPolicy(adversary.NewPolicy(dBits/2)),
 		dsys.WithDataBits(dBits),
 		dsys.WithMaxSteps(200*writers*vcfg.N()),
-		dsys.WithTracer(func(ev dsys.TraceEvent) { events = append(events, ev) }),
+		dsys.WithEventLog(func(ev dsys.Event) { events = append(events, ev) }),
 	)
 	defer cluster.Close()
 	for c := 1; c <= writers; c++ {

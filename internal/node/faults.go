@@ -1,36 +1,35 @@
-package spacebounds
+package node
 
 import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"spacebounds/internal/shard"
 )
 
-// FaultOptions configures opt-in live-mode fault injection: a background
+// FaultConfig configures opt-in live-mode fault injection: a background
 // injector periodically crashes random storage nodes — never more than each
 // shard's fault tolerance F at a time, mirroring the model's bound of f
 // crashed base objects per register — and, when Downtime is set, restarts
 // them after the given outage (fail-recover churn). The zero value disables
 // injection.
 //
-// Fault injection is how a live store rehearses the schedules the
+// Fault injection is how a live process rehearses the schedules the
 // deterministic simulator (internal/sim) explores exhaustively in controlled
 // mode: the simulator proves the algorithms tolerate adversarial fault
 // schedules; the injector checks the live engine — batching, queueing,
 // storage accounting — under the same kind of churn.
-type FaultOptions struct {
+type FaultConfig struct {
 	// Interval is the mean time between fault-injection attempts; zero
 	// disables the injector.
 	Interval time.Duration
 	// Downtime is how long a crashed node stays down before it is restarted.
-	// Zero means crashed nodes stay down for the life of the store.
+	// Zero means crashed nodes stay down for the life of the process.
 	Downtime time.Duration
 	// Seed makes the injected fault sequence reproducible (0 = seed 1).
 	Seed int64
 }
-
-// enabled reports whether the injector should run.
-func (f FaultOptions) enabled() bool { return f.Interval > 0 }
 
 // FaultStats counts injected faults.
 type FaultStats struct {
@@ -48,7 +47,7 @@ type FaultStats struct {
 	// reconfiguration retired the node's region mid-outage (the node is gone
 	// with the region, so its budget is released without a restart).
 	// Crashes == Restarts + RetiredOutages + (nodes currently down), so a
-	// store whose counters drift apart is observable instead of silently
+	// process whose counters drift apart is observable instead of silently
 	// losing restarts.
 	RetiredOutages int
 }
@@ -87,11 +86,13 @@ func (st *injectorState) isDown(node int) bool {
 	return false
 }
 
-// faultInjector is the store's background fault process.
-type faultInjector struct {
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+// injector is a node's background fault process.
+type injector struct {
+	set *shard.Set
+	cfg FaultConfig
+
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	// restartHook, when non-nil, replaces the cluster restart call. Tests
 	// inject restart failures that are not caused by region retirement to pin
@@ -103,18 +104,18 @@ type faultInjector struct {
 }
 
 // Stats returns a copy of the counters.
-func (fi *faultInjector) Stats() FaultStats {
+func (fi *injector) Stats() FaultStats {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	return fi.stats
 }
 
 // restart brings one node back, via the test hook when one is installed.
-func (fi *faultInjector) restart(s *Store, node int) error {
+func (fi *injector) restart(node int) error {
 	if fi.restartHook != nil {
 		return fi.restartHook(node)
 	}
-	return s.set.Cluster().RestartObject(node)
+	return fi.set.Cluster().RestartObject(node)
 }
 
 // tick runs one injection step: release outages whose region was retired,
@@ -122,8 +123,8 @@ func (fi *faultInjector) restart(s *Store, node int) error {
 // attempt one crash. The shard list is re-read every tick so the injector
 // follows reconfiguration (new regions become targets, retired regions stop
 // being hit).
-func (fi *faultInjector) tick(s *Store, st *injectorState, now time.Time, opts FaultOptions) {
-	shards := s.set.Shards()
+func (fi *injector) tick(st *injectorState, now time.Time) {
+	shards := fi.set.Shards()
 	live := make(map[string]bool, len(shards))
 	for _, sh := range shards {
 		live[sh.Name] = true
@@ -151,15 +152,15 @@ func (fi *faultInjector) tick(s *Store, st *injectorState, now time.Time, opts F
 	// the node is still down, so releasing the slot would let the injector
 	// exceed F and break the shard's quorums. The attempt is retried after
 	// another Downtime.
-	if opts.Downtime > 0 {
+	if fi.cfg.Downtime > 0 {
 		kept = st.down[:0]
 		for i := range st.down {
 			o := st.down[i]
-			if now.Sub(o.since) < opts.Downtime {
+			if now.Sub(o.since) < fi.cfg.Downtime {
 				kept = append(kept, o)
 				continue
 			}
-			err := fi.restart(s, o.node)
+			err := fi.restart(o.node)
 			fi.mu.Lock()
 			if err == nil {
 				fi.stats.Restarts++
@@ -201,7 +202,7 @@ func (fi *faultInjector) tick(s *Store, st *injectorState, now time.Time, opts F
 	if st.isDown(node) {
 		return
 	}
-	if err := s.set.Cluster().CrashObject(node); err != nil {
+	if err := fi.set.Cluster().CrashObject(node); err != nil {
 		return
 	}
 	st.down = append(st.down, outage{since: now, node: node, shard: sh.Name})
@@ -211,32 +212,29 @@ func (fi *faultInjector) tick(s *Store, st *injectorState, now time.Time, opts F
 	fi.mu.Unlock()
 }
 
-// start launches the injection loop against the store's shard set.
-func (fi *faultInjector) start(s *Store, opts FaultOptions) {
-	fi.stop = make(chan struct{})
+// startInjector launches the injection loop against the shard set.
+func startInjector(set *shard.Set, cfg FaultConfig) *injector {
+	fi := &injector{set: set, cfg: cfg, stop: make(chan struct{})}
 	fi.wg.Add(1)
 	go func() {
 		defer fi.wg.Done()
-		st := newInjectorState(opts.Seed)
-		ticker := time.NewTicker(opts.Interval)
+		st := newInjectorState(cfg.Seed)
+		ticker := time.NewTicker(cfg.Interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-fi.stop:
 				return
 			case now := <-ticker.C:
-				fi.tick(s, st, now, opts)
+				fi.tick(st, now)
 			}
 		}
 	}()
+	return fi
 }
 
-// halt stops the injection loop and waits for it. It is idempotent, like
-// Store.Close.
-func (fi *faultInjector) halt() {
-	if fi.stop == nil {
-		return
-	}
-	fi.stopOnce.Do(func() { close(fi.stop) })
+// halt stops the injection loop and waits for it. Node.Close calls it once.
+func (fi *injector) halt() {
+	close(fi.stop)
 	fi.wg.Wait()
 }

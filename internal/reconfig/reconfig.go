@@ -304,6 +304,13 @@ type Coordinator struct {
 	nextID    int
 	nextOwner int64
 
+	// liveMu serializes the live drivers (ApplyLive, ResumeLive): operators,
+	// the autoshard controller and recovery all push moves through the one
+	// coordinator, one at a time. liveRuns counts the migration-writer
+	// incarnations handed out under it.
+	liveMu   sync.Mutex
+	liveRuns int
+
 	// met, when non-nil, instruments ledger steps and move outcomes (see
 	// SetMetrics). Atomic so attachment never contends with a move in flight.
 	met atomic.Pointer[reconfigMetrics]
@@ -410,6 +417,53 @@ func (c *Coordinator) Resume(r Runner) (bool, Event, error) {
 	c.mu.Unlock()
 	ev, err := c.drive(r, en, owner)
 	return true, ev, err
+}
+
+// migrationClientBase is the first migration-writer client ID. Every live
+// driver incarnation gets the next ID of the block, so a resumed move's seed
+// writes never share a timestamp client component with the driver that died;
+// the block sits clear of application clients and below the batcher lanes at
+// 1<<30.
+const migrationClientBase = 1 << 28
+
+// liveRunner returns a live runner under a fresh migration-writer client ID.
+// Caller holds c.liveMu.
+func (c *Coordinator) liveRunner() Runner {
+	id := migrationClientBase + c.liveRuns
+	c.liveRuns++
+	return NewLiveRunner(c.set, id)
+}
+
+// ApplyLive is Apply for a live-mode set: it runs the move inline under the
+// coordinator's own driver lock and a fresh migration-writer client ID, so
+// every live caller of one process shares one serialization and one ID block.
+func (c *Coordinator) ApplyLive(mv Move) (Event, error) {
+	c.liveMu.Lock()
+	defer c.liveMu.Unlock()
+	return c.Apply(c.liveRunner(), mv)
+}
+
+// ResumeLive re-drives, on a live-mode set, a move whose driver died
+// mid-migration, picking up from the ledger's last completed step, until no
+// interrupted move is left. It reports how many moves it took over. A move
+// that is in flight but not interrupted belongs to a live driver and is left
+// alone.
+func (c *Coordinator) ResumeLive() (int, error) {
+	c.liveMu.Lock()
+	defer c.liveMu.Unlock()
+	resumed := 0
+	for {
+		if fl := c.InFlight(); fl == nil || !fl.Interrupted {
+			return resumed, nil
+		}
+		took, _, err := c.Resume(c.liveRunner())
+		if err != nil {
+			return resumed, err
+		}
+		if took {
+			resumed++
+		}
+	}
 }
 
 // begin validates the move shape and opens its ledger entry.

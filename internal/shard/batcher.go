@@ -24,8 +24,12 @@ type BatchConfig struct {
 	MaxDelay time.Duration
 }
 
-// withDefaults fills zero fields.
-func (c BatchConfig) withDefaults() BatchConfig {
+// Enabled reports whether the zero-value-off batch engine was requested:
+// setting either field turns it on.
+func (c BatchConfig) Enabled() bool { return c.MaxSize > 0 || c.MaxDelay > 0 }
+
+// WithDefaults fills zero fields.
+func (c BatchConfig) WithDefaults() BatchConfig {
 	if c.MaxSize <= 0 {
 		c.MaxSize = 16
 	}
@@ -71,7 +75,7 @@ type Batcher struct {
 // Lane IDs must not collide with real client IDs (the facade allocates them
 // from a high range) so that the lanes' timestamps stay unique.
 func newBatcher(set *Set, sh *Shard, cfg BatchConfig, laneClientBase int) *Batcher {
-	b := &Batcher{set: set, sh: sh, cfg: cfg.withDefaults()}
+	b := &Batcher{set: set, sh: sh, cfg: cfg.WithDefaults()}
 	b.write.client = laneClientBase
 	b.write.full = make(chan struct{}, 1)
 	b.read.client = laneClientBase + 1

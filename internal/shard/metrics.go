@@ -14,23 +14,16 @@ const (
 )
 
 // SetMetrics attaches a registry to the set: the underlying cluster starts
-// observing quorum rounds (labeled by shard name rather than raw base object
-// IDs), and every batcher starts observing batch-wait and batch-size
-// distributions. Regions added later by AddRegion are labeled and
-// instrumented as they appear. Passing nil detaches new regions' metrics but
-// leaves already-attached batchers alone; in practice the registry is set
-// once at open time.
+// observing quorum rounds (labeled by shard name, see dsys.Cluster.NameRegion),
+// and every batcher starts observing batch-wait and batch-size distributions.
+// Regions added later by AddRegion are instrumented as they appear. Passing
+// nil detaches new regions' metrics but leaves already-attached batchers
+// alone; in practice the registry is set once at open time.
 func (s *Set) SetMetrics(reg *metrics.Registry) {
 	s.met.Store(reg)
 	s.cluster.SetMetrics(reg)
 	if reg == nil {
 		return
-	}
-	s.rmu.Lock()
-	regions := append([]*Shard(nil), s.regions...)
-	s.rmu.Unlock()
-	for _, sh := range regions {
-		s.cluster.LabelRegion(sh.Base, sh.Name)
 	}
 	s.bmu.RLock()
 	defer s.bmu.RUnlock()

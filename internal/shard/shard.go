@@ -86,7 +86,7 @@ type Set struct {
 	fallbackReads atomic.Int64 // dual-epoch reads answered by the old epoch
 
 	// met, when non-nil, is the registry attached by SetMetrics; AddRegion
-	// reads it to label and instrument regions created after attachment.
+	// reads it to instrument the batchers of regions created after attachment.
 	met atomic.Pointer[metrics.Registry]
 
 	// trc, when non-nil, is the tracer attached by SetTracer: operations
@@ -147,7 +147,16 @@ func New(specs []Spec, opts ...dsys.Option) (*Set, error) {
 	all := append([]dsys.Option{dsys.WithLiveMode(), dsys.WithDataBits(maxDataBits)}, opts...)
 	s := &Set{router: newRouter(shards), regions: shards}
 	s.cluster = dsys.NewCluster(states, all...)
+	s.nameRegions(shards)
 	return s, nil
+}
+
+// nameRegions gives the cluster's round metrics and round spans the shard
+// names to label with.
+func (s *Set) nameRegions(shards []*Shard) {
+	for _, sh := range shards {
+		s.cluster.NameRegion(sh.Base, sh.Name)
+	}
 }
 
 // NewRemote builds the client side of a sharded deployment: the same
@@ -178,6 +187,7 @@ func NewRemote(specs []Spec, inv dsys.RoundInvoker) (*Set, error) {
 	}
 	s := &Set{router: newRouter(shards), regions: shards}
 	s.cluster = dsys.NewRemoteCluster(total, inv)
+	s.nameRegions(shards)
 	return s, nil
 }
 
@@ -208,11 +218,8 @@ func (s *Set) AddRegion(spec Spec) (*Shard, error) {
 	s.rmu.Lock()
 	s.regions = append(s.regions, sh)
 	s.rmu.Unlock()
+	s.cluster.NameRegion(sh.Base, sh.Name)
 	reg := s.met.Load()
-	if reg != nil {
-		s.cluster.LabelRegion(sh.Base, sh.Name)
-	}
-	s.cluster.TraceRegion(sh.Base, sh.Name)
 	s.bmu.Lock()
 	if s.batchCfg != nil {
 		b := newBatcher(s, sh, *s.batchCfg, batcherClientBase+2*s.nextLane)

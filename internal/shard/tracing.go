@@ -10,20 +10,10 @@ import (
 // SetTracer attaches a tracer to the set (nil detaches): WriteValue/ReadValue
 // and the routed read path begin root spans, batch lanes record batch-wait
 // spans, and the underlying cluster records quorum-round spans labeled by
-// shard name. Regions added later by AddRegion are labeled as they appear.
-// Like SetMetrics, attach before serving operations.
+// shard name. Like SetMetrics, attach before serving operations.
 func (s *Set) SetTracer(tr *trace.Tracer) {
 	s.trc.Store(tr)
 	s.cluster.SetTracer(tr)
-	if tr == nil {
-		return
-	}
-	s.rmu.Lock()
-	regions := append([]*Shard(nil), s.regions...)
-	s.rmu.Unlock()
-	for _, sh := range regions {
-		s.cluster.TraceRegion(sh.Base, sh.Name)
-	}
 }
 
 // Tracer returns the attached tracer (nil when none).

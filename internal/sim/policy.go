@@ -17,15 +17,15 @@ import (
 const (
 	// KindStartMove releases the next planned reconfiguration move; the
 	// active controller picks it up at its next scheduling.
-	KindStartMove = dsys.TraceEventKind("start-move")
+	KindStartMove = dsys.EventKind("start-move")
 	// KindCrashController crashes the active controller incarnation (it
 	// translates to a dsys client crash of the controller's client ID). Only
 	// rolled while a move is in flight, so the crash lands between migration
 	// steps.
-	KindCrashController = dsys.TraceEventKind("crash-controller")
+	KindCrashController = dsys.EventKind("crash-controller")
 	// KindResumeController activates the next standby controller
 	// incarnation, which re-drives the interrupted move from its ledger.
-	KindResumeController = dsys.TraceEventKind("resume-controller")
+	KindResumeController = dsys.EventKind("resume-controller")
 )
 
 // FaultRates are the per-scheduling-decision probabilities of the adversary's
@@ -95,7 +95,7 @@ func (f FaultRates) withControllerDefaults(crashes int) FaultRates {
 // failure artifact (the full schedule is reproducible from the seed alone).
 type FaultEvent struct {
 	Step   int
-	Kind   dsys.TraceEventKind
+	Kind   dsys.EventKind
 	Object int // -1 for client faults
 	Client int // -1 for object faults
 }
@@ -216,7 +216,7 @@ func (a *adversary) suspendedList() []int {
 	return out
 }
 
-func (a *adversary) note(step int, kind dsys.TraceEventKind, object, client int) {
+func (a *adversary) note(step int, kind dsys.EventKind, object, client int) {
 	a.events = append(a.events, FaultEvent{Step: step, Kind: kind, Object: object, Client: client})
 }
 
@@ -240,21 +240,21 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 		if cands := a.faultCandidates(); len(cands) > 0 {
 			obj := cands[a.rng.Intn(len(cands))]
 			a.crashed[obj] = true
-			a.note(v.Step, dsys.TraceCrash, obj, -1)
+			a.note(v.Step, dsys.EventCrash, obj, -1)
 			return dsys.Decision{Kind: dsys.KindCrashObject, Object: obj}
 		}
 	case roll < cum+r.SuspendObject:
 		if cands := a.faultCandidates(); len(cands) > 0 {
 			obj := cands[a.rng.Intn(len(cands))]
 			a.suspended[obj] = true
-			a.note(v.Step, dsys.TraceSuspend, obj, -1)
+			a.note(v.Step, dsys.EventSuspend, obj, -1)
 			return dsys.Decision{Kind: dsys.KindSuspendObject, Object: obj}
 		}
 	case roll < cum+r.SuspendObject+r.ResumeObject:
 		if sus := a.suspendedList(); len(sus) > 0 {
 			obj := sus[a.rng.Intn(len(sus))]
 			delete(a.suspended, obj)
-			a.note(v.Step, dsys.TraceResume, obj, -1)
+			a.note(v.Step, dsys.EventResume, obj, -1)
 			return dsys.Decision{Kind: dsys.KindResumeObject, Object: obj}
 		}
 	case roll < cum+r.SuspendObject+r.ResumeObject+r.CrashClient:
@@ -268,7 +268,7 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 			if len(cands) > 0 {
 				client := cands[a.rng.Intn(len(cands))]
 				a.clientCrashes++
-				a.note(v.Step, dsys.TraceClientCrash, -1, client)
+				a.note(v.Step, dsys.EventClientCrash, -1, client)
 				return dsys.Decision{Kind: dsys.KindCrashClient, Client: client}
 			}
 		}
@@ -338,7 +338,7 @@ func (a *adversary) scheduleMove(v *dsys.View) dsys.Decision {
 		if sus := a.suspendedList(); len(sus) > 0 {
 			obj := sus[0]
 			delete(a.suspended, obj)
-			a.note(v.Step, dsys.TraceResume, obj, -1)
+			a.note(v.Step, dsys.EventResume, obj, -1)
 			return dsys.Decision{Kind: dsys.KindResumeObject, Object: obj}
 		}
 		return dsys.Decision{Kind: dsys.KindStall}

@@ -55,12 +55,9 @@ import (
 	"spacebounds/internal/autoshard"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
+	"spacebounds/internal/node" // the layout k-rule, and the four register providers
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"      // register providers
-	_ "spacebounds/internal/register/adaptive" // …
-	_ "spacebounds/internal/register/ecreg"    // …
-	_ "spacebounds/internal/register/safereg"  // …
 	"spacebounds/internal/shard"
 	"spacebounds/internal/value"
 )
@@ -161,9 +158,7 @@ func (c Config) withDefaults() Config {
 		if s.K == 0 {
 			s.K = 2
 		}
-		if s.Provider == "abd" {
-			s.K = 1
-		}
+		s.K = node.EffectiveK(s.Provider, s.K)
 		if s.DataLen == 0 {
 			s.DataLen = 8
 		}

@@ -48,7 +48,6 @@ const (
 
 type clientOptions struct {
 	placement     Placement
-	roundTimeout  time.Duration
 	dialTimeout   time.Duration
 	redialBackoff time.Duration
 	metrics       *metrics.Registry
@@ -61,13 +60,6 @@ type ClientOption func(*clientOptions)
 // WithPlacement overrides the object→node placement (default: round-robin
 // over the address list).
 func WithPlacement(p Placement) ClientOption { return func(o *clientOptions) { o.placement = p } }
-
-// WithRoundTimeout overrides the default per-round deadline applied when the
-// caller's context has none. Zero disables the default (rounds then wait for
-// the context alone).
-func WithRoundTimeout(d time.Duration) ClientOption {
-	return func(o *clientOptions) { o.roundTimeout = d }
-}
 
 // WithDialTimeout overrides the per-connection dial timeout.
 func WithDialTimeout(d time.Duration) ClientOption {
@@ -104,7 +96,6 @@ func Dial(addrs []string, opts ...ClientOption) (*Client, error) {
 		return nil, fmt.Errorf("transport: no node addresses")
 	}
 	o := clientOptions{
-		roundTimeout:  DefaultRoundTimeout,
 		dialTimeout:   DefaultDialTimeout,
 		redialBackoff: DefaultRedialBackoff,
 	}
@@ -216,7 +207,7 @@ func (cc *clientConn) deregister(reqID uint64) {
 	cc.pmu.Unlock()
 	if ok {
 		cc.nm.observeResponse(call, false)
-		cc.recordRPC(call, false)
+		cc.recordRPC(call, "abandoned")
 	}
 }
 
@@ -229,14 +220,16 @@ func (cc *clientConn) take(reqID uint64) *pendingCall {
 	cc.pmu.Unlock()
 	if call != nil {
 		cc.nm.observeResponse(call, true)
-		cc.recordRPC(call, true)
+		cc.recordRPC(call, "")
 	}
 	return call
 }
 
-// shutdown marks the connection dead and fails every pending call. Each
-// round channel has capacity for all its requests, so these sends never
-// block even if the round has already returned.
+// shutdown marks the connection dead and fails every pending call, recording
+// a traced call's RPC span as lost: the node may have read the request — and
+// recorded its apply span under that ID — before the connection failed. Each
+// round channel has capacity for all its requests, so these sends never block
+// even if the round has already returned.
 func (cc *clientConn) shutdown(err error) {
 	if !cc.dead.CompareAndSwap(false, true) {
 		return
@@ -249,6 +242,7 @@ func (cc *clientConn) shutdown(err error) {
 	cc.pmu.Unlock()
 	for _, call := range pending {
 		cc.nm.observeResponse(call, false)
+		cc.recordRPC(call, "lost")
 		call.ch <- roundMsg{obj: call.obj, kind: call.kind, err: &RemoteError{Node: cc.addr, Err: err}}
 	}
 }
@@ -293,9 +287,9 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 	if c.closed.Load() {
 		return nil, net.ErrClosed
 	}
-	if _, has := ctx.Deadline(); !has && c.opts.roundTimeout > 0 {
+	if _, has := ctx.Deadline(); !has {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.roundTimeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultRoundTimeout)
 		defer cancel()
 	}
 

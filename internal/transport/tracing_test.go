@@ -2,6 +2,10 @@ package transport_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -145,5 +149,77 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	exerciseRemote(t, rs2)
 	if after := len(srvTr.Snapshot()); after != before {
 		t.Errorf("untraced client produced %d server spans", after-before)
+	}
+}
+
+// TestTCPTracingRecordsLostRPCs covers the third way an rpc span ends: the
+// node reads the request and the connection fails before it answers. Every
+// request of the traced round must still yield one recorded rpc span, noted
+// "<addr> lost" and feeding no latency exemplar — the node may have recorded
+// an apply span under that ID — and an untraced round on the same failing
+// path records nothing.
+func TestTCPTracingRecordsLostRPCs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const requests = 3
+	go func() {
+		// Per connection: read `requests` whole frames, then hang up.
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			for i := 0; i < requests; i++ {
+				var hdr [4]byte
+				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+					break
+				}
+				if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[:]))); err != nil {
+					break
+				}
+			}
+			conn.Close()
+		}
+	}()
+	addr := ln.Addr().String()
+
+	tr := trace.New(trace.Options{Sample: 1, Proc: "client", Node: -1})
+	cli, err := transport.Dial([]string{addr}, transport.WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	targets := []int{0, 1, 2}
+	if _, err := cli.InvokeRound(context.Background(), 1, targets, mkReadRMW(t), 2); !errors.Is(err, dsys.ErrQuorumUnavailable) {
+		t.Fatalf("untraced round against a node that hangs up = %v, want ErrQuorumUnavailable", err)
+	}
+	if n := len(tr.Snapshot()); n != 0 {
+		t.Fatalf("untraced round recorded %d spans", n)
+	}
+
+	tc := tr.Begin()
+	ctx := trace.NewContext(context.Background(), tc)
+	if _, err := cli.InvokeRound(ctx, 1, targets, mkReadRMW(t), 2); !errors.Is(err, dsys.ErrQuorumUnavailable) {
+		t.Fatalf("traced round against a node that hangs up = %v, want ErrQuorumUnavailable", err)
+	}
+	lost := 0
+	for _, s := range tr.Snapshot() {
+		if s.Stage != trace.StageRPC || s.Trace != tc.Trace {
+			t.Errorf("unexpected span %+v", s)
+			continue
+		}
+		if s.Note != addr+" lost" {
+			t.Errorf("rpc span noted %q, want %q", s.Note, addr+" lost")
+		}
+		lost++
+	}
+	if lost != requests {
+		t.Errorf("recorded %d lost rpc spans, want one per request (%d)", lost, requests)
+	}
+	if _, ok := tr.Exemplars()["spacebounds_transport_rpc_seconds"]; ok {
+		t.Error("a lost rpc fed the served-response latency exemplar")
 	}
 }

@@ -54,6 +54,10 @@ type ShardedSpec struct {
 	// thresholds, so benchmarks can measure throughput through an elastic
 	// resharding (e.g. a split at the half-way mark under open-loop load).
 	Reconfig []ReconfigMove
+	// Coordinator is the set's reconfiguration coordinator, which the
+	// scheduled moves go through; required when Reconfig is non-empty. A set
+	// has one coordinator per process — the workload does not build another.
+	Coordinator *reconfig.Coordinator
 }
 
 // ReconfigMove schedules one live reconfiguration move. Exactly one of
@@ -99,6 +103,9 @@ func (s ShardedSpec) Validate() (ShardedSpec, error) {
 		if _, err := m.move(); err != nil {
 			return s, err
 		}
+	}
+	if len(s.Reconfig) > 0 && s.Coordinator == nil {
+		return s, fmt.Errorf("workload: a reconfig schedule needs the set's coordinator")
 	}
 	if s.Keys == 0 {
 		s.Keys = 16
@@ -321,15 +328,14 @@ func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic
 // are crossed. Moves whose thresholds the workload never reaches are applied
 // after it ends (on a quiet set), so the schedule always completes. It
 // returns the applied moves; rate windows are filled in by the caller.
-func runReconfigSchedule(set *shard.Set, spec ShardedSpec, completed *atomic.Int64, start time.Time, workloadDone <-chan struct{}) ([]AppliedReconfig, reconfig.Stats) {
-	co := reconfig.NewCoordinator(set)
+func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, start time.Time, workloadDone <-chan struct{}) []AppliedReconfig {
 	applied := make([]AppliedReconfig, 0, len(spec.Reconfig))
 	// The before-window baseline: the completed-op count and time of the last
 	// successful move. A failed move must not advance it — its abort migrated
 	// nothing, so the next move's before-window still measures the epoch the
 	// last successful move installed.
 	baseOps, baseAt := 0, time.Duration(0)
-	for i, m := range spec.Reconfig {
+	for _, m := range spec.Reconfig {
 		mv, _ := m.move() // validated by Validate
 		for completed.Load() < int64(m.AfterOps) {
 			select {
@@ -342,8 +348,7 @@ func runReconfigSchedule(set *shard.Set, spec ShardedSpec, completed *atomic.Int
 		at := int(completed.Load())
 		elapsed := time.Since(start)
 		t0 := time.Now()
-		// 1<<28 keeps migration-writer timestamps clear of workload clients.
-		ev, err := co.Apply(reconfig.NewLiveRunner(set, 1<<28+i), mv)
+		ev, err := spec.Coordinator.ApplyLive(mv)
 		ar := AppliedReconfig{
 			Move:           m,
 			Successors:     ev.Successors,
@@ -365,7 +370,7 @@ func runReconfigSchedule(set *shard.Set, spec ShardedSpec, completed *atomic.Int
 		}
 		applied = append(applied, ar)
 	}
-	return applied, co.Stats()
+	return applied
 }
 
 // RunSharded executes the workload against the shard set on its live path:
@@ -389,15 +394,10 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	var completed atomic.Int64
 	start := time.Now()
 	workloadDone := make(chan struct{})
-	type reconfigOutcome struct {
-		applied []AppliedReconfig
-		stats   reconfig.Stats
-	}
-	reconfigDone := make(chan reconfigOutcome, 1)
+	reconfigDone := make(chan []AppliedReconfig, 1)
 	if len(spec.Reconfig) > 0 {
 		go func() {
-			applied, stats := runReconfigSchedule(set, spec, &completed, start, workloadDone)
-			reconfigDone <- reconfigOutcome{applied: applied, stats: stats}
+			reconfigDone <- runReconfigSchedule(spec, &completed, start, workloadDone)
 		}()
 	}
 
@@ -462,9 +462,8 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 
 	res := &ShardedResult{PerShardOps: make(map[string]int), PerShardBits: make(map[string]int)}
 	if len(spec.Reconfig) > 0 {
-		outcome := <-reconfigDone
-		res.Reconfigs = outcome.applied
-		res.ReconfigStats = outcome.stats
+		res.Reconfigs = <-reconfigDone
+		res.ReconfigStats = spec.Coordinator.Stats()
 		total := int(completed.Load())
 		for i := range res.Reconfigs {
 			ar := &res.Reconfigs[i]

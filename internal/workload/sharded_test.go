@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
 	_ "spacebounds/internal/register/abd"
 	_ "spacebounds/internal/register/adaptive"
@@ -239,6 +240,7 @@ func TestRunShardedWithReconfigSchedule(t *testing.T) {
 			{AfterOps: 40, Split: "s0"},
 			{AfterOps: 120, Drain: "s1"},
 		},
+		Coordinator: reconfig.NewCoordinator(set),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +288,8 @@ func TestRunShardedReconfigValidation(t *testing.T) {
 	set := newSet(t, 1)
 	_, err := workload.RunSharded(set, workload.ShardedSpec{
 		Clients: 1, OpsPerClient: 1,
-		Reconfig: []workload.ReconfigMove{{Split: "s0", Drain: "s0"}},
+		Reconfig:    []workload.ReconfigMove{{Split: "s0", Drain: "s0"}},
+		Coordinator: reconfig.NewCoordinator(set),
 	})
 	if err == nil {
 		t.Fatal("ambiguous reconfig move accepted")
@@ -312,6 +315,7 @@ func TestReconfigAbortDoesNotSkewWindows(t *testing.T) {
 			{AfterOps: 60, Drain: "no-such-shard"}, // injected abort
 			{AfterOps: 90, Drain: "s1"},
 		},
+		Coordinator: reconfig.NewCoordinator(set),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,6 +362,7 @@ func TestRunShardedWithMergeSchedule(t *testing.T) {
 		Reconfig: []workload.ReconfigMove{
 			{AfterOps: 80, Merge: "s0", MergeWith: "s1"},
 		},
+		Coordinator: reconfig.NewCoordinator(set),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"spacebounds"
+	"spacebounds/internal/node"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
-	"spacebounds/internal/transport"
 	"spacebounds/internal/value"
 )
 
@@ -91,29 +91,28 @@ func TestMetricsDocSync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One write over real TCP registers (and exercises) both transport sides.
-	specs := []shard.Spec{{Name: "wire", Algorithm: "abd", Config: register.Config{F: 1, K: 1, DataLen: 16}}}
-	backing, err := shard.New(specs)
+	// One write over real TCP, through the assembly spacenode and the
+	// spacebench client use, registers (and exercises) both transport sides
+	// and whatever else the assembly instruments.
+	wire := node.Config{
+		Shards:  []shard.Spec{{Name: "wire", Algorithm: "abd", Config: register.Config{F: 1, DataLen: 16}}},
+		Metrics: reg,
+	}
+	backing, err := node.Open(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer backing.Close()
-	srv := transport.NewServer(backing.Cluster(), transport.WithServerMetrics(reg))
-	addr, err := srv.Listen("127.0.0.1:0")
+	addr, err := backing.Serve("127.0.0.1:0", 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cli, err := transport.Dial([]string{addr.String()}, transport.WithMetrics(reg))
+	client, err := node.Connect([]string{addr.String()}, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := shard.NewRemote(specs, cli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	if err := rs.Write(1, "wire", value.FromBytes(make([]byte, 16))); err != nil {
+	defer client.Close()
+	if err := client.Set().Write(1, "wire", value.FromBytes(make([]byte, 16))); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"spacebounds"
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/workload"
@@ -235,6 +236,7 @@ func TestLiveSplitThroughputRecovers(t *testing.T) {
 		Seed:         1,
 		ArrivalRate:  1200,
 		Reconfig:     []workload.ReconfigMove{{AfterOps: 2000, Split: "s0"}},
+		Coordinator:  reconfig.NewCoordinator(set),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,18 +24,13 @@ package spacebounds
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"spacebounds/internal/autoshard"
-	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
+	"spacebounds/internal/node"
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"
-	_ "spacebounds/internal/register/adaptive"
-	_ "spacebounds/internal/register/ecreg"
-	_ "spacebounds/internal/register/safereg"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
@@ -190,9 +185,6 @@ type AutoReshardOptions struct {
 	MinShards, MaxShards int
 }
 
-// enabled reports whether the zero-value-off controller was requested.
-func (a AutoReshardOptions) enabled() bool { return a.Interval > 0 }
-
 // ReshardStats are the autoshard controller's counters; see
 // Store.AutoReshardStats.
 type ReshardStats = autoshard.Stats
@@ -226,9 +218,6 @@ type Durability struct {
 	SnapshotEvery int
 }
 
-// enabled reports whether the zero-value-off journal was requested.
-func (d Durability) enabled() bool { return d.Dir != "" }
-
 // BatchOptions configures the batched quorum engine. The zero value disables
 // batching; setting either field enables it.
 type BatchOptions struct {
@@ -240,8 +229,12 @@ type BatchOptions struct {
 	MaxDelay time.Duration
 }
 
-// enabled reports whether the zero-value-off batch engine was requested.
-func (b BatchOptions) enabled() bool { return b.MaxSize > 0 || b.MaxDelay > 0 }
+// FaultOptions configures opt-in crash/restart fault injection against the
+// live store; setting Interval enables it. See Options.Faults.
+type FaultOptions = node.FaultConfig
+
+// FaultStats counts injected faults; see Store.FaultStats.
+type FaultStats = node.FaultStats
 
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
@@ -274,9 +267,6 @@ func (o Options) withDefaults() Options {
 		if s.K == 0 {
 			s.K = o.K
 		}
-		if s.Algorithm == Replication {
-			s.K = 1
-		}
 		if s.ValueSize == 0 {
 			s.ValueSize = o.ValueSize
 		}
@@ -290,31 +280,23 @@ func (o Options) withDefaults() Options {
 // operating on keys that route to different shards never contend on a shared
 // lock.
 type Store struct {
-	set    *shard.Set
-	def    *shard.Shard
-	faults faultInjector
-
-	recon         *reconfig.Coordinator
-	reconMu       sync.Mutex // serializes reconfiguration moves
-	nextMigClient int        // next migration-writer client ID
-
-	metrics *Metrics          // nil unless Options.Metrics was set
-	tracer  *Tracer           // nil unless Options.Trace was set
-	wal     *wal.Journal      // nil unless Options.Durability was set
-	reshard *autoshard.Driver // nil unless Options.AutoReshard was set
+	node *node.Node
+	set  *shard.Set // node.Set(), held for the operation path
+	def  *shard.Shard
 
 	// resumeHook, when non-nil, replaces ResumeMoves in RestartNode's resume
 	// phase; tests inject failures here to exercise the ErrResumeFailed path.
 	resumeHook func() error
 }
 
-// Metrics returns the registry the store was opened with, or nil when
-// instrumentation is disabled.
-func (s *Store) Metrics() *Metrics { return s.metrics }
+// Metrics returns the registry the store instruments into: the one it was
+// opened with, the private one Options.AutoReshard made necessary, or nil
+// when instrumentation is disabled.
+func (s *Store) Metrics() *Metrics { return s.node.Metrics() }
 
 // Tracer returns the tracer the store was opened with, or nil when tracing is
 // disabled.
-func (s *Store) Tracer() *Tracer { return s.tracer }
+func (s *Store) Tracer() *Tracer { return s.node.Tracer() }
 
 // Open builds the register shards and their shared simulated cluster.
 func Open(opts Options) (*Store, error) {
@@ -331,152 +313,44 @@ func Open(opts Options) (*Store, error) {
 			Config:    register.Config{F: s.F, K: s.K, DataLen: s.ValueSize},
 		})
 	}
-	var dopts []dsys.Option
-	if opts.NodeLatency > 0 {
-		dopts = append(dopts, dsys.WithLiveLatency(opts.NodeLatency))
-	}
-	batch := shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay}
-	if opts.Batch.enabled() && opts.NodeLatency > 0 {
-		if batch.MaxSize <= 0 {
-			batch.MaxSize = 16
-		}
-		dopts = append(dopts, dsys.WithLiveBatch(batch.MaxSize))
-	}
-	set, err := shard.New(specs, dopts...)
+	ar := opts.AutoReshard
+	n, err := node.Open(node.Config{
+		Shards:      specs,
+		NodeLatency: opts.NodeLatency,
+		Batch:       shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay},
+		WAL: wal.Config{
+			Dir:           opts.Durability.Dir,
+			SyncEvery:     opts.Durability.SyncEvery,
+			SnapshotEvery: opts.Durability.SnapshotEvery,
+		},
+		Metrics: opts.Metrics,
+		Tracer:  opts.Trace,
+		Faults:  opts.Faults,
+		AutoReshard: node.AutoReshardConfig{
+			Interval: ar.Interval,
+			Config: autoshard.Config{
+				HotOps:        ar.HotOps,
+				ColdOps:       ar.ColdOps,
+				HotLatency:    ar.HotLatency.Seconds(),
+				HotQueue:      ar.HotQueue,
+				SustainTicks:  ar.SustainTicks,
+				CooldownTicks: ar.CooldownTicks,
+				MaxMoves:      ar.MaxMoves,
+				MinShards:     ar.MinShards,
+				MaxShards:     ar.MaxShards,
+			},
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if opts.Batch.enabled() {
-		set.EnableBatching(batch)
-	}
-	def := set.Shards()[0]
-	store := &Store{set: set, def: def, recon: reconfig.NewCoordinator(set)}
-	if opts.Metrics != nil {
-		set.SetMetrics(opts.Metrics)
-		store.recon.SetMetrics(opts.Metrics)
-		store.metrics = opts.Metrics
-	}
-	if opts.Trace != nil {
-		set.SetTracer(opts.Trace)
-		store.recon.SetTracer(opts.Trace)
-		store.tracer = opts.Trace
-	}
-	if opts.Durability.enabled() {
-		if err := store.openJournal(opts); err != nil {
-			set.Close()
-			return nil, err
-		}
-	}
-	if opts.Faults.enabled() {
-		store.faults.start(store, opts.Faults)
-	}
-	if opts.AutoReshard.enabled() {
-		if err := store.startAutoReshard(opts.AutoReshard); err != nil {
-			store.faults.halt()
-			set.Close()
-			if store.wal != nil {
-				store.wal.Close()
-			}
-			return nil, err
-		}
-	}
-	return store, nil
-}
-
-// startAutoReshard builds and starts the autoshard control loop against the
-// store's registry, instrumenting into a private one when the caller passed
-// none — the controller's signals are the store's own metrics, so enabling it
-// implies instrumentation.
-func (s *Store) startAutoReshard(opts AutoReshardOptions) error {
-	reg := s.metrics
-	if reg == nil {
-		reg = NewMetrics()
-		s.set.SetMetrics(reg)
-		s.recon.SetMetrics(reg)
-		s.metrics = reg
-	}
-	planner, err := autoshard.NewPlanner(autoshard.Config{
-		HotOps:        opts.HotOps,
-		ColdOps:       opts.ColdOps,
-		HotLatency:    opts.HotLatency.Seconds(),
-		HotQueue:      opts.HotQueue,
-		SustainTicks:  opts.SustainTicks,
-		CooldownTicks: opts.CooldownTicks,
-		MaxMoves:      opts.MaxMoves,
-		MinShards:     opts.MinShards,
-		MaxShards:     opts.MaxShards,
-	})
-	if err != nil {
-		return err
-	}
-	sampler := autoshard.NewRegistrySampler(reg, s.Shards)
-	s.reshard, err = autoshard.StartDriver(autoshard.DriverConfig{
-		Planner:  planner,
-		Interval: opts.Interval,
-		Sample:   sampler.Sample,
-		Apply: func(mv reconfig.Move) error {
-			_, err := s.apply(mv)
-			return err
-		},
-		Resume:   s.ResumeMoves,
-		InFlight: func() bool { return s.recon.InFlight() != nil },
-		Metrics:  reg,
-	})
-	return err
+	return &Store{node: n, set: n.Set(), def: n.Set().Shards()[0]}, nil
 }
 
 // AutoReshardStats returns the autoshard controller's counters (ticks, plans
 // by kind, resolutions, current hot/cold census). The zero value when the
 // controller is disabled.
-func (s *Store) AutoReshardStats() ReshardStats {
-	if s.reshard == nil {
-		return ReshardStats{}
-	}
-	return s.reshard.Stats()
-}
-
-// openJournal opens the write-ahead log, replays whatever it holds into the
-// freshly built cluster and ledger, and only then attaches it for journaling
-// new operations — replayed records must not be re-journaled. The caller
-// closes the set on error; the journal is closed here.
-func (s *Store) openJournal(opts Options) error {
-	j, err := wal.Open(wal.Config{
-		Dir:           opts.Durability.Dir,
-		SyncEvery:     opts.Durability.SyncEvery,
-		SnapshotEvery: opts.Durability.SnapshotEvery,
-	})
-	if err != nil {
-		return err
-	}
-	if opts.Metrics != nil {
-		j.SetMetrics(opts.Metrics)
-	}
-	if opts.Trace != nil {
-		j.SetTracer(opts.Trace)
-	}
-	moves := j.Moves()
-	states := make([]reconfig.MoveState, 0, len(moves))
-	for _, mr := range moves {
-		ms, err := reconfig.DecodeMoveState(mr.Payload)
-		if err != nil {
-			j.Close()
-			return fmt.Errorf("spacebounds: restoring reconfiguration ledger: move %d: %w", mr.ID, err)
-		}
-		states = append(states, ms)
-	}
-	if err := s.recon.RestoreLedger(states); err != nil {
-		j.Close()
-		return fmt.Errorf("spacebounds: restoring reconfiguration ledger: %w", err)
-	}
-	if _, err := j.Replay(s.set.Cluster()); err != nil {
-		j.Close()
-		return fmt.Errorf("spacebounds: replaying write-ahead log: %w", err)
-	}
-	j.Attach(s.set.Cluster())
-	s.recon.SetJournal(j)
-	s.wal = j
-	return nil
-}
+func (s *Store) AutoReshardStats() ReshardStats { return s.node.AutoReshardStats() }
 
 // Algorithm returns the name of the default (first) shard's emulation.
 func (s *Store) Algorithm() string { return s.def.Reg.Name() }
@@ -586,19 +460,19 @@ var (
 // resume error never travels unwrapped.
 func (s *Store) RestartNode(id int) error {
 	cl := s.set.Cluster()
-	if s.wal != nil && cl.ObjectDown(id) {
+	if j := s.node.Journal(); j != nil && cl.ObjectDown(id) {
 		fresh, err := s.set.InitialStateOf(id)
 		if err != nil {
 			return fmt.Errorf("%w: node %d: %w", ErrRestartFailed, id, err)
 		}
-		if _, err := s.wal.ReplayObject(cl, id, fresh); err != nil {
+		if _, err := j.ReplayObject(cl, id, fresh); err != nil {
 			return fmt.Errorf("%w: node %d: rebuilding state from the write-ahead log: %w", ErrRestartFailed, id, err)
 		}
 	}
 	if err := cl.RestartObject(id); err != nil {
 		return fmt.Errorf("%w: node %d: %w", ErrRestartFailed, id, err)
 	}
-	if fl := s.recon.InFlight(); fl == nil || !fl.Interrupted {
+	if fl := s.node.Coordinator().InFlight(); fl == nil || !fl.Interrupted {
 		return nil
 	}
 	resume := s.resumeHook
@@ -613,7 +487,7 @@ func (s *Store) RestartNode(id int) error {
 
 // FaultStats reports the injected crash/restart counts (zero when fault
 // injection is disabled).
-func (s *Store) FaultStats() FaultStats { return s.faults.Stats() }
+func (s *Store) FaultStats() FaultStats { return s.node.FaultStats() }
 
 // BatchStats reports the group-commit amortization across all shards:
 // operations completed through the batchers and the physical quorum rounds
@@ -674,7 +548,7 @@ func (s *Store) StorageSnapshot() *storagecost.Snapshot { return s.set.StorageSn
 // volatile base objects, and the log is a different resource with a
 // different lifecycle (it is truncated by snapshots, not by the protocol).
 func (s *Store) DurabilityBits() int {
-	if s.wal == nil {
+	if s.node.Journal() == nil {
 		return 0
 	}
 	total, _, _ := s.set.DurabilityBreakdown()
@@ -689,7 +563,7 @@ func (s *Store) DurabilityBits() int {
 // sum of the per-shard values plus ledger. All zeros when durability is
 // disabled.
 func (s *Store) DurabilityBreakdown() (total int, perShard map[string]int, ledger int) {
-	if s.wal == nil {
+	if s.node.Journal() == nil {
 		return 0, map[string]int{}, 0
 	}
 	return s.set.DurabilityBreakdown()
@@ -757,20 +631,9 @@ type ReconfigStats struct {
 	HeldWrites int64
 }
 
-// migRunner returns a live runner with a fresh migration-writer client ID.
-func (s *Store) migRunner() reconfig.Runner {
-	// 1<<28 keeps migration timestamps clear of application clients while
-	// staying below the batcher lane range at 1<<30.
-	id := 1<<28 + s.nextMigClient
-	s.nextMigClient++
-	return reconfig.NewLiveRunner(s.set, id)
-}
-
-// apply runs one move under the store's reconfiguration lock.
+// apply runs one move through the store's coordinator.
 func (s *Store) apply(mv reconfig.Move) (reconfig.Event, error) {
-	s.reconMu.Lock()
-	defer s.reconMu.Unlock()
-	return s.recon.Apply(s.migRunner(), mv)
+	return s.node.Coordinator().ApplyLive(mv)
 }
 
 // SplitShard splits the named shard into two successors on fresh base-object
@@ -817,24 +680,7 @@ func (s *Store) MergeShards(a, b string) (string, error) {
 // so there is usually nothing to do; the method exists for the fail-recover
 // path (RestartNode calls it) and for embedders driving moves from their own
 // goroutines. It reports how many moves were resumed.
-func (s *Store) ResumeMoves() (int, error) {
-	s.reconMu.Lock()
-	defer s.reconMu.Unlock()
-	resumed := 0
-	for {
-		fl := s.recon.InFlight()
-		if fl == nil || !fl.Interrupted {
-			return resumed, nil
-		}
-		took, _, err := s.recon.Resume(s.migRunner())
-		if err != nil {
-			return resumed, err
-		}
-		if took {
-			resumed++
-		}
-	}
-}
+func (s *Store) ResumeMoves() (int, error) { return s.node.Coordinator().ResumeLive() }
 
 // AddShard forks the given key onto a dedicated shard seeded from the
 // register the key currently routes to. The origin keeps serving its other
@@ -862,10 +708,8 @@ func (s *Store) Resize(plan []ResizeOp) error {
 		}
 		moves = append(moves, mv)
 	}
-	s.reconMu.Lock()
-	defer s.reconMu.Unlock()
 	for _, mv := range moves {
-		if _, err := s.recon.Apply(s.migRunner(), mv); err != nil {
+		if _, err := s.apply(mv); err != nil {
 			return fmt.Errorf("spacebounds: %v: %w", mv, err)
 		}
 	}
@@ -874,7 +718,7 @@ func (s *Store) Resize(plan []ResizeOp) error {
 
 // ReconfigStats returns the reconfiguration counters.
 func (s *Store) ReconfigStats() ReconfigStats {
-	st := s.recon.Stats()
+	st := s.node.Coordinator().Stats()
 	return ReconfigStats{
 		Epoch: st.Epoch, Splits: st.Splits, Drains: st.Drains, Adds: st.Adds, Removes: st.Removes,
 		Merges: st.Merges, Resumes: st.Resumes, Aborts: st.Aborts,
@@ -888,14 +732,4 @@ func (s *Store) ReconfigStats() ReconfigStats {
 // the cluster is going away; a move it was mid-way through stays in the
 // ledger for the next open's ResumeMoves. Close implements io.Closer; closing
 // an already-closed store is a no-op.
-func (s *Store) Close() error {
-	if s.reshard != nil {
-		s.reshard.Stop()
-	}
-	s.faults.halt()
-	s.set.Close()
-	if s.wal != nil {
-		return s.wal.Close()
-	}
-	return nil
-}
+func (s *Store) Close() error { return s.node.Close() }
