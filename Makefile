@@ -31,8 +31,8 @@ flake:
 	$(GO) test -count=20 -short . ./internal/transport/... ./internal/register/...
 
 # Smoke-compile and smoke-run every `go test` benchmark once (the E1-E8
-# experiment benchmarks and the substrate micro-benchmarks) so they keep
-# working. It judges nothing; `make benchmark` does.
+# experiment benchmarks and the substrate micro-benchmarks, down to the
+# journal's BenchmarkJournalAppend) so they keep working. It judges nothing; `make benchmark` does.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -120,8 +120,9 @@ sim-soak-autoreshard:
 # FUZZ_PKG=./internal/register fuzzes the wire codecs of all four register
 # providers (any payload that decodes must re-encode byte-identically);
 # FUZZ_TARGET=FuzzWALReplay FUZZ_PKG=./internal/wal feeds damaged segment and
-# snapshot files to the write-ahead log (open + replay must refuse or repair,
-# never panic); FUZZ_TARGET=FuzzReedSolomonRoundTrip FUZZ_PKG=./internal/erasure
+# snapshot files to the write-ahead log, among them what a short write, a full
+# disk and a failing fsync leave behind (open + replay must refuse or repair,
+# never panic; PR CI runs it for 10 s); FUZZ_TARGET=FuzzReedSolomonRoundTrip FUZZ_PKG=./internal/erasure
 # round-trips the systematic Reed-Solomon code over random shapes and block
 # selections (all data, all parity, mixed; duplicates and surplus blocks).
 FUZZ_TARGET ?= FuzzCheckers

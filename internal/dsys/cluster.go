@@ -197,7 +197,11 @@ func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any,
 // replay is set: recovery re-applies journaled RMWs while the object is still
 // marked down — which is what keeps live clients out — and must not journal
 // them a second time. The journal record is written under the lock, so its
-// order per object is the apply order.
+// order per object is the apply order. A journal that has failed stops the
+// RMWs it would have recorded before they mutate anything, and the one whose
+// record was the failure goes unanswered (ErrJournalFailed). An Apply that
+// answers with an error value refused itself and left the state as it was:
+// nothing is counted or journaled (ErrApplyRefused).
 func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
 	if o.retired.Load() {
 		return nil, ErrRetiredObject
@@ -205,10 +209,22 @@ func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool)
 	if o.crashed.Load() && !replay {
 		return nil, ErrObjectDown
 	}
-	resp := rmw.Apply(o.state)
-	o.applied++
+	var jour *journalHolder
 	if !replay {
-		c.journalApply(o.id, rmw, tc)
+		jour = c.jour.Load()
+	}
+	if err := jour.refuses(rmw); err != nil {
+		return nil, err
+	}
+	resp := rmw.Apply(o.state)
+	if refusal, ok := resp.(error); ok {
+		return nil, fmt.Errorf("%w: %v", ErrApplyRefused, refusal)
+	}
+	o.applied++
+	if jour != nil {
+		if err := jour.record(o.id, rmw, tc); err != nil {
+			return nil, err
+		}
 	}
 	return resp, nil
 }

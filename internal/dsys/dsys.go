@@ -123,6 +123,14 @@ var (
 	// ErrRecovering indicates a read-only RMW refused by a node that restarted
 	// with empty state and has not yet seen a mutating RMW on that object.
 	ErrRecovering = errors.New("dsys: base object recovering")
+	// ErrJournalFailed indicates an RMW refused because the attached journal
+	// can no longer record it (a latched write or fsync error): the node stays
+	// up for reads but acknowledges nothing it cannot make durable.
+	ErrJournalFailed = errors.New("dsys: journal failed")
+	// ErrApplyRefused indicates an RMW whose Apply found it could not make its
+	// transition and left the object's state untouched — in a recovery replay,
+	// a record that does not fit the state the log before it rebuilt.
+	ErrApplyRefused = errors.New("dsys: RMW refused by its own Apply")
 	// ErrRemote wraps transport-level failures that have no more specific
 	// sentinel, so remote faults remain distinguishable from local ones.
 	ErrRemote = errors.New("dsys: remote invocation failed")

@@ -63,6 +63,9 @@ const (
 	// StatusBadRequest: the envelope could not be decoded (unknown kind or
 	// malformed payload).
 	StatusBadRequest
+	// StatusJournalFailed: the node's journal has failed, so it refuses every
+	// RMW it would have to record; read-only RMWs are still served.
+	StatusJournalFailed
 )
 
 // String implements fmt.Stringer.
@@ -84,6 +87,8 @@ func (s Status) String() string {
 		return "halted"
 	case StatusBadRequest:
 		return "bad-request"
+	case StatusJournalFailed:
+		return "journal-failed"
 	default:
 		return fmt.Sprintf("status(%d)", uint8(s))
 	}
@@ -105,6 +110,8 @@ func (s Status) Err() error {
 		return ErrRecovering
 	case StatusHalted:
 		return ErrHalted
+	case StatusJournalFailed:
+		return ErrJournalFailed
 	default:
 		return fmt.Errorf("%w: %v", ErrRemote, s)
 	}

@@ -144,6 +144,7 @@ func TestStatusStringAndErr(t *testing.T) {
 		StatusRecovering:    ErrRecovering,
 		StatusHalted:        ErrHalted,
 		StatusBadRequest:    ErrRemote,
+		StatusJournalFailed: ErrJournalFailed,
 	}
 	for s, want := range wantErr {
 		err := s.Err()

@@ -40,6 +40,36 @@ type TracedJournal interface {
 	RecordApplyTraced(object int, rmw RMW, tc trace.Context)
 }
 
+// JournalTrimmer is the optional seam by which an applied RMW offers the
+// journal a smaller equivalent of itself: parameters its Apply did not read
+// need not reach the disk. A journal that finds the seam records the trimmed
+// form in place of the RMW; one that does not records the RMW whole, and both
+// logs replay to the same states.
+type JournalTrimmer interface {
+	RMW
+	// JournalForm returns an RMW of the receiver's codec kind that, applied
+	// to the state the receiver's Apply found, makes the transition that Apply
+	// made; it may be the receiver itself. It is called under the object's
+	// apply lock, after Apply and before any other RMW reaches the object,
+	// and must leave the receiver's parameters as they are: others may still
+	// be reading them.
+	JournalForm() RMW
+}
+
+// FailStopJournal is the optional extension of a journal that can lose the
+// ability to record: once it has, the cluster stops letting RMWs it would
+// have recorded take effect (ErrJournalFailed), so a node never acknowledges
+// what it could not make durable. RMWs the journal never records — read-only
+// kinds — keep being served.
+type FailStopJournal interface {
+	Journal
+	// Refuses returns nil while the journal has recorded every RMW handed to
+	// it and can record rmw, or would not record rmw at all; afterwards it
+	// returns the failure. It is called under the object's apply lock, before
+	// Apply and again after RecordApply.
+	Refuses(rmw RMW) error
+}
+
 // durableReporter adapts a journal's on-disk footprint to
 // storagecost.Reporter so snapshots carry the durability axis.
 type durableReporter struct{ j Journal }
@@ -49,11 +79,12 @@ func (r durableReporter) StorageBlocks() []storagecost.BlockInfo { return r.j.Du
 
 // journalHolder wraps the Journal interface so a single atomic pointer
 // swap attaches or detaches it (same pattern as clusterMetrics). The
-// TracedJournal extension is resolved once at attach time, keeping the type
-// assertion off the apply path.
+// TracedJournal and FailStopJournal extensions are resolved once at attach
+// time, keeping the type assertions off the apply path.
 type journalHolder struct {
 	j  Journal
-	tj TracedJournal // nil when j does not implement the extension
+	tj TracedJournal   // nil when j does not implement the extension
+	fs FailStopJournal // likewise
 }
 
 // SetJournal attaches a journal to the cluster (nil detaches). Attach the
@@ -68,25 +99,38 @@ func (c *Cluster) SetJournal(j Journal) {
 	if tj, ok := j.(TracedJournal); ok {
 		h.tj = tj
 	}
+	if fs, ok := j.(FailStopJournal); ok {
+		h.fs = fs
+	}
 	c.jour.Store(h)
 }
 
-// journalApply reports one applied RMW to the attached journal, if any, with
-// the applying operation's trace context: a sampled apply reaches a
-// TracedJournal through the extension so the journal's stages join the
-// operation's trace, and everything else takes the plain path. Only
-// object.applyLocked calls it, under the object's apply lock, which is what
-// serializes the journal's record order with the apply order.
-func (c *Cluster) journalApply(object int, rmw RMW, tc trace.Context) {
-	h := c.jour.Load()
-	if h == nil {
-		return
+// refuses reports, as ErrJournalFailed, that the journal has failed and would
+// have recorded rmw. A nil holder (no journal) refuses nothing.
+func (h *journalHolder) refuses(rmw RMW) error {
+	if h == nil || h.fs == nil {
+		return nil
 	}
+	if err := h.fs.Refuses(rmw); err != nil {
+		return fmt.Errorf("%w: %v", ErrJournalFailed, err)
+	}
+	return nil
+}
+
+// record reports one applied RMW to the journal with the applying operation's
+// trace context: a sampled apply reaches a TracedJournal through the extension
+// so the journal's stages join the operation's trace, and everything else
+// takes the plain path. The error is refuses' verdict afterwards: an RMW whose
+// own record failed is not acknowledged either. Only object.applyLocked calls
+// it, under the object's apply lock, which is what serializes the journal's
+// record order with the apply order.
+func (h *journalHolder) record(object int, rmw RMW, tc trace.Context) error {
 	if tc.Sampled() && h.tj != nil {
 		h.tj.RecordApplyTraced(object, rmw, tc)
-		return
+	} else {
+		h.j.RecordApply(object, rmw)
 	}
-	h.j.RecordApply(object, rmw)
+	return h.refuses(rmw)
 }
 
 // ReadObjectState runs fn with the object's live state under its apply lock.

@@ -69,6 +69,95 @@ func TestJournalRecordsAppliesAndDurableBlocks(t *testing.T) {
 	}
 }
 
+// failingJournal is a recJournal that loses the disk while recording its
+// failAt-th RMW, and from then on refuses everything but reads.
+type failingJournal struct {
+	recJournal
+	failAt int
+	err    error
+}
+
+func (j *failingJournal) RecordApply(object int, rmw RMW) {
+	if j.err != nil {
+		return
+	}
+	if len(j.recorded()) == j.failAt {
+		j.err = errors.New("disk full")
+		return
+	}
+	j.recJournal.RecordApply(object, rmw)
+}
+
+func (j *failingJournal) Refuses(rmw RMW) error {
+	if _, read := rmw.(readCounterRMW); read {
+		return nil
+	}
+	return j.err
+}
+
+// refusingRMW answers with an error: it could not make its transition.
+type refusingRMW struct{ addBlockRMW }
+
+func (refusingRMW) Apply(State) any { return errors.New("not on this state") }
+
+// TestFailedJournalStopsAcknowledging: the RMW whose own record fails is not
+// answered, later ones are stopped before they touch the object, read-only
+// RMWs are served throughout, and a replay is not the journal's business.
+func TestFailedJournalStopsAcknowledging(t *testing.T) {
+	c := newTestCluster(3, WithLiveMode())
+	defer c.Close()
+	j := &failingJournal{failAt: 1}
+	c.SetJournal(j)
+	counter := func() int {
+		out, err := c.ApplyOne(0, readCounterRMW{})
+		if err != nil {
+			t.Fatalf("read with the journal in state %v: %v", j.err, err)
+		}
+		return out.(int)
+	}
+	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); err != nil {
+		t.Fatal(err)
+	}
+	// The second record is the one that fails: applied in memory, unanswered.
+	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("apply whose record failed: err = %v, want ErrJournalFailed", err)
+	}
+	if got := counter(); got != 2 {
+		t.Fatalf("counter = %d after the failing record, want 2", got)
+	}
+	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("apply after the failure: err = %v, want ErrJournalFailed", err)
+	}
+	if got := counter(); got != 2 {
+		t.Fatalf("counter = %d: a refused RMW reached the object", got)
+	}
+	if got := j.recorded(); len(got) != 1 {
+		t.Fatalf("journal recorded %v, want the one apply before the failure", got)
+	}
+	if out, err := c.ReplayApply(0, addBlockRMW{bits: 8}); err != nil || out != 3 {
+		t.Fatalf("ReplayApply under a failed journal = %v, %v; want 3", out, err)
+	}
+}
+
+// TestRefusedApplyIsNeitherCountedNorJournaled: an Apply that answers with an
+// error value is reported as ErrApplyRefused, live and in replay, and the
+// journal never hears of it.
+func TestRefusedApplyIsNeitherCountedNorJournaled(t *testing.T) {
+	c := newTestCluster(3, WithLiveMode())
+	defer c.Close()
+	j := &recJournal{}
+	c.SetJournal(j)
+	if _, err := c.ApplyOne(0, refusingRMW{}); !errors.Is(err, ErrApplyRefused) {
+		t.Fatalf("ApplyOne: err = %v, want ErrApplyRefused", err)
+	}
+	if _, err := c.ReplayApply(0, refusingRMW{}); !errors.Is(err, ErrApplyRefused) {
+		t.Fatalf("ReplayApply: err = %v, want ErrApplyRefused", err)
+	}
+	if got := j.recorded(); len(got) != 0 {
+		t.Fatalf("journal recorded %v for refused applies", got)
+	}
+}
+
 // TestObjectStateReadRestoreReplay covers the recovery surface: observing a
 // state under its apply lock, installing a decoded snapshot state, and
 // re-applying journaled RMWs on top — including while the object is crashed,

@@ -141,7 +141,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 func updatesOf(k int, ts, storedTS register.Timestamp, writeSet []register.Chunk) func(obj int) updateRMW {
 	full, wire := writeSet[:k:k], new(fullWire)
 	return func(obj int) updateRMW {
-		return updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}
+		return updateRMW{k: int32(k), ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}
 	}
 }
 

@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"spacebounds/internal/dsys"
@@ -18,7 +19,7 @@ func updateOwnSize(u *updateRMW) int {
 }
 
 func writeUpdateOwn(w *register.WireWriter, u *updateRMW) {
-	w.Int(u.k)
+	w.Int(int(u.k))
 	w.TS(u.ts)
 	w.TS(u.storedTS)
 	w.Chunk(u.piece)
@@ -63,8 +64,12 @@ type fullWire struct {
 
 func decodeUpdate(payload []byte) (updateRMW, error) {
 	r := register.NewWireReader(payload)
+	k := r.Int()
+	if k < 0 || k > math.MaxInt32 {
+		return updateRMW{}, fmt.Errorf("%w: update with k = %d", register.ErrCodec, k)
+	}
 	u := updateRMW{
-		k:        r.Int(),
+		k:        int32(k),
 		ts:       r.TS(),
 		storedTS: r.TS(),
 		piece:    r.Chunk(),

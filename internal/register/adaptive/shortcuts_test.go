@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,9 +15,10 @@ import (
 )
 
 // The write path takes two shortcuts the paper's pseudocode does not spell
-// out: its query round asks for timestamps only, and its GC round leaves the
-// piece out where lines 43-44 cannot fire. These tests pin that neither
-// changes what the algorithm does.
+// out — its query round asks for timestamps only, and its GC round leaves the
+// piece out where lines 43-44 cannot fire — and the journal a third: it
+// records an update without the full replica lines 37-38 did not store. These
+// tests pin that none changes what the algorithm does.
 
 // testChunk is piece index of the write stamped ⟨num, client⟩.
 func testChunk(num, client, index int) register.Chunk {
@@ -45,13 +47,12 @@ func encodedState(t *testing.T, s dsys.State) []byte {
 	return b
 }
 
-// TestReadTSAnswersWhatAWriterTakesFromReadValue: after every step of every
-// mutating schedule, readTSRMW reports exactly the storedTS and the largest
-// timestamp number a readValueRMW on the same state would have shown the
-// writer, and leaves the state alone.
-func TestReadTSAnswersWhatAWriterTakesFromReadValue(t *testing.T) {
+// mutatingSchedules are sequences of mutating RMWs on object 0 of a fresh
+// f = 1, k = 2 register that between them take every branch of the update and
+// GC rounds. Each call builds fresh RMWs: applying one marks it.
+func mutatingSchedules() map[string][]dsys.RMW {
 	ts := func(num, client int) register.Timestamp { return register.Timestamp{Num: num, Client: client} }
-	schedules := map[string][]dsys.RMW{
+	return map[string][]dsys.RMW{
 		"quiescent": {},
 		"Vp partly full": {
 			testUpdate(3, 1, register.ZeroTS),
@@ -74,8 +75,122 @@ func TestReadTSAnswersWhatAWriterTakesFromReadValue(t *testing.T) {
 			&seedUpdateRMW{*testUpdate(register.SeedTS.Num, register.SeedTS.Client, register.ZeroTS)},
 			&gcRMW{ts: register.SeedTS, piece: testChunk(register.SeedTS.Num, register.SeedTS.Client, 1)},
 		},
+		"seed into Vf": {
+			testUpdate(3, 1, register.ZeroTS),
+			&seedUpdateRMW{*testUpdate(register.SeedTS.Num, register.SeedTS.Client, register.ZeroTS)},
+		},
 	}
-	for name, schedule := range schedules {
+}
+
+// freshObject0 is object 0 of a fresh f = 1, k = 2 register.
+func freshObject0(t *testing.T) dsys.State {
+	t.Helper()
+	reg, err := New(register.Config{F: 1, K: 2, DataLen: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := reg.InitialStates(value.Zero(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return states[0]
+}
+
+// TestJournalFormMakesTheSameTransition is the third shortcut: the journal
+// records an update without its full replica unless lines 37-38 stored it.
+// Every schedule is applied as the writers built it to one object and, RMW by
+// RMW, in its journal form — through the codec, as a log holds it — to
+// another; responses and states must agree after every step, and an update
+// keeps its replica exactly when it answered Stored && !ToVp. The RMW itself
+// still carries what its writer gave it.
+func TestJournalFormMakesTheSameTransition(t *testing.T) {
+	whole, trimmed := 0, 0
+	for name, schedule := range mutatingSchedules() {
+		live, replayed := freshObject0(t), freshObject0(t)
+		for step, rmw := range schedule {
+			resp := rmw.Apply(live)
+			form := rmw
+			if tr, ok := rmw.(dsys.JournalTrimmer); ok {
+				form = tr.JournalForm()
+			}
+			env, err := register.EncodeEnvelope(dsys.OpID{}, 0, form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind, _ := register.KindOf(rmw); env.Kind != kind {
+				t.Fatalf("%s, step %d: a %s is journaled as a %s", name, step, kind, env.Kind)
+			}
+			decoded, err := register.DecodeRMW(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := decoded.Apply(replayed); got != resp {
+				t.Errorf("%s, step %d: the journal form answers %+v, the RMW answered %+v", name, step, got, resp)
+			}
+			if !bytes.Equal(encodedState(t, replayed), encodedState(t, live)) {
+				t.Errorf("%s, step %d: the journal form leaves a different state", name, step)
+			}
+			var sent, kept *updateRMW
+			switch u := rmw.(type) {
+			case *updateRMW:
+				sent, kept = u, form.(*updateRMW)
+			case *seedUpdateRMW:
+				sent, kept = &u.updateRMW, &form.(*seedUpdateRMW).updateRMW
+			default:
+				continue
+			}
+			if len(sent.full) != 2 {
+				t.Errorf("%s, step %d: asking for the journal form took the replica off the RMW", name, step)
+			}
+			if intoVf := resp == (updateResp{Stored: true}); intoVf != (len(kept.full) > 0) {
+				t.Errorf("%s, step %d: answered %+v, journaled with %d replica pieces", name, step, resp, len(kept.full))
+			} else if intoVf {
+				whole++
+			} else {
+				trimmed++
+			}
+		}
+	}
+	if whole == 0 || trimmed == 0 {
+		t.Errorf("%d whole and %d trimmed updates: the schedules do not reach both", whole, trimmed)
+	}
+}
+
+// TestTrimmedUpdateNeverStoresAnEmptyReplica is the hostile case: an update
+// without a full replica reaches an object whose Vp is full and whose Vf would
+// take the write, which only a log replayed onto the wrong state (or a peer
+// that builds no replica) can cause. The update refuses itself with an error
+// response, which the cluster turns into dsys.ErrApplyRefused, and the object
+// does not change by a byte.
+func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
+	for _, build := range []func(u updateRMW) dsys.RMW{
+		func(u updateRMW) dsys.RMW { return &u },
+		func(u updateRMW) dsys.RMW { return &seedUpdateRMW{u} },
+	} {
+		state := freshObject0(t)
+		testUpdate(3, 1, register.ZeroTS).Apply(state) // Vp: v0, w(3,1)
+		before := encodedState(t, state)
+		rmw := build(testUpdate(5, 2, register.Timestamp{Num: 3, Client: 1}).trimmed())
+		if err, ok := rmw.Apply(state).(error); !ok || !errors.Is(err, errTrimmedUpdate) {
+			t.Fatalf("%T without a replica into a full Vp answered %v", rmw, err)
+		}
+		if !bytes.Equal(encodedState(t, state), before) {
+			t.Fatalf("%T: the refused update changed the state", rmw)
+		}
+		c := dsys.NewCluster([]dsys.State{state}, dsys.WithLiveMode())
+		if _, err := c.ApplyOne(0, rmw); !errors.Is(err, dsys.ErrApplyRefused) {
+			t.Fatalf("%T: the cluster reports %v, want dsys.ErrApplyRefused", rmw, err)
+		}
+		c.Close()
+	}
+}
+
+// TestReadTSAnswersWhatAWriterTakesFromReadValue: after every step of every
+// mutating schedule, readTSRMW reports exactly the storedTS and the largest
+// timestamp number a readValueRMW on the same state would have shown the
+// writer, and leaves the state alone.
+func TestReadTSAnswersWhatAWriterTakesFromReadValue(t *testing.T) {
+	for name, schedule := range mutatingSchedules() {
 		reg, err := New(register.Config{F: 1, K: 2, DataLen: 48})
 		if err != nil {
 			t.Fatal(err)

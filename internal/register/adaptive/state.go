@@ -1,6 +1,8 @@
 package adaptive
 
 import (
+	"errors"
+
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 )
@@ -97,8 +99,14 @@ func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
 // a decoded update's full is a view of its request frame, and Apply copies it
 // before storing. wire is where those n updates share the encoding of full;
 // a decoded update has none.
+//
+// tookFull is Apply's note to JournalForm that lines 37-38 fired, the one
+// branch that reads full. It shares a word with k so that the struct stays in
+// the allocator's 144-byte class: a write allocates n of these on each side
+// of the wire.
 type updateRMW struct {
-	k        int
+	k        int32
+	tookFull bool
 	ts       register.Timestamp
 	storedTS register.Timestamp
 	piece    register.Chunk
@@ -106,7 +114,17 @@ type updateRMW struct {
 	wire     *fullWire
 }
 
-var _ dsys.RMW = (*updateRMW)(nil)
+var (
+	_ dsys.RMW            = (*updateRMW)(nil)
+	_ dsys.JournalTrimmer = (*updateRMW)(nil)
+)
+
+// errTrimmedUpdate is the Apply response of an update that carries no full
+// replica and reaches lines 37-38. No writer builds such an update; it is the
+// journal form of one that did not need its replica, so meeting it there
+// means the log is being replayed onto a state other than the one it was
+// written against. The object is left untouched.
+var errTrimmedUpdate = errors.New("adaptive: update without a full replica reached the full-replica branch")
 
 // Apply implements dsys.RMW.
 func (u *updateRMW) Apply(state dsys.State) any {
@@ -118,7 +136,7 @@ func (u *updateRMW) Apply(state dsys.State) any {
 	}
 	resp := updateResp{}
 	switch {
-	case len(s.vp) < u.k:
+	case len(s.vp) < int(u.k):
 		// Lines 35-36: store the piece and drop pieces of writes older than
 		// the caller's storedTS (they are superseded).
 		kept := s.vp[:0]
@@ -132,12 +150,36 @@ func (u *updateRMW) Apply(state dsys.State) any {
 	case len(s.vf) == 0 || maxChunkTS(s.vf).Less(u.ts):
 		// Lines 37-38: Vp is full; store a full replica if Vf is empty or
 		// holds an older value.
+		if len(u.full) == 0 {
+			return errTrimmedUpdate
+		}
 		s.vf = register.CloneChunks(u.full)
+		u.tookFull = true
 		resp = updateResp{Stored: true, ToVp: false}
 	}
 	// Line 39: propagate the caller's storedTS.
 	s.storedTS = s.storedTS.Max(u.storedTS)
 	return resp
+}
+
+// JournalForm implements dsys.JournalTrimmer: unless Apply stored the full
+// replica it read nothing of it, so the same update without one makes the
+// same transition from the same state — every other branch is chosen by ts,
+// storedTS, len(Vp) and Vf's timestamp alone.
+func (u *updateRMW) JournalForm() dsys.RMW {
+	if u.tookFull || len(u.full) == 0 {
+		return u
+	}
+	t := u.trimmed()
+	return &t
+}
+
+// trimmed is u as a writer would have built it had there been no full replica
+// to send.
+func (u *updateRMW) trimmed() updateRMW {
+	t := *u
+	t.full, t.wire = nil, nil
+	return t
 }
 
 // Blocks implements dsys.RMW: the update carries the object's piece plus the
@@ -159,7 +201,10 @@ type seedUpdateRMW struct {
 	updateRMW
 }
 
-var _ dsys.RMW = (*seedUpdateRMW)(nil)
+var (
+	_ dsys.RMW            = (*seedUpdateRMW)(nil)
+	_ dsys.JournalTrimmer = (*seedUpdateRMW)(nil)
+)
 
 // Apply implements dsys.RMW.
 func (u *seedUpdateRMW) Apply(state dsys.State) any {
@@ -170,6 +215,15 @@ func (u *seedUpdateRMW) Apply(state dsys.State) any {
 		}
 	}
 	return u.updateRMW.Apply(state)
+}
+
+// JournalForm implements dsys.JournalTrimmer as updateRMW's does, keeping the
+// seed kind: the duplicate check above reads Vp and the piece only.
+func (u *seedUpdateRMW) JournalForm() dsys.RMW {
+	if u.tookFull || len(u.full) == 0 {
+		return u
+	}
+	return &seedUpdateRMW{u.trimmed()}
 }
 
 // updateResp reports what the update round did. The writer reads it to decide

@@ -13,6 +13,7 @@ import (
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/value"
+	"spacebounds/internal/wal"
 )
 
 // ownChunk builds a chunk of write (client, num) with a recognizable block.
@@ -37,6 +38,11 @@ func wire(build func(w *register.WireWriter)) []byte {
 // overwritten; the object's state (through its StateCodec) must not change.
 // The adaptive sequence fills Vp and then takes the Vf fallback, which stores
 // the update's `full` — the parameter that does alias the frame.
+//
+// Each object is journaled, and the journal frames every record in one buffer
+// it reuses: after each step that buffer is overwritten too (by a move record
+// longer than any step's), and at the end the log must replay to the state the
+// object is in — neither the object nor the log kept a view of the buffer.
 func TestAppliedStateOwnsItsBytes(t *testing.T) {
 	cfg := register.Config{F: 1, K: 2, DataLen: 96}
 	type step struct {
@@ -94,11 +100,22 @@ func TestAppliedStateOwnsItsBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		state := states[0]
-		_, last, err := register.EncodeState(state)
+		cluster := dsys.NewCluster(states[:1], dsys.WithLiveMode())
+		dir := t.TempDir()
+		journal, err := wal.Open(wal.Config{Dir: dir})
 		if err != nil {
-			t.Fatalf("%s: %v", p.name, err)
+			t.Fatal(err)
 		}
+		journal.Attach(cluster)
+		encoded := func(c *dsys.Cluster) (out []byte) {
+			t.Helper()
+			var err error
+			if rerr := c.ReadObjectState(0, func(s dsys.State) { _, out, err = register.EncodeState(s) }); rerr != nil || err != nil {
+				t.Fatalf("%s: %v %v", p.name, rerr, err)
+			}
+			return out
+		}
+		last := encoded(cluster)
 		for i, st := range p.steps {
 			covered[st.kind] = true
 			frame, err := dsys.Envelope{Op: dsys.OpID{Client: 1, Seq: i}, Kind: st.kind, Payload: st.payload}.MarshalBinary()
@@ -113,25 +130,45 @@ func TestAppliedStateOwnsItsBytes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s step %d: %v", st.kind, i, err)
 			}
-			rmw.Apply(state)
-			_, applied, err := register.EncodeState(state)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := cluster.ApplyOne(0, rmw); err != nil {
+				t.Fatalf("%s step %d: %v", st.kind, i, err)
 			}
+			applied := encoded(cluster)
 			if bytes.Equal(applied, last) {
 				t.Fatalf("%s step %d did not change the state: the step checks nothing", st.kind, i)
 			}
 			for j := range frame {
 				frame[j] = 0xEE
 			}
-			_, after, err := register.EncodeState(state)
-			if err != nil {
-				t.Fatal(err)
-			}
+			journal.RecordMove(1, bytes.Repeat([]byte{0xEE}, 1<<10))
+			after := encoded(cluster)
 			if !bytes.Equal(after, applied) {
-				t.Fatalf("%s step %d: overwriting the request frame changed the object's state", st.kind, i)
+				t.Fatalf("%s step %d: overwriting the request frame and the journal's changed the object's state", st.kind, i)
 			}
 			last = after
+		}
+		cluster.Close()
+		if err := journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := reg.InitialStates(value.Zero(c.DataLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := dsys.NewCluster(fresh[:1], dsys.WithLiveMode())
+		reopened, err := wal.Open(wal.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats, err := reopened.Replay(replayed); err != nil || stats.Applied != len(p.steps) {
+			t.Fatalf("%s: replaying the steps' log: %+v, %v", p.name, stats, err)
+		}
+		if !bytes.Equal(encoded(replayed), last) {
+			t.Fatalf("%s: the log replays to a different state than the steps left", p.name)
+		}
+		replayed.Close()
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, kind := range register.CodecKinds() {

@@ -224,6 +224,9 @@ func (s *Server) serve(body []byte) dsys.Response {
 			resp.Status = dsys.StatusObjectDown
 		case errors.Is(err, dsys.ErrHalted):
 			resp.Status = dsys.StatusHalted
+		case errors.Is(err, dsys.ErrJournalFailed):
+			resp.Status = dsys.StatusJournalFailed
+			resp.Detail = err.Error()
 		default:
 			resp.Status = dsys.StatusBadRequest
 			resp.Detail = err.Error()

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
+	"spacebounds/internal/storagecost"
 	"spacebounds/internal/transport"
 	"spacebounds/internal/value"
 
@@ -254,6 +256,58 @@ func TestRecoveryModeGatesTimestampQuery(t *testing.T) {
 		}
 		if len(payload) > 64 {
 			t.Fatalf("a timestamp answer of %d bytes", len(payload))
+		}
+	}
+}
+
+// brokenJournal is a journal whose disk may fail: from then on it refuses
+// every kind that is not read-only, as wal.Journal does.
+type brokenJournal struct{ broken atomic.Bool }
+
+func (j *brokenJournal) RecordApply(int, dsys.RMW)              {}
+func (j *brokenJournal) DurableBlocks() []storagecost.BlockInfo { return nil }
+func (j *brokenJournal) Refuses(rmw dsys.RMW) error {
+	if kind, _ := register.KindOf(rmw); !j.broken.Load() || register.KindReadOnly(kind) {
+		return nil
+	}
+	return errors.New("wal: fsync: input/output error")
+}
+
+// TestFailedJournalStatus: a node whose journal has failed answers updates
+// with the journal-failed status — which the client counts as no answer, under
+// dsys.ErrJournalFailed — and keeps serving reads of what it holds.
+func TestFailedJournalStatus(t *testing.T) {
+	backing, err := shard.New(abdSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	journal := &brokenJournal{}
+	backing.Cluster().SetJournal(journal)
+	_, addr := startServer(t, backing)
+	cli, err := transport.Dial([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	targets := []int{0, 1, 2}
+
+	if _, err := cli.InvokeRound(ctx, 1, targets, mkUpdateRMW(t), 3); err != nil {
+		t.Fatalf("update round on a healthy journal: %v", err)
+	}
+	journal.broken.Store(true)
+	resp, err := cli.InvokeRound(ctx, 1, targets, mkUpdateRMW(t), 2)
+	if !errors.Is(err, dsys.ErrQuorumUnavailable) || !strings.Contains(err.Error(), dsys.ErrJournalFailed.Error()) || len(resp) != 0 {
+		t.Fatalf("update round on a failed journal: %d answers, err = %v; want ErrQuorumUnavailable over ErrJournalFailed", len(resp), err)
+	}
+	resp, err = cli.InvokeRound(ctx, 1, targets, mkReadRMW(t), 3)
+	if err != nil {
+		t.Fatalf("read round on a failed journal: %v", err)
+	}
+	for obj, raw := range resp {
+		if c := raw.(register.Chunk); c.TS.Num != 3 {
+			t.Fatalf("object %d: TS.Num = %d, want the acknowledged update's 3", obj, c.TS.Num)
 		}
 	}
 }

@@ -77,17 +77,14 @@ func applyAdaptiveSchedule(t *testing.T, c *dsys.Cluster) {
 	}
 }
 
-// TestReplaysLogWrittenBeforePiecelessGC replays testdata/adaptive-pr18: the
-// journal directory the build before the timestamp-only query and the
-// piece-less GC wrote for applyAdaptiveSchedule (commit 723058a, made by
-// running this file's schedule there with a journal attached). The record
-// layouts did not change, so the log replays into the very state the
-// schedule produces when applied directly.
-func TestReplaysLogWrittenBeforePiecelessGC(t *testing.T) {
+// copyFixture copies testdata/<name> into a fresh directory a journal may
+// write to.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	fixture, err := filepath.Glob(filepath.Join("testdata", "adaptive-pr18", "*"))
+	fixture, err := filepath.Glob(filepath.Join("testdata", name, "*"))
 	if err != nil || len(fixture) == 0 {
-		t.Fatalf("fixture missing: %v", err)
+		t.Fatalf("fixture %s missing: %v", name, err)
 	}
 	for _, path := range fixture {
 		b, err := os.ReadFile(path)
@@ -98,9 +95,17 @@ func TestReplaysLogWrittenBeforePiecelessGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// replaysToTheSchedule replays a fixture of applyAdaptiveSchedule's five
+// records and requires the very state the schedule leaves when applied
+// directly.
+func replaysToTheSchedule(t *testing.T, fixture string) {
+	t.Helper()
 	replayed := adaptiveCluster(t)
 	defer replayed.Close()
-	j, err := wal.Open(wal.Config{Dir: dir})
+	j, err := wal.Open(wal.Config{Dir: copyFixture(t, fixture)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,35 +117,44 @@ func TestReplaysLogWrittenBeforePiecelessGC(t *testing.T) {
 	if stats.Applied != 5 || j.SkippedUnknownRMWs() != 0 {
 		t.Fatalf("replay applied %d of the fixture's 5 records: %+v", stats.Applied, stats)
 	}
-
 	direct := adaptiveCluster(t)
 	defer direct.Close()
 	applyAdaptiveSchedule(t, direct)
-	encoded := func(c *dsys.Cluster) (out []byte) {
-		if err := c.ReadObjectState(0, func(s dsys.State) {
-			if _, out, err = register.EncodeState(s); err != nil {
-				t.Fatal(err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	if !bytes.Equal(encoded(replayed), encoded(direct)) {
+	if !bytes.Equal(encodedObject(t, replayed, 0), encodedObject(t, direct, 0)) {
 		t.Fatal("the replayed log and the schedule applied directly leave object 0 in different states")
 	}
+}
 
-	// And the log this build writes for the same schedule is the same bytes.
+// TestReplaysLogWrittenBeforePiecelessGC replays testdata/adaptive-pr18: the
+// journal directory the build before the timestamp-only query and the
+// piece-less GC wrote for applyAdaptiveSchedule (commit 723058a, made by
+// running this file's schedule there with a journal attached). Every update
+// record in it holds its full replica, as all did before update records were
+// trimmed; the record layout is the same, so the log replays into the very
+// state the schedule produces when applied directly.
+func TestReplaysLogWrittenBeforePiecelessGC(t *testing.T) {
+	replaysToTheSchedule(t, "adaptive-pr18")
+}
+
+// TestWritesAndReplaysTrimmedLog pins what this build journals for
+// applyAdaptiveSchedule, testdata/adaptive-pr21 (made by this test's own
+// steps at the commit that introduced trimmed update records): the update
+// into Vp and the seed update without their full replicas, the update into Vf
+// whole, the two GCs as ever. It replays to the same state as the whole
+// records of adaptive-pr18 do.
+func TestWritesAndReplaysTrimmedLog(t *testing.T) {
+	replaysToTheSchedule(t, "adaptive-pr21")
+
 	fresh := t.TempDir()
-	j2, err := wal.Open(wal.Config{Dir: fresh})
+	j, err := wal.Open(wal.Config{Dir: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
 	journaled := adaptiveCluster(t)
-	j2.Attach(journaled)
+	j.Attach(journaled)
 	applyAdaptiveSchedule(t, journaled)
 	journaled.Close()
-	if err := j2.Close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, seg := range findSegments(t, fresh) {
@@ -148,9 +162,17 @@ func TestReplaysLogWrittenBeforePiecelessGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("testdata", "adaptive-pr18", filepath.Base(seg)))
+		want, err := os.ReadFile(filepath.Join("testdata", "adaptive-pr21", filepath.Base(seg)))
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: this build's log differs from the fixture's (%v)", filepath.Base(seg), err)
+			t.Fatalf("%s: this build's log (%d bytes) differs from the fixture's (%d bytes, %v)", filepath.Base(seg), len(got), len(want), err)
+		}
+		whole, err := os.ReadFile(filepath.Join("testdata", "adaptive-pr18", filepath.Base(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two of the three update records lose a replica of two chunks each.
+		if saved, want := len(whole)-len(got), 2*2*register.ChunkWireSize(register.Chunk{Block: erasure.Block{Data: make([]byte, 16)}}); saved != want {
+			t.Fatalf("trimming saved %d bytes of the whole-record log's %d, want %d", saved, len(whole), want)
 		}
 	}
 }

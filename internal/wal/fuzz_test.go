@@ -17,48 +17,37 @@ import (
 func buildSeedSegment(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
+	n, _ := openNode(f, dir, wal.Config{})
+	n.write(f, 1, "seed-a")
+	n.write(f, 1, "seed-b")
+	n.j.RecordMove(1, []byte("seed-move"))
+	n.c.Close()
+	if err := n.j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return readSegment(f, dir)
+}
+
+// buildFaultedSegment produces the segment a journal leaves behind when the
+// disk fails under it mid-write (see failedNode).
+func buildFaultedSegment(f *testing.F, fault diskFault) []byte {
+	f.Helper()
+	dir := f.TempDir()
+	n := failedNode(f, dir, fault)
+	n.c.Close()
+	if err := n.j.Close(); err == nil {
+		f.Fatal("Close of a failed journal reported no error")
+	}
+	return readSegment(f, dir)
+}
+
+func readSegment(f *testing.F, dir string) []byte {
+	f.Helper()
+	raw, err := os.ReadFile(findSegments(f, dir)[0])
 	if err != nil {
 		f.Fatal(err)
 	}
-	states, err := reg.InitialStates(value.Zero(dataLen))
-	if err != nil {
-		f.Fatal(err)
-	}
-	c := dsys.NewCluster(states, dsys.WithLiveMode())
-	j, err := wal.Open(wal.Config{Dir: dir})
-	if err != nil {
-		f.Fatal(err)
-	}
-	j.Attach(c)
-	for _, s := range []string{"seed-a", "seed-b"} {
-		v := value.FromString(s, dataLen)
-		if err := c.RunScoped(1, 0, c.N(), func(h *dsys.ClientHandle) error {
-			return reg.Write(h, v)
-		}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	j.RecordMove(1, []byte("seed-move"))
-	c.Close()
-	if err := j.Close(); err != nil {
-		f.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".log" {
-			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				f.Fatal(err)
-			}
-			return raw
-		}
-	}
-	f.Fatal("no segment produced")
-	return nil
+	return raw
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the journal as a segment file and as
@@ -76,6 +65,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 200}, false)
 	f.Add(seed, true)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, true)
+	// What a short write, a full disk and a failing fsync leave on disk: each
+	// must still replay as a prefix.
+	for _, fault := range []diskFault{shortWrite, noSpace, fsyncFails} {
+		f.Add(buildFaultedSegment(f, fault), false)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, asSnapshot bool) {
 		dir := t.TempDir()

@@ -54,7 +54,7 @@ func (j *Journal) SetMetrics(reg *metrics.Registry) {
 		return
 	}
 	j.met.Store(&walMetrics{
-		appendSec: reg.Histogram(metricAppendSeconds, "WAL append latency (encode, frame, write, policy fsync)", metrics.LatencyBuckets()),
+		appendSec: reg.Histogram(metricAppendSeconds, "WAL append latency (frame, write, policy fsync)", metrics.LatencyBuckets()),
 		fsyncSec:  reg.Histogram(metricFsyncSeconds, "WAL fsync latency", metrics.LatencyBuckets()),
 		replaySec: reg.Histogram(metricReplaySeconds, "WAL recovery replay duration", metrics.LatencyBuckets()),
 		appends:   reg.Counter(metricAppendsTotal, "records appended to the WAL"),

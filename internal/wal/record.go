@@ -57,19 +57,21 @@ type record struct {
 	payload []byte // recApply: envelope bytes; recMove: encoded MoveState
 }
 
-// encodeFrame frames a record for appending. The record's seq must be set.
-func encodeFrame(r record) []byte {
-	body := make([]byte, 0, bodyHeader+8+len(r.payload))
-	body = append(body, r.typ)
-	body = binary.BigEndian.AppendUint64(body, r.seq)
-	if r.typ == recMove {
-		body = binary.BigEndian.AppendUint64(body, uint64(r.moveID))
-	}
-	body = append(body, r.payload...)
-	frame := make([]byte, 0, frameHeader+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+// beginFrame starts a record's frame in buf's memory, growing it if it must:
+// room for the frame header, then the body's type and sequence number. The
+// caller appends the type-specific rest of the body and calls sealFrame.
+func beginFrame(buf []byte, typ byte, seq uint64) []byte {
+	b := append(buf[:0], make([]byte, frameHeader)...)
+	b = append(b, typ)
+	return binary.BigEndian.AppendUint64(b, seq)
+}
+
+// sealFrame fills in the header of a frame begun by beginFrame, now that its
+// body is complete: the body's length and its checksum.
+func sealFrame(frame []byte) {
+	body := frame[frameHeader:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
 }
 
 // decodeBody parses a checksum-verified record body.

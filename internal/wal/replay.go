@@ -130,7 +130,7 @@ func (j *Journal) replaySegment(c *dsys.Cluster, path string, active bool, bound
 		return nil
 	})
 	if err != nil && !(active && errors.Is(err, ErrCorrupt)) {
-		return fmt.Errorf("wal: replay %s: %v", path, err)
+		return fmt.Errorf("wal: replay %s: %w", path, err)
 	}
 	return nil
 }
@@ -233,7 +233,7 @@ func (j *Journal) replayObjectSegment(c *dsys.Cluster, path string, active bool,
 	// everything for the crashed object was fsynced before the scan started,
 	// so stopping at the first torn frame loses nothing of it.
 	if err != nil && !(active && errors.Is(err, ErrCorrupt)) {
-		return fmt.Errorf("wal: replay %s: %v", path, err)
+		return fmt.Errorf("wal: replay %s: %w", path, err)
 	}
 	return nil
 }

@@ -253,7 +253,8 @@ func (j *Journal) snapshotOnce() error {
 		j.jmu.Unlock()
 		return err
 	}
-	j.segments = j.segments[len(j.segments)-1:] // keep only the new active
+	j.segments = j.segments[len(j.segments)-1:] // keep only the new active,
+	j.logTotal = 0                              // which is empty
 	moves := make(map[int][]byte, len(j.moves))
 	for id, p := range j.moves {
 		moves[id] = append([]byte(nil), p...)
@@ -326,7 +327,7 @@ func (j *Journal) snapshotOnce() error {
 	j.snapBytes[ledgerID] = int64(len(raw)) - objBytes
 	m := j.met.Load()
 	if m != nil {
-		m.logBytes.Set(j.logBytesLocked())
+		m.logBytes.Set(j.logTotal)
 		m.snapBytes.Set(j.snapBytesLocked())
 	}
 	j.jmu.Unlock()

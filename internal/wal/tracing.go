@@ -26,23 +26,7 @@ func (j *Journal) RecordApplyTraced(object int, rmw dsys.RMW, tc trace.Context) 
 		j.RecordApply(object, rmw)
 		return
 	}
-	payload, ok := j.encodeApply(object, rmw)
-	if !ok {
-		return
-	}
-	m := j.met.Load()
-	start := m.now()
-	sp := tr.Start(tc, trace.StageWALAppend)
-	j.jmu.Lock()
-	j.traceTR, j.traceTC = tr, sp.Context()
-	j.appendLocked(record{typ: recApply, object: object, payload: payload})
-	j.traceTR, j.traceTC = nil, trace.Context{}
-	j.jmu.Unlock()
-	sp.Done()
-	if m != nil {
-		m.appendSec.ObserveSince(start)
-		m.appends.Inc()
-	}
+	j.recordApply(object, rmw, tr, tc)
 }
 
 // compile-time check: the journal satisfies the traced-journal upgrade, so

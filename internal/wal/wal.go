@@ -18,6 +18,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,6 +63,20 @@ type segment struct {
 	bytes    map[int]int64
 }
 
+// segmentFile is what the journal does to the active segment once it is open:
+// *os.File in every build, and the seam through which tests make the disk
+// fail (see export_test.go).
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// maxKeptFrame caps the frame buffer the journal keeps between appends: a
+// record that needed more is framed in a buffer of its own and the journal
+// goes back to a small one, so one large value never pins its size for good.
+const maxKeptFrame = 1 << 20
+
 // Journal is one node's write-ahead log plus snapshot state. It is safe for
 // concurrent use; appends serialize on an internal mutex that is always
 // innermost (RecordApply runs under an object's apply lock).
@@ -75,8 +90,11 @@ type Journal struct {
 	// an object's apply lock (liveMu or the controlled-mode cluster lock)
 	// may be held when jmu is taken, never the reverse.
 	jmu          sync.Mutex
-	f            *os.File
-	segments     []*segment // ascending firstSeq; last is the active file
+	f            segmentFile
+	wrapFile     func(segmentFile) segmentFile // tests only; nil otherwise
+	frame        []byte                        // the record being appended; reused, see maxKeptFrame
+	segments     []*segment                    // ascending firstSeq; last is the active file
+	logTotal     int64                         // sum of every segment's bytes
 	nextSeq      uint64
 	lastSeq      map[int]uint64 // per object, seq of its latest log record
 	moves        map[int][]byte // latest encoded move-ledger record per ID
@@ -88,6 +106,10 @@ type Journal struct {
 	unknownRMWs  int            // mutating RMWs skipped for lack of a codec
 	err          error          // first write error, latched
 	closed       bool
+
+	// failed mirrors err != nil for Refuses, which every apply calls and which
+	// must not queue behind an append for jmu.
+	failed atomic.Bool
 
 	// snapMu serializes snapshots and whole-journal replays against each
 	// other. It is outermost: never taken while holding jmu or a cluster
@@ -246,11 +268,13 @@ func (j *Journal) noteRecord(seg *segment, r record, frameLen int) {
 	switch r.typ {
 	case recApply:
 		seg.bytes[r.object] += int64(frameLen)
+		j.logTotal += int64(frameLen)
 		if r.seq > j.lastSeq[r.object] {
 			j.lastSeq[r.object] = r.seq
 		}
 	case recMove:
 		seg.bytes[ledgerID] += int64(frameLen)
+		j.logTotal += int64(frameLen)
 		j.moves[r.moveID] = append([]byte(nil), r.payload...)
 	}
 }
@@ -269,6 +293,9 @@ func (j *Journal) newSegmentLocked() error {
 		return err
 	}
 	j.f = f
+	if j.wrapFile != nil {
+		j.f = j.wrapFile(f)
+	}
 	j.segments = append(j.segments, &segment{path: path, firstSeq: j.nextSeq, bytes: make(map[int]int64)})
 	return nil
 }
@@ -278,46 +305,63 @@ func (j *Journal) newSegmentLocked() error {
 // match the apply order per object. Read-only RMWs are skipped — they carry
 // no state change to replay.
 func (j *Journal) RecordApply(object int, rmw dsys.RMW) {
-	payload, ok := j.encodeApply(object, rmw)
+	j.recordApply(object, rmw, nil, trace.Context{})
+}
+
+// recordApply journals one applied RMW; with a tracer, under a StageWALAppend
+// span parented at tc.
+func (j *Journal) recordApply(object int, rmw dsys.RMW, tr *trace.Tracer, tc trace.Context) {
+	env, ok := j.encodeApply(object, rmw)
 	if !ok {
 		return
 	}
 	m := j.met.Load()
 	start := m.now()
+	var sp trace.Pending
+	if tr != nil {
+		sp = tr.Start(tc, trace.StageWALAppend)
+	}
 	j.jmu.Lock()
-	j.appendLocked(record{typ: recApply, object: object, payload: payload})
+	if tr != nil {
+		j.traceTR, j.traceTC = tr, sp.Context()
+	}
+	j.appendApplyLocked(env)
+	j.traceTR, j.traceTC = nil, trace.Context{}
 	j.jmu.Unlock()
+	sp.Done()
 	if m != nil {
 		m.appendSec.ObserveSince(start)
 		m.appends.Inc()
 	}
 }
 
-// encodeApply encodes one applied RMW into its journal payload, reporting
+// encodeApply builds the envelope an applied RMW is journaled as, reporting
 // false (and accounting or latching as appropriate) when there is nothing to
-// journal: unknown codec, read-only kind, or an encode failure.
-func (j *Journal) encodeApply(object int, rmw dsys.RMW) ([]byte, bool) {
+// journal: unknown codec, read-only kind, or an encode failure. An RMW that
+// offers a trimmed form of itself (dsys.JournalTrimmer) is journaled as that:
+// Apply has just run under the lock the caller still holds, so the RMW knows
+// which of its parameters the transition read, and replay starts from the
+// same state. The codec still encodes exactly the RMW it is handed.
+func (j *Journal) encodeApply(object int, rmw dsys.RMW) (dsys.Envelope, bool) {
 	kind, ok := register.KindOf(rmw)
 	if !ok {
 		j.jmu.Lock()
 		j.unknownRMWs++
 		j.jmu.Unlock()
-		return nil, false
+		return dsys.Envelope{}, false
 	}
 	if register.KindReadOnly(kind) {
-		return nil, false
+		return dsys.Envelope{}, false
+	}
+	if t, ok := rmw.(dsys.JournalTrimmer); ok {
+		rmw = t.JournalForm()
 	}
 	env, err := register.EncodeEnvelope(dsys.OpID{}, object, rmw)
 	if err != nil {
 		j.latch(err)
-		return nil, false
+		return dsys.Envelope{}, false
 	}
-	payload, err := env.MarshalBinary()
-	if err != nil {
-		j.latch(err)
-		return nil, false
-	}
-	return payload, true
+	return env, true
 }
 
 // RecordMove implements reconfig.MoveJournal: journal one move-ledger
@@ -329,7 +373,10 @@ func (j *Journal) RecordMove(id int, encoded []byte) {
 	start := m.now()
 	j.jmu.Lock()
 	j.moves[id] = append([]byte(nil), encoded...)
-	j.appendLocked(record{typ: recMove, moveID: id, payload: encoded})
+	if j.writable() {
+		b := binary.BigEndian.AppendUint64(beginFrame(j.frame, recMove, j.nextSeq), uint64(id))
+		j.writeFrameLocked(append(b, encoded...), ledgerID)
+	}
 	j.jmu.Unlock()
 	if m != nil {
 		m.appendSec.ObserveSince(start)
@@ -337,29 +384,51 @@ func (j *Journal) RecordMove(id int, encoded []byte) {
 	}
 }
 
-// appendLocked frames, writes, and — per the sync policy — fsyncs one
-// record. Caller holds jmu. Errors latch: the journal keeps accepting calls
-// but writes nothing more, and Err reports the first failure.
-func (j *Journal) appendLocked(r record) {
-	if j.err != nil || j.closed {
+// appendApplyLocked frames and writes one apply record. Caller holds jmu.
+func (j *Journal) appendApplyLocked(env dsys.Envelope) {
+	if !j.writable() {
 		return
 	}
-	r.seq = j.nextSeq
+	b, err := env.AppendBinary(beginFrame(j.frame, recApply, j.nextSeq))
+	if err != nil {
+		j.failLocked(fmt.Errorf("wal: append: %v", err))
+		return
+	}
+	j.writeFrameLocked(b, env.Object)
+}
+
+// writable reports whether appends still reach the disk. Errors latch: the
+// journal keeps accepting calls but writes nothing more, Err reports the first
+// failure and Refuses turns it into refused applies. Caller holds jmu.
+func (j *Journal) writable() bool { return j.err == nil && !j.closed }
+
+// writeFrameLocked finishes the frame begun at the journal's next sequence
+// number — b, built in the journal's frame buffer by one pass over the
+// record — and hands it to the active segment in one Write, then charges its
+// bytes to chargeTo (a base object, or ledgerID for a move record) and — per
+// the sync policy — fsyncs. Caller holds jmu and has checked writable.
+func (j *Journal) writeFrameLocked(b []byte, chargeTo int) {
+	seq := j.nextSeq
 	j.nextSeq++
-	frame := encodeFrame(r)
-	if _, err := j.f.Write(frame); err != nil {
-		j.err = fmt.Errorf("wal: append: %v", err)
+	sealFrame(b)
+	_, err := j.f.Write(b)
+	if cap(b) <= maxKeptFrame {
+		j.frame = b[:0]
+	} else {
+		j.frame = nil
+	}
+	if err != nil {
+		j.failLocked(fmt.Errorf("wal: append: %v", err))
 		return
 	}
 	seg := j.segments[len(j.segments)-1]
-	if r.typ == recMove {
-		seg.bytes[ledgerID] += int64(len(frame))
-	} else {
-		seg.bytes[r.object] += int64(len(frame))
-		j.lastSeq[r.object] = r.seq
+	seg.bytes[chargeTo] += int64(len(b))
+	j.logTotal += int64(len(b))
+	if chargeTo != ledgerID {
+		j.lastSeq[chargeTo] = seq
 	}
 	if m := j.met.Load(); m != nil {
-		m.logBytes.Set(j.logBytesLocked())
+		m.logBytes.Set(j.logTotal)
 	}
 	j.sinceSync++
 	if j.sinceSync >= j.cfg.SyncEvery {
@@ -391,7 +460,7 @@ func (j *Journal) syncLocked() {
 		fsp = j.traceTR.Start(j.traceTC, trace.StageWALFsync)
 	}
 	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("wal: fsync: %v", err)
+		j.failLocked(fmt.Errorf("wal: fsync: %v", err))
 		return
 	}
 	fsp.Done()
@@ -414,18 +483,40 @@ func (j *Journal) Sync() error {
 // latch records the journal's first error.
 func (j *Journal) latch(err error) {
 	j.jmu.Lock()
-	if j.err == nil {
-		j.err = err
-	}
+	j.failLocked(err)
 	j.jmu.Unlock()
 }
 
-// Err returns the journal's first write error, if any. A store should treat
-// a non-nil Err as loss of the durability guarantee, not of availability.
+// failLocked is latch for a caller that holds jmu.
+func (j *Journal) failLocked(err error) {
+	if j.err == nil {
+		j.err = err
+		j.failed.Store(true)
+	}
+}
+
+// Err returns the journal's first error, if any. From then on nothing more is
+// written and the node is fail-stop for durability: see Refuses.
 func (j *Journal) Err() error {
 	j.jmu.Lock()
 	defer j.jmu.Unlock()
 	return j.err
+}
+
+var _ dsys.FailStopJournal = (*Journal)(nil)
+
+// Refuses implements dsys.FailStopJournal: once an error has latched, every
+// RMW the journal would have had to record is refused with it, so the node
+// stops acknowledging what it cannot make durable. Read-only kinds, which are
+// never recorded, are not refused: the node's reads keep working.
+func (j *Journal) Refuses(rmw dsys.RMW) error {
+	if !j.failed.Load() {
+		return nil
+	}
+	if kind, ok := register.KindOf(rmw); ok && register.KindReadOnly(kind) {
+		return nil
+	}
+	return j.Err()
 }
 
 // SkippedUnknownRMWs counts mutating RMWs that could not be journaled for
@@ -464,22 +555,11 @@ func (j *Journal) Close() error {
 	j.syncLocked()
 	j.closed = true
 	if j.f != nil {
-		if err := j.f.Close(); err != nil && j.err == nil {
-			j.err = fmt.Errorf("wal: close: %v", err)
+		if err := j.f.Close(); err != nil {
+			j.failLocked(fmt.Errorf("wal: close: %v", err))
 		}
 	}
 	return j.err
-}
-
-// logBytesLocked sums segment bytes. Caller holds jmu.
-func (j *Journal) logBytesLocked() int64 {
-	var total int64
-	for _, seg := range j.segments {
-		for _, b := range seg.bytes {
-			total += b
-		}
-	}
-	return total
 }
 
 // snapBytesLocked sums snapshot bytes. Caller holds jmu.
@@ -495,7 +575,7 @@ func (j *Journal) snapBytesLocked() int64 {
 func (j *Journal) LogBytes() int64 {
 	j.jmu.Lock()
 	defer j.jmu.Unlock()
-	return j.logBytesLocked()
+	return j.logTotal
 }
 
 // SnapshotBytes returns the journal's current snapshot footprint in bytes.

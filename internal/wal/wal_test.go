@@ -26,7 +26,7 @@ type node struct {
 // openNode builds a fresh cluster from initial states, replays the journal
 // directory into it, and attaches the journal — the full recovery path a
 // restarting process runs.
-func openNode(t *testing.T, dir string, cfg wal.Config) (*node, wal.ReplayStats) {
+func openNode(t testing.TB, dir string, cfg wal.Config) (*node, wal.ReplayStats) {
 	t.Helper()
 	reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
 	if err != nil {
@@ -58,7 +58,7 @@ func (n *node) close(t *testing.T) {
 	}
 }
 
-func (n *node) write(t *testing.T, client int, s string) {
+func (n *node) write(t testing.TB, client int, s string) {
 	t.Helper()
 	v := value.FromString(s, dataLen)
 	if err := n.c.RunScoped(client, 0, n.c.N(), func(h *dsys.ClientHandle) error {
@@ -341,13 +341,32 @@ func TestMoveRecordsKeepLatest(t *testing.T) {
 func TestDurableBlocksSummationExact(t *testing.T) {
 	dir := t.TempDir()
 	n, _ := openNode(t, dir, wal.Config{})
-	defer n.close(t)
+	defer func() { n.close(t) }()
+	// The journal keeps a running total of its log bytes; it must equal the
+	// sum over segments and objects wherever it can change: after appends,
+	// after a rotation, after a snapshot is adopted and after a reopen.
+	runningTotalExact := func(when string) {
+		t.Helper()
+		if got, want := n.j.LogBytes(), n.j.RecomputedLogBytes(); got != want {
+			t.Fatalf("%s: running log total %d, per-object sum %d", when, got, want)
+		}
+	}
 	n.write(t, 1, "blocks")
 	n.j.RecordMove(7, []byte("ledger-entry"))
+	runningTotalExact("after appends")
 	if err := n.j.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	runningTotalExact("after the snapshot")
 	n.write(t, 1, "more")
+	runningTotalExact("after the rotation's first appends")
+	logBefore := n.j.LogBytes()
+	n.close(t)
+	n, _ = openNode(t, dir, wal.Config{})
+	runningTotalExact("after reopening")
+	if got := n.j.LogBytes(); got != logBefore || got == 0 {
+		t.Fatalf("reopened journal counts %d log bytes, the one that wrote them %d", got, logBefore)
+	}
 
 	var logBits, snapBits int64
 	for _, b := range n.j.DurableBlocks() {
@@ -409,7 +428,7 @@ func TestBackgroundSnapshotFires(t *testing.T) {
 	}
 }
 
-func findSegments(t *testing.T, dir string) []string {
+func findSegments(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
