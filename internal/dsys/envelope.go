@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Envelope is the wire form of one triggered RMW: the high-level operation it
@@ -203,6 +205,43 @@ func (e Envelope) MarshalBinary() ([]byte, error) {
 	return e.AppendBinary(make([]byte, 0, 32+len(e.Kind)+len(e.Payload)+len(e.Shared)))
 }
 
+// wireKinds holds the kind names this process can decode, each mapped to
+// itself, so that UnmarshalEnvelope hands out the registered string instead of
+// allocating a copy per envelope. It is filled at start-up by RegisterKind and
+// replaced whole on each registration, so decoding reads it without a lock.
+var (
+	wireKindsMu sync.Mutex
+	wireKinds   atomic.Pointer[map[string]string]
+)
+
+// RegisterKind records an RMW kind name for UnmarshalEnvelope to resolve
+// without allocating. The codec registry in internal/register calls it for
+// every kind it installs; nothing decoded from the wire ever reaches the
+// table, so hostile input cannot grow it.
+func RegisterKind(kind string) {
+	wireKindsMu.Lock()
+	defer wireKindsMu.Unlock()
+	next := map[string]string{kind: kind}
+	if cur := wireKinds.Load(); cur != nil {
+		for k := range *cur {
+			next[k] = k
+		}
+	}
+	wireKinds.Store(&next)
+}
+
+// wireKind returns the kind named by b: the registered string when there is
+// one, otherwise a fresh copy — which no codec will accept, so the envelope
+// ends in StatusBadRequest like any unknown kind.
+func wireKind(b []byte) string {
+	if kinds := wireKinds.Load(); kinds != nil {
+		if k, ok := (*kinds)[string(b)]; ok { // a lookup keyed by string(b) does not allocate
+			return k
+		}
+	}
+	return string(b)
+}
+
 // UnmarshalEnvelope decodes an envelope, rejecting trailing bytes. Both wire
 // versions are accepted: a version-1 (pre-trace) envelope decodes with an
 // empty trace context rather than an error.
@@ -215,7 +254,7 @@ func UnmarshalEnvelope(b []byte) (Envelope, error) {
 	}
 	e.Op = cur.opID()
 	e.Object = int(cur.u64())
-	e.Kind = string(cur.bytes16())
+	e.Kind = wireKind(cur.bytes16())
 	e.Payload = cur.bytes32()
 	if v == envelopeVersionV2 {
 		e.Trace = cur.u64()

@@ -168,3 +168,54 @@ func TestStatusStringAndErr(t *testing.T) {
 		t.Fatalf("unknown status err = %v, want ErrRemote", err)
 	}
 }
+
+// TestRegisteredKindDecodesWithoutAllocating: an envelope of a registered kind
+// decodes to the registered string and allocates nothing; an unregistered kind
+// still decodes, to a copy.
+func TestRegisteredKindDecodesWithoutAllocating(t *testing.T) {
+	const kind = "dsys-test.registered"
+	RegisterKind(kind)
+	RegisterKind(kind) // registration is idempotent
+	wire, err := Envelope{Op: OpID{Client: 1}, Object: 2, Kind: kind, Payload: []byte{1, 2, 3}}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Envelope
+	if n := testing.AllocsPerRun(1000, func() { got, err = UnmarshalEnvelope(wire) }); n != 0 {
+		t.Errorf("decoding a registered kind allocates %.0f times, want 0", n)
+	}
+	if err != nil || got.Kind != kind {
+		t.Fatalf("decoded kind %q, err %v", got.Kind, err)
+	}
+
+	wire, err = Envelope{Kind: "dsys-test.unregistered"}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = UnmarshalEnvelope(wire); err != nil || got.Kind != "dsys-test.unregistered" {
+		t.Fatalf("decoded kind %q, err %v", got.Kind, err)
+	}
+}
+
+// TestHostileKindsDoNotGrowTheKindTable: only RegisterKind adds to the table,
+// so a million envelopes naming a million kinds leave it as it was.
+func TestHostileKindsDoNotGrowTheKindTable(t *testing.T) {
+	RegisterKind("dsys-test.registered")
+	before := len(*wireKinds.Load())
+	wire, err := Envelope{Kind: "hostile-0000000"}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digits := wire[bytes.Index(wire, []byte("0000000")):][:7]
+	for i := 0; i < 1_000_000; i++ {
+		for d, n := len(digits)-1, i; d >= 0; d, n = d-1, n/10 {
+			digits[d] = byte('0' + n%10)
+		}
+		if _, err := UnmarshalEnvelope(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := len(*wireKinds.Load()); after != before {
+		t.Fatalf("the kind table grew from %d to %d entries", before, after)
+	}
+}

@@ -76,6 +76,7 @@ func RegisterCodec(c Codec, prototype dsys.RMW) {
 	}
 	codecByKind[c.Kind] = c
 	codecByType[t] = c
+	dsys.RegisterKind(c.Kind)
 }
 
 // CodecKinds returns the registered RMW kind names, sorted.

@@ -25,6 +25,17 @@ func TestCodecRegistryLookups(t *testing.T) {
 			t.Fatalf("CodecByKind(%q) = (%+v, %v)", kind, c, ok)
 		}
 	}
+	// Every registered kind is known to the envelope decoder, which then
+	// resolves it without allocating a string per envelope.
+	for _, kind := range kinds {
+		wire, err := dsys.Envelope{Kind: kind}.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = dsys.UnmarshalEnvelope(wire) }); n != 0 {
+			t.Errorf("decoding an envelope of kind %q allocates %.0f times, want 0", kind, n)
+		}
+	}
 	// Exactly the four provider read rounds and the adaptive write's
 	// timestamp query are read-only: that's the set a recovering node refuses
 	// before repair.

@@ -94,27 +94,33 @@ func (b *Batcher) Stats() BatcherStats {
 	return BatcherStats{Writes: w, Reads: r, WriteRounds: wr, ReadRounds: rr}
 }
 
-// batchResp carries a shared round's outcome to one member.
+// batchResp carries a shared round's outcome to one member — or, with lead
+// set, no outcome at all: the receiver's request is now the lane's oldest and
+// its owner runs the next round.
 type batchResp struct {
-	v   value.Value
-	err error
+	v    value.Value
+	err  error
+	lead bool
 }
 
 // batchReq is one member operation waiting for a shared round.
 type batchReq struct {
-	v    value.Value // payload for writes; unused for reads
-	done chan batchResp
-	enq  time.Time     // enqueue instant; zero unless metrics are attached
-	tc   trace.Context // the member operation's trace context
-	tenq time.Time     // enqueue instant for tracing; zero unless tc is sampled
+	v    value.Value    // payload for writes; unused for reads
+	wake chan batchResp // nil for a caller that led from an idle lane: it never waits
+	enq  time.Time      // enqueue instant; zero unless metrics are attached
+	tc   trace.Context  // the member operation's trace context
+	tenq time.Time      // enqueue instant for tracing; zero unless tc is sampled
 }
 
 // lane is one direction (writes or reads) of a shard's batcher.
 type lane struct {
 	mu      sync.Mutex
-	pending []*batchReq
-	running bool
-	client  int // client ID of the lane's physical rounds
+	pending []batchReq
+	// led is set while some caller holds the lead: from the moment a caller
+	// finds the lane idle until a leader finds nothing pending after its
+	// round. An idle lane has nothing pending.
+	led    bool
+	client int // client ID of the lane's physical rounds
 
 	// full wakes a leader idling in its MaxDelay accumulation window as soon
 	// as the pending batch reaches MaxSize (capacity 1, non-blocking sends).
@@ -152,10 +158,13 @@ func (b *Batcher) readTraced(tc trace.Context) (value.Value, error) {
 	return resp.v, resp.err
 }
 
-// submit enqueues a request on the lane, electing a leader goroutine if none
-// is running, and waits for the response.
+// submit enqueues a request on the lane and returns its shared round's
+// outcome. Nobody works on the caller's behalf: a caller that finds the lane
+// idle leads — it runs the round carrying its request on its own goroutine —
+// and a caller that finds a leader at work waits to be answered by a round,
+// or to be handed the lead once its request is the oldest still waiting.
 func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
-	req := &batchReq{v: v, done: make(chan batchResp, 1), tc: tc}
+	req := batchReq{v: v, tc: tc}
 	if b.met.Load() != nil {
 		req.enq = time.Now()
 	}
@@ -163,121 +172,138 @@ func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
 		req.tenq = time.Now()
 	}
 	l.mu.Lock()
-	l.pending = append(l.pending, req)
-	if !l.running {
-		l.running = true
-		go b.runLane(l)
-	} else if len(l.pending) >= b.cfg.MaxSize {
-		select {
-		case l.full <- struct{}{}:
-		default:
+	if l.led {
+		req.wake = make(chan batchResp, 1)
+		l.pending = append(l.pending, req)
+		if len(l.pending) >= b.cfg.MaxSize {
+			select {
+			case l.full <- struct{}{}:
+			default:
+			}
 		}
+		l.mu.Unlock()
+		resp := <-req.wake
+		if !resp.lead {
+			return resp
+		}
+		l.mu.Lock()
+	} else {
+		l.led = true
+		l.pending = append(l.pending, req)
 	}
-	l.mu.Unlock()
-	return <-req.done
+	return b.leadRound(l)
 }
 
-// runLane is the lane's leader loop: it repeatedly takes up to MaxSize
-// pending requests, performs one physical quorum round on their behalf, and
-// answers them, exiting when the lane drains. Requests that arrive while a
-// round is in flight go into the next round — never the current one — which
-// is what keeps every member's interval containing its round.
-func (b *Batcher) runLane(l *lane) {
-	for {
-		l.mu.Lock()
-		if len(l.pending) == 0 {
-			l.running = false
-			l.mu.Unlock()
-			return
-		}
-		if b.cfg.MaxDelay > 0 && len(l.pending) < b.cfg.MaxSize {
-			// Idle-window accumulation: give companions MaxDelay to arrive,
-			// but dispatch immediately if the batch fills meanwhile.
-			l.mu.Unlock()
-			timer := time.NewTimer(b.cfg.MaxDelay)
-			select {
-			case <-l.full:
-			case <-timer.C:
-			}
-			timer.Stop()
-			l.mu.Lock()
-		}
-		n := len(l.pending)
-		if n > b.cfg.MaxSize {
-			n = b.cfg.MaxSize
-		}
-		batch := make([]*batchReq, n)
-		copy(batch, l.pending[:n])
-		l.pending = append(l.pending[:0], l.pending[n:]...)
-		l.rounds++
-		l.mu.Unlock()
+// leaderBatch is how many members of a round a leader copies without
+// allocating; a larger round spills to the heap.
+const leaderBatch = 8
 
-		if m := b.met.Load(); m != nil {
-			m.observeBatch(l == &b.write, batch, time.Now())
+// leadRound runs exactly one physical quorum round on behalf of up to MaxSize of
+// the oldest pending requests — the caller's own is the oldest — answers the
+// other members, and passes the lead on: to the owner of the oldest request
+// still waiting, or to nobody, leaving the lane idle. Requests that arrive
+// while the round is in flight go into a later round — never this one —
+// which is what keeps every member's interval containing its round. The
+// caller holds l.mu; leadRound releases it.
+func (b *Batcher) leadRound(l *lane) batchResp {
+	if b.cfg.MaxDelay > 0 && len(l.pending) < b.cfg.MaxSize {
+		// Idle-window accumulation: give companions MaxDelay to arrive,
+		// but dispatch immediately if the batch fills meanwhile.
+		l.mu.Unlock()
+		timer := time.NewTimer(b.cfg.MaxDelay)
+		select {
+		case <-l.full:
+		case <-timer.C:
 		}
-		// Tracing: each sampled member gets a batch-wait span (enqueue →
-		// dispatch), and the physical round runs under the first sampled
-		// member's context — its quorum rounds are recorded for real. The
-		// other sampled members get a synthetic round span covering the same
-		// interval, so every member's trace accounts for the shared round it
-		// rode (marked "shared" to distinguish it from a round the tracer
-		// measured directly).
-		tr := b.set.trc.Load()
-		var lead trace.Context
-		var roundStart time.Time
-		if tr != nil {
-			laneName := "read"
-			if l == &b.write {
-				laneName = "write"
-			}
-			roundStart = time.Now()
-			for _, r := range batch {
-				if !r.tc.Sampled() {
-					continue
-				}
-				tr.Record(trace.Span{
-					Trace: r.tc.Trace, ID: tr.SpanID(), Parent: r.tc.Span,
-					Stage: trace.StageBatchWait, Shard: b.sh.Name, Note: laneName,
-					Start: r.tenq, Duration: roundStart.Sub(r.tenq),
-				})
-				if !lead.Sampled() {
-					lead = r.tc
-				}
-			}
-		}
-		var resp batchResp
+		timer.Stop()
+		l.mu.Lock()
+	}
+	n := min(len(l.pending), b.cfg.MaxSize)
+	var buf [leaderBatch]batchReq
+	batch := append(buf[:0], l.pending[:n]...)
+	rest := copy(l.pending, l.pending[n:])
+	clear(l.pending[rest:]) // the lane keeps the array; do not pin answered payloads
+	l.pending = l.pending[:rest]
+	l.rounds++
+	l.mu.Unlock()
+
+	if m := b.met.Load(); m != nil {
+		m.observeBatch(l == &b.write, batch, time.Now())
+	}
+	// Tracing: each sampled member gets a batch-wait span (enqueue →
+	// dispatch), and the physical round runs under the first sampled
+	// member's context — its quorum rounds are recorded for real. The
+	// other sampled members get a synthetic round span covering the same
+	// interval, so every member's trace accounts for the shared round it
+	// rode (marked "shared" to distinguish it from a round the tracer
+	// measured directly).
+	tr := b.set.trc.Load()
+	var lead trace.Context
+	var roundStart time.Time
+	if tr != nil {
+		laneName := "read"
 		if l == &b.write {
-			// Group commit: the round writes the latest-arrived value.
-			winner := batch[n-1].v
-			resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
-				return b.sh.Reg.Write(h, winner)
-			})
-		} else {
-			resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
-				var err error
-				resp.v, err = b.sh.Reg.Read(h)
-				return err
-			})
+			laneName = "write"
 		}
-		if tr != nil && lead.Sampled() {
-			d := time.Since(roundStart)
-			for _, r := range batch {
-				if !r.tc.Sampled() || r.tc == lead {
-					continue
-				}
-				tr.Record(trace.Span{
-					Trace: r.tc.Trace, ID: tr.SpanID(), Parent: r.tc.Span,
-					Stage: trace.StageRound, Shard: b.sh.Name, Note: "shared",
-					Start: roundStart, Duration: d,
-				})
-			}
-		}
-
-		l.mu.Lock()
-		l.members += n
-		l.mu.Unlock()
+		roundStart = time.Now()
 		for _, r := range batch {
-			r.done <- resp
+			if !r.tc.Sampled() {
+				continue
+			}
+			tr.Record(trace.Span{
+				Trace: r.tc.Trace, ID: tr.SpanID(), Parent: r.tc.Span,
+				Stage: trace.StageBatchWait, Shard: b.sh.Name, Note: laneName,
+				Start: r.tenq, Duration: roundStart.Sub(r.tenq),
+			})
+			if !lead.Sampled() {
+				lead = r.tc
+			}
 		}
 	}
+	var resp batchResp
+	if l == &b.write {
+		// Group commit: the round writes the latest-arrived value.
+		winner := batch[n-1].v
+		resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
+			return b.sh.Reg.Write(h, winner)
+		})
+	} else {
+		var got value.Value // captured by the closure, so kept out of the write lane's path
+		resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
+			var err error
+			got, err = b.sh.Reg.Read(h)
+			return err
+		})
+		resp.v = got
+	}
+	if tr != nil && lead.Sampled() {
+		d := time.Since(roundStart)
+		for _, r := range batch {
+			if !r.tc.Sampled() || r.tc == lead {
+				continue
+			}
+			tr.Record(trace.Span{
+				Trace: r.tc.Trace, ID: tr.SpanID(), Parent: r.tc.Span,
+				Stage: trace.StageRound, Shard: b.sh.Name, Note: "shared",
+				Start: roundStart, Duration: d,
+			})
+		}
+	}
+
+	l.mu.Lock()
+	l.members += n
+	var next chan batchResp
+	if len(l.pending) > 0 {
+		next = l.pending[0].wake
+	} else {
+		l.led = false
+	}
+	l.mu.Unlock()
+	for _, r := range batch[1:] {
+		r.wake <- resp
+	}
+	if next != nil {
+		next <- batchResp{lead: true}
+	}
+	return resp
 }

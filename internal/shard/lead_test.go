@@ -1,0 +1,308 @@
+package shard
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"spacebounds/internal/dsys"
+	"spacebounds/internal/register"
+	"spacebounds/internal/value"
+
+	_ "spacebounds/internal/register/adaptive"
+)
+
+// goid is the calling goroutine's ID, read off its stack header. The lead
+// hand-off is a statement about which goroutine runs a round, and the runtime
+// offers no other way to ask.
+func goid() uint64 {
+	var buf [64]byte
+	fields := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	id, err := strconv.ParseUint(string(fields[1]), 10, 64)
+	if err != nil {
+		panic(fmt.Sprintf("no goroutine ID in %q", buf[:]))
+	}
+	return id
+}
+
+// physicalRound is one round the batcher ran against the register: who ran
+// it and, for a write, the value it carried.
+type physicalRound struct {
+	goid uint64
+	v    value.Value
+}
+
+// stubReg stands in for a shard's register so that a test sees exactly the
+// rounds the batcher runs and decides how long each takes: a round is logged,
+// announced on entered if anybody listens, and held until gate is closed. With
+// neither channel set a round costs nothing, which leaves the batcher's own
+// work to the allocation pins and the benchmarks.
+type stubReg struct {
+	register.Register // Name, Config, InitialStates of the shard's real register
+	entered, gate     chan struct{}
+
+	mu     sync.Mutex
+	rounds []physicalRound
+}
+
+func (r *stubReg) round(v value.Value) {
+	if r.gate == nil {
+		return
+	}
+	r.mu.Lock()
+	r.rounds = append(r.rounds, physicalRound{goid: goid(), v: v})
+	r.mu.Unlock()
+	select {
+	case r.entered <- struct{}{}:
+	default:
+	}
+	<-r.gate
+}
+
+func (r *stubReg) Write(_ *dsys.ClientHandle, v value.Value) error {
+	r.round(v)
+	return nil
+}
+
+func (r *stubReg) Read(*dsys.ClientHandle) (value.Value, error) {
+	r.round(value.Value{})
+	return value.Value{}, nil
+}
+
+// stubbedBatcher builds a one-shard batched set whose register is reg and
+// returns the shard's batcher.
+func stubbedBatcher(tb testing.TB, cfg BatchConfig, reg *stubReg) (*Set, *Batcher) {
+	tb.Helper()
+	set, err := New([]Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 64}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(set.Close)
+	sh := set.Shard("s")
+	reg.Register = sh.Reg
+	sh.Reg = reg
+	set.EnableBatching(cfg)
+	return set, set.Batcher("s")
+}
+
+// waiting is how many requests the lane holds that no round has taken.
+func (l *lane) waiting() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.pending)
+}
+
+// await polls cond, failing the test if it does not come true.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestUncontendedOpRunsOnItsCaller: with the lane idle the caller leads its
+// own round, so an operation starts no goroutine — the count stays flat over
+// ten thousand of them — and what it allocates is pinned.
+func TestUncontendedOpRunsOnItsCaller(t *testing.T) {
+	set, _ := stubbedBatcher(t, BatchConfig{MaxSize: 16}, &stubReg{})
+	sh := set.Shard("s")
+	v := value.Sequenced(1, 1, 64)
+	write := func() {
+		if err := set.WriteValue(1, sh, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		if _, err := set.ReadValue(1, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 5000; i++ {
+		write()
+		read()
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%d goroutines after operation %d, %d before the first", n, 2*i+2, baseline)
+		}
+	}
+	// The two closures that carry the round into the cluster and the client
+	// handle it runs under, none of them the batcher's; a read also keeps the
+	// value its closure fills in. The parent of PR 22 added a request, a
+	// channel, a batch slice and a goroutine's closure to each.
+	if n := testing.AllocsPerRun(1000, write); n > 3 {
+		t.Errorf("an uncontended write allocates %.0f times, want at most 3", n)
+	}
+	if n := testing.AllocsPerRun(1000, read); n > 4 {
+		t.Errorf("an uncontended read allocates %.0f times, want at most 4", n)
+	}
+	if st := set.BatchStats(); st.Writes != st.WriteRounds || st.Reads != st.ReadRounds || st.Writes < 6000 {
+		t.Errorf("stats %+v: every uncontended operation is a round of its own", st)
+	}
+}
+
+// parkBehindHeldRound holds one write round at the register, parks n more
+// writers behind it — one at a time, so their arrival order is the order of
+// their indices — lets everything go, and returns the rounds the register saw
+// after the held one together with each parked writer's goroutine ID.
+func parkBehindHeldRound(t *testing.T, maxSize, n int) (rounds []physicalRound, writers []uint64) {
+	t.Helper()
+	reg := &stubReg{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	_, b := stubbedBatcher(t, BatchConfig{MaxSize: maxSize}, reg)
+
+	var wg sync.WaitGroup
+	write := func(i int, id *uint64) {
+		defer wg.Done()
+		if id != nil {
+			*id = goid()
+		}
+		if err := b.Write(value.Sequenced(i, 1, 64)); err != nil {
+			t.Errorf("write %d: %v", i, err)
+		}
+	}
+	wg.Add(1)
+	go write(-1, nil)
+	<-reg.entered // the holder leads, and its round is at the gate
+	writers = make([]uint64, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go write(i, &writers[i])
+		await(t, fmt.Sprintf("writer %d to park", i), func() bool { return b.write.waiting() == i+1 })
+	}
+	close(reg.gate)
+	wg.Wait()
+
+	if st := b.Stats(); st.Writes != n+1 || st.WriteRounds != len(reg.rounds) {
+		t.Errorf("stats %+v after %d writes in %d rounds", st, n+1, len(reg.rounds))
+	}
+	if b.write.led || b.write.waiting() != 0 {
+		t.Errorf("lane left led=%v with %d waiting", b.write.led, b.write.waiting())
+	}
+	return reg.rounds[1:], writers
+}
+
+// TestParkedWritersLeadInTurn: writers parked behind a held round are all
+// answered, by rounds that take them in arrival order, MaxSize at a time;
+// each round runs on the goroutine of its oldest member, nobody leads twice,
+// and there are no more rounds than full batches need.
+func TestParkedWritersLeadInTurn(t *testing.T) {
+	const maxSize, n = 4, 10
+	rounds, writers := parkBehindHeldRound(t, maxSize, n)
+	// One round per full batch, so ⌈n/MaxSize⌉+1 with the held one.
+	if want := (n + maxSize - 1) / maxSize; len(rounds) != want {
+		t.Fatalf("%d rounds after the held one, want %d", len(rounds), want)
+	}
+	led := make(map[uint64]bool)
+	for k, r := range rounds {
+		oldest, latest := k*maxSize, min((k+1)*maxSize, n)-1
+		if r.goid != writers[oldest] {
+			t.Errorf("round %d ran on goroutine %d, want writer %d's (%d)", k, r.goid, oldest, writers[oldest])
+		}
+		if want := value.Sequenced(latest, 1, 64); !r.v.Equal(want) {
+			t.Errorf("round %d wrote %v, want writer %d's value: the latest of its batch", k, r.v, latest)
+		}
+		if led[r.goid] {
+			t.Errorf("goroutine %d led a second round", r.goid)
+		}
+		led[r.goid] = true
+	}
+}
+
+// TestLeadPassesToOldestRequestStillWaiting: with MaxSize+3 writers parked,
+// the first round after the held one takes MaxSize of them and hands the lead
+// to the owner of request MaxSize — the oldest still waiting — not to any
+// member it has just answered.
+func TestLeadPassesToOldestRequestStillWaiting(t *testing.T) {
+	const maxSize = 4
+	rounds, writers := parkBehindHeldRound(t, maxSize, maxSize+3)
+	if len(rounds) != 2 {
+		t.Fatalf("%d rounds after the held one, want 2", len(rounds))
+	}
+	if rounds[0].goid != writers[0] || rounds[1].goid != writers[maxSize] {
+		t.Errorf("rounds ran on goroutines %d and %d, want those of writers 0 and %d (%d and %d)",
+			rounds[0].goid, rounds[1].goid, maxSize, writers[0], writers[maxSize])
+	}
+}
+
+// TestCloseLeavesNoGoroutine: a batched set that has served concurrent
+// operations over the queued engine is gone after Close, goroutines and all.
+// The batcher owns none — every round runs on a caller — and Close stops the
+// engine's.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	set, err := New([]Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 64}}},
+		dsys.WithLiveLatency(50*time.Microsecond), dsys.WithLiveBatch(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.EnableBatching(BatchConfig{MaxSize: 4, MaxDelay: 100 * time.Microsecond})
+	var wg sync.WaitGroup
+	for c := 1; c <= 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 1; i <= 20; i++ {
+				if err := set.Write(c, "s", value.Sequenced(c, i, 64)); err != nil {
+					t.Errorf("write: %v", err)
+				}
+				if _, err := set.Read(c, "s"); err != nil {
+					t.Errorf("read: %v", err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	set.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkBatcherSubmit is the ladder's group-commit row: what the batcher
+// itself costs an operation, measured against a register whose rounds cost
+// nothing. uncontended is one caller on an idle lane, which leads every round
+// it asks for; contended-8 is eight callers on one lane, where a caller waits
+// behind a round in flight and is answered by it or handed the lead.
+func BenchmarkBatcherSubmit(b *testing.B) {
+	v := value.Sequenced(1, 1, 64)
+	b.Run("uncontended", func(b *testing.B) {
+		_, bt := stubbedBatcher(b, BatchConfig{MaxSize: 16}, &stubReg{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bt.Write(v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("contended-8", func(b *testing.B) {
+		_, bt := stubbedBatcher(b, BatchConfig{MaxSize: 16}, &stubReg{})
+		const callers = 8
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(ops int) {
+				defer wg.Done()
+				for i := 0; i < ops; i++ {
+					if err := bt.Write(v); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(b.N / callers)
+		}
+		wg.Wait()
+	})
+}

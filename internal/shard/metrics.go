@@ -55,7 +55,7 @@ func (b *Batcher) setMetrics(reg *metrics.Registry, shard string) {
 // observeBatch records one dispatched batch: its size and each member's
 // lane-queue wait. Members enqueued before metrics were attached carry a zero
 // timestamp and are skipped rather than recorded as an absurd wait.
-func (m *batcherMetrics) observeBatch(isWrite bool, batch []*batchReq, now time.Time) {
+func (m *batcherMetrics) observeBatch(isWrite bool, batch []batchReq, now time.Time) {
 	wait, size := m.readWait, m.readSize
 	if isWrite {
 		wait, size = m.writeWait, m.writeSize

@@ -74,30 +74,53 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 // frame is enqueued.
 type frame struct{ head, payload, shared, tail []byte }
 
-// requestFrame frames an envelope: on the wire it is exactly
-// `u32 length | u64 requestID | env.AppendBinary`.
-func requestFrame(reqID uint64, env dsys.Envelope) (frame, error) {
-	head, err := env.AppendHeader(startFrame(reqID, 64+len(env.Kind)))
+// requestFrameRoom is the head-and-tail room a request frame needs for env:
+// the frame prefix, the envelope's fixed header and trailer, and its kind.
+func requestFrameRoom(env dsys.Envelope) int { return 12 + 64 + len(env.Kind) }
+
+// appendRequestFrame frames an envelope: on the wire it is exactly
+// `u32 length | u64 requestID | env.AppendBinary`. The head and tail are
+// built in buf, which must be empty; with requestFrameRoom of capacity nothing
+// is allocated, so a round cuts the buffers of all its frames from one
+// allocation (see headArena).
+func appendRequestFrame(buf []byte, reqID uint64, env dsys.Envelope) (frame, error) {
+	head, err := env.AppendHeader(startFrame(buf, reqID))
 	if err != nil {
 		return frame{}, err
 	}
 	return sealFrame(head, env.AppendTrailer(head), env.Payload, env.Shared), nil
 }
 
-// responseFrame frames a response the same way.
+// responseFrame frames a response the same way, in a buffer of its own.
 func responseFrame(reqID uint64, resp dsys.Response) (frame, error) {
-	head, err := resp.AppendHeader(startFrame(reqID, 48+len(resp.Detail)))
+	head, err := resp.AppendHeader(startFrame(make([]byte, 0, 12+48+len(resp.Detail)), reqID))
 	if err != nil {
 		return frame{}, err
 	}
 	return sealFrame(head, resp.AppendTrailer(head), resp.Payload, nil), nil
 }
 
-// startFrame allocates a frame's head-and-tail buffer with room for a message
-// header and trailer of about the given size, leaves the length prefix blank
-// and writes the request ID.
-func startFrame(reqID uint64, room int) []byte {
-	return binary.BigEndian.AppendUint64(make([]byte, 4, 12+room), reqID)
+// startFrame begins a frame's head-and-tail buffer in the empty buf: it leaves
+// the length prefix blank and writes the request ID.
+func startFrame(buf []byte, reqID uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, 0, 0, 0, 0), reqID)
+}
+
+// headArena is the one allocation a round's request frames cut their
+// head-and-tail buffers from.
+type headArena []byte
+
+// cut returns an empty buffer with room bytes of capacity that nothing else
+// will be cut from; more is how many buffers of that size the round may still
+// need, this one included, and sizes a fresh allocation when the arena cannot
+// serve the cut.
+func (a *headArena) cut(room, more int) []byte {
+	if cap(*a)-len(*a) < room {
+		*a = make([]byte, 0, room*more)
+	}
+	n := len(*a)
+	*a = (*a)[:n+room]
+	return (*a)[n : n : n+room]
 }
 
 // sealFrame cuts whole — the head followed by the trailer — at the head's
@@ -173,7 +196,9 @@ func (s *frameSender) fail(err error) {
 func (s *frameSender) run() {
 	defer close(s.done)
 	var batch []frame
-	var parts net.Buffers
+	// writing's address goes to WriteTo, so it lives on the heap: declared
+	// here it is one cell per sender, not one per socket write.
+	var parts, writing net.Buffers
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -198,7 +223,7 @@ func (s *frameSender) run() {
 		clear(batch) // the queue reuses this array; do not pin written payloads
 		// WriteTo consumes the slice header it is called on, so it gets a
 		// copy and parts keeps the array for the next batch.
-		writing := parts
+		writing = parts
 		if _, err := writing.WriteTo(s.conn); err != nil {
 			s.fail(err)
 			return

@@ -128,22 +128,65 @@ type clientConn struct {
 	dead    atomic.Bool
 }
 
-// pendingCall routes one request's response back to its round.
+// pendingCall routes one request's response back to its round. A round cuts
+// its calls from one array, so the connection's pending table and the
+// messages delivered to the round both address a call by pointer.
 type pendingCall struct {
 	obj   int
 	kind  string
+	conn  *clientConn // the connection the request went out on; names the node in errors
+	reqID uint64
 	ch    chan<- roundMsg
 	start time.Time  // send instant; zero unless metrics are enabled
 	sp    trace.Span // prepared RPC span; zero Trace unless the round is sampled
 }
 
-// roundMsg is one per-object outcome delivered to a waiting round: either a
-// wire response or a connection-level failure.
+// roundMsg is the outcome of one call delivered to its waiting round: either
+// a wire response or a connection-level failure.
 type roundMsg struct {
-	obj  int
-	kind string
+	call *pendingCall
 	resp dsys.Response
 	err  error
+}
+
+// outcome is what the message means to its round: the decoded response of an
+// RMW that took effect, or the failure, attributed to the node it came from.
+func (m roundMsg) outcome() (any, error) {
+	if m.err != nil {
+		return nil, m.err
+	}
+	if m.resp.Status != dsys.StatusOK {
+		return nil, &RemoteError{Node: m.call.conn.addr, Err: m.resp.Status.Err()}
+	}
+	return register.DecodeResponse(m.call.kind, m.resp.Payload)
+}
+
+// roundTimeout is DefaultRoundTimeout; a variable only so that a test of this
+// package can shorten it.
+var roundTimeout = DefaultRoundTimeout
+
+// roundTimers holds the timers that bound deadline-less rounds. A timer in
+// the pool is stopped and its channel empty.
+var roundTimers sync.Pool
+
+// startRoundTimer returns a timer that fires roundTimeout from now.
+func startRoundTimer() *time.Timer {
+	if t, ok := roundTimers.Get().(*time.Timer); ok {
+		t.Reset(roundTimeout)
+		return t
+	}
+	return time.NewTimer(roundTimeout)
+}
+
+// stopRoundTimer returns a round's timer to the pool, fired or not.
+func stopRoundTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	roundTimers.Put(t)
 }
 
 // getConn returns the node's live connection, dialing if necessary. A failed
@@ -243,7 +286,7 @@ func (cc *clientConn) shutdown(err error) {
 	for _, call := range pending {
 		cc.nm.observeResponse(call, false)
 		cc.recordRPC(call, "lost")
-		call.ch <- roundMsg{obj: call.obj, kind: call.kind, err: &RemoteError{Node: cc.addr, Err: err}}
+		call.ch <- roundMsg{call: call, err: &RemoteError{Node: cc.addr, Err: err}}
 	}
 }
 
@@ -268,29 +311,29 @@ func (cc *clientConn) readLoop() {
 			return
 		}
 		if call := cc.take(reqID); call != nil {
-			call.ch <- roundMsg{obj: call.obj, kind: call.kind, resp: resp}
+			call.ch <- roundMsg{call: call, resp: resp}
 		}
 	}
 }
 
-// sentRequest tracks one dispatched request for end-of-round deregistration.
-type sentRequest struct {
-	conn  *clientConn
-	reqID uint64
-}
-
 // InvokeRound implements dsys.RoundInvoker: it ships one envelope per target
 // to the hosting nodes over the pipelined connections and waits until quorum
-// OK responses have arrived, the context expires, or every dispatched request
-// has failed. Targets are global object IDs; the result map is keyed by them.
+// OK responses have arrived, the round's time is up, or every dispatched
+// request has failed. Targets are global object IDs; the result map is keyed
+// by them. What a round allocates for its own bookkeeping it allocates once,
+// not once per target: one array of calls, one buffer for the frames' heads
+// and tails, one channel, one result map.
 func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if c.closed.Load() {
 		return nil, net.ErrClosed
 	}
+	// A context without a deadline is bounded by a pooled timer, not by a
+	// context derived per round; one that carries a deadline is left alone.
+	var timeUp <-chan time.Time
 	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, DefaultRoundTimeout)
-		defer cancel()
+		t := startRoundTimer()
+		defer stopRoundTimer(t)
+		timeUp = t.C
 	}
 
 	// A sampled round stamps its trace context into every envelope: each
@@ -302,11 +345,24 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 	}
 
 	ch := make(chan roundMsg, len(targets))
-	sent := make([]sentRequest, 0, len(targets))
+	// Every call keeps its slot until the round returns — a connection shutting
+	// down may still be reading a call whose send has failed — so the array is
+	// never appended to beyond its capacity and its elements never move.
+	calls := make([]pendingCall, 0, len(targets))
+	defer func() {
+		// Stragglers past the quorum (or past a timeout) are dropped; their
+		// RMWs still take effect remotely, as the model prescribes. A call
+		// already answered, failed or deregistered is no longer pending, and
+		// deregistering it again does nothing.
+		for i := range calls {
+			calls[i].conn.deregister(calls[i].reqID)
+		}
+	}()
+	var heads headArena
 	dispatched := 0
 	var lastErr error
 	op := dsys.OpID{Client: client}
-	for _, obj := range targets {
+	for i, obj := range targets {
 		rmw := makeRMW(obj)
 		env, err := register.EncodeEnvelopeShared(op, obj, rmw)
 		if err != nil {
@@ -327,11 +383,12 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			continue
 		}
 		reqID := c.reqSeq.Add(1)
-		frame, err := requestFrame(reqID, env)
+		frame, err := appendRequestFrame(heads.cut(requestFrameRoom(env), len(targets)-i), reqID, env)
 		if err != nil {
 			return nil, err
 		}
-		call := &pendingCall{obj: obj, kind: env.Kind, ch: ch}
+		calls = append(calls, pendingCall{obj: obj, kind: env.Kind, conn: cc, reqID: reqID, ch: ch})
+		call := &calls[len(calls)-1]
 		if cc.nm != nil {
 			call.start = time.Now()
 		}
@@ -347,40 +404,25 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			lastErr = &RemoteError{Node: cc.addr, Err: err}
 			continue
 		}
-		sent = append(sent, sentRequest{conn: cc, reqID: reqID})
 		dispatched++
 	}
-	defer func() {
-		// Stragglers past the quorum (or past a timeout) are dropped; their
-		// RMWs still take effect remotely, as the model prescribes.
-		for _, s := range sent {
-			s.conn.deregister(s.reqID)
-		}
-	}()
-
 	resp := make(map[int]any, dispatched)
 	received := 0
+	done := ctx.Done()
 	for received < dispatched && len(resp) < quorum {
 		select {
 		case m := <-ch:
 			received++
-			if m.err != nil {
-				lastErr = m.err
-				continue
-			}
-			if m.resp.Status != dsys.StatusOK {
-				lastErr = &RemoteError{Node: "", Err: m.resp.Status.Err()}
-				continue
-			}
-			v, err := register.DecodeResponse(m.kind, m.resp.Payload)
+			v, err := m.outcome()
 			if err != nil {
 				lastErr = err
 				continue
 			}
-			resp[m.obj] = v
-		case <-ctx.Done():
-			return resp, fmt.Errorf("%w: %d of %d responses when round ended (%v)",
-				dsys.ErrQuorumUnavailable, len(resp), quorum, ctx.Err())
+			resp[m.call.obj] = v
+		case <-done:
+			return resp, roundEnded(len(resp), quorum, ctx.Err())
+		case <-timeUp:
+			return resp, roundEnded(len(resp), quorum, context.DeadlineExceeded)
 		}
 	}
 	if len(resp) < quorum {
@@ -392,6 +434,13 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			dsys.ErrQuorumUnavailable, len(resp), quorum)
 	}
 	return resp, nil
+}
+
+// roundEnded is the error of a round whose time ran out, or whose context was
+// cancelled, short of its quorum.
+func roundEnded(got, quorum int, cause error) error {
+	return fmt.Errorf("%w: %d of %d responses when round ended (%v)",
+		dsys.ErrQuorumUnavailable, got, quorum, cause)
 }
 
 // Close implements Transport: it tears down every connection. In-flight
