@@ -201,7 +201,10 @@ func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any,
 // RMWs it would have recorded before they mutate anything, and the one whose
 // record was the failure goes unanswered (ErrJournalFailed). An Apply that
 // answers with an error value refused itself and left the state as it was:
-// nothing is counted or journaled (ErrApplyRefused).
+// nothing is counted or journaled (ErrApplyRefused). Nor is an answer that
+// declares the state unchanged (NoChange), which reaches the caller all the
+// same — unless the RMW was incomplete and this is a replay: a journal holds
+// no such RMW, so the log and the state have diverged (ErrApplyRefused).
 func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
 	if o.retired.Load() {
 		return nil, ErrRetiredObject
@@ -219,6 +222,13 @@ func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool)
 	resp := rmw.Apply(o.state)
 	if refusal, ok := resp.(error); ok {
 		return nil, fmt.Errorf("%w: %v", ErrApplyRefused, refusal)
+	}
+	if nc, ok := resp.(NoChange); ok {
+		if unchanged, incomplete := nc.NoChange(); incomplete && replay {
+			return nil, fmt.Errorf("%w: the journaled %T is incomplete", ErrApplyRefused, rmw)
+		} else if unchanged {
+			return resp, nil
+		}
 	}
 	o.applied++
 	if jour != nil {

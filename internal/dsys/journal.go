@@ -56,6 +56,18 @@ type JournalTrimmer interface {
 	JournalForm() RMW
 }
 
+// NoChange is the optional seam by which an Apply's answer declares that the
+// RMW left the object's state exactly as it found it. Such an RMW did not take
+// effect in any way a replay could miss, so the cluster neither counts nor
+// journals it.
+type NoChange interface {
+	// NoChange reports whether the state is unchanged and, if so, whether
+	// that is because the RMW was incomplete: it lacked a parameter the
+	// transition it would have made reads, and its sender is expected to send
+	// it again whole.
+	NoChange() (unchanged, incomplete bool)
+}
+
 // FailStopJournal is the optional extension of a journal that can lose the
 // ability to record: once it has, the cluster stops letting RMWs it would
 // have recorded take effect (ErrJournalFailed), so a node never acknowledges

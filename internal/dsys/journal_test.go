@@ -158,6 +158,52 @@ func TestRefusedApplyIsNeitherCountedNorJournaled(t *testing.T) {
 	}
 }
 
+// unchangedRMW answers that it left the state as it found it, for want of a
+// parameter if incomplete is set.
+type unchangedRMW struct {
+	readCounterRMW
+	incomplete bool
+}
+
+type unchangedResp struct{ incomplete bool }
+
+func (r unchangedResp) NoChange() (unchanged, incomplete bool) { return true, r.incomplete }
+
+func (u unchangedRMW) Apply(State) any { return unchangedResp{u.incomplete} }
+
+// TestUnchangedApplyIsNeitherCountedNorJournaled: an answer that declares the
+// state unchanged reaches the caller, live and in replay, without the object
+// counting an apply or the journal hearing of one. If the RMW changed nothing
+// because it was incomplete, a replay that meets it has diverged from its
+// log: ErrApplyRefused. An answer that declares a change is an apply like any.
+func TestUnchangedApplyIsNeitherCountedNorJournaled(t *testing.T) {
+	c := newTestCluster(3, WithLiveMode())
+	defer c.Close()
+	j := &recJournal{}
+	c.SetJournal(j)
+	for _, incomplete := range []bool{false, true} {
+		resp, err := c.ApplyOne(0, unchangedRMW{incomplete: incomplete})
+		if err != nil || resp != (unchangedResp{incomplete}) {
+			t.Fatalf("ApplyOne(incomplete %v) = %v, %v; want the RMW's own answer", incomplete, resp, err)
+		}
+	}
+	if resp, err := c.ReplayApply(0, unchangedRMW{}); err != nil || resp != (unchangedResp{}) {
+		t.Fatalf("ReplayApply of a no-op = %v, %v; want the RMW's own answer", resp, err)
+	}
+	if _, err := c.ReplayApply(0, unchangedRMW{incomplete: true}); !errors.Is(err, ErrApplyRefused) {
+		t.Fatalf("ReplayApply of an incomplete RMW: err = %v, want ErrApplyRefused", err)
+	}
+	if got, applied := j.recorded(), c.objs()[0].applied; len(got) != 0 || applied != 0 {
+		t.Fatalf("journal recorded %v and the object counted %d applies for RMWs that changed nothing", got, applied)
+	}
+	if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got, applied := j.recorded(), c.objs()[0].applied; len(got) != 1 || applied != 1 {
+		t.Fatalf("journal recorded %v and the object counted %d applies, want the one that changed it", got, applied)
+	}
+}
+
 // TestObjectStateReadRestoreReplay covers the recovery surface: observing a
 // state under its apply lock, installing a decoded snapshot state, and
 // re-applying journaled RMWs on top — including while the object is crashed,

@@ -19,7 +19,10 @@
 //
 // A write performs three rounds, each waiting for n-f responses: read
 // timestamps (kind adaptive.readts, which answers with timestamps only),
-// update (adaptive.update) and garbage-collect (adaptive.gc). A read
+// update (adaptive.update) and garbage-collect (adaptive.gc). The update round
+// is piece-first — the full replica follows, in a round of its own, only to
+// objects whose Vp is full (updateRound; DESIGN.md argues it against
+// Algorithm 2 as printed). A read
 // repeatedly collects the contents of n-f objects (adaptive.read) until it
 // sees k distinct pieces of a single value whose timestamp is at least the
 // highest storedTS it observed, then decodes.
@@ -115,38 +118,73 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 
 	// Round 2: update (lines 8-10).
-	update := updatesOf(r.cfg.K, ts, storedTS, writeSet)
-	updated, err := h.InvokeAll(func(obj int) dsys.RMW {
-		u := update(obj)
-		return &u
-	}, r.cfg.Quorum())
+	needsPiece, err := updateRound(h, r.cfg, ts, storedTS, writeSet, false)
 	if err != nil {
 		return err
 	}
 
-	// Round 3: garbage collection (lines 11-13). An object whose update has
-	// answered without putting this write into Vf cannot hold its full
-	// replica — each update applies once — so lines 43-44 cannot fire there
-	// and its GC travels without the piece.
-	return collectGarbage(h, r.cfg, ts, writeSet, func(obj int) bool {
-		resp, answered := updated[obj].(updateResp)
-		return !answered || resp.Stored && !resp.ToVp
-	})
+	// Round 3: garbage collection (lines 11-13). An object whose update is
+	// known to have settled without putting this write into Vf has nothing
+	// for lines 43-44 to shrink, and its GC travels without the piece.
+	return collectGarbage(h, r.cfg, ts, writeSet, needsPiece)
 }
 
-// updatesOf returns the update round's per-object RMW. The full replica is the
-// first k pieces of the write set themselves, shared read-only by all n
-// updates together with its one wire encoding: an object that falls back to
-// Vf copies the pieces then.
-func updatesOf(k int, ts, storedTS register.Timestamp, writeSet []register.Chunk) func(obj int) updateRMW {
-	full, wire := writeSet[:k:k], new(fullWire)
-	return func(obj int) updateRMW {
-		return updateRMW{k: int32(k), ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}
+// updateRound runs a write's update round piece-first. Every object is sent
+// its piece and no full replica — lines 37-38 alone read one — and answers
+// either that the update is settled there (stored in Vp, ignored, or Vf
+// already newer) or, with its state untouched, that it needs the replica. If
+// fewer than a quorum settled, a follow-up round takes the update with the
+// replica (one encoding on the wire, shared read-only) to the objects that
+// need it and to those that have not answered — they may be merely slow, and
+// the ones that answered may crash — and waits for the rest of the quorum
+// among them. An object applies at most one of the two (updateRMW.Apply).
+//
+// The result says which objects the GC must bring the piece: those whose last
+// known answer leaves open that Vf holds the replica (the follow-up said so,
+// or has not answered) or that the update has stored nothing yet (it needs
+// the replica and no follow-up went out, or it has not answered at all).
+func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool) (func(obj int) bool, error) {
+	// One allocation either way: an update is a seed update's only field.
+	k := int32(cfg.K)
+	update := func(obj int, full []register.Chunk, wire *fullWire) dsys.RMW {
+		u := &seedUpdateRMW{updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}}
+		if seed {
+			return u
+		}
+		return &u.updateRMW
 	}
+	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(obj, nil, nil) }, cfg.Quorum())
+	if err != nil {
+		return nil, err
+	}
+	var rest []int
+	for obj := range writeSet {
+		if resp, answered := first[obj].(updateResp); !answered || resp.NeedFull {
+			rest = append(rest, obj)
+		}
+	}
+	if len(rest) == 0 {
+		return func(int) bool { return false }, nil
+	}
+	var second map[int]any
+	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
+		full, wire := writeSet[:cfg.K:cfg.K], new(fullWire)
+		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(obj, full, wire) }, lacking)
+		if err != nil {
+			return nil, err
+		}
+	}
+	needsPiece := make([]bool, len(writeSet))
+	for _, obj := range rest {
+		resp, answered := second[obj].(updateResp)
+		needsPiece[obj] = !answered || resp.Stored && !resp.ToVp
+	}
+	return func(obj int) bool { return needsPiece[obj] }, nil
 }
 
-// collectGarbage runs the GC round at ts. needsPiece says for which objects
-// Vf may hold this write's full replica; the others get a GC without a piece.
+// collectGarbage runs the GC round at ts. needsPiece says which objects may
+// hold this write's full replica in Vf, or nothing of the write at all; the
+// others get a GC without a piece.
 func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece func(obj int) bool) error {
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
 		g := &gcRMW{ts: ts}
@@ -160,9 +198,9 @@ func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Times
 
 // WriteSeed implements register.SeedWriter: update and GC rounds at the fixed
 // register.SeedTS with no read round (the target is a fresh register whose
-// writes are held, so the stored timestamp is known to be zero). The update
-// uses a dedup-guarded RMW so that re-driving an interrupted seed over its own
-// partial first attempt never stores a piece twice.
+// writes are held, so the stored timestamp is known to be zero). Re-driving an
+// interrupted seed over its own partial first attempt never stores a piece
+// twice: an object applies an update once.
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
@@ -172,12 +210,12 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
-	update := updatesOf(r.cfg.K, register.SeedTS, register.ZeroTS, writeSet)
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW { return &seedUpdateRMW{update(obj)} }, r.cfg.Quorum()); err != nil {
+	if _, err := updateRound(h, r.cfg, register.SeedTS, register.ZeroTS, writeSet, true); err != nil {
 		return err
 	}
-	// A re-driven seed's updates may apply more than once, so no response
-	// rules out a full replica in Vf: every GC carries its piece.
+	// An earlier attempt's follow-up may have left the full replica in any
+	// object's Vf, whatever this attempt's answers say: every GC carries its
+	// piece.
 	return collectGarbage(h, r.cfg, register.SeedTS, writeSet, func(int) bool { return true })
 }
 

@@ -35,9 +35,10 @@ func encodeUpdate(u *updateRMW) []byte {
 }
 
 // encodeUpdateShared returns the same bytes in two runs: the update's own
-// fields, and the full replica's encoding, which the n updates of one write
-// produce once and share. An update no writer built (a decoded one) has no
-// siblings to share with and goes out whole.
+// fields, and the full replica's encoding, which the updates of one follow-up
+// round produce once and share. An update without a replica — a write's
+// first — or one no writer built (a decoded one) has nothing to share and
+// goes out whole.
 func encodeUpdateShared(u *updateRMW) (own, shared []byte, err error) {
 	if u.wire == nil {
 		return encodeUpdate(u), nil, nil
@@ -54,9 +55,10 @@ func encodeUpdateShared(u *updateRMW) (own, shared []byte, err error) {
 	return w.Finish(), u.wire.b, nil
 }
 
-// fullWire holds the wire encoding of one write's full replica. The write's n
-// update RMWs point at one fullWire, and the first sender that ships an update
-// in two runs fills it in; rounds applied in process never do.
+// fullWire holds the wire encoding of one write's full replica. The update
+// RMWs of the write's follow-up round point at one fullWire, and the first
+// sender that ships one of them in two runs fills it in; rounds applied in
+// process never do.
 type fullWire struct {
 	once sync.Once
 	b    []byte
@@ -81,18 +83,26 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 	return u, nil
 }
 
-// encodeUpdateResp / decodeUpdateResp serialize the update round's response.
+// encodeUpdateResp / decodeUpdateResp serialize the update round's response:
+// the two flags, which is all a client that sends its replica with every
+// update ever gets, and after them a third byte on a NeedFull answer alone.
 func encodeUpdateResp(resp any) ([]byte, error) {
 	ur := resp.(updateResp)
 	var w register.WireWriter
 	w.Bool(ur.Stored)
 	w.Bool(ur.ToVp)
+	if ur.NeedFull {
+		w.Bool(true)
+	}
 	return w.Finish(), nil
 }
 
 func decodeUpdateResp(payload []byte) (any, error) {
 	r := register.NewWireReader(payload)
 	ur := updateResp{Stored: r.Bool(), ToVp: r.Bool()}
+	if len(payload) > 2 {
+		ur.NeedFull = r.Bool()
+	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}

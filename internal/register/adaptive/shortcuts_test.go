@@ -11,6 +11,7 @@ import (
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
+	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 )
 
@@ -18,7 +19,9 @@ import (
 // out — its query round asks for timestamps only, and its GC round leaves the
 // piece out where lines 43-44 cannot fire — and the journal a third: it
 // records an update without the full replica lines 37-38 did not store. These
-// tests pin that none changes what the algorithm does.
+// tests pin that none changes what the algorithm does. The update round's
+// departure from the pseudocode — piece first, the replica only where Vp is
+// full — has piecefirst_test.go.
 
 // testChunk is piece index of the write stamped ⟨num, client⟩.
 func testChunk(num, client, index int) register.Chunk {
@@ -79,7 +82,23 @@ func mutatingSchedules() map[string][]dsys.RMW {
 			testUpdate(3, 1, register.ZeroTS),
 			&seedUpdateRMW{*testUpdate(register.SeedTS.Num, register.SeedTS.Client, register.ZeroTS)},
 		},
+		"piece first": {
+			pieceOnly(testUpdate(3, 1, register.ZeroTS)), // room in Vp: stored
+			testUpdate(3, 1, register.ZeroTS),            // its follow-up, late: held in Vp
+			pieceOnly(testUpdate(5, 2, ts(3, 1))),        // Vp full: needs the replica
+			testUpdate(5, 2, ts(3, 1)),                   // the follow-up: into Vf
+			pieceOnly(testUpdate(5, 2, ts(3, 1))),        // the piece-only update, late: held in Vf
+			pieceOnly(testUpdate(4, 3, register.ZeroTS)), // Vf is newer: settled, nothing stored
+			&gcRMW{ts: ts(5, 2), piece: testChunk(5, 2, 1)},
+			pieceOnly(testUpdate(6, 1, ts(5, 2))), // the GC made room: stored
+		},
 	}
+}
+
+// pieceOnly is u as its writer first sends it.
+func pieceOnly(u *updateRMW) *updateRMW {
+	t := u.trimmed()
+	return &t
 }
 
 // freshObject0 is object 0 of a fresh f = 1, k = 2 register.
@@ -97,18 +116,30 @@ func freshObject0(t *testing.T) dsys.State {
 }
 
 // TestJournalFormMakesTheSameTransition is the third shortcut: the journal
-// records an update without its full replica unless lines 37-38 stored it.
+// records an update without its full replica unless lines 37-38 stored it, and
+// records nothing for an update whose answer says the state is as it was — one
+// that needs a replica it does not carry, or one the object applied before.
 // Every schedule is applied as the writers built it to one object and, RMW by
-// RMW, in its journal form — through the codec, as a log holds it — to
-// another; responses and states must agree after every step, and an update
-// keeps its replica exactly when it answered Stored && !ToVp. The RMW itself
-// still carries what its writer gave it.
+// RMW, as a log would hold it — in its journal form, through the codec, or not
+// at all — to another; responses and states must agree after every step, and
+// an update keeps its replica exactly when it answered Stored && !ToVp. The
+// RMW itself still carries what its writer gave it.
 func TestJournalFormMakesTheSameTransition(t *testing.T) {
-	whole, trimmed := 0, 0
+	whole, trimmed, unrecorded := 0, 0, 0
 	for name, schedule := range mutatingSchedules() {
 		live, replayed := freshObject0(t), freshObject0(t)
 		for step, rmw := range schedule {
+			before := encodedState(t, live)
 			resp := rmw.Apply(live)
+			if nc, ok := resp.(dsys.NoChange); ok {
+				if unchanged, _ := nc.NoChange(); unchanged {
+					if !bytes.Equal(encodedState(t, live), before) {
+						t.Errorf("%s, step %d: answered %+v and changed the state", name, step, resp)
+					}
+					unrecorded++
+					continue
+				}
+			}
 			form := rmw
 			if tr, ok := rmw.(dsys.JournalTrimmer); ok {
 				form = tr.JournalForm()
@@ -139,10 +170,9 @@ func TestJournalFormMakesTheSameTransition(t *testing.T) {
 			default:
 				continue
 			}
-			if len(sent.full) != 2 {
+			if intoVf := resp == (updateResp{Stored: true}); intoVf && len(sent.full) != 2 {
 				t.Errorf("%s, step %d: asking for the journal form took the replica off the RMW", name, step)
-			}
-			if intoVf := resp == (updateResp{Stored: true}); intoVf != (len(kept.full) > 0) {
+			} else if intoVf != (len(kept.full) > 0) {
 				t.Errorf("%s, step %d: answered %+v, journaled with %d replica pieces", name, step, resp, len(kept.full))
 			} else if intoVf {
 				whole++
@@ -151,17 +181,19 @@ func TestJournalFormMakesTheSameTransition(t *testing.T) {
 			}
 		}
 	}
-	if whole == 0 || trimmed == 0 {
-		t.Errorf("%d whole and %d trimmed updates: the schedules do not reach both", whole, trimmed)
+	if whole == 0 || trimmed == 0 || unrecorded < 4 {
+		t.Errorf("%d whole, %d trimmed and %d unrecorded updates: the schedules do not reach all three", whole, trimmed, unrecorded)
 	}
 }
 
-// TestTrimmedUpdateNeverStoresAnEmptyReplica is the hostile case: an update
-// without a full replica reaches an object whose Vp is full and whose Vf would
-// take the write, which only a log replayed onto the wrong state (or a peer
-// that builds no replica) can cause. The update refuses itself with an error
-// response, which the cluster turns into dsys.ErrApplyRefused, and the object
-// does not change by a byte.
+// TestTrimmedUpdateNeverStoresAnEmptyReplica: an update without a full replica
+// reaches an object whose Vp is full and whose Vf would take the write — what
+// a writer's first update does whenever concurrency has reached k. The object
+// stores no empty replica and does not change by a byte, line 39 included; it
+// answers NeedFull, which the cluster hands back without counting or
+// journaling anything. Met in a replay the same update means the log is being
+// replayed onto a state other than the one it was written against
+// (dsys.ErrApplyRefused): a journal never holds an update that changed nothing.
 func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
 	for _, build := range []func(u updateRMW) dsys.RMW{
 		func(u updateRMW) dsys.RMW { return &u },
@@ -170,20 +202,34 @@ func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
 		state := freshObject0(t)
 		testUpdate(3, 1, register.ZeroTS).Apply(state) // Vp: v0, w(3,1)
 		before := encodedState(t, state)
-		rmw := build(testUpdate(5, 2, register.Timestamp{Num: 3, Client: 1}).trimmed())
-		if err, ok := rmw.Apply(state).(error); !ok || !errors.Is(err, errTrimmedUpdate) {
-			t.Fatalf("%T without a replica into a full Vp answered %v", rmw, err)
+		rmw := build(*pieceOnly(testUpdate(5, 2, register.Timestamp{Num: 3, Client: 1})))
+		if resp := rmw.Apply(state); resp != (updateResp{NeedFull: true}) {
+			t.Fatalf("%T without a replica into a full Vp answered %+v", rmw, resp)
 		}
 		if !bytes.Equal(encodedState(t, state), before) {
-			t.Fatalf("%T: the refused update changed the state", rmw)
+			t.Fatalf("%T: the update that needs its replica changed the state", rmw)
 		}
 		c := dsys.NewCluster([]dsys.State{state}, dsys.WithLiveMode())
-		if _, err := c.ApplyOne(0, rmw); !errors.Is(err, dsys.ErrApplyRefused) {
-			t.Fatalf("%T: the cluster reports %v, want dsys.ErrApplyRefused", rmw, err)
+		journal := &recordingJournal{}
+		c.SetJournal(journal)
+		if resp, err := c.ApplyOne(0, rmw); err != nil || resp != (updateResp{NeedFull: true}) {
+			t.Fatalf("%T: the cluster answers %+v, %v", rmw, resp, err)
+		}
+		if _, err := c.ReplayApply(0, rmw); !errors.Is(err, dsys.ErrApplyRefused) {
+			t.Fatalf("%T: replay reports %v, want dsys.ErrApplyRefused", rmw, err)
+		}
+		if journal.records != 0 || !bytes.Equal(encodedState(t, state), before) {
+			t.Fatalf("%T: %d journal records, state changed: %v", rmw, journal.records, !bytes.Equal(encodedState(t, state), before))
 		}
 		c.Close()
 	}
 }
+
+// recordingJournal counts the applies a cluster reports to it.
+type recordingJournal struct{ records int }
+
+func (j *recordingJournal) RecordApply(int, dsys.RMW)              { j.records++ }
+func (j *recordingJournal) DurableBlocks() []storagecost.BlockInfo { return nil }
 
 // TestReadTSAnswersWhatAWriterTakesFromReadValue: after every step of every
 // mutating schedule, readTSRMW reports exactly the storedTS and the largest
@@ -267,17 +313,20 @@ func TestPiecelessGCNeverStoresAnEmptyPiece(t *testing.T) {
 	}
 }
 
-// TestUpdateSharedRunsAreThePayload: a write's n updates, encoded for a
+// TestUpdateSharedRunsAreThePayload: a follow-up's updates, encoded for a
 // sender, are each the whole payload cut in two, and the second run is the
-// same memory for all of them. A decoded update, which has no siblings, goes
-// out whole.
+// same memory for all of them. An update without a replica — a write's first —
+// and a decoded one, which has no siblings, go out whole.
 func TestUpdateSharedRunsAreThePayload(t *testing.T) {
 	const k, n = 2, 4
 	writeSet := make([]register.Chunk, n)
 	for i := range writeSet {
 		writeSet[i] = testChunk(3, 1, i+1)
 	}
-	update := updatesOf(k, register.Timestamp{Num: 3, Client: 1}, register.Timestamp{Num: 2, Client: 2}, writeSet)
+	wire := new(fullWire)
+	update := func(obj int) updateRMW {
+		return updateRMW{k: k, ts: writeSet[0].TS, storedTS: register.Timestamp{Num: 2, Client: 2}, piece: writeSet[obj], full: writeSet[:k:k], wire: wire}
+	}
 	var first []byte
 	for obj := 0; obj < n; obj++ {
 		u := update(obj)
@@ -294,6 +343,11 @@ func TestUpdateSharedRunsAreThePayload(t *testing.T) {
 		if len(shared) == 0 || &shared[0] != &first[0] {
 			t.Fatalf("object %d: the full replica was encoded again", obj)
 		}
+		p := u.trimmed()
+		own, shared, err = encodeUpdateShared(&p)
+		if err != nil || shared != nil || len(own) != updateOwnSize(&p)+register.ChunksWireSize(nil) {
+			t.Fatalf("object %d: an update without a replica went out as %d + %d bytes (%v)", obj, len(own), len(shared), err)
+		}
 	}
 	u := update(0)
 	decoded, err := decodeUpdate(encodeUpdate(&u))
@@ -307,32 +361,88 @@ func TestUpdateSharedRunsAreThePayload(t *testing.T) {
 }
 
 // lateObjects is an adversarial schedule for the GC shortcut. RMWs on the late
-// objects take effect only when nothing else can move — so every round returns
-// at a quorum of the others, and a late object's update lands after its writer
-// has sent the GC, or returned — and everything else is picked at random from
-// the ready clients and each object's oldest pending RMW. Per object the order
-// is FIFO, as over a connection; across objects and clients it is arbitrary.
+// objects take effect when nothing else can move, and now and then before —
+// so most rounds return at a quorum of the others, and a late object's update
+// lands after its writer has sent the GC, or returned — and everything else is
+// picked at random from the ready clients and each object's oldest pending
+// RMW. Per object the order is FIFO, as over a connection, with one exception:
+// a follow-up update (the only RMW with more than one code block in the
+// channel) may overtake what its write still has pending there, the piece-only
+// update it follows included, and what it overtook lands at some later point
+// of its own — other writes' updates and GCs, and its own write's GC, may come
+// in between. Across objects and clients the order is arbitrary.
 type lateObjects struct {
 	rng  *rand.Rand
 	late map[int]bool
+	n    int
+
+	seen      map[int64]bool         // pending RMWs met before, by Seq
+	inChannel map[oracle.WriteID]int // code blocks each write had in the channel at the last decision
+	followUp  map[int64]bool         // pending RMWs that belong to a follow-up round
+	held      map[int64]bool         // pending RMWs a follow-up has overtaken
+	followUps int                    // follow-up rounds met
+	overtaken int                    // follow-ups applied ahead of their write's piece-only update
 }
 
 func (p *lateObjects) Decide(v *dsys.View) dsys.Decision {
-	oldest, objects := map[int]dsys.PendingView{}, 0
+	if p.seen == nil {
+		p.seen, p.followUp, p.held = map[int64]bool{}, map[int64]bool{}, map[int64]bool{}
+	}
+	// Only a client that was run triggers RMWs, one round of them: the RMWs
+	// of an operation met for the first time now are one round, and nothing
+	// else has moved that write's blocks in or out of the channel.
+	fresh := map[dsys.OpID][]int64{}
 	for _, pd := range v.Pending {
+		if !p.seen[pd.Seq] {
+			p.seen[pd.Seq] = true
+			fresh[pd.Op] = append(fresh[pd.Op], pd.Seq)
+		}
+	}
+	inChannel := map[oracle.WriteID]int{}
+	for _, b := range v.Storage.Blocks {
+		if b.Location.Kind == storagecost.Channel {
+			inChannel[b.Source.Write]++
+		}
+	}
+	for op, round := range fresh {
+		if w := op.WriteID(); inChannel[w]-p.inChannel[w] > len(round) {
+			p.followUps++
+			for _, seq := range round {
+				p.followUp[seq] = true
+			}
+		}
+	}
+	p.inChannel = inChannel
+
+	// Per object: the oldest pending RMW, the oldest overtaken one, and the
+	// follow-up, if one is pending behind RMWs of its own write.
+	next, back, jump := map[int]dsys.PendingView{}, map[int]dsys.PendingView{}, map[int]dsys.PendingView{}
+	for _, pd := range v.Pending {
+		oldest := next
+		if p.held[pd.Seq] {
+			oldest = back
+		}
 		if cur, ok := oldest[pd.Object]; !ok || pd.Seq < cur.Seq {
 			oldest[pd.Object] = pd
 		}
-		objects = max(objects, pd.Object+1)
+		if p.followUp[pd.Seq] && len(p.behind(v, pd)) > 0 {
+			jump[pd.Object] = pd
+		}
 	}
 	var moves, lateMoves []dsys.Decision
 	for _, r := range v.Ready {
 		moves = append(moves, dsys.Decision{Kind: dsys.KindRun, Ticket: r.Ticket})
 	}
-	for obj := 0; obj < objects; obj++ { // in object order: map order would unseed the run
-		pd, ok := oldest[obj]
+	for obj := 0; obj < p.n; obj++ { // in object order: map order would unseed the run
+		pd, ok := next[obj]
+		if b, overtaken := back[obj]; overtaken && (!ok || p.rng.Intn(4) == 0) {
+			pd, ok = b, true
+		}
 		if !ok {
 			continue
+		}
+		if fu, ok := jump[obj]; ok && p.rng.Intn(2) == 0 {
+			pd = fu
 		}
 		d := dsys.Decision{Kind: dsys.KindApply, PendingIndex: pd.Index}
 		if p.late[obj] {
@@ -341,90 +451,134 @@ func (p *lateObjects) Decide(v *dsys.View) dsys.Decision {
 			moves = append(moves, d)
 		}
 	}
-	if len(moves) == 0 {
+	if len(moves) == 0 || len(lateMoves) > 0 && p.rng.Intn(16) == 0 {
 		moves = lateMoves
 	}
 	if len(moves) == 0 {
 		return dsys.Decision{Kind: dsys.KindStall}
 	}
-	return moves[p.rng.Intn(len(moves))]
+	d := moves[p.rng.Intn(len(moves))]
+	if d.Kind == dsys.KindApply && p.followUp[v.Pending[d.PendingIndex].Seq] {
+		if overtaken := p.behind(v, v.Pending[d.PendingIndex]); len(overtaken) > 0 {
+			p.overtaken++
+			for _, seq := range overtaken {
+				p.held[seq] = true
+			}
+		}
+	}
+	return d
+}
+
+// behind lists the RMWs of fu's own write that are pending at fu's object, were
+// triggered before it and have not been overtaken yet.
+func (p *lateObjects) behind(v *dsys.View, fu dsys.PendingView) (seqs []int64) {
+	for _, pd := range v.Pending {
+		if pd.Object == fu.Object && pd.Op == fu.Op && pd.Seq < fu.Seq && !p.held[pd.Seq] {
+			seqs = append(seqs, pd.Seq)
+		}
+	}
+	return seqs
+}
+
+// lateRun is what one run under lateObjects leaves behind.
+type lateRun struct {
+	peakBits             int // base-object bits at their highest
+	followUps, overtaken int
+}
+
+// runUnderLateObjects runs the given number of concurrent writers, two writes
+// each, at f = 2, k = 2 under lateObjects seeded with seed. Whatever the
+// schedule, once everything has applied every object holds exactly its own
+// piece of the write with the largest timestamp, no stored piece is empty, and
+// storage is back at (2f+k)/k · D.
+func runUnderLateObjects(t *testing.T, seed int64, writers int) lateRun {
+	t.Helper()
+	const f, k, dataLen, writesEach = 2, 2, 96, 2
+	reg, err := New(register.Config{F: f, K: k, DataLen: dataLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := reg.Config()
+	states, err := reg.InitialStates(value.Zero(dataLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := &lateObjects{rng: rand.New(rand.NewSource(seed)), late: map[int]bool{}, n: cfg.N()}
+	for len(policy.late) < f {
+		policy.late[policy.rng.Intn(cfg.N())] = true
+	}
+	cluster := dsys.NewCluster(states, dsys.WithDataBits(cfg.DataBits()), dsys.WithPolicy(policy))
+	defer cluster.Close()
+	var tasks []*dsys.TaskHandle
+	for w := 1; w <= writers; w++ {
+		tasks = append(tasks, cluster.Spawn(w, func(h *dsys.ClientHandle) error {
+			for seq := 1; seq <= writesEach; seq++ {
+				if err := reg.Write(h, value.Sequenced(w, seq, dataLen)); err != nil {
+					return fmt.Errorf("writer %d, write %d: %w", w, seq, err)
+				}
+			}
+			return nil
+		}))
+	}
+	cluster.Start()
+	for _, task := range tasks {
+		if err := task.Wait(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if reason := cluster.WaitIdle(); reason != dsys.IdleQuiesced {
+		t.Fatalf("seed %d: run ended %s", seed, reason)
+	}
+	winner := register.ZeroTS
+	for id := 0; id < cluster.N(); id++ {
+		if err := cluster.ReadObjectState(id, func(s dsys.State) {
+			winner = winner.Max(maxChunkTS(append(s.(*objectState).vp, s.(*objectState).vf...)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 0; id < cluster.N(); id++ {
+		if err := cluster.ReadObjectState(id, func(s dsys.State) {
+			st := s.(*objectState)
+			held := append(append([]register.Chunk{}, st.vp...), st.vf...)
+			if len(held) != 1 || held[0].TS != winner || held[0].Block.Index != id+1 || len(held[0].Block.Data) != dataLen/k {
+				t.Errorf("seed %d, %d writers: object %d (late: %v) ends with Vp %+v, Vf %+v; want only piece %d of %v",
+					seed, writers, id, policy.late[id], st.vp, st.vf, id+1, winner)
+			}
+			if st.storedTS != winner {
+				t.Errorf("seed %d, %d writers: object %d ends with storedTS %v, want %v", seed, writers, id, st.storedTS, winner)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := cluster.SampleStorage().BaseObjectBits, cfg.N()*cfg.DataBits()/k; got != want {
+		t.Errorf("seed %d, %d writers: quiescent storage %d bits, want (2f+k)/k·D = %d", seed, writers, got, want)
+	}
+	return lateRun{peakBits: cluster.Accountant().MaxBaseObjectBits(), followUps: policy.followUps, overtaken: policy.overtaken}
 }
 
 // TestGCShortcutUnderLateUpdates runs k+2 concurrent writers — enough for
-// updates to find Vp full and fall back to Vf — under lateObjects. Whatever
-// the schedule, once everything has applied every object holds exactly its
-// own piece of the write with the largest timestamp, no stored piece is
-// empty, and storage is back at (2f+k)/k · D.
+// updates to find Vp full, ask for the replica and fall back to Vf — under
+// lateObjects, thirty times over, with runUnderLateObjects' ending every time.
+// Between them the schedules must put a replica into some Vf, the one place a
+// GC needs its piece, and deliver some write's piece-only update after its
+// follow-up at the same object: the update an object must not apply twice.
 func TestGCShortcutUnderLateUpdates(t *testing.T) {
-	const f, k, dataLen, writers, writesEach = 2, 2, 96, 4, 2
-	usedVf := false
+	const n, dataBits = 6, 8 * 96
+	usedVf, followUps, overtaken := false, 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
-		reg, err := New(register.Config{F: f, K: k, DataLen: dataLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := reg.Config()
-		states, err := reg.InitialStates(value.Zero(dataLen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		policy := &lateObjects{rng: rand.New(rand.NewSource(seed)), late: map[int]bool{}}
-		for len(policy.late) < f {
-			policy.late[policy.rng.Intn(cfg.N())] = true
-		}
-		cluster := dsys.NewCluster(states, dsys.WithDataBits(cfg.DataBits()), dsys.WithPolicy(policy))
-		var tasks []*dsys.TaskHandle
-		for w := 1; w <= writers; w++ {
-			tasks = append(tasks, cluster.Spawn(w, func(h *dsys.ClientHandle) error {
-				for seq := 1; seq <= writesEach; seq++ {
-					if err := reg.Write(h, value.Sequenced(w, seq, dataLen)); err != nil {
-						return fmt.Errorf("writer %d, write %d: %w", w, seq, err)
-					}
-				}
-				return nil
-			}))
-		}
-		cluster.Start()
-		for _, task := range tasks {
-			if err := task.Wait(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-		}
-		if reason := cluster.WaitIdle(); reason != dsys.IdleQuiesced {
-			t.Fatalf("seed %d: run ended %s", seed, reason)
-		}
-		if acct := cluster.Accountant(); acct.MaxBaseObjectBits() > cfg.N()*cfg.DataBits() {
+		run := runUnderLateObjects(t, seed, 4)
+		if run.peakBits > n*dataBits {
 			usedVf = true // k pieces fill Vp: more than D bits on average means Vf held replicas
 		}
-		winner := register.ZeroTS
-		for id := 0; id < cluster.N(); id++ {
-			if err := cluster.ReadObjectState(id, func(s dsys.State) {
-				winner = winner.Max(maxChunkTS(append(s.(*objectState).vp, s.(*objectState).vf...)))
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for id := 0; id < cluster.N(); id++ {
-			if err := cluster.ReadObjectState(id, func(s dsys.State) {
-				st := s.(*objectState)
-				held := append(append([]register.Chunk{}, st.vp...), st.vf...)
-				if len(held) != 1 || held[0].TS != winner || held[0].Block.Index != id+1 || len(held[0].Block.Data) != dataLen/k {
-					t.Errorf("seed %d: object %d (late: %v) ends with Vp %+v, Vf %+v; want only piece %d of %v",
-						seed, id, policy.late[id], st.vp, st.vf, id+1, winner)
-				}
-				if st.storedTS != winner {
-					t.Errorf("seed %d: object %d ends with storedTS %v, want %v", seed, id, st.storedTS, winner)
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got, want := cluster.SampleStorage().BaseObjectBits, cfg.N()*cfg.DataBits()/k; got != want {
-			t.Errorf("seed %d: quiescent storage %d bits, want (2f+k)/k·D = %d", seed, got, want)
-		}
-		cluster.Close()
+		followUps += run.followUps
+		overtaken += run.overtaken
 	}
 	if !usedVf {
 		t.Error("no schedule pushed an object into its Vf fallback: the test does not reach the GC that needs its piece")
+	}
+	if followUps == 0 || overtaken == 0 {
+		t.Errorf("%d follow-up rounds, %d of their updates applied before the piece-only update they follow: the test does not reach the update an object meets twice", followUps, overtaken)
 	}
 }

@@ -1,8 +1,6 @@
 package adaptive
 
 import (
-	"errors"
-
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 )
@@ -94,11 +92,18 @@ func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
 // object's piece in Vp if there is room, otherwise fall back to storing a
 // full replica in Vf, and propagate the caller's storedTS.
 //
+// A writer sends the update twice at most: first to every object without the
+// full replica — lines 37-38 are the only ones that read it — and then, with
+// it, to the objects that answered NeedFull or not at all (updateRound). So an
+// object may meet two updates of one write, in either order, and Apply lets at
+// most one of them store anything: one whose ts Vp or Vf already holds, and
+// one that needs the replica it does not have, leave the state untouched.
+//
 // piece is retained by the object as it stands, so it must be exactly sized
-// memory of its own. full is only read: the n updates of one write share it,
-// a decoded update's full is a view of its request frame, and Apply copies it
-// before storing. wire is where those n updates share the encoding of full;
-// a decoded update has none.
+// memory of its own. full is only read: the updates of one write share it, a
+// decoded update's full is a view of its request frame, and Apply copies it
+// before storing. wire is where those updates share the encoding of full; a
+// decoded update has none.
 //
 // tookFull is Apply's note to JournalForm that lines 37-38 fired, the one
 // branch that reads full. It shares a word with k so that the struct stays in
@@ -119,20 +124,18 @@ var (
 	_ dsys.JournalTrimmer = (*updateRMW)(nil)
 )
 
-// errTrimmedUpdate is the Apply response of an update that carries no full
-// replica and reaches lines 37-38. No writer builds such an update; it is the
-// journal form of one that did not need its replica, so meeting it there
-// means the log is being replayed onto a state other than the one it was
-// written against. The object is left untouched.
-var errTrimmedUpdate = errors.New("adaptive: update without a full replica reached the full-replica branch")
-
 // Apply implements dsys.RMW.
 func (u *updateRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
-	if u.ts.LessEq(s.storedTS) {
+	switch {
+	case u.ts.LessEq(s.storedTS):
 		// Lines 33-34: a newer write already completed its update round; this
 		// write's value (or a newer one) is already durable, so ignore.
-		return updateResp{Stored: false}
+		return updateResp{}
+	case holdsTS(s.vp, u.ts):
+		return updateResp{Stored: true, ToVp: true, again: true}
+	case holdsTS(s.vf, u.ts):
+		return updateResp{Stored: true, again: true}
 	}
 	resp := updateResp{}
 	switch {
@@ -149,9 +152,9 @@ func (u *updateRMW) Apply(state dsys.State) any {
 		resp = updateResp{Stored: true, ToVp: true}
 	case len(s.vf) == 0 || maxChunkTS(s.vf).Less(u.ts):
 		// Lines 37-38: Vp is full; store a full replica if Vf is empty or
-		// holds an older value.
+		// holds an older value — once the writer has sent one.
 		if len(u.full) == 0 {
-			return errTrimmedUpdate
+			return updateResp{NeedFull: true}
 		}
 		s.vf = register.CloneChunks(u.full)
 		u.tookFull = true
@@ -162,10 +165,20 @@ func (u *updateRMW) Apply(state dsys.State) any {
 	return resp
 }
 
+// holdsTS reports whether one of chunks belongs to the write stamped ts.
+func holdsTS(chunks []register.Chunk, ts register.Timestamp) bool {
+	for _, c := range chunks {
+		if c.TS == ts {
+			return true
+		}
+	}
+	return false
+}
+
 // JournalForm implements dsys.JournalTrimmer: unless Apply stored the full
 // replica it read nothing of it, so the same update without one makes the
 // same transition from the same state — every other branch is chosen by ts,
-// storedTS, len(Vp) and Vf's timestamp alone.
+// storedTS, len(Vp) and the timestamps in Vp and Vf alone.
 func (u *updateRMW) JournalForm() dsys.RMW {
 	if u.tookFull || len(u.full) == 0 {
 		return u
@@ -174,16 +187,15 @@ func (u *updateRMW) JournalForm() dsys.RMW {
 	return &t
 }
 
-// trimmed is u as a writer would have built it had there been no full replica
-// to send.
+// trimmed is u as its writer first sends it: without the full replica.
 func (u *updateRMW) trimmed() updateRMW {
 	t := *u
 	t.full, t.wire = nil, nil
 	return t
 }
 
-// Blocks implements dsys.RMW: the update carries the object's piece plus the
-// k pieces of the full replica as parameters.
+// Blocks implements dsys.RMW: the update carries the object's piece plus,
+// when it has them, the k pieces of the full replica as parameters.
 func (u *updateRMW) Blocks() []dsys.BlockRef {
 	refs := make([]dsys.BlockRef, 0, 1+len(u.full))
 	refs = append(refs, u.piece.Ref())
@@ -193,10 +205,11 @@ func (u *updateRMW) Blocks() []dsys.BlockRef {
 	return refs
 }
 
-// seedUpdateRMW is updateRMW for reconfiguration seed writes: identical,
-// except that an object already holding this exact seed piece (same fixed
-// timestamp) leaves its state untouched, so a re-driven seed never consumes a
-// second Vp slot with a duplicate.
+// seedUpdateRMW is updateRMW for reconfiguration seed writes, under a kind of
+// its own. Re-driving an interrupted seed over its own partial first attempt
+// sends an object the update it already applied; updateRMW.Apply leaves alone
+// a state that holds the update's timestamp, so a seed piece is never stored
+// twice.
 type seedUpdateRMW struct {
 	updateRMW
 }
@@ -206,19 +219,8 @@ var (
 	_ dsys.JournalTrimmer = (*seedUpdateRMW)(nil)
 )
 
-// Apply implements dsys.RMW.
-func (u *seedUpdateRMW) Apply(state dsys.State) any {
-	s := state.(*objectState)
-	for _, c := range s.vp {
-		if c.TS == u.ts && c.Block.Index == u.piece.Block.Index {
-			return updateResp{Stored: false}
-		}
-	}
-	return u.updateRMW.Apply(state)
-}
-
 // JournalForm implements dsys.JournalTrimmer as updateRMW's does, keeping the
-// seed kind: the duplicate check above reads Vp and the piece only.
+// seed kind.
 func (u *seedUpdateRMW) JournalForm() dsys.RMW {
 	if u.tookFull || len(u.full) == 0 {
 		return u
@@ -226,23 +228,46 @@ func (u *seedUpdateRMW) JournalForm() dsys.RMW {
 	return &seedUpdateRMW{u.trimmed()}
 }
 
-// updateResp reports what the update round did. The writer reads it to decide
-// whether the object's GC needs the piece: only Stored && !ToVp puts the
-// write's full replica into Vf.
+// updateResp reports what an update did. Stored and ToVp say where the object
+// holds the write: in Vp, in Vf (Stored alone — the one case in which the
+// object's GC needs the piece), or nowhere, the update having been ignored or
+// Vf holding a newer value. NeedFull is the answer of an update without a
+// full replica that reached lines 37-38: the object is as it was and the
+// writer sends the update again, whole. It is the only answer that is not two
+// bytes on the wire, and only an update without a replica can get it. again
+// marks the answer to an update the object had applied before, which changed
+// nothing either; it stays on the object's side of the wire.
 type updateResp struct {
-	Stored bool
-	ToVp   bool
+	Stored   bool
+	ToVp     bool
+	NeedFull bool
+	again    bool
+}
+
+var _ dsys.NoChange = updateResp{}
+
+// NoChange implements dsys.NoChange.
+func (r updateResp) NoChange() (unchanged, incomplete bool) {
+	return r.NeedFull || r.again, r.NeedFull
 }
 
 // gcRMW is the third write round (Algorithm 3, lines 40-45): drop everything
 // older than ts, shrink a full replica of this very write down to the single
 // piece that belongs on this object, and raise storedTS to ts.
 //
-// piece is only read by lines 43-44, so a writer that knows Vf cannot hold
-// its full replica sends none: a piece whose block is empty. An object that
-// does hold the replica and is sent no piece keeps the replica whole — still
-// a correct state, which a later write's GC drops — and never stores the
-// empty piece.
+// piece is only read by lines 43-44, so a writer that knows the object's
+// update settled outside Vf sends none: a piece whose block is empty. An
+// object that does hold the replica and is sent no piece keeps the replica
+// whole — still a correct state, which a later write's GC drops — and never
+// stores the empty piece.
+//
+// A writer that does not know sends the piece, and it may find that the
+// write's update has stored nothing here: it needed a replica it did not
+// carry and no follow-up came (the quorum settled without this object), or it
+// is still on its way. Had the update come whole, lines 37-38 would have put
+// the replica into an empty Vf and lines 43-44 would now cut it down to this
+// piece, so that is what the GC leaves — every object it reaches ends up with
+// its piece of a completed write, as under the algorithm as printed.
 type gcRMW struct {
 	ts    register.Timestamp
 	piece register.Chunk
@@ -268,15 +293,11 @@ func (g *gcRMW) Apply(state dsys.State) any {
 	}
 	s.vf = keepVf
 	// Lines 43-44: if Vf holds the full replica of this write, keep only the
-	// single piece destined for this object.
-	holdsMine := false
-	for _, c := range s.vf {
-		if c.TS == g.ts {
-			holdsMine = true
-			break
-		}
-	}
-	if holdsMine && g.hasPiece() {
+	// single piece destined for this object — and if the object holds nothing
+	// of the write, whose update round this GC is the first to report, that
+	// piece is what the replica would have come down to.
+	missed := s.storedTS.Less(g.ts) && len(s.vf) == 0 && !holdsTS(s.vp, g.ts)
+	if g.hasPiece() && (missed || holdsTS(s.vf, g.ts)) {
 		s.vf = []register.Chunk{g.piece}
 	}
 	s.storedTS = s.storedTS.Max(g.ts)

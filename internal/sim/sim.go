@@ -233,6 +233,11 @@ type Result struct {
 	RouteLeaks []string
 	// Verdicts holds one entry per shard per checked condition.
 	Verdicts []ShardVerdict
+	// FollowUpUpdates counts the (write, base object) pairs at which a fourth
+	// RMW of the write took effect. Only an adaptive write that ran its
+	// follow-up update round sends an object four (query, piece-only update,
+	// update with the replica, GC). It is not part of the fingerprint.
+	FollowUpUpdates int
 	// Fingerprint is a hash over histories, fault schedule, reconfigurations,
 	// the move ledger and verdicts; two runs of the same Config must produce
 	// the same fingerprint.
@@ -337,11 +342,25 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	adv := newAdversary(cfg.Seed, cfg.Faults)
+	type writeAt struct {
+		op     dsys.OpID
+		object int
+	}
+	applied, followUps := map[writeAt]int{}, 0
 	set, err := shard.New(specs,
 		dsys.WithControlledMode(),
 		dsys.WithPolicy(adv),
 		dsys.WithMaxSteps(cfg.MaxSteps),
 		dsys.WithoutAccounting(),
+		dsys.WithEventLog(func(ev dsys.Event) {
+			if ev.Kind != dsys.EventApply || ev.Op.Kind != dsys.OpWrite {
+				return
+			}
+			at := writeAt{ev.Op, ev.Object}
+			if applied[at]++; applied[at] == 4 {
+				followUps++
+			}
+		}),
 	)
 	if err != nil {
 		return nil, err
@@ -440,6 +459,7 @@ func Run(cfg Config) (*Result, error) {
 		CrashedClients:   cluster.CrashedClients(),
 		Faults:           adv.events,
 		Reconfigs:        co.Events(),
+		FollowUpUpdates:  followUps,
 	}
 	if ctrl != nil {
 		res.ControllerCrashes, res.ControllerResumes = ctrl.counters()

@@ -244,3 +244,40 @@ func hasSequentialWrites(h *history.History) bool {
 	}
 	return false
 }
+
+// TestSmokeAdaptiveLegFiresFollowUpUnderCrashes: the "adaptive x2" leg of
+// `make sim-smoke` (two adaptive shards, three clients each, four operations,
+// seeds 1..50) reaches the piece-first write's follow-up round — a write that
+// finds Vp full on too many objects and sends them the replica — in runs whose
+// fault schedule crashed base objects, and every one of those runs keeps its
+// verdicts. Other providers never send an object four RMWs of one write.
+func TestSmokeAdaptiveLegFiresFollowUpUnderCrashes(t *testing.T) {
+	leg := func(provider string, seed int64) *Result {
+		res, err := Run(Config{Seed: seed, Shards: []ShardPlan{{Provider: provider}, {Provider: provider}}, Clients: 3, OpsPerClient: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() {
+			t.Fatalf("%s, seed %d:\n%s", provider, seed, FormatFailure(res))
+		}
+		return res
+	}
+	fired, underCrashes := 0, 0
+	for seed := int64(1); seed <= 50; seed++ {
+		if res := leg("adaptive", seed); res.FollowUpUpdates > 0 {
+			fired++
+			if len(res.CrashedObjects) > 0 {
+				underCrashes++
+			}
+		}
+		for _, provider := range []string{"abd", "ecreg", "safereg"} {
+			if res := leg(provider, seed); res.FollowUpUpdates != 0 {
+				t.Errorf("%s, seed %d: %d objects applied four RMWs of one write", provider, seed, res.FollowUpUpdates)
+			}
+		}
+	}
+	t.Logf("the follow-up round fired in %d of 50 seeds, %d of them with crashed objects", fired, underCrashes)
+	if underCrashes == 0 {
+		t.Errorf("the follow-up round fired in %d of 50 seeds and in none with crashed objects", fired)
+	}
+}

@@ -170,9 +170,9 @@ func TestDeadlinelessRoundTimesOut(t *testing.T) {
 	}
 
 	roundTimeout = time.Minute
+	start := time.Now() // before the deadline is set: the round may not end ahead of it
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	start := time.Now()
 	if _, err := fx.cli.InvokeRound(ctx, 1, fx.targets, abdRead(t), 2); !errors.Is(err, dsys.ErrQuorumUnavailable) {
 		t.Fatalf("round under a context deadline: err = %v, want ErrQuorumUnavailable", err)
 	}

@@ -3,6 +3,8 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"spacebounds/internal/dsys"
@@ -22,10 +24,21 @@ type countingInvoker struct {
 
 	requests, responses int
 	perKind             map[string]int
+	rounds              []countedRound
+}
+
+// countedRound is one round as the invoker saw it: whom it was addressed to
+// and the request-payload bytes built for each of them (none for an object
+// that is down).
+type countedRound struct {
+	kind    string
+	targets []int
+	bytes   map[int]int
 }
 
 func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	var kind string
+	sent := map[int]int{}
 	resp, err := c.inner.InvokeRound(ctx, client, targets, func(obj int) dsys.RMW {
 		rmw := makeRMW(obj)
 		env, encErr := register.EncodeEnvelopeShared(dsys.OpID{Client: client}, obj, rmw)
@@ -35,8 +48,10 @@ func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets [
 		kind = env.Kind
 		c.requests += len(env.Payload) + len(env.Shared)
 		c.perKind[kind] += len(env.Payload) + len(env.Shared)
+		sent[obj] = len(env.Payload) + len(env.Shared)
 		return rmw
 	}, quorum)
+	c.rounds = append(c.rounds, countedRound{kind: kind, targets: append([]int{}, targets...), bytes: sent})
 	for _, v := range resp {
 		payload, encErr := register.EncodeResponse(kind, v)
 		if encErr != nil {
@@ -49,11 +64,11 @@ func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets [
 }
 
 // TestQuiescentWriteMovesOnlyWhatItsRoundsRead: one 64 KiB write at f = 2,
-// k = 4 into a quiescent register sends each of its n objects the full replica
-// and one piece, once — D + D/k bytes and a few hundred of timestamps and
-// chunk headers — and gets back timestamps and flags only. The query round
-// returns no piece and the GC round, every update having answered from Vp,
-// carries none.
+// k = 4 into a quiescent register sends each of its n objects one piece, once
+// — D/k bytes and a few hundred of timestamps and chunk headers — and gets
+// back timestamps and flags only. The query round returns no piece, no update
+// carries the full replica — every object has room in Vp — and the GC round,
+// every update having answered from Vp, carries no piece.
 func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	const f, k, dataLen = 2, 4, 64 << 10
 	specs := []shard.Spec{{Name: "large", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
@@ -74,10 +89,13 @@ func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 2*f + k
-	// Per object: an update's 5 chunk headers, k and two timestamps, and a
-	// GC's timestamp and empty chunk — under 400 bytes.
-	if limit := n*(dataLen+dataLen/k) + n*512; counter.requests > limit {
-		t.Errorf("the write sent %d request-payload bytes, want at most n·(D + D/k) + n·512 = %d: %v", counter.requests, limit, counter.perKind)
+	// Per object: an update's chunk header, k, two timestamps and an empty
+	// replica, and a GC's timestamp and empty chunk — under 200 bytes.
+	if limit := n*dataLen/k + n*512; counter.requests > limit {
+		t.Errorf("the write sent %d request-payload bytes, want at most n·D/k + n·512 = %d: %v", counter.requests, limit, counter.perKind)
+	}
+	if len(counter.rounds) != 3 {
+		t.Errorf("the write took %d rounds, want 3: %+v", len(counter.rounds), counter.rounds)
 	}
 	if limit := n * 64; counter.responses > limit {
 		t.Errorf("the write received %d response-payload bytes, want at most n·64 = %d: %v", counter.responses, limit, counter.perKind)
@@ -87,6 +105,78 @@ func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	}
 	if got, wantBits := backing.Cluster().SampleStorage().BaseObjectBits, n*8*dataLen/k; got != wantBits {
 		t.Errorf("quiescent storage %d bits, want %d", got, wantBits)
+	}
+}
+
+// TestContendedWriteSendsTheReplicaOnlyWhereAsked: at f = 1, k = 2 a write
+// finds Vp full on objects 0 and 1 (an earlier write got that far and no
+// further) and object 3 down. Its first update round sends all four objects a
+// piece and no replica; object 2 stores it, 0 and 1 answer that they need the
+// replica, 3 says nothing. One settled answer is short of the quorum of
+// three, so a second adaptive.update round carries the replica — to exactly
+// 0, 1 and 3, and not to the object that stored the piece. The GC brings the
+// piece to the objects that may hold the replica and none to object 2.
+func TestContendedWriteSendsTheReplicaOnlyWhereAsked(t *testing.T) {
+	const f, k, dataLen = 1, 2, 16 << 10
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backing.Close()
+	earlier := adaptiveUpdate(t, 5, 9, 0xEE)
+	for _, obj := range []int{0, 1} {
+		if _, err := backing.Cluster().ApplyOne(obj, earlier(obj)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := backing.Cluster().CrashObject(3); err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingInvoker{inner: transport.NewLoopback(backing.Cluster()), t: t, perKind: map[string]int{}}
+	rs, err := shard.NewRemote(specs, counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sh := rs.Shards()[0]
+	want := value.Sequenced(1, 1, dataLen)
+	if err := rs.WriteValue(1, sh, want); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, r := range counter.rounds {
+		kinds = append(kinds, r.kind)
+	}
+	if got, want := strings.Join(kinds, " "), "adaptive.readts adaptive.update adaptive.update adaptive.gc"; got != want {
+		t.Fatalf("the write's rounds were %q, want %q", got, want)
+	}
+	const piece, slack = dataLen / k, 512
+	first, second, gc := counter.rounds[1], counter.rounds[2], counter.rounds[3]
+	if !slices.Equal(first.targets, []int{0, 1, 2, 3}) || !slices.Equal(second.targets, []int{0, 1, 3}) {
+		t.Errorf("the updates went to %v, then to %v; want every object, then the two that need the replica and the one that has not answered", first.targets, second.targets)
+	}
+	for obj, sent := range first.bytes {
+		if sent > piece+slack {
+			t.Errorf("the first update sent object %d %d bytes: more than a piece", obj, sent)
+		}
+	}
+	for _, obj := range []int{0, 1} {
+		if sent := second.bytes[obj]; sent < dataLen+piece || sent > dataLen+piece+slack {
+			t.Errorf("the follow-up sent object %d %d bytes, want the replica and the piece", obj, sent)
+		}
+		if sent := gc.bytes[obj]; sent < piece {
+			t.Errorf("the GC sent object %d, whose Vf holds the replica, %d bytes: no piece", obj, sent)
+		}
+	}
+	if sent := gc.bytes[2]; sent > slack {
+		t.Errorf("the GC sent object 2, which stored the piece in Vp, %d bytes", sent)
+	}
+	if got, err := rs.ReadValue(2, sh); err != nil || !got.Equal(want) {
+		t.Fatalf("read after the write: %v, equal = %v", err, err == nil && got.Equal(want))
+	}
+	if got, wantBits := backing.Cluster().SampleStorage().BaseObjectBits, (2*f+k)*8*dataLen/k; got != wantBits {
+		t.Errorf("storage after the write %d bits, want one piece an object (the initial one on the object that is down), %d", got, wantBits)
 	}
 }
 

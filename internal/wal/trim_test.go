@@ -42,8 +42,8 @@ func logBytesPerObject(j *wal.Journal) map[int]int {
 // one uncontended write journals, on each of its n objects, an update record
 // holding the object's piece and a GC record holding none — n·D/k bytes of
 // value and a fixed 288 bytes of framing, timestamps and chunk headers per
-// object. The full replica every update carried (another n·D) is not there:
-// no object's Vf took it.
+// object. No full replica (another n·D) is there: no object's Vf took one,
+// and no update carried one.
 func TestQuiescentWriteJournalsOnlyWhatObjectsKept(t *testing.T) {
 	const f, k, dataLen = 1, 2, 4 << 10
 	const n = 2*f + k
@@ -201,9 +201,10 @@ func TestContendedUpdatesJournalTheReplicaOnlyWhereStored(t *testing.T) {
 
 // TestReplayRefusesTrimmedUpdateOnFullVp: a log whose second record is an
 // update without a replica, hand-built for an object whose Vp the first record
-// filled. No journal writes that — the update would have gone into Vf and been
-// recorded whole — so replay stops with the typed error, and the object holds
-// what the first record left: no empty replica.
+// filled. No journal writes that — live, such an update answers that it needs
+// the replica, changes nothing and is not recorded; the follow-up that goes
+// into Vf is, whole — so replay stops with the typed error, and the object
+// holds what the first record left: no empty replica.
 func TestReplayRefusesTrimmedUpdateOnFullVp(t *testing.T) {
 	dir := t.TempDir()
 	j, err := wal.Open(wal.Config{Dir: dir})
