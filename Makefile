@@ -25,16 +25,19 @@ race:
 	$(GO) test -race -timeout 10m ./...
 
 # Flake hunt (nightly): the short tests of the packages whose tests wait on
-# real time, goroutines or sockets — the batch lanes' lead hand-off among
-# them — twenty times over, so a test that is only quiescent by luck fails
-# here before it fails in tier-1.
+# real time, goroutines or sockets — the batch lanes' lead hand-off, and the
+# transport's held-back frames (a queued read response, a straggler update, a
+# round parked beside an oversized request) among them — twenty times over, so
+# a test that is only quiescent by luck fails here before it fails in tier-1.
 flake:
 	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/...
 
 # Smoke-compile and smoke-run every `go test` benchmark once (the E1-E8
 # experiment benchmarks and the substrate micro-benchmarks: the ladder rows
-# BenchmarkBatcherSubmit, BenchmarkInvokeRound and BenchmarkJournalAppend among
-# them) so they keep working. It judges nothing; `make benchmark` does.
+# BenchmarkBatcherSubmit, BenchmarkInvokeRound (a read round, 512-byte and
+# 16 KiB pieces), BenchmarkServeRequest (an update, a 16 KiB read),
+# BenchmarkSegmentsWrite and BenchmarkJournalAppend among them) so they keep
+# working. It judges nothing; `make benchmark` does.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

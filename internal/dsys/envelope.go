@@ -22,14 +22,6 @@ type Envelope struct {
 	Object  int
 	Kind    string
 	Payload []byte
-	// Shared, which only a sender sets, is the end of the payload held apart
-	// from its beginning: on the wire the payload is Payload followed by
-	// Shared under one length prefix. The envelopes of one round may point at
-	// the same Shared bytes, which are then encoded once and copied nowhere
-	// before the socket. UnmarshalEnvelope returns the whole payload in
-	// Payload; anything that decodes or records an envelope it built itself
-	// builds it whole.
-	Shared []byte
 	// Trace and Span carry the operation's trace context (see
 	// internal/trace): the sampled trace ID and the client-side span the
 	// node's stages should parent under. Both zero means untraced, and an
@@ -155,24 +147,25 @@ var ErrEnvelope = errors.New("dsys: malformed envelope")
 //	u32 len(payload) payload bytes
 //	u64 trace   u64 span          (version 2 only)
 //
-// The payload bytes are Payload followed by Shared. The encoding is
-// AppendHeader, the payload bytes, AppendTrailer: a transport that hands the
-// payload to the socket as it stands builds only those two.
+// The encoding is AppendHeader, the payload bytes, AppendTrailer: a writer
+// that produces the payload in place — into a socket's segments or a journal's
+// frame buffer (register.WriteEnvelope) — calls those two around it and never
+// holds the payload as one slice.
 func (e Envelope) AppendBinary(b []byte) ([]byte, error) {
-	b, err := e.AppendHeader(b)
+	b, err := e.AppendHeader(b, len(e.Payload))
 	if err != nil {
 		return nil, err
 	}
-	return e.AppendTrailer(append(append(b, e.Payload...), e.Shared...)), nil
+	return e.AppendTrailer(append(b, e.Payload...)), nil
 }
 
-// AppendHeader appends everything that precedes the payload bytes, the
-// payload's length prefix included.
-func (e Envelope) AppendHeader(b []byte) ([]byte, error) {
+// AppendHeader appends everything that precedes the payload bytes, ending in
+// the length prefix of a payload of payloadLen bytes. Payload itself is not
+// consulted.
+func (e Envelope) AppendHeader(b []byte, payloadLen int) ([]byte, error) {
 	if len(e.Kind) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: kind of length %d", ErrEnvelope, len(e.Kind))
 	}
-	payloadLen := len(e.Payload) + len(e.Shared)
 	if payloadLen > math.MaxUint32 {
 		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, payloadLen)
 	}
@@ -200,9 +193,19 @@ func (e Envelope) AppendTrailer(b []byte) []byte {
 
 func (e Envelope) traced() bool { return e.Trace != 0 || e.Span != 0 }
 
+// EncodedLen returns the length of the envelope's wire encoding around a
+// payload of payloadLen bytes.
+func (e Envelope) EncodedLen(payloadLen int) int {
+	n := 1 + opIDLen + 8 + 2 + len(e.Kind) + 4 + payloadLen
+	if e.traced() {
+		n += 16
+	}
+	return n
+}
+
 // MarshalBinary encodes the envelope.
 func (e Envelope) MarshalBinary() ([]byte, error) {
-	return e.AppendBinary(make([]byte, 0, 32+len(e.Kind)+len(e.Payload)+len(e.Shared)))
+	return e.AppendBinary(make([]byte, 0, e.EncodedLen(len(e.Payload))))
 }
 
 // wireKinds holds the kind names this process can decode, each mapped to
@@ -279,24 +282,25 @@ func UnmarshalEnvelope(b []byte) (Envelope, error) {
 // Like the envelope's, the encoding is AppendHeader, the payload bytes,
 // AppendTrailer.
 func (r Response) AppendBinary(b []byte) ([]byte, error) {
-	b, err := r.AppendHeader(b)
+	b, err := r.AppendHeader(b, len(r.Payload))
 	if err != nil {
 		return nil, err
 	}
 	return r.AppendTrailer(append(b, r.Payload...)), nil
 }
 
-// AppendHeader appends everything that precedes the payload bytes, the
-// payload's length prefix included.
-func (r Response) AppendHeader(b []byte) ([]byte, error) {
-	if len(r.Payload) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, len(r.Payload))
+// AppendHeader appends everything that precedes the payload bytes, ending in
+// the length prefix of a payload of payloadLen bytes. Payload itself is not
+// consulted.
+func (r Response) AppendHeader(b []byte, payloadLen int) ([]byte, error) {
+	if payloadLen > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: payload of length %d", ErrEnvelope, payloadLen)
 	}
 	b = append(b, envelopeVersion)
 	b = appendOpID(b, r.Op)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.Object))
 	b = append(b, byte(r.Status))
-	return binary.BigEndian.AppendUint32(b, uint32(len(r.Payload))), nil
+	return binary.BigEndian.AppendUint32(b, uint32(payloadLen)), nil
 }
 
 // AppendTrailer appends what follows the payload bytes: the detail string,
@@ -310,9 +314,15 @@ func (r Response) AppendTrailer(b []byte) []byte {
 	return append(b, detail...)
 }
 
+// EncodedLen returns the length of the response's wire encoding around a
+// payload of payloadLen bytes.
+func (r Response) EncodedLen(payloadLen int) int {
+	return 1 + opIDLen + 8 + 1 + 4 + payloadLen + 2 + min(len(r.Detail), math.MaxUint16)
+}
+
 // MarshalBinary encodes the response.
 func (r Response) MarshalBinary() ([]byte, error) {
-	return r.AppendBinary(make([]byte, 0, 40+len(r.Payload)+len(r.Detail)))
+	return r.AppendBinary(make([]byte, 0, r.EncodedLen(len(r.Payload))))
 }
 
 // UnmarshalResponse decodes a response, rejecting trailing bytes.
@@ -332,6 +342,9 @@ func UnmarshalResponse(b []byte) (Response, error) {
 	}
 	return r, nil
 }
+
+// opIDLen is the encoded size of an OpID.
+const opIDLen = 8 + 8 + 1
 
 func appendOpID(b []byte, op OpID) []byte {
 	b = binary.BigEndian.AppendUint64(b, uint64(op.Client))

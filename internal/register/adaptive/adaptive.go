@@ -134,7 +134,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // either that the update is settled there (stored in Vp, ignored, or Vf
 // already newer) or, with its state untouched, that it needs the replica. If
 // fewer than a quorum settled, a follow-up round takes the update with the
-// replica (one encoding on the wire, shared read-only) to the objects that
+// replica (its k blocks shared read-only, down to the socket) to the objects that
 // need it and to those that have not answered — they may be merely slow, and
 // the ones that answered may crash — and waits for the rest of the quorum
 // among them. An object applies at most one of the two (updateRMW.Apply).
@@ -146,14 +146,14 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool) (func(obj int) bool, error) {
 	// One allocation either way: an update is a seed update's only field.
 	k := int32(cfg.K)
-	update := func(obj int, full []register.Chunk, wire *fullWire) dsys.RMW {
-		u := &seedUpdateRMW{updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full, wire: wire}}
+	update := func(obj int, full []register.Chunk) dsys.RMW {
+		u := &seedUpdateRMW{updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full}}
 		if seed {
 			return u
 		}
 		return &u.updateRMW
 	}
-	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(obj, nil, nil) }, cfg.Quorum())
+	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(obj, nil) }, cfg.Quorum())
 	if err != nil {
 		return nil, err
 	}
@@ -168,8 +168,8 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	}
 	var second map[int]any
 	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
-		full, wire := writeSet[:cfg.K:cfg.K], new(fullWire)
-		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(obj, full, wire) }, lacking)
+		full := writeSet[:cfg.K:cfg.K]
+		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(obj, full) }, lacking)
 		if err != nil {
 			return nil, err
 		}

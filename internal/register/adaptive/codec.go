@@ -3,65 +3,24 @@ package adaptive
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 )
 
-// The update payload — the shared body of updateRMW and seedUpdateRMW, which
-// differ only in idempotence handling, not in fields — is the update's own
-// fields followed by the full replica. Both encoders below are those two
-// writers in that order; they differ only in where the bytes land.
-
-func updateOwnSize(u *updateRMW) int {
-	return register.WireIntSize + 2*register.WireTSSize + register.ChunkWireSize(u.piece)
-}
-
-func writeUpdateOwn(w *register.WireWriter, u *updateRMW) {
+// writeUpdate writes the update payload, the shared body of updateRMW and
+// seedUpdateRMW, which differ only in idempotence handling, not in fields: the
+// update's own fields followed by the full replica — none on a write's first
+// update, and on a follow-up's the k blocks of writeSet, which a sender's
+// writer holds by reference, so that the replica costs a round a few headers
+// per update and is copied nowhere before the socket.
+func writeUpdate(w *register.WireWriter, u *updateRMW) error {
 	w.Int(int(u.k))
 	w.TS(u.ts)
 	w.TS(u.storedTS)
 	w.Chunk(u.piece)
-}
-
-// encodeUpdate returns the whole payload in one exactly sized buffer.
-func encodeUpdate(u *updateRMW) []byte {
-	var w register.WireWriter
-	w.Grow(updateOwnSize(u) + register.ChunksWireSize(u.full))
-	writeUpdateOwn(&w, u)
 	w.Chunks(u.full)
-	return w.Finish()
-}
-
-// encodeUpdateShared returns the same bytes in two runs: the update's own
-// fields, and the full replica's encoding, which the updates of one follow-up
-// round produce once and share. An update without a replica — a write's
-// first — or one no writer built (a decoded one) has nothing to share and
-// goes out whole.
-func encodeUpdateShared(u *updateRMW) (own, shared []byte, err error) {
-	if u.wire == nil {
-		return encodeUpdate(u), nil, nil
-	}
-	u.wire.once.Do(func() {
-		var w register.WireWriter
-		w.Grow(register.ChunksWireSize(u.full))
-		w.Chunks(u.full)
-		u.wire.b = w.Finish()
-	})
-	var w register.WireWriter
-	w.Grow(updateOwnSize(u))
-	writeUpdateOwn(&w, u)
-	return w.Finish(), u.wire.b, nil
-}
-
-// fullWire holds the wire encoding of one write's full replica. The update
-// RMWs of the write's follow-up round point at one fullWire, and the first
-// sender that ships one of them in two runs fills it in; rounds applied in
-// process never do.
-type fullWire struct {
-	once sync.Once
-	b    []byte
+	return nil
 }
 
 func decodeUpdate(payload []byte) (updateRMW, error) {
@@ -83,18 +42,17 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 	return u, nil
 }
 
-// encodeUpdateResp / decodeUpdateResp serialize the update round's response:
+// writeUpdateResp / decodeUpdateResp serialize the update round's response:
 // the two flags, which is all a client that sends its replica with every
 // update ever gets, and after them a third byte on a NeedFull answer alone.
-func encodeUpdateResp(resp any) ([]byte, error) {
+func writeUpdateResp(w *register.WireWriter, resp any) error {
 	ur := resp.(updateResp)
-	var w register.WireWriter
 	w.Bool(ur.Stored)
 	w.Bool(ur.ToVp)
 	if ur.NeedFull {
 		w.Bool(true)
 	}
-	return w.Finish(), nil
+	return nil
 }
 
 func decodeUpdateResp(payload []byte) (any, error) {
@@ -115,20 +73,18 @@ func init() {
 	register.RegisterCodec(register.Codec{
 		Kind:     "adaptive.read",
 		ReadOnly: true,
-		Encode:   register.EmptyPayload,
+		Write:    register.EmptyPayload,
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
 			return &readValueRMW{}, nil
 		},
-		EncodeResp: func(resp any) ([]byte, error) {
+		WriteResp: func(w *register.WireWriter, resp any) error {
 			rr := resp.(readValueResp)
-			var w register.WireWriter
-			w.Grow(register.WireTSSize + register.ChunksWireSize(rr.Chunks))
 			w.TS(rr.StoredTS)
 			w.Chunks(rr.Chunks)
-			return w.Finish(), nil
+			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
@@ -143,20 +99,18 @@ func init() {
 	register.RegisterCodec(register.Codec{
 		Kind:     "adaptive.readts",
 		ReadOnly: true,
-		Encode:   register.EmptyPayload,
+		Write:    register.EmptyPayload,
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
 			return &readTSRMW{}, nil
 		},
-		EncodeResp: func(resp any) ([]byte, error) {
+		WriteResp: func(w *register.WireWriter, resp any) error {
 			rt := resp.(readTSResp)
-			var w register.WireWriter
-			w.Grow(register.WireTSSize + register.WireIntSize)
 			w.TS(rt.StoredTS)
 			w.Int(rt.MaxNum)
-			return w.Finish(), nil
+			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
@@ -170,11 +124,8 @@ func init() {
 
 	register.RegisterCodec(register.Codec{
 		Kind: "adaptive.update",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			return encodeUpdate(rmw.(*updateRMW)), nil
-		},
-		EncodeShared: func(rmw dsys.RMW) ([]byte, []byte, error) {
-			return encodeUpdateShared(rmw.(*updateRMW))
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			return writeUpdate(w, rmw.(*updateRMW))
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			u, err := decodeUpdate(payload)
@@ -183,17 +134,14 @@ func init() {
 			}
 			return &u, nil
 		},
-		EncodeResp: encodeUpdateResp,
+		WriteResp:  writeUpdateResp,
 		DecodeResp: decodeUpdateResp,
 	}, &updateRMW{})
 
 	register.RegisterCodec(register.Codec{
 		Kind: "adaptive.seedupdate",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			return encodeUpdate(&rmw.(*seedUpdateRMW).updateRMW), nil
-		},
-		EncodeShared: func(rmw dsys.RMW) ([]byte, []byte, error) {
-			return encodeUpdateShared(&rmw.(*seedUpdateRMW).updateRMW)
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			return writeUpdate(w, &rmw.(*seedUpdateRMW).updateRMW)
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			u, err := decodeUpdate(payload)
@@ -202,7 +150,7 @@ func init() {
 			}
 			return &seedUpdateRMW{updateRMW: u}, nil
 		},
-		EncodeResp: encodeUpdateResp,
+		WriteResp:  writeUpdateResp,
 		DecodeResp: decodeUpdateResp,
 	}, &seedUpdateRMW{})
 
@@ -210,13 +158,11 @@ func init() {
 		// A GC without a piece is this same layout around a zero chunk, whose
 		// block is empty.
 		Kind: "adaptive.gc",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
 			g := rmw.(*gcRMW)
-			var w register.WireWriter
-			w.Grow(register.WireTSSize + register.ChunkWireSize(g.piece))
 			w.TS(g.ts)
 			w.Chunk(g.piece)
-			return w.Finish(), nil
+			return nil
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
@@ -226,11 +172,11 @@ func init() {
 			}
 			return g, nil
 		},
-		EncodeResp: func(resp any) ([]byte, error) {
+		WriteResp: func(_ *register.WireWriter, resp any) error {
 			if _, ok := resp.(gcResp); !ok {
-				return nil, fmt.Errorf("%w: response %T is not gcResp", register.ErrCodec, resp)
+				return fmt.Errorf("%w: response %T is not gcResp", register.ErrCodec, resp)
 			}
-			return nil, nil
+			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			if err := register.RequireEmpty(payload); err != nil {

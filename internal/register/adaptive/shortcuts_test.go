@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spacebounds/internal/dsys"
@@ -313,50 +314,58 @@ func TestPiecelessGCNeverStoresAnEmptyPiece(t *testing.T) {
 	}
 }
 
-// TestUpdateSharedRunsAreThePayload: a follow-up's updates, encoded for a
-// sender, are each the whole payload cut in two, and the second run is the
-// same memory for all of them. An update without a replica — a write's first —
-// and a decoded one, which has no siblings, go out whole.
-func TestUpdateSharedRunsAreThePayload(t *testing.T) {
-	const k, n = 2, 4
+// TestUpdateSegmentsAreThePayload: a follow-up's updates, written for a
+// sender, are each the flat payload in segments — and the segments that are
+// blocks are the write set's own memory, the replica's the same for every
+// update of the round: nothing block-sized is built per update, or per round.
+// An update without a replica — a write's first — sends its piece the same way.
+func TestUpdateSegmentsAreThePayload(t *testing.T) {
+	const k, n, blockLen = 2, 4, 4 << 10
 	writeSet := make([]register.Chunk, n)
 	for i := range writeSet {
 		writeSet[i] = testChunk(3, 1, i+1)
+		writeSet[i].Block.Data = bytes.Repeat([]byte{byte(i + 1)}, blockLen)
 	}
-	wire := new(fullWire)
-	update := func(obj int) updateRMW {
-		return updateRMW{k: k, ts: writeSet[0].TS, storedTS: register.Timestamp{Num: 2, Client: 2}, piece: writeSet[obj], full: writeSet[:k:k], wire: wire}
-	}
-	var first []byte
-	for obj := 0; obj < n; obj++ {
-		u := update(obj)
-		own, shared, err := encodeUpdateShared(&u)
+	codec, _ := register.CodecByKind("adaptive.update")
+	var w register.WireWriter
+	// segments writes u for a sender and returns the segments, checking that
+	// together they are the flat payload; blocks are those of them that are
+	// one of the write set's blocks, by index into it.
+	segments := func(u *updateRMW) (blocks []int) {
+		t.Helper()
+		flat, err := codec.Encode(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(append(append([]byte{}, own...), shared...), encodeUpdate(&u)) {
-			t.Fatalf("object %d: the two runs are not the payload", obj)
+		w.Reset(nil, true)
+		if err := codec.Write(&w, u); err != nil {
+			t.Fatal(err)
 		}
-		if first == nil {
-			first = shared
+		segs := w.Segments(nil)
+		if !bytes.Equal(bytes.Join(segs, nil), flat) || w.Len() != len(flat) {
+			t.Fatalf("the segments are not the payload (%d bytes in segments, %d flat)", w.Len(), len(flat))
 		}
-		if len(shared) == 0 || &shared[0] != &first[0] {
-			t.Fatalf("object %d: the full replica was encoded again", obj)
+		for _, seg := range segs {
+			for i, c := range writeSet {
+				if len(seg) == blockLen && &seg[0] == &c.Block.Data[0] {
+					blocks = append(blocks, i)
+				}
+			}
 		}
-		p := u.trimmed()
-		own, shared, err = encodeUpdateShared(&p)
-		if err != nil || shared != nil || len(own) != updateOwnSize(&p)+register.ChunksWireSize(nil) {
-			t.Fatalf("object %d: an update without a replica went out as %d + %d bytes (%v)", obj, len(own), len(shared), err)
+		if inline := len(flat) - len(blocks)*blockLen; inline > 512 {
+			t.Fatalf("%d bytes of the payload were copied: more than headers", inline)
 		}
+		return blocks
 	}
-	u := update(0)
-	decoded, err := decodeUpdate(encodeUpdate(&u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	own, shared, err := encodeUpdateShared(&decoded)
-	if err != nil || shared != nil || !bytes.Equal(own, encodeUpdate(&u)) {
-		t.Fatalf("a decoded update went out in two runs (%d + %d bytes, %v)", len(own), len(shared), err)
+	for obj := 0; obj < n; obj++ {
+		u := updateRMW{k: k, ts: writeSet[0].TS, storedTS: register.Timestamp{Num: 2, Client: 2}, piece: writeSet[obj], full: writeSet[:k:k]}
+		if got, want := segments(&u), []int{obj, 0, 1}; !slices.Equal(got, want) {
+			t.Fatalf("object %d: the follow-up's blocks on the wire are %v of the write set, want %v", obj, got, want)
+		}
+		first := u.trimmed()
+		if got := segments(&first); !slices.Equal(got, []int{obj}) {
+			t.Fatalf("object %d: the first update's blocks on the wire are %v of the write set, want its piece", obj, got)
+		}
 	}
 }
 

@@ -102,8 +102,7 @@ func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
 // piece is retained by the object as it stands, so it must be exactly sized
 // memory of its own. full is only read: the updates of one write share it, a
 // decoded update's full is a view of its request frame, and Apply copies it
-// before storing. wire is where those updates share the encoding of full; a
-// decoded update has none.
+// before storing.
 //
 // tookFull is Apply's note to JournalForm that lines 37-38 fired, the one
 // branch that reads full. It shares a word with k so that the struct stays in
@@ -116,7 +115,6 @@ type updateRMW struct {
 	storedTS register.Timestamp
 	piece    register.Chunk
 	full     []register.Chunk
-	wire     *fullWire
 }
 
 var (
@@ -190,7 +188,7 @@ func (u *updateRMW) JournalForm() dsys.RMW {
 // trimmed is u as its writer first sends it: without the full replica.
 func (u *updateRMW) trimmed() updateRMW {
 	t := *u
-	t.full, t.wire = nil, nil
+	t.full = nil
 	return t
 }
 

@@ -21,7 +21,10 @@ import (
 // value of the same concrete type — so Apply and Blocks() run on the decoded
 // form and Definition-2 storage charging is computed exactly as in-process.
 
-// Codec describes the wire encoding of one RMW kind and of its response.
+// Codec describes the wire encoding of one RMW kind and of its response. A
+// provider states each layout once, as a write into a WireWriter; where the
+// bytes land — one flat slice, a socket's segments, the journal's frame
+// buffer — is the writer's business (see WireWriter).
 type Codec struct {
 	// Kind is the stable wire name, conventionally "<provider>.<rmw>".
 	Kind string
@@ -30,21 +33,60 @@ type Codec struct {
 	// until a mutating RMW has repopulated it (recovery mode), which is what
 	// keeps quorum reads regular across kill -9 restarts.
 	ReadOnly bool
-	// Encode serializes the RMW's parameters (not its kind or target).
-	Encode func(rmw dsys.RMW) ([]byte, error)
-	// EncodeShared, set by kinds whose payload ends in bytes that every RMW
-	// of one round carries alike, is Encode in two runs: shared is that
-	// ending — the same memory for each RMW of the round — and own what
-	// precedes it, so own followed by shared is exactly Encode's output. A
-	// transport that writes the runs one after the other never builds the
-	// round's common bytes more than once.
-	EncodeShared func(rmw dsys.RMW) (own, shared []byte, err error)
-	// Decode rebuilds a live RMW from Encode's output.
+	// Write serializes the RMW's parameters (not its kind or target) into w.
+	// It must write the same fields whenever it is handed the same RMW: every
+	// encoding is a counting pass followed by a writing one.
+	Write func(w *WireWriter, rmw dsys.RMW) error
+	// Decode rebuilds a live RMW from what Write wrote.
 	Decode func(payload []byte) (dsys.RMW, error)
-	// EncodeResp serializes the response returned by the RMW's Apply.
-	EncodeResp func(resp any) ([]byte, error)
-	// DecodeResp rebuilds the response value from EncodeResp's output.
+	// WriteResp serializes the response returned by the RMW's Apply into w,
+	// under the same rule as Write.
+	WriteResp func(w *WireWriter, resp any) error
+	// DecodeResp rebuilds the response value from what WriteResp wrote.
 	DecodeResp func(payload []byte) (any, error)
+}
+
+// Encode returns the RMW's parameters as one flat, exactly sized payload:
+// what Decode accepts and an Envelope carries in Payload.
+func (c Codec) Encode(rmw dsys.RMW) ([]byte, error) { return encodeFlat(c.Write, rmw) }
+
+// EncodeResp is Encode for the response returned by the RMW's Apply.
+func (c Codec) EncodeResp(resp any) ([]byte, error) { return encodeFlat(c.WriteResp, resp) }
+
+// encodeFlat runs write twice: to count the bytes, then to fill a buffer of
+// exactly that size.
+func encodeFlat[T any](write func(*WireWriter, T) error, v T) ([]byte, error) {
+	var w WireWriter
+	_, total, err := measure(&w, write, v)
+	if err != nil || total == 0 {
+		return nil, err
+	}
+	w.Reset(make([]byte, 0, total), false)
+	if err := write(&w, v); err != nil {
+		return nil, err
+	}
+	return w.Finish(), nil
+}
+
+// measure runs write against w in counting mode, leaving what w holds as it
+// is: total is how many bytes write produces, inline how many of them a writer
+// that keeps blocks by reference puts in its own buffer.
+func measure[T any](w *WireWriter, write func(*WireWriter, T) error, v T) (inline, total int, err error) {
+	w.counting, w.inline, w.held = true, 0, 0
+	err = write(w, v)
+	w.counting = false
+	return w.inline, w.inline + w.held, err
+}
+
+// RequestSize reports what Write produces for rmw, as measure does. The pass
+// runs on w so that a sender who owns a writer allocates nothing for it.
+func (c Codec) RequestSize(w *WireWriter, rmw dsys.RMW) (inline, total int, err error) {
+	return measure(w, c.Write, rmw)
+}
+
+// ResponseSize is RequestSize for WriteResp.
+func (c Codec) ResponseSize(w *WireWriter, resp any) (inline, total int, err error) {
+	return measure(w, c.WriteResp, resp)
 }
 
 // ErrCodec reports codec registry failures: unknown kinds, unregistered RMW
@@ -62,7 +104,7 @@ var (
 // would indicate two providers claiming the same wire name. Providers call it
 // from init, one registration per RMW kind.
 func RegisterCodec(c Codec, prototype dsys.RMW) {
-	if c.Kind == "" || c.Encode == nil || c.Decode == nil || c.EncodeResp == nil || c.DecodeResp == nil {
+	if c.Kind == "" || c.Write == nil || c.Decode == nil || c.WriteResp == nil || c.DecodeResp == nil {
 		panic(fmt.Sprintf("register: incomplete codec for kind %q", c.Kind))
 	}
 	t := reflect.TypeOf(prototype)
@@ -99,11 +141,17 @@ func CodecByKind(kind string) (Codec, bool) {
 	return c, ok
 }
 
-// KindOf returns the wire kind registered for the RMW's concrete type.
-func KindOf(rmw dsys.RMW) (string, bool) {
+// CodecOf returns the codec registered for the RMW's concrete type.
+func CodecOf(rmw dsys.RMW) (Codec, bool) {
 	codecMu.RLock()
 	defer codecMu.RUnlock()
 	c, ok := codecByType[reflect.TypeOf(rmw)]
+	return c, ok
+}
+
+// KindOf returns the wire kind registered for the RMW's concrete type.
+func KindOf(rmw dsys.RMW) (string, bool) {
+	c, ok := CodecOf(rmw)
 	return c.Kind, ok
 }
 
@@ -116,38 +164,72 @@ func KindReadOnly(kind string) bool {
 }
 
 // EncodeEnvelope serializes a live RMW into a wire envelope addressed at the
-// given global base object on behalf of operation op. The envelope's Payload
-// is the whole payload: what a journal records and Decode accepts.
+// given global base object on behalf of operation op, its parameters one flat
+// payload.
 func EncodeEnvelope(op dsys.OpID, object int, rmw dsys.RMW) (dsys.Envelope, error) {
-	return encodeEnvelope(op, object, rmw, false)
-}
-
-// EncodeEnvelopeShared is EncodeEnvelope for a sender: where the kind has an
-// EncodeShared, the payload's shared ending travels in the envelope's Shared
-// field instead of being copied behind Payload. The envelope's wire encoding
-// is byte for byte that of EncodeEnvelope's.
-func EncodeEnvelopeShared(op dsys.OpID, object int, rmw dsys.RMW) (dsys.Envelope, error) {
-	return encodeEnvelope(op, object, rmw, true)
-}
-
-func encodeEnvelope(op dsys.OpID, object int, rmw dsys.RMW, split bool) (dsys.Envelope, error) {
-	codecMu.RLock()
-	c, ok := codecByType[reflect.TypeOf(rmw)]
-	codecMu.RUnlock()
+	c, ok := CodecOf(rmw)
 	if !ok {
 		return dsys.Envelope{}, fmt.Errorf("%w: no codec for RMW type %T", ErrCodec, rmw)
 	}
-	env := dsys.Envelope{Op: op, Object: object, Kind: c.Kind}
-	var err error
-	if split && c.EncodeShared != nil {
-		env.Payload, env.Shared, err = c.EncodeShared(rmw)
-	} else {
-		env.Payload, err = c.Encode(rmw)
-	}
+	payload, err := c.Encode(rmw)
 	if err != nil {
 		return dsys.Envelope{}, fmt.Errorf("%w: encoding %s: %v", ErrCodec, c.Kind, err)
 	}
-	return env, nil
+	return dsys.Envelope{Op: op, Object: object, Kind: c.Kind, Payload: payload}, nil
+}
+
+// WriteEnvelope writes into w, behind what w already holds, the envelope that
+// carries rmw to env's object on behalf of env's operation (and under its
+// trace context): byte for byte what AppendBinary makes of EncodeEnvelope's
+// result, without that payload ever being built. c is rmw's codec and
+// payloadLen the total its RequestSize reported. A sender's writer keeps the
+// blocks by reference and the journal's copies them into its frame buffer;
+// neither allocates.
+func WriteEnvelope(w *WireWriter, env dsys.Envelope, c Codec, rmw dsys.RMW, payloadLen int) error {
+	env.Kind = c.Kind
+	b, err := env.AppendHeader(w.b, payloadLen)
+	if err != nil {
+		return err
+	}
+	w.b = b
+	if err := writePayload(w, c.Write, rmw, payloadLen); err != nil {
+		return fmt.Errorf("%w: encoding %s: %v", ErrCodec, c.Kind, err)
+	}
+	w.b = env.AppendTrailer(w.b)
+	return nil
+}
+
+// WriteResponse is WriteEnvelope for a response: resp's header and trailer
+// around, for StatusOK, the encoding of out — what Apply returned — by the
+// codec of the RMW's kind, payloadLen being the total its ResponseSize
+// reported. Any other status carries no payload (payloadLen 0, c and out
+// unused).
+func WriteResponse(w *WireWriter, resp dsys.Response, c Codec, out any, payloadLen int) error {
+	b, err := resp.AppendHeader(w.b, payloadLen)
+	if err != nil {
+		return err
+	}
+	w.b = b
+	if resp.Status == dsys.StatusOK {
+		if err := writePayload(w, c.WriteResp, out, payloadLen); err != nil {
+			return fmt.Errorf("%w: encoding %s response: %v", ErrCodec, c.Kind, err)
+		}
+	}
+	w.b = resp.AppendTrailer(w.b)
+	return nil
+}
+
+// writePayload runs write and holds it to the length the counting pass
+// promised the message's length prefix.
+func writePayload[T any](w *WireWriter, write func(*WireWriter, T) error, v T, payloadLen int) error {
+	start := w.Len()
+	if err := write(w, v); err != nil {
+		return err
+	}
+	if got := w.Len() - start; got != payloadLen {
+		return fmt.Errorf("wrote %d bytes after counting %d", got, payloadLen)
+	}
+	return nil
 }
 
 // DecodeRMW rebuilds the live RMW carried by an envelope. The returned value
@@ -158,9 +240,6 @@ func DecodeRMW(env dsys.Envelope) (dsys.RMW, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
 	}
-	if len(env.Shared) > 0 {
-		return nil, fmt.Errorf("%w: decoding %s from a sender's envelope, whose Payload is not the whole payload", ErrCodec, env.Kind)
-	}
 	rmw, err := c.Decode(env.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
@@ -168,7 +247,8 @@ func DecodeRMW(env dsys.Envelope) (dsys.RMW, error) {
 	return rmw, nil
 }
 
-// EncodeResponse serializes the response of an applied RMW of the given kind.
+// EncodeResponse serializes the response of an applied RMW of the given kind
+// as one flat payload.
 func EncodeResponse(kind string, resp any) ([]byte, error) {
 	c, ok := CodecByKind(kind)
 	if !ok {
@@ -194,60 +274,141 @@ func DecodeResponse(kind string, payload []byte) (any, error) {
 	return resp, nil
 }
 
-// WireWriter builds codec payloads. The encoding is deterministic and
-// fixed-width (big-endian), so encode→decode→re-encode is byte-identical —
-// the property FuzzEnvelopeRoundTrip pins down.
+// WireWriter is the one encoder every codec writes into. The encoding is
+// deterministic and fixed-width (big-endian), so encode→decode→re-encode is
+// byte-identical — the property FuzzEnvelopeRoundTrip pins down.
+//
+// What differs between its users is where a code block's bytes go. The zero
+// value, and any writer Reset without byRef, is flat: every field is appended
+// to one buffer, which Finish returns — Codec.Encode's payload, or the
+// journal's frame buffer. A writer Reset with byRef keeps blocks of at least
+// refMinLen bytes by reference instead: its buffer gets the short fields, and
+// Segments hands a vectored write the buffer cut where each block belongs and
+// the blocks as they stand. Block bytes are immutable once produced (DESIGN.md,
+// "Data path and buffer ownership", rule 1), so a reference stays true for as
+// long as someone holds it; nothing block-sized is allocated or copied between
+// the code and the socket.
 type WireWriter struct {
-	b []byte
+	b        []byte
+	byRef    bool
+	refs     []wireRef // blocks left out of b, in stream order
+	refBytes int       // their total length
+
+	// A counting pass (measure) writes nothing and adds up what a pass with
+	// byRef would put in the buffer (inline) and leave out of it (held).
+	counting     bool
+	inline, held int
 }
 
-// Encoded sizes of the WireWriter fields. A codec whose payload carries code
-// blocks sums them into Grow, so the payload is allocated once at its exact
-// size instead of growing through the appends.
+// wireRef is a block held by reference: p belongs in the stream at offset off
+// of the buffer.
+type wireRef struct {
+	off int
+	p   []byte
+}
+
+// refMinLen is the shortest block a by-reference writer leaves out of its
+// buffer. A shorter one is copied inline: a reference is two more entries in
+// the socket's iovec, which from 512 bytes up cost less than allocating room
+// for the block and copying it, and below 256 cannot be told apart from that
+// (BenchmarkSegmentsWrite; DESIGN.md, "Data path and buffer ownership", has
+// the readings). Not an option.
+const refMinLen = 512
+
+// Encoded sizes of the fixed-width fields.
 const (
-	WireIntSize = 8
-	WireTSSize  = 2 * WireIntSize
+	wireIntSize = 8
+	wireTSSize  = 2 * wireIntSize
 )
 
 // ChunkWireSize returns the encoded size of one chunk.
-func ChunkWireSize(c Chunk) int { return WireTSSize + 4*WireIntSize + 4 + len(c.Block.Data) }
+func ChunkWireSize(c Chunk) int { return wireTSSize + 4*wireIntSize + 4 + len(c.Block.Data) }
 
-// ChunksWireSize returns the encoded size of a counted chunk sequence.
-func ChunksWireSize(cs []Chunk) int {
-	n := 4
-	for _, c := range cs {
-		n += ChunkWireSize(c)
-	}
-	return n
+// Reset empties the writer and points it at buf: what it writes next follows
+// the bytes buf already holds (a frame's prefix, say). byRef selects whether
+// long blocks are held by reference or copied like everything else.
+func (w *WireWriter) Reset(buf []byte, byRef bool) {
+	clear(w.refs) // a reused writer must not pin the blocks of its last use
+	w.b, w.byRef, w.refs, w.refBytes = buf, byRef, w.refs[:0], 0
 }
 
-// Grow sizes the buffer for size more bytes. Call it once, before the first
-// field, with the payload's exact size.
-func (w *WireWriter) Grow(size int) {
-	if cap(w.b)-len(w.b) < size {
-		w.b = append(make([]byte, 0, len(w.b)+size), w.b...)
+// Len returns how many bytes the encoding has so far, blocks held by reference
+// included.
+func (w *WireWriter) Len() int { return len(w.b) + w.refBytes }
+
+// Finish returns the writer's buffer: the whole encoding when the writer is
+// flat, the inline bytes alone when it holds blocks by reference.
+func (w *WireWriter) Finish() []byte { return w.b }
+
+// Segments appends the encoding to dst as the run of slices a vectored write
+// takes — the buffer, cut wherever a block held by reference belongs, and
+// those blocks — and returns the extended dst. The slices are views: of the
+// writer's buffer, which the caller must not write to again, and of the
+// blocks.
+func (w *WireWriter) Segments(dst [][]byte) [][]byte {
+	from := 0
+	for _, r := range w.refs {
+		if r.off > from {
+			dst = append(dst, w.b[from:r.off])
+		}
+		dst = append(dst, r.p)
+		from = r.off
 	}
+	if from < len(w.b) {
+		dst = append(dst, w.b[from:])
+	}
+	return dst
 }
 
 // Int appends a signed integer as a two's-complement big-endian u64.
-func (w *WireWriter) Int(v int) { w.b = binary.BigEndian.AppendUint64(w.b, uint64(v)) }
+func (w *WireWriter) Int(v int) {
+	if w.counting {
+		w.inline += wireIntSize
+		return
+	}
+	w.b = binary.BigEndian.AppendUint64(w.b, uint64(v))
+}
 
 // Bool appends a single 0/1 byte.
 func (w *WireWriter) Bool(v bool) {
-	if v {
+	switch {
+	case w.counting:
+		w.inline++
+	case v:
 		w.b = append(w.b, 1)
-	} else {
+	default:
 		w.b = append(w.b, 0)
 	}
 }
 
-// Bytes appends a u32 length prefix followed by the bytes.
-func (w *WireWriter) Bytes(p []byte) {
-	if len(p) > math.MaxUint32 {
-		panic(fmt.Sprintf("register: wire bytes of length %d", len(p)))
+// count appends a u32 length or element count.
+func (w *WireWriter) count(n int) {
+	if n > math.MaxUint32 {
+		panic(fmt.Sprintf("register: wire count of %d", n))
 	}
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(p)))
-	w.b = append(w.b, p...)
+	if w.counting {
+		w.inline += 4
+		return
+	}
+	w.b = binary.BigEndian.AppendUint32(w.b, uint32(n))
+}
+
+// Bytes appends a u32 length prefix followed by the bytes — which a
+// by-reference writer, if there are at least refMinLen of them, keeps as p
+// itself: the caller must not write to p afterwards.
+func (w *WireWriter) Bytes(p []byte) {
+	w.count(len(p))
+	switch long := len(p) >= refMinLen; {
+	case w.counting && long:
+		w.held += len(p)
+	case w.counting:
+		w.inline += len(p)
+	case w.byRef && long:
+		w.refs = append(w.refs, wireRef{off: len(w.b), p: p})
+		w.refBytes += len(p)
+	default:
+		w.b = append(w.b, p...)
+	}
 }
 
 // TS appends a timestamp.
@@ -268,14 +429,11 @@ func (w *WireWriter) Chunk(c Chunk) {
 
 // Chunks appends a u32 count followed by each chunk.
 func (w *WireWriter) Chunks(cs []Chunk) {
-	w.b = binary.BigEndian.AppendUint32(w.b, uint32(len(cs)))
+	w.count(len(cs))
 	for _, c := range cs {
 		w.Chunk(c)
 	}
 }
-
-// Finish returns the accumulated payload.
-func (w *WireWriter) Finish() []byte { return w.b }
 
 // WireReader consumes codec payloads written by WireWriter. The first short
 // read latches an error; Finish reports it and rejects trailing bytes.
@@ -426,8 +584,8 @@ func (r *WireReader) Finish() error {
 	return nil
 }
 
-// EmptyPayload is the shared Encode half of parameterless RMW kinds.
-func EmptyPayload(dsys.RMW) ([]byte, error) { return nil, nil }
+// EmptyPayload is the shared Write half of parameterless RMW kinds.
+func EmptyPayload(*WireWriter, dsys.RMW) error { return nil }
 
 // RequireEmpty validates that a parameterless RMW kind's payload is empty.
 func RequireEmpty(payload []byte) error {
@@ -437,16 +595,15 @@ func RequireEmpty(payload []byte) error {
 	return nil
 }
 
-// EncodeBoolResp / DecodeBoolResp are the shared response codec of RMW kinds
+// WriteBoolResp / DecodeBoolResp are the shared response codec of RMW kinds
 // answering a plain bool.
-func EncodeBoolResp(resp any) ([]byte, error) {
+func WriteBoolResp(w *WireWriter, resp any) error {
 	v, ok := resp.(bool)
 	if !ok {
-		return nil, fmt.Errorf("%w: response %T is not bool", ErrCodec, resp)
+		return fmt.Errorf("%w: response %T is not bool", ErrCodec, resp)
 	}
-	var w WireWriter
 	w.Bool(v)
-	return w.Finish(), nil
+	return nil
 }
 
 // DecodeBoolResp decodes a bool response payload.
@@ -459,17 +616,15 @@ func DecodeBoolResp(payload []byte) (any, error) {
 	return v, nil
 }
 
-// EncodeChunkResp / DecodeChunkResp are the shared response codec of RMW
+// WriteChunkResp / DecodeChunkResp are the shared response codec of RMW
 // kinds answering a single Chunk (the ABD and safe-register read rounds).
-func EncodeChunkResp(resp any) ([]byte, error) {
+func WriteChunkResp(w *WireWriter, resp any) error {
 	c, ok := resp.(Chunk)
 	if !ok {
-		return nil, fmt.Errorf("%w: response %T is not Chunk", ErrCodec, resp)
+		return fmt.Errorf("%w: response %T is not Chunk", ErrCodec, resp)
 	}
-	var w WireWriter
-	w.Grow(ChunkWireSize(c))
 	w.Chunk(c)
-	return w.Finish(), nil
+	return nil
 }
 
 // DecodeChunkResp decodes a single-chunk response payload. The chunk's block

@@ -1,14 +1,10 @@
 package register_test
 
 import (
-	"context"
 	"testing"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/shard"
-	"spacebounds/internal/transport"
-	"spacebounds/internal/value"
 )
 
 // BenchmarkEnvelopeCodec measures the full wire path of one RMW per kind —
@@ -21,10 +17,10 @@ import (
 // four pieces of the full replica. Its B/op and allocs/op are where a codec
 // that grows its payload by appending, or copies what it may alias, shows.
 //
-// The row after it, .../split, is what a sender pays for that update: the
-// encode alone, in two runs, on a live update of a write — whose full replica
-// is encoded once for its n updates, so B/op is the update's own run, about
-// one piece, not a piece plus the value.
+// The row after it, .../byref, is what a sender pays for that update: the
+// envelope written in place by a writer that holds blocks by reference, into a
+// buffer it reuses — headers only, so neither B/op nor the time depends on the
+// value's size.
 func BenchmarkEnvelopeCodec(b *testing.B) {
 	op := dsys.OpID{Client: 11, Seq: 42, Kind: dsys.OpWrite}
 	type benchCase struct {
@@ -67,56 +63,29 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 			}
 		})
 	}
-	update := liveUpdate(b, 64<<10, 4)
-	b.Run("adaptive.update/64KiB/k=4/split", func(b *testing.B) {
+	payload := largeUpdatePayload(64<<10, 4)
+	c, _ := register.CodecByKind("adaptive.update")
+	update, err := c.Decode(payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("adaptive.update/64KiB/k=4/byref", func(b *testing.B) {
+		var w register.WireWriter
+		var buf []byte
+		b.SetBytes(int64(len(payload)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			env, err := register.EncodeEnvelopeShared(op, 5, update)
+			_, total, err := c.RequestSize(&w, update)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(env.Payload) + len(env.Shared)))
+			w.Reset(buf[:0], true)
+			if err := register.WriteEnvelope(&w, dsys.Envelope{Op: op, Object: 5}, c, update, total); err != nil {
+				b.Fatal(err)
+			}
+			buf = w.Finish()
 		}
 	})
-}
-
-// updateCapturer keeps the largest-payload RMW that passes through it.
-type updateCapturer struct {
-	inner  dsys.RoundInvoker
-	update dsys.RMW
-	size   int
-}
-
-func (c *updateCapturer) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
-	return c.inner.InvokeRound(ctx, client, targets, func(obj int) dsys.RMW {
-		rmw := makeRMW(obj)
-		if env, err := register.EncodeEnvelope(dsys.OpID{}, obj, rmw); err == nil && len(env.Payload) > c.size {
-			c.update, c.size = rmw, len(env.Payload)
-		}
-		return rmw
-	}, quorum)
-}
-
-// liveUpdate runs one adaptive write at f = 2 over the loopback and returns
-// one of its update RMWs as the writer built it, sharing its full replica and
-// that replica's encoding with its siblings.
-func liveUpdate(b *testing.B, dataLen, k int) dsys.RMW {
-	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 2, K: k, DataLen: dataLen}}}
-	backing, err := shard.New(specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer backing.Close()
-	capt := &updateCapturer{inner: transport.NewLoopback(backing.Cluster())}
-	rs, err := shard.NewRemote(specs, capt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rs.Close()
-	if err := rs.WriteValue(1, rs.Shards()[0], value.Sequenced(1, 1, dataLen)); err != nil {
-		b.Fatal(err)
-	}
-	return capt.update
 }
 
 // largeUpdatePayload builds an adaptive update for a value of dataLen bytes at

@@ -87,20 +87,25 @@ func TestResponseCodecsRoundTrip(t *testing.T) {
 	chunk := register.Chunk{TS: register.Timestamp{Num: 3, Client: 7}}
 	chunk.Block.Index = 1
 	chunk.Block.Data = []byte{1, 2, 3}
+	encode := func(write func(*register.WireWriter, any) error, resp any) ([]byte, error) {
+		var w register.WireWriter
+		err := write(&w, resp)
+		return w.Finish(), err
+	}
 
-	if payload, err := register.EncodeBoolResp(true); err != nil {
+	if payload, err := encode(register.WriteBoolResp, true); err != nil {
 		t.Fatal(err)
 	} else if v, err := register.DecodeBoolResp(payload); err != nil || v != true {
 		t.Fatalf("bool resp round trip = (%v, %v)", v, err)
 	}
-	if _, err := register.EncodeBoolResp("nope"); !errors.Is(err, register.ErrCodec) {
-		t.Fatalf("EncodeBoolResp of non-bool: %v", err)
+	if _, err := encode(register.WriteBoolResp, "nope"); !errors.Is(err, register.ErrCodec) {
+		t.Fatalf("WriteBoolResp of non-bool: %v", err)
 	}
 	if _, err := register.DecodeBoolResp([]byte{2}); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeBoolResp of bad bool byte: %v", err)
 	}
 
-	payload, err := register.EncodeChunkResp(chunk)
+	payload, err := encode(register.WriteChunkResp, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +116,8 @@ func TestResponseCodecsRoundTrip(t *testing.T) {
 	if gc := got.(register.Chunk); gc.TS != chunk.TS || gc.Block.Index != chunk.Block.Index {
 		t.Fatalf("chunk resp round trip = %+v, want %+v", gc, chunk)
 	}
-	if _, err := register.EncodeChunkResp(42); !errors.Is(err, register.ErrCodec) {
-		t.Fatalf("EncodeChunkResp of non-chunk: %v", err)
+	if _, err := encode(register.WriteChunkResp, 42); !errors.Is(err, register.ErrCodec) {
+		t.Fatalf("WriteChunkResp of non-chunk: %v", err)
 	}
 	if _, err := register.DecodeChunkResp(payload[:len(payload)-1]); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeChunkResp of truncated payload: %v", err)

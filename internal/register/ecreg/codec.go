@@ -11,20 +11,18 @@ func init() {
 	register.RegisterCodec(register.Codec{
 		Kind:     "ec.read",
 		ReadOnly: true,
-		Encode:   register.EmptyPayload,
+		Write:    register.EmptyPayload,
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
 			return &readRMW{}, nil
 		},
-		EncodeResp: func(resp any) ([]byte, error) {
+		WriteResp: func(w *register.WireWriter, resp any) error {
 			rr := resp.(readResp)
-			var w register.WireWriter
-			w.Grow(register.WireTSSize + register.ChunksWireSize(rr.Pieces))
 			w.TS(rr.CommittedTS)
 			w.Chunks(rr.Pieces)
-			return w.Finish(), nil
+			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
@@ -38,12 +36,9 @@ func init() {
 
 	register.RegisterCodec(register.Codec{
 		Kind: "ec.store",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			u := rmw.(*storeRMW)
-			var w register.WireWriter
-			w.Grow(register.ChunkWireSize(u.piece))
-			w.Chunk(u.piece)
-			return w.Finish(), nil
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			w.Chunk(rmw.(*storeRMW).piece)
+			return nil
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
@@ -53,18 +48,15 @@ func init() {
 			}
 			return u, nil
 		},
-		EncodeResp: register.EncodeBoolResp,
+		WriteResp:  register.WriteBoolResp,
 		DecodeResp: register.DecodeBoolResp,
 	}, &storeRMW{})
 
 	register.RegisterCodec(register.Codec{
 		Kind: "ec.seedstore",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			u := rmw.(*seedStoreRMW)
-			var w register.WireWriter
-			w.Grow(register.ChunkWireSize(u.piece))
-			w.Chunk(u.piece)
-			return w.Finish(), nil
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			w.Chunk(rmw.(*seedStoreRMW).piece)
+			return nil
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
@@ -74,17 +66,15 @@ func init() {
 			}
 			return u, nil
 		},
-		EncodeResp: register.EncodeBoolResp,
+		WriteResp:  register.WriteBoolResp,
 		DecodeResp: register.DecodeBoolResp,
 	}, &seedStoreRMW{})
 
 	register.RegisterCodec(register.Codec{
 		Kind: "ec.commit",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			u := rmw.(*commitRMW)
-			var w register.WireWriter
-			w.TS(u.ts)
-			return w.Finish(), nil
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			w.TS(rmw.(*commitRMW).ts)
+			return nil
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
@@ -94,7 +84,7 @@ func init() {
 			}
 			return u, nil
 		},
-		EncodeResp: register.EncodeBoolResp,
+		WriteResp:  register.WriteBoolResp,
 		DecodeResp: register.DecodeBoolResp,
 	}, &commitRMW{})
 }

@@ -11,25 +11,22 @@ func init() {
 	register.RegisterCodec(register.Codec{
 		Kind:     "safe.read",
 		ReadOnly: true,
-		Encode:   register.EmptyPayload,
+		Write:    register.EmptyPayload,
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
 			return &readRMW{}, nil
 		},
-		EncodeResp: register.EncodeChunkResp,
+		WriteResp:  register.WriteChunkResp,
 		DecodeResp: register.DecodeChunkResp,
 	}, &readRMW{})
 
 	register.RegisterCodec(register.Codec{
 		Kind: "safe.update",
-		Encode: func(rmw dsys.RMW) ([]byte, error) {
-			u := rmw.(*updateRMW)
-			var w register.WireWriter
-			w.Grow(register.ChunkWireSize(u.chunk))
-			w.Chunk(u.chunk)
-			return w.Finish(), nil
+		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
+			w.Chunk(rmw.(*updateRMW).chunk)
+			return nil
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
@@ -39,7 +36,7 @@ func init() {
 			}
 			return u, nil
 		},
-		EncodeResp: register.EncodeBoolResp,
+		WriteResp:  register.WriteBoolResp,
 		DecodeResp: register.DecodeBoolResp,
 	}, &updateRMW{})
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/register"
 )
 
 // The wire protocol is length-prefixed frames over TCP:
@@ -64,57 +65,71 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// frame is one outgoing frame in parts under one length prefix: head is
-// `u32 length | u64 requestID | message header`, payload the codec's bytes
-// exactly as the codec returned them, shared the rest of a payload whose
-// ending several frames have in common (an envelope's Shared; empty
-// otherwise), tail the message trailer. head and tail are cut from one small
-// allocation; payload and shared are handed to the socket as they stand, never
-// copied into a frame buffer. The parts are read-only from the moment the
-// frame is enqueued.
-type frame struct{ head, payload, shared, tail []byte }
+// An outgoing frame is never assembled: it is written into a
+// register.WireWriter that keeps code blocks by reference, so what reaches the
+// sender is the frame's short fields — length prefix, request ID, message
+// header, the payload's integers and chunk headers, message trailer — in one
+// small buffer, and the blocks as the code, or the object's state, holds them.
+// All of it is read-only from the moment the frame is enqueued.
 
-// requestFrameRoom is the head-and-tail room a request frame needs for env:
-// the frame prefix, the envelope's fixed header and trailer, and its kind.
-func requestFrameRoom(env dsys.Envelope) int { return 12 + 64 + len(env.Kind) }
+// ErrFrameTooLarge reports a frame that its sender refused to build because a
+// receiver would reject its length (maxFrameLen) and drop the connection,
+// failing every other call in flight on it.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds the size limit")
 
-// appendRequestFrame frames an envelope: on the wire it is exactly
-// `u32 length | u64 requestID | env.AppendBinary`. The head and tail are
-// built in buf, which must be empty; with requestFrameRoom of capacity nothing
-// is allocated, so a round cuts the buffers of all its frames from one
-// allocation (see headArena).
-func appendRequestFrame(buf []byte, reqID uint64, env dsys.Envelope) (frame, error) {
-	head, err := env.AppendHeader(startFrame(buf, reqID))
+// writeRequestFrame leaves in w the request frame that carries rmw, whose
+// codec is c, under env's addressing: on the wire exactly
+// `u32 length | u64 requestID | env.AppendBinary` with the flat payload. The
+// frame's inline bytes are cut from arena at their exact size; more is how
+// many frames the round may still build, this one included.
+func writeRequestFrame(w *register.WireWriter, arena *frameArena, more int, reqID uint64, env dsys.Envelope, c register.Codec, rmw dsys.RMW) error {
+	inline, total, err := c.RequestSize(w, rmw)
 	if err != nil {
-		return frame{}, err
+		return fmt.Errorf("%w: encoding %s: %v", register.ErrCodec, c.Kind, err)
 	}
-	return sealFrame(head, env.AppendTrailer(head), env.Payload, env.Shared), nil
-}
-
-// responseFrame frames a response the same way, in a buffer of its own.
-func responseFrame(reqID uint64, resp dsys.Response) (frame, error) {
-	head, err := resp.AppendHeader(startFrame(make([]byte, 0, 12+48+len(resp.Detail)), reqID))
-	if err != nil {
-		return frame{}, err
+	env.Kind = c.Kind
+	n := 8 + env.EncodedLen(total)
+	if n > maxFrameLen {
+		return fmt.Errorf("%w: %s request of %d bytes", ErrFrameTooLarge, c.Kind, n)
 	}
-	return sealFrame(head, resp.AppendTrailer(head), resp.Payload, nil), nil
+	w.Reset(startFrame(arena.cut(4+n-(total-inline), more), n, reqID), true)
+	return register.WriteEnvelope(w, env, c, rmw, total)
 }
 
-// startFrame begins a frame's head-and-tail buffer in the empty buf: it leaves
-// the length prefix blank and writes the request ID.
-func startFrame(buf []byte, reqID uint64) []byte {
-	return binary.BigEndian.AppendUint64(append(buf, 0, 0, 0, 0), reqID)
+// writeResponseFrame leaves in w the response frame for resp, framed the same
+// way, its inline bytes in a buffer of their own. The payload of a StatusOK
+// response is out — what Apply returned — encoded by c, the codec of the
+// request's kind; should that fail, the frame carries StatusBadRequest
+// instead. It returns the status sent.
+func writeResponseFrame(w *register.WireWriter, reqID uint64, resp dsys.Response, c register.Codec, out any) (dsys.Status, error) {
+	var inline, total int
+	if resp.Status == dsys.StatusOK {
+		var err error
+		if inline, total, err = c.ResponseSize(w, out); err != nil {
+			resp.Status, resp.Detail = dsys.StatusBadRequest, fmt.Sprintf("encode response: %v", err)
+			inline, total = 0, 0
+		}
+	}
+	n := 8 + resp.EncodedLen(total)
+	w.Reset(startFrame(make([]byte, 0, 4+n-(total-inline)), n, reqID), true)
+	return resp.Status, register.WriteResponse(w, resp, c, out, total)
 }
 
-// headArena is the one allocation a round's request frames cut their
-// head-and-tail buffers from.
-type headArena []byte
+// startFrame begins a frame of n bytes (the length prefix not counted) in the
+// empty buf: the prefix and the request ID.
+func startFrame(buf []byte, n int, reqID uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(buf, uint32(n)), reqID)
+}
+
+// frameArena is the one allocation a round's request frames cut their inline
+// bytes from.
+type frameArena []byte
 
 // cut returns an empty buffer with room bytes of capacity that nothing else
 // will be cut from; more is how many buffers of that size the round may still
 // need, this one included, and sizes a fresh allocation when the arena cannot
 // serve the cut.
-func (a *headArena) cut(room, more int) []byte {
+func (a *frameArena) cut(room, more int) []byte {
 	if cap(*a)-len(*a) < room {
 		*a = make([]byte, 0, room*more)
 	}
@@ -123,25 +138,19 @@ func (a *headArena) cut(room, more int) []byte {
 	return (*a)[n : n : n+room]
 }
 
-// sealFrame cuts whole — the head followed by the trailer — at the head's
-// length and fills in the length prefix, which covers all the parts.
-func sealFrame(head, whole, payload, shared []byte) frame {
-	binary.BigEndian.PutUint32(whole, uint32(len(whole)-4+len(payload)+len(shared)))
-	return frame{head: whole[:len(head)], payload: payload, shared: shared, tail: whole[len(head):]}
-}
-
 // frameSender serializes frame writes onto one connection through a single
 // writer goroutine. Senders enqueue frames; the writer drains whatever has
 // accumulated and hands all of it to the socket in one vectored write — so
 // frames enqueued by concurrent quorum rounds while a write is in progress
 // coalesce into a single socket write, the connection-level analogue of the
-// batched quorum engine's group commit.
+// batched quorum engine's group commit. The queue is that write's argument
+// already: the segments of the frames enqueued, in order.
 type frameSender struct {
 	conn net.Conn
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []frame
+	queue  net.Buffers
 	closed bool
 	err    error
 
@@ -156,9 +165,9 @@ func newFrameSender(conn net.Conn) *frameSender {
 	return s
 }
 
-// send enqueues one frame for writing. It fails once the sender is closed or
-// the connection has errored.
-func (s *frameSender) send(f frame) error {
+// send enqueues the frame w holds for writing. It fails once the sender is
+// closed or the connection has errored.
+func (s *frameSender) send(w *register.WireWriter) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -167,7 +176,7 @@ func (s *frameSender) send(f frame) error {
 		}
 		return net.ErrClosed
 	}
-	s.queue = append(s.queue, f)
+	s.queue = w.Segments(s.queue)
 	s.cond.Signal()
 	return nil
 }
@@ -195,10 +204,9 @@ func (s *frameSender) fail(err error) {
 
 func (s *frameSender) run() {
 	defer close(s.done)
-	var batch []frame
 	// writing's address goes to WriteTo, so it lives on the heap: declared
 	// here it is one cell per sender, not one per socket write.
-	var parts, writing net.Buffers
+	var batch, writing net.Buffers
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -211,20 +219,12 @@ func (s *frameSender) run() {
 		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
 
-		parts = parts[:0]
-		for _, f := range batch {
-			parts = append(parts, f.head)
-			for _, part := range [...][]byte{f.payload, f.shared, f.tail} {
-				if len(part) > 0 {
-					parts = append(parts, part)
-				}
-			}
-		}
-		clear(batch) // the queue reuses this array; do not pin written payloads
 		// WriteTo consumes the slice header it is called on, so it gets a
-		// copy and parts keeps the array for the next batch.
-		writing = parts
-		if _, err := writing.WriteTo(s.conn); err != nil {
+		// copy and batch keeps the array for the queue to reuse.
+		writing = batch
+		_, err := writing.WriteTo(s.conn)
+		clear(batch) // do not pin what has been written
+		if err != nil {
 			s.fail(err)
 			return
 		}

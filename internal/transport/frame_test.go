@@ -5,13 +5,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/erasure"
+	"spacebounds/internal/register"
+	_ "spacebounds/internal/register/adaptive"
 )
 
 // TestReadFrameHostileHeader: a header claiming the largest allowed frame,
@@ -112,12 +117,11 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestFrameSenderWireBytes: what the multi-part sender puts on a real socket
-// is byte for byte `u32 length | u64 requestID | AppendBinary`, for untraced
-// (version 1) and traced (version 2) envelopes and for responses, with the
-// payload handed over as the caller's own slice. An envelope whose payload is
-// split into Payload and Shared goes out as the very same bytes as the whole
-// one, with both runs handed over as they stand.
+// TestFrameSenderWireBytes: what the sender puts on a real socket is byte for
+// byte `u32 length | u64 requestID | AppendBinary` of the flat encoding — for
+// untraced (version 1) and traced (version 2) envelopes, with and without
+// blocks, and for responses — while every long block is handed to the socket
+// as the memory the RMW, or the response value, holds it in.
 func TestFrameSenderWireBytes(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -135,59 +139,115 @@ func TestFrameSenderWireBytes(t *testing.T) {
 	}
 	defer in.Close()
 
-	payload := bytes.Repeat([]byte("block bytes "), 4096)
-	env := dsys.Envelope{Op: dsys.OpID{Client: 3, Seq: 9, Kind: dsys.OpWrite}, Object: 5, Kind: "adaptive.update", Payload: payload}
-	traced := env
-	traced.Trace, traced.Span = 0xABCDEF, 77
-	empty := dsys.Envelope{Op: env.Op, Object: 1, Kind: "adaptive.read"}
-	split := env
-	split.Payload, split.Shared = payload[:1000], payload[1000:]
-	splitTraced := traced
-	splitTraced.Payload, splitTraced.Shared = payload[:7], payload[7:]
-	resp := dsys.Response{Op: env.Op, Object: 5, Status: dsys.StatusOK, Payload: payload}
-	failed := dsys.Response{Op: env.Op, Object: 5, Status: dsys.StatusBadRequest, Detail: "no such kind"}
+	// An update whose replica is two 16 KiB blocks around a short one, and a
+	// read response of the same chunks. Decoded, the replica's blocks and the
+	// response's are views of these payloads: that is the memory the socket
+	// must be handed.
+	const blockLen = 16 << 10
+	chunk := func(index, n int) register.Chunk {
+		return register.Chunk{TS: register.Timestamp{Num: 3, Client: 1}, Block: erasure.Block{Index: index, Data: bytes.Repeat([]byte{byte(index)}, n)}}
+	}
+	full := []register.Chunk{chunk(1, blockLen), chunk(2, 24), chunk(3, blockLen)}
+	var pw register.WireWriter
+	pw.Int(3)
+	pw.TS(register.Timestamp{Num: 3, Client: 1})
+	pw.TS(register.ZeroTS)
+	pw.Chunk(chunk(1, blockLen))
+	pw.Chunks(full)
+	updatePayload := pw.Finish()
+	pw.Reset(nil, false)
+	pw.TS(register.Timestamp{Num: 3, Client: 1})
+	pw.Chunks(full)
+	readPayload := pw.Finish()
+
+	updateCodec, _ := register.CodecByKind("adaptive.update")
+	update, err := updateCodec.Decode(updatePayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readCodec, _ := register.CodecByKind("adaptive.read")
+	read, err := readCodec.Decode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readValue, err := readCodec.DecodeResp(readPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var want []byte
-	expect := func(reqID uint64, body []byte, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = binary.BigEndian.AppendUint32(want, uint32(8+len(body)))
-		want = binary.BigEndian.AppendUint64(want, reqID)
-		want = append(want, body...)
-	}
+	var w register.WireWriter
 	s := newFrameSender(out)
-	for i, e := range []dsys.Envelope{env, traced, empty, split, splitTraced} {
-		f, err := requestFrame(uint64(100+i), e)
-		if err != nil {
+	// enqueue sends the frame w holds and requires that views blocks of
+	// blockLen bytes went out as views of payload.
+	enqueue := func(what string, payload []byte, views int, flat []byte) {
+		t.Helper()
+		got := 0
+		for _, seg := range w.Segments(nil) {
+			if len(seg) == blockLen && len(payload) > 0 && uintptr(unsafe.Pointer(&seg[0]))-uintptr(unsafe.Pointer(&payload[0])) < uintptr(len(payload)) {
+				got++
+			}
+		}
+		if got != views {
+			t.Errorf("%s: %d blocks went to the socket as the memory they were held in, want %d", what, got, views)
+		}
+		if inline := len(w.Finish()); inline > 512 {
+			t.Errorf("%s: %d bytes were copied into the frame's buffer: more than headers", what, inline)
+		}
+		if err := s.send(&w); err != nil {
 			t.Fatal(err)
 		}
-		if len(e.Payload) > 0 && &f.payload[0] != &e.Payload[0] {
-			t.Error("requestFrame copied the payload")
-		}
-		if len(e.Shared) > 0 && &f.shared[0] != &e.Shared[0] {
-			t.Error("requestFrame copied the shared run")
-		}
-		if err := s.send(f); err != nil {
-			t.Fatal(err)
-		}
-		whole := e
-		whole.Payload, whole.Shared = payload[:len(e.Payload)+len(e.Shared)], nil
-		body, err := whole.AppendBinary(nil)
-		expect(uint64(100+i), body, err)
+		want = append(want, flat...)
 	}
-	for i, r := range []dsys.Response{resp, failed} {
-		f, err := responseFrame(uint64(200+i), r)
-		if err != nil {
+
+	op := dsys.OpID{Client: 3, Seq: 9, Kind: dsys.OpWrite}
+	var arena frameArena
+	for i, tc := range []struct {
+		what    string
+		env     dsys.Envelope
+		codec   register.Codec
+		rmw     dsys.RMW
+		payload []byte
+		views   int
+	}{
+		{"update", dsys.Envelope{Op: op, Object: 5}, updateCodec, update, updatePayload, 2},
+		{"traced update", dsys.Envelope{Op: op, Object: 5, Trace: 0xABCDEF, Span: 77}, updateCodec, update, updatePayload, 2},
+		{"read", dsys.Envelope{Op: op, Object: 1}, readCodec, read, nil, 0},
+	} {
+		reqID := uint64(100 + i)
+		if err := writeRequestFrame(&w, &arena, 1, reqID, tc.env, tc.codec, tc.rmw); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.send(f); err != nil {
-			t.Fatal(err)
-		}
-		body, err := r.AppendBinary(nil)
-		expect(uint64(200+i), body, err)
+		flat := tc.env
+		flat.Kind, flat.Payload = tc.codec.Kind, tc.payload
+		body, err := flat.AppendBinary(nil)
+		enqueue(tc.what, tc.payload, tc.views, flatFrame(t, reqID, body, err))
 	}
+	for i, tc := range []struct {
+		what    string
+		resp    dsys.Response
+		payload []byte
+		views   int
+	}{
+		{"read response", dsys.Response{Op: op, Object: 5, Status: dsys.StatusOK}, readPayload, 2},
+		{"refusal", dsys.Response{Op: op, Object: 5, Status: dsys.StatusBadRequest, Detail: "no such kind"}, nil, 0},
+	} {
+		reqID := uint64(200 + i)
+		if status, err := writeResponseFrame(&w, reqID, tc.resp, readCodec, readValue); err != nil || status != tc.resp.Status {
+			t.Fatalf("%s: sent as %v (%v)", tc.what, status, err)
+		}
+		flat := tc.resp
+		flat.Payload = tc.payload
+		body, err := flat.AppendBinary(nil)
+		enqueue(tc.what, tc.payload, tc.views, flatFrame(t, reqID, body, err))
+	}
+	// A response value its codec cannot encode goes out as a refusal.
+	chunkCodec, _ := register.CodecByKind("abd.read")
+	status, err := writeResponseFrame(&w, 300, dsys.Response{Op: op, Status: dsys.StatusOK}, chunkCodec, "not a chunk")
+	if err != nil || status != dsys.StatusBadRequest {
+		t.Errorf("a response that does not encode was sent as %v (%v), want bad-request", status, err)
+	}
+
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(in, got); err != nil {
 		t.Fatal(err)
@@ -196,7 +256,62 @@ func TestFrameSenderWireBytes(t *testing.T) {
 		t.Fatal("bytes on the wire differ from u32 length | requestID | AppendBinary")
 	}
 	s.close()
-	if err := s.send(frame{}); !errors.Is(err, net.ErrClosed) {
+	if err := s.send(&w); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("send after close: %v, want net.ErrClosed", err)
+	}
+}
+
+// BenchmarkSegmentsWrite is the ladder row behind register's threshold for
+// holding a block by reference: a round's worth of frames — four, each a
+// header, one block and a trailer, their inline bytes in one buffer allocated
+// per round — handed to a loopback socket in one vectored write, by a writer
+// that leaves the block out of the buffer and by one that copies it in.
+func BenchmarkSegmentsWrite(b *testing.B) {
+	for _, blockLen := range []int{512, 2 << 10, 16 << 10} {
+		for _, byRef := range []bool{true, false} {
+			name := fmt.Sprintf("copy-%d", blockLen)
+			room := 128 + blockLen
+			if byRef {
+				name, room = fmt.Sprintf("ref-%d", blockLen), 128
+			}
+			b.Run(name, func(b *testing.B) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ln.Close()
+				out, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer out.Close()
+				in, err := ln.Accept()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer in.Close()
+				go func() { _, _ = io.Copy(io.Discard, in) }()
+
+				chunk := register.Chunk{Block: erasure.Block{Index: 1, Data: make([]byte, blockLen)}}
+				var w register.WireWriter
+				var segs, writing net.Buffers
+				b.SetBytes(int64(4 * register.ChunkWireSize(chunk)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var arena frameArena
+					segs = segs[:0]
+					for f := 0; f < 4; f++ {
+						w.Reset(arena.cut(room, 4-f), byRef)
+						w.Chunk(chunk)
+						segs = w.Segments(segs)
+					}
+					writing = segs
+					if _, err := writing.WriteTo(out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -3,23 +3,34 @@ package transport
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
 	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 )
 
-// requestFrame frames one envelope in a buffer of its own, as a round of one
-// target does.
-func requestFrame(reqID uint64, env dsys.Envelope) (frame, error) {
-	return appendRequestFrame(make([]byte, 0, requestFrameRoom(env)), reqID, env)
+// flatFrame is a frame as the protocol defines it, built the slow way:
+// `u32 length | u64 requestID | body`, body an envelope's or a response's
+// AppendBinary. It is what the senders' segments must add up to, and what a
+// peer that is not this package would send.
+func flatFrame(tb testing.TB, reqID uint64, body []byte, err error) []byte {
+	tb.Helper()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(startFrame(nil, 8+len(body), reqID), body...)
 }
 
 // roundTargets is the fan-out of the rounds these tests and
@@ -87,10 +98,15 @@ func rmwOf(tb testing.TB, kind string, payload []byte) func(int) dsys.RMW {
 
 func abdRead(tb testing.TB) func(int) dsys.RMW { return rmwOf(tb, "abd.read", nil) }
 
-func abdUpdate(tb testing.TB) func(int) dsys.RMW {
+func abdUpdate(tb testing.TB) func(int) dsys.RMW { return abdUpdateOf(tb, 0) }
+
+// abdUpdateOf is an update carrying a block of blockLen bytes; every call of
+// the result returns the same RMW, as a round's RMWs share one write's blocks.
+func abdUpdateOf(tb testing.TB, blockLen int) func(int) dsys.RMW {
 	var w register.WireWriter
-	w.Chunk(register.Chunk{TS: register.Timestamp{Num: 3, Client: 1}})
-	return rmwOf(tb, "abd.update", w.Finish())
+	w.Chunk(register.Chunk{TS: register.Timestamp{Num: 3, Client: 1}, Block: erasure.Block{Index: 1, Data: make([]byte, blockLen)}})
+	rmw := rmwOf(tb, "abd.update", w.Finish())(0)
+	return func(int) dsys.RMW { return rmw }
 }
 
 // read runs one full-quorum read round without a deadline.
@@ -205,14 +221,15 @@ func TestReusedRoundTimerNeverEndsRoundEarly(t *testing.T) {
 // Allocations of one 4-target round over loopback TCP, client and server
 // sides together: what this build measures, and what its parent did.
 const (
-	roundAllocs       = 34
-	roundAllocsParent = 52
+	roundAllocs       = 31
+	roundAllocsParent = 34
 )
 
 // TestRoundAllocations pins what a quorum round allocates. The round's own
-// bookkeeping is per round — one call array, one head buffer, one channel,
-// one result map, no context and no timer — so what remains per target is the
-// codec's payloads and the frames read off the socket.
+// bookkeeping is per round — one call array, one arena for its frames, one
+// writer, one channel, one result map, no context and no timer — and a
+// response is framed in one buffer, so what remains per target is the decoded
+// messages and the frames read off the socket.
 func TestRoundAllocations(t *testing.T) {
 	fx := newRoundFixture(t)
 	makeRMW := abdRead(t)
@@ -223,8 +240,192 @@ func TestRoundAllocations(t *testing.T) {
 	}
 	round()
 	if got := testing.AllocsPerRun(500, round); got > roundAllocs {
-		t.Errorf("a %d-target round allocates %.1f times, want at most %d (the parent of PR 22 measured %d)",
+		t.Errorf("a %d-target round allocates %.1f times, want at most %d (the parent of PR 24 measured %d)",
 			roundTargets, got, roundAllocs, roundAllocsParent)
+	}
+}
+
+// stubNode is a node that answers every request with one canned response
+// payload and allocates nothing per request, so that what a round against it
+// allocates is the client's alone.
+func stubNode(tb testing.TB, payload []byte) (addr string) {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = ln.Close() })
+	body, err := dsys.Response{Status: dsys.StatusOK, Payload: payload}.MarshalBinary()
+	answer := flatFrame(tb, 0, body, err)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var buf []byte
+		for {
+			if buf, err = readFrame(br, buf); err != nil || len(buf) < 8 {
+				return
+			}
+			copy(answer[4:12], buf[:8]) // the request's ID
+			if _, err := conn.Write(answer); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// allocatedPerRun is testing.AllocsPerRun for bytes.
+func allocatedPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestBlocksReachTheSocketUnallocated pins the write and the read path of a
+// large value at tcp-large's shape, 16 KiB pieces at n = 8: an update round
+// that sends every object its piece, and a served read whose response carries
+// one, allocate what their headers and bookkeeping need — 2 KiB and a few
+// hundred bytes per target — and nothing the size of a block.
+func TestBlocksReachTheSocketUnallocated(t *testing.T) {
+	const n, blockLen = 8, 16 << 10
+	cli, err := Dial([]string{stubNode(t, []byte{1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	targets := make([]int, n)
+	for i := range targets {
+		targets[i] = i
+	}
+	update := abdUpdateOf(t, blockLen)
+	perRound := allocatedPerRun(200, func() {
+		if resp, err := cli.InvokeRound(context.Background(), 1, targets, update, n); err != nil || len(resp) != n {
+			t.Fatalf("round against the stub: %d responses, %v", len(resp), err)
+		}
+	})
+	if limit := uint64(2<<10 + 512*n); perRound > limit {
+		t.Errorf("an update round of %d pieces of %d bytes allocates %d bytes, want at most %d", n, blockLen, perRound, limit)
+	}
+
+	reg, err := adaptive.New(register.Config{F: 2, K: 4, DataLen: 4 * blockLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := reg.InitialStates(value.Zero(4 * blockLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
+	defer cluster.Close()
+	srv := NewServer(cluster)
+	request, err := dsys.Envelope{Op: dsys.OpID{Client: 1, Kind: dsys.OpRead}, Kind: "adaptive.read"}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w register.WireWriter
+	var segs [][]byte
+	sent := 0
+	perRead := allocatedPerRun(200, func() {
+		resp, c, out := srv.serve(request)
+		if status, err := writeResponseFrame(&w, 7, resp, c, out); err != nil || status != dsys.StatusOK {
+			t.Fatalf("served %v (%v)", status, err)
+		}
+		segs, sent = w.Segments(segs[:0]), w.Len()
+	})
+	if sent < blockLen || len(segs) != 3 {
+		t.Fatalf("the response is %d bytes in %d segments, want a %d-byte piece between its headers", sent, len(segs), blockLen)
+	}
+	if limit := uint64(2 << 10); perRead > limit {
+		t.Errorf("serving a read of a %d-byte piece allocates %d bytes, want at most %d", blockLen, perRead, limit)
+	}
+}
+
+// oversizedUpdate is an adaptive update whose replica holds one block of
+// maxFrameLen bytes, so that its frame cannot be sent. The block is never
+// read — decoding takes a view of it, a sender only its length — and so never
+// costs the memory it spans; it is built once per test binary.
+var oversizedUpdate = sync.OnceValue(func() []byte {
+	var w register.WireWriter
+	w.Int(1)
+	w.TS(register.Timestamp{Num: 3, Client: 1})
+	w.TS(register.ZeroTS)
+	w.Chunk(register.Chunk{})
+	head := binary.BigEndian.AppendUint32(w.Finish(), 1) // one chunk in the replica
+	head = append(head, make([]byte, 24)...)             // its timestamp and index
+	head = binary.BigEndian.AppendUint32(head, maxFrameLen)
+	payload := make([]byte, len(head)+maxFrameLen+24) // the block, and the chunk's source tag
+	copy(payload, head)
+	return payload
+})
+
+// TestOversizedRequestFailsAlone: a request whose frame would exceed
+// maxFrameLen is refused where it is built, as the failure of that one call.
+// Sent, the server would reject its length and drop the connection, and every
+// call in flight on it — here a whole round of another client's, parked behind
+// object 0 — would fail as lost. The round the oversized request belongs to
+// goes on with its other targets.
+func TestOversizedRequestFailsAlone(t *testing.T) {
+	fx := newRoundFixture(t)
+	if err := fx.read(t); err != nil { // dials the connection
+		t.Fatal(err)
+	}
+	conn := fx.cli.slots[0].conn
+	inFlight := func() int {
+		conn.pmu.Lock()
+		defer conn.pmu.Unlock()
+		return len(conn.pending)
+	}
+	release := fx.park(t)
+	parked := make(chan error, 1)
+	go func() { parked <- fx.read(t) }()
+	for deadline := time.Now().Add(10 * time.Second); inFlight() < roundTargets; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the parked round never got its requests in flight")
+		}
+	}
+
+	oversized := rmwOf(t, "adaptive.update", oversizedUpdate())(1)
+	small := abdUpdate(t)
+	mixed := func(obj int) dsys.RMW {
+		if obj == 1 {
+			return oversized
+		}
+		return small(obj)
+	}
+	type outcome struct {
+		resp map[int]any
+		err  error
+	}
+	round := func(quorum int) <-chan outcome {
+		ch := make(chan outcome, 1)
+		go func() {
+			resp, err := fx.cli.InvokeRound(context.Background(), 2, []int{1, 2, 3}, mixed, quorum)
+			ch <- outcome{resp, err}
+		}()
+		return ch
+	}
+	enough, short := round(2), round(3)
+	release()
+	if err := <-parked; err != nil {
+		t.Errorf("the round in flight beside the oversized request: %v", err)
+	}
+	if got := <-enough; got.err != nil || len(got.resp) != 2 || got.resp[1] != nil {
+		t.Errorf("the oversized request's round, needing its two other targets: %d responses, %v", len(got.resp), got.err)
+	}
+	if got := <-short; !errors.Is(got.err, dsys.ErrQuorumUnavailable) || !strings.Contains(got.err.Error(), ErrFrameTooLarge.Error()) || len(got.resp) != 2 {
+		t.Errorf("the oversized request's round, needing all three: %d responses, %v; want ErrQuorumUnavailable naming %q", len(got.resp), got.err, ErrFrameTooLarge)
+	}
+	if fx.cli.slots[0].conn != conn || conn.dead.Load() {
+		t.Error("the connection did not survive the oversized request")
 	}
 }
 
@@ -308,11 +509,8 @@ func TestUnregisteredKindIsBadRequest(t *testing.T) {
 	}
 	defer conn.Close()
 	env := dsys.Envelope{Op: dsys.OpID{Client: 1}, Object: 0, Kind: "nobody.registered.this", Payload: []byte("x")}
-	f, err := requestFrame(99, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&net.Buffers{f.head, f.payload, f.tail}).WriteTo(conn); err != nil {
+	sent, err := env.MarshalBinary()
+	if _, err := conn.Write(flatFrame(t, 99, sent, err)); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -332,17 +530,31 @@ func TestUnregisteredKindIsBadRequest(t *testing.T) {
 // BenchmarkInvokeRound is the ladder's transport row: one full-quorum read
 // round of 64-byte abd objects over loopback TCP, client and server in one
 // process, so allocs/op counts both sides of the wire.
+//
+// The piece rows are an update round instead, every request carrying one block:
+// 512 bytes, which the sender copies into the round's arena, and 16 KiB — the
+// tcp-large piece — which it hands to the socket by reference. Their B/op is
+// mostly the server's: it keeps a copy of what it is sent.
 func BenchmarkInvokeRound(b *testing.B) {
-	b.Run("targets-4", func(b *testing.B) {
-		fx := newRoundFixture(b)
-		makeRMW := abdRead(b)
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := fx.cli.InvokeRound(ctx, 1, fx.targets, makeRMW, roundTargets); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		makeRMW func(testing.TB) func(int) dsys.RMW
+	}{
+		{"targets-4", abdRead},
+		{"targets-4/piece-512B", func(tb testing.TB) func(int) dsys.RMW { return abdUpdateOf(tb, 512) }},
+		{"targets-4/piece-16KiB", func(tb testing.TB) func(int) dsys.RMW { return abdUpdateOf(tb, 16<<10) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			fx := newRoundFixture(b)
+			makeRMW := bc.makeRMW(b)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fx.cli.InvokeRound(ctx, 1, fx.targets, makeRMW, roundTargets); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

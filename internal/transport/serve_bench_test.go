@@ -26,24 +26,19 @@ func (l *frameLoop) Read(p []byte) (int, error) {
 }
 
 // BenchmarkServeRequest is handleConn's loop on one request of the tcp-large
-// shape — an adaptive update of a 64 KiB value at k = 4, an 80 KiB frame —
-// read into the connection's buffer and served. B/op is what a request costs
-// the server beyond the bytes it keeps: the copy of the retained piece and the
-// decoded headers, not the frame.
+// shape, read into the connection's buffer, served, and its response framed.
+// "update" is an adaptive update of a 64 KiB value at k = 4 that carries the
+// full replica, an 80 KiB frame: B/op is what a request costs the server
+// beyond the bytes it keeps — the copy of the retained piece and the decoded
+// headers, not the frame. "read-16KiB" is the read of an object holding one
+// 16 KiB piece: B/op is the chunk headers and the response's inline bytes; the
+// piece goes out as the state holds it.
 func BenchmarkServeRequest(b *testing.B) {
 	const f, k, dataLen = 2, 4, 64 << 10
 	reg, err := adaptive.New(register.Config{F: f, K: k, DataLen: dataLen})
 	if err != nil {
 		b.Fatal(err)
 	}
-	states, err := reg.InitialStates(value.Zero(dataLen))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
-	defer cluster.Close()
-	srv := NewServer(cluster)
-
 	ts := register.Timestamp{Num: 3, Client: 1}
 	piece := func(index int) register.Chunk {
 		return register.Chunk{TS: ts, Block: erasure.Block{Index: index, Data: bytes.Repeat([]byte{byte(index)}, dataLen/k)}}
@@ -54,33 +49,49 @@ func BenchmarkServeRequest(b *testing.B) {
 	w.TS(register.ZeroTS)
 	w.Chunk(piece(1))
 	w.Chunks([]register.Chunk{piece(1), piece(2), piece(3), piece(4)})
-	env := dsys.Envelope{Op: dsys.OpID{Client: 1, Seq: 1, Kind: dsys.OpWrite}, Kind: "adaptive.update", Payload: w.Finish()}
-	f0, err := requestFrame(7, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wire := append(append(append([]byte{}, f0.head...), f0.payload...), f0.tail...)
+	op := dsys.OpID{Client: 1, Seq: 1, Kind: dsys.OpWrite}
+	for _, bc := range []struct {
+		name string
+		env  dsys.Envelope
+	}{
+		{"update", dsys.Envelope{Op: op, Kind: "adaptive.update", Payload: w.Finish()}},
+		{"read-16KiB", dsys.Envelope{Op: op, Kind: "adaptive.read"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			states, err := reg.InitialStates(value.Zero(dataLen))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
+			defer cluster.Close()
+			srv := NewServer(cluster)
+			body, err := bc.env.MarshalBinary()
+			wire := flatFrame(b, 7, body, err)
 
-	br := bufio.NewReader(&frameLoop{frame: wire})
-	var buf []byte
-	serveOne := func() {
-		frame, err := readFrame(br, buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = frame
-		if id := binary.BigEndian.Uint64(frame); id != 7 {
-			b.Fatalf("request ID %d", id)
-		}
-		if resp := srv.serve(frame[8:]); resp.Status != dsys.StatusOK {
-			b.Fatalf("served %v: %s", resp.Status, resp.Detail)
-		}
-	}
-	serveOne() // warm-up: the buffer grows to the frame
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serveOne()
+			br := bufio.NewReader(&frameLoop{frame: wire})
+			var buf []byte
+			var out register.WireWriter
+			sent := 0
+			serveOne := func() {
+				frame, err := readFrame(br, buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = frame
+				id := binary.BigEndian.Uint64(frame)
+				resp, c, v := srv.serve(frame[8:])
+				if status, err := writeResponseFrame(&out, id, resp, c, v); id != 7 || err != nil || status != dsys.StatusOK {
+					b.Fatalf("request %d served %v: %s (%v)", id, status, resp.Detail, err)
+				}
+				sent = out.Len()
+			}
+			serveOne() // warm-up: the buffer grows to the frame
+			b.SetBytes(int64(len(wire) + sent))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOne()
+			}
+		})
 	}
 }

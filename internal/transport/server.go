@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -149,6 +148,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	// frame is dead when serve returns and the next one is read over it. Only
 	// a buffer of up to readFrameStep is kept, so a connection pins no more.
 	var buf []byte
+	// One writer frames every response in turn; the sender has taken a frame's
+	// segments by the time send returns.
+	var w register.WireWriter
 	for {
 		frame, err := readFrame(br, buf)
 		if err != nil {
@@ -165,42 +167,46 @@ func (s *Server) handleConn(conn net.Conn) {
 		if s.opts.metrics != nil {
 			start = time.Now()
 		}
-		resp := s.serve(frame[8:])
-		s.opts.metrics.observeServe(start, resp.Status)
-		out, err := responseFrame(reqID, resp)
+		resp, codec, out := s.serve(frame[8:])
+		status, err := writeResponseFrame(&w, reqID, resp, codec, out)
+		s.opts.metrics.observeServe(start, status)
 		if err != nil {
 			return
 		}
-		if err := sender.send(out); err != nil {
+		if err := sender.send(&w); err != nil {
 			return
 		}
 	}
 }
 
 // serve executes one request envelope against the cluster and builds the
-// response. Faults are reported as typed statuses, never by dropping the
-// request — the client decides whether the round can still reach quorum.
-func (s *Server) serve(body []byte) dsys.Response {
+// response, all but its payload: for StatusOK that is out, what Apply
+// returned, still to be encoded by the request kind's codec c — into the
+// response frame directly, its blocks by reference to the object's state
+// (writeResponseFrame). Faults are reported as typed statuses, never by
+// dropping the request — the client decides whether the round can still
+// reach quorum.
+func (s *Server) serve(body []byte) (resp dsys.Response, c register.Codec, out any) {
 	env, err := dsys.UnmarshalEnvelope(body)
 	if err != nil {
-		return dsys.Response{Status: dsys.StatusBadRequest, Detail: err.Error()}
+		return dsys.Response{Status: dsys.StatusBadRequest, Detail: err.Error()}, c, nil
 	}
-	resp := dsys.Response{Op: env.Op, Object: env.Object}
+	resp = dsys.Response{Op: env.Op, Object: env.Object}
 	if s.opts.hosts != nil && !s.opts.hosts(env.Object) {
 		resp.Status = dsys.StatusNotHosted
-		return resp
+		return resp, c, nil
 	}
 	rmw, err := register.DecodeRMW(env)
 	if err != nil {
 		resp.Status = dsys.StatusBadRequest
 		resp.Detail = err.Error()
-		return resp
+		return resp, c, nil
 	}
-	readOnly := register.KindReadOnly(env.Kind)
-	if s.opts.recovery && readOnly &&
+	c, _ = register.CodecByKind(env.Kind) // registered: the RMW decoded
+	if s.opts.recovery && c.ReadOnly &&
 		env.Object >= 0 && env.Object < len(s.repaired) && !s.repaired[env.Object].Load() {
 		resp.Status = dsys.StatusRecovering
-		return resp
+		return resp, c, nil
 	}
 	// A wire trace context opens the node-side apply span: it parents under
 	// the client's RPC span by the envelope's span word, and the journal's
@@ -212,7 +218,7 @@ func (s *Server) serve(body []byte) dsys.Response {
 		sp.Span.Note = env.Kind
 		tc = sp.Context()
 	}
-	out, err := s.cluster.ApplyOneTraced(env.Object, rmw, tc)
+	out, err = s.cluster.ApplyOneTraced(env.Object, rmw, tc)
 	sp.Done()
 	if err != nil {
 		switch {
@@ -231,20 +237,13 @@ func (s *Server) serve(body []byte) dsys.Response {
 			resp.Status = dsys.StatusBadRequest
 			resp.Detail = err.Error()
 		}
-		return resp
+		return resp, c, nil
 	}
-	if !readOnly && env.Object >= 0 && env.Object < len(s.repaired) {
+	if !c.ReadOnly && env.Object >= 0 && env.Object < len(s.repaired) {
 		s.repaired[env.Object].Store(true)
 	}
-	payload, err := register.EncodeResponse(env.Kind, out)
-	if err != nil {
-		resp.Status = dsys.StatusBadRequest
-		resp.Detail = fmt.Sprintf("encode response: %v", err)
-		return resp
-	}
 	resp.Status = dsys.StatusOK
-	resp.Payload = payload
-	return resp
+	return resp, c, out
 }
 
 // Close stops accepting, closes every connection, and waits for the handler

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -320,9 +321,10 @@ func (cc *clientConn) readLoop() {
 // to the hosting nodes over the pipelined connections and waits until quorum
 // OK responses have arrived, the round's time is up, or every dispatched
 // request has failed. Targets are global object IDs; the result map is keyed
-// by them. What a round allocates for its own bookkeeping it allocates once,
-// not once per target: one array of calls, one buffer for the frames' heads
-// and tails, one channel, one result map.
+// by them. What a round allocates it allocates once, not once per target: one
+// array of calls, one arena for the inline bytes of all its frames, one writer
+// whose block references the frames take turns in, one channel, one result
+// map. The blocks themselves go to the socket from where the RMWs hold them.
 func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if c.closed.Load() {
 		return nil, net.ErrClosed
@@ -358,17 +360,18 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			calls[i].conn.deregister(calls[i].reqID)
 		}
 	}()
-	var heads headArena
+	var arena frameArena
+	var w register.WireWriter
 	dispatched := 0
 	var lastErr error
-	op := dsys.OpID{Client: client}
 	for i, obj := range targets {
 		rmw := makeRMW(obj)
-		env, err := register.EncodeEnvelopeShared(op, obj, rmw)
-		if err != nil {
-			// No codec for this RMW type: a programming error, not a fault.
-			return nil, err
+		codec, ok := register.CodecOf(rmw)
+		if !ok {
+			// A programming error, not a fault.
+			return nil, fmt.Errorf("%w: no codec for RMW type %T", register.ErrCodec, rmw)
 		}
+		env := dsys.Envelope{Op: dsys.OpID{Client: client}, Object: obj}
 		if tc.Sampled() {
 			env.Trace = tc.Trace
 			env.Span = c.opts.tracer.SpanID()
@@ -383,11 +386,16 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			continue
 		}
 		reqID := c.reqSeq.Add(1)
-		frame, err := appendRequestFrame(heads.cut(requestFrameRoom(env), len(targets)-i), reqID, env)
-		if err != nil {
+		if err := writeRequestFrame(&w, &arena, len(targets)-i, reqID, env, codec, rmw); err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				// This call alone fails: sent, the frame would cost the
+				// connection and every other round's calls on it.
+				lastErr = fmt.Errorf("object %d: %w", obj, err)
+				continue
+			}
 			return nil, err
 		}
-		calls = append(calls, pendingCall{obj: obj, kind: env.Kind, conn: cc, reqID: reqID, ch: ch})
+		calls = append(calls, pendingCall{obj: obj, kind: codec.Kind, conn: cc, reqID: reqID, ch: ch})
 		call := &calls[len(calls)-1]
 		if cc.nm != nil {
 			call.start = time.Now()
@@ -399,7 +407,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			}
 		}
 		cc.register(reqID, call)
-		if err := cc.sender.send(frame); err != nil {
+		if err := cc.sender.send(&w); err != nil {
 			cc.deregister(reqID)
 			lastErr = &RemoteError{Node: cc.addr, Err: err}
 			continue

@@ -16,11 +16,14 @@ import (
 	"spacebounds/internal/value"
 )
 
-// countingInvoker adds up the payload bytes of the requests a round sends and
-// of the responses it gets back, as the codecs encode them.
+// countingInvoker adds up the payload bytes a round's requests put on the
+// socket, and the responses it gets back: each is written the way a sender
+// writes it — blocks by reference — and what is counted is the segments that
+// writer hands the vectored write, every one of them.
 type countingInvoker struct {
 	inner dsys.RoundInvoker
 	t     *testing.T
+	w     register.WireWriter
 
 	requests, responses int
 	perKind             map[string]int
@@ -28,37 +31,46 @@ type countingInvoker struct {
 }
 
 // countedRound is one round as the invoker saw it: whom it was addressed to
-// and the request-payload bytes built for each of them (none for an object
-// that is down).
+// and the request-payload bytes sent each of them (none for an object that is
+// down).
 type countedRound struct {
 	kind    string
 	targets []int
 	bytes   map[int]int
 }
 
+// socketBytes writes v with write as a sender does and returns the length of
+// what would reach the socket.
+func socketBytes[T any](c *countingInvoker, write func(*register.WireWriter, T) error, v T) (n int) {
+	c.w.Reset(nil, true)
+	if err := write(&c.w, v); err != nil {
+		c.t.Error(err)
+	}
+	for _, seg := range c.w.Segments(nil) {
+		n += len(seg)
+	}
+	return n
+}
+
 func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
-	var kind string
+	var codec register.Codec
 	sent := map[int]int{}
 	resp, err := c.inner.InvokeRound(ctx, client, targets, func(obj int) dsys.RMW {
 		rmw := makeRMW(obj)
-		env, encErr := register.EncodeEnvelopeShared(dsys.OpID{Client: client}, obj, rmw)
-		if encErr != nil {
-			c.t.Error(encErr)
+		var ok bool
+		if codec, ok = register.CodecOf(rmw); !ok {
+			c.t.Errorf("no codec for %T", rmw)
 		}
-		kind = env.Kind
-		c.requests += len(env.Payload) + len(env.Shared)
-		c.perKind[kind] += len(env.Payload) + len(env.Shared)
-		sent[obj] = len(env.Payload) + len(env.Shared)
+		sent[obj] = socketBytes(c, codec.Write, rmw)
+		c.requests += sent[obj]
+		c.perKind[codec.Kind] += sent[obj]
 		return rmw
 	}, quorum)
-	c.rounds = append(c.rounds, countedRound{kind: kind, targets: append([]int{}, targets...), bytes: sent})
+	c.rounds = append(c.rounds, countedRound{kind: codec.Kind, targets: append([]int{}, targets...), bytes: sent})
 	for _, v := range resp {
-		payload, encErr := register.EncodeResponse(kind, v)
-		if encErr != nil {
-			c.t.Error(encErr)
-		}
-		c.responses += len(payload)
-		c.perKind[kind+" response"] += len(payload)
+		n := socketBytes(c, codec.WriteResp, v)
+		c.responses += n
+		c.perKind[codec.Kind+" response"] += n
 	}
 	return resp, err
 }
@@ -68,7 +80,8 @@ func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets [
 // — D/k bytes and a few hundred of timestamps and chunk headers — and gets
 // back timestamps and flags only. The query round returns no piece, no update
 // carries the full replica — every object has room in Vp — and the GC round,
-// every update having answered from Vp, carries no piece.
+// every update having answered from Vp, carries no piece. The bytes counted
+// are those a sender puts on the socket: 132,384 of request payloads.
 func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	const f, k, dataLen = 2, 4, 64 << 10
 	specs := []shard.Spec{{Name: "large", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
@@ -93,6 +106,9 @@ func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	// replica, and a GC's timestamp and empty chunk — under 200 bytes.
 	if limit := n*dataLen/k + n*512; counter.requests > limit {
 		t.Errorf("the write sent %d request-payload bytes, want at most n·D/k + n·512 = %d: %v", counter.requests, limit, counter.perKind)
+	}
+	if want := n * (dataLen/k + 164); counter.requests != want {
+		t.Errorf("the write sent %d request-payload bytes, %d when this test was written: %v", counter.requests, want, counter.perKind)
 	}
 	if len(counter.rounds) != 3 {
 		t.Errorf("the write took %d rounds, want 3: %+v", len(counter.rounds), counter.rounds)

@@ -93,6 +93,7 @@ type Journal struct {
 	f            segmentFile
 	wrapFile     func(segmentFile) segmentFile // tests only; nil otherwise
 	frame        []byte                        // the record being appended; reused, see maxKeptFrame
+	w            register.WireWriter           // encodes an apply record into frame
 	segments     []*segment                    // ascending firstSeq; last is the active file
 	logTotal     int64                         // sum of every segment's bytes
 	nextSeq      uint64
@@ -309,11 +310,25 @@ func (j *Journal) RecordApply(object int, rmw dsys.RMW) {
 }
 
 // recordApply journals one applied RMW; with a tracer, under a StageWALAppend
-// span parented at tc.
+// span parented at tc. There is nothing to journal when the RMW has no codec
+// (counted) or its kind is read-only. An RMW that offers a trimmed form of
+// itself (dsys.JournalTrimmer) is journaled as that: Apply has just run under
+// the lock the caller still holds, so the RMW knows which of its parameters
+// the transition read, and replay starts from the same state. The codec still
+// encodes exactly the RMW it is handed.
 func (j *Journal) recordApply(object int, rmw dsys.RMW, tr *trace.Tracer, tc trace.Context) {
-	env, ok := j.encodeApply(object, rmw)
+	c, ok := register.CodecOf(rmw)
 	if !ok {
+		j.jmu.Lock()
+		j.unknownRMWs++
+		j.jmu.Unlock()
 		return
+	}
+	if c.ReadOnly {
+		return
+	}
+	if t, ok := rmw.(dsys.JournalTrimmer); ok {
+		rmw = t.JournalForm()
 	}
 	m := j.met.Load()
 	start := m.now()
@@ -325,7 +340,7 @@ func (j *Journal) recordApply(object int, rmw dsys.RMW, tr *trace.Tracer, tc tra
 	if tr != nil {
 		j.traceTR, j.traceTC = tr, sp.Context()
 	}
-	j.appendApplyLocked(env)
+	j.appendApplyLocked(object, c, rmw)
 	j.traceTR, j.traceTC = nil, trace.Context{}
 	j.jmu.Unlock()
 	sp.Done()
@@ -333,35 +348,6 @@ func (j *Journal) recordApply(object int, rmw dsys.RMW, tr *trace.Tracer, tc tra
 		m.appendSec.ObserveSince(start)
 		m.appends.Inc()
 	}
-}
-
-// encodeApply builds the envelope an applied RMW is journaled as, reporting
-// false (and accounting or latching as appropriate) when there is nothing to
-// journal: unknown codec, read-only kind, or an encode failure. An RMW that
-// offers a trimmed form of itself (dsys.JournalTrimmer) is journaled as that:
-// Apply has just run under the lock the caller still holds, so the RMW knows
-// which of its parameters the transition read, and replay starts from the
-// same state. The codec still encodes exactly the RMW it is handed.
-func (j *Journal) encodeApply(object int, rmw dsys.RMW) (dsys.Envelope, bool) {
-	kind, ok := register.KindOf(rmw)
-	if !ok {
-		j.jmu.Lock()
-		j.unknownRMWs++
-		j.jmu.Unlock()
-		return dsys.Envelope{}, false
-	}
-	if register.KindReadOnly(kind) {
-		return dsys.Envelope{}, false
-	}
-	if t, ok := rmw.(dsys.JournalTrimmer); ok {
-		rmw = t.JournalForm()
-	}
-	env, err := register.EncodeEnvelope(dsys.OpID{}, object, rmw)
-	if err != nil {
-		j.latch(err)
-		return dsys.Envelope{}, false
-	}
-	return env, true
 }
 
 // RecordMove implements reconfig.MoveJournal: journal one move-ledger
@@ -384,17 +370,24 @@ func (j *Journal) RecordMove(id int, encoded []byte) {
 	}
 }
 
-// appendApplyLocked frames and writes one apply record. Caller holds jmu.
-func (j *Journal) appendApplyLocked(env dsys.Envelope) {
+// appendApplyLocked frames and writes one apply record: the RMW, whose codec
+// is c, is encoded straight into the journal's frame buffer as the envelope
+// replay decodes — no payload in between. Caller holds jmu.
+func (j *Journal) appendApplyLocked(object int, c register.Codec, rmw dsys.RMW) {
 	if !j.writable() {
 		return
 	}
-	b, err := env.AppendBinary(beginFrame(j.frame, recApply, j.nextSeq))
+	_, total, err := c.RequestSize(&j.w, rmw)
+	if err == nil {
+		j.w.Reset(beginFrame(j.frame, recApply, j.nextSeq), false)
+		err = register.WriteEnvelope(&j.w, dsys.Envelope{Object: object}, c, rmw, total)
+	}
 	if err != nil {
 		j.failLocked(fmt.Errorf("wal: append: %v", err))
 		return
 	}
-	j.writeFrameLocked(b, env.Object)
+	j.writeFrameLocked(j.w.Finish(), object)
+	j.w.Reset(nil, false) // the frame buffer is writeFrameLocked's to keep or drop
 }
 
 // writable reports whether appends still reach the disk. Errors latch: the
