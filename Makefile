@@ -8,7 +8,7 @@ SIM_SMOKE_SEEDS ?= 50
 # Fuzzing budget for the checker fuzz smoke.
 FUZZ_TIME ?= 20s
 
-.PHONY: build test race flake bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge sim-soak-autoreshard fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
+.PHONY: build test test-purego race flake bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge sim-soak-autoreshard fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
 
 # Compile everything and run static checks.
 build:
@@ -18,6 +18,14 @@ build:
 # Full unit and integration test suite.
 test:
 	$(GO) test ./...
+
+# The portable GF(256) kernel, compiled, vetted and tested where it would
+# otherwise never run: -tags purego builds internal/gf256 without its amd64
+# assembly, and the codes and the register that moves their blocks are tested
+# on the Go loops alone.
+test-purego:
+	$(GO) vet -tags purego ./internal/gf256/... ./internal/erasure/...
+	$(GO) test -tags purego ./internal/gf256/... ./internal/erasure/... ./internal/register/adaptive/...
 
 # Race-detector pass over every package (commands and examples included),
 # bounded so a scheduling deadlock fails fast instead of hanging CI.
@@ -36,8 +44,9 @@ flake:
 # experiment benchmarks and the substrate micro-benchmarks: the ladder rows
 # BenchmarkBatcherSubmit, BenchmarkInvokeRound (a read round, 512-byte and
 # 16 KiB pieces), BenchmarkServeRequest (an update, a 16 KiB read),
-# BenchmarkSegmentsWrite and BenchmarkJournalAppend among them) so they keep
-# working. It judges nothing; `make benchmark` does.
+# BenchmarkSegmentsWrite, BenchmarkJournalAppend, BenchmarkReedSolomon and
+# the vector and portable rows of BenchmarkDotSlices and BenchmarkMulAdd among
+# them) so they keep working. It judges nothing; `make benchmark` does.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -129,7 +138,10 @@ sim-soak-autoreshard:
 # disk and a failing fsync leave behind (open + replay must refuse or repair,
 # never panic; PR CI runs it for 10 s); FUZZ_TARGET=FuzzReedSolomonRoundTrip FUZZ_PKG=./internal/erasure
 # round-trips the systematic Reed-Solomon code over random shapes and block
-# selections (all data, all parity, mixed; duplicates and surplus blocks).
+# selections (all data, all parity, mixed; duplicates and surplus blocks);
+# FUZZ_TARGET=FuzzKernelsMatchScalar FUZZ_PKG=./internal/gf256 compares the
+# vector and the portable GF(256) slice kernels with scalar Mul over random
+# coefficients, lengths, offsets and bytes (PR CI runs it for 10 s).
 FUZZ_TARGET ?= FuzzCheckers
 FUZZ_PKG ?= ./internal/history
 fuzz-smoke:

@@ -218,22 +218,31 @@ func BenchmarkOperationLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkReedSolomon measures the coding substrate itself. Decode has three
-// rows per shape: from the k data blocks (a copy — the systematic code's best
-// case and what a quiescent read sees), with one data block replaced by a
-// parity block (one shard reconstructed), and from parity blocks alone (every
-// shard reconstructed, the worst case).
+// BenchmarkReedSolomon measures the coding substrate itself: the repository
+// benchmark's tcp-small shape (1 KiB at k=2, n=4), its tcp-large shape (64 KiB
+// at k=4, n=8), and 64 KiB at three wider codes. Decode has three rows per
+// shape: from the k data blocks (a copy — the systematic code's best case),
+// with one data block replaced by a parity block (one shard reconstructed —
+// what four tcp-large reads in five see, the first n-f responders rarely
+// holding every data block), and from parity blocks alone (every shard
+// reconstructed, the worst case).
 func BenchmarkReedSolomon(b *testing.B) {
-	for _, tc := range []struct{ k, n int }{{2, 6}, {4, 12}, {8, 24}} {
+	for _, tc := range []struct {
+		k, n, size int
+		shape      string
+	}{
+		{2, 4, 1 << 10, "k=2/n=4/1KiB"}, {4, 8, 64 << 10, "k=4/n=8"},
+		{2, 6, 64 << 10, "k=2/n=6"}, {4, 12, 64 << 10, "k=4/n=12"}, {8, 24, 64 << 10, "k=8/n=24"},
+	} {
 		rs, err := erasure.NewReedSolomon(tc.k, tc.n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		data := make([]byte, 64*1024)
+		data := make([]byte, tc.size)
 		for i := range data {
 			data[i] = byte(i * 31)
 		}
-		b.Run(fmt.Sprintf("encode/k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
+		b.Run("encode/"+tc.shape, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -255,7 +264,7 @@ func BenchmarkReedSolomon(b *testing.B) {
 			{"one-missing", oneMissing},
 			{"all-parity", blocks[tc.n-tc.k:]},
 		} {
-			b.Run(fmt.Sprintf("decode/%s/k=%d/n=%d", from.name, tc.k, tc.n), func(b *testing.B) {
+			b.Run("decode/"+from.name+"/"+tc.shape, func(b *testing.B) {
 				b.SetBytes(int64(len(data)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -87,20 +87,17 @@ func (rl *Rateless) Encode(data []byte) ([]Block, error) {
 }
 
 // EncodeBlock implements Code and accepts any positive index, which is what
-// makes the code rateless.
+// makes the code rateless. The block is its coefficient vector followed by
+// one dot product over views of the value, computed in place.
 func (rl *Rateless) EncodeBlock(data []byte, index int) (Block, error) {
 	if index < 1 {
 		return Block{}, fmt.Errorf("%w: %d must be positive", ErrBlockIndex, index)
 	}
-	shards := splitShards(data, rl.k)
+	sl := shardLen(len(data), rl.k)
 	coeffs := rl.coefficients(index)
-	payload := make([]byte, shardLen(len(data), rl.k))
-	for i, c := range coeffs {
-		gf256.MulAddSlice(c, payload, shards[i])
-	}
-	out := make([]byte, 0, rl.k+len(payload))
-	out = append(out, coeffs...)
-	out = append(out, payload...)
+	out := make([]byte, rl.k+sl)
+	copy(out, coeffs)
+	gf256.DotSlices(coeffs, out[rl.k:], shardViews(data, rl.k, sl))
 	return Block{Index: index, Data: out}, nil
 }
 

@@ -54,12 +54,16 @@ func (rs *ReedSolomon) BlockSizeBytes(dataLen, index int) int {
 }
 
 // ownedShard returns shard c (0-based) of data in memory of its own: exactly
-// sl bytes, zero-padded where the shard runs past the end of data.
+// sl bytes, zero-padded where the shard runs past the end of data. The make
+// and the copy stay adjacent: the compiler fuses the pair into one
+// allocate-and-copy that clears only the padding.
 func ownedShard(data []byte, c, sl int) []byte {
-	out := make([]byte, sl)
+	var src []byte
 	if start := c * sl; start < len(data) {
-		copy(out, data[start:])
+		src = data[start:]
 	}
+	out := make([]byte, sl)
+	copy(out, src)
 	return out
 }
 
@@ -71,6 +75,15 @@ func shard(data []byte, c, sl int) []byte {
 		return data[start : start+sl]
 	}
 	return ownedShard(data, c, sl)
+}
+
+// shardViews returns the k shards of data for reading only (see shard).
+func shardViews(data []byte, k, sl int) [][]byte {
+	shards := make([][]byte, k)
+	for c := range shards {
+		shards[c] = shard(data, c, sl)
+	}
+	return shards
 }
 
 // Encode implements Code. The value is copied once, into the k data blocks
@@ -102,12 +115,8 @@ func (rs *ReedSolomon) EncodeBlock(data []byte, index int) (Block, error) {
 	if index <= rs.k {
 		return Block{Index: index, Data: ownedShard(data, index-1, sl)}, nil
 	}
-	shards := make([][]byte, rs.k)
-	for c := range shards {
-		shards[c] = shard(data, c, sl)
-	}
 	out := make([]byte, sl)
-	gf256.DotSlices(rs.matrix.Row(index-1), out, shards)
+	gf256.DotSlices(rs.matrix.Row(index-1), out, shardViews(data, rs.k, sl))
 	return Block{Index: index, Data: out}, nil
 }
 

@@ -4,18 +4,25 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the polynomial conventionally used by
 // Reed-Solomon implementations. Addition is XOR; multiplication, division,
 // inversion, and exponentiation are implemented with precomputed log and
-// exponentiation tables keyed by the generator element 2; the slice kernels
-// (MulSlice, MulAddSlice, DotSlices) use a full 256x256 multiplication table.
+// exponentiation tables keyed by the generator element 2.
+//
+// The slice kernels (MulSlice, MulAddSlice, DotSlices) have two forms that
+// produce the same bytes. The portable one indexes one 256-byte row of a full
+// multiplication table per coefficient, a byte at a time. The vector one
+// (amd64 with AVX2, unless built with -tags purego) uses the split-table
+// identity c*x = lo_c[x&15] ^ hi_c[x>>4]: multiplication by c is linear over
+// GF(2), so the product splits over the two nibbles of x, each half is a
+// 16-entry table, and one VPSHUFB looks up 32 bytes of it at once. The vector
+// kernel takes the 32-byte-multiple prefix of any slice of at least 32 bytes;
+// the portable loop takes the rest, and is the reference the tests compare
+// against.
 //
 // The package is the arithmetic substrate for the erasure codes in
 // internal/erasure. It is allocation-free and safe for concurrent use: the
 // tables are computed once at package initialization and never mutated.
 package gf256
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Poly is the irreducible polynomial used to construct the field, expressed
 // with the x^8 term included (bit 8 set).
@@ -32,10 +39,18 @@ var (
 	expTable [2 * Order]byte // expTable[i] = generator^i, doubled to avoid mod in Mul
 	logTable [Order]byte     // logTable[x] = i such that generator^i = x, for x != 0
 	invTable [Order]byte     // invTable[x] = multiplicative inverse of x, invTable[0] = 0
-	// mulTable[a][b] = a*b: the slice kernels index one 256-byte row per
-	// coefficient, with no zero test and no log/exp double lookup per byte.
+	// mulTable[a][b] = a*b: the portable slice kernels index one 256-byte row
+	// per coefficient, with no zero test and no log/exp double lookup per byte.
 	mulTable [Order][Order]byte
+	// nibbleTable[c] is what the vector kernel shuffles through: bytes 0..15
+	// are c*x for the low nibbles x = 0..15, bytes 16..31 are c*(x<<4).
+	nibbleTable [Order][32]byte
 )
+
+// vectorRun bounds the bytes one call of the assembly routine covers. The
+// routine has no preemption point, so a stop-the-world waits for it to return:
+// 64 KiB is a few microseconds.
+const vectorRun = 64 << 10
 
 func init() {
 	x := 1
@@ -57,6 +72,12 @@ func init() {
 	for a := 1; a < Order; a++ {
 		for b := 1; b < Order; b++ {
 			mulTable[a][b] = expTable[int(logTable[a])+int(logTable[b])]
+		}
+	}
+	for c := 0; c < Order; c++ {
+		for x := 0; x < 16; x++ {
+			nibbleTable[c][x] = Mul(byte(c), byte(x))
+			nibbleTable[c][16+x] = Mul(byte(c), byte(x<<4))
 		}
 	}
 }
@@ -120,6 +141,22 @@ func Exp(base byte, n int) byte {
 // n-th distinct evaluation point for Vandermonde-style code matrices.
 func PowGenerator(n int) byte { return Exp(generator, n) }
 
+// vectorPrefix runs the vector kernel over the longest 32-byte-multiple prefix
+// of src, overwriting dst with c*src or, with xor set, folding c*src into it,
+// and returns the prefix's length: 0 where the vector kernel is not in use or
+// src is shorter than one step. The caller finishes with the portable loop.
+func vectorPrefix(c byte, dst, src []byte, xor bool) int {
+	if !useVector || len(src) < 32 {
+		return 0
+	}
+	n := len(src) &^ 31
+	for i := 0; i < n; i += vectorRun {
+		end := min(i+vectorRun, n)
+		mulVector(&nibbleTable[c], dst[i:end], src[i:end], xor)
+	}
+	return n
+}
+
 // MulSlice multiplies every byte of src by the scalar c and stores the result
 // in dst. dst and src must have equal length; MulSlice panics otherwise. dst
 // may be src itself (Matrix.Invert scales rows in place).
@@ -127,16 +164,15 @@ func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(dst), len(src)))
 	}
+	i := vectorPrefix(c, dst, src, false)
 	t := &mulTable[c]
-	for i, s := range src {
-		dst[i] = t[s]
+	for ; i < len(src); i++ {
+		dst[i] = t[src[i]]
 	}
 }
 
 // MulAddSlice computes dst[i] ^= c * src[i] for every index. dst and src must
-// have equal length; MulAddSlice panics otherwise. It is the kernel every
-// source past a dot product's fourth goes through, so it works a word at a
-// time: eight lookups packed little-endian and folded in with one XOR.
+// have equal length; MulAddSlice panics otherwise.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulAddSlice length mismatch %d != %d", len(dst), len(src)))
@@ -144,14 +180,8 @@ func MulAddSlice(c byte, dst, src []byte) {
 	if c == 0 {
 		return
 	}
+	i := vectorPrefix(c, dst, src, true)
 	t := &mulTable[c]
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		s, d := src[i:i+8:i+8], dst[i:i+8:i+8]
-		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^
-			(uint64(t[s[0]])|uint64(t[s[1]])<<8|uint64(t[s[2]])<<16|uint64(t[s[3]])<<24|
-				uint64(t[s[4]])<<32|uint64(t[s[5]])<<40|uint64(t[s[6]])<<48|uint64(t[s[7]])<<56))
-	}
 	for ; i < len(src); i++ {
 		dst[i] ^= t[src[i]]
 	}
@@ -160,10 +190,10 @@ func MulAddSlice(c byte, dst, src []byte) {
 // DotSlices sets dst[i] = coeffs[0]*srcs[0][i] ^ ... ^ coeffs[m-1]*srcs[m-1][i]
 // for every index: one output row of a matrix-vector product over byte
 // slices, which is what erasure encoding and decoding are made of. The first
-// four sources are combined in one pass that writes each output byte once;
-// further sources are folded in one at a time. There must be at least one
-// source, one coefficient per source, and every source must have dst's
-// length; DotSlices panics otherwise. dst must not overlap any source.
+// source overwrites dst and the rest are folded in one at a time. There must
+// be at least one source, one coefficient per source, and every source must
+// have dst's length; DotSlices panics otherwise. dst must not overlap any
+// source.
 func DotSlices(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(srcs) == 0 || len(coeffs) != len(srcs) {
 		panic(fmt.Sprintf("gf256: DotSlices has %d coefficients for %d sources", len(coeffs), len(srcs)))
@@ -173,26 +203,9 @@ func DotSlices(coeffs []byte, dst []byte, srcs [][]byte) {
 			panic(fmt.Sprintf("gf256: DotSlices source %d length mismatch %d != %d", j, len(s), len(dst)))
 		}
 	}
-	j := 1
-	if len(srcs) >= 4 {
-		j = 4
-		dot4(coeffs, dst, srcs)
-	} else {
-		MulSlice(coeffs[0], dst, srcs[0])
-	}
-	for ; j < len(srcs); j++ {
+	MulSlice(coeffs[0], dst, srcs[0])
+	for j := 1; j < len(srcs); j++ {
 		MulAddSlice(coeffs[j], dst, srcs[j])
-	}
-}
-
-// dot4 sets dst to the dot product of the first four coefficients and
-// sources. It is its own function so the loop's four table rows and five
-// slices get the registers to themselves.
-func dot4(coeffs []byte, dst []byte, srcs [][]byte) {
-	t0, t1, t2, t3 := &mulTable[coeffs[0]], &mulTable[coeffs[1]], &mulTable[coeffs[2]], &mulTable[coeffs[3]]
-	s0, s1, s2, s3 := srcs[0][:len(dst)], srcs[1][:len(dst)], srcs[2][:len(dst)], srcs[3][:len(dst)]
-	for i := range dst {
-		dst[i] = t0[s0[i]] ^ t1[s1[i]] ^ t2[s2[i]] ^ t3[s3[i]]
 	}
 }
 
