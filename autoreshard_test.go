@@ -21,6 +21,9 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 			SustainTicks:  2,
 			CooldownTicks: 2,
 			MaxMoves:      1,
+			// ColdOps is unset, so an idle shard counts as cold: without the
+			// floor a stalled writer lets the planner merge hot+idle first.
+			MinShards: 2,
 		},
 	})
 	if err != nil {
@@ -43,8 +46,8 @@ func TestAutoReshardSplitsHotShard(t *testing.T) {
 	}
 
 	st := store.AutoReshardStats()
-	if st.Splits != 1 || st.Plans != 1 {
-		t.Fatalf("stats = %+v, want exactly one split plan", st)
+	if st.Splits != 1 || st.Plans != 1 || st.Merges != 0 {
+		t.Fatalf("stats = %+v, want exactly one split plan and no merge", st)
 	}
 	shards := store.Shards()
 	if len(shards) != 3 {

@@ -25,19 +25,18 @@ import (
 func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 	const (
 		clients   = 8
-		opsPer    = 40
-		readEvery = 4 // every 4th op reads
+		opsPer    = 40 // at least; a client keeps going until the churn has shown
+		readEvery = 4  // every 4th op reads
 	)
 	store, err := Open(Options{
 		Shards: []ShardSpec{
 			{Name: "alpha"}, {Name: "beta"},
 		},
-		F:           1,
-		K:           2,
-		ValueSize:   64,
-		NodeLatency: 50 * time.Microsecond,
-		Batch:       BatchOptions{MaxSize: 4},
-		Faults:      FaultOptions{Interval: time.Millisecond, Downtime: 3 * time.Millisecond, Seed: 7},
+		F:         1,
+		K:         2,
+		ValueSize: 64,
+		Batch:     BatchOptions{MaxSize: 4},
+		Faults:    FaultOptions{Interval: time.Millisecond, Downtime: 3 * time.Millisecond, Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +70,22 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 		}
 	}()
 
+	// The load lasts until nodes have gone down and come back under it (or the
+	// injector has had ten seconds to do so and the assertions below fail).
+	deadline := time.Now().Add(10 * time.Second)
+	churned := func() bool {
+		fs := store.FaultStats()
+		return fs.Crashes >= 2 && fs.Restarts >= 2 || time.Now().After(deadline)
+	}
 	var wg sync.WaitGroup
-	var writes, reads, writeErrs, readErrs atomic.Int64
+	var issued, writes, reads, writeErrs, readErrs atomic.Int64
 	for c := 0; c < clients; c++ {
 		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < opsPer; i++ {
+			for i := 0; i < opsPer || !churned(); i++ {
+				issued.Add(1)
 				key := fmt.Sprintf("key-%d", (c+i)%8)
 				if i%readEvery == 0 {
 					if _, err := store.ReadKey(1+c, key); err != nil {
@@ -107,14 +114,13 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 	// Every submission must be accounted for: completions plus errors equal
 	// the ops issued (no hung or vanished operations), and the batcher's
 	// member counters cover every operation that went through a lane.
-	issued := int64(clients * opsPer)
-	if got := writes.Load() + reads.Load() + writeErrs.Load() + readErrs.Load(); got != issued {
-		t.Fatalf("operations unaccounted for: %d of %d", got, issued)
+	if got := writes.Load() + reads.Load() + writeErrs.Load() + readErrs.Load(); got != issued.Load() {
+		t.Fatalf("operations unaccounted for: %d of %d", got, issued.Load())
 	}
 	st := store.BatchStats()
-	if int64(st.Writes+st.Reads) != issued {
+	if int64(st.Writes+st.Reads) != issued.Load() {
 		t.Fatalf("batcher lanes carried %d ops, %d were submitted: a lane committed partially",
-			st.Writes+st.Reads, issued)
+			st.Writes+st.Reads, issued.Load())
 	}
 	if st.WriteRounds > st.Writes || st.ReadRounds > st.Reads {
 		t.Fatalf("more rounds than members (writes %d/%d, reads %d/%d)",

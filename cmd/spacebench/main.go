@@ -69,7 +69,6 @@ type cliConfig struct {
 	algo        string
 	f           int
 	k           int
-	nodeLatency time.Duration
 	seed        int64
 	batch       int
 	batchDelay  time.Duration
@@ -135,9 +134,8 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.StringVar(&c.algo, "algo", "adaptive", "register provider per shard: adaptive, abd, ecreg, safereg (throughput mode)")
 	fs.IntVar(&c.f, "f", 2, "crash failures tolerated per shard (throughput mode)")
 	fs.IntVar(&c.k, "k", 2, "erasure decode threshold per shard (throughput mode)")
-	fs.DurationVar(&c.nodeLatency, "node-latency", 0, "per-RMW service time of each storage node, e.g. 50us (throughput mode)")
 	fs.Int64Var(&c.seed, "seed", 1, "workload seed / first simulation seed; fixed seeds make runs reproducible, e.g. in CI")
-	fs.IntVar(&c.batch, "batch", 0, "batched quorum engine: max ops per shared round and RMWs per node service period; 0 disables (throughput mode)")
+	fs.IntVar(&c.batch, "batch", 0, "group commit: max ops per shared round; 0 disables (throughput mode)")
 	fs.DurationVar(&c.batchDelay, "batch-delay", 0, "how long an idle shard waits for a batch to fill before dispatching (throughput mode)")
 	fs.Float64Var(&c.arrivalRate, "arrival-rate", 0, "open-loop arrivals per second per client; 0 keeps the closed loop (throughput mode)")
 	fs.StringVar(&c.split, "split", "", "live-split this shard mid-run and report throughput before/after (throughput mode)")
@@ -382,10 +380,9 @@ func runSimLive(c *cliConfig, out io.Writer, provider string) error {
 	// Crash/restart churn: the injector cycles nodes down and back up, never
 	// more than F per shard at once.
 	n, err := node.Open(node.Config{
-		Shards:      specs,
-		NodeLatency: 20 * time.Microsecond,
-		Batch:       shard.BatchConfig{MaxSize: 8},
-		Faults:      node.FaultConfig{Interval: 2 * time.Millisecond, Downtime: 2 * time.Millisecond, Seed: c.seed},
+		Shards: specs,
+		Batch:  shard.BatchConfig{MaxSize: 8},
+		Faults: node.FaultConfig{Interval: 2 * time.Millisecond, Downtime: 2 * time.Millisecond, Seed: c.seed},
 	})
 	if err != nil {
 		return fmt.Errorf("live smoke %s: %w", provider, err)
@@ -398,6 +395,8 @@ func runSimLive(c *cliConfig, out io.Writer, provider string) error {
 		Keys:          8,
 		Seed:          c.seed,
 		RecordHistory: true,
+		// Paced, so the run spans several of the injector's ticks.
+		ArrivalRate: 5000,
 	})
 	if err != nil {
 		return fmt.Errorf("live smoke %s: %w", provider, err)
@@ -577,7 +576,7 @@ func (c *cliConfig) batchConfig() shard.BatchConfig {
 func runThroughput(c *cliConfig, out io.Writer) error {
 	shards, clients, ops, keys := c.shards, c.clients, c.ops, c.keys
 	skew, reads, algo := c.skew, c.reads, c.algo
-	f, k, nodeLatency, seed := c.f, c.k, c.nodeLatency, c.seed
+	f, k, seed := c.f, c.k, c.seed
 	if c.autoReshard && c.split != "" {
 		return fmt.Errorf("-auto-reshard and -split are mutually exclusive: both drive the reconfiguration coordinator")
 	}
@@ -585,7 +584,7 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := node.Config{Shards: specs, NodeLatency: nodeLatency, Batch: c.batchConfig()}
+	cfg := node.Config{Shards: specs, Batch: c.batchConfig()}
 	if c.metricsAddr != "" {
 		cfg.Metrics = metrics.NewRegistry()
 		msrv, err := metrics.Serve(c.metricsAddr, cfg.Metrics)
@@ -641,8 +640,8 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 	n.StopAutoReshard() // settle the stats before reporting
 
 	total := res.CompletedWrites + res.CompletedReads
-	fmt.Fprintf(out, "sharded throughput: %d shards (%s, f=%d, k=%d), %d clients × %d ops, %d keys, skew %.2f, node latency %v\n",
-		shards, algo, f, k, clients, ops, keys, skew, nodeLatency)
+	fmt.Fprintf(out, "sharded throughput: %d shards (%s, f=%d, k=%d), %d clients × %d ops, %d keys, skew %.2f\n",
+		shards, algo, f, k, clients, ops, keys, skew)
 	if batchCfg := cfg.Batch.WithDefaults(); cfg.Batch.Enabled() {
 		st := set.BatchStats()
 		fmt.Fprintf(out, "  batching: max %d, delay %v  ->  %d writes in %d rounds, %d reads in %d rounds\n",

@@ -35,15 +35,12 @@ func TestParseArgsDefaults(t *testing.T) {
 
 func TestParseArgsThroughputFlags(t *testing.T) {
 	c := mustParse(t, "-throughput", "-shards", "4", "-clients", "2", "-ops", "100",
-		"-node-latency", "50us", "-batch", "8", "-skew", "1.2", "-algo", "abd")
+		"-batch", "8", "-skew", "1.2", "-algo", "abd")
 	if !c.throughput {
 		t.Fatal("throughput mode not selected")
 	}
 	if c.shards != 4 || c.clients != 2 || c.ops != 100 || c.batch != 8 || c.algo != "abd" {
 		t.Fatalf("flags not parsed: %+v", c)
-	}
-	if c.nodeLatency != 50*time.Microsecond {
-		t.Fatalf("node latency = %v", c.nodeLatency)
 	}
 	if c.skew != 1.2 {
 		t.Fatalf("skew = %v", c.skew)

@@ -165,10 +165,6 @@ func NewPlanner(cfg Config) (*Planner, error) {
 // Stats returns the planner's counters and current hot/cold census.
 func (p *Planner) Stats() Stats { return p.stats }
 
-// Awaiting reports whether an emitted plan is still unresolved; the planner
-// refuses to plan again until NoteResolved is called.
-func (p *Planner) Awaiting() bool { return p.awaiting }
-
 // NoteResolved tells the planner the outcome of the last emitted plan:
 // applied (ok) or dropped (backpressure, abort, rejection). Either way the
 // cooldown starts — even a dropped plan means the topology or its signals

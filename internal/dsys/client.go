@@ -122,9 +122,6 @@ func (h *ClientHandle) EndOp() {
 	h.currentOp = OpID{}
 }
 
-// CurrentOp returns the client's current operation identity (zero if none).
-func (h *ClientHandle) CurrentOp() OpID { return h.currentOp }
-
 // SetLocalBlocks registers the code blocks the client currently holds in its
 // local state (e.g. the encoded WriteSet of an in-progress write) so the
 // storage accountant can charge them to the client's location.
@@ -267,9 +264,6 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 // which models a client waiting forever for a quorum that cannot form.
 func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
 	c := h.c
-	if c.opts.liveLatency > 0 {
-		return h.invokeLiveQueued(targets, makeRMW, quorum)
-	}
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
 	resp := make(map[int]any, len(targets))
@@ -283,46 +277,6 @@ func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quor
 		}
 	}
 	if len(resp) < quorum {
-		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
-	}
-	return resp, nil
-}
-
-// invokeLiveQueued is the live path under WithLiveLatency: the round's RMWs
-// are enqueued at their objects' service queues all at once and each object's
-// server serves them in FIFO order, up to WithLiveBatch of them per service
-// period. The round returns as soon as a quorum of responses has arrived —
-// matching Invoke's contract and the registers' quorum logic — while
-// stragglers stay queued and take effect later (their responses are dropped,
-// exactly as for a client rescheduled in controlled mode). The queueing this
-// creates on busy objects is the point — it is how a finite-capacity storage
-// node behaves under load.
-func (h *ClientHandle) invokeLiveQueued(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	c := h.c
-	objects := c.objs()
-	tc := trace.FromContext(h.ctx)
-	ch := make(chan liveResult, len(targets))
-	dispatched := 0
-	for _, objID := range targets {
-		obj := objects[h.base+objID]
-		if obj.down() {
-			continue
-		}
-		if c.enqueueLive(obj, &liveReq{rmw: makeRMW(objID), client: h.id, obj: objID, ch: ch, tc: tc}) {
-			dispatched++
-		}
-	}
-	resp := make(map[int]any, dispatched)
-	for received := 0; received < dispatched && len(resp) < quorum; received++ {
-		r := <-ch
-		if r.ok {
-			resp[r.obj] = r.resp
-		}
-	}
-	if len(resp) < quorum {
-		if c.liveHalted.Load() {
-			return resp, ErrHalted
-		}
 		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
 	}
 	return resp, nil

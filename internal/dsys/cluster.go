@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/storagecost"
@@ -27,15 +26,13 @@ const (
 )
 
 type options struct {
-	mode        Mode
-	policy      Policy
-	maxSteps    int
-	dataBits    int
-	accounting  bool
-	keepSeries  bool
-	eventLog    func(Event)
-	liveLatency time.Duration
-	liveBatch   int
+	mode       Mode
+	policy     Policy
+	maxSteps   int
+	dataBits   int
+	accounting bool
+	keepSeries bool
+	eventLog   func(Event)
 }
 
 // Option configures a Cluster.
@@ -57,29 +54,6 @@ func WithControlledMode() Option { return func(o *options) { o.mode = Controlled
 // WithMaxSteps bounds the number of scheduling decisions in controlled mode;
 // exceeding the bound marks the run stuck. Zero means unbounded.
 func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
-
-// WithLiveLatency gives every base object a fixed RMW service time in live
-// mode. This is the one finite-capacity engine: a round
-// enqueues its RMWs at the target objects' service queues all at once (the
-// client "sends" to every target, as in the message-passing reading of the
-// model) and waits for the quorum; each object's server drains its queue in
-// FIFO order, staying busy for d per service period. Queued RMW parameters are
-// charged to the channel in storage snapshots (Definition 2 — bits parked in
-// communication links count), and Close interrupts a service period instead
-// of sleeping it out. n base objects provide n·(1/d) aggregate service
-// capacity, so throughput experiments see shards scale capacity the way added
-// storage nodes do. Zero (the default) keeps the synchronous in-process fast
-// path.
-func WithLiveLatency(d time.Duration) Option { return func(o *options) { o.liveLatency = d } }
-
-// WithLiveBatch sizes the service period of the WithLiveLatency engine: an
-// object's server drains up to n queued RMWs per period, sleeps d once, and
-// applies them together. This is the node-level half of the batched quorum
-// engine — it amortizes the per-operation service period the same way group
-// commit amortizes an fsync — and it multiplies an object's service capacity
-// from 1/d to n/d RMWs per second. Values below 1 (the default) mean 1. The
-// option has no effect without WithLiveLatency.
-func WithLiveBatch(n int) Option { return func(o *options) { o.liveBatch = n } }
 
 // WithDataBits records D (the register value size in bits) so that policies
 // can classify writes into C⁻/C⁺.
@@ -166,34 +140,13 @@ type object struct {
 	retired atomic.Bool
 	applied int
 	liveMu  sync.Mutex // the apply lock: held around every state transition
-
-	// Service queue of the finite-capacity engine (WithLiveLatency). Enqueued
-	// RMWs are drained by the object's server goroutine, up to the batch size
-	// per service period. Entries stay queued until they have been applied, so
-	// storage snapshots charge their parameters to the channel for exactly
-	// the window in which they are in flight (Definition 2).
-	qmu        sync.Mutex
-	qcond      *sync.Cond
-	queue      []*liveReq
-	serverOn   bool
-	serverGone bool
-	periods    int // completed service periods
 }
 
 // apply lets one RMW take effect on the object and is the only way one does:
-// every entry point — a live round, the object's queue server, ApplyOne, the
-// controlled coordinator's step, recovery replay — goes through it (the
-// server through applyLocked, because it holds the lock across its batch).
-func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
-	o.liveMu.Lock()
-	resp, err := o.applyLocked(c, rmw, tc, replay)
-	o.liveMu.Unlock()
-	return resp, err
-}
-
-// applyLocked is apply for a caller that holds o.liveMu. The lifecycle check
-// sits under the lock, so an object retired while the RMW waited for the lock
-// still never mutates. A crashed object drops RMWs (ErrObjectDown) unless
+// every entry point — a live round, ApplyOne, the controlled coordinator's
+// step, recovery replay — goes through it. The lifecycle check sits under the
+// apply lock, so an object retired while the RMW waited for the lock still
+// never mutates. A crashed object drops RMWs (ErrObjectDown) unless
 // replay is set: recovery re-applies journaled RMWs while the object is still
 // marked down — which is what keeps live clients out — and must not journal
 // them a second time. The journal record is written under the lock, so its
@@ -205,7 +158,9 @@ func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any,
 // declares the state unchanged (NoChange), which reaches the caller all the
 // same — unless the RMW was incomplete and this is a replay: a journal holds
 // no such RMW, so the log and the state have diverged (ErrApplyRefused).
-func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
+func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any, error) {
+	o.liveMu.Lock()
+	defer o.liveMu.Unlock()
 	if o.retired.Load() {
 		return nil, ErrRetiredObject
 	}
@@ -242,23 +197,6 @@ func (o *object) applyLocked(c *Cluster, rmw RMW, tc trace.Context, replay bool)
 // down reports whether the object currently drops RMWs. Rounds consult it to
 // skip targets that cannot answer; apply makes the authoritative check.
 func (o *object) down() bool { return o.crashed.Load() || o.retired.Load() }
-
-// liveReq is one RMW enqueued at a base object's service queue.
-type liveReq struct {
-	rmw    RMW
-	client int
-	obj    int // scope-local object ID, echoed in the result
-	ch     chan<- liveResult
-	tc     trace.Context // the enqueueing operation's trace context
-}
-
-// liveResult is the reply to a liveReq. ok is false when the object crashed
-// or the cluster halted before the RMW took effect.
-type liveResult struct {
-	obj  int
-	resp any
-	ok   bool
-}
 
 // numClientStripes is the number of lock stripes for client bookkeeping
 // (per-client sequence numbers and client-local block holdings). Striping
@@ -324,12 +262,9 @@ type Cluster struct {
 
 	stripes [numClientStripes]clientStripe
 
-	// liveHalted mirrors halted for the live engines: object servers and
-	// enqueuers consult it without taking the cluster-wide mutex, and closed
-	// is closed alongside it so servers mid-service-period wake up instead of
-	// sleeping out their latency.
+	// liveHalted mirrors halted for ApplyOne, which consults it without taking
+	// the cluster-wide mutex.
 	liveHalted atomic.Bool
-	closed     chan struct{}
 
 	// remote, when non-nil, makes this a client-side view of a cluster hosted
 	// elsewhere: Invoke rounds are delegated to it instead of applying RMWs on
@@ -375,7 +310,7 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	c := &Cluster{opts: o, closed: make(chan struct{})}
+	c := &Cluster{opts: o}
 	c.cond = sync.NewCond(&c.mu)
 	for i := range c.stripes {
 		c.stripes[i].seq = make(map[int]int)
@@ -463,16 +398,6 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
-	// Wake the objects' servers so queued RMWs on the retired objects are
-	// answered instead of waiting out a service period.
-	for i := base; i < base+span; i++ {
-		o := objects[i]
-		o.qmu.Lock()
-		if o.qcond != nil {
-			o.qcond.Broadcast()
-		}
-		o.qmu.Unlock()
-	}
 	if eventLog != nil {
 		eventLog(Event{Step: step, Kind: EventRetire, Object: base})
 	}
@@ -545,16 +470,7 @@ func (c *Cluster) Close() {
 	c.halted = true
 	c.idleReason = IdleHalted
 	c.mu.Unlock()
-	if c.liveHalted.CompareAndSwap(false, true) {
-		close(c.closed)
-	}
-	for _, o := range c.objs() {
-		o.qmu.Lock()
-		if o.qcond != nil {
-			o.qcond.Broadcast()
-		}
-		o.qmu.Unlock()
-	}
+	c.liveHalted.Store(true)
 	c.cond.Broadcast()
 	c.wg.Wait()
 	c.closeRemote()
@@ -849,27 +765,13 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 		if o.retired.Load() {
 			continue
 		}
-		// Take the apply mutex first and the queue mutex inside it — the
-		// same order as the object server's apply-then-dequeue step — so a
-		// sample sees each queued RMW in exactly one place: in the channel
-		// while queued, in the object state afterwards.
 		o.liveMu.Lock()
 		refs := o.state.Blocks()
-		o.qmu.Lock()
-		queued := make([]*liveReq, len(o.queue))
-		copy(queued, o.queue)
-		o.qmu.Unlock()
 		o.liveMu.Unlock()
 		reporters = append(reporters, blockReporter{
 			loc:  storagecost.Location{Kind: storagecost.BaseObject, ID: o.id},
 			refs: refs,
 		})
-		for _, req := range queued {
-			reporters = append(reporters, blockReporter{
-				loc:  storagecost.Location{Kind: storagecost.Channel, ID: req.client},
-				refs: req.rmw.Blocks(),
-			})
-		}
 	}
 	for i := range c.stripes {
 		st := &c.stripes[i]
@@ -916,105 +818,6 @@ func (c *Cluster) OutstandingOps() []OpID {
 	out := make([]OpID, len(c.outstanding))
 	copy(out, c.outstanding)
 	return out
-}
-
-// enqueueLive appends a request to the object's service queue, lazily
-// starting the object's server goroutine on first use. It reports false when
-// the cluster has halted and the request will never be served; the caller
-// then counts the request as answered with a failure.
-func (c *Cluster) enqueueLive(o *object, req *liveReq) bool {
-	o.qmu.Lock()
-	if c.liveHalted.Load() || o.serverGone {
-		o.qmu.Unlock()
-		return false
-	}
-	if !o.serverOn {
-		o.serverOn = true
-		o.qcond = sync.NewCond(&o.qmu)
-		c.wg.Add(1)
-		go c.objectServer(o)
-	}
-	o.queue = append(o.queue, req)
-	o.qcond.Signal()
-	o.qmu.Unlock()
-	return true
-}
-
-// objectServer is the service loop of one base object under WithLiveLatency:
-// it takes up to the batch size of queued RMWs in FIFO order, holds the
-// object busy for one service period, applies them under one hold of the
-// apply lock, and replies. Requests are dequeued only after they have been
-// applied — and the dequeue happens under the apply lock — so a storage
-// snapshot observes every in-flight RMW in exactly one place: in the channel
-// while pending, in the base-object state afterwards.
-func (c *Cluster) objectServer(o *object) {
-	defer c.wg.Done()
-	maxBatch := max(1, c.opts.liveBatch)
-	for {
-		o.qmu.Lock()
-		for len(o.queue) == 0 && !c.liveHalted.Load() {
-			o.qcond.Wait()
-		}
-		if c.liveHalted.Load() {
-			pending := o.queue
-			o.queue = nil
-			o.serverGone = true
-			o.qmu.Unlock()
-			for _, r := range pending {
-				r.ch <- liveResult{obj: r.obj}
-			}
-			return
-		}
-		n := min(len(o.queue), maxBatch)
-		batch := make([]*liveReq, n)
-		copy(batch, o.queue[:n])
-		o.qmu.Unlock()
-
-		// One service period covers the whole batch: this is the coalescing
-		// that lifts the object's capacity from 1/d to liveBatch/d. A halt
-		// interrupts the period; the drain branch above then answers the
-		// still-queued batch.
-		timer := time.NewTimer(c.opts.liveLatency)
-		select {
-		case <-timer.C:
-		case <-c.closed:
-			timer.Stop()
-			continue
-		}
-
-		results := make([]liveResult, n)
-		o.liveMu.Lock()
-		for i, r := range batch {
-			// A crashed object drops its RMWs and a retired one must never
-			// mutate again: a straggler queued past its round's quorum is
-			// answered failed, like a message to an unplugged node.
-			resp, err := o.applyLocked(c, r.rmw, r.tc, false)
-			results[i] = liveResult{obj: r.obj, resp: resp, ok: err == nil}
-		}
-		o.qmu.Lock()
-		o.queue = o.queue[n:]
-		o.periods++
-		o.qmu.Unlock()
-		o.liveMu.Unlock()
-		for i, r := range batch {
-			r.ch <- results[i]
-		}
-	}
-}
-
-// LiveServicePeriods returns the total number of service periods the object
-// servers have completed across all base objects. With coalescing active
-// (WithLiveBatch above 1) it is strictly smaller than the number of applied
-// RMWs; tests use the ratio to prove that batching actually amortizes service
-// time.
-func (c *Cluster) LiveServicePeriods() int {
-	total := 0
-	for _, o := range c.objs() {
-		o.qmu.Lock()
-		total += o.periods
-		o.qmu.Unlock()
-	}
-	return total
 }
 
 func (c *Cluster) removeReadyLocked(t *clientTask) {

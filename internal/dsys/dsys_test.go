@@ -301,21 +301,51 @@ func TestLiveMode(t *testing.T) {
 	}
 }
 
+// TestLiveModeCrashedQuorumError checks both sides of a quorum on the
+// immediate engine: with too many objects down the round fails instead of
+// waiting forever, and with a quorum still up it succeeds on the live
+// objects' answers alone.
 func TestLiveModeCrashedQuorumError(t *testing.T) {
-	c := newTestCluster(3, WithLiveMode())
-	defer c.Close()
-	if err := c.CrashObject(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CrashObject(1); err != nil {
-		t.Fatal(err)
-	}
-	th := c.Spawn(1, func(h *ClientHandle) error {
-		_, err := h.InvokeAll(func(int) RMW { return readCounterRMW{} }, 2)
-		return err
-	})
-	if err := th.Wait(); !errors.Is(err, ErrStuck) {
-		t.Fatalf("live invoke with crashed quorum = %v, want ErrStuck", err)
+	for _, tc := range []struct {
+		name      string
+		n, quorum int
+		crashed   []int
+	}{
+		{"unreachable", 3, 2, []int{0, 1}},
+		{"reachable", 5, 4, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(tc.n, WithLiveMode())
+			defer c.Close()
+			for _, id := range tc.crashed {
+				if err := c.CrashObject(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var resp map[int]any
+			th := c.Spawn(1, func(h *ClientHandle) (err error) {
+				resp, err = h.InvokeAll(func(int) RMW { return readCounterRMW{} }, tc.quorum)
+				return err
+			})
+			err := th.Wait()
+			if tc.n-len(tc.crashed) < tc.quorum {
+				if !errors.Is(err, ErrStuck) {
+					t.Fatalf("live invoke with crashed quorum = %v, want ErrStuck", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("live invoke with %d of %d objects up: %v", tc.n-len(tc.crashed), tc.n, err)
+			}
+			if len(resp) < tc.quorum {
+				t.Fatalf("%d responses, want at least the quorum of %d", len(resp), tc.quorum)
+			}
+			for _, id := range tc.crashed {
+				if _, ok := resp[id]; ok {
+					t.Fatalf("crashed object %d answered: %v", id, resp)
+				}
+			}
+		})
 	}
 }
 

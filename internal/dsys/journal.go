@@ -133,7 +133,7 @@ func (h *journalHolder) refuses(rmw RMW) error {
 // trace context: a sampled apply reaches a TracedJournal through the extension
 // so the journal's stages join the operation's trace, and everything else
 // takes the plain path. The error is refuses' verdict afterwards: an RMW whose
-// own record failed is not acknowledged either. Only object.applyLocked calls
+// own record failed is not acknowledged either. Only object.apply calls
 // it, under the object's apply lock, which is what serializes the journal's
 // record order with the apply order.
 func (h *journalHolder) record(object int, rmw RMW, tc trace.Context) error {

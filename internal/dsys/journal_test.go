@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"spacebounds/internal/storagecost"
 )
@@ -295,7 +294,6 @@ func TestEveryEntryPointAppliesOnce(t *testing.T) {
 		journals int
 	}{
 		{"live round", []Option{WithLiveMode()}, round, 1},
-		{"queued round", []Option{WithLiveMode(), WithLiveLatency(time.Millisecond)}, round, 1},
 		{"ApplyOne", []Option{WithLiveMode()}, func(c *Cluster) error {
 			_, err := c.ApplyOne(0, addBlockRMW{bits: 8})
 			return err

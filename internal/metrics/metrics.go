@@ -455,9 +455,8 @@ func (s HistogramSnapshot) Mean() float64 {
 }
 
 // LatencyBuckets is the default bucket table for latency histograms:
-// exponential from 50µs to ~13s, sized so both the in-process simulated
-// cluster (tens of µs per service period) and real TCP round trips (ms) land
-// in the interpolable range.
+// exponential from 50µs to ~13s, sized so both in-process rounds (tens of µs)
+// and real TCP round trips (ms) land in the interpolable range.
 func LatencyBuckets() []float64 {
 	out := make([]float64, 0, 18)
 	for b := 50e-6; b < 15; b *= 2 {

@@ -8,8 +8,7 @@
 //
 //	(a) specs: abd, the one provider whose constructor requires it, gets
 //	    k = 1; every other provider keeps the k it was given (EffectiveK);
-//	(b) batching: either batch field enables group commit, and node-level
-//	    coalescing rides along whenever a node latency is simulated;
+//	(b) batching: either batch field enables group commit;
 //	(c) durability: open the log, attach its hooks, restore the move ledger,
 //	    replay, attach — all before Serve listens, which marks replayed
 //	    objects repaired first;
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"spacebounds/internal/autoshard"
-	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/reconfig"
 	_ "spacebounds/internal/register/abd" // every process can build every provider
@@ -54,9 +52,6 @@ type Config struct {
 	// Shards lists the registers to build, in object-table order. Every
 	// process of one deployment must pass the same list.
 	Shards []shard.Spec
-	// NodeLatency gives every in-process base object a fixed RMW service time
-	// (the finite-capacity engine of internal/dsys). Ignored by Connect.
-	NodeLatency time.Duration
 	// Batch enables client-side group commit when either field is set.
 	Batch shard.BatchConfig
 	// WAL enables the write-ahead log when Dir is set. Ignored by Connect.
@@ -137,14 +132,7 @@ func Open(cfg Config) (*Node, error) {
 	if cfg.AutoReshard.Interval > 0 && cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	var dopts []dsys.Option
-	if cfg.NodeLatency > 0 {
-		dopts = append(dopts, dsys.WithLiveLatency(cfg.NodeLatency))
-		if cfg.Batch.Enabled() {
-			dopts = append(dopts, dsys.WithLiveBatch(cfg.Batch.WithDefaults().MaxSize))
-		}
-	}
-	set, err := shard.New(normalize(cfg.Shards), dopts...)
+	set, err := shard.New(normalize(cfg.Shards))
 	if err != nil {
 		return nil, err
 	}

@@ -191,9 +191,6 @@ var _ dsys.State = (*objectState)(nil)
 // Blocks implements dsys.State.
 func (s *objectState) Blocks() []dsys.BlockRef { return register.ChunkRefs(s.pieces) }
 
-// PieceCount exposes the number of stored pieces for tests and experiments.
-func (s *objectState) PieceCount() int { return len(s.pieces) }
-
 // CommittedTS exposes the committed timestamp for tests.
 func (s *objectState) CommittedTS() register.Timestamp { return s.committedTS }
 

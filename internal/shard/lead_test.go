@@ -30,7 +30,7 @@ func goid() uint64 {
 }
 
 // physicalRound is one round the batcher ran against the register: who ran
-// it and, for a write, the value it carried.
+// it and the value it carried (a write) or answered with (a read).
 type physicalRound struct {
 	goid uint64
 	v    value.Value
@@ -68,9 +68,15 @@ func (r *stubReg) Write(_ *dsys.ClientHandle, v value.Value) error {
 	return nil
 }
 
+// Read answers a held round with a value named after the goroutine that runs
+// it, so a test can tell which round answered a reader.
 func (r *stubReg) Read(*dsys.ClientHandle) (value.Value, error) {
-	r.round(value.Value{})
-	return value.Value{}, nil
+	if r.gate == nil {
+		return value.Value{}, nil
+	}
+	v := value.Sequenced(int(goid()), 1, 64)
+	r.round(v)
+	return v, nil
 }
 
 // stubbedBatcher builds a one-shard batched set whose register is reg and
@@ -146,44 +152,53 @@ func TestUncontendedOpRunsOnItsCaller(t *testing.T) {
 	}
 }
 
-// parkBehindHeldRound holds one write round at the register, parks n more
-// writers behind it — one at a time, so their arrival order is the order of
-// their indices — lets everything go, and returns the rounds the register saw
-// after the held one together with each parked writer's goroutine ID.
-func parkBehindHeldRound(t *testing.T, maxSize, n int) (rounds []physicalRound, writers []uint64) {
+// parkBehindHeldRound holds one round of a lane — reads, or writes of the
+// caller's index — at the register, parks n more callers behind it — one at a
+// time, so their arrival order is the order of their indices — lets
+// everything go, and returns the rounds the register saw after the held one
+// together with each parked caller's goroutine ID and, for reads, its answer.
+func parkBehindHeldRound(t *testing.T, maxSize, n int, read bool) (rounds []physicalRound, callers []uint64, got []value.Value) {
 	t.Helper()
 	reg := &stubReg{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	_, b := stubbedBatcher(t, BatchConfig{MaxSize: maxSize}, reg)
+	l := &b.write
+	if read {
+		l = &b.read
+	}
 
 	var wg sync.WaitGroup
-	write := func(i int, id *uint64) {
+	call := func(i int, id *uint64, v *value.Value) {
 		defer wg.Done()
-		if id != nil {
-			*id = goid()
+		*id = goid()
+		var err error
+		if read {
+			*v, err = b.Read()
+		} else {
+			err = b.Write(value.Sequenced(i, 1, 64))
 		}
-		if err := b.Write(value.Sequenced(i, 1, 64)); err != nil {
-			t.Errorf("write %d: %v", i, err)
+		if err != nil {
+			t.Errorf("caller %d: %v", i, err)
 		}
 	}
 	wg.Add(1)
-	go write(-1, nil)
+	go call(-1, new(uint64), new(value.Value))
 	<-reg.entered // the holder leads, and its round is at the gate
-	writers = make([]uint64, n)
+	callers, got = make([]uint64, n), make([]value.Value, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go write(i, &writers[i])
-		await(t, fmt.Sprintf("writer %d to park", i), func() bool { return b.write.waiting() == i+1 })
+		go call(i, &callers[i], &got[i])
+		await(t, fmt.Sprintf("caller %d to park", i), func() bool { return l.waiting() == i+1 })
 	}
 	close(reg.gate)
 	wg.Wait()
 
-	if st := b.Stats(); st.Writes != n+1 || st.WriteRounds != len(reg.rounds) {
-		t.Errorf("stats %+v after %d writes in %d rounds", st, n+1, len(reg.rounds))
+	if l.members != n+1 || l.rounds != len(reg.rounds) {
+		t.Errorf("lane counts %d members in %d rounds after %d operations in %d rounds", l.members, l.rounds, n+1, len(reg.rounds))
 	}
-	if b.write.led || b.write.waiting() != 0 {
-		t.Errorf("lane left led=%v with %d waiting", b.write.led, b.write.waiting())
+	if l.led || l.waiting() != 0 {
+		t.Errorf("lane left led=%v with %d waiting", l.led, l.waiting())
 	}
-	return reg.rounds[1:], writers
+	return reg.rounds[1:], callers, got
 }
 
 // TestParkedWritersLeadInTurn: writers parked behind a held round are all
@@ -192,7 +207,7 @@ func parkBehindHeldRound(t *testing.T, maxSize, n int) (rounds []physicalRound, 
 // and there are no more rounds than full batches need.
 func TestParkedWritersLeadInTurn(t *testing.T) {
 	const maxSize, n = 4, 10
-	rounds, writers := parkBehindHeldRound(t, maxSize, n)
+	rounds, writers, _ := parkBehindHeldRound(t, maxSize, n, false)
 	// One round per full batch, so ⌈n/MaxSize⌉+1 with the held one.
 	if want := (n + maxSize - 1) / maxSize; len(rounds) != want {
 		t.Fatalf("%d rounds after the held one, want %d", len(rounds), want)
@@ -213,13 +228,29 @@ func TestParkedWritersLeadInTurn(t *testing.T) {
 	}
 }
 
+// TestParkedReadersShareRounds: readers parked behind a held read round are
+// all answered by ⌈n/MaxSize⌉ rounds that take them in arrival order, and
+// every member of a round sees that round's value.
+func TestParkedReadersShareRounds(t *testing.T) {
+	const maxSize, n = 4, 10
+	rounds, _, got := parkBehindHeldRound(t, maxSize, n, true)
+	if want := (n + maxSize - 1) / maxSize; len(rounds) != want {
+		t.Fatalf("%d rounds after the held one, want %d", len(rounds), want)
+	}
+	for i, v := range got {
+		if k := i / maxSize; !v.Equal(rounds[k].v) {
+			t.Errorf("reader %d was answered %v, want round %d's %v", i, v, k, rounds[k].v)
+		}
+	}
+}
+
 // TestLeadPassesToOldestRequestStillWaiting: with MaxSize+3 writers parked,
 // the first round after the held one takes MaxSize of them and hands the lead
 // to the owner of request MaxSize — the oldest still waiting — not to any
 // member it has just answered.
 func TestLeadPassesToOldestRequestStillWaiting(t *testing.T) {
 	const maxSize = 4
-	rounds, writers := parkBehindHeldRound(t, maxSize, maxSize+3)
+	rounds, writers, _ := parkBehindHeldRound(t, maxSize, maxSize+3, false)
 	if len(rounds) != 2 {
 		t.Fatalf("%d rounds after the held one, want 2", len(rounds))
 	}
@@ -230,13 +261,11 @@ func TestLeadPassesToOldestRequestStillWaiting(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutine: a batched set that has served concurrent
-// operations over the queued engine is gone after Close, goroutines and all.
-// The batcher owns none — every round runs on a caller — and Close stops the
-// engine's.
+// operations is gone after Close, goroutines and all. The batcher owns none —
+// every round runs on a caller.
 func TestCloseLeavesNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	set, err := New([]Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 64}}},
-		dsys.WithLiveLatency(50*time.Microsecond), dsys.WithLiveBatch(8))
+	set, err := New([]Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 64}}})
 	if err != nil {
 		t.Fatal(err)
 	}

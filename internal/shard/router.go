@@ -336,14 +336,6 @@ func (r *Router) ReleaseRead(e, fb *Route, client int) {
 	}
 }
 
-// Closed reports whether the router has been shut down with its set;
-// reconfiguration refuses to start moves against a closed table.
-func (r *Router) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
 // InstallSuccessors atomically replaces the leaf route `name` by seeding
 // successor routes and marks the old route draining: from this epoch on,
 // writes for the old route's keys are held for the successors and reads

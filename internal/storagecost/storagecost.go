@@ -253,7 +253,6 @@ type Accountant struct {
 	samples        int
 	maxTotal       int
 	maxBase        int
-	maxDurable     int
 	maxAtSample    int
 	lastSnapshot   *Snapshot
 	perObjectPeak  map[int]int
@@ -284,9 +283,6 @@ func (a *Accountant) Observe(s *Snapshot) {
 	if s.BaseObjectBits > a.maxBase {
 		a.maxBase = s.BaseObjectBits
 	}
-	if d := s.DurableBits(); d > a.maxDurable {
-		a.maxDurable = d
-	}
 	for id, bits := range s.PerObjectBits {
 		if bits > a.perObjectPeak[id] {
 			a.perObjectPeak[id] = bits
@@ -310,15 +306,6 @@ func (a *Accountant) MaxBaseObjectBits() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.maxBase
-}
-
-// MaxDurableBits returns the maximum durable (log+snapshot) bits observed.
-// This axis is disjoint from MaxTotalBits: durability is an engineering cost
-// below the paper's model, not part of Definition 2.
-func (a *Accountant) MaxDurableBits() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.maxDurable
 }
 
 // Samples returns the number of snapshots observed.

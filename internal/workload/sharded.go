@@ -226,6 +226,18 @@ func (rs *recorderSet) forShard(name string) *history.Recorder {
 	return rec
 }
 
+// invoked stamps an operation's invocation. It is taken before the route is
+// acquired — the operation is invoked when its caller asks, not once its route
+// is pinned: a read that pins a route, is descheduled across a split and then
+// reads the drained register has been running all along, and stamped any
+// later it would seem to skip the successors' first writes.
+func (rs *recorderSet) invoked() int64 {
+	if rs == nil {
+		return 0
+	}
+	return rs.clock.Add(1)
+}
+
 func (rs *recorderSet) get(name string) *history.Recorder {
 	if rs == nil {
 		return nil
@@ -242,6 +254,7 @@ func (rs *recorderSet) get(name string) *history.Recorder {
 // transparently consult both epochs. Writes derive a globally unique value
 // from (client, seq).
 func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic.Int64, client int, key string, isRead bool, seq int) {
+	invoked := recs.invoked()
 	if isRead {
 		ref, fb, err := set.AcquireRead(client, key)
 		if err != nil {
@@ -262,11 +275,13 @@ func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic
 		var fbRec *history.Recorder
 		if rec != nil {
 			hop = rec.BeginRead(client)
+			hop.Invoked = invoked
 		}
 		if fb != nil && recs != nil {
 			fbRec = recs.forShard(fb.Shard().Name)
 			if fbRec != nil {
 				fbOp = fbRec.BeginRead(client)
+				fbOp.Invoked = invoked
 			}
 		}
 		v, fell, err := set.ReadRefFell(client, ref, fb)
@@ -305,6 +320,7 @@ func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic
 	var hop *history.Op
 	if rec != nil {
 		hop = rec.BeginWrite(client, v)
+		hop.Invoked = invoked
 	}
 	err = set.WriteRef(client, ref, v)
 	set.ReleaseWrite(ref, client)

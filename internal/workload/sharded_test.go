@@ -3,9 +3,7 @@ package workload_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"spacebounds/internal/dsys"
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
 	_ "spacebounds/internal/register/abd"
@@ -14,24 +12,11 @@ import (
 	"spacebounds/internal/workload"
 )
 
-// newBatchedSet builds a shard set on the batched quorum engine: node-level
-// RMW coalescing under a small service latency plus per-shard group commit.
+// newBatchedSet builds a shard set with per-shard group commit.
 func newBatchedSet(t *testing.T, shards int) *shard.Set {
 	t.Helper()
-	specs := make([]shard.Spec, 0, shards)
-	for i := 0; i < shards; i++ {
-		specs = append(specs, shard.Spec{
-			Name:      fmt.Sprintf("s%d", i),
-			Algorithm: "adaptive",
-			Config:    register.Config{F: 1, K: 2, DataLen: 64},
-		})
-	}
-	set, err := shard.New(specs, dsys.WithLiveLatency(50*time.Microsecond), dsys.WithLiveBatch(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := newSet(t, shards)
 	set.EnableBatching(shard.BatchConfig{MaxSize: 8})
-	t.Cleanup(set.Close)
 	return set
 }
 

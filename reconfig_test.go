@@ -8,24 +8,18 @@ import (
 	"time"
 
 	"spacebounds"
-	"spacebounds/internal/dsys"
-	"spacebounds/internal/reconfig"
-	"spacebounds/internal/register"
-	"spacebounds/internal/shard"
-	"spacebounds/internal/workload"
 )
 
-// TestStoreSplitShardLive splits a shard of a batched, latency-modelled store
-// while clients hammer it: zero failed operations, successors live, stats
-// recorded, storage breakdown summation-consistent mid-flight.
+// TestStoreSplitShardLive splits a shard of a batched store while clients
+// hammer it: zero failed operations, successors live, stats recorded, storage
+// breakdown summation-consistent mid-flight.
 func TestStoreSplitShardLive(t *testing.T) {
 	store, err := spacebounds.Open(spacebounds.Options{
 		Shards: []spacebounds.ShardSpec{
 			{Name: "s0"}, {Name: "s1"}, {Name: "s2"}, {Name: "s3"},
 		},
 		F: 1, K: 2, ValueSize: 256,
-		NodeLatency: 20 * time.Microsecond,
-		Batch:       spacebounds.BatchOptions{MaxSize: 8},
+		Batch: spacebounds.BatchOptions{MaxSize: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,67 +196,6 @@ func TestReconfigUnderFaultInjection(t *testing.T) {
 	}
 	if _, err := store.ReadKey(99, "s0"); err != nil {
 		t.Fatalf("read after faulted split: %v", err)
-	}
-}
-
-// TestLiveSplitThroughputRecovers is the live half of the PR's acceptance
-// criterion: an open-loop workload saturates a single shard (arrivals beyond
-// its service capacity under the node-latency model), a live split lands at
-// the half-way mark, and the post-split completion rate must be at least the
-// pre-split rate — the new epoch has twice the storage nodes — with zero
-// failed operations throughout. Rates are dominated by the simulated node
-// service time, so the comparison is stable across machines.
-func TestLiveSplitThroughputRecovers(t *testing.T) {
-	set, err := shard.New(
-		[]shard.Spec{{Name: "s0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 256}}},
-		dsys.WithLiveLatency(200*time.Microsecond),
-		dsys.WithLiveBatch(8),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	set.EnableBatching(shard.BatchConfig{MaxSize: 8})
-
-	// One shard (4 nodes, 200µs service time, batch 8) completes roughly 6k
-	// ops/s under this mix; 9.6k arrivals/s oversaturate it — the backlog
-	// grows — while staying under the doubled post-split capacity, so the
-	// completion rate must rise once the second region is live.
-	res, err := workload.RunSharded(set, workload.ShardedSpec{
-		Clients:      8,
-		OpsPerClient: 1200,
-		ReadFraction: 0.2,
-		Keys:         32,
-		Seed:         1,
-		ArrivalRate:  1200,
-		Reconfig:     []workload.ReconfigMove{{AfterOps: 2000, Split: "s0"}},
-		Coordinator:  reconfig.NewCoordinator(set),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WriteErrors+res.ReadErrors != 0 {
-		t.Fatalf("%d writes / %d reads failed during the live split", res.WriteErrors, res.ReadErrors)
-	}
-	if len(res.Reconfigs) != 1 || res.Reconfigs[0].Err != "" {
-		t.Fatalf("split did not apply cleanly: %+v", res.Reconfigs)
-	}
-	ar := res.Reconfigs[0]
-	t.Logf("split after %d ops in %v: %.0f ops/s before -> %.0f ops/s after",
-		ar.TriggeredAtOps, ar.Took, ar.OpsPerSecBefore, ar.OpsPerSecAfter)
-	if raceEnabled {
-		// The race detector multiplies compute cost, which shifts the
-		// sleep-dominated capacity model this comparison depends on; the
-		// correctness half (zero failed operations, clean migration) was
-		// asserted above and is what the race build is for.
-		t.Skip("skipping throughput comparison under the race detector")
-	}
-	if ar.OpsPerSecBefore <= 0 || ar.OpsPerSecAfter <= 0 {
-		t.Fatalf("degenerate rate windows: %+v", ar)
-	}
-	if ar.OpsPerSecAfter < ar.OpsPerSecBefore {
-		t.Fatalf("throughput did not recover after the split: %.0f ops/s before, %.0f after",
-			ar.OpsPerSecBefore, ar.OpsPerSecAfter)
 	}
 }
 

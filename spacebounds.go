@@ -99,20 +99,10 @@ type Options struct {
 	// Empty means one shard named "default" built from the options above —
 	// the original single-register facade.
 	Shards []ShardSpec
-	// NodeLatency, when nonzero, gives every simulated base object a fixed
-	// RMW service time: objects serve requests serially and clients issue
-	// each quorum round concurrently, so the store behaves like a cluster of
-	// finite-capacity storage nodes instead of an infinitely fast in-process
-	// simulation. Throughput then scales with the number of shards, because
-	// shards add nodes.
-	NodeLatency time.Duration
-	// Batch enables the batched quorum engine (zero value: disabled). It
-	// switches on two independent amortizations: client-side group commit —
+	// Batch enables client-side group commit (zero value: disabled):
 	// concurrent Write/Read calls on a shard coalesce into shared quorum
-	// rounds run by a per-shard batcher — and, when NodeLatency is set,
-	// node-level RMW coalescing, where each storage node drains up to
-	// Batch.MaxSize queued RMWs in a single service period. Per-shard
-	// regularity is preserved; storage accounting stays exact.
+	// rounds. Per-shard regularity is preserved; storage accounting stays
+	// exact.
 	Batch BatchOptions
 	// Faults enables opt-in crash/restart fault injection against the live
 	// store (zero value: disabled). Never more than F nodes per shard are
@@ -218,11 +208,11 @@ type Durability struct {
 	SnapshotEvery int
 }
 
-// BatchOptions configures the batched quorum engine. The zero value disables
-// batching; setting either field enables it.
+// BatchOptions configures group commit. The zero value disables batching;
+// setting either field enables it.
 type BatchOptions struct {
-	// MaxSize caps both the operations per shared quorum round and the RMWs
-	// a node coalesces per service period (default 16 when batching is on).
+	// MaxSize caps the operations per shared quorum round (default 16 when
+	// batching is on).
 	MaxSize int
 	// MaxDelay is how long an idle shard waits for more operations before
 	// dispatching a non-full round (default 0: dispatch immediately).
@@ -315,9 +305,8 @@ func Open(opts Options) (*Store, error) {
 	}
 	ar := opts.AutoReshard
 	n, err := node.Open(node.Config{
-		Shards:      specs,
-		NodeLatency: opts.NodeLatency,
-		Batch:       shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay},
+		Shards: specs,
+		Batch:  shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay},
 		WAL: wal.Config{
 			Dir:           opts.Durability.Dir,
 			SyncEvery:     opts.Durability.SyncEvery,

@@ -220,15 +220,13 @@ func TestStoreConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestStoreBatchedWriteRead round-trips values through a store running the
-// full batched quorum engine: group commit on every shard plus node-level
-// RMW coalescing under the finite-capacity node model.
+// TestStoreBatchedWriteRead round-trips values through a store running group
+// commit on every shard.
 func TestStoreBatchedWriteRead(t *testing.T) {
 	store, err := Open(Options{
 		Algorithm: Adaptive, F: 1, K: 2, ValueSize: 64,
-		Shards:      []ShardSpec{{Name: "a"}, {Name: "b"}},
-		NodeLatency: 100 * time.Microsecond,
-		Batch:       BatchOptions{MaxSize: 8},
+		Shards: []ShardSpec{{Name: "a"}, {Name: "b"}},
+		Batch:  BatchOptions{MaxSize: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +267,8 @@ func TestStoreBatchedWriteRead(t *testing.T) {
 func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	store, err := Open(Options{
 		Algorithm: Adaptive, F: 1, K: 2, ValueSize: 256,
-		Shards:      []ShardSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
-		NodeLatency: 200 * time.Microsecond,
-		Batch:       BatchOptions{MaxSize: 8},
+		Shards: []ShardSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}},
+		Batch:  BatchOptions{MaxSize: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,11 +315,8 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The writers have returned, but their rounds returned at quorum: with
-	// NodeLatency set, straggler update and GC RMWs are still queued at the
-	// nodes. Quiescence is reached when those have applied, which shows as two
-	// consecutive samples that agree and charge every shard exactly its
-	// n pieces of D/k, (2f+k)/k·D.
+	// Quiescence shows as two consecutive samples that agree and charge every
+	// shard exactly its n pieces of D/k, (2f+k)/k·D.
 	const quiescentBits = (2*1 + 2) * 256 * 8 / 2
 	var total int
 	var perShard map[string]int
@@ -352,57 +346,5 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	}
 	if got := store.StorageBits(); got != total || sum != total {
 		t.Fatalf("quiescent StorageBits = %d, breakdown total %d, per-shard sum %d", got, total, sum)
-	}
-}
-
-// TestNodeLatencyAloneQueuesInTheChannel pins the finite-capacity model with
-// NodeLatency set and Batch unset: a write's RMWs wait at the nodes' service
-// queues, and a storage snapshot taken meanwhile charges their parameters to
-// the channel (Definition 2: bits parked in communication links count).
-func TestNodeLatencyAloneQueuesInTheChannel(t *testing.T) {
-	s, err := Open(Options{F: 1, K: 1, ValueSize: 64, NodeLatency: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	writeErr := make(chan error, 1)
-	go func() { writeErr <- s.WriteKey(1, "default", []byte("parked")) }()
-	// The write's update round sits queued for a whole service period; sample
-	// until it shows, or until the write is over without ever having shown.
-	for s.StorageSnapshot().ChannelBits == 0 {
-		select {
-		case err := <-writeErr:
-			t.Fatalf("write finished (err=%v) and no snapshot charged its queued RMWs to the channel", err)
-		default:
-		}
-	}
-	if err := <-writeErr; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCloseInterruptsNodeLatency: Close with a round in flight returns
-// promptly even at a one-hour NodeLatency — the service period is interrupted,
-// not slept out — and the cut-off write reports an error.
-func TestCloseInterruptsNodeLatency(t *testing.T) {
-	s, err := Open(Options{F: 1, K: 1, ValueSize: 64, NodeLatency: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeErr := make(chan error, 1)
-	go func() { writeErr <- s.WriteKey(1, "default", []byte("parked")) }()
-	time.Sleep(10 * time.Millisecond) // let the round enqueue; Close must win either way
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close is waiting out the one-hour service period")
-	}
-	if err := <-writeErr; err == nil {
-		t.Fatal("a write cut off by Close reported success")
 	}
 }
