@@ -36,9 +36,11 @@ race:
 # real time, goroutines or sockets — the batch lanes' lead hand-off, and the
 # transport's held-back frames (a queued read response, a straggler update, a
 # round parked beside an oversized request) among them — twenty times over, so
-# a test that is only quiescent by luck fails here before it fails in tier-1.
+# a test that is only quiescent by luck fails here before it fails in tier-1;
+# and the erasure codes, whose data blocks share memory with the value they
+# encode: what the tests say about who owns a block must hold every time.
 flake:
-	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/...
+	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/...
 
 # Non-test code lines outside bench/: no blank lines, no comment-only lines.
 # The command is PR 20's, so every PR reports the same number the same way.
@@ -48,7 +50,8 @@ loc:
 # Smoke-compile and smoke-run every `go test` benchmark once (the E1-E8
 # experiment benchmarks and the substrate micro-benchmarks: the ladder rows
 # BenchmarkBatcherSubmit, BenchmarkInvokeRound (a read round, 512-byte and
-# 16 KiB pieces), BenchmarkServeRequest (an update, a 16 KiB read),
+# 16 KiB pieces), BenchmarkAdaptiveOverTCP (one 64 KiB write, one read, at
+# f=2 k=4 over loopback TCP), BenchmarkServeRequest (an update, a 16 KiB read),
 # BenchmarkSegmentsWrite, BenchmarkJournalAppend, BenchmarkReedSolomon and
 # the vector and portable rows of BenchmarkDotSlices and BenchmarkMulAdd among
 # them) so they keep working. It judges nothing; `make benchmark` does.

@@ -77,6 +77,11 @@ func (h *ClientHandle) context() context.Context {
 	return context.Background()
 }
 
+// InProcess reports whether the handle's base objects live in this process and
+// so retain the very RMW values a round hands them, blocks included; a remote
+// cluster's nodes keep what they decode from the wire.
+func (h *ClientHandle) InProcess() bool { return h.c.remote == nil }
+
 // N returns the number of base objects visible to this handle (the scope's
 // span; the whole cluster for handles created by Spawn).
 func (h *ClientHandle) N() int { return h.span }
@@ -283,10 +288,11 @@ func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quor
 }
 
 // Yield releases the run token and immediately requests it back, giving the
-// scheduling policy an opportunity to interleave other clients or RMWs.
-// Algorithms with internal retry loops (the reader of the adaptive register)
-// call it between retries so a controlled run cannot livelock the
-// coordinator. It is a no-op in live mode.
+// scheduling policy an opportunity to interleave other clients or RMWs. The
+// simulator's workload tasks and the reconfiguration driver call it while they
+// wait on one another, so a controlled run cannot livelock the coordinator; no
+// register calls it — a retrying reader gives up the token in every round it
+// invokes. It is a no-op in live mode.
 func (h *ClientHandle) Yield() error {
 	if h.c.opts.mode == Live {
 		return nil

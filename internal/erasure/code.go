@@ -35,6 +35,18 @@ func (b Block) Clone() Block {
 	return Block{Index: b.Index, Data: d}
 }
 
+// Detach returns b if its bytes are memory of its own, and an exactly sized
+// copy of b if they are a view of data, the value b was encoded from: block i
+// of a systematic code may be the i-th len(b.Data) bytes of data as they stand
+// (Code.Encode). It is how a holder that outlives the value, or must not keep
+// all of it alive for one block, takes ownership.
+func (b Block) Detach(data []byte) Block {
+	if off := (b.Index - 1) * len(b.Data); len(b.Data) > 0 && off >= 0 && off < len(data) && &b.Data[0] == &data[off] {
+		return b.Clone()
+	}
+	return b
+}
+
 // Errors shared by the code implementations.
 var (
 	// ErrNotEnoughBlocks is returned by Decode when fewer than k distinct
@@ -63,8 +75,11 @@ type Code interface {
 	// bytes. Symmetry (Definition 3) means the result is independent of the
 	// value itself.
 	BlockSizeBytes(dataLen, index int) int
-	// Encode produces blocks 1..N for the given data. Each block is memory
-	// of its own and is never written again, so holders may share it.
+	// Encode produces blocks 1..N for the given data. Blocks are never
+	// written, so holders may share them. A systematic code's data blocks
+	// may alias data — block i being its i-th block-sized run of bytes —
+	// and every other block is memory of its own: whoever retains a block
+	// past data's life, or is charged for it, owns a copy (Block.Detach).
 	Encode(data []byte) ([]Block, error)
 	// EncodeBlock produces the single block with the given index; it is the
 	// oracle's get(i) operation (Definition 1).

@@ -86,16 +86,19 @@ func shardViews(data []byte, k, sl int) [][]byte {
 	return shards
 }
 
-// Encode implements Code. The value is copied once, into the k data blocks
-// (each block owns its memory: a base object that keeps one block must not
-// keep its siblings alive), and the n-k parity blocks are computed from them.
+// Encode implements Code. The value is not copied: a data block is a view of
+// its shard of data (the padded tail shard of a value k does not divide is a
+// copy), and the n-k parity blocks are computed from the shards into memory of
+// their own. Whoever keeps a data block longer than the value, as a base
+// object does, takes its copy (Block.Detach); a view is left with the capacity
+// it has inside the value, so that one retained by mistake shows as memory
+// that is not exactly sized.
 func (rs *ReedSolomon) Encode(data []byte) ([]Block, error) {
 	sl := shardLen(len(data), rs.k)
 	blocks := make([]Block, rs.n)
-	shards := make([][]byte, rs.k)
-	for c := range shards {
-		shards[c] = ownedShard(data, c, sl)
-		blocks[c] = Block{Index: c + 1, Data: shards[c]}
+	shards := shardViews(data, rs.k, sl)
+	for c, s := range shards {
+		blocks[c] = Block{Index: c + 1, Data: s}
 	}
 	for i := rs.k; i < rs.n; i++ {
 		parity := make([]byte, sl)

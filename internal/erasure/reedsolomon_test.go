@@ -46,38 +46,57 @@ func TestReedSolomonSystematic(t *testing.T) {
 	}
 }
 
-// TestReedSolomonBlocksOwnTheirMemory: a base object that retains one block
-// must retain exactly that block — no block is a sub-slice of the value, of a
-// sibling shard or of a longer buffer.
+// TestReedSolomonBlocksOwnTheirMemory pins who owns what Encode returns.
+// Parity blocks, and the padded tail shard of a value k does not divide, are
+// exactly sized memory of their own. Whole data shards are views of the value,
+// never written — encoding leaves the value as it was — until a holder that
+// retains one detaches it. EncodeBlock's blocks
+// are all their own.
 func TestReedSolomonBlocksOwnTheirMemory(t *testing.T) {
 	rs := MustReedSolomon(4, 8)
-	data := bytes.Repeat([]byte{0xA5}, 4096)
-	blocks, err := rs.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := make([]Block, rs.N())
-	for i := range single {
-		if single[i], err = rs.EncodeBlock(data, i+1); err != nil {
+	for _, dataLen := range []int{4096, 4094} {
+		data := make([]byte, dataLen)
+		rand.New(rand.NewSource(int64(dataLen))).Read(data)
+		value := bytes.Clone(data)
+		blocks, err := rs.Encode(data)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, set := range [][]Block{blocks, single} {
-		for _, b := range set {
-			if cap(b.Data) != len(b.Data) {
-				t.Errorf("block %d: cap %d != len %d", b.Index, cap(b.Data), len(b.Data))
+		if !bytes.Equal(data, value) {
+			t.Fatalf("%d bytes: Encode wrote to the value", dataLen)
+		}
+		sl := rs.BlockSizeBytes(dataLen, 1)
+		owned, singles := make([]Block, rs.N()), make([]Block, rs.N())
+		for i, b := range blocks {
+			view := (i+1)*sl <= dataLen && &b.Data[0] == &data[i*sl]
+			if whole := i < rs.K() && (i+1)*sl <= dataLen; view != whole {
+				t.Errorf("%d bytes, block %d: is a view of the value = %v, want %v", dataLen, b.Index, view, whole)
+			}
+			if !view && cap(b.Data) != len(b.Data) {
+				t.Errorf("%d bytes, block %d: cap %d != len %d", dataLen, b.Index, cap(b.Data), len(b.Data))
+			}
+			owned[i] = b.Detach(data)
+			if copied := &owned[i].Data[0] != &b.Data[0]; copied != view {
+				t.Errorf("%d bytes, block %d: Detach copied = %v, want %v", dataLen, b.Index, copied, view)
+			}
+			if singles[i], err = rs.EncodeBlock(data, i+1); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	before := bytes.Clone(blocks[1].Data)
-	for i := range data {
-		data[i] = 0
-	}
-	for i := range blocks[0].Data {
-		blocks[0].Data[i] = 0
-	}
-	if !bytes.Equal(blocks[1].Data, before) || !bytes.Equal(single[1].Data, before) {
-		t.Error("a data block aliases the value or a sibling block")
+		// Nothing detached or encoded singly shares memory with the value:
+		// each still holds the block's bytes once the value is gone.
+		clear(data)
+		again, err := rs.Encode(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range again {
+			for _, got := range []Block{owned[i], singles[i]} {
+				if cap(got.Data) != len(got.Data) || !bytes.Equal(got.Data, want.Data) {
+					t.Errorf("%d bytes, block %d: a detached or singly encoded block is not an exactly sized copy of its own", dataLen, want.Index)
+				}
+			}
+		}
 	}
 }
 

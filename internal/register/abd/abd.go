@@ -74,7 +74,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	replicas, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v)
+	replicas, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
@@ -111,7 +111,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	replicas, enc, err := register.SeedChunks(r.cfg, op, v)
+	replicas, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}

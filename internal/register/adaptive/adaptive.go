@@ -25,7 +25,9 @@
 // Algorithm 2 as printed). A read
 // repeatedly collects the contents of n-f objects (adaptive.read) until it
 // sees k distinct pieces of a single value whose timestamp is at least the
-// highest storedTS it observed, then decodes.
+// highest storedTS it observed, then decodes. Its first round is lean: it asks
+// only k+f objects for their contents and the other f for timestamps
+// (readValue; DESIGN.md argues it against Algorithm 3 as printed).
 package adaptive
 
 import (
@@ -100,7 +102,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 	// Encode v into n pieces via the write oracle; the client holds the
 	// WriteSet locally for the duration of the operation.
-	writeSet, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v)
+	writeSet, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
@@ -204,7 +206,7 @@ func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Times
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	writeSet, enc, err := register.SeedChunks(r.cfg, op, v)
+	writeSet, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}
@@ -231,8 +233,10 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
 
-	for attempt := 0; attempt < r.readRetryBudget; attempt++ {
-		storedTS, readSet, err := readValue(h, r.cfg)
+	// The lean round comes first and outside the budget, which counts rounds
+	// as printed: FW-termination is argued for those.
+	for attempt := -1; attempt < r.readRetryBudget; attempt++ {
+		storedTS, readSet, err := readValue(h, r.cfg, attempt < 0)
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err
 		}
@@ -244,11 +248,27 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	return value.Value{}, register.ZeroTS, register.ErrReadStarved
 }
 
-// readValue is the shared read round (Algorithm 3, lines 23-31): it collects
-// Vp, Vf and storedTS from n-f base objects and returns the highest observed
-// storedTS together with the union of the collected chunks.
-func readValue(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, []register.Chunk, error) {
-	resp, err := h.InvokeAll(func(obj int) dsys.RMW { return &readValueRMW{} }, cfg.Quorum())
+// readValue is the read round: it returns the highest storedTS among the n-f
+// objects that answered together with the union of the chunks they sent.
+//
+// The round as printed (Algorithm 3, lines 23-31) collects Vp, Vf and storedTS
+// from every object. The lean round asks only objects 0..k+f-1 for them — the
+// holders of the k data blocks and f parity holders — and the other f for
+// their timestamps alone. Since n-f = k+f, any quorum still holds at least k
+// answers with pieces, and its highest storedTS is the one a full round would
+// have seen; what a lean round may lack is a k-th piece at that timestamp, and
+// then the caller runs the round as printed.
+func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.Timestamp, []register.Chunk, error) {
+	withPieces := cfg.N()
+	if lean {
+		withPieces = cfg.Quorum()
+	}
+	resp, err := h.InvokeAll(func(obj int) dsys.RMW {
+		if obj < withPieces {
+			return &readValueRMW{}
+		}
+		return &readTSRMW{}
+	}, cfg.Quorum())
 	if err != nil {
 		return register.ZeroTS, nil, err
 	}
@@ -256,16 +276,16 @@ func readValue(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, [
 	var readSet []register.Chunk
 	// Iterate objects in ID order for determinism.
 	for obj := 0; obj < cfg.N(); obj++ {
-		raw, ok := resp[obj]
-		if !ok {
-			continue
+		switch rv := resp[obj].(type) {
+		case nil: // no answer yet
+		case readValueResp:
+			maxTS = maxTS.Max(rv.StoredTS)
+			readSet = append(readSet, rv.Chunks...)
+		case readTSResp:
+			maxTS = maxTS.Max(rv.StoredTS)
+		default:
+			return register.ZeroTS, nil, fmt.Errorf("adaptive: unexpected readValue response %T", rv)
 		}
-		rv, ok := raw.(readValueResp)
-		if !ok {
-			return register.ZeroTS, nil, fmt.Errorf("adaptive: unexpected readValue response %T", raw)
-		}
-		maxTS = maxTS.Max(rv.StoredTS)
-		readSet = append(readSet, rv.Chunks...)
 	}
 	return maxTS, readSet, nil
 }

@@ -2,6 +2,8 @@ package register_test
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"testing"
 
 	"spacebounds/internal/dsys"
@@ -175,5 +177,81 @@ func TestAppliedStateOwnsItsBytes(t *testing.T) {
 		if !register.KindReadOnly(kind) && !covered[kind] {
 			t.Errorf("mutating kind %q has no ownership step — add one", kind)
 		}
+	}
+}
+
+// noRounds is a remote cluster's invoker for a test that runs no round.
+type noRounds struct{}
+
+func (noRounds) InvokeRound(context.Context, int, []int, func(int) dsys.RMW, int) (map[int]any, error) {
+	return nil, dsys.ErrRemote
+}
+
+// TestEncodeWriteOwnsBlocksWhereObjectsRetainThem: the blocks a write hands an
+// in-process handle's objects are each exactly sized memory apart from the
+// value, as an object keeps them; behind a remote handle nothing keeps them,
+// so the data blocks are the value's own bytes and a write allocates its parity
+// blocks and a few headers — not a second copy of the value.
+func TestEncodeWriteOwnsBlocksWhereObjectsRetainThem(t *testing.T) {
+	const f, k, dataLen = 2, 4, 64 << 10
+	cfg, err := register.Config{F: f, K: k, DataLen: dataLen}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := adaptive.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := reg.InitialStates(value.Zero(dataLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := dsys.NewCluster(states, dsys.WithLiveMode())
+	defer local.Close()
+	remote := dsys.NewRemoteCluster(cfg.N(), noRounds{})
+	defer remote.Close()
+
+	encode := func(c *dsys.Cluster, v value.Value) (chunks []register.Chunk) {
+		err := c.RunScoped(1, 0, cfg.N(), func(h *dsys.ClientHandle) error {
+			var err error
+			chunks, _, err = register.EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, h.InProcess())
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chunks
+	}
+
+	scratch := value.Sequenced(1, 1, dataLen).Bytes()
+	owned := encode(local, value.Adopt(scratch))
+	before := register.CloneChunks(owned)
+	clear(scratch)
+	for i, c := range owned {
+		if cap(c.Block.Data) != len(c.Block.Data) {
+			t.Errorf("in process, block %d: cap %d != len %d", c.Block.Index, cap(c.Block.Data), len(c.Block.Data))
+		}
+		if !bytes.Equal(c.Block.Data, before[i].Block.Data) {
+			t.Errorf("in process, block %d shares memory with the value", c.Block.Index)
+		}
+	}
+
+	v := value.Sequenced(1, 2, dataLen)
+	views := encode(remote, v)
+	for i := 0; i < k; i++ {
+		if &views[i].Block.Data[0] != &v.View()[i*dataLen/k] {
+			t.Errorf("remote, block %d is not a view of the value", i+1)
+		}
+	}
+	var start, after runtime.MemStats
+	const runs = 50
+	runtime.ReadMemStats(&start)
+	for i := 0; i < runs; i++ {
+		encode(remote, v)
+	}
+	runtime.ReadMemStats(&after)
+	perWrite := (after.TotalAlloc - start.TotalAlloc) / runs
+	if limit := uint64((cfg.N()-k)*dataLen/k + 4<<10); perWrite >= limit {
+		t.Errorf("a remote write's encode allocates %d bytes, want under (n-k)·D/k + 4 KiB = %d", perWrite, limit)
 	}
 }

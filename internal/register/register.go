@@ -8,7 +8,6 @@ package register
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
@@ -205,12 +204,13 @@ type SeedWriter interface {
 // validates v against the configuration, encodes it for the caller's current
 // write operation, and stamps every chunk with the fixed SeedTS. The caller
 // owns the operation (BeginOp/EndOp) and must Expire the returned encoder;
-// only the protocol-specific RMW rounds remain per emulation.
-func SeedChunks(cfg Config, op dsys.OpID, v value.Value) ([]Chunk, *oracle.Encoder, error) {
+// only the protocol-specific RMW rounds remain per emulation. retained is
+// EncodeWrite's.
+func SeedChunks(cfg Config, op dsys.OpID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
 	if v.SizeBytes() != cfg.DataLen {
 		return nil, nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
 	}
-	chunks, enc, err := EncodeWrite(cfg, op.WriteID(), v)
+	chunks, enc, err := EncodeWrite(cfg, op.WriteID(), v, retained)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,13 +240,22 @@ type Register interface {
 // EncodeWrite runs the write-side oracle for value v: it produces the n
 // blocks, tags them, and returns them as timestamp-free chunks in block-index
 // order (index i+1 is destined for base object i).
-func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value) ([]Chunk, *oracle.Encoder, error) {
+//
+// retained says that the base objects will keep the very blocks the RMWs
+// carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
+// every block is then exactly sized memory of its own. Otherwise the blocks
+// only travel — a node across a wire copies what it keeps out of the frame —
+// and a code's data blocks may be views of v.
+func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
 	enc := oracle.NewEncoder(cfg.Code, w, v)
 	chunks := make([]Chunk, 0, cfg.N())
 	for i := 1; i <= cfg.N(); i++ {
 		b, tag, err := enc.Get(i)
 		if err != nil {
 			return nil, nil, fmt.Errorf("register: encoding block %d: %w", i, err)
+		}
+		if retained {
+			b = b.Detach(v.View())
 		}
 		chunks = append(chunks, Chunk{Block: b, Source: tag})
 	}
@@ -259,7 +268,7 @@ func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
 	if v0.SizeBytes() != cfg.DataLen {
 		return nil, fmt.Errorf("%w: initial value has %d bytes, config says %d", ErrConfig, v0.SizeBytes(), cfg.DataLen)
 	}
-	chunks, _, err := EncodeWrite(cfg, oracle.InitialWrite, v0)
+	chunks, _, err := EncodeWrite(cfg, oracle.InitialWrite, v0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -284,31 +293,43 @@ func DecodeChunks(cfg Config, chunks []Chunk) (value.Value, error) {
 
 // BestDecodable groups chunks by timestamp and returns the chunks of the
 // largest timestamp that is at least minTS and has at least k distinct block
-// indices, along with that timestamp. The boolean result reports whether such
-// a timestamp exists. It is the selection rule of the adaptive read
-// (Algorithm 2, lines 18-21) and of the baseline readers.
+// indices, in the order they arrived, along with that timestamp. The boolean
+// result reports whether such a timestamp exists. It is the selection rule of
+// the adaptive read (Algorithm 2, lines 18-21) and of the baseline readers.
+//
+// A read set is a few chunks per object, so the groups are found by scanning
+// it, once per timestamp that could still win, and all that is allocated is
+// the result. An index no code of at most 255 blocks produces is not counted.
 func BestDecodable(chunks []Chunk, minTS Timestamp, k int) ([]Chunk, Timestamp, bool) {
-	byTS := make(map[Timestamp][]Chunk)
+	best, size := ZeroTS, 0 // size is how many chunks carry best; 0 until a timestamp qualifies
 	for _, c := range chunks {
-		if c.TS.Less(minTS) {
+		if c.TS.Less(minTS) || size > 0 && c.TS.LessEq(best) {
 			continue
 		}
-		byTS[c.TS] = append(byTS[c.TS], c)
-	}
-	candidates := make([]Timestamp, 0, len(byTS))
-	for ts, group := range byTS {
-		indices := make(map[int]bool, len(group))
-		for _, c := range group {
-			indices[c.Block.Index] = true
+		var seen [256]bool
+		distinct, count := 0, 0
+		for _, d := range chunks {
+			if d.TS != c.TS {
+				continue
+			}
+			count++
+			if i := d.Block.Index; i >= 0 && i < len(seen) && !seen[i] {
+				seen[i] = true
+				distinct++
+			}
 		}
-		if len(indices) >= k {
-			candidates = append(candidates, ts)
+		if distinct >= k {
+			best, size = c.TS, count
 		}
 	}
-	if len(candidates) == 0 {
+	if size == 0 {
 		return nil, ZeroTS, false
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[j].Less(candidates[i]) })
-	best := candidates[0]
-	return byTS[best], best, true
+	group := make([]Chunk, 0, size)
+	for _, c := range chunks {
+		if c.TS == best {
+			group = append(group, c)
+		}
+	}
+	return group, best, true
 }

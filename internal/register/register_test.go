@@ -2,6 +2,7 @@ package register
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +104,7 @@ func TestEncodeWriteAndInitialChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := value.Sequenced(1, 1, 64)
-	chunks, enc, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v)
+	chunks, enc, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, true)
 	if err != nil {
 		t.Fatalf("EncodeWrite: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestChunkHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16))
+	chunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestBestDecodable(t *testing.T) {
 	}
 	vOld := value.Sequenced(1, 1, 32)
 	vNew := value.Sequenced(2, 1, 32)
-	oldChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld)
+	oldChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew)
+	newChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +216,37 @@ func TestBestDecodable(t *testing.T) {
 	dups := []Chunk{newChunks[0], newChunks[0], newChunks[0]}
 	if _, _, ok := BestDecodable(dups, ZeroTS, cfg.K); ok {
 		t.Fatal("BestDecodable accepted duplicate indices as decodable")
+	}
+}
+
+// TestBestDecodableKeepsArrivalOrderAndAllocatesItsResultOnly: the chunks of
+// the winning timestamp come back in the order they were handed in, whatever
+// lies between them; a hostile block index is not counted (and cannot reach
+// outside the table that counts); and choosing among a quiescent n = 8 read
+// set allocates the result and nothing else.
+func TestBestDecodableKeepsArrivalOrderAndAllocatesItsResultOnly(t *testing.T) {
+	piece := func(num, index int) Chunk {
+		return Chunk{TS: Timestamp{Num: num, Client: 1}, Block: erasure.Block{Index: index}}
+	}
+	mixed := []Chunk{piece(2, 3), piece(1, 1), piece(2, 1), piece(3, 1), piece(1, 2), piece(2, 3), piece(2, 2)}
+	got, ts, ok := BestDecodable(mixed, ZeroTS, 3)
+	if want := []Chunk{mixed[0], mixed[2], mixed[5], mixed[6]}; !ok || ts.Num != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("BestDecodable = %+v at %v (ok %v), want the four chunks of write 2 as they arrived", got, ts, ok)
+	}
+	hostile := []Chunk{piece(1, -1), piece(1, 1<<40), piece(1, 256), piece(1, 1)}
+	if _, _, ok := BestDecodable(hostile, ZeroTS, 2); ok {
+		t.Fatal("BestDecodable counted block indices no code produces")
+	}
+	quiescent := make([]Chunk, 8)
+	for i := range quiescent {
+		quiescent[i] = piece(5, i+1)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, _, ok := BestDecodable(quiescent, Timestamp{Num: 5, Client: 1}, 4); !ok || len(got) != 8 {
+			t.Fatalf("BestDecodable on a quiescent read set: %d chunks, ok %v", len(got), ok)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("BestDecodable allocates %.0f times on a quiescent read set, want its result alone", allocs)
 	}
 }

@@ -67,7 +67,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v)
+	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.SeedChunks(r.cfg, op, v)
+	pieces, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}

@@ -125,13 +125,19 @@ func startFrame(buf []byte, n int, reqID uint64) []byte {
 // bytes from.
 type frameArena []byte
 
+// arenaSlack is what a fresh arena allows each frame beyond the one it is
+// sized from: a round's requests have one shape, but the names of their kinds
+// need not have one length — a lean read mixes adaptive.read with
+// adaptive.readts, two bytes longer.
+const arenaSlack = 2
+
 // cut returns an empty buffer with room bytes of capacity that nothing else
-// will be cut from; more is how many buffers of that size the round may still
-// need, this one included, and sizes a fresh allocation when the arena cannot
-// serve the cut.
+// will be cut from; more is how many buffers of about that size the round may
+// still need, this one included, and sizes a fresh allocation when the arena
+// cannot serve the cut.
 func (a *frameArena) cut(room, more int) []byte {
 	if cap(*a)-len(*a) < room {
-		*a = make([]byte, 0, room*more)
+		*a = make([]byte, 0, (room+arenaSlack)*more)
 	}
 	n := len(*a)
 	*a = (*a)[:n+room]

@@ -17,6 +17,7 @@ import (
 	"spacebounds/internal/register"
 	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
+	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 )
@@ -242,6 +243,38 @@ func TestRoundAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(500, round); got > roundAllocs {
 		t.Errorf("a %d-target round allocates %.1f times, want at most %d (the parent of PR 24 measured %d)",
 			roundTargets, got, roundAllocs, roundAllocsParent)
+	}
+}
+
+// TestLeanReadRoundCutsOneArena: the requests of an adaptive read's first
+// round are of two kinds, adaptive.read to k+f objects and the longer-named
+// adaptive.readts to the other f, and the arena sized from the first frame
+// still serves the last: every frame's inline bytes lie in one allocation.
+func TestLeanReadRoundCutsOneArena(t *testing.T) {
+	const n, pieces = 8, 6
+	read, _ := register.CodecByKind("adaptive.read")
+	readTS, _ := register.CodecByKind("adaptive.readts")
+	var arena frameArena
+	var w register.WireWriter
+	var first *byte
+	for obj := 0; obj < n; obj++ {
+		codec := read
+		if obj >= pieces {
+			codec = readTS
+		}
+		rmw, err := codec.Decode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := dsys.Envelope{Op: dsys.OpID{Client: 1}, Object: obj}
+		if err := writeRequestFrame(&w, &arena, n-obj, uint64(obj), env, codec, rmw); err != nil {
+			t.Fatal(err)
+		}
+		if obj == 0 {
+			first = &arena[0]
+		} else if &arena[0] != first {
+			t.Fatalf("the frame for object %d (%s) was cut from a second arena", obj, codec.Kind)
+		}
 	}
 }
 
@@ -552,6 +585,58 @@ func BenchmarkInvokeRound(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fx.cli.InvokeRound(ctx, 1, fx.targets, makeRMW, roundTargets); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAdaptiveOverTCP is the ladder's whole-operation row: one adaptive
+// write or read at tcp-large's shape — 64 KiB values, f = 2, k = 4 — through
+// shard.NewRemote over loopback TCP, one client and one server hosting all
+// eight objects in one process, so B/op and allocs/op count both sides of the
+// wire. The register is quiescent: a write is three rounds, a read one.
+func BenchmarkAdaptiveOverTCP(b *testing.B) {
+	const f, k, dataLen = 2, 4, 64 << 10
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer backing.Close()
+	srv := NewServer(backing.Cluster())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial([]string{addr.String()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := shard.NewRemote(specs, cli) // closes cli
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rs.Close()
+	sh, v := rs.Shards()[0], value.Sequenced(1, 1, dataLen)
+	for _, bc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"write", func() error { return rs.WriteValue(1, sh, v) }},
+		{"read", func() error { _, err := rs.ReadValue(2, sh); return err }},
+	} {
+		b.Run(bc.name+"/64KiB-f2-k4", func(b *testing.B) {
+			if err := bc.op(); err != nil { // dial, and leave a written value to read
+				b.Fatal(err)
+			}
+			b.SetBytes(dataLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.op(); err != nil {
 					b.Fatal(err)
 				}
 			}

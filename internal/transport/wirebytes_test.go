@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -30,13 +31,20 @@ type countingInvoker struct {
 	rounds              []countedRound
 }
 
-// countedRound is one round as the invoker saw it: whom it was addressed to
-// and the request-payload bytes sent each of them (none for an object that is
-// down).
+// countedRound is one round as the invoker saw it: whom it was addressed to,
+// the kind of request and the request-payload bytes sent each of them (none
+// for an object that is down), and the response-payload bytes each answered.
 type countedRound struct {
-	kind    string
-	targets []int
-	bytes   map[int]int
+	targets  []int
+	kinds    map[int]string
+	bytes    map[int]int
+	answered map[int]int
+}
+
+// kind is the round's kind when its requests share one: the kinds it mixes,
+// sorted and joined by "+", otherwise.
+func (r countedRound) kind() string {
+	return strings.Join(slices.Compact(slices.Sorted(maps.Values(r.kinds))), "+")
 }
 
 // socketBytes writes v with write as a sender does and returns the length of
@@ -53,26 +61,46 @@ func socketBytes[T any](c *countingInvoker, write func(*register.WireWriter, T) 
 }
 
 func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
-	var codec register.Codec
-	sent := map[int]int{}
+	round := countedRound{targets: slices.Clone(targets), kinds: map[int]string{}, bytes: map[int]int{}, answered: map[int]int{}}
 	resp, err := c.inner.InvokeRound(ctx, client, targets, func(obj int) dsys.RMW {
 		rmw := makeRMW(obj)
-		var ok bool
-		if codec, ok = register.CodecOf(rmw); !ok {
+		codec, ok := register.CodecOf(rmw)
+		if !ok {
 			c.t.Errorf("no codec for %T", rmw)
 		}
-		sent[obj] = socketBytes(c, codec.Write, rmw)
-		c.requests += sent[obj]
-		c.perKind[codec.Kind] += sent[obj]
+		round.kinds[obj] = codec.Kind // a round may mix kinds
+		round.bytes[obj] = socketBytes(c, codec.Write, rmw)
+		c.requests += round.bytes[obj]
+		c.perKind[codec.Kind] += round.bytes[obj]
 		return rmw
 	}, quorum)
-	c.rounds = append(c.rounds, countedRound{kind: codec.Kind, targets: append([]int{}, targets...), bytes: sent})
-	for _, v := range resp {
-		n := socketBytes(c, codec.WriteResp, v)
-		c.responses += n
-		c.perKind[codec.Kind+" response"] += n
+	for obj, v := range resp {
+		codec, _ := register.CodecByKind(round.kinds[obj])
+		round.answered[obj] = socketBytes(c, codec.WriteResp, v)
+		c.responses += round.answered[obj]
+		c.perKind[codec.Kind+" response"] += round.answered[obj]
 	}
+	c.rounds = append(c.rounds, round)
 	return resp, err
+}
+
+// countedRegister is one adaptive register in an in-process cluster and a
+// remote set that reaches it through the loopback transport under a
+// countingInvoker.
+func countedRegister(t *testing.T, f, k, dataLen int) (backing *shard.Set, counter *countingInvoker, rs *shard.Set) {
+	t.Helper()
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backing.Close)
+	counter = &countingInvoker{inner: transport.NewLoopback(backing.Cluster()), t: t, perKind: map[string]int{}}
+	if rs, err = shard.NewRemote(specs, counter); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Close)
+	return backing, counter, rs
 }
 
 // TestQuiescentWriteMovesOnlyWhatItsRoundsRead: one 64 KiB write at f = 2,
@@ -84,18 +112,7 @@ func (c *countingInvoker) InvokeRound(ctx context.Context, client int, targets [
 // are those a sender puts on the socket: 132,384 of request payloads.
 func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	const f, k, dataLen = 2, 4, 64 << 10
-	specs := []shard.Spec{{Name: "large", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
-	backing, err := shard.New(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backing.Close()
-	counter := &countingInvoker{inner: transport.NewLoopback(backing.Cluster()), t: t, perKind: map[string]int{}}
-	rs, err := shard.NewRemote(specs, counter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
+	backing, counter, rs := countedRegister(t, f, k, dataLen)
 	sh := rs.Shards()[0]
 	want := value.Sequenced(1, 1, dataLen)
 	if err := rs.WriteValue(1, sh, want); err != nil {
@@ -124,6 +141,45 @@ func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 	}
 }
 
+// TestQuiescentReadMovesOnlyWhatItDecodes: one read of a quiescent 64 KiB
+// register at f = 2, k = 4 is one round that asks the k + f objects 0..5 for
+// their pieces and objects 6 and 7 for timestamps only, so what comes back is
+// (k+f)·D/k bytes of pieces — n·D/k as Algorithm 3 is printed — and two
+// timestamps from each of the others.
+func TestQuiescentReadMovesOnlyWhatItDecodes(t *testing.T) {
+	const f, k, dataLen = 2, 4, 64 << 10
+	_, counter, rs := countedRegister(t, f, k, dataLen)
+	sh := rs.Shards()[0]
+	want := value.Sequenced(1, 1, dataLen)
+	if err := rs.WriteValue(1, sh, want); err != nil {
+		t.Fatal(err)
+	}
+	counter.rounds, counter.responses = nil, 0
+	if got, err := rs.ReadValue(2, sh); err != nil || !got.Equal(want) {
+		t.Fatalf("read after the write: %v, equal = %v", err, err == nil && got.Equal(want))
+	}
+	if len(counter.rounds) != 1 {
+		t.Fatalf("the read took %d rounds, want 1: %+v", len(counter.rounds), counter.rounds)
+	}
+	n := 2*f + k
+	round := counter.rounds[0]
+	for obj := 0; obj < n; obj++ {
+		wantKind := "adaptive.read"
+		if obj >= k+f {
+			wantKind = "adaptive.readts"
+			if got := round.answered[obj]; got > 64 {
+				t.Errorf("object %d answered %s with %d bytes, want at most 64", obj, wantKind, got)
+			}
+		}
+		if round.kinds[obj] != wantKind {
+			t.Errorf("object %d was sent %q, want %q", obj, round.kinds[obj], wantKind)
+		}
+	}
+	if limit := (k+f)*dataLen/k + n*128; counter.responses > limit {
+		t.Errorf("the read received %d response-payload bytes, want at most (k+f)·D/k + n·128 = %d: %v", counter.responses, limit, round.answered)
+	}
+}
+
 // TestContendedWriteSendsTheReplicaOnlyWhereAsked: at f = 1, k = 2 a write
 // finds Vp full on objects 0 and 1 (an earlier write got that far and no
 // further) and object 3 down. Its first update round sends all four objects a
@@ -134,12 +190,7 @@ func TestQuiescentWriteMovesOnlyWhatItsRoundsRead(t *testing.T) {
 // piece to the objects that may hold the replica and none to object 2.
 func TestContendedWriteSendsTheReplicaOnlyWhereAsked(t *testing.T) {
 	const f, k, dataLen = 1, 2, 16 << 10
-	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
-	backing, err := shard.New(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backing.Close()
+	backing, counter, rs := countedRegister(t, f, k, dataLen)
 	earlier := adaptiveUpdate(t, 5, 9, 0xEE)
 	for _, obj := range []int{0, 1} {
 		if _, err := backing.Cluster().ApplyOne(obj, earlier(obj)); err != nil {
@@ -149,12 +200,6 @@ func TestContendedWriteSendsTheReplicaOnlyWhereAsked(t *testing.T) {
 	if err := backing.Cluster().CrashObject(3); err != nil {
 		t.Fatal(err)
 	}
-	counter := &countingInvoker{inner: transport.NewLoopback(backing.Cluster()), t: t, perKind: map[string]int{}}
-	rs, err := shard.NewRemote(specs, counter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
 	sh := rs.Shards()[0]
 	want := value.Sequenced(1, 1, dataLen)
 	if err := rs.WriteValue(1, sh, want); err != nil {
@@ -162,7 +207,7 @@ func TestContendedWriteSendsTheReplicaOnlyWhereAsked(t *testing.T) {
 	}
 	var kinds []string
 	for _, r := range counter.rounds {
-		kinds = append(kinds, r.kind)
+		kinds = append(kinds, r.kind())
 	}
 	if got, want := strings.Join(kinds, " "), "adaptive.readts adaptive.update adaptive.update adaptive.gc"; got != want {
 		t.Fatalf("the write's rounds were %q, want %q", got, want)
