@@ -35,12 +35,13 @@ race:
 # Flake hunt (nightly): the short tests of the packages whose tests wait on
 # real time, goroutines or sockets — the batch lanes' lead hand-off, and the
 # transport's held-back frames (a queued read response, a straggler update, a
-# round parked beside an oversized request) among them — twenty times over, so
+# round parked beside an oversized request) and the reconfiguration moves run
+# while writers hammer their shards among them — twenty times over, so
 # a test that is only quiescent by luck fails here before it fails in tier-1;
 # and the erasure codes, whose data blocks share memory with the value they
 # encode: what the tests say about who owns a block must hold every time.
 flake:
-	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/...
+	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/...
 
 # Non-test code lines outside bench/: no blank lines, no comment-only lines.
 # The command is PR 20's, so every PR reports the same number the same way.

@@ -42,6 +42,7 @@ import (
 	"spacebounds/internal/history"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/node"
+	"spacebounds/internal/reconfig"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/sim"
 	"spacebounds/internal/trace"
@@ -628,7 +629,7 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 		if at <= 0 {
 			at = clients * ops / 2
 		}
-		spec.Reconfig = []workload.ReconfigMove{{AfterOps: at, Split: c.split}}
+		spec.Reconfig = []workload.ReconfigMove{{AfterOps: at, Move: reconfig.Move{Kind: reconfig.MoveSplit, Shard: c.split}}}
 		spec.Coordinator = n.Coordinator()
 	}
 	start := time.Now()
@@ -652,11 +653,11 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 	}
 	for _, ar := range res.Reconfigs {
 		if ar.Err != "" {
-			fmt.Fprintf(out, "  reconfig: split %s FAILED: %s\n", ar.Move.Split, ar.Err)
+			fmt.Fprintf(out, "  reconfig: %v FAILED: %s\n", ar.Move, ar.Err)
 			continue
 		}
-		fmt.Fprintf(out, "  reconfig: split %s -> %v after %d ops in %v; %.0f ops/s before -> %.0f ops/s after\n",
-			ar.Move.Split, ar.Successors, ar.TriggeredAtOps, ar.Took.Round(time.Millisecond),
+		fmt.Fprintf(out, "  reconfig: %v -> %v after %d ops in %v; %.0f ops/s before -> %.0f ops/s after\n",
+			ar.Move, ar.Successors, ar.TriggeredAtOps, ar.Took.Round(time.Millisecond),
 			ar.OpsPerSecBefore, ar.OpsPerSecAfter)
 	}
 	if c.autoReshard {

@@ -267,19 +267,35 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 // touched — concurrent clients whose scopes cover disjoint objects share no
 // locks at all. It returns an error if fewer than quorum objects are alive,
 // which models a client waiting forever for a quorum that cannot form.
+//
+// A round short of its quorum makes one more pass over the targets it skipped
+// as down before it gives up: a skipped object may have restarted while the
+// loop went on. Without it a round that skips A, then meets B down because A
+// restarted and B crashed in between, fails although no more than f objects
+// were ever down at once. makeRMW is still called at most once per object.
 func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
 	c := h.c
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
 	resp := make(map[int]any, len(targets))
-	for _, objID := range targets {
-		obj := objects[h.base+objID]
-		if obj.down() {
-			continue
+	var skipped []int
+	for pass := 0; pass < 2; pass++ {
+		for _, objID := range targets {
+			obj := objects[h.base+objID]
+			if obj.down() {
+				if pass == 0 {
+					skipped = append(skipped, objID)
+				}
+				continue
+			}
+			if r, err := obj.apply(c, makeRMW(objID), tc, false); err == nil {
+				resp[objID] = r
+			}
 		}
-		if r, err := obj.apply(c, makeRMW(objID), tc, false); err == nil {
-			resp[objID] = r
+		if len(resp) >= quorum || len(skipped) == 0 {
+			break
 		}
+		targets = skipped
 	}
 	if len(resp) < quorum {
 		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)

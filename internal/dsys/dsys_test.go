@@ -349,6 +349,44 @@ func TestLiveModeCrashedQuorumError(t *testing.T) {
 	}
 }
 
+// TestLiveRoundSpansTwoFaults pins a round that spans two faults, never more
+// than f of them at once: n=4, f=1, quorum 3, object 0 down when the round
+// starts; while the round reaches object 1, object 0 restarts and object 2
+// crashes (what one fault-injector tick does). The first pass collects only
+// objects 1 and 3; the round must still form its quorum from object 0.
+func TestLiveRoundSpansTwoFaults(t *testing.T) {
+	c := newTestCluster(4, WithLiveMode())
+	defer c.Close()
+	if err := c.CrashObject(0); err != nil {
+		t.Fatal(err)
+	}
+	var faultErr error
+	var resp map[int]any
+	th := c.Spawn(1, func(h *ClientHandle) (err error) {
+		resp, err = h.InvokeAll(func(obj int) RMW {
+			if obj == 1 {
+				faultErr = errors.Join(c.RestartObject(0), c.CrashObject(2))
+			}
+			return readCounterRMW{}
+		}, 3)
+		return err
+	})
+	if err := th.Wait(); err != nil {
+		t.Fatalf("round spanning a restart and a crash: %v", err)
+	}
+	if faultErr != nil {
+		t.Fatal(faultErr)
+	}
+	for _, id := range []int{0, 1, 3} {
+		if _, ok := resp[id]; !ok {
+			t.Fatalf("object %d did not answer: %v", id, resp)
+		}
+	}
+	if _, ok := resp[2]; ok {
+		t.Fatalf("crashed object 2 answered: %v", resp)
+	}
+}
+
 func TestPendingRMWCountedAsChannelStorage(t *testing.T) {
 	// Use a policy that never applies RMWs; pending parameters must still be
 	// charged to the channel.

@@ -18,8 +18,7 @@ import (
 // fixed seed timestamp).
 type MoveStep int
 
-// Migration steps. Not every move uses every step: add skips Retire (its
-// origin lives on), remove skips GrowRegions and Seed (nothing is migrated).
+// Migration steps. Split, drain and merge run every one of them.
 const (
 	// StepPlanned: the ledger entry exists; nothing has been executed.
 	StepPlanned MoveStep = iota
@@ -80,8 +79,7 @@ type MoveState struct {
 	ID int
 	// Move is the move being executed.
 	Move Move
-	// Sources are the shard names being migrated away from (two for a merge;
-	// for an add, the origin route resolved at flip time).
+	// Sources are the shard names being migrated away from (two for a merge).
 	Sources []string
 	// Successors are the successor shard names, recorded when their regions
 	// are grown.

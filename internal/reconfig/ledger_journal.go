@@ -44,6 +44,10 @@ func (c *Coordinator) recordLocked(en *moveEntry) {
 //
 //   - any Done entry is an error — the journal proves the layout diverged
 //     from the initial one; reopen with the final layout or remove the WAL;
+//   - an unfinished entry whose move this build does not drive is an error —
+//     a journal written before PR 29 may hold an add or remove (kinds 3 and
+//     4), and restoring it as in flight would fail every Resume and refuse
+//     every new move with ErrMoveInFlight for good;
 //   - an entry that was mid-rollback (Aborting) is finalized as aborted: its
 //     successor regions died with the process before any client state could
 //     reach them, and the fresh process rebuilds the pre-move table, which is
@@ -63,9 +67,12 @@ func (c *Coordinator) RestoreLedger(states []MoveState) error {
 		return fmt.Errorf("reconfig: RestoreLedger on a non-empty ledger")
 	}
 	for _, m := range states {
+		invalid := m.Move.Validate()
 		switch {
 		case m.Done:
 			return fmt.Errorf("reconfig: journal records completed move %d (%v); the journaled layout diverged from the initial one — reopen with the final layout or remove the WAL", m.ID, m.Move)
+		case !m.Aborted && invalid != nil:
+			return fmt.Errorf("reconfig: journal records unfinished move %d (%v), which this build does not drive (%v) — finish it with the build that wrote the WAL, or remove the WAL", m.ID, m.Move, invalid)
 		case !m.Aborted && m.Aborting:
 			// The driver died mid-rollback. The restart finished the rollback
 			// wholesale: the successor regions died with the process, no client

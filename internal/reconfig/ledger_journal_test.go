@@ -67,7 +67,8 @@ func TestJournalRecordsMoveTransitions(t *testing.T) {
 // TestRestoreLedgerRules exercises each restoration rule: completed and
 // table-flipped entries refuse restoration, grow-stage entries abort cleanly,
 // planned entries stay interrupted and in flight, aborted history is kept,
-// and malformed journals (two in-flight, non-empty ledger) are rejected.
+// unfinished moves of a kind this build does not drive are refused, and
+// malformed journals (two in-flight, non-empty ledger) are rejected.
 func TestRestoreLedgerRules(t *testing.T) {
 	restore := func(t *testing.T, states ...MoveState) (*Coordinator, *recMoveJournal, error) {
 		t.Helper()
@@ -132,6 +133,28 @@ func TestRestoreLedgerRules(t *testing.T) {
 		resumed, ev, err := co.Resume(NewLiveRunner(co.set, 1<<28))
 		if err != nil || !resumed || ev.Kind != MoveSplit {
 			t.Fatalf("Resume = %v, %+v, %v", resumed, ev, err)
+		}
+	})
+	// Kind 3 was the dedicated-key add a journal written before PR 29 may
+	// hold: unfinished, it is refused (restoring it in flight would wedge the
+	// coordinator); aborted, it is history like any other.
+	retired := Move{Kind: MoveKind(3), Shard: "hot"}
+	t.Run("unfinished retired kind is an error", func(t *testing.T) {
+		_, _, err := restore(t, MoveState{ID: 1, Move: retired, Step: StepPlanned})
+		if err == nil || !strings.Contains(err.Error(), "does not drive") || !strings.Contains(err.Error(), "remove the WAL") {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	t.Run("aborted retired kind is history", func(t *testing.T) {
+		co, _, err := restore(t, MoveState{ID: 1, Move: retired, Step: StepDrain, Aborted: true, AbortReason: "old"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if co.InFlight() != nil || co.Stats().Aborts != 1 || len(co.Ledger()) != 1 {
+			t.Fatalf("in-flight = %+v, stats = %+v", co.InFlight(), co.Stats())
+		}
+		if _, err := co.Apply(NewLiveRunner(co.set, 1<<28), split); err != nil {
+			t.Fatalf("move after restoring aborted history: %v", err)
 		}
 	})
 	t.Run("two in-flight is an error", func(t *testing.T) {

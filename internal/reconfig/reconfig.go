@@ -1,8 +1,9 @@
 // Package reconfig is the epoch-based dynamic-reconfiguration subsystem: it
 // executes elastic resharding moves — splitting a shard across fresh
 // base-object regions, merging two shards back into one, draining a shard
-// onto replacement nodes, adding a dedicated shard for a hot key, removing
-// one — against a live shard.Set with state migrated, not lost.
+// onto replacement nodes — against a live shard.Set with state migrated, not
+// lost. Every move is one Move of one of those three kinds, checked by
+// Move.Validate and driven by Coordinator.Apply (ApplyLive in a live process).
 //
 // The migration protocol for a split, drain or merge of source shard(s) into
 // successors is:
@@ -71,25 +72,21 @@ import (
 // MoveKind enumerates reconfiguration moves.
 type MoveKind int
 
-// Move kinds.
+// Move kinds. The numbers are journaled in move records and feed simulator
+// fingerprints, so they are pinned: 3 and 4 were the dedicated-key fork's add
+// and remove (gone since PR 29) and stay unused.
 const (
 	// MoveSplit replaces one shard by two successors on fresh regions; its
 	// keyspace is re-partitioned between them and its latest value is
 	// migrated into both.
-	MoveSplit MoveKind = iota + 1
+	MoveSplit MoveKind = 1
 	// MoveDrain replaces one shard by a single successor on a fresh region
 	// (same routing position): evacuate the nodes, keep the data.
-	MoveDrain
-	// MoveAdd installs a dedicated shard for exactly one key, forked from the
-	// register the key currently routes to.
-	MoveAdd
-	// MoveRemove drops a dedicated shard; its key rejoins hash routing and
-	// the dedicated register's value is discarded with its namespace.
-	MoveRemove
+	MoveDrain MoveKind = 2
 	// MoveMerge replaces two shards by a single successor on a fresh region —
 	// the inverse of a split. Keys of both sources route to the successor,
 	// which is seeded with the value-ordering winner's latest value.
-	MoveMerge
+	MoveMerge MoveKind = 5
 )
 
 // String implements fmt.Stringer.
@@ -99,10 +96,6 @@ func (k MoveKind) String() string {
 		return "split"
 	case MoveDrain:
 		return "drain"
-	case MoveAdd:
-		return "add"
-	case MoveRemove:
-		return "remove"
 	case MoveMerge:
 		return "merge"
 	default:
@@ -110,9 +103,8 @@ func (k MoveKind) String() string {
 	}
 }
 
-// Move is one reconfiguration move: the kind and the target shard (for
-// MoveAdd, the key the dedicated shard will serve; for MoveMerge, the two
-// source shards).
+// Move is one reconfiguration move: the kind and the source shard (for
+// MoveMerge, the two source shards).
 type Move struct {
 	Kind  MoveKind
 	Shard string
@@ -128,9 +120,23 @@ func (m Move) String() string {
 	return fmt.Sprintf("%v %s", m.Kind, m.Shard)
 }
 
-// Plan is an ordered sequence of moves.
-type Plan struct {
-	Moves []Move
+// Validate checks the move's shape: a split or a drain names exactly one
+// shard, a merge two distinct ones, and no other kind exists. Whether the
+// named shards exist and can migrate is checked when the move runs.
+func (m Move) Validate() error {
+	switch m.Kind {
+	case MoveSplit, MoveDrain:
+		if m.Shard == "" || m.Shard2 != "" {
+			return fmt.Errorf("reconfig: %v move must name exactly one shard", m.Kind)
+		}
+	case MoveMerge:
+		if m.Shard == "" || m.Shard2 == "" || m.Shard == m.Shard2 {
+			return fmt.Errorf("reconfig: merge move must name two distinct shards")
+		}
+	default:
+		return fmt.Errorf("reconfig: unknown move kind %v", m.Kind)
+	}
+	return nil
 }
 
 // Event records one applied move for introspection, fingerprints and tests.
@@ -159,8 +165,8 @@ func (e Event) String() string {
 type Stats struct {
 	// Epoch is the current routing epoch.
 	Epoch int64
-	// Splits, Drains, Adds, Removes, Merges count completed moves.
-	Splits, Drains, Adds, Removes, Merges int
+	// Splits, Drains, Merges count completed moves.
+	Splits, Drains, Merges int
 	// Resumes counts interrupted moves taken over by Resume.
 	Resumes int
 	// Aborts counts cleanly rolled-back moves.
@@ -369,16 +375,6 @@ func (c *Coordinator) InFlight() *MoveState {
 	return &st
 }
 
-// ApplyPlan applies the plan's moves in order, stopping at the first error.
-func (c *Coordinator) ApplyPlan(r Runner, p Plan) error {
-	for _, mv := range p.Moves {
-		if _, err := c.Apply(r, mv); err != nil {
-			return fmt.Errorf("reconfig: %v: %w", mv, err)
-		}
-	}
-	return nil
-}
-
 // Apply executes one move end to end and returns its event. A move whose
 // driver dies mid-way (IsInterruption on the error) stays in the ledger for
 // Resume; a move that fails for any other reason is cleanly aborted.
@@ -468,25 +464,12 @@ func (c *Coordinator) ResumeLive() (int, error) {
 
 // begin validates the move shape and opens its ledger entry.
 func (c *Coordinator) begin(mv Move) (*moveEntry, error) {
-	var sources []string
-	switch mv.Kind {
-	case MoveSplit, MoveDrain, MoveRemove:
-		if mv.Shard == "" || mv.Shard2 != "" {
-			return nil, fmt.Errorf("reconfig: %v move must name exactly one shard", mv.Kind)
-		}
-		sources = []string{mv.Shard}
-	case MoveAdd:
-		if mv.Shard == "" || mv.Shard2 != "" {
-			return nil, fmt.Errorf("reconfig: add move must name exactly one key")
-		}
-		// The origin is resolved at flip time and recorded then.
-	case MoveMerge:
-		if mv.Shard == "" || mv.Shard2 == "" || mv.Shard == mv.Shard2 {
-			return nil, fmt.Errorf("reconfig: merge move must name two distinct shards")
-		}
-		sources = []string{mv.Shard, mv.Shard2}
-	default:
-		return nil, fmt.Errorf("reconfig: unknown move kind %v", mv.Kind)
+	if err := mv.Validate(); err != nil {
+		return nil, err
+	}
+	sources := []string{mv.Shard}
+	if mv.Kind == MoveMerge {
+		sources = append(sources, mv.Shard2)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -504,26 +487,6 @@ func (c *Coordinator) begin(mv Move) (*moveEntry, error) {
 	c.inFlight = en
 	c.recordLocked(en)
 	return en, nil
-}
-
-// drive dispatches a (possibly resumed) move to its kind's executor. An entry
-// whose previous driver died mid-rollback resumes the rollback, never the
-// forward path: the abort cause is already recorded, and re-running forward
-// steps against a half-unwound table would corrupt it.
-func (c *Coordinator) drive(r Runner, en *moveEntry, owner int64) (Event, error) {
-	if en.Aborting {
-		return c.driveAbort(r, en, owner, eventOf(en.MoveState), errors.New(en.AbortReason))
-	}
-	switch en.Move.Kind {
-	case MoveSplit, MoveDrain, MoveMerge:
-		return c.driveMigrate(r, en, owner)
-	case MoveAdd:
-		return c.driveAdd(r, en, owner)
-	case MoveRemove:
-		return c.driveRemove(r, en, owner)
-	default:
-		return Event{}, fmt.Errorf("reconfig: unknown move kind %v", en.Move.Kind)
-	}
 }
 
 // owns reports whether the driver token still owns the entry.
@@ -609,10 +572,6 @@ func (c *Coordinator) finish(en *moveEntry, owner int64, ev Event, seeds int) bo
 		c.stats.Splits++
 	case MoveDrain:
 		c.stats.Drains++
-	case MoveAdd:
-		c.stats.Adds++
-	case MoveRemove:
-		c.stats.Removes++
 	case MoveMerge:
 		c.stats.Merges++
 	}
@@ -687,17 +646,10 @@ func (c *Coordinator) driveAbort(r Runner, en *moveEntry, owner int64, ev Event,
 	if !c.owns(en, owner) {
 		return ev, errSuperseded
 	}
-	// Stage 1: roll the routing table back. For an add the origin's write hold
-	// is lifted first (ReleaseHold is a no-op when the hold is already gone).
-	switch mv.Kind {
-	case MoveMerge:
+	// Stage 1: roll the routing table back.
+	if mv.Kind == MoveMerge {
 		rt.AbortMerge(mv.Shard, mv.Shard2)
-	case MoveAdd:
-		if len(en.Sources) > 0 {
-			rt.ReleaseHold(en.Sources[0])
-		}
-		rt.AbortDedicated(mv.Shard)
-	default:
+	} else {
 		rt.AbortSuccessors(mv.Shard)
 	}
 	// Stage 2: drain successor readers. The rollback made the successors
@@ -715,23 +667,13 @@ func (c *Coordinator) driveAbort(r Runner, en *moveEntry, owner int64, ev Event,
 	if !c.owns(en, owner) {
 		return ev, errSuperseded
 	}
-	// Stage 3: decommission the successor regions and close the entry. An add
-	// also unregisters the burned route — a dedicated shard's name must equal
-	// its key, so the name has to be freed for a retry, not suffixed. The
-	// delete fails on a resume that already ran it; that is the idempotence
-	// working, not an error.
+	// Stage 3: decommission the successor regions and close the entry.
 	for _, name := range en.Successors {
 		if sh := set.Region(name); sh != nil {
 			_ = set.Cluster().RetireObjects(sh.Base, sh.Span)
 		}
 	}
-	if mv.Kind == MoveAdd {
-		_ = rt.DeleteRetiredRoute(mv.Shard)
-	}
 	c.markAborted(en, owner, cause)
-	if mv.Kind == MoveAdd {
-		return ev, fmt.Errorf("add of %q aborted: %w", mv.Shard, cause)
-	}
 	return ev, fmt.Errorf("migration of %v aborted: %w", mv, cause)
 }
 
@@ -850,8 +792,14 @@ func latestOf(r Runner, src *shard.Shard) (value.Value, register.Timestamp, erro
 	return v, ts, err
 }
 
-// driveMigrate executes (or resumes) the shared split/drain/merge protocol.
-func (c *Coordinator) driveMigrate(r Runner, en *moveEntry, owner int64) (Event, error) {
+// drive executes (or resumes) the split/drain/merge protocol. An entry whose
+// previous driver died mid-rollback resumes the rollback, never the forward
+// path: the abort cause is already recorded, and re-running forward steps
+// against a half-unwound table would corrupt it.
+func (c *Coordinator) drive(r Runner, en *moveEntry, owner int64) (Event, error) {
+	if en.Aborting {
+		return c.driveAbort(r, en, owner, eventOf(en.MoveState), errors.New(en.AbortReason))
+	}
 	set, rt := c.set, c.set.Router()
 	mv := en.Move
 
@@ -1091,189 +1039,6 @@ func (c *Coordinator) driveMigrate(r Runner, en *moveEntry, owner int64) (Event,
 		}
 	}
 	if !c.finish(en, owner, ev, len(succs)) {
-		return ev, errSuperseded
-	}
-	return ev, nil
-}
-
-// driveAdd executes (or resumes) the dedicated-fork protocol: install a
-// dedicated shard for exactly the move's key, forked from the register the
-// key routes to. The origin keeps serving its other keys (it is not
-// drained): the fork point is the origin's latest value at seed time.
-func (c *Coordinator) driveAdd(r Runner, en *moveEntry, owner int64) (Event, error) {
-	set, rt := c.set, c.set.Router()
-	key := en.Move.Shard
-
-	if en.Step < StepGrowRegions {
-		origin := set.ForKey(key)
-		if _, err := asTimestamped(origin); err != nil {
-			c.markAborted(en, owner, err)
-			return Event{}, err
-		}
-		sh, err := set.AddRegion(shard.Spec{Name: key, Algorithm: origin.Algorithm, Config: origin.Reg.Config()})
-		if err != nil {
-			c.markAborted(en, owner, err)
-			return Event{}, err
-		}
-		if _, ok := sh.Reg.(register.SeedWriter); !ok {
-			err := fmt.Errorf("successor %q (register %s): %w", sh.Name, sh.Reg.Name(), ErrNoSeedWriter)
-			c.retireRegions([]string{sh.Name})
-			c.markAborted(en, owner, err)
-			return Event{}, err
-		}
-		if !c.advance(en, owner, StepGrowRegions, func(st *MoveState) { st.Successors = []string{key} }) {
-			return Event{}, errSuperseded
-		}
-	}
-	succ := set.Region(key)
-	if succ == nil {
-		return Event{}, fmt.Errorf("reconfig: successor region %q vanished", key)
-	}
-
-	if en.Step < StepTableFlip {
-		originRoute, epoch, err := rt.InstallDedicated(succ)
-		if err != nil {
-			rt.MarkRetired(succ.Name)
-			_ = set.Cluster().RetireObjects(succ.Base, succ.Span)
-			c.markAborted(en, owner, err)
-			return Event{}, err
-		}
-		flipStep := set.Cluster().LogicalTime()
-		if !c.advance(en, owner, StepTableFlip, func(st *MoveState) {
-			st.Sources = []string{originRoute.Shard().Name}
-			st.Epoch, st.FlipStep = epoch, flipStep
-		}) {
-			return Event{}, errSuperseded
-		}
-	}
-	ev := eventOf(en.MoveState)
-	originName := en.Sources[0]
-	originSh := set.Shard(originName)
-	// abort rolls the flipped fork back via the resumable, checkpointed
-	// rollback. driveAbort releases the origin's write hold itself, so the
-	// pre-hold and post-hold failure paths share one rollback.
-	abort := func(cause error) (Event, error) {
-		return c.driveAbort(r, en, owner, ev, cause)
-	}
-
-	// The fork read must supersede every completed write to the key, and a
-	// write pinned to the origin pre-flip could still be in flight. The origin
-	// stays routed for its other keys, so it cannot be drained by starvation
-	// alone: hold its new write admissions, wait out the in-flight ones, read
-	// the settled value, then reopen. Reads are unaffected throughout.
-	//
-	// The hold is lifted only when the move ends — completion or abort. An
-	// interrupted driver leaves it in place: releasing on interruption would
-	// admit writes in the gap before Resume takes over, and a gap write still
-	// in flight when the resumed driver reads the fork point could complete
-	// into the origin after the seed captured an older value. Resume
-	// re-asserts the hold (idempotent) and re-waits the drain regardless of
-	// the recorded step for the same reason.
-	if !c.owns(en, owner) {
-		return ev, errSuperseded
-	}
-	if err := rt.HoldWrites(originName); err != nil {
-		return abort(err)
-	}
-	if err := r.Wait(func() bool { return c.writesDrained([]string{originName}) }); err != nil {
-		return c.stepErr(en, owner, ev, err, abort)
-	}
-	if !c.advance(en, owner, StepDrain, nil) {
-		return ev, errSuperseded
-	}
-	if en.Step < StepChooseValue {
-		latest, _, err := latestOf(r, originSh)
-		if err != nil {
-			return c.stepErr(en, owner, ev, err, abort)
-		}
-		if !c.advance(en, owner, StepChooseValue, func(st *MoveState) {
-			st.Winner, st.SeedValue, st.SeedChosen = originName, latest, true
-		}) {
-			return ev, errSuperseded
-		}
-	}
-	if en.Step < StepSeed {
-		latest, ok := c.seedValue(en)
-		if !ok {
-			return abort(fmt.Errorf("ledger entry reached seeding with no recorded value"))
-		}
-		if err := seedInto(r, succ, latest); err != nil {
-			return c.stepErr(en, owner, ev, err, abort)
-		}
-		if !c.advance(en, owner, StepSeed, nil) {
-			return ev, errSuperseded
-		}
-	}
-	if en.Step < StepActivate {
-		if !c.owns(en, owner) {
-			return ev, errSuperseded
-		}
-		rt.MarkSeeded(succ.Name)
-		if !c.advance(en, owner, StepActivate, nil) {
-			return ev, errSuperseded
-		}
-	}
-	if !c.finish(en, owner, ev, 1) {
-		return ev, errSuperseded
-	}
-	rt.ReleaseHold(originName)
-	return ev, nil
-}
-
-// driveRemove executes (or resumes) the drop of a dedicated shard: its key
-// rejoins hash routing and the dedicated register is discarded once drained.
-func (c *Coordinator) driveRemove(r Runner, en *moveEntry, owner int64) (Event, error) {
-	set, rt := c.set, c.set.Router()
-	name := en.Move.Shard
-	if set.Shard(name) == nil {
-		cause := fmt.Errorf("%w %q", shard.ErrUnknownShard, name)
-		c.markAborted(en, owner, cause)
-		return Event{}, cause
-	}
-
-	if en.Step < StepTableFlip {
-		epoch, err := rt.UnrouteDedicated(name)
-		if err != nil {
-			c.markAborted(en, owner, err)
-			return Event{}, err
-		}
-		flipStep := set.Cluster().LogicalTime()
-		if !c.advance(en, owner, StepTableFlip, func(st *MoveState) { st.Epoch, st.FlipStep = epoch, flipStep }) {
-			return Event{}, errSuperseded
-		}
-	}
-	ev := eventOf(en.MoveState)
-
-	// No rollback exists past the unroute (the key already rehashed); every
-	// failure from here is an interruption Resume finishes.
-	if en.Step < StepDrain {
-		err := r.Wait(func() bool {
-			return c.writesDrained([]string{name}) && c.readsDrained([]string{name})
-		})
-		if err != nil {
-			return c.interrupt(en, owner, ev, err)
-		}
-		if !c.advance(en, owner, StepDrain, nil) {
-			return ev, errSuperseded
-		}
-	}
-	if en.Step < StepRetire {
-		if !c.owns(en, owner) {
-			return ev, errSuperseded
-		}
-		if err := set.RetireShard(name); err != nil {
-			return c.interrupt(en, owner, ev, err)
-		}
-		// Unregister the route so the key can be forked onto a fresh dedicated
-		// shard again later.
-		if err := rt.DeleteRetiredRoute(name); err != nil {
-			return c.interrupt(en, owner, ev, err)
-		}
-		if !c.advance(en, owner, StepRetire, nil) {
-			return ev, errSuperseded
-		}
-	}
-	if !c.finish(en, owner, ev, 0) {
 		return ev, errSuperseded
 	}
 	return ev, nil

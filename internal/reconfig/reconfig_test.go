@@ -200,64 +200,6 @@ func TestSplitUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestAddAndRemoveDedicatedShard forks a hot key onto its own shard and drops
-// it again.
-func TestAddAndRemoveDedicatedShard(t *testing.T) {
-	set := newSet(t, 2)
-	defer set.Close()
-	co := NewCoordinator(set)
-	runner := NewLiveRunner(set, 1<<28)
-
-	origin := set.ForKey("hot")
-	seedVal := value.Sequenced(1, 1, dataLen)
-	if err := set.Write(1, "hot", seedVal); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Apply(runner, Move{Kind: MoveAdd, Shard: "hot"}); err != nil {
-		t.Fatal(err)
-	}
-	if set.ForKey("hot").Name != "hot" {
-		t.Fatalf("key routes to %q after add", set.ForKey("hot").Name)
-	}
-	got, err := set.Read(2, "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(seedVal) {
-		t.Fatalf("dedicated shard read %v, want forked %v", got, seedVal)
-	}
-	// Writes to the dedicated key no longer touch the origin register.
-	if err := set.Write(1, "hot", value.Sequenced(1, 2, dataLen)); err != nil {
-		t.Fatal(err)
-	}
-	originVal, err := set.ReadValue(3, origin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !originVal.Equal(seedVal) {
-		t.Fatalf("origin register changed after dedicated write: %v", originVal)
-	}
-
-	if _, err := co.Apply(runner, Move{Kind: MoveRemove, Shard: "hot"}); err != nil {
-		t.Fatal(err)
-	}
-	if set.ForKey("hot").Name == "hot" {
-		t.Fatal("key still routes to the removed dedicated shard")
-	}
-	// The namespace was dropped: the key reads the origin's register again.
-	got, err = set.Read(4, "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(seedVal) {
-		t.Fatalf("post-remove read = %v, want origin value %v", got, seedVal)
-	}
-	st := co.Stats()
-	if st.Adds != 1 || st.Removes != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestMoveValidation exercises the error paths.
 func TestMoveValidation(t *testing.T) {
 	set := newSet(t, 1)
@@ -268,8 +210,16 @@ func TestMoveValidation(t *testing.T) {
 	if _, err := co.Apply(runner, Move{Kind: MoveSplit, Shard: "nope"}); err == nil {
 		t.Fatal("split of unknown shard accepted")
 	}
-	if _, err := co.Apply(runner, Move{Kind: MoveRemove, Shard: "s0"}); err == nil {
-		t.Fatal("remove of non-dedicated shard accepted")
+	// Kinds 3 and 4 were the dedicated-key add and remove; no build drives
+	// them any more.
+	opened := len(co.Ledger())
+	for _, k := range []MoveKind{0, 3, 4, 99} {
+		if _, err := co.Apply(runner, Move{Kind: k, Shard: "s0"}); err == nil {
+			t.Fatalf("move of kind %v accepted", k)
+		}
+	}
+	if co.InFlight() != nil || len(co.Ledger()) != opened {
+		t.Fatalf("rejected shapes opened ledger entries: %+v", co.Ledger())
 	}
 	if _, err := co.Apply(runner, Move{Kind: MoveSplit, Shard: "s0"}); err != nil {
 		t.Fatal(err)
@@ -343,76 +293,6 @@ func TestAbortedSplitCanBeRetried(t *testing.T) {
 	}
 	if st := co.Stats(); st.Splits != 1 {
 		t.Fatalf("stats after abort+retry = %+v", st)
-	}
-}
-
-// TestAddDrainsOriginWrites pins the fork-read ordering: a write that was
-// admitted to the origin before the fork flip must be visible in the
-// dedicated shard's seed. The origin's writes are held and drained while the
-// migration writer reads, so a slow in-flight write cannot be lost.
-func TestAddDrainsOriginWrites(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		set := newSet(t, 1)
-		co := NewCoordinator(set)
-		runner := NewLiveRunner(set, 1<<28)
-
-		last := value.Sequenced(1, round+1, dataLen)
-		done := make(chan error, 1)
-		go func() { done <- set.Write(1, "hot", last) }()
-		if _, err := co.Apply(runner, Move{Kind: MoveAdd, Shard: "hot"}); err != nil {
-			set.Close()
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			set.Close()
-			t.Fatal(err)
-		}
-		got, err := set.Read(2, "hot")
-		if err != nil {
-			set.Close()
-			t.Fatal(err)
-		}
-		// The concurrent write either landed before the fork (the seed carries
-		// it) or was held and re-routed to the dedicated shard — either way a
-		// completed write must be readable, never lost.
-		if !got.Equal(last) {
-			set.Close()
-			t.Fatalf("round %d: completed write lost across fork: read %v, want %v", round, got, last)
-		}
-		set.Close()
-	}
-}
-
-// TestDedicatedShardCanBeReAdded removes a dedicated shard and forks the same
-// key again: the remove must free the name (it equals the key, so it cannot
-// be suffixed like split successors).
-func TestDedicatedShardCanBeReAdded(t *testing.T) {
-	set := newSet(t, 1)
-	defer set.Close()
-	co := NewCoordinator(set)
-	runner := NewLiveRunner(set, 1<<28)
-
-	for round := 1; round <= 3; round++ {
-		if _, err := co.Apply(runner, Move{Kind: MoveAdd, Shard: "hot"}); err != nil {
-			t.Fatalf("add round %d: %v", round, err)
-		}
-		want := value.Sequenced(round, 1, dataLen)
-		if err := set.Write(round, "hot", want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := set.Read(10+round, "hot")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("round %d: dedicated read %v, want %v", round, got, want)
-		}
-		if _, err := co.Apply(runner, Move{Kind: MoveRemove, Shard: "hot"}); err != nil {
-			t.Fatalf("remove round %d: %v", round, err)
-		}
-	}
-	if st := co.Stats(); st.Adds != 3 || st.Removes != 3 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -611,28 +491,12 @@ func (r *interruptRunner) Checkpoint() error {
 func TestInterruptedMovesResumeAtEveryStep(t *testing.T) {
 	moves := []struct {
 		name string
-		prep func(t *testing.T, set *shard.Set, co *Coordinator, r Runner)
 		mv   Move
 		key  string // key to read back afterwards
 	}{
 		{name: "split", mv: Move{Kind: MoveSplit, Shard: "s0"}, key: "s0"},
 		{name: "drain", mv: Move{Kind: MoveDrain, Shard: "s0"}, key: "s0"},
 		{name: "merge", mv: Move{Kind: MoveMerge, Shard: "s0", Shard2: "s1"}, key: "s0"},
-		{
-			name: "add",
-			mv:   Move{Kind: MoveAdd, Shard: "hot"},
-			key:  "hot",
-		},
-		{
-			name: "remove",
-			prep: func(t *testing.T, set *shard.Set, co *Coordinator, r Runner) {
-				if _, err := co.Apply(r, Move{Kind: MoveAdd, Shard: "hot"}); err != nil {
-					t.Fatal(err)
-				}
-			},
-			mv:  Move{Kind: MoveRemove, Shard: "hot"},
-			key: "hot",
-		},
 	}
 	for _, tc := range moves {
 		t.Run(tc.name, func(t *testing.T) {
@@ -640,9 +504,6 @@ func TestInterruptedMovesResumeAtEveryStep(t *testing.T) {
 				set := newSet(t, 2)
 				co := NewCoordinator(set)
 				clean := NewLiveRunner(set, 1<<28)
-				if tc.prep != nil {
-					tc.prep(t, set, co, clean)
-				}
 				want := value.Sequenced(7, budget+1, dataLen)
 				if err := set.Write(7, tc.key, want); err != nil {
 					set.Close()
@@ -664,17 +525,6 @@ func TestInterruptedMovesResumeAtEveryStep(t *testing.T) {
 					set.Close()
 					t.Fatalf("budget %d: interrupted move not in flight: %+v", budget, fl)
 				}
-				// An interrupted add must keep the origin's writes held: a
-				// write admitted before Resume re-drives the move could still
-				// be in flight when the fork point is read, and the seed
-				// would miss it.
-				if tc.name == "add" && len(fl.Sources) == 1 {
-					if _, held, err := set.Router().TryAcquireWrite(99, fl.Sources[0]); err != nil || !held {
-						set.Close()
-						t.Fatalf("budget %d: interrupted add left origin %q unheld (held=%v err=%v)",
-							budget, fl.Sources[0], held, err)
-					}
-				}
 				resumed, _, err := co.Resume(clean)
 				if err != nil || !resumed {
 					set.Close()
@@ -691,7 +541,7 @@ func TestInterruptedMovesResumeAtEveryStep(t *testing.T) {
 					set.Close()
 					t.Fatalf("budget %d: post-resume read: %v", budget, err)
 				}
-				if tc.name != "remove" && !got.Equal(want) {
+				if !got.Equal(want) {
 					set.Close()
 					t.Fatalf("budget %d: post-resume read = %v, want %v", budget, got, want)
 				}
@@ -783,21 +633,22 @@ func TestMergeAbortRollsBack(t *testing.T) {
 	}
 }
 
-// TestApplyPlanAndEvents drives a plan through the coordinator and checks the
-// event log and ledger rendering (the strings feed simulator fingerprints, so
-// every status shape must render).
-func TestApplyPlanAndEvents(t *testing.T) {
+// TestApplyLoopAndEvents drives a sequence of moves through the coordinator
+// and checks the event log and ledger rendering (the strings feed simulator
+// fingerprints, so every status shape must render).
+func TestApplyLoopAndEvents(t *testing.T) {
 	set := newSet(t, 2)
 	defer set.Close()
 	co := NewCoordinator(set)
 	runner := NewLiveRunner(set, 1<<28)
 
-	plan := Plan{Moves: []Move{
+	for _, mv := range []Move{
 		{Kind: MoveSplit, Shard: "s0"},
 		{Kind: MoveMerge, Shard: "s0/0", Shard2: "s0/1"},
-	}}
-	if err := co.ApplyPlan(runner, plan); err != nil {
-		t.Fatal(err)
+	} {
+		if _, err := co.Apply(runner, mv); err != nil {
+			t.Fatalf("%v: %v", mv, err)
+		}
 	}
 	evs := co.Events()
 	if len(evs) != 2 || evs[0].Kind != MoveSplit || evs[1].Kind != MoveMerge {
@@ -806,7 +657,7 @@ func TestApplyPlanAndEvents(t *testing.T) {
 	if evs[1].String() == "" || evs[1].Shard2 != "s0/1" {
 		t.Fatalf("merge event = %+v", evs[1])
 	}
-	if err := co.ApplyPlan(runner, Plan{Moves: []Move{{Kind: MoveKind(99)}}}); err == nil {
+	if _, err := co.Apply(runner, Move{Kind: MoveKind(99)}); err == nil {
 		t.Fatal("unknown move kind accepted")
 	}
 	for _, m := range co.Ledger() {
@@ -819,7 +670,7 @@ func TestApplyPlanAndEvents(t *testing.T) {
 			t.Fatalf("empty move rendering for %+v", mv)
 		}
 	}
-	for _, k := range []MoveKind{MoveSplit, MoveDrain, MoveAdd, MoveRemove, MoveMerge, MoveKind(99)} {
+	for _, k := range []MoveKind{MoveSplit, MoveDrain, MoveMerge, MoveKind(99)} {
 		if k.String() == "" {
 			t.Fatalf("empty kind rendering for %d", int(k))
 		}
@@ -1036,7 +887,6 @@ func TestAbortInterruptedMidRollbackResumes(t *testing.T) {
 		{name: "split", mv: Move{Kind: MoveSplit, Shard: "s0"}, key: "s0"},
 		{name: "drain", mv: Move{Kind: MoveDrain, Shard: "s0"}, key: "s0"},
 		{name: "merge", mv: Move{Kind: MoveMerge, Shard: "s0", Shard2: "s1"}, key: "s0"},
-		{name: "add", mv: Move{Kind: MoveAdd, Shard: "hot"}, key: "hot"},
 	}
 	for _, tc := range moves {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1135,9 +985,7 @@ func TestAbortInterruptedMidRollbackResumes(t *testing.T) {
 						t.Fatalf("failAt %d budget %d: ledger entry = %+v", failAt, budget, last)
 					}
 					// No route may be left mid-lifecycle, and the rolled-back
-					// (or completed) topology must serve reads and writes —
-					// for an aborted add this doubles as the proof the
-					// origin's write hold was released.
+					// (or completed) topology must serve reads and writes.
 					for _, name := range set.Router().Names() {
 						st := set.Router().RouteOf(name).State()
 						if st == shard.RouteSeeding || st == shard.RouteDraining {
@@ -1157,7 +1005,7 @@ func TestAbortInterruptedMidRollbackResumes(t *testing.T) {
 					}
 					if aborted {
 						// The aborted move must be retryable on the restored
-						// topology (burned names freed or suffixed away).
+						// topology (burned names suffixed away).
 						if _, err := co.Apply(clean, tc.mv); err != nil {
 							set.Close()
 							t.Fatalf("failAt %d budget %d: retry after abort: %v", failAt, budget, err)

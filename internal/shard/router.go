@@ -56,20 +56,16 @@ type Route struct {
 	// has two parents; `parent` is finalized to the merge winner when the
 	// seed's value ordering is decided (SetMergeWinner).
 	parent string
-	// parents lists every migration predecessor (one for split/drain/add
+	// parents lists every migration predecessor (one for split/drain
 	// successors, two for a merge successor, nil for an original shard).
 	parents     []string
 	depth       int   // split depth, salts the child-selection hash
 	installedAt int64 // routing epoch this route was installed in (0 for roots)
-	dedicated   bool  // installed by AddShard for one exact key
-	unrouted    bool  // dedicated route removed from the table (being retired)
+	unrouted    bool  // successor of an aborted split, drain or merge: out of the table
 
-	state RouteState
-	// heldForFork holds writes on an active route while a dedicated fork of
-	// one of its keys drains and seeds (reads continue; see HoldWrites).
-	heldForFork bool
-	from        *Route   // primary fallback target while state == RouteSeeding
-	children    []*Route // set once this route was split or merged; routing descends
+	state    RouteState
+	from     *Route   // primary fallback target while state == RouteSeeding
+	children []*Route // set once this route was split or merged; routing descends
 
 	// writePins / readPins track in-flight operations by client ID. Draining
 	// waits for them — ignoring clients the scheduler has crashed, whose pins
@@ -141,7 +137,7 @@ func newRouter(shards []*Shard) *Router {
 	r := &Router{byName: make(map[string]*Route, len(shards))}
 	r.cond = sync.NewCond(&r.mu)
 	for _, sh := range shards {
-		e := r.newRoute(sh, "", 0, false)
+		e := r.newRoute(sh, "", 0)
 		e.state = RouteActive
 		r.roots = append(r.roots, e)
 	}
@@ -150,9 +146,9 @@ func newRouter(shards []*Shard) *Router {
 
 // newRoute allocates and registers a route. Callers must hold r.mu (or be the
 // constructor).
-func (r *Router) newRoute(sh *Shard, parent string, depth int, dedicated bool) *Route {
+func (r *Router) newRoute(sh *Shard, parent string, depth int) *Route {
 	e := &Route{
-		sh: sh, parent: parent, depth: depth, dedicated: dedicated,
+		sh: sh, parent: parent, depth: depth,
 		writePins: make(map[int]int), readPins: make(map[int]int), r: r,
 	}
 	if parent != "" {
@@ -241,7 +237,7 @@ func (r *Router) TryAcquireWrite(client int, key string) (ref *Route, held bool,
 		return nil, false, fmt.Errorf("shard: router closed")
 	}
 	e := r.resolveLocked(key)
-	if e.state == RouteSeeding || e.heldForFork {
+	if e.state == RouteSeeding {
 		r.heldWrites++
 		return nil, true, nil
 	}
@@ -261,7 +257,7 @@ func (r *Router) AwaitAcquireWrite(client int, key string) (*Route, error) {
 			return nil, fmt.Errorf("shard: router closed")
 		}
 		e := r.resolveLocked(key)
-		if e.state != RouteSeeding && !e.heldForFork {
+		if e.state != RouteSeeding {
 			e.writePins[client]++
 			return e, nil
 		}
@@ -303,8 +299,8 @@ func (r *Router) AcquireRead(client int, key string) (ref, fb *Route, err error)
 	if e.state == RouteSeeding {
 		cand := via
 		if cand == nil {
-			// Reached directly (a dedicated fork, or the key names the
-			// successor itself): fall back to the primary predecessor.
+			// Reached directly (the key names the successor itself): fall
+			// back to the primary predecessor.
 			cand = e.from
 		}
 		if cand != nil && cand.state != RouteRetired {
@@ -364,7 +360,7 @@ func (r *Router) InstallSuccessors(name string, succs []*Shard) (int64, error) {
 	}
 	r.epoch++
 	for _, sh := range succs {
-		c := r.newRoute(sh, name, e.depth+1, e.dedicated)
+		c := r.newRoute(sh, name, e.depth+1)
 		c.state = RouteSeeding
 		c.from = e
 		c.installedAt = r.epoch
@@ -400,8 +396,6 @@ func (r *Router) InstallMergeSuccessor(a, b string, succ *Shard) (int64, error) 
 			return 0, fmt.Errorf("shard: shard %q is %v, not active", name, e.state)
 		case len(e.children) > 0:
 			return 0, fmt.Errorf("shard: shard %q was already split", name)
-		case e.dedicated:
-			return 0, fmt.Errorf("shard: dedicated shard %q cannot be merged (remove it instead)", name)
 		}
 		sources[i] = e
 	}
@@ -417,7 +411,7 @@ func (r *Router) InstallMergeSuccessor(a, b string, succ *Shard) (int64, error) 
 	// ordering picks the winner (SetMergeWinner): reporting a default winner
 	// would fabricate ancestry in the diagnostics of a run that stranded the
 	// merge before the choice.
-	c := r.newRoute(succ, "", depth+1, false)
+	c := r.newRoute(succ, "", depth+1)
 	c.parents = []string{a, b}
 	c.state = RouteSeeding
 	c.from = sources[0]
@@ -493,99 +487,6 @@ func (r *Router) AbortSuccessors(name string) {
 	r.cond.Broadcast()
 }
 
-// InstallDedicated installs a seeding dedicated route for exactly the key
-// sh.Name, migrating from whatever route the key resolves to today. The
-// origin stays active (it keeps serving its other keys); the new shard is a
-// fork of the origin's register seeded by the migration writer.
-func (r *Router) InstallDedicated(sh *Shard) (origin *Route, epoch int64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, 0, fmt.Errorf("shard: router closed")
-	}
-	if _, dup := r.byName[sh.Name]; dup {
-		return nil, 0, fmt.Errorf("shard: shard %q already exists", sh.Name)
-	}
-	origin = r.resolveLocked(sh.Name)
-	if origin.state != RouteActive {
-		return nil, 0, fmt.Errorf("shard: origin %q of dedicated shard %q is %v, not active",
-			origin.sh.Name, sh.Name, origin.state)
-	}
-	r.epoch++
-	e := r.newRoute(sh, origin.sh.Name, 0, true)
-	e.state = RouteSeeding
-	e.from = origin
-	e.installedAt = r.epoch
-	r.cond.Broadcast()
-	return origin, r.epoch, nil
-}
-
-// HoldWrites holds new write acquisitions on an active route without
-// changing its routing: a dedicated fork drains the origin's in-flight
-// writes and seeds from its settled value while reads continue. ReleaseHold
-// reopens writes.
-func (r *Router) HoldWrites(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.byName[name]
-	if !ok {
-		return fmt.Errorf("shard: unknown shard %q", name)
-	}
-	e.heldForFork = true
-	return nil
-}
-
-// ReleaseHold lifts a HoldWrites.
-func (r *Router) ReleaseHold(name string) {
-	r.mu.Lock()
-	if e, ok := r.byName[name]; ok {
-		e.heldForFork = false
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// AbortDedicated rolls back an InstallDedicated whose seeding failed: the
-// route is unrouted and retired, and its key keeps resolving to the origin.
-// Safe for the same reason AbortSuccessors is — writes were held throughout.
-func (r *Router) AbortDedicated(name string) {
-	r.mu.Lock()
-	if e, ok := r.byName[name]; ok && e.dedicated && e.state == RouteSeeding {
-		e.state = RouteRetired
-		e.from = nil
-		e.unrouted = true
-		r.epoch++
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// UnrouteDedicated removes a dedicated route from the table: its key falls
-// back to hash routing. The shard's register is discarded once drained —
-// removing a dedicated shard drops its namespace, it does not merge values
-// back.
-func (r *Router) UnrouteDedicated(name string) (int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, fmt.Errorf("shard: router closed")
-	}
-	e, ok := r.byName[name]
-	switch {
-	case !ok:
-		return 0, fmt.Errorf("shard: unknown shard %q", name)
-	case !e.dedicated:
-		return 0, fmt.Errorf("shard: shard %q is not a dedicated shard", name)
-	case e.state != RouteActive:
-		return 0, fmt.Errorf("shard: shard %q is %v, not active", name, e.state)
-	}
-	e.unrouted = true
-	e.state = RouteDraining
-	r.epoch++
-	r.cond.Broadcast()
-	return r.epoch, nil
-}
-
 // WritesDrained reports whether no write is pinned to the route by a client
 // that is still alive. Pins of crashed clients are excluded: a client crashed
 // mid-operation can never release its pin, and its surviving in-flight RMWs
@@ -645,29 +546,6 @@ func (r *Router) MarkRetired(name string) {
 	}
 	r.mu.Unlock()
 	r.cond.Broadcast()
-}
-
-// DeleteRetiredRoute unregisters a retired, childless dedicated route so its
-// name — which for a dedicated shard must equal the key and therefore cannot
-// be suffixed like split successors — can be reused by a later AddShard.
-func (r *Router) DeleteRetiredRoute(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.byName[name]
-	switch {
-	case !ok:
-		return fmt.Errorf("shard: unknown shard %q", name)
-	case !e.dedicated || e.state != RouteRetired || len(e.children) > 0:
-		return fmt.Errorf("shard: route %q is not a retired dedicated leaf", name)
-	}
-	delete(r.byName, name)
-	for i, n := range r.order {
-		if n == name {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return nil
 }
 
 // Pins reports the clients currently holding read and write pins on the

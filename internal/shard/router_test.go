@@ -293,11 +293,11 @@ func TestMergeInstallValidation(t *testing.T) {
 	}
 }
 
-// TestRouterDedicatedLifecycle drives the dedicated add/remove cycle and the
-// introspection surface at the router level: install, hold, unroute, delete,
-// abort, and the name/region listings reconfiguration and the adversary
-// consume.
-func TestRouterDedicatedLifecycle(t *testing.T) {
+// TestRouterSuccessorLifecycle drives a successor route through the router's
+// lifecycle and introspection surface: install, held writes while seeding,
+// activation, the name/region/lineage listings reconfiguration and the
+// adversary consume, and the rollback of a flip that never activated.
+func TestRouterSuccessorLifecycle(t *testing.T) {
 	set, err := shard.New(specsNamed(2, "s%d"))
 	if err != nil {
 		t.Fatal(err)
@@ -308,46 +308,37 @@ func TestRouterDedicatedLifecycle(t *testing.T) {
 	if got := rt.Epoch(); got != 0 {
 		t.Fatalf("fresh epoch = %d", got)
 	}
-	ded, err := set.AddRegion(shard.Spec{
-		Name: "hot", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16},
+	succ, err := set.AddRegion(shard.Spec{
+		Name: "s0/0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	origin, epoch, err := rt.InstallDedicated(ded)
+	epoch, err := rt.InstallSuccessors("s0", []*shard.Shard{succ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || origin == nil {
-		t.Fatalf("InstallDedicated = %v, %d", origin, epoch)
+	if epoch != 1 {
+		t.Fatalf("InstallSuccessors epoch = %d", epoch)
 	}
-	if got := rt.RouteOf("hot").InstalledAt(); got != 1 {
+	if got := rt.RouteOf("s0/0").InstalledAt(); got != 1 {
 		t.Fatalf("InstalledAt = %d", got)
 	}
-	// Holding the origin makes write acquisition report held; releasing
-	// reopens it, and the held counter advanced.
-	if err := rt.HoldWrites(origin.Shard().Name); err != nil {
-		t.Fatal(err)
-	}
-	if _, held, err := rt.TryAcquireWrite(3, origin.Shard().Name); err != nil || !held {
-		t.Fatalf("write admitted through a hold: held=%v err=%v", held, err)
-	}
-	rt.ReleaseHold(origin.Shard().Name)
-	if ref, held, err := rt.TryAcquireWrite(3, origin.Shard().Name); err != nil || held {
-		t.Fatalf("write held after release: held=%v err=%v", held, err)
-	} else {
-		rt.ReleaseWrite(ref, 3)
+	// A seeding successor holds writes and counts them; activation admits them.
+	if _, held, err := rt.TryAcquireWrite(3, "s0"); err != nil || !held {
+		t.Fatalf("write admitted to a seeding successor: held=%v err=%v", held, err)
 	}
 	if rt.HeldWrites() == 0 {
 		t.Fatal("held-writes counter did not advance")
 	}
-	if err := rt.HoldWrites("nope"); err == nil {
-		t.Fatal("hold on unknown shard accepted")
-	}
-
-	rt.MarkSeeded("hot")
-	if got := rt.RouteOf("hot").State(); got != shard.RouteActive {
+	rt.MarkSeeded("s0/0")
+	if got := rt.RouteOf("s0/0").State(); got != shard.RouteActive {
 		t.Fatalf("seeded route state = %v", got)
+	}
+	if ref, held, err := rt.TryAcquireWrite(3, "s0"); err != nil || held || ref.Shard().Name != "s0/0" {
+		t.Fatalf("write after activation: held=%v err=%v", held, err)
+	} else {
+		rt.ReleaseWrite(ref, 3)
 	}
 	// Lifecycle state strings render for every state (they feed reports).
 	for _, s := range []shard.RouteState{shard.RouteActive, shard.RouteSeeding, shard.RouteDraining, shard.RouteRetired, shard.RouteState(99)} {
@@ -356,74 +347,44 @@ func TestRouterDedicatedLifecycle(t *testing.T) {
 		}
 	}
 
-	// The listings see three routes, all leaves, the dedicated one active.
+	// The listings see three routes; the split source is no longer a leaf.
 	if names := rt.Names(); len(names) != 3 {
 		t.Fatalf("Names = %v", names)
 	}
-	if leaves := rt.ActiveLeafNames(); len(leaves) != 3 {
+	if leaves := rt.ActiveLeafNames(); len(leaves) != 2 {
 		t.Fatalf("ActiveLeafNames = %v", leaves)
 	}
-	if leaves := rt.LeafNames(); len(leaves) != 3 {
+	if leaves := rt.LeafNames(); len(leaves) != 2 {
 		t.Fatalf("LeafNames = %v", leaves)
 	}
 	if regions := rt.Regions(); len(regions) != 3 {
 		t.Fatalf("Regions = %v", regions)
 	}
-	if lin := rt.Lineage("hot"); len(lin) != 2 || lin[0] != origin.Shard().Name {
-		t.Fatalf("Lineage(hot) = %v", lin)
+	if lin := rt.Lineage("s0/0"); len(lin) != 2 || lin[0] != "s0" {
+		t.Fatalf("Lineage(s0/0) = %v", lin)
 	}
 	if pruned := rt.PrunedBranches(); len(pruned) != 0 {
 		t.Fatalf("PrunedBranches = %v", pruned)
 	}
 
-	// Unroute, retire, delete: the key rehashes and the name frees up.
-	if _, err := rt.UnrouteDedicated(origin.Shard().Name); err == nil {
-		t.Fatal("unroute of non-dedicated shard accepted")
-	}
-	if _, err := rt.UnrouteDedicated("hot"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.DeleteRetiredRoute("hot"); err == nil {
-		t.Fatal("delete of non-retired route accepted")
-	}
-	rt.MarkRetired("hot")
-	if err := rt.DeleteRetiredRoute("hot"); err != nil {
-		t.Fatal(err)
-	}
-	if rt.RouteOf("hot") != nil {
-		t.Fatal("deleted route still registered")
-	}
-
-	// A fresh dedicated install can be aborted cleanly.
-	ded2, err := set.AddRegion(shard.Spec{
-		Name: "hot", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16},
+	// AbortSuccessors rolls a flip back at the router level.
+	succ2, err := set.AddRegion(shard.Spec{
+		Name: "s1/0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rt.InstallDedicated(ded2); err != nil {
+	if _, err := rt.InstallSuccessors("s1", []*shard.Shard{succ2}); err != nil {
 		t.Fatal(err)
 	}
-	rt.AbortDedicated("hot")
-	if got := rt.RouteOf("hot").State(); got != shard.RouteRetired {
-		t.Fatalf("aborted dedicated route state = %v", got)
+	rt.AbortSuccessors("s1")
+	if got := rt.RouteOf("s1").State(); got != shard.RouteActive {
+		t.Fatalf("aborted split left s1 %v", got)
 	}
-
-	// AbortSuccessors rolls a split flip back at the router level.
-	succ, err := set.AddRegion(shard.Spec{
-		Name: "s0/0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 16},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.InstallSuccessors("s0", []*shard.Shard{succ}); err != nil {
-		t.Fatal(err)
-	}
-	rt.AbortSuccessors("s0")
-	if got := rt.RouteOf("s0").State(); got != shard.RouteActive {
-		t.Fatalf("aborted split left s0 %v", got)
-	}
-	if got := rt.RouteOf("s0/0").State(); got != shard.RouteRetired {
+	if got := rt.RouteOf("s1/0").State(); got != shard.RouteRetired {
 		t.Fatalf("aborted successor state = %v", got)
+	}
+	if got := set.ForKey("s1/0").Name; got == "s1/0" {
+		t.Fatal("an aborted successor's name still routes to it")
 	}
 }

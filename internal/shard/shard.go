@@ -7,10 +7,10 @@
 // internal/dsys touch only the shard's own objects.
 //
 // Since the reconfiguration subsystem landed, routing is an epoch-stamped
-// table (Router) instead of a static map: shards can be split, drained onto
-// fresh base objects, added for dedicated keys, and retired at runtime, with
-// a migration writer carrying each register's latest value across the epoch
-// boundary (see internal/reconfig and DESIGN.md "Reconfiguration").
+// table (Router) instead of a static map: shards can be split, merged,
+// drained onto fresh base objects, and retired at runtime, with a migration
+// writer carrying each register's latest value across the epoch boundary (see
+// internal/reconfig and DESIGN.md "Reconfiguration").
 //
 // Storage accounting remains exact: the cluster's snapshot attributes bits to
 // base objects by global ID, and a shard's cost is the sum over its region,
@@ -200,7 +200,7 @@ func (s *Set) Router() *Router { return s.router }
 // AddRegion builds the register named by spec, extends the live cluster with
 // its initial base-object states, and returns the new shard. The shard is not
 // routed yet — reconfiguration moves install it into the table (as a split
-// successor, a drain replacement, or a dedicated route). When batching is
+// successor, a drain replacement, or a merge successor). When batching is
 // enabled the new shard gets its own batcher.
 func (s *Set) AddRegion(spec Spec) (*Shard, error) {
 	if s.router.RouteOf(spec.Name) != nil {

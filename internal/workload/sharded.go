@@ -60,32 +60,11 @@ type ShardedSpec struct {
 	Coordinator *reconfig.Coordinator
 }
 
-// ReconfigMove schedules one live reconfiguration move. Exactly one of
-// Split, Drain and Merge must name a shard (Merge additionally needs
-// MergeWith).
+// ReconfigMove schedules one live reconfiguration move.
 type ReconfigMove struct {
 	// AfterOps triggers the move once this many operations have completed.
 	AfterOps int
-	// Split names a shard to split into two successors.
-	Split string
-	// Drain names a shard to migrate onto a fresh region.
-	Drain string
-	// Merge and MergeWith name two shards to merge into one successor.
-	Merge     string
-	MergeWith string
-}
-
-func (m ReconfigMove) move() (reconfig.Move, error) {
-	switch {
-	case m.Split != "" && m.Drain == "" && m.Merge == "" && m.MergeWith == "":
-		return reconfig.Move{Kind: reconfig.MoveSplit, Shard: m.Split}, nil
-	case m.Drain != "" && m.Split == "" && m.Merge == "" && m.MergeWith == "":
-		return reconfig.Move{Kind: reconfig.MoveDrain, Shard: m.Drain}, nil
-	case m.Merge != "" && m.MergeWith != "" && m.Split == "" && m.Drain == "":
-		return reconfig.Move{Kind: reconfig.MoveMerge, Shard: m.Merge, Shard2: m.MergeWith}, nil
-	default:
-		return reconfig.Move{}, fmt.Errorf("workload: reconfig move must set exactly one of Split/Drain/Merge(+MergeWith): %+v", m)
-	}
+	reconfig.Move
 }
 
 // Validate checks the spec and fills defaults.
@@ -99,9 +78,9 @@ func (s ShardedSpec) Validate() (ShardedSpec, error) {
 	if s.ArrivalRate < 0 {
 		return s, fmt.Errorf("workload: negative arrival rate %v", s.ArrivalRate)
 	}
-	for _, m := range s.Reconfig {
-		if _, err := m.move(); err != nil {
-			return s, err
+	for i, m := range s.Reconfig {
+		if err := m.Validate(); err != nil {
+			return s, fmt.Errorf("workload: reconfig move %d: %w", i, err)
 		}
 	}
 	if len(s.Reconfig) > 0 && s.Coordinator == nil {
@@ -352,7 +331,6 @@ func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, start time.T
 	// last successful move installed.
 	baseOps, baseAt := 0, time.Duration(0)
 	for _, m := range spec.Reconfig {
-		mv, _ := m.move() // validated by Validate
 		for completed.Load() < int64(m.AfterOps) {
 			select {
 			case <-workloadDone:
@@ -364,7 +342,7 @@ func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, start time.T
 		at := int(completed.Load())
 		elapsed := time.Since(start)
 		t0 := time.Now()
-		ev, err := spec.Coordinator.ApplyLive(mv)
+		ev, err := spec.Coordinator.ApplyLive(m.Move)
 		ar := AppliedReconfig{
 			Move:           m,
 			Successors:     ev.Successors,

@@ -222,8 +222,8 @@ func TestRunShardedWithReconfigSchedule(t *testing.T) {
 		Seed:          7,
 		RecordHistory: true,
 		Reconfig: []workload.ReconfigMove{
-			{AfterOps: 40, Split: "s0"},
-			{AfterOps: 120, Drain: "s1"},
+			{AfterOps: 40, Move: reconfig.Move{Kind: reconfig.MoveSplit, Shard: "s0"}},
+			{AfterOps: 120, Move: reconfig.Move{Kind: reconfig.MoveDrain, Shard: "s1"}},
 		},
 		Coordinator: reconfig.NewCoordinator(set),
 	})
@@ -268,16 +268,23 @@ func TestRunShardedWithReconfigSchedule(t *testing.T) {
 	}
 }
 
-// TestRunShardedReconfigValidation rejects ambiguous reconfig moves.
+// TestRunShardedReconfigValidation rejects malformed reconfig moves before
+// the run starts, through reconfig.Move.Validate.
 func TestRunShardedReconfigValidation(t *testing.T) {
 	set := newSet(t, 1)
-	_, err := workload.RunSharded(set, workload.ShardedSpec{
-		Clients: 1, OpsPerClient: 1,
-		Reconfig:    []workload.ReconfigMove{{Split: "s0", Drain: "s0"}},
-		Coordinator: reconfig.NewCoordinator(set),
-	})
-	if err == nil {
-		t.Fatal("ambiguous reconfig move accepted")
+	for _, mv := range []reconfig.Move{
+		{Kind: reconfig.MoveSplit, Shard: "s0", Shard2: "s0"},
+		{Kind: reconfig.MoveMerge, Shard: "s0"},
+		{Kind: reconfig.MoveKind(3), Shard: "s0"},
+	} {
+		_, err := workload.RunSharded(set, workload.ShardedSpec{
+			Clients: 1, OpsPerClient: 1,
+			Reconfig:    []workload.ReconfigMove{{Move: mv}},
+			Coordinator: reconfig.NewCoordinator(set),
+		})
+		if err == nil {
+			t.Fatalf("malformed reconfig move %+v accepted", mv)
+		}
 	}
 }
 
@@ -296,9 +303,9 @@ func TestReconfigAbortDoesNotSkewWindows(t *testing.T) {
 		Keys:         8,
 		Seed:         11,
 		Reconfig: []workload.ReconfigMove{
-			{AfterOps: 30, Split: "s0"},
-			{AfterOps: 60, Drain: "no-such-shard"}, // injected abort
-			{AfterOps: 90, Drain: "s1"},
+			{AfterOps: 30, Move: reconfig.Move{Kind: reconfig.MoveSplit, Shard: "s0"}},
+			{AfterOps: 60, Move: reconfig.Move{Kind: reconfig.MoveDrain, Shard: "no-such-shard"}}, // injected abort
+			{AfterOps: 90, Move: reconfig.Move{Kind: reconfig.MoveDrain, Shard: "s1"}},
 		},
 		Coordinator: reconfig.NewCoordinator(set),
 	})
@@ -345,7 +352,7 @@ func TestRunShardedWithMergeSchedule(t *testing.T) {
 		Seed:          13,
 		RecordHistory: true,
 		Reconfig: []workload.ReconfigMove{
-			{AfterOps: 80, Merge: "s0", MergeWith: "s1"},
+			{AfterOps: 80, Move: reconfig.Move{Kind: reconfig.MoveMerge, Shard: "s0", Shard2: "s1"}},
 		},
 		Coordinator: reconfig.NewCoordinator(set),
 	})

@@ -111,50 +111,6 @@ func TestStoreSplitShardLive(t *testing.T) {
 	}
 }
 
-// TestStoreResizePlanAndDedicated exercises Resize with add/remove moves and
-// the plan validation.
-func TestStoreResizePlanAndDedicated(t *testing.T) {
-	store, err := spacebounds.Open(spacebounds.Options{
-		Shards:    []spacebounds.ShardSpec{{Name: "a"}, {Name: "b"}},
-		ValueSize: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	if err := store.WriteKey(1, "hot", []byte("before-fork")); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Resize([]spacebounds.ResizeOp{
-		{Add: "hot"},
-		{Split: "a"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.ReadKey(2, "hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:11]) != "before-fork" {
-		t.Fatalf("forked key read %q", got[:11])
-	}
-	if err := store.RemoveShard("hot"); err != nil {
-		t.Fatal(err)
-	}
-	st := store.ReconfigStats()
-	if st.Adds != 1 || st.Removes != 1 || st.Splits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Exactly-one-field validation.
-	if err := store.Resize([]spacebounds.ResizeOp{{Split: "b", Drain: "b"}}); err == nil {
-		t.Fatal("ambiguous resize op accepted")
-	}
-	if err := store.Resize([]spacebounds.ResizeOp{{}}); err == nil {
-		t.Fatal("empty resize op accepted")
-	}
-}
-
 // TestReconfigUnderFaultInjection runs a split while the store's fault
 // injector crashes and restarts nodes: the migration must complete and the
 // store stay available.
@@ -281,8 +237,9 @@ func TestStoreMergeShardsLive(t *testing.T) {
 	}
 }
 
-// TestStoreResizeWithMerge drives a merge through the Resize plan API and
-// validates the op-shape checks.
+// TestStoreResizeWithMerge resizes a store by a merge through the facade and
+// checks that malformed merges are refused by the move's shape check before
+// anything runs.
 func TestStoreResizeWithMerge(t *testing.T) {
 	store, err := spacebounds.Open(spacebounds.Options{
 		Shards: []spacebounds.ShardSpec{{Name: "a"}, {Name: "b"}},
@@ -292,16 +249,16 @@ func TestStoreResizeWithMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.Resize([]spacebounds.ResizeOp{{Merge: "a"}}); err == nil {
-		t.Fatal("merge without MergeWith accepted")
+	if _, err := store.MergeShards("a", ""); err == nil {
+		t.Fatal("merge without a second shard accepted")
 	}
-	if err := store.Resize([]spacebounds.ResizeOp{{MergeWith: "b"}}); err == nil {
-		t.Fatal("MergeWith without Merge accepted")
+	if _, err := store.MergeShards("a", "a"); err == nil {
+		t.Fatal("self-merge accepted")
 	}
-	if err := store.Resize([]spacebounds.ResizeOp{{Split: "a", MergeWith: "b"}}); err == nil {
-		t.Fatal("ambiguous op accepted")
+	if st := store.ReconfigStats(); st.Merges != 0 || st.Aborts != 0 {
+		t.Fatalf("refused merges reached the coordinator: %+v", st)
 	}
-	if err := store.Resize([]spacebounds.ResizeOp{{Merge: "a", MergeWith: "b"}}); err != nil {
+	if _, err := store.MergeShards("a", "b"); err != nil {
 		t.Fatal(err)
 	}
 	if st := store.ReconfigStats(); st.Merges != 1 {

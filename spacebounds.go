@@ -558,55 +558,12 @@ func (s *Store) DurabilityBreakdown() (total int, perShard map[string]int, ledge
 	return s.set.DurabilityBreakdown()
 }
 
-// ResizeOp is one step of a Resize plan; exactly one of Split, Drain, Add,
-// Remove and Merge must be set (Merge additionally needs MergeWith).
-type ResizeOp struct {
-	// Split names a shard to split into two successors on fresh regions.
-	Split string
-	// Drain names a shard to migrate onto a fresh region (evacuate nodes).
-	Drain string
-	// Add names a key to fork onto a dedicated shard.
-	Add string
-	// Remove names a dedicated shard to drop (its key rejoins hash routing;
-	// the dedicated register's value is discarded with its namespace).
-	Remove string
-	// Merge names the first of two shards to merge into one successor.
-	Merge string
-	// MergeWith names the second shard of a Merge.
-	MergeWith string
-}
-
-// move translates the facade op into a reconfig move.
-func (op ResizeOp) move() (reconfig.Move, error) {
-	set := 0
-	mv := reconfig.Move{}
-	if op.Split != "" {
-		set, mv = set+1, reconfig.Move{Kind: reconfig.MoveSplit, Shard: op.Split}
-	}
-	if op.Drain != "" {
-		set, mv = set+1, reconfig.Move{Kind: reconfig.MoveDrain, Shard: op.Drain}
-	}
-	if op.Add != "" {
-		set, mv = set+1, reconfig.Move{Kind: reconfig.MoveAdd, Shard: op.Add}
-	}
-	if op.Remove != "" {
-		set, mv = set+1, reconfig.Move{Kind: reconfig.MoveRemove, Shard: op.Remove}
-	}
-	if op.Merge != "" {
-		set, mv = set+1, reconfig.Move{Kind: reconfig.MoveMerge, Shard: op.Merge, Shard2: op.MergeWith}
-	}
-	if set != 1 || (op.Merge != "") != (op.MergeWith != "") {
-		return mv, fmt.Errorf("spacebounds: resize op must set exactly one of Split/Drain/Add/Remove/Merge(+MergeWith), got %+v", op)
-	}
-	return mv, nil
-}
-
 // ReconfigStats aggregates the reconfiguration subsystem's counters.
 type ReconfigStats struct {
 	// Epoch is the current routing epoch (0 until the first move).
 	Epoch int64
-	// Splits, Drains, Adds, Removes, Merges count completed moves.
-	Splits, Drains, Adds, Removes, Merges int
+	// Splits, Drains, Merges count completed moves.
+	Splits, Drains, Merges int
 	// Resumes counts takeovers of interrupted moves (a move interrupted
 	// twice counts twice, whatever its eventual outcome); Aborts counts
 	// cleanly rolled-back moves.
@@ -665,52 +622,18 @@ func (s *Store) MergeShards(a, b string) (string, error) {
 
 // ResumeMoves re-drives a reconfiguration move whose driver died
 // mid-migration, picking up from the step ledger's last completed step. A
-// live store's moves normally run synchronously inside Resize and friends,
-// so there is usually nothing to do; the method exists for the fail-recover
-// path (RestartNode calls it) and for embedders driving moves from their own
-// goroutines. It reports how many moves were resumed.
+// live store's moves normally run synchronously inside SplitShard, DrainShard
+// and MergeShards, so there is usually nothing to do; the method exists for
+// the fail-recover path (RestartNode calls it) and for embedders driving moves
+// from their own goroutines. It reports how many moves were resumed.
 func (s *Store) ResumeMoves() (int, error) { return s.node.Coordinator().ResumeLive() }
-
-// AddShard forks the given key onto a dedicated shard seeded from the
-// register the key currently routes to. The origin keeps serving its other
-// keys.
-func (s *Store) AddShard(key string) error {
-	_, err := s.apply(reconfig.Move{Kind: reconfig.MoveAdd, Shard: key})
-	return err
-}
-
-// RemoveShard drops a dedicated shard created by AddShard: its key rejoins
-// hash routing and the dedicated register's value is discarded.
-func (s *Store) RemoveShard(name string) error {
-	_, err := s.apply(reconfig.Move{Kind: reconfig.MoveRemove, Shard: name})
-	return err
-}
-
-// Resize applies a reconfiguration plan move by move, stopping at the first
-// error. The store serves reads and writes throughout.
-func (s *Store) Resize(plan []ResizeOp) error {
-	moves := make([]reconfig.Move, 0, len(plan))
-	for _, op := range plan {
-		mv, err := op.move()
-		if err != nil {
-			return err
-		}
-		moves = append(moves, mv)
-	}
-	for _, mv := range moves {
-		if _, err := s.apply(mv); err != nil {
-			return fmt.Errorf("spacebounds: %v: %w", mv, err)
-		}
-	}
-	return nil
-}
 
 // ReconfigStats returns the reconfiguration counters.
 func (s *Store) ReconfigStats() ReconfigStats {
 	st := s.node.Coordinator().Stats()
 	return ReconfigStats{
-		Epoch: st.Epoch, Splits: st.Splits, Drains: st.Drains, Adds: st.Adds, Removes: st.Removes,
-		Merges: st.Merges, Resumes: st.Resumes, Aborts: st.Aborts,
+		Epoch: st.Epoch, Splits: st.Splits, Drains: st.Drains, Merges: st.Merges,
+		Resumes: st.Resumes, Aborts: st.Aborts,
 		SeedWrites: st.SeedWrites, FallbackReads: st.FallbackReads, HeldWrites: st.HeldWrites,
 	}
 }
