@@ -39,9 +39,11 @@ race:
 # while writers hammer their shards among them — twenty times over, so
 # a test that is only quiescent by luck fails here before it fails in tier-1;
 # and the erasure codes, whose data blocks share memory with the value they
-# encode: what the tests say about who owns a block must hold every time.
+# encode: what the tests say about who owns a block must hold every time;
+# and the process assembly and the write-ahead log, whose tests start
+# servers, snapshotters and controllers and must take every goroutine down.
 flake:
-	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/...
+	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/... ./internal/node/... ./internal/wal/...
 
 # Non-test code lines outside bench/: no blank lines, no comment-only lines.
 # The command is PR 20's, so every PR reports the same number the same way.

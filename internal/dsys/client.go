@@ -171,10 +171,10 @@ func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum i
 		}
 	}
 	hh, sp := h.traceRound()
-	if m := h.c.met.Load(); m != nil {
+	if h.c.opts.metrics != nil {
 		start := time.Now()
 		resp, err := hh.dispatch(targets, makeRMW, quorum)
-		m.observeRound(h.base, start, err)
+		h.c.region(h.base).observeRound(start, err)
 		h.finishRound(&sp)
 		return resp, err
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spacebounds/internal/metrics"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/trace"
@@ -33,6 +34,8 @@ type options struct {
 	accounting bool
 	keepSeries bool
 	eventLog   func(Event)
+	metrics    *metrics.Registry
+	tracer     *trace.Tracer
 }
 
 // Option configures a Cluster.
@@ -271,22 +274,13 @@ type Cluster struct {
 	// the placeholder local objects. Set by NewRemoteCluster.
 	remote RoundInvoker
 
-	// met, when non-nil, instruments quorum rounds and applies (see
-	// SetMetrics). Atomic so attaching a registry never contends with rounds
-	// in flight, and disabled operation costs a single pointer load.
-	met atomic.Pointer[clusterMetrics]
+	// inst is the applies counter and the region table (see instruments).
+	inst instruments
 
 	// jour, when non-nil, journals every applied mutating RMW for durability
-	// (see SetJournal). Same atomic-pointer attachment pattern as met.
+	// (see SetJournal). Atomic so attaching a journal never contends with
+	// rounds in flight, and running without one costs a single pointer load.
 	jour atomic.Pointer[journalHolder]
-
-	// trc, when non-nil, records quorum-round spans and forwards trace
-	// contexts to the journal (see SetTracer). Same attachment pattern as met.
-	trc atomic.Pointer[trace.Tracer]
-
-	// regionNames is the one base → name table (see NameRegion).
-	regionMu    sync.RWMutex
-	regionNames map[int]string
 
 	acct *storagecost.Accountant
 	wg   sync.WaitGroup
@@ -312,6 +306,8 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	}
 	c := &Cluster{opts: o}
 	c.cond = sync.NewCond(&c.mu)
+	c.inst.applies = o.metrics.Counter(metricAppliesTotal, "RMWs applied to this node's base objects")
+	c.inst.regions = make(map[int]*region)
 	for i := range c.stripes {
 		c.stripes[i].seq = make(map[int]int)
 		c.stripes[i].blocks = make(map[int][]BlockRef)

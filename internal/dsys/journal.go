@@ -14,9 +14,8 @@ import (
 // footprint into storage snapshots on the durable axis.
 //
 // The interface lives here (rather than the wal package importing dsys the
-// other way around) for the same reason clusterMetrics does: the cluster is
-// the attachment point, and it must not depend on how durability is
-// implemented.
+// other way around) because the cluster is the attachment point, and it must
+// not depend on how durability is implemented.
 type Journal interface {
 	// RecordApply journals one applied RMW for the given global object ID.
 	// It is called under the object's apply lock; implementations must not
@@ -89,10 +88,10 @@ type durableReporter struct{ j Journal }
 // StorageBlocks implements storagecost.Reporter.
 func (r durableReporter) StorageBlocks() []storagecost.BlockInfo { return r.j.DurableBlocks() }
 
-// journalHolder wraps the Journal interface so a single atomic pointer
-// swap attaches or detaches it (same pattern as clusterMetrics). The
-// TracedJournal and FailStopJournal extensions are resolved once at attach
-// time, keeping the type assertions off the apply path.
+// journalHolder wraps the Journal interface so a single atomic pointer swap
+// attaches or detaches it. The TracedJournal and FailStopJournal extensions
+// are resolved once at attach time, keeping the type assertions off the apply
+// path.
 type journalHolder struct {
 	j  Journal
 	tj TracedJournal   // nil when j does not implement the extension

@@ -24,8 +24,9 @@ func (emptyState) Blocks() []BlockRef { return nil }
 // which is what turns the one-process simulation into a real client talking to
 // a real cluster. Remote clusters run in live mode with accounting disabled;
 // controlled (policy-driven) scheduling is inherently in-process and is not
-// available remotely.
-func NewRemoteCluster(n int, inv RoundInvoker) *Cluster {
+// available remotely. Of opts, only the instruments (WithMetrics, WithTracer)
+// are meant for a remote cluster.
+func NewRemoteCluster(n int, inv RoundInvoker, opts ...Option) *Cluster {
 	if n < 1 {
 		panic(fmt.Sprintf("dsys: remote cluster with %d objects", n))
 	}
@@ -36,7 +37,7 @@ func NewRemoteCluster(n int, inv RoundInvoker) *Cluster {
 	for i := range states {
 		states[i] = emptyState{}
 	}
-	c := NewCluster(states, WithLiveMode(), WithoutAccounting())
+	c := NewCluster(states, append([]Option{WithLiveMode(), WithoutAccounting()}, opts...)...)
 	c.remote = inv
 	return c
 }
@@ -81,8 +82,6 @@ func (c *Cluster) ApplyOneTraced(id int, rmw RMW, tc trace.Context) (any, error)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %d", err, id)
 	}
-	if m := c.met.Load(); m != nil {
-		m.applies.Inc()
-	}
+	c.inst.applies.Inc()
 	return r, nil
 }

@@ -12,8 +12,9 @@
 //	(c) durability: open the log, attach its hooks, restore the move ledger,
 //	    replay, attach — all before Serve listens, which marks replayed
 //	    objects repaired first;
-//	(d) instrumentation: one registry and one tracer reach the set, the
-//	    coordinator, the journal, the server and the client;
+//	(d) instrumentation: the cluster is built with the one registry and the
+//	    one tracer, and the set, the coordinator, the journal and the server
+//	    read them from it; the client takes them as options;
 //	(e, f) moves: every live move of the process goes through the node's one
 //	    coordinator (its ApplyLive/ResumeLive own the serialization and the
 //	    migration-writer client IDs);
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"spacebounds/internal/autoshard"
+	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/reconfig"
 	_ "spacebounds/internal/register/abd" // every process can build every provider
@@ -112,10 +114,8 @@ func normalize(specs []shard.Spec) []shard.Spec {
 
 // Node is one assembled process. It is safe for concurrent use.
 type Node struct {
-	set     *shard.Set
-	recon   *reconfig.Coordinator
-	metrics *metrics.Registry
-	tracer  *trace.Tracer
+	set   *shard.Set
+	recon *reconfig.Coordinator
 
 	journal *wal.Journal // nil without a WAL
 	replay  wal.ReplayStats
@@ -132,7 +132,7 @@ func Open(cfg Config) (*Node, error) {
 	if cfg.AutoReshard.Interval > 0 && cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	set, err := shard.New(normalize(cfg.Shards))
+	set, err := shard.New(normalize(cfg.Shards), dsys.WithMetrics(cfg.Metrics), dsys.WithTracer(cfg.Tracer))
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func Connect(addrs []string, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := shard.NewRemote(normalize(cfg.Shards), cli)
+	set, err := shard.NewRemote(normalize(cfg.Shards), cli, dsys.WithMetrics(cfg.Metrics), dsys.WithTracer(cfg.Tracer))
 	if err != nil {
 		_ = cli.Close()
 		return nil, err
@@ -160,26 +160,13 @@ func Connect(addrs []string, cfg Config) (*Node, error) {
 	return assemble(set, cfg), nil
 }
 
-// assemble wires what Open and Connect share: batching, the coordinator and
-// the instrumentation of both.
+// assemble wires what Open and Connect share: batching and the coordinator.
 func assemble(set *shard.Set, cfg Config) *Node {
-	n := &Node{set: set, recon: reconfig.NewCoordinator(set), metrics: cfg.Metrics, tracer: cfg.Tracer}
+	n := &Node{set: set, recon: reconfig.NewCoordinator(set)}
 	if cfg.Batch.Enabled() {
 		set.EnableBatching(cfg.Batch)
 	}
-	n.instrument(set)
-	n.instrument(n.recon)
 	return n
-}
-
-// instrument attaches the node's registry and tracer (either may be nil) to
-// one component.
-func (n *Node) instrument(part interface {
-	SetMetrics(*metrics.Registry)
-	SetTracer(*trace.Tracer)
-}) {
-	part.SetMetrics(n.metrics)
-	part.SetTracer(n.tracer)
 }
 
 // start brings up the parts of an in-process node that can fail or run in the
@@ -208,7 +195,7 @@ func (n *Node) openJournal(cfg wal.Config) error {
 		return err
 	}
 	n.journal = j
-	n.instrument(j)
+	j.SetMetrics(n.Metrics())
 	moves := j.Moves()
 	states := make([]reconfig.MoveState, 0, len(moves))
 	for _, mr := range moves {
@@ -236,7 +223,7 @@ func (n *Node) startAutoReshard(cfg AutoReshardConfig) error {
 	if err != nil {
 		return err
 	}
-	sampler := autoshard.NewRegistrySampler(n.metrics, n.set.Router().ActiveLeafNames)
+	sampler := autoshard.NewRegistrySampler(n.Metrics(), n.set.Router().ActiveLeafNames)
 	n.reshard, err = autoshard.StartDriver(autoshard.DriverConfig{
 		Planner:  planner,
 		Interval: cfg.Interval,
@@ -247,7 +234,7 @@ func (n *Node) startAutoReshard(cfg AutoReshardConfig) error {
 		},
 		Resume:   n.recon.ResumeLive,
 		InFlight: func() bool { return n.recon.InFlight() != nil },
-		Metrics:  n.metrics,
+		Metrics:  n.Metrics(),
 	})
 	return err
 }
@@ -269,8 +256,6 @@ func (n *Node) Serve(listen string, nodes, index int, recovery bool) (net.Addr, 
 	place := transport.RoundRobin(nodes)
 	opts := []transport.ServerOption{
 		transport.WithHosts(func(object int) bool { return place(object) == index }),
-		transport.WithServerMetrics(n.metrics),
-		transport.WithServerTracer(n.tracer),
 	}
 	if recovery {
 		opts = append(opts, transport.WithRecovery())
@@ -299,10 +284,10 @@ func (n *Node) Coordinator() *reconfig.Coordinator { return n.recon }
 
 // Metrics returns the registry the node instruments into: Config.Metrics, or
 // the private one the autoshard controller made necessary, or nil.
-func (n *Node) Metrics() *metrics.Registry { return n.metrics }
+func (n *Node) Metrics() *metrics.Registry { return n.set.Cluster().Metrics() }
 
 // Tracer returns Config.Tracer.
-func (n *Node) Tracer() *trace.Tracer { return n.tracer }
+func (n *Node) Tracer() *trace.Tracer { return n.set.Cluster().Tracer() }
 
 // Journal returns the write-ahead log, or nil when the node has none.
 func (n *Node) Journal() *wal.Journal { return n.journal }

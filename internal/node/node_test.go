@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"spacebounds/internal/metrics"
+	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/trace"
@@ -118,6 +119,24 @@ func TestLifecycle(t *testing.T) {
 	} {
 		if !strings.Contains(page.String(), family) {
 			t.Errorf("registry lacks %s", family)
+		}
+	}
+	// And one tracer saw every stage, after one split: the client's op, batch
+	// wait, round and rpc; the server's apply and the journal's append, which
+	// take the tracer from the cluster they serve; the coordinator's steps.
+	if _, err := n.Coordinator().ApplyLive(reconfig.Move{Kind: reconfig.MoveSplit, Shard: "coded"}); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	stages := make(map[string]bool)
+	for _, s := range tr.Snapshot() {
+		stages[s.Stage] = true
+	}
+	for _, stage := range []string{
+		trace.StageOp, trace.StageBatchWait, trace.StageRound, trace.StageRPC,
+		trace.StageApply, trace.StageWALAppend, trace.StageReconfig,
+	} {
+		if !stages[stage] {
+			t.Errorf("tracer lacks %s spans", stage)
 		}
 	}
 

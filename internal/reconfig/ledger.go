@@ -153,11 +153,12 @@ type moveEntry struct {
 
 	// stepStart is the instant the entry's last step completed (or the move
 	// began / resumed); the metrics and trace layers use it to time the next
-	// step. Zero when neither is attached.
+	// step.
 	stepStart time.Time
 
-	// traceCtx is the move's trace, opened at begin when a tracer is
-	// attached; each completed step records a StageReconfig span on it.
+	// traceCtx is the move's trace, opened when the move begins or resumes on
+	// a traced coordinator; each completed step records a StageReconfig span
+	// on it.
 	traceCtx trace.Context
 }
 

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"spacebounds/internal/dsys"
+	"spacebounds/internal/trace"
 )
 
 // recMoveJournal records every journaled ledger transition, latest-last.
@@ -175,4 +178,45 @@ func TestRestoreLedgerRules(t *testing.T) {
 			t.Fatalf("second restore: err = %v", err)
 		}
 	})
+}
+
+// TestResumedMoveIsTraced restores a planned split on a coordinator over a
+// traced set — what a restarted process holds — and re-drives it: the move
+// must get a trace of its own, with one reconfig-step span per step the
+// resumed driver completed, in order.
+func TestResumedMoveIsTraced(t *testing.T) {
+	tr := trace.New(trace.Options{Sample: 1})
+	set := newSet(t, 2, dsys.WithTracer(tr))
+	defer set.Close()
+	co := NewCoordinator(set)
+	split := Move{Kind: MoveSplit, Shard: "s0"}
+	if err := co.RestoreLedger([]MoveState{{ID: 1, Move: split, Sources: []string{"s0"}, Step: StepPlanned}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := co.ResumeLive(); err != nil || n != 1 {
+		t.Fatalf("ResumeLive = %d, %v; want the restored move taken over", n, err)
+	}
+
+	var want []string
+	for s := StepGrowRegions; s <= StepRetire; s++ {
+		want = append(want, s.String())
+	}
+	var got []string
+	traces := make(map[uint64]bool)
+	for _, s := range tr.Snapshot() {
+		if s.Stage != trace.StageReconfig {
+			continue
+		}
+		got = append(got, s.Note)
+		traces[s.Trace] = true
+		if s.Shard != "s0" {
+			t.Errorf("reconfig-step span labeled %q, want the moved shard s0", s.Shard)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("reconfig-step spans %v, want one per completed step %v", got, want)
+	}
+	if len(traces) != 1 {
+		t.Errorf("resumed move recorded on %d traces, want 1", len(traces))
+	}
 }

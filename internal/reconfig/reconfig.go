@@ -65,7 +65,6 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
-	"spacebounds/internal/trace"
 	"spacebounds/internal/value"
 )
 
@@ -317,20 +316,17 @@ type Coordinator struct {
 	liveMu   sync.Mutex
 	liveRuns int
 
-	// met, when non-nil, instruments ledger steps and move outcomes (see
-	// SetMetrics). Atomic so attachment never contends with a move in flight.
-	met atomic.Pointer[reconfigMetrics]
-
-	// trc, when non-nil, records one trace per move with a span per ledger
-	// step (see SetTracer).
-	trc atomic.Pointer[trace.Tracer]
+	inst instruments // the set's cluster's registry and tracer
 
 	// jour, when non-nil, journals every ledger transition (see SetJournal).
 	jour atomic.Pointer[moveJournalHolder]
 }
 
-// NewCoordinator returns a coordinator for the set.
-func NewCoordinator(set *shard.Set) *Coordinator { return &Coordinator{set: set} }
+// NewCoordinator returns a coordinator for the set, instrumented with the
+// registry and tracer of the set's cluster.
+func NewCoordinator(set *shard.Set) *Coordinator {
+	return &Coordinator{set: set, inst: newInstruments(set.Cluster())}
+}
 
 // Stats returns the aggregated counters.
 func (c *Coordinator) Stats() Stats {
@@ -403,11 +399,10 @@ func (c *Coordinator) Resume(r Runner) (bool, Event, error) {
 	en.owner = owner
 	en.Resumes++
 	en.Interrupted = false
-	if c.timingStepsLocked() {
-		// Restart the step clock: the gap since the interruption is operator
-		// time, not step time.
-		en.stepStart = time.Now()
-	}
+	// Restart the step clock: the gap since the interruption is operator
+	// time, not step time.
+	en.stepStart = time.Now()
+	c.inst.openTrace(en)
 	c.stats.Resumes++
 	c.recordLocked(en)
 	c.mu.Unlock()
@@ -478,11 +473,8 @@ func (c *Coordinator) begin(mv Move) (*moveEntry, error) {
 	}
 	c.nextID++
 	c.nextOwner++
-	en := &moveEntry{MoveState: MoveState{ID: c.nextID, Move: mv, Sources: sources}, owner: c.nextOwner}
-	if c.timingStepsLocked() {
-		en.stepStart = time.Now()
-	}
-	c.beginTraceLocked(en)
+	en := &moveEntry{MoveState: MoveState{ID: c.nextID, Move: mv, Sources: sources}, owner: c.nextOwner, stepStart: time.Now()}
+	c.inst.openTrace(en)
 	c.ledger = append(c.ledger, en)
 	c.inFlight = en
 	c.recordLocked(en)
@@ -509,13 +501,8 @@ func (c *Coordinator) advance(en *moveEntry, owner int64, step MoveStep, mut fun
 	}
 	if step > en.Step {
 		en.Step = step
-		if m := c.met.Load(); m != nil {
-			m.observeStep(step, en.stepStart)
-		}
-		c.traceStepLocked(en, step)
-		if c.timingStepsLocked() {
-			en.stepStart = time.Now()
-		}
+		c.inst.stepDone(en, step)
+		en.stepStart = time.Now()
 	}
 	c.recordLocked(en)
 	return true
@@ -527,9 +514,7 @@ func (c *Coordinator) markInterrupted(en *moveEntry, owner int64) {
 	defer c.mu.Unlock()
 	if en.owner == owner {
 		en.Interrupted = true
-		if m := c.met.Load(); m != nil {
-			m.countOutcome(en.Move.Kind, "interrupted")
-		}
+		c.inst.countOutcome(en.Move.Kind, "interrupted")
 		c.recordLocked(en)
 	}
 }
@@ -547,9 +532,7 @@ func (c *Coordinator) markAborted(en *moveEntry, owner int64, cause error) {
 		c.inFlight = nil
 	}
 	c.stats.Aborts++
-	if m := c.met.Load(); m != nil {
-		m.countOutcome(en.Move.Kind, "aborted")
-	}
+	c.inst.countOutcome(en.Move.Kind, "aborted")
 	c.recordLocked(en)
 }
 
@@ -575,9 +558,7 @@ func (c *Coordinator) finish(en *moveEntry, owner int64, ev Event, seeds int) bo
 	case MoveMerge:
 		c.stats.Merges++
 	}
-	if m := c.met.Load(); m != nil {
-		m.countOutcome(en.Move.Kind, "done")
-	}
+	c.inst.countOutcome(en.Move.Kind, "done")
 	c.recordLocked(en)
 	return true
 }

@@ -21,7 +21,7 @@ import (
 
 const dataLen = 32
 
-func newSet(t *testing.T, shards int) *shard.Set {
+func newSet(t *testing.T, shards int, opts ...dsys.Option) *shard.Set {
 	t.Helper()
 	specs := make([]shard.Spec, 0, shards)
 	for i := 0; i < shards; i++ {
@@ -31,7 +31,7 @@ func newSet(t *testing.T, shards int) *shard.Set {
 			Config:    register.Config{F: 1, K: 2, DataLen: dataLen},
 		})
 	}
-	set, err := shard.New(specs)
+	set, err := shard.New(specs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spacebounds/internal/dsys"
@@ -65,17 +64,21 @@ type Batcher struct {
 	write lane
 	read  lane
 
-	// met, when non-nil, holds the batch-wait/batch-size histograms (see
-	// setMetrics). Atomic so attachment never blocks a lane.
-	met atomic.Pointer[batcherMetrics]
+	met *instruments  // nil when the cluster has no registry
+	tr  *trace.Tracer // the cluster's; nil when it has none
 }
 
-// newBatcher builds the shard's batcher. laneClientBase is the client ID the
-// write lane uses for its physical rounds; the read lane uses the next ID.
-// Lane IDs must not collide with real client IDs (the facade allocates them
-// from a high range) so that the lanes' timestamps stay unique.
+// newBatcher builds the shard's batcher, instrumented with the cluster's
+// registry and tracer. laneClientBase is the client ID the write lane uses for
+// its physical rounds; the read lane uses the next ID. Lane IDs must not
+// collide with real client IDs (the facade allocates them from a high range)
+// so that the lanes' timestamps stay unique.
 func newBatcher(set *Set, sh *Shard, cfg BatchConfig, laneClientBase int) *Batcher {
-	b := &Batcher{set: set, sh: sh, cfg: cfg.WithDefaults()}
+	b := &Batcher{
+		set: set, sh: sh, cfg: cfg.WithDefaults(),
+		met: newInstruments(set.cluster.Metrics(), sh.Name),
+		tr:  set.cluster.Tracer(),
+	}
 	b.write.client = laneClientBase
 	b.write.full = make(chan struct{}, 1)
 	b.read.client = laneClientBase + 1
@@ -107,9 +110,8 @@ type batchResp struct {
 type batchReq struct {
 	v    value.Value    // payload for writes; unused for reads
 	wake chan batchResp // nil for a caller that led from an idle lane: it never waits
-	enq  time.Time      // enqueue instant; zero unless metrics are attached
 	tc   trace.Context  // the member operation's trace context
-	tenq time.Time      // enqueue instant for tracing; zero unless tc is sampled
+	enq  time.Time      // enqueue instant; zero unless metered or tc is sampled
 }
 
 // lane is one direction (writes or reads) of a shard's batcher.
@@ -165,11 +167,8 @@ func (b *Batcher) readTraced(tc trace.Context) (value.Value, error) {
 // or to be handed the lead once its request is the oldest still waiting.
 func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
 	req := batchReq{v: v, tc: tc}
-	if b.met.Load() != nil {
+	if b.met != nil || tc.Sampled() {
 		req.enq = time.Now()
-	}
-	if tc.Sampled() {
-		req.tenq = time.Now()
 	}
 	l.mu.Lock()
 	if l.led {
@@ -227,8 +226,8 @@ func (b *Batcher) leadRound(l *lane) batchResp {
 	l.rounds++
 	l.mu.Unlock()
 
-	if m := b.met.Load(); m != nil {
-		m.observeBatch(l == &b.write, batch, time.Now())
+	if b.met != nil {
+		b.met.observeBatch(l == &b.write, batch, time.Now())
 	}
 	// Tracing: each sampled member gets a batch-wait span (enqueue →
 	// dispatch), and the physical round runs under the first sampled
@@ -237,7 +236,7 @@ func (b *Batcher) leadRound(l *lane) batchResp {
 	// interval, so every member's trace accounts for the shared round it
 	// rode (marked "shared" to distinguish it from a round the tracer
 	// measured directly).
-	tr := b.set.trc.Load()
+	tr := b.tr
 	var lead trace.Context
 	var roundStart time.Time
 	if tr != nil {
@@ -253,7 +252,7 @@ func (b *Batcher) leadRound(l *lane) batchResp {
 			tr.Record(trace.Span{
 				Trace: r.tc.Trace, ID: tr.SpanID(), Parent: r.tc.Span,
 				Stage: trace.StageBatchWait, Shard: b.sh.Name, Note: laneName,
-				Start: r.tenq, Duration: roundStart.Sub(r.tenq),
+				Start: r.enq, Duration: roundStart.Sub(r.enq),
 			})
 			if !lead.Sampled() {
 				lead = r.tc

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"spacebounds/internal/dsys"
-	"spacebounds/internal/metrics"
 	"spacebounds/internal/register"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/trace"
@@ -84,15 +83,6 @@ type Set struct {
 	regions []*Shard
 
 	fallbackReads atomic.Int64 // dual-epoch reads answered by the old epoch
-
-	// met, when non-nil, is the registry attached by SetMetrics; AddRegion
-	// reads it to instrument the batchers of regions created after attachment.
-	met atomic.Pointer[metrics.Registry]
-
-	// trc, when non-nil, is the tracer attached by SetTracer: operations
-	// begin their root spans at this layer and the batcher records lane
-	// waits into it.
-	trc atomic.Pointer[trace.Tracer]
 }
 
 // batcherClientBase is the first client ID handed to batcher lanes. Real
@@ -119,7 +109,9 @@ func buildShard(spec Spec) (*Shard, []dsys.State, error) {
 // New builds the registers named by specs, concatenates their initial base
 // object states into one cluster, and returns the shard set. The cluster
 // defaults to live mode (the set exists for throughput); pass dsys options to
-// override. Each shard's initial value is the zero value of its size.
+// override, and dsys.WithMetrics / dsys.WithTracer to instrument the set, its
+// batchers and whatever else is built over the cluster. Each shard's initial
+// value is the zero value of its size.
 func New(specs []Spec, opts ...dsys.Option) (*Set, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("shard: empty spec list")
@@ -164,8 +156,8 @@ func (s *Set) nameRegions(shards []*Shard) {
 // a transport reaching the processes that actually host the base objects —
 // instead of a local engine. Both sides must expand the same specs in the
 // same order so the shards' global base offsets agree. Closing the set closes
-// inv if it implements io.Closer.
-func NewRemote(specs []Spec, inv dsys.RoundInvoker) (*Set, error) {
+// inv if it implements io.Closer. opts are passed to dsys.NewRemoteCluster.
+func NewRemote(specs []Spec, inv dsys.RoundInvoker, opts ...dsys.Option) (*Set, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("shard: empty spec list")
 	}
@@ -186,7 +178,7 @@ func NewRemote(specs []Spec, inv dsys.RoundInvoker) (*Set, error) {
 		shards = append(shards, sh)
 	}
 	s := &Set{router: newRouter(shards), regions: shards}
-	s.cluster = dsys.NewRemoteCluster(total, inv)
+	s.cluster = dsys.NewRemoteCluster(total, inv, opts...)
 	s.nameRegions(shards)
 	return s, nil
 }
@@ -219,15 +211,10 @@ func (s *Set) AddRegion(spec Spec) (*Shard, error) {
 	s.regions = append(s.regions, sh)
 	s.rmu.Unlock()
 	s.cluster.NameRegion(sh.Base, sh.Name)
-	reg := s.met.Load()
 	s.bmu.Lock()
 	if s.batchCfg != nil {
-		b := newBatcher(s, sh, *s.batchCfg, batcherClientBase+2*s.nextLane)
+		s.batchers[sh.Name] = newBatcher(s, sh, *s.batchCfg, batcherClientBase+2*s.nextLane)
 		s.nextLane++
-		if reg != nil {
-			b.setMetrics(reg, sh.Name)
-		}
-		s.batchers[sh.Name] = b
 	}
 	s.bmu.Unlock()
 	return sh, nil
@@ -299,14 +286,9 @@ func (s *Set) EnableBatching(cfg BatchConfig) {
 	defer s.bmu.Unlock()
 	s.batchCfg = &cfg
 	s.batchers = make(map[string]*Batcher)
-	reg := s.met.Load()
 	for _, sh := range s.router.Shards() {
-		b := newBatcher(s, sh, cfg, batcherClientBase+2*s.nextLane)
+		s.batchers[sh.Name] = newBatcher(s, sh, cfg, batcherClientBase+2*s.nextLane)
 		s.nextLane++
-		if reg != nil {
-			b.setMetrics(reg, sh.Name)
-		}
-		s.batchers[sh.Name] = b
 	}
 }
 
@@ -337,9 +319,9 @@ func (s *Set) BatchStats() BatcherStats {
 // shard's batcher when batching is enabled (the physical round then runs
 // under the batcher lane's client ID rather than the caller's). It addresses
 // the shard directly, bypassing the routing table — use Write for routed,
-// reconfiguration-safe access. With a tracer attached it is a root-span
-// entry point: a sampled write's batch wait, quorum rounds, and node-side
-// stages all hang under the span opened here.
+// reconfiguration-safe access. On a traced cluster it is a root-span entry
+// point: a sampled write's batch wait, quorum rounds, and node-side stages
+// all hang under the span opened here.
 func (s *Set) WriteValue(client int, sh *Shard, v value.Value) error {
 	sp := s.beginOp(sh, "write")
 	err := s.writeValue(client, sh, v, sp.Context())
@@ -359,7 +341,7 @@ func (s *Set) writeValue(client int, sh *Shard, v value.Value, tc trace.Context)
 
 // ReadValue performs a register read on the given shard, through the shard's
 // batcher when batching is enabled. Like WriteValue it bypasses the routing
-// table and is a root-span entry point when a tracer is attached.
+// table and is a root-span entry point on a traced cluster.
 func (s *Set) ReadValue(client int, sh *Shard) (value.Value, error) {
 	sp := s.beginOp(sh, "read")
 	got, err := s.readValue(client, sh, sp.Context())

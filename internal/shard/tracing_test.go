@@ -3,29 +3,25 @@ package shard_test
 import (
 	"testing"
 
+	"spacebounds/internal/dsys"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/trace"
 	"spacebounds/internal/value"
 )
 
-// TestSetTracing attaches a fully-sampled tracer to a set and checks the two
-// properties the layer owns: every operation roots an op span labeled by its
-// shard, and the cluster's round spans carry the shard name (not a raw object
-// base) because SetTracer named every existing region.
+// TestSetTracing builds a set over a cluster with a fully-sampled tracer and
+// checks the two properties the layer owns: every operation roots an op span
+// labeled by its shard, and the cluster's round spans carry the shard name
+// (not a raw object base) because New named every region.
 func TestSetTracing(t *testing.T) {
-	set, err := shard.New(adaptiveSpecs(2))
+	tr := trace.New(trace.Options{Sample: 1, Proc: "shard-test"})
+	set, err := shard.New(adaptiveSpecs(2), dsys.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer set.Close()
-
-	tr := trace.New(trace.Options{Sample: 1, Proc: "shard-test"})
-	set.SetTracer(tr)
-	if set.Tracer() != tr {
-		t.Fatal("Tracer() does not return the attached tracer")
-	}
 	if set.Cluster().Tracer() != tr {
-		t.Fatal("SetTracer did not attach the tracer to the cluster")
+		t.Fatal("the cluster does not hold the tracer it was built with")
 	}
 
 	payload := value.FromBytes(make([]byte, 64))
@@ -64,31 +60,17 @@ func TestSetTracing(t *testing.T) {
 	if !shards["s0"] || !shards["s1"] {
 		t.Errorf("op spans labeled %v, want both s0 and s1", shards)
 	}
-
-	// Detaching stops recording without disturbing operations.
-	set.SetTracer(nil)
-	if set.Tracer() != nil || set.Cluster().Tracer() != nil {
-		t.Fatal("SetTracer(nil) did not detach")
-	}
-	before := len(tr.Snapshot())
-	if err := set.WriteValue(9, set.Shard("s0"), payload); err != nil {
-		t.Fatal(err)
-	}
-	if after := len(tr.Snapshot()); after != before {
-		t.Errorf("detached set recorded %d new spans", after-before)
-	}
 }
 
-// TestSetTracingNamesLateRegions verifies a region added after SetTracer is
+// TestSetTracingNamesLateRegions verifies a region added to a traced set is
 // labeled as it appears, mirroring the metrics path.
 func TestSetTracingNamesLateRegions(t *testing.T) {
-	set, err := shard.New(adaptiveSpecs(1))
+	tr := trace.New(trace.Options{Sample: 1})
+	set, err := shard.New(adaptiveSpecs(1), dsys.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	tr := trace.New(trace.Options{Sample: 1})
-	set.SetTracer(tr)
 
 	late := adaptiveSpecs(2)[1] // "s1", distinct from the seed shard
 	sh, err := set.AddRegion(late)

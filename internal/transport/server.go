@@ -17,8 +17,6 @@ import (
 type serverOptions struct {
 	hosts    func(object int) bool
 	recovery bool
-	metrics  *serverMetrics
-	tracer   *trace.Tracer
 }
 
 // ServerOption configures a Server.
@@ -60,6 +58,7 @@ func (s *Server) MarkRepaired(object int) {
 type Server struct {
 	cluster *dsys.Cluster
 	opts    serverOptions
+	inst    instruments // the cluster's registry and tracer
 
 	// repaired[i] flips once object i has applied a mutating RMW; recovery
 	// mode gates read-only kinds on it.
@@ -74,8 +73,9 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// NewServer wraps a local cluster. The cluster is borrowed: closing the
-// server does not close it.
+// NewServer wraps a local cluster, instrumented with the cluster's registry
+// and tracer (dsys.WithMetrics, dsys.WithTracer). The cluster is borrowed:
+// closing the server does not close it.
 func NewServer(cluster *dsys.Cluster, opts ...ServerOption) *Server {
 	o := serverOptions{}
 	for _, opt := range opts {
@@ -84,6 +84,7 @@ func NewServer(cluster *dsys.Cluster, opts ...ServerOption) *Server {
 	s := &Server{
 		cluster:  cluster,
 		opts:     o,
+		inst:     newInstruments(cluster),
 		repaired: make([]atomic.Bool, cluster.N()),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -164,12 +165,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		reqID := binary.BigEndian.Uint64(frame[:8])
 		var start time.Time
-		if s.opts.metrics != nil {
+		if s.inst.reg != nil {
 			start = time.Now()
 		}
 		resp, codec, out := s.serve(frame[8:])
 		status, err := writeResponseFrame(&w, reqID, resp, codec, out)
-		s.opts.metrics.observeServe(start, status)
+		s.inst.observeServe(start, status)
 		if err != nil {
 			return
 		}
@@ -213,7 +214,7 @@ func (s *Server) serve(body []byte) (resp dsys.Response, c register.Codec, out a
 	// WAL stages parent under it in turn.
 	var tc trace.Context
 	var sp trace.Pending
-	if tr := s.opts.tracer; tr != nil && env.Trace != 0 {
+	if tr := s.inst.tr; tr != nil && env.Trace != 0 {
 		sp = tr.Start(trace.Context{Trace: env.Trace, Span: env.Span}, trace.StageApply)
 		sp.Span.Note = env.Kind
 		tc = sp.Context()

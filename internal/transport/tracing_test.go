@@ -16,8 +16,8 @@ import (
 )
 
 // TestTCPTracingStitchesAcrossProcesses runs a traced remote set against a
-// TCP server with its own tracer — the two-recorder shape of a real
-// deployment — and asserts the cross-process contract: the client records op,
+// TCP server over a cluster with its own tracer — the two-recorder shape of a
+// real deployment — and asserts the cross-process contract: the client records op,
 // round, and rpc spans; the server records apply spans on the *client's*
 // trace IDs, every one parented under a client rpc span ID it never saw
 // except on the wire — including the apply of a straggler whose round stopped
@@ -25,25 +25,24 @@ import (
 // an untraced client leaves the server recorder empty (v1 frames carry no
 // context).
 func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
-	backing, err := shard.New(specsFor(t))
+	srvTr := trace.New(trace.Options{Sample: 1, Proc: "server", Node: 0})
+	backing, err := shard.New(specsFor(t), dsys.WithTracer(srvTr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer backing.Close()
-	srvTr := trace.New(trace.Options{Sample: 1, Proc: "server", Node: 0})
-	_, addr := startServer(t, backing, transport.WithServerTracer(srvTr))
+	_, addr := startServer(t, backing)
 
 	cliTr := trace.New(trace.Options{Sample: 1, Proc: "client", Node: -1})
 	cli, err := transport.Dial([]string{addr}, transport.WithTracer(cliTr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := shard.NewRemote(specsFor(t), cli)
+	rs, err := shard.NewRemote(specsFor(t), cli, dsys.WithTracer(cliTr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	rs.SetTracer(cliTr)
 	exerciseRemote(t, rs)
 
 	// Force a straggler. The server serves a connection's requests in order,

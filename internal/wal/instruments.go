@@ -3,7 +3,9 @@ package wal
 import (
 	"time"
 
+	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
+	"spacebounds/internal/trace"
 )
 
 // Metric families emitted by the write-ahead log. All are node-side: a
@@ -22,7 +24,7 @@ const (
 )
 
 // walMetrics holds the journal's instrumentation handles; swapped in
-// atomically by SetMetrics (same pattern as the cluster's).
+// atomically by SetMetrics.
 type walMetrics struct {
 	appendSec *metrics.Histogram
 	fsyncSec  *metrics.Histogram
@@ -65,3 +67,21 @@ func (j *Journal) SetMetrics(reg *metrics.Registry) {
 		snapBytes: reg.Gauge(metricSnapshotBytes, "current snapshot bytes on disk"),
 	})
 }
+
+// RecordApplyTraced implements dsys.TracedJournal: journal one applied
+// mutating RMW carrying the apply's trace context. On a journal attached to a
+// traced cluster a sampled apply records a StageWALAppend span, parented under
+// the node-side apply span (or, in-process, under the quorum round), and a
+// StageWALFsync child when the append trips the sync policy — so an assembled
+// trace shows how much of an op's latency was durability.
+func (j *Journal) RecordApplyTraced(object int, rmw dsys.RMW, tc trace.Context) {
+	if j.tr == nil || !tc.Sampled() {
+		j.RecordApply(object, rmw)
+		return
+	}
+	j.recordApply(object, rmw, j.tr, tc)
+}
+
+// compile-time check: the journal satisfies the traced-journal upgrade, so
+// dsys.SetJournal routes sampled applies through RecordApplyTraced.
+var _ dsys.TracedJournal = (*Journal)(nil)

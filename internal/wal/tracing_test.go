@@ -10,20 +10,18 @@ import (
 	"spacebounds/internal/wal"
 )
 
-// TestTracedAppliesRecordSpans drives sampled and unsampled writes through an
-// attached journal and checks the traced-journal contract: a sampled apply
-// records a wal-append span on the op's trace with the fsync as its child
-// (SyncEvery is 1, so every append trips the barrier), an unsampled apply
-// records nothing, and both are journaled identically — tracing never changes
-// what recovery replays.
+// TestTracedAppliesRecordSpans drives sampled and unsampled writes through a
+// journal attached to a traced cluster and checks the traced-journal
+// contract: the journal takes the cluster's tracer at Attach, a sampled apply
+// records a wal-append span on the op's trace — under the quorum round that
+// carried the RMW, the in-process counterpart of the node-side apply — with
+// the fsync as its child (SyncEvery is 1, so every append trips the barrier),
+// an unsampled apply records nothing, and both are journaled identically —
+// tracing never changes what recovery replays.
 func TestTracedAppliesRecordSpans(t *testing.T) {
 	dir := t.TempDir()
-	n, _ := openNode(t, dir, wal.Config{})
 	tr := trace.New(trace.Options{Sample: 1, Proc: "wal-test"})
-	n.j.SetTracer(tr)
-	if n.j.Tracer() != tr {
-		t.Fatal("Tracer() does not return the attached tracer")
-	}
+	n, _ := openNode(t, dir, wal.Config{}, dsys.WithTracer(tr))
 
 	tc := trace.Context{Trace: tr.SpanID(), Span: tr.SpanID()}
 	v := value.FromString("traced", dataLen)
@@ -34,18 +32,24 @@ func TestTracedAppliesRecordSpans(t *testing.T) {
 		t.Fatalf("traced write: %v", err)
 	}
 
+	rounds := make(map[uint64]bool)  // quorum-round span IDs under our op
 	appends := make(map[uint64]bool) // wal-append span IDs on our trace
-	fsyncs := 0
 	for _, s := range tr.Snapshot() {
 		if s.Trace != tc.Trace {
 			t.Errorf("span %016x on trace %016x, want %016x", s.ID, s.Trace, tc.Trace)
 			continue
 		}
+		if s.Stage == trace.StageRound && s.Parent == tc.Span {
+			rounds[s.ID] = true
+		}
+	}
+	fsyncs := 0
+	for _, s := range tr.Snapshot() {
 		switch s.Stage {
 		case trace.StageWALAppend:
 			appends[s.ID] = true
-			if s.Parent != tc.Span {
-				t.Errorf("wal-append parent = %016x, want the apply span %016x", s.Parent, tc.Span)
+			if !rounds[s.Parent] {
+				t.Errorf("wal-append parent = %016x, not a quorum round of the op %016x", s.Parent, tc.Span)
 			}
 		case trace.StageWALFsync:
 			fsyncs++

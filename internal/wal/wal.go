@@ -122,7 +122,7 @@ type Journal struct {
 	wg    sync.WaitGroup
 
 	met atomic.Pointer[walMetrics]
-	trc atomic.Pointer[trace.Tracer]
+	tr  *trace.Tracer // the attached cluster's (see Attach); nil before
 
 	// traceTR/traceTC, meaningful only while jmu is held, carry the trace
 	// context of the append in progress so syncLocked can parent the fsync
@@ -522,9 +522,11 @@ func (j *Journal) SkippedUnknownRMWs() int {
 }
 
 // Attach connects the journal to a cluster: new applies are journaled from
-// here on, and the background snapshotter starts. Call after Replay.
+// here on — sampled ones traced with the cluster's tracer — and the
+// background snapshotter starts. Call after Replay.
 func (j *Journal) Attach(c *dsys.Cluster) {
 	j.cl = c
+	j.tr = c.Tracer()
 	c.SetJournal(j)
 	j.wg.Add(1)
 	go j.snapshotLoop()

@@ -25,8 +25,8 @@ type node struct {
 
 // openNode builds a fresh cluster from initial states, replays the journal
 // directory into it, and attaches the journal — the full recovery path a
-// restarting process runs.
-func openNode(t testing.TB, dir string, cfg wal.Config) (*node, wal.ReplayStats) {
+// restarting process runs. opts are added to the cluster's live mode.
+func openNode(t testing.TB, dir string, cfg wal.Config, opts ...dsys.Option) (*node, wal.ReplayStats) {
 	t.Helper()
 	reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
 	if err != nil {
@@ -36,7 +36,7 @@ func openNode(t testing.TB, dir string, cfg wal.Config) (*node, wal.ReplayStats)
 	if err != nil {
 		t.Fatalf("InitialStates: %v", err)
 	}
-	c := dsys.NewCluster(states, dsys.WithLiveMode())
+	c := dsys.NewCluster(states, append([]dsys.Option{dsys.WithLiveMode()}, opts...)...)
 	cfg.Dir = dir
 	j, err := wal.Open(cfg)
 	if err != nil {

@@ -183,12 +183,11 @@ type ReshardStats = autoshard.Stats
 // latency histograms exported in Prometheus text format (Handler, or Serve
 // for a standalone endpoint) and as expvar JSON (String / PublishExpvar). A
 // registry is passive — it only aggregates what instrumented components
-// record into it — so one registry may be shared by a Store, a transport
-// client, and anything else that accepts one.
+// record into it — so one registry may be shared by several Stores and
+// anything else that accepts one.
 type Metrics = metrics.Registry
 
-// NewMetrics creates an empty metrics registry to pass in Options.Metrics
-// (and to transport clients via WithMetrics, where applicable).
+// NewMetrics creates an empty metrics registry to pass in Options.Metrics.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
 // Durability configures the per-store write-ahead log (see internal/wal).

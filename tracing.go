@@ -18,6 +18,5 @@ type Tracer = trace.Tracer
 // span.
 type TraceOptions = trace.Options
 
-// NewTracer creates a tracer to pass in Options.Trace (and to transport
-// clients and servers via their tracing options, where applicable).
+// NewTracer creates a tracer to pass in Options.Trace.
 func NewTracer(o TraceOptions) *Tracer { return trace.New(o) }
