@@ -8,7 +8,7 @@ SIM_SMOKE_SEEDS ?= 50
 # Fuzzing budget for the checker fuzz smoke.
 FUZZ_TIME ?= 20s
 
-.PHONY: build test test-purego race flake loc bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge sim-soak-autoreshard fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
+.PHONY: build test test-purego race flake loc bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
 
 # Compile everything and run static checks.
 build:
@@ -41,7 +41,7 @@ race:
 # and the erasure codes, whose data blocks share memory with the value they
 # encode: what the tests say about who owns a block must hold every time;
 # and the process assembly and the write-ahead log, whose tests start
-# servers, snapshotters and controllers and must take every goroutine down.
+# servers, snapshotters and injectors and must take every goroutine down.
 flake:
 	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/... ./internal/node/... ./internal/wal/...
 
@@ -97,12 +97,10 @@ fmt-check:
 # Quick deterministic fault-schedule sweep (PR CI): every provider ×
 # concurrent/sequential/reconfig/mixed configuration — the reconfig legs run
 # a split, a drain and a merge mid-traffic and check the stitched (and
-# pruned-branch) cross-epoch histories — plus an autoshard smoke (the
-# self-driving controller under a hot-key storm per provider) and the live
-# batched churn smoke. Fails with a replayable report in sim-failures.txt.
+# pruned-branch) cross-epoch histories — plus the live batched churn smoke.
+# Fails with a replayable report in sim-failures.txt.
 sim-smoke:
-	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) \
-		-sim-autoreshard hot-key -sim-out sim-failures.txt
+	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) -sim-out sim-failures.txt
 
 # Nightly soak: the same sweep at full depth.
 sim-soak:
@@ -125,18 +123,6 @@ sim-soak-merge:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SEEDS) -sim-clients 4 -sim-ops 6 \
 		-sim-reconfig-splits 1 -sim-reconfig-drains 1 -sim-reconfig-merges 2 \
 		-sim-controller-crashes 2 -sim-live=false -sim-out sim-failures-merge.txt
-
-# Nightly self-driving-topology soak: the autoshard controller runs inside
-# the simulation while the adversary shapes the workload against it — a
-# hot-key storm, a mid-run skew flip, and a cold-shard pattern, per provider
-# — with crash/recovery faults live throughout. Every seed must converge to
-# a stable topology: clean verdicts, zero leaked routes, zero unresolved
-# moves.
-sim-soak-autoreshard:
-	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SEEDS) -sim-clients 3 -sim-ops 10 \
-		-sim-reconfig-splits 0 -sim-reconfig-drains 0 -sim-reconfig-merges 0 \
-		-sim-autoreshard hot-key,skew-flip,cold-shard \
-		-sim-live=false -sim-out sim-failures-autoreshard.txt
 
 # Short coverage-guided fuzz runs. Defaults to the history package, where
 # FuzzCheckers pins the consistency-condition hierarchy and checker

@@ -23,7 +23,6 @@ var assemblyConstructors = map[string][]string{
 	"spacebounds/internal/transport": {"Dial", "NewServer"},
 	"spacebounds/internal/wal":       {"Open"},
 	"spacebounds/internal/reconfig":  {"NewCoordinator"},
-	"spacebounds/internal/autoshard": {"StartDriver"},
 }
 
 // assemblyExempt lists the directories that may call the constructors

@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"spacebounds/internal/autoshard"
 	"spacebounds/internal/experiments"
 	"spacebounds/internal/history"
 	"spacebounds/internal/metrics"
@@ -77,13 +76,6 @@ type cliConfig struct {
 	split       string
 	resizeAt    int
 
-	// Auto-resharding (throughput mode).
-	autoReshard      bool
-	autoReshardEvery time.Duration
-	autoReshardHot   float64
-	autoReshardCold  float64
-	autoReshardMax   int
-
 	// Client mode.
 	connect   string
 	recordOut string
@@ -110,7 +102,6 @@ type cliConfig struct {
 	simReconfDrains int
 	simReconfMerges int
 	simCtrlCrashes  int
-	simAutoReshard  string
 }
 
 // parseArgs parses command-line arguments. Usage and error text go to
@@ -141,11 +132,6 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.Float64Var(&c.arrivalRate, "arrival-rate", 0, "open-loop arrivals per second per client; 0 keeps the closed loop (throughput mode)")
 	fs.StringVar(&c.split, "split", "", "live-split this shard mid-run and report throughput before/after (throughput mode)")
 	fs.IntVar(&c.resizeAt, "resize-at", 0, "completed-op threshold that triggers -split; 0 means half the scheduled operations (throughput mode)")
-	fs.BoolVar(&c.autoReshard, "auto-reshard", false, "run the autoshard controller during the workload: split hot shards, merge cold ones (throughput mode; excludes -split)")
-	fs.DurationVar(&c.autoReshardEvery, "auto-reshard-interval", 25*time.Millisecond, "autoshard control-loop tick period (throughput mode)")
-	fs.Float64Var(&c.autoReshardHot, "auto-reshard-hot", 512, "ops per interval at or above which a shard is split (throughput mode)")
-	fs.Float64Var(&c.autoReshardCold, "auto-reshard-cold", 0, "ops per interval at or below which a shard is a merge candidate; at 0 only a shard that saw no operation in the interval counts as cold (throughput mode)")
-	fs.IntVar(&c.autoReshardMax, "auto-reshard-moves", 4, "autoshard lifetime move budget (throughput mode)")
 
 	fs.StringVar(&c.connect, "connect", "", "comma-separated spacenode addresses; runs the workload as a client of that cluster (client mode)")
 	fs.StringVar(&c.recordOut, "record-out", "", "write the recorded per-shard histories to this file when the consistency check fails (client mode)")
@@ -168,7 +154,6 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.IntVar(&c.simReconfDrains, "sim-reconfig-drains", 1, "drains per reconfiguration-enabled sweep configuration (sim mode)")
 	fs.IntVar(&c.simReconfMerges, "sim-reconfig-merges", 1, "merges per reconfiguration-enabled sweep configuration (sim mode)")
 	fs.IntVar(&c.simCtrlCrashes, "sim-controller-crashes", 0, "controller-crash budget per reconfiguration-enabled run: the adversary kills the migration controller between migration steps and a standby resumes the move from its ledger (sim mode)")
-	fs.StringVar(&c.simAutoReshard, "sim-autoreshard", "", "comma-separated workload shapes (hot-key, skew-flip, cold-shard) to sweep with the autoshard controller driving the topology; empty disables the autoshard sweep (sim mode)")
 
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -220,10 +205,8 @@ type simConfiguration struct {
 // sequential operations make regularity and atomicity coincide, so the
 // Wing&Gong checker is sound there — a reconfiguration-enabled configuration
 // per provider (splits and drains land mid-run and the stitched cross-epoch
-// histories are checked), an autoshard configuration per provider × requested
-// workload shape (the self-driving controller picks the moves while the
-// adversary shapes the load against it), and a mixed-provider configuration.
-func simSweep(providers []string, shards, clients, ops int, reconfig sim.ReconfigPlan, shapes []string) []simConfiguration {
+// histories are checked), and a mixed-provider configuration.
+func simSweep(providers []string, shards, clients, ops int, reconfig sim.ReconfigPlan) []simConfiguration {
 	var out []simConfiguration
 	for _, p := range providers {
 		plans := make([]sim.ShardPlan, shards)
@@ -251,26 +234,6 @@ func simSweep(providers []string, shards, clients, ops int, reconfig sim.Reconfi
 					Clients:      clients,
 					OpsPerClient: ops + 2,
 					Reconfig:     reconfig,
-				},
-			})
-		}
-		for _, shape := range shapes {
-			// At least three shards so the cold-shard shape always leaves a
-			// same-provider pair of cold shards for the controller to merge.
-			autoPlans := plans
-			if len(autoPlans) < 3 {
-				autoPlans = make([]sim.ShardPlan, 3)
-				for i := range autoPlans {
-					autoPlans[i] = sim.ShardPlan{Provider: p}
-				}
-			}
-			out = append(out, simConfiguration{
-				name: fmt.Sprintf("%s autoreshard %s", p, shape),
-				cfg: sim.Config{
-					Shards:       autoPlans,
-					Clients:      clients,
-					OpsPerClient: ops + 2,
-					AutoReshard:  sim.AutoReshardPlan{Shape: shape},
 				},
 			})
 		}
@@ -305,22 +268,9 @@ func runSim(c *cliConfig, out io.Writer) error {
 	for i := range providers {
 		providers[i] = strings.TrimSpace(providers[i])
 	}
-	var shapes []string
-	if c.simAutoReshard != "" {
-		for _, s := range strings.Split(c.simAutoReshard, ",") {
-			s = strings.TrimSpace(s)
-			switch s {
-			case sim.ShapeHotKey, sim.ShapeSkewFlip, sim.ShapeColdShard:
-				shapes = append(shapes, s)
-			default:
-				return fmt.Errorf("unknown -sim-autoreshard shape %q (want %s, %s or %s)",
-					s, sim.ShapeHotKey, sim.ShapeSkewFlip, sim.ShapeColdShard)
-			}
-		}
-	}
 	sweep := simSweep(providers, c.simShards, c.simClients, c.simOps,
 		sim.ReconfigPlan{Splits: c.simReconfSplits, Drains: c.simReconfDrains,
-			Merges: c.simReconfMerges, ControllerCrashes: c.simCtrlCrashes}, shapes)
+			Merges: c.simReconfMerges, ControllerCrashes: c.simCtrlCrashes})
 	var failures []*sim.Result
 	for _, sc := range sweep {
 		fails, err := sim.Explore(sc.cfg, c.seed, c.seeds)
@@ -578,9 +528,6 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 	shards, clients, ops, keys := c.shards, c.clients, c.ops, c.keys
 	skew, reads, algo := c.skew, c.reads, c.algo
 	f, k, seed := c.f, c.k, c.seed
-	if c.autoReshard && c.split != "" {
-		return fmt.Errorf("-auto-reshard and -split are mutually exclusive: both drive the reconfiguration coordinator")
-	}
 	specs, err := node.LayoutSpecs(c.layout(), "s")
 	if err != nil {
 		return err
@@ -594,19 +541,6 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 		}
 		defer msrv.Close()
 		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
-	}
-	if c.autoReshard {
-		cfg.AutoReshard = node.AutoReshardConfig{
-			Interval: c.autoReshardEvery,
-			Config: autoshard.Config{
-				HotOps:        c.autoReshardHot,
-				ColdOps:       c.autoReshardCold,
-				SustainTicks:  2,
-				CooldownTicks: 2,
-				MaxMoves:      c.autoReshardMax,
-				MinShards:     2,
-			},
-		}
 	}
 	n, err := node.Open(cfg)
 	if err != nil {
@@ -638,7 +572,6 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	n.StopAutoReshard() // settle the stats before reporting
 
 	total := res.CompletedWrites + res.CompletedReads
 	fmt.Fprintf(out, "sharded throughput: %d shards (%s, f=%d, k=%d), %d clients × %d ops, %d keys, skew %.2f\n",
@@ -659,12 +592,6 @@ func runThroughput(c *cliConfig, out io.Writer) error {
 		fmt.Fprintf(out, "  reconfig: %v -> %v after %d ops in %v; %.0f ops/s before -> %.0f ops/s after\n",
 			ar.Move, ar.Successors, ar.TriggeredAtOps, ar.Took.Round(time.Millisecond),
 			ar.OpsPerSecBefore, ar.OpsPerSecAfter)
-	}
-	if c.autoReshard {
-		ast := n.AutoReshardStats()
-		fmt.Fprintf(out, "  auto-reshard: %d ticks, %d plans (%d splits, %d merges, %d drains), %d applied, %d dropped, %d resumed; final topology %d shards\n",
-			ast.Ticks, ast.Plans, ast.Splits, ast.Merges, ast.Drains,
-			ast.Applied, ast.Dropped, ast.Resumed, len(set.Router().ActiveLeafNames()))
 	}
 	fmt.Fprintf(out, "  completed: %d ops (%d writes, %d reads) in %v  ->  %.0f ops/s\n",
 		total, res.CompletedWrites, res.CompletedReads, elapsed.Round(time.Millisecond),

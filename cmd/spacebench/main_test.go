@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"spacebounds/internal/sim"
 )
@@ -102,46 +101,6 @@ func TestThroughputOutputFormat(t *testing.T) {
 	}
 }
 
-func TestParseArgsAutoReshardFlags(t *testing.T) {
-	c := mustParse(t, "-throughput", "-auto-reshard", "-auto-reshard-interval", "10ms",
-		"-auto-reshard-hot", "64", "-auto-reshard-cold", "2", "-auto-reshard-moves", "7")
-	if !c.autoReshard {
-		t.Fatal("-auto-reshard not parsed")
-	}
-	if c.autoReshardEvery != 10*time.Millisecond || c.autoReshardHot != 64 ||
-		c.autoReshardCold != 2 || c.autoReshardMax != 7 {
-		t.Fatalf("auto-reshard flags not parsed: %+v", c)
-	}
-}
-
-func TestThroughputAutoReshard(t *testing.T) {
-	// A skewed workload with a low hot threshold: the controller should run
-	// and its stats line should appear in the report. The run's correctness
-	// (route integrity, data served across moves) is covered by the workload
-	// succeeding end to end.
-	var buf strings.Builder
-	c := mustParse(t, "-throughput", "-shards", "3", "-clients", "4", "-ops", "400",
-		"-keys", "6", "-valuesize", "64", "-seed", "1",
-		"-auto-reshard", "-auto-reshard-interval", "5ms", "-auto-reshard-hot", "5")
-	if err := c.execute(&buf); err != nil {
-		t.Fatalf("auto-reshard throughput run failed: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "auto-reshard:") {
-		t.Fatalf("report missing the auto-reshard stats line:\n%s", out)
-	}
-	if !strings.Contains(out, "completed: 1600 ops") {
-		t.Fatalf("workload did not complete all operations:\n%s", out)
-	}
-}
-
-func TestThroughputAutoReshardExcludesSplit(t *testing.T) {
-	c := mustParse(t, "-throughput", "-auto-reshard", "-split", "s0")
-	if err := c.execute(io.Discard); err == nil {
-		t.Fatal("-auto-reshard with -split must be rejected")
-	}
-}
-
 func TestThroughputRejectsBadShardCount(t *testing.T) {
 	c := mustParse(t, "-throughput", "-shards", "0")
 	if err := c.execute(io.Discard); err == nil {
@@ -150,7 +109,7 @@ func TestThroughputRejectsBadShardCount(t *testing.T) {
 }
 
 func TestSimSweepMatrix(t *testing.T) {
-	sweep := simSweep([]string{"adaptive", "abd"}, 2, 3, 4, sim.ReconfigPlan{Splits: 1, Drains: 1}, nil)
+	sweep := simSweep([]string{"adaptive", "abd"}, 2, 3, 4, sim.ReconfigPlan{Splits: 1, Drains: 1})
 	// Two providers -> concurrent + sequential + reconfig each, plus the
 	// mixed and mixed-reconfig configs.
 	if len(sweep) != 8 {
@@ -181,66 +140,8 @@ func TestSimSweepMatrix(t *testing.T) {
 		}
 	}
 	// Disabling the plan removes the reconfig configurations.
-	if n := len(simSweep([]string{"adaptive"}, 2, 3, 4, sim.ReconfigPlan{}, nil)); n != 2 {
+	if n := len(simSweep([]string{"adaptive"}, 2, 3, 4, sim.ReconfigPlan{})); n != 2 {
 		t.Fatalf("plan-less sweep has %d configurations, want 2", n)
-	}
-}
-
-func TestSimSweepAutoReshardConfigs(t *testing.T) {
-	shapes := []string{sim.ShapeHotKey, sim.ShapeColdShard}
-	sweep := simSweep([]string{"adaptive"}, 2, 3, 4, sim.ReconfigPlan{}, shapes)
-	// Concurrent + sequential + one autoshard configuration per shape.
-	if len(sweep) != 4 {
-		t.Fatalf("sweep has %d configurations, want 4", len(sweep))
-	}
-	var found int
-	for _, sc := range sweep {
-		if !strings.Contains(sc.name, "autoreshard") {
-			continue
-		}
-		found++
-		if !sc.cfg.AutoReshard.Enabled() {
-			t.Fatalf("config %q has no autoshard plan: %+v", sc.name, sc.cfg)
-		}
-		if len(sc.cfg.Shards) < 3 {
-			t.Fatalf("config %q has %d shards; autoshard configs need at least 3 so cold merges have a pair",
-				sc.name, len(sc.cfg.Shards))
-		}
-		if sc.cfg.Reconfig.Enabled() {
-			t.Fatalf("config %q carries both a scripted plan and the controller", sc.name)
-		}
-	}
-	if found != len(shapes) {
-		t.Fatalf("sweep has %d autoshard configurations, want %d", found, len(shapes))
-	}
-}
-
-func TestSimAutoReshardSmoke(t *testing.T) {
-	// A short end-to-end autoshard sweep through the CLI: all three shapes,
-	// adversary on, every seed must converge.
-	var buf strings.Builder
-	c := mustParse(t, "-sim", "-seeds", "3", "-seed", "5", "-sim-providers", "adaptive",
-		"-sim-clients", "3", "-sim-ops", "8",
-		"-sim-reconfig-splits", "0", "-sim-reconfig-drains", "0", "-sim-reconfig-merges", "0",
-		"-sim-autoreshard", "hot-key,skew-flip,cold-shard", "-sim-live=false")
-	if err := c.execute(&buf); err != nil {
-		t.Fatalf("autoshard sim sweep failed: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"adaptive autoreshard hot-key", "adaptive autoreshard skew-flip",
-		"adaptive autoreshard cold-shard", "0 failing seeds",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("sim output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestSimRejectsUnknownAutoReshardShape(t *testing.T) {
-	c := mustParse(t, "-sim", "-sim-autoreshard", "sideways")
-	if err := c.execute(io.Discard); err == nil {
-		t.Fatal("unknown autoshard shape must be rejected")
 	}
 }
 

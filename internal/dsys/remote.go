@@ -42,10 +42,6 @@ func NewRemoteCluster(n int, inv RoundInvoker, opts ...Option) *Cluster {
 	return c
 }
 
-// RemoteInvoker returns the RoundInvoker of a remote cluster (nil for local
-// clusters).
-func (c *Cluster) RemoteInvoker() RoundInvoker { return c.remote }
-
 // closeRemote shuts down the transport behind a remote cluster, if it owns
 // one that is closable. Called from Close so that Set.Close / Store.Close
 // tears transports down along with everything else.

@@ -28,8 +28,8 @@ func (f *fakeInvoker) Close() error {
 func TestRemoteClusterDelegatesAndCloses(t *testing.T) {
 	inv := &fakeInvoker{}
 	c := NewRemoteCluster(3, inv)
-	if got := c.RemoteInvoker(); got != RoundInvoker(inv) {
-		t.Fatalf("RemoteInvoker = %v, want the dialed invoker", got)
+	if got := c.remote; got != RoundInvoker(inv) {
+		t.Fatalf("remote invoker = %v, want the dialed invoker", got)
 	}
 	if c.N() != 3 {
 		t.Fatalf("N = %d, want 3", c.N())
@@ -66,7 +66,7 @@ func TestRemoteClusterValidation(t *testing.T) {
 	}
 	mustPanic("zero objects", func() { NewRemoteCluster(0, &fakeInvoker{}) })
 	mustPanic("nil invoker", func() { NewRemoteCluster(1, nil) })
-	if newTestCluster(2).RemoteInvoker() != nil {
+	if newTestCluster(2).remote != nil {
 		t.Fatal("local cluster reports a remote invoker")
 	}
 }

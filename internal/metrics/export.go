@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -39,7 +38,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		case TypeHistogram:
 			for _, key := range sortedKeysOf(r.hists, name) {
 				h := r.hists[key]
-				s := h.Snapshot()
+				s := h.snapshot()
 				cum := uint64(0)
 				for i, bound := range s.Bounds {
 					cum += s.Counts[i]
@@ -115,7 +114,7 @@ func (r *Registry) String() string {
 		case TypeHistogram:
 			for _, key := range sortedKeysOf(r.hists, name) {
 				h := r.hists[key]
-				s := h.Snapshot()
+				s := h.snapshot()
 				out = append(out, expvarSeries{
 					Labels: labelMap(h.labels),
 					Count:  s.Count,
@@ -162,7 +161,7 @@ func (r *Registry) WriteSummary(w io.Writer) {
 		case TypeHistogram:
 			for _, key := range sortedKeysOf(r.hists, name) {
 				h := r.hists[key]
-				s := h.Snapshot()
+				s := h.snapshot()
 				if s.Count == 0 {
 					continue
 				}
@@ -194,17 +193,4 @@ func formatSeconds(v float64) string {
 	default:
 		return strconv.FormatFloat(v, 'g', 3, 64)
 	}
-}
-
-// SortedFamilyNames returns every registered family name, sorted. The
-// doc-sync test compares this against the table in docs/METRICS.md.
-func (r *Registry) SortedFamilyNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }

@@ -361,11 +361,11 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// HistogramSnapshot is a consistent-enough point-in-time copy of a
+// histogramSnapshot is a consistent-enough point-in-time copy of a
 // histogram: per-bucket cumulative counts, total count, and sum. Snapshots
 // taken during concurrent observation may be torn by at most the
 // observations in flight, which is the usual scrape-time contract.
-type HistogramSnapshot struct {
+type histogramSnapshot struct {
 	// Bounds are the bucket upper bounds (+Inf excluded).
 	Bounds []float64
 	// Counts[i] is the number of observations in bucket i; len(Bounds)+1
@@ -377,12 +377,12 @@ type HistogramSnapshot struct {
 	Sum float64
 }
 
-// Snapshot copies the histogram's current state (zero value for nil).
-func (h *Histogram) Snapshot() HistogramSnapshot {
+// snapshot copies the histogram's current state (zero value for nil).
+func (h *Histogram) snapshot() histogramSnapshot {
 	if h == nil {
-		return HistogramSnapshot{}
+		return histogramSnapshot{}
 	}
-	s := HistogramSnapshot{
+	s := histogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]uint64, len(h.counts)),
 		Count:  h.count.Load(),
@@ -407,7 +407,7 @@ func (h *Histogram) Count() uint64 {
 // target rank — the standard fixed-bucket estimate, exact at bucket bounds.
 // Observations in the +Inf bucket are estimated as the largest finite bound.
 // It returns 0 for an empty (or nil) histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
+func (s histogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || q <= 0 {
 		return 0
 	}
@@ -447,7 +447,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // Mean returns the average observation (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
+func (s histogramSnapshot) Mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}

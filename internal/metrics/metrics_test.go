@@ -30,10 +30,10 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatalf("nil metrics must read zero")
 	}
-	if got := h.Snapshot(); got.Count != 0 {
+	if got := h.snapshot(); got.Count != 0 {
 		t.Fatalf("nil histogram snapshot: %+v", got)
 	}
-	if r.Families() != nil || r.SortedFamilyNames() != nil {
+	if r.Families() != nil {
 		t.Fatalf("nil registry families must be nil")
 	}
 	r.WritePrometheus(io.Discard)
@@ -101,7 +101,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	h.Observe(4)       // bucket le=4
 	h.Observe(99)      // +Inf bucket
 	h.Observe(0)       // le=1
-	s := h.Snapshot()
+	s := h.snapshot()
 	want := []uint64{2, 2, 1, 1}
 	for i, n := range want {
 		if s.Counts[i] != n {
@@ -129,7 +129,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
 		got := s.Quantile(q)
 		if math.Abs(got-q) > 0.1 {
@@ -155,10 +155,10 @@ func TestHistogramOverflowQuantile(t *testing.T) {
 	h.Observe(60)
 	// Everything is in the +Inf bucket; the estimate degrades to the largest
 	// finite bound rather than inventing a number.
-	if got := h.Snapshot().Quantile(0.5); got != 2 {
+	if got := h.snapshot().Quantile(0.5); got != 2 {
 		t.Fatalf("overflow quantile = %v, want 2", got)
 	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
+	if got := (histogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	for i := 0; i < goroutines*perG; i++ {
 		wantSum += float64(i) * 1e-6
 	}
-	if got := h.Snapshot().Sum; math.Abs(got-wantSum) > 1e-6 {
+	if got := h.snapshot().Sum; math.Abs(got-wantSum) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %v", got, wantSum)
 	}
 }

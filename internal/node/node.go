@@ -3,8 +3,8 @@
 // a cluster's base objects, a client of such a cluster, a throughput or churn
 // run of spacebench — it is a shard set with a reconfiguration coordinator
 // and, optionally, a batch engine, a write-ahead log, instrumentation, a fault
-// injector, an autoshard controller and a TCP server, and the way those are
-// wired together is decided here and nowhere else:
+// injector and a TCP server, and the way those are wired together is decided
+// here and nowhere else:
 //
 //	(a) specs: abd, the one provider whose constructor requires it, gets
 //	    k = 1; every other provider keeps the k it was given (EffectiveK);
@@ -19,7 +19,7 @@
 //	    coordinator (its ApplyLive/ResumeLive own the serialization and the
 //	    migration-writer client IDs);
 //	(g) churn: the fault injector crashes at most F nodes per shard at once;
-//	(h) teardown: controller, injector, server, set, journal, in that order.
+//	(h) teardown: injector, server, set, journal, in that order.
 //
 // The deterministic simulator, the experiments and the adversary build bare
 // controlled-mode clusters for model runs; they are not processes and do not
@@ -32,9 +32,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
-	"spacebounds/internal/autoshard"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/reconfig"
@@ -64,18 +62,6 @@ type Config struct {
 	// Faults starts the crash/restart injector when Interval is set. Ignored
 	// by Connect.
 	Faults FaultConfig
-	// AutoReshard starts the autoshard controller when Interval is set. The
-	// controller reads the node's metrics, so it implies a registry: a
-	// private one is created when Metrics is nil.
-	AutoReshard AutoReshardConfig
-}
-
-// AutoReshardConfig is the autoshard planner's policy plus the control loop's
-// tick period.
-type AutoReshardConfig struct {
-	autoshard.Config
-	// Interval is the tick period; > 0 enables the controller.
-	Interval time.Duration
 }
 
 // LayoutSpecs expands the layout flags every binary takes into shard specs
@@ -119,8 +105,7 @@ type Node struct {
 
 	journal *wal.Journal // nil without a WAL
 	replay  wal.ReplayStats
-	faults  *injector         // nil unless Config.Faults was set
-	reshard *autoshard.Driver // nil unless Config.AutoReshard was set
+	faults  *injector // nil unless Config.Faults was set
 
 	mu     sync.Mutex
 	srv    *transport.Server // nil until Serve
@@ -129,9 +114,6 @@ type Node struct {
 
 // Open builds a process that holds the base objects itself.
 func Open(cfg Config) (*Node, error) {
-	if cfg.AutoReshard.Interval > 0 && cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	set, err := shard.New(normalize(cfg.Shards), dsys.WithMetrics(cfg.Metrics), dsys.WithTracer(cfg.Tracer))
 	if err != nil {
 		return nil, err
@@ -180,9 +162,6 @@ func (n *Node) start(cfg Config) error {
 	if cfg.Faults.Interval > 0 {
 		n.faults = startInjector(n.set, cfg.Faults)
 	}
-	if cfg.AutoReshard.Interval > 0 {
-		return n.startAutoReshard(cfg.AutoReshard)
-	}
 	return nil
 }
 
@@ -214,29 +193,6 @@ func (n *Node) openJournal(cfg wal.Config) error {
 	j.Attach(n.set.Cluster())
 	n.recon.SetJournal(j)
 	return nil
-}
-
-// startAutoReshard starts the autoshard control loop over the node's registry
-// and coordinator.
-func (n *Node) startAutoReshard(cfg AutoReshardConfig) error {
-	planner, err := autoshard.NewPlanner(cfg.Config)
-	if err != nil {
-		return err
-	}
-	sampler := autoshard.NewRegistrySampler(n.Metrics(), n.set.Router().ActiveLeafNames)
-	n.reshard, err = autoshard.StartDriver(autoshard.DriverConfig{
-		Planner:  planner,
-		Interval: cfg.Interval,
-		Sample:   sampler.Sample,
-		Apply: func(mv reconfig.Move) error {
-			_, err := n.recon.ApplyLive(mv)
-			return err
-		},
-		Resume:   n.recon.ResumeLive,
-		InFlight: func() bool { return n.recon.InFlight() != nil },
-		Metrics:  n.Metrics(),
-	})
-	return err
 }
 
 // Serve starts answering quorum rounds on listen for the objects that
@@ -282,8 +238,7 @@ func (n *Node) Set() *shard.Set { return n.set }
 // Coordinator returns the process's one reconfiguration coordinator.
 func (n *Node) Coordinator() *reconfig.Coordinator { return n.recon }
 
-// Metrics returns the registry the node instruments into: Config.Metrics, or
-// the private one the autoshard controller made necessary, or nil.
+// Metrics returns Config.Metrics.
 func (n *Node) Metrics() *metrics.Registry { return n.set.Cluster().Metrics() }
 
 // Tracer returns Config.Tracer.
@@ -304,30 +259,10 @@ func (n *Node) FaultStats() FaultStats {
 	return n.faults.Stats()
 }
 
-// StopAutoReshard halts the autoshard controller, if any. Close calls it; a
-// caller that reports AutoReshardStats stops the controller first so the
-// counters have settled.
-func (n *Node) StopAutoReshard() {
-	if n.reshard != nil {
-		n.reshard.Stop()
-	}
-}
-
-// AutoReshardStats returns the autoshard controller's counters (zero without
-// a controller).
-func (n *Node) AutoReshardStats() autoshard.Stats {
-	if n.reshard == nil {
-		return autoshard.Stats{}
-	}
-	return n.reshard.Stats()
-}
-
-// Close tears the process down: the controller first, so no new move starts
-// while the cluster is going away (a move it was mid-way through stays in the
-// ledger for the next Open); then the injector; then the server, so no round
-// arrives at a closing cluster; then the set — and with it, for a client, the
-// transport; and the journal last, once nothing applies any more. Closing a
-// closed node is a no-op.
+// Close tears the process down: the injector first; then the server, so no
+// round arrives at a closing cluster; then the set — and with it, for a
+// client, the transport; and the journal last, once nothing applies any more.
+// Closing a closed node is a no-op.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	srv, closed := n.srv, n.closed
@@ -336,7 +271,6 @@ func (n *Node) Close() error {
 	if closed {
 		return nil
 	}
-	n.StopAutoReshard()
 	if n.faults != nil {
 		n.faults.halt()
 	}

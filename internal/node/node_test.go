@@ -50,9 +50,8 @@ func settle(t *testing.T, baseline int) {
 }
 
 // TestLifecycle drives the whole assembly — a durable, instrumented, batched
-// node with an injector and a controller; a server in front; a client over
-// TCP — and requires Close to take every goroutine with it and to be
-// idempotent.
+// node with an injector; a server in front; a client over TCP — and requires
+// Close to take every goroutine with it and to be idempotent.
 func TestLifecycle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	reg := metrics.NewRegistry()
@@ -63,12 +62,10 @@ func TestLifecycle(t *testing.T) {
 		WAL:     wal.Config{Dir: t.TempDir()},
 		Metrics: reg,
 		Tracer:  tr,
-		// Both loops run but stay quiet: what is under test is that Close
-		// stops them.
-		Faults:      FaultConfig{Interval: time.Hour},
-		AutoReshard: AutoReshardConfig{Interval: time.Hour},
+		// The injector runs but stays quiet: what is under test is that Close
+		// stops it.
+		Faults: FaultConfig{Interval: time.Hour},
 	}
-	cfg.AutoReshard.HotOps = 1 << 20
 	n, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +105,13 @@ func TestLifecycle(t *testing.T) {
 		}
 	}
 	// Rule (d): one registry saw the set, the coordinator, the journal, the
-	// server, the client and the controller.
+	// server and the client.
 	var page bytes.Buffer
 	reg.WritePrometheus(&page)
 	for _, family := range []string{
 		"spacebounds_dsys_quorum_round_seconds", "spacebounds_shard_batch_size_ops",
 		"spacebounds_reconfig_moves_total", "spacebounds_wal_appends_total",
 		"spacebounds_transport_server_requests_total", "spacebounds_transport_rpc_seconds",
-		"spacebounds_autoshard_ticks_total",
 	} {
 		if !strings.Contains(page.String(), family) {
 			t.Errorf("registry lacks %s", family)
@@ -168,9 +164,6 @@ func TestFailedAssemblyReleasesWhatItAcquired(t *testing.T) {
 	}
 	if _, err := Connect(nil, Config{Shards: testSpecs()}); err == nil {
 		t.Error("Connect accepted an empty address list")
-	}
-	if _, err := Open(Config{Shards: testSpecs(), AutoReshard: AutoReshardConfig{Interval: time.Second}}); err == nil {
-		t.Error("Open accepted an autoshard policy with no signal")
 	}
 
 	// A WAL directory that cannot be created: its parent is a file.

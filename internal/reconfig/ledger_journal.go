@@ -47,7 +47,7 @@ func (c *Coordinator) recordLocked(en *moveEntry) {
 //   - an unfinished entry whose move this build does not drive is an error —
 //     a journal written before PR 29 may hold an add or remove (kinds 3 and
 //     4), and restoring it as in flight would fail every Resume and refuse
-//     every new move with ErrMoveInFlight for good;
+//     every new move with errMoveInFlight for good;
 //   - an entry that was mid-rollback (Aborting) is finalized as aborted: its
 //     successor regions died with the process before any client state could
 //     reach them, and the fresh process rebuilds the pre-move table, which is

@@ -186,9 +186,9 @@ type Stats struct {
 // the scheduler only observes it when the cluster shuts down.
 var ErrInterrupted = errors.New("reconfig: migration interrupted")
 
-// ErrMoveInFlight is returned by Submit while another move is in flight (the
+// errMoveInFlight is returned by begin while another move is in flight (the
 // coordinator serializes moves; resume or finish the current one first).
-var ErrMoveInFlight = errors.New("reconfig: a move is already in flight")
+var errMoveInFlight = errors.New("reconfig: a move is already in flight")
 
 // ErrNotMigratable marks a source register that lacks the timestamped read
 // migration requires.
@@ -309,9 +309,9 @@ type Coordinator struct {
 	nextID    int
 	nextOwner int64
 
-	// liveMu serializes the live drivers (ApplyLive, ResumeLive): operators,
-	// the autoshard controller and recovery all push moves through the one
-	// coordinator, one at a time. liveRuns counts the migration-writer
+	// liveMu serializes the live drivers (ApplyLive, ResumeLive): operators
+	// and recovery both push moves through the one coordinator, one at a
+	// time. liveRuns counts the migration-writer
 	// incarnations handed out under it.
 	liveMu   sync.Mutex
 	liveRuns int
@@ -469,7 +469,7 @@ func (c *Coordinator) begin(mv Move) (*moveEntry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.inFlight != nil {
-		return nil, fmt.Errorf("%w: move %v (resume it first)", ErrMoveInFlight, c.inFlight.Move)
+		return nil, fmt.Errorf("%w: move %v (resume it first)", errMoveInFlight, c.inFlight.Move)
 	}
 	c.nextID++
 	c.nextOwner++

@@ -26,16 +26,6 @@
 // claim, falsified if any controller-crash interleaving can strand a
 // migration.
 //
-// With an AutoReshard plan, the scripted move schedule is replaced by the
-// self-driving topology controller: the workload is shaped (a hot-key storm,
-// a mid-run skew flip, shards going cold), a spared controller task samples
-// per-shard completed-op counts on the deterministic schedule and feeds them
-// to the autoshard planner, and the emitted splits, merges and drains run
-// through the same coordinator — under the same fault adversary. The run-end
-// assertions are the convergence claim: the topology settles (no move in
-// flight, no route mid-lifecycle), every history still checks out, and the
-// controller stayed within its move budget.
-//
 // Everything the run does is a pure function of Config (the seed in
 // particular): Run twice with the same Config and the histories, verdicts and
 // Fingerprint are identical, which is what makes failures replayable byte for
@@ -52,7 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spacebounds/internal/autoshard"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/node" // the layout k-rule, and the four register providers
@@ -125,10 +114,6 @@ type Config struct {
 	// Reconfig schedules dynamic-reconfiguration moves mid-run (zero value:
 	// topology fixed, exactly the pre-reconfiguration simulator).
 	Reconfig ReconfigPlan
-	// AutoReshard replaces the scripted move plan with the self-driving
-	// topology controller reacting to a shaped workload (zero value:
-	// disabled). Mutually exclusive with Reconfig.
-	AutoReshard AutoReshardPlan
 	// MaxSteps bounds scheduling decisions as a runaway backstop
 	// (default 200000).
 	MaxSteps int
@@ -177,9 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.Reconfig.Enabled() {
 		c.Faults = c.Faults.withControllerDefaults(c.Reconfig.ControllerCrashes)
 	}
-	if c.AutoReshard.Enabled() {
-		c.AutoReshard = c.AutoReshard.withDefaults()
-	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 200000
 	}
@@ -224,9 +206,6 @@ type Result struct {
 	// ControllerCrashes / ControllerResumes count the adversary's controller
 	// crash and takeover decisions (backstop promotions included).
 	ControllerCrashes, ControllerResumes int
-	// Autoshard holds the autoshard controller's planner counters (zero
-	// without an AutoReshard plan).
-	Autoshard autoshard.Stats
 	// RouteLeaks lists routes left mid-lifecycle (Seeding or Draining) at the
 	// end of the run; crash-resumable reconfiguration promises there are
 	// none.
@@ -330,9 +309,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: at most %d clients per shard (got %d): shard client IDs are strided by %d",
 			clientStride-1, cfg.Clients, clientStride)
 	}
-	if cfg.Reconfig.Enabled() && cfg.AutoReshard.Enabled() {
-		return nil, fmt.Errorf("sim: Reconfig and AutoReshard are mutually exclusive — both would drive the coordinator")
-	}
 	specs := make([]shard.Spec, 0, len(cfg.Shards))
 	for i, p := range cfg.Shards {
 		specs = append(specs, shard.Spec{
@@ -395,40 +371,17 @@ func Run(cfg Config) (*Result, error) {
 	// route every operation, because their home shard may be split, merged or
 	// drained under them mid-run.
 	var handles []*dsys.TaskHandle
-	var counts *opCounts
-	if cfg.AutoReshard.Enabled() {
-		counts = newOpCounts()
-	}
 	for si, sh := range set.Shards() {
 		for cl := 0; cl < cfg.Clients; cl++ {
 			id := clientID(si, cl)
-			switch {
-			case cfg.AutoReshard.Enabled():
-				pick := cfg.AutoReshard.picker(sh.Name, cfg.OpsPerClient)
+			if cfg.Reconfig.Enabled() {
 				handles = append(handles, cluster.SpawnScoped(id, 0, cluster.N(),
-					routedClientScript(cfg, set, recorders, &completedOps, &doneClients, id, counts, pick)))
-			case cfg.Reconfig.Enabled():
-				handles = append(handles, cluster.SpawnScoped(id, 0, cluster.N(),
-					routedClientScript(cfg, set, recorders, &completedOps, &doneClients, id, nil, defaultKeyMix(sh.Name))))
-			default:
+					routedClientScript(cfg, set, recorders, &completedOps, &doneClients, id, sh.Name)))
+			} else {
 				handles = append(handles, cluster.SpawnScoped(id, sh.Base, sh.Span,
 					clientScript(cfg, sh.Reg, recorders.forShard(sh.Name), &completedOps, &doneClients, id)))
 			}
 		}
-	}
-	var planner *autoshard.Planner
-	if cfg.AutoReshard.Enabled() {
-		// The controller task is spared from generic client crashes and runs
-		// on the schedule like any other task; its planner decisions are a
-		// pure function of the op counts the schedule produced.
-		planner, err = autoshard.NewPlanner(cfg.AutoReshard.plannerConfig())
-		if err != nil {
-			return nil, err
-		}
-		adv.spare(autoshardClientID)
-		done := workloadDoneFunc(cluster, &doneClients, totalClients)
-		handles = append(handles, cluster.SpawnScoped(autoshardClientID, 0, cluster.N(),
-			autoshardScript(set, co, planner, counts, done)))
 	}
 	var ctrl *controllerState
 	if cfg.Reconfig.Enabled() {
@@ -483,9 +436,6 @@ func Run(cfg Config) (*Result, error) {
 		_ = h.Wait() // crashed clients report ErrHalted; that is their crash
 	}
 	res.Moves = co.Ledger() // after Wait: interruption flags are settled
-	if planner != nil {
-		res.Autoshard = planner.Stats()
-	}
 
 	// One verdict per surviving leaf shard, its history stitched across its
 	// migration lineage (for an unreconfigured run the lineage is the shard
@@ -567,30 +517,22 @@ func clientScript(cfg Config, reg register.Register, rec *history.Recorder, comp
 	}
 }
 
-// defaultKeyMix is the routed clients' standard key distribution: favor keys
-// that route near the home shard but roam the whole keyspace, so splits
-// re-partition real traffic.
-func defaultKeyMix(home string) func(*rand.Rand, int) string {
-	keys := []string{home, home, KeySpaceName(0), KeySpaceName(1), KeySpaceName(2), KeySpaceName(3)}
-	return func(rng *rand.Rand, _ int) string { return keys[rng.Intn(len(keys))] }
-}
-
-// routedClientScript builds one routing client task for reconfiguration and
-// autoshard runs: every operation resolves its key — chosen by pick, which
-// encodes the workload shape — through the epoch-stamped table, pins the
+// routedClientScript builds one routing client task for reconfiguration runs:
+// every operation resolves its key through the epoch-stamped table, pins the
 // route, and records its history on the shard it actually executed on. Writes
 // whose target is a still-seeding successor yield to the scheduler and retry
-// — the controlled-mode equivalent of the live path's blocking acquire. When
-// counts is non-nil, every completed operation is tallied against the shard
-// that served it; the autoshard controller samples those tallies.
-func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, completed, done *atomic.Int64, id int, counts *opCounts, pick func(*rand.Rand, int) string) func(*dsys.ClientHandle) error {
+// — the controlled-mode equivalent of the live path's blocking acquire.
+func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, completed, done *atomic.Int64, id int, home string) func(*dsys.ClientHandle) error {
+	// Favor keys that route near the home shard but roam the shared keyspace,
+	// so splits re-partition real traffic.
+	keys := []string{home, home, "key-0", "key-1", "key-2", "key-3"}
 	return func(h *dsys.ClientHandle) error {
 		defer done.Add(1)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*1000003))
 		rt := set.Router()
 		seq := 0
 		for i := 0; i < cfg.OpsPerClient; i++ {
-			key := pick(rng, i)
+			key := keys[rng.Intn(len(keys))]
 			if rng.Float64() < cfg.ReadFraction {
 				ref, fb, err := rt.AcquireRead(id, key)
 				if err != nil {
@@ -618,17 +560,12 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 					}
 					continue
 				}
-				served := ref.Shard().Name
 				if fell {
 					fbRec.EndRead(fbOp, v)
-					served = fb.Shard().Name
 				} else {
 					rec.EndRead(op, v)
 				}
 				completed.Add(1)
-				if counts != nil {
-					counts.add(served)
-				}
 				continue
 			}
 			var ref *shard.Route
@@ -666,16 +603,10 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 			}
 			rec.EndWrite(op)
 			completed.Add(1)
-			if counts != nil {
-				counts.add(sh.Name)
-			}
 		}
 		return nil
 	}
 }
-
-// KeySpaceName returns the i-th shared key of the reconfiguration keyspace.
-func KeySpaceName(i int) string { return fmt.Sprintf("key-%d", i) }
 
 // fingerprint hashes everything observable about the run: per-shard histories
 // (operations with their logical intervals and values), the fault schedule,

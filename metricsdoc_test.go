@@ -6,7 +6,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"spacebounds"
 	"spacebounds/internal/node"
@@ -73,9 +72,6 @@ func TestMetricsDocSync(t *testing.T) {
 		Durability: spacebounds.Durability{Dir: t.TempDir()},
 		Metrics:    reg,
 		Trace:      spacebounds.NewTracer(spacebounds.TraceOptions{Sample: 1, Metrics: reg}),
-		// A long interval keeps the controller quiet; its metric families
-		// register eagerly at Open either way.
-		AutoReshard: spacebounds.AutoReshardOptions{Interval: time.Hour, HotOps: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"spacebounds/internal/autoshard"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/node"
 	"spacebounds/internal/reconfig"
@@ -128,56 +127,7 @@ type Options struct {
 	// moves each record a trace of their ledger steps. Nil disables tracing
 	// at the same one-branch cost as Metrics (see docs/TRACING.md).
 	Trace *Tracer
-	// AutoReshard enables the self-driving topology controller (zero value:
-	// disabled): a background loop that samples per-shard load from the
-	// store's metrics and splits hot shards, merges cold ones, and drains
-	// shards whose nodes run slow, through the same reconfiguration
-	// coordinator the SplitShard/MergeShards/DrainShard methods use. The
-	// controller needs instrumentation; when Options.Metrics is nil it
-	// creates a private registry (visible through Store.Metrics). See
-	// docs/OPERATIONS.md for tuning guidance.
-	AutoReshard AutoReshardOptions
 }
-
-// AutoReshardOptions configures the autoshard controller. Setting Interval
-// enables it; thresholds are compared against per-interval deltas, so they
-// scale with the interval. At least one of HotOps, HotLatency, HotQueue or
-// ColdOps must be set, and ColdOps must sit strictly below HotOps when both
-// are — the gap between them is the hysteresis band in which the controller
-// does nothing.
-type AutoReshardOptions struct {
-	// Interval is the control-loop tick period (> 0 enables the controller).
-	Interval time.Duration
-	// HotOps is the per-interval operation count at or above which a shard
-	// runs hot and becomes a split candidate (0 disables the rate signal).
-	HotOps float64
-	// ColdOps is the per-interval operation count at or below which a shard
-	// runs cold and becomes a merge candidate.
-	ColdOps float64
-	// HotLatency is the p99 quorum-round latency at or above which a shard
-	// runs hot. A shard hot by latency alone is drained onto fresh nodes
-	// rather than split (0 disables the latency signal).
-	HotLatency time.Duration
-	// HotQueue is the mean batch occupancy at or above which a shard runs
-	// hot (0 disables the queue signal).
-	HotQueue float64
-	// SustainTicks is how many consecutive hot or cold ticks a shard must
-	// show before the controller acts (default 3).
-	SustainTicks int
-	// CooldownTicks is how many ticks the controller rests after every
-	// resolved move (default 5).
-	CooldownTicks int
-	// MaxMoves caps the total moves the controller will ever make
-	// (0 = unlimited).
-	MaxMoves int
-	// MinShards and MaxShards bound the topology: no merge below the floor,
-	// no split above the cap (defaults 1 and unlimited).
-	MinShards, MaxShards int
-}
-
-// ReshardStats are the autoshard controller's counters; see
-// Store.AutoReshardStats.
-type ReshardStats = autoshard.Stats
 
 // Metrics is the store's metrics registry: counters, gauges, and fixed-bucket
 // latency histograms exported in Prometheus text format (Handler, or Serve
@@ -278,9 +228,8 @@ type Store struct {
 	resumeHook func() error
 }
 
-// Metrics returns the registry the store instruments into: the one it was
-// opened with, the private one Options.AutoReshard made necessary, or nil
-// when instrumentation is disabled.
+// Metrics returns the registry the store was opened with, or nil when
+// instrumentation is disabled.
 func (s *Store) Metrics() *Metrics { return s.node.Metrics() }
 
 // Tracer returns the tracer the store was opened with, or nil when tracing is
@@ -302,7 +251,6 @@ func Open(opts Options) (*Store, error) {
 			Config:    register.Config{F: s.F, K: s.K, DataLen: s.ValueSize},
 		})
 	}
-	ar := opts.AutoReshard
 	n, err := node.Open(node.Config{
 		Shards: specs,
 		Batch:  shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay},
@@ -314,31 +262,12 @@ func Open(opts Options) (*Store, error) {
 		Metrics: opts.Metrics,
 		Tracer:  opts.Trace,
 		Faults:  opts.Faults,
-		AutoReshard: node.AutoReshardConfig{
-			Interval: ar.Interval,
-			Config: autoshard.Config{
-				HotOps:        ar.HotOps,
-				ColdOps:       ar.ColdOps,
-				HotLatency:    ar.HotLatency.Seconds(),
-				HotQueue:      ar.HotQueue,
-				SustainTicks:  ar.SustainTicks,
-				CooldownTicks: ar.CooldownTicks,
-				MaxMoves:      ar.MaxMoves,
-				MinShards:     ar.MinShards,
-				MaxShards:     ar.MaxShards,
-			},
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Store{node: n, set: n.Set(), def: n.Set().Shards()[0]}, nil
 }
-
-// AutoReshardStats returns the autoshard controller's counters (ticks, plans
-// by kind, resolutions, current hot/cold census). The zero value when the
-// controller is disabled.
-func (s *Store) AutoReshardStats() ReshardStats { return s.node.AutoReshardStats() }
 
 // Algorithm returns the name of the default (first) shard's emulation.
 func (s *Store) Algorithm() string { return s.def.Reg.Name() }
@@ -637,10 +566,8 @@ func (s *Store) ReconfigStats() ReconfigStats {
 	}
 }
 
-// Close stops the autoshard controller and fault injection, then shuts the
-// cluster down — including, for a store backed by a remote cluster, the
-// transport behind it. The controller stops first so no new move starts while
-// the cluster is going away; a move it was mid-way through stays in the
-// ledger for the next open's ResumeMoves. Close implements io.Closer; closing
-// an already-closed store is a no-op.
+// Close stops fault injection, then shuts the cluster down and closes the
+// write-ahead log. A move that was mid-way through stays in the ledger for the
+// next open's ResumeMoves. Close implements io.Closer; closing an
+// already-closed store is a no-op.
 func (s *Store) Close() error { return s.node.Close() }
