@@ -3,6 +3,7 @@ package dsys
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"spacebounds/internal/trace"
@@ -149,9 +150,16 @@ func (h *ClientHandle) SetLocalBlocks(refs []BlockRef) {
 // rescheduled, keyed by scope-local object ID. The remaining RMWs stay
 // pending and may take effect later.
 func (h *ClientHandle) InvokeAll(makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	targets := make([]int, h.span)
-	for i := range targets {
-		targets[i] = i
+	// No engine keeps targets past the round, so a scope of up to
+	// len(onStack) objects — 2f+k of them, for every register this repository
+	// runs — lists them without allocating.
+	var onStack [32]int
+	targets := onStack[:0]
+	if h.span > len(onStack) {
+		targets = make([]int, 0, h.span)
+	}
+	for i := 0; i < h.span; i++ {
+		targets = append(targets, i)
 	}
 	return h.Invoke(targets, makeRMW, quorum)
 }
@@ -197,20 +205,62 @@ func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum
 // invokeRemote delegates the round to the remote cluster's transport:
 // scope-local targets are translated to global object IDs on the way out and
 // responses are translated back, so region-scoped register code runs
-// unchanged against a cluster hosted in other processes.
+// unchanged against a cluster hosted in other processes. The translation
+// allocates nothing: the global IDs and the RMW factory over them are a
+// remoteRound's, borrowed for the round, and the transport's result map is
+// re-keyed in place.
 func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
-	global := make([]int, len(targets))
-	for i, obj := range targets {
-		global[i] = h.base + obj
+	r := remoteRounds.Get().(*remoteRound)
+	r.base, r.makeRMW = h.base, makeRMW
+	for _, obj := range targets {
+		r.global = append(r.global, h.base+obj)
 	}
-	resp, err := h.c.remote.InvokeRound(h.context(), h.id, global, func(g int) RMW {
-		return makeRMW(g - h.base)
-	}, quorum)
-	local := make(map[int]any, len(resp))
+	resp, err := h.c.remote.InvokeRound(h.context(), h.id, r.global, r.globalRMW, quorum)
+	r.global, r.makeRMW = r.global[:0], nil
+	remoteRounds.Put(r)
+	localKeys(resp, h.base)
+	return resp, err
+}
+
+// remoteRound is what invokeRemote hands the transport for one round of a
+// region-scoped handle: the targets as global IDs and an RMW factory that
+// takes them. A RoundInvoker keeps neither past its return, so rounds borrow
+// one from remoteRounds instead of allocating both.
+type remoteRound struct {
+	base      int
+	makeRMW   func(obj int) RMW // the round's, over scope-local IDs
+	global    []int
+	globalRMW func(g int) RMW // r.rmw, bound once
+}
+
+func (r *remoteRound) rmw(g int) RMW { return r.makeRMW(g - r.base) }
+
+var remoteRounds = sync.Pool{New: func() any {
+	r := new(remoteRound)
+	r.globalRMW = r.rmw
+	return r
+}}
+
+// localKeys re-keys a remote round's responses from global object IDs to IDs
+// local to the region at base, in place: the map is the round's own. Every
+// entry moves by way of a negative key, which no object ID takes, so that
+// none is moved twice where the global and the local ranges overlap.
+func localKeys(resp map[int]any, base int) {
+	if base == 0 {
+		return
+	}
 	for g, r := range resp {
-		local[g-h.base] = r
+		if g >= 0 {
+			delete(resp, g)
+			resp[-1-(g-base)] = r
+		}
 	}
-	return local, err
+	for k, r := range resp {
+		if k < 0 {
+			delete(resp, k)
+			resp[-1-k] = r
+		}
+	}
 }
 
 // invokeControlled registers pending RMWs and blocks until the scheduling

@@ -432,9 +432,12 @@ func (c *cursor) finish() error {
 // identified by *global* object IDs and waits for at least quorum responses.
 // It is the seam a remote cluster plugs a transport into: the in-process
 // engines satisfy it trivially, and the TCP transport implements it by
-// shipping envelopes. The returned map is keyed by global object ID.
-// Implementations may return a partial map together with an error (wrapping
-// ErrQuorumUnavailable) when fewer than quorum objects answered.
+// shipping envelopes. The returned map is keyed by global object ID and is
+// the caller's to keep or change. Implementations may return a partial map
+// together with an error (wrapping ErrQuorumUnavailable) when fewer than
+// quorum objects answered. targets and makeRMW are lent for the call: an
+// implementation reads the one and calls the other before it returns, and
+// keeps neither.
 type RoundInvoker interface {
 	InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error)
 }

@@ -66,7 +66,9 @@ func TestRemoteClusterValidation(t *testing.T) {
 	}
 	mustPanic("zero objects", func() { NewRemoteCluster(0, &fakeInvoker{}) })
 	mustPanic("nil invoker", func() { NewRemoteCluster(1, nil) })
-	if newTestCluster(2).remote != nil {
+	local := newTestCluster(2)
+	defer local.Close()
+	if local.remote != nil {
 		t.Fatal("local cluster reports a remote invoker")
 	}
 }

@@ -284,10 +284,11 @@ func DecodeResponse(kind string, payload []byte) (any, error) {
 // journal's frame buffer. A writer Reset with byRef keeps blocks of at least
 // refMinLen bytes by reference instead: its buffer gets the short fields, and
 // Segments hands a vectored write the buffer cut where each block belongs and
-// the blocks as they stand. Block bytes are immutable once produced (DESIGN.md,
-// "Data path and buffer ownership", rule 1), so a reference stays true for as
-// long as someone holds it; nothing block-sized is allocated or copied between
-// the code and the socket.
+// the blocks as they stand; Append gathers several such writers' frames into
+// one, copying their short fields and keeping their references. Block bytes are
+// immutable once produced (DESIGN.md, "Data path and buffer ownership", rule
+// 1), so a reference stays true for as long as someone holds it; nothing
+// block-sized is allocated or copied between the code and the socket.
 type WireWriter struct {
 	b        []byte
 	byRef    bool
@@ -358,6 +359,19 @@ func (w *WireWriter) Segments(dst [][]byte) [][]byte {
 		dst = append(dst, w.b[from:])
 	}
 	return dst
+}
+
+// Append adds src's encoding to the end of w's: src's buffer is copied into
+// w's, and the blocks src holds by reference are held by w the same way. Once
+// Append returns, src may be reset and written to again; the blocks stay
+// shared (DESIGN.md, "Data path and buffer ownership", rule 1).
+func (w *WireWriter) Append(src *WireWriter) {
+	from := len(w.b)
+	w.b = append(w.b, src.b...)
+	for _, r := range src.refs {
+		w.refs = append(w.refs, wireRef{off: from + r.off, p: r.p})
+	}
+	w.refBytes += src.refBytes
 }
 
 // Int appends a signed integer as a two's-complement big-endian u64.

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -117,6 +119,67 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestSlabFramesNeverOverlap is a client connection's read path: frames on
+// both sides of slabFrameMax, read in turn through one slab, each keep their
+// own bytes after every later frame has been read, end at their capacity, and
+// share no byte with another frame — while the short ones really are cut from
+// shared slabs.
+func TestSlabFramesNeverOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{0, 1, 8, 100, slabFrameMax - 1, slabFrameMax, slabFrameMax + 1, slabLen, 12}
+	for len(sizes) < 200 {
+		sizes = append(sizes, rng.Intn(slabFrameMax+64))
+	}
+	var stream []byte
+	want := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		want[i] = make([]byte, n)
+		rng.Read(want[i])
+		stream = append(binary.BigEndian.AppendUint32(stream, uint32(n)), want[i]...)
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var slab frameSlab
+	got := make([][]byte, len(sizes))
+	for i := range sizes {
+		frame, err := slab.readFrame(r)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got[i] = frame
+	}
+	if _, err := slab.readFrame(r); !errors.Is(err, io.EOF) {
+		t.Fatalf("past the last frame: err = %v, want io.EOF", err)
+	}
+
+	type span struct{ from, to uintptr }
+	var spans []span
+	for i, frame := range got {
+		if !bytes.Equal(frame, want[i]) {
+			t.Fatalf("frame %d of %d bytes no longer holds its bytes", i, sizes[i])
+		}
+		if cap(frame) != len(frame) {
+			t.Errorf("frame %d: %d bytes of capacity %d, want exactly its length", i, len(frame), cap(frame))
+		}
+		if len(frame) > 0 {
+			from := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+			spans = append(spans, span{from, from + uintptr(len(frame))})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	adjacent := 0
+	for i := 1; i < len(spans); i++ {
+		switch {
+		case spans[i].from < spans[i-1].to:
+			t.Fatalf("two frames share the bytes at %#x", spans[i].from)
+		case spans[i].from == spans[i-1].to:
+			adjacent++
+		}
+	}
+	if adjacent < len(spans)/2 {
+		t.Errorf("only %d of %d frames begin where another ends: the slab is not cutting them", adjacent, len(spans))
+	}
+}
+
 // TestFrameSenderWireBytes: what the sender puts on a real socket is byte for
 // byte `u32 length | u64 requestID | AppendBinary` of the flat encoding — for
 // untraced (version 1) and traced (version 2) envelopes, with and without
@@ -201,7 +264,6 @@ func TestFrameSenderWireBytes(t *testing.T) {
 	}
 
 	op := dsys.OpID{Client: 3, Seq: 9, Kind: dsys.OpWrite}
-	var arena frameArena
 	for i, tc := range []struct {
 		what    string
 		env     dsys.Envelope
@@ -215,7 +277,7 @@ func TestFrameSenderWireBytes(t *testing.T) {
 		{"read", dsys.Envelope{Op: op, Object: 1}, readCodec, read, nil, 0},
 	} {
 		reqID := uint64(100 + i)
-		if err := writeRequestFrame(&w, &arena, 1, reqID, tc.env, tc.codec, tc.rmw); err != nil {
+		if err := writeRequestFrame(&w, reqID, tc.env, tc.codec, tc.rmw); err != nil {
 			t.Fatal(err)
 		}
 		flat := tc.env
@@ -261,18 +323,82 @@ func TestFrameSenderWireBytes(t *testing.T) {
 	}
 }
 
+// TestSentFrameIsTheSendersCopy: once send returns, the frame belongs to the
+// sender — its short fields copied, its blocks referenced — so the writer that
+// framed it may be overwritten and reset while the frame still waits for the
+// socket. The connection here writes nothing until the writer has been
+// scribbled over, and the bytes it then writes are the frames as they were
+// sent.
+func TestSentFrameIsTheSendersCopy(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	out, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	in, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+
+	gate := make(chan struct{})
+	s := newFrameSender(gatedConn{Conn: out, gate: gate})
+	var w register.WireWriter
+	var want []byte
+	op := dsys.OpID{Client: 3, Seq: 9, Kind: dsys.OpWrite}
+	// A block short enough to be copied into the frame, and one long enough
+	// to go by reference.
+	for i, blockLen := range []int{24, 16 << 10} {
+		rmw := abdUpdateOf(t, blockLen)(i)
+		codec, _ := register.CodecOf(rmw)
+		reqID := uint64(400 + i)
+		if err := writeRequestFrame(&w, reqID, dsys.Envelope{Op: op, Object: i}, codec, rmw); err != nil {
+			t.Fatal(err)
+		}
+		env, err := register.EncodeEnvelope(op, i, rmw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := env.AppendBinary(nil)
+		want = append(want, flatFrame(t, reqID, body, err)...)
+		if err := s.send(&w); err != nil {
+			t.Fatal(err)
+		}
+		buf := w.Finish()
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+		w.Reset(buf[:0], true)
+		w.Int(-1)
+	}
+	close(gate)
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(in, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the socket carries what the writer held after send returned, not the frames sent")
+	}
+	s.close()
+}
+
 // BenchmarkSegmentsWrite is the ladder row behind register's threshold for
 // holding a block by reference: a round's worth of frames — four, each a
-// header, one block and a trailer, their inline bytes in one buffer allocated
-// per round — handed to a loopback socket in one vectored write, by a writer
-// that leaves the block out of the buffer and by one that copies it in.
+// header, one block and a trailer — staged the way a connection's sender
+// stages them, short fields copied into one reused buffer and long blocks by
+// reference, and handed to a loopback socket in one vectored write, by a
+// writer that leaves the block out of the buffer and by one that copies it in.
 func BenchmarkSegmentsWrite(b *testing.B) {
 	for _, blockLen := range []int{512, 2 << 10, 16 << 10} {
 		for _, byRef := range []bool{true, false} {
 			name := fmt.Sprintf("copy-%d", blockLen)
-			room := 128 + blockLen
 			if byRef {
-				name, room = fmt.Sprintf("ref-%d", blockLen), 128
+				name = fmt.Sprintf("ref-%d", blockLen)
 			}
 			b.Run(name, func(b *testing.B) {
 				ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -293,23 +419,23 @@ func BenchmarkSegmentsWrite(b *testing.B) {
 				go func() { _, _ = io.Copy(io.Discard, in) }()
 
 				chunk := register.Chunk{Block: erasure.Block{Index: 1, Data: make([]byte, blockLen)}}
-				var w register.WireWriter
+				var w, stage register.WireWriter
 				var segs, writing net.Buffers
 				b.SetBytes(int64(4 * register.ChunkWireSize(chunk)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var arena frameArena
-					segs = segs[:0]
 					for f := 0; f < 4; f++ {
-						w.Reset(arena.cut(room, 4-f), byRef)
+						w.Reset(w.Finish()[:0], byRef)
 						w.Chunk(chunk)
-						segs = w.Segments(segs)
+						stage.Append(&w)
 					}
+					segs = stage.Segments(segs[:0])
 					writing = segs
 					if _, err := writing.WriteTo(out); err != nil {
 						b.Fatal(err)
 					}
+					stage.Reset(stage.Finish()[:0], true)
 				}
 			})
 		}

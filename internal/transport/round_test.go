@@ -220,17 +220,21 @@ func TestReusedRoundTimerNeverEndsRoundEarly(t *testing.T) {
 }
 
 // Allocations of one 4-target round over loopback TCP, client and server
-// sides together: what this build measures, and what its parent did.
+// sides together: what this build measures, and what its parent did. The
+// build reads 13 without the race detector and 14 under it, whose sync.Pool
+// drops a share of the writers and timers rounds put back.
 const (
-	roundAllocs       = 31
-	roundAllocsParent = 34
+	roundAllocs       = 14
+	roundAllocsParent = 31
 )
 
 // TestRoundAllocations pins what a quorum round allocates. The round's own
-// bookkeeping is per round — one call array, one arena for its frames, one
-// writer, one channel, one result map, no context and no timer — and a
-// response is framed in one buffer, so what remains per target is the decoded
-// messages and the frames read off the socket.
+// bookkeeping is per round — one call array, one channel, one result map; its
+// writer and its timer come from pools, and it derives no context — and no
+// frame allocates on either side of the wire: a sender copies what it is sent
+// into the connection's staging buffer, a server reads every request into one
+// buffer and frames every response in one writer, and the client cuts its
+// responses from a slab. What remains per target is the decoded messages.
 func TestRoundAllocations(t *testing.T) {
 	fx := newRoundFixture(t)
 	makeRMW := abdRead(t)
@@ -241,40 +245,44 @@ func TestRoundAllocations(t *testing.T) {
 	}
 	round()
 	if got := testing.AllocsPerRun(500, round); got > roundAllocs {
-		t.Errorf("a %d-target round allocates %.1f times, want at most %d (the parent of PR 24 measured %d)",
+		t.Errorf("a %d-target round allocates %.1f times, want at most %d (its parent measured %d)",
 			roundTargets, got, roundAllocs, roundAllocsParent)
 	}
 }
 
-// TestLeanReadRoundCutsOneArena: the requests of an adaptive read's first
+// TestLeanReadFramesShareOneBuffer: the requests of an adaptive read's first
 // round are of two kinds, adaptive.read to k+f objects and the longer-named
-// adaptive.readts to the other f, and the arena sized from the first frame
-// still serves the last: every frame's inline bytes lie in one allocation.
-func TestLeanReadRoundCutsOneArena(t *testing.T) {
+// adaptive.readts to the other f, and one writer frames them all in turn in
+// one buffer: once it has framed such a round, framing the next allocates
+// nothing.
+func TestLeanReadFramesShareOneBuffer(t *testing.T) {
 	const n, pieces = 8, 6
 	read, _ := register.CodecByKind("adaptive.read")
 	readTS, _ := register.CodecByKind("adaptive.readts")
-	var arena frameArena
-	var w register.WireWriter
-	var first *byte
-	for obj := 0; obj < n; obj++ {
+	rmws := make([]dsys.RMW, n)
+	for obj := range rmws {
 		codec := read
 		if obj >= pieces {
 			codec = readTS
 		}
-		rmw, err := codec.Decode(nil)
-		if err != nil {
+		var err error
+		if rmws[obj], err = codec.Decode(nil); err != nil {
 			t.Fatal(err)
 		}
-		env := dsys.Envelope{Op: dsys.OpID{Client: 1}, Object: obj}
-		if err := writeRequestFrame(&w, &arena, n-obj, uint64(obj), env, codec, rmw); err != nil {
-			t.Fatal(err)
+	}
+	var w register.WireWriter
+	round := func() {
+		for obj, rmw := range rmws {
+			codec, _ := register.CodecOf(rmw)
+			env := dsys.Envelope{Op: dsys.OpID{Client: 1}, Object: obj}
+			if err := writeRequestFrame(&w, uint64(obj), env, codec, rmw); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if obj == 0 {
-			first = &arena[0]
-		} else if &arena[0] != first {
-			t.Fatalf("the frame for object %d (%s) was cut from a second arena", obj, codec.Kind)
-		}
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("framing a lean read's %d requests again allocates %.1f times, want 0", n, got)
 	}
 }
 
@@ -462,6 +470,38 @@ func TestOversizedRequestFailsAlone(t *testing.T) {
 	}
 }
 
+// TestCloseDuringRoundDialsNothing: a client closed while one of its rounds is
+// between targets is left with no connection. The round's second target closes
+// the client from makeRMW — after the round's own check, before it dials that
+// target's node — and the node is not dialed: Close has already emptied the
+// slots, so nobody would close what a dial left there. The stub nodes never
+// hang up, so such a connection would also fail the package's leak check.
+func TestCloseDuringRoundDialsNothing(t *testing.T) {
+	cli, err := Dial([]string{stubNode(t, nil), stubNode(t, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	read := abdRead(t)
+	makeRMW := func(obj int) dsys.RMW {
+		if obj == 1 {
+			_ = cli.Close()
+		}
+		return read(obj)
+	}
+	if _, err := cli.InvokeRound(context.Background(), 1, []int{0, 1}, makeRMW, 2); !errors.Is(err, dsys.ErrQuorumUnavailable) {
+		t.Fatalf("a round whose client closed under it: err = %v, want ErrQuorumUnavailable", err)
+	}
+	for node, slot := range cli.slots {
+		slot.mu.Lock()
+		conn := slot.conn
+		slot.mu.Unlock()
+		if conn != nil {
+			t.Errorf("node %d holds a connection (dead = %v) after Close", node, conn.dead.Load())
+		}
+	}
+}
+
 // brokenJournal refuses every RMW that is not read-only, as a journal whose
 // disk has failed does.
 type brokenJournal struct{}
@@ -564,10 +604,10 @@ func TestUnregisteredKindIsBadRequest(t *testing.T) {
 // round of 64-byte abd objects over loopback TCP, client and server in one
 // process, so allocs/op counts both sides of the wire.
 //
-// The piece rows are an update round instead, every request carrying one block:
-// 512 bytes, which the sender copies into the round's arena, and 16 KiB — the
-// tcp-large piece — which it hands to the socket by reference. Their B/op is
-// mostly the server's: it keeps a copy of what it is sent.
+// The piece rows are an update round instead, every request carrying one block
+// that the sender hands to the socket by reference: 512 bytes, the shortest it
+// does not copy (register's refMinLen), and 16 KiB, the tcp-large piece. Their
+// B/op is mostly the server's: it keeps a copy of what it is sent.
 func BenchmarkInvokeRound(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -31,8 +31,8 @@ func (l *frameLoop) Read(p []byte) (int, error) {
 // full replica, an 80 KiB frame: B/op is what a request costs the server
 // beyond the bytes it keeps — the copy of the retained piece and the decoded
 // headers, not the frame. "read-16KiB" is the read of an object holding one
-// 16 KiB piece: B/op is the chunk headers and the response's inline bytes; the
-// piece goes out as the state holds it.
+// 16 KiB piece: B/op is the chunk headers; the response's inline bytes go into
+// the connection's one writer, and the piece goes out as the state holds it.
 func BenchmarkServeRequest(b *testing.B) {
 	const f, k, dataLen = 2, 4, 64 << 10
 	reg, err := adaptive.New(register.Config{F: f, K: k, DataLen: dataLen})

@@ -49,7 +49,6 @@ const (
 
 type clientOptions struct {
 	placement     Placement
-	dialTimeout   time.Duration
 	redialBackoff time.Duration
 	metrics       *metrics.Registry
 	tracer        *trace.Tracer
@@ -61,11 +60,6 @@ type ClientOption func(*clientOptions)
 // WithPlacement overrides the object→node placement (default: round-robin
 // over the address list).
 func WithPlacement(p Placement) ClientOption { return func(o *clientOptions) { o.placement = p } }
-
-// WithDialTimeout overrides the per-connection dial timeout.
-func WithDialTimeout(d time.Duration) ClientOption {
-	return func(o *clientOptions) { o.dialTimeout = d }
-}
 
 // nodeSlot is the per-node connection state. Each node has its own mutex so
 // rounds touching healthy nodes never serialize behind a dial to a dead one.
@@ -96,10 +90,7 @@ func Dial(addrs []string, opts ...ClientOption) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: no node addresses")
 	}
-	o := clientOptions{
-		dialTimeout:   DefaultDialTimeout,
-		redialBackoff: DefaultRedialBackoff,
-	}
+	o := clientOptions{redialBackoff: DefaultRedialBackoff}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -190,13 +181,23 @@ func stopRoundTimer(t *time.Timer) {
 	roundTimers.Put(t)
 }
 
+// roundWriters holds the writers rounds frame their requests in. A writer in
+// the pool is empty and references no block.
+var roundWriters = sync.Pool{New: func() any { return new(register.WireWriter) }}
+
 // getConn returns the node's live connection, dialing if necessary. A failed
 // dial marks the node down for the redial backoff so concurrent rounds fail
-// fast instead of stacking up behind the dialer.
+// fast instead of stacking up behind the dialer. Once the client is closed it
+// dials nothing: Close empties each slot under its lock, so a round that
+// passed its own check before Close would otherwise leave a connection behind
+// that nobody closes.
 func (c *Client) getConn(ctx context.Context, node int) (*clientConn, error) {
 	slot := c.slots[node]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
+	if c.closed.Load() {
+		return nil, net.ErrClosed
+	}
 	if slot.conn != nil && !slot.conn.dead.Load() {
 		return slot.conn, nil
 	}
@@ -208,7 +209,7 @@ func (c *Client) getConn(ctx context.Context, node int) (*clientConn, error) {
 		nm.redials.Inc()
 	}
 	slot.dialed = true
-	d := net.Dialer{Timeout: c.opts.dialTimeout}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addrs[node])
 	if err != nil {
 		slot.downUntil = time.Now().Add(c.opts.redialBackoff)
@@ -294,9 +295,9 @@ func (cc *clientConn) shutdown(err error) {
 // readLoop dispatches response frames until the connection fails.
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReader(cc.conn)
+	var slab frameSlab
 	for {
-		// Every response gets a frame of its own: read results alias it.
-		frame, err := readFrame(br, nil)
+		frame, err := slab.readFrame(br)
 		if err != nil {
 			cc.shutdown(err)
 			return
@@ -322,9 +323,10 @@ func (cc *clientConn) readLoop() {
 // OK responses have arrived, the round's time is up, or every dispatched
 // request has failed. Targets are global object IDs; the result map is keyed
 // by them. What a round allocates it allocates once, not once per target: one
-// array of calls, one arena for the inline bytes of all its frames, one writer
-// whose block references the frames take turns in, one channel, one result
-// map. The blocks themselves go to the socket from where the RMWs hold them.
+// array of calls, one channel, one result map. Its frames take turns in one
+// writer borrowed from a pool — each connection's sender copies a frame's
+// inline bytes before send returns — and the blocks go to the socket from
+// where the RMWs hold them.
 func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if c.closed.Load() {
 		return nil, net.ErrClosed
@@ -351,6 +353,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 	// down may still be reading a call whose send has failed — so the array is
 	// never appended to beyond its capacity and its elements never move.
 	calls := make([]pendingCall, 0, len(targets))
+	w := roundWriters.Get().(*register.WireWriter)
 	defer func() {
 		// Stragglers past the quorum (or past a timeout) are dropped; their
 		// RMWs still take effect remotely, as the model prescribes. A call
@@ -359,12 +362,12 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		for i := range calls {
 			calls[i].conn.deregister(calls[i].reqID)
 		}
+		w.Reset(reuse(w.Finish()), true)
+		roundWriters.Put(w)
 	}()
-	var arena frameArena
-	var w register.WireWriter
 	dispatched := 0
 	var lastErr error
-	for i, obj := range targets {
+	for _, obj := range targets {
 		rmw := makeRMW(obj)
 		codec, ok := register.CodecOf(rmw)
 		if !ok {
@@ -386,7 +389,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			continue
 		}
 		reqID := c.reqSeq.Add(1)
-		if err := writeRequestFrame(&w, &arena, len(targets)-i, reqID, env, codec, rmw); err != nil {
+		if err := writeRequestFrame(w, reqID, env, codec, rmw); err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// This call alone fails: sent, the frame would cost the
 				// connection and every other round's calls on it.
@@ -407,7 +410,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			}
 		}
 		cc.register(reqID, call)
-		if err := cc.sender.send(&w); err != nil {
+		if err := cc.sender.send(w); err != nil {
 			cc.deregister(reqID)
 			lastErr = &RemoteError{Node: cc.addr, Err: err}
 			continue

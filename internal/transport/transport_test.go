@@ -371,11 +371,12 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestServerDownQuorum verifies that rounds against a dead address fail fast
-// with the quorum sentinel and a RemoteError cause, and that errors.Is still
-// reaches ErrStuck (the pre-redesign sentinel the simulator tests use).
+// TestServerDownQuorum verifies that rounds against a dead address (a refused
+// port, so the dial fails at once) fail fast with the quorum sentinel and a
+// RemoteError cause, and that errors.Is still reaches ErrStuck (the
+// pre-redesign sentinel the simulator tests use).
 func TestServerDownQuorum(t *testing.T) {
-	cli, err := transport.Dial([]string{"127.0.0.1:1"}, transport.WithDialTimeout(200_000_000))
+	cli, err := transport.Dial([]string{"127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,11 @@ func TestReopenWithoutCloseRecovers(t *testing.T) {
 	n, _ := openNode(t, dir, wal.Config{SyncEvery: 1})
 	n.write(t, 1, "durable")
 	// No Close: simulate a crash by abandoning the journal (the file was
-	// fsynced by the SyncEvery=1 policy, so the record must survive).
+	// fsynced by the SyncEvery=1 policy, so the record must survive). Its
+	// snapshotter goroutine is stopped only once the test is done with the
+	// directory.
 	n.c.Close()
+	t.Cleanup(func() { _ = n.j.Close() })
 
 	n2, stats := openNode(t, dir, wal.Config{})
 	defer n2.close(t)
