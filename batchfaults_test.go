@@ -16,9 +16,9 @@ import (
 //     a batcher receives exactly one response, and the batcher's member
 //     counters account for every submission — an operation is never silently
 //     dropped from, or double-counted in, a shared round that raced a crash;
-//   - StorageBreakdown stays summation-consistent: the aggregate equals the
-//     sum of the per-shard attribution in every sample taken while batches
-//     and faults are in flight.
+//   - Storage stays summation-consistent: the aggregate equals the sum of
+//     the per-shard attribution in every sample taken while batches and
+//     faults are in flight.
 //
 // Run with -race this is also the concurrency check on the injector's
 // interaction with the batched live engine.
@@ -43,8 +43,8 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 	}
 	defer store.Close()
 
-	// Sampler: StorageBreakdown must be summation-consistent in every sample
-	// taken while batches commit and nodes crash mid-flight.
+	// Sampler: Storage must be summation-consistent in every sample taken
+	// while batches commit and nodes crash mid-flight.
 	stopSampling := make(chan struct{})
 	var samplerWG sync.WaitGroup
 	samplerWG.Add(1)
@@ -57,13 +57,8 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 				return
 			default:
 			}
-			total, perShard := store.StorageBreakdown()
-			sum := 0
-			for _, bits := range perShard {
-				sum += bits
-			}
-			if total != sum {
-				t.Errorf("StorageBreakdown inconsistent: total %d != sum of shards %d (%v)", total, sum, perShard)
+			if err := bitsSum(store.Storage()); err != nil {
+				t.Errorf("Storage inconsistent: %v", err)
 				return
 			}
 			samples.Add(1)

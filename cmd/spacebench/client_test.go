@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,10 +98,19 @@ func TestClientModeSafeRegister(t *testing.T) {
 	}
 }
 
+// The in-process throughput mode and its -split/-resize-at flags are gone:
+// throughput is the benchmark's question, and moves under load are the
+// workload package's. A layout with no shards is refused before any dial,
+// and a run against a dead cluster fails.
 func TestClientModeRejectsSplitAndBadCluster(t *testing.T) {
-	c := mustParse(t, "-connect", "127.0.0.1:1", "-split", "shard-0")
-	if err := c.execute(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-split") {
-		t.Fatalf("split+connect accepted: %v", err)
+	for _, gone := range [][]string{{"-throughput"}, {"-split", "shard-0"}, {"-resize-at", "10"}} {
+		if _, err := parseArgs(append([]string{"-connect", "127.0.0.1:1"}, gone...), io.Discard); err == nil {
+			t.Fatalf("%s accepted", gone[0])
+		}
+	}
+	err := mustParse(t, "-connect", "127.0.0.1:1", "-shards", "0").execute(&bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "at least one shard") {
+		t.Fatalf("-shards 0: %v, want the layout refused", err)
 	}
 	bad := mustParse(t, "-connect", "127.0.0.1:1", "-clients", "1", "-ops", "1", "-keys", "1")
 	if err := bad.execute(&bytes.Buffer{}); err == nil {

@@ -1,9 +1,7 @@
 // Command spacebench runs the experiment suite that regenerates the paper's
 // analytic results (see DESIGN.md E1-E8) and prints each result as a table,
-// or — with -throughput — drives a sharded multi-register store with a keyed,
-// optionally Zipf-skewed workload and reports ops/sec, or — with -sim —
-// explores seeded adversarial fault schedules against every register
-// provider with the deterministic simulator and checks the recorded
+// or — with -sim — explores seeded adversarial fault schedules against every
+// register provider with the deterministic simulator and checks the recorded
 // histories against the paper's consistency conditions.
 //
 // Usage:
@@ -12,18 +10,17 @@
 //	spacebench -exp E3,E4      # run a subset
 //	spacebench -list           # list experiments
 //	spacebench -markdown       # emit GitHub-flavoured markdown tables
-//	spacebench -throughput -shards 8 -skew 1.2 -clients 8 -ops 2000
 //	spacebench -sim -seeds 500 -sim-out sim-failures.txt
 //
 // With -connect, spacebench is instead a client of a real multi-process
-// cluster: it dials the given spacenode addresses, runs the same sharded
-// workload over the TCP envelope transport with history recording, and
-// checks the recorded histories against the provider's consistency
-// condition — the same checkers the deterministic simulator uses. The
-// checkers assume the registers start from their initial value with this
-// run's writes the only writes, so run one checked client per cluster
-// lifetime: a second run against nodes that kept state from an earlier run
-// reads values the checker never saw written and reports false violations.
+// cluster: it dials the given spacenode addresses, runs a keyed, optionally
+// Zipf-skewed sharded workload over the TCP envelope transport with history
+// recording, reports ops/sec, and checks the recorded histories against the
+// provider's consistency condition — the same checkers the deterministic
+// simulator uses. The checkers assume the registers start from their initial
+// value with this run's writes the only writes, so run one checked client per
+// cluster lifetime: a second run against nodes that kept state from an earlier
+// run reads values the checker never saw written and reports false violations.
 //
 //	spacebench -connect 127.0.0.1:9001,127.0.0.1:9002 -algo adaptive -shards 4 -clients 4 -ops 200
 package main
@@ -41,7 +38,6 @@ import (
 	"spacebounds/internal/history"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/node"
-	"spacebounds/internal/reconfig"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/sim"
 	"spacebounds/internal/trace"
@@ -57,8 +53,10 @@ type cliConfig struct {
 	list     bool
 	markdown bool
 
-	// Throughput mode.
-	throughput  bool
+	// Client mode.
+	connect     string
+	recordOut   string
+	metricsAddr string
 	shards      int
 	skew        float64
 	clients     int
@@ -69,19 +67,12 @@ type cliConfig struct {
 	algo        string
 	f           int
 	k           int
-	seed        int64
 	batch       int
 	batchDelay  time.Duration
 	arrivalRate float64
-	split       string
-	resizeAt    int
 
-	// Client mode.
-	connect   string
-	recordOut string
-
-	// Shared by throughput and client mode.
-	metricsAddr string
+	// Shared by client and simulation mode.
+	seed int64
 
 	// Tracing (client mode).
 	traceSample float64
@@ -115,27 +106,23 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.BoolVar(&c.list, "list", false, "list available experiments and exit")
 	fs.BoolVar(&c.markdown, "markdown", false, "emit markdown tables instead of plain text")
 
-	fs.BoolVar(&c.throughput, "throughput", false, "run the sharded live-throughput workload instead of the experiments")
-	fs.IntVar(&c.shards, "shards", 8, "number of register shards (throughput mode)")
-	fs.Float64Var(&c.skew, "skew", 0, "Zipf key-skew exponent; > 1 skews, otherwise uniform (throughput mode)")
-	fs.IntVar(&c.clients, "clients", 8, "concurrent clients (throughput mode)")
-	fs.IntVar(&c.ops, "ops", 2000, "operations per client (throughput mode)")
-	fs.IntVar(&c.keys, "keys", 64, "distinct keys (throughput mode)")
-	fs.Float64Var(&c.reads, "reads", 0.1, "fraction of operations that are reads (throughput mode)")
-	fs.IntVar(&c.valueSize, "valuesize", 1024, "value size in bytes (throughput mode)")
-	fs.StringVar(&c.algo, "algo", "adaptive", "register provider per shard: adaptive, abd, ecreg, safereg (throughput mode)")
-	fs.IntVar(&c.f, "f", 2, "crash failures tolerated per shard (throughput mode)")
-	fs.IntVar(&c.k, "k", 2, "erasure decode threshold per shard (throughput mode)")
-	fs.Int64Var(&c.seed, "seed", 1, "workload seed / first simulation seed; fixed seeds make runs reproducible, e.g. in CI")
-	fs.IntVar(&c.batch, "batch", 0, "group commit: max ops per shared round; 0 disables (throughput mode)")
-	fs.DurationVar(&c.batchDelay, "batch-delay", 0, "how long an idle shard waits for a batch to fill before dispatching (throughput mode)")
-	fs.Float64Var(&c.arrivalRate, "arrival-rate", 0, "open-loop arrivals per second per client; 0 keeps the closed loop (throughput mode)")
-	fs.StringVar(&c.split, "split", "", "live-split this shard mid-run and report throughput before/after (throughput mode)")
-	fs.IntVar(&c.resizeAt, "resize-at", 0, "completed-op threshold that triggers -split; 0 means half the scheduled operations (throughput mode)")
-
 	fs.StringVar(&c.connect, "connect", "", "comma-separated spacenode addresses; runs the workload as a client of that cluster (client mode)")
 	fs.StringVar(&c.recordOut, "record-out", "", "write the recorded per-shard histories to this file when the consistency check fails (client mode)")
-	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars on this address during the run (throughput and client modes; empty: disabled)")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars on this address during the run (client mode; empty: disabled)")
+	fs.IntVar(&c.shards, "shards", 8, "number of register shards (client mode)")
+	fs.Float64Var(&c.skew, "skew", 0, "Zipf key-skew exponent; > 1 skews, otherwise uniform (client mode)")
+	fs.IntVar(&c.clients, "clients", 8, "concurrent clients (client mode)")
+	fs.IntVar(&c.ops, "ops", 2000, "operations per client (client mode)")
+	fs.IntVar(&c.keys, "keys", 64, "distinct keys (client mode)")
+	fs.Float64Var(&c.reads, "reads", 0.1, "fraction of operations that are reads (client mode)")
+	fs.IntVar(&c.valueSize, "valuesize", 1024, "value size in bytes (client mode)")
+	fs.StringVar(&c.algo, "algo", "adaptive", "register provider per shard: adaptive, abd, ecreg, safereg (client mode)")
+	fs.IntVar(&c.f, "f", 2, "crash failures tolerated per shard (client mode)")
+	fs.IntVar(&c.k, "k", 2, "erasure decode threshold per shard (client mode)")
+	fs.Int64Var(&c.seed, "seed", 1, "workload seed / first simulation seed; fixed seeds make runs reproducible, e.g. in CI")
+	fs.IntVar(&c.batch, "batch", 0, "group commit: max ops per shared round; 0 disables (client mode)")
+	fs.DurationVar(&c.batchDelay, "batch-delay", 0, "how long an idle shard waits for a batch to fill before dispatching (client mode)")
+	fs.Float64Var(&c.arrivalRate, "arrival-rate", 0, "open-loop arrivals per second per client; 0 keeps the closed loop (client mode)")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "probability an operation is traced end to end; 1 traces every op (client mode)")
 	fs.DurationVar(&c.traceSlow, "trace-slow", 0, "retain whole-trace captures of ops slower than this (client mode; 0: disabled)")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write the merged trace dump (client spans plus every -trace-peers scrape) to this JSON file (client mode)")
@@ -171,8 +158,6 @@ func (c *cliConfig) execute(out io.Writer) error {
 		return runClient(c, out)
 	case c.sim:
 		return runSim(c, out)
-	case c.throughput:
-		return runThroughput(c, out)
 	default:
 		return runExperiments(c, out)
 	}
@@ -368,9 +353,6 @@ func runSimLive(c *cliConfig, out io.Writer, provider string) error {
 // histories against the provider's consistency condition: strong regularity
 // for the regular emulations, strong safety for the safe register.
 func runClient(c *cliConfig, out io.Writer) error {
-	if c.split != "" {
-		return fmt.Errorf("-split requires the in-process store; it cannot be combined with -connect")
-	}
 	addrs := strings.Split(c.connect, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
@@ -520,100 +502,6 @@ func (c *cliConfig) layout() transport.Layout {
 // (either one enables it).
 func (c *cliConfig) batchConfig() shard.BatchConfig {
 	return shard.BatchConfig{MaxSize: c.batch, MaxDelay: c.batchDelay}
-}
-
-// runThroughput drives a sharded store with a keyed workload and prints
-// ops/sec, the per-shard operation distribution, and the storage breakdown.
-func runThroughput(c *cliConfig, out io.Writer) error {
-	shards, clients, ops, keys := c.shards, c.clients, c.ops, c.keys
-	skew, reads, algo := c.skew, c.reads, c.algo
-	f, k, seed := c.f, c.k, c.seed
-	specs, err := node.LayoutSpecs(c.layout(), "s")
-	if err != nil {
-		return err
-	}
-	cfg := node.Config{Shards: specs, Batch: c.batchConfig()}
-	if c.metricsAddr != "" {
-		cfg.Metrics = metrics.NewRegistry()
-		msrv, err := metrics.Serve(c.metricsAddr, cfg.Metrics)
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
-		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
-	}
-	n, err := node.Open(cfg)
-	if err != nil {
-		return err
-	}
-	defer n.Close()
-	set, reg := n.Set(), n.Metrics()
-
-	spec := workload.ShardedSpec{
-		Clients:      clients,
-		OpsPerClient: ops,
-		ReadFraction: reads,
-		Keys:         keys,
-		ZipfS:        skew,
-		Seed:         seed,
-		ArrivalRate:  c.arrivalRate,
-	}
-	if c.split != "" {
-		at := c.resizeAt
-		if at <= 0 {
-			at = clients * ops / 2
-		}
-		spec.Reconfig = []workload.ReconfigMove{{AfterOps: at, Move: reconfig.Move{Kind: reconfig.MoveSplit, Shard: c.split}}}
-		spec.Coordinator = n.Coordinator()
-	}
-	start := time.Now()
-	res, err := workload.RunSharded(set, spec)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	total := res.CompletedWrites + res.CompletedReads
-	fmt.Fprintf(out, "sharded throughput: %d shards (%s, f=%d, k=%d), %d clients × %d ops, %d keys, skew %.2f\n",
-		shards, algo, f, k, clients, ops, keys, skew)
-	if batchCfg := cfg.Batch.WithDefaults(); cfg.Batch.Enabled() {
-		st := set.BatchStats()
-		fmt.Fprintf(out, "  batching: max %d, delay %v  ->  %d writes in %d rounds, %d reads in %d rounds\n",
-			batchCfg.MaxSize, batchCfg.MaxDelay, st.Writes, st.WriteRounds, st.Reads, st.ReadRounds)
-	}
-	if c.arrivalRate > 0 {
-		fmt.Fprintf(out, "  open loop: %.0f arrivals/s per client\n", c.arrivalRate)
-	}
-	for _, ar := range res.Reconfigs {
-		if ar.Err != "" {
-			fmt.Fprintf(out, "  reconfig: %v FAILED: %s\n", ar.Move, ar.Err)
-			continue
-		}
-		fmt.Fprintf(out, "  reconfig: %v -> %v after %d ops in %v; %.0f ops/s before -> %.0f ops/s after\n",
-			ar.Move, ar.Successors, ar.TriggeredAtOps, ar.Took.Round(time.Millisecond),
-			ar.OpsPerSecBefore, ar.OpsPerSecAfter)
-	}
-	fmt.Fprintf(out, "  completed: %d ops (%d writes, %d reads) in %v  ->  %.0f ops/s\n",
-		total, res.CompletedWrites, res.CompletedReads, elapsed.Round(time.Millisecond),
-		float64(total)/elapsed.Seconds())
-	if res.WriteErrors+res.ReadErrors > 0 {
-		fmt.Fprintf(out, "  errors: %d writes, %d reads\n", res.WriteErrors, res.ReadErrors)
-	}
-	names := make([]string, 0, len(res.PerShardOps))
-	for name := range res.PerShardOps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(out, "  per-shard ops / storage bits:")
-	for _, name := range names {
-		fmt.Fprintf(out, "    %-6s %6d ops  %8d bits\n", name, res.PerShardOps[name], res.PerShardBits[name])
-	}
-	fmt.Fprintf(out, "  total base-object storage: %d bits\n", res.FinalSnapshot.BaseObjectBits)
-	if reg != nil {
-		fmt.Fprintln(out, "  metrics summary:")
-		reg.WriteSummary(out)
-	}
-	return nil
 }
 
 func runExperiments(c *cliConfig, out io.Writer) error {

@@ -21,7 +21,7 @@ func mustParse(t *testing.T, args ...string) *cliConfig {
 
 func TestParseArgsDefaults(t *testing.T) {
 	c := mustParse(t)
-	if c.sim || c.throughput || c.list {
+	if c.sim || c.connect != "" || c.list {
 		t.Fatalf("defaults should select experiment mode: %+v", c)
 	}
 	if c.seeds != 50 || c.seed != 1 {
@@ -32,11 +32,11 @@ func TestParseArgsDefaults(t *testing.T) {
 	}
 }
 
-func TestParseArgsThroughputFlags(t *testing.T) {
-	c := mustParse(t, "-throughput", "-shards", "4", "-clients", "2", "-ops", "100",
+func TestParseArgsClientFlags(t *testing.T) {
+	c := mustParse(t, "-connect", "127.0.0.1:1", "-shards", "4", "-clients", "2", "-ops", "100",
 		"-batch", "8", "-skew", "1.2", "-algo", "abd")
-	if !c.throughput {
-		t.Fatal("throughput mode not selected")
+	if c.connect != "127.0.0.1:1" {
+		t.Fatal("client mode not selected")
 	}
 	if c.shards != 4 || c.clients != 2 || c.ops != 100 || c.batch != 8 || c.algo != "abd" {
 		t.Fatalf("flags not parsed: %+v", c)
@@ -83,28 +83,6 @@ func TestListExperimentsOutput(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(out), "\n")) < 3 {
 		t.Fatalf("suspiciously short experiment listing:\n%s", out)
-	}
-}
-
-func TestThroughputOutputFormat(t *testing.T) {
-	var buf strings.Builder
-	c := mustParse(t, "-throughput", "-shards", "2", "-clients", "2", "-ops", "30",
-		"-keys", "4", "-valuesize", "64", "-seed", "1")
-	if err := c.execute(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"sharded throughput", "ops/s", "per-shard ops", "total base-object storage"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("throughput output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestThroughputRejectsBadShardCount(t *testing.T) {
-	c := mustParse(t, "-throughput", "-shards", "0")
-	if err := c.execute(io.Discard); err == nil {
-		t.Fatal("-shards 0 must be rejected")
 	}
 }
 

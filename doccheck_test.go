@@ -3,8 +3,11 @@ package spacebounds_test
 import (
 	"fmt"
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -102,4 +105,126 @@ func checkGenDecl(d *ast.GenDecl, report func(token.Pos, string)) {
 			}
 		}
 	}
+}
+
+// TestFacadeNamesOnlyImportableTypes is the importer's view of the facade:
+// every exported function and method signature, every exported struct field
+// and every alias must be spelled in types an importer can name — builtins,
+// the standard library, or types declared or aliased in package spacebounds.
+// A type from an internal package is reachable only through an alias declared
+// here; returning one directly hands callers a value whose type they cannot
+// write down.
+func TestFacadeNamesOnlyImportableTypes(t *testing.T) {
+	fset := token.NewFileSet()
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, ".", notTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, ok := pkgs["spacebounds"]
+	if !ok {
+		t.Fatalf("package spacebounds not found in %v", pkgs)
+	}
+	declared := make(map[string]bool)
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+				for _, spec := range d.Specs {
+					declared[spec.(*ast.TypeSpec).Name.Name] = true
+				}
+			}
+		}
+	}
+	for _, file := range pkg.Files {
+		imports := make(map[string]string) // local name -> import path
+		for _, imp := range file.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = path
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && (d.Recv == nil || ast.IsExported(strings.TrimLeft(types(d.Recv.List[0].Type), "*"))) {
+					checkNameable(t, fset, "func "+funcName(d), d.Type, declared, imports)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					s, ok := spec.(*ast.TypeSpec)
+					if !ok || !s.Name.IsExported() {
+						continue
+					}
+					if _, named := s.Type.(*ast.SelectorExpr); named && s.Assign.IsValid() {
+						continue // the alias is how an importer names that type
+					}
+					checkNameable(t, fset, "type "+s.Name.Name, s.Type, declared, imports)
+				}
+			}
+		}
+	}
+}
+
+// checkNameable walks a type expression and reports every type in it an
+// importer of the facade cannot name. Parameter names and unexported struct
+// fields are skipped; only the types an importer sees are checked.
+func checkNameable(t *testing.T, fset *token.FileSet, where string, e ast.Expr, declared map[string]bool, imports map[string]string) {
+	t.Helper()
+	var walk func(ast.Expr)
+	fields := func(fl *ast.FieldList, exportedOnly bool) {
+		if fl == nil {
+			return
+		}
+		for _, f := range fl.List {
+			exported := len(f.Names) == 0
+			for _, n := range f.Names {
+				exported = exported || n.IsExported()
+			}
+			if exported || !exportedOnly {
+				walk(f.Type)
+			}
+		}
+	}
+	walk = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if !declared[x.Name] && !doc.IsPredeclared(x.Name) {
+				t.Errorf("%s: %s names %s, which package spacebounds does not declare", fset.Position(x.Pos()), where, x.Name)
+			}
+		case *ast.SelectorExpr:
+			pkg, _ := x.X.(*ast.Ident)
+			path := ""
+			if pkg != nil {
+				path = imports[pkg.Name]
+			}
+			if first, _, _ := strings.Cut(path, "/"); path == "" || strings.Contains(first, ".") || first == "spacebounds" {
+				t.Errorf("%s: %s names %s.%s from %q, which an importer cannot name; alias it in package spacebounds", fset.Position(x.Pos()), where, pkg, x.Sel.Name, path)
+			}
+		case *ast.StarExpr:
+			walk(x.X)
+		case *ast.ParenExpr:
+			walk(x.X)
+		case *ast.ArrayType:
+			walk(x.Elt)
+		case *ast.Ellipsis:
+			walk(x.Elt)
+		case *ast.ChanType:
+			walk(x.Value)
+		case *ast.MapType:
+			walk(x.Key)
+			walk(x.Value)
+		case *ast.FuncType:
+			fields(x.Params, false)
+			fields(x.Results, false)
+		case *ast.StructType:
+			fields(x.Fields, true)
+		case *ast.InterfaceType:
+			fields(x.Methods, true)
+		default:
+			t.Errorf("%s: %s uses a %T the check does not understand; extend checkNameable", fset.Position(e.Pos()), where, e)
+		}
+	}
+	walk(e)
 }

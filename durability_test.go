@@ -15,25 +15,26 @@ import (
 // strings they wrote.
 func trimmed(b []byte) string { return string(bytes.TrimRight(b, "\x00")) }
 
-// checkBreakdown asserts the durability sample is summation-exact: the total
-// equals the per-shard attributions plus the ledger remainder.
-func checkBreakdown(t *testing.T, s *Store) (total int) {
+// checkBreakdown asserts the durability axis of a storage sample is
+// summation-exact: the total equals the per-shard attributions plus the
+// ledger remainder.
+func checkBreakdown(t *testing.T, s *Store) Storage {
 	t.Helper()
-	total, perShard, ledger := s.DurabilityBreakdown()
-	sum := ledger
-	for _, bits := range perShard {
-		sum += bits
+	st := s.Storage()
+	sum := st.Ledger
+	for _, part := range st.Shards {
+		sum += part.Durable
 	}
-	if total != sum {
-		t.Fatalf("DurabilityBreakdown not summation-exact: total=%d, sum(perShard)+ledger=%d (perShard=%v ledger=%d)", total, sum, perShard, ledger)
+	if st.Durable != sum {
+		t.Fatalf("durable bits not summation-exact: total=%d, sum(Shards[].Durable)+Ledger=%d (%+v)", st.Durable, sum, st)
 	}
-	return total
+	return st
 }
 
 // TestStoreDurabilityRoundTrip closes a durable store and reopens it on the
 // same directory: every acknowledged write must come back from disk alone,
 // and the durable-bytes accounting must stay on its own summation-exact axis
-// (never leaking into StorageBits, which measures the paper's volatile
+// (never leaking into Storage().Bits, which measures the paper's volatile
 // space).
 func TestStoreDurabilityRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -49,7 +50,7 @@ func TestStoreDurabilityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.StorageBits()
+	base := checkBreakdown(t, s)
 	for i := 0; i < 3; i++ {
 		if err := s.WriteKey(1, "a", []byte("alpha")); err != nil {
 			t.Fatal(err)
@@ -58,11 +59,12 @@ func TestStoreDurabilityRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := checkBreakdown(t, s); got == 0 {
-		t.Fatal("DurabilityBits = 0 after journaled writes")
+	st := checkBreakdown(t, s)
+	if st.Durable == 0 {
+		t.Fatal("no durable bits after journaled writes")
 	}
-	if got := s.StorageBits(); got != base {
-		t.Fatalf("StorageBits moved with durable bytes: %d -> %d; the axes must stay separate", base, got)
+	if st.Bits != base.Bits {
+		t.Fatalf("Bits moved with durable bytes: %d -> %d; the axes must stay separate", base.Bits, st.Bits)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -83,8 +85,8 @@ func TestStoreDurabilityRoundTrip(t *testing.T) {
 			t.Fatalf("ReadKey(%q) after reopen = %q, want %q", key, trimmed(got), want)
 		}
 	}
-	if got := checkBreakdown(t, s2); got == 0 {
-		t.Fatal("DurabilityBits = 0 after reopen")
+	if checkBreakdown(t, s2).Durable == 0 {
+		t.Fatal("no durable bits after reopen")
 	}
 }
 
@@ -106,11 +108,9 @@ func TestDurabilityBreakdownAttributesLedger(t *testing.T) {
 	if _, err := s.SplitShard("default"); err != nil {
 		t.Fatal(err)
 	}
-	_, _, ledger := s.DurabilityBreakdown()
-	if ledger == 0 {
+	if checkBreakdown(t, s).Ledger == 0 {
 		t.Fatal("ledger durable bits = 0 after a journaled move")
 	}
-	checkBreakdown(t, s)
 }
 
 // TestDurableRestartNodeReplaysFromDisk crashes a node of a durable store,

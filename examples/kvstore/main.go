@@ -3,7 +3,8 @@
 // shared simulated cluster, keys route to shards by name, several clients
 // update and read keys concurrently, one storage node per shard is crashed
 // midway (within each shard's f = 1 budget), and the program prints the final
-// contents together with the per-shard and total storage cost.
+// contents together with the per-shard and total storage cost. It exits
+// non-zero if a shard's cost is not Theorem 2's quiescent (2f+k)/k·D.
 package main
 
 import (
@@ -22,10 +23,11 @@ func main() {
 	for _, key := range keys {
 		shards = append(shards, spacebounds.ShardSpec{Name: key})
 	}
+	const f, k, valueSize = 1, 2, 128
 	store, err := spacebounds.Open(spacebounds.Options{
-		F:         1,
-		K:         2,
-		ValueSize: 128,
+		F:         f,
+		K:         k,
+		ValueSize: valueSize,
 		Shards:    shards,
 	})
 	if err != nil {
@@ -61,20 +63,25 @@ func main() {
 	}
 	fmt.Println("crashed one storage node per shard")
 
-	// Phase 3: a fourth client reads everything back.
+	// Phase 3: a fourth client reads everything back. Every write has
+	// finished, so each shard holds Theorem 2's quiescent (2f+k)/k·D bits (a
+	// crashed node keeps its piece; it is only unreachable).
 	fmt.Println("\nfinal contents:")
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
-	perShard := store.PerShardStorageBits()
-	total := 0
+	want := (2*f + k) * valueSize * 8 / k
+	storage := store.Storage()
 	for _, key := range sorted {
 		raw, err := store.ReadKey(9, key)
 		if err != nil {
 			log.Fatalf("get %s: %v", key, err)
 		}
 		val := strings.TrimRight(string(raw), "\x00")
-		fmt.Printf("  %-6s -> %-24q  (shard storage: %d bits)\n", key, val, perShard[key])
-		total += perShard[key]
+		bits := storage.Shards[key].Bits
+		fmt.Printf("  %-6s -> %-24q  (shard storage: %d bits, (2f+k)/k·D = %d)\n", key, val, bits, want)
+		if bits != want {
+			log.Fatalf("shard %s holds %d bits at quiescence, want %d", key, bits, want)
+		}
 	}
-	fmt.Printf("\ntotal base-object storage: %d bits\n", total)
+	fmt.Printf("\ntotal base-object storage: %d bits\n", storage.Bits)
 }

@@ -21,6 +21,23 @@ import (
 
 const dataLen = 32
 
+// storageExact samples a set no operation is running on: the total must be
+// the sum of the shards' bits and equal what the cluster itself counts.
+func storageExact(set *shard.Set) (shard.Storage, error) {
+	st := set.Storage()
+	sum := 0
+	for _, part := range st.Shards {
+		sum += part.Bits
+	}
+	if sum != st.Bits {
+		return st, fmt.Errorf("per-shard bits sum to %d, sample says %d (%v)", sum, st.Bits, st.Shards)
+	}
+	if cl := set.Cluster().SampleStorage().BaseObjectBits; cl != st.Bits {
+		return st, fmt.Errorf("sample says %d bits, the cluster counts %d", st.Bits, cl)
+	}
+	return st, nil
+}
+
 func newSet(t *testing.T, shards int, opts ...dsys.Option) *shard.Set {
 	t.Helper()
 	specs := make([]shard.Spec, 0, shards)
@@ -66,16 +83,12 @@ func TestSplitMigratesLatestValue(t *testing.T) {
 	if got := set.Router().RouteOf("s0").State(); got != shard.RouteRetired {
 		t.Fatalf("old route state = %v, want retired", got)
 	}
-	snap := set.StorageSnapshot()
-	if bits := set.ShardBits(snap, "s0"); bits != 0 {
-		t.Fatalf("retired shard still reports %d bits", bits)
+	storage, err := storageExact(set)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := 0
-	for _, sh := range set.Shards() {
-		sum += set.ShardBits(snap, sh.Name)
-	}
-	if sum != snap.BaseObjectBits {
-		t.Fatalf("per-shard bits sum to %d, snapshot says %d", sum, snap.BaseObjectBits)
+	if part, ok := storage.Shards["s0"]; ok {
+		t.Fatalf("retired shard still reports %+v", part)
 	}
 
 	// Keys that used to route to s0 (its name most directly) must read the
@@ -363,13 +376,8 @@ func TestMergeCombinesShards(t *testing.T) {
 		t.Fatal("completed move still in flight")
 	}
 	// Storage stays summation-exact across the merge.
-	snap, perShard := set.StorageBreakdown()
-	sum := 0
-	for _, bits := range perShard {
-		sum += bits
-	}
-	if sum != snap.BaseObjectBits {
-		t.Fatalf("per-shard bits sum to %d, snapshot says %d", sum, snap.BaseObjectBits)
+	if _, err := storageExact(set); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -524,6 +532,12 @@ func TestInterruptedMovesResumeAtEveryStep(t *testing.T) {
 				if fl == nil || !fl.Interrupted {
 					set.Close()
 					t.Fatalf("budget %d: interrupted move not in flight: %+v", budget, fl)
+				}
+				// Mid-migration — successors built, routed or not, a source
+				// perhaps draining — the sample still attributes every bit.
+				if _, err := storageExact(set); err != nil {
+					set.Close()
+					t.Fatalf("budget %d: interrupted at step %v: %v", budget, fl.Step, err)
 				}
 				resumed, _, err := co.Resume(clean)
 				if err != nil || !resumed {

@@ -595,9 +595,9 @@ func (r *Router) Shards() []*Shard {
 }
 
 // Names returns every route name ever installed — retired ones included — in
-// installation order. Storage attribution iterates it: regions are disjoint
-// for the life of the cluster, so summing over all names is always exact even
-// when a snapshot races a retirement.
+// installation order. The simulator iterates it to find routes a move left
+// seeding or draining. Storage attribution does not: Set.Storage iterates the
+// set's region registry, which also holds successors built but not yet routed.
 func (r *Router) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,11 +12,12 @@
 // writer carrying each register's latest value across the epoch boundary (see
 // internal/reconfig and DESIGN.md "Reconfiguration").
 //
-// Storage accounting remains exact: the cluster's snapshot attributes bits to
-// base objects by global ID, and a shard's cost is the sum over its region,
-// so the paper's min(f, c)·D introspection holds per shard and, by summing,
-// in aggregate — including while two epochs coexist, because the draining
-// region and its successors are disjoint regions of one cluster.
+// Storage accounting remains exact: Set.Storage takes one sample of the
+// cluster, which attributes bits to base objects by global ID, and a shard's
+// cost is the sum over its region, so the paper's min(f, c)·D introspection
+// holds per shard and the total is their sum by construction — including while
+// two epochs coexist, because the draining region and its successors are
+// disjoint regions of one cluster.
 package shard
 
 import (
@@ -28,7 +29,6 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/storagecost"
 	"spacebounds/internal/trace"
 	"spacebounds/internal/value"
 )
@@ -79,6 +79,8 @@ type Set struct {
 	// routing table: a region exists (and holds its initial states' bits)
 	// from ExtendObjects on, before its route is installed, and regions are
 	// disjoint forever, so summing over this list is exact at every instant.
+	// rmu is held across a region's ExtendObjects and its append, and across
+	// Storage's sample, so no sample sees objects that no region owns.
 	rmu     sync.Mutex
 	regions []*Shard
 
@@ -202,12 +204,13 @@ func (s *Set) AddRegion(spec Spec) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.rmu.Lock()
 	base, err := s.cluster.ExtendObjects(init)
 	if err != nil {
+		s.rmu.Unlock()
 		return nil, err
 	}
 	sh.Base = base
-	s.rmu.Lock()
 	s.regions = append(s.regions, sh)
 	s.rmu.Unlock()
 	s.cluster.NameRegion(sh.Base, sh.Name)
@@ -498,80 +501,6 @@ func (s *Set) CrashNode(name string, node int) error {
 		return fmt.Errorf("shard %q: node %d out of range [0,%d)", name, node, sh.Span)
 	}
 	return s.cluster.CrashObject(sh.Base + node)
-}
-
-// StorageSnapshot samples the whole cluster's storage breakdown.
-func (s *Set) StorageSnapshot() *storagecost.Snapshot { return s.cluster.SampleStorage() }
-
-// ShardBits returns the base-object bits a snapshot attributes to the named
-// shard's object region (the per-shard storage cost of Definition 2). Retired
-// regions report zero: their bits left the system with the nodes.
-func (s *Set) ShardBits(snap *storagecost.Snapshot, name string) int {
-	sh := s.Shard(name)
-	if sh == nil {
-		return 0
-	}
-	total := 0
-	for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
-		total += snap.PerObjectBits[obj]
-	}
-	return total
-}
-
-// StorageBreakdown samples storage once and attributes the base-object bits
-// to shards from that single sample. It iterates every route ever installed —
-// regions are disjoint for the life of the cluster — so the per-shard values
-// always sum to the sample's total, even while a reconfiguration is mid-
-// flight (a retiring region's last bits are attributed to its old name).
-// Fully retired shards with zero bits are omitted.
-func (s *Set) StorageBreakdown() (snap *storagecost.Snapshot, perShard map[string]int) {
-	snap = s.StorageSnapshot()
-	s.rmu.Lock()
-	regions := make([]*Shard, len(s.regions))
-	copy(regions, s.regions)
-	s.rmu.Unlock()
-	perShard = make(map[string]int, len(regions))
-	for _, sh := range regions {
-		bits := 0
-		for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
-			bits += snap.PerObjectBits[obj]
-		}
-		e := s.router.RouteOf(sh.Name)
-		if bits > 0 || e == nil || e.State() != RouteRetired {
-			perShard[sh.Name] = bits
-		}
-	}
-	return snap, perShard
-}
-
-// DurabilityBreakdown samples storage once and attributes the durable
-// (WAL log + snapshot) bits to shards the same way StorageBreakdown
-// attributes base-object bits. Framing, move-ledger, and snapshot-overhead
-// bytes — charged by the journal to a pseudo-object outside every region —
-// come back in ledger, so total == sum(perShard) + ledger exactly. All zeros
-// when no journal is attached.
-func (s *Set) DurabilityBreakdown() (total int, perShard map[string]int, ledger int) {
-	snap := s.StorageSnapshot()
-	s.rmu.Lock()
-	regions := make([]*Shard, len(s.regions))
-	copy(regions, s.regions)
-	s.rmu.Unlock()
-	perShard = make(map[string]int, len(regions))
-	attributed := 0
-	for _, sh := range regions {
-		bits := 0
-		for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
-			bits += snap.PerObjectDurableBits[obj]
-		}
-		attributed += bits
-		e := s.router.RouteOf(sh.Name)
-		if bits > 0 || e == nil || e.State() != RouteRetired {
-			perShard[sh.Name] = bits
-		}
-	}
-	total = snap.DurableBits()
-	ledger = total - attributed
-	return total, perShard, ledger
 }
 
 // InitialStateOf builds a fresh initial state for the base object with the

@@ -111,9 +111,31 @@ func TestForKeyRouting(t *testing.T) {
 	}
 }
 
+// quietStorage samples a set no operation is running on and checks the
+// sample: its total is the sum of the shards' bits and equals what the
+// cluster itself counts.
+func quietStorage(t *testing.T, set *shard.Set) shard.Storage {
+	t.Helper()
+	st := set.Storage()
+	sum := 0
+	for _, part := range st.Shards {
+		sum += part.Bits
+	}
+	if sum != st.Bits {
+		t.Fatalf("per-shard bits sum to %d, sample says %d (%v)", sum, st.Bits, st.Shards)
+	}
+	if cl := set.Cluster().SampleStorage().BaseObjectBits; cl != st.Bits {
+		t.Fatalf("sample says %d bits, the cluster counts %d", st.Bits, cl)
+	}
+	return st
+}
+
 // TestPerShardStorageSumsToTotal checks that the aggregate storage cost
 // equals the sum of per-shard costs — the invariant that keeps the paper's
-// min(f, c)·D introspection meaningful after the multiplexing refactor.
+// min(f, c)·D introspection meaningful after the multiplexing refactor — and
+// the attribution rules a move relies on mid-flight: a region built but not
+// yet routed is counted under its name, and a retired shard that holds
+// nothing is omitted.
 func TestPerShardStorageSumsToTotal(t *testing.T) {
 	set, err := shard.New(adaptiveSpecs(4))
 	if err != nil {
@@ -125,20 +147,33 @@ func TestPerShardStorageSumsToTotal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := set.StorageSnapshot()
-	sum := 0
+	st := quietStorage(t, set)
+	// n = 4 pieces of D/k = 256 bits per shard.
 	for _, sh := range set.Shards() {
-		bits := set.ShardBits(snap, sh.Name)
-		if bits <= 0 {
-			t.Fatalf("shard %s reports %d bits", sh.Name, bits)
+		if bits := st.Shards[sh.Name].Bits; bits != 4*256 {
+			t.Fatalf("shard %s reports %d bits, want %d", sh.Name, bits, 4*256)
 		}
-		sum += bits
 	}
-	if sum != snap.BaseObjectBits {
-		t.Fatalf("per-shard bits sum to %d, snapshot says %d", sum, snap.BaseObjectBits)
+	if len(st.Shards) != 4 || st.Durable != 0 || st.Ledger != 0 {
+		t.Fatalf("sample = %+v, want four shards and no durable bits", st)
 	}
-	if set.ShardBits(snap, "no-such-shard") != 0 {
-		t.Fatal("unknown shard reported nonzero bits")
+
+	succ, err := set.AddRegion(shard.Spec{Name: "s0/0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bits := quietStorage(t, set).Shards[succ.Name].Bits; bits != 4*256 {
+		t.Fatalf("unrouted successor reports %d bits, want its initial %d", bits, 4*256)
+	}
+	if err := set.RetireShard("s0"); err != nil {
+		t.Fatal(err)
+	}
+	st = quietStorage(t, set)
+	if part, ok := st.Shards["s0"]; ok {
+		t.Fatalf("retired s0 still reported: %+v", part)
+	}
+	if len(st.Shards) != 4 {
+		t.Fatalf("sample covers %v, want s1..s3 and s0/0", st.Shards)
 	}
 }
 

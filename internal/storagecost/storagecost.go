@@ -103,9 +103,6 @@ type Snapshot struct {
 	// PerObjectDurableBits maps base object ID to its durable (log+snapshot)
 	// bits; framing bytes not attributable to one object use ID -1.
 	PerObjectDurableBits map[int]int
-	// PerWriteBits maps a write to the total bits of blocks it sourced,
-	// wherever stored.
-	PerWriteBits map[oracle.WriteID]int
 	// PerWriteOutsideBits maps a write w performed by client c_j to
 	// ||S(t, w)||: the bits of blocks sourced by w in *distinct block
 	// numbers*, stored anywhere except at c_j itself (Definition 6).
@@ -124,7 +121,6 @@ func Collect(reporters []Reporter, writerOf func(oracle.WriteID) int) *Snapshot 
 	snap := &Snapshot{
 		PerObjectBits:        make(map[int]int),
 		PerObjectDurableBits: make(map[int]int),
-		PerWriteBits:         make(map[oracle.WriteID]int),
 		PerWriteOutsideBits:  make(map[oracle.WriteID]int),
 	}
 	// Distinct block numbers per write for the outside-bits computation: the
@@ -160,7 +156,6 @@ func Collect(reporters []Reporter, writerOf func(oracle.WriteID) int) *Snapshot 
 			case Channel:
 				snap.ChannelBits += b.Bits
 			}
-			snap.PerWriteBits[b.Source.Write] += b.Bits
 			writer := b.Source.Write.Client
 			if writerOf != nil {
 				writer = writerOf(b.Source.Write)

@@ -48,9 +48,6 @@ func TestCollectAggregates(t *testing.T) {
 	if snap.PerObjectBits[0] != 150 || snap.PerObjectBits[1] != 100 {
 		t.Fatalf("PerObjectBits = %v", snap.PerObjectBits)
 	}
-	if snap.PerWriteBits[w1] != 300 || snap.PerWriteBits[w2] != 150 {
-		t.Fatalf("PerWriteBits = %v", snap.PerWriteBits)
-	}
 	// Outside bits: w1 has indices 1 (100) and 2 (100) outside client 1 = 200;
 	// w2 has index 1 (50) at bo0 and index 3 (30) at client 3 = 80.
 	if snap.PerWriteOutsideBits[w1] != 200 {

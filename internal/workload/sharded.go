@@ -11,7 +11,6 @@ import (
 	"spacebounds/internal/history"
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/shard"
-	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 )
 
@@ -51,8 +50,8 @@ type ShardedSpec struct {
 	// to coalesce.
 	ArrivalRate float64
 	// Reconfig schedules live reconfiguration moves at completed-operation
-	// thresholds, so benchmarks can measure throughput through an elastic
-	// resharding (e.g. a split at the half-way mark under open-loop load).
+	// thresholds, so a run checks its histories across a resharding under
+	// load (e.g. a split at the half-way mark under open-loop arrivals).
 	Reconfig []ReconfigMove
 	// Coordinator is the set's reconfiguration coordinator, which the
 	// scheduled moves go through; required when Reconfig is non-empty. A set
@@ -98,22 +97,8 @@ type AppliedReconfig struct {
 	Move ReconfigMove
 	// Successors are the shards the move installed.
 	Successors []string
-	// TriggeredAtOps is the completed-op count when the move fired.
-	TriggeredAtOps int
-	// Took is the wall-clock duration of the migration.
-	Took time.Duration
-	// OpsPerSecBefore is the completed-op rate from the previous successful
-	// move's completion (or the start of the run) to the trigger;
-	// OpsPerSecAfter the rate from migration completion to the end of the
-	// run. A healthy elastic split shows After ≥ Before: the new epoch has
-	// more nodes. A move that failed migrated nothing, so it gets no windows
-	// and does not advance the baseline the next move's window starts at.
-	OpsPerSecBefore, OpsPerSecAfter float64
 	// Err is the migration error, if any ("" on success).
 	Err string
-
-	completedAt time.Duration // since run start; for OpsPerSecAfter
-	opsAtDone   int
 }
 
 // ShardedResult is the outcome of a sharded workload run.
@@ -135,11 +120,6 @@ type ShardedResult struct {
 	// reconfiguration the entry is the stitched lineage history: the
 	// ancestors' operations merged in, so CheckRegularity spans the epochs.
 	Histories map[string]*history.History
-	// FinalSnapshot is the storage breakdown after the run.
-	FinalSnapshot *storagecost.Snapshot
-	// PerShardBits maps shard names to their base-object bits at the end of
-	// the run; the values sum to FinalSnapshot.BaseObjectBits.
-	PerShardBits map[string]int
 	// Reconfigs records the applied reconfiguration schedule.
 	Reconfigs []AppliedReconfig
 	// ReconfigStats aggregates the reconfiguration subsystem counters (zero
@@ -322,14 +302,9 @@ func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic
 // runReconfigSchedule fires the spec's moves as their completed-op thresholds
 // are crossed. Moves whose thresholds the workload never reaches are applied
 // after it ends (on a quiet set), so the schedule always completes. It
-// returns the applied moves; rate windows are filled in by the caller.
-func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, start time.Time, workloadDone <-chan struct{}) []AppliedReconfig {
+// returns the applied moves.
+func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, workloadDone <-chan struct{}) []AppliedReconfig {
 	applied := make([]AppliedReconfig, 0, len(spec.Reconfig))
-	// The before-window baseline: the completed-op count and time of the last
-	// successful move. A failed move must not advance it — its abort migrated
-	// nothing, so the next move's before-window still measures the epoch the
-	// last successful move installed.
-	baseOps, baseAt := 0, time.Duration(0)
 	for _, m := range spec.Reconfig {
 		for completed.Load() < int64(m.AfterOps) {
 			select {
@@ -339,28 +314,10 @@ func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, start time.T
 			}
 			break
 		}
-		at := int(completed.Load())
-		elapsed := time.Since(start)
-		t0 := time.Now()
 		ev, err := spec.Coordinator.ApplyLive(m.Move)
-		ar := AppliedReconfig{
-			Move:           m,
-			Successors:     ev.Successors,
-			TriggeredAtOps: at,
-			Took:           time.Since(t0),
-		}
+		ar := AppliedReconfig{Move: m, Successors: ev.Successors}
 		if err != nil {
-			// No throughput windows for a failed move: reporting rates around
-			// an abort would attribute the old epoch's throughput to a
-			// migration that never happened.
 			ar.Err = err.Error()
-		} else {
-			ar.completedAt = time.Since(start)
-			ar.opsAtDone = int(completed.Load())
-			if window := elapsed - baseAt; window > 0 {
-				ar.OpsPerSecBefore = float64(at-baseOps) / window.Seconds()
-			}
-			baseOps, baseAt = ar.opsAtDone, ar.completedAt
 		}
 		applied = append(applied, ar)
 	}
@@ -386,12 +343,11 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	}
 
 	var completed atomic.Int64
-	start := time.Now()
 	workloadDone := make(chan struct{})
 	reconfigDone := make(chan []AppliedReconfig, 1)
 	if len(spec.Reconfig) > 0 {
 		go func() {
-			reconfigDone <- runReconfigSchedule(spec, &completed, start, workloadDone)
+			reconfigDone <- runReconfigSchedule(spec, &completed, workloadDone)
 		}()
 	}
 
@@ -452,22 +408,11 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	}
 	wg.Wait()
 	close(workloadDone)
-	end := time.Since(start)
 
-	res := &ShardedResult{PerShardOps: make(map[string]int), PerShardBits: make(map[string]int)}
+	res := &ShardedResult{PerShardOps: make(map[string]int)}
 	if len(spec.Reconfig) > 0 {
 		res.Reconfigs = <-reconfigDone
 		res.ReconfigStats = spec.Coordinator.Stats()
-		total := int(completed.Load())
-		for i := range res.Reconfigs {
-			ar := &res.Reconfigs[i]
-			if ar.Err != "" {
-				continue // failed moves get no throughput windows
-			}
-			if window := end - ar.completedAt; window > 0 {
-				ar.OpsPerSecAfter = float64(total-ar.opsAtDone) / window.Seconds()
-			}
-		}
 	}
 	for i := range tallies {
 		t := &tallies[i]
@@ -493,10 +438,6 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 			}
 			res.Histories[sh.Name] = history.Merge(v0, chain...)
 		}
-	}
-	res.FinalSnapshot = set.StorageSnapshot()
-	for _, sh := range set.Shards() {
-		res.PerShardBits[sh.Name] = set.ShardBits(res.FinalSnapshot, sh.Name)
 	}
 	return res, nil
 }

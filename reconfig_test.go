@@ -42,13 +42,13 @@ func TestStoreSplitShardLive(t *testing.T) {
 				return
 			case <-time.After(200 * time.Microsecond):
 			}
-			total, perShard := store.StorageBreakdown()
+			st := store.Storage()
 			sum := 0
-			for _, bits := range perShard {
-				sum += bits
+			for _, part := range st.Shards {
+				sum += part.Bits
 			}
-			if sum != total {
-				sampler <- fmt.Errorf("per-shard bits sum to %d, total says %d", sum, total)
+			if sum != st.Bits {
+				sampler <- fmt.Errorf("per-shard bits sum to %d, total says %d", sum, st.Bits)
 				return
 			}
 		}
@@ -98,16 +98,16 @@ func TestStoreSplitShardLive(t *testing.T) {
 		t.Fatalf("reconfig stats = %+v", st)
 	}
 	// Shard list reflects the new topology; storage still sums.
-	total, perShard := store.StorageBreakdown()
+	storage := store.Storage()
 	sum := 0
-	for _, bits := range perShard {
-		sum += bits
+	for _, part := range storage.Shards {
+		sum += part.Bits
 	}
-	if sum != total {
-		t.Fatalf("post-reconfig per-shard bits sum to %d, total %d", sum, total)
+	if sum != storage.Bits {
+		t.Fatalf("post-reconfig per-shard bits sum to %d, total %d", sum, storage.Bits)
 	}
-	if _, ok := perShard["s0/0"]; !ok {
-		t.Fatalf("successor missing from breakdown: %v", perShard)
+	if _, ok := storage.Shards["s0/0"]; !ok {
+		t.Fatalf("successor missing from the storage sample: %v", storage.Shards)
 	}
 }
 

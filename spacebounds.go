@@ -31,7 +31,6 @@ import (
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
-	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 	"spacebounds/internal/wal"
 )
@@ -142,9 +141,9 @@ func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
 // Durability configures the per-store write-ahead log (see internal/wal).
 // Setting Dir enables it; the other fields tune the sync and snapshot
-// policies. Durable bytes are accounted on their own axis — DurabilityBits,
-// never StorageBits — because the paper's space measure (Definition 2) counts
-// only the bits stored in the volatile base objects.
+// policies. Durable bytes are accounted on their own axis — Storage().Durable,
+// never Storage().Bits — because the paper's space measure (Definition 2)
+// counts only the bits stored in the volatile base objects.
 type Durability struct {
 	// Dir is the journal directory (created if absent). Empty disables
 	// durability.
@@ -423,68 +422,27 @@ func (s *Store) BatchStats() BatchStats {
 	return BatchStats{Writes: st.Writes, Reads: st.Reads, WriteRounds: st.WriteRounds, ReadRounds: st.ReadRounds}
 }
 
-// StorageBits returns the current storage cost in bits: the code-block bits
-// held by all base objects (meta-data excluded), per the paper's
-// Definition 2. It equals the sum of ShardStorageBits over all shards.
-func (s *Store) StorageBits() int { return s.set.StorageSnapshot().BaseObjectBits }
+// Storage is one storage sample of a Store: the code-block bits held by base
+// objects (the paper's Definition 2) and the write-ahead log's durable bits,
+// each attributed to shards from the same sample, so Bits == Σ Shards[].Bits
+// and Durable == Σ Shards[].Durable + Ledger exactly, even mid-flight.
+type Storage = shard.Storage
 
-// ShardStorageBits returns the base-object bits of the shard key routes to,
-// so the paper's min(f, c)·D bound can be checked shard by shard.
-func (s *Store) ShardStorageBits(key string) int {
-	return s.set.ShardBits(s.set.StorageSnapshot(), s.set.ForKey(key).Name)
-}
+// ShardStorage is one shard's share of a Storage sample.
+type ShardStorage = shard.ShardStorage
 
-// PerShardStorageBits returns the base-object bits of every shard from one
-// consistent storage sample; the values sum to that sample's total. Prefer it
-// over calling ShardStorageBits in a loop, which re-samples the whole cluster
-// per call.
-func (s *Store) PerShardStorageBits() map[string]int {
-	_, perShard := s.StorageBreakdown()
-	return perShard
-}
+// Storage samples the store's storage once. At quiescence an adaptive shard
+// holds (2f+k)/k·D bits; while c writes are in flight Theorem 2 bounds it by
+// O(min(f, c)·D). Durable bits never count toward Bits: the paper's space
+// measure charges only the volatile base objects, and the log is a different
+// resource with a different lifecycle (snapshots truncate it, not the
+// protocol). Without durability the durable fields are zero.
+func (s *Store) Storage() Storage { return s.set.Storage() }
 
-// StorageBreakdown returns, from one consistent storage sample, the
-// aggregate base-object bits and their attribution to every shard. Because
-// both numbers come from the same sample — and attribution covers every
-// region the cluster has ever owned — the total always equals the sum of the
-// per-shard values: while a batched workload is in flight, and also while a
-// reconfiguration has two epochs coexisting (a retiring region's last bits
-// are attributed to its old shard name until they are gone).
-func (s *Store) StorageBreakdown() (total int, perShard map[string]int) {
-	snap, perShard := s.set.StorageBreakdown()
-	return snap.BaseObjectBits, perShard
-}
-
-// StorageSnapshot returns the full storage breakdown across all shards.
-func (s *Store) StorageSnapshot() *storagecost.Snapshot { return s.set.StorageSnapshot() }
-
-// DurabilityBits returns the current on-disk footprint of the write-ahead
-// log in bits (live segments plus the current snapshot), or 0 when
-// durability is disabled. Durable bits are deliberately NOT part of
-// StorageBits: the paper's space measure counts only the bits held in the
-// volatile base objects, and the log is a different resource with a
-// different lifecycle (it is truncated by snapshots, not by the protocol).
-func (s *Store) DurabilityBits() int {
-	if s.node.Journal() == nil {
-		return 0
-	}
-	total, _, _ := s.set.DurabilityBreakdown()
-	return total
-}
-
-// DurabilityBreakdown returns, from one consistent storage sample, the total
-// durable bits and their attribution: perShard maps each shard name to the
-// bits its objects' journal records and snapshot entries occupy, and ledger
-// is the remainder — reconfiguration move records plus per-file framing and
-// snapshot overhead. The sample is summation-exact: total always equals the
-// sum of the per-shard values plus ledger. All zeros when durability is
-// disabled.
-func (s *Store) DurabilityBreakdown() (total int, perShard map[string]int, ledger int) {
-	if s.node.Journal() == nil {
-		return 0, map[string]int{}, 0
-	}
-	return s.set.DurabilityBreakdown()
-}
+// StorageBits returns Storage().Bits. It remains only because the benchmark
+// harness calls it, and goes with ROADMAP.md item 1b, when that harness
+// builds its processes through internal/node.
+func (s *Store) StorageBits() int { return s.Storage().Bits }
 
 // ReconfigStats aggregates the reconfiguration subsystem's counters.
 type ReconfigStats struct {

@@ -45,11 +45,8 @@ func TestStoreWriteReadCrash(t *testing.T) {
 			if !bytes.Equal(got[:len(want)], want) {
 				t.Fatalf("read %q, want prefix %q", got, want)
 			}
-			if s.StorageBits() <= 0 {
-				t.Fatal("storage accounting returned nothing")
-			}
-			if s.StorageSnapshot().BaseObjectBits != s.StorageBits() {
-				t.Fatal("snapshot and StorageBits disagree")
+			if st := s.Storage(); st.Bits <= 0 || st.Shards["default"].Bits != st.Bits {
+				t.Fatalf("storage sample %+v: want positive bits, all of them the default shard's", st)
 			}
 		})
 	}
@@ -107,18 +104,20 @@ func TestStoreSharded(t *testing.T) {
 		}
 	}
 	// Aggregate storage is the sum of the per-shard costs.
+	st := s.Storage()
 	sum := 0
-	for name, bits := range s.PerShardStorageBits() {
-		if bits <= 0 {
-			t.Fatalf("shard %s reports %d bits", name, bits)
+	for name, part := range st.Shards {
+		if part.Bits <= 0 {
+			t.Fatalf("shard %s reports %d bits", name, part.Bits)
 		}
-		sum += bits
+		sum += part.Bits
 	}
-	if total := s.StorageBits(); total != sum {
-		t.Fatalf("total storage %d != sum of shards %d", total, sum)
+	if len(st.Shards) != 3 || st.Bits != sum {
+		t.Fatalf("total storage %d, sum of shards %d (%v)", st.Bits, sum, st.Shards)
 	}
-	if bits := s.ShardStorageBits("hot"); bits <= 0 {
-		t.Fatalf("ShardStorageBits(hot) = %d", bits)
+	// Without a journal there is nothing durable to count.
+	if st.Durable != 0 || st.Ledger != 0 {
+		t.Fatalf("journal-less store reports durable bits: %+v", st)
 	}
 	// A crash within one shard's budget leaves every shard readable.
 	if err := s.CrashShardNode("hot", 0); err != nil {
@@ -215,7 +214,7 @@ func TestStoreConcurrentClients(t *testing.T) {
 	wg.Wait()
 	// After quiescence the adaptive register stores one piece per node.
 	cfgWant := s.Nodes() * 8 * (128 / 2)
-	if got := s.StorageBits(); got != cfgWant {
+	if got := s.Storage().Bits; got != cfgWant {
 		t.Fatalf("quiescent storage = %d bits, want %d", got, cfgWant)
 	}
 }
@@ -261,7 +260,7 @@ func TestStoreBatchedWriteRead(t *testing.T) {
 }
 
 // TestStorageBreakdownExactUnderBatchedLoad pins the Definition 2 accounting
-// under the batched engine: at every sample the aggregate base-object bits
+// under the batched engine: in every sample the aggregate base-object bits
 // equal the sum of the per-shard attributions — while a batched workload is
 // in flight, not just at quiescence.
 func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
@@ -300,15 +299,10 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	}
 
 	for sample := 0; sample < 25; sample++ {
-		total, perShard := store.StorageBreakdown()
-		sum := 0
-		for _, bits := range perShard {
-			sum += bits
-		}
-		if sum != total {
+		if err := bitsSum(store.Storage()); err != nil {
 			close(stop)
 			wg.Wait()
-			t.Fatalf("sample %d: per-shard bits sum to %d, aggregate says %d", sample, sum, total)
+			t.Fatalf("sample %d: %v", sample, err)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -318,33 +312,35 @@ func TestStorageBreakdownExactUnderBatchedLoad(t *testing.T) {
 	// Quiescence shows as two consecutive samples that agree and charge every
 	// shard exactly its n pieces of D/k, (2f+k)/k·D.
 	const quiescentBits = (2*1 + 2) * 256 * 8 / 2
-	var total int
-	var perShard map[string]int
+	var st Storage
 	settled := func() bool {
-		prev := perShard
-		total, perShard = store.StorageBreakdown()
-		for name, bits := range perShard {
-			if bits != quiescentBits || prev[name] != bits {
+		prev := st.Shards
+		st = store.Storage()
+		for name, part := range st.Shards {
+			if part.Bits != quiescentBits || prev[name] != part {
 				return false
 			}
 		}
-		return len(prev) == len(perShard)
+		return len(prev) == len(st.Shards)
 	}
 	for deadline := time.Now().Add(10 * time.Second); !settled(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("storage did not settle at %d bits per shard: last sample %v", quiescentBits, perShard)
+			t.Fatalf("storage did not settle at %d bits per shard: last sample %v", quiescentBits, st.Shards)
 		}
 	}
+	if err := bitsSum(st); err != nil || len(st.Shards) != 3 || store.StorageBits() != st.Bits {
+		t.Fatalf("quiescent sample %+v (%v): want three shards summing to StorageBits %d", st, err, store.StorageBits())
+	}
+}
 
-	// At quiescence the one-call accessors must agree with the breakdown too.
+// bitsSum checks a sample's base-object axis: Bits == Σ Shards[].Bits.
+func bitsSum(st Storage) error {
 	sum := 0
-	for name, bits := range perShard {
-		if got := store.ShardStorageBits(name); got != bits {
-			t.Fatalf("ShardStorageBits(%s) = %d, breakdown says %d", name, got, bits)
-		}
-		sum += bits
+	for _, part := range st.Shards {
+		sum += part.Bits
 	}
-	if got := store.StorageBits(); got != total || sum != total {
-		t.Fatalf("quiescent StorageBits = %d, breakdown total %d, per-shard sum %d", got, total, sum)
+	if sum != st.Bits {
+		return fmt.Errorf("per-shard bits sum to %d, aggregate says %d (%v)", sum, st.Bits, st.Shards)
 	}
+	return nil
 }
