@@ -15,9 +15,10 @@
 // Storage accounting remains exact: Set.Storage takes one sample of the
 // cluster, which attributes bits to base objects by global ID, and a shard's
 // cost is the sum over its region, so the paper's min(f, c)·D introspection
-// holds per shard and the total is their sum by construction — including while
+// holds per shard and the cluster's total equals their sum — including while
 // two epochs coexist, because the draining region and its successors are
-// disjoint regions of one cluster.
+// disjoint regions of one cluster and no sample sees an object before its
+// region is registered.
 package shard
 
 import (

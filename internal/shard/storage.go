@@ -3,11 +3,13 @@ package shard
 // Storage is one storage sample of a set, attributed to its shards: the
 // paper's storage cost (Definition 2) and, on its own axis, the bytes the
 // write-ahead log and its snapshots occupy on disk. Every number comes from
-// the same sample, so the totals are the sums of the parts by construction:
-// Bits == Σ Shards[].Bits and Durable == Σ Shards[].Durable + Ledger.
+// the same sample. The totals are the cluster's own, not sums of the parts,
+// so Bits == Σ Shards[].Bits is a check: it holds exactly when every base
+// object belongs to a region. Durable == Σ Shards[].Durable + Ledger holds by
+// construction, Ledger being the remainder.
 type Storage struct {
-	// Bits is the code-block bits held by base objects, meta-data excluded:
-	// the storage cost of Definition 2.
+	// Bits is the code-block bits held by all base objects, meta-data
+	// excluded: the storage cost of Definition 2.
 	Bits int
 	// Durable is the bits the write-ahead log and its snapshots occupy (zero
 	// without a journal). They never count toward Bits.
@@ -39,7 +41,7 @@ func (s *Set) Storage() Storage {
 	snap := s.cluster.SampleStorage()
 	regions := s.regions
 	s.rmu.Unlock()
-	st := Storage{Durable: snap.DurableBits(), Shards: make(map[string]ShardStorage, len(regions))}
+	st := Storage{Bits: snap.BaseObjectBits, Durable: snap.DurableBits(), Shards: make(map[string]ShardStorage, len(regions))}
 	attributed := 0 // durable bits that some region owns
 	// One router lock for the whole walk: every region's route state is
 	// read from the same table.
@@ -50,7 +52,6 @@ func (s *Set) Storage() Storage {
 			part.Bits += snap.PerObjectBits[obj]
 			part.Durable += snap.PerObjectDurableBits[obj]
 		}
-		st.Bits += part.Bits
 		attributed += part.Durable
 		if e := s.router.byName[sh.Name]; part != (ShardStorage{}) || e == nil || e.state != RouteRetired {
 			st.Shards[sh.Name] = part
