@@ -28,10 +28,13 @@ type Block struct {
 // cost model counts (Definition 2).
 func (b Block) SizeBits() int { return 8 * len(b.Data) }
 
-// Clone returns a deep copy of the block.
+// Clone returns a deep copy of the block. The source is copied from a plain
+// variable: only then does the compiler fuse the make and the copy into one
+// allocation that is never zeroed.
 func (b Block) Clone() Block {
-	d := make([]byte, len(b.Data))
-	copy(d, b.Data)
+	src := b.Data
+	d := make([]byte, len(src))
+	copy(d, src)
 	return Block{Index: b.Index, Data: d}
 }
 

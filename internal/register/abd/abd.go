@@ -180,9 +180,12 @@ func (*readRMW) Apply(state dsys.State) any { return state.(*objectState).chunk 
 // Blocks implements dsys.RMW.
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }
 
-// updateRMW overwrites the replica if the new timestamp is higher.
+// updateRMW overwrites the replica if the new timestamp is higher. A decoded
+// update borrows its request frame (borrowed), and Apply copies the replica
+// only when it stores it.
 type updateRMW struct {
-	chunk register.Chunk
+	chunk    register.Chunk
+	borrowed bool
 }
 
 var _ dsys.RMW = (*updateRMW)(nil)
@@ -191,7 +194,7 @@ var _ dsys.RMW = (*updateRMW)(nil)
 func (u *updateRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
 	if s.chunk.TS.Less(u.chunk.TS) {
-		s.chunk = u.chunk
+		s.chunk = register.Retain(u.chunk, u.borrowed)
 		return true
 	}
 	return false

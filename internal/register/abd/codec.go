@@ -30,7 +30,7 @@ func init() {
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &updateRMW{chunk: r.Chunk()}
+			u := &updateRMW{chunk: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

@@ -31,9 +31,10 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 	}
 	u := updateRMW{
 		k:        int32(k),
+		borrowed: true,
 		ts:       r.TS(),
 		storedTS: r.TS(),
-		piece:    r.Chunk(),
+		piece:    r.ChunkAlias(),
 		full:     r.ChunksAlias(),
 	}
 	if err := r.Finish(); err != nil {
@@ -166,7 +167,7 @@ func init() {
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			g := &gcRMW{ts: r.TS(), piece: r.Chunk()}
+			g := &gcRMW{ts: r.TS(), piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

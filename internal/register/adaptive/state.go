@@ -99,18 +99,20 @@ func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
 // most one of them store anything: one whose ts Vp or Vf already holds, and
 // one that needs the replica it does not have, leave the state untouched.
 //
-// piece is retained by the object as it stands, so it must be exactly sized
-// memory of its own. full is only read: the updates of one write share it, a
-// decoded update's full is a view of its request frame, and Apply copies it
-// before storing.
+// A decoded update borrows its request frame (borrowed): piece and full are
+// views of it, and Apply copies only what it stores, on the line that stores
+// it — piece through register.Retain, full through CloneChunks, which copies
+// it in process too, where the updates of one write share it. An update that
+// changes nothing, or that a newer write has superseded, copies nothing.
 //
 // tookFull is Apply's note to JournalForm that lines 37-38 fired, the one
-// branch that reads full. It shares a word with k so that the struct stays in
-// the allocator's 144-byte class: a write allocates n of these on each side
-// of the wire.
+// branch that reads full. It and borrowed share a word with k so that the
+// struct stays in the allocator's 144-byte class: a write allocates n of these
+// on each side of the wire.
 type updateRMW struct {
 	k        int32
 	tookFull bool
+	borrowed bool
 	ts       register.Timestamp
 	storedTS register.Timestamp
 	piece    register.Chunk
@@ -146,7 +148,7 @@ func (u *updateRMW) Apply(state dsys.State) any {
 				kept = append(kept, c)
 			}
 		}
-		s.vp = append(kept, u.piece)
+		s.vp = append(kept, register.Retain(u.piece, u.borrowed))
 		resp = updateResp{Stored: true, ToVp: true}
 	case len(s.vf) == 0 || maxChunkTS(s.vf).Less(u.ts):
 		// Lines 37-38: Vp is full; store a full replica if Vf is empty or
@@ -266,9 +268,15 @@ func (r updateResp) NoChange() (unchanged, incomplete bool) {
 // the replica into an empty Vf and lines 43-44 would now cut it down to this
 // piece, so that is what the GC leaves — every object it reaches ends up with
 // its piece of a completed write, as under the algorithm as printed.
+//
+// A decoded GC borrows its request frame (borrowed), piece included. Most GCs
+// that carry a piece reach an object whose update settled in Vp and store
+// nothing, so the piece is copied (register.Retain) only on the line that
+// stores it.
 type gcRMW struct {
-	ts    register.Timestamp
-	piece register.Chunk
+	ts       register.Timestamp
+	piece    register.Chunk
+	borrowed bool
 }
 
 var _ dsys.RMW = (*gcRMW)(nil)
@@ -296,7 +304,7 @@ func (g *gcRMW) Apply(state dsys.State) any {
 	// piece is what the replica would have come down to.
 	missed := s.storedTS.Less(g.ts) && len(s.vf) == 0 && !holdsTS(s.vp, g.ts)
 	if g.hasPiece() && (missed || holdsTS(s.vf, g.ts)) {
-		s.vf = []register.Chunk{g.piece}
+		s.vf = []register.Chunk{register.Retain(g.piece, g.borrowed)}
 	}
 	s.storedTS = s.storedTS.Max(g.ts)
 	return gcResp{}

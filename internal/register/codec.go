@@ -37,7 +37,9 @@ type Codec struct {
 	// It must write the same fields whenever it is handed the same RMW: every
 	// encoding is a counting pass followed by a writing one.
 	Write func(w *WireWriter, rmw dsys.RMW) error
-	// Decode rebuilds a live RMW from what Write wrote.
+	// Decode rebuilds a live RMW from what Write wrote. The RMW's code blocks
+	// are views of payload, and it is marked as borrowing them: its Apply
+	// copies the one it stores (Retain) and nothing else.
 	Decode func(payload []byte) (dsys.RMW, error)
 	// WriteResp serializes the response returned by the RMW's Apply into w,
 	// under the same rule as Write.
@@ -534,13 +536,14 @@ func (r *WireReader) bytesAlias() []byte {
 // TS reads a timestamp.
 func (r *WireReader) TS() Timestamp { return Timestamp{Num: r.Int(), Client: r.Int()} }
 
-// Chunk reads a chunk whose block bytes are an owned copy.
+// Chunk reads a chunk whose block bytes are an owned copy: what a state codec
+// restores into a base object.
 func (r *WireReader) Chunk() Chunk { return r.chunk(false) }
 
-// ChunkAlias reads a chunk whose block bytes are a view of the payload: for
-// parameters an Apply only reads and for responses a client only decodes.
-// Whatever a base object retains must come from Chunk instead, or it would
-// pin the whole frame the payload arrived in.
+// ChunkAlias reads a chunk whose block bytes are a view of the payload: every
+// RMW parameter and every response chunk. An RMW decoded this way borrows its
+// frame and says so, and its Apply copies a block only where it stores it
+// (Retain), or the object would pin the whole frame the payload arrived in.
 func (r *WireReader) ChunkAlias() Chunk { return r.chunk(true) }
 
 func (r *WireReader) chunk(alias bool) Chunk {

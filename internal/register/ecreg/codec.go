@@ -42,7 +42,7 @@ func init() {
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &storeRMW{piece: r.Chunk()}
+			u := &storeRMW{piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -60,7 +60,7 @@ func init() {
 		},
 		Decode: func(payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &seedStoreRMW{piece: r.Chunk()}
+			u := &seedStoreRMW{piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

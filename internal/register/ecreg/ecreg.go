@@ -216,9 +216,11 @@ func (*readRMW) Apply(state dsys.State) any {
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }
 
 // storeRMW appends the write's piece and prunes pieces older than the
-// object's committed timestamp.
+// object's committed timestamp. A decoded store borrows its request frame
+// (borrowed), and Apply copies the piece only when it stores it.
 type storeRMW struct {
-	piece register.Chunk
+	piece    register.Chunk
+	borrowed bool
 }
 
 var _ dsys.RMW = (*storeRMW)(nil)
@@ -236,7 +238,7 @@ func (u *storeRMW) Apply(state dsys.State) any {
 			kept = append(kept, c)
 		}
 	}
-	s.pieces = append(kept, u.piece)
+	s.pieces = append(kept, register.Retain(u.piece, u.borrowed))
 	return true
 }
 
@@ -247,7 +249,8 @@ func (u *storeRMW) Blocks() []dsys.BlockRef { return []dsys.BlockRef{u.piece.Ref
 // that a piece with the seed's exact timestamp already present is left alone,
 // so a re-driven seed never duplicates the first attempt's pieces.
 type seedStoreRMW struct {
-	piece register.Chunk
+	piece    register.Chunk
+	borrowed bool
 }
 
 var _ dsys.RMW = (*seedStoreRMW)(nil)
@@ -260,7 +263,7 @@ func (u *seedStoreRMW) Apply(state dsys.State) any {
 			return false
 		}
 	}
-	return (&storeRMW{piece: u.piece}).Apply(state)
+	return (&storeRMW{piece: u.piece, borrowed: u.borrowed}).Apply(state)
 }
 
 // Blocks implements dsys.RMW.

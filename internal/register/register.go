@@ -72,6 +72,19 @@ func (c Chunk) Ref() dsys.BlockRef {
 	return dsys.BlockRef{Source: c.Source, Bits: c.Block.SizeBits()}
 }
 
+// Retain returns c as a base object stores it. borrowed says that the RMW
+// carrying c was decoded from a frame and c's block is a view of that frame:
+// the block is then copied into exactly sized memory of its own. Any other
+// chunk's block already is such memory (EncodeWrite's retained) and is kept as
+// it stands. An Apply calls it on the line that stores a chunk its RMW
+// carries, and nowhere earlier.
+func Retain(c Chunk, borrowed bool) Chunk {
+	if borrowed {
+		c.Block = c.Block.Clone()
+	}
+	return c
+}
+
 // CloneChunks deep-copies a chunk slice into exactly sized blocks of their own:
 // what an Apply does before it retains chunks it was handed only to read.
 func CloneChunks(chunks []Chunk) []Chunk {
@@ -244,8 +257,9 @@ type Register interface {
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
 // every block is then exactly sized memory of its own. Otherwise the blocks
-// only travel — a node across a wire copies what it keeps out of the frame —
-// and a code's data blocks may be views of v.
+// only travel — a node across a wire decodes them as views of the frame and
+// copies only the one its object stores, where it stores it (Retain) — and a
+// code's data blocks may be views of v.
 func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
 	enc := oracle.NewEncoder(cfg.Code, w, v)
 	chunks := make([]Chunk, 0, cfg.N())

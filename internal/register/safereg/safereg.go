@@ -176,9 +176,11 @@ func (*readRMW) Apply(state dsys.State) any { return state.(*objectState).chunk 
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }
 
 // updateRMW overwrites the object's piece if the new timestamp is larger
-// (Algorithm 5, lines 10-12).
+// (Algorithm 5, lines 10-12). A decoded update borrows its request frame
+// (borrowed), and Apply copies the piece only when it stores it.
 type updateRMW struct {
-	chunk register.Chunk
+	chunk    register.Chunk
+	borrowed bool
 }
 
 var _ dsys.RMW = (*updateRMW)(nil)
@@ -187,7 +189,7 @@ var _ dsys.RMW = (*updateRMW)(nil)
 func (u *updateRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
 	if s.chunk.TS.Less(u.chunk.TS) {
-		s.chunk = u.chunk
+		s.chunk = register.Retain(u.chunk, u.borrowed)
 		return true
 	}
 	return false

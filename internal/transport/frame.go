@@ -110,7 +110,7 @@ const (
 
 // frameSlab is what a client connection's current slab has not yet handed
 // out. A response's decoded chunks alias the frame they arrived in (DESIGN.md
-// rule 3) for as long as their round's caller holds them, so no byte of a
+// rule 2) for as long as their round's caller holds them, so no byte of a
 // slab is read into twice: every frame is cut at its exact length, capacity
 // included, and a slab too short for the next frame is left to the frames
 // already cut from it.

@@ -202,10 +202,10 @@ func TestFrameSenderWireBytes(t *testing.T) {
 	}
 	defer in.Close()
 
-	// An update whose replica is two 16 KiB blocks around a short one, and a
-	// read response of the same chunks. Decoded, the replica's blocks and the
-	// response's are views of these payloads: that is the memory the socket
-	// must be handed.
+	// An update whose piece is a 16 KiB block and whose replica is two more
+	// around a short one, and a read response of the replica's chunks.
+	// Decoded, the update's blocks and the response's are views of these
+	// payloads: that is the memory the socket must be handed.
 	const blockLen = 16 << 10
 	chunk := func(index, n int) register.Chunk {
 		return register.Chunk{TS: register.Timestamp{Num: 3, Client: 1}, Block: erasure.Block{Index: index, Data: bytes.Repeat([]byte{byte(index)}, n)}}
@@ -272,8 +272,8 @@ func TestFrameSenderWireBytes(t *testing.T) {
 		payload []byte
 		views   int
 	}{
-		{"update", dsys.Envelope{Op: op, Object: 5}, updateCodec, update, updatePayload, 2},
-		{"traced update", dsys.Envelope{Op: op, Object: 5, Trace: 0xABCDEF, Span: 77}, updateCodec, update, updatePayload, 2},
+		{"update", dsys.Envelope{Op: op, Object: 5}, updateCodec, update, updatePayload, 3},
+		{"traced update", dsys.Envelope{Op: op, Object: 5, Trace: 0xABCDEF, Span: 77}, updateCodec, update, updatePayload, 3},
 		{"read", dsys.Envelope{Op: op, Object: 1}, readCodec, read, nil, 0},
 	} {
 		reqID := uint64(100 + i)

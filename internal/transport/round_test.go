@@ -16,7 +16,6 @@ import (
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
 	"spacebounds/internal/register/abd"
-	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
@@ -357,17 +356,7 @@ func TestBlocksReachTheSocketUnallocated(t *testing.T) {
 		t.Errorf("an update round of %d pieces of %d bytes allocates %d bytes, want at most %d", n, blockLen, perRound, limit)
 	}
 
-	reg, err := adaptive.New(register.Config{F: 2, K: 4, DataLen: 4 * blockLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := reg.InitialStates(value.Zero(4 * blockLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
-	defer cluster.Close()
-	srv := NewServer(cluster)
+	srv := largeServer(t) // 16 KiB pieces
 	request, err := dsys.Envelope{Op: dsys.OpID{Client: 1, Kind: dsys.OpRead}, Kind: "adaptive.read"}.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -606,8 +595,10 @@ func TestUnregisteredKindIsBadRequest(t *testing.T) {
 //
 // The piece rows are an update round instead, every request carrying one block
 // that the sender hands to the socket by reference: 512 bytes, the shortest it
-// does not copy (register's refMinLen), and 16 KiB, the tcp-large piece. Their
-// B/op is mostly the server's: it keeps a copy of what it is sent.
+// does not copy (register's refMinLen), and 16 KiB, the tcp-large piece. Every
+// round sends the same update, which the objects stored on the first round and
+// drop since, so the server copies no block: B/op is the round's bookkeeping
+// on both sides of the wire.
 func BenchmarkInvokeRound(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

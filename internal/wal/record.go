@@ -106,6 +106,11 @@ func decodeBody(body []byte) (record, error) {
 // data; err is non-nil if anything after that offset remains (torn tail or
 // corruption — the caller decides which it is by the segment's position), or
 // if fn failed.
+//
+// Every record is read into one buffer, over the last: r.payload is valid
+// until fn returns. What a caller keeps of a record it copies — an apply's
+// pieces where its object stores them (register.Retain), a move's state in
+// noteRecord.
 func scanSegment(path string, fn func(r record, frameLen int) error) (validLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -114,6 +119,7 @@ func scanSegment(path string, fn func(r record, frameLen int) error) (validLen i
 	defer f.Close()
 	var off int64
 	header := make([]byte, frameHeader)
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(f, header); err != nil {
 			if err == io.EOF {
@@ -126,7 +132,10 @@ func scanSegment(path string, fn func(r record, frameLen int) error) (validLen i
 		if bodyLen > maxBody {
 			return off, fmt.Errorf("%w: frame of %d bytes at offset %d", ErrCorrupt, bodyLen, off)
 		}
-		body := make([]byte, bodyLen)
+		if int(bodyLen) > cap(buf) {
+			buf = make([]byte, bodyLen)
+		}
+		body := buf[:bodyLen]
 		if _, err := io.ReadFull(f, body); err != nil {
 			return off, fmt.Errorf("%w: short frame body at offset %d", ErrCorrupt, off)
 		}
