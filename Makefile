@@ -169,11 +169,10 @@ e2e-recovery:
 linkcheck:
 	$(GO) run ./cmd/linkcheck
 
-# Run every example end-to-end with a tiny step budget, then the experiment
-# tables E1-E8. quickstart and kvstore exit non-zero unless storage at
-# quiescence is Theorem 2's (2f+k)/k·D.
+# Run every example end-to-end, then the experiment tables E1-E8. quickstart
+# and kvstore exit non-zero unless storage at quiescence is Theorem 2's
+# (2f+k)/k·D.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/concurrencystorm -max-writers 2 -writes 1
 	$(GO) run ./examples/kvstore
 	$(GO) run ./cmd/spacebench

@@ -116,7 +116,7 @@ func BenchmarkAdversaryLowerBound(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := adversary.Run(reg, c, 0)
+					res, err := adversary.Run(reg, c, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func BenchmarkAdversaryTrace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := adversary.Run(reg, c, 0)
+		res, err := adversary.Run(reg, c, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

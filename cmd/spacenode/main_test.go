@@ -88,7 +88,7 @@ func TestRunListensAndStops(t *testing.T) {
 	}
 
 	// The reported address accepts envelope rounds.
-	cl, err := transport.Dial([]string{addr}, transport.WithPlacement(func(int) int { return 0 }))
+	cl, err := transport.Dial([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,26 +132,18 @@ type Result struct {
 // MeetsBound reports whether the pinned storage meets the analytic target.
 func (r *Result) MeetsBound() bool { return r.PinnedBaseObjectBits >= r.LowerBoundBits }
 
-// String renders a one-line summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s f=%d k=%d c=%d D=%db ℓ=%db: pinned storage %db (bound %db, |F|=%d, |C+|=%d, completed=%d, %s)",
-		r.Algorithm, r.F, r.K, r.Concurrency, r.DataBits, r.EllBits,
-		r.PinnedBaseObjectBits, r.LowerBoundBits, r.FullObjects, r.HeavyWrites, r.CompletedWrites, r.Reason)
-}
-
 // Run attacks the register emulation with Ad: it invokes concurrency
 // concurrent writes of distinct values, schedules the run with Ad using
-// ℓ = ellBits (0 means D/2), lets it run until it is pinned or quiesces, and
-// reports the storage the adversary extracted.
-func Run(reg register.Register, concurrency int, ellBits int) (*Result, error) {
+// ℓ = D/2 as the paper fixes it, lets it run until it is pinned or quiesces,
+// and reports the storage the adversary extracted. A non-nil onEvent sees
+// every scheduling event (Figure 3's schedule).
+func Run(reg register.Register, concurrency int, onEvent func(dsys.Event)) (*Result, error) {
 	cfg := reg.Config()
 	if concurrency < 1 {
 		return nil, fmt.Errorf("adversary: concurrency must be at least 1, got %d", concurrency)
 	}
 	dBits := cfg.DataBits()
-	if ellBits <= 0 {
-		ellBits = dBits / 2
-	}
+	ellBits := dBits / 2
 	v0 := value.Zero(cfg.DataLen)
 	states, err := reg.InitialStates(v0)
 	if err != nil {
@@ -163,6 +155,7 @@ func Run(reg register.Register, concurrency int, ellBits int) (*Result, error) {
 		dsys.WithPolicy(pol),
 		dsys.WithDataBits(dBits),
 		dsys.WithMaxSteps(maxSteps),
+		dsys.WithEventLog(onEvent),
 	)
 	defer cluster.Close()
 

@@ -32,7 +32,6 @@ type options struct {
 	maxSteps   int
 	dataBits   int
 	accounting bool
-	keepSeries bool
 	eventLog   func(Event)
 	metrics    *metrics.Registry
 	tracer     *trace.Tracer
@@ -65,11 +64,8 @@ func WithDataBits(d int) Option { return func(o *options) { o.dataBits = d } }
 // WithoutAccounting disables per-step storage snapshots (controlled mode).
 func WithoutAccounting() Option { return func(o *options) { o.accounting = false } }
 
-// WithSeries retains the full time series of storage cost in the accountant.
-func WithSeries() Option { return func(o *options) { o.keepSeries = true } }
-
-// WithEventLog installs a callback invoked on every scheduling event; the
-// Figure 3 trace example uses it to narrate the adversary's moves.
+// WithEventLog installs a callback invoked on every scheduling event; E6 uses
+// it to print the adversary's Figure 3 schedule.
 func WithEventLog(fn func(Event)) Option { return func(o *options) { o.eventLog = fn } }
 
 // EventKind enumerates scheduling events.
@@ -170,12 +166,14 @@ func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any,
 	if o.crashed.Load() && !replay {
 		return nil, ErrObjectDown
 	}
-	var jour *journalHolder
+	var jour Journal
 	if !replay {
-		jour = c.jour.Load()
+		jour = c.journal()
 	}
-	if err := jour.refuses(rmw); err != nil {
-		return nil, err
+	if jour != nil {
+		if err := refuses(jour, rmw); err != nil {
+			return nil, err
+		}
 	}
 	resp := rmw.Apply(o.state)
 	if refusal, ok := resp.(error); ok {
@@ -190,7 +188,7 @@ func (o *object) apply(c *Cluster, rmw RMW, tc trace.Context, replay bool) (any,
 	}
 	o.applied++
 	if jour != nil {
-		if err := jour.record(o.id, rmw, tc); err != nil {
+		if err := record(jour, o.id, rmw, tc); err != nil {
 			return nil, err
 		}
 	}
@@ -280,7 +278,7 @@ type Cluster struct {
 	// jour, when non-nil, journals every applied mutating RMW for durability
 	// (see SetJournal). Atomic so attaching a journal never contends with
 	// rounds in flight, and running without one costs a single pointer load.
-	jour atomic.Pointer[journalHolder]
+	jour atomic.Pointer[Journal]
 
 	acct *storagecost.Accountant
 	wg   sync.WaitGroup
@@ -318,7 +316,7 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	}
 	c.objsPtr.Store(&objects)
 	if o.accounting {
-		c.acct = storagecost.NewAccountant(o.keepSeries)
+		c.acct = new(storagecost.Accountant)
 	}
 	if o.mode == Controlled {
 		c.wg.Add(1)
@@ -400,32 +398,8 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	return nil
 }
 
-// RetiredObjects returns the IDs of retired base objects.
-func (c *Cluster) RetiredObjects() []int {
-	var out []int
-	for _, o := range c.objs() {
-		if o.retired.Load() {
-			out = append(out, o.id)
-		}
-	}
-	return out
-}
-
 // Mode returns the cluster's scheduling mode.
 func (c *Cluster) Mode() Mode { return c.opts.mode }
-
-// ObjectState returns the state of base object i; callers must not mutate it
-// concurrently with a running cluster. Tests and experiments use it to
-// inspect final states.
-func (c *Cluster) ObjectState(i int) State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	objects := c.objs()
-	if i < 0 || i >= len(objects) {
-		return nil
-	}
-	return objects[i].state
-}
 
 // Accountant returns the storage accountant (nil if accounting is disabled).
 func (c *Cluster) Accountant() *storagecost.Accountant { return c.acct }
@@ -786,8 +760,8 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 			refs: p.rmw.Blocks(),
 		})
 	}
-	if h := c.jour.Load(); h != nil {
-		reporters = append(reporters, durableReporter{j: h.j})
+	if j := c.journal(); j != nil {
+		reporters = append(reporters, durableReporter{j: j})
 	}
 	return storagecost.Collect(reporters, nil)
 }

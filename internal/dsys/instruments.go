@@ -25,7 +25,7 @@ func WithMetrics(reg *metrics.Registry) Option { return func(o *options) { o.met
 
 // WithTracer gives the cluster a tracer: quorum rounds on handles whose
 // context carries a sampled trace record StageRound spans labeled by region
-// name, and journaled applies forward the trace context to a TracedJournal.
+// name, and journaled applies forward the trace context to the journal.
 // Nil leaves tracing off.
 func WithTracer(tr *trace.Tracer) Option { return func(o *options) { o.tracer = tr } }
 

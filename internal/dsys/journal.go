@@ -15,28 +15,28 @@ import (
 //
 // The interface lives here (rather than the wal package importing dsys the
 // other way around) because the cluster is the attachment point, and it must
-// not depend on how durability is implemented.
+// not depend on how durability is implemented. It has no optional parts: a
+// decorator that embeds a Journal forwards every method it does not override,
+// so it cannot drop the fail-stop check by accident.
 type Journal interface {
 	// RecordApply journals one applied RMW for the given global object ID.
 	// It is called under the object's apply lock; implementations must not
 	// call back into the cluster from it.
 	RecordApply(object int, rmw RMW)
+	// RecordApplyTraced is RecordApply for an apply that belongs to a sampled
+	// trace, so the journal's stages can join the operation's trace; the
+	// same calling rules apply.
+	RecordApplyTraced(object int, rmw RMW, tc trace.Context)
+	// Refuses returns nil while the journal has recorded every RMW handed to
+	// it and can record rmw, or would not record rmw at all; afterwards it
+	// returns the failure, and the cluster stops letting RMWs it would have
+	// recorded take effect (ErrJournalFailed), so a node never acknowledges
+	// what it could not make durable. It is called under the object's apply
+	// lock, before Apply and again after RecordApply.
+	Refuses(rmw RMW) error
 	// DurableBlocks reports the journal's current on-disk footprint for
 	// storage accounting (DurableLog / DurableSnapshot locations).
 	DurableBlocks() []storagecost.BlockInfo
-}
-
-// TracedJournal is the optional extension a journal implements to receive the
-// applying operation's trace context alongside the RMW; the WAL uses it to
-// record wal-append/wal-fsync spans under the operation's trace. Journals
-// that do not implement it keep working unchanged — sampled applies fall back
-// to RecordApply.
-type TracedJournal interface {
-	Journal
-	// RecordApplyTraced is RecordApply for an apply that belongs to a sampled
-	// trace; the same calling rules apply (under the object's apply lock, no
-	// calls back into the cluster).
-	RecordApplyTraced(object int, rmw RMW, tc trace.Context)
 }
 
 // JournalTrimmer is the optional seam by which an applied RMW offers the
@@ -67,36 +67,12 @@ type NoChange interface {
 	NoChange() (unchanged, incomplete bool)
 }
 
-// FailStopJournal is the optional extension of a journal that can lose the
-// ability to record: once it has, the cluster stops letting RMWs it would
-// have recorded take effect (ErrJournalFailed), so a node never acknowledges
-// what it could not make durable. RMWs the journal never records — read-only
-// kinds — keep being served.
-type FailStopJournal interface {
-	Journal
-	// Refuses returns nil while the journal has recorded every RMW handed to
-	// it and can record rmw, or would not record rmw at all; afterwards it
-	// returns the failure. It is called under the object's apply lock, before
-	// Apply and again after RecordApply.
-	Refuses(rmw RMW) error
-}
-
 // durableReporter adapts a journal's on-disk footprint to
 // storagecost.Reporter so snapshots carry the durability axis.
 type durableReporter struct{ j Journal }
 
 // StorageBlocks implements storagecost.Reporter.
 func (r durableReporter) StorageBlocks() []storagecost.BlockInfo { return r.j.DurableBlocks() }
-
-// journalHolder wraps the Journal interface so a single atomic pointer swap
-// attaches or detaches it. The TracedJournal and FailStopJournal extensions
-// are resolved once at attach time, keeping the type assertions off the apply
-// path.
-type journalHolder struct {
-	j  Journal
-	tj TracedJournal   // nil when j does not implement the extension
-	fs FailStopJournal // likewise
-}
 
 // SetJournal attaches a journal to the cluster (nil detaches). Attach the
 // journal before admitting traffic: applies that race with the attachment may
@@ -106,42 +82,40 @@ func (c *Cluster) SetJournal(j Journal) {
 		c.jour.Store(nil)
 		return
 	}
-	h := &journalHolder{j: j}
-	if tj, ok := j.(TracedJournal); ok {
-		h.tj = tj
+	c.jour.Store(&j)
+}
+
+// journal returns the attached journal, or nil.
+func (c *Cluster) journal() Journal {
+	if p := c.jour.Load(); p != nil {
+		return *p
 	}
-	if fs, ok := j.(FailStopJournal); ok {
-		h.fs = fs
-	}
-	c.jour.Store(h)
+	return nil
 }
 
 // refuses reports, as ErrJournalFailed, that the journal has failed and would
-// have recorded rmw. A nil holder (no journal) refuses nothing.
-func (h *journalHolder) refuses(rmw RMW) error {
-	if h == nil || h.fs == nil {
-		return nil
-	}
-	if err := h.fs.Refuses(rmw); err != nil {
+// have recorded rmw.
+func refuses(j Journal, rmw RMW) error {
+	if err := j.Refuses(rmw); err != nil {
 		return fmt.Errorf("%w: %v", ErrJournalFailed, err)
 	}
 	return nil
 }
 
 // record reports one applied RMW to the journal with the applying operation's
-// trace context: a sampled apply reaches a TracedJournal through the extension
-// so the journal's stages join the operation's trace, and everything else
-// takes the plain path. The error is refuses' verdict afterwards: an RMW whose
-// own record failed is not acknowledged either. Only object.apply calls
-// it, under the object's apply lock, which is what serializes the journal's
-// record order with the apply order.
-func (h *journalHolder) record(object int, rmw RMW, tc trace.Context) error {
-	if tc.Sampled() && h.tj != nil {
-		h.tj.RecordApplyTraced(object, rmw, tc)
+// trace context: a sampled apply goes through RecordApplyTraced so the
+// journal's stages join the operation's trace, and everything else takes the
+// plain path. The error is refuses' verdict afterwards: an RMW whose own
+// record failed is not acknowledged either. Only object.apply calls it, under
+// the object's apply lock, which is what serializes the journal's record
+// order with the apply order.
+func record(j Journal, object int, rmw RMW, tc trace.Context) error {
+	if tc.Sampled() {
+		j.RecordApplyTraced(object, rmw, tc)
 	} else {
-		h.j.RecordApply(object, rmw)
+		j.RecordApply(object, rmw)
 	}
-	return h.refuses(rmw)
+	return refuses(j, rmw)
 }
 
 // ReadObjectState runs fn with the object's live state under its apply lock.

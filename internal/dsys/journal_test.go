@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spacebounds/internal/storagecost"
+	"spacebounds/internal/trace"
 )
 
 // recJournal records RecordApply calls and reports fixed durable blocks.
@@ -20,6 +21,12 @@ func (j *recJournal) RecordApply(object int, rmw RMW) {
 	j.applies = append(j.applies, object)
 	j.mu.Unlock()
 }
+
+func (j *recJournal) RecordApplyTraced(object int, rmw RMW, _ trace.Context) {
+	j.RecordApply(object, rmw)
+}
+
+func (j *recJournal) Refuses(RMW) error { return nil }
 
 func (j *recJournal) DurableBlocks() []storagecost.BlockInfo { return j.blocks }
 
@@ -135,6 +142,23 @@ func TestFailedJournalStopsAcknowledging(t *testing.T) {
 	}
 	if out, err := c.ReplayApply(0, addBlockRMW{bits: 8}); err != nil || out != 3 {
 		t.Fatalf("ReplayApply under a failed journal = %v, %v; want 3", out, err)
+	}
+}
+
+// TestDecoratedJournalStillRefuses: a decorator that embeds the journal it
+// wraps forwards Refuses with the rest, so a cluster behind it stops
+// acknowledging once the inner journal's disk has failed.
+func TestDecoratedJournalStillRefuses(t *testing.T) {
+	c := newTestCluster(3, WithLiveMode())
+	defer c.Close()
+	c.SetJournal(struct{ Journal }{&failingJournal{}})
+	for i := 0; i < 2; i++ {
+		if _, err := c.ApplyOne(0, addBlockRMW{bits: 8}); !errors.Is(err, ErrJournalFailed) {
+			t.Fatalf("apply %d behind a failed journal: err = %v, want ErrJournalFailed", i, err)
+		}
+	}
+	if out, err := c.ApplyOne(0, readCounterRMW{}); err != nil || out != 1 {
+		t.Fatalf("read behind a failed journal = %v, %v; want 1", out, err)
 	}
 }
 

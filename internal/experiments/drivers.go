@@ -164,7 +164,7 @@ func E4AdversaryLowerBound() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := adversary.Run(reg, c, 0)
+			res, err := adversary.Run(reg, c, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -211,7 +211,12 @@ func E6AdversaryTrace() (*Table, error) {
 		Caption: "Each row is one scheduling decision of Ad against the coded baseline (f=k=4).",
 		Header:  []string{"step", "event", "object", "client", "operation"},
 	}
-	events, res, err := TraceAdversary(4)
+	reg, err := ecreg.New(register.Config{F: 4, K: 4, DataLen: smallDataLen})
+	if err != nil {
+		return nil, err
+	}
+	var events []dsys.Event
+	res, err := adversary.Run(reg, 4, func(ev dsys.Event) { events = append(events, ev) })
 	if err != nil {
 		return nil, err
 	}
@@ -229,63 +234,6 @@ func E6AdversaryTrace() (*Table, error) {
 	t.Caption += fmt.Sprintf(" Run pinned after %d steps with %s of storage (target %s KiB).",
 		res.Steps, kib(res.PinnedBaseObjectBits)+" KiB", kib(res.LowerBoundBits))
 	return t, nil
-}
-
-// TraceAdversary runs Ad against a small coded register with the given number
-// of writers and returns the scheduling trace together with the run summary.
-// The adversarytrace example uses it to narrate Figure 3.
-func TraceAdversary(writers int) ([]dsys.Event, *adversary.Result, error) {
-	cfg := register.Config{F: 4, K: 4, DataLen: smallDataLen}
-	reg, err := ecreg.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	vcfg, err := cfg.Validate()
-	if err != nil {
-		return nil, nil, err
-	}
-	var events []dsys.Event
-	states, err := reg.InitialStates(workload.WriterValue(vcfg, 0, 0))
-	if err != nil {
-		return nil, nil, err
-	}
-	dBits := vcfg.DataBits()
-	cluster := dsys.NewCluster(states,
-		dsys.WithPolicy(adversary.NewPolicy(dBits/2)),
-		dsys.WithDataBits(dBits),
-		dsys.WithMaxSteps(200*writers*vcfg.N()),
-		dsys.WithEventLog(func(ev dsys.Event) { events = append(events, ev) }),
-	)
-	defer cluster.Close()
-	for c := 1; c <= writers; c++ {
-		c := c
-		cluster.Spawn(c, func(h *dsys.ClientHandle) error {
-			return reg.Write(h, workload.WriterValue(vcfg, c, 1))
-		})
-	}
-	cluster.Start()
-	reason := cluster.WaitIdle()
-	snap := cluster.SampleStorage()
-	short := dBits / 2
-	target := writers
-	if vcfg.F+1 < target {
-		target = vcfg.F + 1
-	}
-	res := &adversary.Result{
-		Algorithm:            reg.Name(),
-		F:                    vcfg.F,
-		K:                    vcfg.K,
-		Concurrency:          writers,
-		DataBits:             dBits,
-		EllBits:              dBits / 2,
-		PinnedBaseObjectBits: snap.BaseObjectBits,
-		PinnedTotalBits:      snap.TotalBits,
-		LowerBoundBits:       target * short,
-		FullObjects:          len(snap.Full(dBits / 2)),
-		Steps:                cluster.Steps(),
-		Reason:               reason,
-	}
-	return events, res, nil
 }
 
 // E7KAblation sweeps the code parameter k for fixed f, showing the trade-off

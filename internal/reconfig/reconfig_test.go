@@ -144,8 +144,8 @@ func TestDrainReplacesRegion(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("post-drain read = %v, want %v", got, want)
 	}
-	if len(set.Cluster().RetiredObjects()) != set.Shard("s1").Span {
-		t.Fatalf("retired objects = %v", set.Cluster().RetiredObjects())
+	if cl := set.Cluster(); cl.N()-cl.LiveObjectCount() != set.Shard("s1").Span {
+		t.Fatalf("retired objects = %d, want %d", cl.N()-cl.LiveObjectCount(), set.Shard("s1").Span)
 	}
 }
 

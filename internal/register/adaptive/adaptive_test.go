@@ -259,12 +259,17 @@ func TestBlackBoxSubstitution(t *testing.T) {
 		cluster.WaitIdle()
 		shapes := make([]shape, cluster.N())
 		for i := 0; i < cluster.N(); i++ {
-			st := cluster.ObjectState(i).(interface {
-				StoredTS() register.Timestamp
-				VpLen() int
-				VfLen() int
+			err := cluster.ReadObjectState(i, func(s dsys.State) {
+				st := s.(interface {
+					StoredTS() register.Timestamp
+					VpLen() int
+					VfLen() int
+				})
+				shapes[i] = shape{storedTS: st.StoredTS(), vp: st.VpLen(), vf: st.VfLen()}
 			})
-			shapes[i] = shape{storedTS: st.StoredTS(), vp: st.VpLen(), vf: st.VfLen()}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		return shapes, got
 	}

@@ -13,6 +13,7 @@ import (
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
 	"spacebounds/internal/storagecost"
+	"spacebounds/internal/trace"
 	"spacebounds/internal/value"
 )
 
@@ -229,7 +230,11 @@ func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
 // recordingJournal counts the applies a cluster reports to it.
 type recordingJournal struct{ records int }
 
-func (j *recordingJournal) RecordApply(int, dsys.RMW)              { j.records++ }
+func (j *recordingJournal) RecordApply(int, dsys.RMW) { j.records++ }
+func (j *recordingJournal) RecordApplyTraced(object int, rmw dsys.RMW, _ trace.Context) {
+	j.RecordApply(object, rmw)
+}
+func (j *recordingJournal) Refuses(dsys.RMW) error                 { return nil }
 func (j *recordingJournal) DurableBlocks() []storagecost.BlockInfo { return nil }
 
 // TestReadTSAnswersWhatAWriterTakesFromReadValue: after every step of every

@@ -88,14 +88,6 @@ func (e *Route) Parent() string {
 	return e.parent
 }
 
-// Parents returns every migration predecessor of this route (two for a merge
-// successor), in installation order.
-func (e *Route) Parents() []string {
-	e.r.mu.Lock()
-	defer e.r.mu.Unlock()
-	return append([]string(nil), e.parents...)
-}
-
 // InstalledAt returns the routing epoch the route was installed in (0 for the
 // original shards). The merge value-ordering rule compares source routes by
 // (installation epoch, register timestamp), mirroring the dual-epoch read.

@@ -12,8 +12,6 @@ package storagecost
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"spacebounds/internal/oracle"
@@ -220,71 +218,25 @@ func (s *Snapshot) LightWrites(outstanding []oracle.WriteID, dBits, ell int) []o
 	return light
 }
 
-// String renders a compact human-readable summary.
-func (s *Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "storage: total=%db base=%db client=%db channel=%db", s.TotalBits, s.BaseObjectBits, s.ClientBits, s.ChannelBits)
-	if d := s.DurableBits(); d > 0 {
-		fmt.Fprintf(&b, " durable=%db(log=%db,snap=%db)", d, s.DurableLogBits, s.DurableSnapshotBits)
-	}
-	ids := make([]int, 0, len(s.PerObjectBits))
-	for id := range s.PerObjectBits {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, " bo%d=%db", id, s.PerObjectBits[id])
-	}
-	return b.String()
-}
-
-// Accountant tracks storage cost over a run: it records samples and maintains
-// the maximum observed cost, which is the run's storage cost per
+// Accountant tracks storage cost over a run: it maintains the maximum
+// observed cost, which is the run's storage cost per
 // Definition 2 ("the maximum storage cost at any point t in any run").
 // The zero value is ready to use.
 type Accountant struct {
-	mu sync.Mutex
-
-	samples        int
-	maxTotal       int
-	maxBase        int
-	maxAtSample    int
-	lastSnapshot   *Snapshot
-	perObjectPeak  map[int]int
-	totalsOverTime []int
-	keepSeries     bool
-}
-
-// NewAccountant returns an accountant. If keepSeries is true it retains the
-// full time series of total bits (used by experiments that plot storage over
-// time); otherwise it keeps only aggregates.
-func NewAccountant(keepSeries bool) *Accountant {
-	return &Accountant{perObjectPeak: make(map[int]int), keepSeries: keepSeries}
+	mu       sync.Mutex
+	maxTotal int
+	maxBase  int
 }
 
 // Observe records a snapshot.
 func (a *Accountant) Observe(s *Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.perObjectPeak == nil {
-		a.perObjectPeak = make(map[int]int)
-	}
-	a.samples++
-	a.lastSnapshot = s
 	if s.TotalBits > a.maxTotal {
 		a.maxTotal = s.TotalBits
-		a.maxAtSample = a.samples
 	}
 	if s.BaseObjectBits > a.maxBase {
 		a.maxBase = s.BaseObjectBits
-	}
-	for id, bits := range s.PerObjectBits {
-		if bits > a.perObjectPeak[id] {
-			a.perObjectPeak[id] = bits
-		}
-	}
-	if a.keepSeries {
-		a.totalsOverTime = append(a.totalsOverTime, s.TotalBits)
 	}
 }
 
@@ -301,39 +253,4 @@ func (a *Accountant) MaxBaseObjectBits() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.maxBase
-}
-
-// Samples returns the number of snapshots observed.
-func (a *Accountant) Samples() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.samples
-}
-
-// Last returns the most recent snapshot, or nil if none was observed.
-func (a *Accountant) Last() *Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastSnapshot
-}
-
-// PeakPerObject returns a copy of the peak bits observed per base object.
-func (a *Accountant) PeakPerObject() map[int]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[int]int, len(a.perObjectPeak))
-	for k, v := range a.perObjectPeak {
-		out[k] = v
-	}
-	return out
-}
-
-// Series returns the recorded time series of total bits (empty unless the
-// accountant was built with keepSeries=true).
-func (a *Accountant) Series() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int, len(a.totalsOverTime))
-	copy(out, a.totalsOverTime)
-	return out
 }

@@ -18,6 +18,7 @@ import (
 	"spacebounds/internal/register/abd"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
+	"spacebounds/internal/trace"
 	"spacebounds/internal/value"
 )
 
@@ -495,8 +496,9 @@ func TestCloseDuringRoundDialsNothing(t *testing.T) {
 // disk has failed does.
 type brokenJournal struct{}
 
-func (brokenJournal) RecordApply(int, dsys.RMW)              {}
-func (brokenJournal) DurableBlocks() []storagecost.BlockInfo { return nil }
+func (brokenJournal) RecordApply(int, dsys.RMW)                      {}
+func (brokenJournal) RecordApplyTraced(int, dsys.RMW, trace.Context) {}
+func (brokenJournal) DurableBlocks() []storagecost.BlockInfo         { return nil }
 func (brokenJournal) Refuses(rmw dsys.RMW) error {
 	if kind, _ := register.KindOf(rmw); register.KindReadOnly(kind) {
 		return nil

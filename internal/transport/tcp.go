@@ -48,7 +48,6 @@ const (
 )
 
 type clientOptions struct {
-	placement     Placement
 	redialBackoff time.Duration
 	metrics       *metrics.Registry
 	tracer        *trace.Tracer
@@ -56,10 +55,6 @@ type clientOptions struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*clientOptions)
-
-// WithPlacement overrides the object→node placement (default: round-robin
-// over the address list).
-func WithPlacement(p Placement) ClientOption { return func(o *clientOptions) { o.placement = p } }
 
 // nodeSlot is the per-node connection state. Each node has its own mutex so
 // rounds touching healthy nodes never serialize behind a dial to a dead one.
@@ -75,6 +70,7 @@ type nodeSlot struct {
 // dsys.NewRemoteCluster (and shard.NewRemote above it) plug it in directly.
 type Client struct {
 	addrs  []string
+	place  Placement // RoundRobin over addrs, as the servers host them
 	opts   clientOptions
 	slots  []*nodeSlot
 	nms    []*nodeMetrics // per-node instrumentation; nil entries when disabled
@@ -94,16 +90,13 @@ func Dial(addrs []string, opts ...ClientOption) (*Client, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.placement == nil {
-		o.placement = RoundRobin(len(addrs))
-	}
 	slots := make([]*nodeSlot, len(addrs))
 	nms := make([]*nodeMetrics, len(addrs))
 	for i := range slots {
 		slots[i] = &nodeSlot{}
 		nms[i] = newNodeMetrics(o.metrics, addrs[i])
 	}
-	return &Client{addrs: addrs, opts: o, slots: slots, nms: nms}, nil
+	return &Client{addrs: addrs, place: RoundRobin(len(addrs)), opts: o, slots: slots, nms: nms}, nil
 }
 
 // clientConn is one live connection: a pipelined frame sender plus a reader
@@ -379,7 +372,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			env.Trace = tc.Trace
 			env.Span = c.opts.tracer.SpanID()
 		}
-		node := c.opts.placement(obj)
+		node := c.place(obj)
 		if node < 0 || node >= len(c.addrs) {
 			return nil, fmt.Errorf("%w: object %d placed on node %d of %d", dsys.ErrRemote, obj, node, len(c.addrs))
 		}

@@ -12,6 +12,7 @@ import (
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
+	"spacebounds/internal/trace"
 	"spacebounds/internal/transport"
 	"spacebounds/internal/value"
 
@@ -264,8 +265,9 @@ func TestRecoveryModeGatesTimestampQuery(t *testing.T) {
 // every kind that is not read-only, as wal.Journal does.
 type brokenJournal struct{ broken atomic.Bool }
 
-func (j *brokenJournal) RecordApply(int, dsys.RMW)              {}
-func (j *brokenJournal) DurableBlocks() []storagecost.BlockInfo { return nil }
+func (j *brokenJournal) RecordApply(int, dsys.RMW)                      {}
+func (j *brokenJournal) RecordApplyTraced(int, dsys.RMW, trace.Context) {}
+func (j *brokenJournal) DurableBlocks() []storagecost.BlockInfo         { return nil }
 func (j *brokenJournal) Refuses(rmw dsys.RMW) error {
 	if kind, _ := register.KindOf(rmw); !j.broken.Load() || register.KindReadOnly(kind) {
 		return nil

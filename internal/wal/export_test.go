@@ -26,3 +26,12 @@ func (j *Journal) RecomputedLogBytes() int64 {
 	}
 	return total
 }
+
+// SkippedUnknownRMWs counts mutating RMWs that could not be journaled for
+// lack of a registered codec (zero in any store built from this module's
+// providers).
+func (j *Journal) SkippedUnknownRMWs() int {
+	j.jmu.Lock()
+	defer j.jmu.Unlock()
+	return j.unknownRMWs
+}

@@ -68,7 +68,7 @@ func (j *Journal) SetMetrics(reg *metrics.Registry) {
 	})
 }
 
-// RecordApplyTraced implements dsys.TracedJournal: journal one applied
+// RecordApplyTraced implements dsys.Journal: journal one applied
 // mutating RMW carrying the apply's trace context. On a journal attached to a
 // traced cluster a sampled apply records a StageWALAppend span, parented under
 // the node-side apply span (or, in-process, under the quorum round), and a
@@ -81,7 +81,3 @@ func (j *Journal) RecordApplyTraced(object int, rmw dsys.RMW, tc trace.Context) 
 	}
 	j.recordApply(object, rmw, j.tr, tc)
 }
-
-// compile-time check: the journal satisfies the traced-journal upgrade, so
-// dsys.SetJournal routes sampled applies through RecordApplyTraced.
-var _ dsys.TracedJournal = (*Journal)(nil)

@@ -496,9 +496,9 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-var _ dsys.FailStopJournal = (*Journal)(nil)
+var _ dsys.Journal = (*Journal)(nil)
 
-// Refuses implements dsys.FailStopJournal: once an error has latched, every
+// Refuses implements dsys.Journal: once an error has latched, every
 // RMW the journal would have had to record is refused with it, so the node
 // stops acknowledging what it cannot make durable. Read-only kinds, which are
 // never recorded, are not refused: the node's reads keep working.
@@ -510,15 +510,6 @@ func (j *Journal) Refuses(rmw dsys.RMW) error {
 		return nil
 	}
 	return j.Err()
-}
-
-// SkippedUnknownRMWs counts mutating RMWs that could not be journaled for
-// lack of a registered codec (zero in any store built from this module's
-// providers).
-func (j *Journal) SkippedUnknownRMWs() int {
-	j.jmu.Lock()
-	defer j.jmu.Unlock()
-	return j.unknownRMWs
 }
 
 // Attach connects the journal to a cluster: new applies are journaled from

@@ -43,8 +43,6 @@ type Spec struct {
 	MaxSteps int
 	// CrashObjects lists base objects crashed before the run starts.
 	CrashObjects []int
-	// KeepSeries retains the full storage-cost time series.
-	KeepSeries bool
 }
 
 // Validate checks the spec.
@@ -68,8 +66,6 @@ type Result struct {
 	// QuiescentBaseObjectBits is the base-object storage after the run
 	// quiesced (all operations done and all leftover RMWs applied).
 	QuiescentBaseObjectBits int
-	// Series is the storage-cost time series (empty unless KeepSeries).
-	Series []int
 	// Steps is the number of scheduling decisions taken (controlled mode).
 	Steps int
 	// WriteErrors / ReadErrors count failed operations (e.g. reads that
@@ -110,9 +106,6 @@ func Run(reg register.Register, spec Spec) (*Result, error) {
 	if spec.MaxSteps > 0 {
 		opts = append(opts, dsys.WithMaxSteps(spec.MaxSteps))
 	}
-	if spec.KeepSeries {
-		opts = append(opts, dsys.WithSeries())
-	}
 	cluster := dsys.NewCluster(states, opts...)
 	defer cluster.Close()
 	for _, obj := range spec.CrashObjects {
@@ -147,7 +140,6 @@ func Run(reg register.Register, spec Spec) (*Result, error) {
 	if acct := cluster.Accountant(); acct != nil {
 		res.MaxTotalBits = acct.MaxTotalBits()
 		res.MaxBaseObjectBits = acct.MaxBaseObjectBits()
-		res.Series = acct.Series()
 	}
 	res.CompletedWrites = len(completedOfKind(res.History, history.Write))
 	res.CompletedReads = len(res.History.CompletedReads())

@@ -51,7 +51,6 @@ func TestRunRecordsHistoryAndStorage(t *testing.T) {
 		Readers:            1,
 		ReadsPerReader:     2,
 		ReadersAfterWrites: true,
-		KeepSeries:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +63,6 @@ func TestRunRecordsHistoryAndStorage(t *testing.T) {
 	}
 	if res.MaxTotalBits < res.MaxBaseObjectBits || res.MaxBaseObjectBits == 0 {
 		t.Fatalf("implausible storage accounting: total %d, base %d", res.MaxTotalBits, res.MaxBaseObjectBits)
-	}
-	if len(res.Series) == 0 {
-		t.Fatal("KeepSeries produced no series")
 	}
 	if res.Steps == 0 {
 		t.Fatal("no scheduling steps recorded")

@@ -17,8 +17,8 @@
 // opened without explicit shards behaves exactly like the original
 // single-register facade. Lower-level control (custom scheduling policies,
 // the adversary, workload generation, consistency checking) lives in the
-// internal packages and is exercised through cmd/spacebench, cmd/adversary
-// and the examples.
+// internal packages and is exercised through cmd/spacebench and the
+// examples.
 package spacebounds
 
 import (
