@@ -1,12 +1,14 @@
 package adversary_test
 
 import (
+	"fmt"
 	"testing"
 
 	"spacebounds/internal/adversary"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
+	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -113,6 +115,72 @@ func TestAdversaryPinsAdaptive(t *testing.T) {
 		}
 		if !res.MeetsBound() {
 			t.Errorf("c=%d: pinned storage %d bits below bound %d", c, res.PinnedBaseObjectBits, res.LowerBoundBits)
+		}
+	}
+}
+
+// TestTheoremsBracketAdaptiveStorage runs Ad over a grid of (algorithm, f, k,
+// c) cells. Every regular register is pinned with no write completed and at
+// least Theorem 1's min(f+1, c)·D/2 bits in its base objects, and the
+// adaptive register holds at most Theorem 2's bound as E1 states it:
+// min((c+1)(2f+k)D/k, 2(2f+k)D) while c < k, 2(2f+k)D from there on. Coded
+// cells start at k = 3: at k ≤ 2 every initial piece already weighs
+// ℓ = D/2 bits, so every object is frozen from the start, Ad applies no RMW,
+// and the lower bound holds on the initial value alone — those cells would
+// test nothing. abd is k = 1 by definition and is kept as the replication
+// reference.
+func TestTheoremsBracketAdaptiveStorage(t *testing.T) {
+	const dataLen = 96 // bytes: a whole number of pieces at k = 1, 3 and 4
+	type cell struct {
+		algo string
+		f, k int
+	}
+	var cells []cell
+	for f := 1; f <= 4; f++ {
+		cells = append(cells, cell{"abd", f, 1})
+		for _, k := range []int{3, 4} {
+			cells = append(cells, cell{"adaptive", f, k}, cell{"ecreg", f, k})
+		}
+	}
+	for _, cl := range cells {
+		for _, c := range []int{1, 2, 3, 5, 8} {
+			t.Run(fmt.Sprintf("%s/f=%d/k=%d/c=%d", cl.algo, cl.f, cl.k, c), func(t *testing.T) {
+				cfg := register.Config{F: cl.f, K: cl.k, DataLen: dataLen}
+				var reg register.Register
+				var err error
+				switch cl.algo {
+				case "abd":
+					reg, err = abd.New(cfg)
+				case "adaptive":
+					reg, err = adaptive.New(cfg)
+				case "ecreg":
+					reg, err = ecreg.New(cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := adversary.Run(reg, c, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.CompletedWrites != 0 {
+					t.Errorf("%d writes completed under Ad", res.CompletedWrites)
+				}
+				if want := min(cl.f+1, c) * res.DataBits / 2; res.LowerBoundBits != want || !res.MeetsBound() {
+					t.Errorf("pinned at %d bits, want at least min(f+1, c)·D/2 = %d (Result says %d)", res.PinnedBaseObjectBits, want, res.LowerBoundBits)
+				}
+				if cl.algo != "adaptive" {
+					return
+				}
+				n, d := reg.Config().N(), res.DataBits
+				upper := 2 * n * d
+				if c < cl.k {
+					upper = min((c+1)*n*d/cl.k, upper)
+				}
+				if res.PinnedBaseObjectBits > upper {
+					t.Errorf("pinned at %d bits, above Theorem 2's %d", res.PinnedBaseObjectBits, upper)
+				}
+			})
 		}
 	}
 }

@@ -140,9 +140,10 @@ func E3StorageComparison() (*Table, error) {
 func E4AdversaryLowerBound() (*Table, error) {
 	t := &Table{
 		ID:    "E4",
-		Title: "Adversary Ad (ℓ = D/2): pinned storage vs. the Ω(min(f,c)·D) target (f=k=8, D=2 KiB)",
+		Title: "Adversary Ad (ℓ = D/2): pinned storage vs. the Ω(min(f,c)·D) target (f=k=8, D=512 B)",
 		Caption: "Regular registers (ecreg, adaptive) are pinned at or above the target with no write completing; " +
-			"the safe register's storage stays at n·D/k, demonstrating the bound does not apply to safe semantics.",
+			"the safe register's storage stays at n·D/k, demonstrating the bound does not apply to safe semantics.\n" +
+			"k = 8 because at k ≤ 2 every initial piece already weighs ℓ = D/2: every object is frozen from the start, Ad applies no RMW, and the run is pinned on the initial value.",
 		Header: []string{"algorithm", "c", "pinned KiB", "target KiB", "meets bound", "|F|", "|C+|", "writes done"},
 	}
 	const f, k = 8, 8

@@ -44,7 +44,10 @@ no:
 // c*x = lo[x&15] ^ hi[x>>4]: Y0 holds the low-nibble table in both 128-bit
 // lanes, Y1 the high-nibble table, Y2 the 0x0f mask. Loads and stores are
 // unaligned; each step reads its 32 source bytes before it writes, so dst may
-// be src.
+// be src. From the first VBROADCASTI128 to VZEROUPPER every instruction that
+// names an X or Y register is VEX-encoded (VMOVQ, not MOVQ): a legacy-SSE one
+// finds the upper YMM halves dirty and stalls the call, which costs more than
+// the loop on a 512-byte piece. TestKernelStaysVEXWhileYMMIsLive checks it.
 TEXT ·mulVector(SB), NOSPLIT, $0-57
 	MOVQ    tbl+0(FP), AX
 	MOVQ    dst_base+8(FP), DI
@@ -55,7 +58,7 @@ TEXT ·mulVector(SB), NOSPLIT, $0-57
 	VBROADCASTI128 (AX), Y0
 	VBROADCASTI128 16(AX), Y1
 	MOVQ    $15, DX
-	MOVQ    DX, X2
+	VMOVQ   DX, X2
 	VPBROADCASTB X2, Y2
 	CMPB    xor+56(FP), $0
 	JNE     xorstep

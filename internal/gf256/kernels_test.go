@@ -333,15 +333,23 @@ func TestSystematicVandermonde(t *testing.T) {
 	SystematicVandermonde(3, 4)
 }
 
-// The kernel micro-benchmarks use one 16 KiB piece per source: the shard of a
-// 64 KiB value at k = 4, the benchmark's tcp-large shape.
-const benchPiece = 16 << 10
+// benchShapes are the pieces the kernel micro-benchmarks code: a 16 KiB
+// piece of a 64 KiB value at k = 4 (the benchmark's tcp-large shape), and a
+// 512-byte piece of a 1 KiB value at k = 2 (tcp-small's and inproc-batched's),
+// where a call's fixed cost outweighs its bytes.
+var benchShapes = []struct {
+	name     string
+	k, piece int
+}{
+	{"k=4/16KiB", 4, 16 << 10},
+	{"k=2/512B", 2, 512},
+}
 
-func benchSources(m int) (dst []byte, srcs [][]byte, coeffs []byte) {
+func benchSources(k, piece int) (dst []byte, srcs [][]byte, coeffs []byte) {
 	rng := rand.New(rand.NewSource(4))
-	dst = make([]byte, benchPiece)
-	for j := 0; j < m; j++ {
-		s := make([]byte, benchPiece)
+	dst = make([]byte, piece)
+	for j := 0; j < k; j++ {
+		s := make([]byte, piece)
 		rng.Read(s)
 		srcs = append(srcs, s)
 		coeffs = append(coeffs, byte(0x53+j))
@@ -349,20 +357,28 @@ func benchSources(m int) (dst []byte, srcs [][]byte, coeffs []byte) {
 	return dst, srcs, coeffs
 }
 
-// benchEachKernel runs fn as a "vector" and a "portable" sub-benchmark, so
-// both kernels' rows print side by side.
-func benchEachKernel(b *testing.B, fn func(b *testing.B)) {
-	b.Run("vector", func(b *testing.B) { needVector(b); fn(b) })
-	b.Run("portable", func(b *testing.B) { usePortable(b); fn(b) })
+// benchEachShape runs fn over k sources of one piece each, for every shape, as
+// a "vector" and a "portable" sub-benchmark, so both kernels' rows print side
+// by side.
+func benchEachShape(b *testing.B, fn func(b *testing.B, dst []byte, srcs [][]byte, coeffs []byte)) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			run := func(b *testing.B) {
+				dst, srcs, coeffs := benchSources(sh.k, sh.piece)
+				b.SetBytes(int64(sh.k * sh.piece))
+				b.ReportAllocs()
+				b.ResetTimer()
+				fn(b, dst, srcs, coeffs)
+			}
+			b.Run("vector", func(b *testing.B) { needVector(b); run(b) })
+			b.Run("portable", func(b *testing.B) { usePortable(b); run(b) })
+		})
+	}
 }
 
-// BenchmarkMulAdd is four MulAddSlice passes into one destination.
+// BenchmarkMulAdd is k MulAddSlice passes into one destination.
 func BenchmarkMulAdd(b *testing.B) {
-	benchEachKernel(b, func(b *testing.B) {
-		dst, srcs, coeffs := benchSources(4)
-		b.SetBytes(4 * benchPiece)
-		b.ReportAllocs()
-		b.ResetTimer()
+	benchEachShape(b, func(b *testing.B, dst []byte, srcs [][]byte, coeffs []byte) {
 		for i := 0; i < b.N; i++ {
 			for j := range srcs {
 				MulAddSlice(coeffs[j], dst, srcs[j])
@@ -371,14 +387,10 @@ func BenchmarkMulAdd(b *testing.B) {
 	})
 }
 
-// BenchmarkDotSlices is one parity shard of a 64 KiB value at k = 4: the
-// first source overwrites, three are folded in.
+// BenchmarkDotSlices is one parity shard of a value: the first source
+// overwrites, k-1 are folded in.
 func BenchmarkDotSlices(b *testing.B) {
-	benchEachKernel(b, func(b *testing.B) {
-		dst, srcs, coeffs := benchSources(4)
-		b.SetBytes(4 * benchPiece)
-		b.ReportAllocs()
-		b.ResetTimer()
+	benchEachShape(b, func(b *testing.B, dst []byte, srcs [][]byte, coeffs []byte) {
 		for i := 0; i < b.N; i++ {
 			DotSlices(coeffs, dst, srcs)
 		}

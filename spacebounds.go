@@ -293,6 +293,8 @@ func (s *Store) Shards() []string {
 }
 
 // pad zero-pads val to the shard's value size, rejecting oversized values.
+// The Value adopts the padded copy, so val is copied once and the caller may
+// reuse it as soon as the write returns.
 func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 	size := sh.Reg.Config().DataLen
 	if len(val) > size {
@@ -300,7 +302,7 @@ func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 	}
 	padded := make([]byte, size)
 	copy(padded, val)
-	return value.FromBytes(padded), nil
+	return value.Adopt(padded), nil
 }
 
 // WriteKey stores val under key: the key routes to a shard (exact shard name,

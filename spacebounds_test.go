@@ -63,6 +63,38 @@ func TestStoreRejectsOversizedValue(t *testing.T) {
 	}
 }
 
+// TestWriteKeyKeepsNoViewOfTheCallersSlice overwrites the caller's slice
+// after WriteKey returns: a later ReadKey still returns what was written, for
+// a full-size value and for a short one that pad extends.
+func TestWriteKeyKeepsNoViewOfTheCallersSlice(t *testing.T) {
+	for _, algo := range []Algorithm{Adaptive, Replication, ErasureCoded, Safe} {
+		t.Run(string(algo), func(t *testing.T) {
+			s, err := Open(Options{Algorithm: algo, F: 1, K: 2, ValueSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, n := range []int{64, 19} {
+				val := bytes.Repeat([]byte{byte(n)}, n)
+				want := append(bytes.Clone(val), make([]byte, 64-n)...)
+				if err := s.WriteKey(1, "default", val); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				for i := range val {
+					val[i] = 0xee
+				}
+				got, err := s.ReadKey(2, "default")
+				if err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d-byte write overwritten by its caller afterwards: read %x, want %x", n, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestStoreUnknownAlgorithm(t *testing.T) {
 	if _, err := Open(Options{Algorithm: "nope"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
