@@ -45,7 +45,7 @@ race:
 # and the process assembly and the write-ahead log, whose tests start
 # servers, snapshotters and injectors and must take every goroutine down.
 flake:
-	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/... ./internal/node/... ./internal/wal/...
+	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/... ./internal/node/... ./internal/wal/... ./internal/oracle/...
 
 # Non-test code lines outside bench/: no blank lines, no comment-only lines.
 # The command is PR 20's, so every PR reports the same number the same way.

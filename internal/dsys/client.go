@@ -130,7 +130,9 @@ func (h *ClientHandle) EndOp() {
 
 // SetLocalBlocks registers the code blocks the client currently holds in its
 // local state (e.g. the encoded WriteSet of an in-progress write) so the
-// storage accountant can charge them to the client's location.
+// storage accountant can charge them to the client's location. The handle
+// keeps refs itself: the caller hands over a slice of its own making and does
+// not write to it again.
 func (h *ClientHandle) SetLocalBlocks(refs []BlockRef) {
 	st := h.c.stripeFor(h.id)
 	st.mu.Lock()
@@ -139,9 +141,7 @@ func (h *ClientHandle) SetLocalBlocks(refs []BlockRef) {
 		delete(st.blocks, h.id)
 		return
 	}
-	cp := make([]BlockRef, len(refs))
-	copy(cp, refs)
-	st.blocks[h.id] = cp
+	st.blocks[h.id] = refs
 }
 
 // InvokeAll triggers makeRMW(i) on every base object i in the handle's scope

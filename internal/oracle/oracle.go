@@ -7,7 +7,7 @@
 // reader pushes blocks it has obtained and calls done to decode. Oracles are
 // the only source of code blocks in the system: the source function
 // (Definition 4) maps every stored block instance back to the ⟨write, index⟩
-// pair that produced it, which is what both the storage accountant and the
+// pair it was encoded for, which is what both the storage accountant and the
 // lower-bound adversary use to attribute storage to operations.
 //
 // Oracle-internal state (the value held by an encoder, the blocks accumulated
@@ -44,7 +44,7 @@ func (w WriteID) String() string {
 }
 
 // SourceTag identifies the origin of a block instance: the write whose oracle
-// produced it and the block number i passed to get(i). It realizes the
+// encoded it and the block number i passed to get(i). It realizes the
 // source function of Definition 4.
 type SourceTag struct {
 	Write WriteID
@@ -58,23 +58,22 @@ func (s SourceTag) String() string { return fmt.Sprintf("%v[%d]", s.Write, s.Ind
 var ErrExpired = errors.New("oracle: oracle has expired")
 
 // Encoder is oracleE(c, w): it produces code blocks of a single value on
-// demand. The value is encoded once, on the first Get, and indices 1..N are
-// served from that result; the blocks handed out are immutable and a repeated
-// get(i) returns the same bytes. It is safe for concurrent use.
+// demand. The value is encoded once, on the first Get or GetAll, and indices
+// 1..N are served from that result; the blocks handed out are immutable and a
+// repeated get(i) returns the same bytes. It is safe for concurrent use.
 type Encoder struct {
 	code  erasure.Code
 	write WriteID
 
-	mu       sync.Mutex
-	val      value.Value
-	blocks   []erasure.Block // E(v, 1..N), nil until the first Get
-	expired  bool
-	produced map[int]bool // indices handed out so far
+	mu      sync.Mutex
+	val     value.Value
+	blocks  []erasure.Block // E(v, 1..N), nil until the first Get or GetAll
+	expired bool
 }
 
 // NewEncoder initializes oracleE for the given write operation and value.
 func NewEncoder(code erasure.Code, w WriteID, v value.Value) *Encoder {
-	return &Encoder{code: code, write: w, val: v, produced: make(map[int]bool)}
+	return &Encoder{code: code, write: w, val: v}
 }
 
 // Write returns the identity of the write operation this oracle serves.
@@ -91,11 +90,9 @@ func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 	var b erasure.Block
 	var err error
 	if i >= 1 && i <= e.code.N() {
-		if e.blocks == nil {
-			e.blocks, err = e.code.Encode(e.val.View())
-		}
-		if err == nil {
-			b = e.blocks[i-1]
+		var blocks []erasure.Block
+		if blocks, err = e.encodedLocked(); err == nil {
+			b = blocks[i-1]
 		}
 	} else {
 		b, err = e.code.EncodeBlock(e.val.View(), i)
@@ -103,36 +100,39 @@ func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 	if err != nil {
 		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, err)
 	}
-	e.produced[i] = true
-	return b, SourceTag{Write: e.write, Index: i}, nil
+	return b, e.Source(i), nil
 }
 
-// GetAll returns blocks 1..N with their source tags, a convenience wrapper
-// over Get used by the register write paths.
-func (e *Encoder) GetAll() ([]erasure.Block, []SourceTag, error) {
-	blocks := make([]erasure.Block, 0, e.code.N())
-	tags := make([]SourceTag, 0, e.code.N())
-	for i := 1; i <= e.code.N(); i++ {
-		b, tag, err := e.Get(i)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks = append(blocks, b)
-		tags = append(tags, tag)
-	}
-	return blocks, tags, nil
-}
-
-// Produced returns the sorted-free set of indices handed out so far; tests
-// use it to verify which blocks a write contributed.
-func (e *Encoder) Produced() map[int]bool {
+// GetAll is get(1..N) in one call: element i-1 of the result is E(v, i), whose
+// source is Source(i). The slice is the oracle's own, read-only like the
+// blocks in it, and outlives Expire.
+func (e *Encoder) GetAll() ([]erasure.Block, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[int]bool, len(e.produced))
-	for k, v := range e.produced {
-		out[k] = v
+	if e.expired {
+		return nil, ErrExpired
 	}
-	return out
+	blocks, err := e.encodedLocked()
+	if err != nil {
+		return nil, fmt.Errorf("oracle: get(1..%d): %w", e.code.N(), err)
+	}
+	return blocks, nil
+}
+
+// Source returns the source tag of E(v, i): what Get(i) returns beside it.
+func (e *Encoder) Source(i int) SourceTag { return SourceTag{Write: e.write, Index: i} }
+
+// encodedLocked returns E(v, 1..N), encoding v on the first call. The caller
+// holds e.mu, and the oracle has not expired.
+func (e *Encoder) encodedLocked() ([]erasure.Block, error) {
+	if e.blocks == nil {
+		blocks, err := e.code.Encode(e.val.View())
+		if err != nil {
+			return nil, err
+		}
+		e.blocks = blocks
+	}
+	return e.blocks, nil
 }
 
 // Expire marks the oracle expired and drops the encoded blocks; it is called
@@ -156,14 +156,15 @@ type Decoder struct {
 }
 
 // NewDecoder initializes oracleD for a read operation over values of
-// dataLen bytes.
-func NewDecoder(code erasure.Code, dataLen int) *Decoder {
-	return &Decoder{code: code, dataLen: dataLen}
+// dataLen bytes that means to push the given number of blocks: the list that
+// keeps them is sized for that many once.
+func NewDecoder(code erasure.Code, dataLen, blocks int) *Decoder {
+	return &Decoder{code: code, dataLen: dataLen, pushed: make([]erasure.Block, 0, blocks)}
 }
 
 // Push hands a block to the oracle (the push(e, i) action of Definition 1).
 // The block is kept by reference until Done: block bytes are immutable once
-// produced, so the oracle reads them and never copies.
+// encoded, so the oracle reads them and never copies.
 func (d *Decoder) Push(b erasure.Block) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

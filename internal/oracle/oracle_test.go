@@ -25,22 +25,25 @@ func TestEncoderGetAndGetAll(t *testing.T) {
 		t.Fatalf("unexpected tag %v / block index %d", tag, b.Index)
 	}
 
-	blocks, tags, err := enc.GetAll()
+	blocks, err := enc.GetAll()
 	if err != nil {
 		t.Fatalf("GetAll: %v", err)
 	}
-	if len(blocks) != code.N() || len(tags) != code.N() {
+	if len(blocks) != code.N() {
 		t.Fatalf("GetAll returned %d blocks, want %d", len(blocks), code.N())
 	}
-	produced := enc.Produced()
-	for i := 1; i <= code.N(); i++ {
-		if !produced[i] {
-			t.Fatalf("index %d not recorded as produced", i)
+	for i, got := range blocks {
+		want, tag, err := enc.Get(i + 1)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", i+1, err)
+		}
+		if got.Index != i+1 || string(got.Data) != string(want.Data) || enc.Source(i+1) != tag {
+			t.Fatalf("GetAll()[%d] is not get(%d), or its source is not Source(%d)", i, i+1, i+1)
 		}
 	}
 
 	// Round-trip through a decoder.
-	dec := NewDecoder(code, v.SizeBytes())
+	dec := NewDecoder(code, v.SizeBytes(), code.K())
 	for _, b := range blocks[:code.K()] {
 		if err := dec.Push(b); err != nil {
 			t.Fatalf("Push: %v", err)
@@ -65,7 +68,7 @@ func TestEncoderExpire(t *testing.T) {
 	if _, _, err := enc.Get(1); !errors.Is(err, ErrExpired) {
 		t.Fatalf("Get after Expire returned %v, want ErrExpired", err)
 	}
-	if _, _, err := enc.GetAll(); !errors.Is(err, ErrExpired) {
+	if _, err := enc.GetAll(); !errors.Is(err, ErrExpired) {
 		t.Fatalf("GetAll after Expire returned %v, want ErrExpired", err)
 	}
 }
@@ -82,7 +85,7 @@ func TestDecoderNotEnoughBlocks(t *testing.T) {
 	code := erasure.MustReedSolomon(3, 5)
 	v := value.FromString("needs three blocks", 32)
 	enc := NewEncoder(code, WriteID{Client: 2, Seq: 7}, v)
-	dec := NewDecoder(code, v.SizeBytes())
+	dec := NewDecoder(code, v.SizeBytes(), 1)
 	b, _, err := enc.Get(1)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -170,7 +173,7 @@ func TestEncoderRatelessIndexBeyondN(t *testing.T) {
 	}
 	v := value.FromString("rateless", 32)
 	enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, v)
-	dec := NewDecoder(code, v.SizeBytes())
+	dec := NewDecoder(code, v.SizeBytes(), 2)
 	for _, i := range []int{3, 9} {
 		b, tag, err := enc.Get(i)
 		if err != nil {

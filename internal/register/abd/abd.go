@@ -100,7 +100,18 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 
 	// Phase 2: store the full replica on a majority.
-	_, err = h.InvokeAll(func(obj int) dsys.RMW { return &updateRMW{chunk: replicas[obj]} }, r.cfg.Quorum())
+	return updateRound(h, r.cfg, replicas)
+}
+
+// updateRound sends every object its replica and waits for a majority. The
+// round's RMWs come from one array.
+func updateRound(h *dsys.ClientHandle, cfg register.Config, replicas []register.Chunk) error {
+	updates := make([]updateRMW, len(replicas))
+	_, err := h.InvokeAll(func(obj int) dsys.RMW {
+		u := &updates[obj]
+		u.chunk = replicas[obj]
+		return u
+	}, cfg.Quorum())
 	return err
 }
 
@@ -117,8 +128,7 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(replicas[:1]))
-	_, err = h.InvokeAll(func(obj int) dsys.RMW { return &updateRMW{chunk: replicas[obj]} }, r.cfg.Quorum())
-	return err
+	return updateRound(h, r.cfg, replicas)
 }
 
 // Read implements register.Register.

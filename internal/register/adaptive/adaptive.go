@@ -146,22 +146,28 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // or has not answered) or that the update has stored nothing yet (it needs
 // the replica and no follow-up went out, or it has not answered at all).
 func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool) (func(obj int) bool, error) {
-	// One allocation either way: an update is a seed update's only field.
+	// Each of the two rounds builds its updates in an array of its own — a
+	// straggler of the first may still be applied while the second runs — and
+	// one array serves either kind: an update is a seed update's only field.
 	k := int32(cfg.K)
-	update := func(obj int, full []register.Chunk) dsys.RMW {
-		u := &seedUpdateRMW{updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full}}
-		if seed {
-			return u
+	updates := func(full []register.Chunk) func(obj int) dsys.RMW {
+		rmws := make([]seedUpdateRMW, len(writeSet))
+		return func(obj int) dsys.RMW {
+			u := &rmws[obj]
+			u.updateRMW = updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full}
+			if seed {
+				return u
+			}
+			return &u.updateRMW
 		}
-		return &u.updateRMW
 	}
-	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(obj, nil) }, cfg.Quorum())
+	first, err := h.InvokeAll(updates(nil), cfg.Quorum())
 	if err != nil {
 		return nil, err
 	}
 	var rest []int
 	for obj := range writeSet {
-		if resp, answered := first[obj].(updateResp); !answered || resp.NeedFull {
+		if resp, answered := first[obj].(updateResp); !answered || resp.has(respNeedFull) {
 			rest = append(rest, obj)
 		}
 	}
@@ -170,8 +176,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	}
 	var second map[int]any
 	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
-		full := writeSet[:cfg.K:cfg.K]
-		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(obj, full) }, lacking)
+		second, err = h.Invoke(rest, updates(writeSet[:cfg.K:cfg.K]), lacking)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +184,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	needsPiece := make([]bool, len(writeSet))
 	for _, obj := range rest {
 		resp, answered := second[obj].(updateResp)
-		needsPiece[obj] = !answered || resp.Stored && !resp.ToVp
+		needsPiece[obj] = !answered || resp.has(respStored) && !resp.has(respToVp)
 	}
 	return func(obj int) bool { return needsPiece[obj] }, nil
 }
@@ -188,8 +193,10 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 // hold this write's full replica in Vf, or nothing of the write at all; the
 // others get a GC without a piece.
 func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece func(obj int) bool) error {
+	gcs := make([]gcRMW, len(writeSet))
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
-		g := &gcRMW{ts: ts}
+		g := &gcs[obj]
+		g.ts = ts
 		if needsPiece(obj) {
 			g.piece = writeSet[obj]
 		}
@@ -263,28 +270,38 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.T
 	if lean {
 		withPieces = cfg.Quorum()
 	}
+	// Each object is sent one of the two kinds, and one array holds both.
+	rmws := make([]struct {
+		value readValueRMW
+		ts    readTSRMW
+	}, cfg.N())
 	resp, err := h.InvokeAll(func(obj int) dsys.RMW {
 		if obj < withPieces {
-			return &readValueRMW{}
+			return &rmws[obj].value
 		}
-		return &readTSRMW{}
+		return &rmws[obj].ts
 	}, cfg.Quorum())
 	if err != nil {
 		return register.ZeroTS, nil, err
 	}
-	maxTS := register.ZeroTS
-	var readSet []register.Chunk
+	maxTS, pieces := register.ZeroTS, 0
 	// Iterate objects in ID order for determinism.
 	for obj := 0; obj < cfg.N(); obj++ {
 		switch rv := resp[obj].(type) {
 		case nil: // no answer yet
-		case readValueResp:
+		case *readValueResp:
 			maxTS = maxTS.Max(rv.StoredTS)
-			readSet = append(readSet, rv.Chunks...)
-		case readTSResp:
+			pieces += len(rv.Chunks)
+		case *readTSResp:
 			maxTS = maxTS.Max(rv.StoredTS)
 		default:
 			return register.ZeroTS, nil, fmt.Errorf("adaptive: unexpected readValue response %T", rv)
+		}
+	}
+	readSet := make([]register.Chunk, 0, pieces)
+	for obj := 0; obj < cfg.N(); obj++ {
+		if rv, ok := resp[obj].(*readValueResp); ok {
+			readSet = append(readSet, rv.Chunks...)
 		}
 	}
 	return maxTS, readSet, nil
@@ -295,13 +312,14 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.T
 // objects — the only things the writer takes from that round — and returns the
 // highest storedTS together with the largest number seen anywhere.
 func readTimestamps(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, int, error) {
-	resp, err := h.InvokeAll(func(obj int) dsys.RMW { return &readTSRMW{} }, cfg.Quorum())
+	rmws := make([]readTSRMW, cfg.N())
+	resp, err := h.InvokeAll(func(obj int) dsys.RMW { return &rmws[obj] }, cfg.Quorum())
 	if err != nil {
 		return register.ZeroTS, 0, err
 	}
 	maxTS, maxNum := register.ZeroTS, 0
 	for _, raw := range resp {
-		rt, ok := raw.(readTSResp)
+		rt, ok := raw.(*readTSResp)
 		if !ok {
 			return register.ZeroTS, 0, fmt.Errorf("adaptive: unexpected readTimestamps response %T", raw)
 		}

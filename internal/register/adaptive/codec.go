@@ -48,9 +48,9 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 // update ever gets, and after them a third byte on a NeedFull answer alone.
 func writeUpdateResp(w *register.WireWriter, resp any) error {
 	ur := resp.(updateResp)
-	w.Bool(ur.Stored)
-	w.Bool(ur.ToVp)
-	if ur.NeedFull {
+	w.Bool(ur.has(respStored))
+	w.Bool(ur.has(respToVp))
+	if ur.has(respNeedFull) {
 		w.Bool(true)
 	}
 	return nil
@@ -58,9 +58,16 @@ func writeUpdateResp(w *register.WireWriter, resp any) error {
 
 func decodeUpdateResp(payload []byte) (any, error) {
 	r := register.NewWireReader(payload)
-	ur := updateResp{Stored: r.Bool(), ToVp: r.Bool()}
+	var ur updateResp
+	flag := func(f updateResp) {
+		if r.Bool() {
+			ur |= f
+		}
+	}
+	flag(respStored)
+	flag(respToVp)
 	if len(payload) > 2 {
-		ur.NeedFull = r.Bool()
+		flag(respNeedFull)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
@@ -82,14 +89,14 @@ func init() {
 			return &readValueRMW{}, nil
 		},
 		WriteResp: func(w *register.WireWriter, resp any) error {
-			rr := resp.(readValueResp)
+			rr := resp.(*readValueResp)
 			w.TS(rr.StoredTS)
 			w.Chunks(rr.Chunks)
 			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rr := readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
+			rr := &readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -108,14 +115,14 @@ func init() {
 			return &readTSRMW{}, nil
 		},
 		WriteResp: func(w *register.WireWriter, resp any) error {
-			rt := resp.(readTSResp)
+			rt := resp.(*readTSResp)
 			w.TS(rt.StoredTS)
 			w.Int(rt.MaxNum)
 			return nil
 		},
 		DecodeResp: func(payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rt := readTSResp{StoredTS: r.TS(), MaxNum: r.Int()}
+			rt := &readTSResp{StoredTS: r.TS(), MaxNum: r.Int()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

@@ -121,7 +121,7 @@ func TestLeanReadFallsBackToTheFullRound(t *testing.T) {
 	w := fx.writeSet(t, 1, 1, want)
 	for _, obj := range []int{1, 2, 3} {
 		u := &updateRMW{k: 2, ts: w[obj].TS, piece: w[obj]}
-		if resp := u.Apply(fx.states[obj]); resp != (updateResp{Stored: true, ToVp: true}) {
+		if resp := u.Apply(fx.states[obj]); resp != respStored|respToVp {
 			t.Fatalf("W's update at object %d: %+v", obj, resp)
 		}
 		(&gcRMW{ts: w[obj].TS}).Apply(fx.states[obj])
@@ -163,10 +163,10 @@ func TestLeanReadDecodesTheNewestOfAContendedObject(t *testing.T) {
 	want := value.Sequenced(2, 1, leanDataLen)
 	b := fx.writeSet(t, 2, 2, want)
 	for obj, s := range fx.states {
-		if resp := (&updateRMW{k: 2, ts: a[obj].TS, piece: a[obj]}).Apply(s); resp != (updateResp{Stored: true, ToVp: true}) {
+		if resp := (&updateRMW{k: 2, ts: a[obj].TS, piece: a[obj]}).Apply(s); resp != respStored|respToVp {
 			t.Fatalf("A's update at object %d: %+v", obj, resp)
 		}
-		if resp := (&updateRMW{k: 2, ts: b[obj].TS, piece: b[obj], full: b[:2]}).Apply(s); resp != (updateResp{Stored: true}) {
+		if resp := (&updateRMW{k: 2, ts: b[obj].TS, piece: b[obj], full: b[:2]}).Apply(s); resp != respStored {
 			t.Fatalf("B's update at object %d: %+v", obj, resp)
 		}
 	}

@@ -122,7 +122,7 @@ func TestFollowUpReachesTheObjectsThatHaveNotAnswered(t *testing.T) {
 		// An earlier write that got no further than these two objects.
 		u := testUpdate(1, 9, register.ZeroTS)
 		u.piece = testChunk(1, 9, obj+1)
-		if resp := u.Apply(states[obj]); resp != (updateResp{Stored: true, ToVp: true}) {
+		if resp := u.Apply(states[obj]); resp != respStored|respToVp {
 			t.Fatalf("filling Vp of object %d: %+v", obj, resp)
 		}
 	}
@@ -176,18 +176,18 @@ func TestGCBringsThePieceTheUpdateCouldNotStore(t *testing.T) {
 		gc := &gcRMW{ts: w, piece: testChunk(5, 2, 1)}
 		switch order {
 		case "update, gc":
-			if resp := pieceOnly(testUpdate(5, 2, register.ZeroTS)).Apply(state); resp != (updateResp{NeedFull: true}) {
+			if resp := pieceOnly(testUpdate(5, 2, register.ZeroTS)).Apply(state); resp != respNeedFull {
 				t.Fatalf("%s: the update answered %+v", order, resp)
 			}
 			gc.Apply(state)
 		case "gc, update":
 			gc.Apply(state)
-			if resp := pieceOnly(testUpdate(5, 2, register.ZeroTS)).Apply(state); resp != (updateResp{}) {
+			if resp := pieceOnly(testUpdate(5, 2, register.ZeroTS)).Apply(state); resp != updateResp(0) {
 				t.Fatalf("%s: the update answered %+v", order, resp)
 			}
 		case "gc, follow-up":
 			gc.Apply(state)
-			if resp := testUpdate(5, 2, register.ZeroTS).Apply(state); resp != (updateResp{}) {
+			if resp := testUpdate(5, 2, register.ZeroTS).Apply(state); resp != updateResp(0) {
 				t.Fatalf("%s: the update answered %+v", order, resp)
 			}
 		}

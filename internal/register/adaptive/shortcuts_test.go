@@ -153,7 +153,7 @@ func TestJournalFormMakesTheSameTransition(t *testing.T) {
 			if kind, _ := register.KindOf(rmw); env.Kind != kind {
 				t.Fatalf("%s, step %d: a %s is journaled as a %s", name, step, kind, env.Kind)
 			}
-			decoded, err := register.DecodeRMW(env)
+			decoded, _, err := register.DecodeRMW(env)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestJournalFormMakesTheSameTransition(t *testing.T) {
 			default:
 				continue
 			}
-			if intoVf := resp == (updateResp{Stored: true}); intoVf && len(sent.full) != 2 {
+			if intoVf := resp == respStored; intoVf && len(sent.full) != 2 {
 				t.Errorf("%s, step %d: asking for the journal form took the replica off the RMW", name, step)
 			} else if intoVf != (len(kept.full) > 0) {
 				t.Errorf("%s, step %d: answered %+v, journaled with %d replica pieces", name, step, resp, len(kept.full))
@@ -205,7 +205,7 @@ func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
 		testUpdate(3, 1, register.ZeroTS).Apply(state) // Vp: v0, w(3,1)
 		before := encodedState(t, state)
 		rmw := build(*pieceOnly(testUpdate(5, 2, register.Timestamp{Num: 3, Client: 1})))
-		if resp := rmw.Apply(state); resp != (updateResp{NeedFull: true}) {
+		if resp := rmw.Apply(state); resp != respNeedFull {
 			t.Fatalf("%T without a replica into a full Vp answered %+v", rmw, resp)
 		}
 		if !bytes.Equal(encodedState(t, state), before) {
@@ -214,7 +214,7 @@ func TestTrimmedUpdateNeverStoresAnEmptyReplica(t *testing.T) {
 		c := dsys.NewCluster([]dsys.State{state}, dsys.WithLiveMode())
 		journal := &recordingJournal{}
 		c.SetJournal(journal)
-		if resp, err := c.ApplyOne(0, rmw); err != nil || resp != (updateResp{NeedFull: true}) {
+		if resp, err := c.ApplyOne(0, rmw); err != nil || resp != respNeedFull {
 			t.Fatalf("%T: the cluster answers %+v, %v", rmw, resp, err)
 		}
 		if _, err := c.ReplayApply(0, rmw); !errors.Is(err, dsys.ErrApplyRefused) {
@@ -257,8 +257,8 @@ func TestReadTSAnswersWhatAWriterTakesFromReadValue(t *testing.T) {
 				schedule[step].Apply(state)
 			}
 			before := encodedState(t, state)
-			got := (&readTSRMW{}).Apply(state).(readTSResp)
-			full := (&readValueRMW{}).Apply(state).(readValueResp)
+			got := (&readTSRMW{}).Apply(state).(*readTSResp)
+			full := (&readValueRMW{}).Apply(state).(*readValueResp)
 			wantNum := 0
 			for _, c := range full.Chunks {
 				wantNum = max(wantNum, c.TS.Num)

@@ -44,20 +44,26 @@ type readValueResp struct {
 }
 
 // readValueRMW reads storedTS, Vp and Vf without modifying the object
-// (Algorithm 3, lines 25-28).
-type readValueRMW struct{}
+// (Algorithm 3, lines 25-28). Its answer rides in it: Apply fills resp and
+// returns a pointer to it, so an object that answers allocates no answer. An
+// RMW is applied once, and the round that sent it reads resp only once the
+// answer is in.
+type readValueRMW struct {
+	resp readValueResp
+}
 
 var _ dsys.RMW = (*readValueRMW)(nil)
 
 // Apply implements dsys.RMW. The response copies the chunk headers (later
 // Applies compact Vp and Vf in place) and shares the block bytes, which are
 // immutable once produced.
-func (*readValueRMW) Apply(state dsys.State) any {
+func (r *readValueRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
 	all := make([]register.Chunk, 0, len(s.vp)+len(s.vf))
 	all = append(all, s.vp...)
 	all = append(all, s.vf...)
-	return readValueResp{StoredTS: s.storedTS, Chunks: all}
+	r.resp = readValueResp{StoredTS: s.storedTS, Chunks: all}
+	return &r.resp
 }
 
 // Blocks implements dsys.RMW: a read round carries no code blocks.
@@ -74,15 +80,19 @@ type readTSResp struct {
 // readTSRMW is the write's query round (Algorithm 2, lines 5-7, served by
 // Algorithm 3, lines 25-28): the same atomic look at the object readValueRMW
 // takes, answered with the timestamps alone — a writer picks its timestamp
-// from them and never looks at a piece.
-type readTSRMW struct{}
+// from them and never looks at a piece. Its answer rides in it, as
+// readValueRMW's does.
+type readTSRMW struct {
+	resp readTSResp
+}
 
 var _ dsys.RMW = (*readTSRMW)(nil)
 
 // Apply implements dsys.RMW.
-func (*readTSRMW) Apply(state dsys.State) any {
+func (r *readTSRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
-	return readTSResp{StoredTS: s.storedTS, MaxNum: max(maxChunkTS(s.vp).Num, maxChunkTS(s.vf).Num)}
+	r.resp = readTSResp{StoredTS: s.storedTS, MaxNum: max(maxChunkTS(s.vp).Num, maxChunkTS(s.vf).Num)}
+	return &r.resp
 }
 
 // Blocks implements dsys.RMW: the query round carries no code blocks.
@@ -107,8 +117,8 @@ func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
 //
 // tookFull is Apply's note to JournalForm that lines 37-38 fired, the one
 // branch that reads full. It and borrowed share a word with k so that the
-// struct stays in the allocator's 144-byte class: a write allocates n of these
-// on each side of the wire.
+// struct stays in the allocator's 144-byte class: a node allocates one per
+// update it decodes, and a writer's update round holds n of them in one array.
 type updateRMW struct {
 	k        int32
 	tookFull bool
@@ -131,13 +141,13 @@ func (u *updateRMW) Apply(state dsys.State) any {
 	case u.ts.LessEq(s.storedTS):
 		// Lines 33-34: a newer write already completed its update round; this
 		// write's value (or a newer one) is already durable, so ignore.
-		return updateResp{}
+		return updateResp(0)
 	case holdsTS(s.vp, u.ts):
-		return updateResp{Stored: true, ToVp: true, again: true}
+		return respStored | respToVp | respAgain
 	case holdsTS(s.vf, u.ts):
-		return updateResp{Stored: true, again: true}
+		return respStored | respAgain
 	}
-	resp := updateResp{}
+	resp := updateResp(0)
 	switch {
 	case len(s.vp) < int(u.k):
 		// Lines 35-36: store the piece and drop pieces of writes older than
@@ -149,16 +159,16 @@ func (u *updateRMW) Apply(state dsys.State) any {
 			}
 		}
 		s.vp = append(kept, register.Retain(u.piece, u.borrowed))
-		resp = updateResp{Stored: true, ToVp: true}
+		resp = respStored | respToVp
 	case len(s.vf) == 0 || maxChunkTS(s.vf).Less(u.ts):
 		// Lines 37-38: Vp is full; store a full replica if Vf is empty or
 		// holds an older value — once the writer has sent one.
 		if len(u.full) == 0 {
-			return updateResp{NeedFull: true}
+			return respNeedFull
 		}
 		s.vf = register.CloneChunks(u.full)
 		u.tookFull = true
-		resp = updateResp{Stored: true, ToVp: false}
+		resp = respStored
 	}
 	// Line 39: propagate the caller's storedTS.
 	s.storedTS = s.storedTS.Max(u.storedTS)
@@ -228,27 +238,34 @@ func (u *seedUpdateRMW) JournalForm() dsys.RMW {
 	return &seedUpdateRMW{u.trimmed()}
 }
 
-// updateResp reports what an update did. Stored and ToVp say where the object
-// holds the write: in Vp, in Vf (Stored alone — the one case in which the
-// object's GC needs the piece), or nowhere, the update having been ignored or
-// Vf holding a newer value. NeedFull is the answer of an update without a
-// full replica that reached lines 37-38: the object is as it was and the
-// writer sends the update again, whole. It is the only answer that is not two
-// bytes on the wire, and only an update without a replica can get it. again
-// marks the answer to an update the object had applied before, which changed
-// nothing either; it stays on the object's side of the wire.
-type updateResp struct {
-	Stored   bool
-	ToVp     bool
-	NeedFull bool
-	again    bool
-}
+// updateResp reports what an update did, as a set of flags. respStored and
+// respToVp say where the object holds the write: in Vp, in Vf (respStored
+// alone — the one case in which the object's GC needs the piece), or nowhere,
+// the update having been ignored or Vf holding a newer value. respNeedFull is
+// the answer of an update without a full replica that reached lines 37-38: the
+// object is as it was and the writer sends the update again, whole. It is the
+// only answer that is not two bytes on the wire, and only an update without a
+// replica can get it. respAgain marks the answer to an update the object had
+// applied before, which changed nothing either; it stays on the object's side
+// of the wire. One byte wide, an answer becomes an interface value without
+// being allocated.
+type updateResp uint8
 
-var _ dsys.NoChange = updateResp{}
+const (
+	respStored updateResp = 1 << iota
+	respToVp
+	respNeedFull
+	respAgain
+)
+
+var _ dsys.NoChange = updateResp(0)
+
+// has reports whether every flag of f is set in r.
+func (r updateResp) has(f updateResp) bool { return r&f == f }
 
 // NoChange implements dsys.NoChange.
 func (r updateResp) NoChange() (unchanged, incomplete bool) {
-	return r.NeedFull || r.again, r.NeedFull
+	return r&(respNeedFull|respAgain) != 0, r.has(respNeedFull)
 }
 
 // gcRMW is the third write round (Algorithm 3, lines 40-45): drop everything

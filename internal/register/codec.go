@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
@@ -95,11 +97,28 @@ func (c Codec) ResponseSize(w *WireWriter, resp any) (inline, total int, err err
 // types, malformed payloads.
 var ErrCodec = errors.New("register: codec error")
 
+// codecTable is the registry: every codec by kind name and by RMW type. Every
+// frame on either side of the wire looks a codec up in it, so it is read
+// without a lock: a registration builds the next table beside the current one
+// and swaps it in whole, and a table once published is never written again.
+type codecTable struct {
+	byKind map[string]Codec
+	byType map[reflect.Type]Codec
+}
+
 var (
-	codecMu     sync.RWMutex
-	codecByKind = make(map[string]Codec)
-	codecByType = make(map[reflect.Type]Codec)
+	codecMu  sync.Mutex // serializes registrations
+	codecs   atomic.Pointer[codecTable]
+	noCodecs codecTable // the table before the first registration
 )
+
+// loadCodecs returns the current table.
+func loadCodecs() *codecTable {
+	if t := codecs.Load(); t != nil {
+		return t
+	}
+	return &noCodecs
+}
 
 // RegisterCodec installs a codec for the RMW kind whose concrete type is that
 // of prototype. It panics on duplicate kind names or duplicate types, which
@@ -112,42 +131,39 @@ func RegisterCodec(c Codec, prototype dsys.RMW) {
 	t := reflect.TypeOf(prototype)
 	codecMu.Lock()
 	defer codecMu.Unlock()
-	if _, dup := codecByKind[c.Kind]; dup {
+	cur := loadCodecs()
+	if _, dup := cur.byKind[c.Kind]; dup {
 		panic(fmt.Sprintf("register: duplicate codec kind %q", c.Kind))
 	}
-	if _, dup := codecByType[t]; dup {
+	if _, dup := cur.byType[t]; dup {
 		panic(fmt.Sprintf("register: duplicate codec for type %v", t))
 	}
-	codecByKind[c.Kind] = c
-	codecByType[t] = c
+	next := &codecTable{
+		byKind: make(map[string]Codec, len(cur.byKind)+1),
+		byType: make(map[reflect.Type]Codec, len(cur.byType)+1),
+	}
+	maps.Copy(next.byKind, cur.byKind)
+	maps.Copy(next.byType, cur.byType)
+	next.byKind[c.Kind] = c
+	next.byType[t] = c
+	codecs.Store(next)
 	dsys.RegisterKind(c.Kind)
 }
 
 // CodecKinds returns the registered RMW kind names, sorted.
 func CodecKinds() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	kinds := make([]string, 0, len(codecByKind))
-	for k := range codecByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
+	return slices.Sorted(maps.Keys(loadCodecs().byKind))
 }
 
 // CodecByKind returns the codec registered under kind.
 func CodecByKind(kind string) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByKind[kind]
+	c, ok := loadCodecs().byKind[kind]
 	return c, ok
 }
 
 // CodecOf returns the codec registered for the RMW's concrete type.
 func CodecOf(rmw dsys.RMW) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecByType[reflect.TypeOf(rmw)]
+	c, ok := loadCodecs().byType[reflect.TypeOf(rmw)]
 	return c, ok
 }
 
@@ -160,9 +176,7 @@ func KindOf(rmw dsys.RMW) (string, bool) {
 // KindReadOnly reports whether kind is registered as read-only. Unknown kinds
 // report false — a node in recovery refuses only what it can prove harmless.
 func KindReadOnly(kind string) bool {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	return codecByKind[kind].ReadOnly
+	return loadCodecs().byKind[kind].ReadOnly
 }
 
 // EncodeEnvelope serializes a live RMW into a wire envelope addressed at the
@@ -234,19 +248,20 @@ func writePayload[T any](w *WireWriter, write func(*WireWriter, T) error, v T, p
 	return nil
 }
 
-// DecodeRMW rebuilds the live RMW carried by an envelope. The returned value
-// has the registered concrete type, so its Apply and Blocks behave exactly as
-// the original.
-func DecodeRMW(env dsys.Envelope) (dsys.RMW, error) {
+// DecodeRMW rebuilds the live RMW carried by an envelope, and returns it with
+// the codec of its kind, which also encodes its answer. The RMW has the
+// registered concrete type, so its Apply and Blocks behave exactly as the
+// original.
+func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) {
 	c, ok := CodecByKind(env.Kind)
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
+		return nil, c, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
 	}
 	rmw, err := c.Decode(env.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
+		return nil, c, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
 	}
-	return rmw, nil
+	return rmw, c, nil
 }
 
 // EncodeResponse serializes the response of an applied RMW of the given kind

@@ -57,7 +57,7 @@ func BenchmarkEnvelopeCodec(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := register.DecodeRMW(got); err != nil {
+				if _, _, err := register.DecodeRMW(got); err != nil {
 					b.Fatal(err)
 				}
 			}

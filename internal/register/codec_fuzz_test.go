@@ -285,7 +285,7 @@ func checkRoundTrip(t *testing.T, kind string, payload []byte) {
 	if err != nil {
 		t.Fatalf("%s: envelope unmarshal: %v", kind, err)
 	}
-	rmw3, err := register.DecodeRMW(env2)
+	rmw3, _, err := register.DecodeRMW(env2)
 	if err != nil {
 		t.Fatalf("%s: DecodeRMW: %v", kind, err)
 	}

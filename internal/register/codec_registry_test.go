@@ -61,7 +61,7 @@ func TestCodecErrorPaths(t *testing.T) {
 	if _, err := register.EncodeEnvelope(op, 0, unregisteredRMW{}); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("EncodeEnvelope of unregistered type: %v", err)
 	}
-	if _, err := register.DecodeRMW(dsys.Envelope{Kind: "no.such.kind"}); !errors.Is(err, register.ErrCodec) {
+	if _, _, err := register.DecodeRMW(dsys.Envelope{Kind: "no.such.kind"}); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeRMW of unknown kind: %v", err)
 	}
 	if _, err := register.EncodeResponse("no.such.kind", true); !errors.Is(err, register.ErrCodec) {
@@ -72,7 +72,7 @@ func TestCodecErrorPaths(t *testing.T) {
 	}
 	// A malformed payload must latch a decode error, not panic or misparse.
 	for _, kind := range register.CodecKinds() {
-		if _, err := register.DecodeRMW(dsys.Envelope{Kind: kind, Payload: []byte{0xFF}}); !errors.Is(err, register.ErrCodec) {
+		if _, _, err := register.DecodeRMW(dsys.Envelope{Kind: kind, Payload: []byte{0xFF}}); !errors.Is(err, register.ErrCodec) {
 			t.Fatalf("DecodeRMW(%s, garbage) = %v, want ErrCodec", kind, err)
 		}
 	}

@@ -111,12 +111,28 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 
 	// Round 2: store one piece per object.
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW { return &storeRMW{piece: pieces[obj]} }, r.cfg.Quorum()); err != nil {
+	stores := make([]storeRMW, len(pieces))
+	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
+		s := &stores[obj]
+		s.piece = pieces[obj]
+		return s
+	}, r.cfg.Quorum()); err != nil {
 		return err
 	}
 
 	// Round 3: commit, enabling garbage collection of strictly older pieces.
-	_, err = h.InvokeAll(func(int) dsys.RMW { return &commitRMW{ts: ts} }, r.cfg.Quorum())
+	return commitRound(h, r.cfg, ts)
+}
+
+// commitRound commits ts on every object and waits for n-f. The round's RMWs
+// come from one array.
+func commitRound(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp) error {
+	commits := make([]commitRMW, cfg.N())
+	_, err := h.InvokeAll(func(obj int) dsys.RMW {
+		c := &commits[obj]
+		c.ts = ts
+		return c
+	}, cfg.Quorum())
 	return err
 }
 
@@ -134,11 +150,15 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
-	if _, err := h.InvokeAll(func(obj int) dsys.RMW { return &seedStoreRMW{piece: pieces[obj]} }, r.cfg.Quorum()); err != nil {
+	stores := make([]seedStoreRMW, len(pieces))
+	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
+		s := &stores[obj]
+		s.piece = pieces[obj]
+		return s
+	}, r.cfg.Quorum()); err != nil {
 		return err
 	}
-	_, err = h.InvokeAll(func(int) dsys.RMW { return &commitRMW{ts: register.SeedTS} }, r.cfg.Quorum())
-	return err
+	return commitRound(h, r.cfg, register.SeedTS)
 }
 
 // Read implements register.Register: retry read rounds until some value with

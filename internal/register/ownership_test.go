@@ -128,7 +128,7 @@ func TestAppliedStateOwnsItsBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rmw, err := register.DecodeRMW(env)
+			rmw, _, err := register.DecodeRMW(env)
 			if err != nil {
 				t.Fatalf("%s step %d: %v", st.kind, i, err)
 			}

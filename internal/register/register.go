@@ -250,9 +250,9 @@ type Register interface {
 	Read(h *dsys.ClientHandle) (value.Value, error)
 }
 
-// EncodeWrite runs the write-side oracle for value v: it produces the n
-// blocks, tags them, and returns them as timestamp-free chunks in block-index
-// order (index i+1 is destined for base object i).
+// EncodeWrite runs the write-side oracle for value v: it takes the n blocks
+// from it in one call, tags them, and returns them as timestamp-free chunks in
+// block-index order (index i+1 is destined for base object i).
 //
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
@@ -262,16 +262,17 @@ type Register interface {
 // code's data blocks may be views of v.
 func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
 	enc := oracle.NewEncoder(cfg.Code, w, v)
-	chunks := make([]Chunk, 0, cfg.N())
-	for i := 1; i <= cfg.N(); i++ {
-		b, tag, err := enc.Get(i)
-		if err != nil {
-			return nil, nil, fmt.Errorf("register: encoding block %d: %w", i, err)
-		}
+	blocks, err := enc.GetAll()
+	if err != nil {
+		return nil, nil, fmt.Errorf("register: encoding: %w", err)
+	}
+	chunks := make([]Chunk, cfg.N())
+	for i := range chunks {
+		b := blocks[i]
 		if retained {
 			b = b.Detach(v.View())
 		}
-		chunks = append(chunks, Chunk{Block: b, Source: tag})
+		chunks[i] = Chunk{Block: b, Source: enc.Source(i + 1)}
 	}
 	return chunks, enc, nil
 }
@@ -296,7 +297,7 @@ func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
 // timestamp, using the read-side oracle. It returns erasure.ErrNotEnoughBlocks
 // if fewer than k distinct block indices are present.
 func DecodeChunks(cfg Config, chunks []Chunk) (value.Value, error) {
-	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen)
+	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen, len(chunks))
 	for _, c := range chunks {
 		if err := dec.Push(c.Block); err != nil {
 			return value.Value{}, err

@@ -95,9 +95,18 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 
 	// Round 2: conditional update on every object, wait for n-f.
-	_, err = h.InvokeAll(func(obj int) dsys.RMW {
-		return &updateRMW{chunk: pieces[obj]}
-	}, r.cfg.Quorum())
+	return updateRound(h, r.cfg, pieces)
+}
+
+// updateRound sends every object its piece and waits for n-f. The round's
+// RMWs come from one array.
+func updateRound(h *dsys.ClientHandle, cfg register.Config, pieces []register.Chunk) error {
+	updates := make([]updateRMW, len(pieces))
+	_, err := h.InvokeAll(func(obj int) dsys.RMW {
+		u := &updates[obj]
+		u.chunk = pieces[obj]
+		return u
+	}, cfg.Quorum())
 	return err
 }
 
@@ -113,8 +122,7 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	}
 	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
-	_, err = h.InvokeAll(func(obj int) dsys.RMW { return &updateRMW{chunk: pieces[obj]} }, r.cfg.Quorum())
-	return err
+	return updateRound(h, r.cfg, pieces)
 }
 
 // Read implements register.Register (Algorithm 5, lines 13-19). It is

@@ -197,13 +197,12 @@ func (s *Server) serve(body []byte) (resp dsys.Response, c register.Codec, out a
 		resp.Status = dsys.StatusNotHosted
 		return resp, c, nil
 	}
-	rmw, err := register.DecodeRMW(env)
+	rmw, c, err := register.DecodeRMW(env)
 	if err != nil {
 		resp.Status = dsys.StatusBadRequest
 		resp.Detail = err.Error()
 		return resp, c, nil
 	}
-	c, _ = register.CodecByKind(env.Kind) // registered: the RMW decoded
 	if s.opts.recovery && c.ReadOnly &&
 		env.Object >= 0 && env.Object < len(s.repaired) && !s.repaired[env.Object].Load() {
 		resp.Status = dsys.StatusRecovering

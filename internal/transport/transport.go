@@ -107,7 +107,7 @@ func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	decoded, err := register.DecodeRMW(got)
+	decoded, _, err := register.DecodeRMW(got)
 	if err != nil {
 		return nil, "", err
 	}

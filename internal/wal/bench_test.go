@@ -95,7 +95,7 @@ func TestAppendAllocatesNoPayload(t *testing.T) {
 	var w register.WireWriter
 	w.TS(register.Timestamp{Num: 2, Client: 1})
 	w.Chunk(register.Chunk{TS: register.Timestamp{Num: 2, Client: 1}, Block: erasure.Block{Index: 1, Data: make([]byte, pieceLen)}})
-	gc, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
+	gc, _, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
 	if err != nil {
 		t.Fatal(err)
 	}

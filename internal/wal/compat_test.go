@@ -62,7 +62,7 @@ func applyAdaptiveSchedule(t *testing.T, c *dsys.Cluster) {
 		{"adaptive.seedupdate", update(4, 3)},
 		{"adaptive.gc", gc(4, 3)},
 	} {
-		rmw, err := register.DecodeRMW(dsys.Envelope{Kind: st.kind, Payload: st.payload})
+		rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: st.kind, Payload: st.payload})
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -200,7 +200,7 @@ func applyPieceFirstSchedule(t *testing.T, c *dsys.Cluster) (mutating int) {
 		} else {
 			w.Chunks(nil)
 		}
-		rmw, err := register.DecodeRMW(dsys.Envelope{Kind: kind, Payload: w.Finish()})
+		rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: kind, Payload: w.Finish()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func applyPieceFirstSchedule(t *testing.T, c *dsys.Cluster) (mutating int) {
 		} else {
 			w.Chunk(register.Chunk{})
 		}
-		rmw, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
+		rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestReplaysDuplicateSeedUpdateRecordedBeforePieceFirst(t *testing.T) {
 		w.TS(register.ZeroTS)
 		w.Chunk(adaptiveChunk(register.SeedTS.Num, register.SeedTS.Client, 1))
 		w.Chunks(nil)
-		rmw, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.seedupdate", Payload: w.Finish()})
+		rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.seedupdate", Payload: w.Finish()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func abdUpdate(t *testing.T, num int, s string) dsys.RMW {
 	t.Helper()
 	var w register.WireWriter
 	w.Chunk(register.Chunk{TS: register.Timestamp{Num: num, Client: 9}, Block: erasure.Block{Index: 1, Data: value.FromString(s, dataLen).Bytes()}})
-	rmw, err := register.DecodeRMW(dsys.Envelope{Kind: "abd.update", Payload: w.Finish()})
+	rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: "abd.update", Payload: w.Finish()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestReplayedStateOwnsItsBlocks(t *testing.T) {
 	var w register.WireWriter
 	w.TS(register.Timestamp{Num: 10, Client: 2})
 	w.Chunk(adaptiveChunk(10, 2, 1))
-	gc, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
+	gc, _, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.gc", Payload: w.Finish()})
 	if err != nil {
 		t.Fatal(err)
 	}

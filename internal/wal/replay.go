@@ -113,7 +113,7 @@ func (j *Journal) replaySegment(c *dsys.Cluster, path string, active bool, bound
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		rmw, err := register.DecodeRMW(env)
+		rmw, _, err := register.DecodeRMW(env)
 		if err != nil {
 			return fmt.Errorf("wal: replay: %v", err)
 		}
@@ -219,7 +219,7 @@ func (j *Journal) replayObjectSegment(c *dsys.Cluster, path string, active bool,
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		rmw, err := register.DecodeRMW(env)
+		rmw, _, err := register.DecodeRMW(env)
 		if err != nil {
 			return fmt.Errorf("wal: replay: %v", err)
 		}

@@ -101,7 +101,7 @@ func adaptiveUpdate(t testing.TB, obj, num, client, pieceLen int, trimmed bool) 
 	} else {
 		w.Chunks([]register.Chunk{piece(1), piece(2)})
 	}
-	rmw, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.update", Payload: w.Finish()})
+	rmw, _, err := register.DecodeRMW(dsys.Envelope{Kind: "adaptive.update", Payload: w.Finish()})
 	if err != nil {
 		t.Fatal(err)
 	}

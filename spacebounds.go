@@ -312,14 +312,18 @@ func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 // ones, exactly as in the paper's register model. For key-value semantics,
 // give each key its own shard (see examples/kvstore).
 func (s *Store) WriteKey(client int, key string, val []byte) error {
-	// Pad against the routed shard's size, then write through the router: a
-	// migration successor inherits its predecessor's configuration, so the
-	// size stays right even if a reconfiguration lands in between.
-	v, err := pad(s.set.ForKey(key), val)
+	// The key is routed once, and the value padded against the shard it is
+	// then written to.
+	ref, err := s.set.AcquireWrite(client, key)
 	if err != nil {
 		return err
 	}
-	return s.set.Write(client, key, v)
+	defer s.set.ReleaseWrite(ref, client)
+	v, err := pad(ref.Shard(), val)
+	if err != nil {
+		return err
+	}
+	return s.set.WriteRef(client, ref, v)
 }
 
 // ReadKey returns the current value of the shard the key routes to. While
