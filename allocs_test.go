@@ -9,13 +9,14 @@ import (
 // shape (f = 2, k = 2, 1 KiB values, Batch{MaxSize: 16}, eight named
 // shards). A round's bookkeeping is per round, not per base object: its RMWs
 // come from one array, its answers ride in their RMWs, and the oracle hands a
-// write its n blocks in one call. Its parent measured 51 for a write and 28
-// for a read.
+// write its n blocks in one call. An in-process operation decodes nothing, so
+// decoding in place on the wire leaves both counts where its parent measured
+// them: 27 for a write and 19 for a read.
 const (
 	writeKeyAllocs       = 27
-	writeKeyAllocsParent = 51
+	writeKeyAllocsParent = 27
 	readKeyAllocs        = 19
-	readKeyAllocsParent  = 28
+	readKeyAllocsParent  = 19
 )
 
 // TestOperationAllocations pins what one uncontended WriteKey and one ReadKey

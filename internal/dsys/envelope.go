@@ -437,7 +437,9 @@ func (c *cursor) finish() error {
 // together with an error (wrapping ErrQuorumUnavailable) when fewer than
 // quorum objects answered. targets and makeRMW are lent for the call: an
 // implementation reads the one and calls the other before it returns, and
-// keeps neither.
+// keeps neither. An answer may come back in the RMW makeRMW returned for its
+// object — a read's answer slot, as Apply fills it in process — so the RMWs
+// of one round are distinct.
 type RoundInvoker interface {
 	InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error)
 }

@@ -82,14 +82,14 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	h.SetLocalBlocks(register.ChunkRefs(replicas[:1]))
 
 	// Phase 1: query a majority for the highest timestamp.
-	resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+	resp, err := readRound(h, r.cfg)
 	if err != nil {
 		return err
 	}
 	maxNum := 0
 	for obj := 0; obj < r.cfg.N(); obj++ {
 		if raw, ok := resp[obj]; ok {
-			if c := raw.(register.Chunk); c.TS.Num > maxNum {
+			if c := raw.(*register.Chunk); c.TS.Num > maxNum {
 				maxNum = c.TS.Num
 			}
 		}
@@ -101,6 +101,13 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 	// Phase 2: store the full replica on a majority.
 	return updateRound(h, r.cfg, replicas)
+}
+
+// readRound asks every object for its replica and waits for a majority. The
+// round's RMWs come from one array, and each answer rides in its RMW.
+func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+	reads := make([]readRMW, cfg.N())
+	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
 
 // updateRound sends every object its replica and waits for a majority. The
@@ -142,7 +149,7 @@ func (r *Register) Read(h *dsys.ClientHandle) (value.Value, error) {
 func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
-	resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+	resp, err := readRound(h, r.cfg)
 	if err != nil {
 		return value.Value{}, register.ZeroTS, err
 	}
@@ -153,9 +160,9 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 		if !ok {
 			continue
 		}
-		c := raw.(register.Chunk)
+		c := raw.(*register.Chunk)
 		if !found || best.TS.Less(c.TS) {
-			best, found = c, true
+			best, found = *c, true
 		}
 	}
 	if !found {
@@ -178,14 +185,20 @@ func (s *objectState) Blocks() []dsys.BlockRef { return []dsys.BlockRef{s.chunk.
 // Chunk exposes the stored replica for tests.
 func (s *objectState) Chunk() register.Chunk { return s.chunk }
 
-// readRMW returns the replica.
-type readRMW struct{}
+// readRMW returns the replica. Its answer rides in it: Apply fills resp and
+// returns a pointer to it, so an object that answers allocates no answer.
+type readRMW struct {
+	resp register.Chunk
+}
 
 var _ dsys.RMW = (*readRMW)(nil)
 
 // Apply implements dsys.RMW. The response shares the stored block, which is
 // immutable once produced.
-func (*readRMW) Apply(state dsys.State) any { return state.(*objectState).chunk }
+func (r *readRMW) Apply(state dsys.State) any {
+	r.resp = state.(*objectState).chunk
+	return &r.resp
+}
 
 // Blocks implements dsys.RMW.
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }

@@ -23,13 +23,14 @@ func writeUpdate(w *register.WireWriter, u *updateRMW) error {
 	return nil
 }
 
-func decodeUpdate(payload []byte) (updateRMW, error) {
+// decodeUpdate decodes the update payload over u, every field of it.
+func decodeUpdate(u *updateRMW, payload []byte) error {
 	r := register.NewWireReader(payload)
 	k := r.Int()
 	if k < 0 || k > math.MaxInt32 {
-		return updateRMW{}, fmt.Errorf("%w: update with k = %d", register.ErrCodec, k)
+		return fmt.Errorf("%w: update with k = %d", register.ErrCodec, k)
 	}
-	u := updateRMW{
+	*u = updateRMW{
 		k:        int32(k),
 		borrowed: true,
 		ts:       r.TS(),
@@ -37,10 +38,7 @@ func decodeUpdate(payload []byte) (updateRMW, error) {
 		piece:    r.ChunkAlias(),
 		full:     r.ChunksAlias(),
 	}
-	if err := r.Finish(); err != nil {
-		return updateRMW{}, err
-	}
-	return u, nil
+	return r.Finish()
 }
 
 // writeUpdateResp / decodeUpdateResp serialize the update round's response:
@@ -56,7 +54,7 @@ func writeUpdateResp(w *register.WireWriter, resp any) error {
 	return nil
 }
 
-func decodeUpdateResp(payload []byte) (any, error) {
+func decodeUpdateResp(_ dsys.RMW, payload []byte) (any, error) {
 	r := register.NewWireReader(payload)
 	var ur updateResp
 	flag := func(f updateResp) {
@@ -82,11 +80,17 @@ func init() {
 		Kind:     "adaptive.read",
 		ReadOnly: true,
 		Write:    register.EmptyPayload,
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
-			return &readValueRMW{}, nil
+			// The answer's list keeps its capacity for Apply, and none of the
+			// headers of the last answer.
+			rr := register.Reuse[readValueRMW](dst)
+			chunks := rr.resp.Chunks
+			clear(chunks)
+			*rr = readValueRMW{resp: readValueResp{Chunks: chunks[:0]}}
+			return rr, nil
 		},
 		WriteResp: func(w *register.WireWriter, resp any) error {
 			rr := resp.(*readValueResp)
@@ -94,9 +98,10 @@ func init() {
 			w.Chunks(rr.Chunks)
 			return nil
 		},
-		DecodeResp: func(payload []byte) (any, error) {
+		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rr := &readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
+			rr := &register.Reuse[readValueRMW](sent).resp
+			*rr = readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -108,11 +113,13 @@ func init() {
 		Kind:     "adaptive.readts",
 		ReadOnly: true,
 		Write:    register.EmptyPayload,
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
-			return &readTSRMW{}, nil
+			rt := register.Reuse[readTSRMW](dst)
+			*rt = readTSRMW{}
+			return rt, nil
 		},
 		WriteResp: func(w *register.WireWriter, resp any) error {
 			rt := resp.(*readTSResp)
@@ -120,9 +127,10 @@ func init() {
 			w.Int(rt.MaxNum)
 			return nil
 		},
-		DecodeResp: func(payload []byte) (any, error) {
+		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rt := &readTSResp{StoredTS: r.TS(), MaxNum: r.Int()}
+			rt := &register.Reuse[readTSRMW](sent).resp
+			*rt = readTSResp{StoredTS: r.TS(), MaxNum: r.Int()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -135,12 +143,12 @@ func init() {
 		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
 			return writeUpdate(w, rmw.(*updateRMW))
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
-			u, err := decodeUpdate(payload)
-			if err != nil {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
+			u := register.Reuse[updateRMW](dst)
+			if err := decodeUpdate(u, payload); err != nil {
 				return nil, err
 			}
-			return &u, nil
+			return u, nil
 		},
 		WriteResp:  writeUpdateResp,
 		DecodeResp: decodeUpdateResp,
@@ -151,12 +159,12 @@ func init() {
 		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
 			return writeUpdate(w, &rmw.(*seedUpdateRMW).updateRMW)
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
-			u, err := decodeUpdate(payload)
-			if err != nil {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
+			u := register.Reuse[seedUpdateRMW](dst)
+			if err := decodeUpdate(&u.updateRMW, payload); err != nil {
 				return nil, err
 			}
-			return &seedUpdateRMW{updateRMW: u}, nil
+			return u, nil
 		},
 		WriteResp:  writeUpdateResp,
 		DecodeResp: decodeUpdateResp,
@@ -172,9 +180,10 @@ func init() {
 			w.Chunk(g.piece)
 			return nil
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			g := &gcRMW{ts: r.TS(), piece: r.ChunkAlias(), borrowed: true}
+			g := register.Reuse[gcRMW](dst)
+			*g = gcRMW{ts: r.TS(), piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -186,7 +195,7 @@ func init() {
 			}
 			return nil
 		},
-		DecodeResp: func(payload []byte) (any, error) {
+		DecodeResp: func(_ dsys.RMW, payload []byte) (any, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}

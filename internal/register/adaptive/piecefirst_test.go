@@ -243,7 +243,7 @@ func TestOldClientSeesNoNewByte(t *testing.T) {
 		if (len(got) != 2) != (len(step.u.full) == 0) {
 			t.Errorf("%s: an update with %d replica pieces got %d answer bytes", step.branch, len(step.u.full), len(got))
 		}
-		back, err := register.DecodeResponse("adaptive.update", got)
+		back, err := register.DecodeResponse("adaptive.update", nil, got)
 		if err != nil {
 			t.Fatal(err)
 		}

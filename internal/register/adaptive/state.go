@@ -56,13 +56,13 @@ var _ dsys.RMW = (*readValueRMW)(nil)
 
 // Apply implements dsys.RMW. The response copies the chunk headers (later
 // Applies compact Vp and Vf in place) and shares the block bytes, which are
-// immutable once produced.
+// immutable once produced. The headers go into the answer's own list where it
+// has room for them — an RMW a server decodes over the last one of its kind
+// keeps that list's capacity — and into one of exactly their size where it
+// has not, so an RMW of a round allocates that list once.
 func (r *readValueRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
-	all := make([]register.Chunk, 0, len(s.vp)+len(s.vf))
-	all = append(all, s.vp...)
-	all = append(all, s.vf...)
-	r.resp = readValueResp{StoredTS: s.storedTS, Chunks: all}
+	r.resp = readValueResp{StoredTS: s.storedTS, Chunks: register.AnswerChunks(r.resp.Chunks, s.vp, s.vf)}
 	return &r.resp
 }
 

@@ -39,15 +39,34 @@ type Codec struct {
 	// It must write the same fields whenever it is handed the same RMW: every
 	// encoding is a counting pass followed by a writing one.
 	Write func(w *WireWriter, rmw dsys.RMW) error
-	// Decode rebuilds a live RMW from what Write wrote. The RMW's code blocks
-	// are views of payload, and it is marked as borrowing them: its Apply
-	// copies the one it stores (Retain) and nothing else.
-	Decode func(payload []byte) (dsys.RMW, error)
+	// DecodeInto rebuilds a live RMW from what Write wrote: over dst when dst
+	// is an RMW of this kind, every field of it overwritten, and into a new
+	// one when dst is nil. The RMW's code blocks are views of payload, and it
+	// is marked as borrowing them: its Apply copies the one it stores (Retain)
+	// and nothing else. Decode is DecodeInto without a destination.
+	DecodeInto func(dst dsys.RMW, payload []byte) (dsys.RMW, error)
 	// WriteResp serializes the response returned by the RMW's Apply into w,
 	// under the same rule as Write.
 	WriteResp func(w *WireWriter, resp any) error
-	// DecodeResp rebuilds the response value from what WriteResp wrote.
-	DecodeResp func(payload []byte) (any, error)
+	// DecodeResp rebuilds the response value from what WriteResp wrote. sent
+	// is the RMW the request carried, or nil: a kind whose RMW carries its
+	// answer (a read) decodes the response into that slot — of a new RMW when
+	// sent is nil — and returns a pointer to it, as Apply does.
+	DecodeResp func(sent dsys.RMW, payload []byte) (any, error)
+
+	pos int // the kind's place in the registry: its slot in a Decoded
+}
+
+// Decode rebuilds a live RMW from what Write wrote, into a new RMW.
+func (c Codec) Decode(payload []byte) (dsys.RMW, error) { return c.DecodeInto(nil, payload) }
+
+// Reuse returns dst as the *T it is, or a new T when it is not one (nil, say):
+// the RMW a codec decodes a request or an answer into.
+func Reuse[T any](dst dsys.RMW) *T {
+	if p, ok := any(dst).(*T); ok && p != nil {
+		return p
+	}
+	return new(T)
 }
 
 // Encode returns the RMW's parameters as one flat, exactly sized payload:
@@ -125,7 +144,7 @@ func loadCodecs() *codecTable {
 // would indicate two providers claiming the same wire name. Providers call it
 // from init, one registration per RMW kind.
 func RegisterCodec(c Codec, prototype dsys.RMW) {
-	if c.Kind == "" || c.Write == nil || c.Decode == nil || c.WriteResp == nil || c.DecodeResp == nil {
+	if c.Kind == "" || c.Write == nil || c.DecodeInto == nil || c.WriteResp == nil || c.DecodeResp == nil {
 		panic(fmt.Sprintf("register: incomplete codec for kind %q", c.Kind))
 	}
 	t := reflect.TypeOf(prototype)
@@ -138,6 +157,7 @@ func RegisterCodec(c Codec, prototype dsys.RMW) {
 	if _, dup := cur.byType[t]; dup {
 		panic(fmt.Sprintf("register: duplicate codec for type %v", t))
 	}
+	c.pos = len(cur.byKind)
 	next := &codecTable{
 		byKind: make(map[string]Codec, len(cur.byKind)+1),
 		byType: make(map[reflect.Type]Codec, len(cur.byType)+1),
@@ -252,14 +272,37 @@ func writePayload[T any](w *WireWriter, write func(*WireWriter, T) error, v T, p
 // the codec of its kind, which also encodes its answer. The RMW has the
 // registered concrete type, so its Apply and Blocks behave exactly as the
 // original.
-func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) {
+func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) { return decodeRMW(env, nil) }
+
+// Decoded holds the RMW last decoded of each registered kind, in the kind's
+// place in the registry, and decodes the next envelope of that kind over it.
+// Its holder must be done with an RMW, and with the answer its Apply returned,
+// before it decodes the next of the kind: a server connection, which serves
+// its requests in turn.
+type Decoded []dsys.RMW
+
+// Decode is DecodeRMW over the RMW of env's kind that d holds, which d then
+// holds instead.
+func (d *Decoded) Decode(env dsys.Envelope) (dsys.RMW, Codec, error) { return decodeRMW(env, d) }
+
+func decodeRMW(env dsys.Envelope, d *Decoded) (dsys.RMW, Codec, error) {
 	c, ok := CodecByKind(env.Kind)
 	if !ok {
 		return nil, c, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
 	}
-	rmw, err := c.Decode(env.Payload)
+	var dst dsys.RMW
+	if d != nil {
+		if c.pos >= len(*d) {
+			*d = append(*d, make([]dsys.RMW, c.pos+1-len(*d))...)
+		}
+		dst = (*d)[c.pos]
+	}
+	rmw, err := c.DecodeInto(dst, env.Payload)
 	if err != nil {
 		return nil, c, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
+	}
+	if d != nil {
+		(*d)[c.pos] = rmw
 	}
 	return rmw, c, nil
 }
@@ -278,13 +321,15 @@ func EncodeResponse(kind string, resp any) ([]byte, error) {
 	return payload, nil
 }
 
-// DecodeResponse rebuilds a response value of the given kind.
-func DecodeResponse(kind string, payload []byte) (any, error) {
+// DecodeResponse rebuilds a response value of the given kind, into sent, the
+// RMW the request carried, when the kind's answers ride in their RMW
+// (Codec.DecodeResp).
+func DecodeResponse(kind string, sent dsys.RMW, payload []byte) (any, error) {
 	c, ok := CodecByKind(kind)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, kind)
 	}
-	resp, err := c.DecodeResp(payload)
+	resp, err := c.DecodeResp(sent, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decoding %s response: %v", ErrCodec, kind, err)
 	}
@@ -639,7 +684,7 @@ func WriteBoolResp(w *WireWriter, resp any) error {
 }
 
 // DecodeBoolResp decodes a bool response payload.
-func DecodeBoolResp(payload []byte) (any, error) {
+func DecodeBoolResp(_ dsys.RMW, payload []byte) (any, error) {
 	r := NewWireReader(payload)
 	v := r.Bool()
 	if err := r.Finish(); err != nil {
@@ -649,23 +694,25 @@ func DecodeBoolResp(payload []byte) (any, error) {
 }
 
 // WriteChunkResp / DecodeChunkResp are the shared response codec of RMW
-// kinds answering a single Chunk (the ABD and safe-register read rounds).
+// kinds answering a single Chunk (the ABD and safe-register read rounds),
+// which rides in the RMW: the answer is a *Chunk.
 func WriteChunkResp(w *WireWriter, resp any) error {
-	c, ok := resp.(Chunk)
+	c, ok := resp.(*Chunk)
 	if !ok {
-		return fmt.Errorf("%w: response %T is not Chunk", ErrCodec, resp)
+		return fmt.Errorf("%w: response %T is not *Chunk", ErrCodec, resp)
 	}
-	w.Chunk(c)
+	w.Chunk(*c)
 	return nil
 }
 
-// DecodeChunkResp decodes a single-chunk response payload. The chunk's block
-// is a view of the payload: the client decodes it into a value and drops it.
-func DecodeChunkResp(payload []byte) (any, error) {
+// DecodeChunkResp decodes a single-chunk response payload into dst, the
+// answer slot of the RMW that was sent, and returns dst. The chunk's block is
+// a view of the payload: the client decodes it into a value and drops it.
+func DecodeChunkResp(dst *Chunk, payload []byte) (any, error) {
 	r := NewWireReader(payload)
-	c := r.ChunkAlias()
+	*dst = r.ChunkAlias()
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return dst, nil
 }

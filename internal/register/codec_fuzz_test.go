@@ -158,6 +158,18 @@ func piecelessGCPayload() []byte {
 	return w.Finish()
 }
 
+// firstUpdatePayload is the update a writer sends first: its piece and no
+// full replica.
+func firstUpdatePayload() []byte {
+	var w register.WireWriter
+	w.Int(2)
+	w.TS(register.Timestamp{Num: 8, Client: 4})
+	w.TS(register.Timestamp{Num: 6, Client: 2})
+	w.Chunk(mkChunk(0))
+	w.Chunks(nil)
+	return w.Finish()
+}
+
 // adaptiveUpdatePayload builds an update payload carrying a piece plus a
 // two-chunk full replica.
 func adaptiveUpdatePayload(salt int) []byte {
@@ -200,12 +212,39 @@ func checkSinks(t *testing.T, what string, want []byte, held int, write func(w *
 	}
 }
 
+// leftovers returns RMWs of c's kind as a server connection or a client round
+// holds them before it decodes the next message of the kind over one: each
+// decoded from one of the kind's seed payloads and carrying the answer of one
+// of its seed responses, where its kind has a slot for it.
+func leftovers(t *testing.T, c register.Codec) []dsys.RMW {
+	t.Helper()
+	payloads := [][]byte{seedPayloads()[c.Kind]}
+	if long, ok := longPayloads()[c.Kind]; ok {
+		payloads = append(payloads, long)
+	}
+	var out []dsys.RMW
+	for _, payload := range payloads {
+		for _, resp := range seedResponses()[c.Kind] {
+			rmw, err := c.Decode(payload)
+			if err != nil {
+				t.Fatalf("%s: seed payload does not decode: %v", c.Kind, err)
+			}
+			if _, err := c.DecodeResp(rmw, resp); err != nil {
+				t.Fatalf("%s: seed response does not decode: %v", c.Kind, err)
+			}
+			out = append(out, rmw)
+		}
+	}
+	return out
+}
+
 // checkResponseRoundTrip is checkRoundTrip's property for payload read as a
 // response of the kind: if it decodes, its re-encoding is a fixpoint, and a
-// response frame built in place carries it byte for byte.
+// response frame built in place carries it byte for byte. Decoded into an RMW
+// that holds another answer, it is the same response.
 func checkResponseRoundTrip(t *testing.T, c register.Codec, payload []byte) {
 	t.Helper()
-	resp, err := c.DecodeResp(payload)
+	resp, err := c.DecodeResp(nil, payload)
 	if err != nil {
 		return
 	}
@@ -213,7 +252,16 @@ func checkResponseRoundTrip(t *testing.T, c register.Codec, payload []byte) {
 	if err != nil {
 		t.Fatalf("%s: encode of decoded response failed: %v", c.Kind, err)
 	}
-	resp2, err := c.DecodeResp(enc1)
+	for _, left := range leftovers(t, c) {
+		again, err := c.DecodeResp(left, payload)
+		if err != nil {
+			t.Fatalf("%s: a response that decodes fresh fails into an RMW left from another seed: %v", c.Kind, err)
+		}
+		if enc, err := c.EncodeResp(again); err != nil || !bytes.Equal(enc, enc1) {
+			t.Fatalf("%s: decoded into an RMW left from another seed, the response re-encodes as\n  %x (%v)\nwant\n  %x", c.Kind, enc, err, enc1)
+		}
+	}
+	resp2, err := c.DecodeResp(nil, enc1)
 	if err != nil {
 		t.Fatalf("%s: re-decode of canonical response failed: %v", c.Kind, err)
 	}
@@ -269,6 +317,17 @@ func checkRoundTrip(t *testing.T, kind string, payload []byte) {
 	}
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatalf("%s: canonical payload not a fixpoint:\n  enc1 %x\n  enc2 %x", kind, enc1, enc2)
+	}
+	// Decoded over an RMW of its kind left from another seed, as a server
+	// connection decodes every request, it is the same RMW.
+	for _, left := range leftovers(t, c) {
+		again, err := c.DecodeInto(left, payload)
+		if err != nil {
+			t.Fatalf("%s: a payload that decodes fresh fails over an RMW left from another seed: %v", kind, err)
+		}
+		if enc, err := c.Encode(again); err != nil || !bytes.Equal(enc, enc1) || len(again.Blocks()) != len(rmw.Blocks()) {
+			t.Fatalf("%s: decoded over an RMW left from another seed, the payload re-encodes as\n  %x (%v)\nwant\n  %x", kind, enc, err, enc1)
+		}
 	}
 
 	// Envelope level: wrap, marshal, unmarshal, decode, re-encode.
@@ -393,13 +452,15 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 			t.Errorf("no seed response for registered kind %q — add one", kind)
 		}
 		for _, resp := range responses {
-			if _, err := c.DecodeResp(resp); err != nil {
+			if _, err := c.DecodeResp(nil, resp); err != nil {
 				t.Errorf("%s: seed response %x does not decode: %v", kind, resp, err)
 			}
 			checkRoundTrip(t, kind, resp)
 		}
 	}
 	checkRoundTrip(t, "adaptive.gc", piecelessGCPayload())
+	checkRoundTrip(t, "adaptive.update", firstUpdatePayload())
+	checkRoundTrip(t, "adaptive.seedupdate", firstUpdatePayload())
 	// Read-only flags: exactly the four read rounds and the adaptive write's
 	// timestamp query.
 	wantRO := map[string]bool{"abd.read": true, "safe.read": true, "ec.read": true, "adaptive.read": true, "adaptive.readts": true}
@@ -414,7 +475,8 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 // any payload that decodes — as a request of its kind, as a response, or both —
 // must re-encode to a canonical byte-identical fixpoint, at the payload and
 // the envelope level, and the message a sender or the journal writes in place
-// must be AppendBinary of that flat payload, byte for byte.
+// must be AppendBinary of that flat payload, byte for byte. Decoded over an
+// RMW of its kind left from another seed, it must re-encode as it does fresh.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	kinds := register.CodecKinds()
 	index := make(map[string]int, len(kinds))
@@ -429,6 +491,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		f.Add(uint8(i), payload)
 	}
 	f.Add(uint8(index["adaptive.gc"]), piecelessGCPayload())
+	f.Add(uint8(index["adaptive.update"]), firstUpdatePayload())
 	for kind, payload := range longPayloads() {
 		f.Add(uint8(index[kind]), payload)
 	}

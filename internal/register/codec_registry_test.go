@@ -67,7 +67,7 @@ func TestCodecErrorPaths(t *testing.T) {
 	if _, err := register.EncodeResponse("no.such.kind", true); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("EncodeResponse of unknown kind: %v", err)
 	}
-	if _, err := register.DecodeResponse("no.such.kind", nil); !errors.Is(err, register.ErrCodec) {
+	if _, err := register.DecodeResponse("no.such.kind", nil, nil); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeResponse of unknown kind: %v", err)
 	}
 	// A malformed payload must latch a decode error, not panic or misparse.
@@ -95,31 +95,32 @@ func TestResponseCodecsRoundTrip(t *testing.T) {
 
 	if payload, err := encode(register.WriteBoolResp, true); err != nil {
 		t.Fatal(err)
-	} else if v, err := register.DecodeBoolResp(payload); err != nil || v != true {
+	} else if v, err := register.DecodeBoolResp(nil, payload); err != nil || v != true {
 		t.Fatalf("bool resp round trip = (%v, %v)", v, err)
 	}
 	if _, err := encode(register.WriteBoolResp, "nope"); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("WriteBoolResp of non-bool: %v", err)
 	}
-	if _, err := register.DecodeBoolResp([]byte{2}); !errors.Is(err, register.ErrCodec) {
+	if _, err := register.DecodeBoolResp(nil, []byte{2}); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeBoolResp of bad bool byte: %v", err)
 	}
 
-	payload, err := encode(register.WriteChunkResp, chunk)
+	payload, err := encode(register.WriteChunkResp, &chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := register.DecodeChunkResp(payload)
+	var slot register.Chunk
+	got, err := register.DecodeChunkResp(&slot, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gc := got.(register.Chunk); gc.TS != chunk.TS || gc.Block.Index != chunk.Block.Index {
-		t.Fatalf("chunk resp round trip = %+v, want %+v", gc, chunk)
+	if gc, ok := got.(*register.Chunk); !ok || gc != &slot || gc.TS != chunk.TS || gc.Block.Index != chunk.Block.Index {
+		t.Fatalf("chunk resp round trip = %+v, want %+v in the slot it was given", got, chunk)
 	}
-	if _, err := encode(register.WriteChunkResp, 42); !errors.Is(err, register.ErrCodec) {
-		t.Fatalf("WriteChunkResp of non-chunk: %v", err)
+	if _, err := encode(register.WriteChunkResp, chunk); !errors.Is(err, register.ErrCodec) {
+		t.Fatalf("WriteChunkResp of a Chunk, not a *Chunk: %v", err)
 	}
-	if _, err := register.DecodeChunkResp(payload[:len(payload)-1]); !errors.Is(err, register.ErrCodec) {
+	if _, err := register.DecodeChunkResp(&slot, payload[:len(payload)-1]); !errors.Is(err, register.ErrCodec) {
 		t.Fatalf("DecodeChunkResp of truncated payload: %v", err)
 	}
 }

@@ -12,21 +12,28 @@ func init() {
 		Kind:     "ec.read",
 		ReadOnly: true,
 		Write:    register.EmptyPayload,
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
-			return &readRMW{}, nil
+			// The answer's list keeps its capacity for Apply, and none of the
+			// headers of the last answer.
+			rr := register.Reuse[readRMW](dst)
+			pieces := rr.resp.Pieces
+			clear(pieces)
+			*rr = readRMW{resp: readResp{Pieces: pieces[:0]}}
+			return rr, nil
 		},
 		WriteResp: func(w *register.WireWriter, resp any) error {
-			rr := resp.(readResp)
+			rr := resp.(*readResp)
 			w.TS(rr.CommittedTS)
 			w.Chunks(rr.Pieces)
 			return nil
 		},
-		DecodeResp: func(payload []byte) (any, error) {
+		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
 			r := register.NewWireReader(payload)
-			rr := readResp{CommittedTS: r.TS(), Pieces: r.ChunksAlias()}
+			rr := &register.Reuse[readRMW](sent).resp
+			*rr = readResp{CommittedTS: r.TS(), Pieces: r.ChunksAlias()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -40,9 +47,10 @@ func init() {
 			w.Chunk(rmw.(*storeRMW).piece)
 			return nil
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &storeRMW{piece: r.ChunkAlias(), borrowed: true}
+			u := register.Reuse[storeRMW](dst)
+			*u = storeRMW{piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -58,9 +66,10 @@ func init() {
 			w.Chunk(rmw.(*seedStoreRMW).piece)
 			return nil
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &seedStoreRMW{piece: r.ChunkAlias(), borrowed: true}
+			u := register.Reuse[seedStoreRMW](dst)
+			*u = seedStoreRMW{piece: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -76,9 +85,10 @@ func init() {
 			w.TS(rmw.(*commitRMW).ts)
 			return nil
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &commitRMW{ts: r.TS()}
+			u := register.Reuse[commitRMW](dst)
+			*u = commitRMW{ts: r.TS()}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

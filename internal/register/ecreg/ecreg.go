@@ -14,7 +14,6 @@ package ecreg
 
 import (
 	"fmt"
-	"slices"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
@@ -85,7 +84,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
 
 	// Round 1: read timestamps.
-	resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+	resp, err := readRound(h, r.cfg)
 	if err != nil {
 		return err
 	}
@@ -95,7 +94,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 		if !ok {
 			continue
 		}
-		rr := raw.(readResp)
+		rr := raw.(*readResp)
 		if rr.CommittedTS.Num > maxNum {
 			maxNum = rr.CommittedTS.Num
 		}
@@ -122,6 +121,14 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 	// Round 3: commit, enabling garbage collection of strictly older pieces.
 	return commitRound(h, r.cfg, ts)
+}
+
+// readRound collects every object's pieces and committed timestamp and waits
+// for n-f. The round's RMWs come from one array, and each answer rides in its
+// RMW.
+func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+	reads := make([]readRMW, cfg.N())
+	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
 
 // commitRound commits ts on every object and waits for n-f. The round's RMWs
@@ -175,7 +182,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
 	for attempt := 0; attempt < r.readRetryBudget; attempt++ {
-		resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+		resp, err := readRound(h, r.cfg)
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err
 		}
@@ -186,7 +193,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 			if !ok {
 				continue
 			}
-			rr := raw.(readResp)
+			rr := raw.(*readResp)
 			committed = committed.Max(rr.CommittedTS)
 			chunks = append(chunks, rr.Pieces...)
 		}
@@ -220,16 +227,23 @@ type readResp struct {
 	Pieces      []register.Chunk
 }
 
-// readRMW returns the object's pieces and committed timestamp.
-type readRMW struct{}
+// readRMW returns the object's pieces and committed timestamp. Its answer
+// rides in it: Apply fills resp and returns a pointer to it.
+type readRMW struct {
+	resp readResp
+}
 
 var _ dsys.RMW = (*readRMW)(nil)
 
 // Apply implements dsys.RMW. The response copies the chunk headers (later
 // Applies compact the piece list in place) and shares the immutable blocks.
-func (*readRMW) Apply(state dsys.State) any {
+// The headers go into the answer's own list where it has room for them — an
+// RMW a server decodes over the last one of its kind keeps that list's
+// capacity — and into one of exactly their size where it has not.
+func (r *readRMW) Apply(state dsys.State) any {
 	s := state.(*objectState)
-	return readResp{CommittedTS: s.committedTS, Pieces: slices.Clone(s.pieces)}
+	r.resp = readResp{CommittedTS: s.committedTS, Pieces: register.AnswerChunks(r.resp.Pieces, s.pieces)}
+	return &r.resp
 }
 
 // Blocks implements dsys.RMW.

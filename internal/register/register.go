@@ -95,6 +95,26 @@ func CloneChunks(chunks []Chunk) []Chunk {
 	return out
 }
 
+// AnswerChunks returns the chunk headers of lists, one after the other, as a
+// read's answer holds them: in dst's array when it has room for them — a
+// server's read RMW keeps the capacity of its last answer — and otherwise in
+// one of exactly their size. The blocks are shared: they are immutable once
+// produced.
+func AnswerChunks(dst []Chunk, lists ...[]Chunk) []Chunk {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	if cap(dst) < n {
+		dst = make([]Chunk, 0, n)
+	}
+	dst = dst[:0]
+	for _, l := range lists {
+		dst = append(dst, l...)
+	}
+	return dst
+}
+
 // ChunkRefs converts chunks to storage-accounting references.
 func ChunkRefs(chunks []Chunk) []dsys.BlockRef {
 	out := make([]dsys.BlockRef, len(chunks))

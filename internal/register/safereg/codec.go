@@ -12,14 +12,18 @@ func init() {
 		Kind:     "safe.read",
 		ReadOnly: true,
 		Write:    register.EmptyPayload,
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
-			return &readRMW{}, nil
+			rr := register.Reuse[readRMW](dst)
+			*rr = readRMW{}
+			return rr, nil
 		},
-		WriteResp:  register.WriteChunkResp,
-		DecodeResp: register.DecodeChunkResp,
+		WriteResp: register.WriteChunkResp,
+		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
+			return register.DecodeChunkResp(&register.Reuse[readRMW](sent).resp, payload)
+		},
 	}, &readRMW{})
 
 	register.RegisterCodec(register.Codec{
@@ -28,9 +32,10 @@ func init() {
 			w.Chunk(rmw.(*updateRMW).chunk)
 			return nil
 		},
-		Decode: func(payload []byte) (dsys.RMW, error) {
+		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := &updateRMW{chunk: r.ChunkAlias(), borrowed: true}
+			u := register.Reuse[updateRMW](dst)
+			*u = updateRMW{chunk: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

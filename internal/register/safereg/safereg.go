@@ -75,7 +75,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
 
 	// Round 1: read timestamps.
-	resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+	resp, err := readRound(h, r.cfg)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 		if !ok {
 			continue
 		}
-		if c := raw.(register.Chunk); c.TS.Num > maxNum {
+		if c := raw.(*register.Chunk); c.TS.Num > maxNum {
 			maxNum = c.TS.Num
 		}
 	}
@@ -96,6 +96,13 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 	// Round 2: conditional update on every object, wait for n-f.
 	return updateRound(h, r.cfg, pieces)
+}
+
+// readRound asks every object for its piece and waits for n-f. The round's
+// RMWs come from one array, and each answer rides in its RMW.
+func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+	reads := make([]readRMW, cfg.N())
+	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
 
 // updateRound sends every object its piece and waits for n-f. The round's
@@ -140,14 +147,14 @@ func (r *Register) Read(h *dsys.ClientHandle) (value.Value, error) {
 func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
-	resp, err := h.InvokeAll(func(int) dsys.RMW { return &readRMW{} }, r.cfg.Quorum())
+	resp, err := readRound(h, r.cfg)
 	if err != nil {
 		return value.Value{}, register.ZeroTS, err
 	}
 	var chunks []register.Chunk
 	for obj := 0; obj < r.cfg.N(); obj++ {
 		if raw, ok := resp[obj]; ok {
-			chunks = append(chunks, raw.(register.Chunk))
+			chunks = append(chunks, *raw.(*register.Chunk))
 		}
 	}
 	if best, ts, ok := register.BestDecodable(chunks, register.ZeroTS, r.cfg.K); ok {
@@ -171,14 +178,20 @@ func (s *objectState) Blocks() []dsys.BlockRef { return []dsys.BlockRef{s.chunk.
 // Chunk exposes the stored piece for tests.
 func (s *objectState) Chunk() register.Chunk { return s.chunk }
 
-// readRMW returns the object's piece.
-type readRMW struct{}
+// readRMW returns the object's piece. Its answer rides in it: Apply fills resp and
+// returns a pointer to it, so an object that answers allocates no answer.
+type readRMW struct {
+	resp register.Chunk
+}
 
 var _ dsys.RMW = (*readRMW)(nil)
 
 // Apply implements dsys.RMW. The response shares the stored block, which is
 // immutable once produced.
-func (*readRMW) Apply(state dsys.State) any { return state.(*objectState).chunk }
+func (r *readRMW) Apply(state dsys.State) any {
+	r.resp = state.(*objectState).chunk
+	return &r.resp
+}
 
 // Blocks implements dsys.RMW.
 func (*readRMW) Blocks() []dsys.BlockRef { return nil }

@@ -37,7 +37,7 @@ func TestCodecPayloadsAreExactlySized(t *testing.T) {
 			w.Chunks(chunks)
 		}),
 	} {
-		v, err := register.DecodeResponse(kind, resp)
+		v, err := register.DecodeResponse(kind, nil, resp)
 		if err != nil {
 			t.Fatalf("%s response: %v", kind, err)
 		}

@@ -233,7 +233,7 @@ func TestFrameSenderWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readValue, err := readCodec.DecodeResp(readPayload)
+	readValue, err := readCodec.DecodeResp(nil, readPayload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -112,7 +114,7 @@ func TestQueuedReadResponseKeepsThePiecesItsApplySaw(t *testing.T) {
 		if err != nil || resp.Status != dsys.StatusOK {
 			t.Fatalf("response %d: %v, %v", reqID, resp.Status, err)
 		}
-		payload, err := codec.DecodeResp(resp.Payload)
+		payload, err := codec.DecodeResp(nil, resp.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,5 +256,79 @@ func TestStragglerFrameCarriesItsPieceAfterTheWriteReturned(t *testing.T) {
 	}
 	if got, err := rs.ReadValue(2, rs.Shards()[0]); err != nil || !got.Equal(want) {
 		t.Fatalf("read after the stragglers landed: %v, equal = %v", err, err == nil && got.Equal(want))
+	}
+}
+
+// TestLateAnswerLandsInNoRMW: a client decodes an answer into the RMW its
+// request carried, and only while the round that sent it waits. Object 3's
+// connection writes nothing until a gate opens, so a read round returns at
+// its quorum of the other three. Its answer, let through afterwards, is
+// dropped: the RMW's answer slot stays zero, under the race detector too,
+// while the caller reads the RMWs of the round that returned.
+func TestLateAnswerLandsInNoRMW(t *testing.T) {
+	fx := newRoundFixture(t)
+	// One node per object, all the fixture's server; node 3's connection is
+	// gated.
+	addrs := make([]string, roundTargets)
+	for i := range addrs {
+		addrs[i] = fx.addr
+	}
+	cli, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	raw, err := net.Dial("tcp", fx.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	gated := gatedConn{Conn: raw, gate: gate}
+	straggler := &clientConn{addr: addrs[3], conn: gated, sender: newFrameSender(gated), pending: make(map[uint64]*pendingCall)}
+	go straggler.readLoop()
+	cli.slots[3].conn = straggler
+
+	c, _ := register.CodecByKind("abd.read")
+	targets := fx.targets
+	round := func(quorum int) ([]dsys.RMW, map[int]any) {
+		t.Helper()
+		rmws := make([]dsys.RMW, len(targets))
+		resp, err := cli.InvokeRound(context.Background(), 1, targets, func(obj int) dsys.RMW {
+			rmw, err := c.Decode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rmws[obj] = rmw
+			return rmw
+		}, quorum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rmws, resp
+	}
+	answered := func(rmw dsys.RMW) bool { return !reflect.ValueOf(rmw).Elem().IsZero() }
+
+	first, resp := round(3)
+	if _, late := resp[3]; late || len(resp) != 3 {
+		t.Fatalf("the round returned answers from %d objects, object 3's among them: %v", len(resp), late)
+	}
+	for obj := range 3 {
+		// An abd read is its answer slot: the answer's address is the RMW's.
+		if !answered(first[obj]) || reflect.ValueOf(resp[obj]).Pointer() != reflect.ValueOf(first[obj]).Pointer() {
+			t.Fatalf("object %d's answer is not in the RMW its round sent it", obj)
+		}
+	}
+	close(gate)
+	// The node answers a connection's requests in turn, so once a round
+	// through node 3 has its answer, the late one has arrived before it.
+	round(len(targets))
+	straggler.pmu.Lock()
+	pending := len(straggler.pending)
+	straggler.pmu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d calls still pending on node 3", pending)
+	}
+	if answered(first[3]) {
+		t.Fatal("the answer that arrived after its round returned was decoded into the round's RMW")
 	}
 }

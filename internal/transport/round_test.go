@@ -97,7 +97,29 @@ func rmwOf(tb testing.TB, kind string, payload []byte) func(int) dsys.RMW {
 	}
 }
 
-func abdRead(tb testing.TB) func(int) dsys.RMW { return rmwOf(tb, "abd.read", nil) }
+// abdRead builds one abd read per object, each answer riding in its RMW, as
+// a provider's read round does. Every call of the result decodes the object's
+// read over the one it returned last, so that a round of them allocates
+// nothing: a client decodes no answer once its round has returned.
+func abdRead(tb testing.TB) func(int) dsys.RMW {
+	tb.Helper()
+	c, ok := register.CodecByKind("abd.read")
+	if !ok {
+		tb.Fatal("abd.read codec not registered")
+	}
+	var reads []dsys.RMW
+	return func(obj int) dsys.RMW {
+		if obj >= len(reads) {
+			reads = append(reads, make([]dsys.RMW, obj+1-len(reads))...)
+		}
+		rmw, err := c.DecodeInto(reads[obj], nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reads[obj] = rmw
+		return rmw
+	}
+}
 
 func abdUpdate(tb testing.TB) func(int) dsys.RMW { return abdUpdateOf(tb, 0) }
 
@@ -219,13 +241,15 @@ func TestReusedRoundTimerNeverEndsRoundEarly(t *testing.T) {
 	}
 }
 
-// Allocations of one 4-target round over loopback TCP, client and server
-// sides together: what this build measures, and what its parent did. The
-// build reads 13 without the race detector and 14 under it, whose sync.Pool
-// drops a share of the writers and timers rounds put back.
+// Allocations of one 4-target abd read round over loopback TCP, client and
+// server sides together: what this build measures, and what its parent did.
+// The build reads 5 without the race detector and 6 under it, whose
+// sync.Pool drops a share of the writers and timers rounds put back; its
+// parent read 13 and 14. A provider's read round allocates one more, the
+// array its RMWs come from (abdRead reuses its RMWs).
 const (
-	roundAllocs       = 14
-	roundAllocsParent = 31
+	roundAllocs       = 6
+	roundAllocsParent = 14
 )
 
 // TestRoundAllocations pins what a quorum round allocates. The round's own
@@ -234,7 +258,9 @@ const (
 // frame allocates on either side of the wire: a sender copies what it is sent
 // into the connection's staging buffer, a server reads every request into one
 // buffer and frames every response in one writer, and the client cuts its
-// responses from a slab. What remains per target is the decoded messages.
+// responses from a slab. Nor does a message per target: a server connection
+// decodes each request over its last RMW of the kind and answers in it, and
+// the client decodes each answer into the RMW it sent.
 func TestRoundAllocations(t *testing.T) {
 	fx := newRoundFixture(t)
 	makeRMW := abdRead(t)
@@ -362,11 +388,12 @@ func TestBlocksReachTheSocketUnallocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rmws register.Decoded
 	var w register.WireWriter
 	var segs [][]byte
 	sent := 0
 	perRead := allocatedPerRun(200, func() {
-		resp, c, out := srv.serve(request)
+		resp, c, out := srv.serve(request, &rmws)
 		if status, err := writeResponseFrame(&w, 7, resp, c, out); err != nil || status != dsys.StatusOK {
 			t.Fatalf("served %v (%v)", status, err)
 		}

@@ -85,10 +85,12 @@ func request(tb testing.TB, kind string, payload []byte) []byte {
 	return body
 }
 
-// serveOK serves one request body and requires that it was applied.
+// serveOK serves one request body, decoded fresh, and requires that it was
+// applied.
 func serveOK(tb testing.TB, srv *Server, body []byte) {
 	tb.Helper()
-	if resp, _, _ := srv.serve(body); resp.Status != dsys.StatusOK {
+	var rmws register.Decoded
+	if resp, _, _ := srv.serve(body, &rmws); resp.Status != dsys.StatusOK {
 		tb.Fatalf("served %v: %s", resp.Status, resp.Detail)
 	}
 }
@@ -116,74 +118,112 @@ func TestServedGCCopiesNoDroppedPiece(t *testing.T) {
 	}
 }
 
-// BenchmarkServeRequest is handleConn's loop on one request of the tcp-large
-// shape, read into the connection's buffer, served, and its response framed.
-// B/op is what a request costs the server beyond the frame:
+// servedRequest is one request of the tcp-large shape as a connection keeps
+// receiving it: the request frame, and what serving it once does to the
+// object before a loop serves it again.
+type servedRequest struct {
+	name    string
+	kind    string
+	payload []byte
+	setup   []byte // a request served once, decoded fresh, before the loop
+}
+
+// servedRequests are the rows of BenchmarkServeRequest and the cases of
+// TestServeAllocations:
 //   - "update-16KiB" is a write's first update, its 16 KiB piece and no
 //     replica. Each request is the next write's — its timestamps are
 //     rewritten in the frame between requests — so the object stores every
-//     piece in Vp and drops the one before: B/op is the copy of the piece it
-//     keeps and the decoded headers.
+//     piece in Vp and drops the one before: it copies the piece it keeps.
 //   - "gc-16KiB" is a write's GC carrying its 16 KiB piece to an object whose
-//     update settled in Vp: the object drops the piece, and B/op is the
-//     decoded headers alone.
-//   - "read-16KiB" is the read of an object holding one 16 KiB piece: B/op is
-//     the chunk headers; the response's inline bytes go into the connection's
-//     one writer, and the piece goes out as the state holds it.
-func BenchmarkServeRequest(b *testing.B) {
+//     update settled in Vp: the object drops the piece.
+//   - "read-16KiB" is the read of an object holding one 16 KiB piece: the
+//     response's inline bytes go into the connection's one writer, and the
+//     piece goes out as the state holds it.
+//   - "readts" is a write's timestamp query.
+func servedRequests(tb testing.TB) []servedRequest {
 	first, before := register.Timestamp{Num: 2, Client: 1}, register.Timestamp{Num: 1, Client: 1}
-	for _, bc := range []struct {
-		name    string
-		kind    string
-		payload []byte
-		setup   []byte // a request served once before the loop
-	}{
+	return []servedRequest{
 		{"update-16KiB", "adaptive.update", largeUpdate(first, before), nil},
-		{"gc-16KiB", "adaptive.gc", largeGC(first), request(b, "adaptive.update", largeUpdate(first, register.ZeroTS))},
+		{"gc-16KiB", "adaptive.gc", largeGC(first), request(tb, "adaptive.update", largeUpdate(first, register.ZeroTS))},
 		{"read-16KiB", "adaptive.read", nil, nil},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv := largeServer(b)
-			if bc.setup != nil {
-				serveOK(b, srv, bc.setup)
-			}
-			wire := flatFrame(b, 7, request(b, bc.kind, bc.payload), nil)
-			// An update's ts, storedTS and piece timestamp lead its payload,
-			// behind k: the next write's update is the previous write's with
-			// all three advanced by one.
-			var advance func()
-			if bc.kind == "adaptive.update" {
-				at := bytes.Index(wire, bc.payload)
-				advance = func() {
-					for _, off := range []int{8, 24, 40} {
-						field := wire[at+off:]
-						binary.BigEndian.PutUint64(field, binary.BigEndian.Uint64(field)+1)
-					}
-				}
-			}
+		{"readts", "adaptive.readts", nil, nil},
+	}
+}
 
-			br := bufio.NewReader(&frameLoop{frame: wire})
-			var buf []byte
-			var out register.WireWriter
-			sent := 0
-			serveOne := func() {
-				frame, err := readFrame(br, buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf = frame
-				id := binary.BigEndian.Uint64(frame)
-				resp, c, v := srv.serve(frame[8:])
-				if status, err := writeResponseFrame(&out, id, resp, c, v); id != 7 || err != nil || status != dsys.StatusOK {
-					b.Fatalf("request %d served %v: %s (%v)", id, status, resp.Detail, err)
-				}
-				sent = out.Len()
-				if advance != nil {
-					advance()
-				}
+// responseStatusOffset is where a response's status byte sits in its
+// encoding: behind the version byte, the op (client, seq, kind) and the
+// object.
+const responseStatusOffset = 1 + 8 + 8 + 1 + 8
+
+// connLoop is handleConn's loop without the socket on a server of its own:
+// serveOne reads the request frame from a connection that delivers it
+// forever, serves it (serveNext) and checks the response the connection's
+// writer framed, and wire is the request frame. The first request has been
+// served, so the connection is warm.
+func connLoop(tb testing.TB, sr servedRequest) (serveOne func(), wire []byte, cs *connState) {
+	tb.Helper()
+	srv := largeServer(tb)
+	if sr.setup != nil {
+		serveOK(tb, srv, sr.setup)
+	}
+	wire = flatFrame(tb, 7, request(tb, sr.kind, sr.payload), nil)
+	// An update's ts, storedTS and piece timestamp lead its payload, behind
+	// k: the next write's update is the previous write's with all three
+	// advanced by one.
+	var advance func()
+	if sr.kind == "adaptive.update" {
+		at := bytes.Index(wire, sr.payload)
+		advance = func() {
+			for _, off := range []int{8, 24, 40} {
+				field := wire[at+off:]
+				binary.BigEndian.PutUint64(field, binary.BigEndian.Uint64(field)+1)
 			}
-			serveOne() // warm-up: the buffer grows to the frame
-			b.SetBytes(int64(len(wire) + sent))
+		}
+	}
+	br := bufio.NewReader(&frameLoop{frame: wire})
+	cs = new(connState)
+	serveOne = func() {
+		if err := srv.serveNext(cs, br); err != nil {
+			tb.Fatal(err)
+		}
+		// The response leads the frame's inline bytes, behind the length
+		// prefix and the request ID.
+		if frame := cs.w.Finish(); binary.BigEndian.Uint64(frame[4:]) != 7 || frame[12+responseStatusOffset] != byte(dsys.StatusOK) {
+			tb.Fatalf("request served as %x", frame[:min(len(frame), 64)])
+		}
+		if advance != nil {
+			advance()
+		}
+	}
+	serveOne()
+	return serveOne, wire, cs
+}
+
+// TestServeAllocations pins what a warmed connection allocates per request:
+// it decodes each request over the RMW of its kind it decoded last, and a
+// read answers in that RMW's list of chunk headers. So a timestamp query, a
+// read and a GC whose piece the object drops allocate nothing, and an update
+// the object stores allocates one thing: the copy of its piece (Retain).
+func TestServeAllocations(t *testing.T) {
+	want := map[string]float64{"update-16KiB": 1, "gc-16KiB": 0, "read-16KiB": 0, "readts": 0}
+	for _, sr := range servedRequests(t) {
+		serveOne, _, _ := connLoop(t, sr)
+		if got := testing.AllocsPerRun(200, serveOne); got != want[sr.name] {
+			t.Errorf("%s: a warmed connection allocates %.1f times per request, want %.0f", sr.name, got, want[sr.name])
+		}
+	}
+}
+
+// BenchmarkServeRequest is handleConn's loop on one request of the tcp-large
+// shape (servedRequests), read into the connection's buffer, decoded over the
+// connection's last RMW of its kind, served, and its response framed. B/op is
+// what a request costs the server beyond the frame: the copy of a piece the
+// object keeps, and nothing else.
+func BenchmarkServeRequest(b *testing.B) {
+	for _, sr := range servedRequests(b) {
+		b.Run(sr.name, func(b *testing.B) {
+			serveOne, wire, cs := connLoop(b, sr)
+			b.SetBytes(int64(len(wire) + cs.w.Len()))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

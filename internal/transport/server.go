@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -144,50 +145,71 @@ func (s *Server) handleConn(conn net.Conn) {
 	sender := newFrameSender(conn)
 	defer sender.close()
 	br := bufio.NewReader(conn)
-	// Requests are served strictly in turn and nothing decoded from a request
-	// outlives serve — what an Apply or the journal keeps, it copies — so a
-	// frame is dead when serve returns and the next one is read over it. Only
-	// a buffer of up to readFrameStep is kept, so a connection pins no more.
-	var buf []byte
-	// One writer frames every response in turn; the sender has taken a frame's
-	// segments by the time send returns.
-	var w register.WireWriter
+	var cs connState
 	for {
-		frame, err := readFrame(br, buf)
-		if err != nil {
+		if err := s.serveNext(&cs, br); err != nil {
 			return
 		}
-		if cap(frame) <= readFrameStep {
-			buf = frame
-		}
-		if len(frame) < 8 {
-			return
-		}
-		reqID := binary.BigEndian.Uint64(frame[:8])
-		var start time.Time
-		if s.inst.reg != nil {
-			start = time.Now()
-		}
-		resp, codec, out := s.serve(frame[8:])
-		status, err := writeResponseFrame(&w, reqID, resp, codec, out)
-		s.inst.observeServe(start, status)
-		if err != nil {
-			return
-		}
-		if err := sender.send(&w); err != nil {
+		if err := sender.send(&cs.w); err != nil {
 			return
 		}
 	}
+}
+
+// connState is what a server connection keeps from one request to the next.
+// Requests are served strictly in turn and nothing decoded from a request
+// outlives serve — what an Apply or the journal keeps, it copies — so a frame
+// and the RMW decoded from it are dead when serve returns: the next frame is
+// read over the one before, and the next RMW of a kind decoded over the last.
+type connState struct {
+	// buf is the frame buffer. Only one of up to readFrameStep is kept, so a
+	// connection pins no more.
+	buf []byte
+	// rmws holds the RMW last decoded of each kind. One decoded from a frame
+	// that is not kept is dropped with it.
+	rmws register.Decoded
+	// w frames every response in turn; the sender has taken a frame's
+	// segments by the time send returns.
+	w register.WireWriter
+}
+
+// serveNext reads the connection's next request, serves it, and leaves the
+// response frame in cs.w.
+func (s *Server) serveNext(cs *connState, br *bufio.Reader) error {
+	frame, err := readFrame(br, cs.buf)
+	if err != nil {
+		return err
+	}
+	kept := cap(frame) <= readFrameStep
+	if kept {
+		cs.buf = frame
+	}
+	if len(frame) < 8 {
+		return fmt.Errorf("%w: request frame of %d bytes", ErrFrame, len(frame))
+	}
+	reqID := binary.BigEndian.Uint64(frame[:8])
+	var start time.Time
+	if s.inst.reg != nil {
+		start = time.Now()
+	}
+	resp, codec, out := s.serve(frame[8:], &cs.rmws)
+	status, err := writeResponseFrame(&cs.w, reqID, resp, codec, out)
+	s.inst.observeServe(start, status)
+	if !kept {
+		clear(cs.rmws)
+	}
+	return err
 }
 
 // serve executes one request envelope against the cluster and builds the
 // response, all but its payload: for StatusOK that is out, what Apply
 // returned, still to be encoded by the request kind's codec c — into the
 // response frame directly, its blocks by reference to the object's state
-// (writeResponseFrame). Faults are reported as typed statuses, never by
-// dropping the request — the client decides whether the round can still
-// reach quorum.
-func (s *Server) serve(body []byte) (resp dsys.Response, c register.Codec, out any) {
+// (writeResponseFrame). The RMW is decoded over the last one of its kind in
+// rmws, and out may be that RMW's answer. Faults are reported as typed
+// statuses, never by dropping the request — the client decides whether the
+// round can still reach quorum.
+func (s *Server) serve(body []byte, rmws *register.Decoded) (resp dsys.Response, c register.Codec, out any) {
 	env, err := dsys.UnmarshalEnvelope(body)
 	if err != nil {
 		return dsys.Response{Status: dsys.StatusBadRequest, Detail: err.Error()}, c, nil
@@ -197,7 +219,7 @@ func (s *Server) serve(body []byte) (resp dsys.Response, c register.Codec, out a
 		resp.Status = dsys.StatusNotHosted
 		return resp, c, nil
 	}
-	rmw, c, err := register.DecodeRMW(env)
+	rmw, c, err := rmws.Decode(env)
 	if err != nil {
 		resp.Status = dsys.StatusBadRequest
 		resp.Detail = err.Error()

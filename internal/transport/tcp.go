@@ -119,6 +119,7 @@ type clientConn struct {
 type pendingCall struct {
 	obj   int
 	kind  string
+	rmw   dsys.RMW    // the RMW the request carried; a read's answer is decoded into it
 	conn  *clientConn // the connection the request went out on; names the node in errors
 	reqID uint64
 	ch    chan<- roundMsg
@@ -136,6 +137,10 @@ type roundMsg struct {
 
 // outcome is what the message means to its round: the decoded response of an
 // RMW that took effect, or the failure, attributed to the node it came from.
+// A response is decoded into the RMW its request carried, where the kind's
+// answers ride (a read's), so outcome runs on the round's own goroutine and
+// only before the round returns: a straggler's message is never read, and its
+// answer never lands in an RMW its round's caller may be reading.
 func (m roundMsg) outcome() (any, error) {
 	if m.err != nil {
 		return nil, m.err
@@ -143,7 +148,7 @@ func (m roundMsg) outcome() (any, error) {
 	if m.resp.Status != dsys.StatusOK {
 		return nil, &RemoteError{Node: m.call.conn.addr, Err: m.resp.Status.Err()}
 	}
-	return register.DecodeResponse(m.call.kind, m.resp.Payload)
+	return register.DecodeResponse(m.call.kind, m.call.rmw, m.resp.Payload)
 }
 
 // roundTimeout is DefaultRoundTimeout; a variable only so that a test of this
@@ -391,7 +396,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			}
 			return nil, err
 		}
-		calls = append(calls, pendingCall{obj: obj, kind: codec.Kind, conn: cc, reqID: reqID, ch: ch})
+		calls = append(calls, pendingCall{obj: obj, kind: codec.Kind, rmw: rmw, conn: cc, reqID: reqID, ch: ch})
 		call := &calls[len(calls)-1]
 		if cc.nm != nil {
 			call.start = time.Now()

@@ -53,13 +53,13 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 		return nil, err
 	}
 	var codecErr error
-	kinds := make(map[int]string, len(targets))
+	sent := make(map[int]dsys.RMW, len(targets))
 	var resp map[int]any
 	var invokeErr error
 	runErr := l.c.RunScoped(client, 0, l.c.N(), func(h *dsys.ClientHandle) error {
 		resp, invokeErr = h.Invoke(targets, func(obj int) dsys.RMW {
 			rmw := makeRMW(obj)
-			decoded, kind, err := roundTripRMW(client, obj, rmw)
+			decoded, err := roundTripRMW(client, obj, rmw)
 			if err != nil {
 				// A kind without a codec cannot cross a wire; surface the
 				// error after the round and let the original RMW apply so the
@@ -69,7 +69,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 				}
 				return rmw
 			}
-			kinds[obj] = kind
+			sent[obj] = rmw
 			return decoded
 		}, quorum)
 		return nil
@@ -82,7 +82,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 	}
 	out := make(map[int]any, len(resp))
 	for obj, r := range resp {
-		v, err := roundTripResponse(client, obj, kinds[obj], r)
+		v, err := roundTripResponse(client, obj, sent[obj], r)
 		if err != nil {
 			return nil, err
 		}
@@ -92,30 +92,28 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 }
 
 // roundTripRMW passes an RMW through the full wire path: codec encode,
-// envelope marshal, unmarshal, codec decode. It returns the decoded RMW and
-// its wire kind.
-func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, string, error) {
+// envelope marshal, unmarshal, codec decode. It returns the decoded RMW.
+func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, error) {
 	env, err := register.EncodeEnvelope(dsys.OpID{Client: client}, obj, rmw)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	wire, err := env.MarshalBinary()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	got, err := dsys.UnmarshalEnvelope(wire)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	decoded, _, err := register.DecodeRMW(got)
-	if err != nil {
-		return nil, "", err
-	}
-	return decoded, got.Kind, nil
+	return decoded, err
 }
 
-// roundTripResponse passes an Apply response through the full wire path.
-func roundTripResponse(client, obj int, kind string, resp any) (any, error) {
+// roundTripResponse passes an Apply response through the full wire path, and
+// decodes it into sent, the RMW the round built, as a TCP client does.
+func roundTripResponse(client, obj int, sent dsys.RMW, resp any) (any, error) {
+	kind, _ := register.KindOf(sent)
 	payload, err := register.EncodeResponse(kind, resp)
 	if err != nil {
 		return nil, err
@@ -129,7 +127,7 @@ func roundTripResponse(client, obj int, kind string, resp any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return register.DecodeResponse(kind, got.Payload)
+	return register.DecodeResponse(kind, sent, got.Payload)
 }
 
 // Close implements Transport. The backing cluster has its own owner, so

@@ -195,9 +195,9 @@ func TestRecoveryModeGatesReads(t *testing.T) {
 		t.Fatalf("read round after repair: %v", err)
 	}
 	for obj, raw := range resp {
-		c, ok := raw.(register.Chunk)
+		c, ok := raw.(*register.Chunk)
 		if !ok {
-			t.Fatalf("object %d: response %T, want Chunk", obj, raw)
+			t.Fatalf("object %d: response %T, want *Chunk", obj, raw)
 		}
 		if c.TS.Num != 3 {
 			t.Fatalf("object %d: TS.Num = %d, want 3", obj, c.TS.Num)
@@ -308,7 +308,7 @@ func TestFailedJournalStatus(t *testing.T) {
 		t.Fatalf("read round on a failed journal: %v", err)
 	}
 	for obj, raw := range resp {
-		if c := raw.(register.Chunk); c.TS.Num != 3 {
+		if c := raw.(*register.Chunk); c.TS.Num != 3 {
 			t.Fatalf("object %d: TS.Num = %d, want the acknowledged update's 3", obj, c.TS.Num)
 		}
 	}
