@@ -55,8 +55,10 @@ loc:
 # Smoke-compile and smoke-run every `go test` benchmark once (the E1-E8
 # experiment benchmarks and the substrate micro-benchmarks: the ladder rows
 # BenchmarkBatcherSubmit, BenchmarkInvokeRound (a read round, 512-byte and
-# 16 KiB pieces), BenchmarkAdaptiveOverTCP (one 64 KiB write, one read, at
-# f=2 k=4 over loopback TCP), BenchmarkServeRequest (an update, a 16 KiB read),
+# 16 KiB pieces), BenchmarkAdaptiveOverTCP (one write, one read over loopback
+# TCP: 1 KiB at f=1 k=2, tcp-small's shape, and 64 KiB at f=2 k=4, tcp-large's;
+# a write returns at its update quorum, its GC posted), BenchmarkServeRequest
+# (an update, a posted GC, a 16 KiB read, a timestamp query),
 # BenchmarkSegmentsWrite, BenchmarkJournalAppend, BenchmarkReedSolomon and
 # the vector and portable rows of BenchmarkDotSlices and BenchmarkMulAdd among
 # them) so they keep working. It judges nothing; `make benchmark` does.

@@ -179,14 +179,14 @@ func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum i
 		}
 	}
 	hh, sp := h.traceRound()
+	var start time.Time
 	if h.c.opts.metrics != nil {
-		start := time.Now()
-		resp, err := hh.dispatch(targets, makeRMW, quorum)
-		h.c.region(h.base).observeRound(start, err)
-		h.finishRound(&sp)
-		return resp, err
+		start = time.Now()
 	}
 	resp, err := hh.dispatch(targets, makeRMW, quorum)
+	if h.c.opts.metrics != nil {
+		h.c.region(h.base).observeRound(start, resp, err)
+	}
 	h.finishRound(&sp)
 	return resp, err
 }

@@ -440,6 +440,16 @@ func (c *cursor) finish() error {
 // keeps neither. An answer may come back in the RMW makeRMW returned for its
 // object — a read's answer slot, as Apply fills it in process — so the RMWs
 // of one round are distinct.
+//
+// A round whose RMWs are of a posted kind (the codec registry's Posted: an
+// answer nobody reads, whose loss leaves the object in a state it has passed
+// through) is sent, not awaited: the implementation returns a nil map and a
+// nil error once every request is on its way to its object, in an order that
+// makes each object apply it before whatever the process sends it next, and
+// it waits for, and reads, no answer. A request it could not send is lost,
+// and that is not an error. A nil map with a nil error is how the caller
+// tells a posted round from one that waited; every other round returns a
+// map. Every RMW of a posted round is of a posted kind.
 type RoundInvoker interface {
 	InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error)
 }

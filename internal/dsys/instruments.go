@@ -105,8 +105,13 @@ func (c *Cluster) region(base int) *region {
 	return r
 }
 
-// observeRound records one finished quorum round.
-func (r *region) observeRound(start time.Time, err error) {
+// observeRound records one finished quorum round: resp and err are what it
+// returned. A remote round of a posted kind returns neither (RoundInvoker); it
+// waited for no quorum and is not recorded.
+func (r *region) observeRound(start time.Time, resp map[int]any, err error) {
+	if resp == nil && err == nil {
+		return
+	}
 	r.latency.ObserveSince(start)
 	if err != nil {
 		r.errs.Inc()

@@ -17,12 +17,15 @@
 //     its update round; updates with timestamps at most storedTS are ignored
 //     and stale pieces below it are garbage collected.
 //
-// A write performs three rounds, each waiting for n-f responses: read
-// timestamps (kind adaptive.readts, which answers with timestamps only),
-// update (adaptive.update) and garbage-collect (adaptive.gc). The update round
-// is piece-first — the full replica follows, in a round of its own, only to
+// A write performs three rounds: read timestamps (kind adaptive.readts, which
+// answers with timestamps only), update (adaptive.update) and garbage-collect
+// (adaptive.gc). In process each waits for n-f responses. The update round is
+// piece-first — the full replica follows, in a round of its own, only to
 // objects whose Vp is full (updateRound; DESIGN.md argues it against
-// Algorithm 2 as printed). A read
+// Algorithm 2 as printed). The GC is a posted kind: over a wire the writer
+// returns once its GC requests are queued on the ordered per-node
+// connections, and no node answers them (DESIGN.md, "the posted GC round").
+// A read
 // repeatedly collects the contents of n-f objects (adaptive.read) until it
 // sees k distinct pieces of a single value whose timestamp is at least the
 // highest storedTS it observed, then decodes. Its first round is lean: it asks
@@ -191,7 +194,8 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 
 // collectGarbage runs the GC round at ts. needsPiece says which objects may
 // hold this write's full replica in Vf, or nothing of the write at all; the
-// others get a GC without a piece.
+// others get a GC without a piece. Over a wire the round is posted: it
+// returns once the GCs are on their way (dsys.RoundInvoker).
 func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece func(obj int) bool) error {
 	gcs := make([]gcRMW, len(writeSet))
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {

@@ -172,8 +172,12 @@ func init() {
 
 	register.RegisterCodec(register.Codec{
 		// A GC without a piece is this same layout around a zero chunk, whose
-		// block is empty.
-		Kind: "adaptive.gc",
+		// block is empty. Its answer is empty, and what it does — raise
+		// storedTS, drop older pieces — a write's update round has already
+		// made safe to lose (DESIGN.md, "A departure from Algorithm 2 as
+		// printed: the posted GC round").
+		Kind:   "adaptive.gc",
+		Posted: true,
 		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
 			g := rmw.(*gcRMW)
 			w.TS(g.ts)

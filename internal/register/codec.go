@@ -35,6 +35,15 @@ type Codec struct {
 	// until a mutating RMW has repopulated it (recovery mode), which is what
 	// keeps quorum reads regular across kill -9 restarts.
 	ReadOnly bool
+	// Posted marks kinds whose answer nobody reads: a round of the kind is
+	// sent, not awaited. A remote round of it returns once its requests are
+	// on their way, a node applies such a request and answers nothing, and
+	// the journal leaves its record's fsync to the next append that is
+	// answered. So it also means that losing the RMW — to a dead connection,
+	// or its unsynced record to a crash — leaves the object in a state it has
+	// already passed through, as a client that crashed before the round
+	// would have. The in-process engines run it like any other kind.
+	Posted bool
 	// Write serializes the RMW's parameters (not its kind or target) into w.
 	// It must write the same fields whenever it is handed the same RMW: every
 	// encoding is a counting pass followed by a writing one.
@@ -272,7 +281,14 @@ func writePayload[T any](w *WireWriter, write func(*WireWriter, T) error, v T, p
 // the codec of its kind, which also encodes its answer. The RMW has the
 // registered concrete type, so its Apply and Blocks behave exactly as the
 // original.
-func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) { return decodeRMW(env, nil) }
+func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) {
+	c, ok := CodecByKind(env.Kind)
+	if !ok {
+		return nil, c, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
+	}
+	rmw, err := decodeRMW(c, env, nil)
+	return rmw, c, err
+}
 
 // Decoded holds the RMW last decoded of each registered kind, in the kind's
 // place in the registry, and decodes the next envelope of that kind over it.
@@ -282,14 +298,11 @@ func DecodeRMW(env dsys.Envelope) (dsys.RMW, Codec, error) { return decodeRMW(en
 type Decoded []dsys.RMW
 
 // Decode is DecodeRMW over the RMW of env's kind that d holds, which d then
-// holds instead.
-func (d *Decoded) Decode(env dsys.Envelope) (dsys.RMW, Codec, error) { return decodeRMW(env, d) }
+// holds instead. c is the codec of env's kind (CodecByKind), which its holder
+// has looked up already.
+func (d *Decoded) Decode(c Codec, env dsys.Envelope) (dsys.RMW, error) { return decodeRMW(c, env, d) }
 
-func decodeRMW(env dsys.Envelope, d *Decoded) (dsys.RMW, Codec, error) {
-	c, ok := CodecByKind(env.Kind)
-	if !ok {
-		return nil, c, fmt.Errorf("%w: unknown RMW kind %q", ErrCodec, env.Kind)
-	}
+func decodeRMW(c Codec, env dsys.Envelope, d *Decoded) (dsys.RMW, error) {
 	var dst dsys.RMW
 	if d != nil {
 		if c.pos >= len(*d) {
@@ -299,12 +312,12 @@ func decodeRMW(env dsys.Envelope, d *Decoded) (dsys.RMW, Codec, error) {
 	}
 	rmw, err := c.DecodeInto(dst, env.Payload)
 	if err != nil {
-		return nil, c, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
+		return nil, fmt.Errorf("%w: decoding %s: %v", ErrCodec, env.Kind, err)
 	}
 	if d != nil {
 		(*d)[c.pos] = rmw
 	}
-	return rmw, c, nil
+	return rmw, nil
 }
 
 // EncodeResponse serializes the response of an applied RMW of the given kind

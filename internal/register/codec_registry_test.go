@@ -45,6 +45,15 @@ func TestCodecRegistryLookups(t *testing.T) {
 			t.Fatalf("KindReadOnly(%q) = %v, want %v", kind, !readOnly[kind], readOnly[kind])
 		}
 	}
+	// Only the adaptive write's GC is posted: its answer is empty, and losing
+	// it leaves a state the printed algorithm reaches when its writer
+	// crashes (DESIGN.md, "the posted GC round").
+	for _, kind := range kinds {
+		c, _ := register.CodecByKind(kind)
+		if want := kind == "adaptive.gc"; c.Posted != want {
+			t.Fatalf("codec %q Posted = %v, want %v", kind, c.Posted, want)
+		}
+	}
 	if register.KindReadOnly("no.such.kind") {
 		t.Fatal("unknown kind reported read-only")
 	}

@@ -181,8 +181,8 @@ func reuseRequests() []reuseRequest {
 // provider twice: on one connection, which reads each frame over the last and
 // decodes each RMW over the last of its kind, and on a server of its own that
 // decodes every request fresh from a frame nobody overwrites. After every
-// request the two answered alike, hold the same states and journaled the same
-// records.
+// request the two answered alike — a GC, which is posted, not at all — hold
+// the same states and journaled the same records.
 func TestReusedRMWCarriesNothingOver(t *testing.T) {
 	reused, reusedLog := mixedServer(t)
 	fresh, freshLog := mixedServer(t)
@@ -207,10 +207,14 @@ func TestReusedRMWCarriesNothingOver(t *testing.T) {
 		if resp.Status != dsys.StatusOK {
 			t.Fatalf("request %d (%s): %v %s", i, r.kind, resp.Status, resp.Detail)
 		}
-		if _, err := writeResponseFrame(&w, uint64(i), resp, c, out); err != nil {
-			t.Fatal(err)
+		var want []byte
+		if !c.Posted {
+			if _, err := writeResponseFrame(&w, uint64(i), resp, c, out); err != nil {
+				t.Fatal(err)
+			}
+			want = bytes.Join(w.Segments(nil), nil)
 		}
-		if want := bytes.Join(w.Segments(nil), nil); !bytes.Equal(got, want) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("request %d (%s to object %d): the reused RMW answered\n  %x\nwant\n  %x", i, r.kind, r.obj, got, want)
 		}
 		for obj := range reused.cluster.N() {

@@ -653,53 +653,63 @@ func BenchmarkInvokeRound(b *testing.B) {
 }
 
 // BenchmarkAdaptiveOverTCP is the ladder's whole-operation row: one adaptive
-// write or read at tcp-large's shape — 64 KiB values, f = 2, k = 4 — through
-// shard.NewRemote over loopback TCP, one client and one server hosting all
-// eight objects in one process, so B/op and allocs/op count both sides of the
-// wire. The register is quiescent: a write is three rounds, a read one.
+// write or read through shard.NewRemote over loopback TCP, one client and one
+// server hosting every object in one process, so B/op and allocs/op count both
+// sides of the wire. It runs at two shapes: tcp-small's — 1 KiB values,
+// f = 1, k = 2 — where a write is a few round trips of small frames, and
+// tcp-large's — 64 KiB values, f = 2, k = 4 — where it is the code and the
+// copies. The register is quiescent: a write is the query and update rounds
+// it waits for, and a GC round it posts; a read is one round.
 func BenchmarkAdaptiveOverTCP(b *testing.B) {
-	const f, k, dataLen = 2, 4, 64 << 10
-	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: dataLen}}}
-	backing, err := shard.New(specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer backing.Close()
-	srv := NewServer(backing.Cluster())
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial([]string{addr.String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs, err := shard.NewRemote(specs, cli) // closes cli
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rs.Close()
-	sh, v := rs.Shards()[0], value.Sequenced(1, 1, dataLen)
-	for _, bc := range []struct {
-		name string
-		op   func() error
+	for _, shape := range []struct {
+		name       string
+		f, k, size int
 	}{
-		{"write", func() error { return rs.WriteValue(1, sh, v) }},
-		{"read", func() error { _, err := rs.ReadValue(2, sh); return err }},
+		{"1KiB-f1-k2", 1, 2, 1 << 10},
+		{"64KiB-f2-k4", 2, 4, 64 << 10},
 	} {
-		b.Run(bc.name+"/64KiB-f2-k4", func(b *testing.B) {
-			if err := bc.op(); err != nil { // dial, and leave a written value to read
-				b.Fatal(err)
-			}
-			b.SetBytes(dataLen)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bc.op(); err != nil {
+		specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: shape.f, K: shape.k, DataLen: shape.size}}}
+		backing, err := shard.New(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := NewServer(backing.Cluster())
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cli, err := Dial([]string{addr.String()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs, err := shard.NewRemote(specs, cli) // closes cli
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh, v := rs.Shards()[0], value.Sequenced(1, 1, shape.size)
+		for _, bc := range []struct {
+			name string
+			op   func() error
+		}{
+			{"write", func() error { return rs.WriteValue(1, sh, v) }},
+			{"read", func() error { _, err := rs.ReadValue(2, sh); return err }},
+		} {
+			b.Run(bc.name+"/"+shape.name, func(b *testing.B) {
+				if err := bc.op(); err != nil { // dial, and leave a written value to read
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(int64(shape.size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := bc.op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		rs.Close()
+		_ = srv.Close()
+		backing.Close()
 	}
 }

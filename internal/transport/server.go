@@ -150,6 +150,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err := s.serveNext(&cs, br); err != nil {
 			return
 		}
+		if cs.w.Len() == 0 {
+			continue // a posted request: nobody waits for an answer
+		}
 		if err := sender.send(&cs.w); err != nil {
 			return
 		}
@@ -174,7 +177,9 @@ type connState struct {
 }
 
 // serveNext reads the connection's next request, serves it, and leaves the
-// response frame in cs.w.
+// response frame in cs.w — or, for a request of a posted kind
+// (register.Codec.Posted), leaves cs.w empty: whatever its status, such a
+// request is answered by nothing, and counted only by the server's metrics.
 func (s *Server) serveNext(cs *connState, br *bufio.Reader) error {
 	frame, err := readFrame(br, cs.buf)
 	if err != nil {
@@ -193,7 +198,12 @@ func (s *Server) serveNext(cs *connState, br *bufio.Reader) error {
 		start = time.Now()
 	}
 	resp, codec, out := s.serve(frame[8:], &cs.rmws)
-	status, err := writeResponseFrame(&cs.w, reqID, resp, codec, out)
+	status := resp.Status
+	if codec.Posted {
+		cs.w.Reset(reuse(cs.w.Finish()), true)
+	} else {
+		status, err = writeResponseFrame(&cs.w, reqID, resp, codec, out)
+	}
 	s.inst.observeServe(start, status)
 	if !kept {
 		clear(cs.rmws)
@@ -205,21 +215,28 @@ func (s *Server) serveNext(cs *connState, br *bufio.Reader) error {
 // response, all but its payload: for StatusOK that is out, what Apply
 // returned, still to be encoded by the request kind's codec c — into the
 // response frame directly, its blocks by reference to the object's state
-// (writeResponseFrame). The RMW is decoded over the last one of its kind in
-// rmws, and out may be that RMW's answer. Faults are reported as typed
-// statuses, never by dropping the request — the client decides whether the
-// round can still reach quorum.
+// (writeResponseFrame). c is the codec of the request's kind on every path
+// that got as far as reading one, so that a posted request is never answered.
+// The RMW is decoded over the last one of its kind in rmws, and out may be
+// that RMW's answer. Faults are reported as typed statuses, never by dropping
+// the request — the client decides whether the round can still reach quorum.
 func (s *Server) serve(body []byte, rmws *register.Decoded) (resp dsys.Response, c register.Codec, out any) {
 	env, err := dsys.UnmarshalEnvelope(body)
 	if err != nil {
 		return dsys.Response{Status: dsys.StatusBadRequest, Detail: err.Error()}, c, nil
 	}
 	resp = dsys.Response{Op: env.Op, Object: env.Object}
+	c, known := register.CodecByKind(env.Kind)
 	if s.opts.hosts != nil && !s.opts.hosts(env.Object) {
 		resp.Status = dsys.StatusNotHosted
 		return resp, c, nil
 	}
-	rmw, c, err := rmws.Decode(env)
+	if !known {
+		resp.Status = dsys.StatusBadRequest
+		resp.Detail = fmt.Sprintf("%v: unknown RMW kind %q", register.ErrCodec, env.Kind)
+		return resp, c, nil
+	}
+	rmw, err := rmws.Decode(c, env)
 	if err != nil {
 		resp.Status = dsys.StatusBadRequest
 		resp.Detail = err.Error()

@@ -325,10 +325,29 @@ func (cc *clientConn) readLoop() {
 // writer borrowed from a pool — each connection's sender copies a frame's
 // inline bytes before send returns — and the blocks go to the socket from
 // where the RMWs hold them.
+//
+// A round of a posted kind (register.Codec.Posted) waits for nothing: it
+// returns a nil map and a nil error once every request is queued on its
+// node's connection (postRound).
 func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if c.closed.Load() {
 		return nil, net.ErrClosed
 	}
+	// A sampled round stamps its trace context into every envelope: each
+	// request gets a fresh RPC span ID on the wire, so the node's apply (and
+	// WAL) spans parent under the per-node RPC span recorded here.
+	var tc trace.Context
+	if c.opts.tracer != nil {
+		tc = trace.FromContext(ctx)
+	}
+	var first dsys.RMW
+	if len(targets) > 0 {
+		first = makeRMW(targets[0])
+		if codec, ok := register.CodecOf(first); ok && codec.Posted {
+			return nil, c.postRound(ctx, client, tc, targets, makeRMW, first)
+		}
+	}
+
 	// A context without a deadline is bounded by a pooled timer, not by a
 	// context derived per round; one that carries a deadline is left alone.
 	var timeUp <-chan time.Time
@@ -336,14 +355,6 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		t := startRoundTimer()
 		defer stopRoundTimer(t)
 		timeUp = t.C
-	}
-
-	// A sampled round stamps its trace context into every envelope: each
-	// request gets a fresh RPC span ID on the wire, so the node's apply (and
-	// WAL) spans parent under the per-node RPC span recorded here.
-	var tc trace.Context
-	if c.opts.tracer != nil {
-		tc = trace.FromContext(ctx)
 	}
 
 	ch := make(chan roundMsg, len(targets))
@@ -360,56 +371,35 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		for i := range calls {
 			calls[i].conn.deregister(calls[i].reqID)
 		}
-		w.Reset(reuse(w.Finish()), true)
-		roundWriters.Put(w)
+		putRoundWriter(w)
 	}()
 	dispatched := 0
 	var lastErr error
-	for _, obj := range targets {
-		rmw := makeRMW(obj)
-		codec, ok := register.CodecOf(rmw)
-		if !ok {
-			// A programming error, not a fault.
-			return nil, fmt.Errorf("%w: no codec for RMW type %T", register.ErrCodec, rmw)
+	for i, obj := range targets {
+		rmw := first
+		if i > 0 {
+			rmw = makeRMW(obj)
 		}
-		env := dsys.Envelope{Op: dsys.OpID{Client: client}, Object: obj}
-		if tc.Sampled() {
-			env.Trace = tc.Trace
-			env.Span = c.opts.tracer.SpanID()
-		}
-		node := c.place(obj)
-		if node < 0 || node >= len(c.addrs) {
-			return nil, fmt.Errorf("%w: object %d placed on node %d of %d", dsys.ErrRemote, obj, node, len(c.addrs))
-		}
-		cc, err := c.getConn(ctx, node)
+		req, lost, err := c.frameRequest(ctx, w, client, tc, obj, rmw, false)
 		if err != nil {
-			lastErr = &RemoteError{Node: c.addrs[node], Err: err}
-			continue
-		}
-		reqID := c.reqSeq.Add(1)
-		if err := writeRequestFrame(w, reqID, env, codec, rmw); err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// This call alone fails: sent, the frame would cost the
-				// connection and every other round's calls on it.
-				lastErr = fmt.Errorf("object %d: %w", obj, err)
-				continue
-			}
 			return nil, err
 		}
-		calls = append(calls, pendingCall{obj: obj, kind: codec.Kind, rmw: rmw, conn: cc, reqID: reqID, ch: ch})
+		if lost != nil {
+			lastErr = lost
+			continue
+		}
+		cc := req.cc
+		calls = append(calls, pendingCall{obj: obj, kind: req.codec.Kind, rmw: rmw, conn: cc, reqID: req.id, ch: ch})
 		call := &calls[len(calls)-1]
 		if cc.nm != nil {
 			call.start = time.Now()
 		}
 		if tc.Sampled() {
-			call.sp = trace.Span{
-				Trace: tc.Trace, ID: env.Span, Parent: tc.Span,
-				Stage: trace.StageRPC, Note: cc.addr, Start: time.Now(),
-			}
+			call.sp = req.span(tc)
 		}
-		cc.register(reqID, call)
+		cc.register(req.id, call)
 		if err := cc.sender.send(w); err != nil {
-			cc.deregister(reqID)
+			cc.deregister(req.id)
 			lastErr = &RemoteError{Node: cc.addr, Err: err}
 			continue
 		}
@@ -450,6 +440,112 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 func roundEnded(got, quorum int, cause error) error {
 	return fmt.Errorf("%w: %d of %d responses when round ended (%v)",
 		dsys.ErrQuorumUnavailable, got, quorum, cause)
+}
+
+// postRound sends a round of a posted kind: every request is framed and
+// queued on its node's connection, and nothing waits for an answer, which the
+// node never sends. So the round registers no call and keeps no channel,
+// result map or timer. The connection's order is what a posted request relies
+// on: its node applies it before anything the process sends there later. A
+// request that cannot be queued — its node is down or in redial backoff, its
+// connection has failed — is lost, as it would be to a connection failing
+// after the send, and that costs the round nothing: a posted kind is one whose
+// loss leaves its object in a state it has passed through. first is the RMW
+// makeRMW has already made for targets[0].
+func (c *Client) postRound(ctx context.Context, client int, tc trace.Context, targets []int, makeRMW func(obj int) dsys.RMW, first dsys.RMW) error {
+	w := roundWriters.Get().(*register.WireWriter)
+	defer putRoundWriter(w)
+	for i, obj := range targets {
+		rmw := first
+		if i > 0 {
+			rmw = makeRMW(obj)
+		}
+		req, lost, err := c.frameRequest(ctx, w, client, tc, obj, rmw, true)
+		if err != nil {
+			return err
+		}
+		if lost != nil {
+			continue
+		}
+		var sp trace.Span
+		if tc.Sampled() {
+			sp = req.span(tc)
+		}
+		if err := req.cc.sender.send(w); err != nil {
+			continue
+		}
+		if sp.Trace != 0 {
+			// Recorded at send time: the node parents its apply span under
+			// this ID, and no answer will ever close the span.
+			sp.Duration = time.Since(sp.Start)
+			sp.Note += " posted"
+			c.opts.tracer.Record(sp)
+		}
+	}
+	return nil
+}
+
+// outgoing is one request of a round, framed in the round's writer.
+type outgoing struct {
+	cc    *clientConn // the connection it goes out on
+	codec register.Codec
+	id    uint64        // its request ID
+	env   dsys.Envelope // its addressing and trace context
+}
+
+// span is the request's RPC span under the round's trace context tc, opened
+// now.
+func (o *outgoing) span(tc trace.Context) trace.Span {
+	return trace.Span{
+		Trace: tc.Trace, ID: o.env.Span, Parent: tc.Span,
+		Stage: trace.StageRPC, Note: o.cc.addr, Start: time.Now(),
+	}
+}
+
+// frameRequest leaves in w the request frame that carries rmw to obj on
+// behalf of client, under the round's trace context tc, and returns it with
+// the connection it goes out on. A failure that costs this request alone — no
+// connection to its node, a frame over the size limit — is returned as lost;
+// any other error is the round's. posted is the kind of round: every RMW of a
+// round is of a posted kind, or none is.
+func (c *Client) frameRequest(ctx context.Context, w *register.WireWriter, client int, tc trace.Context, obj int, rmw dsys.RMW, posted bool) (req outgoing, lost, err error) {
+	codec, ok := register.CodecOf(rmw)
+	if !ok {
+		// A programming error, not a fault.
+		return req, nil, fmt.Errorf("%w: no codec for RMW type %T", register.ErrCodec, rmw)
+	}
+	if codec.Posted != posted {
+		return req, nil, fmt.Errorf("%w: round mixes posted and answered kinds (%s)", register.ErrCodec, codec.Kind)
+	}
+	req.codec = codec
+	req.env = dsys.Envelope{Op: dsys.OpID{Client: client}, Object: obj}
+	if tc.Sampled() {
+		req.env.Trace = tc.Trace
+		req.env.Span = c.opts.tracer.SpanID()
+	}
+	node := c.place(obj)
+	if node < 0 || node >= len(c.addrs) {
+		return req, nil, fmt.Errorf("%w: object %d placed on node %d of %d", dsys.ErrRemote, obj, node, len(c.addrs))
+	}
+	if req.cc, err = c.getConn(ctx, node); err != nil {
+		return req, &RemoteError{Node: c.addrs[node], Err: err}, nil
+	}
+	req.id = c.reqSeq.Add(1)
+	if err := writeRequestFrame(w, req.id, req.env, codec, rmw); err != nil {
+		if errors.Is(err, ErrFrameTooLarge) {
+			// This call alone fails: sent, the frame would cost the
+			// connection and every other round's calls on it.
+			return req, fmt.Errorf("object %d: %w", obj, err), nil
+		}
+		return req, nil, err
+	}
+	return req, nil, nil
+}
+
+// putRoundWriter empties a round's writer and returns it to the pool.
+func putRoundWriter(w *register.WireWriter) {
+	w.Reset(reuse(w.Finish()), true)
+	roundWriters.Put(w)
 }
 
 // Close implements Transport: it tears down every connection. In-flight

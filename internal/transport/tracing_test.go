@@ -21,9 +21,10 @@ import (
 // round, and rpc spans; the server records apply spans on the *client's*
 // trace IDs, every one parented under a client rpc span ID it never saw
 // except on the wire — including the apply of a straggler whose round stopped
-// waiting at its quorum, which parents under an rpc span noted abandoned; and
-// an untraced client leaves the server recorder empty (v1 frames carry no
-// context).
+// waiting at its quorum, which parents under an rpc span noted abandoned, and
+// of an adaptive write's GC, which is posted and parents under an rpc span
+// recorded at send time; and an untraced client leaves the server recorder
+// empty (v1 frames carry no context).
 func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	srvTr := trace.New(trace.Options{Sample: 1, Proc: "server", Node: 0})
 	backing, err := shard.New(specsFor(t), dsys.WithTracer(srvTr))
@@ -84,7 +85,7 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 
 	rpcIDs := make(map[uint64]bool)
 	traces := map[uint64]bool{straggler.Trace: true}
-	var rounds, rpcs, abandoned int
+	var rounds, rpcs, abandoned, posted int
 	for _, s := range cliTr.Snapshot() {
 		switch s.Stage {
 		case trace.StageOp:
@@ -100,6 +101,8 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 				if s.Trace == straggler.Trace {
 					abandoned++
 				}
+			case addr + " posted":
+				posted++
 			default:
 				t.Errorf("rpc span noted %q, want the node address %q", s.Note, addr)
 			}
@@ -107,6 +110,9 @@ func TestTCPTracingStitchesAcrossProcesses(t *testing.T) {
 	}
 	if abandoned != 1 {
 		t.Errorf("the straggler round recorded %d abandoned rpc spans, want 1", abandoned)
+	}
+	if posted == 0 {
+		t.Error("no rpc span noted posted: the adaptive write's GC round records one per request at send time")
 	}
 	if len(traces) == 0 || rounds == 0 || rpcs == 0 {
 		t.Fatalf("client recorded %d traces, %d rounds, %d rpcs; want all three stages",

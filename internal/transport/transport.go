@@ -47,19 +47,23 @@ var _ Transport = (*Loopback)(nil)
 // NewLoopback wraps a local cluster.
 func NewLoopback(c *dsys.Cluster) *Loopback { return &Loopback{c: c} }
 
-// InvokeRound implements dsys.RoundInvoker.
+// InvokeRound implements dsys.RoundInvoker. The backing engine applies a round
+// of a posted kind as it applies any round — in controlled mode the policy
+// still decides when each RMW takes effect — but no answer crosses back: the
+// round returns a nil map and a nil error, as the TCP client's does.
 func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var codecErr error
+	posted := false
 	sent := make(map[int]dsys.RMW, len(targets))
 	var resp map[int]any
 	var invokeErr error
 	runErr := l.c.RunScoped(client, 0, l.c.N(), func(h *dsys.ClientHandle) error {
 		resp, invokeErr = h.Invoke(targets, func(obj int) dsys.RMW {
 			rmw := makeRMW(obj)
-			decoded, err := roundTripRMW(client, obj, rmw)
+			decoded, c, err := roundTripRMW(client, obj, rmw)
 			if err != nil {
 				// A kind without a codec cannot cross a wire; surface the
 				// error after the round and let the original RMW apply so the
@@ -70,6 +74,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 				return rmw
 			}
 			sent[obj] = rmw
+			posted = c.Posted
 			return decoded
 		}, quorum)
 		return nil
@@ -79,6 +84,9 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 	}
 	if codecErr != nil {
 		return nil, codecErr
+	}
+	if posted {
+		return nil, nil
 	}
 	out := make(map[int]any, len(resp))
 	for obj, r := range resp {
@@ -92,22 +100,22 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 }
 
 // roundTripRMW passes an RMW through the full wire path: codec encode,
-// envelope marshal, unmarshal, codec decode. It returns the decoded RMW.
-func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, error) {
+// envelope marshal, unmarshal, codec decode. It returns the decoded RMW and
+// the codec of its kind.
+func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, register.Codec, error) {
 	env, err := register.EncodeEnvelope(dsys.OpID{Client: client}, obj, rmw)
 	if err != nil {
-		return nil, err
+		return nil, register.Codec{}, err
 	}
 	wire, err := env.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return nil, register.Codec{}, err
 	}
 	got, err := dsys.UnmarshalEnvelope(wire)
 	if err != nil {
-		return nil, err
+		return nil, register.Codec{}, err
 	}
-	decoded, _, err := register.DecodeRMW(got)
-	return decoded, err
+	return register.DecodeRMW(got)
 }
 
 // roundTripResponse passes an Apply response through the full wire path, and

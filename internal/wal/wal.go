@@ -41,6 +41,15 @@ type Config struct {
 	// SyncEvery batches fsyncs: the log is fsynced every SyncEvery appends.
 	// 1 (the default) fsyncs every append — an acknowledged write is durable.
 	// Larger values trade a bounded tail-loss window for throughput.
+	//
+	// The append of a posted kind's record (register.Codec.Posted) — one
+	// nobody waits for — never runs the fsync: when the count calls for one
+	// on such an append, the next acknowledged append runs it, before its
+	// own record is written. So fsyncs fall as often as they would if every
+	// append ran its own (one fewer at most, when the stream ends on a
+	// posted record), and at most SyncEvery-1 acknowledged records are ever
+	// unsynced; only who waits for the fsync moves. A run of posted appends
+	// long enough to call for two fsyncs owes one: it covers them all.
 	SyncEvery int
 	// SnapshotEvery triggers a background snapshot (and log truncation) every
 	// SnapshotEvery appends. Default 4096.
@@ -99,7 +108,9 @@ type Journal struct {
 	nextSeq      uint64
 	lastSeq      map[int]uint64 // per object, seq of its latest log record
 	moves        map[int][]byte // latest encoded move-ledger record per ID
-	sinceSync    int
+	sinceSync    int            // appends since the last fsync
+	sinceDue     int            // appends since the sync policy last called for an fsync
+	syncOwed     bool           // the policy called for one on a posted append (Config.SyncEvery)
 	sinceSnap    int
 	snapFile     string
 	snapBoundary map[int]uint64 // per object, last seq the snapshot covers
@@ -361,7 +372,7 @@ func (j *Journal) RecordMove(id int, encoded []byte) {
 	j.moves[id] = append([]byte(nil), encoded...)
 	if j.writable() {
 		b := binary.BigEndian.AppendUint64(beginFrame(j.frame, recMove, j.nextSeq), uint64(id))
-		j.writeFrameLocked(append(b, encoded...), ledgerID)
+		j.writeFrameLocked(append(b, encoded...), ledgerID, false)
 	}
 	j.jmu.Unlock()
 	if m != nil {
@@ -372,7 +383,8 @@ func (j *Journal) RecordMove(id int, encoded []byte) {
 
 // appendApplyLocked frames and writes one apply record: the RMW, whose codec
 // is c, is encoded straight into the journal's frame buffer as the envelope
-// replay decodes — no payload in between. Caller holds jmu.
+// replay decodes — no payload in between. A record of a posted kind runs no
+// fsync (Config.SyncEvery). Caller holds jmu.
 func (j *Journal) appendApplyLocked(object int, c register.Codec, rmw dsys.RMW) {
 	if !j.writable() {
 		return
@@ -386,7 +398,7 @@ func (j *Journal) appendApplyLocked(object int, c register.Codec, rmw dsys.RMW) 
 		j.failLocked(fmt.Errorf("wal: append: %v", err))
 		return
 	}
-	j.writeFrameLocked(j.w.Finish(), object)
+	j.writeFrameLocked(j.w.Finish(), object, c.Posted)
 	j.w.Reset(nil, false) // the frame buffer is writeFrameLocked's to keep or drop
 }
 
@@ -399,8 +411,17 @@ func (j *Journal) writable() bool { return j.err == nil && !j.closed }
 // number — b, built in the journal's frame buffer by one pass over the
 // record — and hands it to the active segment in one Write, then charges its
 // bytes to chargeTo (a base object, or ledgerID for a move record) and — per
-// the sync policy — fsyncs. Caller holds jmu and has checked writable.
-func (j *Journal) writeFrameLocked(b []byte, chargeTo int) {
+// the sync policy — fsyncs. posted says that nobody waits for the record: its
+// append leaves the fsync the policy calls for to the next append that is
+// waited for, which runs it before it writes (Config.SyncEvery). Caller holds
+// jmu and has checked writable.
+func (j *Journal) writeFrameLocked(b []byte, chargeTo int, posted bool) {
+	if j.syncOwed && !posted {
+		j.syncLocked()
+		if !j.writable() {
+			return
+		}
+	}
 	seq := j.nextSeq
 	j.nextSeq++
 	sealFrame(b)
@@ -424,8 +445,14 @@ func (j *Journal) writeFrameLocked(b []byte, chargeTo int) {
 		m.logBytes.Set(j.logTotal)
 	}
 	j.sinceSync++
-	if j.sinceSync >= j.cfg.SyncEvery {
-		j.syncLocked()
+	j.sinceDue++
+	if j.sinceDue >= j.cfg.SyncEvery {
+		j.sinceDue = 0
+		if posted {
+			j.syncOwed = true
+		} else {
+			j.syncLocked()
+		}
 	}
 	j.sinceSnap++
 	if j.sinceSnap >= j.cfg.SnapshotEvery {
@@ -440,8 +467,10 @@ func (j *Journal) writeFrameLocked(b []byte, chargeTo int) {
 // syncLocked fsyncs the active segment. Caller holds jmu. When the append in
 // progress carries a trace context (traceTR set by RecordApplyTraced), the
 // fsync records a StageWALFsync span under the append span — the fsync is
-// charged to whichever traced append tripped the sync policy, even though it
-// covers every append batched since the last sync.
+// charged to whichever traced append tripped the sync policy, or inherited
+// the fsync a posted append left it, even though it covers every append
+// batched since the last sync. An fsync the policy called for earlier leaves
+// the count of appends since that call as it is; any other restarts it.
 func (j *Journal) syncLocked() {
 	if j.err != nil || j.closed || j.sinceSync == 0 {
 		return
@@ -457,7 +486,10 @@ func (j *Journal) syncLocked() {
 		return
 	}
 	fsp.Done()
-	j.sinceSync = 0
+	if !j.syncOwed {
+		j.sinceDue = 0
+	}
+	j.sinceSync, j.syncOwed = 0, false
 	if m != nil {
 		m.fsyncSec.ObserveSince(start)
 		m.fsyncs.Inc()
