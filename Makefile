@@ -101,8 +101,8 @@ fmt-check:
 # Quick deterministic fault-schedule sweep (PR CI): every provider ×
 # concurrent/sequential/reconfig/mixed configuration — the reconfig legs run
 # a split, a drain and a merge mid-traffic and check the stitched (and
-# pruned-branch) cross-epoch histories — plus the live batched churn smoke.
-# Fails with a replayable report in sim-failures.txt.
+# pruned-branch) cross-epoch histories. Fails with a replayable report in
+# sim-failures.txt.
 sim-smoke:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) -sim-out sim-failures.txt
 
@@ -116,7 +116,7 @@ sim-soak:
 sim-soak-reconfig:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SEEDS) -sim-clients 4 -sim-ops 6 \
 		-sim-reconfig-splits 2 -sim-reconfig-drains 2 -sim-reconfig-merges 0 \
-		-sim-live=false -sim-out sim-failures-reconfig.txt
+		-sim-out sim-failures-reconfig.txt
 
 # Nightly merge + controller-crash soak: splits, drains and two merges per
 # run with the adversary crashing the migration controller between migration
@@ -126,7 +126,7 @@ sim-soak-reconfig:
 sim-soak-merge:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SEEDS) -sim-clients 4 -sim-ops 6 \
 		-sim-reconfig-splits 1 -sim-reconfig-drains 1 -sim-reconfig-merges 2 \
-		-sim-controller-crashes 2 -sim-live=false -sim-out sim-failures-merge.txt
+		-sim-controller-crashes 2 -sim-out sim-failures-merge.txt
 
 # Short coverage-guided fuzz runs. Defaults to the history package, where
 # FuzzCheckers pins the consistency-condition hierarchy and checker

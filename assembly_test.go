@@ -40,8 +40,8 @@ var assemblyExempt = map[string]string{
 // tests, only internal/node may call the constructors that wire a process
 // together, so the rules it owns — the layout k-rule, batching defaults,
 // replay before listen, the attachment list, the migration-writer ID block,
-// the serialized move driver, the churn budget, the close order — cannot grow
-// a second copy in a binary or the facade.
+// the serialized move driver, the close order — cannot grow a second copy in
+// a binary or the facade.
 func TestOneAssembly(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

@@ -87,7 +87,6 @@ type cliConfig struct {
 	simShards       int
 	simClients      int
 	simOps          int
-	simLive         bool
 	simOut          string
 	simReconfSplits int
 	simReconfDrains int
@@ -135,7 +134,6 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.IntVar(&c.simShards, "sim-shards", 2, "shards per provider configuration (sim mode)")
 	fs.IntVar(&c.simClients, "sim-clients", 3, "clients per shard (sim mode)")
 	fs.IntVar(&c.simOps, "sim-ops", 4, "operations per client (sim mode)")
-	fs.BoolVar(&c.simLive, "sim-live", true, "also smoke the live batched engine under crash/restart churn per provider (sim mode)")
 	fs.StringVar(&c.simOut, "sim-out", "", "write the failure report (seeds, shrunken histories) to this file (sim mode)")
 	fs.IntVar(&c.simReconfSplits, "sim-reconfig-splits", 1, "splits per reconfiguration-enabled sweep configuration; setting splits, drains and merges all to 0 disables the reconfig sweep (sim mode)")
 	fs.IntVar(&c.simReconfDrains, "sim-reconfig-drains", 1, "drains per reconfiguration-enabled sweep configuration (sim mode)")
@@ -269,24 +267,10 @@ func runSim(c *cliConfig, out io.Writer) error {
 		fmt.Fprintf(out, "sim %-22s seeds %d..%d: %s\n", sc.name, c.seed, c.seed+int64(c.seeds)-1, verdict)
 		failures = append(failures, fails...)
 	}
-	// The live smoke runs after the controlled sweep but must not preempt its
-	// failure report: a nightly red that loses the shrunken schedules would
-	// defeat the soak's purpose.
-	var liveErr error
-	if c.simLive {
-		for _, p := range providers {
-			if err := runSimLive(c, out, p); err != nil {
-				fmt.Fprintf(out, "%v\n", err)
-				if liveErr == nil {
-					liveErr = err
-				}
-			}
-		}
-	}
 	fmt.Fprintf(out, "sim: swept %d configurations x %d seeds, %d failing seeds\n",
 		len(sweep), c.seeds, len(failures))
 	if len(failures) == 0 {
-		return liveErr
+		return nil
 	}
 	report := &strings.Builder{}
 	for _, f := range failures {
@@ -301,51 +285,6 @@ func runSim(c *cliConfig, out io.Writer) error {
 	}
 	fmt.Fprint(out, report.String())
 	return fmt.Errorf("%d seeds violated their consistency condition", len(failures))
-}
-
-// runSimLive smokes the live batched engine for one provider: an open-loop
-// batched workload with history recording while nodes crash and restart
-// within the per-shard budget, checked for strong regularity (strong safety
-// is all the safe register promises, and live histories routinely violate
-// regularity there, so safereg is exercised without the regularity check).
-func runSimLive(c *cliConfig, out io.Writer, provider string) error {
-	specs, err := node.LayoutSpecs(transport.Layout{Algorithm: provider, Shards: 2, F: 1, K: 2, ValueSize: 32}, "s")
-	if err != nil {
-		return err
-	}
-	// Crash/restart churn: the injector cycles nodes down and back up, never
-	// more than F per shard at once.
-	n, err := node.Open(node.Config{
-		Shards: specs,
-		Batch:  shard.BatchConfig{MaxSize: 8},
-		Faults: node.FaultConfig{Interval: 2 * time.Millisecond, Downtime: 2 * time.Millisecond, Seed: c.seed},
-	})
-	if err != nil {
-		return fmt.Errorf("live smoke %s: %w", provider, err)
-	}
-	defer n.Close()
-	res, err := workload.RunSharded(n.Set(), workload.ShardedSpec{
-		Clients:       4,
-		OpsPerClient:  50,
-		ReadFraction:  0.3,
-		Keys:          8,
-		Seed:          c.seed,
-		RecordHistory: true,
-		// Paced, so the run spans several of the injector's ticks.
-		ArrivalRate: 5000,
-	})
-	if err != nil {
-		return fmt.Errorf("live smoke %s: %w", provider, err)
-	}
-	checked := "strong regularity ok"
-	if provider == "safereg" {
-		checked = "unchecked (safe register)"
-	} else if err := res.CheckRegularity(); err != nil {
-		return fmt.Errorf("live smoke %s: %w", provider, err)
-	}
-	fmt.Fprintf(out, "sim live %-14s %d ops (%d errors under churn): %s\n", provider,
-		res.CompletedWrites+res.CompletedReads, res.WriteErrors+res.ReadErrors, checked)
-	return nil
 }
 
 // runClient dials a spacenode cluster, runs the sharded workload over the

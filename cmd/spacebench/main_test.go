@@ -48,15 +48,12 @@ func TestParseArgsClientFlags(t *testing.T) {
 
 func TestParseArgsSimFlags(t *testing.T) {
 	c := mustParse(t, "-sim", "-seeds", "7", "-seed", "99", "-sim-providers", "adaptive,abd",
-		"-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "3", "-sim-live=false", "-sim-out", "x.txt")
+		"-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "3", "-sim-out", "x.txt")
 	if !c.sim {
 		t.Fatal("sim mode not selected")
 	}
 	if c.seeds != 7 || c.seed != 99 || c.simShards != 1 || c.simClients != 2 || c.simOps != 3 {
 		t.Fatalf("sim flags not parsed: %+v", c)
-	}
-	if c.simLive {
-		t.Fatal("-sim-live=false not honoured")
 	}
 	if c.simOut != "x.txt" {
 		t.Fatalf("sim-out = %q", c.simOut)
@@ -125,11 +122,11 @@ func TestSimSweepMatrix(t *testing.T) {
 
 func TestSimEndToEndSmoke(t *testing.T) {
 	// A seeded -sim sweep over two providers: deterministic, clean, and the
-	// output names every configuration. The live leg is exercised too.
+	// output names every configuration.
+	args := []string{"-sim", "-seeds", "3", "-seed", "11",
+		"-sim-providers", "adaptive,abd", "-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "2"}
 	var buf strings.Builder
-	c := mustParse(t, "-sim", "-seeds", "3", "-seed", "11",
-		"-sim-providers", "adaptive,abd", "-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "2")
-	if err := c.execute(&buf); err != nil {
+	if err := mustParse(t, args...).execute(&buf); err != nil {
 		t.Fatalf("sim sweep failed: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -137,7 +134,6 @@ func TestSimEndToEndSmoke(t *testing.T) {
 		"adaptive x1", "abd x1", "adaptive sequential", "mixed providers",
 		"adaptive reconfig", "abd reconfig", "mixed reconfig",
 		"seeds 11..13: ok",
-		"sim live adaptive", "sim live abd",
 		"swept 8 configurations x 3 seeds, 0 failing seeds",
 	} {
 		if !strings.Contains(out, want) {
@@ -145,29 +141,20 @@ func TestSimEndToEndSmoke(t *testing.T) {
 		}
 	}
 
-	// The same sweep again produces byte-identical output (determinism of the
-	// controlled legs; the live smoke line only reports counts that are fixed
-	// by the workload size).
+	// The same sweep again produces byte-identical output.
 	var buf2 strings.Builder
-	c2 := mustParse(t, "-sim", "-seeds", "3", "-seed", "11",
-		"-sim-providers", "adaptive,abd", "-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "2", "-sim-live=false")
-	if err := c2.execute(&buf2); err != nil {
+	if err := mustParse(t, args...).execute(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	var buf3 strings.Builder
-	if err := mustParse(t, "-sim", "-seeds", "3", "-seed", "11",
-		"-sim-providers", "adaptive,abd", "-sim-shards", "1", "-sim-clients", "2", "-sim-ops", "2", "-sim-live=false").execute(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != buf3.String() {
-		t.Fatalf("controlled sweep output not deterministic:\n%s\nvs\n%s", buf2.String(), buf3.String())
+	if out != buf2.String() {
+		t.Fatalf("sim output not deterministic:\n%s\nvs\n%s", out, buf2.String())
 	}
 }
 
 func TestSimWritesNoArtifactOnSuccess(t *testing.T) {
 	outPath := filepath.Join(t.TempDir(), "failures.txt")
 	c := mustParse(t, "-sim", "-seeds", "2", "-sim-providers", "adaptive",
-		"-sim-clients", "2", "-sim-ops", "2", "-sim-live=false", "-sim-out", outPath)
+		"-sim-clients", "2", "-sim-ops", "2", "-sim-out", outPath)
 	if err := c.execute(io.Discard); err != nil {
 		t.Fatal(err)
 	}

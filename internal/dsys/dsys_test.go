@@ -360,7 +360,7 @@ func TestLiveModeCrashedQuorumError(t *testing.T) {
 // TestLiveRoundSpansTwoFaults pins a round that spans two faults, never more
 // than f of them at once: n=4, f=1, quorum 3, object 0 down when the round
 // starts; while the round reaches object 1, object 0 restarts and object 2
-// crashes (what one fault-injector tick does). The first pass collects only
+// crashes (what one churn action of the root package's tests does). The first pass collects only
 // objects 1 and 3; the round must still form its quorum from object 0.
 func TestLiveRoundSpansTwoFaults(t *testing.T) {
 	c := newTestCluster(4, WithLiveMode())

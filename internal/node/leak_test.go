@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain fails the package when its tests leave goroutines behind. A
-// node runs a cluster, and optionally a server, a journal and a fault
-// injector; Close must stop all of them.
+// node runs a cluster, and optionally a server and a journal; Close must stop
+// all of them.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

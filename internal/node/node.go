@@ -1,10 +1,9 @@
 // Package node assembles a process. Whatever a process of this system is — the
 // in-process store behind the public facade, a spacenode hosting its share of
-// a cluster's base objects, a client of such a cluster, a throughput or churn
-// run of spacebench — it is a shard set with a reconfiguration coordinator
-// and, optionally, a batch engine, a write-ahead log, instrumentation, a fault
-// injector and a TCP server, and the way those are wired together is decided
-// here and nowhere else:
+// a cluster's base objects, or a client of such a cluster — it is a shard set
+// with a reconfiguration coordinator and, optionally, a batch engine, a
+// write-ahead log, instrumentation and a TCP server, and the way those are
+// wired together is decided here and nowhere else:
 //
 //	(a) specs: abd, the one provider whose constructor requires it, gets
 //	    k = 1; every other provider keeps the k it was given (EffectiveK);
@@ -18,8 +17,7 @@
 //	(e, f) moves: every live move of the process goes through the node's one
 //	    coordinator (its ApplyLive/ResumeLive own the serialization and the
 //	    migration-writer client IDs);
-//	(g) churn: the fault injector crashes at most F nodes per shard at once;
-//	(h) teardown: injector, server, set, journal, in that order.
+//	(g) teardown: server, set, journal, in that order.
 //
 // The deterministic simulator, the experiments and the adversary build bare
 // controlled-mode clusters for model runs; they are not processes and do not
@@ -59,9 +57,6 @@ type Config struct {
 	// Metrics and Tracer, when non-nil, instrument every component.
 	Metrics *metrics.Registry
 	Tracer  *trace.Tracer
-	// Faults starts the crash/restart injector when Interval is set. Ignored
-	// by Connect.
-	Faults FaultConfig
 }
 
 // LayoutSpecs expands the layout flags every binary takes into shard specs
@@ -105,7 +100,6 @@ type Node struct {
 
 	journal *wal.Journal // nil without a WAL
 	replay  wal.ReplayStats
-	faults  *injector // nil unless Config.Faults was set
 
 	mu     sync.Mutex
 	srv    *transport.Server // nil until Serve
@@ -119,9 +113,11 @@ func Open(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := assemble(set, cfg)
-	if err := n.start(cfg); err != nil {
-		_ = n.Close()
-		return nil, err
+	if cfg.WAL.Dir != "" {
+		if err := n.openJournal(cfg.WAL); err != nil {
+			_ = n.Close()
+			return nil, err
+		}
 	}
 	return n, nil
 }
@@ -149,20 +145,6 @@ func assemble(set *shard.Set, cfg Config) *Node {
 		set.EnableBatching(cfg.Batch)
 	}
 	return n
-}
-
-// start brings up the parts of an in-process node that can fail or run in the
-// background. On error the caller closes the node.
-func (n *Node) start(cfg Config) error {
-	if cfg.WAL.Dir != "" {
-		if err := n.openJournal(cfg.WAL); err != nil {
-			return err
-		}
-	}
-	if cfg.Faults.Interval > 0 {
-		n.faults = startInjector(n.set, cfg.Faults)
-	}
-	return nil
 }
 
 // openJournal opens the write-ahead log and replays whatever it holds into
@@ -250,19 +232,10 @@ func (n *Node) Journal() *wal.Journal { return n.journal }
 // Replay reports what Open replayed from the write-ahead log.
 func (n *Node) Replay() wal.ReplayStats { return n.replay }
 
-// FaultStats reports the injected crash/restart counts (zero without an
-// injector).
-func (n *Node) FaultStats() FaultStats {
-	if n.faults == nil {
-		return FaultStats{}
-	}
-	return n.faults.Stats()
-}
-
-// Close tears the process down: the injector first; then the server, so no
-// round arrives at a closing cluster; then the set — and with it, for a
-// client, the transport; and the journal last, once nothing applies any more.
-// Closing a closed node is a no-op.
+// Close tears the process down: the server first, so no round arrives at a
+// closing cluster; then the set — and with it, for a client, the transport;
+// and the journal last, once nothing applies any more. Closing a closed node
+// is a no-op.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	srv, closed := n.srv, n.closed
@@ -270,9 +243,6 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	if closed {
 		return nil
-	}
-	if n.faults != nil {
-		n.faults.halt()
 	}
 	var errs []error
 	if srv != nil {

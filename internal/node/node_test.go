@@ -50,7 +50,7 @@ func settle(t *testing.T, baseline int) {
 }
 
 // TestLifecycle drives the whole assembly — a durable, instrumented, batched
-// node with an injector; a server in front; a client over TCP — and requires
+// node; a server in front; a client over TCP — and requires
 // Close to take every goroutine with it and to be idempotent.
 func TestLifecycle(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -62,9 +62,6 @@ func TestLifecycle(t *testing.T) {
 		WAL:     wal.Config{Dir: t.TempDir()},
 		Metrics: reg,
 		Tracer:  tr,
-		// The injector runs but stays quiet: what is under test is that Close
-		// stops it.
-		Faults: FaultConfig{Interval: time.Hour},
 	}
 	n, err := Open(cfg)
 	if err != nil {

@@ -675,9 +675,8 @@ func (r *Router) PrunedBranches() []string {
 	return out
 }
 
-// Region is one shard's object region and fault budget, for adversaries and
-// fault injectors that must respect per-shard crash budgets as the topology
-// changes.
+// Region is one shard's object region and fault budget, for adversaries that
+// must respect per-shard crash budgets as the topology changes.
 type Region struct {
 	Name       string
 	Base, Span int

@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain fails the package when its tests leave goroutines behind. A store,
-// its batchers, injector, journal and servers all own goroutines, and Close
-// must take every one of them down.
+// its batchers, journal and servers all own goroutines, and Close must take
+// every one of them down.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

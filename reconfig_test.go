@@ -111,50 +111,6 @@ func TestStoreSplitShardLive(t *testing.T) {
 	}
 }
 
-// TestReconfigUnderFaultInjection runs a split while the store's fault
-// injector crashes and restarts nodes: the migration must complete and the
-// store stay available.
-func TestReconfigUnderFaultInjection(t *testing.T) {
-	store, err := spacebounds.Open(spacebounds.Options{
-		Shards:    []spacebounds.ShardSpec{{Name: "s0"}, {Name: "s1"}},
-		F:         1,
-		K:         2,
-		ValueSize: 128,
-		Faults:    spacebounds.FaultOptions{Interval: 500 * time.Microsecond, Downtime: 2 * time.Millisecond, Seed: 42},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	for c := 1; c <= 4; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			payload := make([]byte, 32)
-			for i := 0; i < 80; i++ {
-				payload[0] = byte(i)
-				if err := store.WriteKey(c, fmt.Sprintf("key-%d", i%8), payload); err != nil {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-	if _, err := store.SplitShard("s0"); err != nil {
-		t.Fatalf("split under fault injection: %v", err)
-	}
-	wg.Wait()
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d writes failed (fault injector must stay within per-shard budget F)", n)
-	}
-	if _, err := store.ReadKey(99, "s0"); err != nil {
-		t.Fatalf("read after faulted split: %v", err)
-	}
-}
-
 // TestStoreMergeShardsLive merges two shards of a live store while clients
 // hammer keys of both: zero failed operations, the merged shard serves both
 // namespaces, and the inverse move round-trips (split the merged shard

@@ -102,10 +102,6 @@ type Options struct {
 	// rounds. Per-shard regularity is preserved; storage accounting stays
 	// exact.
 	Batch BatchOptions
-	// Faults enables opt-in crash/restart fault injection against the live
-	// store (zero value: disabled). Never more than F nodes per shard are
-	// down at once, so a healthy store stays available throughout.
-	Faults FaultOptions
 	// Durability enables the write-ahead log: every applied mutating RMW and
 	// every reconfiguration ledger transition is journaled to Durability.Dir,
 	// Open replays whatever the directory holds before serving, and
@@ -166,13 +162,6 @@ type BatchOptions struct {
 	// dispatching a non-full round (default 0: dispatch immediately).
 	MaxDelay time.Duration
 }
-
-// FaultOptions configures opt-in crash/restart fault injection against the
-// live store; setting Interval enables it. See Options.Faults.
-type FaultOptions = node.FaultConfig
-
-// FaultStats counts injected faults; see Store.FaultStats.
-type FaultStats = node.FaultStats
 
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
@@ -260,7 +249,6 @@ func Open(opts Options) (*Store, error) {
 		},
 		Metrics: opts.Metrics,
 		Tracer:  opts.Trace,
-		Faults:  opts.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -407,10 +395,6 @@ func (s *Store) RestartNode(id int) error {
 	return nil
 }
 
-// FaultStats reports the injected crash/restart counts (zero when fault
-// injection is disabled).
-func (s *Store) FaultStats() FaultStats { return s.node.FaultStats() }
-
 // BatchStats reports the group-commit amortization across all shards:
 // operations completed through the batchers and the physical quorum rounds
 // that carried them. All zeros when batching is disabled.
@@ -530,8 +514,7 @@ func (s *Store) ReconfigStats() ReconfigStats {
 	}
 }
 
-// Close stops fault injection, then shuts the cluster down and closes the
-// write-ahead log. A move that was mid-way through stays in the ledger for the
-// next open's ResumeMoves. Close implements io.Closer; closing an
-// already-closed store is a no-op.
+// Close shuts the cluster down and closes the write-ahead log. A move that
+// was mid-way through stays in the ledger for the next open's ResumeMoves.
+// Close implements io.Closer; closing an already-closed store is a no-op.
 func (s *Store) Close() error { return s.node.Close() }
