@@ -43,7 +43,7 @@ race:
 # and the erasure codes, whose data blocks share memory with the value they
 # encode: what the tests say about who owns a block must hold every time;
 # and the process assembly and the write-ahead log, whose tests start
-# servers, snapshotters and injectors and must take every goroutine down.
+# servers and snapshotters and must take every goroutine down.
 flake:
 	$(GO) test -count=20 -short . ./internal/shard/... ./internal/transport/... ./internal/register/... ./internal/dsys/... ./internal/workload/... ./internal/erasure/... ./internal/reconfig/... ./internal/node/... ./internal/wal/... ./internal/oracle/...
 

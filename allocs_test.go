@@ -9,13 +9,16 @@ import (
 // shape (f = 2, k = 2, 1 KiB values, Batch{MaxSize: 16}, eight named
 // shards). A round's bookkeeping is per round, not per base object: its RMWs
 // come from one array, its answers ride in their RMWs, and the oracle hands a
-// write its n blocks in one call. An in-process operation decodes nothing, so
-// decoding in place on the wire leaves both counts where its parent measured
-// them: 27 for a write and 19 for a read.
+// write its n blocks in one call. Nor does a round allocate its result: the
+// answers land in slots the client handle keeps, the handle comes from a
+// pool, and the batch lane's round function and the shard layer's pass-through
+// are built once, not per round. An adaptive read round's objects answer with
+// their piece headers into one array of the round's. That takes a write from
+// the 27 allocations its parent measured to 18, and a read from 19 to 10.
 const (
-	writeKeyAllocs       = 27
+	writeKeyAllocs       = 18
 	writeKeyAllocsParent = 27
-	readKeyAllocs        = 19
+	readKeyAllocs        = 10
 	readKeyAllocsParent  = 19
 )
 

@@ -27,6 +27,11 @@ type ClientHandle struct {
 	// engines ignore it: controlled-mode schedules must stay deterministic.
 	ctx context.Context
 
+	// slots holds the answers of the handle's last round, one per object of
+	// the scope: what Invoke returns. The handle keeps the array from round
+	// to round, so a round allocates no result.
+	slots []any
+
 	currentOp OpID
 }
 
@@ -62,8 +67,9 @@ func (h *ClientHandle) Sub(base, span int) (*ClientHandle, error) {
 // WithContext returns a handle for the same client, task and scope whose
 // remote rounds are bounded by ctx: a transport-backed Invoke observes the
 // context's deadline and cancellation. The in-process engines are unaffected.
-// The derived handle shares the parent's task and must not be used
-// concurrently with it.
+// The derived handle shares the parent's task and answer slots and must not
+// be used concurrently with it: a round of either ends the validity of the
+// other's last answers.
 func (h *ClientHandle) WithContext(ctx context.Context) *ClientHandle {
 	dup := *h
 	dup.ctx = ctx
@@ -147,9 +153,9 @@ func (h *ClientHandle) SetLocalBlocks(refs []BlockRef) {
 // InvokeAll triggers makeRMW(i) on every base object i in the handle's scope
 // and waits until at least quorum of them have taken effect. It returns the
 // responses of all RMWs that have taken effect by the time the client is
-// rescheduled, keyed by scope-local object ID. The remaining RMWs stay
-// pending and may take effect later.
-func (h *ClientHandle) InvokeAll(makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+// rescheduled, as Invoke does. The remaining RMWs stay pending and may take
+// effect later.
+func (h *ClientHandle) InvokeAll(makeRMW func(obj int) RMW, quorum int) ([]any, error) {
 	// No engine keeps targets past the round, so a scope of up to
 	// len(onStack) objects — 2f+k of them, for every register this repository
 	// runs — lists them without allocating.
@@ -166,10 +172,14 @@ func (h *ClientHandle) InvokeAll(makeRMW func(obj int) RMW, quorum int) (map[int
 
 // Invoke triggers makeRMW(obj) on each target object and waits until at least
 // quorum responses have been delivered (controlled mode) or applied (live
-// mode). Targets and response keys are scope-local object IDs. In controlled
-// mode the wait can only end early if the cluster is closed, in which case
-// ErrHalted is returned.
-func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+// mode). Targets are scope-local object IDs. The responses come back indexed
+// by them: a slice of length N(), nil where no answer arrived. It is the
+// handle's own — its slots — and stays valid until the handle's next round, or
+// until RunScoped returns the handle; a caller that needs an answer longer
+// copies it out. A remote round of a posted kind returns nil (RoundInvoker).
+// In controlled mode the wait can only end early if the cluster is closed, in
+// which case ErrHalted is returned.
+func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum int) ([]any, error) {
 	if quorum > len(targets) {
 		return nil, fmt.Errorf("%w: quorum %d, targets %d", ErrBadQuorum, quorum, len(targets))
 	}
@@ -178,12 +188,13 @@ func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum i
 			return nil, fmt.Errorf("%w: %d", ErrUnknownObject, obj)
 		}
 	}
+	resp := h.answers()
 	hh, sp := h.traceRound()
 	var start time.Time
 	if h.c.opts.metrics != nil {
 		start = time.Now()
 	}
-	resp, err := hh.dispatch(targets, makeRMW, quorum)
+	resp, err := hh.dispatch(targets, makeRMW, quorum, resp)
 	if h.c.opts.metrics != nil {
 		h.c.region(h.base).observeRound(start, resp, err)
 	}
@@ -191,34 +202,52 @@ func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum i
 	return resp, err
 }
 
+// answers empties the handle's slots for a new round and returns them, one
+// per object of the scope.
+func (h *ClientHandle) answers() []any {
+	if cap(h.slots) < h.span {
+		h.slots = make([]any, h.span)
+	} else {
+		h.slots = h.slots[:h.span]
+		clear(h.slots)
+	}
+	return h.slots
+}
+
 // dispatch routes a validated round to the engine variant behind the handle.
-func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+// The engine writes each answer into resp at its object's index and returns
+// resp, or nil when the round ended with no answers to give.
+func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	if h.c.remote != nil {
-		return h.invokeRemote(targets, makeRMW, quorum)
+		return h.invokeRemote(targets, makeRMW, quorum, resp)
 	}
 	if h.c.opts.mode == Live {
-		return h.invokeLive(targets, makeRMW, quorum)
+		return h.invokeLive(targets, makeRMW, quorum, resp)
 	}
-	return h.invokeControlled(targets, makeRMW, quorum)
+	return h.invokeControlled(targets, makeRMW, quorum, resp)
 }
 
 // invokeRemote delegates the round to the remote cluster's transport:
-// scope-local targets are translated to global object IDs on the way out and
-// responses are translated back, so region-scoped register code runs
-// unchanged against a cluster hosted in other processes. The translation
-// allocates nothing: the global IDs and the RMW factory over them are a
-// remoteRound's, borrowed for the round, and the transport's result map is
-// re-keyed in place.
-func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+// scope-local targets are translated to global object IDs on the way out, and
+// each answer is copied into its scope-local slot on the way back, so
+// region-scoped register code runs unchanged against a cluster hosted in other
+// processes. The translation allocates nothing: the global IDs and the RMW
+// factory over them are a remoteRound's, borrowed for the round.
+func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	r := remoteRounds.Get().(*remoteRound)
 	r.base, r.makeRMW = h.base, makeRMW
 	for _, obj := range targets {
 		r.global = append(r.global, h.base+obj)
 	}
-	resp, err := h.c.remote.InvokeRound(h.context(), h.id, r.global, r.globalRMW, quorum)
+	got, err := h.c.remote.InvokeRound(h.context(), h.id, r.global, r.globalRMW, quorum)
 	r.global, r.makeRMW = r.global[:0], nil
 	remoteRounds.Put(r)
-	localKeys(resp, h.base)
+	if got == nil && err == nil {
+		return nil, nil // a posted round
+	}
+	for g, a := range got {
+		resp[g-h.base] = a
+	}
 	return resp, err
 }
 
@@ -241,32 +270,10 @@ var remoteRounds = sync.Pool{New: func() any {
 	return r
 }}
 
-// localKeys re-keys a remote round's responses from global object IDs to IDs
-// local to the region at base, in place: the map is the round's own. Every
-// entry moves by way of a negative key, which no object ID takes, so that
-// none is moved twice where the global and the local ranges overlap.
-func localKeys(resp map[int]any, base int) {
-	if base == 0 {
-		return
-	}
-	for g, r := range resp {
-		if g >= 0 {
-			delete(resp, g)
-			resp[-1-(g-base)] = r
-		}
-	}
-	for k, r := range resp {
-		if k < 0 {
-			delete(resp, k)
-			resp[-1-k] = r
-		}
-	}
-}
-
 // invokeControlled registers pending RMWs and blocks until the scheduling
 // policy has applied a quorum of them and granted the client the run token
 // again.
-func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	c := h.c
 	t := h.task
 	c.mu.Lock()
@@ -300,7 +307,6 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 		}
 		c.cond.Wait()
 	}
-	resp := make(map[int]any, len(calls))
 	for _, call := range calls {
 		if call.Done {
 			resp[call.Object] = call.Response
@@ -323,11 +329,11 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 // loop went on. Without it a round that skips A, then meets B down because A
 // restarted and B crashed in between, fails although no more than f objects
 // were ever down at once. makeRMW is still called at most once per object.
-func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	c := h.c
 	objects := c.objs()
 	tc := trace.FromContext(h.ctx)
-	resp := make(map[int]any, len(targets))
+	answered := 0
 	var skipped []int
 	for pass := 0; pass < 2; pass++ {
 		for _, objID := range targets {
@@ -340,15 +346,16 @@ func (h *ClientHandle) invokeLive(targets []int, makeRMW func(obj int) RMW, quor
 			}
 			if r, err := obj.apply(c, makeRMW(objID), tc, false); err == nil {
 				resp[objID] = r
+				answered++
 			}
 		}
-		if len(resp) >= quorum || len(skipped) == 0 {
+		if answered >= quorum || len(skipped) == 0 {
 			break
 		}
 		targets = skipped
 	}
-	if len(resp) < quorum {
-		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, len(resp), quorum)
+	if answered < quorum {
+		return resp, fmt.Errorf("%w: only %d of %d required responses available", ErrQuorumUnavailable, answered, quorum)
 	}
 	return resp, nil
 }

@@ -679,16 +679,34 @@ func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle)
 // inline in the caller's goroutine — no task goroutine, no join channel, no
 // cluster-wide lock — so concurrent callers on disjoint regions only ever
 // contend on the per-object apply mutexes. The call registers with the
-// cluster's join group, so Close still waits for in-flight operations. In
-// controlled mode it degenerates to SpawnScoped followed by Wait.
+// cluster's join group, so Close still waits for in-flight operations. The
+// handle comes from a pool and goes back to it when fn returns, so neither it
+// nor its answer slots may be kept past that. In controlled mode it
+// degenerates to SpawnScoped followed by Wait.
 func (c *Cluster) RunScoped(clientID, base, span int, fn func(h *ClientHandle) error) error {
 	if c.opts.mode == Live {
 		c.wg.Add(1)
 		defer c.wg.Done()
-		h := &ClientHandle{c: c, id: clientID, base: base, span: span}
-		return fn(h)
+		h := liveHandles.Get().(*ClientHandle)
+		h.c, h.id, h.base, h.span = c, clientID, base, span
+		err := fn(h)
+		putLiveHandle(h)
+		return err
 	}
 	return c.SpawnScoped(clientID, base, span, fn).Wait()
+}
+
+// liveHandles holds the handles live RunScoped calls run under. A handle in
+// the pool is zero but for the capacity of its slots, which are all nil.
+var liveHandles = sync.Pool{New: func() any { return new(ClientHandle) }}
+
+// putLiveHandle zeroes a handle — no cluster, context, answer or RMW an answer
+// points into stays reachable from it — and returns it to the pool.
+func putLiveHandle(h *ClientHandle) {
+	slots := h.slots[:cap(h.slots)]
+	clear(slots)
+	*h = ClientHandle{slots: slots[:0]}
+	liveHandles.Put(h)
 }
 
 // WaitIdle blocks until the cluster can make no further progress and reports

@@ -108,7 +108,7 @@ func (c *Cluster) region(base int) *region {
 // observeRound records one finished quorum round: resp and err are what it
 // returned. A remote round of a posted kind returns neither (RoundInvoker); it
 // waited for no quorum and is not recorded.
-func (r *region) observeRound(start time.Time, resp map[int]any, err error) {
+func (r *region) observeRound(start time.Time, resp []any, err error) {
 	if resp == nil && err == nil {
 		return
 	}

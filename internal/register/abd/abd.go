@@ -88,7 +88,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 	maxNum := 0
 	for obj := 0; obj < r.cfg.N(); obj++ {
-		if raw, ok := resp[obj]; ok {
+		if raw := resp[obj]; raw != nil {
 			if c := raw.(*register.Chunk); c.TS.Num > maxNum {
 				maxNum = c.TS.Num
 			}
@@ -105,7 +105,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 // readRound asks every object for its replica and waits for a majority. The
 // round's RMWs come from one array, and each answer rides in its RMW.
-func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
 	reads := make([]readRMW, cfg.N())
 	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
@@ -156,8 +156,8 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	best := register.Chunk{}
 	found := false
 	for obj := 0; obj < r.cfg.N(); obj++ {
-		raw, ok := resp[obj]
-		if !ok {
+		raw := resp[obj]
+		if raw == nil {
 			continue
 		}
 		c := raw.(*register.Chunk)

@@ -164,6 +164,8 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 			return &u.updateRMW
 		}
 	}
+	// The follow-up's answers land in the handle's slots, over the first
+	// round's: rest is all this function keeps of those.
 	first, err := h.InvokeAll(updates(nil), cfg.Quorum())
 	if err != nil {
 		return nil, err
@@ -177,7 +179,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	if len(rest) == 0 {
 		return func(int) bool { return false }, nil
 	}
-	var second map[int]any
+	var second []any
 	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
 		second, err = h.Invoke(rest, updates(writeSet[:cfg.K:cfg.K]), lacking)
 		if err != nil {
@@ -186,7 +188,11 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	}
 	needsPiece := make([]bool, len(writeSet))
 	for _, obj := range rest {
-		resp, answered := second[obj].(updateResp)
+		var answer any // none when no follow-up went out
+		if second != nil {
+			answer = second[obj]
+		}
+		resp, answered := answer.(updateResp)
 		needsPiece[obj] = !answered || resp.has(respStored) && !resp.has(respToVp)
 	}
 	return func(obj int) bool { return needsPiece[obj] }, nil
@@ -279,6 +285,16 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.T
 		value readValueRMW
 		ts    readTSRMW
 	}, cfg.N())
+	if h.InProcess() {
+		// An object answers with the headers of the pieces it holds — one, when
+		// it is quiescent — into the RMW's list: in process, a window of one
+		// header in an array of the round's, so only an object that holds more
+		// allocates a list. Over a wire the client decodes a list of its own.
+		heads := make([]register.Chunk, withPieces)
+		for obj := range heads {
+			rmws[obj].value.resp.Chunks = heads[obj : obj : obj+1]
+		}
+	}
 	resp, err := h.InvokeAll(func(obj int) dsys.RMW {
 		if obj < withPieces {
 			return &rmws[obj].value
@@ -323,6 +339,9 @@ func readTimestamps(h *dsys.ClientHandle, cfg register.Config) (register.Timesta
 	}
 	maxTS, maxNum := register.ZeroTS, 0
 	for _, raw := range resp {
+		if raw == nil {
+			continue // no answer
+		}
 		rt, ok := raw.(*readTSResp)
 		if !ok {
 			return register.ZeroTS, 0, fmt.Errorf("adaptive: unexpected readTimestamps response %T", raw)

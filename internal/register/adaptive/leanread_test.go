@@ -178,3 +178,43 @@ func TestLeanReadDecodesTheNewestOfAContendedObject(t *testing.T) {
 		t.Errorf("the read took %+v, want one lean round", fx.rec.rounds)
 	}
 }
+
+// TestInProcessReadKeepsEveryHeldPiece: in process, the objects of a read
+// round answer into windows of one piece header each, cut from one array of
+// the round's, and an object that holds more must not spill into its
+// neighbour's. Write A completed everywhere but object 2, which holds write
+// B's piece and its storedTS instead; B's update also reached object 0, whose
+// Vp holds A's piece and then B's. The lean round asks objects 0..2: B's
+// pieces are object 0's second and object 2's, and object 1 answers right
+// after object 0, with A's. The read returns B from the lean round alone.
+func TestInProcessReadKeepsEveryHeldPiece(t *testing.T) {
+	fx := newLeanReadFixture(t)
+	a := fx.writeSet(t, 1, 1, value.Sequenced(1, 1, leanDataLen))
+	want := value.Sequenced(2, 2, leanDataLen)
+	b := fx.writeSet(t, 2, 2, want)
+	apply := func(obj int, rmw dsys.RMW, want any) {
+		t.Helper()
+		if got := rmw.Apply(fx.states[obj]); want != nil && got != want {
+			t.Fatalf("%T at object %d: %+v, want %+v", rmw, obj, got, want)
+		}
+	}
+	for _, obj := range []int{0, 1, 3} {
+		apply(obj, &updateRMW{k: 2, ts: a[obj].TS, piece: a[obj]}, respStored|respToVp)
+		apply(obj, &gcRMW{ts: a[obj].TS}, nil)
+	}
+	apply(0, &updateRMW{k: 2, ts: b[0].TS, storedTS: a[0].TS, piece: b[0]}, respStored|respToVp)
+	apply(2, &updateRMW{k: 2, ts: b[2].TS, piece: b[2]}, respStored|respToVp)
+	apply(2, &gcRMW{ts: b[2].TS}, nil)
+
+	objects := dsys.NewCluster(fx.states, dsys.WithLiveMode())
+	defer objects.Close()
+	fx.reg.SetReadRetryBudget(0) // the lean round alone
+	var got value.Value
+	err := objects.RunScoped(7, 0, len(fx.states), func(h *dsys.ClientHandle) (err error) {
+		got, err = fx.reg.Read(h)
+		return err
+	})
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("read: %v, returned B = %v", err, err == nil && got.Equal(want))
+	}
+}

@@ -90,8 +90,8 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 	maxNum := 0
 	for obj := 0; obj < r.cfg.N(); obj++ {
-		raw, ok := resp[obj]
-		if !ok {
+		raw := resp[obj]
+		if raw == nil {
 			continue
 		}
 		rr := raw.(*readResp)
@@ -126,7 +126,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // readRound collects every object's pieces and committed timestamp and waits
 // for n-f. The round's RMWs come from one array, and each answer rides in its
 // RMW.
-func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
 	reads := make([]readRMW, cfg.N())
 	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
@@ -189,8 +189,8 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 		committed := register.ZeroTS
 		var chunks []register.Chunk
 		for obj := 0; obj < r.cfg.N(); obj++ {
-			raw, ok := resp[obj]
-			if !ok {
+			raw := resp[obj]
+			if raw == nil {
 				continue
 			}
 			rr := raw.(*readResp)

@@ -81,8 +81,8 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 	maxNum := 0
 	for obj := 0; obj < r.cfg.N(); obj++ {
-		raw, ok := resp[obj]
-		if !ok {
+		raw := resp[obj]
+		if raw == nil {
 			continue
 		}
 		if c := raw.(*register.Chunk); c.TS.Num > maxNum {
@@ -100,7 +100,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 // readRound asks every object for its piece and waits for n-f. The round's
 // RMWs come from one array, and each answer rides in its RMW.
-func readRound(h *dsys.ClientHandle, cfg register.Config) (map[int]any, error) {
+func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
 	reads := make([]readRMW, cfg.N())
 	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
@@ -153,7 +153,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	}
 	var chunks []register.Chunk
 	for obj := 0; obj < r.cfg.N(); obj++ {
-		if raw, ok := resp[obj]; ok {
+		if raw := resp[obj]; raw != nil {
 			chunks = append(chunks, *raw.(*register.Chunk))
 		}
 	}

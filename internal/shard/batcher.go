@@ -81,8 +81,13 @@ func newBatcher(set *Set, sh *Shard, cfg BatchConfig, laneClientBase int) *Batch
 	}
 	b.write.client = laneClientBase
 	b.write.full = make(chan struct{}, 1)
+	b.write.round = func(h *dsys.ClientHandle) error { return sh.Reg.Write(h, b.write.winner) }
 	b.read.client = laneClientBase + 1
 	b.read.full = make(chan struct{}, 1)
+	b.read.round = func(h *dsys.ClientHandle) (err error) {
+		b.read.got, err = sh.Reg.Read(h)
+		return err
+	}
 	return b
 }
 
@@ -130,6 +135,14 @@ type lane struct {
 
 	members int // operations completed through this lane
 	rounds  int // physical rounds dispatched
+
+	// round is the lane's physical round, built once: the write lane's writes
+	// winner, the read lane's leaves what it read in got. Only the lane's
+	// current leader touches the two, outside mu; the lead passes from one
+	// leader to the next through mu or a wake channel, which orders them.
+	round  func(h *dsys.ClientHandle) error
+	winner value.Value
+	got    value.Value
 }
 
 // Write submits v for group commit and blocks until the shared round that
@@ -259,22 +272,12 @@ func (b *Batcher) leadRound(l *lane) batchResp {
 			}
 		}
 	}
-	var resp batchResp
-	if l == &b.write {
-		// Group commit: the round writes the latest-arrived value.
-		winner := batch[n-1].v
-		resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
-			return b.sh.Reg.Write(h, winner)
-		})
-	} else {
-		var got value.Value // captured by the closure, so kept out of the write lane's path
-		resp.err = b.set.runTraced(l.client, b.sh, lead, func(h *dsys.ClientHandle) error {
-			var err error
-			got, err = b.sh.Reg.Read(h)
-			return err
-		})
-		resp.v = got
-	}
+	// Group commit: a write round writes the latest-arrived value. The lane
+	// keeps neither value past its round.
+	l.winner = batch[n-1].v
+	resp := batchResp{err: b.set.runTraced(l.client, b.sh, lead, l.round)}
+	resp.v = l.got
+	l.winner, l.got = value.Value{}, value.Value{}
 	if tr != nil && lead.Sampled() {
 		d := time.Since(roundStart)
 		for _, r := range batch {

@@ -74,12 +74,13 @@ func (s *Set) beginOp(sh *Shard, kind string) trace.Pending {
 }
 
 // runTraced is Set.Run with a trace context: when tc is sampled the client
-// handle is rebound so the register's quorum rounds parent under it.
+// handle is rebound so the register's quorum rounds parent under it. An
+// unsampled run hands fn to the cluster as it is.
 func (s *Set) runTraced(client int, sh *Shard, tc trace.Context, fn func(h *dsys.ClientHandle) error) error {
+	if !tc.Sampled() {
+		return s.cluster.RunScoped(client, sh.Base, sh.Span, fn)
+	}
 	return s.cluster.RunScoped(client, sh.Base, sh.Span, func(h *dsys.ClientHandle) error {
-		if tc.Sampled() {
-			h = h.WithContext(trace.NewContext(context.Background(), tc))
-		}
-		return fn(h)
+		return fn(h.WithContext(trace.NewContext(context.Background(), tc)))
 	})
 }

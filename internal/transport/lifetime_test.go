@@ -332,3 +332,98 @@ func TestLateAnswerLandsInNoRMW(t *testing.T) {
 		t.Fatal("the answer that arrived after its round returned was decoded into the round's RMW")
 	}
 }
+
+// TestPooledRoundSeesOnlyItsOwnAnswers: a round waits on a channel and cuts
+// its calls from an array that it borrows from a pool, so no message owed to
+// one round may reach a later one. Object i holds a value of its own,
+// timestamp ⟨10+i, 1⟩ and every byte i. Object 3's connection writes nothing
+// until a gate opens, so the first read round returns at its quorum of the
+// other three with object 3's request held back. The gate opens, and 200 more
+// rounds at the same quorum of three reuse the pooled state while each
+// round's fourth answer races its end. Each round lists its targets rotated
+// by one more than the last, so a message delivered to a later round would
+// land in a call for another object. Every round must see, for each object
+// that answered, that object's value, in the RMW the round sent it, and no
+// RMW whose object did not answer may ever be filled in.
+func TestPooledRoundSeesOnlyItsOwnAnswers(t *testing.T) {
+	const rounds, quorum = 201, roundTargets - 1
+	fx := newRoundFixture(t)
+	for obj := 0; obj < roundTargets; obj++ {
+		var w register.WireWriter
+		w.Chunk(filledPiece(10+obj, 1, 1, byte(obj), 64))
+		if _, err := fx.cluster.ApplyOne(obj, rmwOf(t, "abd.update", w.Finish())(obj)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One node per object, all the fixture's server; node 3's connection is
+	// gated.
+	addrs := make([]string, roundTargets)
+	for i := range addrs {
+		addrs[i] = fx.addr
+	}
+	cli, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	raw, err := net.Dial("tcp", fx.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	gated := gatedConn{Conn: raw, gate: gate}
+	straggler := &clientConn{addr: addrs[3], conn: gated, sender: newFrameSender(gated), pending: make(map[uint64]*pendingCall)}
+	go straggler.readLoop()
+	cli.slots[3].conn = straggler
+
+	c, _ := register.CodecByKind("abd.read")
+	answered := func(rmw dsys.RMW) bool { return !reflect.ValueOf(rmw).Elem().IsZero() }
+	var unanswered []dsys.RMW
+	targets := make([]int, roundTargets)
+	for i := 0; i < rounds; i++ {
+		for j := range targets {
+			targets[j] = (i + j) % roundTargets
+		}
+		sent := make([]dsys.RMW, roundTargets)
+		resp, err := cli.InvokeRound(context.Background(), 1, targets, func(obj int) dsys.RMW {
+			rmw, err := c.Decode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent[obj] = rmw
+			return rmw
+		}, quorum)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if len(resp) < quorum {
+			t.Fatalf("round %d returned %d answers, want at least %d", i, len(resp), quorum)
+		}
+		for obj, rmw := range sent {
+			a, ok := resp[obj]
+			if !ok {
+				unanswered = append(unanswered, rmw)
+				continue
+			}
+			got, isChunk := a.(*register.Chunk)
+			if !isChunk || reflect.ValueOf(got).Pointer() != reflect.ValueOf(rmw).Pointer() {
+				t.Fatalf("round %d: object %d's answer %T is not in the RMW the round sent it", i, obj, a)
+			}
+			if got.TS.Num != 10+obj || got.Block.Data[0] != byte(obj) {
+				t.Fatalf("round %d: object %d answered ⟨%d⟩ with bytes %d, another object's value",
+					i, obj, got.TS.Num, got.Block.Data[0])
+			}
+		}
+		if i == 0 {
+			if _, late := resp[3]; late {
+				t.Fatal("the first round has an answer from the held-back object 3")
+			}
+			close(gate)
+		}
+	}
+	for _, rmw := range unanswered {
+		if answered(rmw) {
+			t.Fatalf("an answer reached a %T after its round returned without it", rmw)
+		}
+	}
+}

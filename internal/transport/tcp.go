@@ -183,6 +183,49 @@ func stopRoundTimer(t *time.Timer) {
 // the pool is empty and references no block.
 var roundWriters = sync.Pool{New: func() any { return new(register.WireWriter) }}
 
+// roundState is what an answered round waits with: the channel its calls'
+// messages come back on and the array its calls are cut from. A round borrows
+// one from roundStates; in the pool the channel is empty and every call zero,
+// so no message of an earlier round reaches a later one and no RMW, connection
+// or channel stays reachable from a call.
+type roundState struct {
+	ch    chan roundMsg
+	calls []pendingCall
+}
+
+var roundStates sync.Pool
+
+// getRoundState returns a round state for up to n calls.
+func getRoundState(n int) *roundState {
+	if st, ok := roundStates.Get().(*roundState); ok && cap(st.calls) >= n {
+		return st
+	}
+	return &roundState{ch: make(chan roundMsg, n), calls: make([]pendingCall, 0, n)}
+}
+
+// finish ends a round: it deregisters every call still pending, receives the
+// messages the round is still owed, and returns the state to the pool. A call
+// that was no longer pending was removed by a response or a connection
+// failure, whose sender sends its message after removing it under the
+// connection's lock; the channel holds a message for every call, so that send
+// never blocks. received is how many of those messages the round has already
+// read; the others are owed and are read here, and they are the only ones on
+// their way: once this returns, nothing sends on the channel or reads a call.
+func (st *roundState) finish(received int) {
+	owed := -received
+	for i := range st.calls {
+		if !st.calls[i].conn.deregister(st.calls[i].reqID) {
+			owed++
+		}
+	}
+	for ; owed > 0; owed-- {
+		<-st.ch
+	}
+	clear(st.calls)
+	st.calls = st.calls[:0]
+	roundStates.Put(st)
+}
+
 // getConn returns the node's live connection, dialing if necessary. A failed
 // dial marks the node down for the redial backoff so concurrent rounds fail
 // fast instead of stacking up behind the dialer. Once the client is closed it
@@ -238,12 +281,13 @@ func (cc *clientConn) register(reqID uint64, call *pendingCall) {
 
 // deregister removes a request; late responses for it are dropped, exactly
 // like responses to a client that has moved on (the RMW still took effect).
-// The in-flight gauge drops only if the call was still pending — a response
-// (take) or connection failure (shutdown) may have accounted for it already —
-// and a traced call that was still pending records its RPC span as abandoned:
-// the node parents its apply span under that ID whether or not anyone waits
-// for the answer.
-func (cc *clientConn) deregister(reqID uint64) {
+// It reports whether the call was still pending. One that was not has been
+// removed by a response (take) or a connection failure (shutdown), and that
+// remover sends the call's round a message. The in-flight gauge drops only if
+// the call was still pending, and a traced call that was still pending records
+// its RPC span as abandoned: the node parents its apply span under that ID
+// whether or not anyone waits for the answer.
+func (cc *clientConn) deregister(reqID uint64) bool {
 	cc.pmu.Lock()
 	call, ok := cc.pending[reqID]
 	delete(cc.pending, reqID)
@@ -252,6 +296,7 @@ func (cc *clientConn) deregister(reqID uint64) {
 		cc.nm.observeResponse(call, false)
 		cc.recordRPC(call, "abandoned")
 	}
+	return ok
 }
 
 // take removes and returns the pending call for a response frame, recording
@@ -320,9 +365,9 @@ func (cc *clientConn) readLoop() {
 // to the hosting nodes over the pipelined connections and waits until quorum
 // OK responses have arrived, the round's time is up, or every dispatched
 // request has failed. Targets are global object IDs; the result map is keyed
-// by them. What a round allocates it allocates once, not once per target: one
-// array of calls, one channel, one result map. Its frames take turns in one
-// writer borrowed from a pool — each connection's sender copies a frame's
+// by them, and it is all a round allocates: its calls and the channel their
+// messages come back on are a pooled roundState's, its frames take turns in
+// one writer borrowed from a pool — each connection's sender copies a frame's
 // inline bytes before send returns — and the blocks go to the socket from
 // where the RMWs hold them.
 //
@@ -357,20 +402,18 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		timeUp = t.C
 	}
 
-	ch := make(chan roundMsg, len(targets))
-	// Every call keeps its slot until the round returns — a connection shutting
-	// down may still be reading a call whose send has failed — so the array is
-	// never appended to beyond its capacity and its elements never move.
-	calls := make([]pendingCall, 0, len(targets))
+	// Every call keeps its slot until the round has finished — a connection
+	// shutting down may still be reading a call whose send has failed — so
+	// the array is never appended to beyond its capacity and its elements
+	// never move; only a call that nobody but the round ever reached gives
+	// its slot back.
+	st := getRoundState(len(targets))
 	w := roundWriters.Get().(*register.WireWriter)
+	received := 0
 	defer func() {
 		// Stragglers past the quorum (or past a timeout) are dropped; their
-		// RMWs still take effect remotely, as the model prescribes. A call
-		// already answered, failed or deregistered is no longer pending, and
-		// deregistering it again does nothing.
-		for i := range calls {
-			calls[i].conn.deregister(calls[i].reqID)
-		}
+		// RMWs still take effect remotely, as the model prescribes.
+		st.finish(received)
 		putRoundWriter(w)
 	}()
 	dispatched := 0
@@ -389,8 +432,8 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 			continue
 		}
 		cc := req.cc
-		calls = append(calls, pendingCall{obj: obj, kind: req.codec.Kind, rmw: rmw, conn: cc, reqID: req.id, ch: ch})
-		call := &calls[len(calls)-1]
+		st.calls = append(st.calls, pendingCall{obj: obj, kind: req.codec.Kind, rmw: rmw, conn: cc, reqID: req.id, ch: st.ch})
+		call := &st.calls[len(st.calls)-1]
 		if cc.nm != nil {
 			call.start = time.Now()
 		}
@@ -399,18 +442,22 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		}
 		cc.register(req.id, call)
 		if err := cc.sender.send(w); err != nil {
-			cc.deregister(req.id)
+			if cc.deregister(req.id) {
+				// Still pending: no response or failure reached it, and none
+				// will, so nothing is owed for it and its slot is free again.
+				st.calls[len(st.calls)-1] = pendingCall{}
+				st.calls = st.calls[:len(st.calls)-1]
+			}
 			lastErr = &RemoteError{Node: cc.addr, Err: err}
 			continue
 		}
 		dispatched++
 	}
 	resp := make(map[int]any, dispatched)
-	received := 0
 	done := ctx.Done()
 	for received < dispatched && len(resp) < quorum {
 		select {
-		case m := <-ch:
+		case m := <-st.ch:
 			received++
 			v, err := m.outcome()
 			if err != nil {

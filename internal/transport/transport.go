@@ -50,7 +50,10 @@ func NewLoopback(c *dsys.Cluster) *Loopback { return &Loopback{c: c} }
 // InvokeRound implements dsys.RoundInvoker. The backing engine applies a round
 // of a posted kind as it applies any round — in controlled mode the policy
 // still decides when each RMW takes effect — but no answer crosses back: the
-// round returns a nil map and a nil error, as the TCP client's does.
+// round returns a nil map and a nil error, as the TCP client's does. The
+// answers of any other round are round-tripped into the result map before
+// RunScoped returns: they are the client handle's, and a live handle goes back
+// to its pool then.
 func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -58,9 +61,10 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 	var codecErr error
 	posted := false
 	sent := make(map[int]dsys.RMW, len(targets))
-	var resp map[int]any
+	var out map[int]any
 	var invokeErr error
 	runErr := l.c.RunScoped(client, 0, l.c.N(), func(h *dsys.ClientHandle) error {
+		var resp []any
 		resp, invokeErr = h.Invoke(targets, func(obj int) dsys.RMW {
 			rmw := makeRMW(obj)
 			decoded, c, err := roundTripRMW(client, obj, rmw)
@@ -77,6 +81,20 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 			posted = c.Posted
 			return decoded
 		}, quorum)
+		if codecErr != nil || posted {
+			return nil
+		}
+		out = make(map[int]any, len(targets))
+		for obj, r := range resp {
+			if r == nil {
+				continue
+			}
+			v, err := roundTripResponse(client, obj, sent[obj], r)
+			if err != nil {
+				return err
+			}
+			out[obj] = v
+		}
 		return nil
 	})
 	if runErr != nil {
@@ -87,14 +105,6 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 	}
 	if posted {
 		return nil, nil
-	}
-	out := make(map[int]any, len(resp))
-	for obj, r := range resp {
-		v, err := roundTripResponse(client, obj, sent[obj], r)
-		if err != nil {
-			return nil, err
-		}
-		out[obj] = v
 	}
 	return out, invokeErr
 }
