@@ -101,8 +101,10 @@ fmt-check:
 # Quick deterministic fault-schedule sweep (PR CI): every provider ×
 # concurrent/sequential/reconfig/mixed configuration — the reconfig legs run
 # a split, a drain and a merge mid-traffic and check the stitched (and
-# pruned-branch) cross-epoch histories. Fails with a replayable report in
-# sim-failures.txt.
+# pruned-branch) cross-epoch histories for regularity (safety for safereg),
+# and every quiesced run's regions against the quiescent space bound
+# (Theorem 2's final clause; DESIGN.md "The quiescent space clause"). Fails
+# with a replayable report in sim-failures.txt.
 sim-smoke:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) -sim-out sim-failures.txt
 

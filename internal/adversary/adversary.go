@@ -27,6 +27,7 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
+	"spacebounds/internal/storagecost"
 	"spacebounds/internal/value"
 	"spacebounds/internal/workload"
 )
@@ -55,17 +56,12 @@ func (p *Policy) Decide(v *dsys.View) dsys.Decision {
 	}
 
 	// Classify base objects and outstanding writes from the storage snapshot.
-	frozen := map[int]bool{}
+	snap := v.Storage()
+	frozen := fullObjects(snap, p.EllBits)
 	light := map[oracle.WriteID]bool{}
-	if v.Storage != nil {
-		frozen = v.Storage.Full(p.EllBits)
-		for _, w := range v.Storage.LightWrites(v.OutstandingWrites, dBits, p.EllBits) {
-			light[w] = true
-		}
-	} else {
-		for _, w := range v.OutstandingWrites {
-			light[w] = true
-		}
+	lightWrites, _ := splitWrites(snap, v.OutstandingWrites, dBits, p.EllBits)
+	for _, w := range lightWrites {
+		light[w] = true
 	}
 
 	// Rule 1: the longest-pending RMW by a light write on a non-frozen,
@@ -101,6 +97,67 @@ func (p *Policy) Decide(v *dsys.View) dsys.Decision {
 
 	// Nothing Ad is willing to schedule: the run is pinned.
 	return dsys.Decision{Kind: dsys.KindStall}
+}
+
+// fullObjects returns the set Fℓ: the IDs of base objects storing at least
+// ell bits of code blocks, the objects Ad freezes.
+func fullObjects(s *storagecost.Snapshot, ell int) map[int]bool {
+	full := make(map[int]bool)
+	for id, bits := range s.PerObjectBits {
+		if bits >= ell {
+			full[id] = true
+		}
+	}
+	return full
+}
+
+// splitWrites divides the outstanding writes, in their order, into C⁻ℓ — the
+// light writes, whose contribution outside their own client ||S(t, w)|| is at
+// most D−ℓ bits — and C⁺ℓ, the heavy rest (Definition 6 and Section 4). dBits
+// is D, the value size in bits.
+func splitWrites(s *storagecost.Snapshot, outstanding []oracle.WriteID, dBits, ell int) (light, heavy []oracle.WriteID) {
+	outside := outsideBits(s)
+	for _, w := range outstanding {
+		if outside[w] > dBits-ell {
+			heavy = append(heavy, w)
+		} else {
+			light = append(light, w)
+		}
+	}
+	return light, heavy
+}
+
+// outsideBits returns ||S(t, w)|| for every write with a block in the
+// snapshot: the bits of w's blocks stored anywhere except at w's own client —
+// its local holdings and its pending RMWs' parameters — summed over the set
+// of block numbers present, not over instances (Definition 6). The durable
+// axis is not part of Definition 2 and counts for nothing.
+func outsideBits(s *storagecost.Snapshot) map[oracle.WriteID]int {
+	indices := make(map[oracle.WriteID]map[int]int) // write -> block number -> bits
+	for _, b := range s.Blocks {
+		switch b.Location.Kind {
+		case storagecost.BaseObject:
+		case storagecost.Client, storagecost.Channel:
+			if b.Location.ID == b.Source.Write.Client {
+				continue
+			}
+		default:
+			continue
+		}
+		m := indices[b.Source.Write]
+		if m == nil {
+			m = make(map[int]int)
+			indices[b.Source.Write] = m
+		}
+		m[b.Source.Index] = max(m[b.Source.Index], b.Bits)
+	}
+	outside := make(map[oracle.WriteID]int, len(indices))
+	for w, m := range indices {
+		for _, bits := range m {
+			outside[w] += bits
+		}
+	}
+	return outside
 }
 
 // Result summarizes one adversarial run against an algorithm.
@@ -179,7 +236,7 @@ func Run(reg register.Register, concurrency int, onEvent func(dsys.Event)) (*Res
 		EllBits:              ellBits,
 		PinnedBaseObjectBits: snap.BaseObjectBits,
 		PinnedTotalBits:      snap.TotalBits,
-		FullObjects:          len(snap.Full(ellBits)),
+		FullObjects:          len(fullObjects(snap, ellBits)),
 		Steps:                cluster.Steps(),
 		Reason:               reason,
 	}
@@ -190,7 +247,8 @@ func Run(reg register.Register, concurrency int, onEvent func(dsys.Event)) (*Res
 			outstandingWrites = append(outstandingWrites, op.WriteID())
 		}
 	}
-	res.HeavyWrites = len(snap.HeavyWrites(outstandingWrites, dBits, ellBits))
+	_, heavy := splitWrites(snap, outstandingWrites, dBits, ellBits)
+	res.HeavyWrites = len(heavy)
 	res.CompletedWrites = concurrency - len(outstandingWrites)
 
 	target := concurrency

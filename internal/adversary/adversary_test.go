@@ -21,14 +21,14 @@ func TestPolicyRulePriorities(t *testing.T) {
 	// 1 is not (100 bits).
 	w1 := oracle.WriteID{Client: 1, Seq: 1}
 	w2 := oracle.WriteID{Client: 2, Seq: 1}
-	snap := storagecost.Collect([]storagecost.Reporter{reporter{
+	snap := storagecost.Collect([]storagecost.BlockInfo{
 		{Location: storagecost.Location{Kind: storagecost.BaseObject, ID: 0}, Source: oracle.SourceTag{Write: w2, Index: 1}, Bits: 600},
 		{Location: storagecost.Location{Kind: storagecost.BaseObject, ID: 1}, Source: oracle.SourceTag{Write: w1, Index: 1}, Bits: 100},
 		{Location: storagecost.Location{Kind: storagecost.BaseObject, ID: 2}, Source: oracle.SourceTag{Write: w1, Index: 2}, Bits: 100},
-	}}, nil)
+	})
 	view := &dsys.View{
 		DataBits:          1000,
-		Storage:           snap,
+		Storage:           func() *storagecost.Snapshot { return snap },
 		OutstandingWrites: []oracle.WriteID{w1, w2},
 		Pending: []dsys.PendingView{
 			{Index: 0, Seq: 10, Object: 0, Client: 1, Op: dsys.OpID{Client: 1, Seq: 1, Kind: dsys.OpWrite}}, // frozen object
@@ -58,10 +58,6 @@ func TestPolicyRulePriorities(t *testing.T) {
 		t.Fatalf("expected stall, got %+v", d)
 	}
 }
-
-type reporter []storagecost.BlockInfo
-
-func (r reporter) StorageBlocks() []storagecost.BlockInfo { return r }
 
 func TestAdversaryPinsEcregAndExtractsBound(t *testing.T) {
 	// Against the pure erasure-coded baseline the adversary pins the run (no

@@ -287,6 +287,7 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 			object: h.base + obj,
 			op:     h.currentOp,
 			rmw:    rmw,
+			blocks: rmw.Blocks(),
 			call:   call,
 			owner:  t,
 		})

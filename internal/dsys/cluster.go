@@ -27,14 +27,13 @@ const (
 )
 
 type options struct {
-	mode       Mode
-	policy     Policy
-	maxSteps   int
-	dataBits   int
-	accounting bool
-	eventLog   func(Event)
-	metrics    *metrics.Registry
-	tracer     *trace.Tracer
+	mode     Mode
+	policy   Policy
+	maxSteps int
+	dataBits int
+	eventLog func(Event)
+	metrics  *metrics.Registry
+	tracer   *trace.Tracer
 }
 
 // Option configures a Cluster.
@@ -60,9 +59,6 @@ func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
 // WithDataBits records D (the register value size in bits) so that policies
 // can classify writes into C⁻/C⁺.
 func WithDataBits(d int) Option { return func(o *options) { o.dataBits = d } }
-
-// WithoutAccounting disables per-step storage snapshots (controlled mode).
-func WithoutAccounting() Option { return func(o *options) { o.accounting = false } }
 
 // WithEventLog installs a callback invoked on every scheduling event; E6 uses
 // it to print the adversary's Figure 3 schedule.
@@ -117,6 +113,7 @@ type pendingRMW struct {
 	object int
 	op     OpID
 	rmw    RMW
+	blocks []BlockRef // rmw.Blocks(), taken once: parameters stay as triggered
 	call   *Call
 	owner  *clientTask
 }
@@ -280,8 +277,11 @@ type Cluster struct {
 	// rounds in flight, and running without one costs a single pointer load.
 	jour atomic.Pointer[Journal]
 
-	acct *storagecost.Accountant
-	wg   sync.WaitGroup
+	// peakTotal and peakBase are the run's storage cost so far: the largest
+	// total and base-object bits any sample saw (PeakStorage). Guarded by mu.
+	peakTotal, peakBase int
+
+	wg sync.WaitGroup
 }
 
 // stripeFor returns the bookkeeping stripe for a client ID.
@@ -295,10 +295,11 @@ func (c *Cluster) stripeFor(client int) *clientStripe {
 func (c *Cluster) objs() []*object { return *c.objsPtr.Load() }
 
 // NewCluster creates a cluster with the given initial base-object states.
-// The default configuration is controlled mode with FairPolicy and storage
-// accounting enabled.
+// The default configuration is controlled mode with FairPolicy. Storage is
+// always accounted: a controlled cluster records the run's peak after every
+// step that applies an RMW, and every cluster samples on SampleStorage.
 func NewCluster(states []State, opts ...Option) *Cluster {
-	o := options{mode: Controlled, policy: FairPolicy{}, accounting: true}
+	o := options{mode: Controlled, policy: FairPolicy{}}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -315,9 +316,6 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 		objects = append(objects, &object{id: i, state: s})
 	}
 	c.objsPtr.Store(&objects)
-	if o.accounting {
-		c.acct = new(storagecost.Accountant)
-	}
 	if o.mode == Controlled {
 		c.wg.Add(1)
 		go c.coordinator()
@@ -401,8 +399,16 @@ func (c *Cluster) RetireObjects(base, span int) error {
 // Mode returns the cluster's scheduling mode.
 func (c *Cluster) Mode() Mode { return c.opts.mode }
 
-// Accountant returns the storage accountant (nil if accounting is disabled).
-func (c *Cluster) Accountant() *storagecost.Accountant { return c.acct }
+// PeakStorage returns the run's storage cost so far — Definition 2's maximum
+// over time of the total bits — and the largest base-object bits, the
+// quantity Theorem 2 bounds. Samples are taken after every controlled step
+// that applies an RMW and by every SampleStorage call, the only sampling a
+// live cluster does.
+func (c *Cluster) PeakStorage() (total, base int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peakTotal, c.peakBase
+}
 
 // Steps returns the number of scheduling decisions made so far.
 func (c *Cluster) Steps() int {
@@ -732,56 +738,78 @@ func (c *Cluster) SampleStorage() *storagecost.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := c.snapshotLocked()
-	if c.acct != nil {
-		c.acct.Observe(snap)
-	}
+	c.notePeakLocked(snap.TotalBits, snap.BaseObjectBits)
 	return snap
 }
 
-// snapshotLocked aggregates the storage reports of base objects, client-local
-// holdings, and pending RMW parameters. Callers must hold c.mu; each object's
-// apply lock and the stripe locks are taken one at a time underneath it, so
-// live-mode snapshots never observe a state mid-Apply (the sample as a whole
-// is still advisory in live mode: objects are sampled one after another while
-// operations may be in flight).
+// snapshotLocked lists every block the walk visits, located, plus the
+// attached journal's durable footprint. Callers must hold c.mu.
 func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
-	objects := c.objs()
-	reporters := make([]storagecost.Reporter, 0, len(objects)+len(c.pending))
-	for _, o := range objects {
-		// Retired objects were decommissioned by reconfiguration: their state
-		// was deallocated with them, so none of their bits count any more.
+	var blocks []storagecost.BlockInfo
+	c.walkStorageLocked(func(loc storagecost.Location, refs []BlockRef) {
+		for _, r := range refs {
+			blocks = append(blocks, storagecost.BlockInfo{Location: loc, Source: r.Source, Bits: r.Bits})
+		}
+	})
+	if j := c.journal(); j != nil {
+		blocks = append(blocks, j.DurableBlocks()...)
+	}
+	return storagecost.Collect(blocks)
+}
+
+// storageTotalsLocked sums the walk's bits without listing them: the total
+// Definition 2 charges and its base-object part. Callers must hold c.mu.
+func (c *Cluster) storageTotalsLocked() (total, base int) {
+	c.walkStorageLocked(func(loc storagecost.Location, refs []BlockRef) {
+		for _, r := range refs {
+			total += r.Bits
+			if loc.Kind == storagecost.BaseObject {
+				base += r.Bits
+			}
+		}
+	})
+	return total, base
+}
+
+// notePeakLocked raises the run's peaks to one sample's totals. Callers must
+// hold c.mu.
+func (c *Cluster) notePeakLocked(total, base int) {
+	c.peakTotal = max(c.peakTotal, total)
+	c.peakBase = max(c.peakBase, base)
+}
+
+// walkStorageLocked visits every set of blocks Definition 2 charges, with its
+// location: each base object's state, each client's local holdings, and each
+// pending RMW's parameters (its client's channel). Retired objects were
+// decommissioned by reconfiguration: their state was deallocated with them,
+// so none of their bits count any more. Callers must hold c.mu; each object's
+// apply lock and the stripe locks are taken one at a time underneath it, so a
+// live-mode walk never observes a state mid-Apply (the walk as a whole is
+// still advisory in live mode: objects are visited one after another while
+// operations may be in flight). visit must not keep refs or take locks.
+func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []BlockRef)) {
+	for _, o := range c.objs() {
 		if o.retired.Load() {
 			continue
 		}
 		o.liveMu.Lock()
 		refs := o.state.Blocks()
 		o.liveMu.Unlock()
-		reporters = append(reporters, blockReporter{
-			loc:  storagecost.Location{Kind: storagecost.BaseObject, ID: o.id},
-			refs: refs,
-		})
+		visit(storagecost.Location{Kind: storagecost.BaseObject, ID: o.id}, refs)
 	}
 	for i := range c.stripes {
 		st := &c.stripes[i]
 		st.mu.Lock()
-		for client, refs := range st.blocks {
-			reporters = append(reporters, blockReporter{
-				loc:  storagecost.Location{Kind: storagecost.Client, ID: client},
-				refs: refs,
-			})
+		if len(st.blocks) > 0 {
+			for client, refs := range st.blocks {
+				visit(storagecost.Location{Kind: storagecost.Client, ID: client}, refs)
+			}
 		}
 		st.mu.Unlock()
 	}
 	for _, p := range c.pending {
-		reporters = append(reporters, blockReporter{
-			loc:  storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client},
-			refs: p.rmw.Blocks(),
-		})
+		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, p.blocks)
 	}
-	if j := c.journal(); j != nil {
-		reporters = append(reporters, durableReporter{j: j})
-	}
-	return storagecost.Collect(reporters, nil)
 }
 
 // outstandingWritesLocked returns outstanding write operations in invocation

@@ -151,6 +151,7 @@ func (c *Cluster) buildViewLocked() *View {
 		Step:              c.steps,
 		DataBits:          c.opts.dataBits,
 		OutstandingWrites: c.outstandingWritesLocked(),
+		Storage:           c.snapshotLocked,
 	}
 	objects := c.objs()
 	for i, p := range c.pending {
@@ -176,16 +177,13 @@ func (c *Cluster) buildViewLocked() *View {
 		seen[t.client] = true
 		v.Clients = append(v.Clients, t.client)
 	}
-	if c.acct != nil {
-		v.Storage = c.snapshotLocked()
-	}
 	return v
 }
 
 // applyPendingLocked lets the pending RMW at the given index take effect:
-// the state change is applied atomically, the response is recorded, storage
-// is re-sampled, and the owning task is made ready again if its quorum is now
-// satisfied.
+// the state change is applied atomically, the response is recorded, the
+// storage peaks take the new totals, and the owning task is made ready again
+// if its quorum is now satisfied.
 func (c *Cluster) applyPendingLocked(index int) {
 	p := c.pending[index]
 	c.pending = append(c.pending[:index], c.pending[index+1:]...)
@@ -201,9 +199,7 @@ func (c *Cluster) applyPendingLocked(index int) {
 	if c.opts.eventLog != nil {
 		c.emitEvent(Event{Step: c.steps, Kind: EventApply, Object: p.object, Client: p.op.Client, Op: p.op})
 	}
-	if c.acct != nil {
-		c.acct.Observe(c.snapshotLocked())
-	}
+	c.notePeakLocked(c.storageTotalsLocked())
 	if t := p.owner; t != nil && t.state == taskBlocked && !t.crashed {
 		done := 0
 		for _, call := range t.waitCalls {

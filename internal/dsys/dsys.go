@@ -14,8 +14,10 @@
 //
 // The runtime also implements the storage-cost bookkeeping of Section 3:
 // base-object states, client-held blocks, and the parameters of pending RMWs
-// all report the code blocks they contain, and the cluster aggregates them
-// into storagecost snapshots after every scheduling step.
+// all report the code blocks they contain. One walk over them serves two
+// uses: after every scheduling step that applies an RMW it sums their bits
+// into the run's peak (PeakStorage), and on request it lists them as a
+// storagecost snapshot (SampleStorage, View.Storage).
 package dsys
 
 import (
@@ -23,7 +25,6 @@ import (
 	"fmt"
 
 	"spacebounds/internal/oracle"
-	"spacebounds/internal/storagecost"
 )
 
 // BlockRef describes one code block held somewhere in the system: which
@@ -151,18 +152,3 @@ const (
 	// IdleHalted means Close was called.
 	IdleHalted IdleReason = "halted"
 )
-
-// blockReporter adapts a located set of BlockRefs to storagecost.Reporter.
-type blockReporter struct {
-	loc  storagecost.Location
-	refs []BlockRef
-}
-
-// StorageBlocks implements storagecost.Reporter.
-func (r blockReporter) StorageBlocks() []storagecost.BlockInfo {
-	out := make([]storagecost.BlockInfo, 0, len(r.refs))
-	for _, ref := range r.refs {
-		out = append(out, storagecost.BlockInfo{Location: r.loc, Source: ref.Source, Bits: ref.Bits})
-	}
-	return out
-}

@@ -116,8 +116,64 @@ func TestControlledQuorumInvoke(t *testing.T) {
 	if applied != 5 {
 		t.Fatalf("applied RMWs = %d, want 5", applied)
 	}
-	if c.Accountant().MaxTotalBits() < 300 {
-		t.Fatalf("accounted max bits = %d, want >= 300", c.Accountant().MaxTotalBits())
+	if total, _ := c.PeakStorage(); total < 300 {
+		t.Fatalf("peak storage = %d bits, want >= 300", total)
+	}
+}
+
+// TestPeakStorage follows the run's two peaks, which are reached at
+// different times: the total while a client holds 300 bits of its own, the
+// base objects once it has let them go and written more.
+func TestPeakStorage(t *testing.T) {
+	c := newTestCluster(3)
+	defer c.Close()
+	th := c.Spawn(1, func(h *ClientHandle) error {
+		op := h.BeginOp(OpWrite)
+		defer h.EndOp()
+		src := oracle.SourceTag{Write: op.WriteID(), Index: 1}
+		h.SetLocalBlocks([]BlockRef{{Source: src, Bits: 300}})
+		// Each apply moves 100 bits from the channel to an object: 600 in all.
+		if _, err := h.InvokeAll(func(int) RMW { return addBlockRMW{source: src, bits: 100} }, 3); err != nil {
+			return err
+		}
+		h.SetLocalBlocks(nil)
+		// The objects end at 450 bits, the total never again above 450.
+		_, err := h.InvokeAll(func(int) RMW { return addBlockRMW{source: src, bits: 50} }, 3)
+		return err
+	})
+	c.Start()
+	if err := th.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if total, base := c.PeakStorage(); total != 600 || base != 450 {
+		t.Fatalf("peaks = %d total / %d base bits, want 600 / 450", total, base)
+	}
+
+	// A live cluster takes no per-step samples: SampleStorage is its one.
+	live := newTestCluster(2, WithLiveMode())
+	defer live.Close()
+	live.objectState(0).(*testState).blocks = []BlockRef{{Bits: 70}}
+	live.SampleStorage()
+	if total, base := live.PeakStorage(); total != 70 || base != 70 {
+		t.Fatalf("live peaks after a sample = %d / %d, want 70 / 70", total, base)
+	}
+}
+
+// TestPeakStorageStartsAtZero checks that neither kind of cluster reports a
+// peak it has not sampled: a controlled one before its first step, a live one
+// holding bits before its first SampleStorage.
+func TestPeakStorageStartsAtZero(t *testing.T) {
+	c := newTestCluster(3)
+	defer c.Close()
+	if total, base := c.PeakStorage(); total != 0 || base != 0 {
+		t.Fatalf("peaks before any step = %d / %d, want 0 / 0", total, base)
+	}
+
+	live := newTestCluster(2, WithLiveMode())
+	defer live.Close()
+	live.objectState(0).(*testState).blocks = []BlockRef{{Bits: 70}}
+	if total, base := live.PeakStorage(); total != 0 || base != 0 {
+		t.Fatalf("live peaks before a sample = %d / %d, want 0 / 0", total, base)
 	}
 }
 
@@ -430,12 +486,6 @@ func TestPendingRMWCountedAsChannelStorage(t *testing.T) {
 	if snap.ClientBits != 64 {
 		t.Fatalf("ClientBits = %d, want 64", snap.ClientBits)
 	}
-	// Outside-client contribution for the write excludes both its own client
-	// local blocks and its own pending parameters.
-	w := oracle.WriteID{Client: 7, Seq: 1}
-	if snap.PerWriteOutsideBits[w] != 0 {
-		t.Fatalf("PerWriteOutsideBits = %d, want 0", snap.PerWriteOutsideBits[w])
-	}
 }
 
 func TestTracerReceivesEvents(t *testing.T) {
@@ -499,13 +549,4 @@ func TestOpKindAndIDStrings(t *testing.T) {
 	if id.String() == "" || id.WriteID() != (oracle.WriteID{Client: 2, Seq: 3}) {
 		t.Fatal("OpID helpers wrong")
 	}
-}
-
-func TestAccountingDisabled(t *testing.T) {
-	c := newTestCluster(2, WithoutAccounting())
-	defer c.Close()
-	if c.Accountant() != nil {
-		t.Fatal("accountant present despite WithoutAccounting")
-	}
-	c.Start()
 }

@@ -14,3 +14,8 @@ func Residue(h *ClientHandle) (fieldsSet bool, answers int) {
 	}
 	return fieldsSet, answers
 }
+
+// StepTotals returns the sums the controlled coordinator's per-step walk
+// records into the peaks. Call it only where c's lock is held — from a
+// Policy's Decide — to compare with View.Storage().
+func StepTotals(c *Cluster) (total, base int) { return c.storageTotalsLocked() }

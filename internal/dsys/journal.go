@@ -67,13 +67,6 @@ type NoChange interface {
 	NoChange() (unchanged, incomplete bool)
 }
 
-// durableReporter adapts a journal's on-disk footprint to
-// storagecost.Reporter so snapshots carry the durability axis.
-type durableReporter struct{ j Journal }
-
-// StorageBlocks implements storagecost.Reporter.
-func (r durableReporter) StorageBlocks() []storagecost.BlockInfo { return r.j.DurableBlocks() }
-
 // SetJournal attaches a journal to the cluster (nil detaches). Attach the
 // journal before admitting traffic: applies that race with the attachment may
 // or may not be recorded.

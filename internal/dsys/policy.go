@@ -49,8 +49,10 @@ type View struct {
 	Pending []PendingView
 	// Ready lists client tasks waiting to run local code.
 	Ready []ReadyClient
-	// Storage is the current storage snapshot (nil when accounting disabled).
-	Storage *storagecost.Snapshot
+	// Storage samples the current storage snapshot on call. It is valid only
+	// during Decide, which runs under the cluster's lock, and a policy that
+	// never calls it never pays for the sample.
+	Storage func() *storagecost.Snapshot
 	// OutstandingWrites lists write operations that are invoked but not yet
 	// returned, in invocation order.
 	OutstandingWrites []oracle.WriteID

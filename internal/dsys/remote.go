@@ -22,9 +22,10 @@ func (emptyState) Blocks() []BlockRef { return nil }
 // RoundInvoker (a transport) instead of applying RMWs locally. The register
 // emulations run unchanged on top of it — they see the same ClientHandle API —
 // which is what turns the one-process simulation into a real client talking to
-// a real cluster. Remote clusters run in live mode with accounting disabled;
-// controlled (policy-driven) scheduling is inherently in-process and is not
-// available remotely. Of opts, only the instruments (WithMetrics, WithTracer)
+// a real cluster. Remote clusters run in live mode, so they take no per-step
+// storage samples, and their placeholder objects hold no blocks; controlled
+// (policy-driven) scheduling is inherently in-process and is not available
+// remotely. Of opts, only the instruments (WithMetrics, WithTracer)
 // are meant for a remote cluster.
 func NewRemoteCluster(n int, inv RoundInvoker, opts ...Option) *Cluster {
 	if n < 1 {
@@ -37,7 +38,7 @@ func NewRemoteCluster(n int, inv RoundInvoker, opts ...Option) *Cluster {
 	for i := range states {
 		states[i] = emptyState{}
 	}
-	c := NewCluster(states, append([]Option{WithLiveMode(), WithoutAccounting()}, opts...)...)
+	c := NewCluster(states, append([]Option{WithLiveMode()}, opts...)...)
 	c.remote = inv
 	return c
 }

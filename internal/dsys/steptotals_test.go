@@ -1,0 +1,104 @@
+package dsys_test
+
+import (
+	"fmt"
+	"testing"
+
+	"spacebounds/internal/dsys"
+	"spacebounds/internal/register"
+	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/adaptive"
+	"spacebounds/internal/register/ecreg"
+	"spacebounds/internal/value"
+	"spacebounds/internal/workload"
+)
+
+// totalsPolicy is FairPolicy that, before every decision, compares the sums
+// the coordinator records into the peaks with a full snapshot's totals: the
+// one walk serves both, and this is where they must agree.
+type totalsPolicy struct {
+	t     *testing.T
+	c     *dsys.Cluster
+	name  string
+	steps int
+	bad   int
+}
+
+func (p *totalsPolicy) Decide(v *dsys.View) dsys.Decision {
+	p.steps++
+	total, base := dsys.StepTotals(p.c)
+	if snap := v.Storage(); (total != snap.TotalBits || base != snap.BaseObjectBits) && p.bad < 3 {
+		p.bad++
+		p.t.Errorf("%s, step %d: walk sums %d total / %d base bits, snapshot %d / %d",
+			p.name, v.Step, total, base, snap.TotalBits, snap.BaseObjectBits)
+	}
+	return dsys.FairPolicy{}.Decide(v)
+}
+
+// TestStepTotalsMatchTheSnapshot runs the workloads of E1–E3 — c writers of
+// two writes each (three in E2) on the adaptive register at E1's and E2's
+// (f, k), and on abd and ecreg at E3's f = 2 — and checks every controlled
+// step.
+func TestStepTotalsMatchTheSnapshot(t *testing.T) {
+	const dataLen = 1024 // the experiments' D = 8 KiB
+	type run struct {
+		algo          string
+		f, k, writers int
+		writes        int
+	}
+	var runs []run
+	for _, fk := range []struct{ f, k int }{{1, 1}, {2, 2}, {4, 4}} { // E1
+		for _, c := range []int{1, 2, 4, 8, 12, 16} {
+			runs = append(runs, run{"adaptive", fk.f, fk.k, c, 2})
+		}
+	}
+	for _, r := range []struct{ f, k, writers int }{{1, 2, 2}, {2, 2, 4}, {2, 4, 4}, {3, 3, 6}} { // E2
+		runs = append(runs, run{"adaptive", r.f, r.k, r.writers, 3})
+	}
+	for _, c := range []int{1, 2, 4, 8, 12, 16} { // E3 (its adaptive column is E1's f = k = 2 row)
+		runs = append(runs, run{"abd", 2, 1, c, 2}, run{"ecreg", 2, 2, c, 2})
+	}
+	for _, r := range runs {
+		cfg := register.Config{F: r.f, K: r.k, DataLen: dataLen}
+		var reg register.Register
+		var err error
+		switch r.algo {
+		case "adaptive":
+			reg, err = adaptive.New(cfg)
+		case "abd":
+			reg, err = abd.New(cfg)
+		case "ecreg":
+			reg, err = ecreg.New(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, err := reg.InitialStates(value.Zero(dataLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &totalsPolicy{t: t, name: fmt.Sprintf("%s f=%d k=%d c=%d", r.algo, r.f, r.k, r.writers)}
+		p.c = dsys.NewCluster(states, dsys.WithPolicy(p))
+		var tasks []*dsys.TaskHandle
+		for w := 1; w <= r.writers; w++ {
+			tasks = append(tasks, p.c.Spawn(w, func(h *dsys.ClientHandle) error {
+				for seq := 1; seq <= r.writes; seq++ {
+					if err := reg.Write(h, workload.WriterValue(reg.Config(), w, seq)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}))
+		}
+		p.c.Start()
+		for _, task := range tasks {
+			if err := task.Wait(); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+		}
+		if reason := p.c.WaitIdle(); reason != dsys.IdleQuiesced || p.steps == 0 {
+			t.Fatalf("%s: run ended %s after %d steps", p.name, reason, p.steps)
+		}
+		p.c.Close()
+	}
+}

@@ -701,7 +701,7 @@ func TestControlledRunnerDrivesMove(t *testing.T) {
 		{Name: "s0", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: dataLen}},
 		{Name: "s1", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: dataLen}},
 	}
-	set, err := shard.New(specs, dsys.WithControlledMode(), dsys.WithoutAccounting())
+	set, err := shard.New(specs, dsys.WithControlledMode())
 	if err != nil {
 		t.Fatal(err)
 	}

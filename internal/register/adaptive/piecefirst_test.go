@@ -16,8 +16,8 @@ import (
 // TestGCShortcutUnderLateUpdates, TestJournalFormMakesTheSameTransition and
 // TestTrimmedUpdateNeverStoresAnEmptyReplica pin the rest.
 
-// parentPeaks[c-1] is the highest and the summed
-// Accountant().MaxBaseObjectBits() of runUnderLateObjects(seed, c) over seeds
+// parentPeaks[c-1] is the highest and the summed base-object peak
+// (PeakStorage) of runUnderLateObjects(seed, c) over seeds
 // 1..30 at the commit before the update round went piece-first (f21f145,
 // every update carrying the replica), under this very policy. Seed by seed
 // the two builds cannot be compared: the policy draws from one random stream,

@@ -413,7 +413,7 @@ func (p *lateObjects) Decide(v *dsys.View) dsys.Decision {
 		}
 	}
 	inChannel := map[oracle.WriteID]int{}
-	for _, b := range v.Storage.Blocks {
+	for _, b := range v.Storage().Blocks {
 		if b.Location.Kind == storagecost.Channel {
 			inChannel[b.Source.Write]++
 		}
@@ -569,7 +569,8 @@ func runUnderLateObjects(t *testing.T, seed int64, writers int) lateRun {
 	if got, want := cluster.SampleStorage().BaseObjectBits, cfg.N()*cfg.DataBits()/k; got != want {
 		t.Errorf("seed %d, %d writers: quiescent storage %d bits, want (2f+k)/k·D = %d", seed, writers, got, want)
 	}
-	return lateRun{peakBits: cluster.Accountant().MaxBaseObjectBits(), followUps: policy.followUps, overtaken: policy.overtaken}
+	_, peak := cluster.PeakStorage()
+	return lateRun{peakBits: peak, followUps: policy.followUps, overtaken: policy.overtaken}
 }
 
 // TestGCShortcutUnderLateUpdates runs k+2 concurrent writers — enough for

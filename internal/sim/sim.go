@@ -212,6 +212,9 @@ type Result struct {
 	RouteLeaks []string
 	// Verdicts holds one entry per shard per checked condition.
 	Verdicts []ShardVerdict
+	// SpaceViolations lists the regions whose storage at the end of a
+	// quiesced run broke the quiescent space clause (quiescentSpace).
+	SpaceViolations []string
 	// FollowUpUpdates counts the (write, base object) pairs at which a fourth
 	// RMW of the write took effect. Only an adaptive write that ran its
 	// follow-up update round sends an object four (query, piece-only update,
@@ -247,9 +250,10 @@ func (r *Result) Unresolved() []reconfig.MoveState {
 }
 
 // Failed reports whether any checked condition was violated, a route was
-// left mid-lifecycle, or a move was left unresolved.
+// left mid-lifecycle, a move was left unresolved, or a region broke the
+// quiescent space clause.
 func (r *Result) Failed() bool {
-	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0
+	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0 || len(r.SpaceViolations) > 0
 }
 
 // conditionFor maps a provider to the consistency condition its emulation
@@ -327,7 +331,6 @@ func Run(cfg Config) (*Result, error) {
 		dsys.WithControlledMode(),
 		dsys.WithPolicy(adv),
 		dsys.WithMaxSteps(cfg.MaxSteps),
-		dsys.WithoutAccounting(),
 		dsys.WithEventLog(func(ev dsys.Event) {
 			if ev.Kind != dsys.EventApply || ev.Op.Kind != dsys.OpWrite {
 				return
@@ -430,6 +433,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			res.RouteLeaks = append(res.RouteLeaks, leak)
 		}
+	}
+	if reason == dsys.IdleQuiesced {
+		res.SpaceViolations = quiescentSpace(set, recorders)
 	}
 	cluster.Close()
 	for _, h := range handles {
@@ -627,6 +633,9 @@ func fingerprint(r *Result) string {
 	for _, m := range r.Moves {
 		fmt.Fprintf(h, "ledger %s\n", m)
 	}
+	if len(r.SpaceViolations) > 0 {
+		fmt.Fprintf(h, "space %q\n", r.SpaceViolations)
+	}
 	for _, v := range r.Verdicts {
 		fmt.Fprintf(h, "shard %s lineage %v condition %s err=%v\n", v.Shard, v.Lineage, v.Condition, v.Err)
 		for _, op := range v.History.Ops {
@@ -700,6 +709,9 @@ func FormatFailure(r *Result) string {
 	}
 	for _, m := range r.Unresolved() {
 		fmt.Fprintf(&b, "move left unresolved at run end: %s\n", m)
+	}
+	for _, v := range r.SpaceViolations {
+		fmt.Fprintf(&b, "quiescent space bound violated: %s\n", v)
 	}
 	for _, v := range r.Violations() {
 		fmt.Fprintf(&b, "shard %s (%s) violates %s: %v\n", v.Shard, v.Provider, v.Condition, v.Err)

@@ -82,7 +82,7 @@ func mixedServer(tb testing.TB) (*Server, *recordingJournal) {
 		}
 		states = append(states, more...)
 	}
-	cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
+	cluster := dsys.NewCluster(states, dsys.WithLiveMode())
 	tb.Cleanup(cluster.Close)
 	journal := &recordingJournal{}
 	cluster.SetJournal(journal)

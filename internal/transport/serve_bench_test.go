@@ -43,7 +43,7 @@ func largeServer(tb testing.TB) *Server {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cluster := dsys.NewCluster(states, dsys.WithLiveMode(), dsys.WithoutAccounting())
+	cluster := dsys.NewCluster(states, dsys.WithLiveMode())
 	tb.Cleanup(cluster.Close)
 	return NewServer(cluster)
 }

@@ -137,10 +137,7 @@ func Run(reg register.Register, spec Spec) (*Result, error) {
 	res.IdleReason = reason
 	res.Steps = cluster.Steps()
 	res.QuiescentBaseObjectBits = final.BaseObjectBits
-	if acct := cluster.Accountant(); acct != nil {
-		res.MaxTotalBits = acct.MaxTotalBits()
-		res.MaxBaseObjectBits = acct.MaxBaseObjectBits()
-	}
+	res.MaxTotalBits, res.MaxBaseObjectBits = cluster.PeakStorage()
 	res.CompletedWrites = len(completedOfKind(res.History, history.Write))
 	res.CompletedReads = len(res.History.CompletedReads())
 	res.WriteErrors = spec.Writers*spec.WritesPerWriter - res.CompletedWrites
