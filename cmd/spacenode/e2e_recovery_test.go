@@ -22,7 +22,9 @@ import (
 // WAL directory — and must come back by replaying its journal before
 // listening. The paced client must finish with strong regularity intact, and
 // the restarted node must prove it recovered from disk (its WAL REPLAY line
-// reports applied records), not from writes repairing it afterwards.
+// reports applied records), not from writes repairing it afterwards. The
+// journals snapshot often, so the node is killed while writing over a
+// recycled segment file.
 func TestClusterRecoveryEndToEnd(t *testing.T) {
 	opsPerClient, rate := 240, 120.0
 	killAt, restartAt := 500*time.Millisecond, 1000*time.Millisecond
@@ -52,6 +54,12 @@ func TestClusterRecoveryEndToEnd(t *testing.T) {
 			"-listen", listen, "-node", fmt.Sprint(n),
 			"-wal-dir", filepath.Join(walRoot, fmt.Sprintf("node-%d", n)),
 			"-wal-sync-every", "1", // every acknowledged round survives SIGKILL
+			// A snapshot every 32 records: the victim journals some 110
+			// records before the SIGKILL, so it lands on a recycled segment
+			// (the third segment on is one), some 18 records past the last
+			// snapshot. At 16 that snapshot covered every record, and the
+			// replay check below had nothing to count.
+			"-wal-snapshot-every", "32",
 		}
 		if recover {
 			args = append(args, "-recover")

@@ -2,7 +2,9 @@ package wal_test
 
 import (
 	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
@@ -73,6 +75,106 @@ func BenchmarkJournalAppend(b *testing.B) {
 			}
 			b.StopTimer()
 			b.SetBytes(j.LogBytes() / int64((b.N-1)%recordsPerJournal+1))
+			if err := j.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkJournalSync is the journal's fsync row of the ladder: one op is 64
+// "trimmed" update records of BenchmarkJournalAppend (tcp-durable's shape and
+// its SyncEvery) and the fsync that covers them. "fresh" writes them to a new
+// segment file, which every fsync then has to grow; "recycled" writes over a
+// segment file an earlier generation filled, as every rotation after a
+// journal's first two does (DESIGN.md "Recycled segments"). Both rotate every
+// opsPerSegment ops, outside the timed path. p50-fsync-us and p95-fsync-us
+// are the fsync's own percentiles.
+func BenchmarkJournalSync(b *testing.B) {
+	const k, dataLen, recordsPerSync, opsPerSegment = 2, 4 << 10, 64, 32
+	reg, err := adaptive.New(register.Config{F: 1, K: k, DataLen: dataLen})
+	if err != nil {
+		b.Fatal(err)
+	}
+	states, err := reg.InitialStates(value.Zero(dataLen))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := dsys.NewCluster(states, dsys.WithLiveMode())
+	defer c.Close()
+	rmw := adaptiveUpdate(b, 0, 1, 1, dataLen/k, false)
+	if _, err := c.ApplyOne(0, rmw); err != nil {
+		b.Fatal(err)
+	}
+	cfg := wal.Config{SyncEvery: 1 << 30, SnapshotEvery: 1 << 30}
+	fill := func(j *wal.Journal) {
+		for i := 0; i < recordsPerSync; i++ {
+			j.RecordApply(0, rmw)
+		}
+	}
+	for _, recycled := range []bool{false, true} {
+		name := "fresh"
+		if recycled {
+			name = "recycled"
+		}
+		b.Run(name, func(b *testing.B) {
+			var j *wal.Journal
+			var dir string
+			open := func() {
+				dir = b.TempDir()
+				cfg.Dir = dir
+				if j, err = wal.Open(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// rotate starts the next segment: a new journal in a new
+			// directory, or the journal's snapshot, which writes over the
+			// file of the segment before the one it freezes.
+			rotate := func() {
+				if recycled {
+					if err := j.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				if err := j.Close(); err != nil {
+					b.Fatal(err)
+				}
+				os.RemoveAll(dir)
+				open()
+			}
+			open()
+			if recycled {
+				j.Attach(c)
+				// Two generations fill the two files the journal alternates
+				// between.
+				for range 2 {
+					for range opsPerSegment {
+						fill(j)
+					}
+					rotate()
+				}
+			}
+			took := make([]time.Duration, 0, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%opsPerSegment == 0 {
+					b.StopTimer()
+					rotate()
+					b.StartTimer()
+				}
+				fill(j)
+				start := time.Now()
+				if err := j.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				took = append(took, time.Since(start))
+			}
+			b.StopTimer()
+			slices.Sort(took)
+			b.ReportMetric(float64(took[len(took)/2].Nanoseconds())/1e3, "p50-fsync-us")
+			b.ReportMetric(float64(took[len(took)*95/100].Nanoseconds())/1e3, "p95-fsync-us")
 			if err := j.Close(); err != nil {
 				b.Fatal(err)
 			}

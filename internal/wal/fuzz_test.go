@@ -41,6 +41,19 @@ func buildFaultedSegment(f *testing.F, fault diskFault) []byte {
 	return readSegment(f, dir)
 }
 
+// buildRecycledSegment produces the bytes of a recycled active segment, its
+// own records followed by an older generation's, as build leaves it.
+func buildRecycledSegment(f *testing.F, build func(t testing.TB, dir string) *node) []byte {
+	f.Helper()
+	dir := f.TempDir()
+	n := build(f, dir)
+	n.c.Close()
+	if err := n.j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return readSegment(f, dir)
+}
+
 func readSegment(f *testing.F, dir string) []byte {
 	f.Helper()
 	raw, err := os.ReadFile(findSegments(f, dir)[0])
@@ -52,7 +65,7 @@ func readSegment(f *testing.F, dir string) []byte {
 
 // FuzzWALReplay feeds arbitrary bytes to the journal as a segment file and as
 // a snapshot file. Whatever the damage — torn writes, flipped bits, hostile
-// length prefixes — Open must either succeed (truncating a torn tail) or
+// length prefixes, a recycled file's old tail — Open must either succeed (truncating a torn tail) or
 // return an error; Replay must apply a clean prefix or return an error; and a
 // second Open of the same directory must succeed (tail repair converges).
 // Panics and unbounded allocations are the bugs this hunts.
@@ -70,6 +83,12 @@ func FuzzWALReplay(f *testing.F) {
 	for _, fault := range []diskFault{shortWrite, noSpace, fsyncFails} {
 		f.Add(buildFaultedSegment(f, fault), false)
 	}
+	// A valid run followed by records of an older generation: the run
+	// again, whose seqs are not above its last; a recycled file's old tail,
+	// cut mid-frame; and one that starts with a whole, checksummed record.
+	f.Add(append(append([]byte(nil), seed...), seed...), false)
+	f.Add(buildRecycledSegment(f, func(t testing.TB, dir string) *node { return recycledNode(t, dir, 6, 1) }), false)
+	f.Add(buildRecycledSegment(f, staleMoveNode), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, asSnapshot bool) {
 		dir := t.TempDir()

@@ -21,10 +21,20 @@ import (
 //
 // An apply record's payload is a dsys.Envelope (which carries the target
 // object and the RMW's codec kind + parameters); a move record's payload is
-// u64 ledger ID followed by the coordinator's opaque encoded MoveState. A
-// short or checksum-failing frame marks the end of valid data: on the active
-// segment that is a torn tail from a crash mid-append and is truncated away;
-// on any other segment it is corruption and refuses the journal.
+// u64 ledger ID followed by the coordinator's opaque encoded MoveState.
+//
+// A segment is named by the first seq it may hold, and its records' seqs rise
+// by one from there. A segment's file may be a recycled one (newSegmentLocked
+// writes over the journal's spare from offset 0), so past the segment's own
+// records its file can still hold an older generation's: whole records whose
+// seq is below the segment's name, or frames cut mid-way that fail their
+// checksum. The valid data therefore ends at the first frame that is short,
+// fails its checksum, or holds a seq below the segment's name or not above the
+// record before it. On the active segment whatever follows that end is a torn
+// tail or a recycled file's old tail and is truncated away at Open; a frozen
+// segment may end there only if its last seq is the one before the next
+// segment's first; anywhere else the end is corruption and refuses the
+// journal.
 
 const (
 	recApply = 1
@@ -42,6 +52,9 @@ const (
 	snapshotPrefix = "snap-"
 	snapshotSuffix = ".snap"
 	tempSuffix     = ".tmp"
+	// spareName is the journal's one spare segment file (see
+	// newSegmentLocked). Open deletes it with every other .tmp file.
+	spareName = segmentPrefix + "spare" + tempSuffix
 )
 
 // ErrCorrupt reports an unreadable record or snapshot outside the repairable
@@ -101,23 +114,39 @@ func decodeBody(body []byte) (record, error) {
 	return r, nil
 }
 
-// scanSegment reads a segment front to back, calling fn for each whole,
-// checksum-passing record. It returns the byte offset of the end of valid
-// data; err is non-nil if anything after that offset remains (torn tail or
-// corruption — the caller decides which it is by the segment's position), or
-// if fn failed.
+// scanSegment reads the segment seg front to back, calling fn for each record
+// of its valid data (see the framing comment above). It returns the byte
+// offset of the end of valid data; err is non-nil if anything after that
+// offset remains — a torn or old tail, or corruption: the caller decides which
+// by the segment's position — or if fn failed. next is the first seq of the
+// segment after seg, or 0 if seg is the active one: a frozen segment whose
+// valid data ends before EOF at the record next-1 is whole (it was recycled,
+// then frozen by a rotation before a snapshot replaced it), so that end is no
+// error.
 //
 // Every record is read into one buffer, over the last: r.payload is valid
 // until fn returns. What a caller keeps of a record it copies — an apply's
 // pieces where its object stores them (register.Retain), a move's state in
 // noteRecord.
-func scanSegment(path string, fn func(r record, frameLen int) error) (validLen int64, err error) {
-	f, err := os.Open(path)
+func scanSegment(seg *segment, next uint64, fn func(r record, frameLen int) error) (validLen int64, err error) {
+	f, err := os.Open(seg.path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	size := info.Size()
 	var off int64
+	var last uint64 // seq of the record that ends at off, if off > 0
+	stop := func(why error) (int64, error) {
+		if next != 0 && off > 0 && last+1 == next {
+			return off, nil
+		}
+		return off, fmt.Errorf("%w at offset %d", why, off)
+	}
 	header := make([]byte, frameHeader)
 	var buf []byte
 	for {
@@ -125,31 +154,41 @@ func scanSegment(path string, fn func(r record, frameLen int) error) (validLen i
 			if err == io.EOF {
 				return off, nil
 			}
-			return off, fmt.Errorf("%w: short frame header at offset %d", ErrCorrupt, off)
+			return stop(fmt.Errorf("%w: short frame header", ErrCorrupt))
 		}
 		bodyLen := binary.BigEndian.Uint32(header[:4])
 		crc := binary.BigEndian.Uint32(header[4:8])
 		if bodyLen > maxBody {
-			return off, fmt.Errorf("%w: frame of %d bytes at offset %d", ErrCorrupt, bodyLen, off)
+			return stop(fmt.Errorf("%w: frame of %d bytes", ErrCorrupt, bodyLen))
+		}
+		// A length the rest of the file cannot hold is a short frame, found
+		// without allocating for it: an old tail's cut frames make such
+		// lengths.
+		if int64(bodyLen) > size-off-frameHeader {
+			return stop(fmt.Errorf("%w: short frame body", ErrCorrupt))
 		}
 		if int(bodyLen) > cap(buf) {
 			buf = make([]byte, bodyLen)
 		}
 		body := buf[:bodyLen]
 		if _, err := io.ReadFull(f, body); err != nil {
-			return off, fmt.Errorf("%w: short frame body at offset %d", ErrCorrupt, off)
+			return stop(fmt.Errorf("%w: short frame body", ErrCorrupt))
 		}
 		if crc32.ChecksumIEEE(body) != crc {
-			return off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
+			return stop(fmt.Errorf("%w: checksum mismatch", ErrCorrupt))
 		}
 		rec, err := decodeBody(body)
 		if err != nil {
-			return off, fmt.Errorf("%v at offset %d", err, off)
+			return stop(err)
+		}
+		if rec.seq < seg.firstSeq || (off > 0 && rec.seq <= last) {
+			return stop(fmt.Errorf("%w: record seq %d out of order in segment %016x", ErrCorrupt, rec.seq, seg.firstSeq))
 		}
 		frameLen := frameHeader + int(bodyLen)
 		if err := fn(rec, frameLen); err != nil {
 			return off, err
 		}
+		last = rec.seq
 		off += int64(frameLen)
 	}
 }

@@ -81,9 +81,7 @@ func (j *Journal) Replay(c *dsys.Cluster) (ReplayStats, error) {
 	}
 
 	for i, seg := range segs {
-		active := i == len(segs)-1
-		err := j.replaySegment(c, seg.path, active, boundary, &stats)
-		if err != nil {
+		if err := j.replaySegment(c, seg, nextFirst(segs, i), boundary, &stats); err != nil {
 			return stats, err
 		}
 	}
@@ -94,13 +92,22 @@ func (j *Journal) Replay(c *dsys.Cluster) (ReplayStats, error) {
 	return stats, nil
 }
 
+// nextFirst is the next argument scanSegment takes for segs[i]: the first seq
+// of the segment after it, or 0 for the active one.
+func nextFirst(segs []*segment, i int) uint64 {
+	if i == len(segs)-1 {
+		return 0
+	}
+	return segs[i+1].firstSeq
+}
+
 // replaySegment scans one segment and applies its apply records with
-// seq > boundary[object]. Scan errors on the active segment mean a torn tail
-// (already truncated at Open for the crash-recovery path, but a live replay
-// may race fresh appends) and end the segment cleanly; anywhere else they
-// are corruption.
-func (j *Journal) replaySegment(c *dsys.Cluster, path string, active bool, boundary map[int]uint64, stats *ReplayStats) error {
-	_, err := scanSegment(path, func(r record, frameLen int) error {
+// seq > boundary[object]. next is scanSegment's: 0 for the active segment,
+// whose scan errors mean a torn tail (already truncated at Open for the
+// crash-recovery path, but a live replay may race fresh appends) and end the
+// segment cleanly; on any other segment they are corruption.
+func (j *Journal) replaySegment(c *dsys.Cluster, seg *segment, next uint64, boundary map[int]uint64, stats *ReplayStats) error {
+	_, err := scanSegment(seg, next, func(r record, frameLen int) error {
 		if r.typ != recApply {
 			return nil
 		}
@@ -129,8 +136,8 @@ func (j *Journal) replaySegment(c *dsys.Cluster, path string, active bool, bound
 		}
 		return nil
 	})
-	if err != nil && !(active && errors.Is(err, ErrCorrupt)) {
-		return fmt.Errorf("wal: replay %s: %w", path, err)
+	if err != nil && !(next == 0 && errors.Is(err, ErrCorrupt)) {
+		return fmt.Errorf("wal: replay %s: %w", seg.path, err)
 	}
 	return nil
 }
@@ -192,8 +199,7 @@ func (j *Journal) ReplayObject(c *dsys.Cluster, object int, fresh dsys.State) (R
 
 	only := map[int]uint64{object: boundary}
 	for i, seg := range segs {
-		active := i == len(segs)-1
-		if err := j.replayObjectSegment(c, seg.path, active, object, only, &stats); err != nil {
+		if err := j.replayObjectSegment(c, seg, nextFirst(segs, i), object, only, &stats); err != nil {
 			return stats, err
 		}
 	}
@@ -205,8 +211,8 @@ func (j *Journal) ReplayObject(c *dsys.Cluster, object int, fresh dsys.State) (R
 }
 
 // replayObjectSegment is replaySegment restricted to one object.
-func (j *Journal) replayObjectSegment(c *dsys.Cluster, path string, active bool, object int, boundary map[int]uint64, stats *ReplayStats) error {
-	_, err := scanSegment(path, func(r record, frameLen int) error {
+func (j *Journal) replayObjectSegment(c *dsys.Cluster, seg *segment, next uint64, object int, boundary map[int]uint64, stats *ReplayStats) error {
+	_, err := scanSegment(seg, next, func(r record, frameLen int) error {
 		if r.typ != recApply || r.object != object {
 			return nil
 		}
@@ -232,8 +238,8 @@ func (j *Journal) replayObjectSegment(c *dsys.Cluster, path string, active bool,
 	// The active segment's tail may be mid-append by other, live objects;
 	// everything for the crashed object was fsynced before the scan started,
 	// so stopping at the first torn frame loses nothing of it.
-	if err != nil && !(active && errors.Is(err, ErrCorrupt)) {
-		return fmt.Errorf("wal: replay %s: %w", path, err)
+	if err != nil && !(next == 0 && errors.Is(err, ErrCorrupt)) {
+		return fmt.Errorf("wal: replay %s: %w", seg.path, err)
 	}
 	return nil
 }

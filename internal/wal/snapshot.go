@@ -29,7 +29,7 @@ import (
 // object states are read, so every record in pre-rotation segments is
 // reflected in the snapshot's states (the journal records an apply from
 // inside the same critical section that mutates the state) and those
-// segments can be deleted afterwards.
+// segments can be deleted — or, the newest, recycled — afterwards.
 
 const snapshotVersion = 1
 
@@ -208,18 +208,21 @@ func (j *Journal) Snapshot() error {
 //
 //  1. Under jmu: fsync and rotate the log, copy the move map and the list of
 //     now-frozen segments. Every record in those segments has seq < rotSeq.
+//     An empty active segment is not rotated, only the ones before it frozen.
 //  2. No jmu: read each covered object's state under its apply lock (via
 //     dsys.ReadObjectState; the callback briefly takes jmu for the object's
 //     lastSeq — apply-lock→jmu is the normal append order). Rotation
 //     happened first, so each state reflects at least every pre-rotation
 //     record of that object.
 //  3. Write the snapshot file atomically (.tmp, fsync, rename, dir fsync).
-//  4. Under jmu: adopt the snapshot, drop the frozen segments from
-//     accounting, then delete them and the previous snapshot file.
+//  4. Under jmu: adopt the snapshot. Then keep the newest frozen segment's
+//     file as the spare (newSegmentLocked), and delete the other frozen
+//     segments and the previous snapshot file.
 //
 // A crash between any two phases recovers cleanly: the old snapshot and all
 // segments are still complete until the rename, and after it the frozen
-// segments are redundant (replay deduplicates by per-object sequence).
+// segments are redundant (replay deduplicates by per-object sequence). A
+// spare is a .tmp file, which Open deletes.
 func (j *Journal) snapshotOnce() error {
 	j.snapMu.Lock()
 	defer j.snapMu.Unlock()
@@ -235,25 +238,31 @@ func (j *Journal) snapshotOnce() error {
 		j.jmu.Unlock()
 		return err
 	}
-	if len(j.segments) == 1 && len(j.segments[0].bytes) == 0 {
+	active := j.segments[len(j.segments)-1]
+	if len(j.segments) == 1 && len(active.bytes) == 0 {
 		// Nothing appended since the last rotation: the existing snapshot
-		// (if any) is already current, and rotating would collide with the
-		// empty active segment's name.
+		// (if any) is already current.
 		j.jmu.Unlock()
 		return nil
 	}
 	j.syncLocked()
-	if err := j.f.Close(); err != nil {
-		j.jmu.Unlock()
-		return fmt.Errorf("wal: rotate: %v", err)
-	}
 	rotSeq := j.nextSeq
-	frozen := append([]*segment(nil), j.segments...)
-	if err := j.newSegmentLocked(); err != nil {
-		j.jmu.Unlock()
-		return err
+	frozen := append([]*segment(nil), j.segments[:len(j.segments)-1]...)
+	if len(active.bytes) > 0 {
+		if err := j.f.Close(); err != nil {
+			j.jmu.Unlock()
+			return fmt.Errorf("wal: rotate: %v", err)
+		}
+		frozen = append(frozen, active)
+		if err := j.newSegmentLocked(); err != nil {
+			j.jmu.Unlock()
+			return err
+		}
 	}
-	j.segments = j.segments[len(j.segments)-1:] // keep only the new active,
+	// An empty active segment stays: rotating would collide with its name,
+	// which is nextSeq. Only a crash between a rotation and the adoption of
+	// its snapshot leaves segments before one.
+	j.segments = j.segments[len(j.segments)-1:] // keep only the active one,
 	j.logTotal = 0                              // which is empty
 	moves := make(map[int][]byte, len(j.moves))
 	for id, p := range j.moves {
@@ -334,7 +343,14 @@ func (j *Journal) snapshotOnce() error {
 	if m != nil {
 		m.snapshots.Inc()
 	}
-	for _, seg := range frozen {
+	// The newest frozen segment's file becomes the spare the next rotation
+	// writes over. The older ones go, oldest first, so that a crash partway
+	// leaves the ones still listed a chain Open accepts (scanSegment).
+	for i, seg := range frozen {
+		if i == len(frozen)-1 && os.Rename(seg.path, filepath.Join(j.cfg.Dir, spareName)) == nil {
+			j.spare = true
+			continue
+		}
 		os.Remove(seg.path)
 	}
 	if oldSnap != "" && oldSnap != path {

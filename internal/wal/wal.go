@@ -127,6 +127,10 @@ type Journal struct {
 	// other. It is outermost: never taken while holding jmu or a cluster
 	// lock.
 	snapMu sync.Mutex
+	// spare says spareName holds the file of the segment the last snapshot
+	// froze, for the next rotation to write over. Guarded by snapMu: only a
+	// snapshot makes a spare, and only its rotation takes it.
+	spare bool
 
 	snapC chan struct{}
 	stopC chan struct{}
@@ -231,30 +235,40 @@ func (j *Journal) load() error {
 	}
 
 	// Scan segments ascending. Only the last may have a torn tail (it was the
-	// active file at crash time); corruption anywhere else is a hard error.
-	for i, name := range segPaths {
-		path := filepath.Join(j.cfg.Dir, name)
+	// active file at crash time); one before it may end early only where the
+	// next one starts (scanSegment), and any other early end is a hard error.
+	for _, name := range segPaths {
 		first, ok := parseSeqName(name, segmentPrefix, segmentSuffix)
 		if !ok {
 			return fmt.Errorf("wal: bad segment name %q", name)
 		}
-		seg := &segment{path: path, firstSeq: first, bytes: make(map[int]int64)}
-		last := i == len(segPaths)-1
-		validLen, err := scanSegment(path, func(r record, frameLen int) error {
+		// A segment's name is a seq the journal has handed out: the records
+		// to come must not fall below it, or a scan would end before them.
+		if first > j.nextSeq {
+			j.nextSeq = first
+		}
+		j.segments = append(j.segments, &segment{path: filepath.Join(j.cfg.Dir, name), firstSeq: first, bytes: make(map[int]int64)})
+	}
+	for i, seg := range j.segments {
+		next := nextFirst(j.segments, i)
+		validLen, err := scanSegment(seg, next, func(r record, frameLen int) error {
 			j.noteRecord(seg, r, frameLen)
 			return nil
 		})
 		if err != nil {
-			if !last {
-				return fmt.Errorf("wal: segment %s: %v", name, err)
+			if next != 0 {
+				return fmt.Errorf("wal: segment %s: %w", filepath.Base(seg.path), err)
 			}
-			// Torn tail on the active segment: everything past the last
-			// whole, checksummed frame was never acknowledged as durable.
-			if terr := os.Truncate(path, validLen); terr != nil {
-				return fmt.Errorf("wal: truncating torn tail of %s: %v", name, terr)
+			// Past the active segment's valid data is a torn tail, never
+			// acknowledged as durable, or a recycled file's old tail. It
+			// goes, so that new records follow the valid data: writing over
+			// the tail in place instead could bring back an unsynced record
+			// of the crashed run, whose seq a scan would take for a current
+			// one.
+			if terr := os.Truncate(seg.path, validLen); terr != nil {
+				return fmt.Errorf("wal: truncating torn tail of %s: %v", filepath.Base(seg.path), terr)
 			}
 		}
-		j.segments = append(j.segments, seg)
 	}
 
 	if len(j.segments) == 0 {
@@ -291,12 +305,23 @@ func (j *Journal) noteRecord(seg *segment, r record, frameLen int) {
 	}
 }
 
-// newSegmentLocked creates and opens a fresh active segment starting at the
-// current nextSeq. Caller holds jmu (or is initializing).
+// newSegmentLocked opens a new active segment starting at the current
+// nextSeq. If the journal has a spare it is that file, renamed, and written
+// over from offset 0: an fsync then flushes blocks the file already owns, with
+// no size or extent change for the filesystem to commit (DESIGN.md "Recycled
+// segments"). Its old tail ends the segment's valid data (see scanSegment).
+// Otherwise the segment is a new file. Caller holds jmu (or is initializing).
 func (j *Journal) newSegmentLocked() error {
 	name := fmt.Sprintf("%s%016x%s", segmentPrefix, j.nextSeq, segmentSuffix)
 	path := filepath.Join(j.cfg.Dir, name)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	var f *os.File
+	var err error
+	if j.spare && os.Rename(filepath.Join(j.cfg.Dir, spareName), path) == nil {
+		f, err = os.OpenFile(path, os.O_WRONLY, 0o644)
+	} else {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	}
+	j.spare = false
 	if err != nil {
 		return fmt.Errorf("wal: %v", err)
 	}

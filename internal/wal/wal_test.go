@@ -212,36 +212,49 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	wantValue(t, n2.read(t, 10), "five")
 }
 
+// TestCrashBetweenSnapshotAndTruncationRecovers: a crash after a snapshot's
+// rename and before the removal of the segments it covers leaves the frozen
+// segment beside the active one. Its records are at most the snapshot's
+// boundary and must be deduplicated, whether the segment is a whole new file
+// or a recycled one whose own records an older generation's follow.
 func TestCrashBetweenSnapshotAndTruncationRecovers(t *testing.T) {
-	dir := t.TempDir()
-	n, _ := openNode(t, dir, wal.Config{})
-	n.write(t, 1, "kept")
-	if err := n.j.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	n.write(t, 1, "later")
-	n.close(t)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, dir string) *node
+	}{
+		{"whole", func(t *testing.T, dir string) *node {
+			n, _ := openNode(t, dir, wal.Config{})
+			n.write(t, 1, "kept")
+			return n
+		}},
+		{"recycled", func(t *testing.T, dir string) *node { return recycledNode(t, dir, 12, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			n := tc.open(t, dir)
+			segs := findSegments(t, dir)
+			if len(segs) != 1 {
+				t.Fatalf("segments %v, want one", segs)
+			}
+			frozen, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.snapshot(t, dir)
+			n.write(t, 1, "later")
+			n.close(t)
 
-	// Resurrect a stale pre-snapshot segment alongside the snapshot, as a
-	// crash between the snapshot rename and the segment deletion would leave
-	// it. Records in it are ≤ the snapshot boundary and must be deduplicated.
-	stale := filepath.Join(dir, "wal-0000000000000001.log")
-	if _, err := os.Stat(stale); err == nil {
-		t.Skip("segment 1 still present; nothing to resurrect")
+			if err := os.WriteFile(segs[0], frozen, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n2, stats := openNode(t, dir, wal.Config{})
+			defer n2.close(t)
+			if stats.Skipped == 0 {
+				t.Fatalf("the frozen segment's records were not deduplicated: %+v", stats)
+			}
+			wantValue(t, n2.read(t, 2), "later")
+		})
 	}
-	segs := findSegments(t, dir)
-	raw, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = raw
-	n2, stats := openNode(t, dir, wal.Config{})
-	defer n2.close(t)
-	if stats.Skipped != 0 {
-		// Dedup working is fine; just assert correctness below.
-		t.Logf("replay stats: %+v", stats)
-	}
-	wantValue(t, n2.read(t, 2), "later")
 }
 
 func TestSnapshotDedupAcrossReplay(t *testing.T) {
@@ -447,4 +460,45 @@ func findSegments(t testing.TB, dir string) []string {
 		t.Fatal("no segments found")
 	}
 	return out
+}
+
+// TestSnapshotAfterRestartWithEmptyActiveSegment: a crash between a rotation
+// and the adoption of its snapshot, before anything reached the new segment,
+// leaves a frozen segment and an empty active one whose name is the journal's
+// next seq. The first snapshot after the restart must not rotate into that
+// name: it freezes the segments before the active one and keeps the journal
+// writable.
+func TestSnapshotAfterRestartWithEmptyActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	n, _ := openNode(t, dir, wal.Config{})
+	n.write(t, 1, "frozen")
+	records := n.j.LogBytes()
+	n.close(t)
+	segs := findSegments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments %v, want one", segs)
+	}
+	// The abd write journals one update record per object, seqs 1 to 3.
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000004.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	n2, _ := openNode(t, dir, wal.Config{})
+	if got := n2.j.LogBytes(); got != records {
+		t.Fatalf("reopened journal counts %d log bytes, want %d", got, records)
+	}
+	if err := n2.j.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	n2.write(t, 1, "after")
+	if err := n2.j.Err(); err != nil {
+		t.Fatalf("journal failed after the snapshot: %v", err)
+	}
+	n2.close(t)
+	if segs := findSegments(t, dir); len(segs) != 1 || filepath.Base(segs[0]) != "wal-0000000000000004.log" {
+		t.Fatalf("segments %v, want the active one alone", segs)
+	}
+	n3, _ := openNode(t, dir, wal.Config{})
+	defer n3.close(t)
+	wantValue(t, n3.read(t, 2), "after")
 }
