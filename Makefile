@@ -10,10 +10,13 @@ FUZZ_TIME ?= 20s
 
 .PHONY: build test test-purego race flake loc bench benchmark benchmark-compare benchmark-test cover fmt-check examples sim-smoke sim-soak sim-soak-reconfig sim-soak-merge fuzz-smoke e2e-smoke e2e-chaos e2e-recovery linkcheck
 
-# Compile everything and run static checks.
+# Compile everything and run static checks, the benchmark module included:
+# bench/ is a nested module that imports the program, so a change to the
+# program's API must still let it compile.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Full unit and integration test suite.
 test:

@@ -69,7 +69,6 @@ type cliConfig struct {
 	f           int
 	k           int
 	batch       int
-	batchDelay  time.Duration
 	arrivalRate float64
 
 	// Shared by client and simulation mode.
@@ -121,7 +120,6 @@ func parseArgs(args []string, errOut io.Writer) (*cliConfig, error) {
 	fs.IntVar(&c.k, "k", 2, "erasure decode threshold per shard (client mode)")
 	fs.Int64Var(&c.seed, "seed", 1, "workload seed / first simulation seed; fixed seeds make runs reproducible, e.g. in CI")
 	fs.IntVar(&c.batch, "batch", 0, "group commit: max ops per shared round; 0 disables (client mode)")
-	fs.DurationVar(&c.batchDelay, "batch-delay", 0, "how long an idle shard waits for a batch to fill before dispatching (client mode)")
 	fs.Float64Var(&c.arrivalRate, "arrival-rate", 0, "open-loop arrivals per second per client; 0 keeps the closed loop (client mode)")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "probability an operation is traced end to end; 1 traces every op (client mode)")
 	fs.DurationVar(&c.traceSlow, "trace-slow", 0, "retain whole-trace captures of ops slower than this (client mode; 0: disabled)")
@@ -327,7 +325,7 @@ func runClient(c *cliConfig, out io.Writer) error {
 		defer msrv.Close()
 		fmt.Fprintf(out, "METRICS %s\n", msrv.Addr())
 	}
-	n, err := node.Connect(addrs, node.Config{Shards: specs, Batch: c.batchConfig(), Metrics: reg, Tracer: tr})
+	n, err := node.Connect(addrs, node.Config{Shards: specs, Batch: shard.BatchConfig{MaxSize: c.batch}, Metrics: reg, Tracer: tr})
 	if err != nil {
 		return err
 	}
@@ -437,12 +435,6 @@ func (c *cliConfig) layout() transport.Layout {
 		K:         node.EffectiveK(c.algo, c.k),
 		ValueSize: c.valueSize,
 	}
-}
-
-// batchConfig is the batch engine the -batch and -batch-delay flags ask for
-// (either one enables it).
-func (c *cliConfig) batchConfig() shard.BatchConfig {
-	return shard.BatchConfig{MaxSize: c.batch, MaxDelay: c.batchDelay}
 }
 
 func runExperiments(c *cliConfig, out io.Writer) error {

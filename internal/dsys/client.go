@@ -21,6 +21,10 @@ type ClientHandle struct {
 	task *clientTask // nil in live mode
 	base int
 	span int
+	// whole is set on a handle made over the whole cluster as it stood when
+	// the handle was requested (base 0, span N()): only such a handle may
+	// Sub into regions beyond its span.
+	whole bool
 
 	// ctx bounds remote rounds (deadline/cancellation plumbed through the
 	// transport's Invoke). Nil means context.Background(). The in-process
@@ -46,16 +50,17 @@ func (h *ClientHandle) ID() int { return h.id }
 // without spawning a task per region, which matters in controlled mode where
 // a task can only join another task by busy-waiting.
 //
-// A region-scoped parent (base > 0) can only narrow its own scope — handing a
-// shard's handle out must not let it reach other shards' objects. A
-// whole-cluster parent (base 0) may sub-scope anywhere in the *current*
-// cluster, including regions grown after the parent was created: routing
-// clients and the migration writer hold whole-cluster handles precisely so
-// they can follow reconfiguration. The derived handle shares the parent's
-// task and must not be used concurrently with it.
+// A region-scoped parent — the first shard's included, whose base is 0 too —
+// can only narrow its own scope: handing a shard's handle out must not let it
+// reach other shards' objects. A whole-cluster parent may sub-scope anywhere
+// in the *current* cluster, including regions grown after the parent was
+// created: routing clients and the migration writer hold whole-cluster
+// handles precisely so they can follow reconfiguration. The derived handle is
+// region-scoped, shares the parent's task and must not be used concurrently
+// with it.
 func (h *ClientHandle) Sub(base, span int) (*ClientHandle, error) {
 	limit := h.span
-	if h.base == 0 {
+	if h.whole {
 		limit = h.c.N()
 	}
 	if base < 0 || span < 1 || base+span > limit {

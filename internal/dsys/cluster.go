@@ -619,12 +619,15 @@ func (c *Cluster) Spawn(clientID int, fn func(h *ClientHandle) error) *TaskHandl
 // n-object region.
 func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle) error) *TaskHandle {
 	th := &TaskHandle{done: make(chan struct{})}
+	// Decided here, not on the task goroutine: the cluster may grow before
+	// that goroutine runs.
+	whole := base == 0 && span == c.N()
 	if c.opts.mode == Live {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
 			defer close(th.done)
-			h := &ClientHandle{c: c, id: clientID, base: base, span: span}
+			h := &ClientHandle{c: c, id: clientID, base: base, span: span, whole: whole}
 			th.err = fn(h)
 		}()
 		return th
@@ -643,7 +646,7 @@ func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle)
 	go func() {
 		defer c.wg.Done()
 		defer close(th.done)
-		h := &ClientHandle{c: c, id: clientID, task: t, base: base, span: span}
+		h := &ClientHandle{c: c, id: clientID, task: t, base: base, span: span, whole: whole}
 		// Wait for the first grant of the run token.
 		c.mu.Lock()
 		for t.state != taskRunning && !c.halted {
@@ -694,7 +697,7 @@ func (c *Cluster) RunScoped(clientID, base, span int, fn func(h *ClientHandle) e
 		c.wg.Add(1)
 		defer c.wg.Done()
 		h := liveHandles.Get().(*ClientHandle)
-		h.c, h.id, h.base, h.span = c, clientID, base, span
+		h.c, h.id, h.base, h.span, h.whole = c, clientID, base, span, base == 0 && span == c.N()
 		err := fn(h)
 		putLiveHandle(h)
 		return err

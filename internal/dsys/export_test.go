@@ -6,7 +6,7 @@ package dsys
 // RunScoped has put back in its pool references nothing.
 func Residue(h *ClientHandle) (fieldsSet bool, answers int) {
 	fieldsSet = h.c != nil || h.id != 0 || h.task != nil || h.base != 0 || h.span != 0 ||
-		h.ctx != nil || h.currentOp != (OpID{})
+		h.whole || h.ctx != nil || h.currentOp != (OpID{})
 	for _, a := range h.slots[:cap(h.slots)] {
 		if a != nil {
 			answers++

@@ -1,6 +1,6 @@
 // Package erasure implements the symmetric black-box coding schemes of the
-// paper (Section 3): replication, k-of-n Reed-Solomon erasure codes, an XOR
-// parity code, and a rateless random-linear code.
+// paper (Section 3): replication and k-of-n Reed-Solomon erasure codes, the
+// two schemes the register emulations build.
 //
 // All codes implement the Code interface and satisfy the paper's symmetric
 // encoding assumption (Definition 3): the size of block i depends only on i
@@ -64,15 +64,14 @@ var (
 // Code is a symmetric coding scheme over the value domain.
 //
 // K is the number of distinct blocks sufficient (and necessary) to decode;
-// N is the number of distinct block indexes the scheme natively produces —
-// one per base object in the register emulations. Rateless codes can produce
-// blocks for any index via EncodeBlock, but still advertise a nominal N.
+// N is the number of distinct block indexes, 1..N, the scheme produces — one
+// per base object in the register emulations.
 type Code interface {
 	// Name identifies the scheme, e.g. "rs(3,7)".
 	Name() string
 	// K returns the decode threshold.
 	K() int
-	// N returns the nominal number of distinct blocks produced by Encode.
+	// N returns the number of distinct blocks produced by Encode.
 	N() int
 	// BlockSizeBytes returns the size of block index for a value of dataLen
 	// bytes. Symmetry (Definition 3) means the result is independent of the
@@ -84,8 +83,9 @@ type Code interface {
 	// and every other block is memory of its own: whoever retains a block
 	// past data's life, or is charged for it, owns a copy (Block.Detach).
 	Encode(data []byte) ([]Block, error)
-	// EncodeBlock produces the single block with the given index; it is the
-	// oracle's get(i) operation (Definition 1).
+	// EncodeBlock produces the single block with the given index, 1..N, or
+	// returns ErrBlockIndex; it is the oracle's get(i) operation
+	// (Definition 1).
 	EncodeBlock(data []byte, index int) (Block, error)
 	// Decode reconstructs a dataLen-byte value from at least K distinct
 	// blocks, or returns ErrNotEnoughBlocks (the oracle's ⊥). The blocks are
@@ -159,33 +159,4 @@ func TotalEncodedBits(c Code, dataLen int) int {
 // equal shards, padding the tail shard with zeros.
 func shardLen(dataLen, k int) int {
 	return (dataLen + k - 1) / k
-}
-
-// splitShards splits data into k shards of equal length, zero-padding the
-// last shard. The returned shards reference freshly allocated memory.
-func splitShards(data []byte, k int) [][]byte {
-	sl := shardLen(len(data), k)
-	shards := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		shards[i] = make([]byte, sl)
-		start := i * sl
-		if start >= len(data) {
-			continue
-		}
-		end := start + sl
-		if end > len(data) {
-			end = len(data)
-		}
-		copy(shards[i], data[start:end])
-	}
-	return shards
-}
-
-// joinShards concatenates shards and truncates to dataLen bytes.
-func joinShards(shards [][]byte, dataLen int) []byte {
-	out := make([]byte, 0, dataLen)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out[:dataLen]
 }

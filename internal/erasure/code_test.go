@@ -19,15 +19,7 @@ func allCodes(t *testing.T, k, n int) []Code {
 	if err != nil {
 		t.Fatalf("NewReplication(%d): %v", n, err)
 	}
-	xorc, err := NewXORParity(n)
-	if err != nil {
-		t.Fatalf("NewXORParity(%d): %v", n, err)
-	}
-	rl, err := NewRateless(k, n, 12345)
-	if err != nil {
-		t.Fatalf("NewRateless(%d,%d): %v", k, n, err)
-	}
-	return []Code{rs, repl, xorc, rl}
+	return []Code{rs, repl}
 }
 
 func TestEncodeDecodeRoundTripAllCodes(t *testing.T) {
@@ -212,23 +204,12 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewReplication(0); err == nil {
 		t.Error("NewReplication accepted n=0")
 	}
-	if _, err := NewXORParity(1); err == nil {
-		t.Error("NewXORParity accepted n=1")
-	}
-	if _, err := NewRateless(0, 3, 1); err == nil {
-		t.Error("NewRateless accepted k=0")
-	}
-	if _, err := NewRateless(4, 3, 1); err == nil {
-		t.Error("NewRateless accepted k>n")
-	}
 }
 
 func TestMustConstructorsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"MustReedSolomon": func() { MustReedSolomon(0, 1) },
 		"MustReplication": func() { MustReplication(0) },
-		"MustXORParity":   func() { MustXORParity(1) },
-		"MustRateless":    func() { MustRateless(0, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -250,17 +231,12 @@ func TestEncodeBlockIndexValidation(t *testing.T) {
 	if _, err := rs.EncodeBlock(data, 5); !errors.Is(err, ErrBlockIndex) {
 		t.Errorf("rs EncodeBlock(5) err = %v, want ErrBlockIndex", err)
 	}
-	xorc := MustXORParity(4)
-	if _, err := xorc.EncodeBlock(data, 9); !errors.Is(err, ErrBlockIndex) {
-		t.Errorf("xor EncodeBlock(9) err = %v, want ErrBlockIndex", err)
-	}
 	repl := MustReplication(2)
 	if _, err := repl.EncodeBlock(data, -1); !errors.Is(err, ErrBlockIndex) {
 		t.Errorf("repl EncodeBlock(-1) err = %v, want ErrBlockIndex", err)
 	}
-	rl := MustRateless(2, 4, 1)
-	if _, err := rl.EncodeBlock(data, 0); !errors.Is(err, ErrBlockIndex) {
-		t.Errorf("rateless EncodeBlock(0) err = %v, want ErrBlockIndex", err)
+	if _, err := repl.EncodeBlock(data, 3); !errors.Is(err, ErrBlockIndex) {
+		t.Errorf("repl EncodeBlock(3) err = %v, want ErrBlockIndex", err)
 	}
 }
 
@@ -304,51 +280,5 @@ func TestReedSolomonQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Errorf("Reed-Solomon round-trip property failed: %v", err)
-	}
-}
-
-// TestRatelessHighIndices exercises indices beyond the nominal width n, the
-// defining capability of a rateless code.
-func TestRatelessHighIndices(t *testing.T) {
-	rl := MustRateless(4, 6, 7)
-	data := []byte("rateless codes can mint blocks for arbitrary indices in N")
-	blocks := make([]Block, 0, 4)
-	for _, idx := range []int{100, 2000, 31337, 500000} {
-		b, err := rl.EncodeBlock(data, idx)
-		if err != nil {
-			t.Fatalf("EncodeBlock(%d): %v", idx, err)
-		}
-		blocks = append(blocks, b)
-	}
-	got, err := rl.Decode(len(data), blocks)
-	if err != nil {
-		t.Fatalf("Decode from high-index blocks: %v", err)
-	}
-	if string(got) != string(data) {
-		t.Fatal("Decode from high-index blocks returned wrong value")
-	}
-}
-
-func TestXORParitySingleErasure(t *testing.T) {
-	xorc := MustXORParity(5)
-	data := []byte("parity protects against exactly one missing shard")
-	blocks, err := xorc.Encode(data)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	for drop := 0; drop < len(blocks); drop++ {
-		subset := make([]Block, 0, len(blocks)-1)
-		for i, b := range blocks {
-			if i != drop {
-				subset = append(subset, b)
-			}
-		}
-		got, err := xorc.Decode(len(data), subset)
-		if err != nil {
-			t.Fatalf("Decode with block %d dropped: %v", drop+1, err)
-		}
-		if string(got) != string(data) {
-			t.Fatalf("Decode with block %d dropped returned wrong value", drop+1)
-		}
 	}
 }

@@ -53,11 +53,10 @@ func (r *Replication) Encode(data []byte) ([]Block, error) {
 	return blocks, nil
 }
 
-// EncodeBlock implements Code. Replication is rateless in the trivial sense:
-// any positive index yields a full copy.
+// EncodeBlock implements Code: every block is a full copy.
 func (r *Replication) EncodeBlock(data []byte, index int) (Block, error) {
-	if index < 1 {
-		return Block{}, fmt.Errorf("%w: %d must be positive", ErrBlockIndex, index)
+	if index < 1 || index > r.n {
+		return Block{}, fmt.Errorf("%w: %d not in [1,%d]", ErrBlockIndex, index, r.n)
 	}
 	d := make([]byte, len(data))
 	copy(d, data)

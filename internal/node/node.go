@@ -7,7 +7,7 @@
 //
 //	(a) specs: abd, the one provider whose constructor requires it, gets
 //	    k = 1; every other provider keeps the k it was given (EffectiveK);
-//	(b) batching: either batch field enables group commit;
+//	(b) batching: a positive Batch.MaxSize enables group commit;
 //	(c) durability: open the log, attach its hooks, restore the move ledger,
 //	    replay, attach — all before Serve listens, which marks replayed
 //	    objects repaired first;
@@ -50,7 +50,7 @@ type Config struct {
 	// Shards lists the registers to build, in object-table order. Every
 	// process of one deployment must pass the same list.
 	Shards []shard.Spec
-	// Batch enables client-side group commit when either field is set.
+	// Batch enables client-side group commit when MaxSize is positive.
 	Batch shard.BatchConfig
 	// WAL enables the write-ahead log when Dir is set. Ignored by Connect.
 	WAL wal.Config

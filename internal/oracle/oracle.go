@@ -79,28 +79,22 @@ func NewEncoder(code erasure.Code, w WriteID, v value.Value) *Encoder {
 // Write returns the identity of the write operation this oracle serves.
 func (e *Encoder) Write() WriteID { return e.write }
 
-// Get returns E(v, i) tagged with its source. It fails if the oracle expired.
-// Indices beyond N, which only a rateless code accepts, are encoded singly.
+// Get returns E(v, i) tagged with its source. It fails if the oracle expired,
+// and with erasure.ErrBlockIndex for an index outside 1..N.
 func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.expired {
 		return erasure.Block{}, SourceTag{}, ErrExpired
 	}
-	var b erasure.Block
-	var err error
-	if i >= 1 && i <= e.code.N() {
-		var blocks []erasure.Block
-		if blocks, err = e.encodedLocked(); err == nil {
-			b = blocks[i-1]
-		}
-	} else {
-		b, err = e.code.EncodeBlock(e.val.View(), i)
+	if i < 1 || i > e.code.N() {
+		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, erasure.ErrBlockIndex)
 	}
+	blocks, err := e.encodedLocked()
 	if err != nil {
 		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, err)
 	}
-	return b, e.Source(i), nil
+	return blocks[i-1], e.Source(i), nil
 }
 
 // GetAll is get(1..N) in one call: element i-1 of the result is E(v, i), whose

@@ -164,30 +164,31 @@ func TestEncoderEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestEncoderRatelessIndexBeyondN: get(i) for i > N is a rateless code's
-// defining operation and keeps working beside the encode-once path.
-func TestEncoderRatelessIndexBeyondN(t *testing.T) {
-	code, err := erasure.NewRateless(2, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := value.FromString("rateless", 32)
-	enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, v)
-	dec := NewDecoder(code, v.SizeBytes(), 2)
-	for _, i := range []int{3, 9} {
-		b, tag, err := enc.Get(i)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if b.Index != i || tag.Index != i {
-			t.Fatalf("Get(%d) returned block %d tagged %d", i, b.Index, tag.Index)
-		}
-		if err := dec.Push(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := dec.Done()
-	if err != nil || !got.Equal(v) {
-		t.Fatalf("decode from blocks 3 and 9: %v, equal=%v", err, got.Equal(v))
+// TestEncoderServesOnlyOneThroughN: get(i) serves E(v, 1..N) from the
+// encode-once blocks and refuses every other index, for each code the
+// registers build — replication included, whose blocks are all alike.
+func TestEncoderServesOnlyOneThroughN(t *testing.T) {
+	for _, code := range []erasure.Code{erasure.MustReedSolomon(2, 4), erasure.MustReplication(3)} {
+		t.Run(code.Name(), func(t *testing.T) {
+			enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, value.FromString("one through n", 32))
+			all, err := enc.GetAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= code.N(); i++ {
+				b, tag, err := enc.Get(i)
+				if err != nil {
+					t.Fatalf("Get(%d): %v", i, err)
+				}
+				if b.Index != i || tag.Index != i || string(b.Data) != string(all[i-1].Data) {
+					t.Fatalf("Get(%d) returned block %d tagged %d, not GetAll's block %d", i, b.Index, tag.Index, i)
+				}
+			}
+			for _, i := range []int{0, code.N() + 1} {
+				if _, _, err := enc.Get(i); !errors.Is(err, erasure.ErrBlockIndex) {
+					t.Errorf("Get(%d) returned %v, want ErrBlockIndex", i, err)
+				}
+			}
+		})
 	}
 }

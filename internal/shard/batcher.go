@@ -10,30 +10,17 @@ import (
 )
 
 // BatchConfig configures per-shard group commit: concurrent Write (and Read)
-// calls that arrive while a quorum round is in flight — or within MaxDelay of
-// each other — are coalesced into one shared round.
+// calls that arrive while a quorum round is in flight are coalesced into one
+// shared round. An idle lane dispatches at once; under load rounds fill up
+// because operations accumulate while the previous round is in flight.
 type BatchConfig struct {
-	// MaxSize caps the number of operations one shared round may carry
-	// (default 16).
+	// MaxSize caps the number of operations one shared round may carry; a
+	// positive MaxSize turns batching on.
 	MaxSize int
-	// MaxDelay is how long an idle lane waits for companions before
-	// dispatching a round that is not yet full (default 0: dispatch
-	// immediately; under load rounds fill up anyway because operations
-	// accumulate while the previous round is in flight).
-	MaxDelay time.Duration
 }
 
-// Enabled reports whether the zero-value-off batch engine was requested:
-// setting either field turns it on.
-func (c BatchConfig) Enabled() bool { return c.MaxSize > 0 || c.MaxDelay > 0 }
-
-// WithDefaults fills zero fields.
-func (c BatchConfig) WithDefaults() BatchConfig {
-	if c.MaxSize <= 0 {
-		c.MaxSize = 16
-	}
-	return c
-}
+// Enabled reports whether the zero-value-off batch engine was requested.
+func (c BatchConfig) Enabled() bool { return c.MaxSize > 0 }
 
 // BatcherStats counts the batcher's amortization: Writes/Reads are member
 // operations completed through the batcher, WriteRounds/ReadRounds the
@@ -75,15 +62,13 @@ type Batcher struct {
 // so that the lanes' timestamps stay unique.
 func newBatcher(set *Set, sh *Shard, cfg BatchConfig, laneClientBase int) *Batcher {
 	b := &Batcher{
-		set: set, sh: sh, cfg: cfg.WithDefaults(),
+		set: set, sh: sh, cfg: cfg,
 		met: newInstruments(set.cluster.Metrics(), sh.Name),
 		tr:  set.cluster.Tracer(),
 	}
 	b.write.client = laneClientBase
-	b.write.full = make(chan struct{}, 1)
 	b.write.round = func(h *dsys.ClientHandle) error { return sh.Reg.Write(h, b.write.winner) }
 	b.read.client = laneClientBase + 1
-	b.read.full = make(chan struct{}, 1)
 	b.read.round = func(h *dsys.ClientHandle) (err error) {
 		b.read.got, err = sh.Reg.Read(h)
 		return err
@@ -128,10 +113,6 @@ type lane struct {
 	// round. An idle lane has nothing pending.
 	led    bool
 	client int // client ID of the lane's physical rounds
-
-	// full wakes a leader idling in its MaxDelay accumulation window as soon
-	// as the pending batch reaches MaxSize (capacity 1, non-blocking sends).
-	full chan struct{}
 
 	members int // operations completed through this lane
 	rounds  int // physical rounds dispatched
@@ -187,12 +168,6 @@ func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
 	if l.led {
 		req.wake = make(chan batchResp, 1)
 		l.pending = append(l.pending, req)
-		if len(l.pending) >= b.cfg.MaxSize {
-			select {
-			case l.full <- struct{}{}:
-			default:
-			}
-		}
 		l.mu.Unlock()
 		resp := <-req.wake
 		if !resp.lead {
@@ -218,18 +193,6 @@ const leaderBatch = 8
 // which is what keeps every member's interval containing its round. The
 // caller holds l.mu; leadRound releases it.
 func (b *Batcher) leadRound(l *lane) batchResp {
-	if b.cfg.MaxDelay > 0 && len(l.pending) < b.cfg.MaxSize {
-		// Idle-window accumulation: give companions MaxDelay to arrive,
-		// but dispatch immediately if the batch fills meanwhile.
-		l.mu.Unlock()
-		timer := time.NewTimer(b.cfg.MaxDelay)
-		select {
-		case <-l.full:
-		case <-timer.C:
-		}
-		timer.Stop()
-		l.mu.Lock()
-	}
 	n := min(len(l.pending), b.cfg.MaxSize)
 	var buf [leaderBatch]batchReq
 	batch := append(buf[:0], l.pending[:n]...)

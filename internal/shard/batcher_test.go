@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"spacebounds/internal/shard"
 	"spacebounds/internal/value"
@@ -138,37 +137,5 @@ func TestBatcherPerShardIsolation(t *testing.T) {
 	}
 	if b := set.Batcher(fmt.Sprintf("s%d", 99)); b != nil {
 		t.Fatal("Batcher of unknown shard is non-nil")
-	}
-}
-
-// TestBatcherFullRoundDispatchesBeforeMaxDelay pins the accumulation-window
-// fast path: a round that fills to MaxSize must dispatch immediately instead
-// of sleeping out the whole MaxDelay.
-func TestBatcherFullRoundDispatchesBeforeMaxDelay(t *testing.T) {
-	const size = 4
-	set, err := shard.New(adaptiveSpecs(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	set.EnableBatching(shard.BatchConfig{MaxSize: size, MaxDelay: 5 * time.Second})
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < size; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := set.Write(i+1, "k", value.Sequenced(i+1, 1, 64)); err != nil {
-				t.Errorf("write %d: %v", i, err)
-			}
-		}()
-	}
-	wg.Wait()
-	// The first write may pay one idle window before companions arrive, but a
-	// filled batch must never wait out the full 5s delay.
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("full batch took %v to dispatch; early dispatch on MaxSize is broken", elapsed)
 	}
 }

@@ -269,7 +269,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.EnableBatching(BatchConfig{MaxSize: 4, MaxDelay: 100 * time.Microsecond})
+	set.EnableBatching(BatchConfig{MaxSize: 4})
 	var wg sync.WaitGroup
 	for c := 1; c <= 8; c++ {
 		wg.Add(1)

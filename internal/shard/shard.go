@@ -282,9 +282,9 @@ func (s *Set) Run(client int, sh *Shard, fn func(h *dsys.ClientHandle) error) er
 
 // EnableBatching installs a group-commit Batcher on every shard: from then
 // on, concurrent Write/Read calls on a shard coalesce into shared quorum
-// rounds. It must be called before the set serves operations (it is not safe
-// to call concurrently with Write or Read). Shards added later by
-// reconfiguration get batchers automatically.
+// rounds. cfg must be enabled (BatchConfig.Enabled). It must be called before
+// the set serves operations (it is not safe to call concurrently with Write or
+// Read). Shards added later by reconfiguration get batchers automatically.
 func (s *Set) EnableBatching(cfg BatchConfig) {
 	s.bmu.Lock()
 	defer s.bmu.Unlock()

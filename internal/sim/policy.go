@@ -28,68 +28,33 @@ const (
 	KindResumeController = dsys.EventKind("resume-controller")
 )
 
-// FaultRates are the per-scheduling-decision probabilities of the adversary's
-// fault moves. They are rolled once per decision, in the order listed; a move
-// whose preconditions fail (no candidate victim, budget exhausted) falls
-// through to an ordinary scheduling move, so the rates are upper bounds.
-type FaultRates struct {
-	// CrashObject permanently crashes a base object. Crashed plus suspended
-	// objects never exceed the shard's f, so quorums stay formable.
-	CrashObject float64
-	// SuspendObject marks a base object unresponsive until resumed.
-	SuspendObject float64
-	// ResumeObject lifts one suspension.
-	ResumeObject float64
-	// CrashClient crashes a client mid-operation: it never takes another
-	// step, though its in-flight RMWs may still land.
-	CrashClient float64
-	// MaxClientCrashes caps the total number of client crashes (0 = default:
-	// a third of the clients).
-	MaxClientCrashes int
-	// StartMove releases the next planned reconfiguration move (reconfig
-	// plans only; zero with a plan defaults to 0.02).
-	StartMove float64
-	// CrashController crashes the active migration controller while a move is
-	// in flight (bounded by ReconfigPlan.ControllerCrashes; zero with crashes
-	// planned defaults to 0.03).
-	CrashController float64
-	// ResumeController activates the next standby controller after a
-	// controller crash (zero with crashes planned defaults to 0.05; a
-	// deterministic takeover backstop in the standby task bounds the outage
-	// even when this never fires).
-	ResumeController float64
-}
-
-// withDefaults fills an all-zero rate set with the standard adversarial mix.
-func (f FaultRates) withDefaults(totalClients int) FaultRates {
-	if f.CrashObject == 0 && f.SuspendObject == 0 && f.ResumeObject == 0 && f.CrashClient == 0 {
-		f.CrashObject = 0.01
-		f.SuspendObject = 0.05
-		f.ResumeObject = 0.08
-		f.CrashClient = 0.01
-	}
-	if f.MaxClientCrashes == 0 {
-		f.MaxClientCrashes = totalClients / 3
-	}
-	return f
-}
-
-// withControllerDefaults fills the controller-decision rates for a
-// reconfiguration-enabled run.
-func (f FaultRates) withControllerDefaults(crashes int) FaultRates {
-	if f.StartMove == 0 {
-		f.StartMove = 0.02
-	}
-	if crashes > 0 {
-		if f.CrashController == 0 {
-			f.CrashController = 0.03
-		}
-		if f.ResumeController == 0 {
-			f.ResumeController = 0.05
-		}
-	}
-	return f
-}
+// The per-scheduling-decision probabilities of the adversary's fault moves.
+// They are rolled once per decision, in the order listed; a move whose
+// preconditions fail (no candidate victim, budget exhausted) falls through to
+// an ordinary scheduling move, so the rates are upper bounds.
+const (
+	// crashObjectRate permanently crashes a base object. Crashed plus
+	// suspended objects never exceed the shard's f, so quorums stay formable.
+	crashObjectRate = 0.01
+	// suspendObjectRate marks a base object unresponsive until resumed.
+	suspendObjectRate = 0.05
+	// resumeObjectRate lifts one suspension.
+	resumeObjectRate = 0.08
+	// crashClientRate crashes a client mid-operation: it never takes another
+	// step, though its in-flight RMWs may still land. At most a third of the
+	// clients crash.
+	crashClientRate = 0.01
+	// startMoveRate releases the next planned reconfiguration move (reconfig
+	// plans only).
+	startMoveRate = 0.02
+	// crashControllerRate crashes the active migration controller while a
+	// move is in flight (bounded by ReconfigPlan.ControllerCrashes).
+	crashControllerRate = 0.03
+	// resumeControllerRate activates the next standby controller after a
+	// controller crash (a deterministic takeover backstop in the standby
+	// task bounds the outage even when this never fires).
+	resumeControllerRate = 0.05
+)
 
 // FaultEvent is one fault injected by the adversary, recorded for the
 // failure artifact (the full schedule is reproducible from the seed alone).
@@ -132,7 +97,12 @@ type adversary struct {
 	// callback is consulted at scheduling points only, so its answers are a
 	// pure function of the schedule.
 	regions func() []region
-	rates   FaultRates
+	// maxClientCrashes caps the generic client-crash move.
+	maxClientCrashes int
+	// crashController and resumeController are the controller-crash and
+	// standby-resume rates: crashControllerRate and resumeControllerRate
+	// when controller crashes are planned, 0 otherwise.
+	crashController, resumeController float64
 	// immortal clients (the controller incarnations) are exempt from the
 	// generic client-crash move; the controller is crashed only through the
 	// budgeted KindCrashController decision, which the resume machinery pairs
@@ -153,14 +123,20 @@ type adversary struct {
 
 var _ dsys.Policy = (*adversary)(nil)
 
-func newAdversary(seed int64, rates FaultRates) *adversary {
-	return &adversary{
-		rng:       rand.New(rand.NewSource(seed)),
-		rates:     rates,
-		immortal:  make(map[int]bool),
-		crashed:   make(map[int]bool),
-		suspended: make(map[int]bool),
+// newAdversary builds the policy for a run with totalClients client tasks and
+// the given controller-crash budget.
+func newAdversary(seed int64, totalClients, controllerCrashes int) *adversary {
+	a := &adversary{
+		rng:              rand.New(rand.NewSource(seed)),
+		maxClientCrashes: totalClients / 3,
+		immortal:         make(map[int]bool),
+		crashed:          make(map[int]bool),
+		suspended:        make(map[int]bool),
 	}
+	if controllerCrashes > 0 {
+		a.crashController, a.resumeController = crashControllerRate, resumeControllerRate
+	}
+	return a
 }
 
 // bind tells the adversary where to read the (possibly changing) shard
@@ -232,9 +208,10 @@ func clientAlive(v *dsys.View, client int) bool {
 
 // Decide implements dsys.Policy.
 func (a *adversary) Decide(v *dsys.View) dsys.Decision {
-	r := a.rates
 	roll := a.rng.Float64()
-	cum := r.CrashObject
+	// cum is a float64 variable, so each threshold below is summed in float64
+	// step by step, not folded exactly at compile time.
+	cum := float64(crashObjectRate)
 	switch {
 	case roll < cum:
 		if cands := a.faultCandidates(); len(cands) > 0 {
@@ -243,22 +220,22 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 			a.note(v.Step, dsys.EventCrash, obj, -1)
 			return dsys.Decision{Kind: dsys.KindCrashObject, Object: obj}
 		}
-	case roll < cum+r.SuspendObject:
+	case roll < cum+suspendObjectRate:
 		if cands := a.faultCandidates(); len(cands) > 0 {
 			obj := cands[a.rng.Intn(len(cands))]
 			a.suspended[obj] = true
 			a.note(v.Step, dsys.EventSuspend, obj, -1)
 			return dsys.Decision{Kind: dsys.KindSuspendObject, Object: obj}
 		}
-	case roll < cum+r.SuspendObject+r.ResumeObject:
+	case roll < cum+suspendObjectRate+resumeObjectRate:
 		if sus := a.suspendedList(); len(sus) > 0 {
 			obj := sus[a.rng.Intn(len(sus))]
 			delete(a.suspended, obj)
 			a.note(v.Step, dsys.EventResume, obj, -1)
 			return dsys.Decision{Kind: dsys.KindResumeObject, Object: obj}
 		}
-	case roll < cum+r.SuspendObject+r.ResumeObject+r.CrashClient:
-		if a.clientCrashes < r.MaxClientCrashes {
+	case roll < cum+suspendObjectRate+resumeObjectRate+crashClientRate:
+		if a.clientCrashes < a.maxClientCrashes {
 			cands := make([]int, 0, len(v.Clients))
 			for _, cl := range v.Clients {
 				if !a.immortal[cl] {
@@ -273,7 +250,7 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 			}
 		}
 	default:
-		if d, ok := a.controllerDecision(v, roll-cum-r.SuspendObject-r.ResumeObject-r.CrashClient); ok {
+		if d, ok := a.controllerDecision(v, roll-cum-suspendObjectRate-resumeObjectRate-crashClientRate); ok {
 			return d
 		}
 	}
@@ -285,16 +262,15 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 // !ok so the scheduler still makes an ordinary move this step; a
 // crash-controller decision is a real dsys client crash.
 func (a *adversary) controllerDecision(v *dsys.View, roll float64) (dsys.Decision, bool) {
-	r := a.rates
 	if a.ctrl == nil || roll < 0 {
 		return dsys.Decision{}, false
 	}
 	switch {
-	case roll < r.StartMove:
+	case roll < startMoveRate:
 		if a.ctrl.release() {
 			a.note(v.Step, KindStartMove, -1, -1)
 		}
-	case roll < r.StartMove+r.CrashController:
+	case roll < startMoveRate+a.crashController:
 		// Only mid-move (the interesting interleavings are crashes between
 		// migration steps), only while a standby remains, and only if the
 		// active incarnation is still a live task.
@@ -304,7 +280,7 @@ func (a *adversary) controllerDecision(v *dsys.View, roll float64) (dsys.Decisio
 				return dsys.Decision{Kind: dsys.KindCrashClient, Client: client}, true
 			}
 		}
-	case roll < r.StartMove+r.CrashController+r.ResumeController:
+	case roll < startMoveRate+a.crashController+a.resumeController:
 		if client, ok := a.ctrl.resumeNext(); ok {
 			a.note(v.Step, KindResumeController, -1, client)
 		}

@@ -107,22 +107,22 @@ type Config struct {
 	// OpsPerClient is the number of operations each client attempts
 	// (default 4).
 	OpsPerClient int
-	// ReadFraction is the probability an operation is a read (default 0.4).
-	ReadFraction float64
-	// Faults are the adversary's fault rates (zero value: standard mix).
-	Faults FaultRates
 	// Reconfig schedules dynamic-reconfiguration moves mid-run (zero value:
 	// topology fixed, exactly the pre-reconfiguration simulator).
 	Reconfig ReconfigPlan
-	// MaxSteps bounds scheduling decisions as a runaway backstop
-	// (default 200000).
-	MaxSteps int
 	// CheckLinearizable additionally checks every shard's history for
 	// linearizability. Only sound for configurations that promise atomicity —
 	// the sweep uses it with Clients=1, where operations are sequential and
 	// regularity coincides with atomicity.
 	CheckLinearizable bool
 }
+
+const (
+	// readFraction is the probability a client operation is a read.
+	readFraction = 0.4
+	// maxSteps bounds a run's scheduling decisions as a runaway backstop.
+	maxSteps = 200000
+)
 
 // DefaultProviders are the register providers the default config and the
 // exploration sweeps cover.
@@ -154,16 +154,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpsPerClient == 0 {
 		c.OpsPerClient = 4
-	}
-	if c.ReadFraction == 0 {
-		c.ReadFraction = 0.4
-	}
-	c.Faults = c.Faults.withDefaults(c.Clients * len(c.Shards))
-	if c.Reconfig.Enabled() {
-		c.Faults = c.Faults.withControllerDefaults(c.Reconfig.ControllerCrashes)
-	}
-	if c.MaxSteps == 0 {
-		c.MaxSteps = 200000
 	}
 	return c
 }
@@ -321,7 +311,7 @@ func Run(cfg Config) (*Result, error) {
 			Config:    register.Config{F: p.F, K: p.K, DataLen: p.DataLen},
 		})
 	}
-	adv := newAdversary(cfg.Seed, cfg.Faults)
+	adv := newAdversary(cfg.Seed, cfg.Clients*len(cfg.Shards), cfg.Reconfig.ControllerCrashes)
 	type writeAt struct {
 		op     dsys.OpID
 		object int
@@ -330,7 +320,7 @@ func Run(cfg Config) (*Result, error) {
 	set, err := shard.New(specs,
 		dsys.WithControlledMode(),
 		dsys.WithPolicy(adv),
-		dsys.WithMaxSteps(cfg.MaxSteps),
+		dsys.WithMaxSteps(maxSteps),
 		dsys.WithEventLog(func(ev dsys.Event) {
 			if ev.Kind != dsys.EventApply || ev.Op.Kind != dsys.OpWrite {
 				return
@@ -494,7 +484,7 @@ func clientScript(cfg Config, reg register.Register, rec *history.Recorder, comp
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*1000003))
 		seq := 0
 		for i := 0; i < cfg.OpsPerClient; i++ {
-			if rng.Float64() < cfg.ReadFraction {
+			if rng.Float64() < readFraction {
 				op := rec.BeginRead(id)
 				v, err := reg.Read(h)
 				if err != nil {
@@ -539,7 +529,7 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 		seq := 0
 		for i := 0; i < cfg.OpsPerClient; i++ {
 			key := keys[rng.Intn(len(keys))]
-			if rng.Float64() < cfg.ReadFraction {
+			if rng.Float64() < readFraction {
 				ref, fb, err := rt.AcquireRead(id, key)
 				if err != nil {
 					return nil // router closed with the cluster

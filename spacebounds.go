@@ -24,7 +24,6 @@ package spacebounds
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/node"
@@ -152,15 +151,11 @@ type Durability struct {
 	SnapshotEvery int
 }
 
-// BatchOptions configures group commit. The zero value disables batching;
-// setting either field enables it.
+// BatchOptions configures group commit. The zero value disables batching.
 type BatchOptions struct {
-	// MaxSize caps the operations per shared quorum round (default 16 when
-	// batching is on).
+	// MaxSize caps the operations per shared quorum round; a positive
+	// MaxSize enables batching.
 	MaxSize int
-	// MaxDelay is how long an idle shard waits for more operations before
-	// dispatching a non-full round (default 0: dispatch immediately).
-	MaxDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -241,7 +236,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	n, err := node.Open(node.Config{
 		Shards: specs,
-		Batch:  shard.BatchConfig{MaxSize: opts.Batch.MaxSize, MaxDelay: opts.Batch.MaxDelay},
+		Batch:  shard.BatchConfig{MaxSize: opts.Batch.MaxSize},
 		WAL: wal.Config{
 			Dir:           opts.Durability.Dir,
 			SyncEvery:     opts.Durability.SyncEvery,
