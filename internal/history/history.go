@@ -119,6 +119,17 @@ func (r *Recorder) BeginWrite(client int, v value.Value) *Op {
 	return op
 }
 
+// restamp replaces op's invocation stamp with invoked, a stamp the caller
+// took before the operation reached this recorder (a nonzero one only).
+func (r *Recorder) restamp(op *Op, invoked int64) {
+	if invoked == 0 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	op.Invoked = invoked
+}
+
 // EndWrite records the return of a write.
 func (r *Recorder) EndWrite(op *Op) {
 	r.mu.Lock()

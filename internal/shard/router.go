@@ -675,6 +675,14 @@ func (r *Router) PrunedBranches() []string {
 	return out
 }
 
+// CheckedNames returns the names whose histories a run checks: every leaf,
+// its history stitched across its lineage, then every pruned merge branch,
+// whose history ends at the merge that discarded its value. The live sharded
+// workload and the simulator check exactly these.
+func (r *Router) CheckedNames() []string {
+	return append(r.LeafNames(), r.PrunedBranches()...)
+}
+
 // Region is one shard's object region and fault budget, for adversaries that
 // must respect per-shard crash budgets as the topology changes.
 type Region struct {

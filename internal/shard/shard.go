@@ -116,25 +116,12 @@ func buildShard(spec Spec) (*Shard, []dsys.State, error) {
 // batchers and whatever else is built over the cluster. Each shard's initial
 // value is the zero value of its size.
 func New(specs []Spec, opts ...dsys.Option) (*Set, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("shard: empty spec list")
+	shards, states, err := buildShards(specs)
+	if err != nil {
+		return nil, err
 	}
-	var states []dsys.State
-	var shards []*Shard
-	seen := make(map[string]bool, len(specs))
 	maxDataBits := 0
-	for _, spec := range specs {
-		if seen[spec.Name] {
-			return nil, fmt.Errorf("shard: duplicate shard name %q", spec.Name)
-		}
-		sh, init, err := buildShard(spec)
-		if err != nil {
-			return nil, err
-		}
-		seen[spec.Name] = true
-		sh.Base = len(states)
-		states = append(states, init...)
-		shards = append(shards, sh)
+	for _, sh := range shards {
 		if d := sh.Reg.Config().DataBits(); d > maxDataBits {
 			maxDataBits = d
 		}
@@ -144,6 +131,32 @@ func New(specs []Spec, opts ...dsys.Option) (*Set, error) {
 	s.cluster = dsys.NewCluster(states, all...)
 	s.nameRegions(shards)
 	return s, nil
+}
+
+// buildShards builds the registers named by specs, in order, each based
+// where the previous one's objects end, and returns them with their
+// concatenated initial states.
+func buildShards(specs []Spec) ([]*Shard, []dsys.State, error) {
+	if len(specs) == 0 {
+		return nil, nil, fmt.Errorf("shard: empty spec list")
+	}
+	var states []dsys.State
+	shards := make([]*Shard, 0, len(specs))
+	seen := make(map[string]bool, len(specs))
+	for _, spec := range specs {
+		if seen[spec.Name] {
+			return nil, nil, fmt.Errorf("shard: duplicate shard name %q", spec.Name)
+		}
+		sh, init, err := buildShard(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		seen[spec.Name] = true
+		sh.Base = len(states)
+		states = append(states, init...)
+		shards = append(shards, sh)
+	}
+	return shards, states, nil
 }
 
 // nameRegions gives the cluster's round metrics and round spans the shard
@@ -161,27 +174,13 @@ func (s *Set) nameRegions(shards []*Shard) {
 // same order so the shards' global base offsets agree. Closing the set closes
 // inv if it implements io.Closer. opts are passed to dsys.NewRemoteCluster.
 func NewRemote(specs []Spec, inv dsys.RoundInvoker, opts ...dsys.Option) (*Set, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("shard: empty spec list")
-	}
-	var shards []*Shard
-	total := 0
-	seen := make(map[string]bool, len(specs))
-	for _, spec := range specs {
-		if seen[spec.Name] {
-			return nil, fmt.Errorf("shard: duplicate shard name %q", spec.Name)
-		}
-		sh, init, err := buildShard(spec)
-		if err != nil {
-			return nil, err
-		}
-		seen[spec.Name] = true
-		sh.Base = total
-		total += len(init) // states live remotely; only the span matters here
-		shards = append(shards, sh)
+	shards, states, err := buildShards(specs)
+	if err != nil {
+		return nil, err
 	}
 	s := &Set{router: newRouter(shards), regions: shards}
-	s.cluster = dsys.NewRemoteCluster(total, inv, opts...)
+	// The states live remotely; only their count matters here.
+	s.cluster = dsys.NewRemoteCluster(len(states), inv, opts...)
 	s.nameRegions(shards)
 	return s, nil
 }
@@ -367,46 +366,16 @@ func (s *Set) readValue(client int, sh *Shard, tc trace.Context) (value.Value, e
 	return got, err
 }
 
-// AcquireWrite routes key and pins the target shard for a write, blocking
-// while the target is a still-seeding migration successor. Live mode only.
-func (s *Set) AcquireWrite(client int, key string) (*Route, error) {
-	return s.router.AwaitAcquireWrite(client, key)
-}
-
-// ReleaseWrite unpins a write acquisition.
-func (s *Set) ReleaseWrite(ref *Route, client int) { s.router.ReleaseWrite(ref, client) }
-
-// WriteRef performs the write against an acquired route, through the shard's
-// batcher when one is installed.
-func (s *Set) WriteRef(client int, ref *Route, v value.Value) error {
-	return s.WriteValue(client, ref.Shard(), v)
-}
-
-// AcquireRead routes key and pins the target (plus its migration predecessor
-// during a migration) for a read.
-func (s *Set) AcquireRead(client int, key string) (ref, fb *Route, err error) {
-	return s.router.AcquireRead(client, key)
-}
-
-// ReleaseRead unpins a read acquisition.
-func (s *Set) ReleaseRead(ref, fb *Route, client int) { s.router.ReleaseRead(ref, fb, client) }
-
-// ReadRef performs the read against an acquired route. With a fallback route
-// (migration in progress) it is a dual-epoch read — see ReadRouted, the
-// shared implementation — bypassing the batcher, whose group commit does not
-// carry timestamps.
-func (s *Set) ReadRef(client int, ref, fb *Route) (value.Value, error) {
-	v, _, err := s.ReadRefFell(client, ref, fb)
-	return v, err
-}
-
-// ReadRefFell is ReadRef, additionally reporting whether the old epoch
-// answered the read. History recording needs this: a fallback-answered read
-// observed the predecessor's register and must be recorded in the
-// predecessor's history, which matters for merges, where the predecessor on
-// the key's path may be a pruned branch that never joins the successor's
-// stitched lineage.
-func (s *Set) ReadRefFell(client int, ref, fb *Route) (value.Value, bool, error) {
+// ReadRef performs a read against routes acquired from the set's router
+// (Router.AcquireRead) and reports whether the old epoch answered it. With a
+// fallback route (migration in progress) it is a dual-epoch read — see
+// ReadRouted, the shared implementation — bypassing the batcher, whose group
+// commit does not carry timestamps. History recording needs fell: a
+// fallback-answered read observed the predecessor's register and must be
+// recorded in the predecessor's history, which matters for merges, where the
+// predecessor on the key's path may be a pruned branch that never joins the
+// successor's stitched lineage.
+func (s *Set) ReadRef(client int, ref, fb *Route) (value.Value, bool, error) {
 	sp := s.beginOp(ref.Shard(), "read")
 	tc := sp.Context()
 	if fb == nil {
@@ -473,23 +442,24 @@ func ReadRouted(h *dsys.ClientHandle, ref, fb *Route) (v value.Value, fellBack b
 // Write performs a routed register write of v on the shard key resolves to,
 // pinning the route so a concurrent reconfiguration drains it correctly.
 func (s *Set) Write(client int, key string, v value.Value) error {
-	ref, err := s.AcquireWrite(client, key)
+	ref, err := s.router.AwaitAcquireWrite(client, key)
 	if err != nil {
 		return err
 	}
-	defer s.ReleaseWrite(ref, client)
-	return s.WriteRef(client, ref, v)
+	defer s.router.ReleaseWrite(ref, client)
+	return s.WriteValue(client, ref.Shard(), v)
 }
 
 // Read performs a routed register read on the shard key resolves to,
 // consulting both epochs while that shard is migrating.
 func (s *Set) Read(client int, key string) (value.Value, error) {
-	ref, fb, err := s.AcquireRead(client, key)
+	ref, fb, err := s.router.AcquireRead(client, key)
 	if err != nil {
 		return value.Value{}, err
 	}
-	defer s.ReleaseRead(ref, fb, client)
-	return s.ReadRef(client, ref, fb)
+	defer s.router.ReleaseRead(ref, fb, client)
+	v, _, err := s.ReadRef(client, ref, fb)
+	return v, err
 }
 
 // CrashNode crashes the shard-local base object node of the named shard.

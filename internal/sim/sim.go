@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"spacebounds/internal/dsys"
@@ -265,35 +264,6 @@ const clientStride = 100
 // client's ID also identifies its home shard in histories and timestamps.
 func clientID(shardIdx, client int) int { return shardIdx*clientStride + client + 1 }
 
-// simRecorders lazily creates one history recorder per shard name, all on the
-// scheduler's logical clock; shards installed by reconfiguration mid-run get
-// theirs on first use. In controlled mode only one task runs at a time, so
-// the mutex serializes nothing scheduling-relevant — it exists for the race
-// detector and the final read from the orchestrating goroutine.
-type simRecorders struct {
-	mu    sync.Mutex
-	clock history.Clock
-	recs  map[string]*history.Recorder
-}
-
-func (rs *simRecorders) forShard(name string) *history.Recorder {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rec, ok := rs.recs[name]
-	if !ok {
-		rec = history.NewRecorder()
-		rec.SetClock(rs.clock)
-		rs.recs[name] = rec
-	}
-	return rec
-}
-
-func (rs *simRecorders) get(name string) *history.Recorder {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.recs[name]
-}
-
 // Run executes one deterministic simulation. The returned error covers
 // configuration problems only; consistency violations are reported in the
 // Result so that callers can replay and shrink them.
@@ -348,9 +318,9 @@ func Run(cfg Config) (*Result, error) {
 		return out
 	})
 
-	recorders := &simRecorders{clock: cluster.LogicalTime, recs: make(map[string]*history.Recorder)}
+	recorders := history.NewRecorders(cluster.LogicalTime)
 	for _, sh := range set.Shards() {
-		recorders.forShard(sh.Name)
+		recorders.For(sh.Name)
 	}
 
 	var completedOps atomic.Int64
@@ -372,7 +342,7 @@ func Run(cfg Config) (*Result, error) {
 					routedClientScript(cfg, set, recorders, &completedOps, &doneClients, id, sh.Name)))
 			} else {
 				handles = append(handles, cluster.SpawnScoped(id, sh.Base, sh.Span,
-					clientScript(cfg, sh.Reg, recorders.forShard(sh.Name), &completedOps, &doneClients, id)))
+					clientScript(cfg, sh.Reg, recorders.For(sh.Name), &completedOps, &doneClients, id)))
 			}
 		}
 	}
@@ -437,19 +407,10 @@ func Run(cfg Config) (*Result, error) {
 	// migration lineage (for an unreconfigured run the lineage is the shard
 	// itself and stitching is the identity) — plus one per pruned merge
 	// branch, whose history ends at the merge that discarded its value.
-	checkNames := set.Router().LeafNames()
-	checkNames = append(checkNames, set.Router().PrunedBranches()...)
-	for _, name := range checkNames {
+	for _, name := range set.Router().CheckedNames() {
 		sh := set.Shard(name)
-		v0 := value.Zero(sh.Reg.Config().DataLen)
 		lineage := set.Lineage(name)
-		var chain []*history.History
-		for _, ancestor := range lineage {
-			if rec := recorders.get(ancestor); rec != nil {
-				chain = append(chain, rec.History(v0))
-			}
-		}
-		h := history.Merge(v0, chain...)
+		h := recorders.Stitch(value.Zero(sh.Reg.Config().DataLen), lineage)
 		provider := sh.Algorithm
 		cond, check := conditionFor(provider)
 		res.Verdicts = append(res.Verdicts, verdict(name, provider, cond, lineage, h, check))
@@ -518,7 +479,7 @@ func clientScript(cfg Config, reg register.Register, rec *history.Recorder, comp
 // route, and records its history on the shard it actually executed on. Writes
 // whose target is a still-seeding successor yield to the scheduler and retry
 // — the controlled-mode equivalent of the live path's blocking acquire.
-func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, completed, done *atomic.Int64, id int, home string) func(*dsys.ClientHandle) error {
+func routedClientScript(cfg Config, set *shard.Set, recs *history.Recorders, completed, done *atomic.Int64, id int, home string) func(*dsys.ClientHandle) error {
 	// Favor keys that route near the home shard but roam the shared keyspace,
 	// so splits re-partition real traffic.
 	keys := []string{home, home, "key-0", "key-1", "key-2", "key-3"}
@@ -534,20 +495,11 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 				if err != nil {
 					return nil // router closed with the cluster
 				}
-				// A dual-epoch read is recorded in the history of the register
-				// that answered it: invocations are recorded against both
-				// epochs, and the loser stays incomplete (which constrains no
-				// checker). This matters for merges — a fallback read answered
-				// by the value-ordering loser belongs to the pruned branch's
-				// history, not to the successor's stitched lineage.
-				rec := recs.forShard(ref.Shard().Name)
-				op := rec.BeginRead(id)
-				var fbRec *history.Recorder
-				var fbOp *history.Op
+				fbName := ""
 				if fb != nil {
-					fbRec = recs.forShard(fb.Shard().Name)
-					fbOp = fbRec.BeginRead(id)
+					fbName = fb.Shard().Name
 				}
+				op := recs.BeginRead(id, 0, ref.Shard().Name, fbName)
 				v, fell, err := shard.ReadRouted(h, ref, fb)
 				rt.ReleaseRead(ref, fb, id)
 				if err != nil {
@@ -556,11 +508,7 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 					}
 					continue
 				}
-				if fell {
-					fbRec.EndRead(fbOp, v)
-				} else {
-					rec.EndRead(op, v)
-				}
+				op.EndRead(v, fell)
 				completed.Add(1)
 				continue
 			}
@@ -584,8 +532,9 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 			sh := ref.Shard()
 			seq++
 			v := value.Sequenced(id, seq, sh.Reg.Config().DataLen)
-			rec := recs.forShard(sh.Name)
-			op := rec.BeginWrite(id, v)
+			// Invoked now, after the held-write yields: an operation is
+			// stamped once its route is pinned, on the scheduler's clock.
+			op := recs.BeginWrite(id, 0, sh.Name, v)
 			sub, err := h.Sub(sh.Base, sh.Span)
 			if err == nil {
 				err = sh.Reg.Write(sub, v)
@@ -597,7 +546,7 @@ func routedClientScript(cfg Config, set *shard.Set, recs *simRecorders, complete
 				}
 				continue
 			}
-			rec.EndWrite(op)
+			op.EndWrite()
 			completed.Add(1)
 		}
 		return nil

@@ -27,7 +27,7 @@ import (
 //
 // DESIGN.md ("The quiescent space clause") gives each provider's ceiling and
 // the reason for it. The check reads state only and schedules nothing.
-func quiescentSpace(set *shard.Set, recs *simRecorders) []string {
+func quiescentSpace(set *shard.Set, recs *history.Recorders) []string {
 	cluster := set.Cluster()
 	var out []string
 	for _, name := range set.Router().Names() {
@@ -35,7 +35,7 @@ func quiescentSpace(set *shard.Set, recs *simRecorders) []string {
 		cfg := sh.Reg.Config()
 		piece := 8 * ((cfg.DataLen + cfg.K - 1) / cfg.K)
 		var writes, unreturned int
-		if rec := recs.get(name); rec != nil {
+		if rec := recs.Get(name); rec != nil {
 			for _, op := range rec.History(value.Zero(cfg.DataLen)).Ops {
 				if op.Kind == history.Write {
 					writes++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/history"
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
 )
@@ -28,7 +29,7 @@ func TestQuiescentSpaceFlagsWhatARegionKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	recs := &simRecorders{}
+	recs := history.NewRecorders(nil)
 	if v := quiescentSpace(set, recs); len(v) != 0 {
 		t.Fatalf("initial states flagged: %v", v)
 	}

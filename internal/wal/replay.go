@@ -81,7 +81,7 @@ func (j *Journal) Replay(c *dsys.Cluster) (ReplayStats, error) {
 	}
 
 	for i, seg := range segs {
-		if err := j.replaySegment(c, seg, nextFirst(segs, i), boundary, &stats); err != nil {
+		if err := j.replaySegment(c, seg, nextFirst(segs, i), allObjects, boundary, &stats); err != nil {
 			return stats, err
 		}
 	}
@@ -101,14 +101,22 @@ func nextFirst(segs []*segment, i int) uint64 {
 	return segs[i+1].firstSeq
 }
 
+// allObjects is replaySegment's object filter for a whole-journal replay.
+const allObjects = -1
+
 // replaySegment scans one segment and applies its apply records with
-// seq > boundary[object]. next is scanSegment's: 0 for the active segment,
-// whose scan errors mean a torn tail (already truncated at Open for the
-// crash-recovery path, but a live replay may race fresh appends) and end the
-// segment cleanly; on any other segment they are corruption.
-func (j *Journal) replaySegment(c *dsys.Cluster, seg *segment, next uint64, boundary map[int]uint64, stats *ReplayStats) error {
+// seq > boundary[object], only object's unless object is allObjects. next is
+// scanSegment's: 0 for the active segment, whose scan errors mean a torn tail
+// and end the segment cleanly; on any other segment they are corruption. The
+// tail is torn at Open for the crash-recovery path, but a live replay may
+// race fresh appends — a one-object replay's by other, live objects, after
+// everything of the crashed object was fsynced, so stopping at the first torn
+// frame loses nothing of it. A whole-journal replay counts records for
+// objects the cluster no longer has or has retired; a one-object replay
+// fails on them.
+func (j *Journal) replaySegment(c *dsys.Cluster, seg *segment, next uint64, object int, boundary map[int]uint64, stats *ReplayStats) error {
 	_, err := scanSegment(seg, next, func(r record, frameLen int) error {
-		if r.typ != recApply {
+		if r.typ != recApply || (object != allObjects && r.object != object) {
 			return nil
 		}
 		stats.Records++
@@ -127,6 +135,8 @@ func (j *Journal) replaySegment(c *dsys.Cluster, seg *segment, next uint64, boun
 		switch _, err := c.ReplayApply(r.object, rmw); {
 		case err == nil:
 			stats.Applied++
+		case object != allObjects:
+			return err
 		case errors.Is(err, dsys.ErrUnknownObject):
 			stats.Unknown++
 		case errors.Is(err, dsys.ErrRetiredObject):
@@ -199,7 +209,7 @@ func (j *Journal) ReplayObject(c *dsys.Cluster, object int, fresh dsys.State) (R
 
 	only := map[int]uint64{object: boundary}
 	for i, seg := range segs {
-		if err := j.replayObjectSegment(c, seg, nextFirst(segs, i), object, only, &stats); err != nil {
+		if err := j.replaySegment(c, seg, nextFirst(segs, i), object, only, &stats); err != nil {
 			return stats, err
 		}
 	}
@@ -208,38 +218,4 @@ func (j *Journal) ReplayObject(c *dsys.Cluster, object int, fresh dsys.State) (R
 		m.replayed.Add(int64(stats.Records))
 	}
 	return stats, nil
-}
-
-// replayObjectSegment is replaySegment restricted to one object.
-func (j *Journal) replayObjectSegment(c *dsys.Cluster, seg *segment, next uint64, object int, boundary map[int]uint64, stats *ReplayStats) error {
-	_, err := scanSegment(seg, next, func(r record, frameLen int) error {
-		if r.typ != recApply || r.object != object {
-			return nil
-		}
-		stats.Records++
-		if r.seq <= boundary[r.object] {
-			stats.Skipped++
-			return nil
-		}
-		env, err := dsys.UnmarshalEnvelope(r.payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		rmw, _, err := register.DecodeRMW(env)
-		if err != nil {
-			return fmt.Errorf("wal: replay: %v", err)
-		}
-		if _, err := c.ReplayApply(r.object, rmw); err != nil {
-			return err
-		}
-		stats.Applied++
-		return nil
-	})
-	// The active segment's tail may be mid-append by other, live objects;
-	// everything for the crashed object was fsynced before the scan started,
-	// so stopping at the first torn frame loses nothing of it.
-	if err != nil && !(next == 0 && errors.Is(err, ErrCorrupt)) {
-		return fmt.Errorf("wal: replay %s: %w", seg.path, err)
-	}
-	return nil
 }

@@ -116,9 +116,10 @@ type ShardedResult struct {
 	PerShardOps map[string]int
 	// Histories maps shard names to their recorded operation history
 	// (only when RecordHistory was set). Keys hashing to the same shard
-	// share one register and therefore one history. For shards installed by
-	// reconfiguration the entry is the stitched lineage history: the
-	// ancestors' operations merged in, so CheckRegularity spans the epochs.
+	// share one register and therefore one history. The names are the ones
+	// the simulator checks (Router.CheckedNames): every leaf shard, its entry
+	// stitched across its lineage so CheckRegularity spans the epochs, and
+	// every merge loser, whose history ends at the merge.
 	Histories map[string]*history.History
 	// Reconfigs records the applied reconfiguration schedule.
 	Reconfigs []AppliedReconfig
@@ -158,106 +159,45 @@ type tally struct {
 	perShard                    map[string]int
 }
 
-// recorderSet lazily creates one history recorder per shard name; successors
-// installed by reconfiguration mid-run get theirs on first use. All recorders
-// share one logical clock: cross-epoch stitching merges histories from
-// different recorders, which is only sound if an operation that returned
-// before another was invoked carries the smaller timestamp regardless of
-// which recorder stamped it.
-type recorderSet struct {
-	mu    sync.Mutex
-	clock atomic.Int64
-	recs  map[string]*history.Recorder
-}
-
-func (rs *recorderSet) forShard(name string) *history.Recorder {
-	if rs == nil {
-		return nil
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rec, ok := rs.recs[name]
-	if !ok {
-		rec = history.NewRecorder()
-		rec.SetClock(func() int64 { return rs.clock.Add(1) })
-		rs.recs[name] = rec
-	}
-	return rec
-}
-
-// invoked stamps an operation's invocation. It is taken before the route is
-// acquired — the operation is invoked when its caller asks, not once its route
-// is pinned: a read that pins a route, is descheduled across a split and then
-// reads the drained register has been running all along, and stamped any
-// later it would seem to skip the successors' first writes.
-func (rs *recorderSet) invoked() int64 {
-	if rs == nil {
-		return 0
-	}
-	return rs.clock.Add(1)
-}
-
-func (rs *recorderSet) get(name string) *history.Recorder {
-	if rs == nil {
-		return nil
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.recs[name]
-}
-
 // runShardedOp performs one read or write against the set and records it in
-// the history recorder and the tally. The route is acquired first so the
+// the history recorders and the tally. The route is acquired first so the
 // operation is attributed (and its history recorded) on the shard it actually
 // runs on — during a migration that is the current epoch's target, and reads
 // transparently consult both epochs. Writes derive a globally unique value
 // from (client, seq).
-func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic.Int64, client int, key string, isRead bool, seq int) {
-	invoked := recs.invoked()
+//
+// The invocation is stamped before the route is acquired — the operation is
+// invoked when its caller asks, not once its route is pinned: a read that
+// pins a route, is descheduled across a split and then reads the drained
+// register has been running all along, and stamped any later it would seem
+// to skip the successors' first writes.
+func runShardedOp(set *shard.Set, recs *history.Recorders, t *tally, completed *atomic.Int64, client int, key string, isRead bool, seq int) {
+	invoked := recs.Now()
+	rt := set.Router()
 	if isRead {
-		ref, fb, err := set.AcquireRead(client, key)
+		ref, fb, err := rt.AcquireRead(client, key)
 		if err != nil {
 			t.mu.Lock()
 			t.rerrs++
 			t.mu.Unlock()
 			return
 		}
-		// A dual-epoch read is recorded in the history of the register that
-		// answered it: invocations are recorded against both epochs and the
-		// loser stays incomplete (incomplete reads constrain no checker).
-		// This matters for merges — a fallback read answered by the value-
-		// ordering loser belongs to the pruned branch's history, not to the
-		// successor's stitched lineage.
-		name := ref.Shard().Name
-		rec := recs.forShard(name)
-		var hop, fbOp *history.Op
-		var fbRec *history.Recorder
-		if rec != nil {
-			hop = rec.BeginRead(client)
-			hop.Invoked = invoked
+		name, fbName := ref.Shard().Name, ""
+		if fb != nil {
+			fbName = fb.Shard().Name
 		}
-		if fb != nil && recs != nil {
-			fbRec = recs.forShard(fb.Shard().Name)
-			if fbRec != nil {
-				fbOp = fbRec.BeginRead(client)
-				fbOp.Invoked = invoked
-			}
-		}
-		v, fell, err := set.ReadRefFell(client, ref, fb)
-		set.ReleaseRead(ref, fb, client)
+		op := recs.BeginRead(client, invoked, name, fbName)
+		v, fell, err := set.ReadRef(client, ref, fb)
+		rt.ReleaseRead(ref, fb, client)
 		if err != nil {
 			t.mu.Lock()
 			t.rerrs++
 			t.mu.Unlock()
 			return
 		}
+		op.EndRead(v, fell)
 		if fell {
-			name = fb.Shard().Name
-			if fbRec != nil {
-				fbRec.EndRead(fbOp, v)
-			}
-		} else if rec != nil {
-			rec.EndRead(hop, v)
+			name = fbName
 		}
 		completed.Add(1)
 		t.mu.Lock()
@@ -266,36 +206,29 @@ func runShardedOp(set *shard.Set, recs *recorderSet, t *tally, completed *atomic
 		t.mu.Unlock()
 		return
 	}
-	ref, err := set.AcquireWrite(client, key)
+	ref, err := rt.AwaitAcquireWrite(client, key)
 	if err != nil {
 		t.mu.Lock()
 		t.werrs++
 		t.mu.Unlock()
 		return
 	}
-	name := ref.Shard().Name
-	v := value.Sequenced(client, seq, ref.Shard().Reg.Config().DataLen)
-	rec := recs.forShard(name)
-	var hop *history.Op
-	if rec != nil {
-		hop = rec.BeginWrite(client, v)
-		hop.Invoked = invoked
-	}
-	err = set.WriteRef(client, ref, v)
-	set.ReleaseWrite(ref, client)
+	sh := ref.Shard()
+	v := value.Sequenced(client, seq, sh.Reg.Config().DataLen)
+	op := recs.BeginWrite(client, invoked, sh.Name, v)
+	err = set.WriteValue(client, sh, v)
+	rt.ReleaseWrite(ref, client)
 	if err != nil {
 		t.mu.Lock()
 		t.werrs++
 		t.mu.Unlock()
 		return
 	}
-	if rec != nil {
-		rec.EndWrite(hop)
-	}
+	op.EndWrite()
 	completed.Add(1)
 	t.mu.Lock()
 	t.writes++
-	t.perShard[name]++
+	t.perShard[sh.Name]++
 	t.mu.Unlock()
 }
 
@@ -334,12 +267,10 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var recs *recorderSet
+	var recs *history.Recorders
 	if spec.RecordHistory {
-		recs = &recorderSet{recs: make(map[string]*history.Recorder)}
-		for _, sh := range set.Shards() {
-			recs.forShard(sh.Name)
-		}
+		var clock atomic.Int64
+		recs = history.NewRecorders(func() int64 { return clock.Add(1) })
 	}
 
 	var completed atomic.Int64
@@ -425,18 +356,10 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 		}
 	}
 	if spec.RecordHistory {
-		// Stitch every surviving shard's lineage: the shard's own recorder
-		// plus its migration ancestors', merged in invocation order.
 		res.Histories = make(map[string]*history.History)
-		for _, sh := range set.Shards() {
-			v0 := value.Zero(sh.Reg.Config().DataLen)
-			var chain []*history.History
-			for _, ancestor := range set.Lineage(sh.Name) {
-				if rec := recs.get(ancestor); rec != nil {
-					chain = append(chain, rec.History(v0))
-				}
-			}
-			res.Histories[sh.Name] = history.Merge(v0, chain...)
+		for _, name := range set.Router().CheckedNames() {
+			v0 := value.Zero(set.Shard(name).Reg.Config().DataLen)
+			res.Histories[name] = recs.Stitch(v0, set.Lineage(name))
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"spacebounds/internal/reconfig"
@@ -372,7 +373,30 @@ func TestRunShardedWithMergeSchedule(t *testing.T) {
 	if _, ok := storageSums(t, set).Shards["s0+s1"]; !ok {
 		t.Fatal("merged shard missing from the storage sample")
 	}
+	// The merge loser's branch ends at the merge. Its pre-merge writes and
+	// the fallback reads it answered are checked beside the merged lineage,
+	// as the simulator checks them.
+	pruned := set.Router().PrunedBranches()
+	if len(pruned) != 1 {
+		t.Fatalf("pruned branches %v, want the one merge loser", pruned)
+	}
+	if len(res.Histories) != 2 || res.Histories["s0+s1"] == nil || res.Histories[pruned[0]] == nil {
+		t.Fatalf("histories for %v, want s0+s1 and the pruned %s", historyNames(res), pruned[0])
+	}
+	if len(res.Histories[pruned[0]].Writes()) == 0 {
+		t.Fatalf("pruned branch %s recorded no writes", pruned[0])
+	}
 	if err := res.CheckRegularity(); err != nil {
 		t.Fatalf("stitched regularity across the merge: %v", err)
 	}
+}
+
+// historyNames lists a result's history names, sorted.
+func historyNames(res *workload.ShardedResult) []string {
+	names := make([]string, 0, len(res.Histories))
+	for name := range res.Histories {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

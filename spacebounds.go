@@ -297,16 +297,17 @@ func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 func (s *Store) WriteKey(client int, key string, val []byte) error {
 	// The key is routed once, and the value padded against the shard it is
 	// then written to.
-	ref, err := s.set.AcquireWrite(client, key)
+	rt := s.set.Router()
+	ref, err := rt.AwaitAcquireWrite(client, key)
 	if err != nil {
 		return err
 	}
-	defer s.set.ReleaseWrite(ref, client)
+	defer rt.ReleaseWrite(ref, client)
 	v, err := pad(ref.Shard(), val)
 	if err != nil {
 		return err
 	}
-	return s.set.WriteRef(client, ref, v)
+	return s.set.WriteValue(client, ref.Shard(), v)
 }
 
 // ReadKey returns the current value of the shard the key routes to. While
