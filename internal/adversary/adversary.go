@@ -24,6 +24,7 @@ package adversary
 import (
 	"fmt"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
@@ -251,15 +252,7 @@ func Run(reg register.Register, concurrency int, onEvent func(dsys.Event)) (*Res
 	res.HeavyWrites = len(heavy)
 	res.CompletedWrites = concurrency - len(outstandingWrites)
 
-	target := concurrency
-	if cfg.F+1 < target {
-		target = cfg.F + 1
-	}
-	short := ellBits
-	if dBits-ellBits < short {
-		short = dBits - ellBits
-	}
-	res.LowerBoundBits = target * short
+	res.LowerBoundBits = bound.Floor(cfg.F, concurrency, dBits, ellBits)
 
 	// Release the pinned clients so Close can join them.
 	cluster.Close()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spacebounds/internal/adversary"
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
@@ -118,8 +119,8 @@ func TestAdversaryPinsAdaptive(t *testing.T) {
 // TestTheoremsBracketAdaptiveStorage runs Ad over a grid of (algorithm, f, k,
 // c) cells. Every regular register is pinned with no write completed and at
 // least Theorem 1's min(f+1, c)·D/2 bits in its base objects, and the
-// adaptive register holds at most Theorem 2's bound as E1 states it:
-// min((c+1)(2f+k)D/k, 2(2f+k)D) while c < k, 2(2f+k)D from there on. Coded
+// adaptive register holds at most Theorem 2's bound (bound.Adaptive):
+// (c+1)(2f+k)D/k while c < k, 2(2f+k)D from there on. Coded
 // cells start at k = 3: at k ≤ 2 every initial piece already weighs
 // ℓ = D/2 bits, so every object is frozen from the start, Ad applies no RMW,
 // and the lower bound holds on the initial value alone — those cells would
@@ -162,18 +163,13 @@ func TestTheoremsBracketAdaptiveStorage(t *testing.T) {
 				if res.CompletedWrites != 0 {
 					t.Errorf("%d writes completed under Ad", res.CompletedWrites)
 				}
-				if want := min(cl.f+1, c) * res.DataBits / 2; res.LowerBoundBits != want || !res.MeetsBound() {
+				if want := bound.Floor(cl.f, c, res.DataBits, res.DataBits/2); res.LowerBoundBits != want || !res.MeetsBound() {
 					t.Errorf("pinned at %d bits, want at least min(f+1, c)·D/2 = %d (Result says %d)", res.PinnedBaseObjectBits, want, res.LowerBoundBits)
 				}
 				if cl.algo != "adaptive" {
 					return
 				}
-				n, d := reg.Config().N(), res.DataBits
-				upper := 2 * n * d
-				if c < cl.k {
-					upper = min((c+1)*n*d/cl.k, upper)
-				}
-				if res.PinnedBaseObjectBits > upper {
+				if upper := bound.Adaptive(reg.Config(), c); res.PinnedBaseObjectBits > upper {
 					t.Errorf("pinned at %d bits, above Theorem 2's %d", res.PinnedBaseObjectBits, upper)
 				}
 			})
@@ -195,7 +191,7 @@ func TestAdversaryCannotBlowUpSafeRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.N() * cfg.DataBits() / cfg.K
+	want := bound.Quiescent(cfg)
 	if res.PinnedBaseObjectBits != want {
 		t.Fatalf("safe register storage under Ad = %d bits, want exactly %d", res.PinnedBaseObjectBits, want)
 	}

@@ -93,21 +93,6 @@ type Code interface {
 	Decode(dataLen int, blocks []Block) ([]byte, error)
 }
 
-// DistinctBlocks filters blocks to one per index, preserving first
-// occurrence order. Register algorithms use it before attempting a decode.
-func DistinctBlocks(blocks []Block) []Block {
-	seen := make(map[int]bool, len(blocks))
-	out := make([]Block, 0, len(blocks))
-	for _, b := range blocks {
-		if seen[b.Index] {
-			continue
-		}
-		seen[b.Index] = true
-		out = append(out, b)
-	}
-	return out
-}
-
 // CheckSymmetry verifies Definition 3 empirically for a code: it encodes two
 // different values of the same length and checks that every block index has
 // the same size in both encodings. Register constructors call it once at
@@ -143,16 +128,6 @@ func CheckSymmetry(c Code, dataLen int) error {
 		}
 	}
 	return nil
-}
-
-// TotalEncodedBits returns the total number of bits across all N blocks of a
-// dataLen-byte value; experiments use it to express analytic storage bounds.
-func TotalEncodedBits(c Code, dataLen int) int {
-	total := 0
-	for i := 1; i <= c.N(); i++ {
-		total += 8 * c.BlockSizeBytes(dataLen, i)
-	}
-	return total
 }
 
 // shardLen returns the per-shard length when splitting dataLen bytes into k

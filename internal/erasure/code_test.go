@@ -159,13 +159,6 @@ func TestBlockSizeAccounting(t *testing.T) {
 	if sz := rs.BlockSizeBytes(dataLen, 1); sz != 250 {
 		t.Fatalf("rs block size = %d, want 250", sz)
 	}
-	if total := TotalEncodedBits(rs, dataLen); total != 10*250*8 {
-		t.Fatalf("rs total bits = %d, want %d", total, 10*250*8)
-	}
-	repl := MustReplication(3)
-	if total := TotalEncodedBits(repl, dataLen); total != 3*8*dataLen {
-		t.Fatalf("replication total bits = %d, want %d", total, 3*8*dataLen)
-	}
 }
 
 func TestBlockSizeBits(t *testing.T) {
@@ -177,17 +170,6 @@ func TestBlockSizeBits(t *testing.T) {
 	c.Data[0] = 0xFF
 	if b.Data[0] == 0xFF {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestDistinctBlocks(t *testing.T) {
-	in := []Block{{Index: 2}, {Index: 1}, {Index: 2}, {Index: 3}, {Index: 1}}
-	out := DistinctBlocks(in)
-	if len(out) != 3 {
-		t.Fatalf("DistinctBlocks returned %d blocks, want 3", len(out))
-	}
-	if out[0].Index != 2 || out[1].Index != 1 || out[2].Index != 3 {
-		t.Fatalf("DistinctBlocks did not preserve first-occurrence order: %v", out)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spacebounds/internal/adversary"
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
 	"spacebounds/internal/register/abd"
@@ -24,8 +25,9 @@ const (
 func kib(bits int) string { return fmt.Sprintf("%.2f", float64(bits)/8192) }
 
 // E1AdaptiveStorageVsConcurrency sweeps the concurrency level c and reports
-// the adaptive algorithm's peak base-object storage against the Theorem 2
-// expression min((c+1)(2f+k)D/k, (2f+k)·2D).
+// the adaptive algorithm's peak base-object storage against Theorem 2's
+// ceiling, (c+1)·(2f+k)·D/k while c < k and the plateau (2f+k)·2D from c = k
+// on (bound.Adaptive).
 func E1AdaptiveStorageVsConcurrency() (*Table, error) {
 	t := &Table{
 		ID:      "E1",
@@ -44,19 +46,8 @@ func E1AdaptiveStorageVsConcurrency() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d := cfg.DataBits()
-			pieceBits := d / cfg.K
-			plateau := cfg.N() * 2 * cfg.K * pieceBits // every object holds at most 2D bits
-			bound := plateau
-			// The (c+1)(2f+k)D/k expression of Theorem 2 applies while the
-			// concurrency stays below the code parameter; beyond that the
-			// replication plateau is the operative bound.
-			if c < cfg.K {
-				if concBound := (c + 1) * cfg.N() * pieceBits; concBound < bound {
-					bound = concBound
-				}
-			}
-			t.AddRow(fk.f, fk.k, cfg.N(), c, kib(res.MaxBaseObjectBits), kib(bound), kib(plateau), res.MaxBaseObjectBits <= bound)
+			ceiling := bound.Adaptive(cfg, c)
+			t.AddRow(fk.f, fk.k, cfg.N(), c, kib(res.MaxBaseObjectBits), kib(ceiling), kib(bound.Adaptive(cfg, cfg.K)), res.MaxBaseObjectBits <= ceiling)
 		}
 	}
 	return t, nil
@@ -81,8 +72,7 @@ func E2QuiescentStorage() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// One piece of ceil(DataLen/k) bytes per base object.
-		want := cfg.N() * 8 * ((cfg.DataLen + cfg.K - 1) / cfg.K)
+		want := bound.Quiescent(cfg)
 		t.AddRow(fk.f, fk.k, fk.writers, 3, kib(res.MaxBaseObjectBits), kib(res.QuiescentBaseObjectBits), kib(want),
 			res.QuiescentBaseObjectBits == want)
 	}
@@ -196,7 +186,7 @@ func E5SafeRegisterStorage() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			want := cfg.N() * cfg.DataBits() / cfg.K
+			want := bound.Quiescent(cfg)
 			t.AddRow(fk.f, fk.k, c, kib(res.MaxBaseObjectBits), kib(want), res.MaxBaseObjectBits == want)
 		}
 	}
@@ -259,10 +249,7 @@ func E7KAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pieceBits := 8 * ((cfg.DataLen + k - 1) / k)
-		quiescentWant := cfg.N() * pieceBits
-		plateau := cfg.N() * 2 * cfg.K * pieceBits
-		t.AddRow(k, cfg.N(), kib(res.QuiescentBaseObjectBits), kib(quiescentWant), kib(res.MaxBaseObjectBits), kib(plateau))
+		t.AddRow(k, cfg.N(), kib(res.QuiescentBaseObjectBits), kib(bound.Quiescent(cfg)), kib(res.MaxBaseObjectBits), kib(bound.Adaptive(cfg, cfg.K)))
 	}
 	return t, nil
 }

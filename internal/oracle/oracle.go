@@ -169,13 +169,6 @@ func (d *Decoder) Push(b erasure.Block) error {
 	return nil
 }
 
-// Pushed returns the number of blocks pushed so far.
-func (d *Decoder) Pushed() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pushed)
-}
-
 // Done attempts to decode from the pushed blocks (the done(i) action of
 // Definition 1) and expires the oracle. It returns erasure.ErrNotEnoughBlocks
 // (the model's ⊥) if the pushed blocks do not determine a value.

@@ -49,9 +49,6 @@ func TestEncoderGetAndGetAll(t *testing.T) {
 			t.Fatalf("Push: %v", err)
 		}
 	}
-	if dec.Pushed() != code.K() {
-		t.Fatalf("Pushed = %d, want %d", dec.Pushed(), code.K())
-	}
 	got, err := dec.Done()
 	if err != nil {
 		t.Fatalf("Done: %v", err)

@@ -3,6 +3,7 @@ package abd_test
 import (
 	"testing"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/register"
@@ -71,7 +72,7 @@ func TestStorageIsConstantReplication(t *testing.T) {
 		if err != nil {
 			t.Fatalf("c=%d: %v", writers, err)
 		}
-		want := cfg.N() * cfg.DataBits()
+		want := bound.Quiescent(cfg)
 		if res.MaxBaseObjectBits != want {
 			t.Errorf("c=%d: storage = %d bits, want exactly %d", writers, res.MaxBaseObjectBits, want)
 		}

@@ -3,6 +3,7 @@ package adaptive_test
 import (
 	"testing"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/register"
@@ -112,8 +113,9 @@ func TestReadersConcurrentWithWriters(t *testing.T) {
 
 func TestStorageBoundTheorem2(t *testing.T) {
 	// Theorem 2 / Corollary 3: base-object storage is bounded by
-	// min((c+1)(2f+k)D/k, (2f+k) * 2D) bits (each object holds at most k
-	// pieces in Vp and k pieces in Vf, i.e. at most 2D bits).
+	// (c+1)(2f+k)D/k bits while c < k and by the plateau (2f+k)·2D from
+	// c = k on, which caps every run: each object holds at most k pieces in
+	// Vp and k pieces in Vf, i.e. at most 2D bits.
 	const dataLen = 240 // divisible by all k used below
 	for _, tc := range []struct{ f, k, writers int }{
 		{1, 1, 1},
@@ -133,10 +135,7 @@ func TestStorageBoundTheorem2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d k=%d c=%d: %v", tc.f, tc.k, tc.writers, err)
 		}
-		d := cfg.DataBits()
-		pieceBits := d / tc.k
-		perObjectCap := 2 * tc.k * pieceBits // k pieces in Vp + k pieces in Vf, i.e. at most 2D
-		replicationBound := cfg.N() * perObjectCap
+		replicationBound := bound.Adaptive(cfg, cfg.K)
 		if res.MaxBaseObjectBits > replicationBound {
 			t.Errorf("f=%d k=%d c=%d: max base storage %d bits exceeds the replication-plateau bound %d",
 				tc.f, tc.k, tc.writers, res.MaxBaseObjectBits, replicationBound)
@@ -145,7 +144,7 @@ func TestStorageBoundTheorem2(t *testing.T) {
 			// Sequential writes: at most two pieces per object at any time
 			// (the about-to-be-superseded value plus the new one), which is
 			// the c+1 = 2 case of the (c+1)(2f+k)D/k bound.
-			sequentialBound := 2 * cfg.N() * pieceBits
+			sequentialBound := bound.Adaptive(cfg, 1)
 			if res.MaxBaseObjectBits > sequentialBound {
 				t.Errorf("f=%d k=%d sequential: max base storage %d bits exceeds (c+1)(2f+k)D/k = %d",
 					tc.f, tc.k, res.MaxBaseObjectBits, sequentialBound)
@@ -163,7 +162,7 @@ func TestQuiescentStorageReduction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := cfg.N() * (cfg.DataBits() / cfg.K)
+	want := bound.Quiescent(cfg)
 	if res.QuiescentBaseObjectBits != want {
 		t.Fatalf("quiescent storage = %d bits, want %d", res.QuiescentBaseObjectBits, want)
 	}
@@ -218,8 +217,8 @@ func TestReplicationSpecialCaseK1(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.QuiescentBaseObjectBits != cfg.N()*cfg.DataBits() {
-		t.Fatalf("quiescent = %d, want %d", res.QuiescentBaseObjectBits, cfg.N()*cfg.DataBits())
+	if want := bound.Quiescent(cfg); res.QuiescentBaseObjectBits != want {
+		t.Fatalf("quiescent = %d, want %d", res.QuiescentBaseObjectBits, want)
 	}
 	if err := history.CheckStrongRegularity(res.History); err != nil {
 		t.Fatal(err)

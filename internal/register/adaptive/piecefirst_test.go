@@ -29,12 +29,14 @@ var parentPeaks = [4]struct{ highest, sum int }{
 	{4992, 120192}, {8064, 199680}, {8064, 202752}, {9216, 228480},
 }
 
-// TestStorageBoundUnderLateUpdates is Theorem 2's bound where the follow-up
-// could break it, were an object to apply both of a write's updates: with
+// TestStorageBoundUnderLateUpdates holds storage down where the follow-up
+// could raise it, were an object to apply both of a write's updates: with
 // c = 1..k+2 concurrent writers under lateObjects the base objects never hold
 // more than min((c+1)(2f+k)/k, 2(2f+k))·D bits, and over the thirty schedules
 // they peak no higher, and in sum lower, than while every update carried the
-// replica — an object that is sent no replica parks none in Vf.
+// replica — an object that is sent no replica parks none in Vf. The min form
+// is not Theorem 2 (bound.Adaptive is): it holds on these thirty schedules,
+// and some simulator schedules exceed it at c ≥ k.
 func TestStorageBoundUnderLateUpdates(t *testing.T) {
 	const f, k, dataBits = 2, 2, 8 * 96
 	const n = 2*f + k

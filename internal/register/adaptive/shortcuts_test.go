@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/oracle"
@@ -566,7 +567,7 @@ func runUnderLateObjects(t *testing.T, seed int64, writers int) lateRun {
 			t.Fatal(err)
 		}
 	}
-	if got, want := cluster.SampleStorage().BaseObjectBits, cfg.N()*cfg.DataBits()/k; got != want {
+	if got, want := cluster.SampleStorage().BaseObjectBits, bound.Quiescent(cfg); got != want {
 		t.Errorf("seed %d, %d writers: quiescent storage %d bits, want (2f+k)/k·D = %d", seed, writers, got, want)
 	}
 	_, peak := cluster.PeakStorage()

@@ -3,6 +3,7 @@ package ecreg_test
 import (
 	"testing"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/register"
@@ -64,7 +65,7 @@ func TestSequentialStorageIsIdeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.N() * cfg.DataBits() / cfg.K
+	want := bound.Quiescent(cfg)
 	if res.QuiescentBaseObjectBits != want {
 		t.Fatalf("quiescent storage = %d, want %d", res.QuiescentBaseObjectBits, want)
 	}
@@ -91,7 +92,7 @@ func TestStorageGrowsWithConcurrency(t *testing.T) {
 		return res.MaxBaseObjectBits
 	}
 	cfg := cfgOf().Config()
-	pieceBits := cfg.DataBits() / cfg.K
+	pieceBits := bound.Piece(cfg)
 	p1, p4, p8 := peak(1), peak(4), peak(8)
 	if !(p1 < p4 && p4 < p8) {
 		t.Fatalf("peak storage not increasing with concurrency: c=1:%d c=4:%d c=8:%d", p1, p4, p8)

@@ -47,16 +47,6 @@ func (t Timestamp) Max(other Timestamp) Timestamp {
 // String implements fmt.Stringer.
 func (t Timestamp) String() string { return fmt.Sprintf("ts(%d,%d)", t.Num, t.Client) }
 
-// MaxTimestamp returns the largest timestamp in the slice, or ZeroTS if the
-// slice is empty.
-func MaxTimestamp(ts []Timestamp) Timestamp {
-	max := ZeroTS
-	for _, t := range ts {
-		max = max.Max(t)
-	}
-	return max
-}
-
 // Chunk is a timestamped code block together with the source tag that traces
 // it back to the write that produced it (Algorithm 1, line 3: Chunks =
 // Pieces x TimeStamps; the source tag realizes Definition 4's source

@@ -32,12 +32,6 @@ func TestTimestampOrdering(t *testing.T) {
 	if (Timestamp{3, 0}).Max(Timestamp{2, 9}) != (Timestamp{3, 0}) {
 		t.Error("Max wrong")
 	}
-	if MaxTimestamp(nil) != ZeroTS {
-		t.Error("MaxTimestamp(nil) != ZeroTS")
-	}
-	if MaxTimestamp([]Timestamp{{1, 1}, {4, 0}, {2, 7}}) != (Timestamp{4, 0}) {
-		t.Error("MaxTimestamp wrong")
-	}
 	if (Timestamp{1, 2}).String() == "" {
 		t.Error("empty String")
 	}

@@ -3,6 +3,7 @@ package safereg_test
 import (
 	"testing"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/register"
@@ -92,7 +93,7 @@ func TestStorageIsExactlyNDk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("c=%d: %v", writers, err)
 		}
-		want := cfg.N() * cfg.DataBits() / cfg.K
+		want := bound.Quiescent(cfg)
 		if res.MaxBaseObjectBits != want {
 			t.Errorf("c=%d: max base storage = %d bits, want exactly %d", writers, res.MaxBaseObjectBits, want)
 		}

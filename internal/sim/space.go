@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/shard"
@@ -23,17 +24,20 @@ import (
 //     adaptive a piece or, once its follow-up round was sent, a replica, so
 //     n_live·min(D/k + x·D, 2D) at most;
 //   - a crashed object is frozen, not quiescent: it keeps what it held when
-//     it crashed, and holds at most its register's per-object ceiling.
+//     it crashed, and holds at most its register's per-object ceiling
+//     (bound.Object). Adaptive's is 2D, k pieces in Vp and a replica in Vf.
+//     ecreg's is a piece for every value the region ever took, because pure
+//     coding drops no piece of a write it has not seen committed. abd and
+//     safereg hold one block, overwritten in place.
 //
-// DESIGN.md ("The quiescent space clause") gives each provider's ceiling and
-// the reason for it. The check reads state only and schedules nothing.
+// DESIGN.md ("The quiescent space clause") gives the reason for each
+// ceiling. The check reads state only and schedules nothing.
 func quiescentSpace(set *shard.Set, recs *history.Recorders) []string {
 	cluster := set.Cluster()
 	var out []string
 	for _, name := range set.Router().Names() {
 		sh := set.Shard(name)
 		cfg := sh.Reg.Config()
-		piece := 8 * ((cfg.DataLen + cfg.K - 1) / cfg.K)
 		var writes, unreturned int
 		if rec := recs.Get(name); rec != nil {
 			for _, op := range rec.History(value.Zero(cfg.DataLen)).Ops {
@@ -45,20 +49,8 @@ func quiescentSpace(set *shard.Set, recs *history.Recorders) []string {
 				}
 			}
 		}
-		// The most one object ever holds, and the most one write that never
-		// returned may leave at a live one: adaptive 2D (k pieces in Vp, a
-		// replica in Vf) and a replica; ecreg a piece for every value the
-		// region ever took — its initial value, a move's seed, each write —
-		// since pure coding drops no piece of a write it has not seen
-		// committed, and a piece; abd and safereg one block, overwritten in
-		// place, and nothing.
-		ceiling, leftBehind := piece, 0
-		switch sh.Algorithm {
-		case "adaptive":
-			ceiling, leftBehind = 2*cfg.K*piece, cfg.K*piece
-		case "ecreg":
-			ceiling, leftBehind = (writes+2)*piece, piece
-		}
+		piece := bound.Piece(cfg)
+		ceiling, leftBehind := bound.Object(sh.Algorithm, cfg, writes)
 		live, bits := 0, 0
 		for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
 			held := 0

@@ -1,8 +1,8 @@
 // Package value defines the register value domain V of the paper.
 //
 // A register stores values of a fixed size D = 8 * len(bytes) bits. The
-// package provides constructors, equality, deterministic pseudo-random value
-// generation for workloads and tests, and bit-size accounting that the
+// package provides constructors, equality, deterministic distinct values
+// for workloads and tests, and bit-size accounting that the
 // storage-cost model (Definition 2 in the paper) relies on.
 package value
 
@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 )
 
 // Value is an element of the register domain V: an immutable byte string of a
@@ -50,17 +49,6 @@ func FromString(s string, sizeBytes int) Value {
 	}
 	d := make([]byte, sizeBytes)
 	copy(d, s)
-	return Value{data: d}
-}
-
-// Random returns a deterministic pseudo-random Value of the given size drawn
-// from the provided source. Used by workload generators and property tests.
-func Random(rng *rand.Rand, sizeBytes int) Value {
-	d := make([]byte, sizeBytes)
-	if _, err := rng.Read(d); err != nil {
-		// rand.Rand.Read never fails; the check satisfies errcheck-style review.
-		panic(fmt.Sprintf("value: rand read failed: %v", err))
-	}
 	return Value{data: d}
 }
 

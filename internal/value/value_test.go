@@ -1,7 +1,6 @@
 package value
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -53,18 +52,6 @@ func TestEqual(t *testing.T) {
 	}
 	if a.Equal(c) {
 		t.Fatal("different values reported Equal")
-	}
-}
-
-func TestRandomDeterministic(t *testing.T) {
-	a := Random(rand.New(rand.NewSource(42)), 64)
-	b := Random(rand.New(rand.NewSource(42)), 64)
-	if !a.Equal(b) {
-		t.Fatal("Random with the same seed produced different values")
-	}
-	c := Random(rand.New(rand.NewSource(43)), 64)
-	if a.Equal(c) {
-		t.Fatal("Random with different seeds produced identical values")
 	}
 }
 
