@@ -24,13 +24,15 @@ test:
 
 # The portable GF(256) kernel, compiled, vetted and tested where it would
 # otherwise never run: -tags purego builds internal/gf256 without its amd64
-# assembly, and the codes and the register that moves their blocks are tested
-# on the Go loops alone. The arm64 vet compiles the packages, tests included,
-# for an architecture that has no assembly file at all.
+# assembly, and the codes and the registers that move their blocks (the
+# adaptive register, and safereg's quorum register: abd at k = 1,
+# Reed-Solomon pieces at k >= 2) are tested on the Go loops alone. The arm64
+# vet compiles the packages, tests included, for an architecture that has no
+# assembly file at all.
 test-purego:
 	$(GO) vet -tags purego ./internal/gf256/... ./internal/erasure/...
 	GOARCH=arm64 $(GO) vet ./internal/gf256/... ./internal/erasure/...
-	$(GO) test -tags purego ./internal/gf256/... ./internal/erasure/... ./internal/register/adaptive/...
+	$(GO) test -tags purego ./internal/gf256/... ./internal/erasure/... ./internal/register/adaptive/... ./internal/register/safereg/...
 
 # Race-detector pass over every package (commands and examples included),
 # bounded so a scheduling deadlock fails fast instead of hanging CI.

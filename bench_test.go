@@ -15,7 +15,6 @@ import (
 	"spacebounds/internal/adversary"
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -69,7 +68,9 @@ func BenchmarkAdaptiveQuiescentStorage(b *testing.B) {
 func BenchmarkStorageComparison(b *testing.B) {
 	const f, c = 2, 8
 	algorithms := map[string]func() (register.Register, error){
-		"abd": func() (register.Register, error) { return abd.New(register.Config{F: f, K: 1, DataLen: benchDataLen}) },
+		"abd": func() (register.Register, error) {
+			return safereg.NewABD(register.Config{F: f, K: 1, DataLen: benchDataLen})
+		},
 		"ecreg": func() (register.Register, error) {
 			return ecreg.New(register.Config{F: f, K: f, DataLen: benchDataLen})
 		},

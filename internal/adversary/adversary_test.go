@@ -9,7 +9,6 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -147,7 +146,7 @@ func TestTheoremsBracketAdaptiveStorage(t *testing.T) {
 				var err error
 				switch cl.algo {
 				case "abd":
-					reg, err = abd.New(cfg)
+					reg, err = safereg.NewABD(cfg)
 				case "adaptive":
 					reg, err = adaptive.New(cfg)
 				case "ecreg":

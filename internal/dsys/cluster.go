@@ -358,14 +358,7 @@ func (c *Cluster) ExtendObjects(states []State) (int, error) {
 		grown = append(grown, &object{id: base + i, state: s})
 	}
 	c.objsPtr.Store(&grown)
-	c.idleReason = ""
-	step := c.steps
-	eventLog := c.opts.eventLog
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	if eventLog != nil {
-		eventLog(Event{Step: step, Kind: EventExtend, Object: base})
-	}
+	c.changedLocked(EventExtend, base)
 	return base, nil
 }
 
@@ -385,15 +378,22 @@ func (c *Cluster) RetireObjects(base, span int) error {
 	for i := base; i < base+span; i++ {
 		objects[i].retired.Store(true)
 	}
+	c.changedLocked(EventRetire, base)
+	return nil
+}
+
+// changedLocked ends a lifecycle change made under c.mu: it clears the idle
+// verdict, releases c.mu, wakes the coordinator and every waiter, and reports
+// the change to the event log at the step it was made.
+func (c *Cluster) changedLocked(kind EventKind, object int) {
 	c.idleReason = ""
 	step := c.steps
 	eventLog := c.opts.eventLog
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	if eventLog != nil {
-		eventLog(Event{Step: step, Kind: EventRetire, Object: base})
+		eventLog(Event{Step: step, Kind: kind, Object: object})
 	}
-	return nil
 }
 
 // Mode returns the cluster's scheduling mode.
@@ -456,26 +456,7 @@ func (c *Cluster) Close() {
 // take effect. Crashing more than f of the n = 2f+k objects removes the
 // ability to form quorums, exactly as in the model.
 func (c *Cluster) CrashObject(id int) error {
-	c.mu.Lock()
-	objects := c.objs()
-	if id < 0 || id >= len(objects) {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
-	}
-	if objects[id].retired.Load() {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrRetiredObject, id)
-	}
-	objects[id].crashed.Store(true)
-	c.idleReason = ""
-	step := c.steps
-	eventLog := c.opts.eventLog
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	if eventLog != nil {
-		eventLog(Event{Step: step, Kind: EventCrash, Object: id})
-	}
-	return nil
+	return c.setCrashed(id, true, EventCrash)
 }
 
 // CrashedObjects returns the IDs of crashed base objects.
@@ -497,6 +478,12 @@ func (c *Cluster) CrashedObjects() []int {
 // exactly like messages to a down node. Live-mode fault injection uses it to
 // model crash/restart churn.
 func (c *Cluster) RestartObject(id int) error {
+	return c.setCrashed(id, false, EventRestart)
+}
+
+// setCrashed crashes or restarts a base object that reconfiguration has not
+// retired.
+func (c *Cluster) setCrashed(id int, crashed bool, kind EventKind) error {
 	c.mu.Lock()
 	objects := c.objs()
 	if id < 0 || id >= len(objects) {
@@ -507,15 +494,8 @@ func (c *Cluster) RestartObject(id int) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrRetiredObject, id)
 	}
-	objects[id].crashed.Store(false)
-	c.idleReason = ""
-	step := c.steps
-	eventLog := c.opts.eventLog
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	if eventLog != nil {
-		eventLog(Event{Step: step, Kind: EventRestart, Object: id})
-	}
+	objects[id].crashed.Store(crashed)
+	c.changedLocked(kind, id)
 	return nil
 }
 
@@ -542,14 +522,7 @@ func (c *Cluster) setSuspended(id int, suspended bool, kind EventKind) error {
 		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
 	}
 	objects[id].suspended.Store(suspended)
-	c.idleReason = ""
-	step := c.steps
-	eventLog := c.opts.eventLog
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	if eventLog != nil {
-		eventLog(Event{Step: step, Kind: kind, Object: id})
-	}
+	c.changedLocked(kind, id)
 	return nil
 }
 

@@ -7,7 +7,7 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/transport"
 	"spacebounds/internal/value"
 )
@@ -21,7 +21,7 @@ const regionSpan = 3
 func abdStates(t *testing.T, n int) []dsys.State {
 	t.Helper()
 	cfg := register.Config{F: 1, K: 1, DataLen: 8}
-	reg, err := abd.New(cfg)
+	reg, err := safereg.NewABD(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/value"
 	"spacebounds/internal/workload"
 )
@@ -66,7 +66,7 @@ func TestStepTotalsMatchTheSnapshot(t *testing.T) {
 		case "adaptive":
 			reg, err = adaptive.New(cfg)
 		case "abd":
-			reg, err = abd.New(cfg)
+			reg, err = safereg.NewABD(cfg)
 		case "ecreg":
 			reg, err = ecreg.New(cfg)
 		}

@@ -7,7 +7,6 @@ import (
 	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -92,7 +91,7 @@ func E3StorageComparison() (*Table, error) {
 		Header: []string{"c", "abd (repl)", "ecreg (coded)", "adaptive", "adaptive/abd", "ecreg/adaptive"},
 	}
 	for _, c := range []int{1, 2, 4, 8, 12, 16} {
-		abdReg, err := abd.New(register.Config{F: f, K: 1, DataLen: defaultDataLen})
+		abdReg, err := safereg.NewABD(register.Config{F: f, K: 1, DataLen: defaultDataLen})
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +284,7 @@ func E8OperationLatency() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ab, err := abd.New(register.Config{F: 2, K: 1, DataLen: smallDataLen})
+		ab, err := safereg.NewABD(register.Config{F: 2, K: 1, DataLen: smallDataLen})
 		if err != nil {
 			return nil, err
 		}

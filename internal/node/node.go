@@ -34,8 +34,7 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/reconfig"
-	_ "spacebounds/internal/register/abd" // every process can build every provider
-	_ "spacebounds/internal/register/adaptive"
+	_ "spacebounds/internal/register/adaptive" // every process can build every provider
 	_ "spacebounds/internal/register/ecreg"
 	_ "spacebounds/internal/register/safereg"
 	"spacebounds/internal/shard"

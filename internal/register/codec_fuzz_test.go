@@ -10,7 +10,6 @@ import (
 	"spacebounds/internal/register"
 
 	// Link all four providers so their codecs are registered.
-	_ "spacebounds/internal/register/abd"
 	_ "spacebounds/internal/register/adaptive"
 	_ "spacebounds/internal/register/ecreg"
 	_ "spacebounds/internal/register/safereg"

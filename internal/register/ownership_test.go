@@ -10,7 +10,6 @@ import (
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/oracle"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -69,7 +68,7 @@ func TestAppliedStateOwnsItsBytes(t *testing.T) {
 		k     int
 		steps []step
 	}{
-		{"abd", func(c register.Config) (register.Register, error) { return abd.New(c) }, 1,
+		{"abd", func(c register.Config) (register.Register, error) { return safereg.NewABD(c) }, 1,
 			[]step{{"abd.update", chunk(1, 1)}, {"abd.update", chunk(2, 1)}}},
 		{"safereg", func(c register.Config) (register.Register, error) { return safereg.New(c) }, 2,
 			[]step{{"safe.update", chunk(1, 1)}, {"safe.update", chunk(2, 1)}}},

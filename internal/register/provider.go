@@ -10,7 +10,9 @@ import (
 // register themselves under a short name ("adaptive", "abd", "ecreg",
 // "safereg") from their package init, which lets shard sets and command-line
 // tools build heterogeneous mixes of emulations by name without linking
-// against every implementation package directly.
+// against every implementation package directly. A package may register more
+// than one name: safereg registers "safereg" and "abd", Appendix E's register
+// at any k and at k = 1.
 type Provider func(Config) (Register, error)
 
 var (

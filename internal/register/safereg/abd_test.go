@@ -1,4 +1,4 @@
-package abd_test
+package safereg_test
 
 import (
 	"testing"
@@ -7,38 +7,38 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/history"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/workload"
 )
 
-func newReg(t *testing.T, f, dataLen int) *abd.Register {
+func newABD(t *testing.T, f, dataLen int) register.Register {
 	t.Helper()
-	reg, err := abd.New(register.Config{F: f, K: 1, DataLen: dataLen})
+	reg, err := safereg.NewABD(register.Config{F: f, K: 1, DataLen: dataLen})
 	if err != nil {
-		t.Fatalf("abd.New: %v", err)
+		t.Fatalf("safereg.NewABD: %v", err)
 	}
 	return reg
 }
 
-func TestNameAndValidation(t *testing.T) {
-	reg := newReg(t, 2, 16)
+func TestABDNameAndValidation(t *testing.T) {
+	reg := newABD(t, 2, 16)
 	if reg.Name() != "abd(f=2)" {
 		t.Fatalf("Name = %q", reg.Name())
 	}
 	if reg.Config().N() != 5 {
 		t.Fatalf("n = %d, want 5", reg.Config().N())
 	}
-	if _, err := abd.New(register.Config{F: 1, K: 3, DataLen: 4}); err == nil {
+	if _, err := safereg.NewABD(register.Config{F: 1, K: 3, DataLen: 4}); err == nil {
 		t.Fatal("abd accepted k != 1")
 	}
 	// K = 0 defaults to 1.
-	if reg2, err := abd.New(register.Config{F: 1, DataLen: 4}); err != nil || reg2.Config().K != 1 {
+	if reg2, err := safereg.NewABD(register.Config{F: 1, DataLen: 4}); err != nil || reg2.Config().K != 1 {
 		t.Fatalf("abd with default k: %v", err)
 	}
 }
 
 func TestRegularityAcrossSchedules(t *testing.T) {
-	reg := newReg(t, 1, 64)
+	reg := newABD(t, 1, 64)
 	for seed := int64(1); seed <= 4; seed++ {
 		res, err := workload.Run(reg, workload.Spec{
 			Writers:         3,
@@ -62,7 +62,7 @@ func TestRegularityAcrossSchedules(t *testing.T) {
 func TestStorageIsConstantReplication(t *testing.T) {
 	// Replication stores (2f+1)*D bits regardless of the concurrency level.
 	for _, writers := range []int{1, 4, 8} {
-		reg := newReg(t, 2, 100)
+		reg := newABD(t, 2, 100)
 		cfg := reg.Config()
 		res, err := workload.Run(reg, workload.Spec{
 			Writers:         writers,
@@ -79,8 +79,8 @@ func TestStorageIsConstantReplication(t *testing.T) {
 	}
 }
 
-func TestToleratesFCrashes(t *testing.T) {
-	reg := newReg(t, 2, 32)
+func TestABDToleratesFCrashes(t *testing.T) {
+	reg := newABD(t, 2, 32)
 	res, err := workload.Run(reg, workload.Spec{
 		Writers:            2,
 		WritesPerWriter:    3,
@@ -101,7 +101,7 @@ func TestToleratesFCrashes(t *testing.T) {
 }
 
 func TestReadsSeeLatestCompletedWrite(t *testing.T) {
-	reg := newReg(t, 1, 48)
+	reg := newABD(t, 1, 48)
 	res, err := workload.Run(reg, workload.Spec{
 		Writers:            1,
 		WritesPerWriter:    5,

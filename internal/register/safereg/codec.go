@@ -5,37 +5,43 @@ import (
 	"spacebounds/internal/register"
 )
 
-// Wire codecs for the safe-register RMW kinds, registered at init so that
-// linking the provider makes its operations transportable.
+// Wire codecs for both families' RMW kinds, registered at init so that
+// linking the providers makes their operations transportable.
 func init() {
+	registerCodecs[abd]("abd")
+	registerCodecs[safe]("safe")
+}
+
+// registerCodecs registers family F's RMW kinds, name.read and name.update.
+func registerCodecs[F family](name string) {
 	register.RegisterCodec(register.Codec{
-		Kind:     "safe.read",
+		Kind:     name + ".read",
 		ReadOnly: true,
 		Write:    register.EmptyPayload,
 		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			if err := register.RequireEmpty(payload); err != nil {
 				return nil, err
 			}
-			rr := register.Reuse[readRMW](dst)
-			*rr = readRMW{}
+			rr := register.Reuse[readRMW[F]](dst)
+			*rr = readRMW[F]{}
 			return rr, nil
 		},
 		WriteResp: register.WriteChunkResp,
 		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
-			return register.DecodeChunkResp(&register.Reuse[readRMW](sent).resp, payload)
+			return register.DecodeChunkResp(&register.Reuse[readRMW[F]](sent).resp, payload)
 		},
-	}, &readRMW{})
+	}, &readRMW[F]{})
 
 	register.RegisterCodec(register.Codec{
-		Kind: "safe.update",
+		Kind: name + ".update",
 		Write: func(w *register.WireWriter, rmw dsys.RMW) error {
-			w.Chunk(rmw.(*updateRMW).chunk)
+			w.Chunk(rmw.(*updateRMW[F]).chunk)
 			return nil
 		},
 		DecodeInto: func(dst dsys.RMW, payload []byte) (dsys.RMW, error) {
 			r := register.NewWireReader(payload)
-			u := register.Reuse[updateRMW](dst)
-			*u = updateRMW{chunk: r.ChunkAlias(), borrowed: true}
+			u := register.Reuse[updateRMW[F]](dst)
+			*u = updateRMW[F]{chunk: r.ChunkAlias(), borrowed: true}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}
@@ -43,5 +49,5 @@ func init() {
 		},
 		WriteResp:  register.WriteBoolResp,
 		DecodeResp: register.DecodeBoolResp,
-	}, &updateRMW{})
+	}, &updateRMW[F]{})
 }

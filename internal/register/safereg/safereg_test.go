@@ -11,7 +11,7 @@ import (
 	"spacebounds/internal/workload"
 )
 
-func newReg(t *testing.T, f, k, dataLen int) *safereg.Register {
+func newReg(t *testing.T, f, k, dataLen int) register.Register {
 	t.Helper()
 	reg, err := safereg.New(register.Config{F: f, K: k, DataLen: dataLen})
 	if err != nil {

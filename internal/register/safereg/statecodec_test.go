@@ -9,21 +9,30 @@ import (
 	"spacebounds/internal/value"
 )
 
-// TestStateCodecRoundTrip drives the snapshot path end to end: every base
-// object's live state is encoded, decoded, re-encoded (byte-identical, so the
-// codec is lossless), and installed into a fresh cluster that must then serve
-// the written value.
+// TestStateCodecRoundTrip drives the snapshot path end to end, for each
+// family: every base object's live state is encoded, decoded, re-encoded
+// (byte-identical, so the codec is lossless), and installed into a fresh
+// cluster that must then serve the written value.
 func TestStateCodecRoundTrip(t *testing.T) {
 	const dataLen = 16
-	reg := newReg(t, 1, 2, dataLen)
+	t.Run("safe", func(t *testing.T) {
+		stateCodecRoundTrip(t, newReg(t, 1, 2, dataLen), "safe.state", "safereg")
+	})
+	t.Run("abd", func(t *testing.T) {
+		stateCodecRoundTrip(t, newABD(t, 1, dataLen), "abd.state", "abd")
+	})
+}
+
+func stateCodecRoundTrip(t *testing.T, reg register.Register, stateKind, tag string) {
+	dataLen := reg.Config().DataLen
 	states, err := reg.InitialStates(value.Zero(dataLen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := dsys.NewCluster(states, dsys.WithLiveMode())
 	defer c.Close()
-	want := value.FromString("safereg-codec-rt", dataLen)
-	for i, v := range []value.Value{value.FromString("safereg-first", dataLen), want} {
+	want := value.FromString(tag+"-codec-rt", dataLen)
+	for i, v := range []value.Value{value.FromString(tag+"-first", dataLen), want} {
 		if err := c.RunScoped(i+1, 0, c.N(), func(h *dsys.ClientHandle) error {
 			return reg.Write(h, v)
 		}); err != nil {
@@ -49,7 +58,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		if encErr != nil {
 			t.Fatalf("object %d: EncodeState: %v", id, encErr)
 		}
-		if kind != "safe.state" {
+		if kind != stateKind {
 			t.Fatalf("object %d: kind = %q", id, kind)
 		}
 		dec, err := register.DecodeState(kind, payload)

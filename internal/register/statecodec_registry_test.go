@@ -7,7 +7,6 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"
 	_ "spacebounds/internal/register/adaptive"
 	_ "spacebounds/internal/register/ecreg"
 	_ "spacebounds/internal/register/safereg"

@@ -9,7 +9,6 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -67,7 +66,7 @@ func mixedServer(tb testing.TB) (*Server, *recordingJournal) {
 	for _, build := range []func() (register.Register, error){
 		func() (register.Register, error) { return adaptive.New(coded) },
 		func() (register.Register, error) {
-			return abd.New(register.Config{F: 1, K: 1, DataLen: reuseBlockLen})
+			return safereg.NewABD(register.Config{F: 1, K: 1, DataLen: reuseBlockLen})
 		},
 		func() (register.Register, error) { return safereg.New(coded) },
 		func() (register.Register, error) { return ecreg.New(coded) },

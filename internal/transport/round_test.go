@@ -15,7 +15,7 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/storagecost"
 	"spacebounds/internal/trace"
@@ -49,7 +49,7 @@ type roundFixture struct {
 
 func newRoundFixture(tb testing.TB, opts ...ServerOption) *roundFixture {
 	tb.Helper()
-	reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: 64})
+	reg, err := safereg.NewABD(register.Config{F: 1, K: 1, DataLen: 64})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"spacebounds/internal/value"
 
 	// Link all four providers: their registers and wire codecs.
-	_ "spacebounds/internal/register/abd"
 	_ "spacebounds/internal/register/adaptive"
 	_ "spacebounds/internal/register/ecreg"
 	_ "spacebounds/internal/register/safereg"

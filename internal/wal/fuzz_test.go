@@ -7,7 +7,7 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/value"
 	"spacebounds/internal/wal"
 )
@@ -105,7 +105,7 @@ func FuzzWALReplay(f *testing.F) {
 				return // refused cleanly
 			}
 			defer j.Close()
-			reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
+			reg, err := safereg.NewABD(register.Config{F: 1, K: 1, DataLen: dataLen})
 			if err != nil {
 				t.Fatal(err)
 			}

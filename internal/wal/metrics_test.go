@@ -8,7 +8,7 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/metrics"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/value"
 	"spacebounds/internal/wal"
 )
@@ -72,7 +72,7 @@ func TestMetricsObserveJournalActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.SetMetrics(reg2)
-	reg2reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
+	reg2reg, err := safereg.NewABD(register.Config{F: 1, K: 1, DataLen: dataLen})
 	if err != nil {
 		t.Fatal(err)
 	}

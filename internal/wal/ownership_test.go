@@ -9,7 +9,6 @@ import (
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
 	"spacebounds/internal/register/adaptive"
 	"spacebounds/internal/register/ecreg"
 	"spacebounds/internal/register/safereg"
@@ -71,7 +70,7 @@ func TestReplayedStateOwnsItsBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	abdReg, err := abd.New(cfg(1))
+	abdReg, err := safereg.NewABD(cfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
-	"spacebounds/internal/register/abd"
+	"spacebounds/internal/register/safereg"
 	"spacebounds/internal/value"
 	"spacebounds/internal/wal"
 )
@@ -18,7 +18,7 @@ const dataLen = 8
 // node bundles one "process": a register emulation, its live cluster, and
 // the journal recording it.
 type node struct {
-	reg *abd.Register
+	reg register.Register
 	c   *dsys.Cluster
 	j   *wal.Journal
 }
@@ -28,9 +28,9 @@ type node struct {
 // restarting process runs. opts are added to the cluster's live mode.
 func openNode(t testing.TB, dir string, cfg wal.Config, opts ...dsys.Option) (*node, wal.ReplayStats) {
 	t.Helper()
-	reg, err := abd.New(register.Config{F: 1, K: 1, DataLen: dataLen})
+	reg, err := safereg.NewABD(register.Config{F: 1, K: 1, DataLen: dataLen})
 	if err != nil {
-		t.Fatalf("abd.New: %v", err)
+		t.Fatalf("safereg.NewABD: %v", err)
 	}
 	states, err := reg.InitialStates(value.Zero(dataLen))
 	if err != nil {

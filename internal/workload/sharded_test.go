@@ -7,8 +7,8 @@ import (
 
 	"spacebounds/internal/reconfig"
 	"spacebounds/internal/register"
-	_ "spacebounds/internal/register/abd"
 	_ "spacebounds/internal/register/adaptive"
+	_ "spacebounds/internal/register/safereg"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/workload"
 )

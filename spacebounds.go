@@ -43,6 +43,8 @@ const (
 	// fallback, storage O(min(f, c)·D), strongly regular, FW-terminating.
 	Adaptive Algorithm = "adaptive"
 	// Replication is the ABD baseline: 2f+1 full replicas, storage O(f·D).
+	// It is Safe's algorithm at k = 1, where every piece is the whole value,
+	// so a read always decodes and the register is regular.
 	Replication Algorithm = "replication"
 	// ErasureCoded is the pure coded baseline: storage Θ(c·D) under
 	// concurrency.
