@@ -17,7 +17,7 @@ import (
 // the same assembly spacenode uses, and returns them with their addresses.
 func startCluster(t *testing.T, layout transport.Layout, nodes int) ([]*node.Node, []string) {
 	t.Helper()
-	specs, err := node.LayoutSpecs(layout, "shard-")
+	specs, err := layout.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,7 +297,7 @@ func runClient(c *cliConfig, out io.Writer) error {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 	layout := c.layout()
-	specs, err := node.LayoutSpecs(layout, "shard-")
+	specs, err := layout.Specs()
 	if err != nil {
 		return err
 	}

@@ -101,7 +101,7 @@ func run(c *nodeConfig, out io.Writer, stop <-chan os.Signal) error {
 		K:         node.EffectiveK(c.algo, c.k),
 		ValueSize: c.valueSize,
 	}
-	specs, err := node.LayoutSpecs(layout, "shard-")
+	specs, err := layout.Specs()
 	if err != nil {
 		return err
 	}

@@ -39,28 +39,22 @@ type Policy struct {
 	// are frozen.
 	EllBits int
 	// DataBits is D in bits; writes that have contributed more than
-	// DataBits-EllBits outside their own client are starved. If zero, the
-	// cluster's configured data size is used.
+	// DataBits-EllBits outside their own client are starved.
 	DataBits int
 }
 
 var _ dsys.Policy = (*Policy)(nil)
 
-// NewPolicy returns Ad with the given ℓ (in bits).
-func NewPolicy(ellBits int) *Policy { return &Policy{EllBits: ellBits} }
+// NewPolicy returns Ad with the given ℓ and D (both in bits).
+func NewPolicy(ellBits, dataBits int) *Policy { return &Policy{EllBits: ellBits, DataBits: dataBits} }
 
 // Decide implements dsys.Policy.
 func (p *Policy) Decide(v *dsys.View) dsys.Decision {
-	dBits := p.DataBits
-	if dBits == 0 {
-		dBits = v.DataBits
-	}
-
 	// Classify base objects and outstanding writes from the storage snapshot.
 	snap := v.Storage()
 	frozen := fullObjects(snap, p.EllBits)
 	light := map[oracle.WriteID]bool{}
-	lightWrites, _ := splitWrites(snap, v.OutstandingWrites, dBits, p.EllBits)
+	lightWrites, _ := splitWrites(snap, v.OutstandingWrites, p.DataBits, p.EllBits)
 	for _, w := range lightWrites {
 		light[w] = true
 	}
@@ -207,11 +201,10 @@ func Run(reg register.Register, concurrency int, onEvent func(dsys.Event)) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("adversary: initial states: %w", err)
 	}
-	pol := NewPolicy(ellBits)
+	pol := NewPolicy(ellBits, dBits)
 	maxSteps := 200 * concurrency * cfg.N() // safety net: Ad runs pin themselves long before this
 	cluster := dsys.NewCluster(states,
 		dsys.WithPolicy(pol),
-		dsys.WithDataBits(dBits),
 		dsys.WithMaxSteps(maxSteps),
 		dsys.WithEventLog(onEvent),
 	)

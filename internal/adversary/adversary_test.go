@@ -27,7 +27,6 @@ func TestPolicyRulePriorities(t *testing.T) {
 		{Location: storagecost.Location{Kind: storagecost.BaseObject, ID: 2}, Source: oracle.SourceTag{Write: w1, Index: 2}, Bits: 100},
 	})
 	view := &dsys.View{
-		DataBits:          1000,
 		Storage:           func() *storagecost.Snapshot { return snap },
 		OutstandingWrites: []oracle.WriteID{w1, w2},
 		Pending: []dsys.PendingView{
@@ -38,7 +37,7 @@ func TestPolicyRulePriorities(t *testing.T) {
 		},
 		Ready: []dsys.ReadyClient{{Ticket: 5, Client: 3}},
 	}
-	pol := adversary.NewPolicy(500)
+	pol := adversary.NewPolicy(500, 1000)
 	d := pol.Decide(view)
 	if d.Kind != dsys.KindApply || d.PendingIndex != 2 {
 		t.Fatalf("rule 1 chose %+v, want the longest-pending eligible RMW (index 2)", d)

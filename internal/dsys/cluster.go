@@ -30,7 +30,6 @@ type options struct {
 	mode     Mode
 	policy   Policy
 	maxSteps int
-	dataBits int
 	eventLog func(Event)
 	metrics  *metrics.Registry
 	tracer   *trace.Tracer
@@ -55,10 +54,6 @@ func WithControlledMode() Option { return func(o *options) { o.mode = Controlled
 // WithMaxSteps bounds the number of scheduling decisions in controlled mode;
 // exceeding the bound marks the run stuck. Zero means unbounded.
 func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
-
-// WithDataBits records D (the register value size in bits) so that policies
-// can classify writes into C⁻/C⁺.
-func WithDataBits(d int) Option { return func(o *options) { o.dataBits = d } }
 
 // WithEventLog installs a callback invoked on every scheduling event; E6 uses
 // it to print the adversary's Figure 3 schedule.

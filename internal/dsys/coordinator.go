@@ -149,7 +149,6 @@ func (c *Cluster) takeReadyLocked(ticket int64) *clientTask {
 func (c *Cluster) buildViewLocked() *View {
 	v := &View{
 		Step:              c.steps,
-		DataBits:          c.opts.dataBits,
 		OutstandingWrites: c.outstandingWritesLocked(),
 		Storage:           c.snapshotLocked,
 	}

@@ -84,7 +84,7 @@ func (c *Cluster) objectState(i int) State {
 }
 
 func TestControlledQuorumInvoke(t *testing.T) {
-	c := newTestCluster(5, WithDataBits(800))
+	c := newTestCluster(5)
 	defer c.Close()
 
 	var got []any
@@ -465,7 +465,7 @@ func TestLiveRoundSpansTwoFaults(t *testing.T) {
 func TestPendingRMWCountedAsChannelStorage(t *testing.T) {
 	// Use a policy that never applies RMWs; pending parameters must still be
 	// charged to the channel.
-	c := newTestCluster(2, WithPolicy(stallAfterFirstRun{}), WithDataBits(64))
+	c := newTestCluster(2, WithPolicy(stallAfterFirstRun{}))
 	defer c.Close()
 	c.Spawn(7, func(h *ClientHandle) error {
 		op := h.BeginOp(OpWrite)

@@ -60,8 +60,6 @@ type View struct {
 	// client tasks in spawn order; they are the candidates for a
 	// KindCrashClient decision.
 	Clients []int
-	// DataBits is D, the register value size in bits (0 if not configured).
-	DataBits int
 }
 
 // DecisionKind enumerates the moves available to a policy.

@@ -1,8 +1,9 @@
-// Package erasure implements the symmetric black-box coding schemes of the
-// paper (Section 3): replication and k-of-n Reed-Solomon erasure codes, the
-// two schemes the register emulations build.
+// Package erasure implements the symmetric black-box coding scheme of the
+// paper (Section 3): the systematic k-of-n Reed-Solomon code every register
+// emulation builds. Replication is its k = 1 instance, in which every block
+// is the value.
 //
-// All codes implement the Code interface and satisfy the paper's symmetric
+// The code implements the Code interface and satisfies the paper's symmetric
 // encoding assumption (Definition 3): the size of block i depends only on i
 // and on the domain size D, never on the encoded value. The register
 // emulations in internal/register treat codes strictly as black boxes — they

@@ -2,31 +2,36 @@ package erasure
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-// allCodes returns one instance of every implemented code with the given
-// decode threshold k and width n (replication ignores k).
+// allCodes returns the k-of-n code and replication, its 1-of-n instance.
 func allCodes(t *testing.T, k, n int) []Code {
 	t.Helper()
 	rs, err := NewReedSolomon(k, n)
 	if err != nil {
 		t.Fatalf("NewReedSolomon(%d,%d): %v", k, n, err)
 	}
-	repl, err := NewReplication(n)
-	if err != nil {
-		t.Fatalf("NewReplication(%d): %v", n, err)
+	return []Code{rs, MustReedSolomon(1, n)}
+}
+
+// label names a code's subtest: the k-of-n code by its name, replication by
+// what it is, repl(n).
+func label(c Code) string {
+	if c.K() == 1 {
+		return fmt.Sprintf("repl(%d)", c.N())
 	}
-	return []Code{rs, repl}
+	return c.Name()
 }
 
 func TestEncodeDecodeRoundTripAllCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range allCodes(t, 3, 7) {
 		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(label(c), func(t *testing.T) {
 			for _, dataLen := range []int{1, 3, 16, 100, 1024, 4096} {
 				data := make([]byte, dataLen)
 				if _, err := rng.Read(data); err != nil {
@@ -60,7 +65,7 @@ func TestDecodeFromAnyKSubset(t *testing.T) {
 	}
 	for _, c := range allCodes(t, 3, 7) {
 		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(label(c), func(t *testing.T) {
 			blocks, err := c.Encode(data)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
@@ -87,7 +92,7 @@ func TestDecodeInsufficientBlocks(t *testing.T) {
 	data := []byte("a value that needs protecting")
 	for _, c := range allCodes(t, 4, 9) {
 		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(label(c), func(t *testing.T) {
 			blocks, err := c.Encode(data)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
@@ -107,7 +112,7 @@ func TestDuplicateBlocksDoNotHelp(t *testing.T) {
 			continue // replication decodes from one block by design
 		}
 		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(label(c), func(t *testing.T) {
 			blocks, err := c.Encode(data)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
@@ -135,7 +140,7 @@ func TestEncodeBlockMatchesEncode(t *testing.T) {
 	data := []byte("per-block oracle access must match bulk encoding output.")
 	for _, c := range allCodes(t, 3, 6) {
 		c := c
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(label(c), func(t *testing.T) {
 			blocks, err := c.Encode(data)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
@@ -183,15 +188,15 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewReedSolomon(2, 256); err == nil {
 		t.Error("NewReedSolomon accepted n>255")
 	}
-	if _, err := NewReplication(0); err == nil {
-		t.Error("NewReplication accepted n=0")
+	if _, err := NewReedSolomon(1, 0); err == nil {
+		t.Error("NewReedSolomon accepted n=0")
 	}
 }
 
 func TestMustConstructorsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"MustReedSolomon": func() { MustReedSolomon(0, 1) },
-		"MustReplication": func() { MustReplication(0) },
+		"MustReedSolomon(0,1)": func() { MustReedSolomon(0, 1) },
+		"MustReedSolomon(1,0)": func() { MustReedSolomon(1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -213,12 +218,12 @@ func TestEncodeBlockIndexValidation(t *testing.T) {
 	if _, err := rs.EncodeBlock(data, 5); !errors.Is(err, ErrBlockIndex) {
 		t.Errorf("rs EncodeBlock(5) err = %v, want ErrBlockIndex", err)
 	}
-	repl := MustReplication(2)
+	repl := MustReedSolomon(1, 2)
 	if _, err := repl.EncodeBlock(data, -1); !errors.Is(err, ErrBlockIndex) {
-		t.Errorf("repl EncodeBlock(-1) err = %v, want ErrBlockIndex", err)
+		t.Errorf("rs(1,2) EncodeBlock(-1) err = %v, want ErrBlockIndex", err)
 	}
 	if _, err := repl.EncodeBlock(data, 3); !errors.Is(err, ErrBlockIndex) {
-		t.Errorf("repl EncodeBlock(3) err = %v, want ErrBlockIndex", err)
+		t.Errorf("rs(1,2) EncodeBlock(3) err = %v, want ErrBlockIndex", err)
 	}
 }
 

@@ -46,6 +46,43 @@ func TestReedSolomonSystematic(t *testing.T) {
 	}
 }
 
+// TestReedSolomonAtKOneReplicates pins replication as the code's 1-of-n
+// instance: every block Encode or EncodeBlock produces is the value byte for
+// byte, block i sits at index i+1, and any single block decodes. Payloads and
+// journals written by a k = 1 register hold exactly these bytes.
+func TestReedSolomonAtKOneReplicates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 3, 5} {
+		rs := MustReedSolomon(1, n)
+		for _, dataLen := range []int{1, 2, 31, 1024, 4099} {
+			data := make([]byte, dataLen)
+			rng.Read(data)
+			blocks, err := rs.Encode(data)
+			if err != nil {
+				t.Fatalf("%s Encode: %v", rs.Name(), err)
+			}
+			if len(blocks) != n {
+				t.Fatalf("%s Encode produced %d blocks, want %d", rs.Name(), len(blocks), n)
+			}
+			for i, b := range blocks {
+				single, err := rs.EncodeBlock(data, i+1)
+				if err != nil {
+					t.Fatalf("%s EncodeBlock(%d): %v", rs.Name(), i+1, err)
+				}
+				for _, got := range []Block{b, single} {
+					if got.Index != i+1 || !bytes.Equal(got.Data, data) {
+						t.Fatalf("%s, %d bytes: block %d (index %d) is not the value", rs.Name(), dataLen, i+1, got.Index)
+					}
+				}
+				decoded, err := rs.Decode(dataLen, []Block{b})
+				if err != nil || !bytes.Equal(decoded, data) {
+					t.Fatalf("%s, %d bytes: block %d alone does not decode: %v", rs.Name(), dataLen, i+1, err)
+				}
+			}
+		}
+	}
+}
+
 // TestReedSolomonBlocksOwnTheirMemory pins who owns what Encode returns.
 // Parity blocks, and the padded tail shard of a value k does not divide, are
 // exactly sized memory of their own. Whole data shards are views of the value,
@@ -138,6 +175,7 @@ func FuzzReedSolomonRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint16(1), int64(4), uint8(2))      // k = n = 1
 	f.Add(uint8(200), uint8(55), uint16(999), int64(5), uint8(2)) // n = 255
 	f.Add(uint8(3), uint8(1), uint16(10), int64(6), uint8(1))     // fewer parity blocks than k
+	f.Add(uint8(0), uint8(4), uint16(100), int64(7), uint8(1))    // k = 1, n = 5: replication
 	f.Fuzz(func(t *testing.T, kIn, extraIn uint8, lenIn uint16, seed int64, mode uint8) {
 		k := 1 + int(kIn)%255
 		n := k + int(extraIn)%(256-k)

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 
 	"spacebounds/internal/dsys"
@@ -56,19 +55,6 @@ type Config struct {
 	// Metrics and Tracer, when non-nil, instrument every component.
 	Metrics *metrics.Registry
 	Tracer  *trace.Tracer
-}
-
-// LayoutSpecs expands the layout flags every binary takes into shard specs
-// named prefix0 … prefixN-1.
-func LayoutSpecs(l transport.Layout, prefix string) ([]shard.Spec, error) {
-	specs, err := l.Specs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range specs {
-		specs[i].Name = prefix + strconv.Itoa(i)
-	}
-	return specs, nil
 }
 
 // EffectiveK is the layout k-rule: abd replicates — its constructor accepts

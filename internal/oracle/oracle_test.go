@@ -59,7 +59,7 @@ func TestEncoderGetAndGetAll(t *testing.T) {
 }
 
 func TestEncoderExpire(t *testing.T) {
-	code := erasure.MustReplication(3)
+	code := erasure.MustReedSolomon(1, 3)
 	enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, value.FromString("x", 8))
 	enc.Expire()
 	if _, _, err := enc.Get(1); !errors.Is(err, ErrExpired) {
@@ -162,11 +162,11 @@ func TestEncoderEncodesOnce(t *testing.T) {
 }
 
 // TestEncoderServesOnlyOneThroughN: get(i) serves E(v, 1..N) from the
-// encode-once blocks and refuses every other index, for each code the
-// registers build — replication included, whose blocks are all alike.
+// encode-once blocks and refuses every other index, for a k-of-n code and for
+// replication, its k = 1 instance, whose blocks are all alike.
 func TestEncoderServesOnlyOneThroughN(t *testing.T) {
-	for _, code := range []erasure.Code{erasure.MustReedSolomon(2, 4), erasure.MustReplication(3)} {
-		t.Run(code.Name(), func(t *testing.T) {
+	for name, code := range map[string]erasure.Code{"rs(2,4)": erasure.MustReedSolomon(2, 4), "repl(3)": erasure.MustReedSolomon(1, 3)} {
+		t.Run(name, func(t *testing.T) {
 			enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, value.FromString("one through n", 32))
 			all, err := enc.GetAll()
 			if err != nil {

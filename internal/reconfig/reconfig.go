@@ -46,7 +46,7 @@
 // in-flight RMW can still land between interrupted attempts, so resume must
 // never re-read), and register.SeedTS fixes the timestamp, so every seed
 // attempt installs the identical ⟨timestamp, value⟩ pair no matter how many
-// interrupted attempts raced it (see register.SeedWriter).
+// interrupted attempts raced it (see register.Register's WriteSeed).
 //
 // The executor is mode-agnostic: a Runner supplies the two capabilities that
 // differ between the live store and the deterministic simulator — running a
@@ -162,20 +162,20 @@ func (e Event) String() string {
 
 // Stats aggregates the subsystem's counters.
 type Stats struct {
-	// Epoch is the current routing epoch.
+	// Epoch is the current routing epoch (0 until the first move).
 	Epoch int64
 	// Splits, Drains, Merges count completed moves.
 	Splits, Drains, Merges int
-	// Resumes counts interrupted moves taken over by Resume.
-	Resumes int
-	// Aborts counts cleanly rolled-back moves.
-	Aborts int
-	// SeedWrites counts migration-writer replays into successors.
+	// Resumes counts takeovers of interrupted moves (a move interrupted
+	// twice counts twice, whatever its eventual outcome); Aborts counts
+	// cleanly rolled-back moves.
+	Resumes, Aborts int
+	// SeedWrites counts migration-writer replays into successor shards.
 	SeedWrites int
 	// FallbackReads counts dual-epoch reads answered by the old epoch.
 	FallbackReads int64
-	// HeldWrites counts write acquisitions that waited for a seeding
-	// successor.
+	// HeldWrites counts writes that waited for a migration to seed their
+	// shard.
 	HeldWrites int64
 }
 
@@ -189,14 +189,6 @@ var ErrInterrupted = errors.New("reconfig: migration interrupted")
 // errMoveInFlight is returned by begin while another move is in flight (the
 // coordinator serializes moves; resume or finish the current one first).
 var errMoveInFlight = errors.New("reconfig: a move is already in flight")
-
-// ErrNotMigratable marks a source register that lacks the timestamped read
-// migration requires.
-var ErrNotMigratable = errors.New("reconfig: register cannot be migrated (no timestamped read)")
-
-// ErrNoSeedWriter marks a successor register that lacks the idempotent seed
-// write migration requires.
-var ErrNoSeedWriter = errors.New("reconfig: register has no idempotent seed write")
 
 // errSuperseded is returned by a driver whose move was taken over by Resume;
 // it must not touch the ledger or the routing table again.
@@ -705,11 +697,7 @@ func (c *Coordinator) retireRegions(names []string) {
 
 // seedInto replays v into the successor at the fixed seed timestamp.
 func seedInto(r Runner, succ *shard.Shard, v value.Value) error {
-	sw, ok := succ.Reg.(register.SeedWriter)
-	if !ok {
-		return fmt.Errorf("successor %q (register %s): %w", succ.Name, succ.Reg.Name(), ErrNoSeedWriter)
-	}
-	return r.RunOn(succ, func(h *dsys.ClientHandle) error { return sw.WriteSeed(h, v) })
+	return r.RunOn(succ, func(h *dsys.ClientHandle) error { return succ.Reg.WriteSeed(h, v) })
 }
 
 // writesDrained reports whether every named source's write pins are released
@@ -735,17 +723,6 @@ func (c *Coordinator) readsDrained(names []string) bool {
 	return true
 }
 
-// asTimestamped is the single capability check for migration sources: the
-// dual-epoch read and the value-ordering rule both need the register's
-// internal timestamp.
-func asTimestamped(sh *shard.Shard) (register.TimestampedReader, error) {
-	tr, ok := sh.Reg.(register.TimestampedReader)
-	if !ok {
-		return nil, fmt.Errorf("shard %q (register %s): %w", sh.Name, sh.Reg.Name(), ErrNotMigratable)
-	}
-	return tr, nil
-}
-
 // seedValue returns the entry's ledger-recorded migrated value.
 func (c *Coordinator) seedValue(en *moveEntry) (value.Value, bool) {
 	c.mu.Lock()
@@ -759,15 +736,11 @@ func (c *Coordinator) seedValue(en *moveEntry) (value.Value, bool) {
 // why the chosen value is recorded in the ledger before seeding starts
 // instead of being re-read on resume.
 func latestOf(r Runner, src *shard.Shard) (value.Value, register.Timestamp, error) {
-	tr, err := asTimestamped(src)
-	if err != nil {
-		return value.Value{}, register.ZeroTS, err
-	}
 	var v value.Value
 	var ts register.Timestamp
-	err = r.RunOn(src, func(h *dsys.ClientHandle) error {
+	err := r.RunOn(src, func(h *dsys.ClientHandle) error {
 		var err error
-		v, ts, err = tr.ReadTimestamped(h)
+		v, ts, err = src.Reg.ReadTimestamped(h)
 		return err
 	})
 	return v, ts, err
@@ -784,12 +757,12 @@ func (c *Coordinator) drive(r Runner, en *moveEntry, owner int64) (Event, error)
 	set, rt := c.set, c.set.Router()
 	mv := en.Move
 
-	// Validate the sources: they must exist and support timestamped reads
-	// (dual-epoch reads and the merge ordering rule need the timestamps). A
-	// fresh move aborts on a validation failure — nothing has been installed
-	// yet. On a post-flip resume such a failure is an internal inconsistency
-	// (sources cannot vanish between attempts): the entry is left resumable
-	// rather than falsely marked aborted while the table stays flipped.
+	// Validate the sources: they must exist, and a merge's two must share an
+	// emulation and a value size. A fresh move aborts on a validation failure
+	// — nothing has been installed yet. On a post-flip resume such a failure
+	// is an internal inconsistency (sources cannot vanish between attempts):
+	// the entry is left resumable rather than falsely marked aborted while
+	// the table stays flipped.
 	invalid := func(cause error) (Event, error) {
 		if en.Step >= StepTableFlip {
 			return c.interrupt(en, owner, eventOf(en.MoveState), cause)
@@ -802,9 +775,6 @@ func (c *Coordinator) drive(r Runner, en *moveEntry, owner int64) (Event, error)
 		sh := set.Shard(name)
 		if sh == nil {
 			return invalid(fmt.Errorf("%w %q", shard.ErrUnknownShard, name))
-		}
-		if _, err := asTimestamped(sh); err != nil {
-			return invalid(err)
 		}
 		srcs[i] = sh
 	}
@@ -844,12 +814,6 @@ func (c *Coordinator) drive(r Runner, en *moveEntry, owner int64) (Event, error)
 			})
 			if err != nil {
 				c.retireRegions(names)
-				c.markAborted(en, owner, err)
-				return Event{}, err
-			}
-			if _, ok := sh.Reg.(register.SeedWriter); !ok {
-				err := fmt.Errorf("successor %q (register %s): %w", sh.Name, sh.Reg.Name(), ErrNoSeedWriter)
-				c.retireRegions(append(names, sh.Name))
 				c.markAborted(en, owner, err)
 				return Event{}, err
 			}

@@ -54,10 +54,7 @@ type Register struct {
 	readRetryBudget int
 }
 
-var (
-	_ register.Register   = (*Register)(nil)
-	_ register.SeedWriter = (*Register)(nil)
-)
+var _ register.Register = (*Register)(nil)
 
 // New builds an adaptive register for the given configuration.
 func New(cfg register.Config) (*Register, error) {
@@ -97,9 +94,6 @@ func (r *Register) InitialStates(v0 value.Value) ([]dsys.State, error) {
 
 // Write implements register.Register (Algorithm 2, lines 3-15).
 func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
-	if v.SizeBytes() != r.cfg.DataLen {
-		return fmt.Errorf("%w: value has %d bytes, config says %d", register.ErrConfig, v.SizeBytes(), r.cfg.DataLen)
-	}
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
 
@@ -215,7 +209,7 @@ func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Times
 	return err
 }
 
-// WriteSeed implements register.SeedWriter: update and GC rounds at the fixed
+// WriteSeed implements register.Register: update and GC rounds at the fixed
 // register.SeedTS with no read round (the target is a fresh register whose
 // writes are held, so the stored timestamp is known to be zero). Re-driving an
 // interrupted seed over its own partial first attempt never stores a piece
@@ -244,7 +238,7 @@ func (r *Register) Read(h *dsys.ClientHandle) (value.Value, error) {
 	return v, err
 }
 
-// ReadTimestamped implements register.TimestampedReader: the same read loop,
+// ReadTimestamped implements register.Register: the same read loop,
 // additionally reporting the timestamp of the decoded value.
 func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {
 	h.BeginOp(dsys.OpRead)

@@ -239,7 +239,7 @@ func TestBlackBoxSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster := dsys.NewCluster(states, dsys.WithDataBits(64*8))
+		cluster := dsys.NewCluster(states)
 		defer cluster.Close()
 		th := cluster.Spawn(1, func(h *dsys.ClientHandle) error { return reg.Write(h, v) })
 		var got value.Value

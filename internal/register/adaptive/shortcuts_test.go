@@ -522,7 +522,7 @@ func runUnderLateObjects(t *testing.T, seed int64, writers int) lateRun {
 	for len(policy.late) < f {
 		policy.late[policy.rng.Intn(cfg.N())] = true
 	}
-	cluster := dsys.NewCluster(states, dsys.WithDataBits(cfg.DataBits()), dsys.WithPolicy(policy))
+	cluster := dsys.NewCluster(states, dsys.WithPolicy(policy))
 	defer cluster.Close()
 	var tasks []*dsys.TaskHandle
 	for w := 1; w <= writers; w++ {

@@ -25,14 +25,10 @@ const DefaultReadRetryBudget = 10_000
 
 // Register is the pure erasure-coded register baseline.
 type Register struct {
-	cfg             register.Config
-	readRetryBudget int
+	cfg register.Config
 }
 
-var (
-	_ register.Register   = (*Register)(nil)
-	_ register.SeedWriter = (*Register)(nil)
-)
+var _ register.Register = (*Register)(nil)
 
 // New builds the baseline register for the given configuration.
 func New(cfg register.Config) (*Register, error) {
@@ -40,7 +36,7 @@ func New(cfg register.Config) (*Register, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Register{cfg: v, readRetryBudget: DefaultReadRetryBudget}, nil
+	return &Register{cfg: v}, nil
 }
 
 // Name implements register.Register.
@@ -48,9 +44,6 @@ func (r *Register) Name() string { return fmt.Sprintf("ecreg(f=%d,k=%d)", r.cfg.
 
 // Config implements register.Register.
 func (r *Register) Config() register.Config { return r.cfg }
-
-// SetReadRetryBudget overrides the read retry budget.
-func (r *Register) SetReadRetryBudget(n int) { r.readRetryBudget = n }
 
 // InitialStates implements register.Register.
 func (r *Register) InitialStates(v0 value.Value) ([]dsys.State, error) {
@@ -71,9 +64,6 @@ func (r *Register) InitialStates(v0 value.Value) ([]dsys.State, error) {
 // object's committed timestamp, which is the only thing that allows pieces of
 // older writes to be reclaimed.
 func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
-	if v.SizeBytes() != r.cfg.DataLen {
-		return fmt.Errorf("%w: value has %d bytes, config says %d", register.ErrConfig, v.SizeBytes(), r.cfg.DataLen)
-	}
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
 	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
@@ -143,7 +133,7 @@ func commitRound(h *dsys.ClientHandle, cfg register.Config, ts register.Timestam
 	return err
 }
 
-// WriteSeed implements register.SeedWriter: store and commit rounds at the
+// WriteSeed implements register.Register: store and commit rounds at the
 // fixed register.SeedTS, no read round. The store uses a dedup-guarded RMW —
 // the ordinary store round appends unconditionally, which would double-charge
 // storage when an interrupted seed is re-driven over its own partial first
@@ -176,12 +166,12 @@ func (r *Register) Read(h *dsys.ClientHandle) (value.Value, error) {
 	return v, err
 }
 
-// ReadTimestamped implements register.TimestampedReader: the same read loop,
+// ReadTimestamped implements register.Register: the same read loop,
 // additionally reporting the timestamp of the decoded value.
 func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
-	for attempt := 0; attempt < r.readRetryBudget; attempt++ {
+	for attempt := 0; attempt < DefaultReadRetryBudget; attempt++ {
 		resp, err := readRound(h, r.cfg)
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err

@@ -126,7 +126,8 @@ type Config struct {
 	// DataLen is the value size in bytes (D = 8*DataLen bits).
 	DataLen int
 	// Code is the coding scheme; it must be a K-of-N() symmetric code. If nil,
-	// constructors build a Reed-Solomon code (or replication when K == 1).
+	// constructors build the K-of-N() Reed-Solomon code, whose K = 1 instance
+	// is replication: every block is the value.
 	Code erasure.Code
 }
 
@@ -166,12 +167,7 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Code == nil {
 		var err error
-		if c.K == 1 {
-			c.Code, err = erasure.NewReplication(c.N())
-		} else {
-			c.Code, err = erasure.NewReedSolomon(c.K, c.N())
-		}
-		if err != nil {
+		if c.Code, err = erasure.NewReedSolomon(c.K, c.N()); err != nil {
 			return c, fmt.Errorf("%w: building default code: %v", ErrConfig, err)
 		}
 	}
@@ -182,19 +178,6 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return c, nil
-}
-
-// TimestampedReader is implemented by register emulations whose read can also
-// report the internal timestamp of the value it returns. The zero timestamp
-// means the register has never been written (the read returned v0).
-//
-// Reconfiguration depends on this: while a shard migrates, a read consults
-// both epochs and the new epoch's value wins exactly when its register has a
-// nonzero timestamp — lexicographic (epoch, timestamp) order — so the router
-// needs the timestamp, not just the value. All built-in emulations implement
-// it; a shard whose register does not cannot be migrated live.
-type TimestampedReader interface {
-	ReadTimestamped(h *dsys.ClientHandle) (value.Value, Timestamp, error)
 }
 
 // SeedTS is the fixed timestamp of reconfiguration seed writes. It is
@@ -212,27 +195,13 @@ type TimestampedReader interface {
 // partially applied high timestamp may be missed by the retry's read quorum).
 var SeedTS = Timestamp{Num: 1, Client: -1}
 
-// SeedWriter is implemented by register emulations that support the
-// reconfiguration migration writer's idempotent seed write: a write of v at
-// the fixed SeedTS, with no read phase. It must only be used against a fresh
-// (never client-written) register whose writes are held — the seed has to be
-// the register's first write — which is exactly the state a migration
-// successor is in between the routing-table flip and its activation. All
-// built-in emulations implement it.
-type SeedWriter interface {
-	WriteSeed(h *dsys.ClientHandle, v value.Value) error
-}
-
 // SeedChunks is the shared front half of every WriteSeed implementation: it
-// validates v against the configuration, encodes it for the caller's current
-// write operation, and stamps every chunk with the fixed SeedTS. The caller
+// encodes v for the caller's current write operation (EncodeWrite, which
+// checks v's size) and stamps every chunk with the fixed SeedTS. The caller
 // owns the operation (BeginOp/EndOp) and must Expire the returned encoder;
 // only the protocol-specific RMW rounds remain per emulation. retained is
 // EncodeWrite's.
 func SeedChunks(cfg Config, op dsys.OpID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
-	if v.SizeBytes() != cfg.DataLen {
-		return nil, nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
-	}
 	chunks, enc, err := EncodeWrite(cfg, op.WriteID(), v, retained)
 	if err != nil {
 		return nil, nil, err
@@ -258,11 +227,28 @@ type Register interface {
 	Write(h *dsys.ClientHandle, v value.Value) error
 	// Read performs a high-level read using the given client handle.
 	Read(h *dsys.ClientHandle) (value.Value, error)
+	// ReadTimestamped is Read that also reports the internal timestamp of
+	// the value it returns; ZeroTS means the register has never been written
+	// (the read returned v0). Reconfiguration needs it: while a shard
+	// migrates, a read consults both epochs and the new epoch's value wins
+	// exactly when its register has a nonzero timestamp — lexicographic
+	// (epoch, timestamp) order — and a merge orders its sources' values the
+	// same way.
+	ReadTimestamped(h *dsys.ClientHandle) (value.Value, Timestamp, error)
+	// WriteSeed is the reconfiguration migration writer's idempotent seed
+	// write: a write of v at the fixed SeedTS, with no read phase. It must
+	// only be used against a fresh (never client-written) register whose
+	// writes are held — the seed has to be the register's first write —
+	// which is exactly the state a migration successor is in between the
+	// routing-table flip and its activation.
+	WriteSeed(h *dsys.ClientHandle, v value.Value) error
 }
 
 // EncodeWrite runs the write-side oracle for value v: it takes the n blocks
 // from it in one call, tags them, and returns them as timestamp-free chunks in
-// block-index order (index i+1 is destined for base object i).
+// block-index order (index i+1 is destined for base object i). A value whose
+// size is not cfg.DataLen is refused with ErrConfig: every write, seed write
+// and initial value is checked here.
 //
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
@@ -271,6 +257,9 @@ type Register interface {
 // copies only the one its object stores, where it stores it (Retain) — and a
 // code's data blocks may be views of v.
 func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
+	if v.SizeBytes() != cfg.DataLen {
+		return nil, nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
+	}
 	enc := oracle.NewEncoder(cfg.Code, w, v)
 	blocks, err := enc.GetAll()
 	if err != nil {
@@ -290,9 +279,6 @@ func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]
 // InitialChunks encodes the initial value v0 and returns its chunks tagged
 // with the zero timestamp and the InitialWrite source.
 func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
-	if v0.SizeBytes() != cfg.DataLen {
-		return nil, fmt.Errorf("%w: initial value has %d bytes, config says %d", ErrConfig, v0.SizeBytes(), cfg.DataLen)
-	}
 	chunks, _, err := EncodeWrite(cfg, oracle.InitialWrite, v0, true)
 	if err != nil {
 		return nil, err

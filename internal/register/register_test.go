@@ -69,13 +69,13 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("default code not built")
 	}
 
-	// k = 1 yields replication.
+	// k = 1 yields replication, the code's 1-of-n instance.
 	cfg1, err := Config{F: 1, K: 1, DataLen: 10}.Validate()
 	if err != nil {
 		t.Fatalf("Validate k=1: %v", err)
 	}
-	if cfg1.Code.Name() != "repl(3)" {
-		t.Fatalf("k=1 code = %s, want repl(3)", cfg1.Code.Name())
+	if cfg1.Code.Name() != "rs(1,3)" {
+		t.Fatalf("k=1 code = %s, want rs(1,3)", cfg1.Code.Name())
 	}
 
 	bad := []Config{

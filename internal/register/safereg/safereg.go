@@ -52,10 +52,7 @@ type Register[F family] struct {
 	v0   value.Value
 }
 
-var (
-	_ register.Register   = (*Register[safe])(nil)
-	_ register.SeedWriter = (*Register[safe])(nil)
-)
+var _ register.Register = (*Register[safe])(nil)
 
 // New builds a safe register for the given configuration.
 func New(cfg register.Config) (*Register[safe], error) {
@@ -105,9 +102,6 @@ func (r *Register[F]) InitialStates(v0 value.Value) ([]dsys.State, error) {
 
 // Write implements register.Register (Algorithm 5, lines 1-9).
 func (r *Register[F]) Write(h *dsys.ClientHandle, v value.Value) error {
-	if v.SizeBytes() != r.cfg.DataLen {
-		return fmt.Errorf("%w: value has %d bytes, config says %d", register.ErrConfig, v.SizeBytes(), r.cfg.DataLen)
-	}
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
 	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
@@ -167,7 +161,7 @@ func updateRound[F family](h *dsys.ClientHandle, cfg register.Config, pieces []r
 	return err
 }
 
-// WriteSeed implements register.SeedWriter: the conditional-update round
+// WriteSeed implements register.Register: the conditional-update round
 // alone, at the fixed register.SeedTS. The update RMW only overwrites
 // strictly older timestamps, so replaying an interrupted seed is idempotent.
 func (r *Register[F]) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
@@ -191,7 +185,7 @@ func (r *Register[F]) Read(h *dsys.ClientHandle) (value.Value, error) {
 	return v, err
 }
 
-// ReadTimestamped implements register.TimestampedReader: the same collect-
+// ReadTimestamped implements register.Register: the same collect-
 // and-decode read, additionally reporting the timestamp of the decoded value
 // (the zero timestamp when the read falls back to v0).
 func (r *Register[F]) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {

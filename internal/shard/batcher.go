@@ -22,12 +22,13 @@ type BatchConfig struct {
 // Enabled reports whether the zero-value-off batch engine was requested.
 func (c BatchConfig) Enabled() bool { return c.MaxSize > 0 }
 
-// BatcherStats counts the batcher's amortization: Writes/Reads are member
-// operations completed through the batcher, WriteRounds/ReadRounds the
-// physical quorum rounds that carried them. Rounds < operations is the
+// BatcherStats counts the batchers' amortization; rounds < operations is the
 // group-commit win.
 type BatcherStats struct {
-	Writes, Reads           int
+	// Writes and Reads count operations completed through the batchers.
+	Writes, Reads int
+	// WriteRounds and ReadRounds count the physical quorum rounds dispatched
+	// to carry them; ops/rounds is the amortization factor per direction.
 	WriteRounds, ReadRounds int
 }
 

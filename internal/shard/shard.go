@@ -120,13 +120,7 @@ func New(specs []Spec, opts ...dsys.Option) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxDataBits := 0
-	for _, sh := range shards {
-		if d := sh.Reg.Config().DataBits(); d > maxDataBits {
-			maxDataBits = d
-		}
-	}
-	all := append([]dsys.Option{dsys.WithLiveMode(), dsys.WithDataBits(maxDataBits)}, opts...)
+	all := append([]dsys.Option{dsys.WithLiveMode()}, opts...)
 	s := &Set{router: newRouter(shards), regions: shards}
 	s.cluster = dsys.NewCluster(states, all...)
 	s.nameRegions(shards)
@@ -406,11 +400,7 @@ func (s *Set) ReadRef(client int, ref, fb *Route) (value.Value, bool, error) {
 // migration successor — it is the dual-epoch read: the successor's register
 // is read with its timestamp, and a zero timestamp (no write has reached the
 // new epoch yet) falls back to the predecessor's register, so the higher
-// (epoch, timestamp) wins. A successor register that cannot report
-// timestamps is answered by the predecessor outright: during seeding the
-// predecessor is authoritative, and reconfiguration refuses to migrate such
-// registers anyway, so the branch is purely defensive. fellBack reports that
-// the old epoch answered.
+// (epoch, timestamp) wins. fellBack reports that the old epoch answered.
 func ReadRouted(h *dsys.ClientHandle, ref, fb *Route) (v value.Value, fellBack bool, err error) {
 	sh := ref.Shard()
 	sub, err := h.Sub(sh.Base, sh.Span)
@@ -421,14 +411,12 @@ func ReadRouted(h *dsys.ClientHandle, ref, fb *Route) (v value.Value, fellBack b
 		v, err = sh.Reg.Read(sub)
 		return v, false, err
 	}
-	if tr, ok := sh.Reg.(register.TimestampedReader); ok {
-		v, ts, err := tr.ReadTimestamped(sub)
-		if err != nil {
-			return value.Value{}, false, err
-		}
-		if ts != register.ZeroTS {
-			return v, false, nil
-		}
+	v, ts, err := sh.Reg.ReadTimestamped(sub)
+	if err != nil {
+		return value.Value{}, false, err
+	}
+	if ts != register.ZeroTS {
+		return v, false, nil
 	}
 	fsh := fb.Shard()
 	fsub, err := h.Sub(fsh.Base, fsh.Span)

@@ -96,7 +96,7 @@ func Run(reg register.Register, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: initial states: %w", err)
 	}
-	opts := []dsys.Option{dsys.WithDataBits(cfg.DataBits())}
+	var opts []dsys.Option
 	if spec.Policy != nil {
 		opts = append(opts, dsys.WithPolicy(spec.Policy))
 	}

@@ -396,19 +396,10 @@ func (s *Store) RestartNode(id int) error {
 // BatchStats reports the group-commit amortization across all shards:
 // operations completed through the batchers and the physical quorum rounds
 // that carried them. All zeros when batching is disabled.
-type BatchStats struct {
-	// Writes and Reads count operations completed through the batchers.
-	Writes, Reads int
-	// WriteRounds and ReadRounds count the physical quorum rounds dispatched
-	// to carry them; ops/rounds is the amortization factor per direction.
-	WriteRounds, ReadRounds int
-}
+type BatchStats = shard.BatcherStats
 
 // BatchStats returns the store-wide group-commit counters.
-func (s *Store) BatchStats() BatchStats {
-	st := s.set.BatchStats()
-	return BatchStats{Writes: st.Writes, Reads: st.Reads, WriteRounds: st.WriteRounds, ReadRounds: st.ReadRounds}
-}
+func (s *Store) BatchStats() BatchStats { return s.set.BatchStats() }
 
 // Storage is one storage sample of a Store: the code-block bits held by base
 // objects (the paper's Definition 2) and the write-ahead log's durable bits,
@@ -433,23 +424,7 @@ func (s *Store) Storage() Storage { return s.set.Storage() }
 func (s *Store) StorageBits() int { return s.Storage().Bits }
 
 // ReconfigStats aggregates the reconfiguration subsystem's counters.
-type ReconfigStats struct {
-	// Epoch is the current routing epoch (0 until the first move).
-	Epoch int64
-	// Splits, Drains, Merges count completed moves.
-	Splits, Drains, Merges int
-	// Resumes counts takeovers of interrupted moves (a move interrupted
-	// twice counts twice, whatever its eventual outcome); Aborts counts
-	// cleanly rolled-back moves.
-	Resumes, Aborts int
-	// SeedWrites counts migration-writer replays into successor shards.
-	SeedWrites int
-	// FallbackReads counts dual-epoch reads answered by the old epoch.
-	FallbackReads int64
-	// HeldWrites counts writes that waited for a migration to seed their
-	// shard.
-	HeldWrites int64
-}
+type ReconfigStats = reconfig.Stats
 
 // apply runs one move through the store's coordinator.
 func (s *Store) apply(mv reconfig.Move) (reconfig.Event, error) {
@@ -503,14 +478,7 @@ func (s *Store) MergeShards(a, b string) (string, error) {
 func (s *Store) ResumeMoves() (int, error) { return s.node.Coordinator().ResumeLive() }
 
 // ReconfigStats returns the reconfiguration counters.
-func (s *Store) ReconfigStats() ReconfigStats {
-	st := s.node.Coordinator().Stats()
-	return ReconfigStats{
-		Epoch: st.Epoch, Splits: st.Splits, Drains: st.Drains, Merges: st.Merges,
-		Resumes: st.Resumes, Aborts: st.Aborts,
-		SeedWrites: st.SeedWrites, FallbackReads: st.FallbackReads, HeldWrites: st.HeldWrites,
-	}
-}
+func (s *Store) ReconfigStats() ReconfigStats { return s.node.Coordinator().Stats() }
 
 // Close shuts the cluster down and closes the write-ahead log. A move that
 // was mid-way through stays in the ledger for the next open's ResumeMoves.
