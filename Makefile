@@ -64,9 +64,13 @@ loc:
 # TCP: 1 KiB at f=1 k=2, tcp-small's shape, and 64 KiB at f=2 k=4, tcp-large's;
 # a write returns at its update quorum, its GC posted), BenchmarkServeRequest
 # (an update, a posted GC, a 16 KiB read, a timestamp query),
-# BenchmarkSegmentsWrite, BenchmarkJournalAppend, BenchmarkReedSolomon and
-# the vector and portable rows of BenchmarkDotSlices and BenchmarkMulAdd among
-# them) so they keep working. It judges nothing; `make benchmark` does.
+# BenchmarkStoreOps (one facade WriteKey and one ReadKey in process, on
+# inproc-batched's shape: eight shards, f=2 k=2, 1 KiB, batches of 16, with
+# allocations), BenchmarkSegmentsWrite, BenchmarkJournalAppend,
+# BenchmarkJournalSync (fsync latency on a fresh and a recycled WAL segment),
+# BenchmarkEnvelopeCodec, BenchmarkReedSolomon and the vector and portable
+# rows of BenchmarkDotSlices and BenchmarkMulAdd among them) so they keep
+# working. It judges nothing; `make benchmark` does.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

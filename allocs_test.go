@@ -12,19 +12,29 @@ import (
 // write its n blocks in one call. Nor does a round allocate its result: the
 // answers land in slots the client handle keeps, the handle comes from a
 // pool, and the batch lane's round function and the shard layer's pass-through
-// are built once, not per round. An adaptive read round's objects answer with
-// their piece headers into one array of the round's. That takes a write from
-// the 27 allocations its parent measured to 18, and a read from 19 to 10.
+// are built once, not per round. What nothing keeps past the call stays in
+// its caller's frame: a round's RMW factory, the oracles, the code's list of
+// shard views, the update round's bookkeeping and a read's read set; an
+// adaptive read round's objects answer with their piece headers into the
+// round's RMW array, and a read decodes the winner's chunks straight from its
+// read set, with no generator rows while every data block is there. That
+// leaves a write the value's copy, its n blocks and their list (two data
+// blocks detached), its chunks and their storage references, and one RMW
+// array per round: 13 allocations, where its parent measured 18. A read
+// keeps its round's RMW array, the oracle's block list, the decoded value
+// and the caller's copy of it: 4, where its parent measured 10.
 const (
-	writeKeyAllocs       = 18
-	writeKeyAllocsParent = 27
-	readKeyAllocs        = 10
-	readKeyAllocsParent  = 19
+	writeKeyAllocs       = 13
+	writeKeyAllocsParent = 18
+	readKeyAllocs        = 4
+	readKeyAllocsParent  = 10
 )
 
-// TestOperationAllocations pins what one uncontended WriteKey and one ReadKey
-// allocate in process. A change that moves either count must say why.
-func TestOperationAllocations(t *testing.T) {
+// openInprocBatched opens a store on the inproc-batched benchmark's shape and
+// returns it with a 1 KiB value; the store is closed when tb ends. Its
+// operations go to shard inprocBatchedKey.
+func openInprocBatched(tb testing.TB) (*Store, []byte) {
+	tb.Helper()
 	shards := make([]ShardSpec, 8)
 	for i := range shards {
 		shards[i] = ShardSpec{Name: fmt.Sprintf("shard-%d", i)}
@@ -34,20 +44,29 @@ func TestOperationAllocations(t *testing.T) {
 		Shards: shards, Batch: BatchOptions{MaxSize: 16},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
+	tb.Cleanup(func() { s.Close() })
 	val := make([]byte, 1024)
 	for i := range val {
 		val[i] = byte(i)
 	}
+	return s, val
+}
+
+const inprocBatchedKey = "shard-3"
+
+// TestOperationAllocations pins what one uncontended WriteKey and one ReadKey
+// allocate in process. A change that moves either count must say why.
+func TestOperationAllocations(t *testing.T) {
+	s, val := openInprocBatched(t)
 	write := func() {
-		if err := s.WriteKey(1, "shard-3", val); err != nil {
+		if err := s.WriteKey(1, inprocBatchedKey, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	read := func() {
-		if _, err := s.ReadKey(1, "shard-3"); err != nil {
+		if _, err := s.ReadKey(1, inprocBatchedKey); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,4 +80,31 @@ func TestOperationAllocations(t *testing.T) {
 		t.Errorf("a lone ReadKey allocates %.1f times, want at most %d (its parent measured %d)",
 			got, readKeyAllocs, readKeyAllocsParent)
 	}
+}
+
+// BenchmarkStoreOps is the in-process ladder row of the facade: one client's
+// WriteKey and ReadKey on the store TestOperationAllocations pins, with
+// allocations reported beside the time.
+func BenchmarkStoreOps(b *testing.B) {
+	s, val := openInprocBatched(b)
+	if err := s.WriteKey(1, inprocBatchedKey, val); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			val[0] = byte(i)
+			if err := s.WriteKey(1, inprocBatchedKey, val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.ReadKey(1, inprocBatchedKey); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

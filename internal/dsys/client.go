@@ -184,6 +184,10 @@ func (h *ClientHandle) InvokeAll(makeRMW func(obj int) RMW, quorum int) ([]any, 
 // copies it out. A remote round of a posted kind returns nil (RoundInvoker).
 // In controlled mode the wait can only end early if the cluster is closed, in
 // which case ErrHalted is returned.
+//
+// targets and makeRMW are lent for the call. Every engine calls makeRMW at
+// most once per target — exactly once on a target the round reaches — and
+// keeps neither, so a factory literal stays in its caller's frame.
 func (h *ClientHandle) Invoke(targets []int, makeRMW func(obj int) RMW, quorum int) ([]any, error) {
 	if quorum > len(targets) {
 		return nil, fmt.Errorf("%w: quorum %d, targets %d", ErrBadQuorum, quorum, len(targets))
@@ -236,16 +240,25 @@ func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum
 // scope-local targets are translated to global object IDs on the way out, and
 // each answer is copied into its scope-local slot on the way back, so
 // region-scoped register code runs unchanged against a cluster hosted in other
-// processes. The translation allocates nothing: the global IDs and the RMW
-// factory over them are a remoteRound's, borrowed for the round.
+// processes. The translation allocates nothing: the global IDs, the round's
+// RMWs and the factory over them are a remoteRound's, borrowed for the round.
+// makeRMW is called once per target before the transport sends anything, so it
+// is never kept, and the round's RMWs are cleared out of the remoteRound
+// before it goes back to the pool.
 func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	r := remoteRounds.Get().(*remoteRound)
-	r.base, r.makeRMW = h.base, makeRMW
+	r.base = h.base
+	if cap(r.byObj) < h.span {
+		r.byObj = make([]RMW, h.span)
+	}
+	r.byObj = r.byObj[:h.span]
 	for _, obj := range targets {
+		r.byObj[obj] = makeRMW(obj)
 		r.global = append(r.global, h.base+obj)
 	}
 	got, err := h.c.remote.InvokeRound(h.context(), h.id, r.global, r.globalRMW, quorum)
-	r.global, r.makeRMW = r.global[:0], nil
+	clear(r.byObj)
+	r.global = r.global[:0]
 	remoteRounds.Put(r)
 	if got == nil && err == nil {
 		return nil, nil // a posted round
@@ -258,16 +271,17 @@ func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, qu
 
 // remoteRound is what invokeRemote hands the transport for one round of a
 // region-scoped handle: the targets as global IDs and an RMW factory that
-// takes them. A RoundInvoker keeps neither past its return, so rounds borrow
-// one from remoteRounds instead of allocating both.
+// takes them, over the round's RMWs made up front. A RoundInvoker keeps
+// neither past its return, so rounds borrow one from remoteRounds instead of
+// allocating them.
 type remoteRound struct {
 	base      int
-	makeRMW   func(obj int) RMW // the round's, over scope-local IDs
+	byObj     []RMW // the round's RMWs, by scope-local object; all nil between rounds
 	global    []int
 	globalRMW func(g int) RMW // r.rmw, bound once
 }
 
-func (r *remoteRound) rmw(g int) RMW { return r.makeRMW(g - r.base) }
+func (r *remoteRound) rmw(g int) RMW { return r.byObj[g-r.base] }
 
 var remoteRounds = sync.Pool{New: func() any {
 	r := new(remoteRound)

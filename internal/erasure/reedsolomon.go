@@ -77,13 +77,14 @@ func shard(data []byte, c, sl int) []byte {
 	return ownedShard(data, c, sl)
 }
 
-// shardViews returns the k shards of data for reading only (see shard).
-func shardViews(data []byte, k, sl int) [][]byte {
-	shards := make([][]byte, k)
-	for c := range shards {
-		shards[c] = shard(data, c, sl)
+// shardViews appends the k shards of data, for reading only (see shard), to
+// dst and returns the result: a dst on the caller's stack with room for them
+// spares the list its allocation.
+func shardViews(dst [][]byte, data []byte, k, sl int) [][]byte {
+	for c := 0; c < k; c++ {
+		dst = append(dst, shard(data, c, sl))
 	}
-	return shards
+	return dst
 }
 
 // Encode implements Code. The value is not copied: a data block is a view of
@@ -96,7 +97,8 @@ func shardViews(data []byte, k, sl int) [][]byte {
 func (rs *ReedSolomon) Encode(data []byte) ([]Block, error) {
 	sl := shardLen(len(data), rs.k)
 	blocks := make([]Block, rs.n)
-	shards := shardViews(data, rs.k, sl)
+	var onStack [16][]byte
+	shards := shardViews(onStack[:0], data, rs.k, sl)
 	for c, s := range shards {
 		blocks[c] = Block{Index: c + 1, Data: s}
 	}
@@ -119,7 +121,7 @@ func (rs *ReedSolomon) EncodeBlock(data []byte, index int) (Block, error) {
 		return Block{Index: index, Data: ownedShard(data, index-1, sl)}, nil
 	}
 	out := make([]byte, sl)
-	gf256.DotSlices(rs.matrix.Row(index-1), out, shardViews(data, rs.k, sl))
+	gf256.DotSlices(rs.matrix.Row(index-1), out, shardViews(nil, data, rs.k, sl))
 	return Block{Index: index, Data: out}, nil
 }
 
@@ -148,17 +150,20 @@ func (rs *ReedSolomon) Decode(dataLen int, blocks []Block) ([]byte, error) {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughBlocks, distinct, rs.k)
 	}
 	out := make([]byte, rs.k*sl)
-	rows := make([]int, 0, rs.k)
+	data := 0 // data blocks present
 	for i := 1; i <= rs.k; i++ {
 		if at[i] != 0 {
 			copy(out[(i-1)*sl:i*sl], blocks[at[i]-1].Data)
-			rows = append(rows, i-1)
+			data++
 		}
 	}
-	if len(rows) == rs.k {
+	if data == rs.k {
 		return out[:dataLen:dataLen], nil
 	}
-	for i := rs.k + 1; len(rows) < rs.k; i++ {
+	// Only a missing data block needs the generator rows of the k blocks
+	// used: every data block there is, then parity blocks.
+	rows := make([]int, 0, rs.k)
+	for i := 1; len(rows) < rs.k; i++ {
 		if at[i] != 0 {
 			rows = append(rows, i-1)
 		}

@@ -10,6 +10,9 @@
 // pair it was encoded for, which is what both the storage accountant and the
 // lower-bound adversary use to attribute storage to operations.
 //
+// An oracle belongs to the operation that initialized it and is called from
+// that operation's goroutine alone, so it takes no lock.
+//
 // Oracle-internal state (the value held by an encoder, the blocks accumulated
 // by a decoder) is explicitly NOT part of the storage cost (Definition 2).
 package oracle
@@ -17,7 +20,6 @@ package oracle
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"spacebounds/internal/erasure"
 	"spacebounds/internal/value"
@@ -60,12 +62,12 @@ var ErrExpired = errors.New("oracle: oracle has expired")
 // Encoder is oracleE(c, w): it produces code blocks of a single value on
 // demand. The value is encoded once, on the first Get or GetAll, and indices
 // 1..N are served from that result; the blocks handed out are immutable and a
-// repeated get(i) returns the same bytes. It is safe for concurrent use.
+// repeated get(i) returns the same bytes. It is owned by its operation's
+// goroutine, which is the only one that calls it.
 type Encoder struct {
 	code  erasure.Code
 	write WriteID
 
-	mu      sync.Mutex
 	val     value.Value
 	blocks  []erasure.Block // E(v, 1..N), nil until the first Get or GetAll
 	expired bool
@@ -82,15 +84,13 @@ func (e *Encoder) Write() WriteID { return e.write }
 // Get returns E(v, i) tagged with its source. It fails if the oracle expired,
 // and with erasure.ErrBlockIndex for an index outside 1..N.
 func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.expired {
 		return erasure.Block{}, SourceTag{}, ErrExpired
 	}
 	if i < 1 || i > e.code.N() {
 		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, erasure.ErrBlockIndex)
 	}
-	blocks, err := e.encodedLocked()
+	blocks, err := e.encoded()
 	if err != nil {
 		return erasure.Block{}, SourceTag{}, fmt.Errorf("oracle: get(%d): %w", i, err)
 	}
@@ -101,12 +101,10 @@ func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 // source is Source(i). The slice is the oracle's own, read-only like the
 // blocks in it, and outlives Expire.
 func (e *Encoder) GetAll() ([]erasure.Block, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.expired {
 		return nil, ErrExpired
 	}
-	blocks, err := e.encodedLocked()
+	blocks, err := e.encoded()
 	if err != nil {
 		return nil, fmt.Errorf("oracle: get(1..%d): %w", e.code.N(), err)
 	}
@@ -116,9 +114,9 @@ func (e *Encoder) GetAll() ([]erasure.Block, error) {
 // Source returns the source tag of E(v, i): what Get(i) returns beside it.
 func (e *Encoder) Source(i int) SourceTag { return SourceTag{Write: e.write, Index: i} }
 
-// encodedLocked returns E(v, 1..N), encoding v on the first call. The caller
-// holds e.mu, and the oracle has not expired.
-func (e *Encoder) encodedLocked() ([]erasure.Block, error) {
+// encoded returns E(v, 1..N), encoding v on the first call. The oracle has not
+// expired.
+func (e *Encoder) encoded() ([]erasure.Block, error) {
 	if e.blocks == nil {
 		blocks, err := e.code.Encode(e.val.View())
 		if err != nil {
@@ -132,19 +130,17 @@ func (e *Encoder) encodedLocked() ([]erasure.Block, error) {
 // Expire marks the oracle expired and drops the encoded blocks; it is called
 // when the write returns.
 func (e *Encoder) Expire() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.expired = true
 	e.blocks = nil
 }
 
 // Decoder is oracleD(c, r): the reader pushes blocks and calls Done to
-// obtain the decoded value. It is safe for concurrent use.
+// obtain the decoded value. It is owned by its operation's goroutine, which is
+// the only one that calls it.
 type Decoder struct {
 	code    erasure.Code
 	dataLen int
 
-	mu      sync.Mutex
 	pushed  []erasure.Block
 	expired bool
 }
@@ -160,8 +156,6 @@ func NewDecoder(code erasure.Code, dataLen, blocks int) *Decoder {
 // The block is kept by reference until Done: block bytes are immutable once
 // encoded, so the oracle reads them and never copies.
 func (d *Decoder) Push(b erasure.Block) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.expired {
 		return ErrExpired
 	}
@@ -173,8 +167,6 @@ func (d *Decoder) Push(b erasure.Block) error {
 // Definition 1) and expires the oracle. It returns erasure.ErrNotEnoughBlocks
 // (the model's ⊥) if the pushed blocks do not determine a value.
 func (d *Decoder) Done() (value.Value, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.expired {
 		return value.Value{}, ErrExpired
 	}

@@ -35,6 +35,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
@@ -99,11 +100,10 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 	// Encode v into n pieces via the write oracle; the client holds the
 	// WriteSet locally for the duration of the operation.
-	writeSet, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	writeSet, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
 
 	// Round 1: read timestamps (lines 5-7).
@@ -116,9 +116,11 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 		writeSet[i].TS = ts
 	}
 
-	// Round 2: update (lines 8-10).
-	needsPiece, err := updateRound(h, r.cfg, ts, storedTS, writeSet, false)
-	if err != nil {
+	// Round 2: update (lines 8-10). What the GC round needs of its answers is
+	// a flag per object, on the stack for every n up to 32.
+	var onStack [32]bool
+	needsPiece := slices.Grow(onStack[:0], r.cfg.N())[:r.cfg.N()]
+	if err := updateRound(h, r.cfg, ts, storedTS, writeSet, false, needsPiece); err != nil {
 		return err
 	}
 
@@ -138,49 +140,54 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // the ones that answered may crash — and waits for the rest of the quorum
 // among them. An object applies at most one of the two (updateRMW.Apply).
 //
-// The result says which objects the GC must bring the piece: those whose last
-// known answer leaves open that Vf holds the replica (the follow-up said so,
-// or has not answered) or that the update has stored nothing yet (it needs
-// the replica and no follow-up went out, or it has not answered at all).
-func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool) (func(obj int) bool, error) {
+// It records in needsPiece, one flag per object, which objects the GC must
+// bring the piece: those whose last known answer leaves open that Vf holds
+// the replica (the follow-up said so, or has not answered) or that the update
+// has stored nothing yet (it needs the replica and no follow-up went out, or
+// it has not answered at all). needsPiece comes in all false; nil records
+// nothing.
+func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool, needsPiece []bool) error {
 	// Each of the two rounds builds its updates in an array of its own — a
 	// straggler of the first may still be applied while the second runs — and
 	// one array serves either kind: an update is a seed update's only field.
 	k := int32(cfg.K)
-	updates := func(full []register.Chunk) func(obj int) dsys.RMW {
-		rmws := make([]seedUpdateRMW, len(writeSet))
-		return func(obj int) dsys.RMW {
-			u := &rmws[obj]
-			u.updateRMW = updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full}
-			if seed {
-				return u
-			}
-			return &u.updateRMW
+	update := func(rmws []seedUpdateRMW, obj int, full []register.Chunk) dsys.RMW {
+		u := &rmws[obj]
+		u.updateRMW = updateRMW{k: k, ts: ts, storedTS: storedTS, piece: writeSet[obj], full: full}
+		if seed {
+			return u
 		}
+		return &u.updateRMW
+	}
+	updates := make([]seedUpdateRMW, len(writeSet))
+	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(updates, obj, nil) }, cfg.Quorum())
+	if err != nil {
+		return err
 	}
 	// The follow-up's answers land in the handle's slots, over the first
 	// round's: rest is all this function keeps of those.
-	first, err := h.InvokeAll(updates(nil), cfg.Quorum())
-	if err != nil {
-		return nil, err
-	}
-	var rest []int
+	var onStack [32]int
+	rest := onStack[:0]
 	for obj := range writeSet {
 		if resp, answered := first[obj].(updateResp); !answered || resp.has(respNeedFull) {
 			rest = append(rest, obj)
 		}
 	}
 	if len(rest) == 0 {
-		return func(int) bool { return false }, nil
+		return nil
 	}
 	var second []any
 	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
-		second, err = h.Invoke(rest, updates(writeSet[:cfg.K:cfg.K]), lacking)
+		full := writeSet[:cfg.K:cfg.K]
+		followUps := make([]seedUpdateRMW, len(writeSet))
+		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(followUps, obj, full) }, lacking)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	needsPiece := make([]bool, len(writeSet))
+	if needsPiece == nil {
+		return nil
+	}
 	for _, obj := range rest {
 		var answer any // none when no follow-up went out
 		if second != nil {
@@ -189,19 +196,19 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 		resp, answered := answer.(updateResp)
 		needsPiece[obj] = !answered || resp.has(respStored) && !resp.has(respToVp)
 	}
-	return func(obj int) bool { return needsPiece[obj] }, nil
+	return nil
 }
 
-// collectGarbage runs the GC round at ts. needsPiece says which objects may
-// hold this write's full replica in Vf, or nothing of the write at all; the
-// others get a GC without a piece. Over a wire the round is posted: it
-// returns once the GCs are on their way (dsys.RoundInvoker).
-func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece func(obj int) bool) error {
+// collectGarbage runs the GC round at ts. needsPiece, one flag per object,
+// says which objects may hold this write's full replica in Vf, or nothing of
+// the write at all; the others get a GC without a piece. Over a wire the round
+// is posted: it returns once the GCs are on their way (dsys.RoundInvoker).
+func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece []bool) error {
 	gcs := make([]gcRMW, len(writeSet))
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
 		g := &gcs[obj]
 		g.ts = ts
-		if needsPiece(obj) {
+		if needsPiece[obj] {
 			g.piece = writeSet[obj]
 		}
 		return g
@@ -217,19 +224,23 @@ func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Times
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	writeSet, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	writeSet, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(writeSet))
-	if _, err := updateRound(h, r.cfg, register.SeedTS, register.ZeroTS, writeSet, true); err != nil {
+	if err := updateRound(h, r.cfg, register.SeedTS, register.ZeroTS, writeSet, true, nil); err != nil {
 		return err
 	}
 	// An earlier attempt's follow-up may have left the full replica in any
 	// object's Vf, whatever this attempt's answers say: every GC carries its
 	// piece.
-	return collectGarbage(h, r.cfg, register.SeedTS, writeSet, func(int) bool { return true })
+	var onStack [32]bool
+	everyObject := slices.Grow(onStack[:0], r.cfg.N())[:r.cfg.N()]
+	for obj := range everyObject {
+		everyObject[obj] = true
+	}
+	return collectGarbage(h, r.cfg, register.SeedTS, writeSet, everyObject)
 }
 
 // Read implements register.Register (Algorithm 2, lines 16-22).
@@ -245,14 +256,16 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 	defer h.EndOp()
 
 	// The lean round comes first and outside the budget, which counts rounds
-	// as printed: FW-termination is argued for those.
+	// as printed: FW-termination is argued for those. Every attempt gathers
+	// its read set in one buffer, on the stack while it holds at most 16
+	// chunks.
+	var onStack [16]register.Chunk
 	for attempt := -1; attempt < r.readRetryBudget; attempt++ {
-		storedTS, readSet, err := readValue(h, r.cfg, attempt < 0)
+		storedTS, readSet, err := readValue(h, r.cfg, attempt < 0, onStack[:0])
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err
 		}
-		if chunks, ts, ok := register.BestDecodable(readSet, storedTS, r.cfg.K); ok {
-			v, err := register.DecodeChunks(r.cfg, chunks)
+		if v, ts, ok, err := register.DecodeBest(r.cfg, readSet, storedTS); ok {
 			return v, ts, err
 		}
 	}
@@ -260,7 +273,8 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 }
 
 // readValue is the read round: it returns the highest storedTS among the n-f
-// objects that answered together with the union of the chunks they sent.
+// objects that answered together with the union of the chunks they sent,
+// appended to buf.
 //
 // The round as printed (Algorithm 3, lines 23-31) collects Vp, Vf and storedTS
 // from every object. The lean round asks only objects 0..k+f-1 for them — the
@@ -269,7 +283,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 // answers with pieces, and its highest storedTS is the one a full round would
 // have seen; what a lean round may lack is a k-th piece at that timestamp, and
 // then the caller runs the round as printed.
-func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.Timestamp, []register.Chunk, error) {
+func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool, buf []register.Chunk) (register.Timestamp, []register.Chunk, error) {
 	withPieces := cfg.N()
 	if lean {
 		withPieces = cfg.Quorum()
@@ -278,15 +292,15 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.T
 	rmws := make([]struct {
 		value readValueRMW
 		ts    readTSRMW
+		head  [1]register.Chunk
 	}, cfg.N())
 	if h.InProcess() {
 		// An object answers with the headers of the pieces it holds — one, when
 		// it is quiescent — into the RMW's list: in process, a window of one
-		// header in an array of the round's, so only an object that holds more
-		// allocates a list. Over a wire the client decodes a list of its own.
-		heads := make([]register.Chunk, withPieces)
-		for obj := range heads {
-			rmws[obj].value.resp.Chunks = heads[obj : obj : obj+1]
+		// header beside the RMW, so only an object that holds more allocates a
+		// list. Over a wire the client decodes a list of its own.
+		for obj := 0; obj < withPieces; obj++ {
+			rmws[obj].value.resp.Chunks = rmws[obj].head[:0]
 		}
 	}
 	resp, err := h.InvokeAll(func(obj int) dsys.RMW {
@@ -312,7 +326,7 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool) (register.T
 			return register.ZeroTS, nil, fmt.Errorf("adaptive: unexpected readValue response %T", rv)
 		}
 	}
-	readSet := make([]register.Chunk, 0, pieces)
+	readSet := slices.Grow(buf, pieces)
 	for obj := 0; obj < cfg.N(); obj++ {
 		if rv, ok := resp[obj].(*readValueResp); ok {
 			readSet = append(readSet, rv.Chunks...)

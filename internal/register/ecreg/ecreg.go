@@ -66,11 +66,10 @@ func (r *Register) InitialStates(v0 value.Value) ([]dsys.State, error) {
 func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	pieces, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
 
 	// Round 1: read timestamps.
@@ -141,11 +140,10 @@ func commitRound(h *dsys.ClientHandle, cfg register.Config, ts register.Timestam
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	pieces, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(register.ChunkRefs(pieces))
 	stores := make([]seedStoreRMW, len(pieces))
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
@@ -187,8 +185,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 			committed = committed.Max(rr.CommittedTS)
 			chunks = append(chunks, rr.Pieces...)
 		}
-		if best, ts, ok := register.BestDecodable(chunks, committed, r.cfg.K); ok {
-			v, err := register.DecodeChunks(r.cfg, best)
+		if v, ts, ok, err := register.DecodeBest(r.cfg, chunks, committed); ok {
 			return v, ts, err
 		}
 	}

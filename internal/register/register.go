@@ -198,18 +198,17 @@ var SeedTS = Timestamp{Num: 1, Client: -1}
 // SeedChunks is the shared front half of every WriteSeed implementation: it
 // encodes v for the caller's current write operation (EncodeWrite, which
 // checks v's size) and stamps every chunk with the fixed SeedTS. The caller
-// owns the operation (BeginOp/EndOp) and must Expire the returned encoder;
-// only the protocol-specific RMW rounds remain per emulation. retained is
-// EncodeWrite's.
-func SeedChunks(cfg Config, op dsys.OpID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
-	chunks, enc, err := EncodeWrite(cfg, op.WriteID(), v, retained)
+// owns the operation (BeginOp/EndOp); only the protocol-specific RMW rounds
+// remain per emulation. retained is EncodeWrite's.
+func SeedChunks(cfg Config, op dsys.OpID, v value.Value, retained bool) ([]Chunk, error) {
+	chunks, err := EncodeWrite(cfg, op.WriteID(), v, retained)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for i := range chunks {
 		chunks[i].TS = SeedTS
 	}
-	return chunks, enc, nil
+	return chunks, nil
 }
 
 // Register is a multi-writer multi-reader register emulation bound to a
@@ -246,9 +245,10 @@ type Register interface {
 
 // EncodeWrite runs the write-side oracle for value v: it takes the n blocks
 // from it in one call, tags them, and returns them as timestamp-free chunks in
-// block-index order (index i+1 is destined for base object i). A value whose
-// size is not cfg.DataLen is refused with ErrConfig: every write, seed write
-// and initial value is checked here.
+// block-index order (index i+1 is destined for base object i). The oracle
+// lives for the span of the call, in its frame: the chunks are all a write
+// keeps of it. A value whose size is not cfg.DataLen is refused with
+// ErrConfig: every write, seed write and initial value is checked here.
 //
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
@@ -256,14 +256,15 @@ type Register interface {
 // only travel — a node across a wire decodes them as views of the frame and
 // copies only the one its object stores, where it stores it (Retain) — and a
 // code's data blocks may be views of v.
-func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, *oracle.Encoder, error) {
+func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, error) {
 	if v.SizeBytes() != cfg.DataLen {
-		return nil, nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
+		return nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
 	}
 	enc := oracle.NewEncoder(cfg.Code, w, v)
+	defer enc.Expire()
 	blocks, err := enc.GetAll()
 	if err != nil {
-		return nil, nil, fmt.Errorf("register: encoding: %w", err)
+		return nil, fmt.Errorf("register: encoding: %w", err)
 	}
 	chunks := make([]Chunk, cfg.N())
 	for i := range chunks {
@@ -273,13 +274,13 @@ func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]
 		}
 		chunks[i] = Chunk{Block: b, Source: enc.Source(i + 1)}
 	}
-	return chunks, enc, nil
+	return chunks, nil
 }
 
 // InitialChunks encodes the initial value v0 and returns its chunks tagged
 // with the zero timestamp and the InitialWrite source.
 func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
-	chunks, _, err := EncodeWrite(cfg, oracle.InitialWrite, v0, true)
+	chunks, err := EncodeWrite(cfg, oracle.InitialWrite, v0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -289,29 +290,19 @@ func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
 	return chunks, nil
 }
 
-// DecodeChunks attempts to decode a value from chunks that all carry the same
-// timestamp, using the read-side oracle. It returns erasure.ErrNotEnoughBlocks
-// if fewer than k distinct block indices are present.
-func DecodeChunks(cfg Config, chunks []Chunk) (value.Value, error) {
-	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen, len(chunks))
-	for _, c := range chunks {
-		if err := dec.Push(c.Block); err != nil {
-			return value.Value{}, err
-		}
-	}
-	return dec.Done()
-}
-
-// BestDecodable groups chunks by timestamp and returns the chunks of the
-// largest timestamp that is at least minTS and has at least k distinct block
-// indices, in the order they arrived, along with that timestamp. The boolean
-// result reports whether such a timestamp exists. It is the selection rule of
+// DecodeBest finds the largest timestamp that is at least minTS and whose
+// chunks carry at least cfg.K distinct block indices, and decodes that
+// timestamp's value with the read-side oracle. It is the selection rule of
 // the adaptive read (Algorithm 2, lines 18-21) and of the baseline readers.
+// ok reports whether such a timestamp exists; only then are v and ts set, and
+// err is the decode's.
 //
 // A read set is a few chunks per object, so the groups are found by scanning
-// it, once per timestamp that could still win, and all that is allocated is
-// the result. An index no code of at most 255 blocks produces is not counted.
-func BestDecodable(chunks []Chunk, minTS Timestamp, k int) ([]Chunk, Timestamp, bool) {
+// it, once per timestamp that could still win, and the winner's chunks go to
+// the oracle straight from the read set, in the order they arrived. All that
+// is allocated is the oracle's list, sized to them, and the value. An index
+// no code of at most 255 blocks produces is not counted.
+func DecodeBest(cfg Config, chunks []Chunk, minTS Timestamp) (v value.Value, ts Timestamp, ok bool, err error) {
 	best, size := ZeroTS, 0 // size is how many chunks carry best; 0 until a timestamp qualifies
 	for _, c := range chunks {
 		if c.TS.Less(minTS) || size > 0 && c.TS.LessEq(best) {
@@ -329,18 +320,22 @@ func BestDecodable(chunks []Chunk, minTS Timestamp, k int) ([]Chunk, Timestamp, 
 				distinct++
 			}
 		}
-		if distinct >= k {
+		if distinct >= cfg.K {
 			best, size = c.TS, count
 		}
 	}
 	if size == 0 {
-		return nil, ZeroTS, false
+		return value.Value{}, ZeroTS, false, nil
 	}
-	group := make([]Chunk, 0, size)
+	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen, size)
 	for _, c := range chunks {
-		if c.TS == best {
-			group = append(group, c)
+		if c.TS != best {
+			continue
+		}
+		if err := dec.Push(c.Block); err != nil {
+			return value.Value{}, best, true, err
 		}
 	}
-	return group, best, true
+	v, err = dec.Done()
+	return v, best, true, err
 }

@@ -98,7 +98,7 @@ func TestEncodeWriteAndInitialChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := value.Sequenced(1, 1, 64)
-	chunks, enc, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, true)
+	chunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, true)
 	if err != nil {
 		t.Fatalf("EncodeWrite: %v", err)
 	}
@@ -113,12 +113,11 @@ func TestEncodeWriteAndInitialChunks(t *testing.T) {
 			t.Fatalf("chunk %d has wrong source %v", i, c.Source)
 		}
 	}
-	enc.Expire()
 
 	// Decode from the first k chunks.
-	got, err := DecodeChunks(cfg, chunks[:cfg.K])
-	if err != nil {
-		t.Fatalf("DecodeChunks: %v", err)
+	got, _, ok, err := DecodeBest(cfg, chunks[:cfg.K], ZeroTS)
+	if !ok || err != nil {
+		t.Fatalf("DecodeBest: ok %v, %v", ok, err)
 	}
 	if !got.Equal(v) {
 		t.Fatal("decoded value differs")
@@ -143,7 +142,7 @@ func TestChunkHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16), true)
+	chunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +164,11 @@ func TestBestDecodable(t *testing.T) {
 	}
 	vOld := value.Sequenced(1, 1, 32)
 	vNew := value.Sequenced(2, 1, 32)
-	oldChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld, true)
+	oldChunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newChunks, _, err := EncodeWrite(cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew, true)
+	newChunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,62 +184,106 @@ func TestBestDecodable(t *testing.T) {
 	// Old value fully present, new value has only one piece: best decodable
 	// at minTS=0 is the old value.
 	mixed := append(CloneChunks(oldChunks), newChunks[0])
-	got, ts, ok := BestDecodable(mixed, ZeroTS, cfg.K)
+	v, ts, ok, err := DecodeBest(cfg, mixed, ZeroTS)
 	if !ok || ts != tsOld {
-		t.Fatalf("BestDecodable = ts %v ok %v, want old ts", ts, ok)
+		t.Fatalf("DecodeBest = ts %v ok %v, want old ts", ts, ok)
 	}
-	v, err := DecodeChunks(cfg, got)
 	if err != nil || !v.Equal(vOld) {
 		t.Fatalf("decoded wrong value (err %v)", err)
 	}
 
 	// With minTS above the old timestamp, nothing qualifies.
-	if _, _, ok := BestDecodable(mixed, tsNew, cfg.K); ok {
-		t.Fatal("BestDecodable found a value above minTS unexpectedly")
+	if _, _, ok, _ := DecodeBest(cfg, mixed, tsNew); ok {
+		t.Fatal("DecodeBest found a value above minTS unexpectedly")
 	}
 
 	// With both values fully present, the larger timestamp wins.
 	both := append(CloneChunks(oldChunks), newChunks...)
-	_, ts, ok = BestDecodable(both, ZeroTS, cfg.K)
+	v, ts, ok, err = DecodeBest(cfg, both, ZeroTS)
 	if !ok || ts != tsNew {
-		t.Fatalf("BestDecodable with both = %v, want new ts", ts)
+		t.Fatalf("DecodeBest with both = %v, want new ts", ts)
+	}
+	if err != nil || !v.Equal(vNew) {
+		t.Fatalf("decoded wrong value with both (err %v)", err)
 	}
 
 	// Duplicate block indices of the same timestamp do not count as distinct.
 	dups := []Chunk{newChunks[0], newChunks[0], newChunks[0]}
-	if _, _, ok := BestDecodable(dups, ZeroTS, cfg.K); ok {
-		t.Fatal("BestDecodable accepted duplicate indices as decodable")
+	if _, _, ok, _ := DecodeBest(cfg, dups, ZeroTS); ok {
+		t.Fatal("DecodeBest accepted duplicate indices as decodable")
 	}
 }
 
-// TestBestDecodableKeepsArrivalOrderAndAllocatesItsResultOnly: the chunks of
-// the winning timestamp come back in the order they were handed in, whatever
-// lies between them; a hostile block index is not counted (and cannot reach
-// outside the table that counts); and choosing among a quiescent n = 8 read
-// set allocates the result and nothing else.
-func TestBestDecodableKeepsArrivalOrderAndAllocatesItsResultOnly(t *testing.T) {
-	piece := func(num, index int) Chunk {
-		return Chunk{TS: Timestamp{Num: num, Client: 1}, Block: erasure.Block{Index: index}}
+// recordingCode is a code whose Decode records the blocks it is handed.
+type recordingCode struct {
+	erasure.Code
+	got []erasure.Block
+}
+
+func (c *recordingCode) Decode(dataLen int, blocks []erasure.Block) ([]byte, error) {
+	c.got = append(c.got[:0], blocks...)
+	return c.Code.Decode(dataLen, blocks)
+}
+
+// TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup: the chunks of the
+// winning timestamp reach the decoder in the order they were handed in,
+// whatever lies between them; a hostile block index is not counted (and
+// cannot reach outside the table that counts); and decoding a quiescent
+// n = 8 read set allocates the oracle's list and the value and nothing else:
+// no group of the winner's chunks, and no generator rows while every data
+// block is there.
+func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
+	code := &recordingCode{Code: erasure.MustReedSolomon(3, 5)}
+	cfg, err := Config{F: 1, K: 3, DataLen: 48, Code: code}.Validate()
+	if err != nil {
+		t.Fatal(err)
 	}
+	writes := make([][]Chunk, 4)
+	for num := 1; num <= 3; num++ {
+		if writes[num], err = EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: num}, value.Sequenced(1, num, 48), true); err != nil {
+			t.Fatal(err)
+		}
+		for i := range writes[num] {
+			writes[num][i].TS = Timestamp{Num: num, Client: 1}
+		}
+	}
+	piece := func(num, index int) Chunk { return writes[num][index-1] }
 	mixed := []Chunk{piece(2, 3), piece(1, 1), piece(2, 1), piece(3, 1), piece(1, 2), piece(2, 3), piece(2, 2)}
-	got, ts, ok := BestDecodable(mixed, ZeroTS, 3)
-	if want := []Chunk{mixed[0], mixed[2], mixed[5], mixed[6]}; !ok || ts.Num != 2 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("BestDecodable = %+v at %v (ok %v), want the four chunks of write 2 as they arrived", got, ts, ok)
+	v, ts, ok, err := DecodeBest(cfg, mixed, ZeroTS)
+	if !ok || err != nil || ts.Num != 2 || !v.Equal(value.Sequenced(1, 2, 48)) {
+		t.Fatalf("DecodeBest = %v at %v (ok %v, err %v), want write 2's value", v, ts, ok, err)
 	}
-	hostile := []Chunk{piece(1, -1), piece(1, 1<<40), piece(1, 256), piece(1, 1)}
-	if _, _, ok := BestDecodable(hostile, ZeroTS, 2); ok {
-		t.Fatal("BestDecodable counted block indices no code produces")
+	want := []erasure.Block{mixed[0].Block, mixed[2].Block, mixed[5].Block, mixed[6].Block}
+	if !reflect.DeepEqual(code.got, want) {
+		t.Fatalf("the decoder was handed %+v, want the four chunks of write 2 as they arrived", code.got)
 	}
-	quiescent := make([]Chunk, 8)
+	// Two valid indices against k = 3: counting any one hostile index would
+	// make the write decodable.
+	hostile := []Chunk{piece(1, 1), piece(1, 1), piece(1, 1), piece(1, 1), piece(1, 2)}
+	for i, index := range []int{-1, 1 << 40, 256} {
+		hostile[i].Block.Index = index
+	}
+	if _, _, ok, _ := DecodeBest(cfg, hostile, ZeroTS); ok {
+		t.Fatal("DecodeBest counted block indices no code produces")
+	}
+
+	cfg8, err := Config{F: 2, K: 4, DataLen: 64}.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiescent, err := EncodeWrite(cfg8, oracle.WriteID{Client: 1, Seq: 5}, value.Sequenced(1, 5, 64), true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range quiescent {
-		quiescent[i] = piece(5, i+1)
+		quiescent[i].TS = Timestamp{Num: 5, Client: 1}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if got, _, ok := BestDecodable(quiescent, Timestamp{Num: 5, Client: 1}, 4); !ok || len(got) != 8 {
-			t.Fatalf("BestDecodable on a quiescent read set: %d chunks, ok %v", len(got), ok)
+		if _, _, ok, err := DecodeBest(cfg8, quiescent, Timestamp{Num: 5, Client: 1}); !ok || err != nil {
+			t.Fatalf("DecodeBest on a quiescent read set: ok %v, %v", ok, err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("BestDecodable allocates %.0f times on a quiescent read set, want its result alone", allocs)
+	if allocs > 2 {
+		t.Errorf("DecodeBest allocates %.0f times on a quiescent read set, want the oracle's list and the value alone", allocs)
 	}
 }

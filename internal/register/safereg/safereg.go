@@ -104,11 +104,10 @@ func (r *Register[F]) InitialStates(v0 value.Value) ([]dsys.State, error) {
 func (r *Register[F]) Write(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	pieces, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(held(r.cfg, pieces))
 
 	// Round 1: read timestamps.
@@ -167,11 +166,10 @@ func updateRound[F family](h *dsys.ClientHandle, cfg register.Config, pieces []r
 func (r *Register[F]) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, enc, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	pieces, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	defer enc.Expire()
 	h.SetLocalBlocks(held(r.cfg, pieces))
 	return updateRound[F](h, r.cfg, pieces)
 }
@@ -201,8 +199,7 @@ func (r *Register[F]) ReadTimestamped(h *dsys.ClientHandle) (value.Value, regist
 			chunks = append(chunks, *raw.(*register.Chunk))
 		}
 	}
-	if best, ts, ok := register.BestDecodable(chunks, register.ZeroTS, r.cfg.K); ok {
-		v, err := register.DecodeChunks(r.cfg, best)
+	if v, ts, ok, err := register.DecodeBest(r.cfg, chunks, register.ZeroTS); ok {
 		return v, ts, err
 	}
 	return r.v0, register.ZeroTS, nil
