@@ -68,9 +68,10 @@ loc:
 # inproc-batched's shape: eight shards, f=2 k=2, 1 KiB, batches of 16, with
 # allocations), BenchmarkSegmentsWrite, BenchmarkJournalAppend,
 # BenchmarkJournalSync (fsync latency on a fresh and a recycled WAL segment),
-# BenchmarkEnvelopeCodec, BenchmarkReedSolomon and the vector and portable
-# rows of BenchmarkDotSlices and BenchmarkMulAdd among them) so they keep
-# working. It judges nothing; `make benchmark` does.
+# BenchmarkEnvelopeCodec, BenchmarkReedSolomon, BenchmarkSimRun (one
+# default-config simulator seed per iteration, with ns and allocations per
+# scheduling step) and the vector and portable rows of BenchmarkDotSlices and
+# BenchmarkMulAdd among them) so they keep working. It judges nothing; `make benchmark` does.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

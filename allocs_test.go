@@ -17,17 +17,18 @@ import (
 // shard views, the update round's bookkeeping and a read's read set; an
 // adaptive read round's objects answer with their piece headers into the
 // round's RMW array, and a read decodes the winner's chunks straight from its
-// read set, with no generator rows while every data block is there. That
-// leaves a write the value's copy, its n blocks and their list (two data
-// blocks detached), its chunks and their storage references, and one RMW
-// array per round: 13 allocations, where its parent measured 18. A read
-// keeps its round's RMW array, the oracle's block list, the decoded value
-// and the caller's copy of it: 4, where its parent measured 10.
+// read set, with no generator rows while every data block is there. A write
+// lists the blocks it holds on its stack, and the client's stripe copies the
+// list into a buffer it keeps. That leaves a write the value's copy, its n
+// blocks and their list (two data blocks detached), its chunks, and one RMW
+// array per round: 12 allocations, where its parent measured 13. A read keeps
+// its round's RMW array, the oracle's block list, the decoded value and the
+// caller's copy of it: 4, where its parent measured 4 too.
 const (
-	writeKeyAllocs       = 13
-	writeKeyAllocsParent = 18
+	writeKeyAllocs       = 12
+	writeKeyAllocsParent = 13
 	readKeyAllocs        = 4
-	readKeyAllocsParent  = 10
+	readKeyAllocsParent  = 4
 )
 
 // openInprocBatched opens a store on the inproc-batched benchmark's shape and
@@ -79,6 +80,64 @@ func TestOperationAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(200, read); got > readKeyAllocs {
 		t.Errorf("a lone ReadKey allocates %.1f times, want at most %d (its parent measured %d)",
 			got, readKeyAllocs, readKeyAllocsParent)
+	}
+}
+
+// unbatchedOpAllocs is what a lone unbatched WriteKey and ReadKey allocate
+// per provider at f = 2, k = 2 (abd at k = 1), 1 KiB values, one shard, with
+// what this build's parent measured. An unbatched operation hands its round
+// a function the shard layer binds once (a pooled op), a write lists the
+// blocks it holds on its stack, and every provider's read gathers its read
+// set on its stack. ecreg's read answers copy each object's piece list.
+var unbatchedOpAllocs = []struct {
+	algorithm               Algorithm
+	k                       int
+	write, read             float64
+	writeParent, readParent int
+}{
+	{Adaptive, 2, 12, 4, 14, 6},
+	{Replication, 1, 10, 4, 12, 10},
+	{ErasureCoded, 2, 18, 10, 20, 16},
+	{Safe, 2, 11, 4, 13, 10},
+}
+
+// poolDropAllocs is what an unbatched operation may allocate beyond its pin
+// because a sync.Pool handed it nothing: zero, but for the race detector
+// (race_test.go).
+var poolDropAllocs = 0.0
+
+// TestUnbatchedOperationAllocations pins unbatchedOpAllocs. A change that
+// moves a count must say why.
+func TestUnbatchedOperationAllocations(t *testing.T) {
+	for _, p := range unbatchedOpAllocs {
+		t.Run(string(p.algorithm), func(t *testing.T) {
+			s, err := Open(Options{Algorithm: p.algorithm, F: 2, K: p.k, ValueSize: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			val := make([]byte, 1024)
+			write := func() {
+				if err := s.WriteKey(1, "default", val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := func() {
+				if _, err := s.ReadKey(1, "default"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write()
+			read()
+			if got, want := testing.AllocsPerRun(200, write), p.write+poolDropAllocs; got > want {
+				t.Errorf("a lone unbatched WriteKey allocates %.1f times, want at most %.0f (its parent measured %d)",
+					got, want, p.writeParent)
+			}
+			if got, want := testing.AllocsPerRun(200, read), p.read+poolDropAllocs; got > want {
+				t.Errorf("a lone unbatched ReadKey allocates %.1f times, want at most %.0f (its parent measured %d)",
+					got, want, p.readParent)
+			}
+		})
 	}
 }
 

@@ -119,7 +119,8 @@ func (h *ClientHandle) BeginOp(kind OpKind) OpID {
 }
 
 // EndOp marks the end of the client's current high-level operation and clears
-// any client-local block holdings registered for it.
+// any client-local block holdings registered for it. The client's entry keeps
+// its buffer for the next SetLocalBlocks: an empty list charges nothing.
 func (h *ClientHandle) EndOp() {
 	c := h.c
 	if c.opts.mode == Controlled {
@@ -134,25 +135,24 @@ func (h *ClientHandle) EndOp() {
 	}
 	st := c.stripeFor(h.id)
 	st.mu.Lock()
-	delete(st.blocks, h.id)
+	if refs, ok := st.blocks[h.id]; ok {
+		st.blocks[h.id] = refs[:0]
+	}
 	st.mu.Unlock()
 	h.currentOp = OpID{}
 }
 
 // SetLocalBlocks registers the code blocks the client currently holds in its
 // local state (e.g. the encoded WriteSet of an in-progress write) so the
-// storage accountant can charge them to the client's location. The handle
-// keeps refs itself: the caller hands over a slice of its own making and does
-// not write to it again.
+// storage accountant can charge them to the client's location, in place of
+// any it registered before. refs is copied, into a buffer the client's entry
+// keeps from one operation to the next (a BlockRef holds no pointer), so the
+// caller may list them on its stack.
 func (h *ClientHandle) SetLocalBlocks(refs []BlockRef) {
 	st := h.c.stripeFor(h.id)
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(refs) == 0 {
-		delete(st.blocks, h.id)
-		return
-	}
-	st.blocks[h.id] = refs
+	st.blocks[h.id] = append(st.blocks[h.id][:0], refs...)
+	st.mu.Unlock()
 }
 
 // InvokeAll triggers makeRMW(i) on every base object i in the handle's scope

@@ -2,6 +2,9 @@ package erasure
 
 import (
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 
 	"spacebounds/internal/gf256"
 )
@@ -13,10 +16,29 @@ import (
 // GF(2^8)-linear combination of the shards. Any k rows of the generator are
 // still invertible, so any k distinct blocks determine the value, which is
 // exactly the decode function D of Section 3.
+//
+// Decoding a value whose data blocks are not all there inverts the generator
+// rows of the blocks used. The code keeps each such inverse, keyed by the set
+// of rows, the first time it is needed (see inverse).
 type ReedSolomon struct {
 	k, n   int
 	matrix *gf256.Matrix
+
+	// inverses maps a set of k generator rows to the inverse of their
+	// submatrix. The map is copy-on-write: a stored map and its matrices are
+	// never written again, so a lookup takes no lock and writes no shared
+	// memory. grow serializes the writers.
+	inverses atomic.Pointer[map[rowSet]*gf256.Matrix]
+	grow     sync.Mutex
 }
+
+// maxInverses bounds the inverse cache. A code has one set of rows per
+// erasure pattern that loses a data block, C(n, k) - 1 at most; past the bound
+// a decode inverts without storing.
+const maxInverses = 256
+
+// rowSet is a set of generator rows, one bit per row (n <= 255).
+type rowSet [4]uint64
 
 var _ Code = (*ReedSolomon)(nil)
 
@@ -161,20 +183,20 @@ func (rs *ReedSolomon) Decode(dataLen int, blocks []Block) ([]byte, error) {
 		return out[:dataLen:dataLen], nil
 	}
 	// Only a missing data block needs the generator rows of the k blocks
-	// used: every data block there is, then parity blocks.
-	rows := make([]int, 0, rs.k)
+	// used: every data block there is, then parity blocks. The rows and the
+	// blocks are listed on the stack for k up to 16, as Encode's shards are.
+	var rowsOnStack [16]int
+	var usedOnStack [16][]byte
+	rows, used := rowsOnStack[:0], usedOnStack[:0]
 	for i := 1; len(rows) < rs.k; i++ {
 		if at[i] != 0 {
 			rows = append(rows, i-1)
+			used = append(used, blocks[at[i]-1].Data)
 		}
 	}
-	inv, err := rs.matrix.SubMatrix(rows).Invert()
+	inv, err := rs.inverse(rows)
 	if err != nil {
 		return nil, fmt.Errorf("erasure: rs decode: %w", err)
-	}
-	used := make([][]byte, rs.k)
-	for j, r := range rows {
-		used[j] = blocks[at[r+1]-1].Data
 	}
 	for c := 0; c < rs.k; c++ {
 		if at[c+1] == 0 {
@@ -182,4 +204,41 @@ func (rs *ReedSolomon) Decode(dataLen int, blocks []Block) ([]byte, error) {
 		}
 	}
 	return out[:dataLen:dataLen], nil
+}
+
+// inverse returns the inverse of the generator's submatrix of rows (ascending),
+// from the cache when an earlier decode stored it. A miss inverts and, while
+// the cache holds fewer than maxInverses, stores the result in a copy of the
+// map. The returned matrix is shared: it is only ever read.
+func (rs *ReedSolomon) inverse(rows []int) (*gf256.Matrix, error) {
+	var key rowSet
+	for _, r := range rows {
+		key[r/64] |= 1 << (r % 64)
+	}
+	if m := rs.inverses.Load(); m != nil {
+		if inv, ok := (*m)[key]; ok {
+			return inv, nil
+		}
+	}
+	inv, err := rs.matrix.SubMatrix(rows).Invert()
+	if err != nil {
+		return nil, err
+	}
+	rs.grow.Lock()
+	defer rs.grow.Unlock()
+	var cached map[rowSet]*gf256.Matrix
+	if m := rs.inverses.Load(); m != nil {
+		cached = *m
+	}
+	if prior, ok := cached[key]; ok {
+		return prior, nil // a concurrent decode stored it first
+	}
+	if len(cached) >= maxInverses {
+		return inv, nil
+	}
+	next := make(map[rowSet]*gf256.Matrix, len(cached)+1)
+	maps.Copy(next, cached)
+	next[key] = inv
+	rs.inverses.Store(&next)
+	return inv, nil
 }

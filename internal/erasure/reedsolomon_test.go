@@ -3,7 +3,9 @@ package erasure
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -274,4 +276,144 @@ func blocksAt(blocks []Block, at []int) []Block {
 		out[i] = blocks[p]
 	}
 	return out
+}
+
+// kSubsets lists every k-element subset of 0..n-1, each in ascending order.
+func kSubsets(n, k int) [][]int {
+	if k == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for first := 0; first <= n-k; first++ {
+		for _, rest := range kSubsets(n-first-1, k-1) {
+			s := []int{first}
+			for _, r := range rest {
+				s = append(s, first+1+r)
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// decodeSubsets decodes data from each subset of its blocks, handed over in
+// reverse order when reversed is set, and reports the first wrong result.
+func decodeSubsets(rs *ReedSolomon, data []byte, blocks []Block, subsets [][]int, reversed bool) error {
+	for _, at := range subsets {
+		subset := blocksAt(blocks, at)
+		if reversed {
+			slices.Reverse(subset)
+		}
+		got, err := rs.Decode(len(data), subset)
+		if err != nil {
+			return fmt.Errorf("%s: decode from %v: %v", rs.Name(), at, err)
+		}
+		if !bytes.Equal(got, data) {
+			return fmt.Errorf("%s: decode from %v returned a wrong value", rs.Name(), at)
+		}
+	}
+	return nil
+}
+
+// cachedInverses is how many inverses the code keeps.
+func cachedInverses(rs *ReedSolomon) int {
+	if m := rs.inverses.Load(); m != nil {
+		return len(*m)
+	}
+	return 0
+}
+
+// TestInverseCacheDecodesEveryPattern decodes every k-subset of a value's
+// blocks cold, warm (the blocks handed over in the other order: the cache is
+// keyed by the set of rows, not by their order) and from eight goroutines at
+// once on a fresh code, where they race to store the inverses. Each cold
+// pattern that lacks a data block stores one inverse; the one pattern of
+// data blocks alone needs none.
+func TestInverseCacheDecodesEveryPattern(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for _, shape := range []struct{ k, n int }{{1, 3}, {2, 4}, {2, 6}, {4, 8}} {
+		data := make([]byte, 1000+shape.k) // k does not divide it but at k = 1
+		rng.Read(data)
+		subsets := kSubsets(shape.n, shape.k)
+		rs := MustReedSolomon(shape.k, shape.n)
+		blocks, err := rs.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeSubsets(rs, data, blocks, subsets, false); err != nil {
+			t.Fatalf("cold: %v", err)
+		}
+		if got, want := cachedInverses(rs), len(subsets)-1; got != want {
+			t.Errorf("%s keeps %d inverses after decoding every pattern, want %d", rs.Name(), got, want)
+		}
+		if err := decodeSubsets(rs, data, blocks, subsets, true); err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+
+		fresh := MustReedSolomon(shape.k, shape.n)
+		errs := make(chan error, 8)
+		for g := range 8 {
+			go func() {
+				rotated := append(slices.Clone(subsets[g%len(subsets):]), subsets[:g%len(subsets)]...)
+				errs <- decodeSubsets(fresh, data, blocks, rotated, g%2 == 1)
+			}()
+		}
+		for range 8 {
+			if err := <-errs; err != nil {
+				t.Fatalf("concurrent: %v", err)
+			}
+		}
+		if got, want := cachedInverses(fresh), len(subsets)-1; got != want {
+			t.Errorf("%s keeps %d inverses after concurrent decodes, want %d", fresh.Name(), got, want)
+		}
+	}
+}
+
+// TestInverseCacheIsBounded: a code with more patterns than the cache holds
+// still decodes every one of them, cold and again once the cache is full.
+func TestInverseCacheIsBounded(t *testing.T) {
+	const k, n = 4, 12 // C(12, 4) = 495 patterns
+	rs := MustReedSolomon(k, n)
+	data := make([]byte, 4096)
+	rand.New(rand.NewSource(12)).Read(data)
+	blocks, err := rs.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsets := kSubsets(n, k)
+	if len(subsets)-1 <= maxInverses {
+		t.Fatalf("%d patterns fit the cache of %d", len(subsets), maxInverses)
+	}
+	for pass := range 2 {
+		if err := decodeSubsets(rs, data, blocks, subsets, pass == 1); err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if got := cachedInverses(rs); got != maxInverses {
+			t.Fatalf("pass %d: the cache holds %d inverses, want its bound %d", pass, got, maxInverses)
+		}
+	}
+}
+
+// TestWarmReconstructionAllocatesOnlyItsOutput: once a pattern's inverse is
+// cached, a decode that rebuilds every data block from parity allocates the
+// value and nothing else — the generator rows and the blocks used are listed
+// on its stack.
+func TestWarmReconstructionAllocatesOnlyItsOutput(t *testing.T) {
+	rs := MustReedSolomon(4, 8)
+	data := make([]byte, 16<<10)
+	rand.New(rand.NewSource(8)).Read(data)
+	blocks, err := rs.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity := blocks[4:]
+	decode := func() {
+		if _, err := rs.Decode(len(data), parity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if got := testing.AllocsPerRun(100, decode); got > 1 {
+		t.Errorf("a warm reconstructing decode allocates %.1f times, want at most 1 (its output)", got)
+	}
 }

@@ -99,12 +99,14 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	defer h.EndOp()
 
 	// Encode v into n pieces via the write oracle; the client holds the
-	// WriteSet locally for the duration of the operation.
+	// WriteSet locally for the duration of the operation. The handle copies
+	// its list of them, so the list stays on the stack.
 	writeSet, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(register.ChunkRefs(writeSet))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(register.AppendChunkRefs(refs[:0], writeSet))
 
 	// Round 1: read timestamps (lines 5-7).
 	storedTS, maxNum, err := readTimestamps(h, r.cfg)
@@ -228,7 +230,8 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(register.ChunkRefs(writeSet))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(register.AppendChunkRefs(refs[:0], writeSet))
 	if err := updateRound(h, r.cfg, register.SeedTS, register.ZeroTS, writeSet, true, nil); err != nil {
 		return err
 	}
@@ -294,14 +297,13 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool, buf []regis
 		ts    readTSRMW
 		head  [1]register.Chunk
 	}, cfg.N())
-	if h.InProcess() {
-		// An object answers with the headers of the pieces it holds — one, when
-		// it is quiescent — into the RMW's list: in process, a window of one
-		// header beside the RMW, so only an object that holds more allocates a
-		// list. Over a wire the client decodes a list of its own.
-		for obj := 0; obj < withPieces; obj++ {
-			rmws[obj].value.resp.Chunks = rmws[obj].head[:0]
-		}
+	// An object answers with the headers of the pieces it holds — one, when it
+	// is quiescent — into the RMW's list: a window of one header beside the
+	// RMW, so only an object that holds more allocates a list. In process the
+	// object's Apply fills it; over a wire the client decodes the answer into
+	// it, on the round's goroutine and only before the round returns.
+	for obj := 0; obj < withPieces; obj++ {
+		rmws[obj].value.resp.Chunks = rmws[obj].head[:0]
 	}
 	resp, err := h.InvokeAll(func(obj int) dsys.RMW {
 		if obj < withPieces {

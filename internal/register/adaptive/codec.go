@@ -99,9 +99,11 @@ func init() {
 			return nil
 		},
 		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
+			// The headers land in the list the round gave the RMW, its window
+			// of one (readValue): a quiescent object's answer allocates none.
 			r := register.NewWireReader(payload)
 			rr := &register.Reuse[readValueRMW](sent).resp
-			*rr = readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAlias()}
+			*rr = readValueResp{StoredTS: r.TS(), Chunks: r.ChunksAliasAppend(rr.Chunks[:0])}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

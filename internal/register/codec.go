@@ -635,13 +635,20 @@ func (r *WireReader) chunk(alias bool) Chunk {
 }
 
 // Chunks reads a counted chunk sequence of owned copies.
-func (r *WireReader) Chunks() []Chunk { return r.chunks(false) }
+func (r *WireReader) Chunks() []Chunk { return r.chunks(nil, false) }
 
 // ChunksAlias is Chunks with every block a view of the payload; see
 // ChunkAlias for when that is allowed.
-func (r *WireReader) ChunksAlias() []Chunk { return r.chunks(true) }
+func (r *WireReader) ChunksAlias() []Chunk { return r.chunks(nil, true) }
 
-func (r *WireReader) chunks(alias bool) []Chunk {
+// ChunksAliasAppend is ChunksAlias appending to dst: a list is allocated only
+// when the chunks do not fit in dst's capacity. A read round's answer decodes
+// into the window its RMW carries.
+func (r *WireReader) ChunksAliasAppend(dst []Chunk) []Chunk { return r.chunks(dst, true) }
+
+// chunks appends the counted sequence to dst. Without a dst the list is
+// exactly sized, empty or not.
+func (r *WireReader) chunks(dst []Chunk, alias bool) []Chunk {
 	b := r.take(4)
 	if b == nil {
 		return nil
@@ -653,7 +660,11 @@ func (r *WireReader) chunks(alias bool) []Chunk {
 		r.fail()
 		return nil
 	}
-	out := make([]Chunk, 0, n)
+	out := dst
+	if dst == nil || cap(dst)-len(dst) < int(n) {
+		out = make([]Chunk, len(dst), len(dst)+int(n))
+		copy(out, dst)
+	}
 	for i := uint32(0); i < n; i++ {
 		out = append(out, r.chunk(alias))
 	}

@@ -70,7 +70,8 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(register.ChunkRefs(pieces))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(register.AppendChunkRefs(refs[:0], pieces))
 
 	// Round 1: read timestamps.
 	resp, err := readRound(h, r.cfg)
@@ -144,7 +145,8 @@ func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(register.ChunkRefs(pieces))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(register.AppendChunkRefs(refs[:0], pieces))
 	stores := make([]seedStoreRMW, len(pieces))
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
 		s := &stores[obj]
@@ -169,13 +171,16 @@ func (r *Register) Read(h *dsys.ClientHandle) (value.Value, error) {
 func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.Timestamp, error) {
 	h.BeginOp(dsys.OpRead)
 	defer h.EndOp()
+	// Every attempt gathers its read set in one buffer, on the stack while it
+	// holds at most 16 chunks.
+	var onStack [16]register.Chunk
 	for attempt := 0; attempt < DefaultReadRetryBudget; attempt++ {
 		resp, err := readRound(h, r.cfg)
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err
 		}
 		committed := register.ZeroTS
-		var chunks []register.Chunk
+		chunks := onStack[:0]
 		for obj := 0; obj < r.cfg.N(); obj++ {
 			raw := resp[obj]
 			if raw == nil {

@@ -107,11 +107,16 @@ func AnswerChunks(dst []Chunk, lists ...[]Chunk) []Chunk {
 
 // ChunkRefs converts chunks to storage-accounting references.
 func ChunkRefs(chunks []Chunk) []dsys.BlockRef {
-	out := make([]dsys.BlockRef, len(chunks))
-	for i, c := range chunks {
-		out[i] = c.Ref()
+	return AppendChunkRefs(make([]dsys.BlockRef, 0, len(chunks)), chunks)
+}
+
+// AppendChunkRefs appends the chunks' storage-accounting references to dst: a
+// writer lists what it holds (dsys.ClientHandle.SetLocalBlocks) on its stack.
+func AppendChunkRefs(dst []dsys.BlockRef, chunks []Chunk) []dsys.BlockRef {
+	for _, c := range chunks {
+		dst = append(dst, c.Ref())
 	}
-	return out
+	return dst
 }
 
 // Config describes a register emulation instance. The paper's resilience

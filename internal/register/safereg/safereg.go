@@ -108,7 +108,8 @@ func (r *Register[F]) Write(h *dsys.ClientHandle, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(held(r.cfg, pieces))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(held(refs[:0], r.cfg, pieces))
 
 	// Round 1: read timestamps.
 	resp, err := readRound[F](h, r.cfg)
@@ -132,13 +133,14 @@ func (r *Register[F]) Write(h *dsys.ClientHandle, v value.Value) error {
 	return updateRound[F](h, r.cfg, pieces)
 }
 
-// held is what a writer keeps of its value while the write runs: at k = 1
-// every piece is the whole value, so one replica; otherwise every piece.
-func held(cfg register.Config, pieces []register.Chunk) []dsys.BlockRef {
+// held appends to dst what a writer keeps of its value while the write runs:
+// at k = 1 every piece is the whole value, so one replica; otherwise every
+// piece.
+func held(dst []dsys.BlockRef, cfg register.Config, pieces []register.Chunk) []dsys.BlockRef {
 	if cfg.K == 1 {
 		pieces = pieces[:1]
 	}
-	return register.ChunkRefs(pieces)
+	return register.AppendChunkRefs(dst, pieces)
 }
 
 // readRound asks every object for its piece and waits for n-f. The round's
@@ -170,7 +172,8 @@ func (r *Register[F]) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	h.SetLocalBlocks(held(r.cfg, pieces))
+	var refs [32]dsys.BlockRef
+	h.SetLocalBlocks(held(refs[:0], r.cfg, pieces))
 	return updateRound[F](h, r.cfg, pieces)
 }
 
@@ -193,7 +196,9 @@ func (r *Register[F]) ReadTimestamped(h *dsys.ClientHandle) (value.Value, regist
 	if err != nil {
 		return value.Value{}, register.ZeroTS, err
 	}
-	var chunks []register.Chunk
+	// The read set is on the stack while it holds at most 16 chunks.
+	var onStack [16]register.Chunk
+	chunks := onStack[:0]
 	for obj := 0; obj < r.cfg.N(); obj++ {
 		if raw := resp[obj]; raw != nil {
 			chunks = append(chunks, *raw.(*register.Chunk))

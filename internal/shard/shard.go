@@ -331,9 +331,11 @@ func (s *Set) writeValue(client int, sh *Shard, v value.Value, tc trace.Context)
 	if b := s.Batcher(sh.Name); b != nil {
 		return b.writeTraced(v, tc)
 	}
-	return s.runTraced(client, sh, tc, func(h *dsys.ClientHandle) error {
-		return sh.Reg.Write(h, v)
-	})
+	op := soloOps.Get().(*soloOp)
+	op.sh, op.v = sh, v
+	err := s.runTraced(client, sh, tc, op.write)
+	op.put()
+	return err
 }
 
 // ReadValue performs a register read on the given shard, through the shard's
@@ -351,13 +353,42 @@ func (s *Set) readValue(client int, sh *Shard, tc trace.Context) (value.Value, e
 	if b := s.Batcher(sh.Name); b != nil {
 		return b.readTraced(tc)
 	}
-	var got value.Value
-	err := s.runTraced(client, sh, tc, func(h *dsys.ClientHandle) error {
-		var err error
-		got, err = sh.Reg.Read(h)
-		return err
-	})
+	op := soloOps.Get().(*soloOp)
+	op.sh = sh
+	err := s.runTraced(client, sh, tc, op.read)
+	got := op.got
+	op.put()
 	return got, err
+}
+
+// soloOp is an unbatched operation's round, what a batch lane keeps for its
+// own (lane.round): its write and read functions are bound to the op once,
+// when the pool makes it, so an operation hands RunScoped no closure of its
+// own. RunScoped returns only after the function has, in either mode, so an
+// op goes back to the pool with nothing still running on it.
+type soloOp struct {
+	sh    *Shard
+	v     value.Value // the value to write
+	got   value.Value // what the read returned
+	write func(h *dsys.ClientHandle) error
+	read  func(h *dsys.ClientHandle) error
+}
+
+// soloOps holds ops whose shard and values are cleared.
+var soloOps = sync.Pool{New: func() any {
+	op := new(soloOp)
+	op.write = func(h *dsys.ClientHandle) error { return op.sh.Reg.Write(h, op.v) }
+	op.read = func(h *dsys.ClientHandle) (err error) {
+		op.got, err = op.sh.Reg.Read(h)
+		return err
+	}
+	return op
+}}
+
+// put clears the op, so that the pool pins no shard or value, and returns it.
+func (op *soloOp) put() {
+	op.sh, op.v, op.got = nil, value.Value{}, value.Value{}
+	soloOps.Put(op)
 }
 
 // ReadRef performs a read against routes acquired from the set's router

@@ -252,6 +252,10 @@ const roundAllocsParent = 5
 // drop a quarter of what is put back (race_test.go).
 var poolDropAllocs = 0.0
 
+// opPoolDropAllocs is poolDropAllocs for a whole remote operation, whose
+// rounds borrow from pools on both sides of the wire for every request.
+var opPoolDropAllocs = 0.0
+
 // resultMap is where resultMapAllocs leaves its maps, so that they escape as
 // a round's do.
 var resultMap map[int]any
@@ -671,64 +675,117 @@ func BenchmarkInvokeRound(b *testing.B) {
 	}
 }
 
+// remoteShapes are the shapes of the remote-operation ladder row and pins:
+// tcp-small's — 1 KiB values, f = 1, k = 2 — where a write is a few round
+// trips of small frames, and tcp-large's — 64 KiB values, f = 2, k = 4 —
+// where it is the code and the copies. write and read are what
+// TestRemoteOperationAllocations lets an operation allocate, client and
+// server together, and the parent fields what this build's parent measured.
+var remoteShapes = []struct {
+	name                    string
+	f, k, size              int
+	write, read             float64
+	writeParent, readParent int
+}{
+	{"1KiB-f1-k2", 1, 2, 1 << 10, 15, 5, 17, 10},
+	{"64KiB-f2-k4", 2, 4, 64 << 10, 21, 11, 23, 19},
+}
+
+// openRemoteAdaptive serves an adaptive shard of the given shape over
+// loopback TCP from this process and returns the remote set that talks to it
+// and a written value; both sides close when tb ends.
+func openRemoteAdaptive(tb testing.TB, f, k, size int) (*shard.Set, value.Value) {
+	tb.Helper()
+	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: f, K: k, DataLen: size}}}
+	backing, err := shard.New(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(backing.Close)
+	srv := NewServer(backing.Cluster())
+	tb.Cleanup(func() { _ = srv.Close() })
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cli, err := Dial([]string{addr.String()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rs, err := shard.NewRemote(specs, cli) // closes cli
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(rs.Close)
+	v := value.Sequenced(1, 1, size)
+	if err := rs.WriteValue(1, rs.Shards()[0], v); err != nil { // dial, and leave a value to read
+		tb.Fatal(err)
+	}
+	return rs, v
+}
+
+// TestRemoteOperationAllocations pins what one quiescent adaptive write and
+// read through shard.NewRemote allocate over loopback TCP, both sides of the
+// wire counted, at BenchmarkAdaptiveOverTCP's two shapes. A write keeps the
+// value's blocks, the nodes' copies of the pieces they store, its rounds'
+// RMW arrays and result maps. A read keeps its round's RMW array and result
+// map, the oracle's block list and the value, and at 64 KiB the frame of each
+// answer that carries a piece, too large for the client's slab. Neither
+// builds a closure per operation (the shard layer's pooled op), a read's
+// answers decode into the round's header windows, its reconstruction inverts
+// no matrix the code has inverted before, and a write lists its held blocks
+// on its stack. A change that moves a count must say why.
+func TestRemoteOperationAllocations(t *testing.T) {
+	for _, shape := range remoteShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			rs, v := openRemoteAdaptive(t, shape.f, shape.k, shape.size)
+			sh := rs.Shards()[0]
+			write := func() {
+				if err := rs.WriteValue(1, sh, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := func() {
+				if _, err := rs.ReadValue(2, sh); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read()
+			if got, want := testing.AllocsPerRun(300, write), shape.write+opPoolDropAllocs; got > want {
+				t.Errorf("a remote write allocates %.1f times, want at most %.0f (its parent measured %d)", got, want, shape.writeParent)
+			}
+			if got, want := testing.AllocsPerRun(300, read), shape.read+opPoolDropAllocs; got > want {
+				t.Errorf("a remote read allocates %.1f times, want at most %.0f (its parent measured %d)", got, want, shape.readParent)
+			}
+		})
+	}
+}
+
 // BenchmarkAdaptiveOverTCP is the ladder's whole-operation row: one adaptive
 // write or read through shard.NewRemote over loopback TCP, one client and one
 // server hosting every object in one process, so B/op and allocs/op count both
-// sides of the wire. It runs at two shapes: tcp-small's — 1 KiB values,
-// f = 1, k = 2 — where a write is a few round trips of small frames, and
-// tcp-large's — 64 KiB values, f = 2, k = 4 — where it is the code and the
-// copies. The register is quiescent: a write is the query and update rounds
-// it waits for, and a GC round it posts; a read is one round.
+// sides of the wire, at remoteShapes. The register is quiescent: a write is
+// the query and update rounds it waits for, and a GC round it posts; a read
+// is one round.
 func BenchmarkAdaptiveOverTCP(b *testing.B) {
-	for _, shape := range []struct {
-		name       string
-		f, k, size int
-	}{
-		{"1KiB-f1-k2", 1, 2, 1 << 10},
-		{"64KiB-f2-k4", 2, 4, 64 << 10},
-	} {
-		specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: shape.f, K: shape.k, DataLen: shape.size}}}
-		backing, err := shard.New(specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := NewServer(backing.Cluster())
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cli, err := Dial([]string{addr.String()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := shard.NewRemote(specs, cli) // closes cli
-		if err != nil {
-			b.Fatal(err)
-		}
-		sh, v := rs.Shards()[0], value.Sequenced(1, 1, shape.size)
-		for _, bc := range []struct {
-			name string
-			op   func() error
-		}{
-			{"write", func() error { return rs.WriteValue(1, sh, v) }},
-			{"read", func() error { _, err := rs.ReadValue(2, sh); return err }},
-		} {
-			b.Run(bc.name+"/"+shape.name, func(b *testing.B) {
-				if err := bc.op(); err != nil { // dial, and leave a written value to read
-					b.Fatal(err)
+	for _, shape := range remoteShapes {
+		for _, op := range []string{"write", "read"} {
+			b.Run(op+"/"+shape.name, func(b *testing.B) {
+				rs, v := openRemoteAdaptive(b, shape.f, shape.k, shape.size)
+				sh := rs.Shards()[0]
+				do := func() error { return rs.WriteValue(1, sh, v) }
+				if op == "read" {
+					do = func() error { _, err := rs.ReadValue(2, sh); return err }
 				}
 				b.SetBytes(int64(shape.size))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := bc.op(); err != nil {
+					if err := do(); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
-		rs.Close()
-		_ = srv.Close()
-		backing.Close()
 	}
 }
