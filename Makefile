@@ -113,8 +113,10 @@ fmt-check:
 # a split, a drain and a merge mid-traffic and check the stitched (and
 # pruned-branch) cross-epoch histories for regularity (safety for safereg),
 # and every quiesced run's regions against the quiescent space bound
-# (Theorem 2's final clause; DESIGN.md "The quiescent space clause"). Fails
-# with a replayable report in sim-failures.txt.
+# (Theorem 2's final clause; DESIGN.md "The quiescent space clause"), and
+# every operation whose client survives must complete (wait-freedom or
+# FW-termination; DESIGN.md "Simulation & checking"). Fails with a
+# replayable report in sim-failures.txt.
 sim-smoke:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) -sim-out sim-failures.txt
 

@@ -88,17 +88,18 @@ func TestOperationAllocations(t *testing.T) {
 // what this build's parent measured. An unbatched operation hands its round
 // a function the shard layer binds once (a pooled op), a write lists the
 // blocks it holds on its stack, and every provider's read gathers its read
-// set on its stack. ecreg's read answers copy each object's piece list.
+// set on its stack. A quiescent object answers a read round into a window of
+// one header beside its RMW (ecreg's write opens with such a round too).
 var unbatchedOpAllocs = []struct {
 	algorithm               Algorithm
 	k                       int
 	write, read             float64
 	writeParent, readParent int
 }{
-	{Adaptive, 2, 12, 4, 14, 6},
-	{Replication, 1, 10, 4, 12, 10},
-	{ErasureCoded, 2, 18, 10, 20, 16},
-	{Safe, 2, 11, 4, 13, 10},
+	{Adaptive, 2, 12, 4, 12, 4},
+	{Replication, 1, 10, 4, 10, 4},
+	{ErasureCoded, 2, 12, 4, 18, 10},
+	{Safe, 2, 11, 4, 11, 4},
 }
 
 // poolDropAllocs is what an unbatched operation may allocate beyond its pin

@@ -2,8 +2,9 @@
 // analytic results (see DESIGN.md E1-E8) and prints each result as a table,
 // or — with -sim — explores seeded adversarial fault schedules against every
 // register provider with the deterministic simulator and checks the recorded
-// histories against the paper's consistency conditions and the storage each
-// quiesced run leaves against the quiescent space bound.
+// histories against the paper's consistency conditions, every operation's end
+// against its liveness condition, and the storage each quiesced run leaves
+// against the quiescent space bound.
 //
 // Usage:
 //
@@ -241,8 +242,8 @@ func simSweep(providers []string, shards, clients, ops int, reconfig sim.Reconfi
 
 // runSim sweeps the configuration matrix over the seed range, prints one
 // verdict line per configuration, and fails (after writing the replayable
-// failure report) if any seed violated its consistency condition or the
-// quiescent space bound.
+// failure report) if any seed violated its consistency condition, its
+// liveness condition or the quiescent space bound.
 func runSim(c *cliConfig, out io.Writer) error {
 	if c.seeds < 1 {
 		return fmt.Errorf("-seeds must be at least 1")
@@ -284,7 +285,7 @@ func runSim(c *cliConfig, out io.Writer) error {
 		fmt.Fprintf(out, "failure report written to %s\n", c.simOut)
 	}
 	fmt.Fprint(out, report.String())
-	return fmt.Errorf("%d seeds violated their consistency condition or the quiescent space bound", len(failures))
+	return fmt.Errorf("%d seeds violated their consistency condition, their liveness condition or the quiescent space bound", len(failures))
 }
 
 // runClient dials a spacenode cluster, runs the sharded workload over the

@@ -31,9 +31,11 @@ func init() {
 			return nil
 		},
 		DecodeResp: func(sent dsys.RMW, payload []byte) (any, error) {
+			// The headers land in the list the round gave the RMW, its window
+			// of one (readRound): a quiescent object's answer allocates none.
 			r := register.NewWireReader(payload)
 			rr := &register.Reuse[readRMW](sent).resp
-			*rr = readResp{CommittedTS: r.TS(), Pieces: r.ChunksAlias()}
+			*rr = readResp{CommittedTS: r.TS(), Pieces: r.ChunksAliasAppend(rr.Pieces[:0])}
 			if err := r.Finish(); err != nil {
 				return nil, err
 			}

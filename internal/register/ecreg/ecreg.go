@@ -115,10 +115,19 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 
 // readRound collects every object's pieces and committed timestamp and waits
 // for n-f. The round's RMWs come from one array, and each answer rides in its
-// RMW.
+// RMW. An object answers with the headers of the pieces it holds — one, when
+// it is quiescent — into a window of one header beside its RMW, so only an
+// object that holds more allocates a list. In process the object's Apply
+// fills it; over a wire the client decodes the answer into it.
 func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
-	reads := make([]readRMW, cfg.N())
-	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
+	reads := make([]struct {
+		rmw  readRMW
+		head [1]register.Chunk
+	}, cfg.N())
+	for obj := range reads {
+		reads[obj].rmw.resp.Pieces = reads[obj].head[:0]
+	}
+	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj].rmw }, cfg.Quorum())
 }
 
 // commitRound commits ts on every object and waits for n-f. The round's RMWs

@@ -226,7 +226,7 @@ func (r *Router) TryAcquireWrite(client int, key string) (ref *Route, held bool,
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, false, fmt.Errorf("shard: router closed")
+		return nil, false, ErrRouterClosed
 	}
 	e := r.resolveLocked(key)
 	if e.state == RouteSeeding {
@@ -246,7 +246,7 @@ func (r *Router) AwaitAcquireWrite(client int, key string) (*Route, error) {
 	defer r.mu.Unlock()
 	for {
 		if r.closed {
-			return nil, fmt.Errorf("shard: router closed")
+			return nil, ErrRouterClosed
 		}
 		e := r.resolveLocked(key)
 		if e.state != RouteSeeding {
@@ -284,7 +284,7 @@ func (r *Router) AcquireRead(client int, key string) (ref, fb *Route, err error)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, nil, fmt.Errorf("shard: router closed")
+		return nil, nil, ErrRouterClosed
 	}
 	e, via := r.resolvePathLocked(key)
 	e.readPins[client]++
@@ -332,7 +332,7 @@ func (r *Router) InstallSuccessors(name string, succs []*Shard) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return 0, fmt.Errorf("shard: router closed")
+		return 0, ErrRouterClosed
 	}
 	e, ok := r.byName[name]
 	switch {
@@ -373,7 +373,7 @@ func (r *Router) InstallMergeSuccessor(a, b string, succ *Shard) (int64, error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return 0, fmt.Errorf("shard: router closed")
+		return 0, ErrRouterClosed
 	}
 	if a == b {
 		return 0, fmt.Errorf("shard: cannot merge shard %q with itself", a)

@@ -38,6 +38,10 @@ import (
 // operations naming a shard that does not exist.
 var ErrUnknownShard = errors.New("shard: unknown shard")
 
+// ErrRouterClosed is returned by the router's acquires once the set has
+// closed it (the cluster closed with it).
+var ErrRouterClosed = errors.New("shard: router closed")
+
 // Spec describes one named shard: which register emulation backs it (a
 // provider name from internal/register) and its configuration.
 type Spec struct {

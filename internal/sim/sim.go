@@ -3,12 +3,19 @@
 // with a PRNG-derived adversarial policy — randomly delaying and reordering
 // pending RMWs, crashing clients mid-round, and suspending or crashing up to
 // f base objects per shard — while recording every invocation and response
-// into an operation history stamped with the scheduler's logical clock. After
-// the run, each shard's history is checked against the consistency condition
-// its emulation claims (strong regularity for the regular registers, strong
-// safety for the safe register, linearizability for configurations known to
-// be atomic), and a failing run auto-shrinks its history to a minimal
-// violating sub-history.
+// into an operation history stamped with the scheduler's logical clock. Every
+// client task runs workload.Program, the client program the live workload
+// runs too, on a handle over the whole cluster: it routes every operation
+// through the shard set's epoch-stamped table, reconfiguration plan or not
+// (without one, a client's keyspace is its home shard). After the run, each
+// shard's history is checked against the consistency condition its emulation
+// claims (strong regularity for the regular registers, strong safety for the
+// safe register, linearizability for configurations known to be atomic), and
+// a failing run auto-shrinks its history to a minimal violating sub-history.
+// An operation that fails while its client survives fails the run too, with
+// a liveness report naming the condition it breaks: wait-freedom, or
+// FW-termination, under which too every operation completes in a run with
+// finitely many writes, as every simulated run is.
 //
 // With a Reconfig plan, the simulator additionally drives dynamic
 // reconfiguration as first-class adversary decisions: the scheduling policy
@@ -16,9 +23,9 @@
 // when the migration controller crashes between migration steps
 // (KindCrashController), and when a standby controller takes the interrupted
 // move over and re-drives it from its step ledger (KindResumeController,
-// with a deterministic takeover backstop). The clients route every operation
-// through the epoch-stamped table (yield-retrying while a write's target is
-// still seeding), and each surviving shard's history is stitched across its
+// with a deterministic takeover backstop). A client's keyspace then roams the
+// shared keys (a write whose target is still seeding yields and retries),
+// and each surviving shard's history is stitched across its
 // migration lineage before checking; a merge's value-ordering loser becomes
 // a pruned branch, checked as its own terminated register. After the run the
 // simulator additionally asserts that reconfiguration resolved: no move left
@@ -35,9 +42,7 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 
@@ -48,6 +53,7 @@ import (
 	"spacebounds/internal/register"
 	"spacebounds/internal/shard"
 	"spacebounds/internal/value"
+	"spacebounds/internal/workload"
 )
 
 // ShardPlan configures one simulated shard.
@@ -204,6 +210,10 @@ type Result struct {
 	// SpaceViolations lists the regions whose storage at the end of a
 	// quiesced run broke the quiescent space clause (quiescentSpace).
 	SpaceViolations []string
+	// LivenessViolations lists the operations that failed, neither
+	// completed nor halted with their client, each with the liveness
+	// condition it breaks (livenessFor).
+	LivenessViolations []string
 	// FollowUpUpdates counts the (write, base object) pairs at which a fourth
 	// RMW of the write took effect. Only an adaptive write that ran its
 	// follow-up update round sends an object four (query, piece-only update,
@@ -239,10 +249,11 @@ func (r *Result) Unresolved() []reconfig.MoveState {
 }
 
 // Failed reports whether any checked condition was violated, a route was
-// left mid-lifecycle, a move was left unresolved, or a region broke the
-// quiescent space clause.
+// left mid-lifecycle, a move was left unresolved, a region broke the
+// quiescent space clause, or an operation failed.
 func (r *Result) Failed() bool {
-	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0 || len(r.SpaceViolations) > 0
+	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0 ||
+		len(r.SpaceViolations) > 0 || len(r.LivenessViolations) > 0
 }
 
 // conditionFor maps a provider to the consistency condition its emulation
@@ -253,6 +264,20 @@ func conditionFor(provider string) (string, func(*history.History) error) {
 		return "strong safety", history.CheckStrongSafety
 	}
 	return "strong regularity", history.CheckStrongRegularity
+}
+
+// livenessFor names the liveness condition a provider's emulation claims
+// (§2): abd and the Appendix E register are wait-free; the adaptive
+// algorithm and the coded baseline are FW-terminating — a write is
+// wait-free, and a read completes in any run with finitely many writes. A
+// simulated run invokes finitely many, so under either condition every
+// operation whose client survives completes, and a read starved past its
+// retry budget breaks the condition as surely as any other error.
+func livenessFor(provider string) string {
+	if provider == "abd" || provider == "safereg" {
+		return "wait-freedom"
+	}
+	return "FW-termination"
 }
 
 // clientStride spaces the client IDs of consecutive shards. Run rejects
@@ -323,27 +348,42 @@ func Run(cfg Config) (*Result, error) {
 		recorders.For(sh.Name)
 	}
 
-	var completedOps atomic.Int64
 	var doneClients atomic.Int64
 	totalClients := cfg.Clients * len(cfg.Shards)
 	co := reconfig.NewCoordinator(set)
 
+	// Every client runs the client program on a handle over the whole
+	// cluster and routes every operation: with a reconfiguration plan its
+	// home shard may be split, merged or drained under it mid-run. Without
+	// one its keyspace is its home shard alone. A failed operation fails the
+	// run; it was routed (only a closed router refuses a route), so its
+	// report names the shard and the condition it breaks. Tasks run one at a
+	// time, under the run token, so the list needs no lock.
+	var liveness []string
+	ended := func(e workload.End) {
+		if e.Outcome == workload.Failed {
+			liveness = append(liveness, fmt.Sprintf("%s (%s) client %d op %d %v: %v: breaks %s",
+				e.Shard.Name, e.Shard.Algorithm, e.Client, e.Index, e.Kind, e.Err, livenessFor(e.Shard.Algorithm)))
+		}
+	}
 	// Spawn every client before Start so tickets — and therefore the whole
-	// schedule — are assigned deterministically. Without a reconfig plan the
-	// clients are pinned to their home shard exactly as before; with one they
-	// route every operation, because their home shard may be split, merged or
-	// drained under them mid-run.
+	// schedule — are assigned deterministically.
 	var handles []*dsys.TaskHandle
 	for si, sh := range set.Shards() {
+		keys := []string{sh.Name}
+		if cfg.Reconfig.Enabled() {
+			// Favor the home shard but roam the shared keyspace, so splits
+			// re-partition real traffic.
+			keys = []string{sh.Name, sh.Name, "key-0", "key-1", "key-2", "key-3"}
+		}
+		prog := &workload.Program{Router: set.Router(), Recs: recorders, Keys: keys, ReadFraction: readFraction, Ended: ended}
 		for cl := 0; cl < cfg.Clients; cl++ {
 			id := clientID(si, cl)
-			if cfg.Reconfig.Enabled() {
-				handles = append(handles, cluster.SpawnScoped(id, 0, cluster.N(),
-					routedClientScript(cfg, set, recorders, &completedOps, &doneClients, id, sh.Name)))
-			} else {
-				handles = append(handles, cluster.SpawnScoped(id, sh.Base, sh.Span,
-					clientScript(cfg, sh.Reg, recorders.For(sh.Name), &completedOps, &doneClients, id)))
-			}
+			handles = append(handles, cluster.SpawnScoped(id, 0, cluster.N(), func(h *dsys.ClientHandle) error {
+				defer doneClients.Add(1)
+				prog.Run(workload.Controlled(h), id, cfg.OpsPerClient, cfg.Seed+int64(id)*1000003)
+				return nil
+			}))
 		}
 	}
 	var ctrl *controllerState
@@ -399,8 +439,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cluster.Close()
 	for _, h := range handles {
-		_ = h.Wait() // crashed clients report ErrHalted; that is their crash
+		_ = h.Wait() // a client's task returns nothing; its ends went to prog
 	}
+	res.LivenessViolations = liveness
 	res.Moves = co.Ledger() // after Wait: interruption flags are settled
 
 	// One verdict per surviving leaf shard, its history stitched across its
@@ -432,127 +473,6 @@ func verdict(name, provider, cond string, lineage []string, h *history.History, 
 	return v
 }
 
-// clientScript builds one fixed-shard client task (the pre-reconfiguration
-// behavior): a deterministic per-client mix of writes of globally unique
-// values and reads, recorded in the shard's history. Operation errors (a read
-// starved by concurrent writes, a halted cluster after a crash) leave the
-// operation incomplete in the history, which is exactly how the checkers
-// treat an operation whose response never arrived.
-func clientScript(cfg Config, reg register.Register, rec *history.Recorder, completed, done *atomic.Int64, id int) func(*dsys.ClientHandle) error {
-	dataLen := reg.Config().DataLen
-	return func(h *dsys.ClientHandle) error {
-		defer done.Add(1)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*1000003))
-		seq := 0
-		for i := 0; i < cfg.OpsPerClient; i++ {
-			if rng.Float64() < readFraction {
-				op := rec.BeginRead(id)
-				v, err := reg.Read(h)
-				if err != nil {
-					if errors.Is(err, dsys.ErrHalted) {
-						return nil
-					}
-					continue
-				}
-				rec.EndRead(op, v)
-				completed.Add(1)
-			} else {
-				seq++
-				v := value.Sequenced(id, seq, dataLen)
-				op := rec.BeginWrite(id, v)
-				if err := reg.Write(h, v); err != nil {
-					if errors.Is(err, dsys.ErrHalted) {
-						return nil
-					}
-					continue
-				}
-				rec.EndWrite(op)
-				completed.Add(1)
-			}
-		}
-		return nil
-	}
-}
-
-// routedClientScript builds one routing client task for reconfiguration runs:
-// every operation resolves its key through the epoch-stamped table, pins the
-// route, and records its history on the shard it actually executed on. Writes
-// whose target is a still-seeding successor yield to the scheduler and retry
-// — the controlled-mode equivalent of the live path's blocking acquire.
-func routedClientScript(cfg Config, set *shard.Set, recs *history.Recorders, completed, done *atomic.Int64, id int, home string) func(*dsys.ClientHandle) error {
-	// Favor keys that route near the home shard but roam the shared keyspace,
-	// so splits re-partition real traffic.
-	keys := []string{home, home, "key-0", "key-1", "key-2", "key-3"}
-	return func(h *dsys.ClientHandle) error {
-		defer done.Add(1)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*1000003))
-		rt := set.Router()
-		seq := 0
-		for i := 0; i < cfg.OpsPerClient; i++ {
-			key := keys[rng.Intn(len(keys))]
-			if rng.Float64() < readFraction {
-				ref, fb, err := rt.AcquireRead(id, key)
-				if err != nil {
-					return nil // router closed with the cluster
-				}
-				fbName := ""
-				if fb != nil {
-					fbName = fb.Shard().Name
-				}
-				op := recs.BeginRead(id, 0, ref.Shard().Name, fbName)
-				v, fell, err := shard.ReadRouted(h, ref, fb)
-				rt.ReleaseRead(ref, fb, id)
-				if err != nil {
-					if errors.Is(err, dsys.ErrHalted) {
-						return nil
-					}
-					continue
-				}
-				op.EndRead(v, fell)
-				completed.Add(1)
-				continue
-			}
-			var ref *shard.Route
-			for {
-				r, held, err := rt.TryAcquireWrite(id, key)
-				if err != nil {
-					return nil
-				}
-				if !held {
-					ref = r
-					break
-				}
-				// The target is seeding: give the migration writer scheduler
-				// time and re-route (the next resolve may land on the opened
-				// successor).
-				if err := h.Yield(); err != nil {
-					return nil
-				}
-			}
-			sh := ref.Shard()
-			seq++
-			v := value.Sequenced(id, seq, sh.Reg.Config().DataLen)
-			// Invoked now, after the held-write yields: an operation is
-			// stamped once its route is pinned, on the scheduler's clock.
-			op := recs.BeginWrite(id, 0, sh.Name, v)
-			sub, err := h.Sub(sh.Base, sh.Span)
-			if err == nil {
-				err = sh.Reg.Write(sub, v)
-			}
-			rt.ReleaseWrite(ref, id)
-			if err != nil {
-				if errors.Is(err, dsys.ErrHalted) {
-					return nil
-				}
-				continue
-			}
-			op.EndWrite()
-			completed.Add(1)
-		}
-		return nil
-	}
-}
-
 // fingerprint hashes everything observable about the run: per-shard histories
 // (operations with their logical intervals and values), the fault schedule,
 // the reconfiguration schedule and full move ledger, the controller
@@ -574,6 +494,9 @@ func fingerprint(r *Result) string {
 	}
 	if len(r.SpaceViolations) > 0 {
 		fmt.Fprintf(h, "space %q\n", r.SpaceViolations)
+	}
+	if len(r.LivenessViolations) > 0 {
+		fmt.Fprintf(h, "liveness %q\n", r.LivenessViolations)
 	}
 	for _, v := range r.Verdicts {
 		fmt.Fprintf(h, "shard %s lineage %v condition %s err=%v\n", v.Shard, v.Lineage, v.Condition, v.Err)
@@ -651,6 +574,9 @@ func FormatFailure(r *Result) string {
 	}
 	for _, v := range r.SpaceViolations {
 		fmt.Fprintf(&b, "quiescent space bound violated: %s\n", v)
+	}
+	for _, v := range r.LivenessViolations {
+		fmt.Fprintf(&b, "operation failed: %s\n", v)
 	}
 	for _, v := range r.Violations() {
 		fmt.Fprintf(&b, "shard %s (%s) violates %s: %v\n", v.Shard, v.Provider, v.Condition, v.Err)

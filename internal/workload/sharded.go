@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -151,87 +150,6 @@ func (r *ShardedResult) CheckRegularity() error {
 // KeyName returns the i-th key of the sharded workload's keyspace.
 func KeyName(i int) string { return fmt.Sprintf("key-%d", i) }
 
-// tally accumulates one logical client's results. Open-loop clients complete
-// operations from many goroutines, so updates are mutex-guarded.
-type tally struct {
-	mu                          sync.Mutex
-	writes, reads, werrs, rerrs int
-	perShard                    map[string]int
-}
-
-// runShardedOp performs one read or write against the set and records it in
-// the history recorders and the tally. The route is acquired first so the
-// operation is attributed (and its history recorded) on the shard it actually
-// runs on — during a migration that is the current epoch's target, and reads
-// transparently consult both epochs. Writes derive a globally unique value
-// from (client, seq).
-//
-// The invocation is stamped before the route is acquired — the operation is
-// invoked when its caller asks, not once its route is pinned: a read that
-// pins a route, is descheduled across a split and then reads the drained
-// register has been running all along, and stamped any later it would seem
-// to skip the successors' first writes.
-func runShardedOp(set *shard.Set, recs *history.Recorders, t *tally, completed *atomic.Int64, client int, key string, isRead bool, seq int) {
-	invoked := recs.Now()
-	rt := set.Router()
-	if isRead {
-		ref, fb, err := rt.AcquireRead(client, key)
-		if err != nil {
-			t.mu.Lock()
-			t.rerrs++
-			t.mu.Unlock()
-			return
-		}
-		name, fbName := ref.Shard().Name, ""
-		if fb != nil {
-			fbName = fb.Shard().Name
-		}
-		op := recs.BeginRead(client, invoked, name, fbName)
-		v, fell, err := set.ReadRef(client, ref, fb)
-		rt.ReleaseRead(ref, fb, client)
-		if err != nil {
-			t.mu.Lock()
-			t.rerrs++
-			t.mu.Unlock()
-			return
-		}
-		op.EndRead(v, fell)
-		if fell {
-			name = fbName
-		}
-		completed.Add(1)
-		t.mu.Lock()
-		t.reads++
-		t.perShard[name]++
-		t.mu.Unlock()
-		return
-	}
-	ref, err := rt.AwaitAcquireWrite(client, key)
-	if err != nil {
-		t.mu.Lock()
-		t.werrs++
-		t.mu.Unlock()
-		return
-	}
-	sh := ref.Shard()
-	v := value.Sequenced(client, seq, sh.Reg.Config().DataLen)
-	op := recs.BeginWrite(client, invoked, sh.Name, v)
-	err = set.WriteValue(client, sh, v)
-	rt.ReleaseWrite(ref, client)
-	if err != nil {
-		t.mu.Lock()
-		t.werrs++
-		t.mu.Unlock()
-		return
-	}
-	op.EndWrite()
-	completed.Add(1)
-	t.mu.Lock()
-	t.writes++
-	t.perShard[sh.Name]++
-	t.mu.Unlock()
-}
-
 // runReconfigSchedule fires the spec's moves as their completed-op thresholds
 // are crossed. Moves whose thresholds the workload never reaches are applied
 // after it ends (on a quiet set), so the schedule always completes. It
@@ -257,11 +175,34 @@ func runReconfigSchedule(spec ShardedSpec, completed *atomic.Int64, workloadDone
 	return applied
 }
 
+// count adds one operation's end to the result: an operation that did not
+// complete, halted or failed, is an error; a completed one counts on the
+// shard that answered it.
+func (r *ShardedResult) count(e End) {
+	switch {
+	case e.Outcome != Completed && e.Kind == history.Read:
+		r.ReadErrors++
+	case e.Outcome != Completed:
+		r.WriteErrors++
+	case e.Kind == history.Read:
+		r.CompletedReads++
+		r.PerShardOps[e.Shard.Name]++
+	default:
+		r.CompletedWrites++
+		r.PerShardOps[e.Shard.Name]++
+	}
+}
+
 // RunSharded executes the workload against the shard set on its live path:
-// every client runs in its own goroutine and operations on different shards
-// proceed without shared locks. Client IDs start at 1. Scheduled
-// reconfiguration moves fire as their thresholds are crossed, with the
-// workload running throughout.
+// each client runs the client Program in its own goroutine on the set's live
+// engine, and operations on different shards share no lock but the one that
+// counts their ends. Client IDs start at 1. A closed-loop client is
+// Program.Run; an open-loop client draws its operations the same way and
+// dispatches each through the program's one-operation function under a
+// virtual client ID. Scheduled reconfiguration moves fire as their
+// thresholds are crossed, with the workload running throughout. An
+// operation that did not complete counts in WriteErrors or ReadErrors: a
+// live run closes nothing mid-run, so none of them merely halted.
 func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	spec, err := spec.Validate()
 	if err != nil {
@@ -282,52 +223,47 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 		}()
 	}
 
-	tallies := make([]tally, spec.Clients)
+	keys := make([]string, spec.Keys)
+	for i := range keys {
+		keys[i] = KeyName(i)
+	}
+	res := &ShardedResult{PerShardOps: make(map[string]int)}
+	var mu sync.Mutex
+	prog := &Program{Router: set.Router(), Recs: recs, Keys: keys, ZipfS: spec.ZipfS, ReadFraction: spec.ReadFraction,
+		Ended: func(e End) {
+			if e.Outcome == Completed {
+				completed.Add(1)
+			}
+			mu.Lock()
+			res.count(e)
+			mu.Unlock()
+		}}
+	eng := live{set}
 	var wg sync.WaitGroup
 	for cl := 1; cl <= spec.Clients; cl++ {
-		cl := cl
-		t := &tallies[cl-1]
-		t.perShard = make(map[string]int)
+		seed := spec.Seed + int64(cl)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(spec.Seed + int64(cl)))
-			var zipf *rand.Zipf
-			if spec.ZipfS > 1 && spec.Keys > 1 {
-				zipf = rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.Keys-1))
+			if spec.ArrivalRate <= 0 {
+				prog.Run(eng, cl, spec.OpsPerClient, seed)
+				return
 			}
-			var interval time.Duration
-			if spec.ArrivalRate > 0 {
-				interval = time.Duration(float64(time.Second) / spec.ArrivalRate)
-			}
+			// Open loop: dispatch on the arrival schedule without waiting
+			// for completion. Every in-flight operation runs under its own
+			// virtual client ID (the (cl, op) pair flattened), keeping write
+			// timestamps collision-free even though one logical client now
+			// has many outstanding operations.
+			interval := time.Duration(float64(time.Second) / spec.ArrivalRate)
+			draw := prog.draws(seed)
 			var inflight sync.WaitGroup
 			next := time.Now()
-			seq := 0
 			for op := 0; op < spec.OpsPerClient; op++ {
-				var idx int
-				if zipf != nil {
-					idx = int(zipf.Uint64())
-				} else {
-					idx = rng.Intn(spec.Keys)
-				}
-				key := KeyName(idx)
-				isRead := rng.Float64() < spec.ReadFraction
-				if spec.ArrivalRate <= 0 {
-					// Closed loop: issue, wait, issue.
-					seq++
-					runShardedOp(set, recs, t, &completed, cl, key, isRead, seq)
-					continue
-				}
-				// Open loop: dispatch on the arrival schedule without waiting
-				// for completion. Every in-flight operation runs under its own
-				// virtual client ID (the (cl, op) pair flattened), keeping
-				// write timestamps collision-free even though one logical
-				// client now has many outstanding operations.
-				vclient := cl*spec.OpsPerClient + op
+				key, read := draw()
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
-					runShardedOp(set, recs, t, &completed, vclient, key, isRead, 1)
+					prog.runOp(eng, cl*spec.OpsPerClient+op, op, key, read, 1)
 				}()
 				next = next.Add(interval)
 				if d := time.Until(next); d > 0 {
@@ -340,20 +276,9 @@ func RunSharded(set *shard.Set, spec ShardedSpec) (*ShardedResult, error) {
 	wg.Wait()
 	close(workloadDone)
 
-	res := &ShardedResult{PerShardOps: make(map[string]int)}
 	if len(spec.Reconfig) > 0 {
 		res.Reconfigs = <-reconfigDone
 		res.ReconfigStats = spec.Coordinator.Stats()
-	}
-	for i := range tallies {
-		t := &tallies[i]
-		res.CompletedWrites += t.writes
-		res.CompletedReads += t.reads
-		res.WriteErrors += t.werrs
-		res.ReadErrors += t.rerrs
-		for name, n := range t.perShard {
-			res.PerShardOps[name] += n
-		}
 	}
 	if spec.RecordHistory {
 		res.Histories = make(map[string]*history.History)

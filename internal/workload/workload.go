@@ -138,22 +138,17 @@ func Run(reg register.Register, spec Spec) (*Result, error) {
 	res.Steps = cluster.Steps()
 	res.QuiescentBaseObjectBits = final.BaseObjectBits
 	res.MaxTotalBits, res.MaxBaseObjectBits = cluster.PeakStorage()
-	res.CompletedWrites = len(completedOfKind(res.History, history.Write))
-	res.CompletedReads = len(res.History.CompletedReads())
+	for _, op := range res.History.Ops {
+		switch {
+		case op.Completed() && op.Kind == history.Write:
+			res.CompletedWrites++
+		case op.Completed():
+			res.CompletedReads++
+		}
+	}
 	res.WriteErrors = spec.Writers*spec.WritesPerWriter - res.CompletedWrites
 	res.ReadErrors = spec.Readers*spec.ReadsPerReader - res.CompletedReads
 	return res, nil
-}
-
-// completedOfKind returns the completed operations of the given kind.
-func completedOfKind(h *history.History, kind history.OpKind) []*history.Op {
-	var out []*history.Op
-	for _, op := range h.Ops {
-		if op.Kind == kind && op.Completed() {
-			out = append(out, op)
-		}
-	}
-	return out
 }
 
 // joinOrStuck waits for all tasks to finish; if the run becomes stuck first
@@ -166,7 +161,9 @@ func joinOrStuck(cluster *dsys.Cluster, tasks []*dsys.TaskHandle) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		waitAll(tasks)
+		for _, t := range tasks {
+			_ = t.Wait() // a task returns nothing: Run counts ends from the history
+		}
 	}()
 	stuck := make(chan struct{}, 1)
 	go func() {
@@ -187,21 +184,15 @@ func spawnWriters(cluster *dsys.Cluster, reg register.Register, rec *history.Rec
 	cfg := reg.Config()
 	tasks := make([]*dsys.TaskHandle, 0, spec.Writers)
 	for w := 1; w <= spec.Writers; w++ {
-		w := w
 		tasks = append(tasks, cluster.Spawn(w, func(h *dsys.ClientHandle) error {
-			var firstErr error
 			for seq := 1; seq <= spec.WritesPerWriter; seq++ {
 				v := WriterValue(cfg, w, seq)
 				op := rec.BeginWrite(w, v)
-				if err := reg.Write(h, v); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
+				if reg.Write(h, v) == nil {
+					rec.EndWrite(op)
 				}
-				rec.EndWrite(op)
 			}
-			return firstErr
+			return nil
 		}))
 	}
 	return tasks
@@ -214,31 +205,14 @@ func spawnReaders(cluster *dsys.Cluster, reg register.Register, rec *history.Rec
 	for r := 1; r <= spec.Readers; r++ {
 		client := 1000 + r
 		tasks = append(tasks, cluster.Spawn(client, func(h *dsys.ClientHandle) error {
-			var firstErr error
 			for seq := 1; seq <= spec.ReadsPerReader; seq++ {
 				op := rec.BeginRead(client)
-				v, err := reg.Read(h)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
+				if v, err := reg.Read(h); err == nil {
+					rec.EndRead(op, v)
 				}
-				rec.EndRead(op, v)
 			}
-			return firstErr
+			return nil
 		}))
 	}
 	return tasks
-}
-
-// waitAll joins tasks and counts errors.
-func waitAll(tasks []*dsys.TaskHandle) int {
-	errs := 0
-	for _, t := range tasks {
-		if err := t.Wait(); err != nil {
-			errs++
-		}
-	}
-	return errs
 }
