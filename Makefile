@@ -112,8 +112,8 @@ fmt-check:
 # concurrent/sequential/reconfig/mixed configuration — the reconfig legs run
 # a split, a drain and a merge mid-traffic and check the stitched (and
 # pruned-branch) cross-epoch histories for regularity (safety for safereg),
-# and every quiesced run's regions against the quiescent space bound
-# (Theorem 2's final clause; DESIGN.md "The quiescent space clause"), and
+# and every region against the space bound at every step and at a quiesced
+# end (Theorem 2 and its final clause; DESIGN.md "The space rule"), and
 # every operation whose client survives must complete (wait-freedom or
 # FW-termination; DESIGN.md "Simulation & checking"). Fails with a
 # replayable report in sim-failures.txt.

@@ -3,8 +3,8 @@
 // or — with -sim — explores seeded adversarial fault schedules against every
 // register provider with the deterministic simulator and checks the recorded
 // histories against the paper's consistency conditions, every operation's end
-// against its liveness condition, and the storage each quiesced run leaves
-// against the quiescent space bound.
+// against its liveness condition, and the storage of every run, at every
+// step and once it quiesces, against the space bound.
 //
 // Usage:
 //
@@ -243,7 +243,7 @@ func simSweep(providers []string, shards, clients, ops int, reconfig sim.Reconfi
 // runSim sweeps the configuration matrix over the seed range, prints one
 // verdict line per configuration, and fails (after writing the replayable
 // failure report) if any seed violated its consistency condition, its
-// liveness condition or the quiescent space bound.
+// liveness condition or the space bound.
 func runSim(c *cliConfig, out io.Writer) error {
 	if c.seeds < 1 {
 		return fmt.Errorf("-seeds must be at least 1")
@@ -285,7 +285,7 @@ func runSim(c *cliConfig, out io.Writer) error {
 		fmt.Fprintf(out, "failure report written to %s\n", c.simOut)
 	}
 	fmt.Fprint(out, report.String())
-	return fmt.Errorf("%d seeds violated their consistency condition, their liveness condition or the quiescent space bound", len(failures))
+	return fmt.Errorf("%d seeds violated their consistency condition, their liveness condition or the space bound", len(failures))
 }
 
 // runClient dials a spacenode cluster, runs the sharded workload over the

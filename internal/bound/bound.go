@@ -1,7 +1,7 @@
 // Package bound holds every storage bound the program checks, in bits: the
 // piece D/k a base object stores, Theorem 1's floor, Theorem 2's ceiling for
-// the adaptive register and its quiescent clause, and the most one base
-// object of each register provider ever holds. The experiments, the
+// the adaptive register and its quiescent clause, and what the simulator's
+// space rule allows a region of each register provider. The experiments, the
 // simulator, the adversary and the tests read the bounds from here and
 // compute none of them themselves.
 package bound
@@ -38,20 +38,37 @@ func Floor(f, c, dBits, ellBits int) int {
 	return min(f+1, c) * min(ellBits, dBits-ellBits)
 }
 
-// Object returns, for the named register provider with writes recorded on
-// its register, the most one base object ever holds (ceiling) and the most
-// one write that never returned may leave at a live object (leftBehind):
+// Region returns the bits the space rule allows one region of the named
+// register provider, whose register has taken writes writes and which has
+// live non-crashed objects: at most ceiling at any one object, crashed or
+// not, and from least to most over the live objects together.
+//   - While writes run (quiesced false), c is the region's window c: most
+//     is Adaptive(cfg, c) for adaptive, live·ceiling for any other provider,
+//     and least is 0.
+//   - At quiescence, c counts the writes that never returned, each of which
+//     may leave left bits at a live object: least is live·D/k, Theorem 2's
+//     final clause, and most is live·min(D/k + c·left, ceiling).
+//
+// The ceiling and left, per provider:
 //   - adaptive: 2k·D/k (k pieces in Vp and a replica in Vf) and a replica;
 //   - ecreg: (writes+2)·D/k (a piece per value the register took: its initial
 //     value, a move's seed and each write) and a piece;
-//   - abd and safereg: one block, overwritten in place, and nothing.
-func Object(algorithm string, cfg register.Config, writes int) (ceiling, leftBehind int) {
+//   - abd, safereg and any other provider: one block, overwritten in place,
+//     and nothing.
+func Region(algorithm string, cfg register.Config, live, writes, c int, quiesced bool) (least, most, ceiling int) {
 	piece := Piece(cfg)
+	ceiling, left := piece, 0
 	switch algorithm {
 	case "adaptive":
-		return 2 * cfg.K * piece, cfg.K * piece
+		ceiling, left = 2*cfg.K*piece, cfg.K*piece
 	case "ecreg":
-		return (writes + 2) * piece, piece
+		ceiling, left = (writes+2)*piece, piece
 	}
-	return piece, 0
+	switch {
+	case quiesced:
+		return live * piece, live * min(piece+c*left, ceiling), ceiling
+	case algorithm == "adaptive":
+		return 0, Adaptive(cfg, c), ceiling
+	}
+	return 0, live * ceiling, ceiling
 }

@@ -68,6 +68,9 @@ func TestFloor(t *testing.T) {
 	}
 }
 
+// TestObject pins Region's per-object side: each provider's ceiling, and
+// what one write that never returned may leave at a live object, read off
+// the quiescent form of a one-object region with one such write.
 func TestObject(t *testing.T) {
 	coded := config(t, 1, 2, 1024)      // D/k = 4096 bits
 	replicated := config(t, 1, 1, 1024) // D = 8192 bits
@@ -80,11 +83,33 @@ func TestObject(t *testing.T) {
 		{"ecreg", coded, (3 + 2) * 4096, 4096},
 		{"safereg", coded, 4096, 0},
 		{"abd", replicated, 8192, 0},
+		{"planted", coded, 4096, 0}, // a provider the rule does not know: one block
 	} {
-		ceiling, leftBehind := bound.Object(tc.algorithm, tc.cfg, 3)
-		if ceiling != tc.ceiling || leftBehind != tc.leftBehind {
-			t.Errorf("%s after 3 writes: Object = (%d, %d) bits, want (%d, %d)",
-				tc.algorithm, ceiling, leftBehind, tc.ceiling, tc.leftBehind)
+		least, most, ceiling := bound.Region(tc.algorithm, tc.cfg, 1, 3, 1, true)
+		piece := bound.Piece(tc.cfg)
+		if ceiling != tc.ceiling || least != piece || most != min(piece+tc.leftBehind, tc.ceiling) {
+			t.Errorf("%s after 3 writes, one unreturned: Region = (%d, %d, %d) bits, want ceiling %d and left behind %d",
+				tc.algorithm, least, most, ceiling, tc.ceiling, tc.leftBehind)
+		}
+	}
+}
+
+// TestRegionWhileWritesRun: in flight, adaptive's live objects answer to
+// Theorem 2 at the window c, and every other provider's to its ceiling per
+// live object; nothing is owed below.
+func TestRegionWhileWritesRun(t *testing.T) {
+	cfg := config(t, 1, 2, 1024) // n = 4, D/k = 4096 bits
+	for _, tc := range []struct {
+		algorithm     string
+		live, c, most int
+	}{
+		{"adaptive", 4, 1, bound.Adaptive(cfg, 1)},
+		{"adaptive", 3, 2, bound.Adaptive(cfg, 2)}, // the plateau, crashed object or not
+		{"safereg", 3, 5, 3 * 4096},
+		{"ecreg", 4, 2, 4 * (3 + 2) * 4096},
+	} {
+		if least, most, _ := bound.Region(tc.algorithm, cfg, tc.live, 3, tc.c, false); least != 0 || most != tc.most {
+			t.Errorf("%s, %d live, c = %d: Region = (%d, %d), want (0, %d)", tc.algorithm, tc.live, tc.c, least, most, tc.most)
 		}
 	}
 }

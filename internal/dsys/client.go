@@ -36,6 +36,9 @@ type ClientHandle struct {
 	// to round, so a round allocates no result.
 	slots []any
 
+	// sub is the handle the last Sub re-scoped, kept for the next one.
+	sub *ClientHandle
+
 	currentOp OpID
 }
 
@@ -57,7 +60,8 @@ func (h *ClientHandle) ID() int { return h.id }
 // created: routing clients and the migration writer hold whole-cluster
 // handles precisely so they can follow reconfiguration. The derived handle is
 // region-scoped, shares the parent's task and must not be used concurrently
-// with it.
+// with it. The parent keeps one derived handle and re-scopes it, answer slots
+// and all, so a derived handle is valid until the parent's next Sub.
 func (h *ClientHandle) Sub(base, span int) (*ClientHandle, error) {
 	limit := h.span
 	if h.whole {
@@ -66,15 +70,19 @@ func (h *ClientHandle) Sub(base, span int) (*ClientHandle, error) {
 	if base < 0 || span < 1 || base+span > limit {
 		return nil, fmt.Errorf("%w: sub-scope [%d,%d)", ErrUnknownObject, base, base+span)
 	}
-	return &ClientHandle{c: h.c, id: h.id, task: h.task, base: h.base + base, span: span, ctx: h.ctx}, nil
+	if h.sub == nil {
+		h.sub = new(ClientHandle)
+	}
+	*h.sub = ClientHandle{c: h.c, id: h.id, task: h.task, base: h.base + base, span: span, ctx: h.ctx, slots: h.sub.slots}
+	return h.sub, nil
 }
 
 // WithContext returns a handle for the same client, task and scope whose
 // remote rounds are bounded by ctx: a transport-backed Invoke observes the
 // context's deadline and cancellation. The in-process engines are unaffected.
-// The derived handle shares the parent's task and answer slots and must not
-// be used concurrently with it: a round of either ends the validity of the
-// other's last answers.
+// The derived handle shares the parent's task, answer slots and kept Sub
+// handle, and must not be used concurrently with it: a round of either ends
+// the validity of the other's last answers.
 func (h *ClientHandle) WithContext(ctx context.Context) *ClientHandle {
 	dup := *h
 	dup.ctx = ctx

@@ -276,6 +276,12 @@ type Cluster struct {
 	// total and base-object bits any sample saw (PeakStorage). Guarded by mu.
 	peakTotal, peakBase int
 
+	// objectBits holds each base object's bits by ID, a retired object's 0,
+	// as the last walk summed them. A controlled cluster walks after every
+	// apply and every lifecycle change, so it is current at every scheduling
+	// point; the policy's View carries it. Guarded by mu.
+	objectBits []int
+
 	wg sync.WaitGroup
 }
 
@@ -312,6 +318,7 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	}
 	c.objsPtr.Store(&objects)
 	if o.mode == Controlled {
+		c.storageTotalsLocked()
 		c.wg.Add(1)
 		go c.coordinator()
 	}
@@ -382,6 +389,9 @@ func (c *Cluster) RetireObjects(base, span int) error {
 // the change to the event log at the step it was made.
 func (c *Cluster) changedLocked(kind EventKind, object int) {
 	c.idleReason = ""
+	if c.opts.mode == Controlled {
+		c.storageTotalsLocked()
+	}
 	step := c.steps
 	eventLog := c.opts.eventLog
 	c.mu.Unlock()
@@ -678,7 +688,8 @@ func (c *Cluster) RunScoped(clientID, base, span int, fn func(h *ClientHandle) e
 var liveHandles = sync.Pool{New: func() any { return new(ClientHandle) }}
 
 // putLiveHandle zeroes a handle — no cluster, context, answer or RMW an answer
-// points into stays reachable from it — and returns it to the pool.
+// points into stays reachable from it, nor the Sub handle it kept — and
+// returns it to the pool.
 func putLiveHandle(h *ClientHandle) {
 	slots := h.slots[:cap(h.slots)]
 	clear(slots)
@@ -729,13 +740,16 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 }
 
 // storageTotalsLocked sums the walk's bits without listing them: the total
-// Definition 2 charges and its base-object part. Callers must hold c.mu.
+// Definition 2 charges and its base-object part. It records each object's
+// part in objectBits. Callers must hold c.mu.
 func (c *Cluster) storageTotalsLocked() (total, base int) {
+	c.objectBits = append(c.objectBits[:0], make([]int, len(c.objs()))...)
 	c.walkStorageLocked(func(loc storagecost.Location, refs []BlockRef) {
 		for _, r := range refs {
 			total += r.Bits
 			if loc.Kind == storagecost.BaseObject {
 				base += r.Bits
+				c.objectBits[loc.ID] += r.Bits
 			}
 		}
 	})

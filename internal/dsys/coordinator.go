@@ -151,6 +151,7 @@ func (c *Cluster) buildViewLocked() *View {
 		Step:              c.steps,
 		OutstandingWrites: c.outstandingWritesLocked(),
 		Storage:           c.snapshotLocked,
+		ObjectBits:        c.objectBits,
 	}
 	objects := c.objs()
 	for i, p := range c.pending {

@@ -1,9 +1,10 @@
 package dsys
 
-// Residue reports what a handle still references: whether any field but its
-// answer slots is set, and how many of its slots, over their whole capacity,
-// hold an answer — and with it, the RMW the answer rides in. A handle that
-// RunScoped has put back in its pool references nothing.
+// Residue reports what a handle, and the Sub handle it keeps, still
+// reference: whether any field but their answer slots is set, and how many of
+// their slots, over their whole capacity, hold an answer — and with it, the
+// RMW the answer rides in. A handle that RunScoped has put back in its pool
+// references nothing.
 func Residue(h *ClientHandle) (fieldsSet bool, answers int) {
 	fieldsSet = h.c != nil || h.id != 0 || h.task != nil || h.base != 0 || h.span != 0 ||
 		h.whole || h.ctx != nil || h.currentOp != (OpID{})
@@ -11,6 +12,10 @@ func Residue(h *ClientHandle) (fieldsSet bool, answers int) {
 		if a != nil {
 			answers++
 		}
+	}
+	if h.sub != nil {
+		subSet, subAnswers := Residue(h.sub)
+		fieldsSet, answers = fieldsSet || subSet, answers+subAnswers
 	}
 	return fieldsSet, answers
 }

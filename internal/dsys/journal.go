@@ -164,6 +164,11 @@ func (c *Cluster) ReplayApply(id int, rmw RMW) (any, error) {
 	return r, nil
 }
 
+// ObjectRetired reports whether reconfiguration retired the base object.
+func (c *Cluster) ObjectRetired(id int) bool {
+	return id >= 0 && id < c.N() && c.objs()[id].retired.Load()
+}
+
 // ObjectDown reports whether the base object is currently crashed. The facade
 // uses it to decide whether a node restart needs a recovery replay first.
 func (c *Cluster) ObjectDown(id int) bool {

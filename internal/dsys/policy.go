@@ -53,6 +53,11 @@ type View struct {
 	// during Decide, which runs under the cluster's lock, and a policy that
 	// never calls it never pays for the sample.
 	Storage func() *storagecost.Snapshot
+	// ObjectBits holds each base object's bits by ID, a retired object's 0,
+	// from the walk that sampled the storage peaks after the last apply (or
+	// lifecycle change). It is the cluster's own slice: read-only, and valid
+	// only during Decide.
+	ObjectBits []int
 	// OutstandingWrites lists write operations that are invoked but not yet
 	// returned, in invocation order.
 	OutstandingWrites []oracle.WriteID
@@ -158,9 +163,12 @@ type RandomPolicy struct {
 var _ Policy = (*RandomPolicy)(nil)
 
 // NewRandomPolicy returns a RandomPolicy with the given seed.
-func NewRandomPolicy(seed int64) *RandomPolicy {
-	return &RandomPolicy{rng: rand.New(rand.NewSource(seed))}
-}
+func NewRandomPolicy(seed int64) *RandomPolicy { return RandomPolicyOn(rand.New(rand.NewSource(seed))) }
+
+// RandomPolicyOn returns a RandomPolicy that draws from rng, which its caller
+// may draw from as well: a policy that makes its own moves before the random
+// ones shares one generator with it, so one seed fixes the whole schedule.
+func RandomPolicyOn(rng *rand.Rand) *RandomPolicy { return &RandomPolicy{rng: rng} }
 
 // Decide implements Policy.
 func (p *RandomPolicy) Decide(v *View) Decision {

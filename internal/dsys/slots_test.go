@@ -97,10 +97,11 @@ func checkAnswers(t *testing.T, resp []any, base, down int) {
 // round reuses them, so a slot whose object answered the first round and was
 // down for the second must be empty after the second — the slot holds this
 // round's answer or none. The remote engine runs a scope at base 3 over a
-// loopback whose own rounds span the whole backing cluster of two regions. A
-// live handle, and the remote cluster's, goes back to RunScoped's pool when
-// the run returns, and there it references nothing: no cluster, context or
-// scope, and no answer or the RMW it rides in.
+// loopback whose own rounds span the whole backing cluster of two regions.
+// Sub re-scopes one handle the parent keeps. A live handle, and the remote
+// cluster's, goes back to RunScoped's pool when the run returns, and there
+// neither it nor its kept Sub handle references anything: no cluster, context
+// or scope, and no answer or the RMW it rides in.
 func TestAnswerSlotsBelongToTheRound(t *testing.T) {
 	const down = 1
 	for _, tc := range []struct {
@@ -147,6 +148,14 @@ func TestAnswerSlotsBelongToTheRound(t *testing.T) {
 				checkAnswers(t, second, base, down)
 				if len(first) > 0 && len(second) > 0 && &first[0] != &second[0] {
 					t.Error("the second round's answers are not in the slots of the first")
+				}
+				sub, err := h.Sub(0, regionSpan)
+				if err != nil {
+					return err
+				}
+				checkAnswers(t, readAll(t, sub, regionSpan-1), base, down)
+				if again, err := h.Sub(0, regionSpan); err != nil || again != sub {
+					t.Errorf("a second Sub made a new handle (%v), not the kept one re-scoped", err)
 				}
 				return nil
 			})

@@ -13,9 +13,10 @@ import (
 	"spacebounds/internal/workload"
 )
 
-// totalsPolicy is FairPolicy that, before every decision, compares the sums
-// the coordinator records into the peaks with a full snapshot's totals: the
-// one walk serves both, and this is where they must agree.
+// totalsPolicy is FairPolicy that, before every decision, compares what the
+// coordinator's walk recorded — the view's per-object bits and the sums it
+// keeps the peaks with — with a full snapshot: the one walk serves all of
+// them, and this is where they must agree.
 type totalsPolicy struct {
 	t     *testing.T
 	c     *dsys.Cluster
@@ -26,13 +27,79 @@ type totalsPolicy struct {
 
 func (p *totalsPolicy) Decide(v *dsys.View) dsys.Decision {
 	p.steps++
+	snap := v.Storage()
+	if len(v.ObjectBits) != p.c.N() && p.bad < 3 {
+		p.bad++
+		p.t.Errorf("%s, step %d: the view has the bits of %d objects, the cluster %d", p.name, v.Step, len(v.ObjectBits), p.c.N())
+	}
+	for id, bits := range v.ObjectBits {
+		if bits != snap.PerObjectBits[id] && p.bad < 3 {
+			p.bad++
+			p.t.Errorf("%s, step %d: the view has object %d at %d bits, the snapshot %d", p.name, v.Step, id, bits, snap.PerObjectBits[id])
+		}
+	}
 	total, base := dsys.StepTotals(p.c)
-	if snap := v.Storage(); (total != snap.TotalBits || base != snap.BaseObjectBits) && p.bad < 3 {
+	if (total != snap.TotalBits || base != snap.BaseObjectBits) && p.bad < 3 {
 		p.bad++
 		p.t.Errorf("%s, step %d: walk sums %d total / %d base bits, snapshot %d / %d",
 			p.name, v.Step, total, base, snap.TotalBits, snap.BaseObjectBits)
 	}
 	return dsys.FairPolicy{}.Decide(v)
+}
+
+// TestStepTotalsFollowTheObjectList: objects a reconfiguration adds count
+// their initial states, and retired ones nothing, from the first view after
+// the change, with no apply between. The client grows a second adaptive
+// region, writes it, retires the first region and writes again.
+func TestStepTotalsFollowTheObjectList(t *testing.T) {
+	cfg := register.Config{F: 1, K: 2, DataLen: 64}
+	var regs [2]*adaptive.Register
+	var states [2][]dsys.State
+	for i := range regs {
+		var err error
+		if regs[i], err = adaptive.New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if states[i], err = regs[i].InitialStates(value.Zero(cfg.DataLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := &totalsPolicy{t: t, name: "extend and retire"}
+	p.c = dsys.NewCluster(states[0], dsys.WithPolicy(p))
+	defer p.c.Close()
+	task := p.c.Spawn(1, func(h *dsys.ClientHandle) error {
+		if err := regs[0].Write(h, workload.WriterValue(cfg, 1, 1)); err != nil {
+			return err
+		}
+		base, err := p.c.ExtendObjects(states[1])
+		if err != nil {
+			return err
+		}
+		if err := h.Yield(); err != nil { // a view with the grown list and no apply since
+			return err
+		}
+		sub, err := h.Sub(base, len(states[1]))
+		if err != nil {
+			return err
+		}
+		if err := regs[1].Write(sub, workload.WriterValue(cfg, 1, 2)); err != nil {
+			return err
+		}
+		if err := p.c.RetireObjects(0, len(states[0])); err != nil {
+			return err
+		}
+		if err := h.Yield(); err != nil {
+			return err
+		}
+		return regs[1].Write(sub, workload.WriterValue(cfg, 1, 3))
+	})
+	p.c.Start()
+	if err := task.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if reason := p.c.WaitIdle(); reason != dsys.IdleQuiesced || p.steps == 0 {
+		t.Fatalf("run ended %s after %d steps", reason, p.steps)
+	}
 }
 
 // TestStepTotalsMatchTheSnapshot runs the workloads of E1–E3 — c writers of

@@ -683,29 +683,6 @@ func (r *Router) CheckedNames() []string {
 	return append(r.LeafNames(), r.PrunedBranches()...)
 }
 
-// Region is one shard's object region and fault budget, for adversaries that
-// must respect per-shard crash budgets as the topology changes.
-type Region struct {
-	Name       string
-	Base, Span int
-	F          int
-}
-
-// Regions returns the non-retired shards' regions in installation order.
-func (r *Router) Regions() []Region {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Region, 0, len(r.order))
-	for _, name := range r.order {
-		e := r.byName[name]
-		if e.state == RouteRetired {
-			continue
-		}
-		out = append(out, Region{Name: name, Base: e.sh.Base, Span: e.sh.Span, F: e.sh.Reg.Config().F})
-	}
-	return out
-}
-
 // close wakes all blocked acquirers with an error.
 func (r *Router) close() {
 	r.mu.Lock()

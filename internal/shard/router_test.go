@@ -357,8 +357,8 @@ func TestRouterSuccessorLifecycle(t *testing.T) {
 	if leaves := rt.LeafNames(); len(leaves) != 2 {
 		t.Fatalf("LeafNames = %v", leaves)
 	}
-	if regions := rt.Regions(); len(regions) != 3 {
-		t.Fatalf("Regions = %v", regions)
+	if shards := rt.Shards(); len(shards) != 3 {
+		t.Fatalf("Shards = %v", shards)
 	}
 	if lin := rt.Lineage("s0/0"); len(lin) != 2 || lin[0] != "s0" {
 		t.Fatalf("Lineage(s0/0) = %v", lin)

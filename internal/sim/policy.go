@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"spacebounds/internal/dsys"
+	"spacebounds/internal/shard"
 )
 
 // Sim-level policy decision kinds, layered above dsys's: with a reconfig
@@ -76,11 +77,6 @@ func (e FaultEvent) String() string {
 	return fmt.Sprintf("step %d: %s", e.Step, e.Kind)
 }
 
-// region is one shard's object range and fault budget.
-type region struct {
-	base, span, f int
-}
-
 // adversary is the seeded scheduling policy of the simulator: at every
 // scheduling point it either injects a fault (within the model's budgets),
 // makes a controller decision (release a reconfiguration move, crash the
@@ -88,15 +84,23 @@ type region struct {
 // random among the enabled moves — running a ready client or applying a
 // pending RMW on a responsive object. Random choice among enabled moves is
 // exactly the delay/reorder power the model's environment has over pending
-// RMWs. The policy is a deterministic function of its seed: replaying a seed
-// replays the schedule.
+// RMWs. Before each decision it holds every region to the space rule. The
+// policy is a deterministic function of its seed: replaying a seed replays
+// the schedule.
 type adversary struct {
 	rng *rand.Rand
-	// regions supplies the current shard layout; reconfiguration grows and
-	// retires regions mid-run, and the fault budget follows the topology. The
-	// callback is consulted at scheduling points only, so its answers are a
-	// pure function of the schedule.
-	regions func() []region
+	// moves makes the ordinary scheduling moves, drawing from rng.
+	moves *dsys.RandomPolicy
+	// router supplies the current shard layout; reconfiguration grows and
+	// retires regions mid-run, and the fault budget and the space rule follow
+	// the topology. shards is the router's listing at routing epoch epoch,
+	// read again when the epoch moves. The router is consulted at scheduling
+	// points only, so its answers are a pure function of the schedule.
+	router *shard.Router
+	epoch  int64
+	shards []*shard.Shard
+	// space is the space rule, checked at every scheduling point.
+	space spaceRule
 	// maxClientCrashes caps the generic client-crash move.
 	maxClientCrashes int
 	// crashController and resumeController are the controller-crash and
@@ -130,18 +134,21 @@ func newAdversary(seed int64, totalClients, controllerCrashes int) *adversary {
 		rng:              rand.New(rand.NewSource(seed)),
 		maxClientCrashes: totalClients / 3,
 		immortal:         make(map[int]bool),
+		space:            spaceRule{tallies: make(map[*shard.Shard]*regionSpace)},
 		crashed:          make(map[int]bool),
 		suspended:        make(map[int]bool),
 	}
+	a.moves = dsys.RandomPolicyOn(a.rng)
 	if controllerCrashes > 0 {
 		a.crashController, a.resumeController = crashControllerRate, resumeControllerRate
 	}
 	return a
 }
 
-// bind tells the adversary where to read the (possibly changing) shard
-// layout. It must be called before the cluster starts scheduling.
-func (a *adversary) bind(regions func() []region) { a.regions = regions }
+// bind tells the adversary the set it schedules: where to read the
+// (possibly changing) shard layout, and the cluster the space rule reads. It
+// must be called before the cluster starts scheduling.
+func (a *adversary) bind(set *shard.Set) { a.router, a.space.cluster = set.Router(), set.Cluster() }
 
 // bindController wires the controller coordination state and the in-flight
 // probe. It must be called before the cluster starts scheduling.
@@ -154,9 +161,9 @@ func (a *adversary) bindController(ctrl *controllerState, inFlight func() bool) 
 func (a *adversary) spare(client int) { a.immortal[client] = true }
 
 // faultedIn counts crashed plus suspended objects of one region.
-func (a *adversary) faultedIn(r region) int {
+func (a *adversary) faultedIn(sh *shard.Shard) int {
 	n := 0
-	for obj := r.base; obj < r.base+r.span; obj++ {
+	for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
 		if a.crashed[obj] || a.suspended[obj] {
 			n++
 		}
@@ -168,11 +175,11 @@ func (a *adversary) faultedIn(r region) int {
 // blowing a shard's fault budget, in ascending order.
 func (a *adversary) faultCandidates() []int {
 	var out []int
-	for _, r := range a.regions() {
-		if a.faultedIn(r) >= r.f {
+	for _, sh := range a.shards {
+		if a.faultedIn(sh) >= sh.Reg.Config().F {
 			continue
 		}
-		for obj := r.base; obj < r.base+r.span; obj++ {
+		for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
 			if !a.crashed[obj] && !a.suspended[obj] {
 				out = append(out, obj)
 			}
@@ -208,6 +215,13 @@ func clientAlive(v *dsys.View, client int) bool {
 
 // Decide implements dsys.Policy.
 func (a *adversary) Decide(v *dsys.View) dsys.Decision {
+	// Every change to the router's listing moves its epoch. The router takes
+	// none of the locks held across the cluster's, which Decide runs under.
+	if epoch := a.router.Epoch(); a.shards == nil || epoch != a.epoch {
+		a.epoch, a.shards = epoch, a.router.Shards()
+		a.space.relayout(a.shards)
+	}
+	a.space.step(v)
 	roll := a.rng.Float64()
 	// cum is a float64 variable, so each threshold below is summed in float64
 	// step by step, not folded exactly at compile time.
@@ -290,35 +304,20 @@ func (a *adversary) controllerDecision(v *dsys.View, roll float64) (dsys.Decisio
 
 // scheduleMove is the ordinary scheduling move: uniformly random among ready
 // clients and applicable pending RMWs — the random delay/reorder of the
-// environment.
+// environment, dsys.RandomPolicy's move, drawn from the adversary's
+// generator.
 func (a *adversary) scheduleMove(v *dsys.View) dsys.Decision {
-	type move struct {
-		kind   dsys.DecisionKind
-		index  int
-		ticket int64
+	if d := a.moves.Decide(v); d.Kind != dsys.KindStall {
+		return d
 	}
-	moves := make([]move, 0, len(v.Ready)+len(v.Pending))
-	for _, rc := range v.Ready {
-		moves = append(moves, move{kind: dsys.KindRun, ticket: rc.Ticket})
+	// Everything schedulable is behind a suspension: resume one object
+	// rather than pinning the run (the adversary must stay fair to correct
+	// processes for liveness-oriented exploration).
+	if sus := a.suspendedList(); len(sus) > 0 {
+		obj := sus[0]
+		delete(a.suspended, obj)
+		a.note(v.Step, dsys.EventResume, obj, -1)
+		return dsys.Decision{Kind: dsys.KindResumeObject, Object: obj}
 	}
-	for _, pd := range v.Pending {
-		if pd.ObjectCrashed || pd.ObjectSuspended || pd.ObjectRetired {
-			continue
-		}
-		moves = append(moves, move{kind: dsys.KindApply, index: pd.Index})
-	}
-	if len(moves) == 0 {
-		// Everything schedulable is behind a suspension: resume one object
-		// rather than pinning the run (the adversary must stay fair to
-		// correct processes for liveness-oriented exploration).
-		if sus := a.suspendedList(); len(sus) > 0 {
-			obj := sus[0]
-			delete(a.suspended, obj)
-			a.note(v.Step, dsys.EventResume, obj, -1)
-			return dsys.Decision{Kind: dsys.KindResumeObject, Object: obj}
-		}
-		return dsys.Decision{Kind: dsys.KindStall}
-	}
-	m := moves[a.rng.Intn(len(moves))]
-	return dsys.Decision{Kind: m.kind, PendingIndex: m.index, Ticket: m.ticket}
+	return dsys.Decision{Kind: dsys.KindStall}
 }

@@ -15,7 +15,11 @@
 // An operation that fails while its client survives fails the run too, with
 // a liveness report naming the condition it breaks: wait-freedom, or
 // FW-termination, under which too every operation completes in a run with
-// finitely many writes, as every simulated run is.
+// finitely many writes, as every simulated run is. So does a breach of the
+// space rule (space.go), which the adversary checks at every scheduling
+// step: the adaptive register's regions are held to Theorem 2 at their
+// window c, abd's and safereg's to one block per object, every object to its
+// provider's ceiling, and a quiesced run's regions to the quiescent cost.
 //
 // With a Reconfig plan, the simulator additionally drives dynamic
 // reconfiguration as first-class adversary decisions: the scheduling policy
@@ -207,8 +211,9 @@ type Result struct {
 	RouteLeaks []string
 	// Verdicts holds one entry per shard per checked condition.
 	Verdicts []ShardVerdict
-	// SpaceViolations lists the regions whose storage at the end of a
-	// quiesced run broke the quiescent space clause (quiescentSpace).
+	// SpaceViolations lists the breaches of the space rule (spaceRule): the
+	// first step at which each region broke its bound, then the regions
+	// whose storage at the end of a quiesced run broke the quiescent form.
 	SpaceViolations []string
 	// LivenessViolations lists the operations that failed, neither
 	// completed nor halted with their client, each with the liveness
@@ -250,7 +255,7 @@ func (r *Result) Unresolved() []reconfig.MoveState {
 
 // Failed reports whether any checked condition was violated, a route was
 // left mid-lifecycle, a move was left unresolved, a region broke the
-// quiescent space clause, or an operation failed.
+// space rule, or an operation failed.
 func (r *Result) Failed() bool {
 	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0 ||
 		len(r.SpaceViolations) > 0 || len(r.LivenessViolations) > 0
@@ -333,15 +338,8 @@ func Run(cfg Config) (*Result, error) {
 	defer cluster.Close()
 
 	// The adversary reads the (possibly changing) shard layout through the
-	// router, so its fault budget follows reconfiguration.
-	adv.bind(func() []region {
-		rr := set.Router().Regions()
-		out := make([]region, 0, len(rr))
-		for _, r := range rr {
-			out = append(out, region{base: r.Base, span: r.Span, f: r.F})
-		}
-		return out
-	})
+	// router, so its fault budget and the space rule follow reconfiguration.
+	adv.bind(set)
 
 	recorders := history.NewRecorders(cluster.LogicalTime)
 	for _, sh := range set.Shards() {
@@ -434,8 +432,9 @@ func Run(cfg Config) (*Result, error) {
 			res.RouteLeaks = append(res.RouteLeaks, leak)
 		}
 	}
+	res.SpaceViolations = adv.space.violations
 	if reason == dsys.IdleQuiesced {
-		res.SpaceViolations = quiescentSpace(set, recorders)
+		res.SpaceViolations = append(res.SpaceViolations, quiescentSpace(set, recorders)...)
 	}
 	cluster.Close()
 	for _, h := range handles {
@@ -573,7 +572,7 @@ func FormatFailure(r *Result) string {
 		fmt.Fprintf(&b, "move left unresolved at run end: %s\n", m)
 	}
 	for _, v := range r.SpaceViolations {
-		fmt.Fprintf(&b, "quiescent space bound violated: %s\n", v)
+		fmt.Fprintf(&b, "space bound violated: %s\n", v)
 	}
 	for _, v := range r.LivenessViolations {
 		fmt.Fprintf(&b, "operation failed: %s\n", v)

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"spacebounds/internal/bound"
 	"spacebounds/internal/dsys"
@@ -11,76 +11,179 @@ import (
 	"spacebounds/internal/value"
 )
 
-// quiescentSpace checks the storage a quiesced run leaves in every region
-// that still holds base objects: Theorem 2's final clause for the adaptive
-// register and its counterparts for the baselines. A retiring region counts
-// until its objects are retired. Per region, with D/k the piece size (D for
-// abd) and x the writes to it that never returned:
+// spaceRule is the simulator's one space rule: Theorem 2 for the adaptive
+// register, and its counterparts for the baselines, held at every scheduling
+// step of a run and, once the run quiesces, in the exact quiescent form
+// (quiescentSpace, its last step). judge applies both, with bound.Region's
+// bounds.
 //
-//   - its n_live non-crashed objects hold exactly n_live·D/k bits when x is
-//     0, and always for abd and safereg, which overwrite in place. A write
-//     whose client crashed mid-write leaves blocks no GC round will ever
-//     remove: ecreg a piece per object, so (x+1)·n_live·D/k at most, and
-//     adaptive a piece or, once its follow-up round was sent, a replica, so
-//     n_live·min(D/k + x·D, 2D) at most;
+// At every step the adversary hands it the view, whose ObjectBits are the
+// walk the coordinator made for the storage peaks after the last apply (or
+// lifecycle change), and the cluster tells which objects crashed. A
+// write is active while an RMW of it is pending, or while it is invoked and
+// has not returned, and it belongs to the region its RMWs go to. So a
+// crashed writer's write stays active, and so does a write whose straggler
+// GC is still pending after it returned. A region's window c is the most,
+// over its active writes, of the writes active in the region at once since
+// that write became active. Every region the router lists is then held, with
+// n_live its non-crashed objects:
+//   - adaptive: the live objects to bound.Adaptive at the window c;
+//   - abd, safereg and any provider the rule does not know: to n_live·D/k;
+//   - every object, crashed or not, to its provider's ceiling (ecreg's
+//     counts the writes the region has taken so far).
+//
+// The instantaneous c is too small: in adaptive sequential seed 276 a write's
+// replica waits in an object's Vf while an earlier write's straggler GC
+// keeps Vp full, and that GC lands, dropping c to 1, before the later
+// write's GC empties Vf. DESIGN.md ("The space rule") gives the reasons.
+//
+// The rule reports the first breach of each region. It reads state only and
+// draws nothing from the adversary's generator, so it moves no schedule.
+type spaceRule struct {
+	cluster    *dsys.Cluster
+	regions    []*regionSpace // the regions the router lists, in installation order
+	tallies    map[*shard.Shard]*regionSpace
+	writes     []activeWrite
+	violations []string // the breaches, in the order they were found
+}
+
+// regionSpace is one region's tally: its writes active at this step, its
+// window c, and every write it has taken.
+type regionSpace struct {
+	sh                     *shard.Shard
+	active, window, writes int
+	breached               bool
+}
+
+// activeWrite is one active write, the most writes active at once in its
+// region since it became active, and the last step that saw it active.
+type activeWrite struct {
+	op           dsys.OpID
+	region       *regionSpace
+	window, seen int
+}
+
+// relayout takes the router's listing of non-retired shards. A region the
+// router stops listing is retired for good and never checked again.
+func (r *spaceRule) relayout(shards []*shard.Shard) {
+	r.regions = r.regions[:0]
+	for _, sh := range shards {
+		if r.tallies[sh] == nil {
+			r.tallies[sh] = &regionSpace{sh: sh}
+		}
+		r.regions = append(r.regions, r.tallies[sh])
+	}
+}
+
+// step holds every listed region to its bound at one scheduling point.
+func (r *spaceRule) step(v *dsys.View) {
+	var w *activeWrite
+	for _, p := range v.Pending {
+		if p.Op.Kind != dsys.OpWrite {
+			continue
+		}
+		if w == nil || w.op != p.Op { // a round's RMWs are pending side by side
+			i := slices.IndexFunc(r.writes, func(a activeWrite) bool { return a.op == p.Op })
+			if i < 0 {
+				i, r.writes = len(r.writes), append(r.writes, activeWrite{op: p.Op})
+			}
+			w = &r.writes[i]
+		}
+		w.seen = v.Step
+		for i := 0; w.region == nil && i < len(r.regions); i++ {
+			if rs := r.regions[i]; p.Object >= rs.sh.Base && p.Object < rs.sh.Base+rs.sh.Span {
+				w.region, rs.writes = rs, rs.writes+1
+			}
+		}
+	}
+	for i := range r.writes {
+		if r.writes[i].seen != v.Step && slices.Contains(v.OutstandingWrites, r.writes[i].op.WriteID()) {
+			r.writes[i].seen = v.Step
+		}
+	}
+	for _, rs := range r.regions {
+		rs.active, rs.window = 0, 0
+	}
+	r.writes = slices.DeleteFunc(r.writes, func(w activeWrite) bool { return w.seen != v.Step || w.region == nil })
+	for _, w := range r.writes {
+		w.region.active++
+	}
+	for i := range r.writes {
+		w := &r.writes[i]
+		w.window = max(w.window, w.region.active)
+		w.region.window = max(w.region.window, w.window)
+	}
+	for _, rs := range r.regions {
+		if breach := judge(rs.sh, v.ObjectBits, r.cluster, rs.writes, rs.window, false); breach != "" && !rs.breached {
+			rs.breached = true
+			r.violations = append(r.violations, fmt.Sprintf("%s (%s) at step %d, c = %d: %s", rs.sh.Name, rs.sh.Algorithm, v.Step, rs.window, breach))
+		}
+	}
+}
+
+// judge holds one region, its objects holding bits by ID, to bound.Region:
+// every object, crashed or not, to its ceiling, and the live ones together to
+// the least and the most. It returns the first breach, or "".
+func judge(sh *shard.Shard, bits []int, cluster *dsys.Cluster, writes, c int, quiesced bool) string {
+	live, sum, top, at := 0, 0, 0, sh.Base
+	for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
+		if bits[obj] > top {
+			top, at = bits[obj], obj
+		}
+		if !cluster.ObjectDown(obj) {
+			live, sum = live+1, sum+bits[obj]
+		}
+	}
+	least, most, ceiling := bound.Region(sh.Algorithm, sh.Reg.Config(), live, writes, c, quiesced)
+	switch {
+	case top > ceiling && cluster.ObjectDown(at):
+		return fmt.Sprintf("crashed object %d holds %d bits, above its ceiling of %d", at, top, ceiling)
+	case top > ceiling:
+		return fmt.Sprintf("object %d holds %d bits, above its ceiling of %d", at, top, ceiling)
+	case sum < least || sum > most:
+		return fmt.Sprintf("%d live objects hold %d bits, want %d..%d", live, sum, least, most)
+	}
+	return ""
+}
+
+// quiescentSpace is the space rule's last step: the storage a quiesced run
+// leaves in every route's region whose objects are not retired (a region's
+// objects retire together), a retiring region included, read from one
+// storage sample. Per region, with D/k the piece size (D for abd), n_live its
+// non-crashed objects and x the writes recorded on it that never returned
+// (bound.Region at quiescence):
+//
+//   - its live objects hold exactly n_live·D/k bits when x is 0, and always
+//     for abd and safereg, which overwrite in place. A write whose client
+//     crashed mid-write leaves blocks no GC round will ever remove: ecreg a
+//     piece per object, and adaptive a piece or, once its follow-up round
+//     was sent, a replica, each object never more than its ceiling;
 //   - a crashed object is frozen, not quiescent: it keeps what it held when
-//     it crashed, and holds at most its register's per-object ceiling
-//     (bound.Object). Adaptive's is 2D, k pieces in Vp and a replica in Vf.
-//     ecreg's is a piece for every value the region ever took, because pure
-//     coding drops no piece of a write it has not seen committed. abd and
-//     safereg hold one block, overwritten in place.
-//
-// DESIGN.md ("The quiescent space clause") gives the reason for each
-// ceiling. The check reads state only and schedules nothing.
+//     it crashed, and holds at most its provider's ceiling.
 func quiescentSpace(set *shard.Set, recs *history.Recorders) []string {
 	cluster := set.Cluster()
+	bits := make([]int, cluster.N())
+	for obj, held := range cluster.SampleStorage().PerObjectBits {
+		bits[obj] = held
+	}
 	var out []string
 	for _, name := range set.Router().Names() {
 		sh := set.Shard(name)
-		cfg := sh.Reg.Config()
-		var writes, unreturned int
-		if rec := recs.Get(name); rec != nil {
-			for _, op := range rec.History(value.Zero(cfg.DataLen)).Ops {
-				if op.Kind == history.Write {
-					writes++
-					if !op.Completed() {
-						unreturned++
-					}
-				}
-			}
-		}
-		piece := bound.Piece(cfg)
-		ceiling, leftBehind := bound.Object(sh.Algorithm, cfg, writes)
-		live, bits := 0, 0
-		for obj := sh.Base; obj < sh.Base+sh.Span; obj++ {
-			held := 0
-			err := cluster.ReadObjectState(obj, func(s dsys.State) {
-				for _, b := range s.Blocks() {
-					held += b.Bits
-				}
-			})
-			switch {
-			case errors.Is(err, dsys.ErrRetiredObject):
-				continue
-			case err != nil:
-				out = append(out, fmt.Sprintf("%s: object %d: %v", name, obj, err))
-			case cluster.ObjectDown(obj):
-				if held > ceiling {
-					out = append(out, fmt.Sprintf("%s (%s): crashed object %d holds %d bits, above its ceiling of %d",
-						name, sh.Algorithm, obj, held, ceiling))
-				}
-			default:
-				live++
-				bits += held
-			}
-		}
-		if live == 0 {
+		if cluster.ObjectRetired(sh.Base) {
 			continue
 		}
-		want, most := live*piece, live*min(piece+unreturned*leftBehind, ceiling)
-		if bits < want || bits > most {
-			out = append(out, fmt.Sprintf("%s (%s): %d live objects hold %d bits at quiescence, want %d..%d (%d writes never returned)",
-				name, sh.Algorithm, live, bits, want, most, unreturned))
+		var writes []*history.Op
+		if rec := recs.Get(name); rec != nil {
+			writes = rec.History(value.Zero(sh.Reg.Config().DataLen)).Writes()
+		}
+		unreturned := 0
+		for _, op := range writes {
+			if !op.Completed() {
+				unreturned++
+			}
+		}
+		if breach := judge(sh, bits, cluster, len(writes), unreturned, true); breach != "" {
+			out = append(out, fmt.Sprintf("%s (%s): %s at quiescence (%d writes never returned)", name, sh.Algorithm, breach, unreturned))
 		}
 	}
 	return out
