@@ -32,21 +32,28 @@ type churn struct {
 	t        *testing.T
 	store    *Store
 	rng      *rand.Rand
-	progress func() int // operations completed so far
+	progress func() int // operations completed so far; nil when they call opDone
 
 	down              []int // nodes crashed and not yet restarted
 	crashes, restarts int
 
-	stop, done chan struct{}
-	halt       func()
+	ops         atomic.Int64  // operations that called opDone
+	mark, acted chan struct{} // opDone's handshake with the churn
+	stop, done  chan struct{}
+	halt        func()
 }
 
 // startChurn spends actions on s, the first at once and each further one
-// churnEvery completed operations (as progress counts them) after the last.
-// It reads progress every 20µs; the reading sets no pace, the count does.
+// churnEvery completed operations after the last. With a progress count, the
+// churn reads it every 20µs; the reading sets no pace, the count does, but a
+// busy machine may starve the reader until every operation has finished.
+// With a nil progress, the operations pace the churn themselves: each calls
+// opDone, and the one that completes a churnEvery mark waits until the churn
+// has spent its next action.
 func startChurn(t *testing.T, s *Store, seed int64, actions int, progress func() int) *churn {
 	c := &churn{
 		t: t, store: s, rng: rand.New(rand.NewSource(seed)), progress: progress,
+		mark: make(chan struct{}), acted: make(chan struct{}),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	c.halt = sync.OnceFunc(func() {
@@ -58,18 +65,53 @@ func startChurn(t *testing.T, s *Store, seed int64, actions int, progress func()
 	go func() {
 		defer close(c.done)
 		for actions--; actions > 0; actions-- {
-			for next := c.progress() + churnEvery; c.progress() < next; {
-				select {
-				case <-c.stop:
-					return
-				default:
-					time.Sleep(20 * time.Microsecond)
-				}
+			if !c.awaitMark() {
+				return
 			}
 			c.act()
+			if c.progress == nil {
+				c.acted <- struct{}{}
+			}
 		}
 	}()
 	return c
+}
+
+// awaitMark waits until churnEvery more operations have completed, and
+// reports false if the churn was stopped first.
+func (c *churn) awaitMark() bool {
+	if c.progress == nil {
+		select {
+		case <-c.mark:
+			return true
+		case <-c.stop:
+			return false
+		}
+	}
+	for next := c.progress() + churnEvery; c.progress() < next; {
+		select {
+		case <-c.stop:
+			return false
+		default:
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	return true
+}
+
+// opDone counts one completed operation of a churn started without a
+// progress count. The operation that completes a churnEvery mark hands the
+// churn its turn and returns once the action is spent, or at once when the
+// churn has spent its budget.
+func (c *churn) opDone() {
+	if c.ops.Add(1)%churnEvery != 0 {
+		return
+	}
+	select {
+	case c.mark <- struct{}{}:
+		<-c.acted
+	case <-c.done:
+	}
 }
 
 // act is one action: restart what is down, then crash one node.
@@ -153,7 +195,7 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	churn := startChurn(t, store, 7, 5, batchedOps(store))
+	churn := startChurn(t, store, 7, 5, nil)
 
 	// Sampler: Storage must be summation-consistent in every sample taken
 	// while batches commit and nodes crash mid-flight.
@@ -203,6 +245,7 @@ func TestBatchedStoreUnderCrashRestartChurn(t *testing.T) {
 						writes.Add(1)
 					}
 				}
+				churn.opDone()
 			}
 		}()
 	}

@@ -249,7 +249,9 @@ func (h *ClientHandle) dispatch(targets []int, makeRMW func(obj int) RMW, quorum
 // each answer is copied into its scope-local slot on the way back, so
 // region-scoped register code runs unchanged against a cluster hosted in other
 // processes. The translation allocates nothing: the global IDs, the round's
-// RMWs and the factory over them are a remoteRound's, borrowed for the round.
+// RMWs and the factory over them are a remoteRound's, borrowed for the round,
+// and the transport's result map goes back to RoundResult's pool once its
+// answers are in the slots.
 // makeRMW is called once per target before the transport sends anything, so it
 // is never kept, and the round's RMWs are cleared out of the remoteRound
 // before it goes back to the pool.
@@ -274,6 +276,7 @@ func (h *ClientHandle) invokeRemote(targets []int, makeRMW func(obj int) RMW, qu
 	for g, a := range got {
 		resp[g-h.base] = a
 	}
+	ReleaseRoundResult(got)
 	return resp, err
 }
 
@@ -299,28 +302,28 @@ var remoteRounds = sync.Pool{New: func() any {
 
 // invokeControlled registers pending RMWs and blocks until the scheduling
 // policy has applied a quorum of them and granted the client the run token
-// again.
+// again. The round's calls are its task's, kept from round to round, and its
+// pending RMWs are entries of the cluster's pending list, so the round
+// allocates nothing of its own.
 func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	c := h.c
 	t := h.task
 	c.mu.Lock()
-	calls := make([]*Call, 0, len(targets))
 	for _, obj := range targets {
 		rmw := makeRMW(obj)
-		call := &Call{Object: obj}
-		calls = append(calls, call)
-		c.pending = append(c.pending, &pendingRMW{
+		t.calls = append(t.calls, Call{Object: obj})
+		c.pending = append(c.pending, pendingRMW{
 			seq:    c.nextSeq,
 			object: h.base + obj,
 			op:     h.currentOp,
 			rmw:    rmw,
 			blocks: rmw.Blocks(),
-			call:   call,
 			owner:  t,
+			round:  t.round,
+			call:   len(t.calls) - 1,
 		})
 		c.nextSeq++
 	}
-	t.waitCalls = calls
 	t.waitNeed = quorum
 	t.state = taskBlocked
 	c.runningTask = nil
@@ -328,21 +331,30 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 	c.cond.Broadcast()
 	for t.state != taskRunning {
 		if c.halted {
-			t.waitCalls, t.waitNeed = nil, 0
+			t.endRound()
 			c.mu.Unlock()
 			c.cond.Broadcast()
 			return nil, ErrHalted
 		}
 		c.cond.Wait()
 	}
-	for _, call := range calls {
+	for _, call := range t.calls {
 		if call.Done {
 			resp[call.Object] = call.Response
 		}
 	}
-	t.waitCalls, t.waitNeed = nil, 0
+	t.endRound()
 	c.mu.Unlock()
 	return resp, nil
+}
+
+// endRound closes the task's round: its calls are emptied, answers and all,
+// for the next round, which gets the next number, so that no RMW of this one
+// still pending answers a call of it. Callers must hold the cluster's lock.
+func (t *clientTask) endRound() {
+	clear(t.calls)
+	t.calls, t.waitNeed = t.calls[:0], 0
+	t.round++
 }
 
 // invokeLive is the live-mode fast path: it applies the whole round of RMWs

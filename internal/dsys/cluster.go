@@ -2,6 +2,7 @@ package dsys
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,22 +96,30 @@ const (
 )
 
 type clientTask struct {
-	ticket    int64
-	client    int
-	state     taskState
-	crashed   bool // the scheduler crashed this client; it never runs again
-	waitCalls []*Call
-	waitNeed  int
+	ticket  int64
+	client  int
+	state   taskState
+	crashed bool // the scheduler crashed this client; it never runs again
+	// calls are the RMWs of the task's open round, by target, and waitNeed
+	// the quorum it waits for. The task keeps the array from round to round;
+	// round numbers the rounds, so an RMW still pending from a closed round
+	// answers no call of the open one (endRound).
+	calls    []Call
+	round    int64
+	waitNeed int
 }
 
+// pendingRMW is a triggered RMW that has not taken effect. The cluster keeps
+// them by value, in trigger order.
 type pendingRMW struct {
 	seq    int64
 	object int
 	op     OpID
 	rmw    RMW
 	blocks []BlockRef // rmw.Blocks(), taken once: parameters stay as triggered
-	call   *Call
 	owner  *clientTask
+	round  int64 // the owner's round that triggered it
+	call   int   // its index in the owner's calls during that round
 }
 
 type object struct {
@@ -236,16 +245,18 @@ type Cluster struct {
 	steps       int
 	nextSeq     int64
 	nextTicket  int64
-	pending     []*pendingRMW
+	pending     []pendingRMW
 	readyQ      []*clientTask
 	runningTask *clientTask
-	liveTasks   int
 
-	// tasks lists every controlled-mode client task in spawn order; the
-	// coordinator uses it to resolve KindCrashClient decisions against blocked
-	// tasks (which are reachable neither through readyQ nor through pending
-	// RMW ownership when their calls have all been applied).
+	// tasks lists every controlled-mode client task in spawn order, for
+	// CrashedClients. live lists those that have neither finished nor
+	// crashed, in spawn order: the View's clients, and the tasks a
+	// KindCrashClient decision may crash, blocked ones included (they are
+	// reachable neither through readyQ nor through pending RMW ownership when
+	// their calls have all been applied).
 	tasks []*clientTask
+	live  []*clientTask
 
 	// outstanding tracks invoked-but-unreturned high-level operations in
 	// invocation order. It is maintained only in controlled mode, where the
@@ -281,6 +292,11 @@ type Cluster struct {
 	// apply and every lifecycle change, so it is current at every scheduling
 	// point; the policy's View carries it. Guarded by mu.
 	objectBits []int
+
+	// walkBlocks is the buffer the walk lists each object's blocks into, and
+	// view the View the coordinator refills for every decision. Guarded by mu.
+	walkBlocks []BlockRef
+	view       View
 
 	wg sync.WaitGroup
 }
@@ -318,6 +334,7 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	}
 	c.objsPtr.Store(&objects)
 	if o.mode == Controlled {
+		c.view.Storage = c.snapshotLocked
 		c.storageTotalsLocked()
 		c.wg.Add(1)
 		go c.coordinator()
@@ -568,19 +585,18 @@ func (c *Cluster) CrashedClients() []int {
 // goroutine itself is released with ErrHalted when the cluster closes.
 // Callers must hold c.mu. It reports whether any task was crashed.
 func (c *Cluster) crashClientLocked(client int) bool {
-	hit := false
-	for _, t := range c.tasks {
-		if t.client != client || t.crashed || t.state == taskDone || t.state == taskRunning {
-			continue
+	n := len(c.live)
+	c.live = slices.DeleteFunc(c.live, func(t *clientTask) bool {
+		if t.client != client || t.state == taskRunning {
+			return false
 		}
 		if t.state == taskReady {
 			c.removeReadyLocked(t)
 		}
 		t.crashed = true
-		c.liveTasks--
-		hit = true
-	}
-	return hit
+		return true
+	})
+	return len(c.live) < n
 }
 
 // Spawn runs fn as a client task for the given client ID and returns a join
@@ -615,7 +631,7 @@ func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle)
 	c.nextTicket++
 	c.readyQ = append(c.readyQ, t)
 	c.tasks = append(c.tasks, t)
-	c.liveTasks++
+	c.live = append(c.live, t)
 	c.idleReason = ""
 	c.mu.Unlock()
 	c.cond.Broadcast()
@@ -634,9 +650,9 @@ func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle)
 			t.state = taskDone
 			if !t.crashed {
 				// Crashed tasks were already removed from the ready queue and
-				// subtracted from the live count at crash time.
+				// the live list at crash time.
 				c.removeReadyLocked(t)
-				c.liveTasks--
+				c.dropLiveLocked(t)
 			}
 			c.mu.Unlock()
 			c.cond.Broadcast()
@@ -653,7 +669,7 @@ func (c *Cluster) SpawnScoped(clientID, base, span int, fn func(h *ClientHandle)
 			c.runningTask = nil
 		}
 		if !t.crashed {
-			c.liveTasks--
+			c.dropLiveLocked(t)
 		}
 		c.mu.Unlock()
 		c.cond.Broadcast()
@@ -743,7 +759,9 @@ func (c *Cluster) snapshotLocked() *storagecost.Snapshot {
 // Definition 2 charges and its base-object part. It records each object's
 // part in objectBits. Callers must hold c.mu.
 func (c *Cluster) storageTotalsLocked() (total, base int) {
-	c.objectBits = append(c.objectBits[:0], make([]int, len(c.objs()))...)
+	n := len(c.objs())
+	c.objectBits = slices.Grow(c.objectBits[:0], n)[:n]
+	clear(c.objectBits)
 	c.walkStorageLocked(func(loc storagecost.Location, refs []BlockRef) {
 		for _, r := range refs {
 			total += r.Bits
@@ -771,16 +789,17 @@ func (c *Cluster) notePeakLocked(total, base int) {
 // apply lock and the stripe locks are taken one at a time underneath it, so a
 // live-mode walk never observes a state mid-Apply (the walk as a whole is
 // still advisory in live mode: objects are visited one after another while
-// operations may be in flight). visit must not keep refs or take locks.
+// operations may be in flight). Each object's blocks are listed into the
+// cluster's one buffer, so visit must not keep refs, nor take locks.
 func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []BlockRef)) {
 	for _, o := range c.objs() {
 		if o.retired.Load() {
 			continue
 		}
 		o.liveMu.Lock()
-		refs := o.state.Blocks()
+		c.walkBlocks = o.state.AppendBlocks(c.walkBlocks[:0])
 		o.liveMu.Unlock()
-		visit(storagecost.Location{Kind: storagecost.BaseObject, ID: o.id}, refs)
+		visit(storagecost.Location{Kind: storagecost.BaseObject, ID: o.id}, c.walkBlocks)
 	}
 	for i := range c.stripes {
 		st := &c.stripes[i]
@@ -792,21 +811,21 @@ func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []
 		}
 		st.mu.Unlock()
 	}
-	for _, p := range c.pending {
+	for i := range c.pending {
+		p := &c.pending[i]
 		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, p.blocks)
 	}
 }
 
-// outstandingWritesLocked returns outstanding write operations in invocation
-// order. Callers must hold c.mu.
-func (c *Cluster) outstandingWritesLocked() []oracle.WriteID {
-	var out []oracle.WriteID
+// appendOutstandingWritesLocked appends the outstanding write operations to
+// dst in invocation order. Callers must hold c.mu.
+func (c *Cluster) appendOutstandingWritesLocked(dst []oracle.WriteID) []oracle.WriteID {
 	for _, op := range c.outstanding {
 		if op.Kind == OpWrite {
-			out = append(out, op.WriteID())
+			dst = append(dst, op.WriteID())
 		}
 	}
-	return out
+	return dst
 }
 
 // OutstandingOps returns the currently outstanding high-level operations in
@@ -819,6 +838,13 @@ func (c *Cluster) OutstandingOps() []OpID {
 	out := make([]OpID, len(c.outstanding))
 	copy(out, c.outstanding)
 	return out
+}
+
+// dropLiveLocked removes a task that finished from the live list.
+func (c *Cluster) dropLiveLocked(t *clientTask) {
+	if i := slices.Index(c.live, t); i >= 0 {
+		c.live = slices.Delete(c.live, i, i+1)
+	}
 }
 
 func (c *Cluster) removeReadyLocked(t *clientTask) {

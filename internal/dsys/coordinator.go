@@ -1,6 +1,10 @@
 package dsys
 
-import "spacebounds/internal/trace"
+import (
+	"slices"
+
+	"spacebounds/internal/trace"
+)
 
 // coordinator is the controlled-mode scheduling loop. It runs while the
 // cluster is open and, whenever no client task holds the run token, asks the
@@ -22,7 +26,7 @@ func (c *Cluster) coordinator() {
 		}
 		if len(c.readyQ) == 0 && !c.hasApplicablePendingLocked() {
 			// Nothing the policy could schedule.
-			if c.liveTasks == 0 {
+			if len(c.live) == 0 {
 				c.idleReason = IdleQuiesced
 			} else {
 				// Clients exist but are all blocked on RMWs that can never be
@@ -126,8 +130,8 @@ func (c *Cluster) stallLocked() {
 // (neither crashed nor retired) object.
 func (c *Cluster) hasApplicablePendingLocked() bool {
 	objects := c.objs()
-	for _, p := range c.pending {
-		if !objects[p.object].down() {
+	for i := range c.pending {
+		if !objects[c.pending[i].object].down() {
 			return true
 		}
 	}
@@ -145,37 +149,38 @@ func (c *Cluster) takeReadyLocked(ticket int64) *clientTask {
 	return nil
 }
 
-// buildViewLocked assembles the policy's view of the system.
+// buildViewLocked refills the cluster's one View for the next decision: the
+// policy reads it only during Decide, so no list in it is allocated afresh.
 func (c *Cluster) buildViewLocked() *View {
-	v := &View{
-		Step:              c.steps,
-		OutstandingWrites: c.outstandingWritesLocked(),
-		Storage:           c.snapshotLocked,
-		ObjectBits:        c.objectBits,
-	}
+	v := &c.view
+	v.Step = c.steps
+	v.ObjectBits = c.objectBits
+	v.OutstandingWrites = c.appendOutstandingWritesLocked(v.OutstandingWrites[:0])
 	objects := c.objs()
-	for i, p := range c.pending {
+	v.Pending = v.Pending[:0]
+	for i := range c.pending {
+		p := &c.pending[i]
+		o := objects[p.object]
 		v.Pending = append(v.Pending, PendingView{
 			Index:           i,
 			Seq:             p.seq,
 			Object:          p.object,
-			ObjectCrashed:   objects[p.object].crashed.Load(),
-			ObjectSuspended: objects[p.object].suspended.Load(),
-			ObjectRetired:   objects[p.object].retired.Load(),
+			ObjectCrashed:   o.crashed.Load(),
+			ObjectSuspended: o.suspended.Load(),
+			ObjectRetired:   o.retired.Load(),
 			Client:          p.op.Client,
 			Op:              p.op,
 		})
 	}
+	v.Ready = v.Ready[:0]
 	for _, t := range c.readyQ {
 		v.Ready = append(v.Ready, ReadyClient{Ticket: t.ticket, Client: t.client})
 	}
-	seen := make(map[int]bool)
-	for _, t := range c.tasks {
-		if t.crashed || t.state == taskDone || seen[t.client] {
-			continue
+	v.Clients = v.Clients[:0]
+	for _, t := range c.live {
+		if !slices.Contains(v.Clients, t.client) {
+			v.Clients = append(v.Clients, t.client)
 		}
-		seen[t.client] = true
-		v.Clients = append(v.Clients, t.client)
 	}
 	return v
 }
@@ -186,32 +191,36 @@ func (c *Cluster) buildViewLocked() *View {
 // if its quorum is now satisfied.
 func (c *Cluster) applyPendingLocked(index int) {
 	p := c.pending[index]
-	c.pending = append(c.pending[:index], c.pending[index+1:]...)
+	c.pending = slices.Delete(c.pending, index, index+1)
 	resp, err := c.objs()[p.object].apply(c, p.rmw, trace.Context{}, false)
 	if err != nil {
 		// A policy should never pick a crashed or retired object; drop the RMW
 		// silently (it can never take effect).
 		return
 	}
-	p.call.Done = true
-	p.call.Response = resp
 	c.idleReason = ""
 	if c.opts.eventLog != nil {
 		c.emitEvent(Event{Step: c.steps, Kind: EventApply, Object: p.object, Client: p.op.Client, Op: p.op})
 	}
 	c.notePeakLocked(c.storageTotalsLocked())
-	if t := p.owner; t != nil && t.state == taskBlocked && !t.crashed {
-		done := 0
-		for _, call := range t.waitCalls {
-			if call.Done {
-				done++
+	// An RMW of a closed round of its owner answers nothing: that round has
+	// returned, and its owner waits, if at all, on a later one.
+	if t := p.owner; t != nil && p.round == t.round {
+		t.calls[p.call].Done = true
+		t.calls[p.call].Response = resp
+		if t.state == taskBlocked && !t.crashed {
+			done := 0
+			for i := range t.calls {
+				if t.calls[i].Done {
+					done++
+				}
 			}
-		}
-		if done >= t.waitNeed {
-			t.state = taskReady
-			t.ticket = c.nextTicket
-			c.nextTicket++
-			c.readyQ = append(c.readyQ, t)
+			if done >= t.waitNeed {
+				t.state = taskReady
+				t.ticket = c.nextTicket
+				c.nextTicket++
+				c.readyQ = append(c.readyQ, t)
+			}
 		}
 	}
 	c.cond.Broadcast()

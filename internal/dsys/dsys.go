@@ -35,11 +35,14 @@ type BlockRef struct {
 	Bits   int
 }
 
-// State is the algorithm-specific state of a base object. Implementations
-// must report every code block they currently store; meta-data (timestamps,
-// counters) is not reported and therefore not charged, per Definition 2.
+// State is the algorithm-specific state of a base object. AppendBlocks
+// appends every code block the state currently stores to dst and returns the
+// extended slice; meta-data (timestamps, counters) is not reported and
+// therefore not charged, per Definition 2. The cluster walks every state at
+// every controlled scheduling step, into one buffer it keeps, so a state that
+// only appends costs the walk no allocation.
 type State interface {
-	Blocks() []BlockRef
+	AppendBlocks(dst []BlockRef) []BlockRef
 }
 
 // RMW is a read-modify-write operation on a base object. Apply runs

@@ -17,12 +17,10 @@ type testState struct {
 	blocks  []BlockRef
 }
 
-func (s *testState) Blocks() []BlockRef {
+func (s *testState) AppendBlocks(dst []BlockRef) []BlockRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]BlockRef, len(s.blocks))
-	copy(out, s.blocks)
-	return out
+	return append(dst, s.blocks...)
 }
 
 // addBlockRMW appends a block of a given size and bumps the counter.

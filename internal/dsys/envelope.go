@@ -433,13 +433,16 @@ func (c *cursor) finish() error {
 // It is the seam a remote cluster plugs a transport into: the in-process
 // engines satisfy it trivially, and the TCP transport implements it by
 // shipping envelopes. The returned map is keyed by global object ID and is
-// the caller's to keep or change. Implementations may return a partial map
-// together with an error (wrapping ErrQuorumUnavailable) when fewer than
-// quorum objects answered. targets and makeRMW are lent for the call: an
-// implementation reads the one and calls the other before it returns, and
-// keeps neither. An answer may come back in the RMW makeRMW returned for its
-// object — a read's answer slot, as Apply fills it in process — so the RMWs
-// of one round are distinct.
+// the caller's: it may keep or change it, or hand it to ReleaseRoundResult
+// once it has read the answers — the remote engine does, as it copies them
+// into its slots — so an implementation keeps no reference to it after
+// returning. It takes the map from RoundResult. Implementations may return a
+// partial map together with an error (wrapping ErrQuorumUnavailable) when
+// fewer than quorum objects answered. targets and makeRMW are lent for the
+// call: an implementation reads the one and calls the other before it
+// returns, and keeps neither. An answer may come back in the RMW makeRMW
+// returned for its object — a read's answer slot, as Apply fills it in
+// process — so the RMWs of one round are distinct.
 //
 // A round whose RMWs are of a posted kind (the codec registry's Posted: an
 // answer nobody reads, whose loss leaves the object in a state it has passed

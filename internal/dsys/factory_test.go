@@ -27,17 +27,20 @@ var remotePoolDropAllocs float64
 
 // TestRoundFactoryStaysOnTheStack: no engine keeps a round's RMW factory, so
 // a register's factory literal is never moved to the heap. A round over RMWs
-// made beforehand then allocates nothing, on a live handle and on a
-// region-scoped handle of a remote cluster whose transport answers into a map
-// of its own.
+// made beforehand then allocates nothing: on a live handle, on a controlled
+// one (its calls are its task's and its pending RMWs entries of the
+// cluster's list, and the coordinator's steps allocate nothing), and on a
+// region-scoped handle of a remote cluster whose transport answers into a
+// map from RoundResult, which the engine releases.
 func TestRoundFactoryStaysOnTheStack(t *testing.T) {
 	const n, quorum = 5, 3
 	rmws := make([]slotRMW, n)
 	round := func(t *testing.T, h *ClientHandle, want float64) {
 		t.Helper()
 		allocs := testing.AllocsPerRun(100, func() {
+			// Error, not Fatal: a controlled handle runs on its task's goroutine.
 			if _, err := h.InvokeAll(func(obj int) RMW { return &rmws[obj] }, quorum); err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
 		})
 		if allocs > want {
@@ -51,9 +54,17 @@ func TestRoundFactoryStaysOnTheStack(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("controlled", func(t *testing.T) {
+		c := newTestCluster(n)
+		defer c.Close()
+		c.Start()
+		if err := c.RunScoped(1, 0, n, func(h *ClientHandle) error { round(t, h, 0); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("remote", func(t *testing.T) {
-		answers := make(map[int]any, n)
 		c := NewRemoteCluster(2*n, roundInvokerFunc(func(ctx context.Context, client int, targets []int, makeRMW func(obj int) RMW, quorum int) (map[int]any, error) {
+			answers := RoundResult()
 			for _, g := range targets {
 				answers[g] = makeRMW(g)
 			}

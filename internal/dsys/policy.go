@@ -41,7 +41,12 @@ type ReadyClient struct {
 	Client int
 }
 
-// View is the information a Policy sees at each scheduling point.
+// View is the information a Policy sees at each scheduling point. The
+// cluster keeps one View and refills it for every decision, so a View and
+// every list in it are valid only during the Decide call they are passed to:
+// a policy that needs something past its return copies it out. No policy in
+// this repository keeps one (FairPolicy, RandomPolicy, DelayObjectsPolicy,
+// the adversary Ad and the simulator's adversary).
 type View struct {
 	// Step counts scheduling decisions made so far.
 	Step int
@@ -157,7 +162,15 @@ func (FairPolicy) Decide(v *View) Decision {
 // reproducible, and it is fair with probability 1, which makes it the
 // scheduler of choice for randomized consistency testing.
 type RandomPolicy struct {
-	rng *rand.Rand
+	rng   *rand.Rand
+	moves []move // the enabled moves of the last decision, kept for the next
+}
+
+// move is one enabled move of a RandomPolicy decision.
+type move struct {
+	kind   DecisionKind
+	index  int
+	ticket int64
 }
 
 var _ Policy = (*RandomPolicy)(nil)
@@ -172,12 +185,7 @@ func RandomPolicyOn(rng *rand.Rand) *RandomPolicy { return &RandomPolicy{rng: rn
 
 // Decide implements Policy.
 func (p *RandomPolicy) Decide(v *View) Decision {
-	type move struct {
-		kind   DecisionKind
-		index  int
-		ticket int64
-	}
-	moves := make([]move, 0, len(v.Ready)+len(v.Pending))
+	moves := p.moves[:0]
 	for _, r := range v.Ready {
 		moves = append(moves, move{kind: KindRun, ticket: r.Ticket})
 	}
@@ -187,6 +195,7 @@ func (p *RandomPolicy) Decide(v *View) Decision {
 		}
 		moves = append(moves, move{kind: KindApply, index: pd.Index})
 	}
+	p.moves = moves
 	if len(moves) == 0 {
 		return Decision{Kind: KindStall}
 	}

@@ -3,6 +3,7 @@ package dsys
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"spacebounds/internal/trace"
 )
@@ -14,8 +15,8 @@ import (
 // charge is computed where the state actually lives.
 type emptyState struct{}
 
-// Blocks implements State.
-func (emptyState) Blocks() []BlockRef { return nil }
+// AppendBlocks implements State.
+func (emptyState) AppendBlocks(dst []BlockRef) []BlockRef { return dst }
 
 // NewRemoteCluster creates a client-side view of a cluster whose n base
 // objects are hosted elsewhere: every Invoke round is delegated to the given
@@ -41,6 +42,25 @@ func NewRemoteCluster(n int, inv RoundInvoker, opts ...Option) *Cluster {
 	c := NewCluster(states, append([]Option{WithLiveMode()}, opts...)...)
 	c.remote = inv
 	return c
+}
+
+// roundResults holds the result maps of answered remote rounds, empty, for
+// the next round to fill: a map keeps its buckets when it is cleared, so an
+// answered round allocates no result once the pool has one.
+var roundResults = sync.Pool{New: func() any { return make(map[int]any) }}
+
+// RoundResult returns an empty map for a RoundInvoker to return a round's
+// answers in.
+func RoundResult() map[int]any { return roundResults.Get().(map[int]any) }
+
+// ReleaseRoundResult empties a map RoundInvoker returned and gives it back to
+// RoundResult; the caller must not use it afterwards. A nil map is ignored.
+func ReleaseRoundResult(m map[int]any) {
+	if m == nil {
+		return
+	}
+	clear(m)
+	roundResults.Put(m)
 }
 
 // closeRemote shuts down the transport behind a remote cluster, if it owns

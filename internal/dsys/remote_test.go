@@ -36,8 +36,8 @@ func TestRemoteClusterDelegatesAndCloses(t *testing.T) {
 	}
 	// The placeholder states store no blocks: a remote cluster never charges
 	// Definition-2 storage locally.
-	if blocks := (emptyState{}).Blocks(); blocks != nil {
-		t.Fatalf("emptyState.Blocks = %v, want nil", blocks)
+	if blocks := (emptyState{}).AppendBlocks(nil); blocks != nil {
+		t.Fatalf("emptyState.AppendBlocks = %v, want nil", blocks)
 	}
 	c.Close()
 	if !inv.closed {

@@ -15,17 +15,10 @@ type objectState struct {
 
 var _ dsys.State = (*objectState)(nil)
 
-// Blocks implements dsys.State: every piece in Vp and Vf is charged;
+// AppendBlocks implements dsys.State: every piece in Vp and Vf is charged;
 // storedTS and the timestamps inside chunks are meta-data and are not.
-func (s *objectState) Blocks() []dsys.BlockRef {
-	refs := make([]dsys.BlockRef, 0, len(s.vp)+len(s.vf))
-	for _, c := range s.vp {
-		refs = append(refs, c.Ref())
-	}
-	for _, c := range s.vf {
-		refs = append(refs, c.Ref())
-	}
-	return refs
+func (s *objectState) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return register.AppendChunkRefs(register.AppendChunkRefs(dst, s.vp), s.vf)
 }
 
 // StoredTS exposes the object's storedTS for tests and experiments.

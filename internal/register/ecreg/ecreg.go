@@ -216,8 +216,10 @@ type objectState struct {
 
 var _ dsys.State = (*objectState)(nil)
 
-// Blocks implements dsys.State.
-func (s *objectState) Blocks() []dsys.BlockRef { return register.ChunkRefs(s.pieces) }
+// AppendBlocks implements dsys.State.
+func (s *objectState) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return register.AppendChunkRefs(dst, s.pieces)
+}
 
 // CommittedTS exposes the committed timestamp for tests.
 func (s *objectState) CommittedTS() register.Timestamp { return s.committedTS }

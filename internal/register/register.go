@@ -105,13 +105,10 @@ func AnswerChunks(dst []Chunk, lists ...[]Chunk) []Chunk {
 	return dst
 }
 
-// ChunkRefs converts chunks to storage-accounting references.
-func ChunkRefs(chunks []Chunk) []dsys.BlockRef {
-	return AppendChunkRefs(make([]dsys.BlockRef, 0, len(chunks)), chunks)
-}
-
 // AppendChunkRefs appends the chunks' storage-accounting references to dst: a
-// writer lists what it holds (dsys.ClientHandle.SetLocalBlocks) on its stack.
+// writer lists what it holds (dsys.ClientHandle.SetLocalBlocks) on its stack,
+// and a base object's state what it stores (dsys.State) in the cluster's walk
+// buffer.
 func AppendChunkRefs(dst []dsys.BlockRef, chunks []Chunk) []dsys.BlockRef {
 	for _, c := range chunks {
 		dst = append(dst, c.Ref())

@@ -151,9 +151,9 @@ func TestChunkHelpers(t *testing.T) {
 	if chunks[0].Block.Data[0] == clone[0].Block.Data[0] {
 		t.Fatal("CloneChunks shares block storage")
 	}
-	refs := ChunkRefs(chunks)
+	refs := AppendChunkRefs(nil, chunks)
 	if len(refs) != len(chunks) || refs[0].Bits != chunks[0].Block.SizeBits() {
-		t.Fatalf("ChunkRefs wrong: %+v", refs[0])
+		t.Fatalf("AppendChunkRefs wrong: %+v", refs[0])
 	}
 }
 

@@ -216,8 +216,10 @@ type objectState[F family] struct {
 	chunk register.Chunk
 }
 
-// Blocks implements dsys.State.
-func (s *objectState[F]) Blocks() []dsys.BlockRef { return []dsys.BlockRef{s.chunk.Ref()} }
+// AppendBlocks implements dsys.State.
+func (s *objectState[F]) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return append(dst, s.chunk.Ref())
+}
 
 // readRMW returns the object's piece. Its answer rides in it: Apply fills resp and
 // returns a pointer to it, so an object that answers allocates no answer.

@@ -16,12 +16,12 @@ import (
 // registry-conflict checks.
 type fakeState struct{ b byte }
 
-func (fakeState) Blocks() []dsys.BlockRef { return nil }
+func (fakeState) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // otherFakeState shares fakeState's codec kind in the duplicate-kind check.
 type otherFakeState struct{}
 
-func (otherFakeState) Blocks() []dsys.BlockRef { return nil }
+func (otherFakeState) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 func fakeCodec(kind string) register.StateCodec {
 	return register.StateCodec{

@@ -40,11 +40,15 @@ import (
 // The rule reports the first breach of each region. It reads state only and
 // draws nothing from the adversary's generator, so it moves no schedule.
 type spaceRule struct {
-	cluster    *dsys.Cluster
-	regions    []*regionSpace // the regions the router lists, in installation order
-	tallies    map[*shard.Shard]*regionSpace
-	writes     []activeWrite
-	violations []string // the breaches, in the order they were found
+	cluster *dsys.Cluster
+	regions []*regionSpace // the regions the router lists, in installation order
+	tallies map[*shard.Shard]*regionSpace
+	writes  []*activeWrite // in the order their first RMW was seen pending
+	// pending holds the write of each write RMW pending at the last step, in
+	// trigger order, and spare the list the step before that, whose array the
+	// next step refills.
+	pending, spare []pendingWrite
+	violations     []string // the breaches, in the order they were found
 }
 
 // regionSpace is one region's tally: its writes active at this step, its
@@ -56,11 +60,19 @@ type regionSpace struct {
 }
 
 // activeWrite is one active write, the most writes active at once in its
-// region since it became active, and the last step that saw it active.
+// region since it became active, and the last step that saw it active. Its
+// region is nil until one of its RMWs is seen going to a listed region.
 type activeWrite struct {
 	op           dsys.OpID
 	region       *regionSpace
 	window, seen int
+}
+
+// pendingWrite is a pending write RMW, by its trigger sequence number, and
+// its write.
+type pendingWrite struct {
+	seq int64
+	w   *activeWrite
 }
 
 // relayout takes the router's listing of non-retired shards. A region the
@@ -77,18 +89,26 @@ func (r *spaceRule) relayout(shards []*shard.Shard) {
 
 // step holds every listed region to its bound at one scheduling point.
 func (r *spaceRule) step(v *dsys.View) {
+	// The view lists the pending RMWs in trigger order, so those triggered
+	// since the last step follow all the others: an RMW pending at the last
+	// step is matched to its write by its sequence number, and only a newly
+	// triggered round's RMWs look their write up.
+	last, j := r.pending, 0
+	r.pending, r.spare = r.spare[:0], last
 	var w *activeWrite
 	for _, p := range v.Pending {
 		if p.Op.Kind != dsys.OpWrite {
 			continue
 		}
-		if w == nil || w.op != p.Op { // a round's RMWs are pending side by side
-			i := slices.IndexFunc(r.writes, func(a activeWrite) bool { return a.op == p.Op })
-			if i < 0 {
-				i, r.writes = len(r.writes), append(r.writes, activeWrite{op: p.Op})
-			}
-			w = &r.writes[i]
+		for j < len(last) && last[j].seq < p.Seq {
+			j++
 		}
+		if j < len(last) && last[j].seq == p.Seq {
+			w = last[j].w
+		} else if w == nil || w.op != p.Op { // a round's RMWs are pending side by side
+			w = r.writeOf(p.Op)
+		}
+		r.pending = append(r.pending, pendingWrite{seq: p.Seq, w: w})
 		w.seen = v.Step
 		for i := 0; w.region == nil && i < len(r.regions); i++ {
 			if rs := r.regions[i]; p.Object >= rs.sh.Base && p.Object < rs.sh.Base+rs.sh.Span {
@@ -96,22 +116,25 @@ func (r *spaceRule) step(v *dsys.View) {
 			}
 		}
 	}
-	for i := range r.writes {
-		if r.writes[i].seen != v.Step && slices.Contains(v.OutstandingWrites, r.writes[i].op.WriteID()) {
-			r.writes[i].seen = v.Step
+	for _, w := range r.writes {
+		if w.seen != v.Step && slices.Contains(v.OutstandingWrites, w.op.WriteID()) {
+			w.seen = v.Step
 		}
 	}
 	for _, rs := range r.regions {
 		rs.active, rs.window = 0, 0
 	}
-	r.writes = slices.DeleteFunc(r.writes, func(w activeWrite) bool { return w.seen != v.Step || w.region == nil })
+	r.writes = slices.DeleteFunc(r.writes, func(w *activeWrite) bool { return w.seen != v.Step })
 	for _, w := range r.writes {
-		w.region.active++
+		if w.region != nil {
+			w.region.active++
+		}
 	}
-	for i := range r.writes {
-		w := &r.writes[i]
-		w.window = max(w.window, w.region.active)
-		w.region.window = max(w.region.window, w.window)
+	for _, w := range r.writes {
+		if w.region != nil {
+			w.window = max(w.window, w.region.active)
+			w.region.window = max(w.region.window, w.window)
+		}
 	}
 	for _, rs := range r.regions {
 		if breach := judge(rs.sh, v.ObjectBits, r.cluster, rs.writes, rs.window, false); breach != "" && !rs.breached {
@@ -119,6 +142,16 @@ func (r *spaceRule) step(v *dsys.View) {
 			r.violations = append(r.violations, fmt.Sprintf("%s (%s) at step %d, c = %d: %s", rs.sh.Name, rs.sh.Algorithm, v.Step, rs.window, breach))
 		}
 	}
+}
+
+// writeOf returns op's active write, added if the rule has none.
+func (r *spaceRule) writeOf(op dsys.OpID) *activeWrite {
+	if i := slices.IndexFunc(r.writes, func(w *activeWrite) bool { return w.op == op }); i >= 0 {
+		return r.writes[i]
+	}
+	w := &activeWrite{op: op}
+	r.writes = append(r.writes, w)
+	return w
 }
 
 // judge holds one region, its objects holding bits by ID, to bound.Region:

@@ -13,7 +13,9 @@ import (
 // heldBits is a base-object state holding one block of the given size.
 type heldBits int
 
-func (b heldBits) Blocks() []dsys.BlockRef { return []dsys.BlockRef{{Bits: int(b)}} }
+func (b heldBits) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return append(dst, dsys.BlockRef{Bits: int(b)})
+}
 
 // TestQuiescentSpaceFlagsWhatARegionKeeps plants states the registers never
 // leave behind — a live object with a second piece, a crashed object above

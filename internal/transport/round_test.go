@@ -242,60 +242,86 @@ func TestReusedRoundTimerNeverEndsRoundEarly(t *testing.T) {
 }
 
 // roundAllocsParent is what one 4-target abd read round over loopback TCP,
-// client and server sides together, allocated at this build's parent: 5
-// without the race detector and 6 under it. The parent's round cut its calls
-// from an array of its own and waited on a channel of its own.
-const roundAllocsParent = 5
+// client and server sides together, allocated at this build's parent: 2, its
+// result map, without the race detector. The parent's round made its map.
+const roundAllocsParent = 2
 
-// poolDropAllocs is what a round may allocate beyond its result map because a
-// sync.Pool handed it nothing: zero, but for the race detector, whose pools
-// drop a quarter of what is put back (race_test.go).
+// poolDropAllocs is what a round may allocate because a sync.Pool handed it
+// nothing: zero, but for the race detector, whose pools drop a quarter of
+// what is put back (race_test.go).
 var poolDropAllocs = 0.0
 
-// opPoolDropAllocs is poolDropAllocs for a whole remote operation, whose
-// rounds borrow from pools on both sides of the wire for every request.
+// opPoolDropAllocs is poolDropAllocs for a round of a remote cluster's
+// handle and for a whole remote operation, which borrow from the remote
+// engine's pools as well as from both sides of the wire for every request.
 var opPoolDropAllocs = 0.0
 
-// resultMap is where resultMapAllocs leaves its maps, so that they escape as
-// a round's do.
-var resultMap map[int]any
-
-// resultMapAllocs is what a round's result map allocates: a map sized for
-// roundTargets answers, filled with them.
-func resultMapAllocs() float64 {
-	answer := new(register.Chunk)
-	return testing.AllocsPerRun(500, func() {
-		m := make(map[int]any, roundTargets)
-		for obj := range roundTargets {
-			m[obj] = answer
-		}
-		resultMap = m
-	})
-}
-
-// TestRoundAllocations pins what a quorum round allocates: its result map,
-// the RoundInvoker contract, and nothing else. Its calls and the channel
-// their messages come back on are a pooled roundState's, its writer and its
-// timer come from pools, and it derives no context; no frame allocates on
-// either side of the wire: a sender copies what it is sent into the
-// connection's staging buffer, a server reads every request into one buffer
-// and frames every response in one writer, and the client cuts its responses
-// from a slab. Nor does a message per target: a server connection decodes
-// each request over its last RMW of the kind and answers in it, and the
-// client decodes each answer into the RMW it sent.
+// TestRoundAllocations pins what a quorum round allocates when its caller
+// releases the result map, as the remote engine does: nothing. Its map comes
+// from dsys.RoundResult, its calls and the channel their messages come back
+// on are a pooled roundState's, its writer and its timer come from pools, and
+// it derives no context; no frame allocates on either side of the wire: a
+// sender copies what it is sent into the connection's staging buffer, a
+// server reads every request into one buffer and frames every response in
+// one writer, and the client cuts its responses from a slab. Nor does a
+// message per target: a server connection decodes each request over its last
+// RMW of the kind and answers in it, and the client decodes each answer into
+// the RMW it sent.
 func TestRoundAllocations(t *testing.T) {
 	fx := newRoundFixture(t)
 	makeRMW := abdRead(t)
 	round := func() {
-		if _, err := fx.cli.InvokeRound(context.Background(), 1, fx.targets, makeRMW, roundTargets); err != nil {
+		resp, err := fx.cli.InvokeRound(context.Background(), 1, fx.targets, makeRMW, roundTargets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsys.ReleaseRoundResult(resp)
+	}
+	round()
+	if got, want := testing.AllocsPerRun(500, round), poolDropAllocs; got > want {
+		t.Errorf("a %d-target round allocates %.1f times, want at most %.0f (its parent measured %d)",
+			roundTargets, got, want, roundAllocsParent)
+	}
+}
+
+// awaitedRoundAllocsParent is what TestAwaitedRemoteRoundAllocations' round
+// allocated at this build's parent: its RMW array and the transport's result
+// map.
+const awaitedRoundAllocsParent = 3
+
+// TestAwaitedRemoteRoundAllocations pins what an awaited round of a remote
+// cluster's client handle allocates over loopback TCP, both sides counted:
+// its RMW array, which a register makes per round (here a []dsys.RMW whose
+// reads are decoded in place), and nothing else. The handle comes from
+// RunScoped's pool, invokeRemote's translation from a pooled remoteRound, the
+// answers land in the handle's slots, and the transport's result map goes
+// back to dsys.RoundResult's pool as soon as they do.
+func TestAwaitedRemoteRoundAllocations(t *testing.T) {
+	fx := newRoundFixture(t)
+	remote := dsys.NewRemoteCluster(roundTargets, fx.cli)
+	t.Cleanup(remote.Close)
+	read := abdRead(t)
+	var rmws []dsys.RMW // escapes, as a register's RMW array does
+	round := func(h *dsys.ClientHandle) error {
+		rmws = make([]dsys.RMW, roundTargets)
+		resp, err := h.InvokeAll(func(obj int) dsys.RMW {
+			rmws[obj] = read(obj)
+			return rmws[obj]
+		}, roundTargets)
+		if err == nil && resp[roundTargets-1] == nil {
+			err = errors.New("the round returned no answer from the last object")
+		}
+		return err
+	}
+	run := func() {
+		if err := remote.RunScoped(1, 0, roundTargets, round); err != nil {
 			t.Fatal(err)
 		}
 	}
-	round()
-	want := resultMapAllocs() + poolDropAllocs
-	if got := testing.AllocsPerRun(500, round); got > want {
-		t.Errorf("a %d-target round allocates %.1f times, want at most %.0f, its result map's (its parent measured %d)",
-			roundTargets, got, want, roundAllocsParent)
+	run()
+	if got, want := testing.AllocsPerRun(500, run), 1+opPoolDropAllocs; got > want {
+		t.Errorf("an awaited remote round allocates %.1f times, want at most %.0f, its RMW array (its parent measured %d)",
+			got, want, awaitedRoundAllocsParent)
 	}
 }
 
@@ -687,8 +713,8 @@ var remoteShapes = []struct {
 	write, read             float64
 	writeParent, readParent int
 }{
-	{"1KiB-f1-k2", 1, 2, 1 << 10, 15, 5, 17, 10},
-	{"64KiB-f2-k4", 2, 4, 64 << 10, 21, 11, 23, 19},
+	{"1KiB-f1-k2", 1, 2, 1 << 10, 11, 3, 15, 5},
+	{"64KiB-f2-k4", 2, 4, 64 << 10, 18, 9, 21, 11},
 }
 
 // openRemoteAdaptive serves an adaptive shard of the given shape over
@@ -727,10 +753,11 @@ func openRemoteAdaptive(tb testing.TB, f, k, size int) (*shard.Set, value.Value)
 // TestRemoteOperationAllocations pins what one quiescent adaptive write and
 // read through shard.NewRemote allocate over loopback TCP, both sides of the
 // wire counted, at BenchmarkAdaptiveOverTCP's two shapes. A write keeps the
-// value's blocks, the nodes' copies of the pieces they store, its rounds'
-// RMW arrays and result maps. A read keeps its round's RMW array and result
-// map, the oracle's block list and the value, and at 64 KiB the frame of each
-// answer that carries a piece, too large for the client's slab. Neither
+// value's blocks, the nodes' copies of the pieces they store and its rounds'
+// RMW arrays. A read keeps its round's RMW array, the oracle's block list and
+// the value, and at 64 KiB the frame of each answer that carries a piece, too
+// large for the client's slab. No round keeps its result map: the remote
+// engine gives it back to dsys.RoundResult's pool. Neither
 // builds a closure per operation (the shard layer's pooled op), a read's
 // answers decode into the round's header windows, its reconstruction inverts
 // no matrix the code has inverted before, and a write lists its held blocks

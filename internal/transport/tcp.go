@@ -365,11 +365,12 @@ func (cc *clientConn) readLoop() {
 // to the hosting nodes over the pipelined connections and waits until quorum
 // OK responses have arrived, the round's time is up, or every dispatched
 // request has failed. Targets are global object IDs; the result map is keyed
-// by them, and it is all a round allocates: its calls and the channel their
-// messages come back on are a pooled roundState's, its frames take turns in
-// one writer borrowed from a pool — each connection's sender copies a frame's
-// inline bytes before send returns — and the blocks go to the socket from
-// where the RMWs hold them.
+// by them and comes from dsys.RoundResult, so a round whose caller releases
+// its map allocates nothing: its calls and the channel their messages come
+// back on are a pooled roundState's, its frames take turns in one writer
+// borrowed from a pool — each connection's sender copies a frame's inline
+// bytes before send returns — and the blocks go to the socket from where the
+// RMWs hold them.
 //
 // A round of a posted kind (register.Codec.Posted) waits for nothing: it
 // returns a nil map and a nil error once every request is queued on its
@@ -453,7 +454,7 @@ func (c *Client) InvokeRound(ctx context.Context, client int, targets []int, mak
 		}
 		dispatched++
 	}
-	resp := make(map[int]any, dispatched)
+	resp := dsys.RoundResult()
 	done := ctx.Done()
 	for received < dispatched && len(resp) < quorum {
 		select {

@@ -51,9 +51,9 @@ func NewLoopback(c *dsys.Cluster) *Loopback { return &Loopback{c: c} }
 // of a posted kind as it applies any round — in controlled mode the policy
 // still decides when each RMW takes effect — but no answer crosses back: the
 // round returns a nil map and a nil error, as the TCP client's does. The
-// answers of any other round are round-tripped into the result map before
-// RunScoped returns: they are the client handle's, and a live handle goes back
-// to its pool then.
+// answers of any other round are round-tripped into a result map from
+// dsys.RoundResult before RunScoped returns: they are the client handle's,
+// and a live handle goes back to its pool then.
 func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, makeRMW func(obj int) dsys.RMW, quorum int) (map[int]any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,7 +84,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 		if codecErr != nil || posted {
 			return nil
 		}
-		out = make(map[int]any, len(targets))
+		out = dsys.RoundResult()
 		for obj, r := range resp {
 			if r == nil {
 				continue
