@@ -36,6 +36,10 @@ type ClientHandle struct {
 	// to round, so a round allocates no result.
 	slots []any
 
+	// kept is the memory the handle lends its operations, one entry per
+	// MemoryKey (RoundMemory, OpMemory), kept from one operation to the next.
+	kept [memoryKeys]keptMemory
+
 	// sub is the handle the last Sub re-scoped, kept for the next one.
 	sub *ClientHandle
 
@@ -73,16 +77,16 @@ func (h *ClientHandle) Sub(base, span int) (*ClientHandle, error) {
 	if h.sub == nil {
 		h.sub = new(ClientHandle)
 	}
-	*h.sub = ClientHandle{c: h.c, id: h.id, task: h.task, base: h.base + base, span: span, ctx: h.ctx, slots: h.sub.slots}
+	*h.sub = ClientHandle{c: h.c, id: h.id, task: h.task, base: h.base + base, span: span, ctx: h.ctx, slots: h.sub.slots, kept: h.sub.kept}
 	return h.sub, nil
 }
 
 // WithContext returns a handle for the same client, task and scope whose
 // remote rounds are bounded by ctx: a transport-backed Invoke observes the
 // context's deadline and cancellation. The in-process engines are unaffected.
-// The derived handle shares the parent's task, answer slots and kept Sub
-// handle, and must not be used concurrently with it: a round of either ends
-// the validity of the other's last answers.
+// The derived handle shares the parent's task, answer slots, lent memory and
+// kept Sub handle, and must not be used concurrently with it: a round of
+// either ends the validity of the other's last answers.
 func (h *ClientHandle) WithContext(ctx context.Context) *ClientHandle {
 	dup := *h
 	dup.ctx = ctx
@@ -231,6 +235,80 @@ func (h *ClientHandle) answers() []any {
 	return h.slots
 }
 
+// MemoryKey names one piece of the memory a handle lends its operations
+// (RoundMemory, OpMemory). The register layer numbers them: an operation
+// gives every round, and every list it keeps across rounds, a key of its own.
+type MemoryKey int
+
+// memoryKeys is how many keys a handle lends memory under.
+const memoryKeys = 8
+
+// keptMemory is one key's memory, of whatever element type its last borrower
+// asked for.
+type keptMemory interface{ release() }
+
+// kept is a key's memory as a list of T. dirty is set while a borrower may
+// have left something in it, so that memory is zeroed once between two
+// borrowers, whichever of the next borrow and release comes first.
+type kept[T any] struct {
+	list  []T
+	dirty bool
+}
+
+// release zeroes the whole list, so that none of what it held stays
+// reachable from the handle.
+func (k *kept[T]) release() {
+	if k.dirty {
+		clear(k.list[:cap(k.list)])
+		k.dirty = false
+	}
+}
+
+// RoundMemory returns n zeroed values of T for one round of h's operation —
+// its RMW array — or for a list the operation hands its rounds, such as a
+// write's chunks. On the live in-process engine the memory is the handle's,
+// kept under key from one operation to the next: invokeLive applies every RMW
+// before Invoke returns, a journal encodes the RMW it is lent under the apply
+// lock (Journal.RecordApply), and an object keeps what it stores of a
+// parameter by value or in a list of its own, so nothing keeps the memory
+// past the operation. The list is valid until the next
+// borrow under the same key, and putLiveHandle clears it with the slots.
+//
+// The other engines get new memory on every call. The controlled engine may
+// apply a straggler RMW after its round has returned, into that round's array
+// (the coordinator's pending list keeps it), so the array must outlive the
+// operation. The remote engine hands its RMWs to a RoundInvoker, whose
+// contract lets a decorator keep them — one that captures an RMW stream does.
+func RoundMemory[T any](h *ClientHandle, key MemoryKey, n int) []T {
+	if h.c.remote != nil || h.c.opts.mode != Live {
+		return make([]T, n)
+	}
+	return OpMemory[T](h, key, n)
+}
+
+// OpMemory returns n zeroed values of T from memory h keeps under key, on
+// every engine, for a list that is local to h's operation and reaches no
+// round, no RoundInvoker and no object — a read's decoder list. The list is
+// valid until the next borrow under the same key; the borrower clears it when
+// it is done with what it holds. A nil handle lends nothing: the list is new.
+func OpMemory[T any](h *ClientHandle, key MemoryKey, n int) []T {
+	if h == nil {
+		return make([]T, n)
+	}
+	m, ok := h.kept[key].(*kept[T])
+	if !ok {
+		m = new(kept[T])
+		h.kept[key] = m
+	}
+	if cap(m.list) < n {
+		m.list = make([]T, n)
+	} else if m.list = m.list[:n]; m.dirty {
+		clear(m.list)
+	}
+	m.dirty = true
+	return m.list
+}
+
 // dispatch routes a validated round to the engine variant behind the handle.
 // The engine writes each answer into resp at its object's index and returns
 // resp, or nil when the round ended with no answers to give.
@@ -317,7 +395,6 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 			object: h.base + obj,
 			op:     h.currentOp,
 			rmw:    rmw,
-			blocks: rmw.Blocks(),
 			owner:  t,
 			round:  t.round,
 			call:   len(t.calls) - 1,

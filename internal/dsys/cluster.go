@@ -116,7 +116,6 @@ type pendingRMW struct {
 	object int
 	op     OpID
 	rmw    RMW
-	blocks []BlockRef // rmw.Blocks(), taken once: parameters stay as triggered
 	owner  *clientTask
 	round  int64 // the owner's round that triggered it
 	call   int   // its index in the owner's calls during that round
@@ -700,16 +699,22 @@ func (c *Cluster) RunScoped(clientID, base, span int, fn func(h *ClientHandle) e
 }
 
 // liveHandles holds the handles live RunScoped calls run under. A handle in
-// the pool is zero but for the capacity of its slots, which are all nil.
+// the pool is zero but for the capacity of its slots, which are all nil, and
+// the memory it lends, which is all zero.
 var liveHandles = sync.Pool{New: func() any { return new(ClientHandle) }}
 
-// putLiveHandle zeroes a handle — no cluster, context, answer or RMW an answer
-// points into stays reachable from it, nor the Sub handle it kept — and
-// returns it to the pool.
+// putLiveHandle zeroes a handle — no cluster, context, answer, RMW, chunk or
+// block stays reachable from it, nor the Sub handle it kept — and returns it
+// to the pool.
 func putLiveHandle(h *ClientHandle) {
 	slots := h.slots[:cap(h.slots)]
 	clear(slots)
-	*h = ClientHandle{slots: slots[:0]}
+	for _, m := range h.kept {
+		if m != nil {
+			m.release()
+		}
+	}
+	*h = ClientHandle{slots: slots[:0], kept: h.kept}
 	liveHandles.Put(h)
 }
 
@@ -813,7 +818,8 @@ func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []
 	}
 	for i := range c.pending {
 		p := &c.pending[i]
-		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, p.blocks)
+		c.walkBlocks = p.rmw.AppendBlocks(c.walkBlocks[:0])
+		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, c.walkBlocks)
 	}
 }
 

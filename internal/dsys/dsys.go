@@ -47,14 +47,16 @@ type State interface {
 
 // RMW is a read-modify-write operation on a base object. Apply runs
 // atomically with respect to all other RMWs on the same object and returns
-// the response delivered to the triggering client. Blocks reports the code
-// blocks carried in the RMW's parameters; while the RMW is pending these
-// bits are charged to the channel (the paper counts in-flight information as
-// part of client/base-object state, which is how algorithms that push cost
-// into the network are still covered by the bound).
+// the response delivered to the triggering client. AppendBlocks appends the
+// code blocks carried in the RMW's parameters to dst and returns the extended
+// slice; while the RMW is pending these bits are charged to the channel (the
+// paper counts in-flight information as part of client/base-object state,
+// which is how algorithms that push cost into the network are still covered
+// by the bound). The walk lists every pending RMW's blocks into the buffer it
+// lists states into, so an RMW that only appends costs it no allocation.
 type RMW interface {
 	Apply(s State) (response any)
-	Blocks() []BlockRef
+	AppendBlocks(dst []BlockRef) []BlockRef
 }
 
 // OpKind distinguishes the two high-level register operations.

@@ -38,8 +38,8 @@ func (r addBlockRMW) Apply(s State) any {
 	return ts.counter
 }
 
-func (r addBlockRMW) Blocks() []BlockRef {
-	return []BlockRef{{Source: r.source, Bits: r.bits}}
+func (r addBlockRMW) AppendBlocks(dst []BlockRef) []BlockRef {
+	return append(dst, BlockRef{Source: r.source, Bits: r.bits})
 }
 
 // readCounterRMW reads the counter without modifying anything.
@@ -52,7 +52,7 @@ func (readCounterRMW) Apply(s State) any {
 	return ts.counter
 }
 
-func (readCounterRMW) Blocks() []BlockRef { return nil }
+func (readCounterRMW) AppendBlocks(dst []BlockRef) []BlockRef { return dst }
 
 // answered counts the answers a round returned.
 func answered(resp []any) int {

@@ -442,7 +442,11 @@ func (c *cursor) finish() error {
 // call: an implementation reads the one and calls the other before it
 // returns, and keeps neither. An answer may come back in the RMW makeRMW
 // returned for its object — a read's answer slot, as Apply fills it in
-// process — so the RMWs of one round are distinct.
+// process — so the RMWs of one round are distinct. An implementation, or a
+// decorator around one, may keep the RMWs it is handed past its return (one
+// that captures a round's RMW stream does), which is why the remote engine
+// never recycles a round's RMWs: every round of a remote handle gets RMWs of
+// its own (RoundMemory), where the live in-process engine reuses a handle's.
 //
 // A round whose RMWs are of a posted kind (the codec registry's Posted: an
 // answer nobody reads, whose loss leaves the object in a state it has passed

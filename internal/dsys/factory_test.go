@@ -18,7 +18,7 @@ func (r *slotRMW) Apply(s State) any {
 	return r
 }
 
-func (*slotRMW) Blocks() []BlockRef { return nil }
+func (*slotRMW) AppendBlocks(dst []BlockRef) []BlockRef { return dst }
 
 // remotePoolDropAllocs is what a remote round allocates on average when its
 // pool drops what it is given: nothing but under the race detector

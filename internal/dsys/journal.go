@@ -21,7 +21,11 @@ import (
 type Journal interface {
 	// RecordApply journals one applied RMW for the given global object ID.
 	// It is called under the object's apply lock; implementations must not
-	// call back into the cluster from it.
+	// call back into the cluster from it. The RMW is lent for the call: an
+	// in-process round's RMWs are memory its client handle reuses for the
+	// next operation (RoundMemory), so an implementation encodes what it
+	// needs before it returns and keeps no reference to the RMW or its
+	// parameters' lists.
 	RecordApply(object int, rmw RMW)
 	// RecordApplyTraced is RecordApply for an apply that belongs to a sampled
 	// trace, so the journal's stages can join the operation's trace; the

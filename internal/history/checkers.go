@@ -17,22 +17,30 @@ import "fmt"
 //
 // It returns nil if the condition holds and a *Violation otherwise.
 func CheckWeakRegularity(h *History) error {
+	return checkWeakRegularity(h, h.Writes())
+}
+
+// checkWeakRegularity is CheckWeakRegularity over h's writes, listed once by
+// the caller.
+func checkWeakRegularity(h *History, writes []*Op) error {
 	for _, rd := range h.CompletedReads() {
-		if err := checkReadRegular(h, rd); err != nil {
+		if err := checkReadRegular(h, writes, rd); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func checkReadRegular(h *History, rd *Op) error {
+// checkReadRegular checks weak regularity for one read against the history's
+// writes.
+func checkReadRegular(h *History, writes []*Op, rd *Op) error {
 	w := h.writeOfValue(rd.Value)
 	if w == nil {
 		if !rd.Value.Equal(h.V0) {
 			return &Violation{Condition: "weak regularity", Read: rd, Detail: "read returned a value never written"}
 		}
 		// v0 is only allowed if no write completed before the read started.
-		for _, wr := range h.Writes() {
+		for _, wr := range writes {
 			if wr.Precedes(rd) {
 				return &Violation{Condition: "weak regularity", Read: rd,
 					Detail: fmt.Sprintf("read returned the initial value although %v completed before it", wr)}
@@ -44,7 +52,7 @@ func checkReadRegular(h *History, rd *Op) error {
 		return &Violation{Condition: "weak regularity", Read: rd,
 			Detail: fmt.Sprintf("read returned the value of %v, which was invoked only after the read returned", w)}
 	}
-	for _, wr := range h.Writes() {
+	for _, wr := range writes {
 		if wr == w {
 			continue
 		}
@@ -70,10 +78,10 @@ func checkReadRegular(h *History, rd *Op) error {
 // read returns the latest preceding relevant write, which is the witness
 // MWRegWO asks for. The function returns nil if the condition holds.
 func CheckStrongRegularity(h *History) error {
-	if err := CheckWeakRegularity(h); err != nil {
+	writes := h.Writes()
+	if err := checkWeakRegularity(h, writes); err != nil {
 		return err
 	}
-	writes := h.Writes()
 	index := make(map[*Op]int, len(writes))
 	for i, w := range writes {
 		index[w] = i
@@ -99,7 +107,7 @@ func CheckStrongRegularity(h *History) error {
 			// not exist (weak regularity already guarantees this).
 			continue
 		}
-		for _, other := range h.Writes() {
+		for _, other := range writes {
 			if other != w && other.Precedes(rd) {
 				addEdge(index[other], index[w])
 			}
@@ -142,7 +150,7 @@ func CheckStrongSafety(h *History) error {
 		}
 	}
 	for _, rd := range h.CompletedReads() {
-		if hasConcurrentWrite(h, rd) {
+		if hasConcurrentWrite(writes, rd) {
 			continue
 		}
 		w := h.writeOfValue(rd.Value)
@@ -175,9 +183,9 @@ func CheckStrongSafety(h *History) error {
 	return nil
 }
 
-// hasConcurrentWrite reports whether any write is concurrent with rd.
-func hasConcurrentWrite(h *History, rd *Op) bool {
-	for _, w := range h.Writes() {
+// hasConcurrentWrite reports whether any of writes is concurrent with rd.
+func hasConcurrentWrite(writes []*Op, rd *Op) bool {
+	for _, w := range writes {
 		if !w.Precedes(rd) && !rd.Precedes(w) {
 			return true
 		}

@@ -146,10 +146,11 @@ type Decoder struct {
 }
 
 // NewDecoder initializes oracleD for a read operation over values of
-// dataLen bytes that means to push the given number of blocks: the list that
-// keeps them is sized for that many once.
-func NewDecoder(code erasure.Code, dataLen, blocks int) *Decoder {
-	return &Decoder{code: code, dataLen: dataLen, pushed: make([]erasure.Block, 0, blocks)}
+// dataLen bytes. The blocks pushed to it are kept in list, from its start: the
+// caller lends it for the oracle's life and sizes it for the blocks it means
+// to push, so Push allocates nothing.
+func NewDecoder(code erasure.Code, dataLen int, list []erasure.Block) *Decoder {
+	return &Decoder{code: code, dataLen: dataLen, pushed: list[:0]}
 }
 
 // Push hands a block to the oracle (the push(e, i) action of Definition 1).

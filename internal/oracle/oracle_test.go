@@ -43,7 +43,7 @@ func TestEncoderGetAndGetAll(t *testing.T) {
 	}
 
 	// Round-trip through a decoder.
-	dec := NewDecoder(code, v.SizeBytes(), code.K())
+	dec := NewDecoder(code, v.SizeBytes(), make([]erasure.Block, code.K()))
 	for _, b := range blocks[:code.K()] {
 		if err := dec.Push(b); err != nil {
 			t.Fatalf("Push: %v", err)
@@ -82,7 +82,7 @@ func TestDecoderNotEnoughBlocks(t *testing.T) {
 	code := erasure.MustReedSolomon(3, 5)
 	v := value.FromString("needs three blocks", 32)
 	enc := NewEncoder(code, WriteID{Client: 2, Seq: 7}, v)
-	dec := NewDecoder(code, v.SizeBytes(), 1)
+	dec := NewDecoder(code, v.SizeBytes(), nil)
 	b, _, err := enc.Get(1)
 	if err != nil {
 		t.Fatalf("Get: %v", err)

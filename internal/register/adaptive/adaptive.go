@@ -42,6 +42,16 @@ import (
 	"spacebounds/internal/value"
 )
 
+// Keys of the memory a handle lends each round of an operation
+// (dsys.RoundMemory).
+const (
+	readTSKey = register.RoundKeys + iota
+	updateKey
+	followUpKey
+	gcKey
+	readKey
+)
+
 // DefaultReadRetryBudget bounds the number of read rounds before Read gives
 // up with register.ErrReadStarved. FW-termination only promises that reads
 // terminate in runs with finitely many writes; the budget keeps tests and
@@ -101,7 +111,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	// Encode v into n pieces via the write oracle; the client holds the
 	// WriteSet locally for the duration of the operation. The handle copies
 	// its list of them, so the list stays on the stack.
-	writeSet, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	writeSet, err := register.WriteChunks(h, r.cfg, op.WriteID(), v)
 	if err != nil {
 		return err
 	}
@@ -149,9 +159,10 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // it has not answered at all). needsPiece comes in all false; nil records
 // nothing.
 func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool, needsPiece []bool) error {
-	// Each of the two rounds builds its updates in an array of its own — a
-	// straggler of the first may still be applied while the second runs — and
-	// one array serves either kind: an update is a seed update's only field.
+	// Each of the two rounds builds its updates in an array of its own — on
+	// the controlled engine a straggler of the first may still be applied
+	// while the second runs — and one array serves either kind: an update is a
+	// seed update's only field.
 	k := int32(cfg.K)
 	update := func(rmws []seedUpdateRMW, obj int, full []register.Chunk) dsys.RMW {
 		u := &rmws[obj]
@@ -161,7 +172,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 		}
 		return &u.updateRMW
 	}
-	updates := make([]seedUpdateRMW, len(writeSet))
+	updates := dsys.RoundMemory[seedUpdateRMW](h, updateKey, len(writeSet))
 	first, err := h.InvokeAll(func(obj int) dsys.RMW { return update(updates, obj, nil) }, cfg.Quorum())
 	if err != nil {
 		return err
@@ -181,7 +192,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 	var second []any
 	if lacking := cfg.Quorum() - (len(writeSet) - len(rest)); lacking > 0 {
 		full := writeSet[:cfg.K:cfg.K]
-		followUps := make([]seedUpdateRMW, len(writeSet))
+		followUps := dsys.RoundMemory[seedUpdateRMW](h, followUpKey, len(writeSet))
 		second, err = h.Invoke(rest, func(obj int) dsys.RMW { return update(followUps, obj, full) }, lacking)
 		if err != nil {
 			return err
@@ -206,7 +217,7 @@ func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS registe
 // the write at all; the others get a GC without a piece. Over a wire the round
 // is posted: it returns once the GCs are on their way (dsys.RoundInvoker).
 func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp, writeSet []register.Chunk, needsPiece []bool) error {
-	gcs := make([]gcRMW, len(writeSet))
+	gcs := dsys.RoundMemory[gcRMW](h, gcKey, len(writeSet))
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
 		g := &gcs[obj]
 		g.ts = ts
@@ -226,7 +237,7 @@ func collectGarbage(h *dsys.ClientHandle, cfg register.Config, ts register.Times
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	writeSet, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	writeSet, err := register.SeedChunks(h, r.cfg, op, v)
 	if err != nil {
 		return err
 	}
@@ -268,11 +279,19 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 		if err != nil {
 			return value.Value{}, register.ZeroTS, err
 		}
-		if v, ts, ok, err := register.DecodeBest(r.cfg, readSet, storedTS); ok {
+		if v, ts, ok, err := register.DecodeBest(h, r.cfg, readSet, storedTS); ok {
 			return v, ts, err
 		}
 	}
 	return value.Value{}, register.ZeroTS, register.ErrReadStarved
+}
+
+// readSlot is an object's RMW of the read round, of either kind, and the
+// window its piece headers come back in.
+type readSlot struct {
+	value readValueRMW
+	ts    readTSRMW
+	head  [1]register.Chunk
 }
 
 // readValue is the read round: it returns the highest storedTS among the n-f
@@ -291,12 +310,10 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool, buf []regis
 	if lean {
 		withPieces = cfg.Quorum()
 	}
-	// Each object is sent one of the two kinds, and one array holds both.
-	rmws := make([]struct {
-		value readValueRMW
-		ts    readTSRMW
-		head  [1]register.Chunk
-	}, cfg.N())
+	// Each object is sent one of the two kinds, and one array holds both. On
+	// the live engine a retry reuses the array: nothing of an attempt is kept
+	// past it.
+	rmws := dsys.RoundMemory[readSlot](h, readKey, cfg.N())
 	// An object answers with the headers of the pieces it holds — one, when it
 	// is quiescent — into the RMW's list: a window of one header beside the
 	// RMW, so only an object that holds more allocates a list. In process the
@@ -342,7 +359,7 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool, buf []regis
 // objects — the only things the writer takes from that round — and returns the
 // highest storedTS together with the largest number seen anywhere.
 func readTimestamps(h *dsys.ClientHandle, cfg register.Config) (register.Timestamp, int, error) {
-	rmws := make([]readTSRMW, cfg.N())
+	rmws := dsys.RoundMemory[readTSRMW](h, readTSKey, cfg.N())
 	resp, err := h.InvokeAll(func(obj int) dsys.RMW { return &rmws[obj] }, cfg.Quorum())
 	if err != nil {
 		return register.ZeroTS, 0, err

@@ -75,7 +75,7 @@ func newLeanReadFixture(t *testing.T) *leanReadFixture {
 // writeSet is the chunks write ⟨num, client⟩ of v sends.
 func (fx *leanReadFixture) writeSet(t *testing.T, num, client int, v value.Value) []register.Chunk {
 	t.Helper()
-	chunks, err := register.EncodeWrite(fx.reg.cfg, oracle.WriteID{Client: client, Seq: num}, v, true)
+	chunks, err := register.EncodeWrite(nil, fx.reg.cfg, oracle.WriteID{Client: client, Seq: num}, v, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,7 +273,7 @@ func TestReadTSAnswersWhatAWriterTakesFromReadValue(t *testing.T) {
 			}
 		}
 	}
-	if blocks := (&readTSRMW{}).Blocks(); blocks != nil {
+	if blocks := (&readTSRMW{}).AppendBlocks(nil); blocks != nil {
 		t.Errorf("readts carries blocks: %v", blocks)
 	}
 }
@@ -293,7 +293,7 @@ func TestPiecelessGCNeverStoresAnEmptyPiece(t *testing.T) {
 		}
 		before := encodedState(t, state)
 		g := &gcRMW{ts: held}
-		if g.Blocks() != nil {
+		if g.AppendBlocks(nil) != nil {
 			t.Fatal("a GC without a piece reports blocks in flight")
 		}
 		if _, ok := g.Apply(state).(gcResp); !ok {

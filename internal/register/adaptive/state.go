@@ -59,8 +59,8 @@ func (r *readValueRMW) Apply(state dsys.State) any {
 	return &r.resp
 }
 
-// Blocks implements dsys.RMW: a read round carries no code blocks.
-func (*readValueRMW) Blocks() []dsys.BlockRef { return nil }
+// AppendBlocks implements dsys.RMW: a read round carries no code blocks.
+func (*readValueRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // readTSResp is the response of a write's query round: the object's storedTS
 // and the largest timestamp number among the pieces in Vp and Vf (zero when
@@ -88,8 +88,8 @@ func (r *readTSRMW) Apply(state dsys.State) any {
 	return &r.resp
 }
 
-// Blocks implements dsys.RMW: the query round carries no code blocks.
-func (*readTSRMW) Blocks() []dsys.BlockRef { return nil }
+// AppendBlocks implements dsys.RMW: the query round carries no code blocks.
+func (*readTSRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // updateRMW is the second write round (Algorithm 3, lines 32-39): store the
 // object's piece in Vp if there is room, otherwise fall back to storing a
@@ -197,15 +197,10 @@ func (u *updateRMW) trimmed() updateRMW {
 	return t
 }
 
-// Blocks implements dsys.RMW: the update carries the object's piece plus,
+// AppendBlocks implements dsys.RMW: the update carries the object's piece plus,
 // when it has them, the k pieces of the full replica as parameters.
-func (u *updateRMW) Blocks() []dsys.BlockRef {
-	refs := make([]dsys.BlockRef, 0, 1+len(u.full))
-	refs = append(refs, u.piece.Ref())
-	for _, c := range u.full {
-		refs = append(refs, c.Ref())
-	}
-	return refs
+func (u *updateRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return register.AppendChunkRefs(append(dst, u.piece.Ref()), u.full)
 }
 
 // seedUpdateRMW is updateRMW for reconfiguration seed writes, under a kind of
@@ -322,13 +317,13 @@ func (g *gcRMW) Apply(state dsys.State) any {
 
 func (g *gcRMW) hasPiece() bool { return len(g.piece.Block.Data) > 0 }
 
-// Blocks implements dsys.RMW: the GC round carries this object's piece (used
+// AppendBlocks implements dsys.RMW: the GC round carries this object's piece (used
 // to replace a full replica), when it carries one at all.
-func (g *gcRMW) Blocks() []dsys.BlockRef {
+func (g *gcRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
 	if !g.hasPiece() {
-		return nil
+		return dst
 	}
-	return []dsys.BlockRef{g.piece.Ref()}
+	return append(dst, g.piece.Ref())
 }
 
 // gcResp is the (empty) response of the GC round.

@@ -324,7 +324,7 @@ func checkRoundTrip(t *testing.T, kind string, payload []byte) {
 		if err != nil {
 			t.Fatalf("%s: a payload that decodes fresh fails over an RMW left from another seed: %v", kind, err)
 		}
-		if enc, err := c.Encode(again); err != nil || !bytes.Equal(enc, enc1) || len(again.Blocks()) != len(rmw.Blocks()) {
+		if enc, err := c.Encode(again); err != nil || !bytes.Equal(enc, enc1) || len(again.AppendBlocks(nil)) != len(rmw.AppendBlocks(nil)) {
 			t.Fatalf("%s: decoded over an RMW left from another seed, the payload re-encodes as\n  %x (%v)\nwant\n  %x", kind, enc, err, enc1)
 		}
 	}
@@ -358,8 +358,8 @@ func checkRoundTrip(t *testing.T, kind string, payload []byte) {
 	if !bytes.Equal(wire1, wire2) {
 		t.Fatalf("%s: envelope bytes not a fixpoint:\n  %x\n  %x", kind, wire1, wire2)
 	}
-	if got := rmw3.Blocks(); got == nil != (rmw.Blocks() == nil) || len(got) != len(rmw.Blocks()) {
-		t.Fatalf("%s: decoded RMW reports %d blocks, original %d", kind, len(got), len(rmw.Blocks()))
+	if got := rmw3.AppendBlocks(nil); got == nil != (rmw.AppendBlocks(nil) == nil) || len(got) != len(rmw.AppendBlocks(nil)) {
+		t.Fatalf("%s: decoded RMW reports %d blocks, original %d", kind, len(got), len(rmw.AppendBlocks(nil)))
 	}
 
 	// The envelope a sender or the journal writes in place, without ever
@@ -443,7 +443,7 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 				t.Errorf("%s: long seed payload does not decode: %v", kind, err)
 			}
 			checkRoundTrip(t, kind, long)
-		} else if rmw, _ := c.Decode(payload); len(rmw.Blocks()) > 0 {
+		} else if rmw, _ := c.Decode(payload); len(rmw.AppendBlocks(nil)) > 0 {
 			t.Errorf("%s carries blocks and has no long seed payload — add one", kind)
 		}
 		responses := seedResponses()[kind]

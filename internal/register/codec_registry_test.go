@@ -11,8 +11,8 @@ import (
 // unregisteredRMW has no codec: the registry must refuse it by type.
 type unregisteredRMW struct{}
 
-func (unregisteredRMW) Apply(dsys.State) any    { return nil }
-func (unregisteredRMW) Blocks() []dsys.BlockRef { return nil }
+func (unregisteredRMW) Apply(dsys.State) any                             { return nil }
+func (unregisteredRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 func TestCodecRegistryLookups(t *testing.T) {
 	kinds := register.CodecKinds()

@@ -66,7 +66,7 @@ func (r *Register) InitialStates(v0 value.Value) ([]dsys.State, error) {
 func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	pieces, err := register.WriteChunks(h, r.cfg, op.WriteID(), v)
 	if err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	}
 
 	// Round 2: store one piece per object.
-	stores := make([]storeRMW, len(pieces))
+	stores := dsys.RoundMemory[storeRMW](h, storeKey, len(pieces))
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
 		s := &stores[obj]
 		s.piece = pieces[obj]
@@ -113,6 +113,22 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 	return commitRound(h, r.cfg, ts)
 }
 
+// Keys of the memory a handle lends each round of an operation
+// (dsys.RoundMemory).
+const (
+	readKey = register.RoundKeys + iota
+	storeKey
+	seedStoreKey
+	commitKey
+)
+
+// readSlot is an object's RMW of the read round and the window its piece
+// headers come back in.
+type readSlot struct {
+	rmw  readRMW
+	head [1]register.Chunk
+}
+
 // readRound collects every object's pieces and committed timestamp and waits
 // for n-f. The round's RMWs come from one array, and each answer rides in its
 // RMW. An object answers with the headers of the pieces it holds — one, when
@@ -120,10 +136,7 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // object that holds more allocates a list. In process the object's Apply
 // fills it; over a wire the client decodes the answer into it.
 func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
-	reads := make([]struct {
-		rmw  readRMW
-		head [1]register.Chunk
-	}, cfg.N())
+	reads := dsys.RoundMemory[readSlot](h, readKey, cfg.N())
 	for obj := range reads {
 		reads[obj].rmw.resp.Pieces = reads[obj].head[:0]
 	}
@@ -133,7 +146,7 @@ func readRound(h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
 // commitRound commits ts on every object and waits for n-f. The round's RMWs
 // come from one array.
 func commitRound(h *dsys.ClientHandle, cfg register.Config, ts register.Timestamp) error {
-	commits := make([]commitRMW, cfg.N())
+	commits := dsys.RoundMemory[commitRMW](h, commitKey, cfg.N())
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
 		c := &commits[obj]
 		c.ts = ts
@@ -150,13 +163,13 @@ func commitRound(h *dsys.ClientHandle, cfg register.Config, ts register.Timestam
 func (r *Register) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	pieces, err := register.SeedChunks(h, r.cfg, op, v)
 	if err != nil {
 		return err
 	}
 	var refs [32]dsys.BlockRef
 	h.SetLocalBlocks(register.AppendChunkRefs(refs[:0], pieces))
-	stores := make([]seedStoreRMW, len(pieces))
+	stores := dsys.RoundMemory[seedStoreRMW](h, seedStoreKey, len(pieces))
 	if _, err := h.InvokeAll(func(obj int) dsys.RMW {
 		s := &stores[obj]
 		s.piece = pieces[obj]
@@ -199,7 +212,7 @@ func (r *Register) ReadTimestamped(h *dsys.ClientHandle) (value.Value, register.
 			committed = committed.Max(rr.CommittedTS)
 			chunks = append(chunks, rr.Pieces...)
 		}
-		if v, ts, ok, err := register.DecodeBest(r.cfg, chunks, committed); ok {
+		if v, ts, ok, err := register.DecodeBest(h, r.cfg, chunks, committed); ok {
 			return v, ts, err
 		}
 	}
@@ -249,8 +262,8 @@ func (r *readRMW) Apply(state dsys.State) any {
 	return &r.resp
 }
 
-// Blocks implements dsys.RMW.
-func (*readRMW) Blocks() []dsys.BlockRef { return nil }
+// AppendBlocks implements dsys.RMW.
+func (*readRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // storeRMW appends the write's piece and prunes pieces older than the
 // object's committed timestamp. A decoded store borrows its request frame
@@ -279,8 +292,10 @@ func (u *storeRMW) Apply(state dsys.State) any {
 	return true
 }
 
-// Blocks implements dsys.RMW.
-func (u *storeRMW) Blocks() []dsys.BlockRef { return []dsys.BlockRef{u.piece.Ref()} }
+// AppendBlocks implements dsys.RMW.
+func (u *storeRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return append(dst, u.piece.Ref())
+}
 
 // seedStoreRMW is storeRMW for reconfiguration seed writes: identical, except
 // that a piece with the seed's exact timestamp already present is left alone,
@@ -303,8 +318,10 @@ func (u *seedStoreRMW) Apply(state dsys.State) any {
 	return (&storeRMW{piece: u.piece, borrowed: u.borrowed}).Apply(state)
 }
 
-// Blocks implements dsys.RMW.
-func (u *seedStoreRMW) Blocks() []dsys.BlockRef { return []dsys.BlockRef{u.piece.Ref()} }
+// AppendBlocks implements dsys.RMW.
+func (u *seedStoreRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return append(dst, u.piece.Ref())
+}
 
 // commitRMW raises the committed timestamp and reclaims strictly older pieces.
 type commitRMW struct {
@@ -327,5 +344,5 @@ func (cmt *commitRMW) Apply(state dsys.State) any {
 	return true
 }
 
-// Blocks implements dsys.RMW.
-func (*commitRMW) Blocks() []dsys.BlockRef { return nil }
+// AppendBlocks implements dsys.RMW.
+func (*commitRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }

@@ -213,7 +213,7 @@ func TestEncodeWriteOwnsBlocksWhereObjectsRetainThem(t *testing.T) {
 	encode := func(c *dsys.Cluster, v value.Value) (chunks []register.Chunk) {
 		err := c.RunScoped(1, 0, cfg.N(), func(h *dsys.ClientHandle) error {
 			var err error
-			chunks, err = register.EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, h.InProcess())
+			chunks, err = register.EncodeWrite(nil, cfg, oracle.WriteID{Client: 1, Seq: 1}, v, h.InProcess())
 			return err
 		})
 		if err != nil {

@@ -8,6 +8,7 @@ package register
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/erasure"
@@ -198,12 +199,12 @@ func (c Config) Validate() (Config, error) {
 var SeedTS = Timestamp{Num: 1, Client: -1}
 
 // SeedChunks is the shared front half of every WriteSeed implementation: it
-// encodes v for the caller's current write operation (EncodeWrite, which
+// encodes v for the caller's current write operation (WriteChunks, which
 // checks v's size) and stamps every chunk with the fixed SeedTS. The caller
 // owns the operation (BeginOp/EndOp); only the protocol-specific RMW rounds
-// remain per emulation. retained is EncodeWrite's.
-func SeedChunks(cfg Config, op dsys.OpID, v value.Value, retained bool) ([]Chunk, error) {
-	chunks, err := EncodeWrite(cfg, op.WriteID(), v, retained)
+// remain per emulation.
+func SeedChunks(h *dsys.ClientHandle, cfg Config, op dsys.OpID, v value.Value) ([]Chunk, error) {
+	chunks, err := WriteChunks(h, cfg, op.WriteID(), v)
 	if err != nil {
 		return nil, err
 	}
@@ -245,12 +246,29 @@ type Register interface {
 	WriteSeed(h *dsys.ClientHandle, v value.Value) error
 }
 
+// Keys of the memory a client handle lends an operation (dsys.RoundMemory,
+// dsys.OpMemory): a write's chunk list and a read's decoder list are this
+// package's, and a provider numbers its rounds from RoundKeys on.
+const (
+	ChunksKey dsys.MemoryKey = iota
+	DecoderKey
+	RoundKeys
+)
+
+// WriteChunks is EncodeWrite for the write h runs: its list of chunks is round
+// memory h lends (dsys.RoundMemory, the handle's own on the live engine) and
+// the blocks are retained as h.InProcess() says.
+func WriteChunks(h *dsys.ClientHandle, cfg Config, w oracle.WriteID, v value.Value) ([]Chunk, error) {
+	return EncodeWrite(dsys.RoundMemory[Chunk](h, ChunksKey, cfg.N()), cfg, w, v, h.InProcess())
+}
+
 // EncodeWrite runs the write-side oracle for value v: it takes the n blocks
 // from it in one call, tags them, and returns them as timestamp-free chunks in
-// block-index order (index i+1 is destined for base object i). The oracle
-// lives for the span of the call, in its frame: the chunks are all a write
-// keeps of it. A value whose size is not cfg.DataLen is refused with
-// ErrConfig: every write, seed write and initial value is checked here.
+// block-index order (index i+1 is destined for base object i), in dst when it
+// has room for n of them and in a new list otherwise. The oracle lives for the
+// span of the call, in its frame: the chunks are all a write keeps of it. A
+// value whose size is not cfg.DataLen is refused with ErrConfig: every write,
+// seed write and initial value is checked here.
 //
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
@@ -258,7 +276,7 @@ type Register interface {
 // only travel — a node across a wire decodes them as views of the frame and
 // copies only the one its object stores, where it stores it (Retain) — and a
 // code's data blocks may be views of v.
-func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, error) {
+func EncodeWrite(dst []Chunk, cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, error) {
 	if v.SizeBytes() != cfg.DataLen {
 		return nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
 	}
@@ -268,7 +286,7 @@ func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]
 	if err != nil {
 		return nil, fmt.Errorf("register: encoding: %w", err)
 	}
-	chunks := make([]Chunk, cfg.N())
+	chunks := slices.Grow(dst[:0], cfg.N())[:cfg.N()]
 	for i := range chunks {
 		b := blocks[i]
 		if retained {
@@ -282,7 +300,7 @@ func EncodeWrite(cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]
 // InitialChunks encodes the initial value v0 and returns its chunks tagged
 // with the zero timestamp and the InitialWrite source.
 func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
-	chunks, err := EncodeWrite(cfg, oracle.InitialWrite, v0, true)
+	chunks, err := EncodeWrite(nil, cfg, oracle.InitialWrite, v0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -301,10 +319,12 @@ func InitialChunks(cfg Config, v0 value.Value) ([]Chunk, error) {
 //
 // A read set is a few chunks per object, so the groups are found by scanning
 // it, once per timestamp that could still win, and the winner's chunks go to
-// the oracle straight from the read set, in the order they arrived. All that
-// is allocated is the oracle's list, sized to them, and the value. An index
-// no code of at most 255 blocks produces is not counted.
-func DecodeBest(cfg Config, chunks []Chunk, minTS Timestamp) (v value.Value, ts Timestamp, ok bool, err error) {
+// the oracle straight from the read set, in the order they arrived. The
+// oracle's list is memory h keeps for the read's decoder (dsys.OpMemory, on
+// every engine: it reaches no round), cleared once the value is decoded, so
+// all that is allocated is the value; a nil h lends none, and the list is
+// new. An index no code of at most 255 blocks produces is not counted.
+func DecodeBest(h *dsys.ClientHandle, cfg Config, chunks []Chunk, minTS Timestamp) (v value.Value, ts Timestamp, ok bool, err error) {
 	best, size := ZeroTS, 0 // size is how many chunks carry best; 0 until a timestamp qualifies
 	for _, c := range chunks {
 		if c.TS.Less(minTS) || size > 0 && c.TS.LessEq(best) {
@@ -329,7 +349,9 @@ func DecodeBest(cfg Config, chunks []Chunk, minTS Timestamp) (v value.Value, ts 
 	if size == 0 {
 		return value.Value{}, ZeroTS, false, nil
 	}
-	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen, size)
+	list := dsys.OpMemory[erasure.Block](h, DecoderKey, size)
+	defer clear(list)
+	dec := oracle.NewDecoder(cfg.Code, cfg.DataLen, list)
 	for _, c := range chunks {
 		if c.TS != best {
 			continue

@@ -98,7 +98,7 @@ func TestEncodeWriteAndInitialChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := value.Sequenced(1, 1, 64)
-	chunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, v, true)
+	chunks, err := EncodeWrite(nil, cfg, oracle.WriteID{Client: 1, Seq: 1}, v, true)
 	if err != nil {
 		t.Fatalf("EncodeWrite: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestEncodeWriteAndInitialChunks(t *testing.T) {
 	}
 
 	// Decode from the first k chunks.
-	got, _, ok, err := DecodeBest(cfg, chunks[:cfg.K], ZeroTS)
+	got, _, ok, err := DecodeBest(nil, cfg, chunks[:cfg.K], ZeroTS)
 	if !ok || err != nil {
 		t.Fatalf("DecodeBest: ok %v, %v", ok, err)
 	}
@@ -142,7 +142,7 @@ func TestChunkHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16), true)
+	chunks, err := EncodeWrite(nil, cfg, oracle.WriteID{Client: 3, Seq: 4}, value.Sequenced(3, 4, 16), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestBestDecodable(t *testing.T) {
 	}
 	vOld := value.Sequenced(1, 1, 32)
 	vNew := value.Sequenced(2, 1, 32)
-	oldChunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld, true)
+	oldChunks, err := EncodeWrite(nil, cfg, oracle.WriteID{Client: 1, Seq: 1}, vOld, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newChunks, err := EncodeWrite(cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew, true)
+	newChunks, err := EncodeWrite(nil, cfg, oracle.WriteID{Client: 2, Seq: 1}, vNew, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestBestDecodable(t *testing.T) {
 	// Old value fully present, new value has only one piece: best decodable
 	// at minTS=0 is the old value.
 	mixed := append(CloneChunks(oldChunks), newChunks[0])
-	v, ts, ok, err := DecodeBest(cfg, mixed, ZeroTS)
+	v, ts, ok, err := DecodeBest(nil, cfg, mixed, ZeroTS)
 	if !ok || ts != tsOld {
 		t.Fatalf("DecodeBest = ts %v ok %v, want old ts", ts, ok)
 	}
@@ -193,13 +193,13 @@ func TestBestDecodable(t *testing.T) {
 	}
 
 	// With minTS above the old timestamp, nothing qualifies.
-	if _, _, ok, _ := DecodeBest(cfg, mixed, tsNew); ok {
+	if _, _, ok, _ := DecodeBest(nil, cfg, mixed, tsNew); ok {
 		t.Fatal("DecodeBest found a value above minTS unexpectedly")
 	}
 
 	// With both values fully present, the larger timestamp wins.
 	both := append(CloneChunks(oldChunks), newChunks...)
-	v, ts, ok, err = DecodeBest(cfg, both, ZeroTS)
+	v, ts, ok, err = DecodeBest(nil, cfg, both, ZeroTS)
 	if !ok || ts != tsNew {
 		t.Fatalf("DecodeBest with both = %v, want new ts", ts)
 	}
@@ -209,7 +209,7 @@ func TestBestDecodable(t *testing.T) {
 
 	// Duplicate block indices of the same timestamp do not count as distinct.
 	dups := []Chunk{newChunks[0], newChunks[0], newChunks[0]}
-	if _, _, ok, _ := DecodeBest(cfg, dups, ZeroTS); ok {
+	if _, _, ok, _ := DecodeBest(nil, cfg, dups, ZeroTS); ok {
 		t.Fatal("DecodeBest accepted duplicate indices as decodable")
 	}
 }
@@ -240,7 +240,7 @@ func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
 	}
 	writes := make([][]Chunk, 4)
 	for num := 1; num <= 3; num++ {
-		if writes[num], err = EncodeWrite(cfg, oracle.WriteID{Client: 1, Seq: num}, value.Sequenced(1, num, 48), true); err != nil {
+		if writes[num], err = EncodeWrite(nil, cfg, oracle.WriteID{Client: 1, Seq: num}, value.Sequenced(1, num, 48), true); err != nil {
 			t.Fatal(err)
 		}
 		for i := range writes[num] {
@@ -249,7 +249,7 @@ func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
 	}
 	piece := func(num, index int) Chunk { return writes[num][index-1] }
 	mixed := []Chunk{piece(2, 3), piece(1, 1), piece(2, 1), piece(3, 1), piece(1, 2), piece(2, 3), piece(2, 2)}
-	v, ts, ok, err := DecodeBest(cfg, mixed, ZeroTS)
+	v, ts, ok, err := DecodeBest(nil, cfg, mixed, ZeroTS)
 	if !ok || err != nil || ts.Num != 2 || !v.Equal(value.Sequenced(1, 2, 48)) {
 		t.Fatalf("DecodeBest = %v at %v (ok %v, err %v), want write 2's value", v, ts, ok, err)
 	}
@@ -263,7 +263,7 @@ func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
 	for i, index := range []int{-1, 1 << 40, 256} {
 		hostile[i].Block.Index = index
 	}
-	if _, _, ok, _ := DecodeBest(cfg, hostile, ZeroTS); ok {
+	if _, _, ok, _ := DecodeBest(nil, cfg, hostile, ZeroTS); ok {
 		t.Fatal("DecodeBest counted block indices no code produces")
 	}
 
@@ -271,7 +271,7 @@ func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiescent, err := EncodeWrite(cfg8, oracle.WriteID{Client: 1, Seq: 5}, value.Sequenced(1, 5, 64), true)
+	quiescent, err := EncodeWrite(nil, cfg8, oracle.WriteID{Client: 1, Seq: 5}, value.Sequenced(1, 5, 64), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestDecodeBestKeepsArrivalOrderAndAllocatesNoGroup(t *testing.T) {
 		quiescent[i].TS = Timestamp{Num: 5, Client: 1}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, ok, err := DecodeBest(cfg8, quiescent, Timestamp{Num: 5, Client: 1}); !ok || err != nil {
+		if _, _, ok, err := DecodeBest(nil, cfg8, quiescent, Timestamp{Num: 5, Client: 1}); !ok || err != nil {
 			t.Fatalf("DecodeBest on a quiescent read set: ok %v, %v", ok, err)
 		}
 	})

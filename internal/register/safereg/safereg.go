@@ -104,7 +104,7 @@ func (r *Register[F]) InitialStates(v0 value.Value) ([]dsys.State, error) {
 func (r *Register[F]) Write(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, err := register.EncodeWrite(r.cfg, op.WriteID(), v, h.InProcess())
+	pieces, err := register.WriteChunks(h, r.cfg, op.WriteID(), v)
 	if err != nil {
 		return err
 	}
@@ -143,17 +143,24 @@ func held(dst []dsys.BlockRef, cfg register.Config, pieces []register.Chunk) []d
 	return register.AppendChunkRefs(dst, pieces)
 }
 
+// Keys of the memory a handle lends each round of an operation
+// (dsys.RoundMemory).
+const (
+	readKey = register.RoundKeys + iota
+	updateKey
+)
+
 // readRound asks every object for its piece and waits for n-f. The round's
 // RMWs come from one array, and each answer rides in its RMW.
 func readRound[F family](h *dsys.ClientHandle, cfg register.Config) ([]any, error) {
-	reads := make([]readRMW[F], cfg.N())
+	reads := dsys.RoundMemory[readRMW[F]](h, readKey, cfg.N())
 	return h.InvokeAll(func(obj int) dsys.RMW { return &reads[obj] }, cfg.Quorum())
 }
 
 // updateRound sends every object its piece and waits for n-f. The round's
 // RMWs come from one array.
 func updateRound[F family](h *dsys.ClientHandle, cfg register.Config, pieces []register.Chunk) error {
-	updates := make([]updateRMW[F], len(pieces))
+	updates := dsys.RoundMemory[updateRMW[F]](h, updateKey, len(pieces))
 	_, err := h.InvokeAll(func(obj int) dsys.RMW {
 		u := &updates[obj]
 		u.chunk = pieces[obj]
@@ -168,7 +175,7 @@ func updateRound[F family](h *dsys.ClientHandle, cfg register.Config, pieces []r
 func (r *Register[F]) WriteSeed(h *dsys.ClientHandle, v value.Value) error {
 	op := h.BeginOp(dsys.OpWrite)
 	defer h.EndOp()
-	pieces, err := register.SeedChunks(r.cfg, op, v, h.InProcess())
+	pieces, err := register.SeedChunks(h, r.cfg, op, v)
 	if err != nil {
 		return err
 	}
@@ -204,7 +211,7 @@ func (r *Register[F]) ReadTimestamped(h *dsys.ClientHandle) (value.Value, regist
 			chunks = append(chunks, *raw.(*register.Chunk))
 		}
 	}
-	if v, ts, ok, err := register.DecodeBest(r.cfg, chunks, register.ZeroTS); ok {
+	if v, ts, ok, err := register.DecodeBest(h, r.cfg, chunks, register.ZeroTS); ok {
 		return v, ts, err
 	}
 	return r.v0, register.ZeroTS, nil
@@ -234,8 +241,8 @@ func (r *readRMW[F]) Apply(state dsys.State) any {
 	return &r.resp
 }
 
-// Blocks implements dsys.RMW.
-func (*readRMW[F]) Blocks() []dsys.BlockRef { return nil }
+// AppendBlocks implements dsys.RMW.
+func (*readRMW[F]) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // updateRMW overwrites the object's piece if the new timestamp is larger
 // (Algorithm 5, lines 10-12). A decoded update borrows its request frame
@@ -255,5 +262,7 @@ func (u *updateRMW[F]) Apply(state dsys.State) any {
 	return false
 }
 
-// Blocks implements dsys.RMW.
-func (u *updateRMW[F]) Blocks() []dsys.BlockRef { return []dsys.BlockRef{u.chunk.Ref()} }
+// AppendBlocks implements dsys.RMW.
+func (u *updateRMW[F]) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef {
+	return append(dst, u.chunk.Ref())
+}

@@ -167,10 +167,13 @@ func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
 	}
 	l.mu.Lock()
 	if l.led {
-		req.wake = make(chan batchResp, 1)
+		req.wake = wakes.Get().(chan batchResp)
 		l.pending = append(l.pending, req)
 		l.mu.Unlock()
 		resp := <-req.wake
+		// Exactly one message is sent per enqueue — an answer or the lead —
+		// and this was it, so the channel goes back empty.
+		wakes.Put(req.wake)
 		if !resp.lead {
 			return resp
 		}
@@ -181,6 +184,9 @@ func (b *Batcher) submit(l *lane, v value.Value, tc trace.Context) batchResp {
 	}
 	return b.leadRound(l)
 }
+
+// wakes holds the empty wake channels of members that have been woken.
+var wakes = sync.Pool{New: func() any { return make(chan batchResp, 1) }}
 
 // leaderBatch is how many members of a round a leader copies without
 // allocating; a larger round spills to the heap.

@@ -227,7 +227,7 @@ func (b *blockingRMW) Apply(dsys.State) any {
 	return nil
 }
 
-func (b *blockingRMW) Blocks() []dsys.BlockRef { return nil }
+func (b *blockingRMW) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 // TestNoCrossShardBlocking pins one shard's base object inside a blocked
 // Apply and proves that writes to a different shard still complete: clients

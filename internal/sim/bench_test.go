@@ -9,13 +9,16 @@ import (
 // allocate, over every step of the default config's seeds 1–50 and
 // everything their runs allocate: the workload's operations, the checkers
 // and the fingerprint included. A step itself allocates nothing: the
-// coordinator refills one View, the walk lists every object's blocks into one
-// buffer, a round's calls are its task's and its pending RMWs entries of the
-// cluster's list, and the adversary's random move lists its moves in a slice
-// it keeps. stepAllocsParent is what this build's parent measured.
+// coordinator refills one View, the walk lists every object's and every
+// pending RMW's blocks into one buffer, a round's calls are its task's and its
+// pending RMWs entries of the cluster's list, and the adversary's random move
+// and its fault rolls list their candidates in slices it keeps. A read's
+// decoder list is memory its handle lends, and the checkers list a history's
+// writes once. stepAllocsParent is what this build's parent measured; it
+// reads 3.99 here.
 const (
-	stepAllocs       = 8
-	stepAllocsParent = 39.06
+	stepAllocs       = 6
+	stepAllocsParent = 4.69
 )
 
 // runSeeds runs the default config at seeds 1–50 in turn, runs times, and

@@ -101,6 +101,9 @@ type adversary struct {
 	shards []*shard.Shard
 	// space is the space rule, checked at every scheduling point.
 	space spaceRule
+	// cands is the buffer a fault roll lists its candidates into: objects
+	// (faultCandidates) or clients.
+	cands []int
 	// maxClientCrashes caps the generic client-crash move.
 	maxClientCrashes int
 	// crashController and resumeController are the controller-crash and
@@ -172,9 +175,10 @@ func (a *adversary) faultedIn(sh *shard.Shard) int {
 }
 
 // faultCandidates lists objects that may be crashed or suspended without
-// blowing a shard's fault budget, in ascending order.
+// blowing a shard's fault budget, in ascending order, into the adversary's
+// candidate buffer: the list is valid until the next roll.
 func (a *adversary) faultCandidates() []int {
-	var out []int
+	out := a.cands[:0]
 	for _, sh := range a.shards {
 		if a.faultedIn(sh) >= sh.Reg.Config().F {
 			continue
@@ -185,6 +189,7 @@ func (a *adversary) faultCandidates() []int {
 			}
 		}
 	}
+	a.cands = out
 	return out
 }
 
@@ -250,12 +255,13 @@ func (a *adversary) Decide(v *dsys.View) dsys.Decision {
 		}
 	case roll < cum+suspendObjectRate+resumeObjectRate+crashClientRate:
 		if a.clientCrashes < a.maxClientCrashes {
-			cands := make([]int, 0, len(v.Clients))
+			cands := a.cands[:0]
 			for _, cl := range v.Clients {
 				if !a.immortal[cl] {
 					cands = append(cands, cl)
 				}
 			}
+			a.cands = cands
 			if len(cands) > 0 {
 				client := cands[a.rng.Intn(len(cands))]
 				a.clientCrashes++

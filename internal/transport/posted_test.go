@@ -25,8 +25,8 @@ import (
 // adaptive GC, which mutates, never meets.
 type postedProbe struct{}
 
-func (postedProbe) Apply(dsys.State) any    { return nil }
-func (postedProbe) Blocks() []dsys.BlockRef { return nil }
+func (postedProbe) Apply(dsys.State) any                             { return nil }
+func (postedProbe) AppendBlocks(dst []dsys.BlockRef) []dsys.BlockRef { return dst }
 
 func init() {
 	register.RegisterCodec(register.Codec{

@@ -713,8 +713,8 @@ var remoteShapes = []struct {
 	write, read             float64
 	writeParent, readParent int
 }{
-	{"1KiB-f1-k2", 1, 2, 1 << 10, 11, 3, 15, 5},
-	{"64KiB-f2-k4", 2, 4, 64 << 10, 18, 9, 21, 11},
+	{"1KiB-f1-k2", 1, 2, 1 << 10, 11, 2, 11, 3},
+	{"64KiB-f2-k4", 2, 4, 64 << 10, 18, 8, 18, 9},
 }
 
 // openRemoteAdaptive serves an adaptive shard of the given shape over
@@ -754,9 +754,11 @@ func openRemoteAdaptive(tb testing.TB, f, k, size int) (*shard.Set, value.Value)
 // read through shard.NewRemote allocate over loopback TCP, both sides of the
 // wire counted, at BenchmarkAdaptiveOverTCP's two shapes. A write keeps the
 // value's blocks, the nodes' copies of the pieces they store and its rounds'
-// RMW arrays. A read keeps its round's RMW array, the oracle's block list and
-// the value, and at 64 KiB the frame of each answer that carries a piece, too
-// large for the client's slab. No round keeps its result map: the remote
+// RMW arrays: the remote engine lends no round memory, as a RoundInvoker may
+// keep what it is handed. A read keeps its round's RMW array and the value,
+// and at 64 KiB the frame of each answer that carries a piece, too large for
+// the client's slab; the oracle's block list is memory the client handle
+// lends the read (dsys.OpMemory). No round keeps its result map: the remote
 // engine gives it back to dsys.RoundResult's pool. Neither
 // builds a closure per operation (the shard layer's pooled op), a read's
 // answers decode into the round's header windows, its reconstruction inverts

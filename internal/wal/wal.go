@@ -340,7 +340,8 @@ func (j *Journal) newSegmentLocked() error {
 // RecordApply implements dsys.Journal: journal one applied mutating RMW.
 // Called under the object's apply lock, which is what makes the log order
 // match the apply order per object. Read-only RMWs are skipped — they carry
-// no state change to replay.
+// no state change to replay. The RMW is lent for the call: it is encoded into
+// the journal's frame before RecordApply returns, and nothing of it is kept.
 func (j *Journal) RecordApply(object int, rmw dsys.RMW) {
 	j.recordApply(object, rmw, nil, trace.Context{})
 }
