@@ -115,8 +115,10 @@ fmt-check:
 # and every region against the space bound at every step and at a quiesced
 # end (Theorem 2 and its final clause; DESIGN.md "The space rule"), and
 # every operation whose client survives must complete (wait-freedom or
-# FW-termination; DESIGN.md "Simulation & checking"). Fails with a
-# replayable report in sim-failures.txt.
+# FW-termination; DESIGN.md "Simulation & checking"). Every RMW and answer
+# crosses as its wire codec's bytes, and each delivered RMW must carry the
+# code blocks its channel was charged for (DESIGN.md "One delivery path").
+# Fails with a replayable report in sim-failures.txt.
 sim-smoke:
 	$(GO) run ./cmd/spacebench -sim -seeds $(SIM_SMOKE_SEEDS) -sim-out sim-failures.txt
 

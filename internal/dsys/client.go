@@ -3,6 +3,7 @@ package dsys
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,10 +102,11 @@ func (h *ClientHandle) context() context.Context {
 	return context.Background()
 }
 
-// InProcess reports whether the handle's base objects live in this process and
-// so retain the very RMW values a round hands them, blocks included; a remote
-// cluster's nodes keep what they decode from the wire.
-func (h *ClientHandle) InProcess() bool { return h.c.remote == nil }
+// InProcess reports whether the handle's base objects retain the very RMW
+// values a round hands them, blocks included: only the live engine's do. A
+// controlled cluster's objects, like a remote cluster's nodes, keep what they
+// decode from the wire.
+func (h *ClientHandle) InProcess() bool { return h.c.remote == nil && h.c.opts.mode == Live }
 
 // N returns the number of base objects visible to this handle (the scope's
 // span; the whole cluster for handles created by Spawn).
@@ -266,24 +268,23 @@ func (k *kept[T]) release() {
 
 // RoundMemory returns n zeroed values of T for one round of h's operation —
 // its RMW array — or for a list the operation hands its rounds, such as a
-// write's chunks. On the live in-process engine the memory is the handle's,
-// kept under key from one operation to the next: invokeLive applies every RMW
-// before Invoke returns, a journal encodes the RMW it is lent under the apply
-// lock (Journal.RecordApply), and an object keeps what it stores of a
-// parameter by value or in a list of its own, so nothing keeps the memory
-// past the operation. The list is valid until the next
-// borrow under the same key, and putLiveHandle clears it with the slots.
+// write's chunks. On the in-process engines the memory is the handle's, kept
+// under key from one operation to the next: nothing keeps it past the
+// operation. The live engine applies every RMW before Invoke returns, and the
+// controlled engine encodes it when it is triggered; a journal encodes the RMW
+// it is lent under the apply lock (Journal.RecordApply), and an object keeps
+// what it stores of a parameter by value or in a list of its own. The list is
+// valid until the next borrow under the same key, and putLiveHandle clears it
+// with the slots.
 //
-// The other engines get new memory on every call. The controlled engine may
-// apply a straggler RMW after its round has returned, into that round's array
-// (the coordinator's pending list keeps it), so the array must outlive the
-// operation. The remote engine hands its RMWs to a RoundInvoker, whose
-// contract lets a decorator keep them — one that captures an RMW stream does.
+// The remote engine gets new memory on every call: it hands its RMWs to a
+// RoundInvoker, whose contract lets a decorator keep them — one that captures
+// an RMW stream does.
 func RoundMemory[T any](h *ClientHandle, key MemoryKey, n int) []T {
-	if h.c.remote != nil || h.c.opts.mode != Live {
-		return make([]T, n)
+	if h.c.remote == nil {
+		return OpMemory[T](h, key, n)
 	}
-	return OpMemory[T](h, key, n)
+	return make([]T, n)
 }
 
 // OpMemory returns n zeroed values of T from memory h keeps under key, on
@@ -378,10 +379,12 @@ var remoteRounds = sync.Pool{New: func() any {
 	return r
 }}
 
-// invokeControlled registers pending RMWs and blocks until the scheduling
+// invokeControlled triggers the round's RMWs and blocks until the scheduling
 // policy has applied a quorum of them and granted the client the run token
-// again. The round's calls are its task's, kept from round to round, and its
-// pending RMWs are entries of the cluster's pending list, so the round
+// again. Each RMW goes on the cluster's pending list as the bytes a wire
+// carries (sendLocked), so the client's RMW is free once the round returns. The
+// round's calls are its task's, kept from round to round, and its pending
+// entries write over the buffers of RMWs delivered before, so the round
 // allocates nothing of its own.
 func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW, quorum int, resp []any) ([]any, error) {
 	c := h.c
@@ -390,15 +393,22 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 	for _, obj := range targets {
 		rmw := makeRMW(obj)
 		t.calls = append(t.calls, Call{Object: obj})
-		c.pending = append(c.pending, pendingRMW{
+		t.sent = append(t.sent, rmw)
+		// The slot past the list's end holds the buffers of the RMW last
+		// delivered from it (takePendingLocked).
+		c.pending = slices.Grow(c.pending, 1)[:len(c.pending)+1]
+		p := &c.pending[len(c.pending)-1]
+		*p = pendingRMW{
 			seq:    c.nextSeq,
 			object: h.base + obj,
 			op:     h.currentOp,
-			rmw:    rmw,
+			env:    p.env,
+			refs:   p.refs,
 			owner:  t,
 			round:  t.round,
 			call:   len(t.calls) - 1,
-		})
+		}
+		c.sendLocked(p, rmw)
 		c.nextSeq++
 	}
 	t.waitNeed = quorum
@@ -430,7 +440,8 @@ func (h *ClientHandle) invokeControlled(targets []int, makeRMW func(obj int) RMW
 // still pending answers a call of it. Callers must hold the cluster's lock.
 func (t *clientTask) endRound() {
 	clear(t.calls)
-	t.calls, t.waitNeed = t.calls[:0], 0
+	clear(t.sent)
+	t.calls, t.sent, t.waitNeed = t.calls[:0], t.sent[:0], 0
 	t.round++
 }
 

@@ -107,14 +107,24 @@ type clientTask struct {
 	calls    []Call
 	round    int64
 	waitNeed int
+	// sent holds the client's RMW of each call of the open round, which the
+	// call's answer is decoded into.
+	sent []RMW
 }
 
 // pendingRMW is a triggered RMW that has not taken effect. The cluster keeps
-// them by value, in trigger order.
+// them by value, in trigger order. An entry holds what a wire carries, not
+// the client's RMW: env, the RMW's envelope, and refs, the code blocks the
+// channel is charged for (sendLocked). Only an RMW that crosses by pointer is
+// kept as rmw. A delivered entry's buffers go to the slot the list leaves
+// free, so the next trigger writes over them (takePendingLocked).
 type pendingRMW struct {
 	seq    int64
 	object int
 	op     OpID
+	env    []byte
+	refs   []BlockRef
+	posted bool // env's kind is posted: its answer is never read
 	rmw    RMW
 	owner  *clientTask
 	round  int64 // the owner's round that triggered it
@@ -297,6 +307,14 @@ type Cluster struct {
 	walkBlocks []BlockRef
 	view       View
 
+	// wire is what the controlled engine delivers through (InstallWire), nil
+	// for none, and wireFault the first fault it met (WireFault). decoded
+	// holds, by object ID, the RMW each object last decoded of each kind,
+	// which its next delivery of the kind is decoded over. Guarded by mu.
+	wire      Wire
+	wireFault error
+	decoded   [][]RMW
+
 	wg sync.WaitGroup
 }
 
@@ -333,6 +351,9 @@ func NewCluster(states []State, opts ...Option) *Cluster {
 	}
 	c.objsPtr.Store(&objects)
 	if o.mode == Controlled {
+		if newWire != nil {
+			c.wire = newWire()
+		}
 		c.view.Storage = c.snapshotLocked
 		c.storageTotalsLocked()
 		c.wg.Add(1)
@@ -788,14 +809,15 @@ func (c *Cluster) notePeakLocked(total, base int) {
 
 // walkStorageLocked visits every set of blocks Definition 2 charges, with its
 // location: each base object's state, each client's local holdings, and each
-// pending RMW's parameters (its client's channel). Retired objects were
-// decommissioned by reconfiguration: their state was deallocated with them,
-// so none of their bits count any more. Callers must hold c.mu; each object's
-// apply lock and the stripe locks are taken one at a time underneath it, so a
-// live-mode walk never observes a state mid-Apply (the walk as a whole is
-// still advisory in live mode: objects are visited one after another while
-// operations may be in flight). Each object's blocks are listed into the
-// cluster's one buffer, so visit must not keep refs, nor take locks.
+// pending RMW's parameters as its trigger listed them (its client's channel).
+// Retired objects were decommissioned by reconfiguration: their state was
+// deallocated with them, so none of their bits count any more. Callers must
+// hold c.mu; each object's apply lock and the stripe locks are taken one at a
+// time underneath it, so a live-mode walk never observes a state mid-Apply
+// (the walk as a whole is still advisory in live mode: objects are visited
+// one after another while operations may be in flight). Each object's blocks
+// are listed into the cluster's one buffer, so visit must not keep refs, nor
+// take locks.
 func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []BlockRef)) {
 	for _, o := range c.objs() {
 		if o.retired.Load() {
@@ -818,8 +840,7 @@ func (c *Cluster) walkStorageLocked(visit func(loc storagecost.Location, refs []
 	}
 	for i := range c.pending {
 		p := &c.pending[i]
-		c.walkBlocks = p.rmw.AppendBlocks(c.walkBlocks[:0])
-		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, c.walkBlocks)
+		visit(storagecost.Location{Kind: storagecost.Channel, ID: p.op.Client}, p.refs)
 	}
 }
 

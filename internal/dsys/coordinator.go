@@ -186,13 +186,18 @@ func (c *Cluster) buildViewLocked() *View {
 }
 
 // applyPendingLocked lets the pending RMW at the given index take effect:
-// the state change is applied atomically, the response is recorded, the
-// storage peaks take the new totals, and the owning task is made ready again
-// if its quorum is now satisfied.
+// the object receives it from the wire, the state change is applied
+// atomically, the storage peaks take the new totals, and if the RMW's round is
+// still open its answer crosses back into the owner's call, whose task is
+// made ready again once its quorum is satisfied. A closed round's answer is
+// dropped, as a TCP client drops a straggler's.
 func (c *Cluster) applyPendingLocked(index int) {
-	p := c.pending[index]
-	c.pending = slices.Delete(c.pending, index, index+1)
-	resp, err := c.objs()[p.object].apply(c, p.rmw, trace.Context{}, false)
+	p := c.takePendingLocked(index)
+	rmw, ok := c.receiveLocked(&p)
+	if !ok {
+		return
+	}
+	resp, err := c.objs()[p.object].apply(c, rmw, trace.Context{}, false)
 	if err != nil {
 		// A policy should never pick a crashed or retired object; drop the RMW
 		// silently (it can never take effect).
@@ -203,11 +208,10 @@ func (c *Cluster) applyPendingLocked(index int) {
 		c.emitEvent(Event{Step: c.steps, Kind: EventApply, Object: p.object, Client: p.op.Client, Op: p.op})
 	}
 	c.notePeakLocked(c.storageTotalsLocked())
-	// An RMW of a closed round of its owner answers nothing: that round has
-	// returned, and its owner waits, if at all, on a later one.
 	if t := p.owner; t != nil && p.round == t.round {
-		t.calls[p.call].Done = true
-		t.calls[p.call].Response = resp
+		call := &t.calls[p.call]
+		call.Done = true
+		call.Response = c.answerLocked(&p, t.sent[p.call], resp)
 		if t.state == taskBlocked && !t.crashed {
 			done := 0
 			for i := range t.calls {
@@ -224,6 +228,19 @@ func (c *Cluster) applyPendingLocked(index int) {
 		}
 	}
 	c.cond.Broadcast()
+}
+
+// takePendingLocked removes the pending RMW at index from the list and
+// returns it. Its buffers go to the slot the list leaves free at its end,
+// where the next trigger writes over them (invokeControlled): a delivered
+// RMW's bytes live until then, and no longer.
+func (c *Cluster) takePendingLocked(index int) pendingRMW {
+	p := c.pending[index]
+	last := len(c.pending) - 1
+	copy(c.pending[index:], c.pending[index+1:])
+	c.pending[last] = pendingRMW{env: p.env[:0], refs: p.refs[:0]}
+	c.pending = c.pending[:last]
+	return p
 }
 
 // emitEvent calls the event log. It is invoked with c.mu held, so the callback

@@ -13,11 +13,15 @@
 // throughput-oriented benchmarks.
 //
 // The runtime also implements the storage-cost bookkeeping of Section 3:
-// base-object states, client-held blocks, and the parameters of pending RMWs
-// all report the code blocks they contain. One walk over them serves two
-// uses: after every scheduling step that applies an RMW it sums their bits
-// into the run's peak (PeakStorage), and on request it lists them as a
-// storagecost snapshot (SampleStorage, View.Storage).
+// base-object states and client-held blocks report the code blocks they
+// contain, and a pending RMW is charged the set of blocks its parameters
+// listed when it was triggered. A controlled cluster sends every RMW and
+// answer as the bytes a wire carries (Wire), and checks at each delivery that
+// the decoded RMW carries exactly the blocks its channel was charged for
+// (WireFault). One walk over the charges serves two uses: after every
+// scheduling step that applies an RMW it sums their bits into the run's peak
+// (PeakStorage), and on request it lists them as a storagecost snapshot
+// (SampleStorage, View.Storage).
 package dsys
 
 import (
@@ -52,8 +56,8 @@ type State interface {
 // slice; while the RMW is pending these bits are charged to the channel (the
 // paper counts in-flight information as part of client/base-object state,
 // which is how algorithms that push cost into the network are still covered
-// by the bound). The walk lists every pending RMW's blocks into the buffer it
-// lists states into, so an RMW that only appends costs it no allocation.
+// by the bound). A controlled trigger lists them into a buffer its pending
+// entry keeps, so an RMW that only appends costs it no allocation.
 type RMW interface {
 	Apply(s State) (response any)
 	AppendBlocks(dst []BlockRef) []BlockRef

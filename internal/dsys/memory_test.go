@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRoundMemoryFollowsTheEngine: on the live engine a round's memory is the
-// handle's, handed out zeroed and kept under its key from one borrow to the
-// next, and every key has memory of its own; the controlled and remote
-// engines get new memory on every borrow. OpMemory lends the handle's memory
-// on every engine.
+// TestRoundMemoryFollowsTheEngine: on the in-process engines, live and
+// controlled, a round's memory is the handle's, handed out zeroed and kept
+// under its key from one borrow to the next, and every key has memory of its
+// own; the remote engine gets new memory on every borrow. OpMemory lends the
+// handle's memory on every engine.
 func TestRoundMemoryFollowsTheEngine(t *testing.T) {
 	const n = 3
 	remote := NewRemoteCluster(n, roundInvokerFunc(func(context.Context, int, []int, func(int) RMW, int) (map[int]any, error) {
@@ -25,7 +25,7 @@ func TestRoundMemoryFollowsTheEngine(t *testing.T) {
 		name  string
 		c     *Cluster
 		lends bool
-	}{{"live", live, true}, {"controlled", controlled, false}, {"remote", remote, false}} {
+	}{{"live", live, true}, {"controlled", controlled, true}, {"remote", remote, false}} {
 		t.Run(e.name, func(t *testing.T) {
 			err := e.c.RunScoped(1, 0, n, func(h *ClientHandle) error {
 				first := RoundMemory[slotRMW](h, 0, n)

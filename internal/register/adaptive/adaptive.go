@@ -159,10 +159,9 @@ func (r *Register) Write(h *dsys.ClientHandle, v value.Value) error {
 // it has not answered at all). needsPiece comes in all false; nil records
 // nothing.
 func updateRound(h *dsys.ClientHandle, cfg register.Config, ts, storedTS register.Timestamp, writeSet []register.Chunk, seed bool, needsPiece []bool) error {
-	// Each of the two rounds builds its updates in an array of its own — on
-	// the controlled engine a straggler of the first may still be applied
-	// while the second runs — and one array serves either kind: an update is a
-	// seed update's only field.
+	// Each of the two rounds builds its updates in round memory of its own,
+	// and one array serves either kind: an update is a seed update's only
+	// field.
 	k := int32(cfg.K)
 	update := func(rmws []seedUpdateRMW, obj int, full []register.Chunk) dsys.RMW {
 		u := &rmws[obj]
@@ -310,9 +309,9 @@ func readValue(h *dsys.ClientHandle, cfg register.Config, lean bool, buf []regis
 	if lean {
 		withPieces = cfg.Quorum()
 	}
-	// Each object is sent one of the two kinds, and one array holds both. On
-	// the live engine a retry reuses the array: nothing of an attempt is kept
-	// past it.
+	// Each object is sent one of the two kinds, and one array holds both. In
+	// process a retry reuses the array: nothing of an attempt is kept past
+	// it.
 	rmws := dsys.RoundMemory[readSlot](h, readKey, cfg.N())
 	// An object answers with the headers of the pieces it holds — one, when it
 	// is quiescent — into the RMW's list: a window of one header beside the

@@ -306,7 +306,9 @@ func decodeRMW(c Codec, env dsys.Envelope, d *Decoded) (dsys.RMW, error) {
 	var dst dsys.RMW
 	if d != nil {
 		if c.pos >= len(*d) {
-			*d = append(*d, make([]dsys.RMW, c.pos+1-len(*d))...)
+			// A holder meets most kinds sooner or later: room for every kind
+			// registered, at once.
+			*d = append(*d, make([]dsys.RMW, len(loadCodecs().byKind)-len(*d))...)
 		}
 		dst = (*d)[c.pos]
 	}

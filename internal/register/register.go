@@ -256,8 +256,8 @@ const (
 )
 
 // WriteChunks is EncodeWrite for the write h runs: its list of chunks is round
-// memory h lends (dsys.RoundMemory, the handle's own on the live engine) and
-// the blocks are retained as h.InProcess() says.
+// memory h lends (dsys.RoundMemory, the handle's own in process) and the
+// blocks are retained as h.InProcess() says.
 func WriteChunks(h *dsys.ClientHandle, cfg Config, w oracle.WriteID, v value.Value) ([]Chunk, error) {
 	return EncodeWrite(dsys.RoundMemory[Chunk](h, ChunksKey, cfg.N()), cfg, w, v, h.InProcess())
 }
@@ -271,11 +271,11 @@ func WriteChunks(h *dsys.ClientHandle, cfg Config, w oracle.WriteID, v value.Val
 // seed write and initial value is checked here.
 //
 // retained says that the base objects will keep the very blocks the RMWs
-// carry, as they do behind an in-process handle (dsys.ClientHandle.InProcess):
-// every block is then exactly sized memory of its own. Otherwise the blocks
-// only travel — a node across a wire decodes them as views of the frame and
-// copies only the one its object stores, where it stores it (Retain) — and a
-// code's data blocks may be views of v.
+// carry, as they do behind a live handle (dsys.ClientHandle.InProcess): every
+// block is then exactly sized memory of its own. Otherwise the blocks only
+// travel — an object across a wire, or behind a controlled cluster's, decodes
+// them as views of the bytes it was sent and copies only the one it stores,
+// where it stores it (Retain) — and a code's data blocks may be views of v.
 func EncodeWrite(dst []Chunk, cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, error) {
 	if v.SizeBytes() != cfg.DataLen {
 		return nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)

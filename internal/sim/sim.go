@@ -20,6 +20,9 @@
 // step: the adaptive register's regions are held to Theorem 2 at their
 // window c, abd's and safereg's to one block per object, every object to its
 // provider's ceiling, and a quiesced run's regions to the quiescent cost.
+// So does a fault of the wire: every RMW and answer crosses as the bytes its
+// codec makes, and each delivered RMW must carry the code blocks its channel
+// was charged for (dsys.WireFault).
 //
 // With a Reconfig plan, the simulator additionally drives dynamic
 // reconfiguration as first-class adversary decisions: the scheduling policy
@@ -215,6 +218,10 @@ type Result struct {
 	// first step at which each region broke its bound, then the regions
 	// whose storage at the end of a quiesced run broke the quiescent form.
 	SpaceViolations []string
+	// WireFault is the first fault of the cluster's wire (dsys.WireFault): an
+	// RMW or answer the codecs could not carry, or an RMW delivered with other
+	// code blocks than its channel was charged for. Nil when there is none.
+	WireFault error
 	// LivenessViolations lists the operations that failed, neither
 	// completed nor halted with their client, each with the liveness
 	// condition it breaks (livenessFor).
@@ -255,10 +262,10 @@ func (r *Result) Unresolved() []reconfig.MoveState {
 
 // Failed reports whether any checked condition was violated, a route was
 // left mid-lifecycle, a move was left unresolved, a region broke the
-// space rule, or an operation failed.
+// space rule, the wire met a fault, or an operation failed.
 func (r *Result) Failed() bool {
 	return len(r.Violations()) > 0 || len(r.RouteLeaks) > 0 || len(r.Unresolved()) > 0 ||
-		len(r.SpaceViolations) > 0 || len(r.LivenessViolations) > 0
+		len(r.SpaceViolations) > 0 || r.WireFault != nil || len(r.LivenessViolations) > 0
 }
 
 // conditionFor maps a provider to the consistency condition its emulation
@@ -436,6 +443,7 @@ func Run(cfg Config) (*Result, error) {
 	if reason == dsys.IdleQuiesced {
 		res.SpaceViolations = append(res.SpaceViolations, quiescentSpace(set, recorders)...)
 	}
+	res.WireFault = cluster.WireFault()
 	cluster.Close()
 	for _, h := range handles {
 		_ = h.Wait() // a client's task returns nothing; its ends went to prog
@@ -493,6 +501,9 @@ func fingerprint(r *Result) string {
 	}
 	if len(r.SpaceViolations) > 0 {
 		fmt.Fprintf(h, "space %q\n", r.SpaceViolations)
+	}
+	if r.WireFault != nil {
+		fmt.Fprintf(h, "wire %v\n", r.WireFault)
 	}
 	if len(r.LivenessViolations) > 0 {
 		fmt.Fprintf(h, "liveness %q\n", r.LivenessViolations)
@@ -573,6 +584,9 @@ func FormatFailure(r *Result) string {
 	}
 	for _, v := range r.SpaceViolations {
 		fmt.Fprintf(&b, "space bound violated: %s\n", v)
+	}
+	if r.WireFault != nil {
+		fmt.Fprintf(&b, "wire fault: %v\n", r.WireFault)
 	}
 	for _, v := range r.LivenessViolations {
 		fmt.Fprintf(&b, "operation failed: %s\n", v)

@@ -2,12 +2,11 @@
 // hosting base objects. It provides the Transport seam of the redesigned
 // invocation API — dsys.RoundInvoker plus teardown — and two implementations:
 //
-//   - Loopback: in-process. Every RMW and response is round-tripped through
-//     its registered codec and the binary envelope layout, then applied by the
-//     local cluster's own engine — live or controlled. Controlled mode thereby
-//     stays deterministic and in-process (the policy still decides when each
-//     RMW takes effect); the loopback only proves, and prices, the wire
-//     encoding on the hot path.
+//   - Loopback: the in-process RoundInvoker over a backing cluster, for tests
+//     and for bench's RMW capturer. Every RMW and answer is round-tripped
+//     through register.Wire — the codecs' wire form, which every controlled
+//     cluster also delivers through — and applied by the backing cluster's
+//     own engine.
 //   - Client/Server (tcp.go, server.go): a thin length-prefixed TCP transport
 //     with per-node connection reuse, write pipelining that coalesces
 //     concurrent rounds into batched socket writes, and context deadlines.
@@ -19,6 +18,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 
 	"spacebounds/internal/dsys"
 	"spacebounds/internal/register"
@@ -32,12 +32,11 @@ type Transport interface {
 	Close() error
 }
 
-// Loopback is the in-process Transport: rounds are served by the backing
-// cluster's own engine, with every RMW and response passed through the full
-// envelope wire format (codec encode, binary marshal, unmarshal, decode), so
-// the in-process path exercises — and benchmarks — exactly the bytes the TCP
-// transport would move. The backing cluster is borrowed, not owned: closing
-// the loopback does not close it.
+// Loopback is the in-process RoundInvoker over a backing cluster, for tests
+// and for benchmarks that capture a round's RMW stream: rounds are served by
+// the backing cluster's own engine, each RMW and answer round-tripped through
+// register.Wire, the codecs' wire form, on the way. The backing cluster is
+// borrowed, not owned: closing the loopback does not close it.
 type Loopback struct {
 	c *dsys.Cluster
 }
@@ -58,6 +57,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var wire register.Wire
 	var codecErr error
 	posted := false
 	sent := make(map[int]dsys.RMW, len(targets))
@@ -67,7 +67,14 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 		var resp []any
 		resp, invokeErr = h.Invoke(targets, func(obj int) dsys.RMW {
 			rmw := makeRMW(obj)
-			decoded, c, err := roundTripRMW(client, obj, rmw)
+			env, isPosted, coded, err := wire.AppendRequest(nil, dsys.OpID{Client: client}, obj, rmw)
+			if err == nil && !coded {
+				err = fmt.Errorf("%w: no codec for RMW type %T", register.ErrCodec, rmw)
+			}
+			var decoded dsys.RMW
+			if err == nil {
+				decoded, err = wire.DecodeRequest(env, nil)
+			}
 			if err != nil {
 				// A kind without a codec cannot cross a wire; surface the
 				// error after the round and let the original RMW apply so the
@@ -78,7 +85,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 				return rmw
 			}
 			sent[obj] = rmw
-			posted = c.Posted
+			posted = isPosted
 			return decoded
 		}, quorum)
 		if codecErr != nil || posted {
@@ -89,7 +96,7 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 			if r == nil {
 				continue
 			}
-			v, err := roundTripResponse(client, obj, sent[obj], r)
+			v, err := wire.Answer(sent[obj], r)
 			if err != nil {
 				return err
 			}
@@ -107,45 +114,6 @@ func (l *Loopback) InvokeRound(ctx context.Context, client int, targets []int, m
 		return nil, nil
 	}
 	return out, invokeErr
-}
-
-// roundTripRMW passes an RMW through the full wire path: codec encode,
-// envelope marshal, unmarshal, codec decode. It returns the decoded RMW and
-// the codec of its kind.
-func roundTripRMW(client, obj int, rmw dsys.RMW) (dsys.RMW, register.Codec, error) {
-	env, err := register.EncodeEnvelope(dsys.OpID{Client: client}, obj, rmw)
-	if err != nil {
-		return nil, register.Codec{}, err
-	}
-	wire, err := env.MarshalBinary()
-	if err != nil {
-		return nil, register.Codec{}, err
-	}
-	got, err := dsys.UnmarshalEnvelope(wire)
-	if err != nil {
-		return nil, register.Codec{}, err
-	}
-	return register.DecodeRMW(got)
-}
-
-// roundTripResponse passes an Apply response through the full wire path, and
-// decodes it into sent, the RMW the round built, as a TCP client does.
-func roundTripResponse(client, obj int, sent dsys.RMW, resp any) (any, error) {
-	kind, _ := register.KindOf(sent)
-	payload, err := register.EncodeResponse(kind, resp)
-	if err != nil {
-		return nil, err
-	}
-	r := dsys.Response{Op: dsys.OpID{Client: client}, Object: obj, Status: dsys.StatusOK, Payload: payload}
-	wire, err := r.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	got, err := dsys.UnmarshalResponse(wire)
-	if err != nil {
-		return nil, err
-	}
-	return register.DecodeResponse(kind, sent, got.Payload)
 }
 
 // Close implements Transport. The backing cluster has its own owner, so
