@@ -184,10 +184,12 @@ e2e-recovery:
 	$(GO) test -run TestClusterRecoveryEndToEnd -count=1 -timeout 10m ./cmd/spacenode
 
 # Verify every relative markdown link (README, DESIGN, ROADMAP, docs/, ...)
-# resolves, including #heading anchors. Dependency-free; external URLs are
-# not fetched. Blocking nightly, advisory on PRs (see ci.yml).
+# resolves, including #heading anchors, and the verify skill's too: the
+# checker skips dot-directories, so .claude/skills is named. Dependency-free;
+# external URLs are not fetched. Blocking on PRs (the build job) and nightly
+# (see ci.yml).
 linkcheck:
-	$(GO) run ./cmd/linkcheck
+	$(GO) run ./cmd/linkcheck . .claude/skills
 
 # Run every example end-to-end, then the experiment tables E1-E8. quickstart
 # and kvstore exit non-zero unless storage at quiescence is Theorem 2's

@@ -7,6 +7,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -227,4 +231,219 @@ func checkNameable(t *testing.T, fset *token.FileSet, where string, e ast.Expr, 
 		}
 	}
 	walk(e)
+}
+
+// verifySkill is the manual of how to build, check and drive the repository.
+const verifySkill = ".claude/skills/verify/SKILL.md"
+
+// TestDesignCitationsResolve holds every citation into DESIGN.md: a section
+// title in double quotes after the file's name — bare, after a comma or in
+// parentheses — in a Go file, the Makefile, a CI workflow, the verify skill
+// or any markdown file but DESIGN.md itself and the logs (CHANGES.md,
+// ROADMAP.md and the plan of the next change) must occur, case-insensitively, in a heading of
+// DESIGN.md or in a bold run-in title (a paragraph opening "**Title.**").
+// Comment lines are joined first, so a title may wrap. The test also fails if
+// a heading of DESIGN.md or of the verify skill names a PR: both describe the
+// system as it is, and CHANGES.md keeps its history.
+func TestDesignCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := designTitles(string(design))
+	files, err := citingFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, path := range files {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range designCitations(path, string(body)) {
+			cited++
+			if !titlesContain(titles, c.title) {
+				t.Errorf("%s:%d: cites DESIGN.md %q, which is no heading or run-in title of DESIGN.md", path, c.line, c.title)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("found no citation into DESIGN.md; the scan is broken")
+	}
+	namesPR := regexp.MustCompile(`\bPR \d+`)
+	for _, path := range []string{"DESIGN.md", verifySkill} {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range headings(string(body)) {
+			if namesPR.MatchString(h.text) {
+				t.Errorf("%s:%d: heading %q names a PR; name the rule or the layer, and leave the history to CHANGES.md", path, h.line, h.text)
+			}
+		}
+	}
+}
+
+// citingFiles lists the files whose citations into DESIGN.md are checked:
+// Go files, Makefiles and markdown files under the root, outside
+// dot-directories, less DESIGN.md and the logs; and the CI workflows and the
+// verify skill. The plan of the next change is the root markdown file whose
+// first line is a numbered heading ("# WORD 12 · title").
+func citingFiles() ([]string, error) {
+	skip := map[string]bool{"DESIGN.md": true, "CHANGES.md": true, "ROADMAP.md": true}
+	plan := regexp.MustCompile(`^# [A-Z]+ \d+ · `)
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		name := d.Name()
+		if strings.HasSuffix(name, ".md") && path == name {
+			body, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if plan.Match(body) {
+				return nil
+			}
+		}
+		if strings.HasSuffix(name, ".go") || name == "Makefile" || (strings.HasSuffix(name, ".md") && !skip[path]) {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		return nil, err
+	}
+	files = append(files, workflows...)
+	return append(files, verifySkill), nil
+}
+
+// citation is one section title cited from a file, at the line where its
+// citation begins.
+type citation struct {
+	title string
+	line  int
+}
+
+// citationRE matches the three ways a citation is written: the file's name
+// and then the quoted title, bare, after a comma, or in parentheses.
+var citationRE = regexp.MustCompile(`DESIGN\.md(?:\s*,\s*|\s*\(\s*|\s+)"([^"]+)"`)
+
+// designCitations finds the citations in one file, over its joined lines.
+func designCitations(path, body string) []citation {
+	var out []citation
+	for _, p := range joinedLines(path, body) {
+		for _, m := range citationRE.FindAllStringSubmatchIndex(p.text, -1) {
+			out = append(out, citation{title: strings.Join(strings.Fields(p.text[m[2]:m[3]]), " "), line: p.lineAt(m[0])})
+		}
+	}
+	return out
+}
+
+// joined is a run of lines read as one: consecutive comment lines of a Go
+// file, a Makefile or a workflow (the comment marker cut off), or a markdown
+// paragraph. starts holds, for each line, its offset in text.
+type joined struct {
+	text   string
+	first  int
+	starts []int
+}
+
+// lineAt is the line that holds offset i of the joined text.
+func (j joined) lineAt(i int) int {
+	return j.first + sort.Search(len(j.starts), func(k int) bool { return j.starts[k] > i }) - 1
+}
+
+// joinedLines splits a file into joined runs. In a Go file, a Makefile or a
+// workflow a comment line joins the comment lines around it and any other
+// line stands alone; in markdown, non-blank lines join into paragraphs.
+func joinedLines(path string, body string) []joined {
+	markdown := strings.HasSuffix(path, ".md")
+	marker := "#"
+	if strings.HasSuffix(path, ".go") {
+		marker = "//"
+	}
+	var out []joined
+	open := false // the last run in out takes the next joining line
+	for i, line := range strings.Split(body, "\n") {
+		text := strings.TrimSpace(line)
+		joins := text != ""
+		if !markdown {
+			text, joins = strings.CutPrefix(text, marker)
+			text = strings.TrimSpace(text)
+		}
+		switch {
+		case joins && open:
+			run := &out[len(out)-1]
+			run.text += " "
+			run.starts = append(run.starts, len(run.text))
+			run.text += text
+		case joins || text != "":
+			out = append(out, joined{text: text, first: i + 1, starts: []int{0}})
+		}
+		open = joins
+	}
+	return out
+}
+
+// heading is one markdown heading, outside code fences.
+type heading struct {
+	text string
+	line int
+}
+
+// headings lists a markdown file's headings.
+func headings(body string) []heading {
+	var out []heading
+	fenced := false
+	for i, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced && strings.HasPrefix(line, "#") {
+			out = append(out, heading{text: strings.TrimSpace(strings.TrimLeft(line, "#")), line: i + 1})
+		}
+	}
+	return out
+}
+
+// runInTitleRE matches a bold run-in title: "**Title.**".
+var runInTitleRE = regexp.MustCompile(`\*\*([^*]+?)\.\*\*`)
+
+// designTitles lists DESIGN.md's headings and bold run-in titles, lowercased.
+func designTitles(body string) []string {
+	var out []string
+	for _, h := range headings(body) {
+		out = append(out, strings.ToLower(h.text))
+	}
+	for _, p := range joinedLines("DESIGN.md", body) {
+		for _, m := range runInTitleRE.FindAllStringSubmatch(p.text, -1) {
+			out = append(out, strings.ToLower(m[1]))
+		}
+	}
+	return out
+}
+
+// titlesContain reports whether a cited title occurs in one of the titles.
+func titlesContain(titles []string, cited string) bool {
+	cited = strings.ToLower(cited)
+	for _, t := range titles {
+		if strings.Contains(t, cited) {
+			return true
+		}
+	}
+	return false
 }
