@@ -8,31 +8,36 @@ import (
 // What a lone facade operation allocates on the inproc-batched benchmark's
 // shape (f = 2, k = 2, 1 KiB values, Batch{MaxSize: 16}, eight named
 // shards). A round's bookkeeping is per round, not per base object: its RMWs
-// come from one array, its answers ride in their RMWs, and the oracle hands a
-// write its n blocks in one call. Nor does a round allocate its result: the
+// come from one array, its answers ride in their RMWs, and the oracle lists a
+// write's n blocks in one call. Nor does a round allocate its result: the
 // answers land in slots the client handle keeps, the handle comes from a
 // pool, and the batch lane's round function and the shard layer's pass-through
 // are built once, not per round. What nothing keeps past the call stays in
-// its caller's frame: a round's RMW factory, the oracles, the code's list of
-// shard views, the update round's bookkeeping and a read's read set; an
-// adaptive read round's objects answer with their piece headers into the
-// round's RMW array, and a read decodes the winner's chunks straight from its
-// read set, with no generator rows while every data block is there. A write
-// lists the blocks it holds on its stack, and the client's stripe copies the
-// list into a buffer it keeps. On the live engine every round's RMW array and
-// a write's chunk list are memory the pooled handle lends
-// (dsys.RoundMemory), and on every engine a read's decoder list is
-// (dsys.OpMemory). That leaves a write the value's copy, its n blocks and
-// their list (two data blocks detached): 8 allocations, where its parent
-// measured 12. A read keeps the decoded value and the caller's copy of it: 2,
-// where its parent measured 4. Under the race detector a pool drops a
-// quarter of what it is given, and a dropped handle takes the memory it lends
-// with it: poolDropAllocs widens both pins there.
+// its caller's frame: a round's RMW factory, the oracles, the list of the
+// write's n blocks, the code's list of shard views, the update round's
+// bookkeeping and a read's read set; an adaptive read round's objects answer
+// with their piece headers into the round's RMW array, and a read decodes the
+// winner's chunks straight from its read set, with no generator rows while
+// every data block is there. A write lists the blocks it holds on its stack,
+// and the client's stripe copies the list into a buffer it keeps. On the live
+// engine every round's RMW array and a write's chunk list are memory the
+// pooled handle lends (dsys.RoundMemory), and on every engine a read's
+// decoder list is (dsys.OpMemory).
+//
+// So a write keeps what its base objects keep, and nothing else: the caller's
+// full-size value is borrowed, not copied, and encoded from where it stands,
+// and its n blocks — the k data blocks detached from the caller's bytes and
+// the n−k parities — are n allocations of n·D/k bytes in all, where its parent
+// measured 8 (a padded copy of the value and the list of blocks besides). A
+// read keeps the value it decoded, which it hands to its caller: 1, where its
+// parent measured 2 (a second copy for the caller). Under the race detector a
+// pool drops a quarter of what it is given, and a dropped handle takes the
+// memory it lends with it: poolDropAllocs widens both pins there.
 const (
-	writeKeyAllocs       = 8
-	writeKeyAllocsParent = 12
-	readKeyAllocs        = 2
-	readKeyAllocsParent  = 4
+	writeKeyAllocs       = 6
+	writeKeyAllocsParent = 8
+	readKeyAllocs        = 1
+	readKeyAllocsParent  = 2
 )
 
 // openInprocBatched opens a store on the inproc-batched benchmark's shape and
@@ -95,19 +100,19 @@ func TestOperationAllocations(t *testing.T) {
 // set on its stack. A quiescent object answers a read round into a window of
 // one header beside its RMW (ecreg's write opens with such a round too). The
 // rounds' RMW arrays, a write's chunk list and a read's decoder list are
-// memory the pooled handle lends: each provider's write lost its chunk list
-// and one array per round (adaptive and ecreg three rounds, abd and safe
-// two), and every read its round's array and its decoder list.
+// memory the pooled handle lends. A write borrows the caller's value and
+// lists its blocks on its stack, so what it allocates is its n blocks (abd's
+// five replicas, n = 5); a read allocates the value it hands over.
 var unbatchedOpAllocs = []struct {
 	algorithm               Algorithm
 	k                       int
 	write, read             float64
 	writeParent, readParent int
 }{
-	{Adaptive, 2, 8, 2, 12, 4},
-	{Replication, 1, 7, 2, 10, 4},
-	{ErasureCoded, 2, 8, 2, 12, 4},
-	{Safe, 2, 8, 2, 11, 4},
+	{Adaptive, 2, 6, 1, 8, 2},
+	{Replication, 1, 5, 1, 7, 2},
+	{ErasureCoded, 2, 6, 1, 8, 2},
+	{Safe, 2, 6, 1, 8, 2},
 }
 
 // poolDropAllocs is what a lone operation may allocate beyond its pin

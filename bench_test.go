@@ -221,7 +221,9 @@ func BenchmarkOperationLatency(b *testing.B) {
 
 // BenchmarkReedSolomon measures the coding substrate itself: the repository
 // benchmark's tcp-small shape (1 KiB at k=2, n=4), its tcp-large shape (64 KiB
-// at k=4, n=8), and 64 KiB at three wider codes. Decode has three rows per
+// at k=4, n=8), and 64 KiB at three wider codes. Encode has two rows per
+// shape: into a new list (Encode), and into a list on the caller's stack
+// (EncodeTo, as a write encodes), which allocates only the parity blocks. Decode has three rows per
 // shape: from the k data blocks (a copy — the systematic code's best case),
 // with one data block replaced by a parity block (one shard reconstructed —
 // what four tcp-large reads in five see, the first n-f responders rarely
@@ -248,6 +250,16 @@ func BenchmarkReedSolomon(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := rs.Encode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("encode-to/"+tc.shape, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var onStack [24]erasure.Block
+				if _, err := rs.EncodeTo(onStack[:0], data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -109,30 +109,42 @@ func checkFile(root, file string) ([]string, error) {
 }
 
 // stripCodeBlocks blanks fenced code blocks and inline code spans so code
-// samples cannot produce false links; line numbering is preserved.
+// samples cannot produce false links; line numbering is preserved. A code
+// span may wrap across the line breaks of its paragraph, so spans are blanked
+// a paragraph — a run of non-blank lines outside a fence — at a time.
 func stripCodeBlocks(s string) string {
-	var b strings.Builder
+	lines := strings.Split(s, "\n")
 	inFence := false
-	for _, line := range strings.Split(s, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "```") {
-			inFence = !inFence
-			b.WriteString("\n")
-			continue
+	para := -1 // the first line of the paragraph being read, or -1
+	flush := func(end int) {
+		if para >= 0 {
+			copy(lines[para:end], strings.Split(blankInlineCode(strings.Join(lines[para:end], "\n")), "\n"))
+			para = -1
 		}
-		if inFence {
-			b.WriteString("\n")
-			continue
-		}
-		b.WriteString(blankInlineCode(line))
-		b.WriteString("\n")
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	for i, line := range lines {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			flush(i)
+			inFence = !inFence
+			lines[i] = ""
+		case inFence:
+			lines[i] = ""
+		case trimmed == "":
+			flush(i)
+		case para < 0:
+			para = i
+		}
+	}
+	flush(len(lines))
+	return strings.Join(lines, "\n")
 }
 
-// blankInlineCode replaces `code spans` with spaces.
-func blankInlineCode(line string) string {
-	out := []byte(line)
+// blankInlineCode replaces `code spans` with spaces, line breaks inside a
+// span excepted.
+func blankInlineCode(text string) string {
+	out := []byte(text)
 	for {
 		start := strings.IndexByte(string(out), '`')
 		if start < 0 {
@@ -143,7 +155,9 @@ func blankInlineCode(line string) string {
 			return string(out)
 		}
 		for i := start; i <= start+1+end; i++ {
-			out[i] = ' '
+			if out[i] != '\n' {
+				out[i] = ' '
+			}
 		}
 	}
 }

@@ -64,6 +64,34 @@ func TestCheckFileResolvesRelativeLinks(t *testing.T) {
 	}
 }
 
+// TestCodeSpanWrappedAcrossLinesIsNoLink: a code span may wrap across a line
+// break of its paragraph. A span split after `register.Reuse[T]` must not
+// leave `(dst)` to be read as a link target, nor may a wrapped span shift how
+// the spans after it pair up; a link after a paragraph break, or after the
+// spans, is still checked.
+func TestCodeSpanWrappedAcrossLinesIsNoLink(t *testing.T) {
+	root := t.TempDir()
+	readme := write(t, root, "README.md", strings.Join([]string{
+		"# Readme",
+		"Round memory is lent through `register.Reuse[T]",
+		"(dst)`, not copied.",
+		"A span that wraps, `dsys.RoundMemory",
+		"h`, and then `register.Reuse[T](dst)` on the same line.",
+		"[after the spans](GONE.md)",
+		"",
+		"`an unclosed span in one paragraph",
+		"",
+		"[next paragraph](ALSO-GONE.md) `closes nothing`",
+	}, "\n"))
+	problems, err := checkFile(root, readme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 2 || !strings.Contains(problems[0], ":6: [GONE.md]") || !strings.Contains(problems[1], ":10: [ALSO-GONE.md]") {
+		t.Fatalf("want exactly the two real broken links, on lines 6 and 10, got:\n%s", strings.Join(problems, "\n"))
+	}
+}
+
 func TestHeadingSlugs(t *testing.T) {
 	slugs := headingSlugs("# One Two\n## `Code` & Stuff\n## One Two\n```\n# not a heading\n```\n")
 	want := []string{"one-two", "code--stuff", "one-two-1"}

@@ -115,21 +115,30 @@ func shardViews(dst [][]byte, data []byte, k, sl int) [][]byte {
 // their own. Whoever keeps a data block longer than the value, as a base
 // object does, takes its copy (Block.Detach); a view is left with the capacity
 // it has inside the value, so that one retained by mistake shows as memory
-// that is not exactly sized.
+// that is not exactly sized. The list is new; EncodeTo lists the blocks in
+// the caller's.
 func (rs *ReedSolomon) Encode(data []byte) ([]Block, error) {
+	return rs.EncodeTo(make([]Block, 0, rs.n), data)
+}
+
+// EncodeTo is Encode into a list the caller lends: it appends blocks 1..n to
+// dst and returns the result, so a dst on the caller's stack with room for n
+// blocks spares the list its allocation, and the n-k parity blocks are all
+// the encode allocates (but for a tail shard k does not divide). The blocks
+// are Encode's.
+func (rs *ReedSolomon) EncodeTo(dst []Block, data []byte) ([]Block, error) {
 	sl := shardLen(len(data), rs.k)
-	blocks := make([]Block, rs.n)
 	var onStack [16][]byte
 	shards := shardViews(onStack[:0], data, rs.k, sl)
 	for c, s := range shards {
-		blocks[c] = Block{Index: c + 1, Data: s}
+		dst = append(dst, Block{Index: c + 1, Data: s})
 	}
 	for i := rs.k; i < rs.n; i++ {
 		parity := make([]byte, sl)
 		gf256.DotSlices(rs.matrix.Row(i), parity, shards)
-		blocks[i] = Block{Index: i + 1, Data: parity}
+		dst = append(dst, Block{Index: i + 1, Data: parity})
 	}
-	return blocks, nil
+	return dst, nil
 }
 
 // EncodeBlock implements Code: a data block is a copy of its shard, a parity

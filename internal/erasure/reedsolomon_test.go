@@ -417,3 +417,52 @@ func TestWarmReconstructionAllocatesOnlyItsOutput(t *testing.T) {
 		t.Errorf("a warm reconstructing decode allocates %.1f times, want at most 1 (its output)", got)
 	}
 }
+
+// TestEncodeToAllocatesOnlyItsParities: EncodeTo lists the blocks in the list
+// its caller lends, so with a list on the caller's stack an encode allocates
+// its n-k parity blocks and nothing else — and the padded tail shard, when k
+// does not divide the value's length. Its blocks are Encode's, byte for byte
+// and index for index, data blocks viewing the value as Encode's do.
+func TestEncodeToAllocatesOnlyItsParities(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		n := 3 * k
+		rs := MustReedSolomon(k, n)
+		for _, dataLen := range []int{4 << 10, 4<<10 + 1} {
+			data := make([]byte, dataLen)
+			rand.New(rand.NewSource(int64(k * dataLen))).Read(data)
+			want, err := rs.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var onStack [16]Block
+			got, err := rs.EncodeTo(onStack[:0], data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n || &got[0] != &onStack[0] {
+				t.Fatalf("k=%d, %d bytes: EncodeTo returned %d blocks, in the lent list = %v", k, dataLen, len(got), len(got) > 0 && &got[0] == &onStack[0])
+			}
+			for i := range want {
+				if got[i].Index != want[i].Index || !bytes.Equal(got[i].Data, want[i].Data) {
+					t.Errorf("k=%d, %d bytes: EncodeTo's block %d differs from Encode's", k, dataLen, i+1)
+				}
+				if full := (i+1)*len(got[i].Data) <= dataLen; i < k && full && &got[i].Data[0] != &data[i*len(got[i].Data)] {
+					t.Errorf("k=%d, %d bytes: data block %d is not a view of the value", k, dataLen, i+1)
+				}
+			}
+			allowed := n - k
+			if dataLen%k != 0 {
+				allowed++ // the padded tail shard
+			}
+			encode := func() {
+				var onStack [16]Block
+				if _, err := rs.EncodeTo(onStack[:0], data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, encode); allocs != float64(allowed) {
+				t.Errorf("k=%d, n=%d, %d bytes: EncodeTo allocates %.1f times, want %d", k, n, dataLen, allocs, allowed)
+			}
+		}
+	}
+}

@@ -60,16 +60,17 @@ func (s SourceTag) String() string { return fmt.Sprintf("%v[%d]", s.Write, s.Ind
 var ErrExpired = errors.New("oracle: oracle has expired")
 
 // Encoder is oracleE(c, w): it produces code blocks of a single value on
-// demand. The value is encoded once, on the first Get or GetAll, and indices
-// 1..N are served from that result; the blocks handed out are immutable and a
-// repeated get(i) returns the same bytes. It is owned by its operation's
-// goroutine, which is the only one that calls it.
+// demand. Get encodes the value once, on its first call, and serves indices
+// 1..N from that result; GetAll encodes into its caller's list unless a Get
+// came first. The blocks handed out are immutable and a repeated get(i)
+// returns the same bytes. It is owned by its operation's goroutine, which is
+// the only one that calls it.
 type Encoder struct {
 	code  erasure.Code
 	write WriteID
 
 	val     value.Value
-	blocks  []erasure.Block // E(v, 1..N), nil until the first Get or GetAll
+	blocks  []erasure.Block // E(v, 1..N), nil until the first Get
 	expired bool
 }
 
@@ -97,18 +98,33 @@ func (e *Encoder) Get(i int) (erasure.Block, SourceTag, error) {
 	return blocks[i-1], e.Source(i), nil
 }
 
-// GetAll is get(1..N) in one call: element i-1 of the result is E(v, i), whose
-// source is Source(i). The slice is the oracle's own, read-only like the
-// blocks in it, and outlives Expire.
-func (e *Encoder) GetAll() ([]erasure.Block, error) {
+// GetAll is get(1..N) in one call, into a list the caller lends: it appends
+// E(v, 1..N) to dst and returns the result, so element i-1 of what it adds is
+// E(v, i), whose source is Source(i). The oracle keeps neither the list nor,
+// when nothing was got from it before, the blocks, which are read-only like
+// Get's and outlive Expire. A dst on the caller's stack with room for N blocks
+// stays there: a Reed-Solomon code lists the blocks in it
+// (erasure.ReedSolomon.EncodeTo), and any other code's list is copied into
+// it, so a code that wraps one still sees its Encode called.
+func (e *Encoder) GetAll(dst []erasure.Block) ([]erasure.Block, error) {
 	if e.expired {
 		return nil, ErrExpired
 	}
-	blocks, err := e.encoded()
+	if e.blocks != nil {
+		return append(dst, e.blocks...), nil
+	}
+	var err error
+	if rs, ok := e.code.(*erasure.ReedSolomon); ok {
+		dst, err = rs.EncodeTo(dst, e.val.View())
+	} else {
+		var blocks []erasure.Block
+		blocks, err = e.code.Encode(e.val.View())
+		dst = append(dst, blocks...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("oracle: get(1..%d): %w", e.code.N(), err)
 	}
-	return blocks, nil
+	return dst, nil
 }
 
 // Source returns the source tag of E(v, i): what Get(i) returns beside it.

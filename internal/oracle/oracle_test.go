@@ -25,7 +25,7 @@ func TestEncoderGetAndGetAll(t *testing.T) {
 		t.Fatalf("unexpected tag %v / block index %d", tag, b.Index)
 	}
 
-	blocks, err := enc.GetAll()
+	blocks, err := enc.GetAll(nil)
 	if err != nil {
 		t.Fatalf("GetAll: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestEncoderExpire(t *testing.T) {
 	if _, _, err := enc.Get(1); !errors.Is(err, ErrExpired) {
 		t.Fatalf("Get after Expire returned %v, want ErrExpired", err)
 	}
-	if _, err := enc.GetAll(); !errors.Is(err, ErrExpired) {
+	if _, err := enc.GetAll(nil); !errors.Is(err, ErrExpired) {
 		t.Fatalf("GetAll after Expire returned %v, want ErrExpired", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestEncoderServesOnlyOneThroughN(t *testing.T) {
 	for name, code := range map[string]erasure.Code{"rs(2,4)": erasure.MustReedSolomon(2, 4), "repl(3)": erasure.MustReedSolomon(1, 3)} {
 		t.Run(name, func(t *testing.T) {
 			enc := NewEncoder(code, WriteID{Client: 1, Seq: 1}, value.FromString("one through n", 32))
-			all, err := enc.GetAll()
+			all, err := enc.GetAll(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,5 +187,68 @@ func TestEncoderServesOnlyOneThroughN(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncoderGetAllListsInTheCallersList: GetAll appends E(v, 1..N) to
+// the list its caller lends and keeps neither list nor blocks. A Reed-Solomon
+// code lists the blocks there itself; a code that wraps one is asked to
+// Encode, so a wrapper that counts encodes sees each write's; after a Get the
+// blocks it keeps are served; after Expire nothing is.
+func TestEncoderGetAllListsInTheCallersList(t *testing.T) {
+	rs := erasure.MustReedSolomon(2, 4)
+	v := value.FromString("appended into the caller's list", 64)
+	want, err := rs.Encode(v.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, got []erasure.Block) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d blocks, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || string(got[i].Data) != string(want[i].Data) {
+				t.Fatalf("%s: block %d is not E(v, %d)", what, i+1, i+1)
+			}
+		}
+	}
+
+	enc := NewEncoder(rs, WriteID{Client: 1, Seq: 1}, v)
+	var lent [4]erasure.Block
+	got, err := enc.GetAll(lent[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("rs", got)
+	if &got[0] != &lent[0] || enc.blocks != nil {
+		t.Fatalf("rs: the blocks are not in the lent list (%v), or the oracle kept them (%v)", &got[0] == &lent[0], enc.blocks != nil)
+	}
+
+	counting := &countingCode{Code: rs}
+	enc = NewEncoder(counting, WriteID{Client: 1, Seq: 2}, v)
+	got, err = enc.GetAll(lent[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("wrapped", got)
+	if counting.encodes != 1 || &got[0] != &lent[0] {
+		t.Fatalf("wrapped: %d encodes, want 1, or the blocks are not in the lent list", counting.encodes)
+	}
+
+	if _, _, err := enc.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	got, err = enc.GetAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("after a get", got)
+	if counting.encodes != 2 {
+		t.Fatalf("after a get: %d encodes, want 2 (GetAll's and Get's, served since)", counting.encodes)
+	}
+	enc.Expire()
+	if _, err := enc.GetAll(nil); !errors.Is(err, ErrExpired) {
+		t.Fatalf("GetAll after Expire returned %v, want ErrExpired", err)
 	}
 }

@@ -190,7 +190,10 @@ func (noRounds) InvokeRound(context.Context, int, []int, func(int) dsys.RMW, int
 // in-process handle's objects are each exactly sized memory apart from the
 // value, as an object keeps them; behind a remote handle nothing keeps them,
 // so the data blocks are the value's own bytes and a write allocates its parity
-// blocks and a few headers — not a second copy of the value.
+// blocks and a few headers — not a second copy of the value. A borrowed
+// value's bytes are its caller's again once the write returns, while a frame
+// may still be queued, so behind a remote handle too its blocks are memory of
+// their own.
 func TestEncodeWriteOwnsBlocksWhereObjectsRetainThem(t *testing.T) {
 	const f, k, dataLen = 2, 4, 64 << 10
 	cfg, err := register.Config{F: f, K: k, DataLen: dataLen}.Validate()
@@ -240,6 +243,15 @@ func TestEncodeWriteOwnsBlocksWhereObjectsRetainThem(t *testing.T) {
 	for i := 0; i < k; i++ {
 		if &views[i].Block.Data[0] != &v.View()[i*dataLen/k] {
 			t.Errorf("remote, block %d is not a view of the value", i+1)
+		}
+	}
+	lent := value.Sequenced(1, 3, dataLen).Bytes()
+	detached := encode(remote, value.Borrow(lent))
+	before = register.CloneChunks(detached)
+	clear(lent)
+	for i, c := range detached {
+		if cap(c.Block.Data) != len(c.Block.Data) || !bytes.Equal(c.Block.Data, before[i].Block.Data) {
+			t.Errorf("remote, borrowed value, block %d: a view of the caller's bytes", c.Block.Index)
 		}
 	}
 	var start, after runtime.MemStats

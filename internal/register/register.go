@@ -226,8 +226,10 @@ type Register interface {
 	// value v0, suitable for dsys.NewCluster.
 	InitialStates(v0 value.Value) ([]dsys.State, error)
 	// Write performs a high-level write of v using the given client handle.
+	// It keeps no view of a borrowed v past its return (EncodeWrite).
 	Write(h *dsys.ClientHandle, v value.Value) error
-	// Read performs a high-level read using the given client handle.
+	// Read performs a high-level read using the given client handle. The
+	// value it returns is the caller's own: no other holder shares its bytes.
 	Read(h *dsys.ClientHandle) (value.Value, error)
 	// ReadTimestamped is Read that also reports the internal timestamp of
 	// the value it returns; ZeroTS means the register has never been written
@@ -263,12 +265,13 @@ func WriteChunks(h *dsys.ClientHandle, cfg Config, w oracle.WriteID, v value.Val
 }
 
 // EncodeWrite runs the write-side oracle for value v: it takes the n blocks
-// from it in one call, tags them, and returns them as timestamp-free chunks in
-// block-index order (index i+1 is destined for base object i), in dst when it
-// has room for n of them and in a new list otherwise. The oracle lives for the
-// span of the call, in its frame: the chunks are all a write keeps of it. A
-// value whose size is not cfg.DataLen is refused with ErrConfig: every write,
-// seed write and initial value is checked here.
+// from it in one call, into a list on its stack while n is at most 16, tags
+// them, and returns them as timestamp-free chunks in block-index order (index
+// i+1 is destined for base object i), in dst when it has room for n of them and
+// in a new list otherwise. The oracle lives for the span of the call, in its
+// frame: the chunks are all a write keeps of it. A value whose size is not
+// cfg.DataLen is refused with ErrConfig: every write, seed write and initial
+// value is checked here.
 //
 // retained says that the base objects will keep the very blocks the RMWs
 // carry, as they do behind a live handle (dsys.ClientHandle.InProcess): every
@@ -276,20 +279,25 @@ func WriteChunks(h *dsys.ClientHandle, cfg Config, w oracle.WriteID, v value.Val
 // travel — an object across a wire, or behind a controlled cluster's, decodes
 // them as views of the bytes it was sent and copies only the one it stores,
 // where it stores it (Retain) — and a code's data blocks may be views of v.
+// A borrowed v (value.Borrow) is detached as a retained one is, on every
+// engine: a frame still queued for a slow object may read its blocks after
+// the write returns and the caller has written its bytes again.
 func EncodeWrite(dst []Chunk, cfg Config, w oracle.WriteID, v value.Value, retained bool) ([]Chunk, error) {
 	if v.SizeBytes() != cfg.DataLen {
 		return nil, fmt.Errorf("%w: value has %d bytes, config says %d", ErrConfig, v.SizeBytes(), cfg.DataLen)
 	}
 	enc := oracle.NewEncoder(cfg.Code, w, v)
 	defer enc.Expire()
-	blocks, err := enc.GetAll()
+	var onStack [16]erasure.Block
+	blocks, err := enc.GetAll(onStack[:0])
 	if err != nil {
 		return nil, fmt.Errorf("register: encoding: %w", err)
 	}
+	detach := retained || v.Borrowed()
 	chunks := slices.Grow(dst[:0], cfg.N())[:cfg.N()]
 	for i := range chunks {
 		b := blocks[i]
-		if retained {
+		if detach {
 			b = b.Detach(v.View())
 		}
 		chunks[i] = Chunk{Block: b, Source: enc.Source(i + 1)}

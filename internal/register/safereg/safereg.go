@@ -214,7 +214,8 @@ func (r *Register[F]) ReadTimestamped(h *dsys.ClientHandle) (value.Value, regist
 	if v, ts, ok, err := register.DecodeBest(h, r.cfg, chunks, register.ZeroTS); ok {
 		return v, ts, err
 	}
-	return r.v0, register.ZeroTS, nil
+	// A read's value is its caller's own, so v0 goes out as a copy.
+	return value.FromBytes(r.v0.View()), register.ZeroTS, nil
 }
 
 // objectState holds exactly one timestamped piece.

@@ -137,7 +137,8 @@ func (b *Batcher) Write(v value.Value) error {
 }
 
 // Read submits a read for group commit and blocks until the shared read
-// round completes; every member of the round receives the same value.
+// round completes; every member of the round receives the round's value, in
+// memory of its own.
 func (b *Batcher) Read() (value.Value, error) {
 	resp := b.submit(&b.read, value.Value{}, trace.Context{})
 	return resp.v, resp.err
@@ -272,7 +273,14 @@ func (b *Batcher) leadRound(l *lane) batchResp {
 	}
 	l.mu.Unlock()
 	for _, r := range batch[1:] {
-		r.wake <- resp
+		own := resp
+		if l == &b.read && resp.err == nil {
+			// A read's value is its caller's own (Set.Read): the leader keeps
+			// the round's buffer and copies it for every other member before
+			// waking it, while nobody can write to it yet.
+			own.v = value.FromBytes(resp.v.View())
+		}
+		r.wake <- own
 	}
 	if next != nil {
 		next <- batchResp{lead: true}

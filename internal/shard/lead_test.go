@@ -244,6 +244,32 @@ func TestParkedReadersShareRounds(t *testing.T) {
 	}
 }
 
+// TestSharedReadRoundGivesEachMemberItsOwnValue: the members of a shared
+// read round are answered the round's value in buffers of their own — the
+// leader the one its round decoded, every other member a copy — so a member
+// that writes to its value changes no other member's.
+func TestSharedReadRoundGivesEachMemberItsOwnValue(t *testing.T) {
+	const members = 4
+	rounds, _, got := parkBehindHeldRound(t, members, members, true)
+	if len(rounds) != 1 {
+		t.Fatalf("%d rounds after the held one, want 1 shared by all %d readers", len(rounds), members)
+	}
+	want := value.FromBytes(rounds[0].v.View())
+	for i := range got {
+		for j := range i {
+			if &got[i].View()[0] == &got[j].View()[0] {
+				t.Fatalf("readers %d and %d share one buffer", j, i)
+			}
+		}
+	}
+	for i := range got {
+		if !got[i].Equal(want) {
+			t.Fatalf("reader %d holds %v after another reader wrote to its own, want the round's %v", i, got[i], want)
+		}
+		clear(got[i].View())
+	}
+}
+
 // TestLeadPassesToOldestRequestStillWaiting: with MaxSize+3 writers parked,
 // the first round after the held one takes MaxSize of them and hands the lead
 // to the owner of request MaxSize — the oldest still waiting — not to any

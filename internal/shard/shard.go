@@ -474,7 +474,9 @@ func (s *Set) Write(client int, key string, v value.Value) error {
 }
 
 // Read performs a routed register read on the shard key resolves to,
-// consulting both epochs while that shard is migrating.
+// consulting both epochs while that shard is migrating. The value is the
+// caller's own, as ReadValue's and ReadRef's are: nothing else holds its
+// bytes, and a caller may hand them on to be written.
 func (s *Set) Read(client int, key string) (value.Value, error) {
 	ref, fb, err := s.router.AcquireRead(client, key)
 	if err != nil {

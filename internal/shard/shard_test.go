@@ -300,3 +300,45 @@ func TestCrashNodePerShard(t *testing.T) {
 		t.Fatalf("crashed objects = %v, want exactly [%d]", crashed, set.Shards()[0].Base)
 	}
 }
+
+// TestControlledWriteKeepsNoViewOfABorrowedValue: on the controlled engine a
+// write returns at its quorum while an RMW for a suspended object is still
+// pending. The caller writes the buffer it lent the write over at once; when
+// the object resumes, what it applies is the block encoded from the value as
+// it was, and a read that needs that object's piece returns the value
+// written.
+func TestControlledWriteKeepsNoViewOfABorrowedValue(t *testing.T) {
+	const dataLen = 64
+	set, err := shard.New([]shard.Spec{{Name: "s", Algorithm: "adaptive", Config: register.Config{F: 1, K: 2, DataLen: dataLen}}},
+		dsys.WithControlledMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	cl, sh := set.Cluster(), set.Shards()[0]
+	cl.Start()
+	if err := cl.SuspendObject(0); err != nil { // object 0 holds data block 1
+		t.Fatal(err)
+	}
+	want := value.Sequenced(1, 1, dataLen)
+	buf := want.Bytes()
+	if err := set.WriteValue(1, sh, value.Borrow(buf)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	if err := cl.ResumeObject(0); err != nil {
+		t.Fatal(err)
+	}
+	if reason := cl.WaitIdle(); reason != dsys.IdleQuiesced {
+		t.Fatalf("after the resume the run did not quiesce: %v", reason)
+	}
+	// With object 1 away, every read quorum takes object 0's piece.
+	if err := cl.SuspendObject(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := set.ReadValue(2, sh); err != nil || !got.Equal(want) {
+		t.Fatalf("read after the suspended object applied the write: %v, %v, want %v", got, err, want)
+	}
+}

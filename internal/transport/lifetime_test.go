@@ -156,29 +156,36 @@ func (c gatedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestStragglerFrameCarriesItsPieceAfterTheWriteReturned: object 3's
-// connection writes nothing until a gate opens, so a whole write — query,
-// update and GC rounds, each returning at its quorum of the other three —
-// completes, its encoder expires and its caller's value is garbage, while the
-// three frames addressed to object 3 sit in the sender's queue pointing at the
-// write's piece. Let through, they store exactly the piece the code produced.
-func TestStragglerFrameCarriesItsPieceAfterTheWriteReturned(t *testing.T) {
-	const f, k, dataLen = 1, 2, 16 << 10
+// gatedRemote is a remote adaptive set at f = 1, k = 2 over loopback TCP,
+// one connection per object to one server whose cluster is backing, with
+// object late's connection writing nothing until gate closes. held lists the
+// pieces an object of backing holds.
+type gatedRemote struct {
+	cfg     register.Config
+	backing *shard.Set
+	rs      *shard.Set
+	gate    chan struct{}
+}
+
+func newGatedRemote(t *testing.T, dataLen, late int) *gatedRemote {
+	t.Helper()
+	const f, k = 1, 2
 	cfg := register.Config{F: f, K: k, DataLen: dataLen}
 	specs := []shard.Spec{{Name: "s", Algorithm: "adaptive", Config: cfg}}
 	backing, err := shard.New(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer backing.Close()
+	t.Cleanup(backing.Close)
 	srv := NewServer(backing.Cluster())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 
-	// One node per object, all the same server; node 3's connection is gated.
+	// One node per object, all the same server; node late's connection is
+	// gated.
 	n := 2*f + k
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -188,73 +195,116 @@ func TestStragglerFrameCarriesItsPieceAfterTheWriteReturned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	t.Cleanup(func() { cli.Close() })
 	raw, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
 	gated := gatedConn{Conn: raw, gate: gate}
-	straggler := &clientConn{addr: addrs[3], conn: gated, sender: newFrameSender(gated), pending: make(map[uint64]*pendingCall)}
+	straggler := &clientConn{addr: addrs[late], conn: gated, sender: newFrameSender(gated), pending: make(map[uint64]*pendingCall)}
 	go straggler.readLoop()
-	cli.slots[3].conn = straggler
+	cli.slots[late].conn = straggler
 
 	rs, err := shard.NewRemote(specs, cli)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Close()
-	want := value.Sequenced(1, 1, dataLen)
-	func() {
-		v := value.Sequenced(1, 1, dataLen) // garbage once the write returns
-		if err := rs.WriteValue(1, rs.Shards()[0], v); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	held := func() (pieces []register.Chunk) {
-		t.Helper()
-		resp, err := backing.Cluster().ApplyOne(3, rmwOf(t, "adaptive.read", nil)(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat, err := register.EncodeResponse("adaptive.read", resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := register.NewWireReader(flat)
-		r.TS()
-		return r.Chunks()
-	}
-	if pieces := held(); len(pieces) != 1 || pieces[0].TS.Num != 0 {
-		t.Fatalf("object 3 holds %d pieces before its connection wrote anything; want the initial one", len(pieces))
-	}
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		_ = bytes.Repeat([]byte{0xEE}, dataLen/k)
-	}
-	close(gate)
+	t.Cleanup(rs.Close)
+	return &gatedRemote{cfg: cfg, backing: backing, rs: rs, gate: gate}
+}
 
-	blocks, err := cfg.Validate()
+func (g *gatedRemote) held(t *testing.T, obj int) []register.Chunk {
+	t.Helper()
+	resp, err := g.backing.Cluster().ApplyOne(obj, rmwOf(t, "adaptive.read", nil)(obj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := blocks.Code.Encode(want.View())
+	flat, err := register.EncodeResponse("adaptive.read", resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := register.NewWireReader(flat)
+	r.TS()
+	return r.Chunks()
+}
+
+// settle opens the gate and waits until object obj holds one piece, of the
+// write numbered 1, which must be block obj+1 of want's code.
+func (g *gatedRemote) settle(t *testing.T, obj int, want value.Value) {
+	t.Helper()
+	if pieces := g.held(t, obj); len(pieces) != 1 || pieces[0].TS.Num != 0 {
+		t.Fatalf("object %d holds %d pieces before its connection wrote anything; want the initial one", obj, len(pieces))
+	}
+	close(g.gate)
+	cfg, err := g.cfg.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := cfg.Code.Encode(want.View())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		pieces := held()
+		pieces := g.held(t, obj)
 		if len(pieces) == 1 && pieces[0].TS.Num == 1 {
-			if got := pieces[0].Block; got.Index != 4 || !bytes.Equal(got.Data, code[3].Data) {
-				t.Fatalf("object 3 stored block %d of %d bytes: not the piece the write's code produced for it", got.Index, len(got.Data))
+			if got := pieces[0].Block; got.Index != obj+1 || !bytes.Equal(got.Data, code[obj].Data) {
+				t.Fatalf("object %d stored block %d of %d bytes: not the piece the write's code produced for it", obj, got.Index, len(got.Data))
 			}
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the held-back frames never settled object 3: it holds %d pieces", len(pieces))
+			t.Fatalf("the held-back frames never settled object %d: it holds %d pieces", obj, len(pieces))
 		}
 	}
-	if got, err := rs.ReadValue(2, rs.Shards()[0]); err != nil || !got.Equal(want) {
+}
+
+// TestStragglerFrameCarriesItsPieceAfterTheWriteReturned: object 3's
+// connection writes nothing until a gate opens, so a whole write — query,
+// update and GC rounds, each returning at its quorum of the other three —
+// completes, its encoder expires and its caller's value is garbage, while the
+// three frames addressed to object 3 sit in the sender's queue pointing at the
+// write's piece. Let through, they store exactly the piece the code produced.
+func TestStragglerFrameCarriesItsPieceAfterTheWriteReturned(t *testing.T) {
+	const dataLen = 16 << 10
+	g := newGatedRemote(t, dataLen, 3)
+	want := value.Sequenced(1, 1, dataLen)
+	func() {
+		v := value.Sequenced(1, 1, dataLen) // garbage once the write returns
+		if err := g.rs.WriteValue(1, g.rs.Shards()[0], v); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		_ = bytes.Repeat([]byte{0xEE}, dataLen/2)
+	}
+	g.settle(t, 3, want)
+	if got, err := g.rs.ReadValue(2, g.rs.Shards()[0]); err != nil || !got.Equal(want) {
+		t.Fatalf("read after the stragglers landed: %v, equal = %v", err, err == nil && got.Equal(want))
+	}
+}
+
+// TestStragglerFrameOutlivesTheCallersBuffer: a borrowed value's bytes are
+// the caller's again once its write returns, so a frame still queued for a
+// slow object must not read them. Object 0 holds data block 1, a view of the
+// value wherever a write does not detach it; its connection writes nothing
+// until the caller has written the write's buffer over. Let through, its
+// frames store block 1 as it was encoded, and a read returns the value
+// written.
+func TestStragglerFrameOutlivesTheCallersBuffer(t *testing.T) {
+	const dataLen = 16 << 10
+	g := newGatedRemote(t, dataLen, 0)
+	want := value.Sequenced(1, 1, dataLen)
+	buf := want.Bytes()
+	if err := g.rs.WriteValue(1, g.rs.Shards()[0], value.Borrow(buf)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	g.settle(t, 0, want)
+	if got, err := g.rs.ReadValue(2, g.rs.Shards()[0]); err != nil || !got.Equal(want) {
 		t.Fatalf("read after the stragglers landed: %v, equal = %v", err, err == nil && got.Equal(want))
 	}
 }

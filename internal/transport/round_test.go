@@ -713,8 +713,8 @@ var remoteShapes = []struct {
 	write, read             float64
 	writeParent, readParent int
 }{
-	{"1KiB-f1-k2", 1, 2, 1 << 10, 11, 2, 11, 3},
-	{"64KiB-f2-k4", 2, 4, 64 << 10, 18, 8, 18, 9},
+	{"1KiB-f1-k2", 1, 2, 1 << 10, 10, 2, 11, 2},
+	{"64KiB-f2-k4", 2, 4, 64 << 10, 16, 8, 17, 8},
 }
 
 // openRemoteAdaptive serves an adaptive shard of the given shape over
@@ -763,7 +763,8 @@ func openRemoteAdaptive(tb testing.TB, f, k, size int) (*shard.Set, value.Value)
 // builds a closure per operation (the shard layer's pooled op), a read's
 // answers decode into the round's header windows, its reconstruction inverts
 // no matrix the code has inverted before, and a write lists its held blocks
-// on its stack. A change that moves a count must say why.
+// on its stack, and the oracle lists its n blocks there too (which took one
+// allocation off each write). A change that moves a count must say why.
 func TestRemoteOperationAllocations(t *testing.T) {
 	for _, shape := range remoteShapes {
 		t.Run(shape.name, func(t *testing.T) {

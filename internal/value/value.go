@@ -17,7 +17,8 @@ import (
 // Value is an element of the register domain V: an immutable byte string of a
 // fixed length agreed upon by all clients of a register instance.
 type Value struct {
-	data []byte
+	data     []byte
+	borrowed bool // the bytes are the caller's, lent for one write (Borrow)
 }
 
 // Zero returns the initial register value v0: all-zero bytes of the given
@@ -39,6 +40,19 @@ func FromBytes(b []byte) Value {
 // must not read or write b afterwards; a decoder handing over the buffer it
 // just filled is the intended use.
 func Adopt(b []byte) Value { return Value{data: b} }
+
+// Borrow builds a Value that views b for the span of one write: the caller
+// lends b until the write it hands the Value to returns, and may write to b
+// again from then on. A write keeps no byte of a borrowed value past its
+// return, on any engine: whoever would hold a view of b longer — a base
+// object, or a frame still queued for a slow one — holds a copy
+// (register.EncodeWrite detaches every block of a borrowed value). Only a
+// write may be handed a borrowed Value.
+func Borrow(b []byte) Value { return Value{data: b, borrowed: true} }
+
+// Borrowed reports whether the value's bytes are lent by a caller (Borrow)
+// rather than the value's own.
+func (v Value) Borrowed() bool { return v.borrowed }
 
 // FromString builds a Value from a string, padded with zero bytes to
 // sizeBytes. It panics if the string is longer than sizeBytes; register

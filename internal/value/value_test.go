@@ -112,3 +112,19 @@ func TestAdoptAndView(t *testing.T) {
 		t.Fatal("adopted value differs from its bytes")
 	}
 }
+
+func TestBorrowViewsAndIsMarked(t *testing.T) {
+	buf := []byte{1, 2, 3, 4}
+	v := Borrow(buf)
+	if &v.View()[0] != &buf[0] {
+		t.Fatal("Borrow or View copied")
+	}
+	if !v.Borrowed() || !v.Equal(FromBytes(buf)) {
+		t.Fatalf("borrowed value: Borrowed() = %v, or it differs from its bytes", v.Borrowed())
+	}
+	for _, own := range []Value{Adopt(buf), FromBytes(buf), Zero(4), Sequenced(1, 1, 4), FromString("ab", 4)} {
+		if own.Borrowed() {
+			t.Errorf("%v: a value with bytes of its own reports Borrowed", own)
+		}
+	}
+}

@@ -277,13 +277,17 @@ func (s *Store) Shards() []string {
 	return out
 }
 
-// pad zero-pads val to the shard's value size, rejecting oversized values.
-// The Value adopts the padded copy, so val is copied once and the caller may
-// reuse it as soon as the write returns.
+// pad zero-pads val to the shard's value size, rejecting oversized values. A
+// full-size val is borrowed (value.Borrow): the write encodes from it and keeps
+// no view of it, so val is copied once, into the blocks its objects keep. A
+// shorter one is copied into a padded buffer the Value adopts.
 func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 	size := sh.Reg.Config().DataLen
-	if len(val) > size {
+	switch {
+	case len(val) > size:
 		return value.Value{}, fmt.Errorf("spacebounds: value of %d bytes exceeds register size %d of shard %q", len(val), size, sh.Name)
+	case len(val) == size:
+		return value.Borrow(val), nil
 	}
 	padded := make([]byte, size)
 	copy(padded, val)
@@ -295,7 +299,8 @@ func pad(sh *shard.Shard, val []byte) (value.Value, error) {
 // routing labels, not map entries — every key on a shard addresses the same
 // register, so a later write under any key of the shard supersedes earlier
 // ones, exactly as in the paper's register model. For key-value semantics,
-// give each key its own shard (see examples/kvstore).
+// give each key its own shard (see examples/kvstore). The write keeps no view
+// of val: the caller may write to val again as soon as WriteKey returns.
 func (s *Store) WriteKey(client int, key string, val []byte) error {
 	// The key is routed once, and the value padded against the shard it is
 	// then written to.
@@ -314,13 +319,17 @@ func (s *Store) WriteKey(client int, key string, val []byte) error {
 
 // ReadKey returns the current value of the shard the key routes to. While
 // that shard is being migrated the read consults both epochs and the higher
-// (epoch, timestamp) wins.
+// (epoch, timestamp) wins. The slice is the caller's own: it is the buffer the
+// read decoded into, which nothing else holds, so the caller may keep it and
+// write to it.
 func (s *Store) ReadKey(client int, key string) ([]byte, error) {
 	got, err := s.set.Read(client, key)
 	if err != nil {
 		return nil, err
 	}
-	return got.Bytes(), nil
+	// Set.Read hands over the value it returns (every reader of a shared batch
+	// round has a copy of its own), so its bytes go to the caller as they are.
+	return got.View(), nil
 }
 
 // CrashNode crashes one simulated base object by global ID (shards occupy

@@ -65,34 +65,100 @@ func TestStoreRejectsOversizedValue(t *testing.T) {
 
 // TestWriteKeyKeepsNoViewOfTheCallersSlice overwrites the caller's slice
 // after WriteKey returns: a later ReadKey still returns what was written, for
-// a full-size value and for a short one that pad extends.
+// a full-size value (borrowed by the write) and for a short one that pad
+// extends, batched or not. The slice ReadKey returns is the caller's own:
+// writing to it changes no later read.
 func TestWriteKeyKeepsNoViewOfTheCallersSlice(t *testing.T) {
 	for _, algo := range []Algorithm{Adaptive, Replication, ErasureCoded, Safe} {
 		t.Run(string(algo), func(t *testing.T) {
-			s, err := Open(Options{Algorithm: algo, F: 1, K: 2, ValueSize: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			for _, n := range []int{64, 19} {
-				val := bytes.Repeat([]byte{byte(n)}, n)
-				want := append(bytes.Clone(val), make([]byte, 64-n)...)
-				if err := s.WriteKey(1, "default", val); err != nil {
-					t.Fatalf("write: %v", err)
-				}
-				for i := range val {
-					val[i] = 0xee
-				}
-				got, err := s.ReadKey(2, "default")
+			for _, batch := range []int{0, 16} {
+				s, err := Open(Options{Algorithm: algo, F: 1, K: 2, ValueSize: 64, Batch: BatchOptions{MaxSize: batch}})
 				if err != nil {
-					t.Fatalf("read: %v", err)
+					t.Fatal(err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%d-byte write overwritten by its caller afterwards: read %x, want %x", n, got, want)
+				defer s.Close()
+				for _, n := range []int{64, 19} {
+					val := bytes.Repeat([]byte{byte(n)}, n)
+					want := append(bytes.Clone(val), make([]byte, 64-n)...)
+					if err := s.WriteKey(1, "default", val); err != nil {
+						t.Fatalf("batch %d: write: %v", batch, err)
+					}
+					for i := range val {
+						val[i] = 0xee
+					}
+					for reader := 2; reader <= 3; reader++ {
+						got, err := s.ReadKey(reader, "default")
+						if err != nil {
+							t.Fatalf("batch %d: read: %v", batch, err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("batch %d: %d-byte write overwritten by its caller afterwards, or by an earlier reader: read %x, want %x", batch, n, got, want)
+						}
+						for i := range got {
+							got[i] = 0xdd
+						}
+					}
 				}
 			}
 		})
 	}
+}
+
+// TestConcurrentWritersReuseTheirBuffers: batched writers each write from one
+// buffer, refilled with the writer's next value as soon as WriteKey returns,
+// while readers scribble over every slice ReadKey returns. Every read must
+// return a value some writer wrote, whole, or v0; under the race detector
+// nothing may read a writer's buffer after its write returned, nor a reader's
+// slice that another reader was handed.
+func TestConcurrentWritersReuseTheirBuffers(t *testing.T) {
+	const size, writers, readers, ops = 64, 4, 4, 50
+	s, err := Open(Options{F: 1, K: 2, ValueSize: size, Batch: BatchOptions{MaxSize: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fill := func(buf []byte, writer, seq int) {
+		for i := range buf {
+			buf[i] = byte(writer*ops + seq)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, size)
+			for seq := 1; seq <= ops; seq++ {
+				fill(buf, w, seq)
+				if err := s.WriteKey(1+w, "default", buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			fill(buf, 0, 0)
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				got, err := s.ReadKey(100+r, "default")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v := int(got[0]); v > writers*ops || !bytes.Equal(got, bytes.Repeat(got[:1], size)) {
+					t.Errorf("reader %d: %x is no value a writer wrote whole", r, got)
+					return
+				}
+				for j := range got {
+					got[j] = 0xdd
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 func TestStoreUnknownAlgorithm(t *testing.T) {
